@@ -317,6 +317,10 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     print(f"invalidated      : {stats.invalidated_blocks:,} blocks over "
           f"{stats.invalidated_runs:,} retired runs")
     print(f"prefetch width   : {engine.config.prefetch_blocks} blocks/run")
+    epochs = engine.epoch_stats
+    print(f"TS merges        : {epochs.ts_merges:,} "
+          f"(historical half built {epochs.hs_builds:,}x, "
+          f"extended {epochs.hs_extends:,}x)")
     _print_backend_stats(engine)
     return 0
 

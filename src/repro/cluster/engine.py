@@ -47,7 +47,7 @@ import numpy as np
 from ..core.bounds import CombinedSummary, PartialResult, widen_rank_bound
 from ..core.config import EngineConfig
 from ..core.engine import HybridQuantileEngine, QueryResult, StepReport
-from ..core.epoch import SnapshotHandle
+from ..core.epoch import HistoricalMemo, SnapshotHandle
 from ..core.filters import AccurateSearch
 from ..core.summaries import StreamSummary
 from ..faults.disk import FaultyDisk
@@ -258,6 +258,10 @@ class ClusterSnapshot:
     element counts, and ``shards_total`` is the full cluster width.
     When those are omitted (every legacy construction) the snapshot
     behaves exactly as before — every shard answering, nothing missing.
+
+    ``historical_memo`` is the owning cluster's memo of the fused TS's
+    historical half; without one (snapshots over standalone engines)
+    the snapshot keeps its own — the same arrays either way.
     """
 
     def __init__(
@@ -268,6 +272,7 @@ class ClusterSnapshot:
         shard_ids: Optional[Sequence[int]] = None,
         missing: Optional[Mapping[int, int]] = None,
         shards_total: Optional[int] = None,
+        historical_memo: Optional[HistoricalMemo] = None,
     ) -> None:
         if not handles:
             raise ValueError("a cluster snapshot needs at least one shard")
@@ -299,6 +304,7 @@ class ClusterSnapshot:
         self.epoch = tuple(h.epoch for h in self.handles)
         self.n_historical = sum(h.n_historical for h in self.handles)
         self.m_stream = sum(h.m_stream for h in self.handles)
+        self._historical_memo = historical_memo or HistoricalMemo()
         self._combined: Optional[CombinedSummary] = None
         self._merges = 0
         self._released = False
@@ -361,13 +367,15 @@ class ClusterSnapshot:
         shard_partitions: List[List[Partition]],
         summaries: List[StreamSummary],
     ) -> CombinedSummary:
-        partition_summaries = [
-            p.summary
-            for parts in shard_partitions
-            for p in parts
-            if len(p) > 0
+        # Shard-major: the order the historical shares are summed in.
+        partitions = [
+            p for parts in shard_partitions for p in parts if len(p) > 0
         ]
-        built = CombinedSummary.build(partition_summaries, summaries)
+        built = CombinedSummary.build(
+            [p.summary for p in partitions],
+            summaries,
+            self._historical_memo.get(partitions),
+        )
         self._merges += 1
         return built
 
@@ -833,6 +841,9 @@ class ClusterEngine:
             retry=config.probe_retry_policy,
         )
         self._step = 0
+        # The historical half of the fused TS, memoised per partition
+        # set (over the shard-major concatenation) across pins.
+        self._historical_memo = HistoricalMemo()
 
     # -- ingest ---------------------------------------------------------
 
@@ -1120,6 +1131,7 @@ class ClusterEngine:
                 for index in self._quarantined
             },
             shards_total=len(self.shards),
+            historical_memo=self._historical_memo,
         )
 
     def query_rank(
@@ -1286,6 +1298,7 @@ class ClusterEngine:
 
     def check_invariants(self) -> None:
         """Validate every live shard plus the cluster's lockstep contract."""
+        self._historical_memo.check_invariants()
         for index, shard in enumerate(self.shards):
             if shard is None:
                 continue

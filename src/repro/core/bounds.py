@@ -13,6 +13,14 @@ elements drawn from the stream summary itself (their own Lemma 1 bound
 applies) and ``alpha_S + 1`` otherwise.  These formulas reproduce the
 worked example of the paper's Figure 3 exactly (see the golden test).
 
+TS is built in two halves.  The sums over partitions depend on the
+partition set only — HS changes when a time step is sealed or levels
+merge, not per query — so :class:`HistoricalSummary` holds the merged HS
+values with those sums and is folded once per partition set, one
+partition at a time.  The stream terms depend on the live sketch, so
+:meth:`CombinedSummary.build` merges the per-query SS into a
+``HistoricalSummary`` by rank arithmetic (no sort) and adds them.
+
 TS powers both the quick response (Algorithm 5) and filter generation
 (Algorithm 7).
 """
@@ -20,7 +28,7 @@ TS powers both the quick response (Algorithm 5) and filter generation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,6 +78,142 @@ def widen_rank_bound(base_bound: float, missing_elements: int) -> float:
     return float(base_bound) + int(missing_elements)
 
 
+def _alpha_runs(values: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Run lengths of ``alpha`` over ``values``, for ``alpha = 0..len(entries)``.
+
+    ``alpha(x)`` counts the ``entries`` that are ``<= x``.  Both arrays
+    are sorted and every entry occurs in ``values``, so ``alpha`` steps
+    up exactly at the first slot holding each entry's value, and a
+    per-alpha ``table`` becomes per-slot as ``np.repeat(table, runs)``
+    — one pass over the short array, no search over the long one.
+    """
+    first = np.searchsorted(values, entries, side="left")
+    return np.diff(first, prepend=0, append=len(values))
+
+
+class _Merge:
+    """Stable merge of sorted ``entries`` into sorted ``base`` values.
+
+    Rank arithmetic, no sort: entry ``j`` lands in slot ``j`` plus the
+    number of base values strictly below it — in front of the first
+    base value that is not below it — and the base values keep their
+    order in the remaining slots.
+    """
+
+    def __init__(self, base: np.ndarray, entries: np.ndarray) -> None:
+        self.slots = np.arange(len(entries)) + np.searchsorted(
+            base, entries, side="left"
+        )
+        #: slots holding entries (the others hold base values).
+        self.inserted = np.zeros(len(base) + len(entries), dtype=bool)
+        self.inserted[self.slots] = True
+        self._kept = ~self.inserted
+        #: per entry, how many base values are ``<=`` it.
+        self._covered = np.searchsorted(base, entries, side="right")
+
+    def place(self, base: np.ndarray, entries: np.ndarray) -> np.ndarray:
+        """One array per side of the merge, each element in its slot."""
+        merged = np.empty(len(self.inserted), dtype=base.dtype)
+        merged[self._kept] = base
+        merged[self.slots] = entries
+        return merged
+
+    def shares(self, base: np.ndarray) -> np.ndarray:
+        """A per-base-value share of a rank bound, extended to the entries.
+
+        The share is constant between consecutive base values, so an
+        entry starts from that of the last base value at most it (zero
+        below the smallest).
+        """
+        return self.place(
+            base, np.concatenate(([0.0], base))[self._covered]
+        )
+
+
+@dataclass(frozen=True)
+class HistoricalSummary:
+    """The half of TS that depends on the partition set only.
+
+    ``values`` is the sorted union of the partition summaries (HS) and
+    ``lower`` / ``upper`` hold, per element, the partitions' share of
+    the Lemma 2 bounds ``L_i`` / ``U_i``, summed in partition order.
+    Every ``alpha_P(x)`` is constant between consecutive HS values, so
+    the share at *any* value — a stream summary entry, say — is that of
+    the largest HS element at most ``x`` (zero below the smallest).
+
+    A summary is only ever grown by :meth:`extended`, one partition at
+    a time: sealing a time step appends one partition to the set, and
+    extending the previous summary by it is the same code — and yields
+    the same bits — as folding the whole set from scratch.
+    """
+
+    values: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    #: elements in the summarized partitions (``n`` over the scope).
+    total_size: int
+
+    @classmethod
+    def fold(
+        cls, partition_summaries: Sequence[PartitionSummary]
+    ) -> "HistoricalSummary":
+        """The summary of ``partition_summaries``, folded in order."""
+        folded = cls(
+            values=np.empty(0, dtype=np.int64),
+            lower=np.empty(0, dtype=np.float64),
+            upper=np.empty(0, dtype=np.float64),
+            total_size=0,
+        )
+        for summary in partition_summaries:
+            folded = folded.extended(summary)
+        return folded
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def extended(self, summary: PartitionSummary) -> "HistoricalSummary":
+        """This summary with one more partition appended to the set."""
+        if len(summary) == 0:
+            return self
+        # The new entries start from the old partitions' share.
+        merge = _Merge(self.values, summary.values)
+        values = merge.place(self.values, summary.values)
+        lower = merge.shares(self.lower)
+        upper = merge.shares(self.upper)
+
+        # The new partition's share, tabulated per alpha = 0..count.
+        count = len(summary)
+        size = summary.partition_size
+        alphas = np.arange(count + 1)
+        scale = summary.eps1 * size
+        below = np.minimum((alphas - 1) * scale, size)
+        if scale <= 1:
+            # The sampled ranks 1 and ceil(eps1 * m_P) collide, so the
+            # alpha-th stored entry sits further up the rank schedule
+            # than Lemma 2 assumes — a partition shorter than 1/eps1
+            # stores every element and alpha counts elements — and the
+            # paper's (alpha - 1) * eps1 * m_P undercounts; the stored
+            # exact rank of the alpha-th entry is the bound.
+            below[1:] = np.maximum(below[1:], summary.positions)
+        below[0] = 0.0
+        # Paper formula alpha * eps1 * m_P, floored by the stored
+        # exact rank of the next summary entry so the bound stays
+        # valid when a tiny partition deduplicated its positions.
+        above = np.maximum(
+            alphas * scale, np.append(summary.positions - 1, size)
+        )
+        above[0] = 0.0
+        runs = _alpha_runs(values, summary.values)
+        lower += np.repeat(below, runs)
+        upper += np.repeat(above, runs)
+        return HistoricalSummary(
+            values=values,
+            lower=lower,
+            upper=upper,
+            total_size=self.total_size + size,
+        )
+
+
 @dataclass(frozen=True)
 class CombinedSummary:
     """TS with per-element rank bounds.
@@ -98,112 +242,103 @@ class CombinedSummary:
         cls,
         partition_summaries: Sequence[PartitionSummary],
         stream_summary: "StreamSummary | Sequence[StreamSummary]",
+        historical: Optional[HistoricalSummary] = None,
     ) -> "CombinedSummary":
-        """Merge HS and SS into TS and compute all bounds.
+        """Fuse HS and SS into TS and compute all bounds.
 
         ``stream_summary`` may be a single :class:`StreamSummary` (the
-        single-engine path — bit-identical to the historical code) or a
-        sequence of them (the cluster's fused path: one SS per shard).
-        Rank bounds are additive across components, so each stream
-        summary simply contributes its own Lemma 2 terms and the fused
-        error is ``eps1 * sum(n_P) + eps2 * sum(m_s)`` — the same
-        contract over the union stream.
+        single-engine path) or a sequence of them (the cluster's fused
+        path: one SS per shard).  Rank bounds are additive across
+        components, so each stream summary simply contributes its own
+        Lemma 2 terms and the fused error is ``eps1 * sum(n_P) + eps2 *
+        sum(m_s)`` — the same contract over the union stream.
+
+        ``historical`` is the :class:`HistoricalSummary` of
+        ``partition_summaries`` when the caller already holds one (the
+        engines memoise it per partition set); without it the summaries
+        are folded here.  Either way only the stream half is computed
+        per call, and the result is the same to the bit.
         """
         if isinstance(stream_summary, StreamSummary):
             stream_summaries = [stream_summary]
         else:
             stream_summaries = list(stream_summary)
-        histories = [s for s in partition_summaries if len(s) > 0]
-        parts = [s.values for s in histories]
-        flags = [np.zeros(len(s), dtype=bool) for s in histories]
-        # Per-element origin: -1 for historical entries, the stream
-        # summary's index otherwise (an element's *own* summary uses
-        # the tighter Lemma 1 coefficient below).
-        origins = [np.full(len(s), -1, dtype=np.int64) for s in histories]
-        for s_index, summary in enumerate(stream_summaries):
-            if not summary.is_empty:
-                parts.append(summary.values)
-                flags.append(np.ones(len(summary), dtype=bool))
-                origins.append(
-                    np.full(len(summary), s_index, dtype=np.int64)
-                )
-        if not parts:
+        if historical is None:
+            historical = HistoricalSummary.fold(partition_summaries)
+        elif len(historical) != sum(len(s) for s in partition_summaries):
+            raise ValueError(
+                "historical does not summarize partition_summaries"
+            )
+        live = [
+            (s_index, summary)
+            for s_index, summary in enumerate(stream_summaries)
+            if not summary.is_empty
+        ]
+        if not live and len(historical) == 0:
             raise ValueError("cannot summarize an empty dataset")
-        values = np.concatenate(parts)
-        stream_mask = np.concatenate(flags)
-        origin = np.concatenate(origins)
-        # Sort by value; on ties, stream entries first.  (A stream
+        entries = np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [summary.values for _, summary in live]
+        )
+        # Which stream summary each entry came from: an element's *own*
+        # summary uses the tighter Lemma 1 coefficient below.
+        origin = np.repeat(
+            [s_index for s_index, _ in live],
+            [len(summary) for _, summary in live],
+        )
+        if len(live) > 1:
+            order = np.argsort(entries, kind="stable")
+            entries = entries[order]
+            origin = origin[order]
+
+        # On ties the merge puts stream entries first.  (A stream
         # entry's upper bound uses coefficient alpha_S while an equal
         # historical value uses alpha_S + 1, so this tie order keeps
         # the ``upper`` array monotone for the binary searches below.)
-        order = np.lexsort((np.where(stream_mask, 0, 1), values))
-        values = values[order]
-        stream_mask = stream_mask[order]
-        origin = origin[order]
+        merge = _Merge(historical.values, entries)
+        values = merge.place(historical.values, entries)
+        lower = merge.shares(historical.lower)
+        upper = merge.shares(historical.upper)
 
-        lower = np.zeros(len(values), dtype=np.float64)
-        upper = np.zeros(len(values), dtype=np.float64)
-        for summary in histories:
-            alphas = np.searchsorted(summary.values, values, side="right")
-            scale = summary.eps1 * summary.partition_size
-            present = alphas > 0
-            lower += np.where(
-                present,
-                np.minimum((alphas - 1) * scale, summary.partition_size),
-                0.0,
-            )
-            # Paper formula alpha * eps1 * m_P, floored by the stored
-            # exact rank of the next summary entry so the bound stays
-            # valid when a tiny partition deduplicated its positions.
-            count = len(summary.positions)
-            idx = np.minimum(alphas, count - 1)
-            exact_next = np.where(
-                alphas < count,
-                summary.positions[idx] - 1,
-                summary.partition_size,
-            )
-            upper += np.where(
-                present, np.maximum(alphas * scale, exact_next), 0.0
-            )
-        for s_index, summary in enumerate(stream_summaries):
+        for s_index, summary in live:
             m = summary.stream_size
-            if m <= 0:
-                continue
-            alphas = np.searchsorted(summary.values, values, side="right")
+            count = len(summary)
+            alphas = np.arange(count + 1)
             scale = summary.eps2 * m
-            present = alphas > 0
-            lower += np.where(
-                present, np.minimum((alphas - 1) * scale, m), 0.0
-            )
+            below = np.minimum((alphas - 1) * scale, m)
+            below[0] = 0.0
+            runs = _alpha_runs(values, summary.values)
+            lower += np.repeat(below, runs)
             if summary.strict_uppers is not None:
                 # Provable bracket from the GK extraction: everything
                 # at most TS[i] precedes the next strictly greater
                 # summary entry.
-                count = len(summary.values)
-                idx = np.minimum(alphas, count - 1)
-                bound = np.where(
-                    alphas < count,
-                    summary.strict_uppers[idx].astype(np.float64),
-                    float(m),
+                above = np.append(
+                    summary.strict_uppers.astype(np.float64), float(m)
                 )
-                upper += np.where(present, bound, 0.0)
+                above[0] = 0.0
+                upper += np.repeat(above, runs)
             else:
                 # Lemma 1 applies to this summary's own entries only;
                 # every other element falls between entries and pays
                 # the + 1 coefficient.
-                own = origin == s_index
-                upper_coeff = np.where(own, alphas, alphas + 1)
-                upper += np.where(present, upper_coeff * scale, 0.0)
+                own = np.zeros(len(values), dtype=bool)
+                own[merge.slots] = origin == s_index
+                above = (alphas + 1) * scale
+                above[0] = 0.0
+                upper += np.where(
+                    own,
+                    np.repeat(alphas * scale, runs),
+                    np.repeat(above, runs),
+                )
 
-        total = sum(s.partition_size for s in histories) + sum(
-            s.stream_size for s in stream_summaries
-        )
         return cls(
             values=values,
-            from_stream=stream_mask,
+            from_stream=merge.inserted,
             lower=lower,
             upper=upper,
-            total_size=total,
+            total_size=historical.total_size
+            + sum(s.stream_size for s in stream_summaries),
         )
 
     def __len__(self) -> int:

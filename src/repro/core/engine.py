@@ -74,7 +74,7 @@ from ..warehouse.leveled_store import LeveledStore, window_sizes_from
 from ..warehouse.partition import Partition
 from .bounds import CombinedSummary, PartialResult
 from .config import EngineConfig
-from .epoch import EpochRegistry, EpochStats, SnapshotHandle
+from .epoch import EpochRegistry, EpochStats, HistoricalMemo, SnapshotHandle
 from .filters import AccurateSearch
 from .summaries import PartitionSummary, StreamSummary
 from .aggregates import AggregateStats, combine, partition_stats
@@ -282,6 +282,9 @@ class HybridQuantileEngine:
         # bumps the epoch, and pinned SnapshotHandles are refcounted
         # per epoch — the serving layer's consistency unit.
         self._epochs = EpochRegistry()
+        # The historical half of TS, memoised per partition set and
+        # shared by every handle this engine pins.
+        self._historical_memo = HistoricalMemo()
         # Serializes end_time_step's seal (take buffer + reset sketch +
         # enqueue pending) against pin(): a reader never observes the
         # instant where a sealed batch is in neither the stream nor the
@@ -794,15 +797,21 @@ class HybridQuantileEngine:
             note_degraded=self._note_degraded_query,
             created_at_step=step,
             shared_cache=self.shared_cache,
+            historical_memo=self._historical_memo,
         )
 
     @property
     def epoch_stats(self) -> EpochStats:
         """The epoch layer's counters (pins, bumps, TS merges), with
-        the shared cache's hit/miss/eviction/invalidation counters and
+        the historical-summary memo's build/extend counters, the
+        shared cache's hit/miss/eviction/invalidation counters and
         the storage backend's request counters merged in (zeros when
         the shared tier is disabled / the backend is request-free)."""
-        stats = self._epochs.stats()
+        stats = replace(
+            self._epochs.stats(),
+            hs_builds=self._historical_memo.builds,
+            hs_extends=self._historical_memo.extends,
+        )
         if self.shared_cache is not None:
             cs = self.shared_cache.stats()
             stats = replace(
@@ -1299,6 +1308,7 @@ class HybridQuantileEngine:
         checked too (their summaries obey the same gap invariant).
         """
         self.store.check_invariant()
+        self._historical_memo.check_invariants()
         for partition in self._queryable_partitions():
             summary: PartitionSummary = partition.summary
             if summary is None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
@@ -45,10 +46,10 @@ from ..storage.cache import BlockCache
 from ..storage.disk import SimulatedDisk
 from ..storage.shared_cache import SharedBlockCache
 from ..warehouse.partition import Partition
-from .bounds import CombinedSummary
+from .bounds import CombinedSummary, HistoricalSummary
 from .config import EngineConfig
 from .filters import AccurateSearch
-from .summaries import StreamSummary
+from .summaries import PartitionSummary, StreamSummary
 from .windows import resolve_range_in, resolve_window_in
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -75,6 +76,12 @@ class EpochStats:
     #: TS merges (``CombinedSummary.build`` passes) performed for
     #: queries — the denominator-side of the coalescing ratio.
     ts_merges: int
+    #: historical halves of TS folded from scratch / grown from a
+    #: memoised prefix of the partition set (one of the two per new
+    #: partition set queried; every other TS merge reuses one), merged
+    #: in by ``engine.epoch_stats``.
+    hs_builds: int = 0
+    hs_extends: int = 0
     #: shared-block-cache counters, merged in by ``engine.epoch_stats``
     #: (all zero when the shared tier is disabled).
     cache_hits: int = 0
@@ -176,6 +183,76 @@ class EpochRegistry:
             )
 
 
+class HistoricalMemo:
+    """The :class:`HistoricalSummary` of the few partition sets in use.
+
+    Keyed by the partitions' ``run.run_id`` tuple.  Run ids are unique
+    in the process, so a seal, a cascade merge, a staged pending batch,
+    a windowed scope, a handle pinned before a merge and a restored
+    checkpoint each simply ask for a different key: nothing is ever
+    invalidated, stale sets age out of the LRU.  A set that extends a
+    memoised one (a seal appends one partition) is grown from it
+    instead of folded from scratch.  Built by the first query that
+    needs it, never on the seal path.
+    """
+
+    #: full scope, the scope before the latest seal, a window or two.
+    CAPACITY = 4
+
+    def __init__(self) -> None:
+        # Held across a build: queries pinned at the same partition set
+        # (the dispatcher and its clients) wait for one builder.
+        self._lock = threading.Lock()
+        self._entries: (
+            "OrderedDict[tuple[int, ...],"
+            " tuple[List[PartitionSummary], HistoricalSummary]]"
+        ) = OrderedDict()
+        #: summaries folded from scratch / grown from a memoised prefix.
+        self.builds = 0
+        self.extends = 0
+
+    def get(self, partitions: Sequence[Partition]) -> HistoricalSummary:
+        """The summary of ``partitions`` (in this order), memoised."""
+        key = tuple(p.run.run_id for p in partitions)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[1]
+            prefix = max(
+                (k for k in self._entries if k == key[: len(k)]),
+                key=len,
+                default=(),
+            )
+            summaries = [p.summary for p in partitions]
+            if prefix:
+                historical = self._entries[prefix][1]
+                self.extends += 1
+            else:
+                historical = HistoricalSummary.fold(())
+                self.builds += 1
+            for summary in summaries[len(prefix):]:
+                historical = historical.extended(summary)
+            self._entries[key] = (summaries, historical)
+            if len(self._entries) > self.CAPACITY:
+                self._entries.popitem(last=False)
+            return historical
+
+    def check_invariants(self) -> None:
+        """Assert every memoised summary equals a fresh fold."""
+        with self._lock:
+            entries = list(self._entries.values())
+        for summaries, memoised in entries:
+            fresh = HistoricalSummary.fold(summaries)
+            if memoised.total_size != fresh.total_size or not all(
+                np.array_equal(getattr(memoised, name), getattr(fresh, name))
+                for name in ("values", "lower", "upper")
+            ):
+                raise AssertionError(
+                    "memoised historical summary differs from a fresh fold"
+                )
+
+
 class SnapshotHandle:
     """A refcounted pin of one consistent (HS, SS, partition-set) view.
 
@@ -199,6 +276,7 @@ class SnapshotHandle:
         note_degraded: Callable[[], None],
         created_at_step: int,
         shared_cache: Optional[SharedBlockCache] = None,
+        historical_memo: Optional[HistoricalMemo] = None,
     ) -> None:
         self._registry = registry
         self.epoch = epoch
@@ -210,6 +288,9 @@ class SnapshotHandle:
         self._note_degraded = note_degraded
         self.created_at_step = created_at_step
         self._shared_cache = shared_cache
+        # A handle built without its engine's memo keeps its own: the
+        # same arrays, folded once per scope it is asked for.
+        self._historical_memo = historical_memo or HistoricalMemo()
         self.n_historical = sum(len(p) for p in partitions)
         self.m_stream = gk.n
         self._cache_lock = threading.RLock()
@@ -315,8 +396,12 @@ class SnapshotHandle:
     def _build_combined(
         self, partitions: Sequence[Partition], ss: StreamSummary
     ) -> CombinedSummary:
-        summaries = [p.summary for p in partitions if len(p) > 0]
-        built = CombinedSummary.build(summaries, ss)
+        partitions = [p for p in partitions if len(p) > 0]
+        built = CombinedSummary.build(
+            [p.summary for p in partitions],
+            ss,
+            self._historical_memo.get(partitions),
+        )
         with self._cache_lock:
             self._merges += 1
         self._registry.note_ts_merge()

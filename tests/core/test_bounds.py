@@ -1,12 +1,16 @@
 """Property tests for TS and the Lemma 2 rank bounds."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import CombinedSummary
+from repro import EngineConfig, HybridQuantileEngine
+from repro.core.bounds import CombinedSummary, HistoricalSummary
 from repro.core.summaries import PartitionSummary, StreamSummary
+from repro.persistence import load_engine, save_engine
 from repro.sketches import GKSketch
 from repro.storage import SimulatedDisk, SortedRun
 from repro.warehouse import Partition
@@ -133,3 +137,367 @@ class TestBoundsProperty:
         rank_u = int(np.searchsorted(everything, u, side="right"))
         rank_v = int(np.searchsorted(everything, v, side="right"))
         assert rank_u <= r <= rank_v
+
+
+# ---------------------------------------------------------------------
+# TS = HS half (per partition set) (+) SS half (per query)
+# ---------------------------------------------------------------------
+
+TS_FIELDS = ("values", "from_stream", "lower", "upper")
+
+
+def reference_ts(partition_summaries, stream_summaries):
+    """Lemma 2 one element at a time: the reference ``build`` must equal.
+
+    Plain python over partitions and stream summaries, every float
+    added in the order the paper's sums are written (partitions in
+    order, then stream summaries in order), so the comparison is
+    ``np.array_equal``, not ``allclose``.
+    """
+    histories = [s for s in partition_summaries if len(s) > 0]
+    elements = []  # (value, 0 = stream first on ties, stream index)
+    for summary in histories:
+        elements += [(int(v), 1, -1) for v in summary.values]
+    for k, ss in enumerate(stream_summaries):
+        if ss.stream_size > 0:
+            elements += [(int(v), 0, k) for v in ss.values]
+    elements.sort()
+    lower, upper = [], []
+    for value, _, origin in elements:
+        low = up = 0.0
+        for summary in histories:
+            alpha = sum(1 for x in summary.values if x <= value)
+            if alpha == 0:
+                continue
+            size = summary.partition_size
+            scale = summary.eps1 * size
+            paper = min((alpha - 1) * scale, size)
+            if scale <= 1:
+                paper = max(paper, int(summary.positions[alpha - 1]))
+            low += paper
+            exact_next = (
+                int(summary.positions[alpha]) - 1
+                if alpha < len(summary.positions)
+                else size
+            )
+            up += max(alpha * scale, exact_next)
+        for k, ss in enumerate(stream_summaries):
+            m = ss.stream_size
+            alpha = sum(1 for x in ss.values if x <= value) if m > 0 else 0
+            if alpha == 0:
+                continue
+            scale = ss.eps2 * m
+            low += min((alpha - 1) * scale, m)
+            if ss.strict_uppers is not None:
+                up += float(
+                    ss.strict_uppers[alpha] if alpha < len(ss.values) else m
+                )
+            else:
+                up += (alpha if origin == k else alpha + 1) * scale
+        lower.append(low)
+        upper.append(up)
+    return CombinedSummary(
+        values=np.asarray([e[0] for e in elements], dtype=np.int64),
+        from_stream=np.asarray([e[1] == 0 for e in elements], dtype=bool),
+        lower=np.asarray(lower, dtype=np.float64),
+        upper=np.asarray(upper, dtype=np.float64),
+        total_size=sum(s.partition_size for s in histories)
+        + sum(ss.stream_size for ss in stream_summaries),
+    )
+
+
+def partition_summary_of(data, eps1):
+    if not data:
+        empty = np.empty(0, dtype=np.int64)
+        return PartitionSummary(empty, empty.copy(), 0, eps1)
+    run = SortedRun(
+        SimulatedDisk(block_elems=8), np.sort(np.asarray(data, np.int64))
+    )
+    return PartitionSummary.build(
+        Partition(level=0, start_step=1, end_step=1, run=run), eps1
+    )
+
+
+def stream_summary_of(data, eps2, strict):
+    stream = np.asarray(data, dtype=np.int64)
+    if strict or not stream.size:
+        gk = GKSketch(eps2 / 2.0)
+        if stream.size:
+            gk.update_many(stream)
+        return StreamSummary.extract(gk, eps2)
+    # No brackets: a hand-built summary, as in the Figure 3 example.
+    ranks = np.minimum(
+        stream.size - 1, np.arange(int(1 / eps2) + 1) * eps2 * stream.size
+    ).astype(np.int64)
+    return StreamSummary(np.sort(stream)[ranks], int(stream.size), eps2)
+
+
+def assert_same_ts(built, expected):
+    for name in TS_FIELDS:
+        got, want = getattr(built, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert built.total_size == expected.total_size
+
+
+# Universe of 8 values: HS/HS, HS/SS and SS/SS ties in every case.
+small_values = st.lists(st.integers(0, 7), min_size=0, max_size=40)
+
+
+class TestHistoricalSplit:
+    @given(
+        parts=st.lists(small_values, min_size=0, max_size=6),
+        streams=st.lists(small_values, min_size=1, max_size=4),
+        strict=st.booleans(),
+        split=st.integers(0, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_scalar_lemma2(
+        self, parts, streams, strict, split
+    ):
+        """eps1 = 1/4: partitions of up to 4 elements are tiny ones."""
+        if not any(parts) and not any(streams):
+            return
+        summaries = [partition_summary_of(p, 0.25) for p in parts]
+        stream_summaries = [
+            stream_summary_of(s, 0.125, strict) for s in streams
+        ]
+        expected = reference_ts(summaries, stream_summaries)
+
+        folded = HistoricalSummary.fold(summaries)
+        grown = HistoricalSummary.fold(summaries[:split])
+        for summary in summaries[split:]:
+            grown = grown.extended(summary)
+        for name in ("values", "lower", "upper"):
+            assert np.array_equal(getattr(grown, name), getattr(folded, name))
+        assert grown.total_size == folded.total_size
+
+        for historical in (None, folded, grown):
+            assert_same_ts(
+                CombinedSummary.build(
+                    summaries, stream_summaries, historical
+                ),
+                expected,
+            )
+        if len(stream_summaries) == 1:
+            assert_same_ts(
+                CombinedSummary.build(summaries, stream_summaries[0], folded),
+                expected,
+            )
+
+    def test_build_does_not_alias_the_memoised_arrays(self):
+        """Even with no stream entries to insert, TS gets its own arrays."""
+        summaries = [partition_summary_of(list(range(50)), 0.25)]
+        folded = HistoricalSummary.fold(summaries)
+        ss = stream_summary_of([], 0.125, strict=True)
+        built = CombinedSummary.build(summaries, ss, folded)
+        for name in ("values", "lower", "upper"):
+            assert not np.shares_memory(
+                getattr(built, name), getattr(folded, name)
+            )
+
+    def test_mismatched_historical_is_rejected(self):
+        summaries = [partition_summary_of(list(range(50)), 0.25)]
+        ss = stream_summary_of(list(range(10)), 0.125, strict=True)
+        with pytest.raises(ValueError):
+            CombinedSummary.build(summaries, ss, HistoricalSummary.fold(()))
+
+
+class TestTinyPartitions:
+    """A partition shorter than 1/eps1 stores every element.
+
+    ``alpha_P`` then counts elements, the paper's ``(alpha - 1) * eps1
+    * m_P`` undercounts their rank by up to ``(1 - eps1 * m_P) * alpha``
+    and Algorithm 5 overshoots; the stored exact rank is the bound.
+    """
+
+    def test_lower_is_the_stored_exact_rank(self):
+        summary = partition_summary_of([10, 20, 30], 0.25)
+        assert list(summary.positions) == [1, 2, 3]
+        ss = stream_summary_of([], 0.125, strict=True)
+        combined = CombinedSummary.build([summary], ss)
+        assert list(combined.lower) == [1.0, 2.0, 3.0]
+        assert list(combined.upper) == [1.0, 2.0, 3.0]
+
+    def test_larger_partitions_keep_the_paper_formula(self):
+        summary = partition_summary_of(list(range(100)), 0.25)
+        ss = stream_summary_of([], 0.125, strict=True)
+        combined = CombinedSummary.build([summary], ss)
+        assert list(combined.lower) == [0.0, 25.0, 50.0, 75.0, 100.0]
+
+
+def assert_memoless(handle, window_steps=None, step_range=None):
+    """``handle.combined`` equals a build that never saw the memo."""
+    partitions, ss = handle.scope(window_steps, step_range)
+    assert_same_ts(
+        handle.combined(window_steps, step_range),
+        CombinedSummary.build(
+            [p.summary for p in partitions if len(p) > 0], ss
+        ),
+    )
+
+
+class TestHistoricalMemo:
+    """Keyed by run ids: every change of scope is just another key."""
+
+    def make(self, **overrides):
+        config = dict(epsilon=0.05, kappa=2, block_elems=16)
+        config.update(overrides)
+        engine = HybridQuantileEngine(config=EngineConfig(**config))
+        self.rng = np.random.default_rng(17)
+        return engine
+
+    def step(self, engine, size=300, seal=True):
+        engine.stream_update_many(self.rng.integers(0, 10**6, size))
+        if seal:
+            engine.end_time_step()
+
+    def test_seal_extends_and_cascade_merge_rebuilds(self):
+        with self.make() as engine:
+            self.step(engine)
+            self.step(engine, seal=False)
+            with engine.pin() as handle:
+                assert_memoless(handle)
+            assert engine.epoch_stats.hs_builds == 1
+            engine.end_time_step()  # one more partition: a prefix + 1
+            self.step(engine, seal=False)
+            with engine.pin() as handle:
+                assert_memoless(handle)
+            stats = engine.epoch_stats
+            assert (stats.hs_builds, stats.hs_extends) == (1, 1)
+            # kappa = 2: the third seal merges the two older partitions
+            # into a new run, so no memoised prefix survives
+            engine.end_time_step()
+            assert [len(p) for p in engine.store.partitions()] == [600, 300]
+            self.step(engine, seal=False)
+            with engine.pin() as handle:
+                assert_memoless(handle)
+            stats = engine.epoch_stats
+            assert (stats.hs_builds, stats.hs_extends) == (2, 1)
+            engine.check_invariants()
+
+    def test_same_partition_set_is_built_once_across_pins(self):
+        with self.make() as engine:
+            for _ in range(2):
+                self.step(engine)
+            for _ in range(5):
+                self.step(engine, size=50, seal=False)
+                with engine.pin() as handle:
+                    assert_memoless(handle)
+            stats = engine.epoch_stats
+            assert stats.ts_merges == 5
+            assert (stats.hs_builds, stats.hs_extends) == (1, 0)
+
+    def test_nothing_is_built_on_the_seal_path(self):
+        with self.make() as engine:
+            for _ in range(7):
+                self.step(engine)
+            stats = engine.epoch_stats
+            assert (stats.hs_builds, stats.hs_extends) == (0, 0)
+
+    def test_window_and_step_range_scopes(self):
+        with self.make() as engine:
+            for _ in range(5):
+                self.step(engine)
+            self.step(engine, seal=False)
+            with engine.pin() as handle:
+                assert_memoless(handle)
+                for window in engine.available_window_sizes():
+                    assert_memoless(handle, window_steps=window)
+                assert_memoless(handle, step_range=(1, 4))
+                assert_memoless(handle, step_range=(5, 5))
+            engine.check_invariants()
+
+    def test_handle_pinned_before_a_merge_and_queried_after(self):
+        with self.make() as engine:
+            for _ in range(2):
+                self.step(engine)
+            self.step(engine, seal=False)
+            with engine.pin() as old:
+                engine.end_time_step()  # merges both pinned partitions
+                self.step(engine, seal=False)
+                with engine.pin() as new:
+                    assert_memoless(new)
+                    assert [len(p) for p in new.partitions] == [600, 300]
+                assert [len(p) for p in old.partitions] == [300, 300]
+                assert_memoless(old)
+            engine.check_invariants()
+
+    def test_background_pending_batches(self):
+        with self.make(
+            ingest_mode="background", ingest_queue_batches=8
+        ) as engine:
+            for _ in range(2):
+                self.step(engine)
+            engine.flush()
+            with engine.pin() as handle:
+                assert_memoless(handle)
+            engine._ensure_archiver().pause()
+            try:
+                for _ in range(2):
+                    self.step(engine)
+                self.step(engine, seal=False)
+                with engine.pin() as handle:
+                    assert len(handle.partitions) == 4
+                    assert_memoless(handle)
+            finally:
+                engine._ensure_archiver().resume()
+            engine.flush()
+            with engine.pin() as handle:
+                assert_memoless(handle)
+            engine.check_invariants()
+
+    def test_checkpoint_restore(self, tmp_path):
+        with self.make() as engine:
+            for _ in range(2):
+                self.step(engine)
+            self.step(engine, seal=False)
+            with engine.pin() as handle:
+                before = handle.combined()
+            save_engine(engine, tmp_path / "ckpt")
+        with load_engine(tmp_path / "ckpt") as restored:
+            with restored.pin() as handle:
+                assert_memoless(handle)
+                assert_same_ts(handle.combined(), before)
+            assert restored.epoch_stats.hs_builds == 1
+            restored.check_invariants()
+
+    def test_lru_keeps_a_handful_of_sets(self):
+        with self.make(kappa=10) as engine:
+            for _ in range(8):
+                self.step(engine)
+            with engine.pin() as handle:
+                for window in engine.available_window_sizes():
+                    assert_memoless(handle, window_steps=window)
+            memo = engine._historical_memo
+            assert len(memo._entries) == memo.CAPACITY
+            engine.check_invariants()
+
+    def test_check_invariants_catches_a_stale_entry(self):
+        with self.make() as engine:
+            self.step(engine)
+            with engine.pin() as handle:
+                handle.combined()
+            (_, memoised), = engine._historical_memo._entries.values()
+            memoised.lower[0] += 1.0
+            with pytest.raises(AssertionError):
+                engine.check_invariants()
+
+    def test_concurrent_queries_share_one_build(self):
+        with self.make() as engine:
+            for _ in range(2):
+                self.step(engine)
+            self.step(engine, seal=False)
+            answers = []
+
+            def query():
+                answers.append(engine.quantile(0.5, mode="quick").value)
+
+            threads = [threading.Thread(target=query) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert len(set(answers)) == 1 and len(answers) == 8
+            assert engine.epoch_stats.hs_builds == 1

@@ -113,6 +113,17 @@ class TestQuickResponse:
             err = interval_error(oracle, result.value, result.target_rank)
             assert err <= 2 * epsilon * engine.n_total + 2
 
+    def test_partitions_shorter_than_one_over_eps1(self, rng):
+        """1 500-element steps at eps1 = 5e-4: every summary stores its
+        whole partition, and the quick answer must still be within the
+        bound its own result reports."""
+        engine = HybridQuantileEngine(config=EngineConfig(epsilon=1e-3))
+        oracle = run_experiment(engine, rng, steps=3, batch=1500, live=6000)
+        for phi in np.linspace(0.01, 0.99, 50):
+            result = engine.quantile(float(phi), mode="quick")
+            err = interval_error(oracle, result.value, result.target_rank)
+            assert err <= result.rank_error_bound + 2, phi
+
     def test_quick_makes_no_disk_accesses(self, rng):
         engine = HybridQuantileEngine(epsilon=0.05, kappa=3, block_elems=16)
         run_experiment(engine, rng)
