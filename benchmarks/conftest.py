@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-# Make `import common` work no matter where pytest is invoked from.
+# Make `import common` (and the reference implementations under
+# `tests/`) work no matter where pytest is invoked from.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
 
 
 def pytest_collection_modifyitems(items):

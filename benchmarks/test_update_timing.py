@@ -18,14 +18,21 @@ summary in one exact-rank pass).  The speedup guards below hold the
 headline contract — batched ingest at least 10x the element-at-a-time
 rate — far enough below the measured ratios (hundreds) that only a
 real regression trips them.
+
+The seal-path PR moved the bulk absorb's compress onto arrays (only
+the surviving tuples become Python lists).  Its guard times one
+seal-sized absorb into an empty sketch against the list-based form it
+replaced, kept as ``tests/sketches/gk_reference.py``.
 """
 
+import statistics
 import time
 
 import numpy as np
 
 from repro.core.engine import HybridQuantileEngine
 from repro.sketches.gk import GKSketch
+from tests.sketches.gk_reference import ReferenceGKSketch
 
 UPDATES = 200_000
 EPSILON = 0.01
@@ -38,6 +45,12 @@ ENGINE_SPEEDUP_FLOOR = 10.0
 #: GK-only floor: the bulk merge measures ~6x scalar inserts; half
 #: that margin guards the algorithm without tripping on slow runners.
 GK_SPEEDUP_FLOOR = 3.0
+#: one ``ingest_heavy`` step at the engine's stream epsilon (eps / 4).
+ABSORB_BATCH = 75_000
+ABSORB_EPSILON = 2.5e-4
+#: array compress over list compress: measures ~13x; the successor
+#: chain without the empty-sketch stride would still measure ~4x.
+ABSORB_SPEEDUP_FLOOR = 3.0
 
 
 def measure_update_seconds() -> float:
@@ -171,6 +184,36 @@ def test_gk_update_many_speedup():
     assert speedup >= GK_SPEEDUP_FLOOR, (
         f"GK update_many speedup regressed: {speedup:.1f}x is below "
         f"{GK_SPEEDUP_FLOOR}x"
+    )
+
+
+def test_bulk_absorb_beats_list_compress():
+    """A seal-sized absorb must not go back through per-tuple Python."""
+    values = np.random.default_rng(5).normal(0, 1e6, ABSORB_BATCH)
+    values = values.astype(np.int64)
+
+    def median_seconds(factory) -> float:
+        samples = []
+        for _ in range(9):
+            sketch = factory(ABSORB_EPSILON)
+            start = time.perf_counter()
+            sketch.update_many(values)
+            samples.append(time.perf_counter() - start)
+            assert sketch.n == ABSORB_BATCH
+        return statistics.median(samples)
+
+    reference = median_seconds(ReferenceGKSketch)
+    arrays = median_seconds(GKSketch)
+    speedup = reference / arrays
+    print(
+        f"\nGK absorb of {ABSORB_BATCH:,} into an empty sketch: list "
+        f"compress {reference * 1e3:.2f} ms vs array compress "
+        f"{arrays * 1e3:.2f} ms ({speedup:.1f}x, floor "
+        f"{ABSORB_SPEEDUP_FLOOR}x)"
+    )
+    assert speedup >= ABSORB_SPEEDUP_FLOOR, (
+        f"bulk absorb speedup regressed: {speedup:.1f}x is below "
+        f"{ABSORB_SPEEDUP_FLOOR}x"
     )
 
 

@@ -55,7 +55,7 @@ from ..faults.errors import DiskFault
 from ..faults.plan import FaultPlan
 from ..ingest.wal import WriteAheadLog
 from ..query.executor import QueryExecutor
-from ..sketches.base import rank_for_phi
+from ..sketches.base import as_int64_batch, rank_for_phi
 from ..storage.cache import BlockCache
 from ..warehouse.partition import Partition
 from .router import ShardRouter
@@ -895,9 +895,7 @@ class ClusterEngine:
         shard are banked durably into its WAL and applied at recovery.
         Returns the number of elements ingested.
         """
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.ndim != 1:
-            arr = arr.ravel()
+        arr = as_int64_batch(values)
         if arr.size == 0:
             return 0
         for shard, chunk in enumerate(self.router.route_many(arr)):

@@ -62,7 +62,7 @@ from ..faults.health import ReliabilityReport
 from ..ingest import AppendBuffer, BackgroundArchiver, IngestStats, PendingBatch
 from ..ingest.archiver import ArchiveRecord
 from ..query.executor import QueryExecutor
-from ..sketches.base import QuantileSketch, rank_for_phi
+from ..sketches.base import QuantileSketch, as_int64_batch, rank_for_phi
 from ..sketches.gk import GKSketch
 from ..sketches.kll import KLLSketch
 from ..storage.backends import SimulatedBackend
@@ -377,7 +377,8 @@ class HybridQuantileEngine:
         Parameters
         ----------
         values:
-            Array of int64-coercible elements; flattened if not 1-D.
+            Array or list of integers, flattened if not 1-D; floats,
+            NaN, bools and out-of-range ``uint64`` raise, never truncate.
 
         Returns
         -------
@@ -386,9 +387,7 @@ class HybridQuantileEngine:
 
         Thread-safe against concurrent readers and the sealing path.
         """
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.ndim != 1:
-            arr = arr.ravel()
+        arr = as_int64_batch(values)
         if arr.size == 0:
             return 0
         if self._wal is not None:

@@ -71,6 +71,26 @@ class QuantileSketch(ABC):
         return self.query_rank(rank)
 
 
+def as_int64_batch(values) -> np.ndarray:
+    """Flat int64 array of an ingest batch, refusing lossy coercion.
+
+    int64 arrays pass through uncopied; other integer dtypes and lists
+    of Python ints are converted; empty input of any dtype is an empty
+    int64 array.  What a cast would truncate or wrap (floats, NaN,
+    bools, objects, ``uint64`` beyond ``INT64_MAX``) is rejected.
+    """
+    arr = np.asarray(values)
+    if arr.dtype != np.int64:
+        if arr.size and arr.dtype.kind not in "iu":
+            raise TypeError(
+                f"stream elements must be integers, got dtype {arr.dtype}"
+            )
+        if arr.dtype == np.uint64 and arr.max(initial=0) > np.iinfo(np.int64).max:
+            raise OverflowError("stream element exceeds the int64 range")
+        arr = arr.astype(np.int64)
+    return arr if arr.ndim == 1 else arr.ravel()
+
+
 def rank_for_phi(phi: float, n: int) -> int:
     """The 1-indexed rank targeted by a ``phi``-quantile over ``n`` items."""
     if not 0 < phi <= 1:

@@ -13,11 +13,11 @@ maintained invariant ``g_i + delta_i <= 2 eps n`` guarantees that
 This is the sketch the paper runs on the live stream (with error
 parameter ``eps_2 = eps / 4``) and as the strongest pure-streaming
 baseline.  Besides the textbook per-element ``update``, the class
-offers a vectorized ``update_batch`` that merges a fully known sorted
-batch into the summary using exact rank algebra (the batch contributes
-its exact rank to every tuple's ``rmin``/``rmax``), which preserves the
-rank-bracketing invariant and therefore the ``eps``-guarantee while
-being orders of magnitude faster for the simulator's large batches.
+offers a vectorized ``update_many`` that merges a sorted batch into the
+summary with exact rank algebra (the batch contributes its exact rank
+to every tuple's ``rmin``/``rmax``) and compresses on the arrays, so
+only surviving tuples are ever turned into Python objects; the tuples
+are the ones the scalar compress would keep, hence the same guarantee.
 """
 
 from __future__ import annotations
@@ -28,9 +28,34 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .base import QuantileSketch, clamp_rank
+from .base import QuantileSketch, as_int64_batch, clamp_rank
 
 _BATCH_THRESHOLD = 256
+
+
+def _compress_heads(
+    rmin: np.ndarray, rmax: np.ndarray, threshold: int
+) -> np.ndarray:
+    """Indices of the tuples ``GKSketch._compress`` would keep.
+
+    A surviving head ``j`` keeps its own ``(v, rmin, rmax)`` and
+    swallows ``i < j`` while ``g_i + G + delta_j <= threshold``, i.e.
+    while ``rmin[i-1] >= rmax[j] - threshold``.  With ``rmin`` strictly
+    increasing the next head is a function of ``j`` alone: one
+    ``searchsorted`` yields it for every tuple, and the walk from the
+    last tuple down to index 0 (always kept) is one step per survivor.
+    """
+    succ = np.minimum(
+        np.searchsorted(rmin, rmax - threshold, side="left"),
+        np.arange(-1, len(rmin) - 1),
+    )
+    successor = succ.item  # Python ints out, ~3x cheaper than succ[j]
+    head = len(rmin) - 1
+    heads = [head]
+    while head > 0:
+        head = successor(head)
+        heads.append(head)
+    return np.asarray(heads[::-1])
 
 
 class GKSketch(QuantileSketch):
@@ -116,18 +141,16 @@ class GKSketch(QuantileSketch):
         """Bulk-insert a numpy batch: sort once, merge once.
 
         Small batches fall back to per-element updates.  Large batches
-        are sorted (their internal ranks then being exact) and merged
-        into the summary with exact-rank algebra; the result satisfies
-        the same rank-bracketing invariant as element-wise insertion,
-        so the ``eps``-guarantee is preserved (see docs/THEORY.md,
-        "Batched updates").
+        are sorted (their internal ranks then being exact), merged into
+        the summary with exact-rank algebra and compressed on arrays,
+        leaving the tuple lists the scalar :meth:`_compress` would — so
+        the ``eps``-guarantee is preserved (docs/THEORY.md, "Batched
+        updates").
 
         Thread-safety: mutations run under the sketch's mutate lock,
         consistent with :meth:`update` and :meth:`snapshot`.
         """
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.ndim != 1:
-            arr = arr.ravel()
+        arr = as_int64_batch(values)
         if arr.size == 0:
             return
         if arr.size < _BATCH_THRESHOLD:
@@ -137,16 +160,26 @@ class GKSketch(QuantileSketch):
             return
         batch = np.sort(arr)
         with self._mutate_lock:
+            total = self._n + int(batch.size)
+            threshold = int(self._two_eps * total)
             if self._n == 0:
+                # rmin == rmax == 1..m, so _compress_heads' successor
+                # of head j is j - max(1, threshold): the heads are a
+                # strided range, no searchsorted needed.
                 merged_vals = batch
-                rmin = np.arange(1, batch.size + 1, dtype=np.int64)
-                rmax = rmin.copy()
+                rmin = rmax = np.arange(1, batch.size + 1, dtype=np.int64)
+                heads = np.arange(batch.size - 1, 0, -max(1, threshold))
+                heads = np.concatenate(([0], heads[::-1]))
             else:
                 merged_vals, rmin, rmax = self._merge_exact_batch(batch)
-            self._n += int(batch.size)
-            self._load_from_bounds(merged_vals, rmin, rmax)
-            self._compress()
+                heads = _compress_heads(rmin, rmax, threshold)
+            kept = (merged_vals[heads], rmin[heads], rmax[heads])
+            self._values = kept[0].tolist()
+            self._g = np.diff(kept[1], prepend=0).tolist()
+            self._delta = (kept[2] - kept[1]).tolist()
+            self._n = total
             self._since_compress = 0
+            self._query_arrays = kept  # what _arrays() would rebuild
 
     def _merge_exact_batch(
         self, batch: np.ndarray
@@ -156,20 +189,17 @@ class GKSketch(QuantileSketch):
         For each summary tuple the batch contributes its exact rank to
         both rank bounds; for each batch element the summary
         contributes its usual [rmin(pred), rmax(succ) - 1] bracket.
+        Returns ``(values, rmin, rmax)``, ``rmin`` strictly increasing.
         """
-        a_vals = np.asarray(self._values, dtype=np.int64)
-        a_g = np.asarray(self._g, dtype=np.int64)
-        a_delta = np.asarray(self._delta, dtype=np.int64)
-        a_rmin = np.cumsum(a_g)
-        a_rmax = a_rmin + a_delta
+        a_vals, a_rmin, a_rmax = self._arrays()
 
         in_batch = np.searchsorted(batch, a_vals, side="right")
         a_rmin_c = a_rmin + in_batch
         a_rmax_c = a_rmax + in_batch
 
-        pred = np.searchsorted(a_vals, batch, side="right") - 1
-        low_a = np.where(pred >= 0, a_rmin[np.maximum(pred, 0)], 0)
         succ = np.searchsorted(a_vals, batch, side="right")
+        pred = succ - 1
+        low_a = np.where(pred >= 0, a_rmin[np.maximum(pred, 0)], 0)
         up_a = np.where(
             succ < len(a_vals),
             a_rmax[np.minimum(succ, len(a_vals) - 1)] - 1,
@@ -183,28 +213,13 @@ class GKSketch(QuantileSketch):
         merged_rmin = np.concatenate([a_rmin_c, b_rmin_c])
         merged_rmax = np.concatenate([a_rmax_c, b_rmax_c])
         order = np.lexsort((merged_rmin, merged_vals))
-        return merged_vals[order], merged_rmin[order], merged_rmax[order]
-
-    def _load_from_bounds(
-        self, values: np.ndarray, rmin: np.ndarray, rmax: np.ndarray
-    ) -> None:
-        """Rebuild the tuple lists from (value, rmin, rmax) triples."""
-        rmin = np.maximum.accumulate(rmin)
-        rmax = np.maximum(rmax, rmin)
-        g = np.diff(rmin, prepend=0)
-        delta = rmax - rmin
+        rmin = np.maximum.accumulate(merged_rmin[order])
+        rmax = np.maximum(merged_rmax[order], rmin)
         # A zero-g tuple shares its rmin with its predecessor and adds
-        # no counting information; dropping it keeps the cumulative
-        # sums (and therefore all rank bounds) intact.  The first
-        # tuple always has g = rmin[0] >= 1.
-        keep = g > 0
-        # ndarray.tolist() yields the same Python ints as int(v) per
-        # element, at C speed — this rebuild is the bulk-merge path's
-        # hottest line.
-        self._values = values[keep].tolist()
-        self._g = g[keep].tolist()
-        self._delta = delta[keep].tolist()
-        self._query_arrays = None
+        # no counting information; dropping it keeps every remaining
+        # rank bound intact.  The first tuple always has rmin >= 1.
+        keep = np.diff(rmin, prepend=0) > 0
+        return merged_vals[order][keep], rmin[keep], rmax[keep]
 
     def _compress(self) -> None:
         """Merge adjacent tuples whose combined span stays within bound.

@@ -176,9 +176,7 @@ class LeveledStore:
             self._make_room(0)
             self.disk.stats.set_phase("sort")
             started = time.perf_counter()
-            sorted_batch = self._sorter.sorted_array(
-                np.asarray(data, dtype=np.int64)
-            )
+            sorted_batch = self._sorter.sorted_array(data)
             self._note_cpu("sort", time.perf_counter() - started)
             self.disk.stats.set_phase("load")
             run = SortedRun(self.disk, sorted_batch, charge_write=True)
@@ -212,9 +210,7 @@ class LeveledStore:
         with self.disk.stats.capture() as tally:
             with self.disk.stats.phase_scope("sort"):
                 started = time.perf_counter()
-                sorted_batch = self._sorter.sorted_array(
-                    np.asarray(data, dtype=np.int64)
-                )
+                sorted_batch = self._sorter.sorted_array(data)
                 cpu["sort"] = time.perf_counter() - started
             with self.disk.stats.phase_scope("load"):
                 started = time.perf_counter()

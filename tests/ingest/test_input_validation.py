@@ -1,0 +1,86 @@
+"""Ingest rejects what an int64 cast would silently change.
+
+``np.asarray(values, dtype=np.int64)`` turns ``1.7`` into ``1`` and NaN
+into ``INT64_MIN``; the engine and cluster doors refuse such input
+before anything (WAL, buffer, counters) has seen it.
+"""
+
+import numpy as np
+import pytest
+
+from repro.cluster import ClusterEngine
+from repro.core.config import EngineConfig
+from repro.core.engine import HybridQuantileEngine
+
+
+def single_engine():
+    return HybridQuantileEngine(epsilon=0.05, kappa=3, block_elems=16)
+
+
+def cluster():
+    return ClusterEngine(
+        shards=2, config=EngineConfig(epsilon=0.05, block_elems=16)
+    )
+
+
+doors = pytest.mark.parametrize(
+    "make", [single_engine, cluster], ids=["engine", "cluster"]
+)
+
+
+@doors
+@pytest.mark.parametrize(
+    "values, error",
+    [
+        ([1.7, 2.0], TypeError),
+        (np.asarray([3.0, 4.0]), TypeError),
+        (np.asarray([1.0, np.nan]), TypeError),
+        (np.asarray([True, False]), TypeError),
+        ([1, "2"], TypeError),
+        (np.asarray([1, 2**63], dtype=np.uint64), OverflowError),
+    ],
+    ids=["float-list", "whole-floats", "nan", "bool", "str", "uint64-overflow"],
+)
+def test_lossy_input_is_rejected_before_ingest(make, values, error):
+    door = make()
+    try:
+        with pytest.raises(error):
+            door.stream_update_many(values)
+        assert door.m_stream == 0
+    finally:
+        door.close()
+
+
+@doors
+@pytest.mark.parametrize(
+    "values",
+    [
+        [5, 1, 4],
+        np.asarray([5, 1, 4], dtype=np.int32),
+        np.asarray([5, 1, 4], dtype=np.uint8),
+        np.asarray([[5], [1], [4]], dtype=np.int64),
+    ],
+    ids=["python-ints", "int32", "uint8", "int64-2d"],
+)
+def test_integer_input_is_still_accepted(make, values):
+    door = make()
+    try:
+        assert door.stream_update_many(values) == 3
+        assert door.m_stream == 3
+        assert door.quantile(1.0, mode="quick").value == 5
+    finally:
+        door.close()
+
+
+@doors
+@pytest.mark.parametrize(
+    "empty", [[], np.empty(0), np.empty(0, dtype=np.int64)],
+    ids=["list", "float64", "int64"],
+)
+def test_empty_input_is_a_no_op(make, empty):
+    door = make()
+    try:
+        assert door.stream_update_many(empty) == 0
+        assert door.m_stream == 0
+    finally:
+        door.close()

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from repro.storage import ExternalSorter, SimulatedDisk, SortedRun, merge_runs
 
+INT64_MIN = np.iinfo(np.int64).min
+INT64_MAX = np.iinfo(np.int64).max
+
 
 class TestExternalSorter:
     def test_sorts_correctly(self):
@@ -104,7 +107,7 @@ class TestMergeRuns:
 
 
 class TestKWayMerge:
-    """The true k-way merge must match concatenate-and-sort exactly."""
+    """``kway_merge`` must equal a global sort of its inputs."""
 
     def test_interleaving_with_duplicates(self):
         from repro.storage.external_sort import kway_merge
@@ -168,3 +171,91 @@ class TestKWayMerge:
         assert delta.sequential_reads == expected_reads
         assert delta.sequential_writes == disk.blocks_for(len(merged.values))
         assert delta.random_reads == 0
+
+    @given(
+        chunks=st.lists(
+            st.one_of(
+                st.just([]),
+                st.lists(st.integers(-3, 3), min_size=1, max_size=1),
+                st.integers(-3, 3).map(lambda v: [v] * 7),
+                st.lists(
+                    st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, INT64_MAX]),
+                    max_size=12,
+                ),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kway_edge_runs_equal_global_sort(self, chunks):
+        """Empties, singletons, all-equal runs and the int64 extremes."""
+        from repro.storage.external_sort import kway_merge
+
+        arrays = [np.sort(np.asarray(c, dtype=np.int64)) for c in chunks]
+        merged = kway_merge(arrays)
+        assert merged.dtype == np.int64
+        expected = np.sort(np.concatenate([np.empty(0, np.int64), *arrays]))
+        np.testing.assert_array_equal(merged, expected)
+
+    def test_kway_merge_never_aliases_an_input(self):
+        from repro.storage.external_sort import kway_merge
+
+        only = np.asarray([4, 9], dtype=np.int64)
+        merged = kway_merge([only, np.empty(0, dtype=np.int64)])
+        merged[0] = -1
+        assert only[0] == 4
+
+
+class TestSortPasses:
+    """``passes_needed`` in integers, and what ``sorted_array`` charges."""
+
+    @staticmethod
+    def expected_passes(num_elems, memory_elems, fan_in):
+        if num_elems <= memory_elems:
+            return 0
+        runs = (num_elems + memory_elems - 1) // memory_elems
+        passes = 1  # run formation
+        while runs > 1:
+            runs = (runs + fan_in - 1) // fan_in
+            passes += 1
+        return passes
+
+    @pytest.mark.parametrize("memory_elems", [1, 3])
+    def test_exact_powers_of_the_fan_in(self, memory_elems):
+        """``fan_in**k`` runs merge in exactly ``k`` levels; one more
+        element adds a level.  A float ``log`` says ``k + 1`` at e.g.
+        ``log(125, 5) == 3.0000000000000004``."""
+        disk = SimulatedDisk()
+        for fan_in in range(2, 131):
+            sorter = ExternalSorter(
+                disk, memory_elems=memory_elems, fan_in=fan_in
+            )
+            for k in range(1, 8):
+                full = fan_in**k * memory_elems
+                assert sorter.passes_needed(full) == 1 + k, (fan_in, k)
+                assert sorter.passes_needed(full + 1) == 2 + k, (fan_in, k)
+
+    def test_issue_example(self):
+        sorter = ExternalSorter(SimulatedDisk(), memory_elems=1, fan_in=5)
+        assert sorter.passes_needed(125) == 4
+
+    @given(
+        data=st.lists(st.integers(-50, 50), max_size=200),
+        memory_elems=st.integers(1, 64),
+        fan_in=st.integers(2, 9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sorted_array_output_and_charges(self, data, memory_elems, fan_in):
+        """Same array as the stable sort it replaced, and one sequential
+        read + write of the batch per pass — nothing else."""
+        disk = SimulatedDisk(block_elems=4)
+        sorter = ExternalSorter(disk, memory_elems=memory_elems, fan_in=fan_in)
+        arr = np.asarray(data, dtype=np.int64)
+        out = sorter.sorted_array(arr)
+        np.testing.assert_array_equal(out, np.sort(arr, kind="stable"))
+        assert out.dtype == np.int64
+        passes = self.expected_passes(len(arr), memory_elems, fan_in)
+        counters = disk.stats.counters
+        assert counters.sequential_reads == passes * disk.blocks_for(len(arr))
+        assert counters.sequential_writes == passes * disk.blocks_for(len(arr))
+        assert counters.random_reads == 0
