@@ -28,7 +28,6 @@ from .cluster import (
 from .frequent import HeavyHittersEngine, MisraGriesSketch
 from .core import (
     EngineConfig,
-    EngineSnapshot,
     HybridQuantileEngine,
     MemoryBudget,
     MemoryReport,
@@ -87,7 +86,6 @@ __all__ = [
     "HeavyHittersEngine",
     "MisraGriesSketch",
     "EngineConfig",
-    "EngineSnapshot",
     "QuantileWatcher",
     "HybridQuantileEngine",
     "MemoryBudget",

@@ -11,8 +11,9 @@ count even though this process is single-threaded.  A
 ingest fans a numpy array out per shard in one vectorized pass.
 
 Queries go through :class:`ClusterSnapshot`, which pins every shard
-(``engine.pin()`` per shard, in shard order) and answers with the same
-machinery as a single engine:
+(``engine.pin()`` per shard, in shard order) and answers through the
+same :mod:`repro.core.query_path` functions as a single engine, over a
+scope that spans the shards:
 
 * **quick** — per-shard stream summaries plus every shard's partition
   summaries are fused into one :class:`~repro.core.bounds.CombinedSummary`
@@ -46,9 +47,15 @@ import numpy as np
 
 from ..core.bounds import CombinedSummary, PartialResult, widen_rank_bound
 from ..core.config import EngineConfig
-from ..core.engine import HybridQuantileEngine, QueryResult, StepReport
+from ..core.engine import HybridQuantileEngine, StepReport
 from ..core.epoch import HistoricalMemo, SnapshotHandle
-from ..core.filters import AccurateSearch
+from ..core.query_path import (
+    QueryResult,
+    QueryScope,
+    answer_quick_many,
+    answer_rank,
+    check_mode,
+)
 from ..core.summaries import StreamSummary
 from ..faults.disk import FaultyDisk
 from ..faults.errors import DiskFault
@@ -129,7 +136,9 @@ class ShardedBlockCache:
     When a touch raises a :class:`~repro.faults.DiskFault`, the owning
     shard's key is recorded in :attr:`failed_shard` before the fault
     propagates — the culprit attribution the partial-gather retry loop
-    uses to exclude exactly the shard that failed.
+    uses to exclude exactly the shard that failed.  (A search reaches
+    the disks only through its cache, so every fault it sees has a
+    culprit.)
     """
 
     def __init__(
@@ -190,19 +199,12 @@ class ShardedBlockCache:
         """Total blocks charged across every shard (scatter sum)."""
         return sum(c.blocks_charged for c in self._caches.values())
 
-    def per_shard_blocks(self) -> Dict[int, int]:
-        """Blocks charged per shard key — the gather-side accounting."""
-        return {
-            shard: cache.blocks_charged
-            for shard, cache in self._caches.items()
-        }
-
-    def max_blocks_per_run(self) -> int:
-        """Deepest per-partition read chain across all shards."""
-        return max(
-            (c.max_blocks_per_run() for c in self._caches.values()),
-            default=0,
-        )
+    def run_blocks(self) -> Dict[int, int]:
+        """Blocks charged so far per run id, across every shard."""
+        merged: Dict[int, int] = {}
+        for cache in self._caches.values():
+            merged.update(cache.run_blocks())
+        return merged
 
 
 class _FusedStreamSummary:
@@ -305,6 +307,7 @@ class ClusterSnapshot:
         self.n_historical = sum(h.n_historical for h in self.handles)
         self.m_stream = sum(h.m_stream for h in self.handles)
         self._historical_memo = historical_memo or HistoricalMemo()
+        self._latency = self.handles[0]._disk.latency
         self._combined: Optional[CombinedSummary] = None
         self._merges = 0
         self._released = False
@@ -384,10 +387,6 @@ class ClusterSnapshot:
         """Fused TS merges this snapshot has performed."""
         return self._merges
 
-    def stream_rank(self, value: int) -> float:
-        """Union-stream rank estimate: sum of per-shard sketch brackets."""
-        return sum(h.stream_rank(value) for h in self.handles)
-
     def warm(
         self,
         phis: Sequence[float],
@@ -405,34 +404,18 @@ class ClusterSnapshot:
             h.warm(phis, window_steps=window_steps) for h in self.handles
         )
 
-    def _quick_bound(self, total: int, m_scope: int) -> float:
-        hist_scope = max(0, total - m_scope)
-        return (
-            self.config.epsilon1 * hist_scope
-            + self.config.epsilon2 * m_scope
-        )
-
-    def _new_cache(
-        self, shard_partitions: List[List[Partition]]
-    ) -> ShardedBlockCache:
-        """Per-query sharded cache over the pinned per-shard views."""
-        return self._new_cache_for(
-            range(len(self.handles)), shard_partitions
-        )
-
     def _new_cache_for(
         self,
-        positions: Iterable[int],
+        positions: Sequence[int],
         shard_partitions: List[List[Partition]],
     ) -> ShardedBlockCache:
-        """Sharded cache over a subset of handle positions.
+        """Per-query sharded cache over a subset of handle positions.
 
         The partial-gather retry loop rebuilds the per-query cache over
         the surviving shards only, so an excluded shard's runs are
         unreachable (a stray touch raises ``KeyError`` rather than
         silently re-faulting).
         """
-        positions = list(positions)
         run_to_shard = {
             p.run.run_id: pos
             for pos in positions
@@ -443,7 +426,137 @@ class ClusterSnapshot:
             run_to_shard,
         )
 
+    def _note_degraded(self, cache: ShardedBlockCache) -> None:
+        """Count a degraded gather on the shard whose disk faulted."""
+        self.handles[cache.failed_shard]._note_degraded()
+
+    def _query_scope(
+        self,
+        positions: Sequence[int],
+        shard_partitions: List[List[Partition]],
+        summaries: List[StreamSummary],
+        window_steps: Optional[int],
+        step_range: "Optional[tuple[int, int]]",
+    ) -> QueryScope:
+        """The union scope over the shards at ``positions``."""
+        picked = [summaries[i] for i in positions]
+        if len(positions) == len(self.handles):
+            combined = self.combined(window_steps, step_range)
+        else:
+            combined = self._build_combined(
+                [shard_partitions[i] for i in positions], picked
+            )
+        handles = [self.handles[i] for i in positions]
+        return QueryScope(
+            # Shard-major, like the fused TS's historical half.
+            partitions=[p for i in positions for p in shard_partitions[i]],
+            stream_summary=_FusedStreamSummary(picked),
+            combined=combined,
+            # The union-stream estimate is the sum of the per-shard
+            # pinned-sketch brackets.
+            stream_rank=(
+                (lambda value: sum(h.stream_rank(value) for h in handles))
+                if step_range is None
+                else None
+            ),
+            new_cache=lambda: self._new_cache_for(
+                positions, shard_partitions
+            ),
+            on_degraded=self._note_degraded,
+            window_steps=window_steps,
+        )
+
     # -- queries --------------------------------------------------------
+
+    def _gather(
+        self,
+        rank: Optional[int],
+        phi: Optional[float],
+        mode: str,
+        window_steps: Optional[int],
+        step_range: "Optional[tuple[int, int]]",
+        cache: Optional[ShardedBlockCache] = None,
+    ) -> QueryResult:
+        """:func:`~repro.core.query_path.answer_rank` over the union of
+        every shard's pinned view, for ``rank`` or (when that is
+        ``None``) the ``phi``-quantile of the full pinned scope.
+
+        What is cluster-specific lives here.  *Culprit exclusion*: when
+        a shard's disk faults mid-search and ``min_gather_shards``
+        leaves quorum to spare, that shard is excluded and the search
+        re-run over the survivors.  *Partial results*: with shards
+        excluded here or quarantined at pin time, the answer's rank
+        bound is widened by the missing shards' element counts
+        (:func:`~repro.core.bounds.widen_rank_bound`) and a
+        :class:`~repro.core.bounds.PartialResult` attached.  With every
+        shard answering and no faults the result is ``answer_rank``'s,
+        untouched — a 1-shard cluster runs the plain engine's lines.
+        """
+        started = time.perf_counter()
+        shard_partitions, summaries = self._scope(window_steps, step_range)
+        quorum = max(1, self.config.min_gather_shards)
+        positions = list(range(len(self.handles)))
+        # Handle positions excluded mid-search -> their scoped counts.
+        excluded: Dict[int, int] = {}
+        while True:
+            scope = self._query_scope(
+                positions, shard_partitions, summaries,
+                window_steps, step_range,
+            )
+            if rank is None:
+                rank = rank_for_phi(phi, scope.combined.total_size)
+            # A caller-shared cache only matches the full shard set;
+            # exclusion retries get a fresh one over the survivors.
+            if mode == "accurate" and (cache is None or excluded):
+                cache = scope.new_cache()
+            can_exclude = (
+                self.config.min_gather_shards > 0
+                and len(positions) - 1 >= quorum
+            )
+            try:
+                result = answer_rank(
+                    scope, rank, mode, self.config, self._executor,
+                    self._latency, cache, degrade=not can_exclude,
+                )
+                break
+            except DiskFault:
+                if not can_exclude:
+                    raise
+                culprit = cache.failed_shard
+                excluded[culprit] = (
+                    sum(len(p) for p in shard_partitions[culprit])
+                    + summaries[culprit].stream_size
+                )
+                positions = [i for i in positions if i != culprit]
+        missing = dict(self.missing)
+        for pos, count in excluded.items():
+            missing[self.shard_ids[pos]] = count
+        result = self._with_partial(result, missing, len(positions))
+        if excluded:
+            # The failed attempts are part of this query's latency.
+            result = replace(
+                result, wall_seconds=time.perf_counter() - started
+            )
+        return result
+
+    def _with_partial(
+        self, result: QueryResult, missing: Mapping[int, int], answering: int
+    ) -> QueryResult:
+        """``result`` widened by, and reporting, the ``missing`` shards."""
+        if not missing:
+            return result
+        lost = sum(missing.values())
+        return replace(
+            result,
+            rank_error_bound=widen_rank_bound(result.rank_error_bound, lost),
+            partial=PartialResult(
+                missing_shards=tuple(sorted(missing)),
+                missing_elements=lost,
+                shards_answering=answering,
+                shards_total=self.shards_total,
+                base_bound=result.rank_error_bound,
+            ),
+        )
 
     def query_rank(
         self,
@@ -455,189 +568,11 @@ class ClusterSnapshot:
     ) -> QueryResult:
         """Answer over the union of every shard's pinned view.
 
-        Quick mode reads the fused TS; accurate mode runs the
-        single-engine search over the union of partitions, with block
-        touches routed per shard.  The result mirrors
-        :meth:`SnapshotHandle.query_rank` field for field;
-        ``parallel_sim_seconds`` is the per-device critical path (max
-        blocks charged on any one shard's disk).
-
-        Partial gathers: when shards were quarantined at pin time, or
-        a shard's disk faults mid-search and ``min_gather_shards``
-        leaves quorum to spare, the answer covers the survivors with
-        its rank bound widened by the missing shards' element counts
-        (:func:`~repro.core.bounds.widen_rank_bound`) and a
-        :class:`~repro.core.bounds.PartialResult` attached to the
-        result's ``partial`` field.  With every shard answering and no
-        faults, the path — and the answer — is unchanged.
+        The result mirrors :meth:`SnapshotHandle.query_rank` field for
+        field; see :meth:`_gather` for partial gathers.
         """
-        if mode not in ("quick", "accurate"):
-            raise ValueError("mode must be 'quick' or 'accurate'")
-        if self.n_total == 0:
-            raise ValueError("snapshot is empty")
-        started = time.perf_counter()
-        requested = int(rank)
-        shard_partitions, summaries = self._scope(window_steps, step_range)
-        quorum = max(1, self.config.min_gather_shards)
-        # Handle positions excluded mid-search -> their scoped counts.
-        excluded: Dict[int, int] = {}
-        degraded = False
-        parallel_blocks = 0
-
-        def attempt_state(positions: List[int]):
-            """(combined, stream_rank_fn, m_scope) over a shard subset."""
-            if len(positions) == len(self.handles):
-                built = self.combined(window_steps, step_range)
-                fn = self.stream_rank if step_range is None else None
-            else:
-                built = self._build_combined(
-                    [shard_partitions[i] for i in positions],
-                    [summaries[i] for i in positions],
-                )
-                if step_range is None:
-                    def fn(value: int) -> float:
-                        return sum(
-                            self.handles[i].stream_rank(value)
-                            for i in positions
-                        )
-                else:
-                    fn = None
-            scope_m = sum(summaries[i].stream_size for i in positions)
-            return built, fn, scope_m
-
-        positions = list(range(len(self.handles)))
-        combined, stream_fn, m_scope = attempt_state(positions)
-        rank_eff = max(1, min(requested, combined.total_size))
-        quick_bound = self._quick_bound(combined.total_size, m_scope)
-        if mode == "quick":
-            value = combined.quick_response(rank_eff)
-            blocks = 0
-            estimated = float(rank_eff)
-            iterations = 0
-            truncated = False
-            bound = quick_bound
-        else:
-            while True:
-                # A caller-shared cache only matches the full shard
-                # set; exclusion retries always get a fresh one built
-                # over the survivors.
-                query_cache = cache if not excluded else None
-                if query_cache is None:
-                    query_cache = self._new_cache_for(
-                        positions, shard_partitions
-                    )
-                before = query_cache.per_shard_blocks()
-                search = AccurateSearch(
-                    partitions=[
-                        p for i in positions for p in shard_partitions[i]
-                    ],
-                    stream_summary=_FusedStreamSummary(
-                        [summaries[i] for i in positions]
-                    ),
-                    combined=combined,
-                    config=self.config,
-                    rank=rank_eff,
-                    stream_rank_fn=stream_fn,
-                    cache=query_cache,
-                    executor=self._executor,
-                )
-                try:
-                    outcome = search.run()
-                except DiskFault:
-                    culprit = query_cache.failed_shard
-                    if (
-                        self.config.min_gather_shards > 0
-                        and culprit is not None
-                        and culprit not in excluded
-                        and len(positions) - 1 >= quorum
-                    ):
-                        excluded[culprit] = self.handles[
-                            culprit
-                        ]._scope_total(window_steps, step_range)
-                        positions = [
-                            i
-                            for i in range(len(self.handles))
-                            if i not in excluded
-                        ]
-                        combined, stream_fn, m_scope = attempt_state(
-                            positions
-                        )
-                        rank_eff = max(
-                            1, min(requested, combined.total_size)
-                        )
-                        quick_bound = self._quick_bound(
-                            combined.total_size, m_scope
-                        )
-                        continue
-                    if not self.config.degrade_on_fault:
-                        raise
-                    outcome = None
-                if outcome is None:
-                    degraded = True
-                    value = combined.quick_response(rank_eff)
-                    blocks = 0
-                    estimated = float(rank_eff)
-                    iterations = 0
-                    truncated = True
-                    bound = quick_bound
-                else:
-                    value = outcome.value
-                    blocks = outcome.random_blocks
-                    estimated = outcome.estimated_rank
-                    iterations = outcome.iterations
-                    truncated = outcome.truncated
-                    bound = self.config.query_epsilon * m_scope
-                    after = query_cache.per_shard_blocks()
-                    parallel_blocks = max(
-                        charged - before.get(shard, 0)
-                        for shard, charged in after.items()
-                    )
-                break
-        missing_all = dict(self.missing)
-        for pos, count in excluded.items():
-            missing_all[self.shard_ids[pos]] = count
-        partial: Optional[PartialResult] = None
-        if missing_all:
-            lost = sum(missing_all.values())
-            partial = PartialResult(
-                missing_shards=tuple(sorted(missing_all)),
-                missing_elements=lost,
-                shards_answering=len(positions),
-                shards_total=self.shards_total,
-                base_bound=float(bound),
-            )
-            bound = widen_rank_bound(bound, lost)
-        latency = self.handles[0]._disk.latency
-        return QueryResult(
-            value=int(value),
-            target_rank=rank_eff,
-            total_size=combined.total_size,
-            mode=mode,
-            estimated_rank=estimated,
-            disk_accesses=blocks,
-            iterations=iterations,
-            truncated=truncated,
-            wall_seconds=time.perf_counter() - started,
-            sim_seconds=blocks * latency.seconds_per_random_block,
-            window_steps=window_steps,
-            query_workers=self._executor.workers,
-            degraded=degraded,
-            rank_error_bound=float(bound),
-            parallel_sim_seconds=(
-                parallel_blocks * latency.seconds_per_random_block
-            ),
-            partial=partial,
-        )
-
-    def _scope_total(
-        self,
-        window_steps: Optional[int],
-        step_range: "Optional[tuple[int, int]]",
-    ) -> int:
-        if window_steps is None and step_range is None:
-            return self.n_total
-        return sum(
-            h._scope_total(window_steps, step_range) for h in self.handles
+        return self._gather(
+            int(rank), None, mode, window_steps, step_range, cache
         )
 
     def quantile(
@@ -648,13 +583,7 @@ class ClusterSnapshot:
         step_range: "Optional[tuple[int, int]]" = None,
     ) -> QueryResult:
         """A phi-quantile of the cluster-wide union (Definition 1)."""
-        total = self._scope_total(window_steps, step_range)
-        return self.query_rank(
-            rank_for_phi(phi, total),
-            mode=mode,
-            window_steps=window_steps,
-            step_range=step_range,
-        )
+        return self._gather(None, phi, mode, window_steps, step_range)
 
     def quantile_many(
         self,
@@ -668,69 +597,23 @@ class ClusterSnapshot:
         rank-bound pass — the coalescer's contract, unchanged.
         Accurate mode shares one sharded cache across the searches.
         """
-        if mode not in ("quick", "accurate"):
-            raise ValueError("mode must be 'quick' or 'accurate'")
-        if self.n_total == 0:
-            raise ValueError("snapshot is empty")
+        check_mode(mode)
+        shard_partitions, summaries = self._scope(window_steps)
+        positions = range(len(self.handles))
         if mode == "accurate":
-            shard_partitions, _ = self._scope(window_steps)
-            cache = self._new_cache(shard_partitions)
+            cache = self._new_cache_for(positions, shard_partitions)
             return [
-                self.query_rank(
-                    rank_for_phi(
-                        phi, self._scope_total(window_steps, None)
-                    ),
-                    mode="accurate",
-                    window_steps=window_steps,
-                    cache=cache,
-                )
+                self._gather(None, phi, mode, window_steps, None, cache)
                 for phi in phis
             ]
-        started = time.perf_counter()
-        _, summaries = self._scope(window_steps)
-        combined = self.combined(window_steps)
-        total = combined.total_size
-        ranks = np.asarray(
-            [
-                max(1, min(rank_for_phi(phi, total), total))
-                for phi in phis
-            ],
-            dtype=np.int64,
+        scope = self._query_scope(
+            positions, shard_partitions, summaries, window_steps, None
         )
-        values = combined.quick_responses(ranks)
-        bound = self._quick_bound(
-            total, sum(s.stream_size for s in summaries)
-        )
-        partial: Optional[PartialResult] = None
-        if self.missing:
-            lost = sum(self.missing.values())
-            partial = PartialResult(
-                missing_shards=tuple(sorted(self.missing)),
-                missing_elements=lost,
-                shards_answering=len(self.handles),
-                shards_total=self.shards_total,
-                base_bound=float(bound),
-            )
-            bound = widen_rank_bound(bound, lost)
-        wall = time.perf_counter() - started
         return [
-            QueryResult(
-                value=int(value),
-                target_rank=int(rank),
-                total_size=total,
-                mode="quick",
-                estimated_rank=float(rank),
-                disk_accesses=0,
-                iterations=0,
-                truncated=False,
-                wall_seconds=wall,
-                sim_seconds=0.0,
-                window_steps=window_steps,
-                query_workers=self._executor.workers,
-                rank_error_bound=float(bound),
-                partial=partial,
+            self._with_partial(result, self.missing, len(self.handles))
+            for result in answer_quick_many(
+                scope, phis, self.config, self._executor, self._latency
             )
-            for rank, value in zip(ranks, values)
         ]
 
 

@@ -13,7 +13,6 @@ from .monitoring import (
     ServiceAlert,
     ServiceRule,
 )
-from .snapshot import EngineSnapshot, snapshot
 from .memory import (
     WORDS_PER_MB,
     MemoryBudget,
@@ -43,8 +42,6 @@ __all__ = [
     "ReliabilityAlert",
     "ServiceAlert",
     "ServiceRule",
-    "EngineSnapshot",
-    "snapshot",
     "WORDS_PER_MB",
     "MemoryBudget",
     "epsilon_for_budget",

@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import EngineConfig
 from .summaries import PartitionSummary, StreamSummary
 
 
@@ -76,6 +77,14 @@ def widen_rank_bound(base_bound: float, missing_elements: int) -> float:
     ``C``-terms never stack and ``|rank_T(v) - r| <= base_bound + C``.
     """
     return float(base_bound) + int(missing_elements)
+
+
+def quick_rank_bound(config: EngineConfig, total: int, m_scope: int) -> float:
+    """A priori rank-error bound of the quick response over a scope of
+    ``total`` elements, ``m_scope`` of them live stream:
+    ``eps1 * n + eps2 * m``."""
+    hist_scope = max(0, total - m_scope)
+    return config.epsilon1 * hist_scope + config.epsilon2 * m_scope
 
 
 def _alpha_runs(values: np.ndarray, entries: np.ndarray) -> np.ndarray:

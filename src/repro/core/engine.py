@@ -52,30 +52,28 @@ import logging
 import math
 import threading
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, List, Optional, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from ..faults.errors import DiskFault
 from ..faults.health import ReliabilityReport
 from ..ingest import AppendBuffer, BackgroundArchiver, IngestStats, PendingBatch
 from ..ingest.archiver import ArchiveRecord
 from ..query.executor import QueryExecutor
-from ..sketches.base import QuantileSketch, as_int64_batch, rank_for_phi
+from ..sketches.base import QuantileSketch, as_int64_batch
 from ..sketches.gk import GKSketch
 from ..sketches.kll import KLLSketch
 from ..storage.backends import SimulatedBackend
-from ..storage.cache import BlockCache
 from ..storage.disk import SimulatedDisk
 from ..storage.shared_cache import SharedBlockCache
 from ..warehouse.compaction import LeveledCompactionStore
 from ..warehouse.leveled_store import LeveledStore, window_sizes_from
 from ..warehouse.partition import Partition
-from .bounds import CombinedSummary, PartialResult
 from .config import EngineConfig
 from .epoch import EpochRegistry, EpochStats, HistoricalMemo, SnapshotHandle
-from .filters import AccurateSearch
+from .query_path import QueryResult
 from .summaries import PartitionSummary, StreamSummary
 from .aggregates import AggregateStats, combine, partition_stats
 from .windows import resolve_range_in, resolve_window_in
@@ -119,47 +117,6 @@ class StepReport:
     #: False for the provisional report background ``end_time_step``
     #: returns before the batch has actually been archived.
     archived: bool = True
-
-
-@dataclass(frozen=True)
-class QueryResult:
-    """Outcome of one quantile query."""
-
-    value: int
-    target_rank: int
-    total_size: int
-    mode: str
-    estimated_rank: float
-    disk_accesses: int
-    iterations: int
-    truncated: bool
-    wall_seconds: float
-    sim_seconds: float
-    window_steps: Optional[int] = None
-    #: simulated disk seconds with partitions read concurrently — the
-    #: critical-path cost the executor realizes when ``query_workers``
-    #: exceeds 1; <= sim_seconds.
-    parallel_sim_seconds: float = 0.0
-    #: worker threads the accurate search probed partitions with
-    #: (1 = serial); ``wall_seconds`` is measured under this setting.
-    query_workers: int = 1
-    #: True when an accurate query exhausted its probe retries against
-    #: a faulty disk and fell back to the quick (in-memory) response;
-    #: ``rank_error_bound`` then carries the widened quick-path bound.
-    degraded: bool = False
-    #: a priori bound on ``|true_rank(value) - target_rank|`` for this
-    #: response: ``~eps * m`` for an accurate answer, the much wider
-    #: ``eps1 * n + eps2 * m`` for quick and degraded answers.
-    rank_error_bound: float = 0.0
-    #: set when a cluster gather answered from a strict subset of
-    #: shards; carries the missing-shard accounting behind the widened
-    #: ``rank_error_bound`` (see :class:`~repro.core.bounds.PartialResult`).
-    partial: Optional[PartialResult] = None
-
-    @property
-    def phi(self) -> float:
-        """The quantile fraction this query targeted."""
-        return self.target_rank / self.total_size if self.total_size else 0.0
 
 
 @dataclass(frozen=True)
@@ -330,14 +287,6 @@ class HybridQuantileEngine:
         backend = self.disk.backend
         for run_id in run_ids:
             backend.delete_run(run_id)
-
-    def _new_block_cache(self) -> BlockCache:
-        """A per-query cache reading through the shared tier (if any)."""
-        return BlockCache(
-            self.disk,
-            enabled=self.config.block_cache,
-            shared=self.shared_cache,
-        )
 
     def _build_partition_summary(self, partition: Partition) -> PartitionSummary:
         # Aggregates ride along with the summary: both are computed
@@ -705,19 +654,6 @@ class HybridQuantileEngine:
         self._absorb_stream_tail()
         return StreamSummary.extract(self._gk, self.config.epsilon2)
 
-    def _stream_rank_estimate(self, value: int) -> float:
-        """Rank of ``value`` in R from the live sketch's bracket.
-
-        The midpoint of GK's rank interval is within ``eps2 * m / 2``
-        of the truth — the same guarantee class as the Algorithm 8
-        summary estimate, without its quantization.
-        """
-        self._absorb_stream_tail()
-        if self._gk.n == 0:
-            return 0.0
-        lo, hi = self._gk.rank_bounds(int(value))
-        return (lo + hi) / 2.0
-
     def _layout_snapshot(
         self,
     ) -> "tuple[List[Partition], List[PendingBatch], int]":
@@ -850,30 +786,15 @@ class HybridQuantileEngine:
         """
         if self.shared_cache is None:
             return 0
-        self.disk.stats.set_phase("query")
-        try:
-            with self.pin() as handle:
-                return handle.warm(phis, window_steps=window_steps)
-        finally:
-            self.disk.stats.set_phase("load")
+        with self._query_pin() as handle:
+            return handle.warm(phis, window_steps=window_steps)
 
-    def _query_scope(
-        self,
-        window_steps: Optional[int],
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> (
-        "tuple[List[Partition], StreamSummary, CombinedSummary,"
-        " Optional[Callable[[int], float]]]"
-    ):
-        """One query's pinned scope: partitions, SS, TS and the
-        stream-rank estimator bound to the pinned sketch."""
-        with self.pin() as handle:
-            partitions, ss = handle.scope(window_steps, step_range)
-            combined = handle.combined(window_steps, step_range)
-            # Historical-range queries exclude the live stream, so the
-            # sketch-backed estimator must not contribute.
-            rank_fn = handle.stream_rank if step_range is None else None
-            return partitions, ss, combined, rank_fn
+    @contextmanager
+    def _query_pin(self) -> Iterator[SnapshotHandle]:
+        """A pinned handle with this thread's I/O charged to ``"query"``
+        (the caller's phase is restored on exit)."""
+        with self.disk.stats.phase_scope("query"), self.pin() as handle:
+            yield handle
 
     def query_rank(
         self,
@@ -892,107 +813,13 @@ class HybridQuantileEngine:
         ``step_range=(a, b)`` it covers exactly historical steps a..b
         (no stream), when those align with partition boundaries.
         """
-        if mode not in ("quick", "accurate"):
-            raise ValueError("mode must be 'quick' or 'accurate'")
-        started = time.perf_counter()
-        io_before = self.disk.stats.counters.snapshot()
-        self.disk.stats.set_phase("query")
-        try:
-            partitions, ss, combined, rank_fn = self._query_scope(
-                window_steps, step_range
+        with self._query_pin() as handle:
+            return handle.query_rank(
+                rank,
+                mode=mode,
+                window_steps=window_steps,
+                step_range=step_range,
             )
-            total = combined.total_size
-            rank = max(1, min(int(rank), total))
-            quick_bound = self._quick_rank_bound(total, ss.stream_size)
-            degraded = False
-            if mode == "quick":
-                value = combined.quick_response(rank)
-                outcome_rank = float(rank)
-                blocks = 0
-                iterations = 0
-                truncated = False
-                critical_path_blocks = 0
-                bound = quick_bound
-            else:
-                search = AccurateSearch(
-                    partitions=partitions,
-                    stream_summary=ss,
-                    combined=combined,
-                    config=self.config,
-                    rank=rank,
-                    # Bound to the *pinned* sketch snapshot, so a
-                    # concurrent stream update cannot shift rank
-                    # estimates mid-search (None for historical-range
-                    # queries, which exclude the live stream).
-                    stream_rank_fn=rank_fn,
-                    cache=self._new_block_cache(),
-                    executor=self._query_executor,
-                )
-                try:
-                    outcome = search.run()
-                except DiskFault:
-                    # A probe exhausted its retries.  Degrade to the
-                    # quick (in-memory) response with its widened error
-                    # bound rather than crashing the query; the
-                    # degradation is visible on the result and in
-                    # engine.reliability.
-                    if not self.config.degrade_on_fault:
-                        raise
-                    outcome = None
-                if outcome is None:
-                    self._note_degraded_query()
-                    degraded = True
-                    value = combined.quick_response(rank)
-                    outcome_rank = float(rank)
-                    blocks = 0
-                    iterations = 0
-                    truncated = True
-                    critical_path_blocks = 0
-                    bound = quick_bound
-                else:
-                    value = outcome.value
-                    outcome_rank = outcome.estimated_rank
-                    blocks = outcome.random_blocks
-                    iterations = outcome.iterations
-                    truncated = outcome.truncated
-                    critical_path_blocks = outcome.max_partition_blocks
-                    bound = self.config.query_epsilon * ss.stream_size
-        finally:
-            self.disk.stats.set_phase("load")
-        io_delta = self.disk.stats.counters.delta_since(io_before)
-        if degraded:
-            # The aborted search's probes were still charged; surface
-            # them so degraded queries are not mistaken for free ones.
-            blocks = io_delta.random_reads
-        return QueryResult(
-            value=int(value),
-            target_rank=rank,
-            total_size=total,
-            mode=mode,
-            estimated_rank=outcome_rank,
-            disk_accesses=blocks,
-            iterations=iterations,
-            truncated=truncated,
-            wall_seconds=time.perf_counter() - started,
-            sim_seconds=self.disk.latency.seconds(io_delta),
-            window_steps=window_steps,
-            parallel_sim_seconds=(
-                critical_path_blocks
-                * self.disk.latency.seconds_per_random_block
-            ),
-            query_workers=self.config.query_workers,
-            degraded=degraded,
-            rank_error_bound=float(bound),
-        )
-
-    def _quick_rank_bound(self, total: int, m_scope: int) -> float:
-        """A priori rank-error bound of the quick response over a scope
-        of ``total`` elements, ``m_scope`` of them live stream."""
-        hist_scope = max(0, total - m_scope)
-        return (
-            self.config.epsilon1 * hist_scope
-            + self.config.epsilon2 * m_scope
-        )
 
     def quantile(
         self,
@@ -1002,22 +829,13 @@ class HybridQuantileEngine:
         step_range: "Optional[tuple[int, int]]" = None,
     ) -> QueryResult:
         """A ``phi``-quantile of the union (Definition 1)."""
-        if step_range is not None:
-            partitions = resolve_range_in(
-                self._queryable_partitions(), *step_range
+        with self._query_pin() as handle:
+            return handle.quantile(
+                phi,
+                mode=mode,
+                window_steps=window_steps,
+                step_range=step_range,
             )
-            total = sum(len(p) for p in partitions)
-        elif window_steps is not None:
-            partitions = resolve_window_in(
-                self._queryable_partitions(), window_steps
-            )
-            total = sum(len(p) for p in partitions) + self._m
-        else:
-            total = self.n_total
-        rank = rank_for_phi(phi, total)
-        return self.query_rank(
-            rank, mode=mode, window_steps=window_steps, step_range=step_range
-        )
 
     def quantiles(
         self,
@@ -1030,81 +848,9 @@ class HybridQuantileEngine:
         cache, so blocks touched by one search are free for the next —
         substantially cheaper than issuing the queries separately.
         """
-        io_before = self.disk.stats.counters.snapshot()
-        self.disk.stats.set_phase("query")
-        partitions, ss, combined, rank_fn = self._query_scope(window_steps)
-        total = combined.total_size
-        quick_bound = self._quick_rank_bound(total, ss.stream_size)
-        cache = self._new_block_cache()
-        results = []
-        for phi in phis:
-            started = time.perf_counter()
-            rank = rank_for_phi(phi, total)
-            search = AccurateSearch(
-                partitions=partitions,
-                stream_summary=ss,
-                combined=combined,
-                config=self.config,
-                rank=rank,
-                stream_rank_fn=rank_fn,
-                cache=cache,
-                executor=self._query_executor,
-            )
-            try:
-                outcome = search.run()
-            except DiskFault:
-                if not self.config.degrade_on_fault:
-                    self.disk.stats.set_phase("load")
-                    raise
-                outcome = None
-                self._note_degraded_query()
-            if outcome is None:
-                results.append(
-                    QueryResult(
-                        value=int(combined.quick_response(rank)),
-                        target_rank=rank,
-                        total_size=total,
-                        mode="accurate",
-                        estimated_rank=float(rank),
-                        disk_accesses=0,
-                        iterations=0,
-                        truncated=True,
-                        wall_seconds=time.perf_counter() - started,
-                        sim_seconds=0.0,
-                        window_steps=window_steps,
-                        query_workers=self.config.query_workers,
-                        degraded=True,
-                        rank_error_bound=float(quick_bound),
-                    )
-                )
-                continue
-            results.append(
-                QueryResult(
-                    value=outcome.value,
-                    target_rank=rank,
-                    total_size=total,
-                    mode="accurate",
-                    estimated_rank=outcome.estimated_rank,
-                    disk_accesses=outcome.random_blocks,
-                    iterations=outcome.iterations,
-                    truncated=outcome.truncated,
-                    # per-query wall time, not cumulative pass time
-                    wall_seconds=time.perf_counter() - started,
-                    sim_seconds=0.0,
-                    window_steps=window_steps,
-                    query_workers=self.config.query_workers,
-                    rank_error_bound=float(
-                        self.config.query_epsilon * ss.stream_size
-                    ),
-                )
-            )
-        self.disk.stats.set_phase("load")
-        io_delta = self.disk.stats.counters.delta_since(io_before)
-        sim = self.disk.latency.seconds(io_delta)
-        if results:
-            # total pass cost attributed once, on the final result
-            results[-1] = replace(results[-1], sim_seconds=sim)
-        return results
+        return self.quantile_many(
+            phis, mode="accurate", window_steps=window_steps
+        )
 
     def quantile_many(
         self,
@@ -1115,20 +861,15 @@ class HybridQuantileEngine:
         """Answer many quantiles against one pinned snapshot.
 
         The public vectorized entry point the serving layer's coalescer
-        (and the CLI's multi-``--phi`` path) uses.  Quick mode pins one
-        snapshot, builds TS once, and answers every ``phi`` with a
-        single vectorized rank-bound pass; accurate mode delegates to
-        :meth:`quantiles`, which shares one stream summary and block
-        cache across the searches.  Results are index-aligned with
-        ``phis``.
+        (and the CLI's multi-``--phi`` path) uses.  Quick mode builds TS
+        once and answers every ``phi`` with a single vectorized
+        rank-bound pass; accurate mode shares one stream summary and
+        block cache across the searches.  Results are index-aligned
+        with ``phis``.
         """
-        if mode not in ("quick", "accurate"):
-            raise ValueError("mode must be 'quick' or 'accurate'")
-        if mode == "accurate":
-            return self.quantiles(phis, window_steps=window_steps)
-        with self.pin() as handle:
+        with self._query_pin() as handle:
             return handle.quantile_many(
-                phis, mode="quick", window_steps=window_steps
+                phis, mode=mode, window_steps=window_steps
             )
 
     def aggregate(

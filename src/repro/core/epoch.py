@@ -32,14 +32,13 @@ the serving benchmark's coalescing ratio is
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..faults.errors import DiskFault
+from ..query.executor import QueryExecutor
 from ..sketches.base import rank_for_phi
 from ..sketches.gk import GKSketch
 from ..storage.cache import BlockCache
@@ -48,13 +47,15 @@ from ..storage.shared_cache import SharedBlockCache
 from ..warehouse.partition import Partition
 from .bounds import CombinedSummary, HistoricalSummary
 from .config import EngineConfig
-from .filters import AccurateSearch
+from .query_path import (
+    QueryResult,
+    QueryScope,
+    answer_quick_many,
+    answer_rank,
+    check_mode,
+)
 from .summaries import PartitionSummary, StreamSummary
 from .windows import resolve_range_in, resolve_window_in
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..query.executor import QueryExecutor
-    from .engine import QueryResult
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,7 @@ class SnapshotHandle:
         gk: GKSketch,
         config: EngineConfig,
         disk: SimulatedDisk,
-        executor: "QueryExecutor",
+        executor: QueryExecutor,
         note_degraded: Callable[[], None],
         created_at_step: int,
         shared_cache: Optional[SharedBlockCache] = None,
@@ -471,11 +472,32 @@ class SnapshotHandle:
                 self._executor.run_tasks(tasks, cache)
         return cache.blocks_charged - charged_before
 
-    def _quick_bound(self, total: int, m_scope: int) -> float:
-        hist_scope = max(0, total - m_scope)
-        return (
-            self.config.epsilon1 * hist_scope
-            + self.config.epsilon2 * m_scope
+    def _query_scope(
+        self,
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+    ) -> QueryScope:
+        partitions, ss = self.scope(window_steps, step_range)
+        return QueryScope(
+            partitions=partitions,
+            stream_summary=ss,
+            combined=self.combined(window_steps, step_range),
+            stream_rank=self.stream_rank if step_range is None else None,
+            new_cache=self._new_cache,
+            on_degraded=lambda cache: self._note_degraded(),
+            window_steps=window_steps,
+        )
+
+    def _answer(
+        self,
+        scope: QueryScope,
+        rank: int,
+        mode: str,
+        cache: Optional[BlockCache] = None,
+    ) -> QueryResult:
+        return answer_rank(
+            scope, rank, mode, self.config, self._executor,
+            self._disk.latency, cache,
         )
 
     def query_rank(
@@ -485,95 +507,10 @@ class SnapshotHandle:
         window_steps: Optional[int] = None,
         step_range: "Optional[tuple[int, int]]" = None,
         cache: Optional[BlockCache] = None,
-    ) -> "QueryResult":
+    ) -> QueryResult:
         """Answer exactly as the engine would have at pin time."""
-        from .engine import QueryResult
-
-        if mode not in ("quick", "accurate"):
-            raise ValueError("mode must be 'quick' or 'accurate'")
-        if self.n_total == 0:
-            raise ValueError("snapshot is empty")
-        started = time.perf_counter()
-        partitions, ss = self.scope(window_steps, step_range)
-        combined = self.combined(window_steps, step_range)
-        rank = max(1, min(int(rank), combined.total_size))
-        quick_bound = self._quick_bound(
-            combined.total_size, ss.stream_size
-        )
-        degraded = False
-        if mode == "quick":
-            value = combined.quick_response(rank)
-            blocks = 0
-            estimated = float(rank)
-            iterations = 0
-            truncated = False
-            bound = quick_bound
-        else:
-            search = AccurateSearch(
-                partitions=partitions,
-                stream_summary=ss,
-                combined=combined,
-                config=self.config,
-                rank=rank,
-                stream_rank_fn=(
-                    self.stream_rank if step_range is None else None
-                ),
-                cache=cache if cache is not None else self._new_cache(),
-                executor=self._executor,
-            )
-            try:
-                outcome = search.run()
-            except DiskFault:
-                # Same degradation semantics as the live engine: fall
-                # back to the quick response, flag the result.
-                if not self.config.degrade_on_fault:
-                    raise
-                outcome = None
-                self._note_degraded()
-            if outcome is None:
-                degraded = True
-                value = combined.quick_response(rank)
-                blocks = 0
-                estimated = float(rank)
-                iterations = 0
-                truncated = True
-                bound = quick_bound
-            else:
-                value = outcome.value
-                blocks = outcome.random_blocks
-                estimated = outcome.estimated_rank
-                iterations = outcome.iterations
-                truncated = outcome.truncated
-                bound = self.config.query_epsilon * ss.stream_size
-        return QueryResult(
-            value=int(value),
-            target_rank=rank,
-            total_size=combined.total_size,
-            mode=mode,
-            estimated_rank=estimated,
-            disk_accesses=blocks,
-            iterations=iterations,
-            truncated=truncated,
-            wall_seconds=time.perf_counter() - started,
-            sim_seconds=blocks * self._disk.latency.seconds_per_random_block,
-            window_steps=window_steps,
-            query_workers=self._executor.workers,
-            degraded=degraded,
-            rank_error_bound=float(bound),
-        )
-
-    def _scope_total(
-        self,
-        window_steps: Optional[int],
-        step_range: "Optional[tuple[int, int]]",
-    ) -> int:
-        if step_range is not None:
-            partitions, _ = self.scope(step_range=step_range)
-            return sum(len(p) for p in partitions)
-        if window_steps is not None:
-            partitions, _ = self.scope(window_steps=window_steps)
-            return sum(len(p) for p in partitions) + self.m_stream
-        return self.n_total
+        scope = self._query_scope(window_steps, step_range)
+        return self._answer(scope, rank, mode, cache)
 
     def quantile(
         self,
@@ -581,80 +518,35 @@ class SnapshotHandle:
         mode: str = "accurate",
         window_steps: Optional[int] = None,
         step_range: "Optional[tuple[int, int]]" = None,
-    ) -> "QueryResult":
+    ) -> QueryResult:
         """A ``phi``-quantile of the pinned union (Definition 1)."""
-        total = self._scope_total(window_steps, step_range)
-        return self.query_rank(
-            rank_for_phi(phi, total),
-            mode=mode,
-            window_steps=window_steps,
-            step_range=step_range,
-        )
+        scope = self._query_scope(window_steps, step_range)
+        rank = rank_for_phi(phi, scope.combined.total_size)
+        return self._answer(scope, rank, mode)
 
     def quantile_many(
         self,
         phis: Sequence[float],
         mode: str = "quick",
         window_steps: Optional[int] = None,
-    ) -> "List[QueryResult]":
+    ) -> List[QueryResult]:
         """Answer many quantiles against this one pinned view.
 
         Quick mode is the coalescer's workhorse: one (cached) TS merge,
         then a single vectorized rank-bound pass answers every ``phi``.
         Accurate mode shares the pinned view and one block cache across
-        the searches, like :meth:`HybridQuantileEngine.quantiles`.
+        the searches, so blocks touched by one are free for the next.
+        Results are index-aligned with ``phis``.
         """
-        from .engine import QueryResult
-
-        if mode not in ("quick", "accurate"):
-            raise ValueError("mode must be 'quick' or 'accurate'")
-        if self.n_total == 0:
-            raise ValueError("snapshot is empty")
-        if mode == "accurate":
-            cache = self._new_cache()
-            return [
-                self.query_rank(
-                    rank_for_phi(
-                        phi, self._scope_total(window_steps, None)
-                    ),
-                    mode="accurate",
-                    window_steps=window_steps,
-                    cache=cache,
-                )
-                for phi in phis
-            ]
-        started = time.perf_counter()
-        _, ss = self.scope(window_steps)
-        combined = self.combined(window_steps)
-        total = combined.total_size
-        ranks = np.asarray(
-            [
-                max(1, min(rank_for_phi(phi, total), total))
-                for phi in phis
-            ],
-            dtype=np.int64,
-        )
-        values = combined.quick_responses(ranks)
-        bound = self._quick_bound(total, ss.stream_size)
-        wall = time.perf_counter() - started
-        return [
-            QueryResult(
-                value=int(value),
-                target_rank=int(rank),
-                total_size=total,
-                mode="quick",
-                estimated_rank=float(rank),
-                disk_accesses=0,
-                iterations=0,
-                truncated=False,
-                # the shared pass's wall time; attributing it to every
-                # result keeps per-result latency honest for coalesced
-                # batches (they all waited for the same merge).
-                wall_seconds=wall,
-                sim_seconds=0.0,
-                window_steps=window_steps,
-                query_workers=self._executor.workers,
-                rank_error_bound=float(bound),
+        check_mode(mode)
+        scope = self._query_scope(window_steps)
+        if mode == "quick":
+            return answer_quick_many(
+                scope, phis, self.config, self._executor, self._disk.latency
             )
-            for rank, value in zip(ranks, values)
+        cache = self._new_cache()
+        total = scope.combined.total_size
+        return [
+            self._answer(scope, rank_for_phi(phi, total), mode, cache)
+            for phi in phis
         ]

@@ -55,9 +55,10 @@ class SearchOutcome:
     random_blocks:
         Random block reads charged by this query.
     max_partition_blocks:
-        Deepest single-partition read chain — the query's critical
-        path when the executor reads partitions in parallel
-        (``query_workers > 1``); feeds ``parallel_sim_seconds``.
+        Deepest single-partition read chain charged by this search —
+        the query's critical path when the executor reads partitions
+        in parallel (``query_workers > 1``); feeds
+        ``parallel_sim_seconds``.
     iterations:
         Number of bisection steps performed.
     truncated:
@@ -101,6 +102,11 @@ class AccurateSearch:
         else:
             self._cache = None
         self._blocks_at_start = self._blocks()
+        # A cache shared across searches carries earlier searches'
+        # charges; the critical path is this search's own.
+        self._run_blocks_at_start = (
+            self._cache.run_blocks() if self._cache else {}
+        )
         self._stream_rank_fn = stream_rank_fn
         # Run ids already prefetched this query (at most once each; the
         # filters only narrow, so later ranges are subsets).
@@ -228,16 +234,7 @@ class AccurateSearch:
                 u = z
         rho, hist_ranks = self._estimate(v)
         value = self._snap_down(v, hist_ranks)
-        return SearchOutcome(
-            value=int(value),
-            estimated_rank=float(rho),
-            random_blocks=self._blocks() - self._blocks_at_start,
-            max_partition_blocks=(
-                self._cache.max_blocks_per_run() if self._cache else 0
-            ),
-            iterations=iterations,
-            truncated=truncated,
-        )
+        return self._outcome(value, rho, iterations, truncated)
 
     def _run_fetch(self) -> SearchOutcome:
         """Lemma 5's literal endgame: fetch the residual range.
@@ -299,16 +296,7 @@ class AccurateSearch:
             # Nothing lies strictly inside the bracket: v is the answer.
             rho, hist_ranks = self._estimate(v)
             value = self._snap_down(v, hist_ranks)
-            return SearchOutcome(
-                value=int(value),
-                estimated_rank=float(rho),
-                random_blocks=self._blocks() - self._blocks_at_start,
-                max_partition_blocks=(
-                    self._cache.max_blocks_per_run() if self._cache else 0
-                ),
-                iterations=iterations,
-                truncated=truncated,
-            )
+            return self._outcome(value, rho, iterations, truncated)
         candidates.sort()
         best_value = candidates[-1]
         best_rho = None
@@ -320,12 +308,22 @@ class AccurateSearch:
                 break
         if best_rho is None:
             best_rho, _ = self._estimate(best_value)
+        return self._outcome(best_value, best_rho, iterations, truncated)
+
+    def _outcome(
+        self, value: int, rho: float, iterations: int, truncated: bool
+    ) -> SearchOutcome:
+        charged = self._cache.run_blocks() if self._cache else {}
         return SearchOutcome(
-            value=int(best_value),
-            estimated_rank=float(best_rho),
+            value=int(value),
+            estimated_rank=float(rho),
             random_blocks=self._blocks() - self._blocks_at_start,
-            max_partition_blocks=(
-                self._cache.max_blocks_per_run() if self._cache else 0
+            max_partition_blocks=max(
+                (
+                    blocks - self._run_blocks_at_start.get(run_id, 0)
+                    for run_id, blocks in charged.items()
+                ),
+                default=0,
             ),
             iterations=iterations,
             truncated=truncated,

@@ -27,7 +27,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..faults.health import ReliabilityReport
 from .engine import HybridQuantileEngine
-from .snapshot import EngineSnapshot
 
 
 @dataclass(frozen=True)
@@ -356,18 +355,18 @@ class QuantileWatcher:
         """Check every rule against one consistent snapshot."""
         if not self._rules or self._engine.n_total == 0:
             return []
-        view = EngineSnapshot(self._engine)
         alerts = []
-        for rule in self._rules.values():
-            result = view.quantile(rule.phi, mode=rule.mode)
-            if rule.triggered_by(result.value):
-                alerts.append(
-                    QuantileAlert(
-                        rule=rule,
-                        observed=result.value,
-                        total_size=result.total_size,
-                        at_step=view.created_at_step,
-                        degraded=result.degraded,
+        with self._engine.pin() as view:
+            for rule in self._rules.values():
+                result = view.quantile(rule.phi, mode=rule.mode)
+                if rule.triggered_by(result.value):
+                    alerts.append(
+                        QuantileAlert(
+                            rule=rule,
+                            observed=result.value,
+                            total_size=result.total_size,
+                            at_step=view.created_at_step,
+                            degraded=result.degraded,
+                        )
                     )
-                )
         return alerts

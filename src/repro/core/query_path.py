@@ -1,0 +1,261 @@
+"""The one query path: scope -> TS -> quick | accurate -> degrade -> result.
+
+The paper defines one query procedure — Algorithm 5 answers from TS
+alone (quick), Algorithms 6-8 bracket the rank with TS filters and
+bisect with exact per-partition ranks plus a stream estimate
+(accurate).  Because the per-shard summaries are mergeable, a cluster
+is the same procedure over concatenated partitions and a fused TS.
+
+Every door — :class:`~repro.core.engine.HybridQuantileEngine`,
+:class:`~repro.core.epoch.SnapshotHandle`,
+:class:`~repro.cluster.engine.ClusterSnapshot` — builds a
+:class:`QueryScope` from its pinned view and calls :func:`answer_rank`
+(or the vectorized :func:`answer_quick_many`), so each
+:class:`QueryResult` field has exactly one rule, stated on the field.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence
+
+import numpy as np
+
+from ..faults.errors import DiskFault
+from ..query.executor import QueryExecutor
+from ..sketches.base import rank_for_phi
+from ..storage.stats import DiskLatencyModel
+from ..warehouse.partition import Partition
+from .bounds import CombinedSummary, PartialResult, quick_rank_bound
+from .config import EngineConfig
+from .filters import AccurateSearch, SearchOutcome
+
+
+@dataclass(frozen=True)
+class QueryResult:
+    """Outcome of one quantile query."""
+
+    value: int
+    #: the requested rank clamped into ``[1, total_size]``; a ``phi`` is
+    #: turned into a rank against this same pinned ``total_size``.
+    target_rank: int
+    total_size: int
+    mode: str
+    estimated_rank: float
+    #: random block reads this query's own cache charged — for a
+    #: degraded answer those of the aborted search, so it is never
+    #: reported as free; another thread's reads are never absorbed.
+    disk_accesses: int
+    iterations: int
+    truncated: bool
+    wall_seconds: float
+    #: ``disk_accesses * seconds_per_random_block``: every query-time
+    #: charge is a random read.
+    sim_seconds: float
+    window_steps: Optional[int] = None
+    #: simulated disk seconds with partitions read concurrently: this
+    #: search's deepest single-partition read chain times
+    #: ``seconds_per_random_block`` — the critical-path cost the
+    #: executor realizes when ``query_workers`` exceeds 1;
+    #: <= sim_seconds, zero for quick and degraded answers.
+    parallel_sim_seconds: float = 0.0
+    #: worker threads the accurate search probed partitions with
+    #: (1 = serial); ``wall_seconds`` is measured under this setting.
+    query_workers: int = 1
+    #: True when an accurate query exhausted its probe retries against
+    #: a faulty disk and fell back to the quick (in-memory) response;
+    #: ``rank_error_bound`` then carries the widened quick-path bound.
+    degraded: bool = False
+    #: a priori bound on ``|true_rank(value) - target_rank|`` for this
+    #: response: ``~eps * m`` for an accurate answer, the much wider
+    #: ``eps1 * n + eps2 * m`` for quick and degraded answers.
+    rank_error_bound: float = 0.0
+    #: set when a cluster gather answered from a strict subset of
+    #: shards; carries the missing-shard accounting behind the widened
+    #: ``rank_error_bound`` (see :class:`~repro.core.bounds.PartialResult`).
+    partial: Optional[PartialResult] = None
+
+    @property
+    def phi(self) -> float:
+        """The quantile fraction this query targeted."""
+        return self.target_rank / self.total_size if self.total_size else 0.0
+
+
+@dataclass(frozen=True)
+class QueryScope:
+    """What one query answers over, as its door pinned it.
+
+    A record, not a wrapper: the query functions call ``combined`` and
+    the search directly.
+    """
+
+    partitions: Sequence[Partition]
+    #: SS of the scope — a :class:`~repro.core.summaries.StreamSummary`,
+    #: or the cluster's per-shard facade with the same ``stream_size`` /
+    #: ``rank_estimate`` / ``largest_at_most`` surface.
+    stream_summary: Any
+    combined: CombinedSummary
+    #: rank estimate from the *pinned* sketch, so a concurrent stream
+    #: update cannot shift estimates mid-search; ``None`` for
+    #: historical step ranges, which exclude the live stream.
+    stream_rank: Optional[Callable[[int], float]]
+    #: a fresh per-query block cache for an accurate search.
+    new_cache: Callable[[], Any]
+    #: counts one degraded query; handed the aborted search's cache
+    #: (the cluster reads the culprit shard off it).
+    on_degraded: Callable[[Any], None]
+    window_steps: Optional[int] = None
+
+
+def check_mode(mode: str) -> None:
+    """Reject anything but the paper's two response modes."""
+    if mode not in ("quick", "accurate"):
+        raise ValueError("mode must be 'quick' or 'accurate'")
+
+
+def _quick_outcome(
+    value: int, rank: int, blocks: int = 0, degraded: bool = False
+) -> SearchOutcome:
+    """Algorithm 5's answer in the shape of a search outcome."""
+    return SearchOutcome(
+        value=int(value),
+        estimated_rank=float(rank),
+        random_blocks=blocks,
+        max_partition_blocks=0,
+        iterations=0,
+        truncated=degraded,
+    )
+
+
+def _result(
+    scope: QueryScope,
+    mode: str,
+    rank: int,
+    outcome: SearchOutcome,
+    bound: float,
+    wall: float,
+    executor: QueryExecutor,
+    latency: DiskLatencyModel,
+    degraded: bool = False,
+) -> QueryResult:
+    per_block = latency.seconds_per_random_block
+    return QueryResult(
+        value=int(outcome.value),
+        target_rank=int(rank),
+        total_size=scope.combined.total_size,
+        mode=mode,
+        estimated_rank=outcome.estimated_rank,
+        disk_accesses=outcome.random_blocks,
+        iterations=outcome.iterations,
+        truncated=outcome.truncated,
+        wall_seconds=wall,
+        sim_seconds=outcome.random_blocks * per_block,
+        window_steps=scope.window_steps,
+        parallel_sim_seconds=outcome.max_partition_blocks * per_block,
+        query_workers=executor.workers,
+        degraded=degraded,
+        rank_error_bound=float(bound),
+    )
+
+
+def answer_rank(
+    scope: QueryScope,
+    rank: int,
+    mode: str,
+    config: EngineConfig,
+    executor: QueryExecutor,
+    latency: DiskLatencyModel,
+    cache: Any = None,
+    degrade: bool = True,
+) -> QueryResult:
+    """Return an element whose rank in the scope approximates ``rank``.
+
+    ``mode`` selects Algorithm 5 (``"quick"``, memory-only,
+    ``O(eps*N)`` error) or Algorithm 6 (``"accurate"``, a few hundred
+    random block reads, ``O(eps*m)`` error).  ``cache`` shares one
+    block cache across several searches (blocks one search touched are
+    free for the next); by default each search gets ``scope.new_cache()``.
+
+    An accurate search whose probe exhausted its retries degrades to
+    the quick response with its wider bound — flagged on the result and
+    counted through ``scope.on_degraded`` — unless
+    ``config.degrade_on_fault`` is off or the caller passes
+    ``degrade=False`` because it has a better recovery (the cluster
+    retries over the surviving shards); the typed fault then propagates.
+    """
+    check_mode(mode)
+    started = time.perf_counter()
+    total = scope.combined.total_size
+    rank = max(1, min(int(rank), total))
+    m_scope = scope.stream_summary.stream_size
+    outcome = None
+    blocks = 0
+    if mode == "accurate":
+        if cache is None:
+            cache = scope.new_cache()
+        charged_before = cache.blocks_charged
+        try:
+            outcome = AccurateSearch(
+                partitions=scope.partitions,
+                stream_summary=scope.stream_summary,
+                combined=scope.combined,
+                config=config,
+                rank=rank,
+                stream_rank_fn=scope.stream_rank,
+                cache=cache,
+                executor=executor,
+            ).run()
+        except DiskFault:
+            if not (degrade and config.degrade_on_fault):
+                raise
+            scope.on_degraded(cache)
+            # The aborted search's probes were still charged.
+            blocks = cache.blocks_charged - charged_before
+    degraded = mode == "accurate" and outcome is None
+    if outcome is None:
+        outcome = _quick_outcome(
+            scope.combined.quick_response(rank), rank, blocks, degraded
+        )
+        bound = quick_rank_bound(config, total, m_scope)
+    else:
+        bound = config.query_epsilon * m_scope
+    return _result(
+        scope, mode, rank, outcome, bound,
+        time.perf_counter() - started, executor, latency, degraded,
+    )
+
+
+def answer_quick_many(
+    scope: QueryScope,
+    phis: Sequence[float],
+    config: EngineConfig,
+    executor: QueryExecutor,
+    latency: DiskLatencyModel,
+) -> List[QueryResult]:
+    """Quick quantiles for every ``phi`` from one TS, in one pass.
+
+    The serving coalescer's workhorse: a single vectorized rank-bound
+    pass answers the whole batch.  Results are index-aligned with
+    ``phis`` and equal ``answer_rank(..., "quick")`` one by one.
+    """
+    started = time.perf_counter()
+    combined = scope.combined
+    total = combined.total_size
+    ranks = np.asarray(
+        [max(1, min(rank_for_phi(phi, total), total)) for phi in phis],
+        dtype=np.int64,
+    )
+    values = combined.quick_responses(ranks)
+    bound = quick_rank_bound(config, total, scope.stream_summary.stream_size)
+    # The shared pass's wall time; attributing it to every result keeps
+    # per-result latency honest for coalesced batches (they all waited
+    # for the same merge).
+    wall = time.perf_counter() - started
+    return [
+        _result(
+            scope, "quick", rank,
+            _quick_outcome(value, rank), bound, wall, executor, latency,
+        )
+        for rank, value in zip(ranks, values)
+    ]

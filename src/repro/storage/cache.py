@@ -78,7 +78,7 @@ class BlockCache:
         self.blocks_charged = 0
         #: first-touches answered by the shared tier (free, not charged).
         self.shared_hits = 0
-        #: charged blocks per run — the deepest chain is the realized
+        #: charged blocks per run — a search's deepest chain is its
         #: critical path when the executor reads partitions in parallel.
         self.blocks_per_run: "Counter[int]" = Counter()
         if follow_invalidation and shared is not None:
@@ -177,12 +177,10 @@ class BlockCache:
                 charged = len(new)
             return charged
 
-    def max_blocks_per_run(self) -> int:
-        """Deepest per-partition read chain (parallel critical path)."""
+    def run_blocks(self) -> Dict[int, int]:
+        """Blocks charged so far per run id (a copy)."""
         with self._count_lock:
-            if not self.blocks_per_run:
-                return 0
-            return max(self.blocks_per_run.values())
+            return dict(self.blocks_per_run)
 
     def drop_run(self, run_id: int) -> None:
         """Forget a retired run's lock and seen-set.

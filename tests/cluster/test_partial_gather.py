@@ -142,6 +142,10 @@ def test_midquery_fault_without_quorum_follows_legacy_path():
     degraded = cluster.quantile(0.5, mode="accurate")
     assert degraded.degraded
     assert degraded.partial is None  # nothing excluded: full quick TS
+    # Counted once, on the shard whose disk faulted.
+    assert [s.reliability.degraded_queries for s in cluster.shards] == [
+        0, 1, 0,
+    ]
     cluster.close()
     # With degradation off, the fault propagates as before.
     strict = ClusterEngine(

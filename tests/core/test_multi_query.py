@@ -2,7 +2,12 @@
 
 import numpy as np
 
-from repro import ExactQuantiles, HybridQuantileEngine
+from repro import (
+    ClusterEngine,
+    EngineConfig,
+    ExactQuantiles,
+    HybridQuantileEngine,
+)
 
 from ..conftest import fill_engine
 
@@ -70,6 +75,31 @@ class TestParallelLatency:
         if result.disk_accesses > 0:
             assert result.parallel_sim_seconds > 0
 
+    def test_shared_cache_critical_path_is_per_search(self, rng):
+        """With one cache shared across searches the critical path is
+        each search's own deepest chain, not the cache's lifetime one."""
+        engine, _ = build(rng)
+        cluster = ClusterEngine(
+            shards=3,
+            config=EngineConfig(epsilon=0.02, kappa=3, block_elems=16),
+        )
+        fill_engine(cluster, rng, steps=8, batch=3000, live=3000)
+        with engine.pin() as handle:
+            passes = (
+                engine.quantiles(PHIS),
+                handle.quantile_many(PHIS, "accurate"),
+                cluster.quantile_many(PHIS, "accurate"),
+            )
+        for results in passes:
+            assert any(r.disk_accesses > 0 for r in results)
+            for result in results:
+                assert (
+                    0 <= result.parallel_sim_seconds <= result.sim_seconds
+                )
+                if result.disk_accesses > 0:
+                    assert result.parallel_sim_seconds > 0
+        cluster.close()
+
     def test_quick_mode_has_zero_parallel_cost(self, rng):
         engine, _ = build(rng)
         assert engine.quantile(0.5, mode="quick").parallel_sim_seconds == 0
@@ -104,11 +134,18 @@ class TestBatchedQueryTiming:
         assert sum(r.wall_seconds for r in results) <= elapsed
         assert all(r.wall_seconds >= 0.0 for r in results)
 
-    def test_sim_seconds_attributed_once_on_last(self, rng):
+    def test_sim_seconds_prices_each_results_own_blocks(self, rng):
+        """Each result's sim_seconds prices its own disk_accesses, and
+        they sum to the blocks the whole pass charged."""
         engine, _ = build(rng)
+        per_block = engine.disk.latency.seconds_per_random_block
+        before = engine.disk.stats.counters.random_reads
         results = engine.quantiles(PHIS)
-        assert all(r.sim_seconds == 0.0 for r in results[:-1])
-        assert results[-1].sim_seconds > 0.0
+        charged = engine.disk.stats.counters.random_reads - before
+        for result in results:
+            assert result.sim_seconds == result.disk_accesses * per_block
+        assert results[0].sim_seconds > 0.0
+        assert sum(r.disk_accesses for r in results) == charged
 
     def test_empty_phi_list(self, rng):
         engine, _ = build(rng)

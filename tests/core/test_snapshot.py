@@ -1,9 +1,9 @@
-"""Tests for consistent read snapshots."""
+"""Tests for consistent read snapshots (``engine.pin()``)."""
 
 import numpy as np
 import pytest
 
-from repro import EngineSnapshot, ExactQuantiles, HybridQuantileEngine
+from repro import ExactQuantiles, HybridQuantileEngine
 
 from ..conftest import fill_engine
 
@@ -17,7 +17,7 @@ def build(rng):
 class TestSnapshot:
     def test_matches_engine_at_creation(self, rng):
         engine, _ = build(rng)
-        view = EngineSnapshot(engine)
+        view = engine.pin()
         for phi in (0.1, 0.5, 0.9):
             for mode in ("quick", "accurate"):
                 assert (
@@ -27,7 +27,7 @@ class TestSnapshot:
 
     def test_immune_to_later_ingestion(self, rng):
         engine, data = build(rng)
-        view = EngineSnapshot(engine)
+        view = engine.pin()
         before = view.quantile(0.5).value
         # shift the engine's distribution drastically
         engine.stream_update_batch(np.full(50_000, 10**9))
@@ -37,7 +37,7 @@ class TestSnapshot:
 
     def test_immune_to_merges(self, rng):
         engine, data = build(rng)
-        view = EngineSnapshot(engine)
+        view = engine.pin()
         before = [view.quantile(phi).value for phi in (0.25, 0.5, 0.75)]
         # trigger several merge cascades
         for _ in range(9):
@@ -50,7 +50,7 @@ class TestSnapshot:
         engine, data = build(rng)
         oracle = ExactQuantiles()
         oracle.update_batch(data)
-        view = EngineSnapshot(engine)
+        view = engine.pin()
         engine.stream_update_batch(rng.integers(0, 10**6, 5000))
         result = view.quantile(0.5)
         high = oracle.rank(result.value)
@@ -60,27 +60,25 @@ class TestSnapshot:
 
     def test_batch_quantiles_consistent(self, rng):
         engine, _ = build(rng)
-        view = EngineSnapshot(engine)
-        results = view.quantiles((0.25, 0.5, 0.75))
+        view = engine.pin()
+        results = view.quantile_many((0.25, 0.5, 0.75), mode="accurate")
         assert len(results) == 3
         values = [r.value for r in results]
         assert values == sorted(values)
 
     def test_empty_snapshot_raises(self):
         engine = HybridQuantileEngine(epsilon=0.1)
-        view = EngineSnapshot(engine)
+        view = engine.pin()
         with pytest.raises(ValueError):
             view.quantile(0.5)
 
     def test_invalid_mode(self, rng):
         engine, _ = build(rng)
-        view = EngineSnapshot(engine)
+        view = engine.pin()
         with pytest.raises(ValueError):
             view.query_rank(1, mode="psychic")
 
     def test_engine_snapshot_helper(self, rng):
-        from repro.core import snapshot
-
         engine, _ = build(rng)
-        view = snapshot(engine)
-        assert view.created_at_step == engine.steps_loaded
+        with engine.pin() as view:
+            assert view.created_at_step == engine.steps_loaded

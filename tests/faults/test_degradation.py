@@ -11,7 +11,6 @@ from repro import (
     QuantileWatcher,
     TransientReadError,
 )
-from repro.core.snapshot import EngineSnapshot
 
 ALL_READS_FAIL = FaultPlan(seed=1, read_error_rate=1.0)
 
@@ -100,7 +99,7 @@ class TestDegradedQueries:
 
     def test_snapshot_degrades_like_engine(self):
         engine = build_engine(ALL_READS_FAIL, probe_retries=1)
-        view = EngineSnapshot(engine)
+        view = engine.pin()
         result = view.quantile(0.5)
         assert result.degraded
         assert engine.reliability.degraded_queries == 1

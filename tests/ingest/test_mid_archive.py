@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
-from repro.core.snapshot import snapshot
 from repro.core.windows import WindowNotAlignedError
 
 
@@ -131,7 +130,7 @@ class TestMidArchiveQueries:
 
     def test_snapshot_pins_pending(self, paused_engine):
         engine, union = paused_engine
-        view = snapshot(engine)
+        view = engine.pin()
         assert view.n_total == union.size
         assert view.created_at_step == 7
         result = view.quantile(0.5)

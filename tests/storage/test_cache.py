@@ -135,7 +135,7 @@ class TestBlockCacheConcurrency:
         assert cache.blocks_charged == unique
         assert disk.stats.counters.random_reads == unique
         assert sum(cache.blocks_per_run.values()) == unique
-        assert cache.max_blocks_per_run() == self.BLOCKS
+        assert max(cache.run_blocks().values()) == self.BLOCKS
 
     def test_disabled_cache_counts_every_concurrent_touch(self):
         disk = SimulatedDisk()
