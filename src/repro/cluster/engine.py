@@ -194,6 +194,22 @@ class ShardedBlockCache:
             self.failed_shard = shard
             raise
 
+    # The rest of the surface SortedRun reads through: a block's bytes
+    # are pinned in the cache of the shard that was charged for them.
+    # None of these reaches a disk, so there is no fault to attribute.
+
+    def pins(self, run_id: int) -> bool:
+        """Whether the owning shard's cache pins the blocks it charges."""
+        return self._caches[self._shard_of(run_id)].pins(run_id)
+
+    def pinned_block(self, run_id: int, block: int) -> Optional[np.ndarray]:
+        """The payload the owning shard's cache pinned for ``block``."""
+        return self._caches[self._shard_of(run_id)].pinned_block(run_id, block)
+
+    def pin_block(self, run_id: int, block: int, payload: np.ndarray) -> None:
+        """Pin a fetched block in the owning shard's cache."""
+        self._caches[self._shard_of(run_id)].pin_block(run_id, block, payload)
+
     @property
     def blocks_charged(self) -> int:
         """Total blocks charged across every shard (scatter sum)."""

@@ -18,6 +18,12 @@ crossing point.  We do the same: bisection continues to adjacency,
 with the per-query :class:`~repro.storage.cache.BlockCache` making the
 deep iterations free.
 
+The search also remembers what it has learnt at the filters: once ``u``
+and ``v`` have both been probed, a partition whose exact rank is the
+same at both holds no element in ``(u, v]``, so every later probe has
+that rank there too and the partition is not probed again (see
+``docs/THEORY.md``, "Closed partitions").
+
 Per-partition probing is delegated to :mod:`repro.query`: a
 :class:`~repro.query.planner.QueryPlanner` turns each probe into one
 task per partition and a :class:`~repro.query.executor.QueryExecutor`
@@ -39,6 +45,11 @@ from ..warehouse.partition import Partition
 from .bounds import CombinedSummary
 from .config import EngineConfig
 from .summaries import StreamSummary
+
+
+#: What probing one value yields: ``(estimated rank in T, exact rank in
+#: each partition)``.  The search keeps one for each filter it has probed.
+Estimate = Tuple[float, List[int]]
 
 
 @dataclass(frozen=True)
@@ -114,7 +125,12 @@ class AccurateSearch:
 
     # -- rank estimation ------------------------------------------------
 
-    def _historical_ranks(self, value: int) -> List[int]:
+    def _historical_ranks(
+        self,
+        value: int,
+        lo_ranks: Optional[List[int]] = None,
+        hi_ranks: Optional[List[int]] = None,
+    ) -> List[int]:
         """Exact rank of ``value`` in each partition (Alg. 8 lines 2-7).
 
         Each partition's binary search is narrowed to the inter-summary
@@ -123,19 +139,44 @@ class AccurateSearch:
         the per-query cache.  The planner emits one task per partition
         and the executor runs them — concurrently when the engine has
         ``query_workers > 1``, since the searches touch disjoint runs.
-        """
-        tasks = self._planner.rank_probes(int(value))
-        return self._executor.run_tasks(tasks, self._cache)
 
-    def _estimate(self, value: int) -> Tuple[float, List[int]]:
+        ``lo_ranks`` / ``hi_ranks`` are the exact ranks of two probed
+        values bracketing ``value``.  Rank is monotone, so a partition
+        ranked the same at both has that rank at ``value`` as well: it
+        gets no task and no touch.
+        """
+        if lo_ranks is None or hi_ranks is None:
+            tasks = self._planner.rank_probes(int(value))
+            return self._executor.run_tasks(tasks, self._cache)
+        ranks = list(lo_ranks)
+        still_open = [i for i, r in enumerate(hi_ranks) if r != ranks[i]]
+        if still_open:
+            tasks = self._planner.rank_probes(int(value), still_open)
+            probed = self._executor.run_tasks(tasks, self._cache)
+            for i, rank_p in zip(still_open, probed):
+                ranks[i] = rank_p
+        return ranks
+
+    def _estimate(
+        self,
+        value: int,
+        at_lo: Optional[Estimate] = None,
+        at_hi: Optional[Estimate] = None,
+    ) -> Estimate:
         """Estimated rank of ``value`` in T plus per-partition ranks.
 
         Historical ranks are exact; the stream contributes either the
         live sketch's rank bracket (when the caller supplied one —
         in-memory, like SS, but free of SS's quantization) or the
-        Algorithm 8 summary estimate.
+        Algorithm 8 summary estimate.  ``at_lo`` / ``at_hi`` are the
+        estimates of probed values below and above ``value``, when the
+        search has them.
         """
-        hist_ranks = self._historical_ranks(value)
+        hist_ranks = self._historical_ranks(
+            value,
+            at_lo[1] if at_lo is not None else None,
+            at_hi[1] if at_hi is not None else None,
+        )
         if self._stream_rank_fn is not None:
             stream = self._stream_rank_fn(value)
         else:
@@ -216,6 +257,8 @@ class AccurateSearch:
         the target, then snaps down to the nearest real element.
         """
         u, v = self._combined.generate_filters(self._rank)
+        at_u: Optional[Estimate] = None
+        at_v: Optional[Estimate] = None
         iterations = 0
         truncated = False
         budget = self._config.probe_budget
@@ -227,12 +270,12 @@ class AccurateSearch:
             self._maybe_prefetch(u, v)
             z = (u + v) // 2
             iterations += 1
-            rho, _ = self._estimate(z)
-            if rho >= self._rank:
-                v = z
+            at_z = self._estimate(z, at_u, at_v)
+            if at_z[0] >= self._rank:
+                v, at_v = z, at_z
             else:
-                u = z
-        rho, hist_ranks = self._estimate(v)
+                u, at_u = z, at_z
+        rho, hist_ranks = at_v if at_v is not None else self._estimate(v)
         value = self._snap_down(v, hist_ranks)
         return self._outcome(value, rho, iterations, truncated)
 
@@ -247,6 +290,8 @@ class AccurateSearch:
         from below.
         """
         u, v = self._combined.generate_filters(self._rank)
+        at_u: Optional[Estimate] = None
+        at_v: Optional[Estimate] = None
         m = self._ss.stream_size
         slack = max(self._config.query_epsilon, self._config.epsilon2) * m
         threshold = self._config.residual_threshold
@@ -260,24 +305,39 @@ class AccurateSearch:
                 truncated = True
                 break
             self._maybe_prefetch(u, v)
-            lo_ranks = self._historical_ranks(u)
-            hi_ranks = self._historical_ranks(v)
-            if sum(hi_ranks) - sum(lo_ranks) <= threshold:
+            # Only a filter that has not been a probe yet is ranked
+            # here; a moved end carries the ranks it was probed with.
+            if at_u is None:
+                at_u = self._estimate(u)
+            if at_v is None:
+                at_v = self._estimate(v)
+            if sum(at_v[1]) - sum(at_u[1]) <= threshold:
                 break
             z = (u + v) // 2
             iterations += 1
-            rho, _ = self._estimate(z)
+            at_z = self._estimate(z, at_u, at_v)
+            rho = at_z[0]
             if self._rank < rho - slack:
-                v = z
+                v, at_v = z, at_z
             elif self._rank > rho + slack:
-                u = z
+                u, at_u = z, at_z
             else:
                 # Estimate already within slack: land the bracket on z.
-                u, v = max(u, z - 1), z
-        return self._select_from_residual(u, v, iterations, truncated)
+                if z - 1 > u:
+                    u, at_u = z - 1, None
+                v, at_v = z, at_z
+        return self._select_from_residual(
+            u, v, iterations, truncated, at_u, at_v
+        )
 
     def _select_from_residual(
-        self, u: int, v: int, iterations: int, truncated: bool
+        self,
+        u: int,
+        v: int,
+        iterations: int,
+        truncated: bool,
+        at_u: Optional[Estimate],
+        at_v: Optional[Estimate],
     ) -> SearchOutcome:
         """Read (u, v] from every partition and pick the best element.
 
@@ -294,20 +354,20 @@ class AccurateSearch:
             candidates.append(int(stream_candidate))
         if not candidates:
             # Nothing lies strictly inside the bracket: v is the answer.
-            rho, hist_ranks = self._estimate(v)
+            rho, hist_ranks = at_v if at_v is not None else self._estimate(v)
             value = self._snap_down(v, hist_ranks)
             return self._outcome(value, rho, iterations, truncated)
         candidates.sort()
         best_value = candidates[-1]
         best_rho = None
         for value in candidates:
-            rho, _ = self._estimate(value)
+            rho, _ = self._estimate(value, at_u, at_v)
             if rho >= self._rank:
                 best_value = value
                 best_rho = rho
                 break
         if best_rho is None:
-            best_rho, _ = self._estimate(best_value)
+            best_rho, _ = self._estimate(best_value, at_u, at_v)
         return self._outcome(best_value, best_rho, iterations, truncated)
 
     def _outcome(

@@ -124,15 +124,26 @@ class QueryPlanner:
         """The non-empty partitions this planner fans out over."""
         return list(self._partitions)
 
-    def rank_probes(self, value: int) -> List[RankProbeTask]:
+    def rank_probes(
+        self, value: int, indices: Optional[Sequence[int]] = None
+    ) -> List[RankProbeTask]:
         """One :class:`RankProbeTask` per partition, in store order.
+
+        ``indices`` restricts the fan-out to those positions of
+        :attr:`partitions` — the ones the search's filters have not
+        already ranked (see :class:`~repro.core.filters.AccurateSearch`).
 
         The summary narrowing happens here, on the coordinating thread:
         it is pure in-memory work, so tasks reach the executor as plain
         data and workers only ever touch their own partition's run.
         """
+        partitions = (
+            self._partitions
+            if indices is None
+            else [self._partitions[i] for i in indices]
+        )
         tasks = []
-        for partition in self._partitions:
+        for partition in partitions:
             lo, hi = partition.summary.search_bounds(value)
             tasks.append(
                 RankProbeTask(partition=partition, value=value, lo=lo, hi=hi)

@@ -52,7 +52,6 @@ modeled latency shrink):
 
 from __future__ import annotations
 
-import io
 import shutil
 import tempfile
 import threading
@@ -63,7 +62,7 @@ from typing import Dict, Iterable, List, Optional, Protocol, Set, Tuple, runtime
 
 import numpy as np
 
-from .fsutil import atomic_write_bytes, fsync_dir, remove_stale_stages
+from .fsutil import atomic_copy_file, atomic_write, fsync_dir, remove_stale_stages
 
 #: recognised values of ``EngineConfig.storage_backend``.
 BACKEND_NAMES = ("simulated", "mmap", "object")
@@ -262,12 +261,6 @@ class BlockDevice(Protocol):
         """Release resources; owned temporary directories are removed."""
 
 
-def _as_npy_bytes(data: np.ndarray) -> bytes:
-    buffer = io.BytesIO()
-    np.save(buffer, data, allow_pickle=False)
-    return buffer.getvalue()
-
-
 class _SimulatedHandle:
     """Handle over a resident in-memory array (no request accounting)."""
 
@@ -444,7 +437,7 @@ class _FileHandle:
 class MmapFileBackend:
     """One ``run-<id>.npy`` file per sorted run, read through mmap.
 
-    Files commit via :func:`repro.storage.fsutil.atomic_write_bytes`,
+    Files commit via :func:`repro.storage.fsutil.atomic_write`,
     so a crash leaves either the full previous state or the full new
     run, never a torn file.  :meth:`fsck` (run at startup) removes
     staging orphans left by a crash between write and rename.
@@ -515,7 +508,14 @@ class MmapFileBackend:
     # -- BlockDevice ----------------------------------------------------
 
     def allocate_run(self, run_id: int, data: np.ndarray) -> _FileHandle:
-        atomic_write_bytes(self._path_of(run_id), _as_npy_bytes(data))
+        # Straight from the array into the staged file: no serialized
+        # copy of the run on the heap.
+        atomic_write(
+            self._path_of(run_id),
+            lambda stream: np.lib.format.write_array(
+                stream, data, allow_pickle=False
+            ),
+        )
         handle = _FileHandle(self, run_id, self._path_of(run_id))
         with self._lock:
             self._handles[run_id] = handle
@@ -904,7 +904,7 @@ class ObjectStoreBackend(MmapFileBackend):
             with handle._lock:
                 handle._mapped = None
         object_path = self._bucket / f"{self._RUN_PREFIX}{run_id}.npy"
-        atomic_write_bytes(object_path, hot_path.read_bytes())
+        atomic_copy_file(hot_path, object_path)
         with self._lock:
             self._puts += 1
             self._migrations += 1
@@ -933,7 +933,7 @@ class ObjectStoreBackend(MmapFileBackend):
         if handle is not None:
             with handle._lock:
                 handle._mapped = None
-        atomic_write_bytes(hot_path, object_path.read_bytes())
+        atomic_copy_file(object_path, hot_path)
         size = hot_path.stat().st_size
         with self._lock:
             self._object_runs.discard(run_id)

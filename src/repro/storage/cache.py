@@ -3,17 +3,21 @@
 Section 2.4's optimization: once the recursive search within a partition
 is confined to a single disk block, that block is pinned in memory and
 all further probes are free.  More generally, a query never pays twice
-for the same block.  :class:`BlockCache` implements exactly that
-accounting: it is created per query, remembers which (run, block) pairs
-have been charged, and charges the disk once per new pair.
+for the same block.  :class:`BlockCache` implements exactly that: it is
+created per query, remembers which (run, block) pairs have been
+charged, charges the disk once per new pair — and pins the bytes it
+charged for, so :class:`~repro.storage.runfile.SortedRun` fetches each
+block from the backend once per query and answers every further probe
+from the pinned payload.
 
 The cache is thread-safe so the parallel query executor
 (:mod:`repro.query`) can probe partitions concurrently: each run's
 seen-set is guarded by its own lock (concurrent probes into *different*
-partitions never contend), and the aggregate tallies are guarded by a
-single counter lock.  Because concurrent probes within one query always
-target distinct runs, the set of charged (run, block) pairs — and hence
-every counter — is identical to a serial execution of the same query.
+partitions never contend) together with the run's pinned payloads, and
+the aggregate tallies are guarded by a single counter lock.  Because
+concurrent probes within one query always target distinct runs, the set
+of charged (run, block) pairs — and hence every counter — is identical
+to a serial execution of the same query.
 
 When a :class:`~repro.storage.shared_cache.SharedBlockCache` is
 attached, the per-query cache becomes a thin read-through layer: the
@@ -31,6 +35,8 @@ import threading
 from collections import Counter
 from typing import Dict, Optional, Set
 
+import numpy as np
+
 from .disk import SimulatedDisk
 from .shared_cache import SharedBlockCache
 
@@ -45,7 +51,8 @@ class BlockCache:
     enabled:
         When ``False`` the cache degrades to "charge every probe",
         which is the un-optimized variant measured by the block-cache
-        ablation benchmark.
+        ablation benchmark; nothing is pinned, so every probe is also
+        a backend read.
     shared:
         Optional process-wide shared tier to read through.  ``None``
         (the default) reproduces the historical per-query accounting
@@ -72,6 +79,9 @@ class BlockCache:
         self._enabled = enabled
         self._shared = shared
         self._seen: Dict[int, Set[int]] = {}
+        #: payload of each block this query fetched, per run; a pinned
+        #: block is always a seen one.
+        self._pinned: Dict[int, Dict[int, np.ndarray]] = {}
         self._run_locks: Dict[int, threading.Lock] = {}
         self._locks_guard = threading.Lock()
         self._count_lock = threading.Lock()
@@ -177,13 +187,39 @@ class BlockCache:
                 charged = len(new)
             return charged
 
+    def pins(self, run_id: int) -> bool:
+        """Whether blocks of ``run_id`` are paid for once and then held.
+
+        ``False`` for the charge-every-probe ablation: a search may
+        finish inside a pinned block only when this is true.
+        """
+        return self._enabled
+
+    def pinned_block(self, run_id: int, block: int) -> Optional[np.ndarray]:
+        """The payload pinned for ``block`` of ``run_id``, if any."""
+        with self._lock_for(run_id):
+            pinned = self._pinned.get(run_id)
+            return pinned.get(block) if pinned is not None else None
+
+    def pin_block(self, run_id: int, block: int, payload: np.ndarray) -> None:
+        """Hold ``payload`` as the bytes of an already-touched block.
+
+        Called only once the charge *and* the backend read succeeded: a
+        block whose read faulted stays unpinned, so the retried probe
+        goes through :meth:`touch` again.
+        """
+        if not self._enabled:
+            return
+        with self._lock_for(run_id):
+            self._pinned.setdefault(run_id, {})[block] = payload
+
     def run_blocks(self) -> Dict[int, int]:
         """Blocks charged so far per run id (a copy)."""
         with self._count_lock:
             return dict(self.blocks_per_run)
 
     def drop_run(self, run_id: int) -> None:
-        """Forget a retired run's lock and seen-set.
+        """Forget a retired run's lock, seen-set and pinned payloads.
 
         Called by the shared tier's invalidation for caches registered
         with ``follow_invalidation=True``.  Aggregate charge counters
@@ -194,6 +230,7 @@ class BlockCache:
         """
         with self._lock_for(run_id):
             self._seen.pop(run_id, None)
+            self._pinned.pop(run_id, None)
         with self._locks_guard:
             self._run_locks.pop(run_id, None)
 

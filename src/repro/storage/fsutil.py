@@ -29,13 +29,17 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from pathlib import Path
-from typing import Callable, Optional
+from typing import BinaryIO, Callable, Optional
 
 #: suffix of in-flight staging files and directories.
 STAGE_SUFFIX = ".tmp"
 #: suffix of a retired previous version awaiting garbage collection.
 RETIRED_SUFFIX = ".old"
+
+#: buffer size of a file-to-file copy (:func:`atomic_copy_file`).
+COPY_CHUNK_BYTES = 1 << 20
 
 #: named points an atomic file write passes through, in order.
 WRITE_CRASH_POINTS = (
@@ -96,20 +100,24 @@ def retired_path(path: "str | Path") -> Path:
     return path.parent / (path.name + RETIRED_SUFFIX)
 
 
-def atomic_write_bytes(
-    path: "str | Path", data: bytes, sync_dir: bool = True
+def atomic_write(
+    path: "str | Path",
+    write: Callable[[BinaryIO], object],
+    sync_dir: bool = True,
 ) -> Path:
-    """Atomically replace ``path`` with ``data`` (tmp/fsync/rename).
+    """Atomically replace ``path`` with whatever ``write`` produces.
 
-    A crash at any instant leaves either the previous content of
-    ``path`` (possibly with a stray ``.tmp`` sibling — see
+    ``write`` receives the open staging file and streams the content
+    into it, so a large payload never has to exist as one ``bytes``
+    object.  A crash at any instant leaves either the previous content
+    of ``path`` (possibly with a stray ``.tmp`` sibling — see
     :func:`remove_stale_stages`) or the new content, never a torn
     mixture.  Returns the final path.
     """
     path = Path(path)
     temp = stage_path(path)
     with open(temp, "wb") as handle:
-        handle.write(data)
+        write(handle)
         _reach("tmp-written")
         handle.flush()
         os.fsync(handle.fileno())
@@ -119,6 +127,29 @@ def atomic_write_bytes(
     if sync_dir:
         fsync_dir(path.parent)
     return path
+
+
+def atomic_write_bytes(
+    path: "str | Path", data: bytes, sync_dir: bool = True
+) -> Path:
+    """Atomically replace ``path`` with ``data`` (tmp/fsync/rename)."""
+    return atomic_write(path, lambda handle: handle.write(data), sync_dir)
+
+
+def atomic_copy_file(
+    source: "str | Path", path: "str | Path", sync_dir: bool = True
+) -> Path:
+    """Atomically replace ``path`` with a copy of the file ``source``.
+
+    Copies file to file in bounded chunks through the same staging
+    sequence as :func:`atomic_write`, whatever the size of ``source``.
+    """
+    with open(source, "rb") as stream:
+        return atomic_write(
+            path,
+            lambda handle: shutil.copyfileobj(stream, handle, COPY_CHUNK_BYTES),
+            sync_dir,
+        )
 
 
 def atomic_write_json(
@@ -132,7 +163,7 @@ def atomic_write_json(
 def remove_stale_stages(directory: "str | Path") -> "list[Path]":
     """Delete leftover ``*.tmp`` staging files in ``directory``.
 
-    The recovery half of :func:`atomic_write_bytes`: a staging file
+    The recovery half of :func:`atomic_write`: a staging file
     that never renamed is garbage by construction (the final name still
     holds the previous committed content, or never existed).  Returns
     the paths removed, for fsck-style reporting.

@@ -3,8 +3,11 @@
 A :class:`SortedRun` is the unit the warehouse stores: one sorted array
 of int64 values living on a :class:`~repro.storage.disk.SimulatedDisk`.
 All random access goes through a :class:`~repro.storage.cache.BlockCache`
-so queries are charged block-granular I/O, and the block-confinement
-optimization of Section 2.4 falls out of the cache for free.
+so queries are charged block-granular I/O.  The cache pins the bytes of
+every block it charged for, which makes Section 2.4's block-confinement
+optimization real: a block is fetched from the backend once per query,
+and a search confined to one block finishes on the pinned payload with
+a single ``searchsorted``.
 
 The payload bytes live in the disk's pluggable storage backend
 (:mod:`repro.storage.backends`): the run allocates a
@@ -120,8 +123,7 @@ class SortedRun:
         if not 0 <= index < self._length:
             raise IndexError(index)
         block = self._disk.block_of(index)
-        self._charge_block(block, cache)
-        payload = self._handle.read_blocks(block, block)
+        payload = self._probe_block(block, cache)
         return int(payload[index - block * self._disk.block_elems])
 
     def read_range(
@@ -137,14 +139,7 @@ class SortedRun:
             return np.empty(0, dtype=np.int64)
         first = self._disk.block_of(lo)
         last = self._disk.block_of(hi - 1)
-        if cache is not None:
-            charged = cache.touch_range(self.run_id, first, last)
-        else:
-            charged = last - first + 1
-            self._disk.charge_random_read(charged)
-        if charged:
-            self._handle.note_range_read(first, last, charged)
-        payload = self._handle.read_blocks(first, last)
+        payload = self._read_blocks(first, last, cache)
         base = first * self._disk.block_elems
         return np.array(payload[lo - base : hi - base], dtype=np.int64)
 
@@ -173,16 +168,9 @@ class SortedRun:
             # Entirely past the end of the run (or an empty clamp):
             # nothing to read, nothing charged.
             return np.empty(0, dtype=np.int64)
-        if cache is not None:
-            charged = cache.touch_range(self.run_id, first_block, last_block)
-        else:
-            charged = last_block - first_block + 1
-            self._disk.charge_random_read(charged)
-        if charged:
-            self._handle.note_range_read(first_block, last_block, charged)
         lo = first_block * self._disk.block_elems
         hi = min((last_block + 1) * self._disk.block_elems, self._length)
-        payload = self._handle.read_blocks(first_block, last_block)
+        payload = self._read_blocks(first_block, last_block, cache)
         return np.array(payload[: hi - lo], dtype=np.int64)
 
     def rank_of(
@@ -203,14 +191,23 @@ class SortedRun:
         lo = max(lo, 0)
         hi = min(hi, self._length)
         # Classic binary search for the first index whose element
-        # exceeds ``value``; each probe touches (and fetches) exactly
-        # one block — cold probes never materialize the whole run.
+        # exceeds ``value``; each probe touches exactly one block and
+        # fetches it only if this query has not pinned it yet.
         block_elems = self._disk.block_elems
+        pins = cache is not None and cache.pins(self.run_id)
         while lo < hi:
+            block = lo // block_elems
+            if pins and block == (hi - 1) // block_elems:
+                # Every remaining probe lands in this one block
+                # (Section 2.4): pay for it once, finish on its bytes.
+                payload = self._probe_block(block, cache)
+                base = block * block_elems
+                return lo + int(
+                    payload[lo - base : hi - base].searchsorted(value, "right")
+                )
             mid = (lo + hi) // 2
-            block = self._disk.block_of(mid)
-            self._charge_block(block, cache)
-            payload = self._handle.read_blocks(block, block)
+            block = mid // block_elems
+            payload = self._probe_block(block, cache)
             if int(payload[mid - block * block_elems]) <= value:
                 lo = mid + 1
             else:
@@ -227,11 +224,58 @@ class SortedRun:
         self._handle.note_sequential_read(self._disk.blocks_for(self._length))
         return self._data.copy()
 
-    def _charge_block(self, block: int, cache: Optional[BlockCache]) -> None:
-        if cache is not None:
-            charged = cache.touch(self.run_id, block)
-        else:
+    def _probe_block(self, block: int, cache: Optional[BlockCache]) -> np.ndarray:
+        """One probed block's elements, charged at most once per query.
+
+        A block the cache has pinned costs nothing; otherwise the touch
+        is charged (and reported to the handle when it reached the
+        backend), the block is fetched, and — only now that both
+        succeeded — its payload is pinned for the rest of the query.
+        """
+        if cache is None:
             self._disk.charge_random_read(1)
-            charged = 1
+            self._handle.note_range_read(block, block, 1)
+            return self._handle.read_blocks(block, block)
+        payload = cache.pinned_block(self.run_id, block)
+        if payload is None:
+            if cache.touch(self.run_id, block):
+                self._handle.note_range_read(block, block, 1)
+            payload = self._handle.read_blocks(block, block)
+            cache.pin_block(self.run_id, block, payload)
+        return payload
+
+    def _read_blocks(
+        self, first: int, last: int, cache: Optional[BlockCache]
+    ) -> np.ndarray:
+        """Blocks ``[first, last]`` in one charged ranged read.
+
+        The unseen blocks are charged as one range; the fetched span is
+        pinned block by block, so the probes a prefetch runs ahead of
+        find their bytes already in the cache — as does a ranged read
+        of blocks the probes before it paid for.
+        """
+        pins = cache is not None and cache.pins(self.run_id)
+        if pins:
+            pinned = [
+                cache.pinned_block(self.run_id, block)
+                for block in range(first, last + 1)
+            ]
+            if all(payload is not None for payload in pinned):
+                # Paid for and held, every one: nothing to charge.
+                return pinned[0] if first == last else np.concatenate(pinned)
+        if cache is None:
+            charged = last - first + 1
+            self._disk.charge_random_read(charged)
+        else:
+            charged = cache.touch_range(self.run_id, first, last)
         if charged:
-            self._handle.note_range_read(block, block, charged)
+            self._handle.note_range_read(first, last, charged)
+        payload = self._handle.read_blocks(first, last)
+        if pins:
+            per_block = self._disk.block_elems
+            for block in range(first, last + 1):
+                start = (block - first) * per_block
+                cache.pin_block(
+                    self.run_id, block, payload[start : start + per_block]
+                )
+        return payload

@@ -22,6 +22,7 @@ from repro.storage.fsutil import (
     STAGE_SUFFIX,
     WRITE_CRASH_POINTS,
     SimulatedCrash,
+    atomic_copy_file,
     atomic_write_bytes,
 )
 
@@ -92,6 +93,34 @@ class TestAtomicWrite:
         removed = fsutil.remove_stale_stages(tmp_path)
         assert [p.name for p in removed] == ["blob" + STAGE_SUFFIX]
         assert not list(tmp_path.iterdir())
+
+
+class TestStreamedWrites:
+    """The run-sized writes stream into the stage; same crash points."""
+
+    @pytest.mark.parametrize("point", WRITE_CRASH_POINTS)
+    def test_copy_is_atomic_at_every_point(self, tmp_path, point):
+        source = tmp_path / "source"
+        payload = bytes(range(256)) * (3 * fsutil.COPY_CHUNK_BYTES // 256 + 7)
+        source.write_bytes(payload)
+        target = tmp_path / "blob"
+        atomic_write_bytes(target, b"old")
+        fsutil.crash_hook = CrashAt(point)
+        with pytest.raises(SimulatedCrash):
+            atomic_copy_file(source, target)
+        fsutil.crash_hook = None
+        assert target.read_bytes() == (payload if point == "renamed" else b"old")
+        assert atomic_copy_file(source, target).read_bytes() == payload
+
+    def test_run_file_is_what_np_save_writes(self, tmp_path):
+        data = np.arange(-500, 4500, dtype=np.int64)
+        backend = MmapFileBackend(tmp_path / "runs")
+        backend.allocate_run(3, data)
+        np.save(tmp_path / "expected.npy", data, allow_pickle=False)
+        assert (tmp_path / "runs" / "run-3.npy").read_bytes() == (
+            tmp_path / "expected.npy"
+        ).read_bytes()
+        backend.close()
 
 
 class TestMmapBackendCrash:

@@ -197,6 +197,26 @@ class TestKWayMerge:
         expected = np.sort(np.concatenate([np.empty(0, np.int64), *arrays]))
         np.testing.assert_array_equal(merged, expected)
 
+    def test_large_merge_lives_in_its_own_mapping(self):
+        """A run-sized output is an anonymous mmap the array owns (its
+        pages return to the OS on free); a small one is a heap array.
+        Same bytes either way."""
+        import mmap
+
+        from repro.storage.external_sort import _MAPPED_MERGE_BYTES, kway_merge
+
+        rng = np.random.default_rng(3)
+        half = _MAPPED_MERGE_BYTES // 16
+        for size, mapped in ((half - 1, False), (half, True)):
+            arrays = [np.sort(rng.integers(-9, 9, size)) for _ in range(2)]
+            merged = kway_merge(arrays)
+            backing = getattr(merged.base, "obj", None)
+            assert isinstance(backing, mmap.mmap) == mapped
+            assert merged.flags.writeable and merged.dtype == np.int64
+            np.testing.assert_array_equal(
+                merged, np.sort(np.concatenate(arrays))
+            )
+
     def test_kway_merge_never_aliases_an_input(self):
         from repro.storage.external_sort import kway_merge
 
