@@ -5,21 +5,21 @@ fetched-block registry, break-even readahead and single-flight fetch
 coalescing cut the object tier's *request* traffic — GET count and
 modeled request latency — by >= 5x on a 32-client cold accurate
 scatter, while the *charge* layer (the paper's modeled block I/O) and
-every answer stay bit-identical to the PR-9 baseline.
+every answer stay bit-identical across backends.
 
-Six cells: {simulated, mmap, object} x {coalescing on, off}.  The
-``fetch_coalescing=False`` cells reproduce the PR-9 behaviour exactly
-(shard-lock serialized shared cache, one GET per charged range, no
-readahead), so the object/off cell is the baseline the >= 5x speedup
-is measured against.
+Three cells, one per backend.  The baseline the >= 5x is measured
+against is the strict accounting — one GET per charged range, exactly
+the charged blocks each, no registry, no readahead — *counted on the
+same run* from the ``note_range_read`` calls the object tier received
+(``tests/storage/read_counting.py``), not executed as a second mode.
 
 Asserted here:
 
 * accurate answers and charged random/sequential-read counters are
-  bit-identical across all six cells — coalescing and concurrency
+  bit-identical across the three cells — backends and concurrency
   change request accounting only, never what the engine charges;
-* the object/on cell issues <= 1/5 the GETs of object/off and accrues
-  <= 1/5 its modeled request latency;
+* the object cell issues <= 1/5 the GETs of its strict count and
+  accrues <= 1/5 its modeled request latency;
 * reported (not asserted, they are workload-shaped): the single-flight
   dedup ratio (coalesced waits per miss) and the mean GET width
   (``get_blocks / gets``) that readahead buys.
@@ -37,6 +37,7 @@ import numpy as np
 from conftest import run_once
 from common import show, write_bench
 from repro import EngineConfig, HybridQuantileEngine
+from tests.storage.read_counting import counted_range_charges
 
 STEPS = 8
 BATCH = 20_000
@@ -52,7 +53,7 @@ BACKENDS = ("simulated", "mmap", "object")
 SPEEDUP_FLOOR = 5.0
 
 
-def build(backend, coalescing, directory):
+def build(backend, directory):
     config = EngineConfig(
         epsilon=0.01,
         kappa=KAPPA,
@@ -61,7 +62,6 @@ def build(backend, coalescing, directory):
         storage_backend=backend,
         storage_dir=str(directory) if backend != "simulated" else None,
         object_tier_level=OBJECT_TIER_LEVEL,
-        fetch_coalescing=coalescing,
     )
     engine = HybridQuantileEngine(config=config)
     rng = np.random.default_rng(SEED)
@@ -77,25 +77,25 @@ def build(backend, coalescing, directory):
     return engine
 
 
-def request_seconds(device, delta):
-    """Modeled request latency of one stats delta (read side only)."""
+def request_seconds(device, gets, get_blocks):
+    """Modeled request latency of that many GETs (read side only)."""
     model = getattr(device, "latency", None)
     if model is None:
         return 0.0
     return (
-        delta.gets * model.seconds_per_get
-        + delta.get_blocks * model.seconds_per_get_block
+        gets * model.seconds_per_get
+        + get_blocks * model.seconds_per_get_block
     )
 
 
-def run_cell(backend, coalescing, directory):
-    engine = build(backend, coalescing, directory)
+def run_cell(backend, directory):
+    engine = build(backend, directory)
     try:
         device = engine.disk.backend
         counters = engine.disk.stats.counters
         rr0, sr0 = counters.random_reads, counters.sequential_reads
         before = device.stats()
-        epoch0 = engine.epoch_stats
+        shared0 = engine.shared_cache.stats()
 
         # 32 clients, 4 scattered accurate quantiles each, all cold.
         answers = [None] * len(PHIS)
@@ -106,19 +106,17 @@ def run_cell(backend, coalescing, directory):
                     PHIS[j], mode="accurate"
                 ).value
 
-        with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
-            list(pool.map(client, range(CLIENTS)))
+        with counted_range_charges() as strict:
+            with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
+                list(pool.map(client, range(CLIENTS)))
 
         delta = device.stats().delta_since(before)
-        epoch1 = engine.epoch_stats
+        shared1 = engine.shared_cache.stats()
         engine.check_invariants()
-        misses = epoch1.cache_misses - epoch0.cache_misses
-        waits = (
-            epoch1.cache_coalesced_waits - epoch0.cache_coalesced_waits
-        )
+        misses = shared1.misses - shared0.misses
+        waits = shared1.coalesced_waits - shared0.coalesced_waits
         return {
             "backend": backend,
-            "coalescing": bool(coalescing),
             "accurate": [int(v) for v in answers],
             "random_reads": int(counters.random_reads - rr0),
             "sequential_reads": int(counters.sequential_reads - sr0),
@@ -129,7 +127,14 @@ def run_cell(backend, coalescing, directory):
             ),
             "coalesced_waits": int(waits),
             "dedup_ratio": round(waits / misses, 3) if misses else 0.0,
-            "request_seconds": round(request_seconds(device, delta), 6),
+            "request_seconds": round(
+                request_seconds(device, delta.gets, delta.get_blocks), 6
+            ),
+            "strict_gets": len(strict),
+            "strict_get_blocks": sum(strict),
+            "strict_request_seconds": round(
+                request_seconds(device, len(strict), sum(strict)), 6
+            ),
             "migrations": int(device.stats().migrations),
             "object_runs": int(device.stats().object_runs),
         }
@@ -140,11 +145,7 @@ def run_cell(backend, coalescing, directory):
 def sweep():
     root = Path(tempfile.mkdtemp(prefix="repro-coldread-"))
     try:
-        rows = [
-            run_cell(backend, coalescing, root / f"{backend}-{coalescing}")
-            for backend in BACKENDS
-            for coalescing in (True, False)
-        ]
+        rows = [run_cell(backend, root / backend) for backend in BACKENDS]
     finally:
         shutil.rmtree(root, ignore_errors=True)
     return {
@@ -175,53 +176,50 @@ def test_ablation_coldread(benchmark):
         "Ablation A14: cold-read fast path "
         "(32-client cold accurate scatter)",
         [
-            "backend", "coalesce", "random reads", "GETs", "GET blocks",
-            "width", "dedup", "req s",
+            "backend", "random reads", "GETs", "GET blocks", "width",
+            "dedup", "req s", "strict GETs", "strict req s",
         ],
         [
             [
-                r["backend"], r["coalescing"], r["random_reads"],
-                r["gets"], r["get_blocks"], r["get_width"],
-                r["dedup_ratio"], r["request_seconds"],
+                r["backend"], r["random_reads"], r["gets"],
+                r["get_blocks"], r["get_width"], r["dedup_ratio"],
+                r["request_seconds"], r["strict_gets"],
+                r["strict_request_seconds"],
             ]
             for r in doc["rows"]
         ],
     )
     write_bench("coldread", doc)
 
-    rows = {
-        (row["backend"], row["coalescing"]): row for row in doc["rows"]
-    }
-    baseline = rows[("simulated", True)]
+    rows = {row["backend"]: row for row in doc["rows"]}
+    baseline = rows["simulated"]
 
-    # The moat: answers and charged I/O are identical in every cell —
-    # across backends, and with coalescing on or off, despite 32
-    # clients racing on the shared cache.
-    for key, row in rows.items():
-        assert row["accurate"] == baseline["accurate"], key
-        assert row["random_reads"] == baseline["random_reads"], key
-        assert row["sequential_reads"] == baseline["sequential_reads"], key
+    # The moat: answers and charged I/O are identical in every cell,
+    # despite 32 clients racing on the shared cache.
+    for backend, row in rows.items():
+        assert row["accurate"] == baseline["accurate"], backend
+        assert row["random_reads"] == baseline["random_reads"], backend
+        assert row["sequential_reads"] == baseline["sequential_reads"], backend
 
     # Request counters exist only on the object tier.
     for backend in ("simulated", "mmap"):
-        for coalescing in (True, False):
-            row = rows[(backend, coalescing)]
-            assert row["gets"] == 0, (backend, coalescing)
-            assert row["request_seconds"] == 0.0, (backend, coalescing)
+        row = rows[backend]
+        assert row["gets"] == 0 and row["strict_gets"] == 0, backend
+        assert row["request_seconds"] == 0.0, backend
 
-    fast = rows[("object", True)]
-    slow = rows[("object", False)]
-    assert slow["gets"] > 0 and fast["gets"] > 0
-    assert fast["migrations"] > 0 and fast["object_runs"] > 0
+    cold = rows["object"]
+    assert cold["gets"] > 0 and cold["strict_gets"] > 0
+    assert cold["migrations"] > 0 and cold["object_runs"] > 0
 
     # The tentpole: >= 5x fewer GETs and >= 5x less modeled request
-    # latency than the PR-9 baseline cell, for identical answers.
-    assert fast["gets"] * SPEEDUP_FLOOR <= slow["gets"], (
-        fast["gets"], slow["gets"]
+    # latency than one GET per charged range, for identical answers.
+    assert cold["gets"] * SPEEDUP_FLOOR <= cold["strict_gets"], (
+        cold["gets"], cold["strict_gets"]
     )
     assert (
-        fast["request_seconds"] * SPEEDUP_FLOOR <= slow["request_seconds"]
-    ), (fast["request_seconds"], slow["request_seconds"])
+        cold["request_seconds"] * SPEEDUP_FLOOR
+        <= cold["strict_request_seconds"]
+    ), (cold["request_seconds"], cold["strict_request_seconds"])
 
-    # Readahead is why: coalesced GETs are wide, baseline GETs narrow.
-    assert fast["get_width"] > slow["get_width"]
+    # Readahead is why: coalesced GETs are wide, strict GETs narrow.
+    assert cold["get_width"] > cold["strict_get_blocks"] / cold["strict_gets"]

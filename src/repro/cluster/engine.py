@@ -810,12 +810,9 @@ class ClusterEngine:
 
     def stream_update_batch(self, values: Iterable[int]) -> None:
         """Iterable convenience wrapper over :meth:`stream_update_many`."""
-        if isinstance(values, np.ndarray):
-            self.stream_update_many(values)
-        else:
-            self.stream_update_many(
-                np.fromiter(values, dtype=np.int64)
-            )
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        self.stream_update_many(values)
 
     def end_time_step(self) -> "List[Optional[StepReport]]":
         """Seal the current step on every shard (lockstep).

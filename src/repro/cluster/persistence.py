@@ -19,9 +19,8 @@ import os
 from pathlib import Path
 from typing import List, Optional
 
-from ..core.config import EngineConfig
 from ..faults.plan import FaultPlan
-from ..persistence.checkpoint import load_engine, save_engine
+from ..persistence.checkpoint import config_from_state, load_engine, save_engine
 from ..persistence.warehouse_store import PersistenceError
 from .engine import ClusterEngine, shard_wal_dir
 from .router import ShardRouter
@@ -92,7 +91,7 @@ def load_cluster(
             f"unknown cluster format {manifest.get('format')!r}"
         )
     shards = int(manifest["shards"])
-    config = EngineConfig(**manifest["config"])
+    config = config_from_state(manifest["config"])
     router = ShardRouter.from_manifest(manifest["router"])
     engines = []
     for index in range(shards):

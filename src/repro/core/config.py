@@ -156,30 +156,6 @@ class EngineConfig:
         file tier into the object bucket (one PUT), after which its
         cold reads are GET requests.  Level 0 sends every run straight
         to the bucket; higher values keep more of the young levels hot.
-    object_get_ms, object_put_ms:
-        Modeled per-request round-trip latency of the emulated object
-        store, in milliseconds, folded into
-        ``SimulatedDisk.simulated_seconds``.
-    fetch_coalescing:
-        When ``True`` (default) cold reads take the fast path: the
-        shared cache dedupes concurrent misses on the same block into
-        one in-flight fetch (single-flight), and the object backend
-        keeps a fetched-block registry so a charged range only GETs
-        its not-yet-streamed sub-ranges, widened by readahead.
-        ``False`` reproduces the strict pre-coalescing accounting (one
-        request per charge event, shard-lock serialization) — the
-        baseline cell of the cold-read ablation.  Either way answers
-        and charged ``DiskStats`` blocks are bit-identical; only
-        request counts and modeled request latency differ.
-    readahead_blocks:
-        How many extra blocks each cold ranged GET streams past the
-        requested range (charge-neutral: streamed, never charged).
-        ``None`` (default) derives the break-even width from the
-        latency model — widen while the marginal per-block cost stays
-        below the amortized request setup cost,
-        ``seconds_per_get // seconds_per_get_block`` (50 blocks at the
-        default 5 ms GET / 0.1 ms-per-block).  ``0`` disables
-        readahead while keeping coalescing.
     hot_tier_bytes:
         Capacity bound on the object backend's hot file tier, in
         bytes.  When allocation or promotion pushes the tier past the
@@ -217,10 +193,6 @@ class EngineConfig:
     storage_backend: str = "simulated"
     storage_dir: Optional[str] = None
     object_tier_level: int = 1
-    object_get_ms: float = 5.0
-    object_put_ms: float = 10.0
-    fetch_coalescing: bool = True
-    readahead_blocks: Optional[int] = None
     hot_tier_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -269,12 +241,6 @@ class EngineConfig:
             )
         if self.object_tier_level < 0:
             raise ValueError("object_tier_level must be >= 0")
-        if self.object_get_ms < 0:
-            raise ValueError("object_get_ms must be >= 0")
-        if self.object_put_ms < 0:
-            raise ValueError("object_put_ms must be >= 0")
-        if self.readahead_blocks is not None and self.readahead_blocks < 0:
-            raise ValueError("readahead_blocks must be >= 0")
         if self.hot_tier_bytes is not None and self.hot_tier_bytes < 0:
             raise ValueError("hot_tier_bytes must be >= 0")
 
@@ -339,28 +305,6 @@ class EngineConfig:
         if self.residual_fetch_elems is not None:
             return self.residual_fetch_elems
         return max(math.ceil(1.0 / self.epsilon), self.block_elems)
-
-    def build_storage_backend(self) -> "Any":
-        """Construct the :class:`~repro.storage.backends.BlockDevice`.
-
-        One fresh backend per engine: file-backed backends must not
-        share a directory, so callers needing distinct locations (e.g.
-        cluster shards) derive configs with distinct ``storage_dir``.
-        """
-        from ..storage.backends import ObjectStoreLatency, make_backend
-
-        return make_backend(
-            self.storage_backend,
-            directory=self.storage_dir,
-            object_tier_level=self.object_tier_level,
-            latency=ObjectStoreLatency(
-                seconds_per_get=self.object_get_ms / 1e3,
-                seconds_per_put=self.object_put_ms / 1e3,
-            ),
-            readahead_blocks=self.readahead_blocks,
-            coalesce=self.fetch_coalescing,
-            hot_tier_bytes=self.hot_tier_bytes,
-        )
 
 
 @dataclass(frozen=True)

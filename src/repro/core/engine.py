@@ -65,7 +65,7 @@ from ..query.executor import QueryExecutor
 from ..sketches.base import QuantileSketch, as_int64_batch
 from ..sketches.gk import GKSketch
 from ..sketches.kll import KLLSketch
-from ..storage.backends import SimulatedBackend
+from ..storage.backends import SimulatedBackend, make_backend
 from ..storage.disk import SimulatedDisk
 from ..storage.shared_cache import SharedBlockCache
 from ..warehouse.compaction import LeveledCompactionStore
@@ -190,7 +190,12 @@ class HybridQuantileEngine:
             config.storage_backend != "simulated"
             and isinstance(self.disk.backend, SimulatedBackend)
         ):
-            self.disk.backend = config.build_storage_backend()
+            self.disk.backend = make_backend(
+                config.storage_backend,
+                directory=config.storage_dir,
+                object_tier_level=config.object_tier_level,
+                hot_tier_bytes=config.hot_tier_bytes,
+            )
             self._owns_backend = True
         store_cls = (
             LeveledCompactionStore
@@ -206,10 +211,7 @@ class HybridQuantileEngine:
         # blocks means no tier: every query pays the paper's per-query
         # accounting exactly — the historical code path, bit for bit.
         self.shared_cache: Optional[SharedBlockCache] = (
-            SharedBlockCache(
-                config.shared_cache_blocks,
-                single_flight=config.fetch_coalescing,
-            )
+            SharedBlockCache(config.shared_cache_blocks)
             if config.shared_cache_blocks > 0
             else None
         )
@@ -352,14 +354,12 @@ class HybridQuantileEngine:
         """Process many live stream elements from any iterable.
 
         Arrays pass straight through to :meth:`stream_update_many`;
-        other iterables are materialized once into an int64 array via
-        ``np.fromiter`` (no per-element Python objects) and follow the
-        same single-hand-off path.
+        other iterables are materialized once into a list and judged
+        by the same door, so lossy input raises instead of truncating.
         """
-        if isinstance(values, np.ndarray):
-            self.stream_update_many(values)
-        else:
-            self.stream_update_many(np.fromiter(values, dtype=np.int64))
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        self.stream_update_many(values)
 
     def attach_wal(self, wal) -> None:
         """Attach a :class:`~repro.ingest.wal.WriteAheadLog`.
@@ -738,38 +738,12 @@ class HybridQuantileEngine:
     @property
     def epoch_stats(self) -> EpochStats:
         """The epoch layer's counters (pins, bumps, TS merges), with
-        the historical-summary memo's build/extend counters, the
-        shared cache's hit/miss/eviction/invalidation counters and
-        the storage backend's request counters merged in (zeros when
-        the shared tier is disabled / the backend is request-free)."""
-        stats = replace(
+        the historical-summary memo's build/extend counters merged in."""
+        return replace(
             self._epochs.stats(),
             hs_builds=self._historical_memo.builds,
             hs_extends=self._historical_memo.extends,
         )
-        if self.shared_cache is not None:
-            cs = self.shared_cache.stats()
-            stats = replace(
-                stats,
-                cache_hits=cs.hits,
-                cache_misses=cs.misses,
-                cache_evictions=cs.evictions,
-                cache_invalidations=cs.invalidated_blocks,
-                cache_resident_blocks=cs.resident_blocks,
-                cache_coalesced_waits=cs.coalesced_waits,
-            )
-        bs = self.disk.backend.stats()
-        if bs.gets or bs.get_blocks or bs.puts or bs.migrations or bs.evicted_runs:
-            stats = replace(
-                stats,
-                object_gets=bs.gets,
-                object_get_blocks=bs.get_blocks,
-                object_puts=bs.puts,
-                object_migrations=bs.migrations,
-                object_evicted_runs=bs.evicted_runs,
-                object_hot_bytes=bs.hot_bytes,
-            )
-        return stats
 
     def warm_shared_cache(
         self,

@@ -83,25 +83,6 @@ class EpochStats:
     #: in by ``engine.epoch_stats``.
     hs_builds: int = 0
     hs_extends: int = 0
-    #: shared-block-cache counters, merged in by ``engine.epoch_stats``
-    #: (all zero when the shared tier is disabled).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    cache_invalidations: int = 0
-    cache_resident_blocks: int = 0
-    #: lookups that joined another query's in-flight fetch instead of
-    #: issuing their own (single-flight coalescing).
-    cache_coalesced_waits: int = 0
-    #: storage-backend request counters, merged in by
-    #: ``engine.epoch_stats`` (all zero on the simulated/mmap backends).
-    object_gets: int = 0
-    object_get_blocks: int = 0
-    object_puts: int = 0
-    object_migrations: int = 0
-    #: hot-tier capacity eviction counters of the object backend.
-    object_evicted_runs: int = 0
-    object_hot_bytes: int = 0
 
 
 class EpochRegistry:

@@ -194,9 +194,9 @@ class AccurateSearch:
         probes — fanned out through the executor like any other probe,
         so with ``query_workers > 1`` distinct partitions' ranged GETs
         are issued concurrently.  On the object backend each such read
-        is one byte-range GET widened by the ``readahead_blocks``
-        policy (extra blocks are streamed while their marginal cost
-        stays under another request's setup cost — charge-neutral).
+        is one byte-range GET widened by break-even readahead (extra
+        blocks are streamed while their marginal cost stays under
+        another request's setup cost — charge-neutral).
         Only active when the per-query cache reads through a shared
         tier: with the tier off, the legacy per-probe accounting must
         reproduce bit for bit.  Answers are unaffected either way (the

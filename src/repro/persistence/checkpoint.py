@@ -42,9 +42,9 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -268,6 +268,32 @@ def recover_checkpoint(directory: "str | Path") -> Path:
     raise PersistenceError(f"no engine state at {directory / ENGINE_FILE}")
 
 
+#: ``EngineConfig`` keys that older checkpoints carry and the value each
+#: is now fixed at; any other value asked for behaviour that is gone.
+_RETIRED_CONFIG_KEYS = (
+    ("fetch_coalescing", True),
+    ("readahead_blocks", None),
+    ("object_get_ms", 5.0),
+    ("object_put_ms", 10.0),
+)
+
+
+def config_from_state(saved: "dict[str, Any]") -> EngineConfig:
+    """The :class:`EngineConfig` a checkpoint recorded.
+
+    A retired key holding its fixed value is dropped; a retired key
+    holding anything else, or an unknown key, raises
+    :class:`PersistenceError` naming it.
+    """
+    known = {field.name for field in fields(EngineConfig)}
+    for key in saved.keys() - known:
+        if (key, saved[key]) not in _RETIRED_CONFIG_KEYS:
+            raise PersistenceError(
+                f"checkpoint config has unsupported {key}={saved[key]!r}"
+            )
+    return EngineConfig(**{key: saved[key] for key in saved.keys() & known})
+
+
 def load_engine(
     directory: "str | Path",
     disk: Optional[SimulatedDisk] = None,
@@ -300,7 +326,7 @@ def load_engine(
         raise PersistenceError(
             f"unknown engine format {state.get('format')!r}"
         )
-    config = EngineConfig(**state["config"])
+    config = config_from_state(state["config"])
     engine = HybridQuantileEngine(config=config, disk=disk)
     engine.store = load_store(
         directory / WAREHOUSE_DIR,

@@ -39,15 +39,13 @@ modeled latency shrink):
   as one byte-range read of the bucket object (seek + read of exactly
   those blocks) instead of materializing the whole run, so a cold
   binary-search probe touches kilobytes, not the full object.
-* **Fetch coalescing with readahead.**  With ``coalesce=True`` the
-  object backend remembers which blocks each bucket object has already
-  streamed; a charged range only becomes a GET for its not-yet-fetched
-  sub-ranges, and each GET is widened by up to ``readahead_blocks``
-  while the marginal per-block cost stays below the request-setup cost
-  (:meth:`ObjectStoreLatency.break_even_blocks`).  With
-  ``coalesce=False`` every charged range is one GET of exactly the
-  charged blocks — the historical (PR-9) request accounting, kept as
-  the ablation baseline.
+* **Fetch coalescing with readahead.**  The object backend remembers
+  which blocks each bucket object has already streamed; a charged
+  range only becomes a GET for its not-yet-fetched sub-ranges, and
+  each GET is widened, up to the end of the run, while the marginal
+  per-block cost stays below the request-setup cost
+  (:meth:`ObjectStoreLatency.break_even_blocks`).  Readahead is
+  charge-neutral: streamed, never added to ``DiskStats``.
 """
 
 from __future__ import annotations
@@ -100,8 +98,8 @@ class ObjectStoreLatency:
         blocks later costs ``seconds_per_get`` of request setup (plus
         the same streaming).  Readahead therefore pays for itself while
         ``k <= seconds_per_get / seconds_per_get_block`` — 50 blocks at
-        the defaults.  This is the auto value of
-        ``EngineConfig.readahead_blocks``.
+        the defaults.  A model with free request setup
+        (``seconds_per_get=0``) never widens.
         """
         if self.seconds_per_get_block <= 0:
             return self.DEFAULT_READAHEAD_CAP
@@ -201,18 +199,14 @@ class RunHandle(Protocol):
         request accounting stay on the ``note_*`` paths.
         """
 
-    def note_random_read(self, requests: int, blocks: int) -> None:
-        """Record ``requests`` random reads totalling ``blocks`` charged blocks."""
-
     def note_range_read(
         self, first_block: int, last_block: int, charged: int
     ) -> None:
         """Record one charged ranged read of ``[first_block, last_block]``.
 
         ``charged`` is the number of blocks the cache layer actually
-        charged (misses only).  The object backend turns this into GET
-        requests — one per not-yet-fetched contiguous sub-range when
-        coalescing, exactly one GET of ``charged`` blocks otherwise.
+        charged (misses only).  The object backend turns this into one
+        GET per not-yet-fetched contiguous sub-range.
         """
 
     def note_sequential_read(self, blocks: int) -> None:
@@ -284,9 +278,6 @@ class _SimulatedHandle:
         hi = (last_block + 1) * self.block_elems
         return self._data[lo:hi]
 
-    def note_random_read(self, requests: int, blocks: int) -> None:
-        return None
-
     def note_range_read(
         self, first_block: int, last_block: int, charged: int
     ) -> None:
@@ -354,17 +345,15 @@ class _FileHandle:
         "run_id",
         "block_elems",
         "_backend",
-        "_path",
         "_mapped",
         "_resident",
         "_lock",
     )
 
-    def __init__(self, backend: "MmapFileBackend", run_id: int, path: Path) -> None:
+    def __init__(self, backend: "MmapFileBackend", run_id: int) -> None:
         self.run_id = run_id
         self.block_elems = 1
         self._backend = backend
-        self._path = path
         self._mapped: Optional[np.ndarray] = None
         self._resident: Optional[np.ndarray] = None
         self._lock = threading.Lock()
@@ -421,9 +410,6 @@ class _FileHandle:
                 hi = (last_block + 1) * self.block_elems
                 return self._resident[lo:hi]
         return self._backend._read_blocks(self, first_block, last_block)
-
-    def note_random_read(self, requests: int, blocks: int) -> None:
-        self._backend._note_random_read(self.run_id, requests, blocks)
 
     def note_range_read(
         self, first_block: int, last_block: int, charged: int
@@ -485,9 +471,6 @@ class MmapFileBackend:
 
     # Request accounting is an object-store concern; the file tier has
     # no per-request cost (its reads are page-cache hits via mmap).
-    def _note_random_read(self, run_id: int, requests: int, blocks: int) -> None:
-        return None
-
     def _note_range_read(
         self, handle: _FileHandle, first_block: int, last_block: int, charged: int
     ) -> None:
@@ -516,7 +499,7 @@ class MmapFileBackend:
                 stream, data, allow_pickle=False
             ),
         )
-        handle = _FileHandle(self, run_id, self._path_of(run_id))
+        handle = _FileHandle(self, run_id)
         with self._lock:
             self._handles[run_id] = handle
         return handle
@@ -571,19 +554,15 @@ class MmapFileBackend:
             shutil.rmtree(self._directory, ignore_errors=True)
 
 
-def _contiguous_spans(blocks: "List[int]") -> "Iterable[Tuple[int, int]]":
-    """Yield (lo, hi) inclusive maximal runs of a sorted block list."""
-    start = prev = None
-    for block in blocks:
-        if start is None:
-            start = prev = block
-        elif block == prev + 1:
-            prev = block
-        else:
-            yield start, prev
-            start = prev = block
-    if start is not None:
-        yield start, prev
+def contiguous_spans(blocks: "List[int]") -> "Iterable[Tuple[int, int]]":
+    """Yield (lo, hi) inclusive maximal runs of a non-empty sorted block list."""
+    lo = prev = blocks[0]
+    for block in blocks[1:]:
+        if block != prev + 1:
+            yield lo, prev
+            lo = block
+        prev = block
+    yield lo, prev
 
 
 class ObjectStoreBackend(MmapFileBackend):
@@ -596,16 +575,6 @@ class ObjectStoreBackend(MmapFileBackend):
     *charged* read of the run is an object request, with modeled
     latency from :class:`ObjectStoreLatency` folded into
     ``SimulatedDisk.simulated_seconds``.
-
-    With ``coalesce=True`` (the default) the backend keeps a
-    fetched-block registry per bucket object: a charged range only
-    issues GETs for its not-yet-fetched contiguous sub-ranges, each
-    widened by ``readahead_blocks`` (default: the latency model's
-    break-even width), clamped to the end of the run.  Readahead is
-    charge-neutral — extra blocks are streamed in the same request but
-    never added to ``DiskStats`` — so answers and charged blocks stay
-    bit-identical to ``coalesce=False``, which reproduces the strict
-    one-GET-per-charge accounting of the pre-coalescing backend.
 
     ``hot_tier_bytes`` capacity-bounds ``hot/``: when allocation or
     promotion pushes the tier past the budget, least-recently-read
@@ -622,24 +591,14 @@ class ObjectStoreBackend(MmapFileBackend):
         directory: "str | Path | None" = None,
         object_tier_level: int = 1,
         latency: Optional[ObjectStoreLatency] = None,
-        readahead_blocks: Optional[int] = None,
-        coalesce: bool = True,
         hot_tier_bytes: Optional[int] = None,
     ) -> None:
         if object_tier_level < 0:
             raise ValueError("object_tier_level must be >= 0")
-        if readahead_blocks is not None and readahead_blocks < 0:
-            raise ValueError("readahead_blocks must be >= 0")
         if hot_tier_bytes is not None and hot_tier_bytes < 0:
             raise ValueError("hot_tier_bytes must be >= 0")
         self.object_tier_level = object_tier_level
         self.latency = latency if latency is not None else ObjectStoreLatency()
-        self.coalesce = coalesce
-        self.readahead_blocks = (
-            self.latency.break_even_blocks()
-            if readahead_blocks is None
-            else readahead_blocks
-        )
         self.hot_tier_bytes = hot_tier_bytes
         self._object_runs: "set[int]" = set()
         self._gets = 0
@@ -675,10 +634,16 @@ class ObjectStoreBackend(MmapFileBackend):
     def _bucket(self) -> Path:
         return self._directory / "objects"
 
+    def _hot_path(self, run_id: int) -> Path:
+        return self._hot / f"{self._RUN_PREFIX}{run_id}.npy"
+
+    def _object_path(self, run_id: int) -> Path:
+        return self._bucket / f"{self._RUN_PREFIX}{run_id}.npy"
+
     def _path_of(self, run_id: int) -> Path:
         if run_id in self._object_runs:
-            return self._bucket / f"{self._RUN_PREFIX}{run_id}.npy"
-        return self._hot / f"{self._RUN_PREFIX}{run_id}.npy"
+            return self._object_path(run_id)
+        return self._hot_path(run_id)
 
     def _tier_of(self, run_id: int) -> str:
         return OBJECT_TIER if run_id in self._object_runs else FILE_TIER
@@ -736,25 +701,12 @@ class ObjectStoreBackend(MmapFileBackend):
         per_block = max(1, block_elems)
         return (length + per_block - 1) // per_block - 1
 
-    def _note_random_read(self, run_id: int, requests: int, blocks: int) -> None:
-        if run_id not in self._object_runs:
-            return
-        with self._lock:
-            self._gets += requests
-            self._get_blocks += blocks
-
     def _note_range_read(
         self, handle: _FileHandle, first_block: int, last_block: int, charged: int
     ) -> None:
         run_id = handle.run_id
         with self._lock:
             if run_id not in self._object_runs:
-                return
-            if not self.coalesce:
-                # Strict pre-coalescing accounting: one GET streaming
-                # exactly the charged blocks of this range.
-                self._gets += 1
-                self._get_blocks += charged
                 return
             fetched = self._fetched.setdefault(run_id, set())
             needed = [
@@ -765,8 +717,9 @@ class ObjectStoreBackend(MmapFileBackend):
             if not needed:
                 return
             run_last = self._last_block_of(run_id, handle.block_elems)
-            for lo, hi in _contiguous_spans(needed):
-                hi_ext = hi + self.readahead_blocks
+            readahead = self.latency.break_even_blocks()
+            for lo, hi in contiguous_spans(needed):
+                hi_ext = hi + readahead
                 if run_last is not None:
                     hi_ext = min(hi_ext, run_last)
                 hi_ext = max(hi_ext, hi)
@@ -780,8 +733,7 @@ class ObjectStoreBackend(MmapFileBackend):
         with self._lock:
             self._gets += 1
             self._get_blocks += blocks
-            if self.coalesce and blocks > 0:
-                self._fetched.setdefault(run_id, set()).update(range(blocks))
+            self._fetched.setdefault(run_id, set()).update(range(blocks))
 
     # -- ranged byte reads ---------------------------------------------
 
@@ -818,7 +770,7 @@ class ObjectStoreBackend(MmapFileBackend):
     ) -> np.ndarray:
         """One byte-range GET: seek+read only the requested blocks."""
         run_id = handle.run_id
-        path = self._bucket / f"{self._RUN_PREFIX}{run_id}.npy"
+        path = self._object_path(run_id)
         offset, dtype, length = self._npy_layout(run_id, path)
         per_block = max(1, handle.block_elems)
         lo = first_block * per_block
@@ -891,7 +843,7 @@ class ObjectStoreBackend(MmapFileBackend):
         """Move a hot run into the bucket (atomic PUT, then unlink)."""
         with self._lock:
             handle = self._handles.get(run_id)
-        hot_path = self._hot / f"{self._RUN_PREFIX}{run_id}.npy"
+        hot_path = self._hot_path(run_id)
         if not hot_path.exists():
             with self._lock:
                 # Stale residency bookkeeping would loop the eviction
@@ -903,7 +855,7 @@ class ObjectStoreBackend(MmapFileBackend):
             # Drop the hot mapping before the file moves tiers.
             with handle._lock:
                 handle._mapped = None
-        object_path = self._bucket / f"{self._RUN_PREFIX}{run_id}.npy"
+        object_path = self._object_path(run_id)
         atomic_copy_file(hot_path, object_path)
         with self._lock:
             self._puts += 1
@@ -919,10 +871,10 @@ class ObjectStoreBackend(MmapFileBackend):
 
     def _promote(self, run_id: int) -> None:
         """Re-admit an evicted run to the hot tier (one full-object GET)."""
-        object_path = self._bucket / f"{self._RUN_PREFIX}{run_id}.npy"
+        object_path = self._object_path(run_id)
         if not object_path.exists():
             return
-        hot_path = self._hot / f"{self._RUN_PREFIX}{run_id}.npy"
+        hot_path = self._hot_path(run_id)
         with self._lock:
             handle = self._handles.get(run_id)
             run_last = self._last_block_of(
@@ -1012,12 +964,13 @@ def make_backend(
     name: str,
     directory: "str | Path | None" = None,
     object_tier_level: int = 1,
-    latency: Optional[ObjectStoreLatency] = None,
-    readahead_blocks: Optional[int] = None,
-    coalesce: bool = True,
     hot_tier_bytes: Optional[int] = None,
 ) -> "SimulatedBackend | MmapFileBackend":
-    """Build the backend named by ``EngineConfig.storage_backend``."""
+    """Build the backend named by ``EngineConfig.storage_backend``.
+
+    File-backed backends must not share a directory: cluster shards
+    derive configs with distinct ``storage_dir``.
+    """
     if name == "simulated":
         return SimulatedBackend()
     if name == "mmap":
@@ -1026,9 +979,6 @@ def make_backend(
         return ObjectStoreBackend(
             directory,
             object_tier_level=object_tier_level,
-            latency=latency,
-            readahead_blocks=readahead_blocks,
-            coalesce=coalesce,
             hot_tier_bytes=hot_tier_bytes,
         )
     raise ValueError(

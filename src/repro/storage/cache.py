@@ -37,6 +37,7 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
+from .backends import contiguous_spans
 from .disk import SimulatedDisk
 from .shared_cache import SharedBlockCache
 
@@ -167,7 +168,7 @@ class BlockCache:
                 # Contiguous sub-ranges of the unseen blocks, so the
                 # shared tier sees ranged lookups (and charges each
                 # missing sub-range as one ranged read).
-                for lo, hi in _contiguous(new):
+                for lo, hi in contiguous_spans(new):
                     hits, misses = self._shared.fetch_range(
                         run_id, lo, hi, self._disk.charge_random_read
                     )
@@ -239,13 +240,3 @@ class BlockCache:
         with self._locks_guard:
             return len(self._run_locks)
 
-
-def _contiguous(blocks):
-    """Yield (lo, hi) for each maximal contiguous run of sorted ints."""
-    lo = prev = blocks[0]
-    for b in blocks[1:]:
-        if b != prev + 1:
-            yield lo, prev
-            lo = b
-        prev = b
-    yield lo, prev

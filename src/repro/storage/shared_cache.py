@@ -27,26 +27,21 @@ Design notes
   scans (residual range fetches) therefore wash through probation
   without evicting the hot upper index blocks that every binary search
   touches.
-* **Single-flight fetch coalescing (default).**  Concurrent queries
-  missing on the same block dedupe into one in-flight fetch: the
-  first racer claims the block in a flight registry (under the
-  structure lock), charges it, and resolves the flight; everyone else
-  waits on the flight and counts a coalesced hit.  Each block is
-  still charged exactly once — identical aggregate accounting to the
-  serialized mode below — but the backend sees one request per
-  distinct range instead of one per racing client, and waiters never
-  serialize behind the charging thread's backend latency.  A failed
-  fetch delivers its exception to every waiter and leaves the blocks
-  non-resident (nothing is poisoned; the next probe retries).
-* **Per-run sharded locks (``single_flight=False``).**  Each run has
-  its own shard lock that serializes the check-miss-charge-insert
-  sequence for that run, so a resident block is charged exactly once
-  no matter how many queries race for it — which is what keeps
-  *aggregate* charge counts deterministic under a fixed seed
-  (per-query attribution of a charge may move between racing queries;
-  the total cannot).  Bookkeeping (queues, membership, stats) lives
-  under one small structure lock; the lock order is always shard ->
-  structure, never the reverse.
+* **Single-flight fetch coalescing.**  Concurrent queries missing on
+  the same block dedupe into one in-flight fetch: the first racer
+  claims the block in a flight registry, charges it, and resolves the
+  flight; everyone else waits on the flight and counts a coalesced
+  hit.  Each block is charged exactly once, so *aggregate* charge
+  counts are deterministic under a fixed seed (per-query attribution
+  of a charge may move between racing queries; the total cannot), the
+  backend sees one request per distinct range instead of one per
+  racing client, and waiters never serialize behind the charging
+  thread's backend latency.  A failed fetch delivers its exception to
+  every waiter and leaves the blocks non-resident (nothing is
+  poisoned; the next probe retries).
+* **One lock.**  Queues, membership, the flight registry and the
+  counters live under a single structure lock that is never held
+  across a charge, a wait or a follower callback.
 * **Epoch-aware invalidation.**  Compaction merges and background
   adoptions retire runs inside the layout-lock critical sections that
   bump the :class:`~repro.core.epoch.EpochRegistry`; the store's
@@ -108,18 +103,8 @@ class SharedCacheStats:
         return self.hits / total if total else 0.0
 
 
-class _Shard:
-    """Per-run lock plus a liveness flag (dropped on invalidation)."""
-
-    __slots__ = ("lock", "retired")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.retired = False
-
-
 class _Flight:
-    """One in-flight fetch of a (run, block) pair (single-flight mode).
+    """One in-flight fetch of a (run, block) pair.
 
     The claiming thread charges the fetch, then resolves the flight;
     every other thread that raced on the block waits on ``done`` and
@@ -145,32 +130,19 @@ class SharedBlockCache:
         tier only when ``EngineConfig.shared_cache_blocks > 0``; zero
         means "no shared tier", which reproduces the historical
         per-query accounting exactly.
-    single_flight:
-        When ``True`` (default), concurrent queries missing on the
-        same block coalesce into one in-flight fetch: the first racer
-        claims and charges the block, everyone else waits on the
-        flight and counts a (coalesced) hit.  Aggregate charge totals
-        are identical to the shard-lock serialization of
-        ``single_flight=False`` — each block is charged exactly once
-        either way — but waiters no longer serialize behind the
-        charging thread's backend request, and the backend sees one
-        request per distinct range instead of one per racer.
     """
 
-    def __init__(self, capacity_blocks: int, single_flight: bool = True) -> None:
+    def __init__(self, capacity_blocks: int) -> None:
         if capacity_blocks < 1:
             raise ValueError("capacity_blocks must be >= 1")
         self.capacity_blocks = capacity_blocks
-        self.single_flight = single_flight
         self._probation_target = max(1, capacity_blocks // 4)
         # (run_id, block) -> None, in arrival / recency order.
         self._probation: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
         self._protected: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
         self._by_run: Dict[int, Set[int]] = {}
         self._retired_runs: Set[int] = set()
-        self._shards: Dict[int, _Shard] = {}
-        self._shards_guard = threading.Lock()
-        self._lock = threading.Lock()  # queues + membership + stats
+        self._lock = threading.Lock()  # queues + membership + flights + stats
         self._flights: "Dict[Tuple[int, int], _Flight]" = {}
         self._followers: "weakref.WeakSet" = weakref.WeakSet()
         self._hits = 0
@@ -180,17 +152,6 @@ class SharedBlockCache:
         self._invalidated_runs = 0
         self._prefetched_blocks = 0
         self._coalesced_waits = 0
-
-    # ------------------------------------------------------------------
-    # Shards
-    # ------------------------------------------------------------------
-
-    def _shard(self, run_id: int) -> _Shard:
-        shard = self._shards.get(run_id)
-        if shard is None:
-            with self._shards_guard:
-                shard = self._shards.setdefault(run_id, _Shard())
-        return shard
 
     # ------------------------------------------------------------------
     # Residency bookkeeping (all under self._lock)
@@ -239,32 +200,11 @@ class SharedBlockCache:
     ) -> bool:
         """Look up one block; charge the disk on a miss.
 
-        Returns ``True`` on a hit (no charge).  On a miss, ``charge(1)``
-        runs before the block is recorded resident, so an injected
-        :class:`~repro.faults.errors.DiskFault` leaves the block
-        non-resident (a failed read must not look cached) and a
-        resident block can never have been charged twice by racing
-        queries (shard-lock serialization or single-flight claiming,
-        depending on mode).
+        Returns ``True`` on a hit (no charge).  The one-block case of
+        :meth:`fetch_range`, with the same guarantees.
         """
-        if self.single_flight:
-            hits, _misses = self.fetch_range(run_id, block, block, charge)
-            return hits > 0
-        key = (run_id, block)
-        shard = self._shard(run_id)
-        with shard.lock:
-            with self._lock:
-                if self._resident(key):
-                    self._promote(key)
-                    self._hits += 1
-                    return True
-                retired = run_id in self._retired_runs
-            charge(1)
-            with self._lock:
-                self._misses += 1
-                if not retired:
-                    self._insert(key)
-            return False
+        hits, _misses = self.fetch_range(run_id, block, block, charge)
+        return hits > 0
 
     def fetch_range(
         self,
@@ -278,61 +218,24 @@ class SharedBlockCache:
 
         Returns ``(hits, misses)``.  The missing blocks of the range are
         charged in a **single** ``charge(n)`` call (one ranged random
-        read per partition, the satellite accounting requirement) and
-        become resident together; blocks already resident are promoted.
+        read per partition) and become resident together; blocks
+        already resident are promoted.  ``charge`` runs before the
+        blocks are recorded resident, so an injected
+        :class:`~repro.faults.errors.DiskFault` leaves them non-resident
+        (a failed read must not look cached).
 
-        In single-flight mode blocks already being fetched by another
-        thread are *joined* rather than re-charged: the caller waits
-        for the owning fetch to resolve and counts them as hits (they
-        are, in aggregate — the old shard-lock path would have blocked
-        on the lock and then hit).  A failed fetch propagates its
-        exception to every waiter and leaves the blocks non-resident.
-        """
-        if self.single_flight:
-            return self._fetch_range_single_flight(
-                run_id, first_block, last_block, charge, prefetch
-            )
-        shard = self._shard(run_id)
-        with shard.lock:
-            with self._lock:
-                missing: List[int] = []
-                hits = 0
-                for block in range(first_block, last_block + 1):
-                    key = (run_id, block)
-                    if self._resident(key):
-                        self._promote(key)
-                        hits += 1
-                    else:
-                        missing.append(block)
-                self._hits += hits
-                retired = run_id in self._retired_runs
-            if missing:
-                charge(len(missing))
-                with self._lock:
-                    self._misses += len(missing)
-                    if prefetch:
-                        self._prefetched_blocks += len(missing)
-                    if not retired:
-                        for block in missing:
-                            self._insert((run_id, block))
-            return hits, len(missing)
-
-    def _fetch_range_single_flight(
-        self,
-        run_id: int,
-        first_block: int,
-        last_block: int,
-        charge: Callable[[int], None],
-        prefetch: bool,
-    ) -> Tuple[int, int]:
-        """Range lookup with in-flight fetch coalescing.
+        Blocks already being fetched by another thread are *joined*
+        rather than re-charged: the caller waits for the owning fetch to
+        resolve and counts them as hits, so a resident block can never
+        have been charged twice by racing queries.  A failed fetch
+        propagates its exception to every waiter.
 
         Deadlock-free by construction: a thread always resolves the
         flights it claimed *before* waiting on anyone else's, so every
         flight is resolved by an owner that never waits on it
         transitively.  Blocks of retired runs bypass the registry
-        entirely (charged per caller, never inserted) — exactly the
-        old semantics, where retired blocks are never resident.
+        entirely (charged per caller, never inserted): retired blocks
+        are never resident.
         """
         hits = 0
         mine: List[int] = []
@@ -425,26 +328,19 @@ class SharedBlockCache:
         outlive the run it describes.  Returns the number of blocks
         dropped.  Idempotent per run.
         """
-        shard = self._shard(run_id)
-        with shard.lock:
-            shard.retired = True
-            with self._lock:
-                if run_id in self._retired_runs:
-                    return 0
-                self._retired_runs.add(run_id)
-                self._invalidated_runs += 1
-                blocks = self._by_run.pop(run_id, set())
-                for block in blocks:
-                    self._probation.pop((run_id, block), None)
-                    self._protected.pop((run_id, block), None)
-                self._invalidated_blocks += len(blocks)
-                followers = list(self._followers)
-        # Prune the shard map itself (the run never comes back) and
-        # notify followers outside every cache lock: a follower's
-        # drop_run takes its own per-run locks, and holding ours across
-        # that call would invert the shard -> structure order.
-        with self._shards_guard:
-            self._shards.pop(run_id, None)
+        with self._lock:
+            if run_id in self._retired_runs:
+                return 0
+            self._retired_runs.add(run_id)
+            self._invalidated_runs += 1
+            blocks = self._by_run.pop(run_id, set())
+            for block in blocks:
+                self._probation.pop((run_id, block), None)
+                self._protected.pop((run_id, block), None)
+            self._invalidated_blocks += len(blocks)
+            followers = list(self._followers)
+        # Notify followers outside the cache lock: a follower's
+        # drop_run takes its own per-run locks.
         for follower in followers:
             follower.drop_run(run_id)
         return len(blocks)
@@ -490,8 +386,3 @@ class SharedBlockCache:
             self._protected.clear()
             self._by_run.clear()
 
-
-def shard_count(cache: SharedBlockCache) -> int:
-    """Number of per-run shards currently allocated (test hook)."""
-    with cache._shards_guard:
-        return len(cache._shards)

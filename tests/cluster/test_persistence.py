@@ -125,6 +125,30 @@ class TestFailureModes:
         with pytest.raises(PersistenceError):
             load_cluster(root)
 
+    def test_manifest_config_goes_through_the_checkpoint_loader(
+        self, tmp_path
+    ):
+        # A PR-15 manifest carries config keys that no longer exist:
+        # at their old defaults they are dropped, otherwise refused.
+        cluster = build_cluster(shards=2, steps=2, batch=1_000)
+        try:
+            root = save_cluster(cluster, tmp_path / "cluster")
+            expected = cluster.quantile(0.5, mode="accurate").value
+        finally:
+            cluster.close()
+        manifest = json.loads((root / "cluster.json").read_text())
+        manifest["config"]["fetch_coalescing"] = True
+        (root / "cluster.json").write_text(json.dumps(manifest))
+        restored = load_cluster(root)
+        try:
+            assert restored.quantile(0.5, mode="accurate").value == expected
+        finally:
+            restored.close()
+        manifest["config"]["fetch_coalescing"] = False
+        (root / "cluster.json").write_text(json.dumps(manifest))
+        with pytest.raises(PersistenceError, match="fetch_coalescing"):
+            load_cluster(root)
+
     def test_missing_shard_dir(self, tmp_path):
         cluster = build_cluster(shards=2, steps=2, batch=1_000)
         try:

@@ -1,8 +1,9 @@
 """Ingest rejects what an int64 cast would silently change.
 
 ``np.asarray(values, dtype=np.int64)`` turns ``1.7`` into ``1`` and NaN
-into ``INT64_MIN``; the engine and cluster doors refuse such input
-before anything (WAL, buffer, counters) has seen it.
+into ``INT64_MIN``; the engine and cluster doors — the array verb and
+the iterable one — refuse such input before anything (WAL, buffer,
+counters) has seen it.
 """
 
 import numpy as np
@@ -28,7 +29,16 @@ doors = pytest.mark.parametrize(
 )
 
 
-@doors
+@pytest.mark.parametrize(
+    "make, verb",
+    [
+        (single_engine, "stream_update_many"),
+        (cluster, "stream_update_many"),
+        (single_engine, "stream_update_batch"),
+        (cluster, "stream_update_batch"),
+    ],
+    ids=["engine", "cluster", "engine-batch", "cluster-batch"],
+)
 @pytest.mark.parametrize(
     "values, error",
     [
@@ -41,11 +51,11 @@ doors = pytest.mark.parametrize(
     ],
     ids=["float-list", "whole-floats", "nan", "bool", "str", "uint64-overflow"],
 )
-def test_lossy_input_is_rejected_before_ingest(make, values, error):
+def test_lossy_input_is_rejected_before_ingest(make, verb, values, error):
     door = make()
     try:
         with pytest.raises(error):
-            door.stream_update_many(values)
+            getattr(door, verb)(values)
         assert door.m_stream == 0
     finally:
         door.close()

@@ -1,5 +1,7 @@
 """Tests for whole-engine checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,53 @@ class TestCheckpoint:
         save_engine(engine, tmp_path)
         np.save(tmp_path / "stream_buffer.npy", np.arange(3))
         with pytest.raises(PersistenceError):
+            load_engine(tmp_path)
+
+
+#: the four ``EngineConfig`` keys a PR-15 ``engine.json`` still carries,
+#: at the defaults that commit wrote.
+RETIRED_DEFAULTS = {
+    "fetch_coalescing": True,
+    "readahead_blocks": None,
+    "object_get_ms": 5.0,
+    "object_put_ms": 10.0,
+}
+
+
+def add_config_keys(state_path, extra):
+    state = json.loads(state_path.read_text())
+    state["config"].update(extra)
+    state_path.write_text(json.dumps(state))
+
+
+class TestRetiredConfigKeys:
+    def test_parent_format_checkpoint_answers_identically(self, tmp_path):
+        engine, _ = build_engine()
+        save_engine(engine, tmp_path)
+        add_config_keys(tmp_path / "engine.json", RETIRED_DEFAULTS)
+        restored = load_engine(tmp_path)
+        assert restored.config == engine.config
+        for phi in (0.1, 0.5, 0.9):
+            for mode in ("quick", "accurate"):
+                assert (
+                    restored.quantile(phi, mode=mode).value
+                    == engine.quantile(phi, mode=mode).value
+                )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("fetch_coalescing", False),
+            ("readahead_blocks", 0),
+            ("object_get_ms", 1.0),
+            ("no_such_knob", 1),
+        ],
+    )
+    def test_unsupported_config_key_is_refused(self, tmp_path, key, value):
+        engine, _ = build_engine(steps=2)
+        save_engine(engine, tmp_path)
+        add_config_keys(tmp_path / "engine.json", {key: value})
+        with pytest.raises(PersistenceError, match=key):
             load_engine(tmp_path)
 
 

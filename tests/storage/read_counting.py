@@ -4,12 +4,12 @@ The accounting says how many blocks a query paid for; these helpers
 watch the two places where that turns into work — ``read_blocks`` on a
 backend's run handles (real bytes) and ``BlockCache.touch`` /
 ``touch_range`` (the charges) — so a test can hold one against the
-other.  Both patch at class level and restore on exit.
+other.  All patch at class level and restore on exit.
 """
 
 from contextlib import contextmanager
 
-from repro.storage.backends import _FileHandle, _SimulatedHandle
+from repro.storage.backends import OBJECT_TIER, _FileHandle, _SimulatedHandle
 from repro.storage.cache import BlockCache
 
 
@@ -47,6 +47,29 @@ def counted_block_reads():
     finally:
         for cls, original in originals.items():
             cls.read_blocks = original
+
+
+@contextmanager
+def counted_range_charges():
+    """The ``charged`` of every ``note_range_read`` on an object-tier run.
+
+    One entry per charged range: the request count (``len``) and block
+    volume (``sum``) of a store that serves each charge as its own GET
+    of exactly the charged blocks — no registry, no readahead.
+    """
+    charges = []
+    original = _FileHandle.note_range_read
+
+    def note_range_read(handle, first_block, last_block, charged):
+        if handle.tier == OBJECT_TIER:
+            charges.append(charged)
+        return original(handle, first_block, last_block, charged)
+
+    _FileHandle.note_range_read = note_range_read
+    try:
+        yield charges
+    finally:
+        _FileHandle.note_range_read = original
 
 
 @contextmanager

@@ -177,14 +177,18 @@ class TestRequestAccounting:
         backend.close()
 
     def test_cold_charged_read_is_one_get(self, tmp_path):
-        # coalesce=False reproduces the strict pre-coalescing
-        # accounting: one GET streaming exactly the charged block.
-        backend, disk, run = self._charged_run(tmp_path, coalesce=False)
+        # The run's last block (9 of 0..9) has nothing past it to read
+        # ahead: one GET of exactly the charged block.
+        backend, disk, run = self._charged_run(tmp_path)
         backend.place_run(run.run_id, level=1)
-        run.element_at(5)
+        run.element_at(39)
         stats = backend.stats()
         assert stats.gets == 1
         assert stats.get_blocks == 1
+        run.element_at(5)  # block 1: one more GET, widened to 1..9
+        stats = backend.stats()
+        assert stats.gets == 2
+        assert stats.get_blocks == 10
         backend.close()
 
     def test_coalesced_cold_probe_streams_readahead(self, tmp_path):
@@ -204,7 +208,11 @@ class TestRequestAccounting:
         backend.close()
 
     def test_readahead_zero_coalesces_without_widening(self, tmp_path):
-        backend, disk, run = self._charged_run(tmp_path, readahead_blocks=0)
+        # Free request setup makes the break-even readahead 0 blocks.
+        backend, disk, run = self._charged_run(
+            tmp_path, latency=ObjectStoreLatency(seconds_per_get=0.0)
+        )
+        assert backend.latency.break_even_blocks() == 0
         backend.place_run(run.run_id, level=1)
         run.element_at(13)  # block 3
         run.element_at(21)  # block 5
@@ -227,12 +235,14 @@ class TestRequestAccounting:
         assert backend.stats().gets == before
 
     def test_ranged_read_is_one_get_many_blocks(self, tmp_path):
-        backend, disk, run = self._charged_run(tmp_path, coalesce=False)
+        backend, disk, run = self._charged_run(tmp_path)
         backend.place_run(run.run_id, level=1)
         run.read_block_range(0, 4)
         stats = backend.stats()
         assert stats.gets == 1
-        assert stats.get_blocks == 5
+        # the five charged blocks plus readahead to the run's end (0..9)
+        assert stats.get_blocks == 10
+        assert disk.stats.counters.random_reads == 5
         backend.close()
 
     def test_ranged_reads_return_partial_bytes(self, tmp_path):
@@ -274,6 +284,52 @@ class TestRequestAccounting:
         assert backend.simulated_seconds() == pytest.approx(111.0)
         assert disk.simulated_seconds() >= backend.simulated_seconds()
         backend.close()
+
+    def test_serial_engine_transcript_is_pinned(self, tmp_path):
+        # The cold-read ablation's build() shape on the object tier with
+        # the shared cache, driven from one thread: every request and
+        # residency counter is a literal, so a change to how charges
+        # become GETs cannot pass unnoticed.
+        config = EngineConfig(
+            epsilon=0.01,
+            kappa=3,
+            block_elems=100,
+            shared_cache_blocks=4096,
+            storage_backend="object",
+            storage_dir=str(tmp_path / "bucket"),
+            object_tier_level=1,
+        )
+        engine = HybridQuantileEngine(config=config)
+        try:
+            rng = np.random.default_rng(1013)
+            for _ in range(8):
+                engine.stream_update_many(
+                    rng.normal(5e5, 1e5, size=20_000).astype(np.int64)
+                )
+                engine.end_time_step()
+            engine.stream_update_many(
+                rng.normal(5e5, 1e5, size=10_000).astype(np.int64)
+            )
+            phis = tuple(np.round(np.linspace(0.004, 0.996, 16), 5))
+            assert engine.warm_shared_cache((0.25, 0.75)) == 8
+            # The first four phis run twice: their second pass is all
+            # shared-tier hits.
+            values = [
+                engine.quantile(phi, mode="accurate").value
+                for phi in phis + phis[:4]
+            ]
+            assert values[:4] == values[16:] == [234823, 353328, 390863, 417340]
+            assert values[15] == 765667
+            backend = engine.disk.backend.stats()
+            assert (backend.gets, backend.get_blocks) == (29, 1428)
+            assert (backend.puts, backend.migrations) == (2, 2)
+            assert engine.disk.stats.counters.random_reads == 188
+            shared = engine.shared_cache.stats()
+            assert (shared.hits, shared.misses) == (44, 188)
+            assert shared.prefetched_blocks == 0
+            assert shared.coalesced_waits == 0
+        finally:
+            engine.close()
 
     def test_delta_since(self):
         a = BackendStats(gets=2, get_blocks=5, puts=1, hot_runs=4)
@@ -448,25 +504,3 @@ class TestEngineEquivalence:
             assert restored.quantile(0.5, mode="accurate").value == expected
         finally:
             restored.close()
-
-    def test_object_engine_reports_epoch_stats(self, tmp_path):
-        config = EngineConfig(
-            epsilon=0.05,
-            kappa=3,  # small fan-in so level-0 runs merge (and migrate)
-            block_elems=64,
-            storage_backend="object",
-            storage_dir=str(tmp_path / "bucket"),
-            object_tier_level=1,
-        )
-        engine = HybridQuantileEngine(config=config)
-        rng = np.random.default_rng(7)
-        for _ in range(8):
-            engine.stream_update_many(rng.integers(0, 10_000, size=400))
-            engine.end_time_step()
-        engine.quantile(0.5, mode="accurate")
-        stats = engine.epoch_stats
-        backend_stats = engine.disk.backend.stats()
-        assert stats.object_puts == backend_stats.puts
-        assert stats.object_gets == backend_stats.gets
-        assert backend_stats.migrations > 0
-        engine.close()

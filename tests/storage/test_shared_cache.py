@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro.storage import BlockCache, SharedBlockCache, SimulatedDisk
-from repro.storage.shared_cache import shard_count
 
 
 def charge_counter():
@@ -128,18 +127,6 @@ class TestInvalidation:
         assert cache.fetch_block(7, 0, charge) is False
         assert not cache.contains(7, 0)
         assert calls["blocks"] == 3
-
-    def test_shard_map_is_pruned(self):
-        # Per-run shard locks are only allocated by the serialized
-        # (single_flight=False) path; either way invalidation must
-        # prune the map so it cannot grow without bound.
-        cache = SharedBlockCache(16, single_flight=False)
-        charge, _ = charge_counter()
-        for run_id in range(10):
-            cache.fetch_block(run_id, 0, charge)
-        assert shard_count(cache) == 10
-        cache.invalidate_runs(range(10))
-        assert shard_count(cache) == 0
 
     def test_invalidation_survives_eviction_of_same_blocks(self):
         cache = SharedBlockCache(4)

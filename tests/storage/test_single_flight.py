@@ -5,10 +5,9 @@ racing cold probes on the same run observe exactly one backend fetch
 per distinct block range — the first racer claims and charges it,
 everyone else joins the in-flight fetch — and a fetch failure (an
 injected :class:`~repro.faults.errors.DiskFault`) is delivered to
-every waiter without poisoning the cache.  Aggregate charge totals
-stay identical to the shard-lock serialization of
-``single_flight=False``: each block is charged exactly once either
-way, so answers and ``DiskStats`` are bit-identical across modes.
+every waiter without poisoning the cache.  Each block is charged
+exactly once however many threads race for it, so aggregate charge
+totals are those of a serial run.
 """
 
 import threading
@@ -21,6 +20,7 @@ from repro.faults.errors import DiskFault
 from repro.storage import (
     BlockCache,
     ObjectStoreBackend,
+    ObjectStoreLatency,
     SharedBlockCache,
     SimulatedDisk,
     SortedRun,
@@ -138,26 +138,23 @@ class TestSingleFlightDedup:
         assert stats.misses == 1
 
     def test_aggregate_charges_match_serialized_mode(self):
-        """Same racing workload, both modes: identical charge totals."""
-        totals = {}
-        for single_flight in (True, False):
-            cache = SharedBlockCache(256, single_flight=single_flight)
-            lock = threading.Lock()
-            calls = {"blocks": 0}
+        """Racing block-at-a-time probes charge each distinct block once."""
+        cache = SharedBlockCache(256)
+        lock = threading.Lock()
+        calls = {"blocks": 0}
 
-            def charge(blocks):
-                with lock:
-                    calls["blocks"] += blocks
-                time.sleep(0.001)
+        def charge(blocks):
+            with lock:
+                calls["blocks"] += blocks
+            time.sleep(0.001)
 
-            def work(i):
-                for block in range(8):
-                    cache.fetch_block(7, block, charge)
+        def work(i):
+            for block in range(8):
+                cache.fetch_block(7, block, charge)
 
-            errors = _run_racers(N_THREADS, work)
-            assert errors == [None] * N_THREADS
-            totals[single_flight] = calls["blocks"]
-        assert totals[True] == totals[False] == 8
+        errors = _run_racers(N_THREADS, work)
+        assert errors == [None] * N_THREADS
+        assert calls["blocks"] == 8
 
 
 class TestSingleFlightFailure:
@@ -224,7 +221,10 @@ class TestSingleFlightEndToEnd:
     def test_racing_cold_probes_issue_one_get(self, tmp_path):
         """32 per-query caches racing one cold block: one object GET."""
         backend = ObjectStoreBackend(
-            tmp_path / "o", object_tier_level=1, readahead_blocks=0
+            tmp_path / "o",
+            object_tier_level=1,
+            # free request setup: break-even readahead is 0 blocks
+            latency=ObjectStoreLatency(seconds_per_get=0.0),
         )
         disk = SimulatedDisk(block_elems=4, backend=backend)
         run = SortedRun(disk, np.arange(400, dtype=np.int64))

@@ -7,8 +7,12 @@ missing-docstring rules), and every relative link in ``docs/``,
 ``README.md`` and ``CHANGES.md`` points at a file that exists.
 """
 
+import dataclasses
 import importlib.util
+import re
 from pathlib import Path
+
+from repro.core.config import EngineConfig, ServingConfig
 
 _TOOL = (
     Path(__file__).resolve().parent.parent / "tools" / "check_docs.py"
@@ -16,6 +20,9 @@ _TOOL = (
 _spec = importlib.util.spec_from_file_location("check_docs", _TOOL)
 check_docs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_docs)
+
+
+_TUNING = Path(__file__).resolve().parent.parent / "docs" / "TUNING.md"
 
 
 def test_public_api_is_docstringed():
@@ -28,16 +35,31 @@ def test_markdown_links_resolve():
 
 def test_tuning_guide_covers_every_engine_knob():
     """docs/TUNING.md names every EngineConfig and ServingConfig field."""
-    import dataclasses
-
-    from repro.core.config import EngineConfig, ServingConfig
-
-    guide = (
-        Path(__file__).resolve().parent.parent / "docs" / "TUNING.md"
-    ).read_text(encoding="utf-8")
+    guide = _TUNING.read_text(encoding="utf-8")
     for config in (EngineConfig, ServingConfig):
         for field in dataclasses.fields(config):
             assert f"`{field.name}`" in guide, (
                 f"docs/TUNING.md does not document "
                 f"{config.__name__}.{field.name}"
             )
+
+
+def test_tuning_guide_lists_only_real_knobs():
+    """Every `` `name` `` bullet of docs/TUNING.md is a config field."""
+    knobs = {
+        field.name
+        for config in (EngineConfig, ServingConfig)
+        for field in dataclasses.fields(config)
+    }
+    for line in _TUNING.read_text(encoding="utf-8").splitlines():
+        if line.startswith("- `"):
+            for name in re.findall(r"`([^`]+)`", line.split(" — ")[0]):
+                assert name in knobs, (
+                    f"docs/TUNING.md documents {name}, which is no knob"
+                )
+
+
+def test_knob_count_only_goes_down():
+    """A ratchet: lower these bounds when a knob goes, never raise them."""
+    assert len(dataclasses.fields(EngineConfig)) <= 28
+    assert len(dataclasses.fields(ServingConfig)) <= 9
