@@ -318,8 +318,8 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
           f"{stats.invalidated_runs:,} retired runs")
     print(f"prefetch width   : {engine.config.prefetch_blocks} blocks/run")
     epochs = engine.epoch_stats
-    print(f"TS merges        : {epochs.ts_merges:,} "
-          f"(historical half built {epochs.hs_builds:,}x, "
+    print(f"TS merges        : {epochs.ts_merges:,} ({epochs.ts_reuses:,} "
+          f"reused; historical half built {epochs.hs_builds:,}x, "
           f"extended {epochs.hs_extends:,}x)")
     _print_backend_stats(engine)
     return 0

@@ -277,9 +277,10 @@ class ClusterSnapshot:
     When those are omitted (every legacy construction) the snapshot
     behaves exactly as before — every shard answering, nothing missing.
 
-    ``historical_memo`` is the owning cluster's memo of the fused TS's
-    historical half; without one (snapshots over standalone engines)
-    the snapshot keeps its own — the same arrays either way.
+    ``historical_memo`` is the owning cluster's memo of the fused TS
+    (the whole of it while no shard's SS changes); without one (snapshots
+    over standalone engines) the snapshot keeps its own — the same
+    arrays either way.
     """
 
     def __init__(
@@ -391,9 +392,7 @@ class ClusterSnapshot:
             p for parts in shard_partitions for p in parts if len(p) > 0
         ]
         built = CombinedSummary.build(
-            [p.summary for p in partitions],
-            summaries,
-            self._historical_memo.get(partitions),
+            [p.summary for p in partitions], summaries, self._historical_memo
         )
         self._merges += 1
         return built
@@ -740,8 +739,8 @@ class ClusterEngine:
             retry=config.probe_retry_policy,
         )
         self._step = 0
-        # The historical half of the fused TS, memoised per partition
-        # set (over the shard-major concatenation) across pins.
+        # The fused TS's historical half per partition set (over the
+        # shard-major concatenation) and the TS last fused onto it.
         self._historical_memo = HistoricalMemo()
 
     # -- ingest ---------------------------------------------------------

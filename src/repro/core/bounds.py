@@ -18,8 +18,10 @@ partition set only — HS changes when a time step is sealed or levels
 merge, not per query — so :class:`HistoricalSummary` holds the merged HS
 values with those sums and is folded once per partition set, one
 partition at a time.  The stream terms depend on the live sketch, so
-:meth:`CombinedSummary.build` merges the per-query SS into a
-``HistoricalSummary`` by rank arithmetic (no sort) and adds them.
+:meth:`CombinedSummary.fuse` merges SS into a ``HistoricalSummary`` by
+rank arithmetic (no sort) and adds them.  :meth:`CombinedSummary.build`
+does both, from scratch or through a memo that redoes each half only
+when its input changed (:class:`~repro.core.epoch.HistoricalMemo`).
 
 TS powers both the quick response (Algorithm 5) and filter generation
 (Algorithm 7).
@@ -28,12 +30,15 @@ TS powers both the quick response (Algorithm 5) and filter generation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .config import EngineConfig
 from .summaries import PartitionSummary, StreamSummary
+
+if TYPE_CHECKING:
+    from .epoch import HistoricalMemo
 
 
 @dataclass(frozen=True)
@@ -251,33 +256,41 @@ class CombinedSummary:
         cls,
         partition_summaries: Sequence[PartitionSummary],
         stream_summary: "StreamSummary | Sequence[StreamSummary]",
-        historical: Optional[HistoricalSummary] = None,
+        memo: "Optional[HistoricalMemo]" = None,
     ) -> "CombinedSummary":
-        """Fuse HS and SS into TS and compute all bounds.
+        """TS of the partition summaries (HS) and the stream summary.
 
         ``stream_summary`` may be a single :class:`StreamSummary` (the
         single-engine path) or a sequence of them (the cluster's fused
-        path: one SS per shard).  Rank bounds are additive across
-        components, so each stream summary simply contributes its own
-        Lemma 2 terms and the fused error is ``eps1 * sum(n_P) + eps2 *
-        sum(m_s)`` — the same contract over the union stream.
-
-        ``historical`` is the :class:`HistoricalSummary` of
-        ``partition_summaries`` when the caller already holds one (the
-        engines memoise it per partition set); without it the summaries
-        are folded here.  Either way only the stream half is computed
-        per call, and the result is the same to the bit.
+        path: one SS per shard).  ``memo`` — the engine's or cluster's
+        :class:`~repro.core.epoch.HistoricalMemo` — folds HS once per
+        partition set and returns the TS it retains while the stream
+        summaries are the same objects; without one both halves are
+        computed here from scratch, the reference a memo must equal.
         """
         if isinstance(stream_summary, StreamSummary):
             stream_summaries = [stream_summary]
         else:
             stream_summaries = list(stream_summary)
-        if historical is None:
-            historical = HistoricalSummary.fold(partition_summaries)
-        elif len(historical) != sum(len(s) for s in partition_summaries):
-            raise ValueError(
-                "historical does not summarize partition_summaries"
-            )
+        if memo is not None:
+            return memo.combined(partition_summaries, stream_summaries)
+        return cls.fuse(
+            HistoricalSummary.fold(partition_summaries), stream_summaries
+        )
+
+    @classmethod
+    def fuse(
+        cls,
+        historical: HistoricalSummary,
+        stream_summaries: Sequence[StreamSummary],
+    ) -> "CombinedSummary":
+        """Merge the stream summaries into HS and compute all bounds.
+
+        Rank bounds are additive across components, so each stream
+        summary simply contributes its own Lemma 2 terms and the fused
+        error is ``eps1 * sum(n_P) + eps2 * sum(m_s)`` — the same
+        contract over the union stream.
+        """
         live = [
             (s_index, summary)
             for s_index, summary in enumerate(stream_summaries)

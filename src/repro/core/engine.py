@@ -72,7 +72,13 @@ from ..warehouse.compaction import LeveledCompactionStore
 from ..warehouse.leveled_store import LeveledStore, window_sizes_from
 from ..warehouse.partition import Partition
 from .config import EngineConfig
-from .epoch import EpochRegistry, EpochStats, HistoricalMemo, SnapshotHandle
+from .epoch import (
+    EpochRegistry,
+    EpochStats,
+    HistoricalMemo,
+    SnapshotHandle,
+    StreamView,
+)
 from .query_path import QueryResult
 from .summaries import PartitionSummary, StreamSummary
 from .aggregates import AggregateStats, combine, partition_stats
@@ -232,6 +238,7 @@ class HybridQuantileEngine:
         # _seal_lock -> _stream_lock -> the sketch's mutate lock.
         self._stream_lock = threading.Lock()
         self._gk_absorbed = 0
+        self._stream_view: Optional[StreamView] = None  # under _seal_lock
         self._query_executor = QueryExecutor(
             workers=config.query_workers, retry=config.probe_retry_policy
         )
@@ -241,8 +248,8 @@ class HybridQuantileEngine:
         # bumps the epoch, and pinned SnapshotHandles are refcounted
         # per epoch — the serving layer's consistency unit.
         self._epochs = EpochRegistry()
-        # The historical half of TS, memoised per partition set and
-        # shared by every handle this engine pins.
+        # The historical half of TS per partition set and the TS last
+        # fused onto it, shared by every handle this engine pins.
         self._historical_memo = HistoricalMemo()
         # Serializes end_time_step's seal (take buffer + reset sketch +
         # enqueue pending) against pin(): a reader never observes the
@@ -443,6 +450,7 @@ class HybridQuantileEngine:
                     self._gk = self._fresh_stream_sketch()
                     self._gk_absorbed = 0
                     self._stream_stats = AggregateStats.empty()
+                self._stream_view = None
                 pending = PendingBatch(step=self._step, values=batch)
                 pending.stats = batch_stats
                 depth = archiver.enqueue_reserved(pending)
@@ -458,6 +466,7 @@ class HybridQuantileEngine:
                 self._gk = self._fresh_stream_sketch()
                 self._gk_absorbed = 0
                 self._stream_stats = AggregateStats.empty()
+            self._stream_view = None
             self._epochs.bump("seal")
             return self._end_time_step_sync(batch, started)
 
@@ -645,14 +654,23 @@ class HybridQuantileEngine:
         """
         return self._step
 
-    def stream_summary(self) -> StreamSummary:
-        """Extract SS from the live GK sketch (Algorithm 4).
-
-        Absorbs any buffered-but-unabsorbed stream tail first, so the
-        summary always covers every ingested element.
-        """
+    def _current_stream_view(self) -> StreamView:
+        """The sketch's current version, tail absorbed (seal lock held):
+        the held view while the live sketch is the same object with the
+        same ``n`` — every write raises ``n`` or installs another."""
         self._absorb_stream_tail()
-        return StreamSummary.extract(self._gk, self.config.epsilon2)
+        view, live = self._stream_view, self._gk
+        if view is None or view.source is not live or view.size != live.n:
+            view = self._stream_view = StreamView(live, self.config.epsilon2)
+        return view
+
+    def stream_summary(self) -> StreamSummary:
+        """SS of the live stream (Algorithm 4), every element absorbed:
+        extracted from the frozen view :meth:`pin` hands out, never off
+        the live sketch, and the same object until an element arrives."""
+        with self._seal_lock:
+            view = self._current_stream_view()
+        return view.summary()
 
     def _layout_snapshot(
         self,
@@ -702,30 +720,28 @@ class HybridQuantileEngine:
         """Pin a refcounted, consistent (HS, SS, partition-set) view.
 
         The partition list (adopted plus staged pending), the stream
-        sketch snapshot and the epoch stamp are taken atomically under
-        the seal lock, so the handle's union is exactly the engine's
-        state at one instant — a seal or adoption either happened
-        before the pin or after it, never halfway.  Release the handle
-        (or use it as a context manager) so the registry can retire old
-        epochs.
+        view and the epoch stamp are taken atomically under the seal
+        lock, so the handle's union is exactly the engine's state at
+        one instant — a seal or adoption either happened before the
+        pin or after it, never halfway.  Release the handle (or use it
+        as a context manager) so the registry can retire old epochs.
 
         Two handles pinned at the same epoch with no stream updates in
-        between answer every query identically — the property the
-        serving layer's coalescer and the stress suite's bit-identical
-        replay both build on.
+        between share one sketch snapshot, one SS and one TS, and answer
+        every query identically — the property the serving layer's
+        coalescer and the stress suite's bit-identical replay build on.
         """
         with self._seal_lock:
             ordered, pending, epoch = self._layout_snapshot()
             self._stage_pending(ordered, pending)
-            self._absorb_stream_tail()
-            gk = self._gk.snapshot()
+            stream = self._current_stream_view()
             step = self._step
         self._epochs.pin(epoch)
         return SnapshotHandle(
             registry=self._epochs,
             epoch=epoch,
             partitions=ordered,
-            gk=gk,
+            stream=stream,
             config=self.config,
             disk=self.disk,
             executor=self._query_executor,
@@ -738,11 +754,12 @@ class HybridQuantileEngine:
     @property
     def epoch_stats(self) -> EpochStats:
         """The epoch layer's counters (pins, bumps, TS merges), with
-        the historical-summary memo's build/extend counters merged in."""
+        the summary memo's build/extend/reuse counters merged in."""
         return replace(
             self._epochs.stats(),
             hs_builds=self._historical_memo.builds,
             hs_extends=self._historical_memo.extends,
+            ts_reuses=self._historical_memo.reuses,
         )
 
     def warm_shared_cache(

@@ -12,8 +12,9 @@ coalescer answer a whole batch of concurrent requests from **one**
 TS merge instead of one merge per request.
 
 :class:`SnapshotHandle` pins one such view: the step-ordered partition
-list (adopted *plus* staged pending batches), a copy-on-query snapshot
-of the live GK sketch, and the epoch stamp.  The handle answers
+list (adopted *plus* staged pending batches), the :class:`StreamView`
+of the live sketch's version (one snapshot per version, shared by the
+handles pinned at it), and the epoch stamp.  The handle answers
 ``query_rank`` / ``quantile`` / ``quantile_many`` exactly as the engine
 would have at pin time, no matter how far ingest advances afterwards —
 and answering the *same* rank against the *same* handle is
@@ -33,14 +34,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..query.executor import QueryExecutor
-from ..sketches.base import rank_for_phi
-from ..sketches.gk import GKSketch
+from ..sketches.base import QuantileSketch, rank_for_phi
 from ..storage.cache import BlockCache
 from ..storage.disk import SimulatedDisk
 from ..storage.shared_cache import SharedBlockCache
@@ -83,6 +83,8 @@ class EpochStats:
     #: in by ``engine.epoch_stats``.
     hs_builds: int = 0
     hs_extends: int = 0
+    #: of ``ts_merges``, those that returned the retained TS unfused.
+    ts_reuses: int = 0
 
 
 class EpochRegistry:
@@ -165,74 +167,130 @@ class EpochRegistry:
             )
 
 
-class HistoricalMemo:
-    """The :class:`HistoricalSummary` of the few partition sets in use.
+class StreamView:
+    """One frozen version of the live sketch: its snapshot and, lazily
+    and once, the SS extracted from it — shared, read-only, by every
+    handle pinned while ``source`` is the live sketch and holds ``size``
+    elements."""
 
-    Keyed by the partitions' ``run.run_id`` tuple.  Run ids are unique
-    in the process, so a seal, a cascade merge, a staged pending batch,
-    a windowed scope, a handle pinned before a merge and a restored
-    checkpoint each simply ask for a different key: nothing is ever
-    invalidated, stale sets age out of the LRU.  A set that extends a
-    memoised one (a seal appends one partition) is grown from it
-    instead of folded from scratch.  Built by the first query that
-    needs it, never on the seal path.
+    def __init__(self, source: QuantileSketch, eps2: float) -> None:
+        self.source = source
+        self.sketch = source.snapshot()
+        self.size = self.sketch.n
+        self._eps2 = eps2
+        # Held across the extraction: sharers wait for one extractor.
+        self._lock = threading.Lock()
+        self._summary: Optional[StreamSummary] = None
+
+    def summary(self) -> StreamSummary:
+        """SS of the frozen sketch (Algorithm 4)."""
+        with self._lock:
+            if self._summary is None:
+                self._summary = StreamSummary.extract(self.sketch, self._eps2)
+            return self._summary
+
+
+@dataclass
+class _MemoEntry:
+    """One partition set: its HS, and the TS last fused onto it."""
+
+    summaries: List[PartitionSummary]
+    historical: HistoricalSummary
+    #: the retained TS (``None``: none) and what it was fused from.
+    combined: Optional[CombinedSummary] = None
+    stream_summaries: Sequence[StreamSummary] = ()
+
+
+class HistoricalMemo:
+    """HS of the few partition sets in use, and the TS last fused on it.
+
+    Keyed by the identity of the :class:`PartitionSummary` objects (an
+    entry holds them, so an id cannot be recycled while its key is
+    live).  A partition keeps its summary object for life, so a seal, a
+    cascade merge, a staged pending batch, a windowed scope, a handle
+    pinned before a merge and a restored checkpoint each simply ask for
+    a different key: nothing is ever invalidated, stale sets age out of
+    the LRU.  A set that extends a memoised one (a seal appends one
+    partition) is grown from it instead of folded from scratch.  Built
+    by the first query that needs it, never on the seal path.
+
+    An entry also retains the TS last fused onto its HS, returned while
+    the stream summaries handed in are the same objects; a set entering
+    the memo drops the TS of the sets it supersedes (they keep their HS).
     """
 
     #: full scope, the scope before the latest seal, a window or two.
     CAPACITY = 4
 
     def __init__(self) -> None:
-        # Held across a build: queries pinned at the same partition set
-        # (the dispatcher and its clients) wait for one builder.
+        # Held across a fold and a fuse: queries pinned at the same set
+        # and version (the dispatcher and its clients) wait for one.
         self._lock = threading.Lock()
-        self._entries: (
-            "OrderedDict[tuple[int, ...],"
-            " tuple[List[PartitionSummary], HistoricalSummary]]"
-        ) = OrderedDict()
-        #: summaries folded from scratch / grown from a memoised prefix.
-        self.builds = 0
-        self.extends = 0
+        self._entries: "OrderedDict[tuple, _MemoEntry]" = OrderedDict()
+        #: HS folded from scratch / grown from a memoised prefix, and
+        #: TS handed out again instead of fused.
+        self.builds = self.extends = self.reuses = 0
 
-    def get(self, partitions: Sequence[Partition]) -> HistoricalSummary:
-        """The summary of ``partitions`` (in this order), memoised."""
-        key = tuple(p.run.run_id for p in partitions)
+    def combined(
+        self,
+        summaries: Sequence[PartitionSummary],
+        stream_summaries: Sequence[StreamSummary],
+    ) -> CombinedSummary:
+        """TS of ``summaries`` (in this order) and ``stream_summaries``."""
+        key = tuple(map(id, summaries))
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                return entry[1]
-            prefix = max(
-                (k for k in self._entries if k == key[: len(k)]),
-                key=len,
-                default=(),
-            )
-            summaries = [p.summary for p in partitions]
-            if prefix:
-                historical = self._entries[prefix][1]
-                self.extends += 1
+            if entry is None:
+                prefix = max(
+                    (k for k in self._entries if k == key[: len(k)]),
+                    key=len,
+                    default=(),
+                )
+                if prefix:
+                    historical = self._entries[prefix].historical
+                    self.extends += 1
+                else:
+                    historical = HistoricalSummary.fold(())
+                    self.builds += 1
+                for summary in summaries[len(prefix):]:
+                    historical = historical.extended(summary)
+                for older in self._entries.values():
+                    older.combined, older.stream_summaries = None, ()
+                entry = _MemoEntry(list(summaries), historical)
+                self._entries[key] = entry
+                if len(self._entries) > self.CAPACITY:
+                    self._entries.popitem(last=False)
+            self._entries.move_to_end(key)
+            if entry.combined is not None and list(
+                map(id, entry.stream_summaries)
+            ) == list(map(id, stream_summaries)):
+                self.reuses += 1
             else:
-                historical = HistoricalSummary.fold(())
-                self.builds += 1
-            for summary in summaries[len(prefix):]:
-                historical = historical.extended(summary)
-            self._entries[key] = (summaries, historical)
-            if len(self._entries) > self.CAPACITY:
-                self._entries.popitem(last=False)
-            return historical
+                entry.combined = CombinedSummary.fuse(
+                    entry.historical, stream_summaries
+                )
+                entry.stream_summaries = list(stream_summaries)
+            return entry.combined
 
     def check_invariants(self) -> None:
-        """Assert every memoised summary equals a fresh fold."""
+        """Assert every memoised HS and retained TS equals a fresh build."""
         with self._lock:
-            entries = list(self._entries.values())
-        for summaries, memoised in entries:
-            fresh = HistoricalSummary.fold(summaries)
-            if memoised.total_size != fresh.total_size or not all(
-                np.array_equal(getattr(memoised, name), getattr(fresh, name))
-                for name in ("values", "lower", "upper")
-            ):
-                raise AssertionError(
-                    "memoised historical summary differs from a fresh fold"
+            entries = [replace(entry) for entry in self._entries.values()]
+        for entry in entries:
+            fresh = {"historical": HistoricalSummary.fold(entry.summaries)}
+            if entry.combined is not None:
+                fresh["combined"] = CombinedSummary.build(
+                    entry.summaries, entry.stream_summaries
                 )
+            for name, built in fresh.items():
+                if not all(
+                    np.array_equal(getattr(getattr(entry, name), f.name),
+                                   getattr(built, f.name))
+                    for f in fields(built)
+                ):
+                    raise AssertionError(
+                        f"memoised {name} summary differs from a fresh build"
+                    )
 
 
 class SnapshotHandle:
@@ -241,9 +299,10 @@ class SnapshotHandle:
     Created by :meth:`HybridQuantileEngine.pin`; release with
     :meth:`release` (or use as a context manager).  All query methods
     are thread-safe — the serving layer shares one handle across a
-    coalesced batch of requests, and the lazily built combined summary
-    (one TS merge) is cached on the handle, so every request of the
-    batch rides the same merge.
+    coalesced batch of requests, and the full-scope combined summary is
+    resolved once per handle (one counted TS merge), so every request
+    rides the same one; SS is the shared :class:`StreamView`'s, TS the
+    engine's :class:`HistoricalMemo`'s.
     """
 
     def __init__(
@@ -251,32 +310,30 @@ class SnapshotHandle:
         registry: EpochRegistry,
         epoch: int,
         partitions: List[Partition],
-        gk: GKSketch,
+        stream: StreamView,
         config: EngineConfig,
         disk: SimulatedDisk,
         executor: QueryExecutor,
         note_degraded: Callable[[], None],
         created_at_step: int,
+        historical_memo: HistoricalMemo,
         shared_cache: Optional[SharedBlockCache] = None,
-        historical_memo: Optional[HistoricalMemo] = None,
     ) -> None:
         self._registry = registry
         self.epoch = epoch
         self.partitions = partitions
-        self.gk = gk
+        self._stream = stream
+        self.gk = stream.sketch  # shared with other handles: read only
         self.config = config
         self._disk = disk
         self._executor = executor
         self._note_degraded = note_degraded
         self.created_at_step = created_at_step
         self._shared_cache = shared_cache
-        # A handle built without its engine's memo keeps its own: the
-        # same arrays, folded once per scope it is asked for.
-        self._historical_memo = historical_memo or HistoricalMemo()
+        self._historical_memo = historical_memo
         self.n_historical = sum(len(p) for p in partitions)
-        self.m_stream = gk.n
+        self.m_stream = stream.size
         self._cache_lock = threading.RLock()
-        self._ss: Optional[StreamSummary] = None
         self._combined: Optional[CombinedSummary] = None
         self._merges = 0
         self._released = False
@@ -320,13 +377,8 @@ class SnapshotHandle:
         return self.n_historical + self.m_stream
 
     def stream_summary(self) -> StreamSummary:
-        """SS extracted from the pinned sketch (cached)."""
-        with self._cache_lock:
-            if self._ss is None:
-                self._ss = StreamSummary.extract(
-                    self.gk, self.config.epsilon2
-                )
-            return self._ss
+        """SS of the pinned sketch version (extracted once per version)."""
+        return self._stream.summary()
 
     def stream_rank(self, value: int) -> float:
         """Rank estimate of ``value`` in the pinned stream (midpoint)."""
@@ -362,11 +414,11 @@ class SnapshotHandle:
         window_steps: Optional[int] = None,
         step_range: "Optional[tuple[int, int]]" = None,
     ) -> CombinedSummary:
-        """TS over the scope; the full-scope merge is built once.
+        """TS over the scope; the full scope is resolved once per handle.
 
-        Every build is counted against the registry's ``ts_merges`` —
-        the serving benchmark's coalescing ratio divides this by
-        requests served.
+        Every resolution is counted against the registry's
+        ``ts_merges`` — the serving benchmark's coalescing ratio
+        divides this by requests served — fused or reused.
         """
         if window_steps is None and step_range is None:
             with self._cache_lock:
@@ -378,12 +430,8 @@ class SnapshotHandle:
     def _build_combined(
         self, partitions: Sequence[Partition], ss: StreamSummary
     ) -> CombinedSummary:
-        partitions = [p for p in partitions if len(p) > 0]
-        built = CombinedSummary.build(
-            [p.summary for p in partitions],
-            ss,
-            self._historical_memo.get(partitions),
-        )
+        summaries = [p.summary for p in partitions if len(p) > 0]
+        built = CombinedSummary.build(summaries, ss, self._historical_memo)
         with self._cache_lock:
             self._merges += 1
         self._registry.note_ts_merge()
@@ -391,7 +439,7 @@ class SnapshotHandle:
 
     @property
     def ts_merges_built(self) -> int:
-        """TS merges this handle has performed (cache misses only)."""
+        """TS merges this handle has asked for (its own cache's misses)."""
         with self._cache_lock:
             return self._merges
 

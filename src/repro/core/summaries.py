@@ -6,9 +6,9 @@ the element at rank ``ceil(i * eps_1 * eta)`` for each i.  Every entry
 stores its exact rank inside the partition, so query-time filter
 narrowing (Algorithm 8 line 5) costs no disk access.
 
-SS (Algorithm 4): at query time the engine extracts ``beta_2`` elements
-from the GK sketch — the exact stream minimum plus, for each i, an
-element whose rank is guaranteed (Lemma 1) to lie in
+SS (Algorithm 4): once per sketch version the engine extracts ``beta_2``
+elements from the GK sketch — the exact stream minimum plus, for each i,
+an element whose rank is guaranteed (Lemma 1) to lie in
 ``[i * eps_2 * m, (i + 1) * eps_2 * m]``.  The one-sided guarantee is
 obtained by running GK at ``eps_2 / 2`` and querying at an offset.
 """

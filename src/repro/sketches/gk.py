@@ -345,10 +345,11 @@ class GKSketch(QuantileSketch):
     def snapshot(self) -> "GKSketch":
         """A consistent copy, safe to take while another thread updates.
 
-        Copy-on-query: the tuple lists are copied under the mutation
-        lock, so the returned sketch is a frozen-in-time view that can
-        be queried (or summarized) freely while the original keeps
-        ingesting.  This is the sanctioned way to read a sketch that is
+        The tuple lists are copied under the mutation lock (the cached
+        query arrays are shared: no mutation writes into them), so the
+        returned sketch is a frozen-in-time view that can be queried
+        (or summarized) freely while the original keeps ingesting.
+        This is the sanctioned way to read a sketch that is
         concurrently written — the plain query methods assume a
         quiescent sketch.
         """
@@ -359,6 +360,7 @@ class GKSketch(QuantileSketch):
             copied._delta = list(self._delta)
             copied._n = self._n
             copied._since_compress = self._since_compress
+            copied._query_arrays = self._query_arrays  # shared: read-only
         return copied
 
     def min_value(self) -> int:

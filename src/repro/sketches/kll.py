@@ -301,6 +301,7 @@ class KLLSketch(QuantileSketch):
             copied._rng.bit_generator.state = copy.deepcopy(
                 self._rng.bit_generator.state
             )
+            copied._query_arrays = self._query_arrays  # shared: read-only
         return copied
 
     def merge(self, other: "KLLSketch", seed: int = 0) -> "KLLSketch":

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro import EngineConfig, HybridQuantileEngine
 from repro.core.bounds import CombinedSummary, HistoricalSummary
+from repro.core.epoch import HistoricalMemo
 from repro.core.summaries import PartitionSummary, StreamSummary
 from repro.persistence import load_engine, save_engine
 from repro.sketches import GKSketch
@@ -272,35 +273,38 @@ class TestHistoricalSplit:
             assert np.array_equal(getattr(grown, name), getattr(folded, name))
         assert grown.total_size == folded.total_size
 
-        for historical in (None, folded, grown):
+        # From scratch; through a memo that folds the set; through one
+        # that grows it from a memoised prefix; and that one's retained
+        # TS, handed the same stream summary objects again.
+        folding, growing = HistoricalMemo(), HistoricalMemo()
+        other = stream_summary_of([3], 0.125, strict)
+        CombinedSummary.build(summaries[:split], other, growing)
+        for memo in (None, folding, growing, growing):
+            assert_same_ts(
+                CombinedSummary.build(summaries, stream_summaries, memo),
+                expected,
+            )
+        assert (folding.reuses, growing.reuses) == (0, 1)
+        if len(stream_summaries) == 1:
             assert_same_ts(
                 CombinedSummary.build(
-                    summaries, stream_summaries, historical
+                    summaries, stream_summaries[0], folding
                 ),
                 expected,
             )
-        if len(stream_summaries) == 1:
-            assert_same_ts(
-                CombinedSummary.build(summaries, stream_summaries[0], folded),
-                expected,
-            )
+            assert folding.reuses == 1
 
     def test_build_does_not_alias_the_memoised_arrays(self):
         """Even with no stream entries to insert, TS gets its own arrays."""
         summaries = [partition_summary_of(list(range(50)), 0.25)]
-        folded = HistoricalSummary.fold(summaries)
+        memo = HistoricalMemo()
         ss = stream_summary_of([], 0.125, strict=True)
-        built = CombinedSummary.build(summaries, ss, folded)
+        built = CombinedSummary.build(summaries, ss, memo)
+        (entry,) = memo._entries.values()
         for name in ("values", "lower", "upper"):
             assert not np.shares_memory(
-                getattr(built, name), getattr(folded, name)
+                getattr(built, name), getattr(entry.historical, name)
             )
-
-    def test_mismatched_historical_is_rejected(self):
-        summaries = [partition_summary_of(list(range(50)), 0.25)]
-        ss = stream_summary_of(list(range(10)), 0.125, strict=True)
-        with pytest.raises(ValueError):
-            CombinedSummary.build(summaries, ss, HistoricalSummary.fold(()))
 
 
 class TestTinyPartitions:
@@ -473,15 +477,18 @@ class TestHistoricalMemo:
             assert len(memo._entries) == memo.CAPACITY
             engine.check_invariants()
 
-    def test_check_invariants_catches_a_stale_entry(self):
+    def test_check_invariants_catches_a_stale_entry(self, half="historical"):
         with self.make() as engine:
             self.step(engine)
             with engine.pin() as handle:
                 handle.combined()
-            (_, memoised), = engine._historical_memo._entries.values()
-            memoised.lower[0] += 1.0
+            (entry,) = engine._historical_memo._entries.values()
+            getattr(entry, half).lower[0] += 1.0
             with pytest.raises(AssertionError):
                 engine.check_invariants()
+
+    def test_check_invariants_catches_a_stale_retained_ts(self):
+        self.test_check_invariants_catches_a_stale_entry(half="combined")
 
     def test_concurrent_queries_share_one_build(self):
         with self.make() as engine:
