@@ -11,22 +11,30 @@ benchmark times accurate queries on:
 
 Per accurate query it counts ``read_blocks`` calls on the run handles
 (real bytes: on the object tier each is an open + seek + read of the
-bucket object), the distinct blocks the query's cache touched, and the
-rank-probe tasks the executor ran.  Two floors, both seeded counts, so
-a slow runner cannot trip them:
+bucket object), the distinct blocks the query's cache touched, the
+rank-probe tasks the executor ran and the partition summaries it
+searched.  Three floors, all seeded counts, so a slow runner cannot
+trip them:
 
 * backend fetches <= distinct blocks touched — the per-query cache
   pins the bytes it charged for (it was 2 547 fetches for 14 blocks);
-* rank probes <= a third of ``iterations x partitions`` on the
-  ``query_heavy`` shape — a partition ranked the same at both filters
-  is not probed again.  (The object-tier shape bisects a narrow value
-  range in ~14 steps over 4 partitions, most of them before both
-  filters have been probed; there the count only has to fall.)
+* rank probes <= 1/8 of ``iterations x partitions`` on the
+  ``query_heavy`` shape and <= 0.15 of it on the cold object tier — a
+  partition is probed only while one of its blocks is unread: once the
+  query has pinned every block of its index range (or it is ranked the
+  same at both filters) it is ranked from the pinned bytes (121.2 and
+  35.4 probes per query before that, of 378.6 and 58.1);
+* summary searches (``PartitionSummary.alpha``) <= ``3 x partitions +
+  iterations`` per query on the ``query_heavy`` shape — one per
+  partition for the first probe and for each unprobed filter end, then
+  only where the alphas carried at the two filters differ (it was one
+  per probe: 121).
 """
 
 import numpy as np
 
 from repro import EngineConfig, HybridQuantileEngine
+from repro.core.summaries import PartitionSummary
 from repro.query import QueryExecutor
 from repro.query.planner import RankProbeTask
 from tests.storage.read_counting import counted_block_reads, recorded_touches
@@ -40,17 +48,23 @@ def _phis(rng):
 
 
 def _measure(engine, phis):
-    """Totals over ``phis``: fetch calls, touched blocks, probes, budget."""
+    """Totals over ``phis``: fetch calls, touched blocks, probes, budget
+    (iterations x partitions), summary searches, iterations."""
     partitions = engine.store.partition_count()
-    probes = []
-    run_tasks = QueryExecutor.run_tasks
+    probes, searches = [], []
+    run_tasks, alpha = QueryExecutor.run_tasks, PartitionSummary.alpha
 
     def counting(executor, tasks, cache=None):
         probes.append(sum(isinstance(t, RankProbeTask) for t in tasks))
         return run_tasks(executor, tasks, cache)
 
+    def counting_alpha(summary, value):
+        searches.append(1)
+        return alpha(summary, value)
+
     QueryExecutor.run_tasks = counting
-    fetches = touched_blocks = budget = 0
+    PartitionSummary.alpha = counting_alpha
+    fetches = touched_blocks = budget = iterations = 0
     try:
         for phi in phis:
             with counted_block_reads() as reads, recorded_touches() as touched:
@@ -60,21 +74,29 @@ def _measure(engine, phis):
             fetches += reads.calls
             touched_blocks += len(set(touched))
             budget += result.iterations * partitions
+            iterations += result.iterations
     finally:
         QueryExecutor.run_tasks = run_tasks
-    return fetches, touched_blocks, sum(probes), budget
+        PartitionSummary.alpha = alpha
+    return fetches, touched_blocks, sum(probes), budget, len(searches), iterations
 
 
-def _report(name, probe_share, partitions, fetches, touched, probes, budget):
+def _report(
+    name, probe_share, partitions,
+    fetches, touched, probes, budget, searches, iterations,
+):
     print(
         f"\n{name}: {partitions} partitions, per accurate query "
         f"{fetches / QUERIES:.1f} backend fetches for "
         f"{touched / QUERIES:.1f} blocks touched, "
         f"{probes / QUERIES:.1f} rank probes of "
-        f"{budget / QUERIES:.1f} (iterations x partitions)"
+        f"{budget / QUERIES:.1f} (iterations x partitions), "
+        f"{searches / QUERIES:.1f} summary searches over "
+        f"{iterations / QUERIES:.1f} iterations"
     )
     assert 0 < fetches <= touched
     assert probes <= probe_share * budget
+    return searches, iterations
 
 
 def test_query_heavy_shape():
@@ -88,9 +110,10 @@ def test_query_heavy_shape():
         engine.stream_update_many(rng.integers(0, 1 << 40, 50_000))
         partitions = engine.store.partition_count()
         assert partitions == 13
-        _report(
-            "query_heavy shape", 1 / 3, partitions, *_measure(engine, _phis(rng))
+        searches, iterations = _report(
+            "query_heavy shape", 1 / 8, partitions, *_measure(engine, _phis(rng))
         )
+        assert searches <= 3 * partitions * QUERIES + iterations
 
 
 def test_cold_object_tier(tmp_path):
@@ -113,5 +136,5 @@ def test_cold_object_tier(tmp_path):
         assert engine.disk.backend.stats().object_runs >= 2
         partitions = engine.store.partition_count()
         _report(
-            "cold object tier", 0.75, partitions, *_measure(engine, _phis(rng))
+            "cold object tier", 0.15, partitions, *_measure(engine, _phis(rng))
         )

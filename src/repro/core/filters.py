@@ -18,11 +18,15 @@ crossing point.  We do the same: bisection continues to adjacency,
 with the per-query :class:`~repro.storage.cache.BlockCache` making the
 deep iterations free.
 
-The search also remembers what it has learnt at the filters: once ``u``
-and ``v`` have both been probed, a partition whose exact rank is the
-same at both holds no element in ``(u, v]``, so every later probe has
-that rank there too and the partition is not probed again (see
-``docs/THEORY.md``, "Closed partitions").
+Each partition is *reading* while a probe in ``(u, v]`` could still
+reach a block this query has not pinned, and *resolved* once every
+block covering its summary-narrowed index range is pinned — or once its
+exact rank is the same at both filters (a *closed* partition: it holds
+no element in ``(u, v]``).  A resolved partition hands over its rank at
+``u`` and its sorted elements in ``(u, v]`` and is never planned or
+probed again: all of them together are one sorted candidate array plus
+a base rank, ranked by one ``searchsorted`` per iteration and cut as
+the filters move (``docs/THEORY.md``, "Resolved partitions").
 
 Per-partition probing is delegated to :mod:`repro.query`: a
 :class:`~repro.query.planner.QueryPlanner` turns each probe into one
@@ -36,7 +40,9 @@ identical either way; only wall-clock changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..query.executor import SERIAL_EXECUTOR, QueryExecutor
 from ..query.planner import QueryPlanner
@@ -47,9 +53,7 @@ from .config import EngineConfig
 from .summaries import StreamSummary
 
 
-#: What probing one value yields: ``(estimated rank in T, exact rank in
-#: each partition)``.  The search keeps one for each filter it has probed.
-Estimate = Tuple[float, List[int]]
+_NO_ELEMENTS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -119,69 +123,107 @@ class AccurateSearch:
             self._cache.run_blocks() if self._cache else {}
         )
         self._stream_rank_fn = stream_rank_fn
-        # Run ids already prefetched this query (at most once each; the
-        # filters only narrow, so later ranges are subsets).
+        # Run ids with nothing left to prefetch this query: prefetched
+        # (at most once each; the filters only narrow, so later ranges
+        # are subsets) or resolved.
         self._prefetched: set = set()
+        count = len(self._partitions)
+        #: the (lower, upper) filter values the state below stands at,
+        #: and per partition the summary alpha and the exact rank
+        #: carried at each; ``None`` until known.
+        self._filters: List[int] = [0, 0]
+        self._alphas = [None] * count, [None] * count
+        self._ranks = [None] * count, [None] * count
+        #: positions of the partitions still reading.
+        self._reading = list(range(count))
+        #: resolved partitions, position -> (rank where its slice
+        #: starts, the slice); ``_base`` sums their ranks at ``u`` and
+        #: ``_candidates`` merges their elements in ``(u, v]``.
+        self._slices: Dict[int, Tuple[int, np.ndarray]] = {}
+        self._base = 0
+        self._candidates = _NO_ELEMENTS
 
     # -- rank estimation ------------------------------------------------
 
-    def _historical_ranks(
-        self,
-        value: int,
-        lo_ranks: Optional[List[int]] = None,
-        hi_ranks: Optional[List[int]] = None,
-    ) -> List[int]:
-        """Exact rank of ``value`` in each partition (Alg. 8 lines 2-7).
+    def _estimate(self, value: int) -> Tuple[float, tuple]:
+        """Estimated rank in T of a ``value`` between the filters.
 
-        Each partition's binary search is narrowed to the inter-summary
-        gap containing ``value`` (no I/O for the narrowing, since the
-        summaries store exact ranks) and charged block reads through
-        the per-query cache.  The planner emits one task per partition
-        and the executor runs them — concurrently when the engine has
-        ``query_workers > 1``, since the searches touch disjoint runs.
-
-        ``lo_ranks`` / ``hi_ranks`` are the exact ranks of two probed
-        values bracketing ``value``.  Rank is monotone, so a partition
-        ranked the same at both has that rank at ``value`` as well: it
-        gets no task and no touch.
+        Historical ranks are exact (Alg. 8 lines 2-7): one
+        ``searchsorted`` ranks the resolved partitions together, and
+        each reading one gets a task whose binary search is narrowed to
+        the inter-summary gap containing ``value`` (no I/O for the
+        narrowing, since the summaries store exact ranks) and charged
+        block reads through the per-query cache; the executor runs them
+        concurrently when the engine has ``query_workers > 1``.  The
+        stream contributes either the live sketch's rank bracket (when
+        the caller supplied one — in-memory, like SS, but free of SS's
+        quantization) or the Algorithm 8 summary estimate.
         """
-        if lo_ranks is None or hi_ranks is None:
-            tasks = self._planner.rank_probes(int(value))
-            return self._executor.run_tasks(tasks, self._cache)
-        ranks = list(lo_ranks)
-        still_open = [i for i, r in enumerate(hi_ranks) if r != ranks[i]]
-        if still_open:
-            tasks = self._planner.rank_probes(int(value), still_open)
-            probed = self._executor.run_tasks(tasks, self._cache)
-            for i, rank_p in zip(still_open, probed):
-                ranks[i] = rank_p
-        return ranks
-
-    def _estimate(
-        self,
-        value: int,
-        at_lo: Optional[Estimate] = None,
-        at_hi: Optional[Estimate] = None,
-    ) -> Estimate:
-        """Estimated rank of ``value`` in T plus per-partition ranks.
-
-        Historical ranks are exact; the stream contributes either the
-        live sketch's rank bracket (when the caller supplied one —
-        in-memory, like SS, but free of SS's quantization) or the
-        Algorithm 8 summary estimate.  ``at_lo`` / ``at_hi`` are the
-        estimates of probed values below and above ``value``, when the
-        search has them.
-        """
-        hist_ranks = self._historical_ranks(
-            value,
-            at_lo[1] if at_lo is not None else None,
-            at_hi[1] if at_hi is not None else None,
+        cut = int(self._candidates.searchsorted(value, "right"))
+        tasks = self._planner.rank_probes(
+            int(value), self._reading, self._alphas
         )
+        ranks = self._executor.run_tasks(tasks, self._cache) if tasks else []
         if self._stream_rank_fn is not None:
             stream = self._stream_rank_fn(value)
         else:
             stream = self._ss.rank_estimate(value)
-        return float(sum(hist_ranks)) + stream, hist_ranks
+        rho = float(self._base + cut + sum(ranks)) + stream
+        return rho, (cut, tasks, ranks)
+
+    def _narrow(self, value: int, upper: bool, probe: tuple) -> None:
+        """Move one filter to ``value``, carrying what its probe learnt."""
+        cut, tasks, ranks = probe
+        self._filters[upper] = value
+        alphas, carried = self._alphas[upper], self._ranks[upper]
+        for i, task, rank in zip(self._reading, tasks, ranks):
+            alphas[i], carried[i] = task.alpha, rank
+        if upper:
+            self._candidates = self._candidates[:cut]
+        else:
+            self._base += cut
+            self._candidates = self._candidates[cut:]
+
+    def _resolve(self) -> None:
+        """Retire every reading partition no probe in ``(u, v]`` can charge.
+
+        Either it is closed (same exact rank at both filters: no element
+        between them), or this query has pinned every block covering its
+        index range ``[search_bounds(u).lo, search_bounds(v).hi)`` —
+        the summary's bracket, from the alphas carried at the filters,
+        not the tighter rank bracket: a probe's binary search may still
+        reach, and be charged for, an unread block anywhere in it.
+        """
+        reading, slices = [], []
+        (u, v), (alphas_u, alphas_v) = self._filters, self._alphas
+        for i in self._reading:
+            partition = self._partitions[i]
+            rank = self._ranks[0][i]
+            if rank is not None and rank == self._ranks[1][i]:
+                held = _NO_ELEMENTS
+            else:
+                if alphas_u[i] is None:
+                    alphas_u[i] = partition.summary.alpha(u)
+                if alphas_v[i] is None:
+                    alphas_v[i] = partition.summary.alpha(v)
+                lo, hi = partition.summary.bracket(alphas_u[i], alphas_v[i])
+                window = partition.run.pinned_range(lo, hi, self._cache)
+                if window is None:
+                    reading.append(i)
+                    continue
+                start = int(window.searchsorted(u, "right"))
+                rank = lo + start
+                held = window[start : int(window.searchsorted(v, "right"))]
+            self._prefetched.add(partition.run.run_id)
+            self._slices[i] = (rank, held)
+            self._base += rank
+            if len(held):
+                slices.append(held)
+        self._reading = reading
+        if slices:
+            merged = np.concatenate([self._candidates, *slices])
+            merged.sort()
+            self._candidates = merged
 
     # -- prefetching ----------------------------------------------------
 
@@ -199,8 +241,8 @@ class AccurateSearch:
         another request's setup cost — charge-neutral).
         Only active when the per-query cache reads through a shared
         tier: with the tier off, the legacy per-probe accounting must
-        reproduce bit for bit.  Answers are unaffected either way (the
-        probes still run; their touches just hit the cache).
+        reproduce bit for bit.  Answers are unaffected either way (a
+        probe of those blocks just finds them pinned).
         """
         if (
             self._cache is None
@@ -256,9 +298,8 @@ class AccurateSearch:
         Converges on the smallest value whose estimated rank reaches
         the target, then snaps down to the nearest real element.
         """
-        u, v = self._combined.generate_filters(self._rank)
-        at_u: Optional[Estimate] = None
-        at_v: Optional[Estimate] = None
+        u, v = self._filters[:] = self._combined.generate_filters(self._rank)
+        rho_v: Optional[float] = None
         iterations = 0
         truncated = False
         budget = self._config.probe_budget
@@ -268,16 +309,32 @@ class AccurateSearch:
                 truncated = True
                 break
             self._maybe_prefetch(u, v)
+            if self._reading and (iterations or self._prefetched):
+                # (before its first read the query has pinned nothing)
+                self._resolve()
             z = (u + v) // 2
             iterations += 1
-            at_z = self._estimate(z, at_u, at_v)
-            if at_z[0] >= self._rank:
-                v, at_v = z, at_z
+            rho, probe = self._estimate(z)
+            reached = rho >= self._rank
+            if reached:
+                v, rho_v = z, rho
             else:
-                u, at_u = z, at_z
-        rho, hist_ranks = at_v if at_v is not None else self._estimate(v)
-        value = self._snap_down(v, hist_ranks)
-        return self._outcome(value, rho, iterations, truncated)
+                u = z
+            self._narrow(z, reached, probe)
+        return self._snapped(v, rho_v, iterations, truncated)
+
+    def _snapped(
+        self, v: int, rho_v: Optional[float], iterations: int, truncated: bool
+    ) -> SearchOutcome:
+        """The upper filter snapped down; ranked first if it never moved."""
+        if rho_v is None:
+            rho_v, probe = self._estimate(v)
+            self._narrow(v, True, probe)
+        ranks = list(self._ranks[1])
+        for i, (rank, held) in self._slices.items():
+            ranks[i] = rank + int(held.searchsorted(v, "right"))
+        value = self._snap_down(v, ranks)
+        return self._outcome(value, rho_v, iterations, truncated)
 
     def _run_fetch(self) -> SearchOutcome:
         """Lemma 5's literal endgame: fetch the residual range.
@@ -289,9 +346,8 @@ class AccurateSearch:
         historical rank plus stream estimate is closest to the target
         from below.
         """
-        u, v = self._combined.generate_filters(self._rank)
-        at_u: Optional[Estimate] = None
-        at_v: Optional[Estimate] = None
+        u, v = self._filters[:] = self._combined.generate_filters(self._rank)
+        rho_v: Optional[float] = None
         m = self._ss.stream_size
         slack = max(self._config.query_epsilon, self._config.epsilon2) * m
         threshold = self._config.residual_threshold
@@ -305,30 +361,36 @@ class AccurateSearch:
                 truncated = True
                 break
             self._maybe_prefetch(u, v)
-            # Only a filter that has not been a probe yet is ranked
+            # Only filters that have not been a probe yet are ranked
             # here; a moved end carries the ranks it was probed with.
-            if at_u is None:
-                at_u = self._estimate(u)
-            if at_v is None:
-                at_v = self._estimate(v)
-            if sum(at_v[1]) - sum(at_u[1]) <= threshold:
+            if rho_v is None:
+                self._narrow(u, False, self._estimate(u)[1])
+                rho_v, probe = self._estimate(v)
+                self._narrow(v, True, probe)
+            self._resolve()
+            between = len(self._candidates) + sum(
+                self._ranks[1][i] - self._ranks[0][i] for i in self._reading
+            )
+            if between <= threshold:
                 break
             z = (u + v) // 2
             iterations += 1
-            at_z = self._estimate(z, at_u, at_v)
-            rho = at_z[0]
+            rho, probe = self._estimate(z)
             if self._rank < rho - slack:
-                v, at_v = z, at_z
+                v, rho_v = z, rho
+                self._narrow(z, True, probe)
             elif self._rank > rho + slack:
-                u, at_u = z, at_z
+                u = z
+                self._narrow(z, False, probe)
             else:
-                # Estimate already within slack: land the bracket on z.
+                # Estimate already within slack: land the bracket on z
+                # (the loop ends; what is carried at the old u still
+                # brackets every value in the residual).
                 if z - 1 > u:
-                    u, at_u = z - 1, None
-                v, at_v = z, at_z
-        return self._select_from_residual(
-            u, v, iterations, truncated, at_u, at_v
-        )
+                    u = z - 1
+                v, rho_v = z, rho
+                self._narrow(z, True, probe)
+        return self._select_from_residual(u, v, iterations, truncated, rho_v)
 
     def _select_from_residual(
         self,
@@ -336,8 +398,7 @@ class AccurateSearch:
         v: int,
         iterations: int,
         truncated: bool,
-        at_u: Optional[Estimate],
-        at_v: Optional[Estimate],
+        rho_v: Optional[float],
     ) -> SearchOutcome:
         """Read (u, v] from every partition and pick the best element.
 
@@ -354,20 +415,19 @@ class AccurateSearch:
             candidates.append(int(stream_candidate))
         if not candidates:
             # Nothing lies strictly inside the bracket: v is the answer.
-            rho, hist_ranks = at_v if at_v is not None else self._estimate(v)
-            value = self._snap_down(v, hist_ranks)
-            return self._outcome(value, rho, iterations, truncated)
+            return self._snapped(v, rho_v, iterations, truncated)
         candidates.sort()
+        self._resolve()
         best_value = candidates[-1]
         best_rho = None
         for value in candidates:
-            rho, _ = self._estimate(value, at_u, at_v)
+            rho, _ = self._estimate(value)
             if rho >= self._rank:
                 best_value = value
                 best_rho = rho
                 break
         if best_rho is None:
-            best_rho, _ = self._estimate(best_value, at_u, at_v)
+            best_rho, _ = self._estimate(best_value)
         return self._outcome(best_value, best_rho, iterations, truncated)
 
     def _outcome(

@@ -83,19 +83,25 @@ class PartitionSummary:
 
     def alpha(self, value: int) -> int:
         """Number of summary elements <= ``value`` (the paper's alpha_P)."""
-        return int(np.searchsorted(self.values, value, side="right"))
+        return int(self.values.searchsorted(value, "right"))
+
+    def bracket(self, alpha_lo: int, alpha_hi: int) -> "tuple[int, int]":
+        """Index bounds of every probe between two values, from their alphas.
+
+        Returns 0-indexed ``(lo, hi)`` such that for any ``z`` with
+        ``alpha_lo <= alpha(z) <= alpha_hi`` the first partition index
+        whose element exceeds ``z`` lies in ``[lo, hi]``.  Because each
+        summary entry's exact rank is stored, this costs no I/O.
+        """
+        lo = int(self.positions[alpha_lo - 1]) if alpha_lo > 0 else 0
+        if alpha_hi < len(self.positions):
+            return lo, max(lo, int(self.positions[alpha_hi]) - 1)
+        return lo, self.partition_size
 
     def search_bounds(self, value: int) -> "tuple[int, int]":
-        """Index bounds (lo, hi) for locating ``value``'s rank on disk.
-
-        Returns 0-indexed bounds such that the first partition index
-        whose element exceeds ``value`` lies in ``[lo, hi]``.  Because
-        each summary entry's exact rank is stored, this costs no I/O.
-        """
-        j = self.alpha(value)
-        lo = int(self.positions[j - 1]) if j > 0 else 0
-        hi = int(self.positions[j]) - 1 if j < len(self.positions) else self.partition_size
-        return lo, max(lo, hi)
+        """Index bounds (lo, hi) for locating ``value``'s rank on disk."""
+        alpha = self.alpha(value)
+        return self.bracket(alpha, alpha)
 
     def rank_lower_bound(self, alpha: int) -> float:
         """Lower bound on rank-in-partition given ``alpha`` (Lemma 2)."""

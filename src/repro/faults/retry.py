@@ -89,10 +89,11 @@ class RetryPolicy:
 
     def call(
         self,
-        fn: Callable[[], Any],
+        fn: Callable[..., Any],
         on_retry: Optional[Callable[[DiskFault, int], None]] = None,
+        *args: Any,
     ) -> Any:
-        """Run ``fn``, retrying transient faults per this policy.
+        """Run ``fn(*args)``, retrying transient faults per this policy.
 
         ``on_retry(fault, attempt)`` is invoked before each retry (for
         counters/logging).  The final failure — transient faults past
@@ -102,7 +103,7 @@ class RetryPolicy:
         attempt = 0
         while True:
             try:
-                return fn()
+                return fn(*args)
             except DiskFault as fault:
                 if not fault.transient or attempt >= self.max_retries:
                     raise

@@ -109,10 +109,6 @@ class QueryExecutor:
         """
         return self.retry.call(fn, on_retry=self._note_retry)
 
-    def _run_one(self, task: Any, cache: Optional[BlockCache]) -> Any:
-        """One task under the retry policy (any thread)."""
-        return self.call_with_retry(lambda: task.run(cache))
-
     def run_tasks(
         self,
         tasks: Sequence[Any],
@@ -126,10 +122,11 @@ class QueryExecutor:
         exceptions (including a probe's exhausted transient fault)
         propagate to the caller unchanged.
         """
+        call, note = self.retry.call, self._note_retry
         if not self.parallel or len(tasks) <= 1:
-            return [self._run_one(task, cache) for task in tasks]
+            return [call(task.run, note, cache) for task in tasks]
         pool = self._ensure_pool()
-        return list(pool.map(lambda task: self._run_one(task, cache), tasks))
+        return list(pool.map(lambda task: call(task.run, note, cache), tasks))
 
     def close(self) -> None:
         """Shut the thread pool down; further runs execute inline."""

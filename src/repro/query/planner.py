@@ -29,19 +29,21 @@ from ..storage.cache import BlockCache
 from ..warehouse.partition import Partition
 
 
-@dataclass(frozen=True)
+@dataclass
 class RankProbeTask:
     """Exact rank of ``value`` in one partition (Alg. 8 lines 2-7).
 
     ``lo``/``hi`` bound the element indices searched, supplied by the
-    partition summary so the binary search costs
-    ``O(log((hi - lo) / B))`` block reads.
+    partition summary (at ``alpha``, which the search carries on) so
+    the binary search costs ``O(log((hi - lo) / B))`` block reads.
+    Not frozen: one is built per probe of a partition still being read.
     """
 
     partition: Partition
     value: int
     lo: int
     hi: int
+    alpha: int
 
     def run(self, cache: Optional[BlockCache]) -> int:
         """Execute the block-counted binary search."""
@@ -125,29 +127,34 @@ class QueryPlanner:
         return list(self._partitions)
 
     def rank_probes(
-        self, value: int, indices: Optional[Sequence[int]] = None
+        self,
+        value: int,
+        indices: Optional[Sequence[int]] = None,
+        alphas: "Optional[tuple[Sequence, Sequence]]" = None,
     ) -> List[RankProbeTask]:
         """One :class:`RankProbeTask` per partition, in store order.
 
         ``indices`` restricts the fan-out to those positions of
-        :attr:`partitions` — the ones the search's filters have not
-        already ranked (see :class:`~repro.core.filters.AccurateSearch`).
+        :attr:`partitions` — the ones the search is still reading (see
+        :class:`~repro.core.filters.AccurateSearch`).  ``alphas`` holds
+        per position the summary alpha (or ``None``) the search carries
+        at a value below and at one above ``value``: alpha is monotone,
+        so where the two agree the summary is not searched again.
 
         The summary narrowing happens here, on the coordinating thread:
         it is pure in-memory work, so tasks reach the executor as plain
         data and workers only ever touch their own partition's run.
         """
-        partitions = (
-            self._partitions
-            if indices is None
-            else [self._partitions[i] for i in indices]
-        )
+        if indices is None:
+            indices = range(len(self._partitions))
         tasks = []
-        for partition in partitions:
-            lo, hi = partition.summary.search_bounds(value)
-            tasks.append(
-                RankProbeTask(partition=partition, value=value, lo=lo, hi=hi)
-            )
+        for i in indices:
+            partition = self._partitions[i]
+            alpha = alphas[0][i] if alphas is not None else None
+            if alpha is None or alpha != alphas[1][i]:
+                alpha = partition.summary.alpha(value)
+            lo, hi = partition.summary.bracket(alpha, alpha)
+            tasks.append(RankProbeTask(partition, value, lo, hi, alpha))
         return tasks
 
     def prefetch_reads(

@@ -44,8 +44,9 @@ class LatencySummary:
 class MetricsSnapshot:
     """One consistent reading of a service's counters.
 
-    ``coalescing_ratio`` is TS merges per served quick request — the
-    tentpole number: strictly below 1.0 means requests shared merges.
+    ``coalescing_ratio`` is quick-batch TS merges per served quick
+    request — the tentpole number: strictly below 1.0 means requests
+    shared merges.
     """
 
     served: Dict[str, int]
@@ -69,6 +70,10 @@ class MetricsSnapshot:
     #: passes charged into the shared tier.
     warm_passes: int = 0
     warm_blocks: int = 0
+    #: warming passes a disk fault aborted (the requests still answered).
+    warm_failures: int = 0
+    #: the share of ``ts_merges`` accurate searches spent, not batches.
+    accurate_ts_merges: int = 0
     #: answers produced by a partial cluster gather (missing shards,
     #: widened bounds) — nonzero only when serving a degraded cluster.
     partial_gathers: int = 0
@@ -95,11 +100,11 @@ class MetricsSnapshot:
 
     @property
     def coalescing_ratio(self) -> float:
-        """TS merges per served quick request (< 1.0 = sharing wins)."""
+        """Batch TS merges per served quick request (< 1.0 = sharing wins)."""
         quick = self.served.get("quick", 0)
         if quick == 0:
             return 1.0
-        return self.ts_merges / quick
+        return (self.ts_merges - self.accurate_ts_merges) / quick
 
     def p99(self, mode: str = "quick") -> float:
         """p99 latency of one mode in seconds (0.0 before any request)."""
@@ -120,9 +125,11 @@ class ServiceMetrics:
         self._coalesced_requests = 0
         self._max_batch = 0
         self._ts_merges = 0
+        self._accurate_ts_merges = 0
         self._deduped_probes = 0
         self._warm_passes = 0
         self._warm_blocks = 0
+        self._warm_failures = 0
         self._partial_gathers = 0
 
     def record(self, mode: str, latency_seconds: float) -> None:
@@ -156,6 +163,7 @@ class ServiceMetrics:
         """Count TS merges spent outside a coalesced batch."""
         with self._lock:
             self._ts_merges += merges
+            self._accurate_ts_merges += merges
 
     def note_dedup(self, shared: int) -> None:
         """Count accurate probes answered by another request's search."""
@@ -167,6 +175,11 @@ class ServiceMetrics:
         with self._lock:
             self._warm_passes += 1
             self._warm_blocks += blocks
+
+    def note_warm_failure(self) -> None:
+        """Count one warming pass aborted by a disk fault."""
+        with self._lock:
+            self._warm_failures += 1
 
     def observe_queue_depth(self, depth: int) -> None:
         """Track the queue-depth high-water mark."""
@@ -223,6 +236,8 @@ class ServiceMetrics:
                 cache_invalidations=getattr(cache, "invalidated_blocks", 0),
                 warm_passes=self._warm_passes,
                 warm_blocks=self._warm_blocks,
+                warm_failures=self._warm_failures,
+                accurate_ts_merges=self._accurate_ts_merges,
                 partial_gathers=self._partial_gathers,
                 object_gets=getattr(backend, "gets", 0),
                 object_puts=getattr(backend, "puts", 0),

@@ -26,6 +26,7 @@ deterministically.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import deque
@@ -34,10 +35,14 @@ from typing import Deque, List, Optional
 from ..core.config import ServingConfig
 from ..core.engine import HybridQuantileEngine, QueryResult
 from ..core.epoch import SnapshotHandle
+from ..faults.errors import DiskFault
 from ..storage.cache import BlockCache
 from .admission import AdmissionController, Overloaded  # noqa: F401
 from .coalescer import answer_quick_batch, dedupe_key
 from .metrics import MetricsSnapshot, ServiceMetrics
+
+
+_logger = logging.getLogger(__name__)
 
 
 class PendingQuery:
@@ -223,7 +228,16 @@ class QueryService:
             if self._warmed_epoch == handle.epoch:
                 return
             self._warmed_epoch = handle.epoch
-        blocks = handle.warm(phis, cache=self._warm_cache)
+        try:
+            blocks = handle.warm(phis, cache=self._warm_cache)
+        except DiskFault as fault:
+            # Best effort: the requests that triggered the pass answer
+            # without it, and the epoch stays marked (no retry storm).
+            self.metrics.note_warm_failure()
+            _logger.warning(
+                "warming pass for epoch %d failed: %r", handle.epoch, fault
+            )
+            return
         self.metrics.note_warm(blocks)
 
     def pause(self) -> None:

@@ -336,7 +336,7 @@ class GKSketch(QuantileSketch):
         values, rmin, rmax = self._arrays()
         # First tuple strictly greater than ``value``; its predecessor's
         # cumulative gap is the lower bound.
-        first = int(np.searchsorted(values, value, side="right"))
+        first = int(values.searchsorted(value, "right"))
         lower = int(rmin[first - 1]) if first > 0 else 0
         if first >= len(values):
             return (lower, self._n)

@@ -262,7 +262,7 @@ class KLLSketch(QuantileSketch):
         if self._n == 0:
             return (0, 0)
         values, cumw = self._arrays()
-        first = int(np.searchsorted(values, value, side="right"))
+        first = int(values.searchsorted(value, "right"))
         covered = int(cumw[first - 1]) if first > 0 else 0
         center = int(round(covered / int(cumw[-1]) * self._n))
         slack = math.ceil(self.epsilon * self._n)

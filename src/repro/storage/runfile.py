@@ -244,6 +244,30 @@ class SortedRun:
             cache.pin_block(self.run_id, block, payload)
         return payload
 
+    def pinned_range(
+        self, lo: int, hi: int, cache: BlockCache
+    ) -> Optional[np.ndarray]:
+        """Elements ``[lo, hi)`` from the bytes a query already holds.
+
+        ``None`` unless ``cache`` has pinned every block covering them:
+        nothing is charged or fetched here, and once this answers no
+        read of these elements can cost the query anything any more.
+        """
+        if not cache.pins(self.run_id):
+            return None
+        if hi <= lo:
+            return np.empty(0, dtype=np.int64)
+        per_block = self._disk.block_elems
+        first = lo // per_block
+        pinned = []
+        for block in range(first, (hi - 1) // per_block + 1):
+            payload = cache.pinned_block(self.run_id, block)
+            if payload is None:
+                return None
+            pinned.append(payload)
+        held = pinned[0] if len(pinned) == 1 else np.concatenate(pinned)
+        return held[lo - first * per_block : hi - first * per_block]
+
     def _read_blocks(
         self, first: int, last: int, cache: Optional[BlockCache]
     ) -> np.ndarray:
@@ -255,14 +279,14 @@ class SortedRun:
         of blocks the probes before it paid for.
         """
         pins = cache is not None and cache.pins(self.run_id)
+        per_block = self._disk.block_elems
         if pins:
-            pinned = [
-                cache.pinned_block(self.run_id, block)
-                for block in range(first, last + 1)
-            ]
-            if all(payload is not None for payload in pinned):
+            pinned = self.pinned_range(
+                first * per_block, (last + 1) * per_block, cache
+            )
+            if pinned is not None:
                 # Paid for and held, every one: nothing to charge.
-                return pinned[0] if first == last else np.concatenate(pinned)
+                return pinned
         if cache is None:
             charged = last - first + 1
             self._disk.charge_random_read(charged)
@@ -272,7 +296,6 @@ class SortedRun:
             self._handle.note_range_read(first, last, charged)
         payload = self._handle.read_blocks(first, last)
         if pins:
-            per_block = self._disk.block_elems
             for block in range(first, last + 1):
                 start = (block - first) * per_block
                 cache.pin_block(

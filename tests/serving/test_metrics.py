@@ -82,6 +82,19 @@ class TestCounters:
         assert snapshot.degraded_to_quick == 1
         assert snapshot.peak_queue_depth == 5
 
+    def test_coalescing_ratio_counts_quick_batch_merges_only(self):
+        # One quick request in one batch, four accurate searches: the
+        # accurate path's merges are not merges per *quick* request.
+        metrics = ServiceMetrics()
+        metrics.note_batch(requests=1, merges=1)
+        metrics.record("quick", 0.001)
+        for _ in range(4):
+            metrics.note_merges(1)
+            metrics.record("accurate", 0.01)
+        snapshot = metrics.snapshot()
+        assert snapshot.ts_merges == 5
+        assert snapshot.coalescing_ratio == 1.0
+
     def test_snapshot_peak_includes_current_depth(self):
         metrics = ServiceMetrics()
         metrics.observe_queue_depth(3)

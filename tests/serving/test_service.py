@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
+from repro import EngineConfig, HybridQuantileEngine
 from repro.core import QuantileWatcher, ServingConfig
+from repro.faults import FaultPlan, FaultyDisk
 from repro.serving import Overloaded, QueryService
 
 
@@ -119,6 +122,38 @@ class TestDispatch:
                 service.drain()
             service.resume()
             service.drain()
+
+
+class TestWarmingIsBestEffort:
+    def test_failed_warming_pass_fails_no_request(self, caplog):
+        # Every read faults once history is sealed: the warming pass
+        # cannot prefetch, but a quick request needs no disk and an
+        # accurate one has its own degradation path.
+        config = EngineConfig(
+            epsilon=0.02, kappa=3, block_elems=64,
+            shared_cache_blocks=64, probe_retries=1,
+        )
+        disk = FaultyDisk(FaultPlan(seed=1), block_elems=64)
+        rng = np.random.default_rng(11)
+        with HybridQuantileEngine(config=config, disk=disk) as engine:
+            for _ in range(4):
+                engine.stream_update_many(rng.integers(0, 1_000_000, 1200))
+                engine.end_time_step()
+            engine.stream_update_many(rng.integers(0, 1_000_000, 800))
+            disk.plan = FaultPlan(seed=1, read_error_rate=1.0)
+            direct = engine.quantile(0.5, mode="quick")
+            with QueryService(engine) as service:
+                with caplog.at_level("WARNING", logger="repro.serving.service"):
+                    served = service.quantile(0.5, timeout=5.0)
+                assert served.value == direct.value
+                accurate = service.quantile(0.5, mode="accurate", timeout=5.0)
+                assert accurate.degraded
+                assert accurate.value == direct.value
+                snapshot = service.metrics_snapshot()
+            # The epoch stays marked: one failed pass, not one per request.
+            assert snapshot.warm_failures == 1
+            assert snapshot.warm_passes == 0
+            assert "warming pass" in caplog.text
 
 
 class TestValidationAndShutdown:
