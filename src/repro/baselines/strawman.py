@@ -10,17 +10,20 @@ hybrid engine's leveled merging amortizes away.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Iterable, List, Optional
 
 import numpy as np
 
 from ..core.bounds import CombinedSummary
 from ..core.config import EngineConfig
-from ..core.engine import QueryResult, StepReport
-from ..core.filters import AccurateSearch
+from ..core.engine import StepReport
+from ..core.query_path import QueryResult, QueryScope, answer_rank
 from ..core.summaries import PartitionSummary, StreamSummary
+from ..query.executor import SERIAL_EXECUTOR
 from ..sketches.base import rank_for_phi
 from ..sketches.gk import GKSketch
+from ..storage.cache import BlockCache
 from ..storage.disk import SimulatedDisk
 from ..storage.runfile import SortedRun
 from ..warehouse.partition import Partition
@@ -135,16 +138,14 @@ class StrawmanEngine:
         return self.n_historical + self._m
 
     def query_rank(self, rank: int, mode: str = "accurate") -> QueryResult:
-        """Return a value whose true rank approximates ``rank``."""
-        started = time.perf_counter()
-        io_before = self.disk.stats.counters.snapshot()
-        self.disk.stats.set_phase("query")
+        """Return a value whose true rank approximates ``rank``.
+
+        The hybrid engine's accurate response over a one-partition
+        scope (every answer is accurate, whatever ``mode`` says).
+        """
         ss = StreamSummary.extract(self._gk, self.config.epsilon2)
         partitions = [self._partition] if self._partition else []
-        summaries = [p.summary for p in partitions]
-        combined = CombinedSummary.build(summaries, ss)
-        total = combined.total_size
-        rank = max(1, min(int(rank), total))
+
         def stream_rank(value: int) -> float:
             """Rank of ``value`` in R from the live sketch bracket."""
             if self._gk.n == 0:
@@ -152,29 +153,23 @@ class StrawmanEngine:
             lo, hi = self._gk.rank_bounds(int(value))
             return (lo + hi) / 2.0
 
-        search = AccurateSearch(
+        scope = QueryScope(
             partitions=partitions,
             stream_summary=ss,
-            combined=combined,
-            config=self.config,
-            rank=rank,
-            stream_rank_fn=stream_rank,
+            combined=CombinedSummary.build(
+                [p.summary for p in partitions], ss
+            ),
+            stream_rank=stream_rank,
+            new_cache=lambda: BlockCache(self.disk),
+            # Never called: a fault propagates (``degrade=False``).
+            on_degraded=lambda cache: None,
         )
-        outcome = search.run()
-        self.disk.stats.set_phase("load")
-        io_delta = self.disk.stats.counters.delta_since(io_before)
-        return QueryResult(
-            value=outcome.value,
-            target_rank=rank,
-            total_size=total,
-            mode="strawman",
-            estimated_rank=outcome.estimated_rank,
-            disk_accesses=outcome.random_blocks,
-            iterations=outcome.iterations,
-            truncated=outcome.truncated,
-            wall_seconds=time.perf_counter() - started,
-            sim_seconds=self.disk.latency.seconds(io_delta),
-        )
+        with self.disk.stats.phase_scope("query"):
+            result = answer_rank(
+                scope, rank, "accurate", self.config, SERIAL_EXECUTOR,
+                self.disk.latency, degrade=False,
+            )
+        return replace(result, mode="strawman")
 
     def quantile(self, phi: float, mode: str = "accurate") -> QueryResult:
         """Return an approximate ``phi``-quantile (Definition 1)."""

@@ -36,7 +36,7 @@ import numpy as np
 
 from .core.config import EngineConfig
 from .core.engine import HybridQuantileEngine
-from .faults import DiskFault, FaultPlan, FaultyDisk, RetryPolicy
+from .faults import DiskFault, FaultPlan, FaultyDisk
 from .ingest.archiver import ArchiveFailedError
 from .persistence import (
     PersistenceError,
@@ -44,6 +44,7 @@ from .persistence import (
     recover_checkpoint,
     save_engine,
 )
+from .persistence.checkpoint import config_from_state
 from .storage.disk import SimulatedDisk
 from .workloads import NormalWorkload
 
@@ -111,20 +112,16 @@ def _load_engine_cli(args: argparse.Namespace) -> HybridQuantileEngine:
     # The disk must match the persisted block size, which lives in the
     # (recovered) checkpoint's engine state.
     directory = recover_checkpoint(args.warehouse)
-    config = json.loads(
-        (directory / "engine.json").read_text(encoding="utf-8")
-    )["config"]
-    disk = FaultyDisk(plan, block_elems=int(config["block_elems"]))
+    config = config_from_state(
+        json.loads(
+            (directory / "engine.json").read_text(encoding="utf-8")
+        )["config"]
+    )
+    disk = FaultyDisk(plan, block_elems=config.block_elems)
     # The recovery scan itself runs on the faulty disk; retry transient
     # faults with the warehouse's own policy (a fresh load each attempt
     # draws fresh fault decisions).
-    policy = RetryPolicy(
-        max_retries=int(config.get("archive_retries", 32)),
-        backoff_seconds=float(config.get("retry_backoff_seconds", 0.002)),
-        backoff_cap_seconds=float(
-            config.get("retry_backoff_cap_seconds", 0.25)
-        ),
-    )
+    policy = config.archive_retry_policy
     try:
         return policy.call(lambda: load_engine(args.warehouse, disk=disk))
     except DiskFault:

@@ -40,24 +40,11 @@ class EngineConfig:
         early once the cap is reached and returns its current best
         answer (the accuracy/disk-access tradeoff discussed in the
         paper's Section 4).
-    universe_log2:
-        Hint for value-domain width; bounds the value-bisection depth.
     compaction:
         Historical merge policy: ``"tiered"`` (the paper's — up to
         kappa partitions per level) or ``"leveled"`` (LevelDB-style —
         one partition per level, the Section 4 "improved data
         structures" ablation).
-    query_strategy:
-        Accurate-response endgame: ``"bisect"`` refines the value
-        bisection to the rank-crossing point (default; see
-        docs/THEORY.md), while ``"fetch"`` follows Lemma 5 literally —
-        narrow the filters until few elements remain between them,
-        then read that residual range from every partition and select
-        exactly.
-    residual_fetch_elems:
-        Residual-range size that stops the ``"fetch"`` strategy's
-        narrowing (default ``max(ceil(1/eps), block_elems)``, the
-        paper's ``1/eps``).
     query_workers:
         Worker threads used by the accurate response to probe disk
         partitions in parallel (the Section 4 parallel-read
@@ -173,10 +160,7 @@ class EngineConfig:
     eps2: Optional[float] = None
     block_cache: bool = True
     probe_budget: Optional[int] = None
-    universe_log2: int = 34
     compaction: str = "tiered"
-    query_strategy: str = "bisect"
-    residual_fetch_elems: Optional[int] = None
     query_workers: int = 1
     ingest_mode: str = "sync"
     ingest_queue_batches: int = 4
@@ -208,11 +192,6 @@ class EngineConfig:
                 raise ValueError(f"{name} must be in (0, 1)")
         if self.compaction not in ("tiered", "leveled"):
             raise ValueError("compaction must be 'tiered' or 'leveled'")
-        if self.query_strategy not in ("bisect", "fetch"):
-            raise ValueError("query_strategy must be 'bisect' or 'fetch'")
-        if (self.residual_fetch_elems is not None
-                and self.residual_fetch_elems < 1):
-            raise ValueError("residual_fetch_elems must be >= 1")
         if self.query_workers < 1:
             raise ValueError("query_workers must be >= 1")
         if self.ingest_mode not in ("sync", "background"):
@@ -299,13 +278,6 @@ class EngineConfig:
             backoff_cap_seconds=self.retry_backoff_cap_seconds,
         )
 
-    @property
-    def residual_threshold(self) -> int:
-        """Residual size for the fetch strategy (Lemma 5's 1/eps)."""
-        if self.residual_fetch_elems is not None:
-            return self.residual_fetch_elems
-        return max(math.ceil(1.0 / self.epsilon), self.block_elems)
-
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -345,9 +317,6 @@ class ServingConfig:
         When the accurate queue is full, degrade the request to the
         quick path (flagged on the result) instead of rejecting it —
         the serving-side analogue of ``degrade_on_fault``.
-    metrics_epsilon:
-        Error parameter of the GK sketches backing the service's
-        latency histograms (our own summaries eating our dogfood).
     """
 
     max_queue: int = 64
@@ -358,7 +327,6 @@ class ServingConfig:
     coalesce_window_ms: float = 2.0
     coalesce_max_batch: int = 64
     degrade_on_overload: bool = False
-    metrics_epsilon: float = 0.01
 
     def __post_init__(self) -> None:
         if self.max_queue < 1:
@@ -373,8 +341,6 @@ class ServingConfig:
             raise ValueError("coalesce_window_ms must be >= 0")
         if self.coalesce_max_batch < 1:
             raise ValueError("coalesce_max_batch must be >= 1")
-        if not 0 < self.metrics_epsilon < 1:
-            raise ValueError("metrics_epsilon must be in (0, 1)")
 
     @property
     def accurate_queue_bound(self) -> int:

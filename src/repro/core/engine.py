@@ -879,41 +879,32 @@ class HybridQuantileEngine:
         pending batches carry their seal-time aggregates.  Windowed /
         range scopes with batches still pending stage them first,
         charging the same write I/O archiving would have.)
+
+        Layout, pending set and stream aggregates are read in one seal
+        lock section, as :meth:`pin` reads its view: a batch being
+        sealed is counted in the stream or in the warehouse, never in
+        neither.
         """
-        if step_range is None and window_steps is None:
-            if self._archiver is None:
-                partitions = self.store.partitions()
+        if step_range is not None and window_steps is not None:
+            raise ValueError("pass window_steps or step_range, not both")
+        with self._seal_lock:
+            partitions, pending, _ = self._layout_snapshot()
+            stream = self._stream_stats
+            if step_range is not None or window_steps is not None:
+                partitions = self._stage_pending(partitions, pending)
                 pending = []
-            else:
-                with self.store.layout_lock:
-                    partitions = self.store.partitions()
-                    pending = self._archiver.pending_batches()
-            result = combine(
-                p.stats if p.stats is not None else partition_stats(p)
-                for p in partitions
-            )
-            for batch in pending:
-                result = result.merge(batch.stats)
-            return result.merge(self._stream_stats)
         if step_range is not None:
-            if window_steps is not None:
-                raise ValueError("pass window_steps or step_range, not both")
-            partitions = resolve_range_in(
-                self._queryable_partitions(), *step_range
-            )
-            include_stream = False
-        else:
-            partitions = resolve_window_in(
-                self._queryable_partitions(), window_steps
-            )
-            include_stream = True
+            partitions = resolve_range_in(partitions, *step_range)
+            stream = AggregateStats.empty()
+        elif window_steps is not None:
+            partitions = resolve_window_in(partitions, window_steps)
         result = combine(
             p.stats if p.stats is not None else partition_stats(p)
             for p in partitions
         )
-        if include_stream:
-            result = result.merge(self._stream_stats)
-        return result
+        for batch in pending:
+            result = result.merge(batch.stats)
+        return result.merge(stream)
 
     def available_window_sizes(self) -> List[int]:
         """Historical window sizes currently answerable (Figure 11).

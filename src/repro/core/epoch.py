@@ -484,12 +484,7 @@ class SnapshotHandle:
             return 0
         from ..query.planner import QueryPlanner
 
-        partitions = (
-            self.partitions
-            if window_steps is None
-            else resolve_window_in(self.partitions, window_steps)
-        )
-        planner = QueryPlanner(partitions)
+        planner = QueryPlanner(self.scope(window_steps)[0])
         charged_before = cache.blocks_charged
         for phi in phis:
             rank = max(1, min(rank_for_phi(phi, total), total))

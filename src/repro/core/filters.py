@@ -287,13 +287,7 @@ class AccurateSearch:
     # -- the search -----------------------------------------------------
 
     def run(self) -> SearchOutcome:
-        """Execute the configured search strategy."""
-        if self._config.query_strategy == "fetch":
-            return self._run_fetch()
-        return self._run_bisect()
-
-    def _run_bisect(self) -> SearchOutcome:
-        """Bisect to the rank-crossing point, then snap (default).
+        """Bisect to the rank-crossing point, then snap.
 
         Converges on the smallest value whose estimated rank reaches
         the target, then snaps down to the nearest real element.
@@ -321,122 +315,18 @@ class AccurateSearch:
             else:
                 u = z
             self._narrow(z, reached, probe)
-        return self._snapped(v, rho_v, iterations, truncated)
-
-    def _snapped(
-        self, v: int, rho_v: Optional[float], iterations: int, truncated: bool
-    ) -> SearchOutcome:
-        """The upper filter snapped down; ranked first if it never moved."""
         if rho_v is None:
+            # The upper filter never moved: rank it before snapping.
             rho_v, probe = self._estimate(v)
             self._narrow(v, True, probe)
         ranks = list(self._ranks[1])
         for i, (rank, held) in self._slices.items():
             ranks[i] = rank + int(held.searchsorted(v, "right"))
         value = self._snap_down(v, ranks)
-        return self._outcome(value, rho_v, iterations, truncated)
-
-    def _run_fetch(self) -> SearchOutcome:
-        """Lemma 5's literal endgame: fetch the residual range.
-
-        Narrow the filters with slack-guarded moves (preserving
-        ``rank(u) <= r <= rank(v)``) until few historical elements
-        remain between them, read that residual range from every
-        partition (block-counted), and select the element whose exact
-        historical rank plus stream estimate is closest to the target
-        from below.
-        """
-        u, v = self._filters[:] = self._combined.generate_filters(self._rank)
-        rho_v: Optional[float] = None
-        m = self._ss.stream_size
-        slack = max(self._config.query_epsilon, self._config.epsilon2) * m
-        threshold = self._config.residual_threshold
-        budget = self._config.probe_budget
-        iterations = 0
-        truncated = False
-        while v > u + 1:
-            if budget is not None and (
-                self._blocks() - self._blocks_at_start >= budget
-            ):
-                truncated = True
-                break
-            self._maybe_prefetch(u, v)
-            # Only filters that have not been a probe yet are ranked
-            # here; a moved end carries the ranks it was probed with.
-            if rho_v is None:
-                self._narrow(u, False, self._estimate(u)[1])
-                rho_v, probe = self._estimate(v)
-                self._narrow(v, True, probe)
-            self._resolve()
-            between = len(self._candidates) + sum(
-                self._ranks[1][i] - self._ranks[0][i] for i in self._reading
-            )
-            if between <= threshold:
-                break
-            z = (u + v) // 2
-            iterations += 1
-            rho, probe = self._estimate(z)
-            if self._rank < rho - slack:
-                v, rho_v = z, rho
-                self._narrow(z, True, probe)
-            elif self._rank > rho + slack:
-                u = z
-                self._narrow(z, False, probe)
-            else:
-                # Estimate already within slack: land the bracket on z
-                # (the loop ends; what is carried at the old u still
-                # brackets every value in the residual).
-                if z - 1 > u:
-                    u = z - 1
-                v, rho_v = z, rho
-                self._narrow(z, True, probe)
-        return self._select_from_residual(u, v, iterations, truncated, rho_v)
-
-    def _select_from_residual(
-        self,
-        u: int,
-        v: int,
-        iterations: int,
-        truncated: bool,
-        rho_v: Optional[float],
-    ) -> SearchOutcome:
-        """Read (u, v] from every partition and pick the best element.
-
-        The residual reads fan out through the same planner/executor
-        pair as the rank probes: one :class:`RangeReadTask` per
-        partition, each independent of the others.
-        """
-        candidates: List[int] = []
-        tasks = self._planner.residual_reads(u, v)
-        for chunk in self._executor.run_tasks(tasks, self._cache):
-            candidates.extend(int(x) for x in chunk)
-        stream_candidate = self._ss.largest_at_most(v)
-        if stream_candidate is not None and stream_candidate > u:
-            candidates.append(int(stream_candidate))
-        if not candidates:
-            # Nothing lies strictly inside the bracket: v is the answer.
-            return self._snapped(v, rho_v, iterations, truncated)
-        candidates.sort()
-        self._resolve()
-        best_value = candidates[-1]
-        best_rho = None
-        for value in candidates:
-            rho, _ = self._estimate(value)
-            if rho >= self._rank:
-                best_value = value
-                best_rho = rho
-                break
-        if best_rho is None:
-            best_rho, _ = self._estimate(best_value)
-        return self._outcome(best_value, best_rho, iterations, truncated)
-
-    def _outcome(
-        self, value: int, rho: float, iterations: int, truncated: bool
-    ) -> SearchOutcome:
         charged = self._cache.run_blocks() if self._cache else {}
         return SearchOutcome(
             value=int(value),
-            estimated_rank=float(rho),
+            estimated_rank=float(rho_v),
             random_blocks=self._blocks() - self._blocks_at_start,
             max_partition_blocks=max(
                 (

@@ -275,18 +275,22 @@ _RETIRED_CONFIG_KEYS = (
     ("readahead_blocks", None),
     ("object_get_ms", 5.0),
     ("object_put_ms", 10.0),
+    ("query_strategy", "bisect"),
+    ("residual_fetch_elems", None),
 )
+#: Retired keys no line ever read: dropped whatever they hold.
+_IGNORED_CONFIG_KEYS = frozenset({"universe_log2"})
 
 
 def config_from_state(saved: "dict[str, Any]") -> EngineConfig:
     """The :class:`EngineConfig` a checkpoint recorded.
 
-    A retired key holding its fixed value is dropped; a retired key
-    holding anything else, or an unknown key, raises
-    :class:`PersistenceError` naming it.
+    A retired key holding its fixed value (or one that never changed an
+    answer, at any value) is dropped; a retired key holding anything
+    else, or an unknown key, raises :class:`PersistenceError` naming it.
     """
     known = {field.name for field in fields(EngineConfig)}
-    for key in saved.keys() - known:
+    for key in saved.keys() - known - _IGNORED_CONFIG_KEYS:
         if (key, saved[key]) not in _RETIRED_CONFIG_KEYS:
             raise PersistenceError(
                 f"checkpoint config has unsupported {key}={saved[key]!r}"

@@ -10,12 +10,11 @@ the thread-safety boundaries are.
 """
 
 from .executor import SERIAL_EXECUTOR, QueryExecutor
-from .planner import QueryPlanner, RangeReadTask, RankProbeTask
+from .planner import QueryPlanner, RankProbeTask
 
 __all__ = [
     "QueryExecutor",
     "QueryPlanner",
-    "RangeReadTask",
     "RankProbeTask",
     "SERIAL_EXECUTOR",
 ]

@@ -9,10 +9,12 @@ processed in parallel, leading to a lower latency by overlapping
 different disk reads."
 
 :class:`QueryPlanner` makes that independence explicit.  It converts a
-probe (or a residual-range read) into a list of pure-data task objects,
-one per partition, each carrying everything its partition search needs:
-the probe value and the summary-derived index bounds (Alg. 8 line 5 —
+probe into a list of pure-data task objects, one per partition still
+being read, each carrying everything its partition search needs: the
+probe value and the summary-derived index bounds (Alg. 8 line 5 —
 computed up front, without I/O, since summaries store exact ranks).
+There are two task shapes: :class:`RankProbeTask` (one exact rank) and
+:class:`PrefetchTask` (one charged ranged read ahead of the probes).
 The :class:`~repro.query.executor.QueryExecutor` then runs the tasks
 serially or on a thread pool; either way the per-task work and its
 block accounting are identical.
@@ -22,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set
-
-import numpy as np
 
 from ..storage.cache import BlockCache
 from ..warehouse.partition import Partition
@@ -50,37 +50,6 @@ class RankProbeTask:
         return self.partition.run.rank_of(
             self.value, lo=self.lo, hi=self.hi, cache=cache
         )
-
-
-@dataclass(frozen=True)
-class RangeReadTask:
-    """Read one partition's elements in the value interval ``(u, v]``.
-
-    Used by the ``"fetch"`` endgame (Lemma 5): two summary-narrowed
-    rank searches locate the interval, then the covered blocks are
-    read.  Returns the elements as an int64 array.
-    """
-
-    partition: Partition
-    value_lo: int
-    value_hi: int
-    rank_lo_bounds: "tuple[int, int]"
-    rank_hi_bounds: "tuple[int, int]"
-
-    def run(self, cache: Optional[BlockCache]) -> np.ndarray:
-        """Execute the two rank searches plus the range read."""
-        run = self.partition.run
-        start = run.rank_of(
-            self.value_lo, lo=self.rank_lo_bounds[0],
-            hi=self.rank_lo_bounds[1], cache=cache,
-        )
-        stop = run.rank_of(
-            self.value_hi, lo=self.rank_hi_bounds[0],
-            hi=self.rank_hi_bounds[1], cache=cache,
-        )
-        if stop <= start:
-            return np.empty(0, dtype=np.int64)
-        return run.read_range(start, stop, cache=cache)
 
 
 @dataclass(frozen=True)
@@ -189,21 +158,6 @@ class QueryPlanner:
             tasks.append(
                 PrefetchTask(
                     partition=partition, first_block=first, last_block=last
-                )
-            )
-        return tasks
-
-    def residual_reads(self, u: int, v: int) -> List[RangeReadTask]:
-        """One :class:`RangeReadTask` per partition for interval ``(u, v]``."""
-        tasks = []
-        for partition in self._partitions:
-            tasks.append(
-                RangeReadTask(
-                    partition=partition,
-                    value_lo=u,
-                    value_hi=v,
-                    rank_lo_bounds=partition.summary.search_bounds(u),
-                    rank_hi_bounds=partition.summary.search_bounds(v),
                 )
             )
         return tasks

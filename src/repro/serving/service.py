@@ -113,7 +113,7 @@ class QueryService:
         self.engine = engine
         self.config = config if config is not None else ServingConfig()
         self.admission = AdmissionController(self.config)
-        self.metrics = ServiceMetrics(self.config.metrics_epsilon)
+        self.metrics = ServiceMetrics()
         self._cv = threading.Condition()
         self._quick: "Deque[PendingQuery]" = deque()
         self._accurate: "Deque[PendingQuery]" = deque()

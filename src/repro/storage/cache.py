@@ -148,10 +148,9 @@ class BlockCache:
         """Charge reads for every new block in [first_block, last_block].
 
         The unseen blocks of the range are charged in a single ranged
-        random read (one ``charge_random_read(n)`` call), so residual
-        fetches and prefetch pay one disk *operation* per partition
-        while the charged block count stays identical to the historical
-        block-at-a-time loop.  Returns the total blocks charged (cache
+        random read (one ``charge_random_read(n)`` call), so a prefetch
+        pays one disk *operation* per partition while the charged block
+        count stays identical to the historical block-at-a-time loop.  Returns the total blocks charged (cache
         hits excluded), mirroring :meth:`touch`.
         """
         with self._lock_for(run_id):

@@ -126,23 +126,6 @@ class SortedRun:
         payload = self._probe_block(block, cache)
         return int(payload[index - block * self._disk.block_elems])
 
-    def read_range(
-        self,
-        lo: int,
-        hi: int,
-        cache: Optional[BlockCache] = None,
-    ) -> np.ndarray:
-        """Read elements with indices in ``[lo, hi)``, charging block I/O."""
-        lo = max(lo, 0)
-        hi = min(hi, self._length)
-        if lo >= hi:
-            return np.empty(0, dtype=np.int64)
-        first = self._disk.block_of(lo)
-        last = self._disk.block_of(hi - 1)
-        payload = self._read_blocks(first, last, cache)
-        base = first * self._disk.block_elems
-        return np.array(payload[lo - base : hi - base], dtype=np.int64)
-
     def read_block_range(
         self,
         first_block: int,
@@ -151,9 +134,9 @@ class SortedRun:
     ) -> np.ndarray:
         """Read a contiguous *block* range in one charged ranged read.
 
-        The batched counterpart of per-block probing: residual fetches
-        and accurate-path prefetch issue one charged range per
-        partition instead of a Python loop of single-block reads.  The
+        The batched counterpart of per-block probing: accurate-path
+        prefetch issues one charged range per partition instead of a
+        Python loop of single-block reads.  The
         charged block count is identical to touching each block
         individually (the cache dedupes per block); only the number of
         disk *operations* shrinks.  Returns the elements stored in the

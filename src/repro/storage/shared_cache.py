@@ -5,7 +5,7 @@ twice for the same (run, block) pair, and :class:`~repro.storage.cache.
 BlockCache` implements exactly that accounting before being thrown away
 with the query.  Under the concurrent serving layer that is wasteful:
 32 clients asking for the same handful of quantiles re-read the same
-upper index blocks and the same residual ranges around popular phi
+upper index blocks and the same narrow ranges around popular phi
 values, each paying full simulated random-read latency.
 
 :class:`SharedBlockCache` is the tier between per-query caches and the
@@ -24,7 +24,7 @@ Design notes
   (Johnson & Shasha): new blocks enter a FIFO *probation* queue sized
   at a quarter of the capacity; a block re-referenced while on
   probation is promoted to the *protected* LRU segment.  One-shot
-  scans (residual range fetches) therefore wash through probation
+  scans (prefetched block ranges) therefore wash through probation
   without evicting the hot upper index blocks that every binary search
   touches.
 * **Single-flight fetch coalescing.**  Concurrent queries missing on

@@ -149,6 +149,35 @@ class TestFailureModes:
         with pytest.raises(PersistenceError, match="fetch_coalescing"):
             load_cluster(root)
 
+    @pytest.mark.parametrize(
+        "key, loads, refused",
+        [
+            ("query_strategy", "bisect", "fetch"),
+            ("residual_fetch_elems", None, 8),
+            # Read by no line: never refused.
+            ("universe_log2", 26, None),
+        ],
+    )
+    def test_keys_a_pr18_manifest_carries(self, tmp_path, key, loads, refused):
+        cluster = build_cluster(shards=2, steps=2, batch=1_000)
+        try:
+            root = save_cluster(cluster, tmp_path / "cluster")
+        finally:
+            cluster.close()
+        manifest = json.loads((root / "cluster.json").read_text())
+        manifest["config"][key] = loads
+        (root / "cluster.json").write_text(json.dumps(manifest))
+        restored = load_cluster(root)
+        try:
+            assert restored.config == cluster.config
+        finally:
+            restored.close()
+        if refused is not None:
+            manifest["config"][key] = refused
+            (root / "cluster.json").write_text(json.dumps(manifest))
+            with pytest.raises(PersistenceError, match=key):
+                load_cluster(root)
+
     def test_missing_shard_dir(self, tmp_path):
         cluster = build_cluster(shards=2, steps=2, batch=1_000)
         try:

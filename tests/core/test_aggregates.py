@@ -1,5 +1,8 @@
 """Tests for exact aggregate queries."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -121,3 +124,48 @@ class TestEngineAggregates:
         engine, *_ = self._build(rng)
         with pytest.raises(ValueError):
             engine.aggregate(window_steps=1, step_range=(1, 4))
+
+    @pytest.mark.parametrize("window_steps", [None, 2])
+    def test_aggregate_never_sees_a_batch_in_neither_place(
+        self, rng, window_steps
+    ):
+        """A seal moves a batch from the stream into the warehouse; an
+        aggregate racing it waits for the seal, as a ``pin()`` would."""
+        engine = HybridQuantileEngine(epsilon=0.05, kappa=10, block_elems=16)
+        steps = [rng.integers(0, 10**6, size) for size in (400, 600, 500)]
+        for data in steps[:2]:
+            engine.stream_update_batch(data)
+            engine.end_time_step()
+        engine.stream_update_batch(steps[2])
+        add_batch = engine.store.add_batch
+        readers, seen = [], []
+
+        def racing_add_batch(*args, **kwargs):
+            # Mid-seal: the stream aggregates are already reset and the
+            # partition is not in the layout yet.
+            reader = threading.Thread(
+                target=lambda: seen.append(
+                    engine.aggregate(window_steps=window_steps)
+                )
+            )
+            reader.start()
+            readers.append(reader)
+            time.sleep(0.1)
+            return add_batch(*args, **kwargs)
+
+        engine.store.add_batch = racing_add_batch
+        engine.end_time_step()
+        for reader in readers:
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+        # Read after the seal, a window of 2 is the last two steps.
+        covered = np.concatenate(
+            steps if window_steps is None else steps[-window_steps:]
+        )
+        (stats,) = seen
+        assert (stats.count, stats.total, stats.minimum, stats.maximum) == (
+            len(covered),
+            int(covered.sum()),
+            int(covered.min()),
+            int(covered.max()),
+        )

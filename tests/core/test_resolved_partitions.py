@@ -136,16 +136,10 @@ CELLS = {
     "block4": dict(block_elems=4),
     "block4-shared": dict(block_elems=4, shared_cache_blocks=128),
     "duplicates": dict(universe=40),
-    "duplicates-block4-fetch": dict(
-        universe=40, block_elems=4, query_strategy="fetch"
-    ),
     "tiny-partitions": dict(step=3, steps=9, block_elems=4),
     "tiny-partitions-cluster": dict(shards=3, step=9, steps=9, block_elems=4),
     "wide-universe": dict(universe=1 << 40, sketch_backend="kll"),
     "budget": dict(probe_budget=6),
-    "budget-shared-fetch": dict(
-        probe_budget=6, shared_cache_blocks=128, query_strategy="fetch"
-    ),
     "no-prefetch": dict(shared_cache_blocks=128, prefetch_blocks=0),
     # A partition closes with part of a narrow bracket unread, and the
     # prefetch of the same iteration still reads the rest of it.
@@ -156,7 +150,6 @@ CELLS = {
     "block128": dict(block_elems=128),
     "block128-shared": dict(block_elems=128, shared_cache_blocks=128),
     "block128-cluster": dict(block_elems=128, shards=3, query_workers=3),
-    "block64-fetch": dict(block_elems=64, query_strategy="fetch"),
 }
 
 
@@ -171,11 +164,13 @@ def test_resolving_is_what_saves_the_probes():
     assert 3 * sum(real) <= sum(closes_only)
 
 
-@pytest.mark.parametrize("strategy", ["bisect", "fetch"])
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize(
+    "workers",
+    [pytest.param(1, id="1-bisect"), pytest.param(3, id="3-bisect")],
+)
 @pytest.mark.parametrize("block_elems", [16, 128])
 def test_object_backend_with_shared_tier_and_prefetch(
-    strategy, workers, block_elems, tmp_path
+    workers, block_elems, tmp_path
 ):
     made = []
 
@@ -187,7 +182,6 @@ def test_object_backend_with_shared_tier_and_prefetch(
             object_tier_level=1,
             shared_cache_blocks=64,
             block_elems=block_elems,
-            query_strategy=strategy,
             query_workers=workers,
         )
         assert system.disk.backend.stats().object_runs >= 1
@@ -212,12 +206,12 @@ def test_window_and_step_range_scopes():
     assert_unobservable(build, scopes=scopes)
 
 
-@pytest.mark.parametrize("strategy", ["bisect", "fetch"])
-def test_nothing_resolves_with_the_block_cache_off(strategy):
+@pytest.mark.parametrize("block_cache", [pytest.param(False, id="bisect")])
+def test_nothing_resolves_with_the_block_cache_off(block_cache):
     # pins() is false: the search is the closed-partition rule alone,
     # probe for probe.
     _, got_tasks, want_tasks = assert_unobservable(
-        partial(build, block_cache=False, query_strategy=strategy),
+        partial(build, block_cache=block_cache),
         reference=ClosesOnly,
     )
     assert got_tasks == want_tasks

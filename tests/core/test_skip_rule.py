@@ -82,20 +82,20 @@ def answers(system, search_cls, monkeypatch):
     return out
 
 
+# ("bisect" in the ids names the one endgame there is; the ids are
+# older than the deletion of the other.)
 MATRIX = [
     pytest.param(
         shards,
         dict(
-            query_strategy=strategy,
             sketch_backend=sketch,
             shared_cache_blocks=cache_blocks,
             query_workers=workers,
         ),
-        id=f"{'cluster3' if shards else 'engine'}-{strategy}-{sketch}"
+        id=f"{'cluster3' if shards else 'engine'}-bisect-{sketch}"
         f"-cache{cache_blocks}-w{workers}",
     )
     for shards, sketches in ((0, ("gk", "kll")), (3, ("kll",)))
-    for strategy in ("bisect", "fetch")
     for sketch in sketches
     for cache_blocks in (0, 128)
     for workers in (1, 3)
@@ -117,17 +117,16 @@ def test_same_answer_from_a_subset_of_the_blocks(shards, overrides, monkeypatch)
         assert got.disk_accesses <= want.disk_accesses
         assert set(got_blocks) <= set(want_blocks)
         assert got_tasks <= want_tasks
-    if overrides["query_strategy"] == "bisect":
-        # The rule bites: fewer partition probes over the same phis.
-        assert sum(r[2] for r in real) < sum(r[2] for r in reference)
+    # The rule bites: fewer partition probes over the same phis.
+    assert sum(r[2] for r in real) < sum(r[2] for r in reference)
 
 
-@pytest.mark.parametrize("strategy", ["bisect", "fetch"])
-@pytest.mark.parametrize("block_cache", [True, False])
-def test_probe_budget_truncates_no_earlier(strategy, block_cache, monkeypatch):
-    overrides = dict(
-        query_strategy=strategy, block_cache=block_cache, probe_budget=6
-    )
+@pytest.mark.parametrize(
+    "block_cache",
+    [pytest.param(True, id="True-bisect"), pytest.param(False, id="False-bisect")],
+)
+def test_probe_budget_truncates_no_earlier(block_cache, monkeypatch):
+    overrides = dict(block_cache=block_cache, probe_budget=6)
     reference = answers(build(0, **overrides), ProbeEverything, monkeypatch)
     real = answers(build(0, **overrides), AccurateSearch, monkeypatch)
     assert any(want.truncated for want, _, _ in reference)

@@ -82,13 +82,17 @@ class TestCheckpoint:
             load_engine(tmp_path)
 
 
-#: the four ``EngineConfig`` keys a PR-15 ``engine.json`` still carries,
-#: at the defaults that commit wrote.
+#: the ``EngineConfig`` keys a PR-15 ``engine.json`` still carries (the
+#: first four) and those a PR-18 one does, at the defaults those
+#: commits wrote.
 RETIRED_DEFAULTS = {
     "fetch_coalescing": True,
     "readahead_blocks": None,
     "object_get_ms": 5.0,
     "object_put_ms": 10.0,
+    "query_strategy": "bisect",
+    "residual_fetch_elems": None,
+    "universe_log2": 34,
 }
 
 
@@ -118,6 +122,8 @@ class TestRetiredConfigKeys:
             ("fetch_coalescing", False),
             ("readahead_blocks", 0),
             ("object_get_ms", 1.0),
+            ("query_strategy", "fetch"),
+            ("residual_fetch_elems", 8),
             ("no_such_knob", 1),
         ],
     )
@@ -127,6 +133,12 @@ class TestRetiredConfigKeys:
         add_config_keys(tmp_path / "engine.json", {key: value})
         with pytest.raises(PersistenceError, match=key):
             load_engine(tmp_path)
+
+    def test_a_key_nothing_read_loads_at_any_value(self, tmp_path):
+        engine, _ = build_engine(steps=2)
+        save_engine(engine, tmp_path)
+        add_config_keys(tmp_path / "engine.json", {"universe_log2": 26})
+        assert load_engine(tmp_path).config == engine.config
 
 
 class TestCompactionPolicyRestore:

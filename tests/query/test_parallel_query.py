@@ -77,13 +77,6 @@ class TestSerialParallelEquivalence:
                 result_fingerprint(r) for r in rhs_batch
             ]
 
-    def test_fetch_strategy_identical(self):
-        with build_engine(1, query_strategy="fetch") as serial, \
-                build_engine(4, query_strategy="fetch") as parallel:
-            for phi in PHIS:
-                assert result_fingerprint(serial.quantile(phi)) == \
-                    result_fingerprint(parallel.quantile(phi))
-
     def test_parallel_sim_never_exceeds_serial_sim(self):
         with build_engine(4) as engine:
             for phi in PHIS:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.query import QueryPlanner
@@ -50,31 +49,3 @@ class TestRankProbes:
         partitions = loaded_engine.store.partitions()
         planner = QueryPlanner(partitions)
         assert all(len(p) > 0 for p in planner.partitions)
-
-
-class TestRangeReads:
-    def test_range_read_returns_open_closed_interval(self, loaded_engine):
-        partitions = [
-            p for p in loaded_engine.store.partitions() if len(p) > 0
-        ]
-        planner = QueryPlanner(partitions)
-        u, v = 200_000, 300_000
-        cache = BlockCache(loaded_engine.disk)
-        chunks = [task.run(cache) for task in planner.residual_reads(u, v)]
-        got = np.sort(np.concatenate(chunks))
-        expected = np.sort(
-            np.concatenate(
-                [
-                    p.run.values[(p.run.values > u) & (p.run.values <= v)]
-                    for p in partitions
-                ]
-            )
-        )
-        assert np.array_equal(got, expected)
-
-    def test_empty_interval_reads_nothing(self, loaded_engine):
-        partitions = loaded_engine.store.partitions()
-        planner = QueryPlanner(partitions)
-        cache = BlockCache(loaded_engine.disk)
-        for task in planner.residual_reads(500, 500):
-            assert task.run(cache).size == 0

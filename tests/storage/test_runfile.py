@@ -71,20 +71,6 @@ class TestRandomAccess:
         with pytest.raises(IndexError):
             run.element_at(5)
 
-    def test_read_range_returns_elements(self):
-        disk, run = make_run(range(20), block_elems=4)
-        np.testing.assert_array_equal(run.read_range(3, 7), [3, 4, 5, 6])
-
-    def test_read_range_charges_touched_blocks(self):
-        disk, run = make_run(range(20), block_elems=4)
-        before = disk.stats.counters.random_reads
-        run.read_range(3, 9)  # blocks 0, 1, 2
-        assert disk.stats.counters.random_reads == before + 3
-
-    def test_read_range_empty(self):
-        disk, run = make_run(range(20))
-        assert len(run.read_range(7, 7)) == 0
-
 
 class TestRankOf:
     def test_rank_counts_le(self):

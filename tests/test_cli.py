@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,23 @@ class TestIngestAndQuery:
     def test_missing_source_file(self, warehouse, capsys):
         code, _, err = run(capsys, "ingest", str(warehouse), "nope.npy")
         assert code == 1
+
+    def test_retired_config_value_is_refused_with_or_without_a_fault_plan(
+        self, warehouse, tmp_path, capsys
+    ):
+        self._ingest(capsys, warehouse, tmp_path, range(1000), "b", True)
+        state_path = warehouse / "engine.json"
+        state = json.loads(state_path.read_text())
+        state["config"]["query_strategy"] = "fetch"
+        state_path.write_text(json.dumps(state))
+        code, _, plain = run(capsys, "query", str(warehouse))
+        assert code == 1
+        assert "query_strategy='fetch'" in plain
+        code, _, faulted = run(
+            capsys, "query", str(warehouse), "--fault-plan", '{"seed": 1}'
+        )
+        assert code == 1
+        assert faulted == plain
 
 
 class TestDemo:

@@ -9,6 +9,7 @@ missing-docstring rules), and every relative link in ``docs/``,
 
 import dataclasses
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -61,5 +62,37 @@ def test_tuning_guide_lists_only_real_knobs():
 
 def test_knob_count_only_goes_down():
     """A ratchet: lower these bounds when a knob goes, never raise them."""
-    assert len(dataclasses.fields(EngineConfig)) <= 28
-    assert len(dataclasses.fields(ServingConfig)) <= 9
+    assert len(dataclasses.fields(EngineConfig)) <= 25
+    assert len(dataclasses.fields(ServingConfig)) <= 8
+
+
+def test_every_knob_is_read():
+    """A field nothing reads is not a knob.
+
+    Every field is read off a config object (``config.<name>``, which
+    covers ``self.config.`` / ``self._config.`` / ``engine.config.``)
+    somewhere under ``src/repro`` outside ``core/config.py`` — directly,
+    or through a property of its own config class that is.  A
+    same-named attribute of another class does not count.
+    """
+    package = _TUNING.parent.parent / "src" / "repro"
+    source = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(package.rglob("*.py"))
+        if path != package / "core" / "config.py"
+    )
+
+    def is_read(name):
+        return re.search(rf"config\.{name}\b", source) is not None
+
+    for config in (EngineConfig, ServingConfig):
+        properties = {
+            name: inspect.getsource(member.fget)
+            for name, member in vars(config).items()
+            if isinstance(member, property)
+        }
+        for field in dataclasses.fields(config):
+            assert is_read(field.name) or any(
+                is_read(name) and re.search(rf"self\.{field.name}\b", body)
+                for name, body in properties.items()
+            ), f"{config.__name__}.{field.name} is read by nothing in src/"
