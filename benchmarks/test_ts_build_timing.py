@@ -1,4 +1,4 @@
-"""TS-build guards (no pytest-benchmark): one timing ratio, one count.
+"""TS-build guards (no pytest-benchmark): two timing ratios, one count.
 
 The historical half of TS depends on the partition set only, so the
 engines memoise it (``HistoricalMemo``) and a query that has to fuse a
@@ -14,7 +14,13 @@ Both sides are timed in the same process with plain
 fast the runner is; the measured ratio is ~8x, so only a real
 regression trips the floor.
 
-The second guard counts, so it cannot flake: between two appends every
+The second guard holds the fused TS to being *searched*: at the same
+shape, a memoised build on a fresh extraction followed by one
+``quick_response`` and one ``generate_filters`` must be at least 2x
+faster than the same build followed by reading ``.lower``, which pays
+for all |TS| slots (measured ~3x).
+
+The third guard counts, so it cannot flake: between two appends every
 query shares one sketch snapshot, one SS extraction and one fusion, and
 the answers are the ones the parent commit gave when it rebuilt all
 three per query.
@@ -41,6 +47,8 @@ EPS2 = 2.5e-4
 ROUNDS = 15
 #: minimum memoised-over-folded speedup (the ISSUE contract).
 SPEEDUP_FLOOR = 3.0
+#: minimum speedup of fuse-and-search over fuse-and-materialise.
+SEARCH_FLOOR = 2.0
 
 
 def _median_seconds(fn, arguments) -> float:
@@ -52,7 +60,8 @@ def _median_seconds(fn, arguments) -> float:
     return statistics.median(times)
 
 
-def test_memoised_historical_speedup():
+def _query_heavy_shape():
+    """13 x 2001 HS, and ``ROUNDS`` extractions of one 4001-entry SS."""
     rng = np.random.default_rng(5)
     disk = SimulatedDisk(block_elems=1024)
     summaries = [
@@ -75,6 +84,11 @@ def test_memoised_historical_speedup():
     streams = [StreamSummary.extract(sketch, EPS2) for _ in range(ROUNDS)]
     assert [len(s) for s in summaries] == [2001] * PARTITIONS
     assert len(streams[0]) == 4001
+    return summaries, sketch, streams
+
+
+def test_memoised_historical_speedup():
+    summaries, sketch, streams = _query_heavy_shape()
 
     memo = HistoricalMemo()
     CombinedSummary.build(summaries, StreamSummary.extract(sketch, EPS2), memo)
@@ -94,6 +108,46 @@ def test_memoised_historical_speedup():
     assert speedup >= SPEEDUP_FLOOR, (
         f"memoised TS build speedup regressed: {speedup:.1f}x is below "
         f"{SPEEDUP_FLOOR}x"
+    )
+
+
+def test_fused_ts_is_searched_not_built():
+    """A fusion ranks the SS entries in HS; Algorithms 5 and 7 search
+    that.  Reading ``.lower`` pays for all 30 014 slots; a fusion plus
+    two lookups must not."""
+    summaries, sketch, streams = _query_heavy_shape()
+    memo = HistoricalMemo()
+    first = CombinedSummary.build(
+        summaries, StreamSummary.extract(sketch, EPS2), memo
+    )
+    assert len(first) == 30_014
+    rank = first.total_size // 2
+
+    def searched(stream):
+        ts = CombinedSummary.build(summaries, stream, memo)
+        return ts.quick_response(rank), ts.generate_filters(rank)
+
+    def built(stream):
+        return CombinedSummary.build(summaries, stream, memo).lower
+
+    # Taken in turns, each on an extraction of its own, so a change of
+    # the runner's speed mid-test falls on both medians.
+    others = [StreamSummary.extract(sketch, EPS2) for _ in range(ROUNDS)]
+    turns = [
+        (_median_seconds(searched, [one]), _median_seconds(built, [other]))
+        for one, other in zip(streams, others)
+    ]
+    searched_s, built_s = map(statistics.median, zip(*turns))
+    assert (memo.builds, memo.extends, memo.reuses) == (1, 0, 0)
+    speedup = built_s / searched_s
+    print(
+        f"\nfused TS, 30 014 entries: searched {searched_s * 1e3:.2f} ms vs "
+        f"materialised {built_s * 1e3:.2f} ms ({speedup:.1f}x, floor "
+        f"{SEARCH_FLOOR}x)"
+    )
+    assert speedup >= SEARCH_FLOOR, (
+        f"a fusion plus two lookups is only {speedup:.1f}x faster than "
+        f"building the arrays (floor {SEARCH_FLOOR}x)"
     )
 
 

@@ -84,7 +84,13 @@ def partition_stats(partition: Partition) -> AggregateStats:
     stats are conceptually computed while its data is written (no
     additional disk access), exactly like its summary.
     """
-    return AggregateStats.of_array(np.asarray(partition.run.values))
+    values = np.asarray(partition.run.values)
+    if values.size == 0:
+        return AggregateStats.empty()
+    # A sorted run: its ends are its minimum and maximum.
+    return AggregateStats(
+        values.size, int(values.sum()), int(values[0]), int(values[-1])
+    )
 
 
 def combine(parts: Iterable[AggregateStats]) -> AggregateStats:

@@ -13,29 +13,31 @@ elements drawn from the stream summary itself (their own Lemma 1 bound
 applies) and ``alpha_S + 1`` otherwise.  These formulas reproduce the
 worked example of the paper's Figure 3 exactly (see the golden test).
 
-TS is built in two halves.  The sums over partitions depend on the
+TS is held as its two halves.  The sums over partitions depend on the
 partition set only — HS changes when a time step is sealed or levels
 merge, not per query — so :class:`HistoricalSummary` holds the merged HS
 values with those sums and is folded once per partition set, one
-partition at a time.  The stream terms depend on the live sketch, so
-:meth:`CombinedSummary.fuse` merges SS into a ``HistoricalSummary`` by
-rank arithmetic (no sort) and adds them.  :meth:`CombinedSummary.build`
-does both, from scratch or through a memo that redoes each half only
+partition at a time.  The stream terms depend on the live sketch, and
+every ``alpha_S`` is constant between two consecutive SS entries, so
+:meth:`CombinedSummary.fuse` only ranks the SS entries in HS and
+tabulates the stream terms per *gap* between them; the quick response
+(Algorithm 5) and filter generation (Algorithm 7) search the two halves
+for their slot, no merged array is built.  :meth:`CombinedSummary.build`
+does both halves, from scratch or through a memo that redoes each only
 when its input changed (:class:`~repro.core.epoch.HistoricalMemo`).
-
-TS powers both the quick response (Algorithm 5) and filter generation
-(Algorithm 7).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .config import EngineConfig
-from .summaries import PartitionSummary, StreamSummary
+from .summaries import PartitionSummary, StreamSummary, run_starts
 
 if TYPE_CHECKING:
     from .epoch import HistoricalMemo
@@ -90,19 +92,6 @@ def quick_rank_bound(config: EngineConfig, total: int, m_scope: int) -> float:
     ``eps1 * n + eps2 * m``."""
     hist_scope = max(0, total - m_scope)
     return config.epsilon1 * hist_scope + config.epsilon2 * m_scope
-
-
-def _alpha_runs(values: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Run lengths of ``alpha`` over ``values``, for ``alpha = 0..len(entries)``.
-
-    ``alpha(x)`` counts the ``entries`` that are ``<= x``.  Both arrays
-    are sorted and every entry occurs in ``values``, so ``alpha`` steps
-    up exactly at the first slot holding each entry's value, and a
-    per-alpha ``table`` becomes per-slot as ``np.repeat(table, runs)``
-    — one pass over the short array, no search over the long one.
-    """
-    first = np.searchsorted(values, entries, side="left")
-    return np.diff(first, prepend=0, append=len(values))
 
 
 class _Merge:
@@ -217,7 +206,11 @@ class HistoricalSummary:
             alphas * scale, np.append(summary.positions - 1, size)
         )
         above[0] = 0.0
-        runs = _alpha_runs(values, summary.values)
+        # alpha steps up at the first slot holding each entry's value
+        # (every entry occurs in ``values``), so a per-alpha table
+        # becomes per-slot by run length: no search over the long array.
+        first = np.searchsorted(values, summary.values, side="left")
+        runs = np.diff(first, prepend=0, append=len(values))
         lower += np.repeat(below, runs)
         upper += np.repeat(above, runs)
         return HistoricalSummary(
@@ -230,25 +223,32 @@ class HistoricalSummary:
 
 @dataclass(frozen=True)
 class CombinedSummary:
-    """TS with per-element rank bounds.
+    """TS with per-element rank bounds, held as its two sorted halves.
 
-    Attributes
-    ----------
-    values:
-        All summary elements, sorted ascending (duplicates kept).
-    from_stream:
-        Boolean mask: whether each element came from SS.
-    lower, upper:
-        The bounds ``L_i`` / ``U_i`` exactly as the paper computes them.
-    total_size:
-        ``N = n + m`` over the data the summary covers (the full
-        dataset, or the window for windowed queries).
+    In sorted order TS is the HS values below ``entries[0]``, that
+    entry, the HS values in ``[entries[0], entries[1])``, the next
+    entry, and so on: *gap* ``g`` is the HS slice in front of entry
+    ``g`` (the last gap follows the last entry; an HS value equal to an
+    entry sits behind it).  An HS slot's bound is its HS share plus one
+    term per live stream that depends on its gap alone; an entry's is
+    tabulated.  ``values``, ``from_stream``, ``lower`` and ``upper`` are
+    the paper's arrays, materialised from those tables on first use —
+    for tests and invariant checks: no query reads them.
     """
 
-    values: np.ndarray
-    from_stream: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    historical: HistoricalSummary
+    #: the SS entries ``e[0..k)`` of every live stream, stably merged.
+    entries: np.ndarray
+    #: ``k + 2`` offsets: gap ``g`` is ``historical[gaps[g]:gaps[g + 1]]``.
+    gaps: np.ndarray
+    #: ``L`` and ``U`` unbuilt, each as ``(base, terms, at)``: per HS
+    #: slot the partitions' share (the memoised HS array); per live
+    #: stream, in stream order, an array of its term at every HS slot
+    #: of each gap; per entry the bound itself.
+    lower_tables: "tuple[np.ndarray, list[np.ndarray], np.ndarray]"
+    upper_tables: "tuple[np.ndarray, list[np.ndarray], np.ndarray]"
+    #: ``N = n + m`` over the data the summary covers (the full
+    #: dataset, or the window for windowed queries).
     total_size: int
 
     @classmethod
@@ -284,53 +284,64 @@ class CombinedSummary:
         historical: HistoricalSummary,
         stream_summaries: Sequence[StreamSummary],
     ) -> "CombinedSummary":
-        """Merge the stream summaries into HS and compute all bounds.
+        """Rank the SS entries in HS and tabulate the stream terms.
 
         Rank bounds are additive across components, so each stream
         summary simply contributes its own Lemma 2 terms and the fused
         error is ``eps1 * sum(n_P) + eps2 * sum(m_s)`` — the same
-        contract over the union stream.
+        contract over the union stream.  Every array made here has one
+        element per entry or per gap; no HS slot is touched.
         """
-        live = [
-            (s_index, summary)
-            for s_index, summary in enumerate(stream_summaries)
-            if not summary.is_empty
-        ]
+        live = [s for s in stream_summaries if not s.is_empty]
         if not live and len(historical) == 0:
             raise ValueError("cannot summarize an empty dataset")
         entries = np.concatenate(
-            [np.empty(0, dtype=np.int64)]
-            + [summary.values for _, summary in live]
+            [np.empty(0, dtype=np.int64)] + [s.values for s in live]
         )
         # Which stream summary each entry came from: an element's *own*
         # summary uses the tighter Lemma 1 coefficient below.
-        origin = np.repeat(
-            [s_index for s_index, _ in live],
-            [len(summary) for _, summary in live],
-        )
+        origin = np.repeat(np.arange(len(live)), [len(s) for s in live])
         if len(live) > 1:
             order = np.argsort(entries, kind="stable")
             entries = entries[order]
             origin = origin[order]
 
-        # On ties the merge puts stream entries first.  (A stream
-        # entry's upper bound uses coefficient alpha_S while an equal
-        # historical value uses alpha_S + 1, so this tie order keeps
-        # the ``upper`` array monotone for the binary searches below.)
-        merge = _Merge(historical.values, entries)
-        values = merge.place(historical.values, entries)
-        lower = merge.shares(historical.lower)
-        upper = merge.shares(historical.upper)
-
-        for s_index, summary in live:
+        # Equal entries rank alike: HS is searched once per distinct one.
+        # On ties the merge puts stream entries first, in front of the
+        # first HS value not below them.  (A stream entry's upper bound
+        # uses coefficient alpha_S while an equal historical value uses
+        # alpha_S + 1, so this tie order keeps ``upper`` monotone for
+        # the binary searches below.)
+        starts = np.flatnonzero(run_starts(entries))
+        ends = np.append(starts, len(entries))[1:]
+        sizes = ends - starts
+        base = historical.values
+        left = np.repeat(base.searchsorted(entries[starts], "left"), sizes)
+        # An entry starts from the share of the last HS value at most
+        # it (zero below the smallest): the one in front, or the first
+        # of the equal ones behind — equal values carry equal shares.
+        reach = left
+        if len(base):
+            reach = left + (base.take(left, mode="clip") == entries)
+        held = np.flatnonzero(reach)
+        lower_at, upper_at = np.zeros((2, len(entries)))
+        lower_at[held] = historical.lower[reach[held] - 1]
+        upper_at[held] = historical.upper[reach[held] - 1]
+        lower_terms, upper_terms = [], []
+        # alpha counts the entries *at most* a value: e[0..g) in gap g,
+        # and at an entry the whole group tied with it.
+        tied = np.repeat(ends, sizes)
+        for s_index, summary in enumerate(live):
             m = summary.stream_size
-            count = len(summary)
-            alphas = np.arange(count + 1)
+            alphas = np.arange(len(summary) + 1)
             scale = summary.eps2 * m
+            own = origin == s_index
+            in_gap = np.concatenate(([0], np.cumsum(own)))
+            at_entry = in_gap[tied]
             below = np.minimum((alphas - 1) * scale, m)
             below[0] = 0.0
-            runs = _alpha_runs(values, summary.values)
-            lower += np.repeat(below, runs)
+            lower_terms.append(below[in_gap])
+            lower_at += below[at_entry]
             if summary.strict_uppers is not None:
                 # Provable bracket from the GK extraction: everything
                 # at most TS[i] precedes the next strictly greater
@@ -339,51 +350,79 @@ class CombinedSummary:
                     summary.strict_uppers.astype(np.float64), float(m)
                 )
                 above[0] = 0.0
-                upper += np.repeat(above, runs)
+                upper_at += above[at_entry]
             else:
                 # Lemma 1 applies to this summary's own entries only;
                 # every other element falls between entries and pays
                 # the + 1 coefficient.
-                own = np.zeros(len(values), dtype=bool)
-                own[merge.slots] = origin == s_index
                 above = (alphas + 1) * scale
                 above[0] = 0.0
-                upper += np.where(
-                    own,
-                    np.repeat(alphas * scale, runs),
-                    np.repeat(above, runs),
+                upper_at += np.where(
+                    own, (alphas * scale)[at_entry], above[at_entry]
                 )
+            upper_terms.append(above[in_gap])
 
         return cls(
-            values=values,
-            from_stream=merge.inserted,
-            lower=lower,
-            upper=upper,
+            historical=historical,
+            entries=entries,
+            gaps=np.concatenate(([0], left, [len(historical)])),
+            lower_tables=(historical.lower, lower_terms, lower_at),
+            upper_tables=(historical.upper, upper_terms, upper_at),
             total_size=historical.total_size
             + sum(s.stream_size for s in stream_summaries),
         )
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.historical) + len(self.entries)
+
+    @property
+    def minimum(self) -> int:
+        """The smallest summary element: the first slot of TS."""
+        halves = (self.entries, self.historical.values)
+        return min(half.item(0) for half in halves if len(half))
+
+    def _position(self, key: float, tables: tuple) -> "tuple[int, ...]":
+        """Where ``key`` sorts into ``lower`` or ``upper``, unbuilt.
+
+        Returns ``(g, i, lo, hi)``: ``g`` entries and ``i`` HS values
+        are in front — ``g + i`` is ``np.searchsorted`` over the array —
+        and gap ``g`` is ``historical[lo:hi]``.  The bound ascends over
+        TS, so the entries' bounds pick the gap, and the gap is bisected
+        on the bound the array holds for each slot: share plus each
+        term in stream order (float addition is not associative, so
+        neither a pre-summed term nor ``key`` minus the terms would do).
+        """
+        base, terms, at = tables
+        g = int(at.searchsorted(key))
+        lo, hi = self.gaps.item(g), self.gaps.item(g + 1)
+        i, end = lo, hi
+        while i < end:
+            mid = (i + end) // 2
+            bound = base.item(mid)
+            for term in terms:
+                bound += term.item(g)
+            if bound < key:
+                i = mid + 1
+            else:
+                end = mid
+        return g, i, lo, hi
 
     def quick_response(self, rank: int) -> int:
-        """Algorithm 5: the element at the smallest index with L_j >= r."""
-        j = int(np.searchsorted(self.lower, rank, side="left"))
-        if j >= len(self.values):
-            j = len(self.values) - 1
-        return int(self.values[j])
+        """Algorithm 5: the element at the smallest index with L_j >= r
+        (past the last index, the last element)."""
+        g, i, _, hi = self._position(rank, self.lower_tables)
+        if i < hi:
+            return self.historical.values.item(i)
+        if g < len(self.entries):
+            return self.entries.item(g)
+        halves = (self.entries, self.historical.values)
+        return max(half.item(-1) for half in halves if len(half))
 
     def quick_responses(self, ranks: np.ndarray) -> np.ndarray:
-        """Vectorized Algorithm 5 over many target ranks at once.
-
-        One ``searchsorted`` answers the whole batch — this is the pass
-        the serving layer's coalescer shares across every quick request
-        pinned at the same epoch.  Element ``i`` equals
-        ``quick_response(ranks[i])`` exactly.
-        """
-        idx = np.searchsorted(self.lower, np.asarray(ranks), side="left")
-        idx = np.minimum(idx, len(self.values) - 1)
-        return self.values[idx]
+        """Algorithm 5 for a batch the serving layer's coalescer gathered
+        at one epoch: element ``i`` is ``quick_response(ranks[i])``."""
+        answers = [self.quick_response(r) for r in np.asarray(ranks).tolist()]
+        return np.asarray(answers, dtype=np.int64)
 
     def generate_filters(self, rank: int) -> "tuple[int, int]":
         """Algorithm 7: values (u, v) bracketing the element of rank r.
@@ -394,12 +433,39 @@ class CombinedSummary:
         lower bound reaches ``r``, the upper filter is the global
         maximum (rank N).
         """
-        x = int(np.searchsorted(self.upper, rank, side="right")) - 1
-        u = int(self.values[x]) if x >= 0 else int(self.values[0]) - 1
-        y = int(np.searchsorted(self.lower, rank, side="left"))
-        v = int(self.values[y]) if y < len(self.values) else int(self.values[-1])
+        # u is the last element with U <= r: the one in front of where
+        # the next float above r sorts into ``upper``.
+        key = math.nextafter(rank, math.inf)
+        g, i, lo, _ = self._position(key, self.upper_tables)
+        if i > lo:
+            u = self.historical.values.item(i - 1)
+        elif g > 0:
+            u = self.entries.item(g - 1)
+        else:
+            u = self.minimum - 1
+        v = self.quick_response(rank)
         if v < u:
             # Possible only through bound ties at equal values; the
             # bracket [min, max] of the pair is always safe.
             u, v = v, u
         return u, v
+
+    @cached_property
+    def _arrays(self) -> "tuple[np.ndarray, ...]":
+        """``(values, from_stream, lower, upper)``: both halves merged,
+        an HS slot's bound its share plus its gap's terms in order."""
+        merge = _Merge(self.historical.values, self.entries)
+        sizes = np.diff(self.gaps)
+        bounds = []
+        for base, terms, at in (self.lower_tables, self.upper_tables):
+            slots = sum((np.repeat(term, sizes) for term in terms), base)
+            bounds.append(merge.place(slots, at))
+        values = merge.place(self.historical.values, self.entries)
+        return (values, merge.inserted, *bounds)
+
+    #: the paper's arrays: every summary element ascending (duplicates
+    #: kept), whether each came from SS, and every ``L_i`` / ``U_i``.
+    values = property(lambda self: self._arrays[0])
+    from_stream = property(lambda self: self._arrays[1])
+    lower = property(lambda self: self._arrays[2])
+    upper = property(lambda self: self._arrays[3])

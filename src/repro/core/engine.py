@@ -851,10 +851,10 @@ class HybridQuantileEngine:
     ) -> List[QueryResult]:
         """Answer many quantiles against one pinned snapshot.
 
-        The public vectorized entry point the serving layer's coalescer
-        (and the CLI's multi-``--phi`` path) uses.  Quick mode builds TS
-        once and answers every ``phi`` with a single vectorized
-        rank-bound pass; accurate mode shares one stream summary and
+        The public batched entry point the serving layer's coalescer
+        (and the CLI's multi-``--phi`` path) uses.  Quick mode resolves
+        TS once and answers every ``phi`` with a rank-bound lookup in
+        it; accurate mode shares one stream summary and
         block cache across the searches.  Results are index-aligned
         with ``phis``.
         """

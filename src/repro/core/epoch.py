@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -74,8 +74,8 @@ class EpochStats:
     peak_pins: int
     #: epochs fully released after falling behind the current one.
     epochs_retired: int
-    #: TS merges (``CombinedSummary.build`` passes) performed for
-    #: queries — the denominator-side of the coalescing ratio.
+    #: TS resolutions (``CombinedSummary.build`` passes; the halves are
+    #: searched, not merged) — the coalescing ratio's denominator side.
     ts_merges: int
     #: historical halves of TS folded from scratch / grown from a
     #: memoised prefix of the partition set (one of the two per new
@@ -273,23 +273,44 @@ class HistoricalMemo:
             return entry.combined
 
     def check_invariants(self) -> None:
-        """Assert every memoised HS and retained TS equals a fresh build."""
+        """Assert every memoised HS and retained TS equals a fresh build,
+        and that the TS is searched as its arrays would be."""
         with self._lock:
             entries = [replace(entry) for entry in self._entries.values()]
+        names = ("values", "lower", "upper", "total_size")
         for entry in entries:
-            fresh = {"historical": HistoricalSummary.fold(entry.summaries)}
-            if entry.combined is not None:
-                fresh["combined"] = CombinedSummary.build(
+            ts = entry.combined
+            fresh = HistoricalSummary.fold(entry.summaries)
+            pairs = [(entry.historical, fresh, names)]
+            if ts is not None:
+                built = CombinedSummary.build(
                     entry.summaries, entry.stream_summaries
                 )
-            for name, built in fresh.items():
+                # Arrays of a copy (unless it built its own): it stays small.
+                held = ts if "_arrays" in vars(ts) else replace(ts)
+                pairs.append((held, built, names + ("from_stream",)))
+            for held, fresh, compared in pairs:
                 if not all(
-                    np.array_equal(getattr(getattr(entry, name), f.name),
-                                   getattr(built, f.name))
-                    for f in fields(built)
+                    np.array_equal(getattr(held, n), getattr(fresh, n))
+                    for n in compared
                 ):
                     raise AssertionError(
-                        f"memoised {name} summary differs from a fresh build"
+                        f"memoised {type(fresh).__name__} is not a fresh build"
+                    )
+            if ts is None:
+                continue
+            # Algorithms 5 and 7 read off the fresh arrays, at the ranks
+            # on and beside every 97th element's own bounds.
+            near = np.rint(np.append(built.lower[::97], built.upper[::97]))
+            for rank in (int(b) + step for b in near for step in (-1, 0, 1)):
+                x = int(np.searchsorted(built.upper, rank, "right")) - 1
+                y = int(np.searchsorted(built.lower, rank, "left"))
+                u = int(built.values[x]) if x >= 0 else built.minimum - 1
+                v = int(built.values[min(y, len(built) - 1)])
+                searched = ts.quick_response(rank), ts.generate_filters(rank)
+                if searched != (v, (min(u, v), max(u, v))):
+                    raise AssertionError(
+                        f"TS searched differs from TS built at rank {rank}"
                     )
 
 
@@ -556,8 +577,8 @@ class SnapshotHandle:
     ) -> List[QueryResult]:
         """Answer many quantiles against this one pinned view.
 
-        Quick mode is the coalescer's workhorse: one (cached) TS merge,
-        then a single vectorized rank-bound pass answers every ``phi``.
+        Quick mode is the coalescer's workhorse: one (cached) TS, then
+        one rank-bound lookup per ``phi``.
         Accurate mode shares the pinned view and one block cache across
         the searches, so blocks touched by one are free for the next.
         Results are index-aligned with ``phis``.

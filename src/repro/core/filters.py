@@ -281,7 +281,7 @@ class AccurateSearch:
         if not candidates:
             # value precedes every known element; the global minimum is
             # the only sane answer (rank target was below all bounds).
-            return int(self._combined.values[0])
+            return self._combined.minimum
         return max(candidates)
 
     # -- the search -----------------------------------------------------

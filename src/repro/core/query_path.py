@@ -10,7 +10,7 @@ Every door — :class:`~repro.core.engine.HybridQuantileEngine`,
 :class:`~repro.core.epoch.SnapshotHandle`,
 :class:`~repro.cluster.engine.ClusterSnapshot` — builds a
 :class:`QueryScope` from its pinned view and calls :func:`answer_rank`
-(or the vectorized :func:`answer_quick_many`), so each
+(or the batched :func:`answer_quick_many`), so each
 :class:`QueryResult` field has exactly one rule, stated on the field.
 """
 
@@ -235,8 +235,8 @@ def answer_quick_many(
 ) -> List[QueryResult]:
     """Quick quantiles for every ``phi`` from one TS, in one pass.
 
-    The serving coalescer's workhorse: a single vectorized rank-bound
-    pass answers the whole batch.  Results are index-aligned with
+    The serving coalescer's workhorse: the batch shares the pinned TS
+    and pays one lookup per ``phi``.  Results are index-aligned with
     ``phis`` and equal ``answer_rank(..., "quick")`` one by one.
     """
     started = time.perf_counter()

@@ -24,6 +24,13 @@ from ..sketches.gk import GKSketch
 from ..warehouse.partition import Partition
 
 
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal neighbours."""
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return first
+
+
 @dataclass(frozen=True)
 class PartitionSummary:
     """Summary of one sorted partition (one HS entry).
@@ -71,9 +78,10 @@ class PartitionSummary:
         ranks = np.minimum(
             size, np.ceil(idx * eps1 * size)
         ).astype(np.int64)
-        positions = np.unique(
-            np.concatenate([np.asarray([1], dtype=np.int64), ranks])
-        )
+        # Rank 1, then the schedule: already non-decreasing, so dropping
+        # repeats is all of ``np.unique`` without its sort.
+        positions = np.concatenate([np.asarray([1], dtype=np.int64), ranks])
+        positions = positions[run_starts(positions)]
         values = data[positions - 1].astype(np.int64)
         return cls(values=values, positions=positions,
                    partition_size=size, eps1=eps1)

@@ -7,7 +7,7 @@ requests pinned at the same epoch see the identical TS, so the merge is
 shareable: the coalescer batches every quick request that arrived
 within a window, pins **one**
 :class:`~repro.core.epoch.SnapshotHandle`, and answers the whole batch
-with one cached merge plus a single vectorized rank-bound pass
+with one cached TS plus one rank-bound lookup per distinct phi
 (:meth:`~repro.core.bounds.CombinedSummary.quick_responses`).  This is
 the data-fusion insight (PAPERS.md: quantile trackers shared across
 streams) applied to our read path: merges per request drop below one,

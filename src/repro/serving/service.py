@@ -9,8 +9,8 @@ while ingest keeps running underneath:
   raises a typed :class:`~repro.serving.admission.Overloaded` (or, when
   configured, degrades accurate requests to the quick path).
 * **Coalescing** — quick requests arriving within a window are batched
-  against one pinned epoch: one TS merge, one vectorized rank-bound
-  pass, every waiter fulfilled from it.
+  against one pinned epoch: one TS, one rank-bound lookup per phi,
+  every waiter fulfilled from it.
 * **Deduplication** — identical accurate probes (same phi and window)
   waiting in the queue share a single disk search.
 * **Metrics** — every request's queue + execution latency lands in

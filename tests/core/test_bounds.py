@@ -1,6 +1,7 @@
 """Property tests for TS and the Lemma 2 rank bounds."""
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -197,7 +198,7 @@ def reference_ts(partition_summaries, stream_summaries):
                 up += (alpha if origin == k else alpha + 1) * scale
         lower.append(low)
         upper.append(up)
-    return CombinedSummary(
+    return SimpleNamespace(
         values=np.asarray([e[0] for e in elements], dtype=np.int64),
         from_stream=np.asarray([e[1] == 0 for e in elements], dtype=bool),
         lower=np.asarray(lower, dtype=np.float64),
@@ -305,6 +306,168 @@ class TestHistoricalSplit:
             assert not np.shares_memory(
                 getattr(built, name), getattr(entry.historical, name)
             )
+
+
+def by_the_arrays(ts, rank):
+    """Algorithms 5 and 7 as one ``searchsorted`` over materialised TS."""
+    j = int(np.searchsorted(ts.lower, rank, side="left"))
+    quick = int(ts.values[min(j, len(ts.values) - 1)])
+    x = int(np.searchsorted(ts.upper, rank, side="right")) - 1
+    u = int(ts.values[x]) if x >= 0 else int(ts.values[0]) - 1
+    y = int(np.searchsorted(ts.lower, rank, side="left"))
+    v = int(ts.values[y]) if y < len(ts.values) else int(ts.values[-1])
+    return quick, ((v, u) if v < u else (u, v))
+
+
+def assert_searched_as_the_arrays(ts, bracketed=True):
+    """Every door, at every rank where some slot's bound could flip."""
+    bounds = np.rint(np.concatenate((ts.lower, ts.upper))).astype(np.int64)
+    n = ts.total_size
+    ranks = sorted(
+        {-1, 0, 1, n - 1, n, n + 1}
+        | {int(b) + step for b in bounds for step in (-1, 0, 1)}
+    )
+    expected = [by_the_arrays(ts, rank) for rank in ranks]
+    assert [ts.quick_response(rank) for rank in ranks] == [
+        quick for quick, _ in expected
+    ]
+    for batch in (ranks, ranks[:1], []):
+        answers = ts.quick_responses(np.asarray(batch, dtype=np.int64))
+        assert answers.dtype == np.int64
+        assert answers.tolist() == [by_the_arrays(ts, r)[0] for r in batch]
+    # ``lower`` always ascends.  ``upper`` can fail to where entries of
+    # several hand-built (bracket-less) streams tie at one value: each
+    # pays its own Lemma 1 coefficient and the others' + 1, in stream
+    # order.  A binary search over that has no defined answer, the
+    # parent's included, so there only v — read off ``lower`` — is held.
+    ascending = bool(np.all(np.diff(ts.upper) >= 0))
+    assert ascending or not bracketed
+    for rank, (quick, filters) in zip(ranks, expected):
+        if ascending:
+            assert ts.generate_filters(rank) == filters
+        else:
+            assert quick in ts.generate_filters(rank)
+
+
+class TestSearchedNotBuilt:
+    """The doors search HS and the SS entries; the arrays are the spec."""
+
+    @given(
+        parts=st.lists(small_values, min_size=0, max_size=6),
+        streams=st.lists(small_values, min_size=1, max_size=4),
+        strict=st.booleans(),
+        split=st.integers(0, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_searched_answers_are_the_arrays_answers(
+        self, parts, streams, strict, split
+    ):
+        """Empty HS, empty SS, one stream and several, brackets and the
+        Lemma 1 ``own`` coefficient, ties inside SS, inside HS and
+        across both — from scratch and off a memo grown from a prefix."""
+        if not any(parts) and not any(streams):
+            return
+        summaries = [partition_summary_of(p, 0.25) for p in parts]
+        stream_summaries = [
+            stream_summary_of(s, 0.125, strict) for s in streams
+        ]
+        memo = HistoricalMemo()
+        CombinedSummary.build(
+            summaries[:split], stream_summary_of([3], 0.125, strict), memo
+        )
+        for built in (
+            CombinedSummary.build(summaries, stream_summaries),
+            CombinedSummary.build(summaries, stream_summaries, memo),
+        ):
+            assert_searched_as_the_arrays(built, bracketed=strict)
+
+    def test_rounding_in_the_shortcut_cannot_pick_another_slot(self):
+        """An HS slot whose bound is 88.2 + 496.79999999999995 = 585.0:
+        ``L >= 585`` holds, yet 585 - 496.79999999999995 is *above*
+        88.2, so looking the rank minus the term up in the memoised
+        share would pick the next slot; the slot's own sum decides."""
+        summary = partition_summary_of(list(range(0, 2100, 10)), 0.02)
+        ss = StreamSummary(
+            np.concatenate((np.arange(49), 1000 + np.arange(52))), 1035, 0.01
+        )
+        ts = CombinedSummary.build([summary], ss)
+        base, terms, _ = ts.lower_tables
+        slot = int(np.searchsorted(ts.historical.values, 880))
+        (term,) = terms
+        assert (base[slot], term[49]) == (88.2, 496.79999999999995)
+        assert base[slot] + term[49] == 585.0
+        assert base[slot] < 585 - term[49]
+        assert ts.quick_response(585) == 880
+        assert ts.generate_filters(585)[1] == 880
+        assert_searched_as_the_arrays(ts, bracketed=False)
+
+    def test_terms_are_added_one_by_one_in_stream_order(self):
+        """Two streams: the slot's bound is (147.0 + 199.79999999999998)
+        + 41.2 < 388, yet with the terms summed first it is 388.0, and
+        388 minus the two terms is *not above* 147.0: either shortcut
+        stops a slot early."""
+        summary = partition_summary_of(list(range(0, 2100, 10)), 0.02)
+        streams = [
+            StreamSummary(
+                np.concatenate((np.arange(7), 2000 + np.arange(27))), 1110, 0.03
+            ),
+            StreamSummary(
+                np.concatenate((np.arange(5), 2000 + np.arange(46))), 515, 0.02
+            ),
+        ]
+        ts = CombinedSummary.build([summary], streams)
+        base, terms, _ = ts.lower_tables
+        slot = int(np.searchsorted(ts.historical.values, 1460))
+        first, second = (term[12] for term in terms)
+        assert (base[slot], first, second) == (147.0, 199.79999999999998, 41.2)
+        assert (base[slot] + first) + second < 388
+        assert base[slot] + (first + second) == 388
+        assert (388 - first) - second <= base[slot]
+        assert ts.quick_response(388) == 1510
+        assert ts.generate_filters(388)[1] == 1510
+        assert_searched_as_the_arrays(ts, bracketed=False)
+
+    def make_engine(self):
+        engine = HybridQuantileEngine(
+            config=EngineConfig(epsilon=0.013, kappa=3, block_elems=16)
+        )
+        rng = np.random.default_rng(23)
+        for step in range(7):
+            # Every other step is duplicate-heavy: ties across HS and SS.
+            draw = rng.zipf(1.3, 900 + 37 * step) if step % 2 else (
+                rng.integers(0, 5000, 900 + 37 * step)
+            )
+            engine.stream_update_many(np.minimum(draw, 5000))
+            if step < 6:
+                engine.end_time_step()
+        return engine
+
+    def test_every_scope_of_a_pinned_engine(self):
+        with self.make_engine() as engine, engine.pin() as handle:
+            full = handle.combined()
+            assert len(full.entries) > 0 and len(full.historical) > 0
+            assert_searched_as_the_arrays(full)
+            for window in engine.available_window_sizes():
+                assert_searched_as_the_arrays(
+                    handle.combined(window_steps=window)
+                )
+            # No live stream in a step range: k = 0, one gap = all of HS.
+            ranged = handle.combined(step_range=(1, 5))
+            assert len(ranged.entries) == 0
+            assert ranged.gaps.tolist() == [0, len(ranged.historical)]
+            assert_searched_as_the_arrays(ranged)
+
+    def test_stream_only_fresh_engine(self):
+        with HybridQuantileEngine(
+            config=EngineConfig(epsilon=0.013)
+        ) as engine:
+            engine.stream_update_many(
+                np.random.default_rng(3).integers(0, 50, 777)
+            )
+            with engine.pin() as handle:
+                ts = handle.combined()
+                assert len(ts.historical) == 0 and len(ts) == len(ts.entries)
+                assert_searched_as_the_arrays(ts)
 
 
 class TestTinyPartitions:
@@ -489,6 +652,19 @@ class TestHistoricalMemo:
 
     def test_check_invariants_catches_a_stale_retained_ts(self):
         self.test_check_invariants_catches_a_stale_entry(half="combined")
+
+    def test_check_invariants_leaves_the_retained_ts_unbuilt(self):
+        """The health probe runs it every tick: it may not hang the four
+        |TS| arrays on a TS the doors have kept to its tables."""
+        with self.make() as engine:
+            self.step(engine)
+            self.step(engine, seal=False)
+            with engine.pin() as handle:
+                ts = handle.combined()
+            engine.check_invariants()
+            assert "_arrays" not in vars(ts)
+            *_, newest = engine._historical_memo._entries.values()
+            assert newest.combined is ts
 
     def test_concurrent_queries_share_one_build(self):
         with self.make() as engine:

@@ -7,6 +7,7 @@ they must return the same ``QueryResult``, field for field.
 """
 
 from dataclasses import fields
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro import (
     QueryResult,
     TransientReadError,
 )
+from repro.core.bounds import CombinedSummary
 
 PHIS = (0.1, 0.5, 0.5003, 0.9)
 DOORS = ("engine", "handle", "cluster", "cluster_snapshot")
@@ -145,9 +147,27 @@ def run_schedule(door):
     return results
 
 
+@pytest.fixture
+def materialised(monkeypatch):
+    """Every TS whose arrays were built: the doors search, so none is."""
+    built = []
+    build = CombinedSummary.__dict__["_arrays"].func
+    counting = cached_property(lambda ts: built.append(ts) or build(ts))
+    counting.__set_name__(CombinedSummary, "_arrays")
+    monkeypatch.setattr(CombinedSummary, "_arrays", counting)
+    return built
+
+
 @pytest.mark.parametrize("overrides", CONFIGS)
-def test_every_door_returns_the_same_results(doors, overrides):
-    reference, *others = [run_schedule(d) for d in doors(**overrides)]
+def test_every_door_returns_the_same_results(doors, overrides, materialised):
+    opened = doors(**overrides)
+    reference, *others = [run_schedule(d) for d in opened]
+    # Full, windowed and step-range scopes, quick and accurate, single
+    # and batched: not one of them read ``values`` / ``lower`` / ``upper``.
+    assert materialised == []
+    with opened[0].engine.pin() as handle:
+        assert len(handle.combined().lower) == len(handle.combined())
+        assert materialised == [handle.combined()]
     assert any(r.disk_accesses > 0 for r in reference)
     assert any(r.window_steps is not None for r in reference)
     for results in others:

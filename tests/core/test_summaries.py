@@ -1,10 +1,13 @@
 """Tests for the partition (HS) and stream (SS) summaries."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.aggregates import AggregateStats, partition_stats
 from repro.core.summaries import PartitionSummary, StreamSummary
 from repro.sketches import GKSketch
 from repro.storage import SimulatedDisk, SortedRun
@@ -52,6 +55,25 @@ class TestPartitionSummary:
         s = PartitionSummary.build(p, eps1=0.25)
         assert len(s) == 0
         assert s.partition_size == 0
+
+    @pytest.mark.parametrize("eps1", [5e-4, 5e-3, 0.25])
+    @pytest.mark.parametrize(
+        "size", [1, 2, 7, 1_500, 2_001, 75_000, 750_000]
+    )
+    def test_positions_are_the_unique_rank_schedule(self, size, eps1):
+        """The schedule is non-decreasing, so ``build`` drops repeats
+        instead of sorting: same entries as ``np.unique``'s, and the
+        write-time aggregates read off the run's two ends."""
+        data = np.random.default_rng(size).integers(0, 1 << 40, size)
+        p = make_partition(data, block_elems=1024)
+        s = PartitionSummary.build(p, eps1)
+        idx = np.arange(1, math.ceil(1.0 / eps1) + 1, dtype=np.int64)
+        ranks = np.minimum(size, np.ceil(idx * eps1 * size)).astype(np.int64)
+        positions = np.unique(np.concatenate([[1], ranks]))
+        assert s.positions.dtype == positions.dtype == np.int64
+        np.testing.assert_array_equal(s.positions, positions)
+        np.testing.assert_array_equal(s.values, np.sort(data)[positions - 1])
+        assert partition_stats(p) == AggregateStats.of_array(data)
 
     def test_alpha_counts_le(self):
         p = make_partition(np.arange(1, 101))
