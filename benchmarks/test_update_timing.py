@@ -23,6 +23,12 @@ The seal-path PR moved the bulk absorb's compress onto arrays (only
 the surviving tuples become Python lists).  Its guard times one
 seal-sized absorb into an empty sketch against the list-based form it
 replaced, kept as ``tests/sketches/gk_reference.py``.
+
+The write-side PR made ``_compress_heads`` visit only the tuples that
+would swallow a neighbour when those are few — the ``query_heavy``
+trickle, where the step walk spent one Python step on each of ~5 000
+tuples to drop none.  Its guard replays such absorbs against the step
+walk, also kept in ``gk_reference.py``.
 """
 
 import statistics
@@ -31,8 +37,12 @@ import time
 import numpy as np
 
 from repro.core.engine import HybridQuantileEngine
+from repro.sketches import gk
 from repro.sketches.gk import GKSketch
-from tests.sketches.gk_reference import ReferenceGKSketch
+from tests.sketches.gk_reference import (
+    ReferenceGKSketch,
+    compress_heads_reference,
+)
 
 UPDATES = 200_000
 EPSILON = 0.01
@@ -51,6 +61,11 @@ ABSORB_EPSILON = 2.5e-4
 #: array compress over list compress: measures ~13x; the successor
 #: chain without the empty-sketch stride would still measure ~4x.
 ABSORB_SPEEDUP_FLOOR = 3.0
+#: ``query_heavy``'s miss: a settled live sketch, a trickle on top.
+SETTLED = 50_000
+TRICKLE = 512
+#: jumper walk over step walk: measures ~8x with nothing to merge.
+TRICKLE_SPEEDUP_FLOOR = 2.0
 
 
 def measure_update_seconds() -> float:
@@ -214,6 +229,48 @@ def test_bulk_absorb_beats_list_compress():
     assert speedup >= ABSORB_SPEEDUP_FLOOR, (
         f"bulk absorb speedup regressed: {speedup:.1f}x is below "
         f"{ABSORB_SPEEDUP_FLOOR}x"
+    )
+
+
+def test_trickle_compress_walks_only_the_jumpers(monkeypatch):
+    """A trickle into a settled sketch merges (next to) nothing, and the
+    compress must cost accordingly, not one step per surviving tuple."""
+    rng = np.random.default_rng(5)
+    sketch = GKSketch(ABSORB_EPSILON / 2)
+    sketch.update_many(rng.integers(0, 1 << 40, SETTLED))
+    inputs = []
+    real = gk._compress_heads
+    monkeypatch.setattr(
+        gk, "_compress_heads",
+        lambda *args: inputs.append(args) or real(*args),
+    )
+    for _ in range(3):
+        sketch.update_many(rng.integers(0, 1 << 40, TRICKLE))
+    assert len(inputs) == 3
+
+    def median_seconds(heads) -> float:
+        samples = []
+        for _ in range(9):
+            start = time.perf_counter()
+            for args in inputs:
+                heads(*args)
+            samples.append(time.perf_counter() - start)
+        return statistics.median(samples) / len(inputs)
+
+    for args in inputs:
+        assert np.array_equal(real(*args), compress_heads_reference(*args))
+    steps = median_seconds(compress_heads_reference)
+    jumpers = median_seconds(real)
+    speedup = steps / jumpers
+    print(
+        f"\nGK compress of a {TRICKLE}-element trickle into {SETTLED:,} "
+        f"({len(inputs[0][0]):,} tuples): step walk {steps * 1e3:.3f} ms vs "
+        f"jumper walk {jumpers * 1e3:.3f} ms ({speedup:.1f}x, floor "
+        f"{TRICKLE_SPEEDUP_FLOOR}x)"
+    )
+    assert speedup >= TRICKLE_SPEEDUP_FLOOR, (
+        f"trickle compress speedup regressed: {speedup:.1f}x is below "
+        f"{TRICKLE_SPEEDUP_FLOOR}x"
     )
 
 

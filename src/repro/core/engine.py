@@ -397,10 +397,14 @@ class HybridQuantileEngine:
         reallocate the backing array) hold the same lock.
         """
         with self._stream_lock:
-            if self._gk_absorbed < len(self._buffer):
-                self._gk.update_many(
-                    self._buffer.slice_from(self._gk_absorbed)
-                )
+            start = self._gk_absorbed
+            if start < len(self._buffer):
+                chunk = self._gk.update_many(self._buffer.slice_from(start))
+                if start == 0 and chunk is not None:
+                    # GK sorted the whole step to absorb it: the buffer
+                    # keeps that order and the seal finds nothing to
+                    # sort.  A later chunk could not make it ascending.
+                    self._buffer.keep_sorted(chunk)
                 self._gk_absorbed = len(self._buffer)
 
     def stream_sketch(self) -> GKSketch:

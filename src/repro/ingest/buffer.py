@@ -16,7 +16,13 @@ _INITIAL_CAPACITY = 1024
 
 
 class AppendBuffer:
-    """A growable int64 array with amortized-O(1) appends."""
+    """A growable int64 array with amortized-O(1) appends.
+
+    It also owns the order of a step the sketch sorted whole:
+    :meth:`keep_sorted` writes that chunk back over the contents, and
+    the seal trusts nothing: ``ExternalSorter.sorted_array`` looks at
+    the bytes it is handed and sorts unless they are ascending.
+    """
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
         self._data = np.empty(max(1, capacity), dtype=np.int64)
@@ -67,6 +73,11 @@ class AppendBuffer:
         view = self._data[max(0, start) : self._len].view()
         view.flags.writeable = False
         return view
+
+    def keep_sorted(self, chunk: np.ndarray) -> None:
+        """Overwrite the contents by ``chunk``, the same elements in
+        ascending order (no second copy of the step is held)."""
+        self._data[: self._len] = chunk
 
     def take(self) -> np.ndarray:
         """Return a copy of the contents and reset the buffer.

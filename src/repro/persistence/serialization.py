@@ -66,13 +66,10 @@ def dump_gk(sketch: GKSketch) -> bytes:
         "epsilon": sketch.epsilon,
         "n": sketch.n,
     }
+    values, rmin, rmax = sketch._arrays()
     return _pack(
         header,
-        {
-            "values": np.asarray(sketch._values, dtype=np.int64),
-            "g": np.asarray(sketch._g, dtype=np.int64),
-            "delta": np.asarray(sketch._delta, dtype=np.int64),
-        },
+        {"values": values, "g": np.diff(rmin, prepend=0), "delta": rmax - rmin},
     )
 
 
@@ -80,11 +77,14 @@ def load_gk(data: bytes) -> GKSketch:
     """Restore a GK sketch serialized by :func:`dump_gk`."""
     header, archive = _unpack(data, _GK_FORMAT)
     sketch = GKSketch(header["epsilon"])
-    sketch._values = [int(v) for v in archive["values"]]
-    sketch._g = [int(v) for v in archive["g"]]
-    sketch._delta = [int(v) for v in archive["delta"]]
+    # The arrays are the restored state (see GKSketch): a sketch that
+    # only bulk-absorbs afterwards never builds the lists.
+    values = archive["values"].astype(np.int64)
+    rmin = np.cumsum(archive["g"], dtype=np.int64)
+    sketch._query_arrays = (values, rmin, rmin + archive["delta"])
+    sketch._columns = None
     sketch._n = int(header["n"])
-    if sum(sketch._g) > sketch._n:
+    if rmin.size and rmin[-1] > sketch._n:
         raise SerializationError("inconsistent GK payload: sum(g) > n")
     return sketch
 

@@ -39,7 +39,9 @@ class QuantileSketch(ABC):
 
         The default falls back to per-element ``update`` so every
         sketch accepts arrays; subclasses with a bulk-insertion fast
-        path (sort once, merge once) override this.
+        path (sort once, merge once) override this, and one that sorts
+        the batch may return its sorted copy (GK does): the engine
+        keeps it for the seal.  ``None`` means nothing was sorted.
         """
         arr = np.asarray(values, dtype=np.int64).ravel()
         for value in arr:
@@ -77,8 +79,13 @@ def as_int64_batch(values) -> np.ndarray:
     int64 arrays pass through uncopied; other integer dtypes and lists
     of Python ints are converted; empty input of any dtype is an empty
     int64 array.  What a cast would truncate or wrap (floats, NaN,
-    bools, objects, ``uint64`` beyond ``INT64_MAX``) is rejected.
+    bools, objects, ``uint64`` beyond ``INT64_MAX``) is rejected — also
+    a bool among Python ints, which ``np.asarray`` would count as 0 / 1.
     """
+    if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(
+        map(type, values)
+    ):
+        raise TypeError("stream elements must be integers, got a bool")
     arr = np.asarray(values)
     if arr.dtype != np.int64:
         if arr.size and arr.dtype.kind not in "iu":

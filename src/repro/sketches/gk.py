@@ -15,9 +15,9 @@ parameter ``eps_2 = eps / 4``) and as the strongest pure-streaming
 baseline.  Besides the textbook per-element ``update``, the class
 offers a vectorized ``update_many`` that merges a sorted batch into the
 summary with exact rank algebra (the batch contributes its exact rank
-to every tuple's ``rmin``/``rmax``) and compresses on the arrays, so
-only surviving tuples are ever turned into Python objects; the tuples
-are the ones the scalar compress would keep, hence the same guarantee.
+to every tuple's ``rmin``/``rmax``) and compresses on the arrays; the
+tuples are the ones the scalar compress would keep, hence the same
+guarantee, and stay arrays until the scalar path needs them as lists.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ import numpy as np
 from .base import QuantileSketch, as_int64_batch, clamp_rank
 
 _BATCH_THRESHOLD = 256
+#: ``_compress_heads`` visits only the jumpers while they are at most
+#: one tuple in this many; a dense absorb makes nearly every tuple one,
+#: most swallowed by another, and a step per *survivor* is shorter.
+_JUMPER_SHARE = 8
 
 
 def _compress_heads(
@@ -42,15 +46,28 @@ def _compress_heads(
     swallows ``i < j`` while ``g_i + G + delta_j <= threshold``, i.e.
     while ``rmin[i-1] >= rmax[j] - threshold``.  With ``rmin`` strictly
     increasing the next head is a function of ``j`` alone: one
-    ``searchsorted`` yields it for every tuple, and the walk from the
-    last tuple down to index 0 (always kept) is one step per survivor.
+    ``searchsorted`` yields it for every tuple.  A tuple whose next head
+    is not its neighbour is a *jumper*.  Few jumpers (a trickle into a
+    settled sketch): walk down those alone, every tuple between two of
+    them survives.  Many: walk from the last tuple down to index 0
+    (always kept), one step per survivor.
     """
+    size = len(rmin)
+    neighbour = np.arange(-1, size - 1)
     succ = np.minimum(
-        np.searchsorted(rmin, rmax - threshold, side="left"),
-        np.arange(-1, len(rmin) - 1),
+        np.searchsorted(rmin, rmax - threshold, side="left"), neighbour
     )
+    jumpers = np.flatnonzero(succ < neighbour)[::-1]
+    if jumpers.size * _JUMPER_SHARE <= size:
+        keep = np.ones(size, dtype=bool)
+        head = size - 1
+        for jumper, target in zip(jumpers.tolist(), succ[jumpers].tolist()):
+            if jumper <= head:  # else swallowed by a jumper above it
+                keep[target + 1 : jumper] = False
+                head = target
+        return np.flatnonzero(keep)
     successor = succ.item  # Python ints out, ~3x cheaper than succ[j]
-    head = len(rmin) - 1
+    head = size - 1
     heads = [head]
     while head > 0:
         head = successor(head)
@@ -60,6 +77,10 @@ def _compress_heads(
 
 class GKSketch(QuantileSketch):
     """Greenwald-Khanna epsilon-approximate quantile summary.
+
+    The tuples live as the ``(values, rmin, rmax)`` arrays after a bulk
+    absorb and as three Python lists once the scalar ``update`` asks
+    for them — one form at a time, converted only on demand.
 
     Parameters
     ----------
@@ -72,9 +93,9 @@ class GKSketch(QuantileSketch):
         if not 0 < epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
         self.epsilon = epsilon
-        self._values: List[int] = []
-        self._g: List[int] = []
-        self._delta: List[int] = []
+        # The tuples, in one of two forms: the ``(v, g, delta)`` lists
+        # the scalar path edits, or (``None`` here) the arrays below.
+        self._columns: "Tuple[List[int], ...] | None" = ([], [], [])
         self._n = 0
         self._compress_every = max(1, int(1.0 / (2.0 * epsilon)))
         self._since_compress = 0
@@ -90,9 +111,25 @@ class GKSketch(QuantileSketch):
         # lists.  Reentrant because update_batch calls _compress while
         # already holding it.
         self._mutate_lock = threading.RLock()
-        # Cached (values, rmin, rmax) arrays for the vectorized query
-        # path; rebuilt lazily after any mutation.
+        # (values, rmin, rmax) arrays: the state itself after a bulk
+        # absorb, otherwise the vectorized query path's cache, dropped
+        # by every scalar mutation and rebuilt on the next read.
         self._query_arrays: "Tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
+
+    _values = property(lambda self: self._lists()[0])
+    _g = property(lambda self: self._lists()[1])
+    _delta = property(lambda self: self._lists()[2])
+
+    def _lists(self) -> "Tuple[List[int], ...]":
+        """The tuple lists, built from the arrays if those are the state."""
+        if self._columns is None:
+            values, rmin, rmax = self._query_arrays
+            self._columns = (
+                values.tolist(),
+                np.diff(rmin, prepend=0).tolist(),
+                (rmax - rmin).tolist(),
+            )
+        return self._columns
 
     @property
     def n(self) -> int:
@@ -107,16 +144,17 @@ class GKSketch(QuantileSketch):
         """Process one stream element."""
         value = int(value)
         with self._mutate_lock:
-            pos = bisect_right(self._values, value)
-            if pos == 0 or pos == len(self._values):
+            values, gaps, deltas = self._columns or self._lists()
+            pos = bisect_right(values, value)
+            if pos == 0 or pos == len(values):
                 delta = 0
             else:
                 # int() == math.floor() for non-negative floats, minus
                 # the attribute lookups on the per-element hot path.
                 delta = max(0, int(self._two_eps * self._n) - 1)
-            self._values.insert(pos, value)
-            self._g.insert(pos, 1)
-            self._delta.insert(pos, delta)
+            values.insert(pos, value)
+            gaps.insert(pos, 1)
+            deltas.insert(pos, delta)
             self._n += 1
             self._query_arrays = None
             self._since_compress += 1
@@ -128,36 +166,36 @@ class GKSketch(QuantileSketch):
         """Merge a batch of elements from any iterable.
 
         Arrays pass straight through to :meth:`update_many`; other
-        iterables are materialized once into an int64 array via
-        ``np.fromiter`` (no intermediate Python list) and follow the
-        same path.
+        iterables are materialized once into a list and judged by the
+        same door, so lossy input raises instead of truncating.
         """
-        if isinstance(values, np.ndarray):
-            self.update_many(values)
-        else:
-            self.update_many(np.fromiter(values, dtype=np.int64))
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        self.update_many(values)
 
-    def update_many(self, values: np.ndarray) -> None:
+    def update_many(self, values: np.ndarray) -> "np.ndarray | None":
         """Bulk-insert a numpy batch: sort once, merge once.
 
         Small batches fall back to per-element updates.  Large batches
         are sorted (their internal ranks then being exact), merged into
         the summary with exact-rank algebra and compressed on arrays,
-        leaving the tuple lists the scalar :meth:`_compress` would — so
-        the ``eps``-guarantee is preserved (docs/THEORY.md, "Batched
-        updates").
+        leaving the tuples the scalar :meth:`_compress` would — so the
+        ``eps``-guarantee is preserved (docs/THEORY.md, "Batched
+        updates").  Returns the sorted copy of the batch it made (the
+        engine keeps it, so the seal need not sort again), ``None``
+        where nothing was sorted.
 
         Thread-safety: mutations run under the sketch's mutate lock,
         consistent with :meth:`update` and :meth:`snapshot`.
         """
         arr = as_int64_batch(values)
         if arr.size == 0:
-            return
+            return None
         if arr.size < _BATCH_THRESHOLD:
             with self._mutate_lock:
                 for value in arr:
                     self.update(int(value))
-            return
+            return None
         batch = np.sort(arr)
         with self._mutate_lock:
             total = self._n + int(batch.size)
@@ -173,13 +211,12 @@ class GKSketch(QuantileSketch):
             else:
                 merged_vals, rmin, rmax = self._merge_exact_batch(batch)
                 heads = _compress_heads(rmin, rmax, threshold)
-            kept = (merged_vals[heads], rmin[heads], rmax[heads])
-            self._values = kept[0].tolist()
-            self._g = np.diff(kept[1], prepend=0).tolist()
-            self._delta = (kept[2] - kept[1]).tolist()
+            # The arrays are the state now; no list is built.
+            self._query_arrays = (merged_vals[heads], rmin[heads], rmax[heads])
+            self._columns = None
             self._n = total
             self._since_compress = 0
-            self._query_arrays = kept  # what _arrays() would rebuild
+        return batch
 
     def _merge_exact_batch(
         self, batch: np.ndarray
@@ -232,7 +269,7 @@ class GKSketch(QuantileSketch):
         allocation, which measurably cuts the amortized update cost
         (``benchmarks/test_update_timing.py`` guards it).
         """
-        values, g, delta = self._values, self._g, self._delta
+        values, g, delta = self._lists()
         size = len(values)
         if size < 3:
             return
@@ -259,9 +296,7 @@ class GKSketch(QuantileSketch):
         out_delta.reverse()
         # Swap: the previous live lists become the next pass's scratch.
         self._scratch = (values, g, delta)
-        self._values = out_vals
-        self._g = out_g
-        self._delta = out_delta
+        self._columns = (out_vals, out_g, out_delta)
         self._query_arrays = None
 
     # ------------------------------------------------------------------
@@ -279,10 +314,11 @@ class GKSketch(QuantileSketch):
         step) pay the ``O(s)`` construction once, not per probe.
         """
         if self._query_arrays is None:
-            values = np.asarray(self._values, dtype=np.int64)
-            rmin = np.cumsum(np.asarray(self._g, dtype=np.int64))
-            rmax = rmin + np.asarray(self._delta, dtype=np.int64)
-            self._query_arrays = (values, rmin, rmax)
+            values, g, delta = (
+                np.asarray(column, dtype=np.int64) for column in self._columns
+            )
+            rmin = np.cumsum(g)
+            self._query_arrays = (values, rmin, rmin + delta)
         return self._query_arrays
 
     def query_rank(self, rank: int) -> int:
@@ -291,13 +327,13 @@ class GKSketch(QuantileSketch):
             raise ValueError("sketch is empty")
         rank = clamp_rank(rank, self._n)
         allowed = self.epsilon * self._n
-        _, _, rmax = self._arrays()
+        values, _, rmax = self._arrays()
         # First tuple whose upper rank bound overshoots the target.
         exceeds = rmax > rank + allowed
         if not exceeds.any():
-            return self._values[-1]
+            return int(values[-1])
         first = int(np.argmax(exceeds))
-        return self._values[max(0, first - 1)]
+        return int(values[max(0, first - 1)])
 
     def query_ranks(self, ranks: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`query_rank` over an array of targets.
@@ -345,40 +381,45 @@ class GKSketch(QuantileSketch):
     def snapshot(self) -> "GKSketch":
         """A consistent copy, safe to take while another thread updates.
 
-        The tuple lists are copied under the mutation lock (the cached
-        query arrays are shared: no mutation writes into them), so the
-        returned sketch is a frozen-in-time view that can be queried
-        (or summarized) freely while the original keeps ingesting.
-        This is the sanctioned way to read a sketch that is
-        concurrently written — the plain query methods assume a
-        quiescent sketch.
+        The copy's state is the ``(values, rmin, rmax)`` arrays, read
+        (or built) under the mutation lock and shared with the source:
+        no mutation writes into them, so the returned sketch is a
+        frozen-in-time view that can be queried (or summarized) freely
+        while the original keeps ingesting.  This is the sanctioned way
+        to read a sketch that is concurrently written — the plain query
+        methods assume a quiescent sketch.
         """
         copied = GKSketch(self.epsilon)
         with self._mutate_lock:
-            copied._values = list(self._values)
-            copied._g = list(self._g)
-            copied._delta = list(self._delta)
+            copied._query_arrays = self._arrays()  # shared: read-only
+            copied._columns = None
             copied._n = self._n
             copied._since_compress = self._since_compress
-            copied._query_arrays = self._query_arrays  # shared: read-only
         return copied
+
+    def _live_values(self) -> "List[int] | np.ndarray":
+        """The values column of whichever form is live: builds and
+        caches nothing, so it is safe beside a writing thread."""
+        with self._mutate_lock:
+            columns = self._columns
+            return columns[0] if columns is not None else self._query_arrays[0]
 
     def min_value(self) -> int:
         """Exact minimum of the stream so far."""
         if self._n == 0:
             raise ValueError("sketch is empty")
-        return self._values[0]
+        return int(self._live_values()[0])
 
     def max_value(self) -> int:
         """Exact maximum of the stream so far."""
         if self._n == 0:
             raise ValueError("sketch is empty")
-        return self._values[-1]
+        return int(self._live_values()[-1])
 
     def tuple_count(self) -> int:
         """Number of (v, g, delta) tuples currently held."""
-        return len(self._values)
+        return len(self._live_values())
 
     def memory_words(self) -> int:
         """Three 8-byte words per tuple plus bookkeeping."""
-        return 3 * len(self._values) + 4
+        return 3 * self.tuple_count() + 4

@@ -46,7 +46,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .base import QuantileSketch, clamp_rank
+from .base import QuantileSketch, as_int64_batch, clamp_rank
 
 #: Geometric capacity decay between adjacent compactor levels.
 _DECAY = 2.0 / 3.0
@@ -161,9 +161,7 @@ class KLLSketch(QuantileSketch):
         and therefore the coin-flip sequence — is the same whether the
         feed arrived as one array or element by element.
         """
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.ndim != 1:
-            arr = arr.ravel()
+        arr = as_int64_batch(values)
         if arr.size == 0:
             return
         with self._mutate_lock:

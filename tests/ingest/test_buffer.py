@@ -64,3 +64,23 @@ class TestAppendBuffer:
             buffer.append(value)
             expected.append(value)
         np.testing.assert_array_equal(buffer.view(), expected)
+
+
+class TestKeepSorted:
+    """The buffer owns the order of a step the sketch sorted whole."""
+
+    def test_the_chunk_replaces_the_contents_in_place(self):
+        buffer = AppendBuffer(capacity=2)
+        buffer.extend(np.asarray([3, 1, 2]))
+        backing = buffer._data
+        buffer.keep_sorted(np.asarray([1, 2, 3]))
+        assert buffer._data is backing and len(buffer) == 3
+        np.testing.assert_array_equal(buffer.view(), [1, 2, 3])
+        buffer.extend(np.asarray([9, 7]))  # later arrivals stay as they came
+        np.testing.assert_array_equal(buffer.take(), [1, 2, 3, 9, 7])
+
+    def test_a_chunk_of_another_size_is_refused(self):
+        buffer = AppendBuffer()
+        buffer.extend(np.asarray([3, 1, 2]))
+        with pytest.raises(ValueError):
+            buffer.keep_sorted(np.asarray([1, 2]))

@@ -9,11 +9,31 @@ loop that still serves per-element ``update``.  The two must leave
 ``(_values, _g, _delta, _n)`` equal after any call sequence;
 ``tests/sketches/test_update_many.py`` checks that and
 ``benchmarks/test_update_timing.py`` times one against the other.
+
+:func:`compress_heads_reference` is ``_compress_heads`` as it was before
+it learnt to visit only the jumpers: the successor chain walked one
+step per surviving tuple, whatever the input.  The two must return
+equal indices on any ``(rmin, rmax, threshold)``.
 """
 
 import numpy as np
 
 from repro.sketches.gk import _BATCH_THRESHOLD, GKSketch
+
+
+def compress_heads_reference(rmin, rmax, threshold):
+    """Indices the scalar compress keeps, by the plain step walk."""
+    succ = np.minimum(
+        np.searchsorted(rmin, rmax - threshold, side="left"),
+        np.arange(-1, len(rmin) - 1),
+    )
+    successor = succ.item
+    head = len(rmin) - 1
+    heads = [head]
+    while head > 0:
+        head = successor(head)
+        heads.append(head)
+    return np.asarray(heads[::-1])
 
 
 class ReferenceGKSketch(GKSketch):
@@ -37,9 +57,11 @@ class ReferenceGKSketch(GKSketch):
         rmax = np.maximum(rmax, rmin)
         g = np.diff(rmin, prepend=0)
         keep = g > 0  # a zero-g tuple adds no counting information
-        self._values = merged_vals[keep].tolist()
-        self._g = g[keep].tolist()
-        self._delta = (rmax - rmin)[keep].tolist()
+        self._columns = (
+            merged_vals[keep].tolist(),
+            g[keep].tolist(),
+            (rmax - rmin)[keep].tolist(),
+        )
         self._query_arrays = None
         self._compress()
         self._since_compress = 0

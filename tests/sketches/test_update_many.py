@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 from repro.persistence.serialization import dump_gk, load_gk
 from repro.sketches.base import as_int64_batch
 from repro.sketches.exact import ExactQuantiles
-from repro.sketches.gk import GKSketch
+from repro.sketches.gk import _JUMPER_SHARE, GKSketch, _compress_heads
 from repro.sketches.kll import KLLSketch
 from repro.sketches.mrl import MRL99Sketch
 from repro.sketches.qdigest import QDigestSketch
 from repro.sketches.random_sampler import RandomSamplerSketch
 
-from .gk_reference import ReferenceGKSketch
+from .gk_reference import ReferenceGKSketch, compress_heads_reference
 
 
 def scalar_fed(sketch, values):
@@ -193,6 +193,29 @@ def assert_gk_invariant(sketch, seen_min, seen_max, tie_free=True):
             assert g + delta <= bound
 
 
+def read_everything(sketch):
+    """Every read a bulk-absorbed sketch serves from its arrays alone:
+    the queries, on the sketch, on a ``snapshot()`` and on a ``dump_gk``
+    / ``load_gk`` round trip.  Returns the answers and the restored
+    sketch."""
+    frozen, restored = sketch.snapshot(), load_gk(dump_gk(sketch))
+    n = sketch.n
+    ranks = sorted({1, n // 3 + 1, n // 2 + 1, n})
+    answers = []
+    for view in (sketch, frozen, restored):
+        low, high = view.min_value(), view.max_value()
+        median = view.query_rank(n // 2 + 1)
+        assert all(type(x) is int for x in (low, high, median))
+        answers.append((
+            [view.query_rank(rank) for rank in ranks],
+            view.query_ranks(np.asarray(ranks)).tolist(),
+            [view.rank_bounds(v) for v in (low - 1, low, median, high)],
+            (low, high, view.tuple_count(), view.memory_words(), view.n),
+        ))
+    assert answers[0] == answers[1] == answers[2]
+    return answers[0], frozen, restored
+
+
 bulk_ops = st.tuples(
     st.sampled_from(BATCH_SHAPES),
     # Straddles the 256-element scalar fallback; the large sizes make
@@ -225,6 +248,16 @@ def test_bulk_compress_equals_scalar_reference(log_eps, ops):
                 tie_free = False
             sketch.update_many(values)
             reference.update_many(values)
+        if not isinstance(op, list) and values.size >= 256:
+            # Between a bulk absorb and the next scalar update the
+            # arrays are the state: no read, snapshot or checkpoint
+            # round trip builds the lists, and the history goes on from
+            # the restored sketch, which never held any.
+            answers, frozen, restored = read_everything(sketch)
+            assert answers == read_everything(reference)[0]
+            for bulk_only in (sketch, frozen, restored):
+                assert bulk_only._columns is None
+            sketch = restored
         assert gk_state(sketch) == gk_state(reference)
         assert sketch._since_compress == reference._since_compress
         # The bulk path seeds the query-array cache from the survivors;
@@ -237,6 +270,77 @@ def test_bulk_compress_equals_scalar_reference(log_eps, ops):
         seen_max = high if seen_max is None else max(seen_max, high)
         if not isinstance(op, list):
             assert_gk_invariant(sketch, seen_min, seen_max, tie_free)
+
+
+# ----------------------------------------------------------------------
+# _compress_heads: the jumper walk == the step walk, whichever is chosen
+# ----------------------------------------------------------------------
+
+
+def make_tuples(size, threshold, small_share, max_delta, seed):
+    """``(rmin, rmax)`` of ``size`` tuples: a ``small_share`` of the gaps
+    is 1 (swallowed under any threshold that swallows at all), the rest
+    too wide for ``threshold``."""
+    rng = np.random.default_rng(seed)
+    small = rng.random(size) < small_share
+    gaps = np.where(small, 1, threshold + 1 + rng.integers(0, 3, size))
+    rmin = np.cumsum(gaps)
+    return rmin, rmin + rng.integers(0, max_delta + 1, size)
+
+
+@given(
+    size=st.integers(1, 400),
+    threshold=st.sampled_from([0, 1, 2, 7, 60]),
+    # never, rarely (the jumper walk), half and always (the step walk).
+    small_share=st.sampled_from([0.0, 0.02, 0.5, 1.0]),
+    max_delta=st.sampled_from([0, 2, 150]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_compress_heads_equals_the_step_walk(
+    size, threshold, small_share, max_delta, seed
+):
+    rmin, rmax = make_tuples(size, threshold, small_share, max_delta, seed)
+    heads = _compress_heads(rmin, rmax, threshold)
+    assert np.array_equal(heads, compress_heads_reference(rmin, rmax, threshold))
+    assert heads[0] == 0 and heads[-1] == size - 1
+
+
+@pytest.mark.parametrize(
+    "regime, small_share, threshold, max_delta, walk",
+    [
+        ("none", 0.0, 7, 0, "nothing to walk"),
+        ("threshold-0", 1.0, 0, 0, "nothing to walk"),
+        ("threshold-1", 1.0, 1, 0, "nothing to walk"),
+        ("few", 0.02, 7, 2, "jumpers"),
+        ("swallowed", None, 60, 0, "jumpers"),
+        ("most", 1.0, 7, 2, "steps"),
+    ],
+)
+def test_compress_heads_in_every_regime(
+    regime, small_share, threshold, max_delta, walk
+):
+    """Pinned inputs on both sides of the choice, so neither walk can
+    go untested whatever hypothesis draws."""
+    if regime == "swallowed":
+        # Runs of five 1-gaps: the top tuple of a run swallows the
+        # jumpers below it, which are then never heads themselves.
+        rmin = np.cumsum(np.where(np.arange(3000) % 60 < 5, 1, 61))
+        rmax = rmin.copy()
+    else:
+        rmin, rmax = make_tuples(3000, threshold, small_share, max_delta, 5)
+    neighbour = np.arange(-1, len(rmin) - 1)
+    reach = np.searchsorted(rmin, rmax - threshold, side="left")
+    jumpers = np.flatnonzero(reach < neighbour)
+    if walk == "nothing to walk":
+        assert len(jumpers) == 0
+    else:
+        few = len(jumpers) * _JUMPER_SHARE <= len(rmin)
+        assert len(jumpers) > 0 and few == (walk == "jumpers")
+    heads = _compress_heads(rmin, rmax, threshold)
+    assert np.array_equal(heads, compress_heads_reference(rmin, rmax, threshold))
+    if regime == "swallowed":
+        assert not set(jumpers.tolist()) <= set(heads.tolist())
 
 
 @pytest.mark.parametrize("epsilon", [0.3, 0.01, 2.5e-4])
@@ -293,27 +397,97 @@ def test_bulk_absorbed_sketch_survives_checkpoint_roundtrip():
     assert gk_state(restored) == gk_state(sketch)
 
 
+def test_size_and_extremes_are_read_off_the_live_form():
+    """``memory_report`` reads them beside a writing thread: they build
+    and cache nothing, whichever form holds the tuples."""
+    sketch = GKSketch(0.01)
+    for value in (5, 3, 9):
+        sketch.update(value)
+    listed = (3, 9, 3, 13)
+    bulk = make_batch("uniform", 2_000, seed=4)
+    for expected, columns_live in ((listed, True), (None, False)):
+        got = (
+            sketch.min_value(), sketch.max_value(),
+            sketch.tuple_count(), sketch.memory_words(),
+        )
+        assert all(type(item) is int for item in got)
+        if columns_live:
+            assert got == expected and sketch._query_arrays is None
+            sketch.update_many(bulk)
+        else:
+            assert got[:2] == (min(3, bulk.min()), max(9, bulk.max()))
+            assert got[2] == len(sketch._query_arrays[0])
+            assert sketch._columns is None
+
+
 # ----------------------------------------------------------------------
 # Non-integer input is rejected, not truncated
 # ----------------------------------------------------------------------
 
 
+LOSSY = {
+    "float-list": ([1.7, 2.0], TypeError),
+    "nan": (np.asarray([1.0, np.nan]), TypeError),
+    "bool": (np.asarray([True, False]), TypeError),
+    "object": (np.asarray(["3"], dtype=object), TypeError),
+    "uint64-overflow": (np.asarray([2**63], dtype=np.uint64), OverflowError),
+    # What the iterable door used to cast: np.fromiter(..., int64) made
+    # [1, 2, 9] and [1, 3] of these two.
+    "floats": ([1.7, 2.2, 9.9], TypeError),
+    "bool-among-ints": ([True, 3], TypeError),
+}
+#: door -> (fresh sketch, feed(sketch, values)); ``update_batch`` is fed
+#: a one-shot iterator, the case it exists for.
+DOORS = {
+    "update_many": (
+        lambda: GKSketch(0.01), lambda s, v: s.update_many(v)),
+    "update_batch": (
+        lambda: GKSketch(0.01),
+        lambda s, v: s.update_batch(v if isinstance(v, np.ndarray) else iter(v)),
+    ),
+    "kll": (lambda: KLLSketch(0.01, seed=1), lambda s, v: s.update_many(v)),
+}
+
+
 @pytest.mark.parametrize(
-    "values, error",
+    "door, values, error",
     [
-        ([1.7, 2.0], TypeError),
-        (np.asarray([1.0, np.nan]), TypeError),
-        (np.asarray([True, False]), TypeError),
-        (np.asarray(["3"], dtype=object), TypeError),
-        (np.asarray([2**63], dtype=np.uint64), OverflowError),
+        # GK's array door keeps the ids it had before the others joined.
+        pytest.param(
+            door, *LOSSY[case],
+            id=case if door == "update_many" else f"{door}-{case}",
+        )
+        for door in DOORS
+        for case in LOSSY
     ],
-    ids=["float-list", "nan", "bool", "object", "uint64-overflow"],
 )
-def test_gk_update_many_rejects_lossy_input(values, error):
-    sketch = GKSketch(0.01)
+def test_gk_update_many_rejects_lossy_input(door, values, error):
+    fresh, feed = DOORS[door]
+    sketch = fresh()
     with pytest.raises(error):
-        sketch.update_many(values)
+        feed(sketch, values)
     assert sketch.n == 0
+
+
+def test_int64_arrays_pass_every_door_uncopied(monkeypatch):
+    """The doors validate; they must not copy what is already int64."""
+    from repro.sketches import gk, kll
+
+    validated = []
+
+    def spied(values):
+        validated.append(as_int64_batch(values))
+        return validated[-1]
+
+    monkeypatch.setattr(gk, "as_int64_batch", spied)
+    monkeypatch.setattr(kll, "as_int64_batch", spied)
+    batch = np.arange(300, dtype=np.int64)
+    for fresh, feed in DOORS.values():
+        sketch = fresh()
+        feed(sketch, batch)
+        assert sketch.n == 300
+    assert len(validated) == len(DOORS)
+    assert all(arr is batch for arr in validated)
 
 
 @pytest.mark.parametrize(

@@ -279,3 +279,28 @@ class TestSortPasses:
         assert counters.sequential_reads == passes * disk.blocks_for(len(arr))
         assert counters.sequential_writes == passes * disk.blocks_for(len(arr))
         assert counters.random_reads == 0
+
+    @given(
+        data=st.lists(st.integers(-50, 50), max_size=120),
+        memory_elems=st.integers(1, 64),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ascending_input_is_charged_but_not_sorted(
+        self, data, memory_elems
+    ):
+        """Whoever sorted the bytes, the modeled passes are charged from
+        the size alone; ascending input comes back as it is, uncopied."""
+        shuffled = np.asarray(data, dtype=np.int64)
+        ascending = np.sort(shuffled)
+        outputs, charges = [], []
+        for arr in (shuffled, ascending):
+            disk = SimulatedDisk(block_elems=4)
+            sorter = ExternalSorter(disk, memory_elems=memory_elems, fan_in=3)
+            outputs.append(sorter.sorted_array(arr))
+            counters = disk.stats.counters
+            charges.append(
+                (counters.sequential_reads, counters.sequential_writes)
+            )
+        np.testing.assert_array_equal(outputs[0], outputs[1])
+        assert charges[0] == charges[1]
+        assert outputs[1] is ascending
