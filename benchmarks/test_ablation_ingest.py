@@ -45,7 +45,7 @@ def drive(mode):
     mid_run_answers = []
     started = time.perf_counter()
     for step in range(scale.steps):
-        engine.stream_update_batch(workload.generate(scale.batch))
+        engine.stream_update_many(workload.generate(scale.batch))
         report = engine.end_time_step()
         stall += report.stall_seconds
         if report.archived:

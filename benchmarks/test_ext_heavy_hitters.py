@@ -45,13 +45,13 @@ def sweep():
     for _ in range(scale.steps):
         batch = planted_batch(workload, rng, scale.batch)
         chunks.append(batch)
-        engine.stream_update_batch(batch)
-        pure.update_batch(batch)
+        engine.stream_update_many(batch)
+        pure.update_many(batch)
         engine.end_time_step()
     live = planted_batch(workload, rng, scale.batch)
     chunks.append(live)
-    engine.stream_update_batch(live)
-    pure.update_batch(live)
+    engine.stream_update_many(live)
+    pure.update_many(live)
     data = np.concatenate(chunks)
 
     report = engine.heavy_hitters(phi=HEAVY_SHARE / 2)

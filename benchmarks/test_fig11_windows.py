@@ -25,7 +25,7 @@ def sweep():
             keep_oracle=False,
         )
         runner.run({"ours": engine}, phis=())
-        engine.stream_update_batch(NormalWorkload(seed=43).generate(scale.batch))
+        engine.stream_update_many(NormalWorkload(seed=43).generate(scale.batch))
         rows = []
         for window in engine.available_window_sizes():
             result = engine.quantile(0.5, window_steps=window)

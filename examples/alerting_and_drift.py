@@ -35,7 +35,7 @@ def main() -> None:
     print(f"{'step':>4} {'batch mean':>12} {'p50':>12} {'p99':>12}  alerts")
     for step in range(1, STEPS + 1):
         batch = workload.generate(BATCH)
-        engine.stream_update_batch(batch)
+        engine.stream_update_many(batch)
         alerts = watcher.evaluate()
         p50 = engine.quantile(0.5, mode="quick").value
         p99 = engine.quantile(0.99, mode="quick").value

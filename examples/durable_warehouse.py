@@ -31,9 +31,9 @@ def main() -> None:
     workload = UniformWorkload(seed=3)
     engine = HybridQuantileEngine(epsilon=0.01, kappa=4, block_elems=100)
     for _ in range(STEPS):
-        engine.stream_update_batch(workload.generate(BATCH))
+        engine.stream_update_many(workload.generate(BATCH))
         engine.end_time_step()
-    engine.stream_update_batch(workload.generate(BATCH))  # live stream
+    engine.stream_update_many(workload.generate(BATCH))  # live stream
 
     with tempfile.TemporaryDirectory() as tmp:
         checkpoint = Path(tmp) / "warehouse"
@@ -59,7 +59,7 @@ def main() -> None:
         print(f"  answers identical to pre-crash: {agreement}\n")
 
         restored.end_time_step()
-        restored.stream_update_batch(workload.generate(BATCH))
+        restored.stream_update_many(workload.generate(BATCH))
         print(f"Continued ingesting: now {restored.n_total:,} elements, "
               f"median {restored.quantile(0.5).value:,}\n")
 

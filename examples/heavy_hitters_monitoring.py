@@ -46,12 +46,12 @@ def main() -> None:
         batch = with_talker(workload.generate(FLOWS), CHRONIC_TALKER,
                             0.08, rng)
         everything.append(batch)
-        engine.stream_update_batch(batch)
+        engine.stream_update_many(batch)
         engine.end_time_step()
 
     live = with_talker(workload.generate(FLOWS), RECENT_TALKER, 0.30, rng)
     everything.append(live)
-    engine.stream_update_batch(live)
+    engine.stream_update_many(live)
     data = np.concatenate(everything)
 
     print(f"Live stream: host {RECENT_TALKER:#x} bursts to 30%\n")
@@ -69,7 +69,7 @@ def main() -> None:
 
     # Contrast with a pure-streaming Misra-Gries over all of T.
     pure = MisraGriesSketch.for_epsilon(0.01)
-    pure.update_batch(data)
+    pure.update_many(data)
     chronic_key = np.int64(CHRONIC_TALKER) << 20
     true = int(np.sum(data == chronic_key))
     print(f"\nChronic talker true count : {true:,}")

@@ -30,12 +30,12 @@ def run_once(eps1: float, eps2: float, seed: int = 21):
     oracle = ExactQuantiles()
     for _ in range(STEPS):
         batch = rng.integers(10**8, 10**9, BATCH, dtype=np.int64)
-        engine.stream_update_batch(batch)
-        oracle.update_batch(batch)
+        engine.stream_update_many(batch)
+        oracle.update_many(batch)
         engine.end_time_step()
     live = rng.integers(10**8, 10**9, BATCH, dtype=np.int64)
-    engine.stream_update_batch(live)
-    oracle.update_batch(live)
+    engine.stream_update_many(live)
+    oracle.update_many(live)
 
     errors, accesses = [], []
     for phi in PHIS:

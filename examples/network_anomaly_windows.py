@@ -35,13 +35,13 @@ def main() -> None:
 
     print(f"Archiving {STEPS} steps of {FLOWS:,} flows each...")
     for step in range(STEPS):
-        engine.stream_update_batch(workload.generate(FLOWS))
+        engine.stream_update_many(workload.generate(FLOWS))
         engine.end_time_step()
 
     # The live step mixes normal traffic with the scan burst.
     normal = workload.generate(FLOWS // 2)
     burst = scan_burst(rng, FLOWS // 2)
-    engine.stream_update_batch(np.concatenate([normal, burst]))
+    engine.stream_update_many(np.concatenate([normal, burst]))
 
     print(f"Live stream: {engine.m_stream:,} flows "
           f"(half of them a scan burst from host {SCAN_SOURCE})\n")

@@ -26,16 +26,16 @@ def main() -> None:
     print(f"Loading {STEPS} time steps of {BATCH:,} elements each...")
     for step in range(STEPS):
         batch = rng.normal(100e6, 10e6, BATCH).astype(np.int64)
-        engine.stream_update_batch(batch)   # live stream
-        oracle.update_batch(batch)
+        engine.stream_update_many(batch)    # live stream
+        oracle.update_many(batch)
         report = engine.end_time_step()     # archive into the warehouse
         if report.merged_levels:
             print(f"  step {report.step}: merged partitions "
                   f"({report.io_total:,} disk accesses)")
 
     live = rng.normal(100e6, 10e6, BATCH).astype(np.int64)
-    engine.stream_update_batch(live)        # today's not-yet-archived data
-    oracle.update_batch(live)
+    engine.stream_update_many(live)         # today's not-yet-archived data
+    oracle.update_many(live)
 
     print(f"\nDataset: {engine.n_historical:,} historical + "
           f"{engine.m_stream:,} streaming elements")

@@ -45,14 +45,14 @@ def main() -> None:
     for hour in range(HOURS):
         batch = hourly_latencies(rng, hour, REQUESTS)
         for engine in (hybrid, streaming):
-            engine.stream_update_batch(batch)
+            engine.stream_update_many(batch)
             engine.end_time_step()
-        oracle.update_batch(batch)
+        oracle.update_many(batch)
 
     live = hourly_latencies(rng, HOURS, REQUESTS)
-    hybrid.stream_update_batch(live)
-    streaming.stream_update_batch(live)
-    oracle.update_batch(live)
+    hybrid.stream_update_many(live)
+    streaming.stream_update_many(live)
+    oracle.update_many(live)
 
     print(f"\nTotal requests observed: {oracle.n:,} "
           f"({hybrid.m_stream:,} in the live hour)\n")

@@ -9,7 +9,9 @@ Quickstart::
     from repro import HybridQuantileEngine
 
     engine = HybridQuantileEngine(epsilon=1e-3, kappa=10)
-    engine.stream_update_batch(todays_values)   # live stream
+    engine.stream_update_many(todays_values)    # live stream (the one
+                                                # batch verb, on every
+                                                # engine and baseline)
     median = engine.quantile(0.5)               # query any time
     engine.end_time_step()                      # archive the batch
 

@@ -15,12 +15,12 @@ but without sorting, so it pays load and merge I/O only.
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..core.engine import QueryResult, StepReport
-from ..sketches.base import QuantileSketch, rank_for_phi
+from ..sketches.base import QuantileSketch, as_int64_batch, rank_for_phi
 from ..sketches.gk import GKSketch
 from ..sketches.mrl import MRL99Sketch
 from ..sketches.qdigest import QDigestSketch
@@ -86,7 +86,7 @@ class PureStreamingEngine:
     """Answer quantiles on T with a single streaming sketch.
 
     Implements the same driver protocol as the hybrid engine
-    (``stream_update_batch`` / ``end_time_step`` / ``quantile``), so
+    (``stream_update_many`` / ``end_time_step`` / ``quantile``), so
     experiments can swap baselines in transparently.
     """
 
@@ -119,17 +119,14 @@ class PureStreamingEngine:
         self._pending_elems += 1
         self._n_total += 1
 
-    def stream_update_batch(self, values: Iterable[int]) -> None:
-        """Process many live stream elements at once."""
-        arr = np.asarray(
-            values if isinstance(values, np.ndarray) else list(values),
-            dtype=np.int64,
-        )
-        if arr.size == 0:
-            return
-        self.sketch.update_many(arr)
-        self._pending_elems += int(arr.size)
-        self._n_total += int(arr.size)
+    def stream_update_many(self, values: np.ndarray) -> int:
+        """Process a batch of live stream elements; returns its size."""
+        arr = as_int64_batch(values)
+        if arr.size:
+            self.sketch.update_many(arr)
+            self._pending_elems += int(arr.size)
+            self._n_total += int(arr.size)
+        return int(arr.size)
 
     def end_time_step(self) -> StepReport:
         """Archive the batch (I/O only); the sketch is never reset."""

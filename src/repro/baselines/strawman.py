@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from ..core.engine import StepReport
 from ..core.query_path import QueryResult, QueryScope, answer_rank
 from ..core.summaries import PartitionSummary, StreamSummary
 from ..query.executor import SERIAL_EXECUTOR
-from ..sketches.base import rank_for_phi
+from ..sketches.base import as_int64_batch, rank_for_phi
 from ..sketches.gk import GKSketch
 from ..storage.cache import BlockCache
 from ..storage.disk import SimulatedDisk
@@ -58,17 +58,14 @@ class StrawmanEngine:
         self._stream_chunks.append(np.asarray([value], dtype=np.int64))
         self._m += 1
 
-    def stream_update_batch(self, values: Iterable[int]) -> None:
-        """Process many live stream elements at once."""
-        arr = np.asarray(
-            values if isinstance(values, np.ndarray) else list(values),
-            dtype=np.int64,
-        )
-        if arr.size == 0:
-            return
-        self._gk.update_many(arr)
-        self._stream_chunks.append(arr.copy())
-        self._m += int(arr.size)
+    def stream_update_many(self, values: np.ndarray) -> int:
+        """Process a batch of live stream elements; returns its size."""
+        arr = as_int64_batch(values)
+        if arr.size:
+            self._gk.update_many(arr)
+            self._stream_chunks.append(arr.copy())
+            self._m += int(arr.size)
+        return int(arr.size)
 
     def end_time_step(self) -> StepReport:
         """Merge the batch into the single sorted historical run."""

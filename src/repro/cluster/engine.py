@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -806,12 +806,6 @@ class ClusterEngine:
                 engine.stream_update_many(chunk)
             self._shard_elems[shard] += int(chunk.size)
         return int(arr.size)
-
-    def stream_update_batch(self, values: Iterable[int]) -> None:
-        """Iterable convenience wrapper over :meth:`stream_update_many`."""
-        if not isinstance(values, np.ndarray):
-            values = list(values)
-        self.stream_update_many(values)
 
     def end_time_step(self) -> "List[Optional[StepReport]]":
         """Seal the current step on every shard (lockstep).

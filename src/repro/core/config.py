@@ -54,30 +54,33 @@ class EngineConfig:
         bit-for-bit.  Answers and I/O counts are identical for any
         worker count; only wall-clock changes.
     ingest_mode:
-        Archiving mode for ``end_time_step``: ``"sync"`` (default)
-        blocks the stream while the batch is sorted, written and merged
-        — the exact historical code path; ``"background"`` seals the
-        batch and hands it to the :mod:`repro.ingest` archiver thread,
-        so the stream (and queries) continue while sort + level merges
-        run off the hot path.  After ``engine.flush()`` the answers,
-        I/O counters and invariants are bit-identical across modes.
+        Who runs the archive step of a batch ``end_time_step`` sealed
+        (sort, write, summary, level merges — one function,
+        :mod:`repro.ingest.archiver`): ``"sync"`` (default) the calling
+        thread, so the stream blocks until the batch is in the layout;
+        ``"background"`` the archiver thread, so the stream (and
+        queries) continue.  After ``engine.flush()`` the answers, I/O
+        counters and invariants are bit-identical across modes, and a
+        fault is retried and surfaced the same way in both.
     ingest_queue_batches:
         Backpressure bound of the background archiver: at most this
         many sealed batches may be pending (staged but not merged)
         before ``end_time_step`` blocks, accumulating stall seconds.
     archive_retries:
-        Consecutive transient-fault retries the background archiver
-        spends on one batch before declaring it failed (the batch stays
-        queued and queryable either way; the failure surfaces as a
-        typed error on the next producer call or ``close``).
+        Consecutive transient-fault retries one sealed batch's archive
+        step gets, in either ingest mode, before it is declared failed
+        (the batch stays pending and queryable; the typed error comes
+        from the sealing call in sync mode, from the next producer call
+        or ``close`` in background mode).
     probe_retries:
         Transient-fault retries the query executor spends on one
         partition probe before the accurate search gives up and — with
         ``degrade_on_fault`` — the query falls back to the quick
         response.
-    retry_backoff_seconds, retry_backoff_cap_seconds:
-        Capped exponential backoff between retries: retry ``k`` sleeps
-        ``min(base * 2**(k-1), cap)``.
+    retry_backoff_seconds:
+        Base of the capped exponential backoff between retries: retry
+        ``k`` sleeps ``min(base * 2**(k-1), 0.25)`` seconds (the cap is
+        :data:`~repro.faults.retry.ENGINE_BACKOFF_CAP_SECONDS`).
     degrade_on_fault:
         When an accurate query exhausts its probe retries, answer from
         the in-memory summaries instead (quick response, widened error
@@ -167,7 +170,6 @@ class EngineConfig:
     archive_retries: int = 32
     probe_retries: int = 3
     retry_backoff_seconds: float = 0.002
-    retry_backoff_cap_seconds: float = 0.25
     degrade_on_fault: bool = True
     shared_cache_blocks: int = 0
     prefetch_blocks: int = 4
@@ -204,8 +206,6 @@ class EngineConfig:
             raise ValueError("probe_retries must be >= 0")
         if self.retry_backoff_seconds < 0:
             raise ValueError("retry_backoff_seconds must be >= 0")
-        if self.retry_backoff_cap_seconds < 0:
-            raise ValueError("retry_backoff_cap_seconds must be >= 0")
         if self.shared_cache_blocks < 0:
             raise ValueError("shared_cache_blocks must be >= 0")
         if self.prefetch_blocks < 0:
@@ -258,24 +258,24 @@ class EngineConfig:
 
     @property
     def archive_retry_policy(self) -> "Any":
-        """Retry policy the background archiver runs batches under."""
-        from ..faults.retry import RetryPolicy
+        """Retry policy every sealed batch is archived under."""
+        from ..faults.retry import ENGINE_BACKOFF_CAP_SECONDS, RetryPolicy
 
         return RetryPolicy(
             max_retries=self.archive_retries,
             backoff_seconds=self.retry_backoff_seconds,
-            backoff_cap_seconds=self.retry_backoff_cap_seconds,
+            backoff_cap_seconds=ENGINE_BACKOFF_CAP_SECONDS,
         )
 
     @property
     def probe_retry_policy(self) -> "Any":
         """Retry policy the query executor runs partition probes under."""
-        from ..faults.retry import RetryPolicy
+        from ..faults.retry import ENGINE_BACKOFF_CAP_SECONDS, RetryPolicy
 
         return RetryPolicy(
             max_retries=self.probe_retries,
             backoff_seconds=self.retry_backoff_seconds,
-            backoff_cap_seconds=self.retry_backoff_cap_seconds,
+            backoff_cap_seconds=ENGINE_BACKOFF_CAP_SECONDS,
         )
 
 

@@ -15,12 +15,12 @@
   accurate response's per-partition probes — serially by default, or
   overlapped on ``config.query_workers`` threads (Section 4's parallel
   partition reads, implemented);
-* an ingest pipeline (:mod:`repro.ingest`) that, with
-  ``config.ingest_mode = "background"``, seals each time step's batch
-  and archives it (sort + level merges + summary construction) on a
-  background thread, so ``stream_update*`` and queries continue while
-  the warehouse churns — the paper's Algorithm 3 setting of a
-  warehouse continuously loading batches while serving queries.
+* an ingest pipeline (:mod:`repro.ingest`) that seals each time step's
+  batch and archives it (sort + level merges + summary construction)
+  in one consumer step — on the sealing thread, or with
+  ``config.ingest_mode = "background"`` on a background thread while
+  ``stream_update*`` and queries continue: the paper's Algorithm 3
+  setting of a warehouse loading batches while serving queries.
 
 Typical use::
 
@@ -54,7 +54,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -92,8 +92,10 @@ class StepReport:
     """What loading one time step into the warehouse cost.
 
     ``io_*`` fields are block counts; ``cpu_seconds`` is measured wall
-    time by phase; ``sim_seconds`` applies the disk latency model to
-    the I/O performed this step.
+    time by phase (``sort``, ``load`` the run's write, ``summary`` the
+    sealed batch's own, ``merge`` the adopt — cascade merges with the
+    merged partitions' summaries); ``sim_seconds`` applies the disk
+    latency model to the I/O performed this step.
 
     In background ingest mode ``end_time_step`` returns a provisional
     report (``archived=False``, zero I/O) because the archive work has
@@ -256,9 +258,9 @@ class HybridQuantileEngine:
         # instant where a sealed batch is in neither the stream nor the
         # pending set.
         self._seal_lock = threading.RLock()
-        # Created lazily on the first background end_time_step, so it
-        # always binds the *final* store (load_engine swaps the store
-        # attribute after construction).
+        # Created lazily on the first end_time_step, so it always binds
+        # the *final* store (load_engine swaps the store attribute
+        # after construction).
         self._archiver: Optional[BackgroundArchiver] = None
         # Optional durability: when attached, every acked batch and
         # seal is appended (and fsynced) to the log before it is
@@ -329,8 +331,8 @@ class HybridQuantileEngine:
         merge once, the next time a reader needs the sketch (a pin, a
         stream summary, a checkpoint).  Because scalar updates follow
         the same lazy protocol, feeding identical elements through
-        ``stream_update``, ``stream_update_batch`` or this method
-        yields bit-identical answers for the same query schedule.
+        ``stream_update`` or this method in batches of any size yields
+        bit-identical answers for the same query schedule.
 
         Parameters
         ----------
@@ -356,17 +358,6 @@ class HybridQuantileEngine:
             self._stream_stats = self._stream_stats.merge(stats)
             self._m += int(arr.size)
         return int(arr.size)
-
-    def stream_update_batch(self, values: Iterable[int]) -> None:
-        """Process many live stream elements from any iterable.
-
-        Arrays pass straight through to :meth:`stream_update_many`;
-        other iterables are materialized once into a list and judged
-        by the same door, so lossy input raises instead of truncating.
-        """
-        if not isinstance(values, np.ndarray):
-            values = list(values)
-        self.stream_update_many(values)
 
     def attach_wal(self, wal) -> None:
         """Attach a :class:`~repro.ingest.wal.WriteAheadLog`.
@@ -422,94 +413,55 @@ class HybridQuantileEngine:
     def end_time_step(self) -> StepReport:
         """Archive the current stream batch into HD and reset SS.
 
-        The batch is sorted, stored as a level-0 partition (triggering
-        cascading merges when levels are full), its summary attached,
-        and the stream sketch reset — Algorithm 3 plus StreamReset.
+        Algorithm 3 plus StreamReset, in two halves.  The *seal* — WAL
+        frame, take the buffer, reset the sketch, wrap the batch in a
+        :class:`~repro.ingest.PendingBatch`, bump the epoch — happens
+        here, under the epoch layer's seal lock and so atomically with
+        respect to :meth:`pin`: a concurrent reader sees the sealed
+        elements either still in the stream or already in the pending
+        set, never in neither.  The *archive* — sort, write as a
+        level-0 partition, attach the summary, cascade-merge full
+        levels — is the archiver's one consumer step, and
+        ``config.ingest_mode`` only chooses who runs it: ``"sync"`` the
+        calling thread, before the seal lock is released, returning the
+        authoritative report; ``"background"`` the archiver thread,
+        returning a provisional report (``archived=False``) —
+        :meth:`flush` drains and yields the authoritative ones.
 
-        With ``config.ingest_mode == "background"`` only the *seal* —
-        take the buffer, reset the sketch, enqueue — happens here; the
-        archive work runs on the background thread and the returned
-        report is provisional (``archived=False``).  Call
-        :meth:`flush` to drain and obtain the authoritative reports.
-
-        The seal runs under the epoch layer's seal lock, atomically
-        with respect to :meth:`pin`: a concurrent reader sees the
-        sealed elements either still in the stream or already in the
-        pending set, never in neither.  Any backpressure wait happens
-        *before* the lock is taken, so pins are never blocked behind a
-        full archiver queue.
+        A fault that outlasts ``config.archive_retries`` leaves the
+        batch in the queryable pending set and raises
+        :class:`~repro.ingest.archiver.ArchiveFailedError` from this
+        call (sync) or the next producer call (background).  Any
+        backpressure wait happens *before* the lock is taken, so pins
+        are never blocked behind a full archiver queue.
         """
         started = time.perf_counter()
         if self._wal is not None:
             self._wal.append_seal(self._step + 1)
-        if self.config.ingest_mode == "background":
-            archiver = self._ensure_archiver()
-            archiver.reserve()
-            with self._seal_lock:
-                self._step += 1
-                with self._stream_lock:
-                    batch = self._buffer.take()
-                    batch_stats = self._stream_stats
-                    self._m = 0
-                    self._gk = self._fresh_stream_sketch()
-                    self._gk_absorbed = 0
-                    self._stream_stats = AggregateStats.empty()
-                self._stream_view = None
-                pending = PendingBatch(step=self._step, values=batch)
-                pending.stats = batch_stats
-                depth = archiver.enqueue_reserved(pending)
-                self._epochs.bump("seal")
-            return self._finish_background_step(
-                pending, archiver, depth, started
-            )
+        archiver = self._ensure_archiver()
+        archiver.reserve()
         with self._seal_lock:
             self._step += 1
             with self._stream_lock:
-                batch = self._buffer.take()
+                pending = PendingBatch(
+                    step=self._step, values=self._buffer.take()
+                )
+                pending.stats = self._stream_stats
                 self._m = 0
                 self._gk = self._fresh_stream_sketch()
                 self._gk_absorbed = 0
                 self._stream_stats = AggregateStats.empty()
             self._stream_view = None
             self._epochs.bump("seal")
-            return self._end_time_step_sync(batch, started)
-
-    def _end_time_step_sync(
-        self, batch: np.ndarray, started: float
-    ) -> StepReport:
-        stats = self.disk.stats
-        cpu_before = dict(self.store.cpu_seconds)
-        with stats.capture() as tally:
-            self.store.add_batch(batch, step=self._step)
-        wall = time.perf_counter() - started
-        cpu = {
-            phase: self.store.cpu_seconds.get(phase, 0.0)
-            - cpu_before.get(phase, 0.0)
-            for phase in ("sort", "merge", "summary")
-        }
-        cpu["load"] = max(0.0, wall - sum(cpu.values()))
-        return StepReport(
-            step=self._step,
-            batch_elems=int(batch.size),
-            io_total=tally.total.total,
-            io_load=tally.phase("load").total,
-            io_sort=tally.phase("sort").total,
-            io_merge=tally.phase("merge").total,
-            cpu_seconds=cpu,
-            sim_seconds=self.disk.latency.seconds(tally.total),
-            merged_levels=tally.phase("merge").total > 0,
-            stall_seconds=wall,
-            queue_depth=0,
-            archive_wall_seconds=wall,
-        )
-
-    def _finish_background_step(
-        self,
-        pending: PendingBatch,
-        archiver: BackgroundArchiver,
-        depth: int,
-        started: float,
-    ) -> StepReport:
+            if self.config.ingest_mode != "background":
+                report = self._report_from_record(
+                    archiver.archive_reserved(pending)
+                )
+                wall = time.perf_counter() - started
+                return replace(
+                    report, stall_seconds=wall, archive_wall_seconds=wall
+                )
+            depth = archiver.enqueue_reserved(pending)
         stall = time.perf_counter() - started
         pending.stall_seconds = stall
         archiver.stats.stall_seconds += stall
@@ -537,8 +489,10 @@ class HybridQuantileEngine:
         returns one authoritative :class:`StepReport` per step archived
         since the previous ``flush`` (step order).  Answers, per-phase
         I/O counters and invariants match what the synchronous mode
-        would have reported for the same stream.  A no-op returning
-        ``[]`` in sync mode or when nothing was ever enqueued.
+        reports for the same stream.  Returns ``[]`` in sync mode
+        (``end_time_step`` already returned each report); raises
+        :class:`~repro.ingest.archiver.ArchiveFailedError` in either
+        mode once a batch has failed to archive.
         """
         if self._archiver is None:
             return []
@@ -554,7 +508,13 @@ class HybridQuantileEngine:
                 # Adoption changes the partition set, so it bumps the
                 # epoch — inside the same critical section that splices
                 # the partition, keeping epoch and layout in lockstep.
-                on_adopt=lambda step: self._epochs.bump("adopt"),
+                # A sync step adopts inside its seal's own section: one
+                # transition, already stamped by the seal's bump.
+                on_adopt=(
+                    (lambda step: self._epochs.bump("adopt"))
+                    if self.config.ingest_mode == "background"
+                    else None
+                ),
             )
             self._archiver.stats.degraded_queries = self._degraded_queries
         return self._archiver
@@ -584,9 +544,12 @@ class HybridQuantileEngine:
         """Cumulative background-ingest instrumentation.
 
         ``None`` until the first background ``end_time_step`` (always
-        ``None`` in sync mode).
+        ``None`` in sync mode, where no batch reaches the thread).
         """
-        return self._archiver.stats if self._archiver is not None else None
+        archiver = self._archiver
+        if archiver is None or not archiver.threaded:
+            return None
+        return archiver.stats
 
     @property
     def degraded_queries(self) -> int:
@@ -611,10 +574,12 @@ class HybridQuantileEngine:
         :class:`~repro.faults.FaultyDisk` contributes its fired-fault
         count, the archiver and query executor their retry counts.
         """
-        stats = self.ingest_stats
+        archiver = self._archiver
         return ReliabilityReport(
             disk_faults=int(getattr(self.disk, "faults_fired", 0)),
-            archive_retries=stats.fault_retries if stats is not None else 0,
+            archive_retries=(
+                archiver.stats.fault_retries if archiver is not None else 0
+            ),
             probe_retries=self._query_executor.fault_retries,
             degraded_queries=self.degraded_queries,
         )
@@ -626,12 +591,8 @@ class HybridQuantileEngine:
     @property
     def n_historical(self) -> int:
         """Number of sealed historical elements n (archived + pending)."""
-        if self._archiver is None:
-            return self.store.total_elements()
-        with self.store.layout_lock:
-            total = self.store.total_elements()
-            pending = self._archiver.pending_batches()
-        return total + sum(len(batch) for batch in pending)
+        partitions, pending, _ = self._layout_snapshot()
+        return sum(map(len, partitions)) + sum(map(len, pending))
 
     @property
     def m_stream(self) -> int:
@@ -680,13 +641,11 @@ class HybridQuantileEngine:
         self,
     ) -> "tuple[List[Partition], List[PendingBatch], int]":
         """Atomic (adopted layout, pending set, epoch) triple."""
-        if self._archiver is None:
-            with self.store.layout_lock:
-                return self.store.partitions(), [], self._epochs.current
+        archiver = self._archiver
         with self.store.layout_lock:
             return (
                 self.store.partitions(),
-                self._archiver.pending_batches(),
+                archiver.pending_batches() if archiver is not None else [],
                 self._epochs.current,
             )
 
@@ -708,14 +667,14 @@ class HybridQuantileEngine:
     def _queryable_partitions(self) -> List[Partition]:
         """Step-ordered snapshot of every sealed element's partition.
 
-        In sync mode this is just the store's layout snapshot.  In
-        background mode the adopted layout and the archiver's pending
-        set are snapshotted *atomically* under the layout lock (the
-        archiver adopts and unlinks in one critical section of the same
-        lock), so every sealed batch appears exactly once no matter how
-        the snapshot races an in-flight adoption.  Pending batches are
-        then staged by this thread if needed — work-stealing, so a
-        query never waits behind an in-flight cascade merge.
+        The adopted layout and the archiver's pending set (empty in
+        sync mode unless an archive failed) are snapshotted
+        *atomically* under the layout lock (the archiver adopts and
+        unlinks in one critical section of the same lock), so every
+        sealed batch appears exactly once no matter how the snapshot
+        races an in-flight adoption.  Pending batches are then staged
+        by this thread if needed — work-stealing, so a query never
+        waits behind an in-flight cascade merge.
         """
         ordered, pending, _ = self._layout_snapshot()
         return self._stage_pending(ordered, pending)
@@ -916,8 +875,6 @@ class HybridQuantileEngine:
         Mid-archive the pending suffix counts too — a window ending at
         the last *sealed* step is answerable before archiving finishes.
         """
-        if self._archiver is None:
-            return self.store.available_window_sizes()
         return window_sizes_from(self._queryable_partitions())
 
     # ------------------------------------------------------------------
@@ -1009,12 +966,8 @@ class HybridQuantileEngine:
         work — so its reported footprint covers every ingested element.
         """
         self._absorb_stream_tail()
-        partitions = self.store.partitions()
-        if self._archiver is not None:
-            for batch in self._archiver.pending_batches():
-                partition = batch.partition
-                if partition is not None:
-                    partitions.append(partition)
+        partitions, pending, _ = self._layout_snapshot()
+        partitions += [b.partition for b in pending if b.staged]
         hist = sum(
             p.summary.memory_words()
             for p in partitions

@@ -154,7 +154,7 @@ class ExperimentRunner:
         """Drive every engine through the experiment.
 
         ``engines`` maps display names to engine objects implementing
-        the driver protocol (``stream_update_batch``, ``end_time_step``,
+        the driver protocol (``stream_update_many``, ``end_time_step``,
         ``quantile``).  ``query_modes`` optionally overrides the query
         mode per engine name (default ``"accurate"``).
         """
@@ -170,21 +170,21 @@ class ExperimentRunner:
         modes = query_modes or {}
 
         for batch in self.workload.batches(self.num_steps, self.batch_elems):
-            oracle.update_batch(batch)
+            oracle.update_many(batch)
             for name, engine in engines.items():
                 run = result.runs[name]
                 started = time.perf_counter()
-                engine.stream_update_batch(batch)
+                engine.stream_update_many(batch)
                 report = engine.end_time_step()
                 run.ingest_seconds += time.perf_counter() - started
                 run.step_reports.append(report)
 
         live = self.workload.generate(self.stream_elems)
-        oracle.update_batch(live)
+        oracle.update_many(live)
         for name, engine in engines.items():
             run = result.runs[name]
             started = time.perf_counter()
-            engine.stream_update_batch(live)
+            engine.stream_update_many(live)
             run.ingest_seconds += time.perf_counter() - started
 
         for phi in phis:

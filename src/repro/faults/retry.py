@@ -28,6 +28,10 @@ from typing import Any, Callable, Optional
 from .errors import DiskFault
 from .plan import _MIX
 
+#: Ceiling on any single sleep of the policies an ``EngineConfig``
+#: builds (archive and probe retries): no workload ever set another.
+ENGINE_BACKOFF_CAP_SECONDS = 0.25
+
 
 @dataclass(frozen=True)
 class RetryPolicy:

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..core.config import EngineConfig
 from ..core.summaries import PartitionSummary
+from ..sketches.base import as_int64_batch
 from ..storage.cache import BlockCache
 from ..storage.disk import SimulatedDisk
 from ..warehouse.leveled_store import LeveledStore
@@ -73,7 +74,7 @@ class HeavyHittersEngine:
     """Frequent items over historical plus streaming data.
 
     Implements the same driver protocol as the quantile engine
-    (``stream_update_batch`` / ``end_time_step``), so the experiment
+    (``stream_update_many`` / ``end_time_step``), so the experiment
     runner can ingest both side by side.
 
     Guarantee: for ``phi >= 2 * eps1``, every value with true frequency
@@ -122,17 +123,14 @@ class HeavyHittersEngine:
         self._stream_chunks.append(np.asarray([value], dtype=np.int64))
         self._m += 1
 
-    def stream_update_batch(self, values: Iterable[int]) -> None:
-        """Process many live stream elements at once."""
-        arr = np.asarray(
-            values if isinstance(values, np.ndarray) else list(values),
-            dtype=np.int64,
-        )
-        if arr.size == 0:
-            return
-        self._mg.update_batch(arr)
-        self._stream_chunks.append(arr.copy())
-        self._m += int(arr.size)
+    def stream_update_many(self, values: np.ndarray) -> int:
+        """Process a batch of live stream elements; returns its size."""
+        arr = as_int64_batch(values)
+        if arr.size:
+            self._mg.update_many(arr)
+            self._stream_chunks.append(arr.copy())
+            self._m += int(arr.size)
+        return int(arr.size)
 
     def end_time_step(self) -> None:
         """Archive the stream batch and reset the stream sketch."""

@@ -14,9 +14,11 @@ which preserves the same guarantee.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable
+from typing import Dict
 
 import numpy as np
+
+from ..sketches.base import as_int64_batch
 
 
 class MisraGriesSketch:
@@ -71,12 +73,9 @@ class MisraGriesSketch:
         for key in exhausted:
             del self._counters[key]
 
-    def update_batch(self, values: Iterable[int]) -> None:
+    def update_many(self, values: np.ndarray) -> None:
         """Merge a batch using the mergeable-summaries rule."""
-        arr = np.asarray(
-            values if isinstance(values, np.ndarray) else list(values),
-            dtype=np.int64,
-        )
+        arr = as_int64_batch(values)
         if arr.size == 0:
             return
         self._n += int(arr.size)

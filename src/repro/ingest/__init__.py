@@ -1,24 +1,25 @@
-"""The ingest pipeline: stream buffering and background archiving.
+"""The ingest pipeline: stream buffering, sealing and archiving.
 
 ``end_time_step`` is the write-path hot spot: the paper's warehouse
 (Algorithm 3) sorts the sealed batch, writes it as a level-0 partition
-and runs cascading level merges — all of which the synchronous path
-pays while the stream stalls.  This package overlaps that work with
-stream updates and queries:
+and runs cascading level merges.  This package holds the one
+implementation of that step, and lets it overlap with stream updates
+and queries:
 
 * :class:`AppendBuffer` — the amortized-O(1) growable buffer the
-  engine's ``stream_update`` / ``stream_update_batch`` append into;
-* :class:`PendingBatch` — a sealed batch staged as a queryable pending
-  partition (sorted + summarized eagerly, merged lazily);
-* :class:`BackgroundArchiver` — the thread draining sealed batches
-  into the warehouse off the hot path, with queue-depth / stall /
-  per-phase latency instrumentation (:class:`IngestStats`).
+  engine's ``stream_update`` / ``stream_update_many`` append into;
+* :class:`PendingBatch` — a sealed batch, queryable from the seal on
+  (staged as a pending partition by whoever needs it first);
+* :class:`BackgroundArchiver` — the consumer of sealed batches (stage,
+  adopt, retry transient faults, keep a failed batch pending), with
+  queue-depth / stall / per-phase latency instrumentation
+  (:class:`IngestStats`).
 
-The synchronous default path never imports a thread; with
-``EngineConfig.ingest_mode = "background"`` the engine routes sealed
-batches through the archiver, and ``engine.flush()`` drains it,
-yielding per-step reports bit-identical (answers, I/O counters,
-invariants) to the synchronous mode.
+``EngineConfig.ingest_mode`` chooses who runs the consumer: ``"sync"``
+the thread that called ``end_time_step`` (no thread is ever started),
+``"background"`` the archiver's own, which ``engine.flush()`` drains.
+Per-step reports, answers, I/O counters and invariants are
+bit-identical either way.
 """
 
 from .archiver import BackgroundArchiver, IngestStats

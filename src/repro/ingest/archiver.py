@@ -1,25 +1,26 @@
-"""The background archiver thread.
+"""The archiver: the one consumer of sealed batches.
 
-One consumer thread drains sealed batches (:class:`PendingBatch`) into
-the warehouse: stage (sort + write + summary), then adopt (splice into
-the leveled layout, cascading merges and all).  The producing engine
-thread only seals and enqueues, so ``stream_update*`` resumes
-immediately; queries running meanwhile snapshot the layout *plus* the
-pending set under the store's layout lock, so they always see the full
-union exactly once.
+Sealed batches (:class:`PendingBatch`) are drained into the warehouse
+one at a time, in step order: stage (sort + write + summary), then
+adopt (splice into the leveled layout, cascading merges and all).
+The producer picks who runs that step at each hand-off:
+``enqueue_reserved`` leaves the batch to the archiver's thread, so
+``stream_update*`` resumes immediately; ``archive_reserved`` runs it
+on the calling thread and returns its record.  Either way queries
+snapshot the layout *plus* the pending set under the store's layout
+lock, so they always see the full union exactly once.
 
-Determinism.  Batches are archived strictly in submission order by a
-single thread, and each step's I/O is accounted through per-thread
-captures (:meth:`~repro.storage.stats.DiskStats.capture`), so the
-per-step :class:`ArchiveRecord` stream an ``engine.flush()`` drains is
-identical — answers, I/O counters, layout, invariants — to what the
-synchronous path would have produced, regardless of how queries
+Determinism.  Batches are archived strictly in submission order, and
+each step's I/O is accounted through per-thread captures
+(:meth:`~repro.storage.stats.DiskStats.capture`), so the per-step
+:class:`ArchiveRecord` stream is identical — answers, I/O counters,
+layout, invariants — whichever thread ran it and however queries
 interleaved.
 
 Backpressure.  At most ``max_pending`` batches may be queued; beyond
-that ``submit`` blocks, and the blocked time is the *stall* the
-instrumentation reports (the synchronous path, by comparison, stalls
-for every step's full archive latency).
+that ``reserve`` blocks, and the blocked time is the *stall* the
+instrumentation reports (a caller that archives on its own thread
+stalls for every step's full archive latency instead).
 
 Failure isolation.  An archive attempt that hits a transient
 :class:`~repro.faults.DiskFault` is retried in place with capped
@@ -27,10 +28,11 @@ exponential backoff (the batch never leaves the queue until adoption
 succeeds, so a failed attempt re-queues it by construction — adoption
 must stay in step order for the layout invariant).  Only a persistent
 fault, an unexpected exception, or an exhausted retry budget poisons
-the archiver, and even then the error is *delivered*: the next
-``submit``/``drain`` raises a typed :class:`ArchiveFailedError`, and
+the archiver, and even then the batch stays in the queryable pending
+set and the error is *delivered*: ``archive_reserved`` and the next
+``reserve``/``drain`` raise a typed :class:`ArchiveFailedError`, and
 ``close`` raises it if no producer call ever surfaced it — a failed
-background thread can no longer vanish silently.
+archive can not vanish silently.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from .pending import PendingBatch
 
 
 class ArchiveFailedError(RuntimeError):
-    """Background archiving failed; the cause is chained as
-    ``__cause__``.  Raised by ``submit``/``drain``/``close`` after the
-    archiver thread records a fatal error."""
+    """Archiving a sealed batch failed; the cause is chained as
+    ``__cause__``.  Raised by every producer call (and ``close``) once
+    the consumer has recorded a fatal error."""
 
 
 @dataclass
@@ -116,7 +118,11 @@ class ArchiveRecord:
 
 
 class BackgroundArchiver:
-    """Single-threaded, in-order background archiving for one store.
+    """In-order archiving of sealed batches into one store.
+
+    The consumer thread starts with the first batch handed to it
+    (:meth:`enqueue_reserved`); an archiver whose producer only ever
+    calls :meth:`archive_reserved` never owns a thread.
 
     Parameters
     ----------
@@ -165,10 +171,7 @@ class BackgroundArchiver:
         self._error: Optional[BaseException] = None
         self._error_delivered = False
         self.stats = IngestStats()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-ingest", daemon=True
-        )
-        self._thread.start()
+        self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     # Producer side (the engine thread)
@@ -207,7 +210,8 @@ class BackgroundArchiver:
         return time.perf_counter() - started
 
     def enqueue_reserved(self, batch: PendingBatch) -> int:
-        """Fill a slot claimed by :meth:`reserve`; returns the depth.
+        """Fill a slot claimed by :meth:`reserve` and leave the batch
+        to the archiver thread; returns the depth.
 
         Never blocks — the slot is already reserved — so it is safe to
         call inside the engine's seal critical section.
@@ -220,8 +224,28 @@ class BackgroundArchiver:
             self.stats.max_queue_depth = max(
                 self.stats.max_queue_depth, depth
             )
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name="repro-ingest", daemon=True
+                )
+                self._thread.start()
             self._cond.notify_all()
         return depth
+
+    def archive_reserved(self, batch: PendingBatch) -> ArchiveRecord:
+        """Fill a slot claimed by :meth:`reserve` and archive the batch
+        on the calling thread; returns its record.
+
+        For a producer that hands every batch over this way, so the
+        batch is the whole queue.  A failed archive leaves it pending —
+        still queryable — and raises :class:`ArchiveFailedError`, as
+        every later producer call will.
+        """
+        with self._cond:
+            self._reserved -= 1
+            self._pending.append(batch)
+        self._archive_head()
+        return self.drain()[-1]  # or raises what _archive_head recorded
 
     def pending_batches(self) -> List[PendingBatch]:
         """Snapshot of the sealed-but-unmerged batches, oldest first."""
@@ -277,15 +301,20 @@ class BackgroundArchiver:
             self._paused = False
             self._shutdown = True
             self._cond.notify_all()
-        if self._thread.is_alive():
+        if self._thread is not None:
             self._thread.join()
         with self._cond:
             if self._error is not None and not self._error_delivered:
                 self._raise_if_failed()
 
     @property
+    def threaded(self) -> bool:
+        """Whether a batch was ever handed to the archiver thread."""
+        return self._thread is not None
+
+    @property
     def failed(self) -> bool:
-        """Whether the archiver thread has recorded a fatal error."""
+        """Whether the consumer has recorded a fatal error."""
         with self._cond:
             return self._error is not None
 
@@ -297,12 +326,11 @@ class BackgroundArchiver:
             ) from self._error
 
     # ------------------------------------------------------------------
-    # Consumer side (the archiver thread)
+    # Consumer side (the archiver thread, or an archive_reserved caller)
     # ------------------------------------------------------------------
 
     def _note_retry(self, fault: DiskFault, attempt: int) -> None:
-        """Count one retried archive attempt (runs on the archiver
-        thread, between attempts)."""
+        """Count one retried archive attempt (between attempts)."""
         with self._cond:
             self.stats.fault_retries += 1
             self.stats.disk_faults += 1
@@ -318,36 +346,45 @@ class BackgroundArchiver:
                     self._cond.wait()
                 if not self._pending:
                     return  # shutdown with nothing left to archive
-                batch = self._pending[0]
-                self._busy = True
-            try:
-                # Transient faults are retried with capped backoff; the
-                # batch stays self._pending[0] (still queryable) across
-                # attempts, so a failed attempt is a re-queue, not a
-                # loss.  Persistent faults, unexpected exceptions and
-                # an exhausted retry budget fall through to the fatal
-                # path below.
-                record = self._retry.call(
-                    lambda: self._archive_one(batch),
-                    on_retry=self._note_retry,
-                )
-            except BaseException as exc:  # surfaced via _raise_if_failed
-                with self._cond:
-                    if isinstance(exc, DiskFault):
-                        self.stats.disk_faults += 1
-                    self._error = exc
-                    self._busy = False
-                    self._cond.notify_all()
-                return
+            if not self._archive_head():
+                return  # failed: surfaced via _raise_if_failed
+
+    def _archive_head(self) -> bool:
+        """Archive the oldest pending batch under the retry policy.
+
+        Transient faults are retried with capped backoff; the batch
+        stays ``self._pending[0]`` (still queryable) across attempts,
+        so a failed attempt is a re-queue, not a loss.  Persistent
+        faults, unexpected exceptions and an exhausted retry budget are
+        recorded as the archiver's fatal error: returns whether the
+        batch was archived.
+        """
+        with self._cond:
+            batch = self._pending[0]
+            self._busy = True
+        try:
+            record = self._retry.call(
+                lambda: self._archive_one(batch),
+                on_retry=self._note_retry,
+            )
+        except BaseException as exc:
             with self._cond:
-                self._records.append(record)
+                if isinstance(exc, DiskFault):
+                    self.stats.disk_faults += 1
+                self._error = exc
                 self._busy = False
-                self.stats.batches_archived += 1
-                self.stats.archive_wall_seconds += (
-                    record.archive_wall_seconds
-                )
-                self.stats.note_phases(record.cpu)
                 self._cond.notify_all()
+            if isinstance(exc, Exception):
+                return False
+            raise  # an interrupt or exit is not the archiver's to keep
+        with self._cond:
+            self._records.append(record)
+            self._busy = False
+            self.stats.batches_archived += 1
+            self.stats.archive_wall_seconds += record.archive_wall_seconds
+            self.stats.note_phases(record.cpu)
+            self._cond.notify_all()
+        return True
 
     def _archive_one(self, batch: PendingBatch) -> ArchiveRecord:
         """Stage (if a query didn't already) and adopt one batch."""
@@ -372,8 +409,7 @@ class BackgroundArchiver:
                 self._cond.notify_all()
             cpu["merge"] = time.perf_counter() - merge_started
         io = PhaseTally()
-        if batch.stage_io is not None:
-            io.add(batch.stage_io)
+        io.add(batch.stage_io)
         io.add(adopt_io)
         return ArchiveRecord(
             step=batch.step,

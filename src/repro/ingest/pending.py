@@ -1,29 +1,27 @@
 """Sealed-but-unmerged batches, staged for querying.
 
-When ``end_time_step`` runs in background mode, the sealed batch must
-be queryable *immediately* — the paper's correctness definition covers
-the union of everything ingested so far, archived or not.  A
+A sealed batch must be queryable *immediately* — the paper's
+correctness definition covers the union of everything ingested so
+far, archived or not — and must stay so if its archive step fails.  A
 :class:`PendingBatch` carries the batch from seal to adoption:
 
 * **staging** turns the raw values into a real level-0
   :class:`~repro.warehouse.partition.Partition` — sorted run written
   to disk, summary and aggregates attached — via
-  :meth:`~repro.warehouse.leveled_store.LeveledStore.stage_partition`,
-  charging exactly the I/O the synchronous path would;
+  :meth:`~repro.warehouse.leveled_store.LeveledStore.stage_partition`;
 * **adoption** (done by the archiver) splices the staged partition
   into the leveled layout, running any cascade merges.
 
 Staging is idempotent and first-come-first-served: normally the
-archiver thread does it, but a query that arrives while the archiver
-is still merging an older step stages the batch itself rather than
-waiting behind the merge.  Either way the charges happen exactly once
+archive step does it, but a query that arrives while the archiver
+thread is still merging an older step stages the batch itself rather
+than waiting behind the merge.  Either way the charges happen exactly once
 and are recorded here for the step's report.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, Optional
 
 import numpy as np
@@ -50,7 +48,6 @@ class PendingBatch:
         self._partition: Optional[Partition] = None
         self._stage_io: Optional[PhaseTally] = None
         self._stage_cpu: Dict[str, float] = {}
-        self._stage_wall = 0.0
 
     def __len__(self) -> int:
         return self.size
@@ -75,11 +72,6 @@ class PendingBatch:
         """Per-phase CPU seconds of staging (valid once ``staged``)."""
         return self._stage_cpu
 
-    @property
-    def stage_wall_seconds(self) -> float:
-        """Wall seconds staging took (valid once ``staged``)."""
-        return self._stage_wall
-
     def ensure_staged(self, store: LeveledStore) -> Partition:
         """Stage the batch if nobody has yet; return the partition.
 
@@ -90,11 +82,9 @@ class PendingBatch:
         """
         with self._stage_lock:
             if self._partition is None:
-                started = time.perf_counter()
                 partition, tally, cpu = store.stage_partition(
                     self._values, self.step
                 )
-                self._stage_wall = time.perf_counter() - started
                 self._partition = partition
                 self._stage_io = tally
                 self._stage_cpu = cpu

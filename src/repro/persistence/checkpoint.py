@@ -277,6 +277,7 @@ _RETIRED_CONFIG_KEYS = (
     ("object_put_ms", 10.0),
     ("query_strategy", "bisect"),
     ("residual_fetch_elems", None),
+    ("retry_backoff_cap_seconds", 0.25),
 )
 #: Retired keys no line ever read: dropped whatever they hold.
 _IGNORED_CONFIG_KEYS = frozenset({"universe_log2"})

@@ -1,24 +1,22 @@
 """Common interface for streaming quantile sketches.
 
 Every sketch in this package consumes a stream of int64 values one at a
-time (``update``), from an arbitrary iterable (``update_batch``), or as
-a numpy array (``update_many``), and answers rank queries: given a
-target rank ``r`` (1-indexed, rank = number of elements less than or
-equal to the answer), return a value whose true rank is within the
-sketch's error bound of ``r``.
+time (``update``) or as an array or list of integers (``update_many``),
+and answers rank queries: given a target rank ``r`` (1-indexed, rank =
+number of elements less than or equal to the answer), return a value
+whose true rank is within the sketch's error bound of ``r``.
 
-``update_many`` is the vectorized entry point of the batched ingest
-path: implementations that can merge a sorted batch in one pass (GK,
-the exact oracle) override it; everything else (MRL, Q-Digest) inherits
-a per-element loop, so every sketch accepts arrays uniformly.
+``update_many`` is the one batch verb: implementations that can absorb
+a batch in one pass (GK, KLL, Q-Digest, the exact oracle) override it;
+everything else (MRL, the random sampler) inherits a per-element loop.
+Every implementation reads its batch through :func:`as_int64_batch`,
+so input a cast would truncate or wrap raises instead.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Iterable
-
 import numpy as np
 
 
@@ -29,11 +27,6 @@ class QuantileSketch(ABC):
     def update(self, value: int) -> None:
         """Process one stream element."""
 
-    def update_batch(self, values: Iterable[int]) -> None:
-        """Process many elements; subclasses may override with fast paths."""
-        for value in values:
-            self.update(int(value))
-
     def update_many(self, values: np.ndarray) -> None:
         """Process a numpy batch of elements.
 
@@ -43,8 +36,7 @@ class QuantileSketch(ABC):
         the batch may return its sorted copy (GK does): the engine
         keeps it for the seal.  ``None`` means nothing was sorted.
         """
-        arr = np.asarray(values, dtype=np.int64).ravel()
-        for value in arr:
+        for value in as_int64_batch(values):
             self.update(int(value))
 
     @property

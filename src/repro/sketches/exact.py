@@ -9,11 +9,11 @@ queries.  It is an evaluation aid, not a sketch with bounded memory.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .base import QuantileSketch, clamp_rank
+from .base import QuantileSketch, as_int64_batch, clamp_rank
 
 
 class ExactQuantiles(QuantileSketch):
@@ -31,18 +31,11 @@ class ExactQuantiles(QuantileSketch):
 
     def update(self, value: int) -> None:
         """Process one stream element."""
-        self.update_batch(np.asarray([value], dtype=np.int64))
-
-    def update_batch(self, values: Iterable[int]) -> None:
-        """Process many elements from any iterable."""
-        if isinstance(values, np.ndarray):
-            self.update_many(values)
-        else:
-            self.update_many(np.fromiter(values, dtype=np.int64))
+        self.update_many(np.asarray([value], dtype=np.int64))
 
     def update_many(self, values: np.ndarray) -> None:
         """Process a numpy batch in one O(1)-append chunk."""
-        arr = np.asarray(values, dtype=np.int64).ravel()
+        arr = as_int64_batch(values)
         if arr.size == 0:
             return
         self._chunks.append(arr.copy())

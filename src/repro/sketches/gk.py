@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -108,7 +108,7 @@ class GKSketch(QuantileSketch):
         self._scratch: "Tuple[List[int], List[int], List[int]]" = ([], [], [])
         # Serializes mutations against snapshot(): an updating thread
         # and a snapshotting thread never observe half-applied tuple
-        # lists.  Reentrant because update_batch calls _compress while
+        # lists.  Reentrant because update_many calls _compress while
         # already holding it.
         self._mutate_lock = threading.RLock()
         # (values, rmin, rmax) arrays: the state itself after a bulk
@@ -161,17 +161,6 @@ class GKSketch(QuantileSketch):
             if self._since_compress >= self._compress_every:
                 self._compress()
                 self._since_compress = 0
-
-    def update_batch(self, values: Iterable[int]) -> None:
-        """Merge a batch of elements from any iterable.
-
-        Arrays pass straight through to :meth:`update_many`; other
-        iterables are materialized once into a list and judged by the
-        same door, so lossy input raises instead of truncating.
-        """
-        if not isinstance(values, np.ndarray):
-            values = list(values)
-        self.update_many(values)
 
     def update_many(self, values: np.ndarray) -> "np.ndarray | None":
         """Bulk-insert a numpy batch: sort once, merge once.

@@ -22,9 +22,8 @@ rank error is at most ``eps * n`` with probability ``1 - delta``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -126,26 +125,10 @@ class MRL99Sketch(QuantileSketch):
         if len(self._pending) >= self.buffer_size:
             self._seal_pending()
 
-    def update_many(self, values: Iterable[int]) -> None:
-        """Process many elements at once.
-
-        Deliberately element-wise: the sampling state (skip debt,
-        level changes on seal) makes a vectorized path error-prone for
-        little benefit — the sketch touches only every 2^L-th element
-        once levels grow.
-        """
-        for value in np.asarray(values, dtype=np.int64).ravel():
-            self.update(int(value))
-
-    def update_batch(self, values: Iterable[int]) -> None:
-        """Deprecated alias for :meth:`update_many`."""
-        warnings.warn(
-            "MRL99Sketch.update_batch is deprecated; "
-            "use update_many (the protocol-standard name)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.update_many(np.fromiter((int(v) for v in values), np.int64))
+    # ``update_many`` is the inherited element-wise loop, deliberately:
+    # the sampling state (skip debt, level changes on seal) makes a
+    # vectorized path error-prone for little benefit — the sketch
+    # touches only every 2^L-th element once levels grow.
 
     def _seal_pending(self) -> None:
         """Promote the filled working buffer and collapse if needed."""

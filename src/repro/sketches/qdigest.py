@@ -13,13 +13,12 @@ second pure-streaming baseline in every accuracy figure.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import defaultdict
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .base import QuantileSketch, clamp_rank
+from .base import QuantileSketch, as_int64_batch, clamp_rank
 
 
 class QDigestSketch(QuantileSketch):
@@ -68,9 +67,9 @@ class QDigestSketch(QuantileSketch):
         if len(self._counts) > self._max_nodes:
             self._compress()
 
-    def update_many(self, values: Iterable[int]) -> None:
+    def update_many(self, values: np.ndarray) -> None:
         """Process many elements at once (bulk count via np.unique)."""
-        arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
+        arr = as_int64_batch(values)
         if arr.size == 0:
             return
         if arr.min() < 0 or arr.max() >= self._universe:
@@ -82,16 +81,6 @@ class QDigestSketch(QuantileSketch):
         self._n += int(arr.size)
         if len(self._counts) > self._max_nodes:
             self._compress()
-
-    def update_batch(self, values: Iterable[int]) -> None:
-        """Deprecated alias for :meth:`update_many`."""
-        warnings.warn(
-            "QDigestSketch.update_batch is deprecated; "
-            "use update_many (the protocol-standard name)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.update_many(values)
 
     def _threshold(self) -> int:
         return max(1, math.floor(self.epsilon * self._n / self.universe_log2))

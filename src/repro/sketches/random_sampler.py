@@ -14,7 +14,7 @@ figures, which use the deterministic GK and Q-Digest).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -75,11 +75,6 @@ class RandomSamplerSketch(QuantileSketch):
         j = int(self._rng.integers(0, self._n))
         if j < self.sample_size:
             self._reservoir[j] = value
-
-    def update_batch(self, values: Iterable[int]) -> None:
-        """Process many elements at once."""
-        for value in values:
-            self.update(int(value))
 
     def _sorted_sample(self) -> np.ndarray:
         if self._sorted_cache is None:

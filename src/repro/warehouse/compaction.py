@@ -23,7 +23,6 @@ cascades run off the hot path exactly like tiered merges do.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional
 
 from ..storage.external_sort import merge_runs
@@ -89,9 +88,7 @@ class LeveledCompactionStore(LeveledStore):
         resident = self._resident(level)
         victims = ([resident] if resident else []) + newcomers
         self.disk.stats.set_phase("merge")
-        started = time.perf_counter()
         merged_run = merge_runs(self.disk, [p.run for p in victims])
-        self._note_cpu("merge", time.perf_counter() - started)
         self.disk.stats.set_phase("load")
         merged = Partition(
             level=level,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import defaultdict
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -125,21 +124,13 @@ class LeveledStore:
         self._summary_builder = summary_builder
         self._levels: List[List[Partition]] = [[]]
         self._steps_loaded = 0
-        # Guards the level layout: mutations (add_batch's cascade,
-        # load_partitions) and layout reads (partitions()) serialize on
-        # it, so a query thread always sees a complete cascade, never a
-        # half-merged one.  Partitions themselves are immutable once
-        # attached, so the snapshot list partitions() returns stays
-        # valid however far the store advances afterwards.
+        # Guards the level layout: mutations (adopt_partition's
+        # cascade, load_partitions) and layout reads (partitions())
+        # serialize on it, so a query thread always sees a complete
+        # cascade, never a half-merged one.  Partitions themselves are
+        # immutable once attached, so the snapshot list partitions()
+        # returns stays valid however far the store advances afterwards.
         self._layout_lock = threading.RLock()
-        # Cumulative wall-clock seconds by maintenance phase; the
-        # engine snapshots this to break update time into the
-        # load/sort/merge/summary components of Figure 6.  Staging can
-        # run on whichever thread needs the partition first (archiver
-        # or a query stealing the work — see repro.ingest), so the
-        # accumulation is guarded by its own small lock.
-        self.cpu_seconds: Dict[str, float] = defaultdict(float)
-        self._cpu_lock = threading.Lock()
         # Invoked with the run ids retired by a merge, inside the same
         # layout-lock critical section that removes them from the
         # layout.  The engine wires this to shared-cache invalidation
@@ -156,10 +147,6 @@ class LeveledStore:
         """
         return self._layout_lock
 
-    def _note_cpu(self, phase: str, seconds: float) -> None:
-        with self._cpu_lock:
-            self.cpu_seconds[phase] += seconds
-
     # ------------------------------------------------------------------
     # Maintenance (Algorithm 3)
     # ------------------------------------------------------------------
@@ -167,25 +154,15 @@ class LeveledStore:
     def add_batch(self, data: np.ndarray, step: Optional[int] = None) -> Partition:
         """Sort a batch and store it as a new level-0 partition.
 
-        Cascading merges run first if level 0 is full.  Returns the new
-        partition.
+        :meth:`stage_partition` then :meth:`adopt_partition` in one
+        layout-lock section, for callers with no pending set to keep
+        the batch queryable in between.  Returns the new partition.
         """
         with self._layout_lock:
             if step is None:
                 step = self._steps_loaded + 1
-            self._make_room(0)
-            self.disk.stats.set_phase("sort")
-            started = time.perf_counter()
-            sorted_batch = self._sorter.sorted_array(data)
-            self._note_cpu("sort", time.perf_counter() - started)
-            self.disk.stats.set_phase("load")
-            run = SortedRun(self.disk, sorted_batch, charge_write=True)
-            partition = Partition(
-                level=0, start_step=step, end_step=step, run=run
-            )
-            self._attach_summary(partition)
-            self._levels[0].append(partition)
-            self._steps_loaded = max(self._steps_loaded, step)
+            partition, _, _ = self.stage_partition(data, step)
+            self.adopt_partition(partition)
             return partition
 
     def stage_partition(
@@ -193,18 +170,16 @@ class LeveledStore:
     ) -> "tuple[Partition, PhaseTally, Dict[str, float]]":
         """Sort, persist and summarize a batch *without* inserting it.
 
-        The background ingest path (``repro.ingest``): a sealed batch
-        becomes a fully queryable level-0 partition — sorted run on
-        disk, summary and aggregates attached — while the leveled
-        layout stays untouched, so no layout lock is taken and queries
-        can keep snapshotting.  :meth:`adopt_partition` later splices
-        it into the layout (triggering any cascade) under the lock.
+        The first half of Algorithm 3: a sealed batch becomes a fully
+        queryable level-0 partition — sorted run on disk, summary and
+        aggregates attached — while the leveled layout stays untouched,
+        so no layout lock is taken and queries can keep snapshotting.
+        :meth:`adopt_partition` later splices it into the layout
+        (triggering any cascade) under the lock.
 
-        Charges exactly the sort passes and the sequential write that
-        :meth:`add_batch` charges, and returns the partition together
-        with this thread's I/O tally and per-phase CPU seconds so the
-        archiver can assemble a per-step report that matches the
-        synchronous path bit for bit.
+        Charges the sort passes and one sequential write of the batch,
+        and returns the partition together with this thread's I/O
+        tally and per-phase CPU seconds for the step's report.
         """
         cpu: Dict[str, float] = {}
         with self.disk.stats.capture() as tally:
@@ -222,16 +197,14 @@ class LeveledStore:
                 started = time.perf_counter()
                 self._attach_summary(partition)
                 cpu["summary"] = time.perf_counter() - started
-        self._note_cpu("sort", cpu["sort"])
         return partition, tally, cpu
 
     def adopt_partition(self, partition: Partition) -> None:
         """Insert a staged level-0 partition into the layout.
 
-        Runs the same cascade :meth:`add_batch` would (merging full
-        levels before the insertion), under the layout lock so
-        concurrent snapshots see either the pre- or post-adoption
-        layout, never a half-merged one.
+        Merges full levels before the insertion (the cascade), under
+        the layout lock so concurrent snapshots see either the pre- or
+        post-adoption layout, never a half-merged one.
         """
         if partition.level != 0:
             raise ValueError("only level-0 partitions can be adopted")
@@ -254,9 +227,7 @@ class LeveledStore:
         """Merge all partitions of ``level`` into one at ``level + 1``."""
         victims = self._levels[level]
         self.disk.stats.set_phase("merge")
-        started = time.perf_counter()
         merged_run = merge_runs(self.disk, [p.run for p in victims])
-        self._note_cpu("merge", time.perf_counter() - started)
         self.disk.stats.set_phase("load")
         merged = Partition(
             level=level + 1,
@@ -276,9 +247,7 @@ class LeveledStore:
 
     def _attach_summary(self, partition: Partition) -> None:
         if self._summary_builder is not None:
-            started = time.perf_counter()
             partition.summary = self._summary_builder(partition)
-            self._note_cpu("summary", time.perf_counter() - started)
 
     def load_partitions(
         self, partitions_by_level: List[List[Partition]]

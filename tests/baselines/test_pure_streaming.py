@@ -31,12 +31,12 @@ class TestPureStreamingEngine:
         oracle = ExactQuantiles()
         for _ in range(steps):
             data = rng.integers(0, 2**20, batch)
-            engine.stream_update_batch(data)
-            oracle.update_batch(data)
+            engine.stream_update_many(data)
+            oracle.update_many(data)
             engine.end_time_step()
         live = rng.integers(0, 2**20, batch)
-        engine.stream_update_batch(live)
-        oracle.update_batch(live)
+        engine.stream_update_many(live)
+        oracle.update_many(live)
         return engine, oracle
 
     def test_error_scales_with_n(self):
@@ -72,7 +72,7 @@ class TestPureStreamingEngine:
         )
         reports = []
         for _ in range(3):
-            engine.stream_update_batch(rng.integers(0, 100, 1000))
+            engine.stream_update_many(rng.integers(0, 100, 1000))
             reports.append(engine.end_time_step())
         assert reports[0].io_total == 100
         assert reports[0].io_sort == 0

@@ -10,12 +10,12 @@ def run_strawman(rng, epsilon=0.05, steps=4, batch=1500):
     oracle = ExactQuantiles()
     for _ in range(steps):
         data = rng.integers(0, 10**6, batch)
-        engine.stream_update_batch(data)
-        oracle.update_batch(data)
+        engine.stream_update_many(data)
+        oracle.update_many(data)
         engine.end_time_step()
     live = rng.integers(0, 10**6, batch)
-    engine.stream_update_batch(live)
-    oracle.update_batch(live)
+    engine.stream_update_many(live)
+    oracle.update_many(live)
     return engine, oracle
 
 
@@ -41,7 +41,7 @@ class TestStrawman:
         engine = StrawmanEngine(epsilon=0.05, block_elems=10)
         totals = []
         for _ in range(5):
-            engine.stream_update_batch(rng.integers(0, 100, 1000))
+            engine.stream_update_many(rng.integers(0, 100, 1000))
             totals.append(engine.end_time_step().io_total)
         # first step: write 100 blocks; step k: read (k-1)*100 + write k*100
         assert totals[0] == 100
@@ -58,8 +58,8 @@ class TestStrawman:
         hybrid_io = 0
         for _ in range(10):
             data = rng.integers(0, 10**6, 1000)
-            strawman.stream_update_batch(data)
-            hybrid.stream_update_batch(data)
+            strawman.stream_update_many(data)
+            hybrid.stream_update_many(data)
             strawman_io += strawman.end_time_step().io_total
             hybrid_io += hybrid.end_time_step().io_total
         assert strawman_io > hybrid_io
@@ -99,9 +99,9 @@ def pinned_run():
     rng = np.random.default_rng(2016)
     engine = StrawmanEngine(epsilon=0.02, block_elems=16)
     for _ in range(6):
-        engine.stream_update_batch(rng.integers(0, 10**6, 2000))
+        engine.stream_update_many(rng.integers(0, 10**6, 2000))
         engine.end_time_step()
-    engine.stream_update_batch(rng.integers(0, 10**6, 2000))
+    engine.stream_update_many(rng.integers(0, 10**6, 2000))
     return engine, [engine.quantile(phi) for phi in PINNED_PHIS]
 
 

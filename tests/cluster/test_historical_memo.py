@@ -108,8 +108,8 @@ def test_partitions_shorter_than_one_over_eps1():
     oracle = ExactQuantiles()
     with ClusterEngine(shards=4, config=EngineConfig(epsilon=1e-3)) as cluster:
         for _ in range(3):
-            oracle.update_batch(feed(cluster, rng, size=6000))
-        oracle.update_batch(feed(cluster, rng, size=1200, seal=False))
+            oracle.update_many(feed(cluster, rng, size=6000))
+        oracle.update_many(feed(cluster, rng, size=1200, seal=False))
         for phi in np.linspace(0.01, 0.99, 50):
             result = cluster.quantile(float(phi), mode="quick")
             high = oracle.rank(result.value)

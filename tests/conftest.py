@@ -38,10 +38,10 @@ def fill_engine(
     chunks = []
     for _ in range(steps):
         data = rng.integers(low, high, batch, dtype=np.int64)
-        engine.stream_update_batch(data)
+        engine.stream_update_many(data)
         engine.end_time_step()
         chunks.append(data)
     data = rng.integers(low, high, live, dtype=np.int64)
-    engine.stream_update_batch(data)
+    engine.stream_update_many(data)
     chunks.append(data)
     return np.concatenate(chunks)

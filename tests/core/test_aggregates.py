@@ -57,10 +57,10 @@ class TestEngineAggregates:
         for _ in range(steps):
             data = rng.integers(0, 10**6, batch)
             step_data.append(data)
-            engine.stream_update_batch(data)
+            engine.stream_update_many(data)
             engine.end_time_step()
         live = rng.integers(0, 10**6, batch)
-        engine.stream_update_batch(live)
+        engine.stream_update_many(live)
         return engine, step_data, live
 
     def test_full_union_exact(self, rng):
@@ -106,7 +106,7 @@ class TestEngineAggregates:
     def test_stream_only(self, rng):
         engine = HybridQuantileEngine(epsilon=0.05, kappa=2, block_elems=16)
         data = rng.integers(0, 100, 500)
-        engine.stream_update_batch(data)
+        engine.stream_update_many(data)
         stats = engine.aggregate()
         assert stats.count == 500
         assert stats.total == int(data.sum())
@@ -134,13 +134,13 @@ class TestEngineAggregates:
         engine = HybridQuantileEngine(epsilon=0.05, kappa=10, block_elems=16)
         steps = [rng.integers(0, 10**6, size) for size in (400, 600, 500)]
         for data in steps[:2]:
-            engine.stream_update_batch(data)
+            engine.stream_update_many(data)
             engine.end_time_step()
-        engine.stream_update_batch(steps[2])
-        add_batch = engine.store.add_batch
+        engine.stream_update_many(steps[2])
+        stage_partition = engine.store.stage_partition
         readers, seen = [], []
 
-        def racing_add_batch(*args, **kwargs):
+        def racing_stage(*args, **kwargs):
             # Mid-seal: the stream aggregates are already reset and the
             # partition is not in the layout yet.
             reader = threading.Thread(
@@ -151,9 +151,9 @@ class TestEngineAggregates:
             reader.start()
             readers.append(reader)
             time.sleep(0.1)
-            return add_batch(*args, **kwargs)
+            return stage_partition(*args, **kwargs)
 
-        engine.store.add_batch = racing_add_batch
+        engine.store.stage_partition = racing_stage
         engine.end_time_step()
         for reader in readers:
             reader.join(timeout=30)

@@ -29,7 +29,7 @@ def build_scene(partition_datas, stream_data, eps1=0.25, eps2=0.125):
     gk = GKSketch(eps2 / 2.0)
     stream = np.asarray(stream_data, dtype=np.int64)
     if stream.size:
-        gk.update_batch(stream)
+        gk.update_many(stream)
     ss = StreamSummary.extract(gk, eps2)
     combined = CombinedSummary.build(summaries, ss)
     everything = np.sort(

@@ -24,7 +24,7 @@ def interval_error(oracle, value, target):
 def run_experiment(engine, rng, steps=5, batch=1500, live=1500, **kw):
     data = fill_engine(engine, rng, steps=steps, batch=batch, live=live, **kw)
     oracle = ExactQuantiles()
-    oracle.update_batch(data)
+    oracle.update_many(data)
     return oracle
 
 
@@ -68,10 +68,10 @@ class TestAccurateGuarantee:
         for _ in range(4):
             data = rng.integers(0, 10**6, 1000)
             chunks.append(data)
-            engine.stream_update_batch(data)
+            engine.stream_update_many(data)
             engine.end_time_step()
         oracle = ExactQuantiles()
-        oracle.update_batch(np.concatenate(chunks))
+        oracle.update_many(np.concatenate(chunks))
         result = engine.quantile(0.5)
         # pure historical: only search slack remains
         err = interval_error(oracle, result.value, result.target_rank)
@@ -80,9 +80,9 @@ class TestAccurateGuarantee:
     def test_query_stream_only(self, rng):
         engine = HybridQuantileEngine(epsilon=0.05, kappa=3, block_elems=16)
         data = rng.integers(0, 10**6, 3000)
-        engine.stream_update_batch(data)
+        engine.stream_update_many(data)
         oracle = ExactQuantiles()
-        oracle.update_batch(data)
+        oracle.update_many(data)
         result = engine.quantile(0.5)
         err = interval_error(oracle, result.value, result.target_rank)
         assert err <= 1.5 * 0.05 * 3000 + 2
@@ -149,7 +149,7 @@ class TestQuickResponse:
 class TestQueryMechanics:
     def test_invalid_mode_rejected(self, rng):
         engine = HybridQuantileEngine(epsilon=0.05)
-        engine.stream_update_batch(rng.integers(0, 100, 100))
+        engine.stream_update_many(rng.integers(0, 100, 100))
         with pytest.raises(ValueError):
             engine.query_rank(1, mode="warp")
 
@@ -204,7 +204,7 @@ class TestQueryMechanics:
 class TestStepReports:
     def test_plain_step_io_is_batch_blocks(self, rng):
         engine = HybridQuantileEngine(epsilon=0.05, kappa=3, block_elems=10)
-        engine.stream_update_batch(rng.integers(0, 100, 1000))
+        engine.stream_update_many(rng.integers(0, 100, 1000))
         report = engine.end_time_step()
         assert report.io_total == 100  # 1000 elems / 10 per block
         assert report.io_merge == 0
@@ -214,14 +214,14 @@ class TestStepReports:
         engine = HybridQuantileEngine(epsilon=0.05, kappa=2, block_elems=10)
         reports = []
         for _ in range(3):
-            engine.stream_update_batch(rng.integers(0, 100, 1000))
+            engine.stream_update_many(rng.integers(0, 100, 1000))
             reports.append(engine.end_time_step())
         assert reports[2].merged_levels
         assert reports[2].io_merge == 400  # read 200 + write 200
 
     def test_stream_reset_after_step(self, rng):
         engine = HybridQuantileEngine(epsilon=0.05)
-        engine.stream_update_batch(rng.integers(0, 100, 500))
+        engine.stream_update_many(rng.integers(0, 100, 500))
         assert engine.m_stream == 500
         engine.end_time_step()
         assert engine.m_stream == 0
@@ -229,7 +229,7 @@ class TestStepReports:
 
     def test_cpu_seconds_reported(self, rng):
         engine = HybridQuantileEngine(epsilon=0.05)
-        engine.stream_update_batch(rng.integers(0, 100, 500))
+        engine.stream_update_many(rng.integers(0, 100, 500))
         report = engine.end_time_step()
         assert set(report.cpu_seconds) == {"load", "sort", "merge", "summary"}
         assert all(v >= 0 for v in report.cpu_seconds.values())
@@ -280,13 +280,13 @@ class TestEngineProperty:
         for _ in range(steps):
             data = inner.integers(0, spread, 400)
             chunks.append(data)
-            engine.stream_update_batch(data)
+            engine.stream_update_many(data)
             engine.end_time_step()
         live = inner.integers(0, spread, 400)
         chunks.append(live)
-        engine.stream_update_batch(live)
+        engine.stream_update_many(live)
         oracle = ExactQuantiles()
-        oracle.update_batch(np.concatenate(chunks))
+        oracle.update_many(np.concatenate(chunks))
         result = engine.quantile(phi)
         err = interval_error(oracle, result.value, result.target_rank)
         assert err <= 1.5 * epsilon * engine.m_stream + 2

@@ -27,7 +27,7 @@ def build_search(rng, rank, config=None, partitions=3, size=2000,
     stream_data = rng.integers(0, 10**6, stream)
     datas.append(stream_data)
     gk = GKSketch(config.epsilon2 / 2.0)
-    gk.update_batch(stream_data)
+    gk.update_many(stream_data)
     ss = StreamSummary.extract(gk, config.epsilon2)
     combined = CombinedSummary.build([p.summary for p in parts], ss)
     search = AccurateSearch(

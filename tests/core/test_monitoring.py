@@ -10,9 +10,9 @@ from repro.core.monitoring import MonitorRule
 def build_engine(rng, low=0, high=1000):
     engine = HybridQuantileEngine(epsilon=0.05, kappa=3, block_elems=16)
     for _ in range(3):
-        engine.stream_update_batch(rng.integers(low, high, 1500))
+        engine.stream_update_many(rng.integers(low, high, 1500))
         engine.end_time_step()
-    engine.stream_update_batch(rng.integers(low, high, 1500))
+    engine.stream_update_many(rng.integers(low, high, 1500))
     return engine
 
 
@@ -79,7 +79,7 @@ class TestQuantileWatcher:
         watcher.add("p99-latency", phi=0.99, above=5000)
         assert watcher.evaluate() == []
         # tail blowup in the live stream
-        engine.stream_update_batch(np.full(2000, 50_000))
+        engine.stream_update_many(np.full(2000, 50_000))
         alerts = watcher.evaluate()
         assert len(alerts) == 1
         assert alerts[0].observed >= 5000

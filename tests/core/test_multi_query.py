@@ -20,7 +20,7 @@ def build(rng, **kwargs):
     )
     data = fill_engine(engine, rng, steps=8, batch=3000, live=3000)
     oracle = ExactQuantiles()
-    oracle.update_batch(data)
+    oracle.update_many(data)
     return engine, oracle
 
 
@@ -110,9 +110,9 @@ class TestParallelLatency:
         engine = HybridQuantileEngine(epsilon=0.02, kappa=12, block_elems=16)
         rng = np.random.default_rng(31)
         for _ in range(12):  # 12 level-0 partitions, no merges yet
-            engine.stream_update_batch(rng.integers(0, 10**6, 3000))
+            engine.stream_update_many(rng.integers(0, 10**6, 3000))
             engine.end_time_step()
-        engine.stream_update_batch(rng.integers(0, 10**6, 3000))
+        engine.stream_update_many(rng.integers(0, 10**6, 3000))
         result = engine.quantile(0.5)
         serial = result.disk_accesses
         parallel_blocks = result.parallel_sim_seconds / (

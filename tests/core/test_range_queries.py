@@ -13,9 +13,9 @@ def build(rng, steps=7, batch=1000, kappa=2):
     for _ in range(steps):
         data = rng.integers(0, 10**6, batch)
         step_data.append(data)
-        engine.stream_update_batch(data)
+        engine.stream_update_many(data)
         engine.end_time_step()
-    engine.stream_update_batch(rng.integers(0, 10**6, batch))
+    engine.stream_update_many(rng.integers(0, 10**6, batch))
     return engine, step_data
 
 
@@ -25,7 +25,7 @@ class TestRangeQueries:
         # kappa=2, 7 steps -> partitions (1-4), (5-6), (7)
         result = engine.quantile(0.5, step_range=(5, 6))
         oracle = ExactQuantiles()
-        oracle.update_batch(np.concatenate(step_data[4:6]))
+        oracle.update_many(np.concatenate(step_data[4:6]))
         assert result.total_size == oracle.n
         high = oracle.rank(result.value)
         low = oracle.rank_strict(result.value) + 1
@@ -61,10 +61,10 @@ class TestRangeQueries:
         """Query an old interval whose distribution differs."""
         engine = HybridQuantileEngine(epsilon=0.05, kappa=2, block_elems=16)
         for _ in range(4):  # steps 1-4: low values
-            engine.stream_update_batch(rng.integers(0, 100, 1000))
+            engine.stream_update_many(rng.integers(0, 100, 1000))
             engine.end_time_step()
         for _ in range(3):  # steps 5-7: high values
-            engine.stream_update_batch(rng.integers(10**6, 2 * 10**6, 1000))
+            engine.stream_update_many(rng.integers(10**6, 2 * 10**6, 1000))
             engine.end_time_step()
         old = engine.quantile(0.5, step_range=(1, 4))
         assert old.value < 100

@@ -47,7 +47,7 @@ def batches(seed, steps, batch=1200):
 
 def feed(engine, data):
     for chunk in data:
-        engine.stream_update_batch(chunk)
+        engine.stream_update_many(chunk)
         engine.end_time_step()
 
 

@@ -30,7 +30,7 @@ class TestSnapshot:
         view = engine.pin()
         before = view.quantile(0.5).value
         # shift the engine's distribution drastically
-        engine.stream_update_batch(np.full(50_000, 10**9))
+        engine.stream_update_many(np.full(50_000, 10**9))
         assert view.quantile(0.5).value == before
         assert view.n_total == len(data)
         assert engine.quantile(0.5).value != before
@@ -41,7 +41,7 @@ class TestSnapshot:
         before = [view.quantile(phi).value for phi in (0.25, 0.5, 0.75)]
         # trigger several merge cascades
         for _ in range(9):
-            engine.stream_update_batch(rng.integers(0, 10**6, 1500))
+            engine.stream_update_many(rng.integers(0, 10**6, 1500))
             engine.end_time_step()
         after = [view.quantile(phi).value for phi in (0.25, 0.5, 0.75)]
         assert before == after
@@ -49,9 +49,9 @@ class TestSnapshot:
     def test_accuracy_guarantee_holds(self, rng):
         engine, data = build(rng)
         oracle = ExactQuantiles()
-        oracle.update_batch(data)
+        oracle.update_many(data)
         view = engine.pin()
-        engine.stream_update_batch(rng.integers(0, 10**6, 5000))
+        engine.stream_update_many(rng.integers(0, 10**6, 5000))
         result = view.quantile(0.5)
         high = oracle.rank(result.value)
         low = oracle.rank_strict(result.value) + 1

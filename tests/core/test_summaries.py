@@ -108,7 +108,7 @@ class TestPartitionSummary:
 class TestStreamSummary:
     def _build(self, data, eps2=0.1):
         gk = GKSketch(eps2 / 2.0)
-        gk.update_batch(np.asarray(data, dtype=np.int64))
+        gk.update_many(np.asarray(data, dtype=np.int64))
         return StreamSummary.extract(gk, eps2)
 
     def test_empty_stream(self):

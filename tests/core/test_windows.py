@@ -11,10 +11,10 @@ def build(rng, steps=7, batch=1000, live=1000, kappa=2):
     for _ in range(steps):
         data = rng.integers(0, 10**6, batch)
         step_data.append(data)
-        engine.stream_update_batch(data)
+        engine.stream_update_many(data)
         engine.end_time_step()
     live_data = rng.integers(0, 10**6, live)
-    engine.stream_update_batch(live_data)
+    engine.stream_update_many(live_data)
     return engine, step_data, live_data
 
 
@@ -36,8 +36,8 @@ class TestWindowQueries:
         for window in engine.available_window_sizes():
             oracle = ExactQuantiles()
             for data in step_data[-window:]:
-                oracle.update_batch(data)
-            oracle.update_batch(live_data)
+                oracle.update_many(data)
+            oracle.update_many(live_data)
             result = engine.quantile(0.5, window_steps=window)
             assert result.total_size == oracle.n
             high = oracle.rank(result.value)
@@ -56,11 +56,11 @@ class TestWindowQueries:
         engine = HybridQuantileEngine(epsilon=0.05, kappa=2, block_elems=16)
         # old data near 0, recent data near 10^6
         for _ in range(6):
-            engine.stream_update_batch(rng.integers(0, 100, 1000))
+            engine.stream_update_many(rng.integers(0, 100, 1000))
             engine.end_time_step()
-        engine.stream_update_batch(rng.integers(10**6, 2 * 10**6, 1000))
+        engine.stream_update_many(rng.integers(10**6, 2 * 10**6, 1000))
         engine.end_time_step()
-        engine.stream_update_batch(rng.integers(10**6, 2 * 10**6, 1000))
+        engine.stream_update_many(rng.integers(10**6, 2 * 10**6, 1000))
         full = engine.quantile(0.5)
         windowed = engine.quantile(0.5, window_steps=1)
         assert windowed.value >= 10**6

@@ -10,6 +10,7 @@ feed without ever being polled (nothing absorbed, nothing written back:
 the path every seal took before) — only the number of sorts may differ.
 """
 
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -99,22 +100,24 @@ SCENARIOS = [
 @contextmanager
 def sorter_calls(monkeypatch):
     """Every ``ExternalSorter.sorted_array`` call while the block runs,
-    as the number of ``np.sort`` calls inside it."""
-    calls, inside = [], []
+    as the number of ``np.sort`` calls inside it — on the calling
+    thread: ``np.sort`` is patched process-wide, and another thread's
+    sort (a GK absorb beside a staging archiver) is not this call's."""
+    calls, mine = [], threading.local()
     real_sort, real_sorted_array = np.sort, ExternalSorter.sorted_array
 
     def sort(array, *args, **kwargs):
-        if inside:
-            calls[-1] += 1
+        if getattr(mine, "sorts", None) is not None:
+            mine.sorts += 1
         return real_sort(array, *args, **kwargs)
 
     def sorted_array(self, data):
-        calls.append(0)
-        inside.append(True)
+        mine.sorts = 0
         try:
             return real_sorted_array(self, data)
         finally:
-            inside.pop()
+            calls.append(mine.sorts)
+            mine.sorts = None
 
     with monkeypatch.context() as patch:
         patch.setattr(np, "sort", sort)

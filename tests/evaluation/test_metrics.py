@@ -23,14 +23,14 @@ def make_result(value, target_rank, total=100):
 class TestMeasure:
     def test_exact_answer_has_zero_error(self):
         oracle = ExactQuantiles()
-        oracle.update_batch(range(1, 101))
+        oracle.update_many(range(1, 101))
         accuracy = measure(make_result(value=50, target_rank=50), oracle)
         assert accuracy.rank_error == 0
         assert accuracy.relative_error == 0.0
 
     def test_off_by_k(self):
         oracle = ExactQuantiles()
-        oracle.update_batch(range(1, 101))
+        oracle.update_many(range(1, 101))
         accuracy = measure(make_result(value=57, target_rank=50), oracle)
         assert accuracy.rank_error == 7
         assert accuracy.relative_error == 7 / 50
@@ -38,14 +38,14 @@ class TestMeasure:
     def test_duplicates_span_is_error_free(self):
         """Any target rank inside a duplicate run counts as exact."""
         oracle = ExactQuantiles()
-        oracle.update_batch([1] * 10 + [2] * 80 + [3] * 10)
+        oracle.update_many([1] * 10 + [2] * 80 + [3] * 10)
         for target in (11, 50, 90):
             accuracy = measure(make_result(value=2, target_rank=target), oracle)
             assert accuracy.rank_error == 0
 
     def test_duplicates_outside_span(self):
         oracle = ExactQuantiles()
-        oracle.update_batch([1] * 10 + [2] * 80 + [3] * 10)
+        oracle.update_many([1] * 10 + [2] * 80 + [3] * 10)
         accuracy = measure(make_result(value=2, target_rank=95), oracle)
         assert accuracy.rank_error == 5
 
@@ -57,6 +57,6 @@ class TestMeasure:
 class TestRankErrorIsInherent:
     def test_exact_element_detected(self):
         oracle = ExactQuantiles()
-        oracle.update_batch([10, 20, 30])
+        oracle.update_many([10, 20, 30])
         assert rank_error_is_inherent(make_result(20, 2), oracle)
         assert not rank_error_is_inherent(make_result(30, 2), oracle)

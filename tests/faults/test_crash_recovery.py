@@ -32,10 +32,10 @@ def build_engine(rng, steps=6, batch=300, live=50):
         config=EngineConfig(epsilon=0.05, kappa=3, block_elems=64)
     )
     for _ in range(steps):
-        engine.stream_update_batch(rng.integers(0, 10**6, batch))
+        engine.stream_update_many(rng.integers(0, 10**6, batch))
         engine.end_time_step()
     if live:
-        engine.stream_update_batch(rng.integers(0, 10**6, live))
+        engine.stream_update_many(rng.integers(0, 10**6, live))
     return engine
 
 
@@ -79,7 +79,7 @@ class TestKillPoints:
         engine = build_engine(rng)
         save_engine(engine, directory)
         old_print = fingerprint(load_engine(directory))
-        engine.stream_update_batch(rng.integers(0, 10**6, 400))
+        engine.stream_update_many(rng.integers(0, 10**6, 400))
         engine.end_time_step()
         new_print = fingerprint(engine)
         assert new_print != old_print
@@ -105,7 +105,7 @@ class TestKillPoints:
         directory = tmp_path / "ckpt"
         engine = build_engine(rng, steps=3)
         save_engine(engine, directory)
-        engine.stream_update_batch(rng.integers(0, 10**6, 200))
+        engine.stream_update_many(rng.integers(0, 10**6, 200))
         engine.end_time_step()
         crash_at(point)
         with pytest.raises(SimulatedCrash):
@@ -157,7 +157,7 @@ class TestDoubleCrash:
         engine = build_engine(rng, steps=3)
         save_engine(engine, directory)
         old_print = fingerprint(load_engine(directory))
-        engine.stream_update_batch(rng.integers(0, 10**6, 200))
+        engine.stream_update_many(rng.integers(0, 10**6, 200))
         engine.end_time_step()
         crash_at("staged")
         with pytest.raises(SimulatedCrash):

@@ -28,10 +28,10 @@ def build_engine(plan, steps=5, batch=500, live=100, **overrides):
     )
     rng = np.random.default_rng(0)
     for _ in range(steps):
-        engine.stream_update_batch(rng.integers(0, 10**6, batch))
+        engine.stream_update_many(rng.integers(0, 10**6, batch))
         engine.end_time_step()
     if live:
-        engine.stream_update_batch(rng.integers(0, 10**6, live))
+        engine.stream_update_many(rng.integers(0, 10**6, live))
     return engine
 
 
@@ -162,6 +162,6 @@ class TestContextManagerExit:
             with HybridQuantileEngine(
                 config=config, disk=FaultyDisk(plan, block_elems=64)
             ) as engine:
-                engine.stream_update_batch(rng.integers(0, 10**6, 500))
+                engine.stream_update_many(rng.integers(0, 10**6, 500))
                 engine.end_time_step()  # archiver will die on the write
                 raise KeyError("original")  # must not be masked by close

@@ -27,10 +27,10 @@ def drive(disk, ingest_mode, steps=10, batch=400, seed=7):
     engine = HybridQuantileEngine(config=config, disk=disk)
     rng = np.random.default_rng(seed)
     for _ in range(steps):
-        engine.stream_update_batch(rng.integers(0, 10**6, size=batch))
+        engine.stream_update_many(rng.integers(0, 10**6, size=batch))
         engine.end_time_step()
     engine.flush()
-    engine.stream_update_batch(rng.integers(0, 10**6, size=50))
+    engine.stream_update_many(rng.integers(0, 10**6, size=50))
     return engine
 
 

@@ -25,11 +25,11 @@ def build(rng, heavy_values=(111, 222), heavy_share=0.1, steps=5,
     for _ in range(steps):
         data = planted_workload(rng, heavy_values, heavy_share, batch)
         all_data.append(data)
-        engine.stream_update_batch(data)
+        engine.stream_update_many(data)
         engine.end_time_step()
     live = planted_workload(rng, heavy_values, heavy_share, batch)
     all_data.append(live)
-    engine.stream_update_batch(live)
+    engine.stream_update_many(live)
     return engine, np.concatenate(all_data)
 
 
@@ -72,7 +72,7 @@ class TestHeavyHitters:
     def test_stream_only(self, rng):
         engine = HeavyHittersEngine(epsilon=0.02, kappa=3, block_elems=16)
         data = planted_workload(rng, (42,), 0.2, 3000)
-        engine.stream_update_batch(data)
+        engine.stream_update_many(data)
         report = engine.heavy_hitters(phi=0.1)
         assert 42 in {h.value for h in report.hitters}
         assert report.disk_accesses == 0
@@ -80,7 +80,7 @@ class TestHeavyHitters:
     def test_historical_only(self, rng):
         engine = HeavyHittersEngine(epsilon=0.02, kappa=3, block_elems=16)
         data = planted_workload(rng, (42,), 0.2, 3000)
-        engine.stream_update_batch(data)
+        engine.stream_update_many(data)
         engine.end_time_step()
         report = engine.heavy_hitters(phi=0.1)
         hitters = {h.value: h for h in report.hitters}
@@ -100,7 +100,7 @@ class TestHeavyHitters:
             [np.full(500, 7), np.full(300, 9),
              np.random.default_rng(3).integers(100, 10**6, 1200)]
         )
-        engine.stream_update_batch(data)
+        engine.stream_update_many(data)
         engine.end_time_step()
         report = engine.heavy_hitters(phi=0.1)
         assert [h.value for h in report.hitters[:2]] == [7, 9]
@@ -118,7 +118,7 @@ class TestHeavyHitters:
         pure = MisraGriesSketch(
             max(1, engine.memory_words() // 2)  # generous equal memory
         )
-        pure.update_batch(data)
+        pure.update_many(data)
         report = engine.heavy_hitters(phi=0.05)
         hybrid = {h.value: h for h in report.hitters}
         for value in (111, 222):

@@ -34,20 +34,20 @@ class TestBasics:
 
     def test_counter_cap_respected(self):
         sketch = MisraGriesSketch(5)
-        sketch.update_batch(np.arange(1000))
+        sketch.update_many(np.arange(1000))
         assert len(sketch.candidates()) <= 5
 
     def test_heavy_hitters_threshold(self):
         sketch = MisraGriesSketch(10)
         data = [7] * 60 + list(range(100, 140))
-        sketch.update_batch(np.asarray(data))
+        sketch.update_many(np.asarray(data))
         assert 7 in sketch.heavy_hitters(0.5)
         with pytest.raises(ValueError):
             sketch.heavy_hitters(0.0)
 
     def test_memory_words(self):
         sketch = MisraGriesSketch(10)
-        sketch.update_batch(np.asarray([1, 1, 2]))
+        sketch.update_many(np.asarray([1, 1, 2]))
         assert sketch.memory_words() == 2 * 2 + 3
 
 
@@ -72,14 +72,14 @@ class TestGuarantee:
         rng = np.random.default_rng(1)
         chunks = [rng.zipf(1.3, 2000) % 1000 for _ in range(5)]
         for chunk in chunks:
-            sketch.update_batch(chunk)
+            sketch.update_many(chunk)
         self._assert_guarantee(sketch, np.concatenate(chunks))
 
     def test_mixed_updates(self):
         sketch = MisraGriesSketch(15)
         rng = np.random.default_rng(2)
         chunk = rng.integers(0, 50, 3000)
-        sketch.update_batch(chunk)
+        sketch.update_many(chunk)
         extra = rng.integers(0, 50, 200)
         for v in extra:
             sketch.update(int(v))
@@ -92,5 +92,5 @@ class TestGuarantee:
     @settings(max_examples=60, deadline=None)
     def test_property(self, data, k):
         sketch = MisraGriesSketch(k)
-        sketch.update_batch(np.asarray(data, dtype=np.int64))
+        sketch.update_many(np.asarray(data, dtype=np.int64))
         self._assert_guarantee(sketch, data)

@@ -1,10 +1,9 @@
 """The vectorized write path must be bit-identical to scalar replay.
 
 The tentpole contract of the batched ingest path: feeding the same
-elements through ``stream_update`` one at a time, through
-``stream_update_many`` in arrays of any size, or through
-``stream_update_batch`` with a plain Python iterable must produce an
-engine that answers *everything* identically — mid-stream quick and
+elements through ``stream_update`` one at a time or through
+``stream_update_many`` in arrays of any size or as a list of Python
+ints must produce an engine that answers *everything* identically — mid-stream quick and
 accurate queries, post-seal queries, window queries, aggregates, disk
 counters, the leveled layout — in both sync and background ingest
 modes.  Lazy absorption makes this hold by construction (the sketch
@@ -20,7 +19,7 @@ from repro.core.engine import HybridQuantileEngine
 
 PHIS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
-FEED_STYLES = ("scalar", "many", "chunks", "iterable")
+FEED_STYLES = ("scalar", "many", "chunks", "list")
 
 
 def feed(engine, batch, style):
@@ -33,8 +32,8 @@ def feed(engine, batch, style):
     elif style == "chunks":
         for lo in range(0, batch.size, 64):
             engine.stream_update_many(batch[lo : lo + 64])
-    elif style == "iterable":
-        engine.stream_update_batch(int(v) for v in batch)
+    elif style == "list":
+        engine.stream_update_many([int(v) for v in batch])
     else:  # pragma: no cover - guard against typos in parametrization
         raise AssertionError(style)
 

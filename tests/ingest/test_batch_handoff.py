@@ -1,11 +1,9 @@
 """Batched ingest must make O(batches) hand-offs, not O(elements).
 
-``stream_update_batch`` used to materialize iterables element by
-element into per-element work; the fixed path funnels every write —
-array or iterable — through one buffer extend per call and leaves the
-GK sketch untouched until a reader needs it.  These regression tests
-count the actual hand-offs so the O(batches) shape can't silently
-regress.
+The write path funnels every batch — array or list — through one
+buffer extend per call and leaves the GK sketch untouched until a
+reader needs it.  These regression tests count the actual hand-offs so
+the O(batches) shape can't silently regress.
 """
 
 import numpy as np
@@ -35,8 +33,8 @@ class TestHandoffCounts:
         extends = Spy(monkeypatch, AppendBuffer, "extend")
         appends = Spy(monkeypatch, AppendBuffer, "append")
         engine = HybridQuantileEngine(epsilon=0.01, kappa=3, block_elems=64)
-        engine.stream_update_batch(iter(range(10_000)))
-        # One array hand-off for the whole iterable, zero per-element
+        engine.stream_update_many(list(range(10_000)))
+        # One array hand-off for the whole list, zero per-element
         # appends.
         assert extends.calls == 1
         assert appends.calls == 0
@@ -48,7 +46,7 @@ class TestHandoffCounts:
         engine = HybridQuantileEngine(epsilon=0.01, kappa=3, block_elems=64)
         for lo in range(0, 8_000, 2_000):
             engine.stream_update_many(np.arange(lo, lo + 2_000))
-        engine.stream_update_batch(int(v) for v in range(8_000, 9_000))
+        engine.stream_update_many(list(range(8_000, 9_000)))
         # Pure ingestion: the sketch is never consulted.
         assert scalar_updates.calls == 0
         assert bulk_updates.calls == 0

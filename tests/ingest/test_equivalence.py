@@ -28,7 +28,7 @@ def drive(mode, kappa, compaction, steps=14, batch=400, seed=7):
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(steps):
-        engine.stream_update_batch(rng.integers(0, 10**6, size=batch))
+        engine.stream_update_many(rng.integers(0, 10**6, size=batch))
         for value in rng.integers(0, 10**6, size=3):
             engine.stream_update(int(value))
         reports.append(engine.end_time_step())
@@ -37,7 +37,7 @@ def drive(mode, kappa, compaction, steps=14, batch=400, seed=7):
         reports = flushed
     else:
         assert flushed == []
-    engine.stream_update_batch(rng.integers(0, 10**6, size=50))
+    engine.stream_update_many(rng.integers(0, 10**6, size=50))
     return engine, reports
 
 
@@ -113,7 +113,7 @@ class TestSyncBackgroundEquivalence:
 class TestFlushSemantics:
     def test_flush_on_sync_engine_is_noop(self):
         engine = HybridQuantileEngine(epsilon=0.01, kappa=3, block_elems=64)
-        engine.stream_update_batch(np.arange(100))
+        engine.stream_update_many(np.arange(100))
         engine.end_time_step()
         assert engine.flush() == []
         assert engine.ingest_stats is None
@@ -127,7 +127,7 @@ class TestFlushSemantics:
             rng = np.random.default_rng(0)
             provisional = []
             for _ in range(5):
-                engine.stream_update_batch(rng.integers(0, 1000, size=200))
+                engine.stream_update_many(rng.integers(0, 1000, size=200))
                 provisional.append(engine.end_time_step())
             assert all(not r.archived for r in provisional)
             assert all(r.io_total == 0 for r in provisional)
@@ -151,7 +151,7 @@ class TestFlushSemantics:
         engine = HybridQuantileEngine(config=config)
         rng = np.random.default_rng(1)
         for _ in range(4):
-            engine.stream_update_batch(rng.integers(0, 1000, size=100))
+            engine.stream_update_many(rng.integers(0, 1000, size=100))
             engine.end_time_step()
         engine.close()
         assert engine.store.steps_loaded == 4

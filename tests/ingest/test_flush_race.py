@@ -34,7 +34,7 @@ def background_engine() -> HybridQuantileEngine:
 
 def seal_batches(engine: HybridQuantileEngine, rng, count: int) -> None:
     for _ in range(count):
-        engine.stream_update_batch(
+        engine.stream_update_many(
             rng.integers(0, 1_000_000, BATCH, dtype=np.int64)
         )
         engine.end_time_step()

@@ -1,17 +1,19 @@
 """Ingest rejects what an int64 cast would silently change.
 
 ``np.asarray(values, dtype=np.int64)`` turns ``1.7`` into ``1`` and NaN
-into ``INT64_MIN``; the engine and cluster doors — the array verb and
-the iterable one — refuse such input before anything (WAL, buffer,
-counters) has seen it.
+into ``INT64_MIN``; every ``stream_update_many`` — engine, cluster and
+the baselines the drivers feed beside them — refuses such input before
+anything (WAL, buffer, sketch, counters) has seen it.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines import PureStreamingEngine, StrawmanEngine
 from repro.cluster import ClusterEngine
 from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
+from repro.frequent import HeavyHittersEngine
 
 
 def single_engine():
@@ -30,14 +32,15 @@ doors = pytest.mark.parametrize(
 
 
 @pytest.mark.parametrize(
-    "make, verb",
+    "make",
     [
-        (single_engine, "stream_update_many"),
-        (cluster, "stream_update_many"),
-        (single_engine, "stream_update_batch"),
-        (cluster, "stream_update_batch"),
+        single_engine,
+        cluster,
+        lambda: StrawmanEngine(epsilon=0.05, block_elems=16),
+        lambda: PureStreamingEngine(epsilon=0.05, block_elems=16),
+        lambda: HeavyHittersEngine(epsilon=0.05, block_elems=16),
     ],
-    ids=["engine", "cluster", "engine-batch", "cluster-batch"],
+    ids=["engine", "cluster", "strawman", "pure-streaming", "heavy-hitters"],
 )
 @pytest.mark.parametrize(
     "values, error",
@@ -51,14 +54,15 @@ doors = pytest.mark.parametrize(
     ],
     ids=["float-list", "whole-floats", "nan", "bool", "str", "uint64-overflow"],
 )
-def test_lossy_input_is_rejected_before_ingest(make, verb, values, error):
+def test_lossy_input_is_rejected_before_ingest(make, values, error):
     door = make()
     try:
         with pytest.raises(error):
-            getattr(door, verb)(values)
+            door.stream_update_many(values)
         assert door.m_stream == 0
     finally:
-        door.close()
+        if hasattr(door, "close"):
+            door.close()
 
 
 @doors

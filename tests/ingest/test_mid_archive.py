@@ -34,7 +34,7 @@ def paused_engine():
     for _ in range(4):
         batch = rng.integers(0, 10**6, size=500)
         everything.append(batch)
-        engine.stream_update_batch(batch)
+        engine.stream_update_many(batch)
         engine.end_time_step()
     engine.flush()
     # three steps sealed but frozen in the pending queue
@@ -42,12 +42,12 @@ def paused_engine():
     for _ in range(3):
         batch = rng.integers(0, 10**6, size=500)
         everything.append(batch)
-        engine.stream_update_batch(batch)
+        engine.stream_update_many(batch)
         engine.end_time_step()
     # plus a live stream tail
     tail = rng.integers(0, 10**6, size=200)
     everything.append(tail)
-    engine.stream_update_batch(tail)
+    engine.stream_update_many(tail)
     yield engine, np.concatenate(everything)
     engine._ensure_archiver().resume()
     engine.close()
@@ -170,7 +170,7 @@ class TestConcurrentQueries:
             for _ in range(20):
                 batch = rng.integers(0, 10**6, size=1000)
                 seen.append(batch)
-                engine.stream_update_batch(batch)
+                engine.stream_update_many(batch)
                 engine.end_time_step()
                 result = engine.quantile(0.5)
                 union = np.concatenate(seen)

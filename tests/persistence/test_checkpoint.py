@@ -16,11 +16,11 @@ def build_engine(seed=0, steps=6, batch=1500, live=800):
     for _ in range(steps):
         data = rng.integers(0, 10**6, batch)
         chunks.append(data)
-        engine.stream_update_batch(data)
+        engine.stream_update_many(data)
         engine.end_time_step()
     live_data = rng.integers(0, 10**6, live)
     chunks.append(live_data)
-    engine.stream_update_batch(live_data)
+    engine.stream_update_many(live_data)
     return engine, np.concatenate(chunks)
 
 
@@ -52,9 +52,9 @@ class TestCheckpoint:
         restored = load_engine(tmp_path)
         restored.end_time_step()  # archive the restored live buffer
         extra = np.random.default_rng(5).integers(0, 10**6, 1000)
-        restored.stream_update_batch(extra)
+        restored.stream_update_many(extra)
         oracle = ExactQuantiles()
-        oracle.update_batch(np.concatenate([data, extra]))
+        oracle.update_many(np.concatenate([data, extra]))
         result = restored.quantile(0.5)
         high = oracle.rank(result.value)
         low = oracle.rank_strict(result.value) + 1
@@ -63,7 +63,7 @@ class TestCheckpoint:
 
     def test_empty_stream_checkpoint(self, tmp_path):
         engine = HybridQuantileEngine(epsilon=0.05, kappa=3, block_elems=16)
-        engine.stream_update_batch(np.arange(1000))
+        engine.stream_update_many(np.arange(1000))
         engine.end_time_step()
         save_engine(engine, tmp_path)
         restored = load_engine(tmp_path)
@@ -83,9 +83,10 @@ class TestCheckpoint:
 
 
 #: the ``EngineConfig`` keys a PR-15 ``engine.json`` still carries (the
-#: first four) and those a PR-18 one does, at the defaults those
-#: commits wrote.
+#: first four), those a PR-18 one does and the one a PR-21 one does, at
+#: the defaults those commits wrote.
 RETIRED_DEFAULTS = {
+    "retry_backoff_cap_seconds": 0.25,
     "fetch_coalescing": True,
     "readahead_blocks": None,
     "object_get_ms": 5.0,
@@ -124,6 +125,7 @@ class TestRetiredConfigKeys:
             ("object_get_ms", 1.0),
             ("query_strategy", "fetch"),
             ("residual_fetch_elems", 8),
+            ("retry_backoff_cap_seconds", 1.0),
             ("no_such_knob", 1),
         ],
     )
@@ -152,13 +154,13 @@ class TestCompactionPolicyRestore:
         engine = HybridQuantileEngine(config=config)
         rng = np.random.default_rng(3)
         for _ in range(7):
-            engine.stream_update_batch(rng.integers(0, 10**6, 800))
+            engine.stream_update_many(rng.integers(0, 10**6, 800))
             engine.end_time_step()
         save_engine(engine, tmp_path)
         restored = load_engine(tmp_path)
         assert isinstance(restored.store, LeveledCompactionStore)
         # continued ingestion obeys the leveled invariant
         for _ in range(5):
-            restored.stream_update_batch(rng.integers(0, 10**6, 800))
+            restored.stream_update_many(rng.integers(0, 10**6, 800))
             restored.end_time_step()
         restored.check_invariants()

@@ -39,9 +39,9 @@ def build_engine(seed=0, steps=4, batch=600, live=200):
     engine = HybridQuantileEngine(epsilon=0.05, kappa=3, block_elems=16)
     rng = np.random.default_rng(seed)
     for _ in range(steps):
-        engine.stream_update_batch(rng.integers(0, 10**6, batch))
+        engine.stream_update_many(rng.integers(0, 10**6, batch))
         engine.end_time_step()
-    engine.stream_update_batch(rng.integers(0, 10**6, live))
+    engine.stream_update_many(rng.integers(0, 10**6, live))
     return engine
 
 
@@ -183,7 +183,7 @@ class TestAtomicSaveGuards:
         warehouse = target / "warehouse"
         before = {p.name: p.stat().st_ino for p in warehouse.glob("part-*.npy")}
         rng = np.random.default_rng(99)
-        engine.stream_update_batch(rng.integers(0, 10**6, 600))
+        engine.stream_update_many(rng.integers(0, 10**6, 600))
         engine.end_time_step()
         save_engine(engine, target)
         after = {p.name: p.stat().st_ino for p in warehouse.glob("part-*.npy")}

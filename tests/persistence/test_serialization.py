@@ -15,7 +15,7 @@ from repro.sketches import GKSketch, QDigestSketch
 
 def filled_gk(eps=0.01, n=20_000, seed=0):
     sketch = GKSketch(eps)
-    sketch.update_batch(np.random.default_rng(seed).integers(0, 10**9, n))
+    sketch.update_many(np.random.default_rng(seed).integers(0, 10**9, n))
     return sketch
 
 
@@ -38,8 +38,8 @@ class TestGKRoundTrip:
         original = filled_gk()
         restored = load_gk(dump_gk(original))
         extra = np.random.default_rng(9).integers(0, 10**9, 5000)
-        original.update_batch(extra)
-        restored.update_batch(extra)
+        original.update_many(extra)
+        restored.update_many(extra)
         assert restored.n == original.n
         assert restored.query_rank(12_000) == original.query_rank(12_000)
 

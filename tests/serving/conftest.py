@@ -30,14 +30,14 @@ def build_filled_engine(
     engine = HybridQuantileEngine(config=config)
     rng = np.random.default_rng(seed)
     for _ in range(steps):
-        engine.stream_update_batch(
+        engine.stream_update_many(
             rng.integers(0, 1_000_000, batch, dtype=np.int64)
         )
         engine.end_time_step()
     if ingest_mode == "background":
         engine.flush()
     if live:
-        engine.stream_update_batch(
+        engine.stream_update_many(
             rng.integers(0, 1_000_000, live, dtype=np.int64)
         )
     return engine

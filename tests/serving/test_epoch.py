@@ -76,7 +76,7 @@ class TestEngineEpochs:
         engine = build_filled_engine(steps=2, live=0)
         try:
             before = engine.epoch_stats.current_epoch
-            engine.stream_update_batch(np.arange(100, dtype=np.int64))
+            engine.stream_update_many(np.arange(100, dtype=np.int64))
             assert engine.epoch_stats.current_epoch == before
         finally:
             engine.close()
@@ -88,7 +88,7 @@ class TestSnapshotHandle:
         with filled_engine.pin() as handle:
             n_before = handle.n_total
             value_before = handle.quantile(0.5, mode="quick").value
-            filled_engine.stream_update_batch(
+            filled_engine.stream_update_many(
                 rng.integers(0, 1_000_000, 2000, dtype=np.int64)
             )
             filled_engine.end_time_step()

@@ -31,7 +31,7 @@ def test_concurrent_queries_replay_bit_identical_per_epoch():
     )
     engine = HybridQuantileEngine(config=config)
     rng = np.random.default_rng(17)
-    engine.stream_update_batch(
+    engine.stream_update_many(
         rng.integers(0, 1_000_000, 1500, dtype=np.int64)
     )
     engine.end_time_step()
@@ -54,7 +54,7 @@ def test_concurrent_queries_replay_bit_identical_per_epoch():
     def ingest(steps: int) -> None:
         try:
             for _ in range(steps):
-                engine.stream_update_batch(
+                engine.stream_update_many(
                     rng.integers(0, 1_000_000, 1500, dtype=np.int64)
                 )
                 engine.end_time_step()
@@ -112,7 +112,7 @@ def test_mixed_modes_under_ingest_serve_everything():
     )
     engine = HybridQuantileEngine(config=config)
     rng = np.random.default_rng(29)
-    engine.stream_update_batch(
+    engine.stream_update_many(
         rng.integers(0, 1_000_000, 2000, dtype=np.int64)
     )
     engine.end_time_step()
@@ -121,7 +121,7 @@ def test_mixed_modes_under_ingest_serve_everything():
 
     def ingest() -> None:
         while not stop.is_set():
-            engine.stream_update_batch(
+            engine.stream_update_many(
                 rng.integers(0, 1_000_000, 500, dtype=np.int64)
             )
             engine.end_time_step()

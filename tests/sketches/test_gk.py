@@ -130,7 +130,7 @@ class TestBatchUpdates:
         rng = np.random.default_rng(11)
         data = rng.integers(0, 10**6, 10_000)
         sketch = GKSketch(0.02)
-        sketch.update_batch(data)
+        sketch.update_many(data)
         assert sketch.n == len(data)
         assert_gk_guarantee(sketch, data, ranks=range(1, 10_001, 500))
 
@@ -139,7 +139,7 @@ class TestBatchUpdates:
         sketch = GKSketch(0.02)
         chunks = [rng.integers(0, 10**6, 3000) for _ in range(5)]
         for chunk in chunks:
-            sketch.update_batch(chunk)
+            sketch.update_many(chunk)
         data = np.concatenate(chunks)
         assert sketch.n == len(data)
         assert_gk_guarantee(sketch, data, ranks=range(1, len(data), 500))
@@ -148,7 +148,7 @@ class TestBatchUpdates:
         rng = np.random.default_rng(17)
         sketch = GKSketch(0.05)
         chunk = rng.integers(0, 1000, 2000)
-        sketch.update_batch(chunk)
+        sketch.update_many(chunk)
         extra = rng.integers(0, 1000, 300)
         for v in extra:
             sketch.update(int(v))
@@ -159,7 +159,7 @@ class TestBatchUpdates:
         rng = np.random.default_rng(19)
         sketch = GKSketch(0.05)
         chunk = rng.integers(0, 10**9, 5000)
-        sketch.update_batch(chunk)
+        sketch.update_many(chunk)
         assert sketch.min_value() == chunk.min()
         assert sketch.max_value() == chunk.max()
 
@@ -167,17 +167,17 @@ class TestBatchUpdates:
         rng = np.random.default_rng(23)
         sketch = GKSketch(0.01)
         for _ in range(10):
-            sketch.update_batch(rng.integers(0, 10**9, 10_000))
+            sketch.update_many(rng.integers(0, 10**9, 10_000))
         assert sketch.tuple_count() < 3000
 
     def test_empty_batch_noop(self):
         sketch = GKSketch(0.1)
-        sketch.update_batch(np.empty(0, dtype=np.int64))
+        sketch.update_many(np.empty(0, dtype=np.int64))
         assert sketch.n == 0
 
     def test_small_batch_uses_elementwise_path(self):
         sketch = GKSketch(0.1)
-        sketch.update_batch([3, 1, 2])
+        sketch.update_many([3, 1, 2])
         assert sketch.n == 3
         assert sketch.min_value() == 1
 
@@ -217,7 +217,7 @@ class TestGKProperty:
     @settings(max_examples=30, deadline=None)
     def test_guarantee_holds_batch(self, data, eps):
         sketch = GKSketch(eps)
-        sketch.update_batch(np.asarray(data, dtype=np.int64))
+        sketch.update_many(np.asarray(data, dtype=np.int64))
         assert_gk_guarantee(sketch, data)
 
 
@@ -287,7 +287,7 @@ class TestVectorizedQueriesMatchLoops:
         rng = np.random.default_rng(5)
         sketch = GKSketch(0.01)
         for _ in range(5):
-            sketch.update_batch(rng.integers(0, 10**6, size=2000))
+            sketch.update_many(rng.integers(0, 10**6, size=2000))
             # interleave scalar updates so both mutation paths invalidate
             for value in rng.integers(0, 10**6, size=10):
                 sketch.update(int(value))
@@ -302,7 +302,7 @@ class TestVectorizedQueriesMatchLoops:
 
     def test_cache_invalidated_by_update(self):
         sketch = GKSketch(0.1)
-        sketch.update_batch(np.arange(1000))
+        sketch.update_many(np.arange(1000))
         first = sketch.query_rank(500)
         assert sketch._query_arrays is not None
         sketch.update(10**9)  # must invalidate the cached arrays

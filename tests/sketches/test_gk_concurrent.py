@@ -12,10 +12,10 @@ from repro.sketches.base import rank_for_phi
 
 def test_snapshot_is_frozen_against_further_updates():
     sketch = GKSketch(0.01)
-    sketch.update_batch(np.arange(1000, dtype=np.int64))
+    sketch.update_many(np.arange(1000, dtype=np.int64))
     frozen = sketch.snapshot()
     assert frozen.n == 1000
-    sketch.update_batch(np.arange(1000, 2000, dtype=np.int64))
+    sketch.update_many(np.arange(1000, 2000, dtype=np.int64))
     assert sketch.n == 2000
     assert frozen.n == 1000
     # The copy still answers, from the state at snapshot time.
@@ -38,7 +38,7 @@ def test_snapshot_races_concurrent_update_batches():
             for chunk in chunks:
                 if stop.is_set():
                     return
-                sketch.update_batch(chunk)
+                sketch.update_many(chunk)
         except BaseException as exc:  # pragma: no cover - fail loud
             errors.append(exc)
 

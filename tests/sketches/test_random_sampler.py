@@ -37,15 +37,15 @@ class TestRandomSampler:
         a = RandomSamplerSketch(50, seed=42)
         b = RandomSamplerSketch(50, seed=42)
         data = np.random.default_rng(0).integers(0, 1000, 2000)
-        a.update_batch(data)
-        b.update_batch(data)
+        a.update_many(data)
+        b.update_many(data)
         assert a.query_rank(1000) == b.query_rank(1000)
 
     def test_probabilistic_accuracy(self):
         sketch = RandomSamplerSketch.for_epsilon(0.05, delta=0.01, seed=7)
         rng = np.random.default_rng(8)
         data = rng.integers(0, 10**6, 50_000)
-        sketch.update_batch(data)
+        sketch.update_many(data)
         arr = np.sort(data)
         n = len(arr)
         for r in (n // 4, n // 2, 3 * n // 4):
@@ -57,5 +57,5 @@ class TestRandomSampler:
     def test_memory_words_fixed(self):
         sketch = RandomSamplerSketch(100)
         assert sketch.memory_words() == 104
-        sketch.update_batch(np.arange(10_000))
+        sketch.update_many(np.arange(10_000))
         assert sketch.memory_words() == 104

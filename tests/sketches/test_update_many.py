@@ -7,10 +7,10 @@ indistinguishable from replaying it element by element (deterministic
 sketches: identical state; seeded randomized sketches: identical
 because the element order and RNG draws coincide).
 
-``update_batch`` remains on every sketch: the base-protocol iterable
-entry point for GK/exact/sampler, and a deprecated alias (with a
-``DeprecationWarning``) on MRL and Q-Digest, whose bulk paths now
-carry the protocol-standard ``update_many`` name.
+``update_many`` is the only batch verb; it takes an array or a list of
+integers and every implementation (Misra-Gries included) reads it
+through ``as_int64_batch``, so lossy input raises before anything is
+stored.
 """
 
 import numpy as np
@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.frequent.misra_gries import MisraGriesSketch
 from repro.persistence.serialization import dump_gk, load_gk
-from repro.sketches.base import as_int64_batch
+from repro.sketches.base import QuantileSketch, as_int64_batch
 from repro.sketches.exact import ExactQuantiles
 from repro.sketches.gk import _JUMPER_SHARE, GKSketch, _compress_heads
 from repro.sketches.kll import KLLSketch
@@ -69,13 +70,13 @@ def test_update_many_flattens_and_ignores_empty():
     assert sketch.max_value() == 5
 
 
-def test_gk_update_many_equals_update_batch():
+def test_gk_update_many_takes_a_list_like_an_array():
     rng = np.random.default_rng(23)
     values = rng.integers(0, 10**6, size=5000)
     a = GKSketch(0.01)
     a.update_many(values)
     b = GKSketch(0.01)
-    b.update_batch(int(v) for v in values)  # iterable entry point
+    b.update_many([int(v) for v in values])
     assert a._values == b._values
     assert a._g == b._g
     assert a._delta == b._delta
@@ -98,51 +99,6 @@ def test_gk_query_ranks_matches_scalar_queries():
         [sketch.query_rank(int(t)) for t in targets], dtype=np.int64
     )
     assert np.array_equal(vectorized, scalar)
-
-
-@pytest.mark.parametrize(
-    "factory",
-    [
-        lambda: MRL99Sketch(buffer_size=64, num_buffers=4, seed=5),
-        lambda: QDigestSketch(0.05, universe_log2=20),
-    ],
-    ids=["mrl", "qdigest"],
-)
-def test_update_batch_is_deprecated_alias(factory):
-    rng = np.random.default_rng(31)
-    values = rng.integers(0, 2**18, size=300)
-    via_many = factory()
-    via_many.update_many(values)
-    via_alias = factory()
-    with pytest.deprecated_call():
-        via_alias.update_batch(values)
-    assert via_alias.n == via_many.n == 300
-    for rank in (1, 50, 150, 300):
-        assert via_alias.query_rank(rank) == via_many.query_rank(rank)
-
-
-def test_update_batch_alias_accepts_plain_iterables():
-    values = [5, 1, 4, 2, 3] * 20
-    sketch = QDigestSketch(0.05, universe_log2=20)
-    with pytest.deprecated_call():
-        sketch.update_batch(iter(values))
-    assert sketch.n == 100
-    mrl = MRL99Sketch(buffer_size=16, num_buffers=4, seed=1)
-    with pytest.deprecated_call():
-        mrl.update_batch(iter(values))
-    assert mrl.n == 100
-
-
-def test_base_protocol_update_batch_not_deprecated(recwarn):
-    sketch = GKSketch(0.01)
-    sketch.update_batch([3, 1, 2])
-    oracle = ExactQuantiles()
-    oracle.update_batch([3, 1, 2])
-    deprecations = [
-        w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-    ]
-    assert not deprecations
-    assert sketch.n == oracle.n == 3
 
 
 # ----------------------------------------------------------------------
@@ -431,21 +387,40 @@ LOSSY = {
     "bool": (np.asarray([True, False]), TypeError),
     "object": (np.asarray(["3"], dtype=object), TypeError),
     "uint64-overflow": (np.asarray([2**63], dtype=np.uint64), OverflowError),
-    # What the iterable door used to cast: np.fromiter(..., int64) made
+    # What the deleted iterable doors cast: np.fromiter(..., int64) made
     # [1, 2, 9] and [1, 3] of these two.
     "floats": ([1.7, 2.2, 9.9], TypeError),
     "bool-among-ints": ([True, 3], TypeError),
 }
-#: door -> (fresh sketch, feed(sketch, values)); ``update_batch`` is fed
-#: a one-shot iterator, the case it exists for.
+
+
+class DefaultLoop(QuantileSketch):
+    """Nothing but ``QuantileSketch.update_many``'s default loop."""
+
+    def __init__(self):
+        self.seen = []
+
+    def update(self, value):
+        self.seen.append(value)
+
+    @property
+    def n(self):
+        return len(self.seen)
+
+    def query_rank(self, rank):
+        return sorted(self.seen)[rank - 1]
+
+    def memory_words(self):
+        return len(self.seen)
+
+
+#: door -> fresh sketch; every one is fed through ``update_many``.
 DOORS = {
-    "update_many": (
-        lambda: GKSketch(0.01), lambda s, v: s.update_many(v)),
-    "update_batch": (
-        lambda: GKSketch(0.01),
-        lambda s, v: s.update_batch(v if isinstance(v, np.ndarray) else iter(v)),
-    ),
-    "kll": (lambda: KLLSketch(0.01, seed=1), lambda s, v: s.update_many(v)),
+    "update_many": lambda: GKSketch(0.01),
+    "kll": lambda: KLLSketch(0.01, seed=1),
+    "default-loop": DefaultLoop,
+    "misra-gries": lambda: MisraGriesSketch(8),
+    **{name: make for name, make in make_all().items() if name != "gk"},
 }
 
 
@@ -462,16 +437,16 @@ DOORS = {
     ],
 )
 def test_gk_update_many_rejects_lossy_input(door, values, error):
-    fresh, feed = DOORS[door]
-    sketch = fresh()
+    sketch = DOORS[door]()
     with pytest.raises(error):
-        feed(sketch, values)
+        sketch.update_many(values)
     assert sketch.n == 0
 
 
 def test_int64_arrays_pass_every_door_uncopied(monkeypatch):
     """The doors validate; they must not copy what is already int64."""
-    from repro.sketches import gk, kll
+    from repro.frequent import misra_gries
+    from repro.sketches import base, exact, gk, kll, qdigest
 
     validated = []
 
@@ -479,12 +454,12 @@ def test_int64_arrays_pass_every_door_uncopied(monkeypatch):
         validated.append(as_int64_batch(values))
         return validated[-1]
 
-    monkeypatch.setattr(gk, "as_int64_batch", spied)
-    monkeypatch.setattr(kll, "as_int64_batch", spied)
+    for module in (base, exact, gk, kll, qdigest, misra_gries):
+        monkeypatch.setattr(module, "as_int64_batch", spied)
     batch = np.arange(300, dtype=np.int64)
-    for fresh, feed in DOORS.values():
+    for fresh in DOORS.values():
         sketch = fresh()
-        feed(sketch, batch)
+        sketch.update_many(batch)
         assert sketch.n == 300
     assert len(validated) == len(DOORS)
     assert all(arr is batch for arr in validated)

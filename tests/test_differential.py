@@ -72,16 +72,16 @@ class TestDifferential:
         oracle = ExactQuantiles()
         for _ in range(config["steps"]):
             data = distribution(rng, config["kind"], config["batch"])
-            engine.stream_update_batch(data)
-            oracle.update_batch(data)
+            engine.stream_update_many(data)
+            oracle.update_many(data)
             if config["mid_step_query"]:
                 result = engine.quantile(config["phi"])
                 err = interval_error(oracle, result.value, result.target_rank)
                 assert err <= 1.5 * epsilon * engine.m_stream + 2
             engine.end_time_step()
         live = distribution(rng, config["kind"], config["live"])
-        engine.stream_update_batch(live)
-        oracle.update_batch(live)
+        engine.stream_update_many(live)
+        oracle.update_many(live)
 
         # Each mode against the bound its own result reports.
         result = engine.quantile(config["phi"])
@@ -110,16 +110,16 @@ class TestDifferential:
         for _ in range(config["steps"]):
             data = distribution(rng, config["kind"], config["batch"])
             step_batches.append(data)
-            engine.stream_update_batch(data)
+            engine.stream_update_many(data)
             engine.end_time_step()
         live = distribution(rng, config["kind"], config["live"])
-        engine.stream_update_batch(live)
+        engine.stream_update_many(live)
 
         for window in engine.available_window_sizes():
             oracle = ExactQuantiles()
             for data in step_batches[len(step_batches) - window:]:
-                oracle.update_batch(data)
-            oracle.update_batch(live)
+                oracle.update_many(data)
+            oracle.update_many(live)
             result = engine.quantile(config["phi"], window_steps=window)
             assert result.total_size == oracle.n
             err = interval_error(oracle, result.value, result.target_rank)

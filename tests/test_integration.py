@@ -93,9 +93,9 @@ class TestMemoryCalibration:
         engine = HybridQuantileEngine(config=config)
         rng = np.random.default_rng(17)
         for _ in range(steps):
-            engine.stream_update_batch(rng.integers(0, 10**9, batch))
+            engine.stream_update_many(rng.integers(0, 10**9, batch))
             engine.end_time_step()
-        engine.stream_update_batch(rng.integers(0, 10**9, batch))
+        engine.stream_update_many(rng.integers(0, 10**9, batch))
         measured = engine.memory_report().total_words
         assert measured <= 2.0 * budget.total_words
         assert measured >= budget.total_words / 20
@@ -106,15 +106,15 @@ class TestEdgeCases:
         engine = HybridQuantileEngine(epsilon=0.05, kappa=3, block_elems=16)
         report = engine.end_time_step()  # no stream data at all
         assert report.batch_elems == 0
-        engine.stream_update_batch(np.arange(100))
+        engine.stream_update_many(np.arange(100))
         assert engine.quantile(0.5).value == 49
 
     def test_single_element_universe(self):
         engine = HybridQuantileEngine(epsilon=0.1, kappa=2, block_elems=4)
         for _ in range(4):
-            engine.stream_update_batch(np.full(100, 7))
+            engine.stream_update_many(np.full(100, 7))
             engine.end_time_step()
-        engine.stream_update_batch(np.full(100, 7))
+        engine.stream_update_many(np.full(100, 7))
         for mode in ("quick", "accurate"):
             assert engine.quantile(0.5, mode=mode).value == 7
 
@@ -123,9 +123,9 @@ class TestEdgeCases:
         saw = np.tile(np.concatenate([np.arange(50), np.arange(50)[::-1]]),
                       20)
         for _ in range(4):
-            engine.stream_update_batch(saw)
+            engine.stream_update_many(saw)
             engine.end_time_step()
-        engine.stream_update_batch(saw)
+        engine.stream_update_many(saw)
         result = engine.quantile(0.5)
         assert 20 <= result.value <= 30
 
@@ -133,18 +133,18 @@ class TestEdgeCases:
         engine = HybridQuantileEngine(epsilon=0.05, kappa=3, block_elems=16)
         rng = np.random.default_rng(23)
         data = rng.integers(-(10**6), 10**6, 2000)
-        engine.stream_update_batch(data)
+        engine.stream_update_many(data)
         engine.end_time_step()
-        engine.stream_update_batch(rng.integers(-(10**6), 10**6, 2000))
+        engine.stream_update_many(rng.integers(-(10**6), 10**6, 2000))
         result = engine.quantile(0.5)
         assert -(10**6) <= result.value <= 10**6
 
     def test_huge_value_range(self):
         engine = HybridQuantileEngine(epsilon=0.05, kappa=3, block_elems=16)
         data = np.asarray([0, 2**62, 1, 2**61, 2], dtype=np.int64)
-        engine.stream_update_batch(np.tile(data, 400))
+        engine.stream_update_many(np.tile(data, 400))
         engine.end_time_step()
-        engine.stream_update_batch(np.tile(data, 400))
+        engine.stream_update_many(np.tile(data, 400))
         result = engine.quantile(0.5)
         assert result.value in (0, 1, 2, 2**61, 2**62)
         # value-domain bisection stays within the 64-bit depth bound

@@ -101,12 +101,12 @@ class TestLeveledCompaction:
         oracle = ExactQuantiles()
         for _ in range(9):
             data = rng.integers(0, 10**6, 1000)
-            oracle.update_batch(data)
-            engine.stream_update_batch(data)
+            oracle.update_many(data)
+            engine.stream_update_many(data)
             engine.end_time_step()
         live = rng.integers(0, 10**6, 1000)
-        oracle.update_batch(live)
-        engine.stream_update_batch(live)
+        oracle.update_many(live)
+        engine.stream_update_many(live)
         engine.check_invariants()
         result = engine.quantile(0.5)
         high = oracle.rank(result.value)

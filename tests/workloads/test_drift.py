@@ -44,9 +44,9 @@ class TestDriftWorkload:
                           stddev=5e4)
         engine = HybridQuantileEngine(epsilon=0.05, kappa=2, block_elems=16)
         for batch in w.batches(8, 2000):
-            engine.stream_update_batch(batch)
+            engine.stream_update_many(batch)
             engine.end_time_step()
-        engine.stream_update_batch(w.generate(2000))
+        engine.stream_update_many(w.generate(2000))
         recent = engine.quantile(0.5, window_steps=1).value
         full = engine.quantile(0.5).value
         assert recent > full  # the window tracks the drifted present

@@ -63,8 +63,8 @@ class TestReplayWorkload:
         w = ReplayWorkload(trace)
         engine = HybridQuantileEngine(epsilon=0.05, kappa=3, block_elems=16)
         for batch in w.batches(3, 1000):
-            engine.stream_update_batch(batch)
+            engine.stream_update_many(batch)
             engine.end_time_step()
-        engine.stream_update_batch(w.generate(1000))
+        engine.stream_update_many(w.generate(1000))
         assert engine.n_total == 4000
         assert engine.quantile(0.5).value in trace

@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.baselines import PureStreamingEngine, StrawmanEngine
+from repro.cluster import ClusterEngine
+from repro.core.config import EngineConfig
+from repro.core.engine import HybridQuantileEngine
+from repro.frequent import HeavyHittersEngine
 from repro.workloads import (
     ALL_WORKLOADS,
     NetworkTraceWorkload,
@@ -103,3 +108,59 @@ class TestNetworkTrace:
     def test_num_hosts_validation(self):
         with pytest.raises(ValueError):
             NetworkTraceWorkload(num_hosts=1 << 20)
+
+
+def _cluster():
+    return ClusterEngine(
+        shards=2, config=EngineConfig(epsilon=0.05, block_elems=16)
+    )
+
+
+class TestFeed:
+    """``Workload.feed`` drives every system through the same three
+    calls: ``stream_update_many`` (returning the count),
+    ``end_time_step``, and whatever the system answers with."""
+
+    SYSTEMS = {
+        "engine": lambda: HybridQuantileEngine(epsilon=0.05, block_elems=16),
+        "cluster": _cluster,
+        "strawman": lambda: StrawmanEngine(epsilon=0.05, block_elems=16),
+        "pure-streaming": lambda: PureStreamingEngine(
+            epsilon=0.05, block_elems=16
+        ),
+        "heavy-hitters": lambda: HeavyHittersEngine(
+            epsilon=0.05, block_elems=16
+        ),
+    }
+
+    @staticmethod
+    def answer(system):
+        if isinstance(system, HeavyHittersEngine):
+            report = system.heavy_hitters(0.05)
+            return report.total_size, report.hitters
+        return system.quantile(0.5).value
+
+    @pytest.mark.parametrize("update_batch", [None, 150])
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_feed_equals_feeding_by_hand(self, name, update_batch):
+        fed, by_hand = self.SYSTEMS[name](), self.SYSTEMS[name]()
+        total = UniformWorkload(seed=4).feed(
+            fed, 3, 400, update_batch=update_batch
+        )
+        for batch in UniformWorkload(seed=4).batches(3, 400):
+            assert by_hand.stream_update_many(batch) == 400
+            by_hand.end_time_step()
+        assert total == fed.n_total == by_hand.n_total == 1200
+        assert fed.m_stream == 0
+        if update_batch is None:  # a sketch fed directly sees the chunking
+            assert self.answer(fed) == self.answer(by_hand)
+        for system in (fed, by_hand):
+            if hasattr(system, "close"):
+                system.close()
+
+    def test_unsealed_feed_stays_in_the_stream(self):
+        engine = StrawmanEngine(epsilon=0.05, block_elems=16)
+        assert NormalWorkload(seed=1).feed(
+            engine, 2, 300, end_steps=False
+        ) == 600
+        assert (engine.m_stream, engine.n_historical) == (600, 0)
