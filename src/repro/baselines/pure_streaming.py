@@ -19,7 +19,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.engine import QueryResult, StepReport
+from ..core.engine import StepReport
+from ..core.query_path import QueryResult
 from ..sketches.base import QuantileSketch, as_int64_batch, rank_for_phi
 from ..sketches.gk import GKSketch
 from ..sketches.mrl import MRL99Sketch
@@ -43,8 +44,8 @@ class _RawLeveledLoader:
     def add_batch(self, num_elems: int) -> None:
         """Charge the load write for one unsorted batch."""
         self._make_room(0)
-        self._disk.stats.set_phase("load")
-        self._disk.charge_sequential_write(num_elems)
+        with self._disk.stats.phase_scope("load"):
+            self._disk.charge_sequential_write(num_elems)
         self._levels[0].append(num_elems)
 
     def _make_room(self, level: int) -> None:
@@ -54,12 +55,11 @@ class _RawLeveledLoader:
             self._levels.append([])
         self._make_room(level + 1)
         sizes = self._levels[level]
-        self._disk.stats.set_phase("merge")
-        for size in sizes:
-            self._disk.charge_sequential_read(size)
         total = sum(sizes)
-        self._disk.charge_sequential_write(total)
-        self._disk.stats.set_phase("load")
+        with self._disk.stats.phase_scope("merge"):
+            for size in sizes:
+                self._disk.charge_sequential_read(size)
+            self._disk.charge_sequential_write(total)
         self._levels[level] = []
         self._levels[level + 1].append(total)
 

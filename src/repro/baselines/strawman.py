@@ -80,19 +80,20 @@ class StrawmanEngine:
         started = time.perf_counter()
         sorted_batch = np.sort(batch)
         if self._partition is None:
-            self.disk.stats.set_phase("load")
-            run = SortedRun(self.disk, sorted_batch)
+            with self.disk.stats.phase_scope("load"):
+                run = SortedRun(self.disk, sorted_batch)
         else:
             # Read all of history, merge the in-memory batch in, and
             # write the combined run back: the full pass the hybrid
             # engine's leveled merging amortizes away.
-            self.disk.stats.set_phase("merge")
-            self.disk.charge_sequential_read(len(self._partition.run))
-            merged = np.sort(
-                np.concatenate([self._partition.run.values, sorted_batch])
-            )
-            run = SortedRun(self.disk, merged, charge_write=True)
-            self.disk.stats.set_phase("load")
+            with self.disk.stats.phase_scope("merge"):
+                self.disk.charge_sequential_read(len(self._partition.run))
+                merged = np.sort(
+                    np.concatenate(
+                        [self._partition.run.values, sorted_batch]
+                    )
+                )
+                run = SortedRun(self.disk, merged, charge_write=True)
         partition = Partition(
             level=0, start_step=1, end_step=self._step, run=run
         )

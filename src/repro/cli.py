@@ -37,6 +37,7 @@ import numpy as np
 from .core.config import EngineConfig
 from .core.engine import HybridQuantileEngine
 from .faults import DiskFault, FaultPlan, FaultyDisk
+from .faults.retry import ARCHIVE_RETRY_POLICY
 from .ingest.archiver import ArchiveFailedError
 from .persistence import (
     PersistenceError,
@@ -119,11 +120,12 @@ def _load_engine_cli(args: argparse.Namespace) -> HybridQuantileEngine:
     )
     disk = FaultyDisk(plan, block_elems=config.block_elems)
     # The recovery scan itself runs on the faulty disk; retry transient
-    # faults with the warehouse's own policy (a fresh load each attempt
-    # draws fresh fault decisions).
-    policy = config.archive_retry_policy
+    # faults as an archive step would (a fresh load each attempt draws
+    # fresh fault decisions).
     try:
-        return policy.call(lambda: load_engine(args.warehouse, disk=disk))
+        return ARCHIVE_RETRY_POLICY.call(
+            lambda: load_engine(args.warehouse, disk=disk)
+        )
     except DiskFault:
         # The transcript matters most when the load itself gave up.
         _dump_transcript(args, disk)

@@ -6,7 +6,7 @@ from .engine import (
     ClusterUnavailable,
     ShardedBlockCache,
     ShardErrors,
-    shard_wal_dir,
+    shard_dir,
 )
 from .persistence import list_shard_dirs, load_cluster, save_cluster
 from .router import ShardRouter
@@ -24,5 +24,5 @@ __all__ = [
     "list_shard_dirs",
     "load_cluster",
     "save_cluster",
-    "shard_wal_dir",
+    "shard_dir",
 ]

@@ -50,6 +50,7 @@ from ..core.config import EngineConfig
 from ..core.engine import HybridQuantileEngine, StepReport
 from ..core.epoch import HistoricalMemo, SnapshotHandle
 from ..core.query_path import (
+    PinnedQueries,
     QueryResult,
     QueryScope,
     answer_quick_many,
@@ -60,6 +61,7 @@ from ..core.summaries import StreamSummary
 from ..faults.disk import FaultyDisk
 from ..faults.errors import DiskFault
 from ..faults.plan import FaultPlan
+from ..faults.retry import PROBE_RETRY_POLICY
 from ..ingest.wal import WriteAheadLog
 from ..query.executor import QueryExecutor
 from ..sketches.base import as_int64_batch, rank_for_phi
@@ -95,13 +97,9 @@ class ShardErrors(RuntimeError):
         )
 
 
-def shard_wal_dir(root: "str | Path", index: int) -> Path:
-    """Per-shard WAL directory (naming mirrors checkpoint shard dirs)."""
-    return Path(root) / f"shard-{index:02d}"
-
-
-def shard_storage_dir(root: "str | Path", index: int) -> Path:
-    """Per-shard storage-backend directory (same ``shard-NN`` layout)."""
+def shard_dir(root: "str | Path", index: int) -> Path:
+    """Shard ``index``'s ``shard-NN`` entry under ``root`` — the one
+    layout of checkpoints, WALs, storage directories and transcripts."""
     return Path(root) / f"shard-{index:02d}"
 
 
@@ -119,7 +117,7 @@ def shard_config(config: EngineConfig, index: int) -> EngineConfig:
         return config
     return replace(
         config,
-        storage_dir=str(shard_storage_dir(config.storage_dir, index)),
+        storage_dir=str(shard_dir(config.storage_dir, index)),
     )
 
 
@@ -632,7 +630,7 @@ class ClusterSnapshot:
         ]
 
 
-class ClusterEngine:
+class ClusterEngine(PinnedQueries):
     """Facade over N engine shards: one logical stream, one query API.
 
     Construction creates the shards (each with a fresh simulated disk)
@@ -722,7 +720,7 @@ class ClusterEngine:
                 wal = getattr(shard, "_wal", None)
                 if wal is None:
                     wal = WriteAheadLog(
-                        shard_wal_dir(self._wal_root, index),
+                        shard_dir(self._wal_root, index),
                         fsync=config.wal_fsync,
                     )
                     shard.attach_wal(wal)
@@ -735,8 +733,7 @@ class ClusterEngine:
             int(shard.n_total) for shard in self.shards
         ]
         self._executor = QueryExecutor(
-            workers=config.query_workers,
-            retry=config.probe_retry_policy,
+            workers=config.query_workers, retry=PROBE_RETRY_POLICY
         )
         self._step = 0
         # The fused TS's historical half per partition set (over the
@@ -838,22 +835,35 @@ class ClusterEngine:
         raise :class:`ShardErrors` carrying all of them, so one
         poisoned shard can never mask another's state.
         """
-        results: "List[Optional[List[StepReport]]]" = (
-            [None] * len(self.shards)
-        )
+        results, errors = self._on_live_shards("flush")
+        self._raise_joined("flush", errors)
+        return results
+
+    def _on_live_shards(
+        self, verb: str
+    ) -> "tuple[list, Dict[int, BaseException]]":
+        """Call ``verb`` on every live shard, an earlier failure
+        notwithstanding: per-slot results (``None`` where quarantined
+        or failed) and the exceptions by shard."""
+        results: list = [None] * len(self.shards)
         errors: Dict[int, BaseException] = {}
         for index, shard in enumerate(self.shards):
             if shard is None:
                 continue
             try:
-                results[index] = shard.flush()
-            except BaseException as exc:  # noqa: BLE001 - flush all first
+                results[index] = getattr(shard, verb)()
+            except BaseException as exc:  # noqa: BLE001 - attempt all first
                 errors[index] = exc
+        return results, errors
+
+    @staticmethod
+    def _raise_joined(
+        operation: str, errors: Dict[int, BaseException]
+    ) -> None:
         if len(errors) == 1:
             raise next(iter(errors.values()))
         if errors:
-            raise ShardErrors("flush", errors)
-        return results
+            raise ShardErrors(operation, errors)
 
     # -- stats ----------------------------------------------------------
 
@@ -1021,49 +1031,9 @@ class ClusterEngine:
             historical_memo=self._historical_memo,
         )
 
-    def query_rank(
-        self,
-        rank: int,
-        mode: str = "accurate",
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> QueryResult:
-        """Rank query over the cluster-wide union (pin, gather, release)."""
-        with self.pin() as snapshot:
-            return snapshot.query_rank(
-                rank,
-                mode=mode,
-                window_steps=window_steps,
-                step_range=step_range,
-            )
-
-    def quantile(
-        self,
-        phi: float,
-        mode: str = "accurate",
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> QueryResult:
-        """A phi-quantile of the cluster-wide union."""
-        with self.pin() as snapshot:
-            return snapshot.quantile(
-                phi,
-                mode=mode,
-                window_steps=window_steps,
-                step_range=step_range,
-            )
-
-    def quantile_many(
-        self,
-        phis: Sequence[float],
-        mode: str = "quick",
-        window_steps: Optional[int] = None,
-    ) -> List[QueryResult]:
-        """Batched quantiles over one pinned cluster view."""
-        with self.pin() as snapshot:
-            return snapshot.quantile_many(
-                phis, mode=mode, window_steps=window_steps
-            )
+    def _query_pin(self) -> ClusterSnapshot:
+        # Looked up per call: a traced run patches ``pin`` on the class.
+        return self.pin()
 
     # -- fault handling -------------------------------------------------
 
@@ -1140,7 +1110,7 @@ class ClusterEngine:
         if self._wal_root is None or self._wals[shard] is not None:
             return
         self._wals[shard] = WriteAheadLog(
-            shard_wal_dir(self._wal_root, shard),
+            shard_dir(self._wal_root, shard),
             fsync=self.config.wal_fsync,
         )
 
@@ -1176,7 +1146,7 @@ class ClusterEngine:
                 continue
             written.append(
                 shard.disk.dump_transcript(
-                    out / f"shard-{index:02d}.json"
+                    shard_dir(out, index).with_suffix(".json")
                 )
             )
         return written
@@ -1210,14 +1180,7 @@ class ClusterEngine:
         unchanged; multiple failures raise :class:`ShardErrors` with
         all of them — a poisoned shard cannot mask another's.
         """
-        errors: Dict[int, BaseException] = {}
-        for index, shard in enumerate(self.shards):
-            if shard is None:
-                continue
-            try:
-                shard.close()
-            except BaseException as exc:  # noqa: BLE001 - close all first
-                errors[index] = exc
+        _, errors = self._on_live_shards("close")
         for index, wal in enumerate(self._wals):
             if wal is not None and self.shards[index] is None:
                 self._wals[index] = None
@@ -1226,10 +1189,7 @@ class ClusterEngine:
                 except BaseException as exc:  # noqa: BLE001
                     errors.setdefault(index, exc)
         self._executor.close()
-        if len(errors) == 1:
-            raise next(iter(errors.values()))
-        if errors:
-            raise ShardErrors("close", errors)
+        self._raise_joined("close", errors)
 
     def __enter__(self) -> "ClusterEngine":
         return self

@@ -22,15 +22,11 @@ from typing import List, Optional
 from ..faults.plan import FaultPlan
 from ..persistence.checkpoint import config_from_state, load_engine, save_engine
 from ..persistence.warehouse_store import PersistenceError
-from .engine import ClusterEngine, shard_wal_dir
+from .engine import ClusterEngine, shard_dir
 from .router import ShardRouter
 
 _MANIFEST_FILE = "cluster.json"
 _CLUSTER_FORMAT = "repro-cluster-v1"
-
-
-def _shard_dir(root: Path, index: int) -> Path:
-    return root / f"shard-{index:02d}"
 
 
 def save_cluster(cluster: ClusterEngine, directory: "str | Path") -> Path:
@@ -49,7 +45,7 @@ def save_cluster(cluster: ClusterEngine, directory: "str | Path") -> Path:
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     for index, shard in enumerate(cluster.shards):
-        save_engine(shard, _shard_dir(root, index))
+        save_engine(shard, shard_dir(root, index))
     manifest = {
         "format": _CLUSTER_FORMAT,
         "shards": cluster.num_shards,
@@ -95,10 +91,10 @@ def load_cluster(
     router = ShardRouter.from_manifest(manifest["router"])
     engines = []
     for index in range(shards):
-        shard_dir = _shard_dir(root, index)
-        if not shard_dir.exists():
+        checkpoint = shard_dir(root, index)
+        if not checkpoint.exists():
             raise PersistenceError(
-                f"manifest names {shards} shards but {shard_dir} is missing"
+                f"manifest names {shards} shards but {checkpoint} is missing"
             )
         disk = None
         if fault_plan is not None:
@@ -110,10 +106,10 @@ def load_cluster(
             )
         engines.append(
             load_engine(
-                shard_dir,
+                checkpoint,
                 disk=disk,
                 wal_dir=(
-                    shard_wal_dir(wal_dir, index)
+                    shard_dir(wal_dir, index)
                     if wal_dir is not None
                     else None
                 ),
@@ -139,4 +135,4 @@ def list_shard_dirs(directory: "str | Path") -> List[Path]:
     """The checkpoint's shard directories, in shard order."""
     root = Path(directory)
     manifest = json.loads((root / _MANIFEST_FILE).read_text())
-    return [_shard_dir(root, i) for i in range(int(manifest["shards"]))]
+    return [shard_dir(root, i) for i in range(int(manifest["shards"]))]

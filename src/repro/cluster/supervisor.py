@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..faults.retry import RetryPolicy
 from ..persistence.checkpoint import load_engine
-from .engine import ClusterEngine, shard_wal_dir
+from .engine import ClusterEngine, shard_dir
 
 #: event action labels, in the order a recovery normally emits them.
 QUARANTINED = "quarantined"
@@ -205,10 +205,10 @@ class ShardSupervisor:
         engine = None
         try:
             engine = load_engine(
-                self.checkpoint_dir / f"shard-{shard:02d}",
+                shard_dir(self.checkpoint_dir, shard),
                 disk=self.cluster.new_shard_disk(shard),
                 wal_dir=(
-                    shard_wal_dir(wal_root, shard)
+                    shard_dir(wal_root, shard)
                     if wal_root is not None
                     else None
                 ),

@@ -2,7 +2,7 @@
 
 from .bounds import CombinedSummary
 from .config import EngineConfig, ServingConfig
-from .engine import HybridQuantileEngine, MemoryReport, QueryResult, StepReport
+from .engine import HybridQuantileEngine, MemoryReport, StepReport
 from .epoch import EpochRegistry, EpochStats, SnapshotHandle
 from .monitoring import (
     HealthRule,
@@ -13,6 +13,7 @@ from .monitoring import (
     ServiceAlert,
     ServiceRule,
 )
+from .query_path import QueryResult
 from .memory import (
     WORDS_PER_MB,
     MemoryBudget,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional  # noqa: F401 (Any used in annotations)
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -62,27 +62,9 @@ class EngineConfig:
         queries) continue.  After ``engine.flush()`` the answers, I/O
         counters and invariants are bit-identical across modes, and a
         fault is retried and surfaced the same way in both.
-    ingest_queue_batches:
-        Backpressure bound of the background archiver: at most this
-        many sealed batches may be pending (staged but not merged)
-        before ``end_time_step`` blocks, accumulating stall seconds.
-    archive_retries:
-        Consecutive transient-fault retries one sealed batch's archive
-        step gets, in either ingest mode, before it is declared failed
-        (the batch stays pending and queryable; the typed error comes
-        from the sealing call in sync mode, from the next producer call
-        or ``close`` in background mode).
-    probe_retries:
-        Transient-fault retries the query executor spends on one
-        partition probe before the accurate search gives up and — with
-        ``degrade_on_fault`` — the query falls back to the quick
-        response.
-    retry_backoff_seconds:
-        Base of the capped exponential backoff between retries: retry
-        ``k`` sleeps ``min(base * 2**(k-1), 0.25)`` seconds (the cap is
-        :data:`~repro.faults.retry.ENGINE_BACKOFF_CAP_SECONDS`).
     degrade_on_fault:
-        When an accurate query exhausts its probe retries, answer from
+        When an accurate query exhausts its probe retries
+        (:data:`~repro.faults.retry.PROBE_RETRY_POLICY`), answer from
         the in-memory summaries instead (quick response, widened error
         bound, ``QueryResult.degraded = True``) rather than raising the
         fault to the caller.
@@ -166,10 +148,6 @@ class EngineConfig:
     compaction: str = "tiered"
     query_workers: int = 1
     ingest_mode: str = "sync"
-    ingest_queue_batches: int = 4
-    archive_retries: int = 32
-    probe_retries: int = 3
-    retry_backoff_seconds: float = 0.002
     degrade_on_fault: bool = True
     shared_cache_blocks: int = 0
     prefetch_blocks: int = 4
@@ -198,14 +176,6 @@ class EngineConfig:
             raise ValueError("query_workers must be >= 1")
         if self.ingest_mode not in ("sync", "background"):
             raise ValueError("ingest_mode must be 'sync' or 'background'")
-        if self.ingest_queue_batches < 1:
-            raise ValueError("ingest_queue_batches must be >= 1")
-        if self.archive_retries < 0:
-            raise ValueError("archive_retries must be >= 0")
-        if self.probe_retries < 0:
-            raise ValueError("probe_retries must be >= 0")
-        if self.retry_backoff_seconds < 0:
-            raise ValueError("retry_backoff_seconds must be >= 0")
         if self.shared_cache_blocks < 0:
             raise ValueError("shared_cache_blocks must be >= 0")
         if self.prefetch_blocks < 0:
@@ -256,28 +226,6 @@ class EngineConfig:
             return 4.0 * self.eps2
         return self.epsilon
 
-    @property
-    def archive_retry_policy(self) -> "Any":
-        """Retry policy every sealed batch is archived under."""
-        from ..faults.retry import ENGINE_BACKOFF_CAP_SECONDS, RetryPolicy
-
-        return RetryPolicy(
-            max_retries=self.archive_retries,
-            backoff_seconds=self.retry_backoff_seconds,
-            backoff_cap_seconds=ENGINE_BACKOFF_CAP_SECONDS,
-        )
-
-    @property
-    def probe_retry_policy(self) -> "Any":
-        """Retry policy the query executor runs partition probes under."""
-        from ..faults.retry import ENGINE_BACKOFF_CAP_SECONDS, RetryPolicy
-
-        return RetryPolicy(
-            max_retries=self.probe_retries,
-            backoff_seconds=self.retry_backoff_seconds,
-            backoff_cap_seconds=ENGINE_BACKOFF_CAP_SECONDS,
-        )
-
 
 @dataclass(frozen=True)
 class ServingConfig:
@@ -295,11 +243,6 @@ class ServingConfig:
         Optional separate bound for accurate-path requests (their
         probes hold disk resources much longer than quick answers).
         ``None`` shares ``max_queue``.
-    quick_workers:
-        Dispatcher threads draining the quick-path queue.  One is the
-        sweet spot: the coalescer batches everything that arrived in a
-        window into one vectorized pass, so more dispatchers only
-        fragment batches.
     accurate_workers:
         Worker threads running accurate searches concurrently (each
         search internally fans partition probes over the engine's
@@ -309,10 +252,10 @@ class ServingConfig:
         plus one vectorized rank-bound pass (the tentpole win: merges
         per served request drop below 1).
     coalesce_window_ms:
-        How long the dispatcher lingers after taking the first request
-        of a batch, letting concurrent arrivals join it.
-    coalesce_max_batch:
-        Hard cap on requests per coalesced batch.
+        How long the quick path's one dispatcher lingers after taking
+        the first request of a batch, letting concurrent arrivals join
+        it (a batch is at most ``max_queue`` requests: admission lets
+        no more wait).
     degrade_on_overload:
         When the accurate queue is full, degrade the request to the
         quick path (flagged on the result) instead of rejecting it —
@@ -321,11 +264,9 @@ class ServingConfig:
 
     max_queue: int = 64
     accurate_queue: Optional[int] = None
-    quick_workers: int = 1
     accurate_workers: int = 2
     coalesce: bool = True
     coalesce_window_ms: float = 2.0
-    coalesce_max_batch: int = 64
     degrade_on_overload: bool = False
 
     def __post_init__(self) -> None:
@@ -333,14 +274,10 @@ class ServingConfig:
             raise ValueError("max_queue must be >= 1")
         if self.accurate_queue is not None and self.accurate_queue < 1:
             raise ValueError("accurate_queue must be >= 1")
-        if self.quick_workers < 1:
-            raise ValueError("quick_workers must be >= 1")
         if self.accurate_workers < 1:
             raise ValueError("accurate_workers must be >= 1")
         if self.coalesce_window_ms < 0:
             raise ValueError("coalesce_window_ms must be >= 0")
-        if self.coalesce_max_batch < 1:
-            raise ValueError("coalesce_max_batch must be >= 1")
 
     @property
     def accurate_queue_bound(self) -> int:

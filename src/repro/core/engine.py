@@ -59,6 +59,7 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from ..faults.health import ReliabilityReport
+from ..faults.retry import ARCHIVE_RETRY_POLICY, PROBE_RETRY_POLICY
 from ..ingest import AppendBuffer, BackgroundArchiver, IngestStats, PendingBatch
 from ..ingest.archiver import ArchiveRecord
 from ..query.executor import QueryExecutor
@@ -79,7 +80,7 @@ from .epoch import (
     SnapshotHandle,
     StreamView,
 )
-from .query_path import QueryResult
+from .query_path import PinnedQueries
 from .summaries import PartitionSummary, StreamSummary
 from .aggregates import AggregateStats, combine, partition_stats
 from .windows import resolve_range_in, resolve_window_in
@@ -151,7 +152,7 @@ class MemoryReport:
         return self.total_words * 8 / (1024 * 1024)
 
 
-class HybridQuantileEngine:
+class HybridQuantileEngine(PinnedQueries):
     """Quantile queries over the union of historical and streaming data.
 
     Parameters
@@ -242,7 +243,7 @@ class HybridQuantileEngine:
         self._gk_absorbed = 0
         self._stream_view: Optional[StreamView] = None  # under _seal_lock
         self._query_executor = QueryExecutor(
-            workers=config.query_workers, retry=config.probe_retry_policy
+            workers=config.query_workers, retry=PROBE_RETRY_POLICY
         )
         self._degraded_queries = 0
         self._reliability_lock = threading.Lock()
@@ -428,7 +429,7 @@ class HybridQuantileEngine:
         returning a provisional report (``archived=False``) —
         :meth:`flush` drains and yields the authoritative ones.
 
-        A fault that outlasts ``config.archive_retries`` leaves the
+        A fault that outlasts :data:`ARCHIVE_RETRY_POLICY` leaves the
         batch in the queryable pending set and raises
         :class:`~repro.ingest.archiver.ArchiveFailedError` from this
         call (sync) or the next producer call (background).  Any
@@ -503,8 +504,7 @@ class HybridQuantileEngine:
         if self._archiver is None:
             self._archiver = BackgroundArchiver(
                 self.store,
-                max_pending=self.config.ingest_queue_batches,
-                retry=self.config.archive_retry_policy,
+                retry=ARCHIVE_RETRY_POLICY,
                 # Adoption changes the partition set, so it bumps the
                 # epoch — inside the same critical section that splices
                 # the partition, keeping epoch and layout in lockstep.
@@ -750,82 +750,6 @@ class HybridQuantileEngine:
         with self.disk.stats.phase_scope("query"), self.pin() as handle:
             yield handle
 
-    def query_rank(
-        self,
-        rank: int,
-        mode: str = "accurate",
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> QueryResult:
-        """Return an element whose rank in T approximates ``rank``.
-
-        ``mode`` selects Algorithm 5 (``"quick"``, memory-only,
-        ``O(eps*N)`` error) or Algorithm 6 (``"accurate"``, a few
-        hundred random block reads, ``O(eps*m)`` error).  With
-        ``window_steps`` the query covers only the last that many time
-        steps of historical data plus the live stream; with
-        ``step_range=(a, b)`` it covers exactly historical steps a..b
-        (no stream), when those align with partition boundaries.
-        """
-        with self._query_pin() as handle:
-            return handle.query_rank(
-                rank,
-                mode=mode,
-                window_steps=window_steps,
-                step_range=step_range,
-            )
-
-    def quantile(
-        self,
-        phi: float,
-        mode: str = "accurate",
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> QueryResult:
-        """A ``phi``-quantile of the union (Definition 1)."""
-        with self._query_pin() as handle:
-            return handle.quantile(
-                phi,
-                mode=mode,
-                window_steps=window_steps,
-                step_range=step_range,
-            )
-
-    def quantiles(
-        self,
-        phis: "Sequence[float]",
-        window_steps: Optional[int] = None,
-    ) -> List[QueryResult]:
-        """Answer several accurate quantile queries in one pass.
-
-        The queries share one extracted stream summary and one block
-        cache, so blocks touched by one search are free for the next —
-        substantially cheaper than issuing the queries separately.
-        """
-        return self.quantile_many(
-            phis, mode="accurate", window_steps=window_steps
-        )
-
-    def quantile_many(
-        self,
-        phis: "Sequence[float]",
-        mode: str = "quick",
-        window_steps: Optional[int] = None,
-    ) -> List[QueryResult]:
-        """Answer many quantiles against one pinned snapshot.
-
-        The public batched entry point the serving layer's coalescer
-        (and the CLI's multi-``--phi`` path) uses.  Quick mode resolves
-        TS once and answers every ``phi`` with a rank-bound lookup in
-        it; accurate mode shares one stream summary and
-        block cache across the searches.  Results are index-aligned
-        with ``phis``.
-        """
-        with self._query_pin() as handle:
-            return handle.quantile_many(
-                phis, mode=mode, window_steps=window_steps
-            )
-
     def aggregate(
         self,
         window_steps: Optional[int] = None,
@@ -901,7 +825,7 @@ class HybridQuantileEngine:
         self.config = replace(self.config, query_workers=workers)
         retries = old.fault_retries
         self._query_executor = QueryExecutor(
-            workers=workers, retry=self.config.probe_retry_policy
+            workers=workers, retry=PROBE_RETRY_POLICY
         )
         self._query_executor.fault_retries = retries
         old.close()

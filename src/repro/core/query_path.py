@@ -259,3 +259,74 @@ def answer_quick_many(
         )
         for rank, value in zip(ranks, values)
     ]
+
+
+class PinnedQueries:
+    """The query verbs of a system that answers from pinned views.
+
+    :class:`~repro.core.engine.HybridQuantileEngine` and
+    :class:`~repro.cluster.engine.ClusterEngine` each supply
+    ``_query_pin()``, a context manager yielding a pinned view; every
+    verb is "pin a view, ask it, release".
+    """
+
+    def query_rank(
+        self,
+        rank: int,
+        mode: str = "accurate",
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+    ) -> QueryResult:
+        """Return an element whose rank in T approximates ``rank``.
+
+        ``mode`` selects Algorithm 5 (``"quick"``, memory-only,
+        ``O(eps*N)`` error) or Algorithm 6 (``"accurate"``, a few
+        hundred random block reads, ``O(eps*m)`` error).  With
+        ``window_steps`` the query covers only the last that many time
+        steps of historical data plus the live stream; with
+        ``step_range=(a, b)`` it covers exactly historical steps a..b
+        (no stream), when those align with partition boundaries.
+        """
+        with self._query_pin() as view:
+            return view.query_rank(
+                rank,
+                mode=mode,
+                window_steps=window_steps,
+                step_range=step_range,
+            )
+
+    def quantile(
+        self,
+        phi: float,
+        mode: str = "accurate",
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+    ) -> QueryResult:
+        """A ``phi``-quantile of the union (Definition 1)."""
+        with self._query_pin() as view:
+            return view.quantile(
+                phi,
+                mode=mode,
+                window_steps=window_steps,
+                step_range=step_range,
+            )
+
+    def quantile_many(
+        self,
+        phis: Sequence[float],
+        mode: str = "quick",
+        window_steps: Optional[int] = None,
+    ) -> List[QueryResult]:
+        """Answer many quantiles against one pinned view.
+
+        The batched entry point the serving layer's coalescer (and the
+        CLI's multi-``--phi`` path) uses.  Quick mode resolves TS once
+        and answers every ``phi`` with a rank-bound lookup in it;
+        accurate mode shares one stream summary and one block cache
+        across the searches, so blocks one search touched are free for
+        the next.  Results are index-aligned with ``phis``.
+        """
+        with self._query_pin() as view:
+            return view.quantile_many(
+                phis, mode=mode, window_steps=window_steps
+            )

@@ -111,22 +111,6 @@ class PartitionSummary:
         alpha = self.alpha(value)
         return self.bracket(alpha, alpha)
 
-    def rank_lower_bound(self, alpha: int) -> float:
-        """Lower bound on rank-in-partition given ``alpha`` (Lemma 2)."""
-        if alpha <= 0:
-            return 0.0
-        return (alpha - 1) * self.eps1 * self.partition_size
-
-    def rank_upper_bound(self, alpha: int) -> float:
-        """Upper bound on rank-in-partition given ``alpha`` (Lemma 2).
-
-        Deliberately unclamped (it may exceed the partition size),
-        matching the paper's own computation in Figure 3.
-        """
-        if alpha <= 0:
-            return 0.0
-        return alpha * self.eps1 * self.partition_size
-
     def memory_words(self) -> int:
         """Two words per entry: value and rank."""
         return 2 * len(self.values) + 2
@@ -214,26 +198,6 @@ class StreamSummary:
     def rank_estimate(self, value: int) -> float:
         """Approximate rank of ``value`` in the stream (Alg. 8, lines 8-10)."""
         return self.alpha(value) * self.eps2 * self.stream_size
-
-    def rank_lower_bound(self, alpha: int) -> float:
-        """Lower bound on rank given ``alpha`` (Lemma 2)."""
-        if alpha <= 0:
-            return 0.0
-        return (alpha - 1) * self.eps2 * self.stream_size
-
-    def rank_upper_bound(self, alpha: int, from_stream: bool) -> float:
-        """Upper bound on stream rank (Lemma 2 argument).
-
-        For an element that *is* a summary entry, Lemma 1 bounds its own
-        rank by ``alpha * eps2 * m``; for other elements only the next
-        entry bounds it, giving ``(alpha + 1) * eps2 * m``.
-        """
-        if self.is_empty or alpha <= 0:
-            # Below the exact minimum: no stream element can be smaller.
-            return 0.0
-        coefficient = alpha if from_stream else alpha + 1
-        # Unclamped, matching the paper's Figure 3 computation.
-        return coefficient * self.eps2 * self.stream_size
 
     def largest_at_most(self, value: int) -> "int | None":
         """Largest summary element <= value, or None."""

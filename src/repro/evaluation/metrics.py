@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.engine import QueryResult
+from ..core.query_path import QueryResult
 from ..sketches.exact import ExactQuantiles
 
 

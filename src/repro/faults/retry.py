@@ -14,8 +14,9 @@ jittered schedule is a pure function of ``(seed, attempt)`` — no
 global RNG, no hidden state — so the same policy replays the same
 sleeps, which is what lets the chaos harness assert recovery timing
 deterministically.  The defaults are deliberately tiny (the simulated
-disk has no real latency to wait out); production knobs live on
-:class:`~repro.core.config.EngineConfig`.
+disk has no real latency to wait out); the two policies every engine
+and cluster runs under are :data:`ARCHIVE_RETRY_POLICY` and
+:data:`PROBE_RETRY_POLICY` below.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ from typing import Any, Callable, Optional
 
 from .errors import DiskFault
 from .plan import _MIX
-
-#: Ceiling on any single sleep of the policies an ``EngineConfig``
-#: builds (archive and probe retries): no workload ever set another.
-ENGINE_BACKOFF_CAP_SECONDS = 0.25
 
 
 @dataclass(frozen=True)
@@ -117,3 +114,18 @@ class RetryPolicy:
                 pause = self.sleep_before(attempt)
                 if pause > 0.0:
                     time.sleep(pause)
+
+
+#: The policy every sealed batch is archived under, in either ingest
+#: mode: a batch that still faults after 32 consecutive retries stays
+#: pending (and queryable) and the typed error reaches the producer.
+ARCHIVE_RETRY_POLICY = RetryPolicy(
+    max_retries=32, backoff_seconds=0.002, backoff_cap_seconds=0.25
+)
+
+#: The policy the query executor runs one partition probe under before
+#: the accurate search gives up (and, with ``degrade_on_fault``, the
+#: query falls back to the quick response).
+PROBE_RETRY_POLICY = RetryPolicy(
+    max_retries=3, backoff_seconds=0.002, backoff_cap_seconds=0.25
+)

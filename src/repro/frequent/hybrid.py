@@ -182,26 +182,29 @@ class HeavyHittersEngine:
         if not 0 < phi <= 1:
             raise ValueError("phi must be in (0, 1]")
         started = time.perf_counter()
-        self.disk.stats.set_phase("query")
         cache = BlockCache(self.disk, enabled=self.config.block_cache)
         threshold = phi * self.n_total
         mg_error = int(np.ceil(self._mg.error_bound))
         hitters = []
         candidates = self._candidates()
-        for value in candidates:
-            historical = 0
-            for partition in self.store.partitions():
-                historical += self._partition_count(partition, value, cache)
-            stream_low = self._mg.estimate(value)
-            stream_high = min(self._m, stream_low + mg_error)
-            low = historical + stream_low
-            high = historical + stream_high
-            if high >= threshold:
-                hitters.append(
-                    HeavyHitter(value=value, count_low=low, count_high=high)
-                )
+        with self.disk.stats.phase_scope("query"):
+            for value in candidates:
+                historical = 0
+                for partition in self.store.partitions():
+                    historical += self._partition_count(
+                        partition, value, cache
+                    )
+                stream_low = self._mg.estimate(value)
+                stream_high = min(self._m, stream_low + mg_error)
+                low = historical + stream_low
+                high = historical + stream_high
+                if high >= threshold:
+                    hitters.append(
+                        HeavyHitter(
+                            value=value, count_low=low, count_high=high
+                        )
+                    )
         hitters.sort(key=lambda h: (-h.count_high, h.value))
-        self.disk.stats.set_phase("load")
         return HeavyHitterReport(
             phi=phi,
             total_size=self.n_total,

@@ -48,6 +48,10 @@ from ..storage.stats import PhaseTally
 from ..warehouse.leveled_store import LeveledStore
 from .pending import PendingBatch
 
+#: Backpressure bound every engine archives under: sealed batches that
+#: may be pending (staged but not adopted) before ``reserve`` blocks.
+MAX_PENDING_BATCHES = 4
+
 
 class ArchiveFailedError(RuntimeError):
     """Archiving a sealed batch failed; the cause is chained as
@@ -133,12 +137,13 @@ class BackgroundArchiver:
         step relative to query snapshots.
     max_pending:
         Backpressure bound: ``submit`` blocks while this many batches
-        are pending.
+        are pending.  Engines take the default,
+        :data:`MAX_PENDING_BATCHES`.
     retry:
         Transient-fault retry policy for archive attempts; defaults to
         no retries (any fault is fatal), which is the pre-fault-model
         behaviour.  Engines pass
-        :attr:`~repro.core.config.EngineConfig.archive_retry_policy`.
+        :data:`~repro.faults.retry.ARCHIVE_RETRY_POLICY`.
     on_adopt:
         Optional callback invoked with the adopted batch's step inside
         the adopt critical section (layout lock held) — the engine uses
@@ -148,7 +153,7 @@ class BackgroundArchiver:
     def __init__(
         self,
         store: LeveledStore,
-        max_pending: int = 4,
+        max_pending: int = MAX_PENDING_BATCHES,
         retry: Optional[RetryPolicy] = None,
         on_adopt: Optional[Callable[[int], None]] = None,
     ) -> None:

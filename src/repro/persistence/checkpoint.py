@@ -278,6 +278,10 @@ _RETIRED_CONFIG_KEYS = (
     ("query_strategy", "bisect"),
     ("residual_fetch_elems", None),
     ("retry_backoff_cap_seconds", 0.25),
+    ("retry_backoff_seconds", 0.002),
+    ("archive_retries", 32),
+    ("probe_retries", 3),
+    ("ingest_queue_batches", 4),
 )
 #: Retired keys no line ever read: dropped whatever they hold.
 _IGNORED_CONFIG_KEYS = frozenset({"universe_log2"})

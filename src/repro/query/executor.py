@@ -52,8 +52,8 @@ class QueryExecutor:
         every task inline on the calling thread.
     retry:
         Transient-fault retry policy applied to each task
-        individually; defaults to no retries.  Engines pass
-        :attr:`~repro.core.config.EngineConfig.probe_retry_policy`.
+        individually; defaults to no retries.  Engines and clusters
+        pass :data:`~repro.faults.retry.PROBE_RETRY_POLICY`.
         A probe that exhausts its retries raises the fault to the
         caller — the engine then degrades the query to the quick
         response instead of crashing it.

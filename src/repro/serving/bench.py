@@ -72,7 +72,6 @@ def _closed_loop_row(
     serving = ServingConfig(
         coalesce=coalesce,
         max_queue=max(64, 4 * clients),
-        coalesce_max_batch=max(64, 2 * clients),
     )
     merges_before = engine.epoch_stats.ts_merges
     with QueryService(engine, serving) as service:

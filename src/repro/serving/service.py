@@ -33,8 +33,9 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from ..core.config import ServingConfig
-from ..core.engine import HybridQuantileEngine, QueryResult
+from ..core.engine import HybridQuantileEngine
 from ..core.epoch import SnapshotHandle
+from ..core.query_path import QueryResult
 from ..faults.errors import DiskFault
 from ..storage.cache import BlockCache
 from .admission import AdmissionController, Overloaded  # noqa: F401
@@ -139,8 +140,9 @@ class QueryService:
         self._warm_lock = threading.Lock()
         self._warmed_epoch: Optional[int] = None
         self._threads: List[threading.Thread] = []
-        for index in range(self.config.quick_workers):
-            self._spawn(self._quick_loop, f"repro-serve-quick-{index}")
+        # One dispatcher: the coalescer batches everything that arrived
+        # in a window into one pass, a second would only split batches.
+        self._spawn(self._quick_loop, "repro-serve-quick")
         for index in range(self.config.accurate_workers):
             self._spawn(self._accurate_loop, f"repro-serve-acc-{index}")
 
@@ -294,11 +296,11 @@ class QueryService:
                 self._cv.notify_all()
                 return batch
             deadline = time.perf_counter() + config.coalesce_window_ms / 1e3
-            while len(batch) < config.coalesce_max_batch:
-                while self._quick and len(batch) < config.coalesce_max_batch:
+            while len(batch) < config.max_queue:
+                while self._quick and len(batch) < config.max_queue:
                     batch.append(self._quick.popleft())
                     self.admission.release("quick")
-                if len(batch) >= config.coalesce_max_batch or self._closed:
+                if len(batch) >= config.max_queue or self._closed:
                     break
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:

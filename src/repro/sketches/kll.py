@@ -355,10 +355,6 @@ class KLLSketch(QuantileSketch):
     # Introspection
     # ------------------------------------------------------------------
 
-    def level_sizes(self) -> "list[int]":
-        """Buffer length per compactor level (diagnostics)."""
-        return [len(level) for level in self._levels]
-
     def retained(self) -> int:
         """Number of elements currently held across all levels."""
         return sum(len(level) for level in self._levels)

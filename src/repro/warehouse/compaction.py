@@ -87,9 +87,8 @@ class LeveledCompactionStore(LeveledStore):
             self._levels.append([])
         resident = self._resident(level)
         victims = ([resident] if resident else []) + newcomers
-        self.disk.stats.set_phase("merge")
-        merged_run = merge_runs(self.disk, [p.run for p in victims])
-        self.disk.stats.set_phase("load")
+        with self.disk.stats.phase_scope("merge"):
+            merged_run = merge_runs(self.disk, [p.run for p in victims])
         merged = Partition(
             level=level,
             start_step=victims[0].start_step,

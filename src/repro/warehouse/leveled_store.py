@@ -210,7 +210,6 @@ class LeveledStore:
             raise ValueError("only level-0 partitions can be adopted")
         with self._layout_lock:
             self._make_room(0)
-            self.disk.stats.set_phase("load")
             self._levels[0].append(partition)
             self._steps_loaded = max(self._steps_loaded, partition.end_step)
 
@@ -226,9 +225,8 @@ class LeveledStore:
     def _merge_level(self, level: int) -> None:
         """Merge all partitions of ``level`` into one at ``level + 1``."""
         victims = self._levels[level]
-        self.disk.stats.set_phase("merge")
-        merged_run = merge_runs(self.disk, [p.run for p in victims])
-        self.disk.stats.set_phase("load")
+        with self.disk.stats.phase_scope("merge"):
+            merged_run = merge_runs(self.disk, [p.run for p in victims])
         merged = Partition(
             level=level + 1,
             start_step=victims[0].start_step,

@@ -154,6 +154,11 @@ class TestFailureModes:
         [
             ("query_strategy", "bisect", "fetch"),
             ("residual_fetch_elems", None, 8),
+            # Policy constants since PR 23, loaded only at their value.
+            ("retry_backoff_seconds", 0.002, 0.0),
+            ("archive_retries", 32, 0),
+            ("probe_retries", 3, 1),
+            ("ingest_queue_batches", 4, 8),
             # Read by no line: never refused.
             ("universe_log2", 26, None),
         ],

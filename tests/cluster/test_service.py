@@ -40,7 +40,7 @@ def cluster():
 class TestServingOverCluster:
     def test_quick_and_accurate_serve(self, cluster):
         with QueryService(
-            cluster, ServingConfig(quick_workers=2, accurate_workers=2)
+            cluster, ServingConfig(accurate_workers=2)
         ) as service:
             quick = [service.submit(phi, mode="quick") for phi in PHIS]
             accurate = [
@@ -65,9 +65,7 @@ class TestServingOverCluster:
     def test_coalescing_shares_fused_merges(self, cluster):
         with QueryService(
             cluster,
-            ServingConfig(
-                quick_workers=1, coalesce=True, coalesce_window_ms=20.0
-            ),
+            ServingConfig(coalesce=True, coalesce_window_ms=20.0),
         ) as service:
             requests = [
                 service.submit(phi, mode="quick")
@@ -101,7 +99,6 @@ class TestServingOverCluster:
     def test_admission_control_still_bounds_queue(self, cluster):
         config = ServingConfig(
             max_queue=4, accurate_queue=2, accurate_workers=1,
-            quick_workers=1,
         )
         with QueryService(cluster, config) as service:
             service.pause()

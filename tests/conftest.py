@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import HybridQuantileEngine
+from repro.faults.retry import RetryPolicy
 from repro.storage import SimulatedDisk
 
 
@@ -17,6 +18,12 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def disk() -> SimulatedDisk:
     return SimulatedDisk(block_elems=16)
+
+
+@pytest.fixture
+def no_backoff(monkeypatch) -> None:
+    """Every retry is still taken and counted; none of them sleeps."""
+    monkeypatch.setattr(RetryPolicy, "sleep_before", lambda self, attempt: 0.0)
 
 
 @pytest.fixture

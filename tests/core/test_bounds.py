@@ -591,9 +591,7 @@ class TestHistoricalMemo:
             engine.check_invariants()
 
     def test_background_pending_batches(self):
-        with self.make(
-            ingest_mode="background", ingest_queue_batches=8
-        ) as engine:
+        with self.make(ingest_mode="background") as engine:
             for _ in range(2):
                 self.step(engine)
             engine.flush()

@@ -27,13 +27,16 @@ def build(rng, **kwargs):
 class TestBatchedQuantiles:
     def test_same_answers_as_individual(self, rng):
         engine, _ = build(rng)
-        batch_results = engine.quantiles(PHIS)
+        batch_results = engine.quantile_many(PHIS, mode="accurate")
         for phi, result in zip(PHIS, batch_results):
             assert result.value == engine.quantile(phi).value
 
     def test_batch_never_dearer_than_individual(self, rng):
         engine, _ = build(rng)
-        batch_io = sum(r.disk_accesses for r in engine.quantiles(PHIS))
+        batch_io = sum(
+            r.disk_accesses
+            for r in engine.quantile_many(PHIS, mode="accurate")
+        )
         individual_io = sum(
             engine.quantile(phi).disk_accesses for phi in PHIS
         )
@@ -43,14 +46,14 @@ class TestBatchedQuantiles:
         """Queries for nearby ranks reuse each other's blocks."""
         engine, _ = build(rng)
         nearby = (0.500, 0.5001, 0.5002, 0.5003)
-        results = engine.quantiles(nearby)
+        results = engine.quantile_many(nearby, mode="accurate")
         first = results[0].disk_accesses
         rest = sum(r.disk_accesses for r in results[1:])
         assert rest < first  # later searches ride the shared cache
 
     def test_batch_accuracy(self, rng):
         engine, oracle = build(rng)
-        for result in engine.quantiles(PHIS):
+        for result in engine.quantile_many(PHIS, mode="accurate"):
             high = oracle.rank(result.value)
             low = oracle.rank_strict(result.value) + 1
             err = max(0, low - result.target_rank, result.target_rank - high)
@@ -59,7 +62,9 @@ class TestBatchedQuantiles:
     def test_batch_window(self, rng):
         engine, _ = build(rng)
         window = engine.available_window_sizes()[0]
-        results = engine.quantiles((0.5,), window_steps=window)
+        results = engine.quantile_many(
+            (0.5,), mode="accurate", window_steps=window
+        )
         assert results[0].window_steps == window
 
 
@@ -86,7 +91,7 @@ class TestParallelLatency:
         fill_engine(cluster, rng, steps=8, batch=3000, live=3000)
         with engine.pin() as handle:
             passes = (
-                engine.quantiles(PHIS),
+                engine.quantile_many(PHIS, mode="accurate"),
                 handle.quantile_many(PHIS, "accurate"),
                 cluster.quantile_many(PHIS, "accurate"),
             )
@@ -129,7 +134,7 @@ class TestBatchedQueryTiming:
 
         engine, _ = build(rng)
         started = time.perf_counter()
-        results = engine.quantiles(PHIS)
+        results = engine.quantile_many(PHIS, mode="accurate")
         elapsed = time.perf_counter() - started
         assert sum(r.wall_seconds for r in results) <= elapsed
         assert all(r.wall_seconds >= 0.0 for r in results)
@@ -140,7 +145,7 @@ class TestBatchedQueryTiming:
         engine, _ = build(rng)
         per_block = engine.disk.latency.seconds_per_random_block
         before = engine.disk.stats.counters.random_reads
-        results = engine.quantiles(PHIS)
+        results = engine.quantile_many(PHIS, mode="accurate")
         charged = engine.disk.stats.counters.random_reads - before
         for result in results:
             assert result.sim_seconds == result.disk_accesses * per_block
@@ -149,4 +154,4 @@ class TestBatchedQueryTiming:
 
     def test_empty_phi_list(self, rng):
         engine, _ = build(rng)
-        assert engine.quantiles([]) == []
+        assert engine.quantile_many([], mode="accurate") == []

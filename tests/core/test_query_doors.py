@@ -63,7 +63,6 @@ class Door:
             epsilon=0.02,
             kappa=3,
             block_elems=16,
-            retry_backoff_seconds=0.0,
             **overrides,
         )
         self.engine = HybridQuantileEngine(config=config, disk=disk)
@@ -197,8 +196,9 @@ def fail_reads_after(disk, reads):
     )
 
 
+@pytest.mark.usefixtures("no_backoff")
 def test_degraded_results_agree_and_report_their_charge(doors):
-    opened = doors(disks=lambda: FaultyDisk(block_elems=16), probe_retries=1)
+    opened = doors(disks=lambda: FaultyDisk(block_elems=16))
     per_door = []
     for door in opened:
         disk = door.engine.disk
@@ -218,11 +218,10 @@ def test_degraded_results_agree_and_report_their_charge(doors):
         assert all(same(a, b) for a, b in zip(got, reference))
 
 
+@pytest.mark.usefixtures("no_backoff")
 def test_fault_propagates_typed_and_restores_the_callers_phase(doors):
     opened = doors(
-        disks=lambda: FaultyDisk(block_elems=16),
-        probe_retries=1,
-        degrade_on_fault=False,
+        disks=lambda: FaultyDisk(block_elems=16), degrade_on_fault=False
     )
     for door in opened:
         stats = door.engine.disk.stats

@@ -170,14 +170,6 @@ class TestStreamSummary:
         assert ss.largest_at_most(25) == 20
         assert ss.largest_at_most(30) == 30
 
-    def test_upper_bound_below_min_is_zero(self):
-        ss = StreamSummary(
-            values=np.asarray([10, 20], dtype=np.int64),
-            stream_size=100,
-            eps2=0.25,
-        )
-        assert ss.rank_upper_bound(0, from_stream=False) == 0.0
-
 
 class TestSummaryProperty:
     @given(

@@ -110,7 +110,6 @@ class System:
                 block_elems=16,
                 sketch_backend=sketch,
                 ingest_mode="background",
-                ingest_queue_batches=8,
             ),
         )
         #: (pinned cluster snapshot, whether a step was sealed, answers).

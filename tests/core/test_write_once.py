@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import EngineConfig, HybridQuantileEngine
+from repro.ingest.archiver import MAX_PENDING_BATCHES
 from repro.ingest.wal import WriteAheadLog
 from repro.persistence import load_engine, save_engine
 from repro.storage.external_sort import ExternalSorter
@@ -196,13 +197,14 @@ def test_kll_sorts_nothing_and_takes_the_plain_path(monkeypatch):
 def test_background_seal_equals_the_unpolled_twin(stager, monkeypatch):
     """``stage_partition`` finds the sealed batch ascending, whether the
     archiver stages it or a query steals the work."""
-    background = dict(ingest_mode="background", ingest_queue_batches=8)
+    background = dict(ingest_mode="background")
     with make_engine(**background) as engine, make_engine(
         **background
     ) as twin, sorter_calls(monkeypatch) as calls:
+        reports = []
         if stager == "query":
             engine._ensure_archiver().pause()
-        for values in feeds():
+        for sealed, values in enumerate(feeds(), start=1):
             one_chunk(engine, values)
             unpolled(twin, values)
             engine.end_time_step()
@@ -211,9 +213,15 @@ def test_background_seal_equals_the_unpolled_twin(stager, monkeypatch):
                 assert not engine._archiver.pending_batches()[-1].staged
                 poll(engine)  # stages the pending batch on this thread
                 assert engine._archiver.pending_batches()[-1].staged
+                if sealed % (MAX_PENDING_BATCHES - 1) == 0:
+                    # One more seal would block on the paused queue.
+                    engine._archiver.resume()
+                    reports += engine.flush()
+                    engine._archiver.pause()
         if stager == "query":
             engine._archiver.resume()
-        reports, twin_reports = engine.flush(), twin.flush()
+        reports += engine.flush()
+        twin_reports = twin.flush()
         assert sorted(calls) == [0] * STEPS + [1] * STEPS
         assert list(map(io_print, reports)) == list(map(io_print, twin_reports))
         assert layout_print(engine) == layout_print(twin)

@@ -1,7 +1,7 @@
 """Tests for the accuracy metrics."""
 
 from repro import ExactQuantiles
-from repro.core.engine import QueryResult
+from repro.core.query_path import QueryResult
 from repro.evaluation import measure, rank_error_is_inherent
 
 

@@ -12,6 +12,8 @@ from repro import (
     TransientReadError,
 )
 
+pytestmark = pytest.mark.usefixtures("no_backoff")
+
 ALL_READS_FAIL = FaultPlan(seed=1, read_error_rate=1.0)
 
 
@@ -20,7 +22,6 @@ def build_engine(plan, steps=5, batch=500, live=100, **overrides):
         epsilon=0.02,
         kappa=10,  # > steps: ingestion merges nothing, reads nothing
         block_elems=64,
-        retry_backoff_seconds=0.0,
         **overrides,
     )
     engine = HybridQuantileEngine(
@@ -37,7 +38,7 @@ def build_engine(plan, steps=5, batch=500, live=100, **overrides):
 
 class TestDegradedQueries:
     def test_falls_back_to_quick_response(self):
-        engine = build_engine(ALL_READS_FAIL, probe_retries=2)
+        engine = build_engine(ALL_READS_FAIL)
         result = engine.quantile(0.5)
         assert result.degraded
         assert result.truncated
@@ -54,7 +55,7 @@ class TestDegradedQueries:
         engine.close()
 
     def test_counters_track_degradation(self):
-        engine = build_engine(ALL_READS_FAIL, probe_retries=1)
+        engine = build_engine(ALL_READS_FAIL)
         engine.quantile(0.5)
         engine.quantile(0.9)
         report = engine.reliability
@@ -65,9 +66,7 @@ class TestDegradedQueries:
         engine.close()
 
     def test_degrade_disabled_raises_typed_fault(self):
-        engine = build_engine(
-            ALL_READS_FAIL, probe_retries=1, degrade_on_fault=False
-        )
+        engine = build_engine(ALL_READS_FAIL, degrade_on_fault=False)
         with pytest.raises(TransientReadError):
             engine.quantile(0.5)
         engine.close()
@@ -82,7 +81,7 @@ class TestDegradedQueries:
     def test_accurate_succeeds_after_transient_burst(self):
         """A burst smaller than the retry budget heals invisibly."""
         plan = FaultPlan(seed=3, read_error_rate=1.0, max_faults=2)
-        engine = build_engine(plan, probe_retries=8)
+        engine = build_engine(plan)
         result = engine.quantile(0.5)
         assert not result.degraded
         report = engine.reliability
@@ -91,14 +90,14 @@ class TestDegradedQueries:
         engine.close()
 
     def test_quantiles_degrade_per_phi(self):
-        engine = build_engine(ALL_READS_FAIL, probe_retries=1)
-        results = engine.quantiles([0.25, 0.5, 0.75])
+        engine = build_engine(ALL_READS_FAIL)
+        results = engine.quantile_many([0.25, 0.5, 0.75], mode="accurate")
         assert all(r.degraded for r in results)
         assert engine.reliability.degraded_queries == 3
         engine.close()
 
     def test_snapshot_degrades_like_engine(self):
-        engine = build_engine(ALL_READS_FAIL, probe_retries=1)
+        engine = build_engine(ALL_READS_FAIL)
         view = engine.pin()
         result = view.quantile(0.5)
         assert result.degraded
@@ -108,7 +107,7 @@ class TestDegradedQueries:
 
 class TestWatcherIntegration:
     def test_health_rule_fires_on_degradation(self):
-        engine = build_engine(ALL_READS_FAIL, probe_retries=1)
+        engine = build_engine(ALL_READS_FAIL)
         watcher = QuantileWatcher(engine)
         watcher.watch_health("disk-health", max_degraded_queries=0)
         assert watcher.check_health() == []
@@ -120,7 +119,7 @@ class TestWatcherIntegration:
         engine.close()
 
     def test_quantile_alert_marks_degraded_observation(self):
-        engine = build_engine(ALL_READS_FAIL, probe_retries=1)
+        engine = build_engine(ALL_READS_FAIL)
         watcher = QuantileWatcher(engine)
         watcher.add("p50", 0.5, above=0, mode="accurate")
         alerts = watcher.evaluate()
@@ -143,7 +142,7 @@ class TestWatcherIntegration:
 
 class TestContextManagerExit:
     def test_exit_clean_after_degraded_query(self):
-        with build_engine(ALL_READS_FAIL, probe_retries=1) as engine:
+        with build_engine(ALL_READS_FAIL) as engine:
             assert engine.quantile(0.5).degraded
         # reaching here without an exception is the assertion
 
@@ -154,8 +153,6 @@ class TestContextManagerExit:
             kappa=10,
             block_elems=64,
             ingest_mode="background",
-            archive_retries=0,
-            retry_backoff_seconds=0.0,
         )
         rng = np.random.default_rng(0)
         with pytest.raises(KeyError):

@@ -19,10 +19,11 @@ from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
 from repro.faults import FaultPlan, FaultyDisk
 from repro.faults.errors import CorruptedBlockError, TransientWriteError
+from repro.faults.retry import ARCHIVE_RETRY_POLICY
 from repro.ingest.archiver import ArchiveFailedError
 from repro.sketches.exact import ExactQuantiles
 
-pytestmark = pytest.mark.faults
+pytestmark = [pytest.mark.faults, pytest.mark.usefixtures("no_backoff")]
 
 STEPS, BATCH, KAPPA = 8, 500, 3  # two level-0 -> 1 cascades
 PHIS = (0.01, 0.25, 0.5, 0.9, 0.999)
@@ -55,7 +56,6 @@ def ingest(plan, ingest_mode, sketch_backend):
         config=EngineConfig(
             epsilon=0.02, kappa=KAPPA, block_elems=64,
             ingest_mode=ingest_mode, sketch_backend=sketch_backend,
-            retry_backoff_seconds=0.0,
         ),
         disk=RecordingDisk(plan),
     )
@@ -149,11 +149,13 @@ def test_exhausted_retries_keep_the_batch_answered_over(ingest_mode):
     first, live = batches(steps=1)
     config = EngineConfig(
         epsilon=0.02, kappa=KAPPA, block_elems=64, ingest_mode=ingest_mode,
-        archive_retries=0,
     )
+    retries = ARCHIVE_RETRY_POLICY.max_retries
+    # The stage write faults on the first attempt and on every retry;
+    # the budget then runs out, so the queries below can stage.
+    plan = FaultPlan(write_error_rate=1.0, max_faults=retries + 1)
     engine = HybridQuantileEngine(
-        config=config,
-        disk=FaultyDisk(FaultPlan(fail_at={("write", 0)}), block_elems=64),
+        config=config, disk=FaultyDisk(plan, block_elems=64)
     )
     twin = HybridQuantileEngine(config=config)
     for system in (engine, twin):
@@ -163,7 +165,7 @@ def test_exhausted_retries_keep_the_batch_answered_over(ingest_mode):
     twin.flush()
     for system in (engine, twin):
         system.stream_update_many(live)
-    assert engine.reliability.archive_retries == 0
+    assert engine.reliability.archive_retries == retries
     assert engine.steps_loaded == 0 and engine.n_total == 2 * BATCH
     # The pending batch is staged by the query that needs it.
     assert fingerprint(engine)[1] == fingerprint(twin)[1]
@@ -191,6 +193,8 @@ def test_corruption_on_the_merge_read_is_not_retried(ingest_mode):
     engine.flush()
     engine.stream_update_many(steps[KAPPA])
     fails_like(engine, ingest_mode, CorruptedBlockError)
+    # The merge died mid-phase; the sealing thread charges as before.
+    assert engine.disk.stats.current_phase == "load"
     engine.stream_update_many(live)
     for values in (*steps, live):
         oracle.update_many(values)

@@ -22,7 +22,6 @@ def drive(disk, ingest_mode, steps=10, batch=400, seed=7):
         kappa=3,
         block_elems=64,
         ingest_mode=ingest_mode,
-        ingest_queue_batches=3,
     )
     engine = HybridQuantileEngine(config=config, disk=disk)
     rng = np.random.default_rng(seed)

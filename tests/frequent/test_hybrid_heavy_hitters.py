@@ -69,6 +69,16 @@ class TestHeavyHitters:
         assert report.disk_accesses > 0
         assert report.candidates_checked > 0
 
+    def test_probes_charge_to_query_inside_the_callers_phase(self, rng):
+        engine, _ = build(rng)
+        stats = engine.disk.stats
+        before = stats.query.snapshot()
+        with stats.phase_scope("sort"):
+            report = engine.heavy_hitters(phi=0.05)
+            assert stats.current_phase == "sort"
+        charged = stats.query.delta_since(before)
+        assert charged.random_reads == report.disk_accesses > 0
+
     def test_stream_only(self, rng):
         engine = HeavyHittersEngine(epsilon=0.02, kappa=3, block_elems=16)
         data = planted_workload(rng, (42,), 0.2, 3000)

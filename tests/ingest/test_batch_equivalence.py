@@ -45,7 +45,6 @@ def drive(style, ingest_mode, steps=6, batch=700, seed=11):
         kappa=3,
         block_elems=64,
         ingest_mode=ingest_mode,
-        ingest_queue_batches=3,
     )
     engine = HybridQuantileEngine(config=config)
     rng = np.random.default_rng(seed)

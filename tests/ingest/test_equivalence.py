@@ -22,7 +22,6 @@ def drive(mode, kappa, compaction, steps=14, batch=400, seed=7):
         block_elems=64,
         compaction=compaction,
         ingest_mode=mode,
-        ingest_queue_batches=3,
     )
     engine = HybridQuantileEngine(config=config)
     rng = np.random.default_rng(seed)

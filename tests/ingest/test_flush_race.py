@@ -27,7 +27,6 @@ def background_engine() -> HybridQuantileEngine:
         kappa=3,
         block_elems=64,
         ingest_mode="background",
-        ingest_queue_batches=2,
     )
     return HybridQuantileEngine(config=config)
 

@@ -25,7 +25,6 @@ def paused_engine():
         kappa=3,
         block_elems=64,
         ingest_mode="background",
-        ingest_queue_batches=8,
     )
     engine = HybridQuantileEngine(config=config)
     rng = np.random.default_rng(3)
@@ -161,7 +160,6 @@ class TestConcurrentQueries:
             kappa=3,
             block_elems=64,
             ingest_mode="background",
-            ingest_queue_batches=4,
         )
         engine = HybridQuantileEngine(config=config)
         rng = np.random.default_rng(11)

@@ -82,10 +82,14 @@ class TestCheckpoint:
             load_engine(tmp_path)
 
 
-#: the ``EngineConfig`` keys a PR-15 ``engine.json`` still carries (the
-#: first four), those a PR-18 one does and the one a PR-21 one does, at
-#: the defaults those commits wrote.
+#: the ``EngineConfig`` keys a PR-22 ``engine.json`` still carries (the
+#: first four), the one a PR-21 one does, those a PR-15 and a PR-18 one
+#: do, at the defaults those commits wrote.
 RETIRED_DEFAULTS = {
+    "retry_backoff_seconds": 0.002,
+    "archive_retries": 32,
+    "probe_retries": 3,
+    "ingest_queue_batches": 4,
     "retry_backoff_cap_seconds": 0.25,
     "fetch_coalescing": True,
     "readahead_blocks": None,
@@ -126,6 +130,10 @@ class TestRetiredConfigKeys:
             ("query_strategy", "fetch"),
             ("residual_fetch_elems", 8),
             ("retry_backoff_cap_seconds", 1.0),
+            ("retry_backoff_seconds", 0.0),
+            ("archive_retries", 0),
+            ("probe_retries", 1),
+            ("ingest_queue_batches", 8),
             ("no_such_knob", 1),
         ],
     )

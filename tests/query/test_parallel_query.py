@@ -71,8 +71,9 @@ class TestSerialParallelEquivalence:
                 ) == result_fingerprint(
                     rhs.quantile(0.5, window_steps=window)
                 )
-            lhs_batch = serial.quantiles([0.25, 0.5, 0.75])
-            rhs_batch = parallel.quantiles([0.25, 0.5, 0.75])
+            phis = [0.25, 0.5, 0.75]
+            lhs_batch = serial.quantile_many(phis, mode="accurate")
+            rhs_batch = parallel.quantile_many(phis, mode="accurate")
             assert [result_fingerprint(r) for r in lhs_batch] == [
                 result_fingerprint(r) for r in rhs_batch
             ]
@@ -147,7 +148,7 @@ class TestSerialPathUnchanged:
         with build_engine(1) as engine:
             for phi in PHIS:
                 engine.quantile(phi)
-            engine.quantiles([0.25, 0.75])
+            engine.quantile_many([0.25, 0.75], mode="accurate")
             assert not engine.query_executor.pool_started
 
     def test_explicit_workers_1_matches_default(self):

@@ -97,8 +97,6 @@ class TestServingConfigValidation:
         with pytest.raises(ValueError):
             ServingConfig(coalesce_window_ms=-1.0)
         with pytest.raises(ValueError):
-            ServingConfig(quick_workers=0)
-        with pytest.raises(ValueError):
             ServingConfig(accurate_queue=0)
 
     def test_accurate_queue_defaults_to_max_queue(self):

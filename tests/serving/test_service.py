@@ -131,7 +131,7 @@ class TestWarmingIsBestEffort:
         # accurate one has its own degradation path.
         config = EngineConfig(
             epsilon=0.02, kappa=3, block_elems=64,
-            shared_cache_blocks=64, probe_retries=1,
+            shared_cache_blocks=64,
         )
         disk = FaultyDisk(FaultPlan(seed=1), block_elems=64)
         rng = np.random.default_rng(11)

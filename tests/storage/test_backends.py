@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import ClusterEngine, EngineConfig, HybridQuantileEngine
-from repro.cluster.engine import shard_config, shard_storage_dir
+from repro.cluster.engine import shard_config, shard_dir
 from repro.storage import (
     BACKEND_NAMES,
     BackendStats,
@@ -455,7 +455,7 @@ class TestEngineEquivalence:
             storage_dir=str(tmp_path / "cluster"),
         )
         assert shard_config(config, 2).storage_dir == str(
-            shard_storage_dir(tmp_path / "cluster", 2)
+            shard_dir(tmp_path / "cluster", 2)
         )
         # Simulated or directory-less configs pass through unchanged.
         assert shard_config(EngineConfig(epsilon=0.05), 1) is not None

@@ -14,7 +14,6 @@ import threading
 import time
 
 import numpy as np
-import pytest
 
 from repro.faults.errors import DiskFault
 from repro.storage import (
