@@ -39,9 +39,9 @@ exactly as it groups single-engine ones.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -51,11 +51,10 @@ from ..core.engine import HybridQuantileEngine, StepReport
 from ..core.epoch import HistoricalMemo, SnapshotHandle
 from ..core.query_path import (
     PinnedQueries,
+    PinnedView,
     QueryResult,
     QueryScope,
-    answer_quick_many,
     answer_rank,
-    check_mode,
 )
 from ..core.summaries import StreamSummary
 from ..faults.disk import FaultyDisk
@@ -64,7 +63,7 @@ from ..faults.plan import FaultPlan
 from ..faults.retry import PROBE_RETRY_POLICY
 from ..ingest.wal import WriteAheadLog
 from ..query.executor import QueryExecutor
-from ..sketches.base import as_int64_batch, rank_for_phi
+from ..sketches.base import as_int64_batch
 from ..storage.cache import BlockCache
 from ..warehouse.partition import Partition
 from .router import ShardRouter
@@ -121,6 +120,23 @@ def shard_config(config: EngineConfig, index: int) -> EngineConfig:
     )
 
 
+def new_shard_disk(
+    fault_plan: Optional[FaultPlan], config: EngineConfig, index: int
+) -> Optional[FaultyDisk]:
+    """A fresh device for building or restoring shard ``index``.
+
+    Under a fault plan every device the slot ever gets draws the same
+    per-shard schedule (:meth:`FaultPlan.for_shard
+    <repro.faults.plan.FaultPlan.for_shard>`); ``None`` without one,
+    letting the engine build a plain simulated disk.
+    """
+    if fault_plan is None:
+        return None
+    return FaultyDisk(
+        fault_plan.for_shard(index), block_elems=config.block_elems
+    )
+
+
 class ShardedBlockCache:
     """Routes block touches to the owning shard's per-query cache.
 
@@ -141,13 +157,10 @@ class ShardedBlockCache:
 
     def __init__(
         self,
-        shard_caches: "Union[Sequence[BlockCache], Mapping[int, BlockCache]]",
+        shard_caches: Mapping[int, BlockCache],
         run_to_shard: Dict[int, int],
     ) -> None:
-        if isinstance(shard_caches, Mapping):
-            self._caches: Dict[int, BlockCache] = dict(shard_caches)
-        else:
-            self._caches = dict(enumerate(shard_caches))
+        self._caches: Dict[int, BlockCache] = dict(shard_caches)
         self._run_to_shard = dict(run_to_shard)
         #: shard key whose disk faulted a touch (None until one does).
         self.failed_shard: Optional[int] = None
@@ -170,27 +183,24 @@ class ShardedBlockCache:
                 f"run {run_id} is not pinned by this cluster snapshot"
             ) from None
 
-    def touch(self, run_id: int, block: int) -> int:
-        """Charge one block read against the owning shard's disk."""
+    def _charge(self, verb: str, run_id: int, *blocks: int) -> int:
+        """``verb`` on the owning shard's cache, a fault attributed."""
         shard = self._shard_of(run_id)
         try:
-            return self._caches[shard].touch(run_id, block)
+            return getattr(self._caches[shard], verb)(run_id, *blocks)
         except DiskFault:
             self.failed_shard = shard
             raise
+
+    def touch(self, run_id: int, block: int) -> int:
+        """Charge one block read against the owning shard's disk."""
+        return self._charge("touch", run_id, block)
 
     def touch_range(
         self, run_id: int, first_block: int, last_block: int
     ) -> int:
         """Charge a ranged read against the owning shard's disk."""
-        shard = self._shard_of(run_id)
-        try:
-            return self._caches[shard].touch_range(
-                run_id, first_block, last_block
-            )
-        except DiskFault:
-            self.failed_shard = shard
-            raise
+        return self._charge("touch_range", run_id, first_block, last_block)
 
     # The rest of the surface SortedRun reads through: a block's bytes
     # are pinned in the cache of the shard that was charged for them.
@@ -236,11 +246,6 @@ class _FusedStreamSummary:
         self._summaries = list(summaries)
         self.stream_size = sum(s.stream_size for s in self._summaries)
 
-    @property
-    def is_empty(self) -> bool:
-        """Whether no shard held live stream elements."""
-        return self.stream_size == 0
-
     def rank_estimate(self, value: int) -> float:
         """Sum of per-shard Algorithm 8 stream estimates."""
         return sum(s.rank_estimate(value) for s in self._summaries)
@@ -255,14 +260,27 @@ class _FusedStreamSummary:
         return max(candidates) if candidates else None
 
 
-class ClusterSnapshot:
+@dataclass(frozen=True)
+class _GatherScope(QueryScope):
+    """A union scope that remembers what it was gathered from, so a
+    fault can narrow it to the surviving shards."""
+
+    #: handle positions answering, and every handle's scoped parts.
+    positions: Sequence[int] = ()
+    shard_partitions: Sequence[List[Partition]] = ()
+    summaries: Sequence[StreamSummary] = ()
+    step_range: "Optional[tuple[int, int]]" = None
+
+
+class ClusterSnapshot(PinnedView):
     """A pinned, consistent view across every shard of a cluster.
 
     Holds one :class:`~repro.core.epoch.SnapshotHandle` per shard (in
-    shard order) and mirrors the handle's query surface — ``quantile``,
-    ``quantile_many``, ``query_rank``, ``warm``, ``epoch``,
-    ``ts_merges_built`` — so the serving layer drives a cluster through
-    the exact same duck-typed protocol as a single engine.
+    shard order).  The verbs are
+    :class:`~repro.core.query_path.PinnedView`'s, so the serving layer
+    drives a cluster exactly as it drives a single engine; what is here
+    is the gather: the union scope over the handles, the fused TS, and
+    the culprit-exclusion retry with its partial results.
 
     Can be built from any list of pinned handles (not only via
     :meth:`ClusterEngine.pin`): the equivalence harness constructs one
@@ -270,10 +288,9 @@ class ClusterSnapshot:
     and checks the answers match the cluster's bit for bit.
 
     Partial gathers: ``shard_ids`` names the cluster-wide id behind
-    each handle, ``missing`` maps quarantined shard ids to their acked
-    element counts, and ``shards_total`` is the full cluster width.
-    When those are omitted (every legacy construction) the snapshot
-    behaves exactly as before — every shard answering, nothing missing.
+    each handle and ``missing`` maps quarantined shard ids to their
+    acked element counts.  When those are omitted the snapshot is
+    every shard answering, nothing missing.
 
     ``historical_memo`` is the owning cluster's memo of the fused TS
     (the whole of it while no shard's SS changes); without one (snapshots
@@ -288,14 +305,12 @@ class ClusterSnapshot:
         executor: QueryExecutor,
         shard_ids: Optional[Sequence[int]] = None,
         missing: Optional[Mapping[int, int]] = None,
-        shards_total: Optional[int] = None,
         historical_memo: Optional[HistoricalMemo] = None,
     ) -> None:
         if not handles:
             raise ValueError("a cluster snapshot needs at least one shard")
+        super().__init__(config, executor, handles[0]._latency)
         self.handles = list(handles)
-        self.config = config
-        self._executor = executor
         #: cluster-wide shard id behind each handle (handle order).
         self.shard_ids: "tuple[int, ...]" = (
             tuple(int(i) for i in shard_ids)
@@ -311,48 +326,18 @@ class ClusterSnapshot:
         self.missing: Dict[int, int] = (
             {int(k): int(v) for k, v in missing.items()} if missing else {}
         )
-        self.shards_total = (
-            int(shards_total)
-            if shards_total is not None
-            else len(self.handles) + len(self.missing)
-        )
         #: tuple of per-shard epochs — hashable, so the coalescer's
         #: same-epoch batching works unchanged.
         self.epoch = tuple(h.epoch for h in self.handles)
         self.n_historical = sum(h.n_historical for h in self.handles)
         self.m_stream = sum(h.m_stream for h in self.handles)
         self._historical_memo = historical_memo or HistoricalMemo()
-        self._latency = self.handles[0]._disk.latency
-        self._combined: Optional[CombinedSummary] = None
-        self._merges = 0
-        self._released = False
 
-    # -- lifecycle ------------------------------------------------------
+    def _release_pins(self) -> None:
+        for handle in self.handles:
+            handle.release()
 
-    @property
-    def released(self) -> bool:
-        """Whether :meth:`release` has run."""
-        return self._released
-
-    def release(self) -> None:
-        """Release every per-shard pin (idempotent)."""
-        if not self._released:
-            self._released = True
-            for handle in self.handles:
-                handle.release()
-
-    def __enter__(self) -> "ClusterSnapshot":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
-
-    # -- derived views --------------------------------------------------
-
-    @property
-    def n_total(self) -> int:
-        """Total elements across all shards at pin time."""
-        return self.n_historical + self.m_stream
+    # -- the union scope ------------------------------------------------
 
     def _scope(
         self,
@@ -374,157 +359,119 @@ class ClusterSnapshot:
         step_range: "Optional[tuple[int, int]]" = None,
     ) -> CombinedSummary:
         """Fused TS over every shard's scope (full scope cached)."""
-        if window_steps is None and step_range is None:
-            if self._combined is None:
-                self._combined = self._build_combined(*self._scope())
-            return self._combined
-        return self._build_combined(*self._scope(window_steps, step_range))
+        # Defined here only for bench/trace.py, which wraps the name it
+        # finds in this class's own __dict__ (``cluster.fuse``).
+        return super().combined(window_steps, step_range)
 
-    def _build_combined(
+    def _fuse(
         self,
-        shard_partitions: List[List[Partition]],
-        summaries: List[StreamSummary],
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+        positions: Optional[Sequence[int]] = None,
     ) -> CombinedSummary:
+        """TS fused over the shards at ``positions`` (default: all)."""
+        shard_partitions, summaries = self._scope(window_steps, step_range)
+        if positions is None:
+            positions = range(len(self.handles))
         # Shard-major: the order the historical shares are summed in.
         partitions = [
-            p for parts in shard_partitions for p in parts if len(p) > 0
+            p for i in positions for p in shard_partitions[i] if len(p) > 0
         ]
-        built = CombinedSummary.build(
-            [p.summary for p in partitions], summaries, self._historical_memo
+        return CombinedSummary.build(
+            [p.summary for p in partitions],
+            [summaries[i] for i in positions],
+            self._historical_memo,
         )
-        self._merges += 1
-        return built
-
-    @property
-    def ts_merges_built(self) -> int:
-        """Fused TS merges this snapshot has performed."""
-        return self._merges
-
-    def warm(
-        self,
-        phis: Sequence[float],
-        cache: Optional[BlockCache] = None,
-        window_steps: Optional[int] = None,
-    ) -> int:
-        """Per-shard warm pass (no-op without per-shard shared tiers).
-
-        The ``cache`` argument is accepted for handle-protocol
-        compatibility but ignored: each shard warms through its own
-        tier, reading from its own disk.
-        """
-        del cache  # per-shard tiers use per-shard caches
-        return sum(
-            h.warm(phis, window_steps=window_steps) for h in self.handles
-        )
-
-    def _new_cache_for(
-        self,
-        positions: Sequence[int],
-        shard_partitions: List[List[Partition]],
-    ) -> ShardedBlockCache:
-        """Per-query sharded cache over a subset of handle positions.
-
-        The partial-gather retry loop rebuilds the per-query cache over
-        the surviving shards only, so an excluded shard's runs are
-        unreachable (a stray touch raises ``KeyError`` rather than
-        silently re-faulting).
-        """
-        run_to_shard = {
-            p.run.run_id: pos
-            for pos in positions
-            for p in shard_partitions[pos]
-        }
-        return ShardedBlockCache(
-            {pos: self.handles[pos]._new_cache() for pos in positions},
-            run_to_shard,
-        )
-
-    def _note_degraded(self, cache: ShardedBlockCache) -> None:
-        """Count a degraded gather on the shard whose disk faulted."""
-        self.handles[cache.failed_shard]._note_degraded()
 
     def _query_scope(
         self,
-        positions: Sequence[int],
-        shard_partitions: List[List[Partition]],
-        summaries: List[StreamSummary],
-        window_steps: Optional[int],
-        step_range: "Optional[tuple[int, int]]",
-    ) -> QueryScope:
-        """The union scope over the shards at ``positions``."""
-        picked = [summaries[i] for i in positions]
-        if len(positions) == len(self.handles):
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+        positions: Optional[Sequence[int]] = None,
+    ) -> _GatherScope:
+        """The union scope over the shards at ``positions`` (default:
+        all, whose full-scope TS is the cached one)."""
+        shard_partitions, summaries = self._scope(window_steps, step_range)
+        if positions is None:
+            positions = range(len(self.handles))
             combined = self.combined(window_steps, step_range)
         else:
-            combined = self._build_combined(
-                [shard_partitions[i] for i in positions], picked
+            combined = self._resolve(window_steps, step_range, positions)
+        answering = [self.handles[i] for i in positions]
+
+        def new_cache() -> ShardedBlockCache:
+            # Over the answering shards only: an excluded shard's runs
+            # are unreachable (a stray touch raises ``KeyError`` rather
+            # than silently re-faulting).
+            return ShardedBlockCache(
+                {i: self.handles[i]._new_cache() for i in positions},
+                {
+                    p.run.run_id: i
+                    for i in positions
+                    for p in shard_partitions[i]
+                },
             )
-        handles = [self.handles[i] for i in positions]
-        return QueryScope(
+
+        def stream_rank(value: int) -> float:
+            # The sum of the per-shard pinned-sketch brackets.
+            return sum(h.stream_rank(value) for h in answering)
+
+        def on_degraded(cache: ShardedBlockCache) -> None:
+            # Counted on the shard whose disk faulted.
+            self.handles[cache.failed_shard]._note_degraded()
+
+        return _GatherScope(
             # Shard-major, like the fused TS's historical half.
             partitions=[p for i in positions for p in shard_partitions[i]],
-            stream_summary=_FusedStreamSummary(picked),
+            stream_summary=_FusedStreamSummary(
+                [summaries[i] for i in positions]
+            ),
             combined=combined,
-            # The union-stream estimate is the sum of the per-shard
-            # pinned-sketch brackets.
-            stream_rank=(
-                (lambda value: sum(h.stream_rank(value) for h in handles))
-                if step_range is None
-                else None
-            ),
-            new_cache=lambda: self._new_cache_for(
-                positions, shard_partitions
-            ),
-            on_degraded=self._note_degraded,
+            stream_rank=stream_rank if step_range is None else None,
+            new_cache=new_cache,
+            on_degraded=on_degraded,
             window_steps=window_steps,
+            positions=positions,
+            shard_partitions=shard_partitions,
+            summaries=summaries,
+            step_range=step_range,
         )
 
     # -- queries --------------------------------------------------------
 
-    def _gather(
+    def _answer(
         self,
-        rank: Optional[int],
-        phi: Optional[float],
+        scope: _GatherScope,
+        rank: int,
         mode: str,
-        window_steps: Optional[int],
-        step_range: "Optional[tuple[int, int]]",
         cache: Optional[ShardedBlockCache] = None,
     ) -> QueryResult:
-        """:func:`~repro.core.query_path.answer_rank` over the union of
-        every shard's pinned view, for ``rank`` or (when that is
-        ``None``) the ``phi``-quantile of the full pinned scope.
+        """:func:`~repro.core.query_path.answer_rank` over the union
+        scope, plus what is cluster-specific.
 
-        What is cluster-specific lives here.  *Culprit exclusion*: when
-        a shard's disk faults mid-search and ``min_gather_shards``
-        leaves quorum to spare, that shard is excluded and the search
-        re-run over the survivors.  *Partial results*: with shards
-        excluded here or quarantined at pin time, the answer's rank
-        bound is widened by the missing shards' element counts
-        (:func:`~repro.core.bounds.widen_rank_bound`) and a
-        :class:`~repro.core.bounds.PartialResult` attached.  With every
-        shard answering and no faults the result is ``answer_rank``'s,
-        untouched — a 1-shard cluster runs the plain engine's lines.
+        *Culprit exclusion*: when a shard's disk faults mid-search and
+        ``min_gather_shards`` leaves quorum to spare, that shard is
+        excluded and the search re-run over the survivors.  *Partial
+        results*: with shards excluded here or quarantined at pin time,
+        the answer's rank bound is widened by the missing shards'
+        element counts (:func:`~repro.core.bounds.widen_rank_bound`) and
+        a :class:`~repro.core.bounds.PartialResult` attached.  With
+        every shard answering and no faults the result is
+        ``answer_rank``'s, untouched — a 1-shard cluster runs the plain
+        engine's lines.
         """
         started = time.perf_counter()
-        shard_partitions, summaries = self._scope(window_steps, step_range)
         quorum = max(1, self.config.min_gather_shards)
-        positions = list(range(len(self.handles)))
         # Handle positions excluded mid-search -> their scoped counts.
         excluded: Dict[int, int] = {}
         while True:
-            scope = self._query_scope(
-                positions, shard_partitions, summaries,
-                window_steps, step_range,
-            )
-            if rank is None:
-                rank = rank_for_phi(phi, scope.combined.total_size)
             # A caller-shared cache only matches the full shard set;
             # exclusion retries get a fresh one over the survivors.
             if mode == "accurate" and (cache is None or excluded):
                 cache = scope.new_cache()
             can_exclude = (
                 self.config.min_gather_shards > 0
-                and len(positions) - 1 >= quorum
+                and len(scope.positions) - 1 >= quorum
             )
             try:
                 result = answer_rank(
@@ -537,20 +484,32 @@ class ClusterSnapshot:
                     raise
                 culprit = cache.failed_shard
                 excluded[culprit] = (
-                    sum(len(p) for p in shard_partitions[culprit])
-                    + summaries[culprit].stream_size
+                    sum(len(p) for p in scope.shard_partitions[culprit])
+                    + scope.summaries[culprit].stream_size
                 )
-                positions = [i for i in positions if i != culprit]
+                scope = self._query_scope(
+                    scope.window_steps,
+                    scope.step_range,
+                    [i for i in scope.positions if i != culprit],
+                )
         missing = dict(self.missing)
         for pos, count in excluded.items():
             missing[self.shard_ids[pos]] = count
-        result = self._with_partial(result, missing, len(positions))
+        result = self._with_partial(result, missing, len(scope.positions))
         if excluded:
             # The failed attempts are part of this query's latency.
             result = replace(
                 result, wall_seconds=time.perf_counter() - started
             )
         return result
+
+    def _answer_quick_many(
+        self, scope: _GatherScope, phis: Sequence[float]
+    ) -> List[QueryResult]:
+        return [
+            self._with_partial(result, self.missing, len(self.handles))
+            for result in super()._answer_quick_many(scope, phis)
+        ]
 
     def _with_partial(
         self, result: QueryResult, missing: Mapping[int, int], answering: int
@@ -566,68 +525,9 @@ class ClusterSnapshot:
                 missing_shards=tuple(sorted(missing)),
                 missing_elements=lost,
                 shards_answering=answering,
-                shards_total=self.shards_total,
                 base_bound=result.rank_error_bound,
             ),
         )
-
-    def query_rank(
-        self,
-        rank: int,
-        mode: str = "accurate",
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-        cache: Optional[ShardedBlockCache] = None,
-    ) -> QueryResult:
-        """Answer over the union of every shard's pinned view.
-
-        The result mirrors :meth:`SnapshotHandle.query_rank` field for
-        field; see :meth:`_gather` for partial gathers.
-        """
-        return self._gather(
-            int(rank), None, mode, window_steps, step_range, cache
-        )
-
-    def quantile(
-        self,
-        phi: float,
-        mode: str = "accurate",
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> QueryResult:
-        """A phi-quantile of the cluster-wide union (Definition 1)."""
-        return self._gather(None, phi, mode, window_steps, step_range)
-
-    def quantile_many(
-        self,
-        phis: Sequence[float],
-        mode: str = "quick",
-        window_steps: Optional[int] = None,
-    ) -> List[QueryResult]:
-        """Batched quantiles against the fused view.
-
-        Quick mode: one (cached) fused TS merge, one vectorized
-        rank-bound pass — the coalescer's contract, unchanged.
-        Accurate mode shares one sharded cache across the searches.
-        """
-        check_mode(mode)
-        shard_partitions, summaries = self._scope(window_steps)
-        positions = range(len(self.handles))
-        if mode == "accurate":
-            cache = self._new_cache_for(positions, shard_partitions)
-            return [
-                self._gather(None, phi, mode, window_steps, None, cache)
-                for phi in phis
-            ]
-        scope = self._query_scope(
-            positions, shard_partitions, summaries, window_steps, None
-        )
-        return [
-            self._with_partial(result, self.missing, len(self.handles))
-            for result in answer_quick_many(
-                scope, phis, self.config, self._executor, self._latency
-            )
-        ]
 
 
 class ClusterEngine(PinnedQueries):
@@ -638,9 +538,9 @@ class ClusterEngine(PinnedQueries):
     advance in lockstep (``end_time_step`` seals every shard); queries
     pin all shards and gather.  The serving layer's
     :class:`~repro.serving.service.QueryService` drives a cluster
-    through the same duck-typed surface as a single engine — ``pin``,
-    ``config``, ``shared_cache`` (``None``: warm passes are a per-shard
-    concern) and ``disk``.
+    through the same surface as a single engine — ``pin``, ``config``,
+    ``shared_cache`` (``None``, so its views are never warmed) and
+    ``disk``.
 
     Fault tolerance:
 
@@ -700,14 +600,7 @@ class ClusterEngine(PinnedQueries):
             self.shards = [
                 HybridQuantileEngine(
                     config=shard_config(config, index),
-                    disk=(
-                        FaultyDisk(
-                            fault_plan.for_shard(index),
-                            block_elems=config.block_elems,
-                        )
-                        if fault_plan is not None
-                        else None
-                    ),
+                    disk=new_shard_disk(fault_plan, config, index),
                 )
                 for index in range(shards)
             ]
@@ -898,9 +791,8 @@ class ClusterEngine(PinnedQueries):
     def shared_cache(self):
         """Always ``None``: shared tiers live inside each shard.
 
-        The serving layer checks this to decide whether to run warm
-        passes itself; for a cluster, warming is delegated per shard
-        via :meth:`ClusterSnapshot.warm`.
+        The serving layer warms a pinned view only when this is not
+        ``None``, so a cluster's views are never warmed.
         """
         return None
 
@@ -1027,7 +919,6 @@ class ClusterEngine(PinnedQueries):
                 index: self._shard_elems[index]
                 for index in self._quarantined
             },
-            shards_total=len(self.shards),
             historical_memo=self._historical_memo,
         )
 
@@ -1118,21 +1009,6 @@ class ClusterEngine(PinnedQueries):
     def wal_root(self) -> Optional[Path]:
         """Root directory holding the per-shard WALs (``None`` if off)."""
         return self._wal_root
-
-    def new_shard_disk(self, index: int):
-        """A fresh device for restoring shard ``index``.
-
-        Honors the cluster's fault plan (the restored shard draws the
-        same per-shard schedule as the one it replaces); ``None`` when
-        no plan is installed, letting ``load_engine`` build a plain
-        simulated disk.
-        """
-        if self.fault_plan is None:
-            return None
-        return FaultyDisk(
-            self.fault_plan.for_shard(index),
-            block_elems=self.config.block_elems,
-        )
 
     def dump_fault_transcripts(
         self, directory: "str | Path"

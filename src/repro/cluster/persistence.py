@@ -22,7 +22,7 @@ from typing import List, Optional
 from ..faults.plan import FaultPlan
 from ..persistence.checkpoint import config_from_state, load_engine, save_engine
 from ..persistence.warehouse_store import PersistenceError
-from .engine import ClusterEngine, shard_dir
+from .engine import ClusterEngine, new_shard_disk, shard_dir
 from .router import ShardRouter
 
 _MANIFEST_FILE = "cluster.json"
@@ -96,18 +96,10 @@ def load_cluster(
             raise PersistenceError(
                 f"manifest names {shards} shards but {checkpoint} is missing"
             )
-        disk = None
-        if fault_plan is not None:
-            from ..faults.disk import FaultyDisk
-
-            disk = FaultyDisk(
-                fault_plan.for_shard(index),
-                block_elems=config.block_elems,
-            )
         engines.append(
             load_engine(
                 checkpoint,
-                disk=disk,
+                disk=new_shard_disk(fault_plan, config, index),
                 wal_dir=(
                     shard_dir(wal_dir, index)
                     if wal_dir is not None

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..faults.retry import RetryPolicy
 from ..persistence.checkpoint import load_engine
-from .engine import ClusterEngine, shard_dir
+from .engine import ClusterEngine, new_shard_disk, shard_dir
 
 #: event action labels, in the order a recovery normally emits them.
 QUARANTINED = "quarantined"
@@ -206,7 +206,9 @@ class ShardSupervisor:
         try:
             engine = load_engine(
                 shard_dir(self.checkpoint_dir, shard),
-                disk=self.cluster.new_shard_disk(shard),
+                disk=new_shard_disk(
+                    self.cluster.fault_plan, self.cluster.config, shard
+                ),
                 wal_dir=(
                     shard_dir(wal_root, shard)
                     if wal_root is not None

@@ -23,7 +23,7 @@ from .memory import (
     stream_summary_words,
 )
 from .summaries import PartitionSummary, StreamSummary
-from .windows import WindowNotAlignedError, resolve_window
+from .windows import WindowNotAlignedError
 
 __all__ = [
     "CombinedSummary",
@@ -52,5 +52,4 @@ __all__ = [
     "PartitionSummary",
     "StreamSummary",
     "WindowNotAlignedError",
-    "resolve_window",
 ]

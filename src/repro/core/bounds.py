@@ -61,10 +61,13 @@ class PartialResult:
     missing_elements: int
     #: shards that did answer.
     shards_answering: int
-    #: total shards in the cluster.
-    shards_total: int
     #: the surviving-scope bound before widening.
     base_bound: float
+
+    @property
+    def shards_total(self) -> int:
+        """Total shards in the cluster: answering plus missing."""
+        return self.shards_answering + len(self.missing_shards)
 
 
 def widen_rank_bound(base_bound: float, missing_elements: int) -> float:

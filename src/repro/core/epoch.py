@@ -47,13 +47,7 @@ from ..storage.shared_cache import SharedBlockCache
 from ..warehouse.partition import Partition
 from .bounds import CombinedSummary, HistoricalSummary
 from .config import EngineConfig
-from .query_path import (
-    QueryResult,
-    QueryScope,
-    answer_quick_many,
-    answer_rank,
-    check_mode,
-)
+from .query_path import PinnedView, QueryScope
 from .summaries import PartitionSummary, StreamSummary
 from .windows import resolve_range_in, resolve_window_in
 
@@ -314,16 +308,16 @@ class HistoricalMemo:
                     )
 
 
-class SnapshotHandle:
+class SnapshotHandle(PinnedView):
     """A refcounted pin of one consistent (HS, SS, partition-set) view.
 
     Created by :meth:`HybridQuantileEngine.pin`; release with
-    :meth:`release` (or use as a context manager).  All query methods
-    are thread-safe — the serving layer shares one handle across a
-    coalesced batch of requests, and the full-scope combined summary is
-    resolved once per handle (one counted TS merge), so every request
-    rides the same one; SS is the shared :class:`StreamView`'s, TS the
-    engine's :class:`HistoricalMemo`'s.
+    :meth:`release` (or use as a context manager).  The verbs are
+    :class:`~repro.core.query_path.PinnedView`'s; what is here is the
+    pin: the registry refcount and the backend run pins, the scope
+    resolution over the pinned partition list, SS (the shared
+    :class:`StreamView`'s) and TS (the engine's
+    :class:`HistoricalMemo`'s, one counted merge per resolution).
     """
 
     def __init__(
@@ -340,62 +334,30 @@ class SnapshotHandle:
         historical_memo: HistoricalMemo,
         shared_cache: Optional[SharedBlockCache] = None,
     ) -> None:
+        super().__init__(config, executor, disk.latency)
         self._registry = registry
         self.epoch = epoch
         self.partitions = partitions
         self._stream = stream
         self.gk = stream.sketch  # shared with other handles: read only
-        self.config = config
         self._disk = disk
-        self._executor = executor
         self._note_degraded = note_degraded
         self.created_at_step = created_at_step
         self._shared_cache = shared_cache
         self._historical_memo = historical_memo
         self.n_historical = sum(len(p) for p in partitions)
         self.m_stream = stream.size
-        self._cache_lock = threading.RLock()
-        self._combined: Optional[CombinedSummary] = None
-        self._merges = 0
-        self._released = False
         # Eviction safety: a run referenced by a live handle is pinned
         # in the storage backend, so the hot-tier LRU never demotes a
         # run out from under this snapshot's probes.
         self._pinned_run_ids = [p.run.run_id for p in partitions]
         disk.backend.pin_runs(self._pinned_run_ids)
 
-    # -- lifecycle ------------------------------------------------------
-
-    @property
-    def released(self) -> bool:
-        """Whether :meth:`release` has run."""
-        return self._released
-
-    def release(self) -> None:
-        """Drop this handle's pin (idempotent).
-
-        The handle keeps answering afterwards (its references stay
-        valid in-process); releasing just lets the registry retire the
-        epoch so a file-backed deployment could free pre-merge
-        partitions.
-        """
-        if not self._released:
-            self._released = True
-            self._registry.release(self.epoch)
-            self._disk.backend.unpin_runs(self._pinned_run_ids)
-
-    def __enter__(self) -> "SnapshotHandle":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
+    def _release_pins(self) -> None:
+        self._registry.release(self.epoch)
+        self._disk.backend.unpin_runs(self._pinned_run_ids)
 
     # -- derived views --------------------------------------------------
-
-    @property
-    def n_total(self) -> int:
-        """Total number of elements N = n + m at pin time."""
-        return self.n_historical + self.m_stream
 
     def stream_summary(self) -> StreamSummary:
         """SS of the pinned sketch version (extracted once per version)."""
@@ -430,39 +392,18 @@ class SnapshotHandle:
         partitions = resolve_window_in(self.partitions, window_steps)
         return partitions, self.stream_summary()
 
-    def combined(
+    def _fuse(
         self,
         window_steps: Optional[int] = None,
         step_range: "Optional[tuple[int, int]]" = None,
     ) -> CombinedSummary:
-        """TS over the scope; the full scope is resolved once per handle.
-
-        Every resolution is counted against the registry's
-        ``ts_merges`` — the serving benchmark's coalescing ratio
-        divides this by requests served — fused or reused.
-        """
-        if window_steps is None and step_range is None:
-            with self._cache_lock:
-                if self._combined is None:
-                    self._combined = self._build_combined(*self.scope())
-                return self._combined
-        return self._build_combined(*self.scope(window_steps, step_range))
-
-    def _build_combined(
-        self, partitions: Sequence[Partition], ss: StreamSummary
-    ) -> CombinedSummary:
+        """TS of the scope off the engine's memo, counted against the
+        registry's ``ts_merges`` (fused or reused)."""
+        partitions, ss = self.scope(window_steps, step_range)
         summaries = [p.summary for p in partitions if len(p) > 0]
         built = CombinedSummary.build(summaries, ss, self._historical_memo)
-        with self._cache_lock:
-            self._merges += 1
         self._registry.note_ts_merge()
         return built
-
-    @property
-    def ts_merges_built(self) -> int:
-        """TS merges this handle has asked for (its own cache's misses)."""
-        with self._cache_lock:
-            return self._merges
 
     # -- queries --------------------------------------------------------
 
@@ -532,66 +473,3 @@ class SnapshotHandle:
             on_degraded=lambda cache: self._note_degraded(),
             window_steps=window_steps,
         )
-
-    def _answer(
-        self,
-        scope: QueryScope,
-        rank: int,
-        mode: str,
-        cache: Optional[BlockCache] = None,
-    ) -> QueryResult:
-        return answer_rank(
-            scope, rank, mode, self.config, self._executor,
-            self._disk.latency, cache,
-        )
-
-    def query_rank(
-        self,
-        rank: int,
-        mode: str = "accurate",
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-        cache: Optional[BlockCache] = None,
-    ) -> QueryResult:
-        """Answer exactly as the engine would have at pin time."""
-        scope = self._query_scope(window_steps, step_range)
-        return self._answer(scope, rank, mode, cache)
-
-    def quantile(
-        self,
-        phi: float,
-        mode: str = "accurate",
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> QueryResult:
-        """A ``phi``-quantile of the pinned union (Definition 1)."""
-        scope = self._query_scope(window_steps, step_range)
-        rank = rank_for_phi(phi, scope.combined.total_size)
-        return self._answer(scope, rank, mode)
-
-    def quantile_many(
-        self,
-        phis: Sequence[float],
-        mode: str = "quick",
-        window_steps: Optional[int] = None,
-    ) -> List[QueryResult]:
-        """Answer many quantiles against this one pinned view.
-
-        Quick mode is the coalescer's workhorse: one (cached) TS, then
-        one rank-bound lookup per ``phi``.
-        Accurate mode shares the pinned view and one block cache across
-        the searches, so blocks touched by one are free for the next.
-        Results are index-aligned with ``phis``.
-        """
-        check_mode(mode)
-        scope = self._query_scope(window_steps)
-        if mode == "quick":
-            return answer_quick_many(
-                scope, phis, self.config, self._executor, self._disk.latency
-            )
-        cache = self._new_cache()
-        total = scope.combined.total_size
-        return [
-            self._answer(scope, rank_for_phi(phi, total), mode, cache)
-            for phi in phis
-        ]

@@ -6,16 +6,18 @@ bisect with exact per-partition ranks plus a stream estimate
 (accurate).  Because the per-shard summaries are mergeable, a cluster
 is the same procedure over concatenated partitions and a fused TS.
 
-Every door — :class:`~repro.core.engine.HybridQuantileEngine`,
-:class:`~repro.core.epoch.SnapshotHandle`,
-:class:`~repro.cluster.engine.ClusterSnapshot` — builds a
-:class:`QueryScope` from its pinned view and calls :func:`answer_rank`
-(or the batched :func:`answer_quick_many`), so each
-:class:`QueryResult` field has exactly one rule, stated on the field.
+Every door is a :class:`PinnedView` — a
+:class:`~repro.core.epoch.SnapshotHandle` (one engine's pin) or a
+:class:`~repro.cluster.engine.ClusterSnapshot` (a gather of them) — or
+a system that pins one per call (:class:`PinnedQueries`).  The view
+builds a :class:`QueryScope` and calls :func:`answer_rank` (or the
+batched :func:`answer_quick_many`), so each :class:`QueryResult` field
+has exactly one rule, stated on the field.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
@@ -259,6 +261,163 @@ def answer_quick_many(
         )
         for rank, value in zip(ranks, values)
     ]
+
+
+class PinnedView:
+    """One pinned, consistent view and the verbs every such view has.
+
+    A subclass says what it pinned: ``n_historical`` / ``m_stream``,
+    ``_release_pins()``, ``_fuse(window_steps, step_range)`` (TS of a
+    scope, uncached) and ``_query_scope(window_steps, step_range)``.
+    The lifecycle, the once-per-view full-scope TS, the merge counter
+    and the three query verbs are written here, once.  All of it is
+    thread-safe: the serving layer shares one view across a coalesced
+    batch of requests.
+    """
+
+    def __init__(
+        self,
+        config: EngineConfig,
+        executor: QueryExecutor,
+        latency: DiskLatencyModel,
+    ) -> None:
+        self.config = config
+        self._executor = executor
+        self._latency = latency
+        # Held across the full-scope fuse (sharers wait for one) and
+        # around every count.
+        self._ts_lock = threading.Lock()
+        self._combined: Optional[CombinedSummary] = None
+        self._merges = 0
+        self._released = False
+
+    # -- lifecycle ------------------------------------------------------
+
+    @property
+    def released(self) -> bool:
+        """Whether :meth:`release` has run."""
+        return self._released
+
+    def release(self) -> None:
+        """Drop this view's pins (idempotent).
+
+        The view keeps answering afterwards (its references stay valid
+        in-process); releasing just lets the registry retire the epoch
+        so a file-backed deployment could free pre-merge partitions.
+        """
+        if not self._released:
+            self._released = True
+            self._release_pins()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.release()
+
+    # -- TS ---------------------------------------------------------------
+
+    @property
+    def n_total(self) -> int:
+        """Total number of elements N = n + m at pin time."""
+        return self.n_historical + self.m_stream
+
+    def combined(
+        self,
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+    ) -> CombinedSummary:
+        """TS over the scope; the full scope is resolved once per view.
+
+        Every resolution is counted, fused or reused — the serving
+        benchmark's coalescing ratio divides the count by requests
+        served.
+        """
+        if window_steps is None and step_range is None:
+            with self._ts_lock:
+                if self._combined is None:
+                    self._combined = self._fuse()
+                    self._merges += 1
+                return self._combined
+        return self._resolve(window_steps, step_range)
+
+    def _resolve(self, *asked: Any) -> CombinedSummary:
+        """One counted ``_fuse`` of the scope ``asked`` for."""
+        built = self._fuse(*asked)
+        with self._ts_lock:
+            self._merges += 1
+        return built
+
+    @property
+    def ts_merges_built(self) -> int:
+        """TS resolutions this view has asked for (its cache's misses)."""
+        with self._ts_lock:
+            return self._merges
+
+    # -- queries --------------------------------------------------------
+
+    def _answer(
+        self, scope: QueryScope, rank: int, mode: str, cache: Any = None
+    ) -> QueryResult:
+        return answer_rank(
+            scope, rank, mode, self.config, self._executor,
+            self._latency, cache,
+        )
+
+    def _answer_quick_many(
+        self, scope: QueryScope, phis: Sequence[float]
+    ) -> List[QueryResult]:
+        return answer_quick_many(
+            scope, phis, self.config, self._executor, self._latency
+        )
+
+    def query_rank(
+        self,
+        rank: int,
+        mode: str = "accurate",
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+    ) -> QueryResult:
+        """Answer exactly as the system would have at pin time."""
+        scope = self._query_scope(window_steps, step_range)
+        return self._answer(scope, rank, mode)
+
+    def quantile(
+        self,
+        phi: float,
+        mode: str = "accurate",
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+    ) -> QueryResult:
+        """A ``phi``-quantile of the pinned union (Definition 1)."""
+        scope = self._query_scope(window_steps, step_range)
+        rank = rank_for_phi(phi, scope.combined.total_size)
+        return self._answer(scope, rank, mode)
+
+    def quantile_many(
+        self,
+        phis: Sequence[float],
+        mode: str = "quick",
+        window_steps: Optional[int] = None,
+    ) -> List[QueryResult]:
+        """Answer many quantiles against this one pinned view.
+
+        Quick mode is the coalescer's workhorse: one (cached) TS, then
+        one rank-bound lookup per ``phi``.  Accurate mode shares the
+        scope and one block cache across the searches, so blocks
+        touched by one are free for the next.  Results are
+        index-aligned with ``phis``.
+        """
+        check_mode(mode)
+        scope = self._query_scope(window_steps)
+        if mode == "quick":
+            return self._answer_quick_many(scope, phis)
+        cache = scope.new_cache()
+        total = scope.combined.total_size
+        return [
+            self._answer(scope, rank_for_phi(phi, total), mode, cache)
+            for phi in phis
+        ]
 
 
 class PinnedQueries:

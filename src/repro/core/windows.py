@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..warehouse.leveled_store import (
-    LeveledStore,
     range_from,
     window_from,
     window_sizes_from,
@@ -53,18 +52,6 @@ def resolve_window_in(
     return partitions
 
 
-def resolve_window(store: LeveledStore, window_steps: int) -> List[Partition]:
-    """Partitions covering exactly the last ``window_steps`` steps.
-
-    Raises :class:`WindowNotAlignedError` for unaligned windows; the
-    exception carries the feasible window sizes (the x-axis of the
-    paper's Figure 11).
-    """
-    return resolve_window_in(
-        store.partitions(), window_steps, last_step=store.steps_loaded
-    )
-
-
 class RangeNotAlignedError(ValueError):
     """Raised when a step range does not align with partitions."""
 
@@ -82,26 +69,13 @@ def resolve_range_in(
 ) -> List[Partition]:
     """Slice of ``ordered`` covering exactly ``[start_step, end_step]``.
 
-    List-based twin of :func:`resolve_range`, usable over the engine's
-    combined adopted-plus-pending snapshot.
-    """
-    partitions = range_from(ordered, start_step, end_step)
-    if partitions is None:
-        raise RangeNotAlignedError(start_step, end_step)
-    return partitions
-
-
-def resolve_range(
-    store: LeveledStore, start_step: int, end_step: int
-) -> List[Partition]:
-    """Partitions covering exactly ``[start_step, end_step]``.
-
     The arbitrary-range generalization of windowed queries: any
     historical interval whose endpoints fall on partition boundaries
     is queryable (e.g. "the same week last year" for trend
-    comparisons).  Raises :class:`RangeNotAlignedError` otherwise.
+    comparisons), over the engine's combined adopted-plus-pending
+    snapshot.  Raises :class:`RangeNotAlignedError` otherwise.
     """
-    partitions = store.range_partitions(start_step, end_step)
+    partitions = range_from(ordered, start_step, end_step)
     if partitions is None:
         raise RangeNotAlignedError(start_step, end_step)
     return partitions

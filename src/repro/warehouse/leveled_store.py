@@ -37,9 +37,11 @@ def window_from(
 ) -> Optional[List[Partition]]:
     """Suffix of ``ordered`` covering exactly the last ``window_steps``.
 
-    The list-based core of :meth:`LeveledStore.window_partitions`, also
-    used by the engine over a consistent snapshot that appends pending
-    (sealed but not yet merged) partitions to the store's layout.
+    Windowed queries are only possible when the window boundary is
+    aligned with a partition boundary; ``None`` otherwise.  A window of
+    0 steps is the empty list (stream only).  Takes a list, not the
+    store: the engine asks over a consistent snapshot that appends
+    pending (sealed but not yet merged) partitions to the layout.
     """
     if window_steps == 0:
         return []
@@ -80,7 +82,9 @@ def range_from(
 
 
 def window_sizes_from(ordered: Sequence[Partition]) -> List[int]:
-    """Suffix sums of partition step-counts, newest first (Figure 11)."""
+    """All historical window sizes answerable over ``ordered``: the
+    suffix sums of partition step-counts, newest first — the x-axis of
+    Figure 11."""
     sizes: List[int] = []
     total = 0
     for partition in reversed(ordered):
@@ -336,35 +340,3 @@ class LeveledStore:
                     f"{expected_start}"
                 )
             expected_start = partition.end_step + 1
-
-    # ------------------------------------------------------------------
-    # Windows (Section 2.4, "Queries Over Windows")
-    # ------------------------------------------------------------------
-
-    def window_partitions(self, window_steps: int) -> Optional[List[Partition]]:
-        """Partitions exactly covering the last ``window_steps`` steps.
-
-        Windowed queries are only possible when the window boundary is
-        aligned with a partition boundary; returns ``None`` otherwise.
-        A window of 0 steps is the empty list (stream only).
-        """
-        return window_from(self.partitions(), self._steps_loaded, window_steps)
-
-    def range_partitions(
-        self, start_step: int, end_step: int
-    ) -> Optional[List[Partition]]:
-        """Partitions covering exactly steps ``[start_step, end_step]``.
-
-        A generalization of suffix windows to arbitrary historical
-        ranges; returns ``None`` unless both endpoints align with
-        partition boundaries.
-        """
-        return range_from(self.partitions(), start_step, end_step)
-
-    def available_window_sizes(self) -> List[int]:
-        """All historical window sizes answerable at the current state.
-
-        These are the suffix sums of partition step-counts, newest
-        first — the x-axis of Figure 11.
-        """
-        return window_sizes_from(self.partitions())

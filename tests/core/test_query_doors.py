@@ -6,6 +6,8 @@ scope builders in front of ``repro.core.query_path``; on the same data
 they must return the same ``QueryResult``, field for field.
 """
 
+import threading
+import time
 from dataclasses import fields
 from functools import cached_property
 
@@ -173,6 +175,61 @@ def test_every_door_returns_the_same_results(doors, overrides, materialised):
         assert len(results) == len(reference)
         for got, expected in zip(results, reference):
             assert same(got, expected), (got, expected)
+
+
+def view_doors(opened):
+    """The doors whose view is itself a pinned view, by name."""
+    return {
+        name: door
+        for name, door in zip(DOORS, opened)
+        if name in ("handle", "cluster_snapshot")
+    }
+
+
+def test_racing_callers_of_combined_share_one_fuse(doors, monkeypatch):
+    build = CombinedSummary.build.__func__
+
+    def slow_build(cls, *args):
+        time.sleep(0.05)
+        return build(cls, *args)
+
+    monkeypatch.setattr(CombinedSummary, "build", classmethod(slow_build))
+    for name, door in view_doors(doors()).items():
+        racers = [
+            threading.Thread(target=door.view.combined) for _ in range(4)
+        ]
+        for racer in racers:
+            racer.start()
+        for racer in racers:
+            racer.join(timeout=10)
+        assert not any(racer.is_alive() for racer in racers)
+        assert door.view.ts_merges_built == 1, name
+
+
+def test_view_doors_resolve_the_same_number_of_ts(doors):
+    """One TS per scope asked for, a batch of phis included — whether
+    the view is one pin or a gather of them."""
+    built = {}
+    for name, door in view_doors(doors()).items():
+        run_schedule(door)
+        built[name] = door.view.ts_merges_built
+    assert built["handle"] == built["cluster_snapshot"] > 0
+
+
+def test_releasing_a_view_twice_releases_each_pin_once(doors):
+    for door in doors():
+        # The engine and the cluster pin a view per call; take one.
+        pin = getattr(door.view, "pin", None)
+        view = pin() if pin is not None else door.view
+        assert door.engine.epoch_stats.live_pins == 1
+        with view as entered:
+            assert entered is view and not view.released
+        assert view.released
+        assert door.engine.epoch_stats.live_pins == 0
+        view.release()
+        assert door.engine.epoch_stats.live_pins == 0
+        # Released, it still answers from what it pinned.
+        assert view.quantile(0.5, mode="quick").total_size == view.n_total
 
 
 def test_result_fields_follow_the_one_rule(doors):

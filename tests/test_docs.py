@@ -138,3 +138,26 @@ def test_every_knob_is_read():
                 is_read(name) and re.search(rf"self\.{field.name}\b", body)
                 for name, body in properties.items()
             ), f"{config.__name__}.{field.name} is read by nothing in src/"
+
+
+def test_view_verbs_are_written_once():
+    """A pinned view's verbs live on ``query_path.PinnedView``.
+
+    ``quantile_many`` and ``ts_merges_built`` exist only on views (and
+    on the systems that pin one per call), so a definition of either
+    anywhere else under ``src/repro`` is a second copy of the query
+    surface — the way ``SnapshotHandle`` and ``ClusterSnapshot`` each
+    carried their own until their caches and counters drifted apart.
+    """
+    package = _TUNING.parent.parent / "src" / "repro"
+    defined = {
+        (node.name, path.relative_to(package).as_posix())
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("quantile_many", "ts_merges_built")
+    }
+    assert defined == {
+        ("quantile_many", "core/query_path.py"),
+        ("ts_merges_built", "core/query_path.py"),
+    }

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.storage import SimulatedDisk
 from repro.warehouse import LeveledCompactionStore, LeveledStore
+from repro.warehouse.leveled_store import window_from, window_sizes_from
 
 
 def make_store(kappa=3, block_elems=10):
@@ -85,10 +86,13 @@ class TestLeveledCompaction:
         disk, store = make_store(kappa=2)
         for s in range(1, 8):
             store.add_batch(batch(s))
-        sizes = store.available_window_sizes()
+        sizes = window_sizes_from(store.partitions())
         assert sizes[-1] == 7
         for size in sizes:
-            assert store.window_partitions(size) is not None
+            assert (
+                window_from(store.partitions(), store.steps_loaded, size)
+                is not None
+            )
 
     def test_engine_integration(self):
         from repro import EngineConfig, ExactQuantiles, HybridQuantileEngine
@@ -131,4 +135,7 @@ class TestCompactionProperty:
             store.add_batch(np.full(11, s, dtype=np.int64), step=s)
         store.check_invariant()
         assert store.total_elements() == steps * 11
-        assert store.window_partitions(steps) is not None
+        assert (
+            window_from(store.partitions(), store.steps_loaded, steps)
+            is not None
+        )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.storage import SimulatedDisk
 from repro.warehouse import LeveledStore
+from repro.warehouse.leveled_store import window_from, window_sizes_from
 
 
 def make_store(kappa=3, block_elems=10):
@@ -166,37 +167,37 @@ class TestWindows:
         for s in range(1, 8):
             store.add_batch(batch(s))
         # partitions: (1-4) at L2, (5-6) at L1, (7) at L0
-        assert store.available_window_sizes() == [1, 3, 7]
+        assert window_sizes_from(store.partitions()) == [1, 3, 7]
 
     def test_window_partitions_aligned(self):
         disk, store = make_store(kappa=2)
         for s in range(1, 8):
             store.add_batch(batch(s))
-        window = store.window_partitions(3)
+        window = window_from(store.partitions(), store.steps_loaded, 3)
         assert [(p.start_step, p.end_step) for p in window] == [(5, 6), (7, 7)]
 
     def test_window_partitions_unaligned_returns_none(self):
         disk, store = make_store(kappa=2)
         for s in range(1, 8):
             store.add_batch(batch(s))
-        assert store.window_partitions(2) is None
-        assert store.window_partitions(4) is None
+        assert window_from(store.partitions(), store.steps_loaded, 2) is None
+        assert window_from(store.partitions(), store.steps_loaded, 4) is None
 
     def test_window_zero_is_empty(self):
         disk, store = make_store()
         store.add_batch(batch(1))
-        assert store.window_partitions(0) == []
+        assert window_from(store.partitions(), store.steps_loaded, 0) == []
 
     def test_window_larger_than_history(self):
         disk, store = make_store()
         store.add_batch(batch(1))
-        assert store.window_partitions(5) is None
+        assert window_from(store.partitions(), store.steps_loaded, 5) is None
 
     def test_full_window_always_available(self):
         disk, store = make_store(kappa=2)
         for s in range(1, 12):
             store.add_batch(batch(s))
-        window = store.window_partitions(11)
+        window = window_from(store.partitions(), store.steps_loaded, 11)
         assert window is not None
         assert sum(p.num_steps for p in window) == 11
 
@@ -215,8 +216,11 @@ class TestStoreProperty:
         store.check_invariant()
         assert store.total_elements() == steps * 13
         # full-history window is always aligned
-        assert store.window_partitions(steps) is not None
+        assert (
+            window_from(store.partitions(), store.steps_loaded, steps)
+            is not None
+        )
         # window sizes are strictly increasing suffix sums ending at steps
-        sizes = store.available_window_sizes()
+        sizes = window_sizes_from(store.partitions())
         assert sizes == sorted(sizes)
         assert sizes[-1] == steps
