@@ -244,18 +244,18 @@ class ServingConfig:
         probes hold disk resources much longer than quick answers).
         ``None`` shares ``max_queue``.
     accurate_workers:
-        Worker threads running accurate searches concurrently (each
-        search internally fans partition probes over the engine's
-        ``query_workers`` pool).
+        Accurate searches running at once, on whatever threads run
+        them — mostly the callers' own (each search internally fans
+        partition probes over the engine's ``query_workers`` pool).  A
+        caller past the limit waits, still counted as queued.
     coalesce:
-        Batch quick requests pinned at the same epoch into one TS merge
-        plus one vectorized rank-bound pass (the tentpole win: merges
-        per served request drop below 1).
+        Take every queued quick request together, as one batch pinned
+        at one epoch: one TS plus one rank-bound lookup per phi, so
+        merges per served request drop below 1 under concurrency.
     coalesce_window_ms:
-        How long the quick path's one dispatcher lingers after taking
-        the first request of a batch, letting concurrent arrivals join
-        it (a batch is at most ``max_queue`` requests: admission lets
-        no more wait).
+        The longest a quick batch waits behind a running accurate
+        search before it is taken anyway; requests arriving meanwhile
+        join it.  With no search running a batch is taken at once.
     degrade_on_overload:
         When the accurate queue is full, degrade the request to the
         quick path (flagged on the result) instead of rejecting it —

@@ -218,7 +218,7 @@ class HistoricalMemo:
 
     def __init__(self) -> None:
         # Held across a fold and a fuse: queries pinned at the same set
-        # and version (the dispatcher and its clients) wait for one.
+        # and version (concurrent serving callers) wait for one.
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, _MemoEntry]" = OrderedDict()
         #: HS folded from scratch / grown from a memoised prefix, and

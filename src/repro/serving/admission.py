@@ -47,7 +47,7 @@ class AdmissionController:
     """Per-mode bounded admission in front of the service queues.
 
     Tracks how many admitted requests are still *waiting* (the service
-    releases a slot when a dispatcher takes the request for execution).
+    releases a slot when some thread takes the request to run it).
     ``admit`` returns the effective mode — equal to the requested mode,
     or ``"quick"`` when an accurate request was degraded under load.
     """

@@ -4,9 +4,11 @@ The quick response (Algorithm 5) is a binary search over the combined
 summary TS — but *building* TS (merging every partition summary with
 the stream summary and computing rank bounds) dominates its cost.  Two
 requests pinned at the same epoch see the identical TS, so the merge is
-shareable: the coalescer batches every quick request that arrived
-within a window, pins **one**
-:class:`~repro.core.epoch.SnapshotHandle`, and answers the whole batch
+shareable.  The service takes every quick request queued at once as
+one batch, on the thread of a caller waiting for one of them (a
+service thread when nobody waits), and waits first only while an
+accurate search runs, so that requests arriving meanwhile join.  The coalescer pins **one**
+:class:`~repro.core.epoch.SnapshotHandle` and answers the whole batch
 with one cached TS plus one rank-bound lookup per distinct phi
 (:meth:`~repro.core.bounds.CombinedSummary.quick_responses`).  This is
 the data-fusion insight (PAPERS.md: quantile trackers shared across

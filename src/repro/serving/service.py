@@ -3,23 +3,31 @@
 :class:`QueryService` sits in front of one
 :class:`~repro.core.engine.HybridQuantileEngine` and accepts
 ``quantile(phi, mode)`` requests from any number of client threads
-while ingest keeps running underneath:
+while ingest keeps running underneath.  A request is run by the thread
+that waits for it: :meth:`PendingQuery.result` (so every ``quantile``)
+takes its still-queued request and answers it on the calling thread,
+with no hand-off to a dispatcher and back.  Service threads serve only
+requests nobody waits for (``submit`` without ``result``);
+``drain`` / ``close`` serve the backlog on the calling thread.
 
 * **Admission** — a bounded queue per mode; past the bound, submit
   raises a typed :class:`~repro.serving.admission.Overloaded` (or, when
   configured, degrades accurate requests to the quick path).
-* **Coalescing** — quick requests arriving within a window are batched
-  against one pinned epoch: one TS, one rank-bound lookup per phi,
-  every waiter fulfilled from it.
+* **Coalescing** — every queued quick request is taken as one batch
+  (one batch at a time) against one pinned epoch: one TS, one
+  rank-bound lookup per phi, every waiter fulfilled from it.  The
+  batch waits only while an accurate search runs (at most
+  ``coalesce_window_ms``), so requests arriving meanwhile join it.
 * **Deduplication** — identical accurate probes (same phi and window)
-  waiting in the queue share a single disk search.
+  waiting in the queue share a single disk search; at most
+  ``accurate_workers`` searches run at once, on any threads.
 * **Metrics** — every request's queue + execution latency lands in
   per-mode GK histograms (:class:`~repro.serving.metrics.
   ServiceMetrics`), alongside queue depth, rejections and the
   coalescing ratio.
 
 Requests return a :class:`PendingQuery` future; ``quantile`` is the
-blocking convenience wrapper.  ``pause``/``resume`` freeze dispatch (the
+blocking convenience wrapper.  ``pause``/``resume`` freeze serving (the
 queues keep admitting), which tests and benchmarks use to build batches
 deterministically.
 """
@@ -30,7 +38,7 @@ import logging
 import threading
 import time
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from ..core.config import ServingConfig
 from ..core.engine import HybridQuantileEngine
@@ -71,6 +79,11 @@ class PendingQuery:
         self._done = threading.Event()
         self._result: Optional[QueryResult] = None
         self._error: Optional[BaseException] = None
+        # Set under the lock of the service that queued the request;
+        # ``_claimed``: some thread already waits to run it.
+        self._service: Optional[QueryService] = None
+        self._queued = False
+        self._claimed = False
 
     @property
     def degraded_by_overload(self) -> bool:
@@ -92,8 +105,16 @@ class PendingQuery:
         self._done.set()
 
     def result(self, timeout: Optional[float] = None) -> QueryResult:
-        """Block until answered; raises the execution error if any."""
-        if not self._done.wait(timeout):
+        """Block until answered; raises the execution error if any.
+
+        A request still queued is answered on the calling thread,
+        together with its batch (quick) or queued duplicates (accurate).
+        """
+        deadline = None if timeout is None else time.perf_counter() + timeout
+        if self._service is not None:
+            self._service._serve(self, deadline)
+        left = None if deadline is None else deadline - time.perf_counter()
+        if not self._done.wait(left):
             raise TimeoutError(
                 f"query phi={self.phi} not answered within {timeout}s"
             )
@@ -115,9 +136,16 @@ class QueryService:
         self.config = config if config is not None else ServingConfig()
         self.admission = AdmissionController(self.config)
         self.metrics = ServiceMetrics()
-        self._cv = threading.Condition()
+        # Waiters wait on ``_cv``; idle service threads sleep apart on
+        # ``_idle`` (same lock), woken only by work nobody waits for.
+        lock = threading.Lock()
+        self._cv = threading.Condition(lock)
+        self._idle = threading.Condition(lock)
         self._quick: "Deque[PendingQuery]" = deque()
         self._accurate: "Deque[PendingQuery]" = deque()
+        # Batches / searches in flight: one quick batch at a time, at
+        # most ``accurate_workers`` searches.
+        self._running = {"quick": 0, "accurate": 0}
         self._paused = False
         self._closed = False
         # Epoch-batch cache warming: when the engine carries a shared
@@ -140,14 +168,14 @@ class QueryService:
         self._warm_lock = threading.Lock()
         self._warmed_epoch: Optional[int] = None
         self._threads: List[threading.Thread] = []
-        # One dispatcher: the coalescer batches everything that arrived
-        # in a window into one pass, a second would only split batches.
-        self._spawn(self._quick_loop, "repro-serve-quick")
+        self._spawn("quick", "repro-serve-quick")
         for index in range(self.config.accurate_workers):
-            self._spawn(self._accurate_loop, f"repro-serve-acc-{index}")
+            self._spawn("accurate", f"repro-serve-acc-{index}")
 
-    def _spawn(self, target, name: str) -> None:
-        thread = threading.Thread(target=target, name=name, daemon=True)
+    def _spawn(self, mode: str, name: str) -> None:
+        thread = threading.Thread(
+            target=self._service_loop, args=(mode,), name=name, daemon=True
+        )
         thread.start()
         self._threads.append(thread)
 
@@ -166,6 +194,23 @@ class QueryService:
         Raises :class:`Overloaded` immediately when the queue bound is
         hit, and ``RuntimeError`` after :meth:`close`.
         """
+        return self._enqueue(phi, mode, window_steps, claimed=False)
+
+    def quantile(
+        self,
+        phi: float,
+        mode: str = "quick",
+        window_steps: Optional[int] = None,
+        timeout: Optional[float] = None,
+    ) -> QueryResult:
+        """Submit and answer on this thread (closed-loop client call)."""
+        request = self._enqueue(phi, mode, window_steps, claimed=True)
+        return request.result(timeout)
+
+    def _enqueue(
+        self, phi: float, mode: str, window_steps: Optional[int],
+        claimed: bool,
+    ) -> PendingQuery:
         if mode not in ("quick", "accurate"):
             raise ValueError("mode must be 'quick' or 'accurate'")
         if not 0 < phi <= 1:
@@ -175,27 +220,18 @@ class QueryService:
                 raise RuntimeError("service is closed")
             effective = self.admission.admit(mode)
             request = PendingQuery(phi, mode, effective, window_steps)
-            if effective == "quick":
-                self._quick.append(request)
-            else:
-                self._accurate.append(request)
+            request._service = self
+            request._queued = True
+            request._claimed = claimed
+            self._queue(effective).append(request)
             if request.degraded_by_overload:
                 self.metrics.note_degraded()
             self.metrics.observe_queue_depth(
                 len(self._quick) + len(self._accurate)
             )
-            self._cv.notify_all()
+            if not claimed:
+                self._idle.notify_all()
         return request
-
-    def quantile(
-        self,
-        phi: float,
-        mode: str = "quick",
-        window_steps: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> QueryResult:
-        """Submit and block for the answer (closed-loop client call)."""
-        return self.submit(phi, mode, window_steps).result(timeout)
 
     @property
     def queue_depth(self) -> int:
@@ -220,9 +256,9 @@ class QueryService:
     ) -> None:
         """Warm the shared tier once per epoch for the phis in flight.
 
-        The first dispatcher to handle an epoch runs the warming pass;
-        later batches and accurate groups pinned at the same epoch find
-        the blocks resident.  A no-op without a shared tier.
+        The first batch or group to handle an epoch runs the warming
+        pass; later ones pinned at the same epoch find the blocks
+        resident.  A no-op without a shared tier.
         """
         if self._warm_cache is None or not phis:
             return
@@ -243,30 +279,36 @@ class QueryService:
         self.metrics.note_warm(blocks)
 
     def pause(self) -> None:
-        """Freeze dispatch; submissions keep queueing (test hook)."""
+        """Freeze serving; submissions keep queueing (test hook)."""
         with self._cv:
             self._paused = True
 
     def resume(self) -> None:
-        """Resume dispatch after :meth:`pause`."""
+        """Resume serving after :meth:`pause`."""
         with self._cv:
             self._paused = False
             self._cv.notify_all()
 
     def drain(self) -> None:
-        """Block until the queues are empty (dispatch keeps running)."""
-        with self._cv:
-            while self._quick or self._accurate:
+        """Serve the backlog on this thread until the queues are empty."""
+        while True:
+            with self._cv:
+                queued = self._quick or self._accurate
+                if not queued:
+                    return
                 if self._paused:
                     raise RuntimeError("cannot drain a paused service")
-                self._cv.wait(0.01)
+                head = queued[0]
+            self._serve(head, None)
 
     def close(self) -> None:
-        """Serve everything still queued, then stop the workers."""
+        """Serve everything still queued, then stop the service threads."""
         with self._cv:
             self._paused = False
             self._closed = True
             self._cv.notify_all()
+            self._idle.notify_all()
+        self.drain()
         for thread in self._threads:
             thread.join()
 
@@ -277,111 +319,135 @@ class QueryService:
         self.close()
 
     # ------------------------------------------------------------------
-    # Dispatch side
+    # Serving side: callers and service threads alike
     # ------------------------------------------------------------------
 
-    def _take_quick_batch(self) -> "Optional[List[PendingQuery]]":
-        """Take the next coalesced batch (None = shut down)."""
+    def _queue(self, mode: str) -> "Deque[PendingQuery]":
+        return self._quick if mode == "quick" else self._accurate
+
+    def _take(
+        self, anchor: PendingQuery
+    ) -> "Tuple[Optional[List[PendingQuery]], Optional[float]]":
+        """Take ``anchor``'s batch or group if it may start now, else
+        say how long to wait (``None``: until notified).  Under the lock.
+        """
         config = self.config
+        mode = anchor.effective_mode
+        queue = self._queue(mode)
+        if self._paused:
+            return None, None
+        if mode == "accurate":
+            if self._running["accurate"] >= config.accurate_workers:
+                return None, None
+            key = dedupe_key(anchor)
+            work = [r for r in queue if dedupe_key(r) == key]
+        else:
+            if self._running["quick"]:
+                return None, None
+            if config.coalesce and self._running["accurate"]:
+                # A batch beside a search only splits the GIL with it.
+                linger = (
+                    anchor.submitted_at
+                    + config.coalesce_window_ms / 1e3
+                    - time.perf_counter()
+                )
+                if linger > 0:
+                    return None, linger
+            work = list(queue) if config.coalesce else [anchor]
+        self._running[mode] += 1
+        for request in work:
+            queue.remove(request)
+            request._queued = False
+            self.admission.release(mode)
+        return work, None
+
+    def _serve(
+        self, request: PendingQuery, deadline: Optional[float]
+    ) -> None:
+        """Answer ``request`` on this thread if it is still queued; at
+        ``deadline`` leave it queued, to the service threads."""
         with self._cv:
-            # close() clears the pause flag, so after shutdown this
-            # reduces to draining the backlog and returning None.
-            while (not self._quick or self._paused) and not self._closed:
-                self._cv.wait(0.05)
-            if not self._quick:
-                return None
-            batch = [self._quick.popleft()]
-            self.admission.release("quick")
-            if not config.coalesce:
+            request._claimed = True
+            work = None
+            while request._queued:
+                work, wait = self._take(request)
+                if work is not None:
+                    break
+                if deadline is not None:
+                    left = deadline - time.perf_counter()
+                    if left <= 0:
+                        request._claimed = False
+                        self._idle.notify_all()
+                        return
+                    wait = left if wait is None else min(wait, left)
+                self._cv.wait(wait)
+        if work is None:
+            return
+        mode = request.effective_mode
+        try:
+            if mode == "quick":
+                self._answer_batch(work)
+            else:
+                self._search(work)
+        finally:
+            with self._cv:
+                self._running[mode] -= 1
                 self._cv.notify_all()
-                return batch
-            deadline = time.perf_counter() + config.coalesce_window_ms / 1e3
-            while len(batch) < config.max_queue:
-                while self._quick and len(batch) < config.max_queue:
-                    batch.append(self._quick.popleft())
-                    self.admission.release("quick")
-                if len(batch) >= config.max_queue or self._closed:
-                    break
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                # Linger briefly so concurrent arrivals join this
-                # batch; submit() notifies the condition on arrival.
-                self._cv.wait(remaining)
-            self._cv.notify_all()
-            return batch
 
-    def _quick_loop(self) -> None:
+    def _service_loop(self, mode: str) -> None:
+        """Serve, as its waiter, each request nobody waits for."""
         while True:
-            batch = self._take_quick_batch()
-            if batch is None:
-                return
-            try:
-                answer_quick_batch(
-                    self.engine, batch, self.metrics, warm=self._maybe_warm
-                )
-            except BaseException:
-                # Waiters got the exception via their futures; the
-                # dispatcher survives to serve the next batch.
-                pass
-            now = time.perf_counter()
-            for request in batch:
-                if request._error is None:
-                    self.metrics.record("quick", now - request.submitted_at)
-
-    def _take_accurate_group(self) -> "Optional[List[PendingQuery]]":
-        """Take one request plus all queued duplicates of it."""
-        with self._cv:
-            while (
-                not self._accurate or self._paused
-            ) and not self._closed:
-                self._cv.wait(0.05)
-            if not self._accurate:
-                return None
-            head = self._accurate.popleft()
-            self.admission.release("accurate")
-            group = [head]
-            key = dedupe_key(head)
-            kept: "Deque[PendingQuery]" = deque()
-            while self._accurate:
-                request = self._accurate.popleft()
-                if dedupe_key(request) == key:
-                    group.append(request)
-                    self.admission.release("accurate")
-                else:
-                    kept.append(request)
-            self._accurate = kept
-            self._cv.notify_all()
-            return group
-
-    def _accurate_loop(self) -> None:
-        while True:
-            group = self._take_accurate_group()
-            if group is None:
-                return
-            head = group[0]
-            try:
-                with self.engine.pin() as handle:
-                    self._maybe_warm(handle, [head.phi])
-                    result = handle.quantile(
-                        head.phi,
-                        mode="accurate",
-                        window_steps=head.window_steps,
+            with self._cv:
+                while True:
+                    if self._closed:
+                        return
+                    anchor = next(
+                        (r for r in self._queue(mode) if not r._claimed),
+                        None,
                     )
-                    epoch = handle.epoch
-                    merges = handle.ts_merges_built
-            except BaseException as exc:
-                for request in group:
-                    request._fail(exc)
-                continue
-            self.metrics.note_merges(merges)
-            if getattr(result, "partial", None) is not None:
-                self.metrics.note_partial(len(group))
-            if len(group) > 1:
-                self.metrics.note_dedup(len(group) - 1)
-            now = time.perf_counter()
-            for request in group:
-                request._fulfill(result, epoch)
-                self.metrics.record(
-                    "accurate", now - request.submitted_at
+                    if anchor is not None:
+                        anchor._claimed = True
+                        break
+                    self._idle.wait()
+            self._serve(anchor, None)
+
+    def _answer_batch(self, batch: "List[PendingQuery]") -> None:
+        try:
+            answer_quick_batch(
+                self.engine, batch, self.metrics, warm=self._maybe_warm
+            )
+        except BaseException:
+            # Every waiter got the exception through its future.
+            pass
+        now = time.perf_counter()
+        for request in batch:
+            if request._error is None:
+                self.metrics.record("quick", now - request.submitted_at)
+
+    def _search(self, group: "List[PendingQuery]") -> None:
+        head = group[0]
+        try:
+            with self.engine.pin() as handle:
+                self._maybe_warm(handle, [head.phi])
+                result = handle.quantile(
+                    head.phi,
+                    mode="accurate",
+                    window_steps=head.window_steps,
                 )
+                epoch = handle.epoch
+                merges = handle.ts_merges_built
+        except BaseException as exc:
+            # Every waiter, this thread's among them, gets the
+            # exception through its future.
+            for request in group:
+                request._fail(exc)
+            return
+        self.metrics.note_merges(merges)
+        if getattr(result, "partial", None) is not None:
+            self.metrics.note_partial(len(group))
+        if len(group) > 1:
+            self.metrics.note_dedup(len(group) - 1)
+        now = time.perf_counter()
+        for request in group:
+            request._fulfill(result, epoch)
+            self.metrics.record("accurate", now - request.submitted_at)

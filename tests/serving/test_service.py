@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -20,6 +22,193 @@ def wait_until(predicate, timeout=5.0):
             return True
         time.sleep(0.002)
     return False
+
+
+class SlowSearches:
+    """Wraps ``engine.pin`` so every accurate search first sleeps.
+
+    Records how many searches run at once (their peak) and when each
+    one finished.
+    """
+
+    def __init__(self, engine, seconds):
+        self.running = 0
+        self.peak = 0
+        self.finished_at = []
+        lock = threading.Lock()
+        pin = engine.pin
+
+        def slow_pin():
+            handle = pin()
+            search = handle.quantile
+
+            def slow_search(*args, **kwargs):
+                with lock:
+                    self.running += 1
+                    self.peak = max(self.peak, self.running)
+                try:
+                    time.sleep(seconds)
+                    return search(*args, **kwargs)
+                finally:
+                    with lock:
+                        self.running -= 1
+                        self.finished_at.append(time.perf_counter())
+
+            handle.quantile = slow_search
+            return handle
+
+        engine.pin = slow_pin
+
+
+class TestCallerServesItself:
+    def test_quantile_pins_on_the_calling_thread(self, filled_engine):
+        pinned_on = []
+        pin = filled_engine.pin
+
+        def recording_pin():
+            pinned_on.append(threading.current_thread())
+            return pin()
+
+        filled_engine.pin = recording_pin
+        with QueryService(filled_engine) as service:
+            service.quantile(0.5, timeout=5.0)
+            service.quantile(0.9, mode="accurate", timeout=10.0)
+        assert pinned_on == [threading.current_thread()] * 2
+
+    def test_a_quick_answer_does_not_wait_out_the_window(
+        self, filled_engine
+    ):
+        config = ServingConfig(coalesce_window_ms=500)
+        with QueryService(filled_engine, config) as service:
+            started = time.perf_counter()
+            for phi in np.linspace(0.05, 0.95, 10):
+                service.quantile(float(phi), timeout=5.0)
+            assert time.perf_counter() - started < 0.5
+
+    def test_quick_waits_only_while_a_search_runs(self, filled_engine):
+        slow = SlowSearches(filled_engine, 0.2)
+
+        def quick_beside_a_search(window_ms):
+            slow.finished_at.clear()
+            config = ServingConfig(coalesce_window_ms=window_ms)
+            with QueryService(filled_engine, config) as service:
+                searcher = threading.Thread(
+                    target=service.quantile,
+                    args=(0.5, "accurate"),
+                    kwargs={"timeout": 10.0},
+                )
+                searcher.start()
+                assert wait_until(lambda: slow.running == 1)
+                asked = time.perf_counter()
+                service.quantile(0.9, timeout=5.0)
+                answered = time.perf_counter()
+                searcher.join(10.0)
+                assert not searcher.is_alive()
+            (search_done,) = slow.finished_at
+            return asked, answered, search_done
+
+        # Held behind the search and released when it ends, long
+        # before the window would run out...
+        asked, answered, search_done = quick_beside_a_search(1000)
+        assert search_done <= answered < asked + 0.6
+        # ...but never held longer than the window.
+        asked, answered, search_done = quick_beside_a_search(20)
+        assert answered < search_done
+
+    def test_unawaited_submissions_are_served(self, filled_engine):
+        with QueryService(filled_engine) as service:
+            requests = [
+                service.submit(phi) for phi in (0.1, 0.3, 0.5, 0.7, 0.9)
+            ]
+            requests += [
+                service.submit(phi, mode="accurate") for phi in (0.2, 0.8)
+            ]
+            assert wait_until(lambda: all(r.done for r in requests))
+
+    def test_accurate_workers_bounds_searches_on_caller_threads(
+        self, filled_engine
+    ):
+        slow = SlowSearches(filled_engine, 0.05)
+        config = ServingConfig(accurate_workers=1)
+        with QueryService(filled_engine, config) as service:
+            clients = [
+                threading.Thread(
+                    target=service.quantile,
+                    args=(phi, "accurate"),
+                    kwargs={"timeout": 10.0},
+                )
+                for phi in (0.2, 0.4, 0.6, 0.8)
+            ]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(10.0)
+                assert not client.is_alive()
+            snapshot = service.metrics_snapshot()
+        assert snapshot.served["accurate"] == 4
+        assert slow.peak == 1
+
+    def test_a_caller_that_gives_up_leaves_its_request_served(
+        self, filled_engine
+    ):
+        slow = SlowSearches(filled_engine, 0.3)
+        config = ServingConfig(accurate_workers=1)
+        with QueryService(filled_engine, config) as service:
+            searcher = threading.Thread(
+                target=service.quantile,
+                args=(0.5, "accurate"),
+                kwargs={"timeout": 10.0},
+            )
+            searcher.start()
+            assert wait_until(lambda: slow.running == 1)
+            with pytest.raises(TimeoutError):
+                service.quantile(0.8, "accurate", timeout=0.05)
+            # Nobody waits for it now, so a service thread serves it.
+            assert wait_until(
+                lambda: service.metrics_snapshot().served["accurate"] == 2
+            )
+            searcher.join(10.0)
+            assert not searcher.is_alive()
+
+    def test_callers_and_unawaited_submissions_race_cleanly(
+        self, filled_engine
+    ):
+        slow = SlowSearches(filled_engine, 0.001)
+        config = ServingConfig(accurate_workers=2)
+        unawaited = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryService(filled_engine, config) as service:
+
+                def client(index):
+                    for turn in range(12):
+                        phi = (index * 12 + turn + 1) / 100
+                        if turn % 4 == 3:
+                            unawaited.append(service.submit(phi, "accurate"))
+                        mode = "accurate" if turn % 3 == 0 else "quick"
+                        service.quantile(phi, mode, timeout=10.0)
+
+                clients = [
+                    threading.Thread(target=client, args=(index,))
+                    for index in range(6)
+                ]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(30.0)
+                    assert not thread.is_alive()
+                # Each answer is counted just after its future resolves.
+                assert wait_until(
+                    lambda: service.metrics_snapshot().requests_served
+                    == 6 * 12 + len(unawaited)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.done for r in unawaited)
+        assert service.admission.queue_depth == 0
+        assert service.queue_depth == 0
+        assert slow.peak <= 2
 
 
 class TestDispatch:

@@ -73,8 +73,9 @@ def test_knob_count_only_goes_down():
 _SET_BY_TESTS_ONLY = {
     "degrade_on_fault": "chooses a behaviour (raise the typed fault or "
     "answer quick), not a number a constant could hold",
-    "coalesce_window_ms": "ROADMAP 6(d)'s open design: whether the "
-    "dispatcher should linger at all is still to be measured",
+    "coalesce_window_ms": "caps how long a quick batch waits behind a "
+    "running accurate search: a trade of quick latency for accurate "
+    "latency on one GIL, which the tests drive to both ends",
 }
 
 
