@@ -63,9 +63,7 @@ from .sketches import (
     ExactQuantiles,
     GKSketch,
     KLLSketch,
-    MRL99Sketch,
     QDigestSketch,
-    RandomSamplerSketch,
 )
 from .storage import SimulatedDisk
 from .workloads import (
@@ -116,9 +114,7 @@ __all__ = [
     "ExactQuantiles",
     "GKSketch",
     "KLLSketch",
-    "MRL99Sketch",
     "QDigestSketch",
-    "RandomSamplerSketch",
     "SimulatedDisk",
     "NetworkTraceWorkload",
     "NormalWorkload",

@@ -1,10 +1,9 @@
 """The pure-streaming baseline (Section 2).
 
-A single streaming sketch (GK or Q-Digest; RANDOM as an extension)
-processes *every* element of T — historical and live alike — and
-answers quantile queries from memory with error proportional to
-``eps * N``, the full dataset size.  This is the approach the paper's
-figures compare against.
+A single streaming sketch (GK or Q-Digest) processes *every* element
+of T — historical and live alike — and answers quantile queries from
+memory with error proportional to ``eps * N``, the full dataset size.
+This is the approach the paper's figures compare against.
 
 For the update-cost comparison (Figure 6/7) the baseline follows the
 same loading paradigm as the hybrid engine: batches are written to the
@@ -23,9 +22,7 @@ from ..core.engine import StepReport
 from ..core.query_path import QueryResult
 from ..sketches.base import QuantileSketch, as_int64_batch, rank_for_phi
 from ..sketches.gk import GKSketch
-from ..sketches.mrl import MRL99Sketch
 from ..sketches.qdigest import QDigestSketch
-from ..sketches.random_sampler import RandomSamplerSketch
 from ..storage.disk import SimulatedDisk
 
 
@@ -65,20 +62,13 @@ class _RawLeveledLoader:
 
 
 def make_sketch(
-    kind: str,
-    epsilon: float,
-    universe_log2: int = 34,
-    seed: Optional[int] = None,
+    kind: str, epsilon: float, universe_log2: int = 34
 ) -> QuantileSketch:
-    """Build a streaming sketch by name: 'gk', 'qdigest', 'random' or 'mrl'."""
+    """Build a streaming sketch by name: 'gk' or 'qdigest'."""
     if kind == "gk":
         return GKSketch(epsilon)
     if kind == "qdigest":
         return QDigestSketch(epsilon, universe_log2=universe_log2)
-    if kind == "random":
-        return RandomSamplerSketch.for_epsilon(epsilon, seed=seed)
-    if kind == "mrl":
-        return MRL99Sketch.for_epsilon(epsilon, seed=seed)
     raise ValueError(f"unknown sketch kind: {kind!r}")
 
 
@@ -98,24 +88,21 @@ class PureStreamingEngine:
         block_elems: int = 1024,
         universe_log2: int = 34,
         disk: Optional[SimulatedDisk] = None,
-        seed: Optional[int] = None,
     ) -> None:
         self.kind = kind
         self.epsilon = epsilon
         self.disk = disk if disk is not None else SimulatedDisk(
             block_elems=block_elems
         )
-        self.sketch = make_sketch(
-            kind, epsilon, universe_log2=universe_log2, seed=seed
-        )
+        self.sketch = make_sketch(kind, epsilon, universe_log2=universe_log2)
         self._loader = _RawLeveledLoader(self.disk, kappa)
         self._pending_elems = 0
         self._step = 0
         self._n_total = 0
 
     def stream_update(self, value: int) -> None:
-        """Process one live stream element."""
-        self.sketch.update(value)
+        """Process one live stream element (checked like a batch)."""
+        self.sketch.update(int(as_int64_batch([value])[0]))
         self._pending_elems += 1
         self._n_total += 1
 

@@ -564,7 +564,6 @@ class ClusterEngine(PinnedQueries):
         shards: int = 2,
         config: Optional[EngineConfig] = None,
         epsilon: Optional[float] = None,
-        router: Optional[ShardRouter] = None,
         engines: Optional[Sequence[HybridQuantileEngine]] = None,
         fault_plan: Optional[FaultPlan] = None,
         wal_dir: "Optional[str | Path]" = None,
@@ -574,14 +573,7 @@ class ClusterEngine(PinnedQueries):
                 raise ValueError("pass epsilon or a full EngineConfig")
             config = EngineConfig(epsilon=epsilon)
         self.config = config
-        self.router = (
-            router if router is not None else ShardRouter(shards)
-        )
-        if self.router.shards != shards:
-            raise ValueError(
-                f"router covers {self.router.shards} shards, "
-                f"cluster has {shards}"
-            )
+        self.router = ShardRouter(shards)
         self.fault_plan = fault_plan
         if engines is not None:
             if fault_plan is not None:
@@ -662,15 +654,18 @@ class ClusterEngine(PinnedQueries):
         wal.append_batch(chunk)
 
     def stream_update(self, value: int) -> None:
-        """Route one live element to its shard (WAL-only if quarantined)."""
-        shard = self.router.shard_of(value)
+        """Route one live element to its shard (WAL-only if quarantined).
+
+        The value is checked like a one-element batch before it is
+        routed: what ``stream_update_many`` refuses raises here too.
+        """
+        arr = as_int64_batch([value])
+        shard = self.router.shard_of(arr[0])
         engine = self.shards[shard]
         if engine is None:
-            self._wal_only_append(
-                shard, np.asarray([value], dtype=np.int64)
-            )
+            self._wal_only_append(shard, arr)
         else:
-            engine.stream_update(value)
+            engine.stream_update(int(arr[0]))
         self._shard_elems[shard] += 1
 
     def stream_update_many(self, values: np.ndarray) -> int:

@@ -66,10 +66,11 @@ def load_cluster(
 ) -> ClusterEngine:
     """Restore a cluster checkpointed by :func:`save_cluster`.
 
-    Rebuilds the router and config from the manifest, restores each
-    shard engine from its own directory (each on a fresh simulated
-    disk — or a fault-plan-wrapped one when ``fault_plan`` is given)
-    and reassembles the facade with the lockstep step counter intact.
+    Checks the router and rebuilds the config from the manifest,
+    restores each shard engine from its own directory (each on a fresh
+    simulated disk — or a fault-plan-wrapped one when ``fault_plan`` is
+    given) and reassembles the facade with the lockstep step counter
+    intact.
 
     With ``wal_dir``, each shard rolls forward from its own
     ``shard-NN/`` WAL after its checkpoint loads, recovering every
@@ -88,7 +89,10 @@ def load_cluster(
         )
     shards = int(manifest["shards"])
     config = config_from_state(manifest["config"])
-    router = ShardRouter.from_manifest(manifest["router"])
+    # The router follows from the shard count; reading it refuses a
+    # manifest that routes some other way.
+    if ShardRouter.from_manifest(manifest["router"]).shards != shards:
+        raise PersistenceError("manifest's router and shard count differ")
     engines = []
     for index in range(shards):
         checkpoint = shard_dir(root, index)
@@ -110,7 +114,6 @@ def load_cluster(
     cluster = ClusterEngine(
         shards=shards,
         config=config,
-        router=router,
         engines=engines,
         wal_dir=wal_dir,
     )

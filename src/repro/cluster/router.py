@@ -14,25 +14,17 @@ properties:
   element by element (the same lazy-absorption contract the engines
   already honor).
 
-Two strategies:
-
-``"hash"``
-    A splitmix64-style avalanche of the value picks the shard.
-    Statistically balanced for any input distribution; the default.
-``"range"``
-    ``bounds`` (length ``shards - 1``, strictly increasing) cut the
-    value domain into contiguous shard ranges via ``searchsorted`` —
-    shard 0 gets ``value <= bounds[0]``, and so on.  Useful when
-    per-shard locality matters more than balance.
+One strategy, ``"hash"``: a splitmix64-style avalanche of the value
+picks the shard, statistically balanced for any input distribution.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
-_STRATEGIES = ("hash", "range")
+from ..sketches.base import as_int64_batch
 
 _MIX_INCREMENT = np.uint64(0x9E3779B97F4A7C15)
 _MIX_MULT_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -53,54 +45,23 @@ def _mix(values: np.ndarray) -> np.ndarray:
 
 
 class ShardRouter:
-    """Deterministic hash- or range-partitioner over ``shards`` shards."""
+    """Deterministic hash-partitioner over ``shards`` shards."""
 
-    def __init__(
-        self,
-        shards: int,
-        strategy: str = "hash",
-        bounds: Optional[Sequence[int]] = None,
-    ) -> None:
+    def __init__(self, shards: int) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if strategy not in _STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
-            )
         self.shards = int(shards)
-        self.strategy = strategy
-        if strategy == "range":
-            if bounds is None or len(bounds) != shards - 1:
-                raise ValueError(
-                    "range strategy needs exactly shards - 1 bounds"
-                )
-            arr = np.asarray(list(bounds), dtype=np.int64)
-            if arr.size > 1 and not np.all(np.diff(arr) > 0):
-                raise ValueError("bounds must be strictly increasing")
-            self.bounds: Optional[np.ndarray] = arr
-        else:
-            if bounds is not None:
-                raise ValueError("bounds only apply to the range strategy")
-            self.bounds = None
 
     def shard_indices(self, values: np.ndarray) -> np.ndarray:
         """Shard index per element (vectorized, arrival order kept)."""
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.ndim != 1:
-            arr = arr.ravel()
+        arr = as_int64_batch(values)
         if self.shards == 1:
             return np.zeros(arr.size, dtype=np.int64)
-        if self.strategy == "hash":
-            return (_mix(arr) % np.uint64(self.shards)).astype(np.int64)
-        return np.searchsorted(self.bounds, arr, side="left").astype(
-            np.int64
-        )
+        return (_mix(arr) % np.uint64(self.shards)).astype(np.int64)
 
     def shard_of(self, value: int) -> int:
         """Shard index of one value — equals ``shard_indices([value])[0]``."""
-        return int(
-            self.shard_indices(np.asarray([value], dtype=np.int64))[0]
-        )
+        return int(self.shard_indices([value])[0])
 
     def route_many(self, values: np.ndarray) -> List[np.ndarray]:
         """Split a batch into per-shard arrays in one vectorized pass.
@@ -109,29 +70,26 @@ class ShardRouter:
         the batch's arrival order — the property that makes a fanned
         batch equivalent to per-element routing.
         """
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.ndim != 1:
-            arr = arr.ravel()
+        arr = as_int64_batch(values)
         if self.shards == 1:
             return [arr]
         indices = self.shard_indices(arr)
         return [arr[indices == shard] for shard in range(self.shards)]
 
     def to_manifest(self) -> dict:
-        """JSON-safe description, round-tripped by :meth:`from_manifest`."""
-        return {
-            "shards": self.shards,
-            "strategy": self.strategy,
-            "bounds": (
-                None if self.bounds is None else [int(b) for b in self.bounds]
-            ),
-        }
+        """JSON-safe description, round-tripped by :meth:`from_manifest`.
+
+        ``strategy`` and ``bounds`` keep the keys manifests have always
+        carried, so an older ``cluster.json`` loads unchanged.
+        """
+        return {"shards": self.shards, "strategy": "hash", "bounds": None}
 
     @classmethod
     def from_manifest(cls, manifest: dict) -> "ShardRouter":
         """Rebuild a router from :meth:`to_manifest` output."""
-        return cls(
-            int(manifest["shards"]),
-            strategy=manifest["strategy"],
-            bounds=manifest["bounds"],
-        )
+        if manifest["strategy"] != "hash":
+            raise ValueError(
+                f"router strategy {manifest['strategy']!r} is not "
+                "supported: clusters route by hash"
+            )
+        return cls(int(manifest["shards"]))

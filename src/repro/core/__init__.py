@@ -4,15 +4,7 @@ from .bounds import CombinedSummary
 from .config import EngineConfig, ServingConfig
 from .engine import HybridQuantileEngine, MemoryReport, StepReport
 from .epoch import EpochRegistry, EpochStats, SnapshotHandle
-from .monitoring import (
-    HealthRule,
-    MonitorRule,
-    QuantileAlert,
-    QuantileWatcher,
-    ReliabilityAlert,
-    ServiceAlert,
-    ServiceRule,
-)
+from .monitoring import MonitorRule, QuantileAlert, QuantileWatcher
 from .query_path import QueryResult
 from .memory import (
     WORDS_PER_MB,
@@ -36,13 +28,9 @@ __all__ = [
     "MemoryReport",
     "QueryResult",
     "StepReport",
-    "HealthRule",
     "MonitorRule",
     "QuantileAlert",
     "QuantileWatcher",
-    "ReliabilityAlert",
-    "ServiceAlert",
-    "ServiceRule",
     "WORDS_PER_MB",
     "MemoryBudget",
     "epsilon_for_budget",

@@ -312,11 +312,14 @@ class HybridQuantileEngine(PinnedQueries):
         Appends to the array buffer and folds the value into the
         running aggregates; the GK sketch absorbs it lazily at the next
         read point (see :meth:`stream_update_many`).  Thread-safe
-        against concurrent readers and the sealing path.
+        against concurrent readers and the sealing path.  The value is
+        checked like a one-element batch: what :meth:`stream_update_many`
+        refuses raises here before the WAL or the buffer sees it.
         """
-        value = int(value)
+        arr = as_int64_batch([value])
+        value = int(arr[0])
         if self._wal is not None:
-            self._wal.append_batch(np.asarray([value], dtype=np.int64))
+            self._wal.append_batch(arr)
         with self._stream_lock:
             self._buffer.append(value)
             self._stream_stats = self._stream_stats.with_value(value)

@@ -3,9 +3,9 @@
 One frozen :class:`ReliabilityReport` gathers every failure-isolation
 counter the engine maintains — injected faults observed, retries spent
 by the archiver and the query executor, queries that degraded to the
-quick response — so monitoring (:mod:`repro.core.monitoring`) can alert
-on degradation from a single snapshot instead of poking at three
-subsystems.
+quick response — so an operator (``engine.reliability``, the CLI's
+``reliability:`` line) reads degradation from a single snapshot instead
+of poking at three subsystems.
 """
 
 from __future__ import annotations

@@ -118,9 +118,10 @@ class HeavyHittersEngine:
     # ------------------------------------------------------------------
 
     def stream_update(self, value: int) -> None:
-        """Process one live stream element."""
-        self._mg.update(value)
-        self._stream_chunks.append(np.asarray([value], dtype=np.int64))
+        """Process one live stream element (checked like a batch)."""
+        arr = as_int64_batch([value])
+        self._mg.update(int(arr[0]))
+        self._stream_chunks.append(arr)
         self._m += 1
 
     def stream_update_many(self, values: np.ndarray) -> int:

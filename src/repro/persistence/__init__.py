@@ -10,11 +10,9 @@ from .serialization import (
     SerializationError,
     dump_gk,
     dump_kll,
-    dump_qdigest,
     dump_sketch,
     load_gk,
     load_kll,
-    load_qdigest,
     load_stream_sketch,
 )
 from .warehouse_store import PersistenceError, load_store, save_store
@@ -27,11 +25,9 @@ __all__ = [
     "SerializationError",
     "dump_gk",
     "dump_kll",
-    "dump_qdigest",
     "dump_sketch",
     "load_gk",
     "load_kll",
-    "load_qdigest",
     "load_stream_sketch",
     "PersistenceError",
     "load_store",

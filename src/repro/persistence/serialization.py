@@ -2,11 +2,11 @@
 
 A data-stream warehouse restarts: the stream sketch's state must
 survive, or the current time step's accuracy guarantee is lost.  These
-functions serialize the GK, KLL and Q-Digest sketches to compact,
-versioned byte strings (NumPy archives under the hood) and restore
-them exactly — a round-tripped sketch answers every query identically
-(for KLL that includes the compaction RNG state, so post-restore
-ingest also replays bit-for-bit).
+functions serialize the GK and KLL sketches (the two the engine can
+hold) to compact, versioned byte strings (NumPy archives under the
+hood) and restore them exactly — a round-tripped sketch answers every
+query identically (for KLL that includes the compaction RNG state, so
+post-restore ingest also replays bit-for-bit).
 
 ``dump_sketch``/``load_stream_sketch`` are the backend-agnostic entry
 points the checkpoint layer uses: the dump dispatches on the sketch
@@ -23,11 +23,9 @@ import numpy as np
 
 from ..sketches.gk import GKSketch
 from ..sketches.kll import KLLSketch
-from ..sketches.qdigest import QDigestSketch
 
 _GK_FORMAT = "repro-gk-v1"
 _KLL_FORMAT = "repro-kll-v1"
-_QDIGEST_FORMAT = "repro-qdigest-v1"
 
 
 class SerializationError(ValueError):
@@ -141,48 +139,12 @@ def load_kll(data: bytes) -> KLLSketch:
     return sketch
 
 
-def dump_qdigest(sketch: QDigestSketch) -> bytes:
-    """Serialize a Q-Digest (node ids and counts) to bytes."""
-    nodes = np.asarray(sorted(sketch._counts), dtype=np.int64)
-    counts = np.asarray(
-        [sketch._counts[int(node)] for node in nodes], dtype=np.int64
-    )
-    header = {
-        "format": _QDIGEST_FORMAT,
-        "epsilon": sketch.epsilon,
-        "universe_log2": sketch.universe_log2,
-        "n": sketch.n,
-    }
-    return _pack(header, {"nodes": nodes, "counts": counts})
-
-
-def load_qdigest(data: bytes) -> QDigestSketch:
-    """Restore a Q-Digest serialized by :func:`dump_qdigest`."""
-    header, archive = _unpack(data, _QDIGEST_FORMAT)
-    sketch = QDigestSketch(
-        header["epsilon"], universe_log2=int(header["universe_log2"])
-    )
-    nodes = archive["nodes"]
-    counts = archive["counts"]
-    if np.any(counts < 0):
-        raise SerializationError("negative node count in payload")
-    sketch._counts = {
-        int(node): int(count) for node, count in zip(nodes, counts)
-    }
-    sketch._n = int(header["n"])
-    if sum(sketch._counts.values()) != sketch._n:
-        raise SerializationError("inconsistent Q-Digest payload counts")
-    return sketch
-
-
 def dump_sketch(sketch) -> bytes:
     """Serialize any supported stream sketch (dispatch on type)."""
     if isinstance(sketch, GKSketch):
         return dump_gk(sketch)
     if isinstance(sketch, KLLSketch):
         return dump_kll(sketch)
-    if isinstance(sketch, QDigestSketch):
-        return dump_qdigest(sketch)
     raise SerializationError(
         f"no serializer for sketch type {type(sketch).__name__}"
     )
@@ -200,11 +162,7 @@ def sniff_format(data: bytes) -> str:
 
 def load_stream_sketch(data: bytes):
     """Restore a serialized sketch, dispatching on its format tag."""
-    loaders = {
-        _GK_FORMAT: load_gk,
-        _KLL_FORMAT: load_kll,
-        _QDIGEST_FORMAT: load_qdigest,
-    }
+    loaders = {_GK_FORMAT: load_gk, _KLL_FORMAT: load_kll}
     tag = sniff_format(data)
     if tag not in loaders:
         raise SerializationError(f"unknown sketch format {tag!r}")

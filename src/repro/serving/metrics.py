@@ -8,9 +8,8 @@ snapshotted copy-on-query, so reading p99 never blocks or corrupts a
 concurrent recording thread.
 
 A :class:`MetricsSnapshot` is a plain frozen dataclass, deliberately
-free of any serving-layer references, so
-:mod:`repro.core.monitoring`'s service rules can evaluate it without
-importing this package.
+free of any serving-layer references, so a caller can keep and compare
+snapshots without holding the service.
 """
 
 from __future__ import annotations

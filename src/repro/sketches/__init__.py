@@ -1,12 +1,10 @@
-"""Streaming quantile sketches: GK, KLL, Q-Digest, RANDOM, and an exact oracle."""
+"""Streaming quantile sketches: GK, KLL, Q-Digest, and an exact oracle."""
 
 from .base import QuantileSketch, clamp_rank, rank_for_phi
 from .exact import ExactQuantiles
 from .gk import GKSketch
 from .kll import KLLSketch
-from .mrl import MRL99Sketch
 from .qdigest import QDigestSketch
-from .random_sampler import RandomSamplerSketch
 
 __all__ = [
     "QuantileSketch",
@@ -15,7 +13,5 @@ __all__ = [
     "ExactQuantiles",
     "GKSketch",
     "KLLSketch",
-    "MRL99Sketch",
     "QDigestSketch",
-    "RandomSamplerSketch",
 ]

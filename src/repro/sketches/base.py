@@ -6,11 +6,10 @@ and answers rank queries: given a target rank ``r`` (1-indexed, rank =
 number of elements less than or equal to the answer), return a value
 whose true rank is within the sketch's error bound of ``r``.
 
-``update_many`` is the one batch verb: implementations that can absorb
-a batch in one pass (GK, KLL, Q-Digest, the exact oracle) override it;
-everything else (MRL, the random sampler) inherits a per-element loop.
-Every implementation reads its batch through :func:`as_int64_batch`,
-so input a cast would truncate or wrap raises instead.
+``update_many`` is the one batch verb, and every implementation (GK,
+KLL, Q-Digest, the exact oracle) absorbs its batch in one pass.  Each
+reads the batch through :func:`as_int64_batch`, so input a cast would
+truncate or wrap raises instead.
 """
 
 from __future__ import annotations
@@ -27,17 +26,14 @@ class QuantileSketch(ABC):
     def update(self, value: int) -> None:
         """Process one stream element."""
 
+    @abstractmethod
     def update_many(self, values: np.ndarray) -> None:
-        """Process a numpy batch of elements.
+        """Process a numpy batch of elements in one pass.
 
-        The default falls back to per-element ``update`` so every
-        sketch accepts arrays; subclasses with a bulk-insertion fast
-        path (sort once, merge once) override this, and one that sorts
-        the batch may return its sorted copy (GK does): the engine
-        keeps it for the seal.  ``None`` means nothing was sorted.
+        A sketch that sorts the batch may return its sorted copy (GK
+        does): the engine keeps it for the seal.  ``None`` means
+        nothing was sorted.
         """
-        for value in as_int64_batch(values):
-            self.update(int(value))
 
     @property
     @abstractmethod

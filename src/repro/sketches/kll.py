@@ -220,8 +220,7 @@ class KLLSketch(QuantileSketch):
 
         Compaction drifts the total retained weight away from ``n`` by
         up to one element per coin flip, so the target rank is rescaled
-        into weight space (same rescaling the MRL backend uses) before
-        the cumulative-weight search.
+        into weight space before the cumulative-weight search.
         """
         if self._n == 0:
             raise ValueError("sketch is empty")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import ExactQuantiles, PureStreamingEngine
-from repro.sketches import GKSketch, QDigestSketch, RandomSamplerSketch
+from repro.sketches import GKSketch, QDigestSketch
 from repro.baselines import make_sketch
 
 
@@ -12,9 +12,6 @@ class TestMakeSketch:
     def test_kinds(self):
         assert isinstance(make_sketch("gk", 0.1), GKSketch)
         assert isinstance(make_sketch("qdigest", 0.1), QDigestSketch)
-        assert isinstance(
-            make_sketch("random", 0.1, seed=1), RandomSamplerSketch
-        )
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -26,7 +23,7 @@ class TestPureStreamingEngine:
         rng = np.random.default_rng(5)
         engine = PureStreamingEngine(
             kind=kind, epsilon=epsilon, kappa=3, block_elems=10,
-            universe_log2=20, seed=7,
+            universe_log2=20,
         )
         oracle = ExactQuantiles()
         for _ in range(steps):

@@ -20,7 +20,7 @@ Three regimes:
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterEngine, ShardRouter
+from repro.cluster import ClusterEngine
 from repro.cluster.engine import ClusterSnapshot
 from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
@@ -223,12 +223,6 @@ class TestClusterBehaviors:
             assert len(sims) == 3 and all(s > 0 for s in sims)
         finally:
             cluster.close()
-
-    def test_router_shard_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterEngine(
-                shards=4, config=config_for("gk"), router=ShardRouter(2)
-            )
 
     def test_empty_cluster_query_raises(self):
         cluster = ClusterEngine(shards=2, config=config_for("gk"))

@@ -1,5 +1,7 @@
 """ShardRouter: determinism, balance, order preservation, manifests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,15 +15,15 @@ class TestValidation:
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):
-            ShardRouter(2, strategy="roundrobin")
+            ShardRouter.from_manifest(
+                {"shards": 2, "strategy": "roundrobin", "bounds": None}
+            )
 
-    def test_range_needs_matching_bounds(self):
-        with pytest.raises(ValueError):
-            ShardRouter(3, strategy="range", bounds=[10])
-        with pytest.raises(ValueError):
-            ShardRouter(3, strategy="range", bounds=[20, 10])
-        with pytest.raises(ValueError):
-            ShardRouter(2, strategy="hash", bounds=[10])
+    def test_range_manifest_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="'range'"):
+            ShardRouter.from_manifest(
+                {"shards": 3, "strategy": "range", "bounds": [10, 20]}
+            )
 
 
 class TestHashRouting:
@@ -69,20 +71,6 @@ class TestHashRouting:
         assert np.all((indices >= 0) & (indices < 4))
 
 
-class TestRangeRouting:
-    def test_partitions_by_bounds(self):
-        router = ShardRouter(3, strategy="range", bounds=[100, 200])
-        values = np.asarray([-5, 50, 100, 150, 200, 250])
-        assert router.shard_indices(values).tolist() == [0, 0, 0, 1, 1, 2]
-
-    def test_route_many_preserves_order(self):
-        router = ShardRouter(2, strategy="range", bounds=[10])
-        values = np.asarray([5, 20, 3, 30, 7, 15])
-        low, high = router.route_many(values)
-        assert low.tolist() == [5, 3, 7]
-        assert high.tolist() == [20, 30, 15]
-
-
 class TestRouteMany:
     def test_fan_out_is_a_partition(self):
         router = ShardRouter(4)
@@ -103,23 +91,26 @@ class TestManifest:
         [
             ShardRouter(1),
             ShardRouter(8),
-            ShardRouter(3, strategy="range", bounds=[1000, 2000]),
         ],
-        ids=["one", "hash8", "range3"],
+        ids=["one", "hash8"],
     )
     def test_round_trip(self, router):
         clone = ShardRouter.from_manifest(router.to_manifest())
         assert clone.shards == router.shards
-        assert clone.strategy == router.strategy
+        assert clone.to_manifest() == router.to_manifest()
         values = np.random.default_rng(4).integers(0, 2**30, 2_000)
         assert np.array_equal(
             clone.shard_indices(values), router.shard_indices(values)
         )
 
     def test_manifest_is_json_safe(self):
-        import json
-
-        manifest = ShardRouter(
-            3, strategy="range", bounds=[10, 20]
-        ).to_manifest()
+        manifest = ShardRouter(3).to_manifest()
         assert json.loads(json.dumps(manifest)) == manifest
+
+    def test_a_manifest_from_before_range_routing_went_round_trips(self):
+        """The keys a hash router has always written: a ``cluster.json``
+        saved before ``"range"`` was removed loads, and a new one is
+        byte-identical."""
+        old = {"shards": 4, "strategy": "hash", "bounds": None}
+        assert ShardRouter.from_manifest(old).to_manifest() == old
+        assert json.dumps(ShardRouter(4).to_manifest()) == json.dumps(old)

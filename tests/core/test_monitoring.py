@@ -107,61 +107,3 @@ class TestQuantileWatcher:
         watcher = QuantileWatcher(engine)
         watcher.add("x", 0.5, above=1)
         assert watcher.evaluate() == []
-
-
-class TestServiceRule:
-    """ServiceRule is duck-typed: any snapshot-shaped object works."""
-
-    class FakeSnapshot:
-        def __init__(self, queue_depth=0, p99=0.0, rejections=0):
-            self.queue_depth = queue_depth
-            self.rejections = rejections
-            self._p99 = p99
-
-        def p99(self, mode="quick"):
-            return self._p99
-
-    def test_requires_at_least_one_bound(self):
-        from repro.core import ServiceRule
-        with pytest.raises(ValueError):
-            ServiceRule(name="empty")
-        with pytest.raises(ValueError):
-            ServiceRule(name="neg", max_queue_depth=-1)
-        with pytest.raises(ValueError):
-            ServiceRule(name="mode", max_queue_depth=1, mode="fast")
-
-    def test_breaches_name_exceeded_bounds(self):
-        from repro.core import ServiceRule
-        rule = ServiceRule(
-            name="svc",
-            max_queue_depth=4,
-            max_p99_seconds=0.5,
-            max_rejections=0,
-        )
-        quiet = self.FakeSnapshot(queue_depth=4, p99=0.5, rejections=0)
-        assert rule.breaches(quiet) == ()
-        noisy = self.FakeSnapshot(queue_depth=5, p99=0.6, rejections=1)
-        assert rule.breaches(noisy) == (
-            "queue_depth", "p99", "rejections"
-        )
-
-    def test_watch_service_with_fake_source(self, rng):
-        engine = build_engine(rng)
-        watcher = QuantileWatcher(engine)
-        state = {"snapshot": self.FakeSnapshot()}
-        watcher.watch_service(
-            "svc",
-            lambda: state["snapshot"],
-            max_queue_depth=2,
-        )
-        assert watcher.check_service() == []
-        state["snapshot"] = self.FakeSnapshot(queue_depth=9)
-        alerts = watcher.check_service()
-        assert len(alerts) == 1
-        assert alerts[0].queue_depth == 9
-        assert alerts[0].breaches == ("queue_depth",)
-        assert "svc" in str(alerts[0])
-        watcher.remove("svc")
-        assert watcher.check_service() == []
-        with pytest.raises(KeyError):
-            watcher.remove("svc")

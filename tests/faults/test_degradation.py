@@ -106,18 +106,6 @@ class TestDegradedQueries:
 
 
 class TestWatcherIntegration:
-    def test_health_rule_fires_on_degradation(self):
-        engine = build_engine(ALL_READS_FAIL)
-        watcher = QuantileWatcher(engine)
-        watcher.watch_health("disk-health", max_degraded_queries=0)
-        assert watcher.check_health() == []
-        engine.quantile(0.5)
-        alerts = watcher.check_health()
-        assert len(alerts) == 1
-        assert alerts[0].breaches == ("degraded_queries",)
-        assert alerts[0].report.degraded_queries == 1
-        engine.close()
-
     def test_quantile_alert_marks_degraded_observation(self):
         engine = build_engine(ALL_READS_FAIL)
         watcher = QuantileWatcher(engine)
@@ -125,18 +113,6 @@ class TestWatcherIntegration:
         alerts = watcher.evaluate()
         assert len(alerts) == 1
         assert alerts[0].degraded
-        engine.close()
-
-    def test_health_rule_validation(self):
-        engine = build_engine(FaultPlan())
-        watcher = QuantileWatcher(engine)
-        with pytest.raises(ValueError, match="at least one"):
-            watcher.watch_health("empty")
-        watcher.watch_health("ok", max_retries=5)
-        with pytest.raises(ValueError, match="duplicate"):
-            watcher.watch_health("ok", max_retries=1)
-        watcher.remove("ok")
-        assert watcher.health_rules == []
         engine.close()
 
 

@@ -3,7 +3,9 @@
 ``np.asarray(values, dtype=np.int64)`` turns ``1.7`` into ``1`` and NaN
 into ``INT64_MIN``; every ``stream_update_many`` — engine, cluster and
 the baselines the drivers feed beside them — refuses such input before
-anything (WAL, buffer, sketch, counters) has seen it.
+anything (WAL, buffer, sketch, counters) has seen it.  The scalar
+``stream_update`` door checks its value as a one-element batch, so it
+refuses the same values with the same error.
 """
 
 import numpy as np
@@ -43,23 +45,36 @@ doors = pytest.mark.parametrize(
     ids=["engine", "cluster", "strawman", "pure-streaming", "heavy-hitters"],
 )
 @pytest.mark.parametrize(
-    "values, error",
+    "values, error, scalar",
     [
-        ([1.7, 2.0], TypeError),
-        (np.asarray([3.0, 4.0]), TypeError),
-        (np.asarray([1.0, np.nan]), TypeError),
-        (np.asarray([True, False]), TypeError),
-        ([1, "2"], TypeError),
-        (np.asarray([1, 2**63], dtype=np.uint64), OverflowError),
+        ([1.7, 2.0], TypeError, False),
+        (np.asarray([3.0, 4.0]), TypeError, False),
+        (np.asarray([1.0, np.nan]), TypeError, False),
+        (np.asarray([True, False]), TypeError, False),
+        ([1, "2"], TypeError, False),
+        (np.asarray([1, 2**63], dtype=np.uint64), OverflowError, False),
+        (1.7, TypeError, True),
+        (np.float64(3.0), TypeError, True),
+        (True, TypeError, True),
+        ("2", TypeError, True),
+        (np.uint64(2**63), OverflowError, True),
     ],
-    ids=["float-list", "whole-floats", "nan", "bool", "str", "uint64-overflow"],
+    ids=[
+        "float-list", "whole-floats", "nan", "bool", "str", "uint64-overflow",
+        "scalar-float", "scalar-whole-float", "scalar-bool", "scalar-str",
+        "scalar-uint64-overflow",
+    ],
 )
-def test_lossy_input_is_rejected_before_ingest(make, values, error):
+def test_lossy_input_is_rejected_before_ingest(make, values, error, scalar):
     door = make()
     try:
         with pytest.raises(error):
-            door.stream_update_many(values)
+            door.stream_update_many([values] if scalar else values)
+        if scalar:
+            with pytest.raises(error):
+                door.stream_update(values)
         assert door.m_stream == 0
+        assert door.n_total == 0
     finally:
         if hasattr(door, "close"):
             door.close()

@@ -6,11 +6,12 @@ import pytest
 from repro.persistence import (
     SerializationError,
     dump_gk,
-    dump_qdigest,
+    dump_kll,
     load_gk,
-    load_qdigest,
+    load_stream_sketch,
 )
-from repro.sketches import GKSketch, QDigestSketch
+from repro.persistence.serialization import _pack
+from repro.sketches import GKSketch, KLLSketch
 
 
 def filled_gk(eps=0.01, n=20_000, seed=0):
@@ -19,8 +20,8 @@ def filled_gk(eps=0.01, n=20_000, seed=0):
     return sketch
 
 
-def filled_qdigest(eps=0.02, n=20_000, seed=1):
-    sketch = QDigestSketch(eps, universe_log2=20)
+def filled_kll(eps=0.02, n=20_000, seed=1):
+    sketch = KLLSketch(eps, seed=seed)
     sketch.update_many(np.random.default_rng(seed).integers(0, 2**20, n))
     return sketch
 
@@ -52,24 +53,18 @@ class TestGKRoundTrip:
             load_gk(b"not a sketch at all")
 
     def test_rejects_wrong_format(self):
-        payload = dump_qdigest(filled_qdigest())
+        payload = dump_kll(filled_kll())
         with pytest.raises(SerializationError):
             load_gk(payload)
 
 
-class TestQDigestRoundTrip:
-    def test_identical_answers(self):
-        original = filled_qdigest()
-        restored = load_qdigest(dump_qdigest(original))
-        assert restored.n == original.n
-        for rank in (1, 5000, 10_000, 20_000):
-            assert restored.query_rank(rank) == original.query_rank(rank)
-
-    def test_rejects_wrong_format(self):
-        payload = dump_gk(filled_gk())
-        with pytest.raises(SerializationError):
-            load_qdigest(payload)
-
-    def test_rejects_garbage(self):
-        with pytest.raises(SerializationError):
-            load_qdigest(b"\x00" * 64)
+def test_a_qdigest_payload_is_refused():
+    """No checkpoint holds a Q-Digest (``sketch_backend`` is gk or kll),
+    so its format is refused like any other unknown tag."""
+    payload = _pack(
+        {"format": "repro-qdigest-v1", "epsilon": 0.02,
+         "universe_log2": 20, "n": 0},
+        {"nodes": np.empty(0, np.int64), "counts": np.empty(0, np.int64)},
+    )
+    with pytest.raises(SerializationError, match="repro-qdigest-v1"):
+        load_stream_sketch(payload)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import EngineConfig, HybridQuantileEngine
-from repro.core import QuantileWatcher, ServingConfig
+from repro.core import ServingConfig
 from repro.faults import FaultPlan, FaultyDisk
 from repro.serving import Overloaded, QueryService
 
@@ -414,55 +414,29 @@ class TestOverload:
 
 
 class TestMonitoringIntegration:
-    def test_watch_service_fires_on_queue_depth(self, filled_engine):
+    """What an operator polls: ``metrics_snapshot()`` carries the queue
+    depth and the rejection count directly."""
+
+    def test_snapshot_reports_queue_depth(self, filled_engine):
         with QueryService(filled_engine) as service:
-            watcher = QuantileWatcher(filled_engine)
-            rule = watcher.watch_service(
-                "svc-depth",
-                service.metrics_snapshot,
-                max_queue_depth=0,
-            )
-            assert watcher.service_rules == [rule]
-            assert watcher.check_service() == []
+            assert service.metrics_snapshot().queue_depth == 0
             service.pause()
             service.submit(0.5)
             service.submit(0.75)
-            alerts = watcher.check_service()
-            assert len(alerts) == 1
-            assert alerts[0].breaches == ("queue_depth",)
-            assert alerts[0].queue_depth == 2
+            assert service.metrics_snapshot().queue_depth == 2
             service.resume()
             service.drain()
-            assert wait_until(lambda: not watcher.check_service())
+            assert wait_until(
+                lambda: service.metrics_snapshot().queue_depth == 0
+            )
 
-    def test_watch_service_fires_on_rejections(self, filled_engine):
+    def test_snapshot_reports_rejections(self, filled_engine):
         config = ServingConfig(max_queue=1)
         with QueryService(filled_engine, config) as service:
-            watcher = QuantileWatcher(filled_engine)
-            watcher.watch_service(
-                "svc-rejects",
-                service.metrics_snapshot,
-                max_rejections=0,
-            )
             service.pause()
             service.submit(0.5)
+            assert service.metrics_snapshot().rejections == 0
             with pytest.raises(Overloaded):
                 service.submit(0.5)
-            alerts = watcher.check_service()
-            assert [a.breaches for a in alerts] == [("rejections",)]
-            watcher.remove("svc-rejects")
-            assert watcher.check_service() == []
+            assert service.metrics_snapshot().rejections == 1
             service.resume()
-
-    def test_duplicate_monitor_names_rejected(self, filled_engine):
-        with QueryService(filled_engine) as service:
-            watcher = QuantileWatcher(filled_engine)
-            watcher.watch_service(
-                "svc", service.metrics_snapshot, max_queue_depth=10
-            )
-            with pytest.raises(ValueError):
-                watcher.watch_service(
-                    "svc", service.metrics_snapshot, max_queue_depth=10
-                )
-            with pytest.raises(ValueError):
-                watcher.watch_health("svc", max_disk_faults=1)

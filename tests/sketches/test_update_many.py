@@ -1,11 +1,10 @@
 """Every sketch accepts numpy batches through ``update_many``.
 
-GK, KLL, Q-Digest and the exact oracle override it with bulk fast
-paths; MRL and the sampler run the per-element loop under the standard
-name.  Either way, feeding an array through ``update_many`` must be
-indistinguishable from replaying it element by element (deterministic
-sketches: identical state; seeded randomized sketches: identical
-because the element order and RNG draws coincide).
+GK, KLL, Q-Digest and the exact oracle each absorb a batch in one
+pass (the base class has no per-element fallback).  Feeding an array
+through ``update_many`` must be indistinguishable from replaying it
+element by element (deterministic sketches: identical state; seeded
+KLL: identical because the element order and RNG draws coincide).
 
 ``update_many`` is the only batch verb; it takes an array or a list of
 integers and every implementation (Misra-Gries included) reads it
@@ -24,9 +23,7 @@ from repro.sketches.base import QuantileSketch, as_int64_batch
 from repro.sketches.exact import ExactQuantiles
 from repro.sketches.gk import _JUMPER_SHARE, GKSketch, _compress_heads
 from repro.sketches.kll import KLLSketch
-from repro.sketches.mrl import MRL99Sketch
 from repro.sketches.qdigest import QDigestSketch
-from repro.sketches.random_sampler import RandomSamplerSketch
 
 from .gk_reference import ReferenceGKSketch, compress_heads_reference
 
@@ -42,9 +39,7 @@ def make_all():
         "gk": lambda: GKSketch(0.01),
         "kll": lambda: KLLSketch(0.01, seed=5),
         "exact": lambda: ExactQuantiles(),
-        "mrl": lambda: MRL99Sketch(buffer_size=64, num_buffers=4, seed=5),
         "qdigest": lambda: QDigestSketch(0.05, universe_log2=20),
-        "sampler": lambda: RandomSamplerSketch(sample_size=128, seed=5),
     }
 
 
@@ -394,31 +389,10 @@ LOSSY = {
 }
 
 
-class DefaultLoop(QuantileSketch):
-    """Nothing but ``QuantileSketch.update_many``'s default loop."""
-
-    def __init__(self):
-        self.seen = []
-
-    def update(self, value):
-        self.seen.append(value)
-
-    @property
-    def n(self):
-        return len(self.seen)
-
-    def query_rank(self, rank):
-        return sorted(self.seen)[rank - 1]
-
-    def memory_words(self):
-        return len(self.seen)
-
-
 #: door -> fresh sketch; every one is fed through ``update_many``.
 DOORS = {
     "update_many": lambda: GKSketch(0.01),
     "kll": lambda: KLLSketch(0.01, seed=1),
-    "default-loop": DefaultLoop,
     "misra-gries": lambda: MisraGriesSketch(8),
     **{name: make for name, make in make_all().items() if name != "gk"},
 }
@@ -443,10 +417,29 @@ def test_gk_update_many_rejects_lossy_input(door, values, error):
     assert sketch.n == 0
 
 
+def test_a_sketch_without_update_many_cannot_be_built():
+    """``update_many`` is abstract: a sketch must absorb batches itself."""
+
+    class ScalarOnly(QuantileSketch):
+        n = 0
+
+        def update(self, value):
+            pass
+
+        def query_rank(self, rank):
+            return 0
+
+        def memory_words(self):
+            return 0
+
+    with pytest.raises(TypeError, match="update_many"):
+        ScalarOnly()
+
+
 def test_int64_arrays_pass_every_door_uncopied(monkeypatch):
     """The doors validate; they must not copy what is already int64."""
     from repro.frequent import misra_gries
-    from repro.sketches import base, exact, gk, kll, qdigest
+    from repro.sketches import exact, gk, kll, qdigest
 
     validated = []
 
@@ -454,7 +447,7 @@ def test_int64_arrays_pass_every_door_uncopied(monkeypatch):
         validated.append(as_int64_batch(values))
         return validated[-1]
 
-    for module in (base, exact, gk, kll, qdigest, misra_gries):
+    for module in (exact, gk, kll, qdigest, misra_gries):
         monkeypatch.setattr(module, "as_int64_batch", spied)
     batch = np.arange(300, dtype=np.int64)
     for fresh in DOORS.values():
