@@ -244,8 +244,8 @@ class ServingConfig:
         probes hold disk resources much longer than quick answers).
         ``None`` shares ``max_queue``.
     accurate_workers:
-        Accurate searches running at once, on whatever threads run
-        them — mostly the callers' own (each search internally fans
+        Accurate searches running at once, each on a thread that
+        waits for its answer (each search internally fans
         partition probes over the engine's ``query_workers`` pool).  A
         caller past the limit waits, still counted as queued.
     coalesce:

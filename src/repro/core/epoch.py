@@ -410,10 +410,10 @@ class SnapshotHandle(PinnedView):
     def _new_cache(self) -> BlockCache:
         """A per-query cache reading through the engine's shared tier.
 
-        Not a follower: the handle's pinned partitions stay probe-able
-        even after the live layout retires them, so the per-query
-        seen-sets must survive invalidation (shared-tier residency does
-        not — retired runs simply miss, charged, deterministic).
+        It lives as long as one query or warming pass: the handle's
+        pinned partitions stay probe-able after the live layout retires
+        them, and their shared-tier blocks simply miss (charged,
+        deterministic).
         """
         return BlockCache(
             self._disk,
@@ -424,7 +424,6 @@ class SnapshotHandle(PinnedView):
     def warm(
         self,
         phis: Sequence[float],
-        cache: Optional[BlockCache] = None,
         window_steps: Optional[int] = None,
     ) -> int:
         """Prefetch the block ranges accurate queries for ``phis`` probe.
@@ -432,14 +431,14 @@ class SnapshotHandle(PinnedView):
         For each ``phi`` the TS filters ``(u, v)`` are generated exactly
         as the accurate search would, and every partition whose
         candidate range is confined to ``config.prefetch_blocks`` blocks
-        is read in one charged ranged read into the shared tier.  A
-        no-op (returns 0) when no shared tier is attached.  Returns the
-        number of blocks charged by the warming pass.
+        is read in one charged ranged read into the shared tier, through
+        a cache of the pass's own.  A no-op (returns 0) when no shared
+        tier is attached.  Returns the number of blocks charged by the
+        warming pass.
         """
         if self._shared_cache is None:
             return 0
-        if cache is None:
-            cache = self._new_cache()
+        cache = self._new_cache()
         combined = self.combined(window_steps)
         total = combined.total_size
         if total == 0:
@@ -447,7 +446,6 @@ class SnapshotHandle(PinnedView):
         from ..query.planner import QueryPlanner
 
         planner = QueryPlanner(self.scope(window_steps)[0])
-        charged_before = cache.blocks_charged
         for phi in phis:
             rank = max(1, min(rank_for_phi(phi, total), total))
             u, v = combined.generate_filters(rank)
@@ -456,7 +454,7 @@ class SnapshotHandle(PinnedView):
             tasks = planner.prefetch_reads(u, v, self.config.prefetch_blocks)
             if tasks:
                 self._executor.run_tasks(tasks, cache)
-        return cache.blocks_charged - charged_before
+        return cache.blocks_charged
 
     def _query_scope(
         self,

@@ -5,9 +5,9 @@ summary TS — but *building* TS (merging every partition summary with
 the stream summary and computing rank bounds) dominates its cost.  Two
 requests pinned at the same epoch see the identical TS, so the merge is
 shareable.  The service takes every quick request queued at once as
-one batch, on the thread of a caller waiting for one of them (a
-service thread when nobody waits), and waits first only while an
-accurate search runs, so that requests arriving meanwhile join.  The coalescer pins **one**
+one batch, on the thread of a caller waiting for one of them, and
+waits first only while an accurate search runs, so that requests
+arriving meanwhile join.  The coalescer pins **one**
 :class:`~repro.core.epoch.SnapshotHandle` and answers the whole batch
 with one cached TS plus one rank-bound lookup per distinct phi
 (:meth:`~repro.core.bounds.CombinedSummary.quick_responses`).  This is

@@ -8,9 +8,11 @@ distinction — the choice changes what overload looks like):
   limits, so this measures how much sharing (coalescing) the service
   extracts from concurrency.
 * **Open loop** — arrivals come from a seeded Poisson process that does
-  *not* wait for answers, the shape real user traffic has.  Past
-  saturation the queue would grow without bound; this is the mode that
-  exercises admission control's typed rejections.
+  *not* wait for answers, the shape real user traffic has: each
+  admitted arrival gets a thread of its own that waits for (and so
+  serves) its answer.  Past saturation the queue would grow without
+  bound; this is the mode that exercises admission control's typed
+  rejections.
 
 All randomness (phi choices, inter-arrival gaps) is drawn up front
 from one seeded generator, so two runs against the same engine state
@@ -154,8 +156,9 @@ class LoadGenerator:
 
         Inter-arrival gaps are exponential with mean ``1/rate_qps``,
         drawn once from the seeded generator.  Submissions that hit the
-        admission bound count as rejected; everything admitted is
-        awaited at the end.  ``mean_wait_seconds`` optionally stalls
+        admission bound count as rejected; each admitted one is awaited
+        by a thread of its own, like a client's, so arrivals never wait
+        for earlier answers.  ``mean_wait_seconds`` optionally stalls
         between submit attempts *instead of* the drawn gaps (testing
         hook for forcing overload without wall-clock sensitivity).
         """
@@ -168,7 +171,14 @@ class LoadGenerator:
             else np.full(total_requests, mean_wait_seconds)
         )
         phis = self._phi_plan(total_requests, stream=10_000)
-        pending: List[Tuple[float, PendingQuery]] = []
+        pending: List[Tuple[float, PendingQuery, threading.Thread]] = []
+
+        def _await(request: PendingQuery) -> None:
+            try:
+                request.result(timeout)
+            except Exception:  # re-raised below, in arrival order
+                pass
+
         rejected = 0
         started = time.perf_counter()
         next_at = started
@@ -178,13 +188,20 @@ class LoadGenerator:
             if delay > 0:
                 time.sleep(delay)
             try:
-                pending.append((phi, self.service.submit(phi, mode)))
+                request = self.service.submit(phi, mode)
             except Overloaded:
                 rejected += 1
+                continue
+            waiter = threading.Thread(
+                target=_await, args=(request,), name="repro-open-waiter"
+            )
+            waiter.start()
+            pending.append((phi, request, waiter))
         served = 0
         degraded = 0
         answers: List[Tuple[float, int, int]] = []
-        for phi, request in pending:
+        for phi, request, waiter in pending:
+            waiter.join()
             result = request.result(timeout)
             served += 1
             if result.degraded or request.degraded_by_overload:

@@ -3,12 +3,12 @@
 :class:`QueryService` sits in front of one
 :class:`~repro.core.engine.HybridQuantileEngine` and accepts
 ``quantile(phi, mode)`` requests from any number of client threads
-while ingest keeps running underneath.  A request is run by the thread
-that waits for it: :meth:`PendingQuery.result` (so every ``quantile``)
-takes its still-queued request and answers it on the calling thread,
-with no hand-off to a dispatcher and back.  Service threads serve only
-requests nobody waits for (``submit`` without ``result``);
-``drain`` / ``close`` serve the backlog on the calling thread.
+while ingest keeps running underneath.  The service owns no thread: a
+request is run by a thread that waits for it.  :meth:`PendingQuery.
+result` (so every ``quantile``) takes its still-queued request and
+answers it on the calling thread, with no hand-off to a dispatcher and
+back; a request nobody waits for (``submit`` without ``result``) is
+answered by a later quick caller's batch or by ``drain`` / ``close``.
 
 * **Admission** — a bounded queue per mode; past the bound, submit
   raises a typed :class:`~repro.serving.admission.Overloaded` (or, when
@@ -45,7 +45,6 @@ from ..core.engine import HybridQuantileEngine
 from ..core.epoch import SnapshotHandle
 from ..core.query_path import QueryResult
 from ..faults.errors import DiskFault
-from ..storage.cache import BlockCache
 from .admission import AdmissionController, Overloaded  # noqa: F401
 from .coalescer import answer_quick_batch, dedupe_key
 from .metrics import MetricsSnapshot, ServiceMetrics
@@ -79,11 +78,9 @@ class PendingQuery:
         self._done = threading.Event()
         self._result: Optional[QueryResult] = None
         self._error: Optional[BaseException] = None
-        # Set under the lock of the service that queued the request;
-        # ``_claimed``: some thread already waits to run it.
+        # Set under the lock of the service that queued the request.
         self._service: Optional[QueryService] = None
         self._queued = False
-        self._claimed = False
 
     @property
     def degraded_by_overload(self) -> bool:
@@ -109,6 +106,7 @@ class PendingQuery:
 
         A request still queued is answered on the calling thread,
         together with its batch (quick) or queued duplicates (accurate).
+        On timeout it stays queued: a later ``result`` answers it.
         """
         deadline = None if timeout is None else time.perf_counter() + timeout
         if self._service is not None:
@@ -125,7 +123,7 @@ class PendingQuery:
 
 
 class QueryService:
-    """Thread-based concurrent quantile serving over one engine."""
+    """Concurrent quantile serving over one engine; owns no thread."""
 
     def __init__(
         self,
@@ -136,11 +134,7 @@ class QueryService:
         self.config = config if config is not None else ServingConfig()
         self.admission = AdmissionController(self.config)
         self.metrics = ServiceMetrics()
-        # Waiters wait on ``_cv``; idle service threads sleep apart on
-        # ``_idle`` (same lock), woken only by work nobody waits for.
-        lock = threading.Lock()
-        self._cv = threading.Condition(lock)
-        self._idle = threading.Condition(lock)
+        self._cv = threading.Condition(threading.Lock())
         self._quick: "Deque[PendingQuery]" = deque()
         self._accurate: "Deque[PendingQuery]" = deque()
         # Batches / searches in flight: one quick batch at a time, at
@@ -148,36 +142,8 @@ class QueryService:
         self._running = {"quick": 0, "accurate": 0}
         self._paused = False
         self._closed = False
-        # Epoch-batch cache warming: when the engine carries a shared
-        # block tier, the service prefetches the block ranges popular
-        # phis will probe — once per epoch, through a long-lived
-        # *follower* cache (its per-run state is pruned when compaction
-        # retires runs; the unbounded-growth fix has a production user
-        # here, since this cache spans epochs).
-        shared = engine.shared_cache
-        self._warm_cache: Optional[BlockCache] = (
-            BlockCache(
-                engine.disk,
-                enabled=engine.config.block_cache,
-                shared=shared,
-                follow_invalidation=True,
-            )
-            if shared is not None
-            else None
-        )
-        self._warm_lock = threading.Lock()
+        # The epoch the shared block tier was last warmed for.
         self._warmed_epoch: Optional[int] = None
-        self._threads: List[threading.Thread] = []
-        self._spawn("quick", "repro-serve-quick")
-        for index in range(self.config.accurate_workers):
-            self._spawn("accurate", f"repro-serve-acc-{index}")
-
-    def _spawn(self, mode: str, name: str) -> None:
-        thread = threading.Thread(
-            target=self._service_loop, args=(mode,), name=name, daemon=True
-        )
-        thread.start()
-        self._threads.append(thread)
 
     # ------------------------------------------------------------------
     # Client side
@@ -194,23 +160,6 @@ class QueryService:
         Raises :class:`Overloaded` immediately when the queue bound is
         hit, and ``RuntimeError`` after :meth:`close`.
         """
-        return self._enqueue(phi, mode, window_steps, claimed=False)
-
-    def quantile(
-        self,
-        phi: float,
-        mode: str = "quick",
-        window_steps: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> QueryResult:
-        """Submit and answer on this thread (closed-loop client call)."""
-        request = self._enqueue(phi, mode, window_steps, claimed=True)
-        return request.result(timeout)
-
-    def _enqueue(
-        self, phi: float, mode: str, window_steps: Optional[int],
-        claimed: bool,
-    ) -> PendingQuery:
         if mode not in ("quick", "accurate"):
             raise ValueError("mode must be 'quick' or 'accurate'")
         if not 0 < phi <= 1:
@@ -222,16 +171,32 @@ class QueryService:
             request = PendingQuery(phi, mode, effective, window_steps)
             request._service = self
             request._queued = True
-            request._claimed = claimed
             self._queue(effective).append(request)
             if request.degraded_by_overload:
                 self.metrics.note_degraded()
             self.metrics.observe_queue_depth(
                 len(self._quick) + len(self._accurate)
             )
-            if not claimed:
-                self._idle.notify_all()
         return request
+
+    def quantile(
+        self,
+        phi: float,
+        mode: str = "quick",
+        window_steps: Optional[int] = None,
+        timeout: Optional[float] = None,
+    ) -> QueryResult:
+        """Submit and answer on this thread (closed-loop client call)."""
+        request = self.submit(phi, mode, window_steps)
+        try:
+            return request.result(timeout)
+        except TimeoutError:
+            with self._cv:  # nobody else holds it: free its slot
+                if request._queued:
+                    self._queue(request.effective_mode).remove(request)
+                    request._queued = False
+                    self.admission.release(request.effective_mode)
+            raise
 
     @property
     def queue_depth(self) -> int:
@@ -242,8 +207,7 @@ class QueryService:
     def metrics_snapshot(self) -> MetricsSnapshot:
         """One consistent reading of every service counter."""
         shared = self.engine.shared_cache
-        disk = getattr(self.engine, "disk", None)
-        backend = getattr(disk, "backend", None)
+        backend = getattr(self.engine.disk, "backend", None)
         return self.metrics.snapshot(
             queue_depth=self.queue_depth,
             rejected=self.admission.rejections(),
@@ -260,14 +224,14 @@ class QueryService:
         pass; later ones pinned at the same epoch find the blocks
         resident.  A no-op without a shared tier.
         """
-        if self._warm_cache is None or not phis:
+        if self.engine.shared_cache is None or not phis:
             return
-        with self._warm_lock:
+        with self._cv:
             if self._warmed_epoch == handle.epoch:
                 return
             self._warmed_epoch = handle.epoch
         try:
-            blocks = handle.warm(phis, cache=self._warm_cache)
+            blocks = handle.warm(phis)
         except DiskFault as fault:
             # Best effort: the requests that triggered the pass answer
             # without it, and the epoch stays marked (no retry storm).
@@ -302,15 +266,12 @@ class QueryService:
             self._serve(head, None)
 
     def close(self) -> None:
-        """Serve everything still queued, then stop the service threads."""
+        """Refuse new requests and serve everything still queued."""
         with self._cv:
             self._paused = False
             self._closed = True
             self._cv.notify_all()
-            self._idle.notify_all()
         self.drain()
-        for thread in self._threads:
-            thread.join()
 
     def __enter__(self) -> "QueryService":
         return self
@@ -319,7 +280,7 @@ class QueryService:
         self.close()
 
     # ------------------------------------------------------------------
-    # Serving side: callers and service threads alike
+    # Serving side: on whichever thread waits
     # ------------------------------------------------------------------
 
     def _queue(self, mode: str) -> "Deque[PendingQuery]":
@@ -365,9 +326,8 @@ class QueryService:
         self, request: PendingQuery, deadline: Optional[float]
     ) -> None:
         """Answer ``request`` on this thread if it is still queued; at
-        ``deadline`` leave it queued, to the service threads."""
+        ``deadline`` leave it queued, for a later waiter."""
         with self._cv:
-            request._claimed = True
             work = None
             while request._queued:
                 work, wait = self._take(request)
@@ -376,8 +336,6 @@ class QueryService:
                 if deadline is not None:
                     left = deadline - time.perf_counter()
                     if left <= 0:
-                        request._claimed = False
-                        self._idle.notify_all()
                         return
                     wait = left if wait is None else min(wait, left)
                 self._cv.wait(wait)
@@ -393,23 +351,6 @@ class QueryService:
             with self._cv:
                 self._running[mode] -= 1
                 self._cv.notify_all()
-
-    def _service_loop(self, mode: str) -> None:
-        """Serve, as its waiter, each request nobody waits for."""
-        while True:
-            with self._cv:
-                while True:
-                    if self._closed:
-                        return
-                    anchor = next(
-                        (r for r in self._queue(mode) if not r._claimed),
-                        None,
-                    )
-                    if anchor is not None:
-                        anchor._claimed = True
-                        break
-                    self._idle.wait()
-            self._serve(anchor, None)
 
     def _answer_batch(self, batch: "List[PendingQuery]") -> None:
         try:

@@ -58,15 +58,6 @@ class BlockCache:
         Optional process-wide shared tier to read through.  ``None``
         (the default) reproduces the historical per-query accounting
         exactly.
-    follow_invalidation:
-        When ``True`` this cache registers with the shared tier and has
-        its per-run state pruned when runs retire (``drop_run``) — the
-        fix for long-lived caches whose lock map and seen-sets
-        otherwise grow without bound across compactions.  Per-query
-        caches bound to a pinned snapshot must leave this ``False``:
-        their runs stay probe-able through the pin, and dropping a
-        pinned run's seen-state would re-charge re-probes and break the
-        serial-replay accounting parity.
     """
 
     def __init__(
@@ -74,7 +65,6 @@ class BlockCache:
         disk: SimulatedDisk,
         enabled: bool = True,
         shared: Optional[SharedBlockCache] = None,
-        follow_invalidation: bool = False,
     ) -> None:
         self._disk = disk
         self._enabled = enabled
@@ -92,8 +82,6 @@ class BlockCache:
         #: charged blocks per run — a search's deepest chain is its
         #: critical path when the executor reads partitions in parallel.
         self.blocks_per_run: "Counter[int]" = Counter()
-        if follow_invalidation and shared is not None:
-            shared.register_follower(self)
 
     @property
     def shared(self) -> Optional[SharedBlockCache]:
@@ -217,25 +205,3 @@ class BlockCache:
         """Blocks charged so far per run id (a copy)."""
         with self._count_lock:
             return dict(self.blocks_per_run)
-
-    def drop_run(self, run_id: int) -> None:
-        """Forget a retired run's lock, seen-set and pinned payloads.
-
-        Called by the shared tier's invalidation for caches registered
-        with ``follow_invalidation=True``.  Aggregate charge counters
-        are deliberately left intact — they describe work already paid
-        for.  Only valid for runs outside the cache's pinned scope: a
-        follower cache spans epochs and never probes retired runs
-        again, so dropping the state is pure leak repair.
-        """
-        with self._lock_for(run_id):
-            self._seen.pop(run_id, None)
-            self._pinned.pop(run_id, None)
-        with self._locks_guard:
-            self._run_locks.pop(run_id, None)
-
-    def tracked_runs(self) -> int:
-        """Number of runs with live per-run state (leak introspection)."""
-        with self._locks_guard:
-            return len(self._run_locks)
-

@@ -41,7 +41,7 @@ Design notes
   poisoned; the next probe retries).
 * **One lock.**  Queues, membership, the flight registry and the
   counters live under a single structure lock that is never held
-  across a charge, a wait or a follower callback.
+  across a charge or a wait.
 * **Epoch-aware invalidation.**  Compaction merges and background
   adoptions retire runs inside the layout-lock critical sections that
   bump the :class:`~repro.core.epoch.EpochRegistry`; the store's
@@ -51,15 +51,11 @@ Design notes
   :class:`~repro.core.epoch.SnapshotHandle` that keeps probing a
   pre-merge run simply misses (charged, correct, deterministic) and
   can never be served a block belonging to a different run's data.
-  Invalidation also notifies registered *follower* per-query caches so
-  their per-run lock maps and seen-sets are pruned (see
-  :meth:`register_follower`).
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Set, Tuple
@@ -144,7 +140,6 @@ class SharedBlockCache:
         self._retired_runs: Set[int] = set()
         self._lock = threading.Lock()  # queues + membership + flights + stats
         self._flights: "Dict[Tuple[int, int], _Flight]" = {}
-        self._followers: "weakref.WeakSet" = weakref.WeakSet()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -306,20 +301,6 @@ class SharedBlockCache:
     # Epoch-aware invalidation
     # ------------------------------------------------------------------
 
-    def register_follower(self, cache: object) -> None:
-        """Register a layout-following per-query cache for pruning.
-
-        A *follower* is a long-lived :class:`~repro.storage.cache.
-        BlockCache` (e.g. the serving layer's epoch-warming cache) that
-        is **not** bound to a pinned partition set: when a run retires,
-        the follower's per-run lock and seen-set for it are dropped via
-        ``drop_run``.  Per-query caches bound to a pinned snapshot must
-        NOT follow — their seen-sets implement the paper's per-query
-        accounting for runs that stay probe-able through the pin.
-        References are weak; a dead follower is skipped.
-        """
-        self._followers.add(cache)
-
     def invalidate_run(self, run_id: int) -> int:
         """Drop every resident block of a retired run; refuse re-inserts.
 
@@ -338,11 +319,6 @@ class SharedBlockCache:
                 self._probation.pop((run_id, block), None)
                 self._protected.pop((run_id, block), None)
             self._invalidated_blocks += len(blocks)
-            followers = list(self._followers)
-        # Notify followers outside the cache lock: a follower's
-        # drop_run takes its own per-run locks.
-        for follower in followers:
-            follower.drop_run(run_id)
         return len(blocks)
 
     def invalidate_runs(self, run_ids: Iterable[int]) -> int:

@@ -115,15 +115,32 @@ class TestCallerServesItself:
         asked, answered, search_done = quick_beside_a_search(20)
         assert answered < search_done
 
+    def test_constructing_a_service_starts_no_thread(self, filled_engine):
+        before = set(threading.enumerate())
+        service = QueryService(filled_engine)
+        try:
+            assert set(threading.enumerate()) <= before
+            assert not any(
+                t.name.startswith("repro-serve")
+                for t in threading.enumerate()
+            )
+        finally:
+            service.close()
+
     def test_unawaited_submissions_are_served(self, filled_engine):
         with QueryService(filled_engine) as service:
-            requests = [
+            quick = [
                 service.submit(phi) for phi in (0.1, 0.3, 0.5, 0.7, 0.9)
             ]
-            requests += [
+            accurate = [
                 service.submit(phi, mode="accurate") for phi in (0.2, 0.8)
             ]
-            assert wait_until(lambda: all(r.done for r in requests))
+            # A later caller's quick batch takes every queued quick one.
+            service.quantile(0.6, timeout=5.0)
+            assert all(r.done for r in quick)
+            assert not any(r.done for r in accurate)
+            service.drain()
+            assert all(r.done for r in accurate)
 
     def test_accurate_workers_bounds_searches_on_caller_threads(
         self, filled_engine
@@ -161,12 +178,35 @@ class TestCallerServesItself:
             )
             searcher.start()
             assert wait_until(lambda: slow.running == 1)
+            request = service.submit(0.8, "accurate")
+            with pytest.raises(TimeoutError):
+                request.result(timeout=0.05)
+            # Still queued, and answered by the next wait for it.
+            assert service.queue_depth == 1
+            assert not request.done
+            assert request.result(timeout=10.0).mode == "accurate"
+            assert service.metrics_snapshot().served["accurate"] == 2
+            searcher.join(10.0)
+            assert not searcher.is_alive()
+
+    def test_a_quantile_that_times_out_frees_its_slot(self, filled_engine):
+        slow = SlowSearches(filled_engine, 0.3)
+        config = ServingConfig(accurate_workers=1, accurate_queue=1)
+        with QueryService(filled_engine, config) as service:
+            searcher = threading.Thread(
+                target=service.quantile,
+                args=(0.5, "accurate"),
+                kwargs={"timeout": 10.0},
+            )
+            searcher.start()
+            assert wait_until(lambda: slow.running == 1)
             with pytest.raises(TimeoutError):
                 service.quantile(0.8, "accurate", timeout=0.05)
-            # Nobody waits for it now, so a service thread serves it.
-            assert wait_until(
-                lambda: service.metrics_snapshot().served["accurate"] == 2
-            )
+            # Nobody holds that future, so it left the queue.
+            assert service.queue_depth == 0
+            assert service.admission.waiting("accurate") == 0
+            request = service.submit(0.8, "accurate")
+            assert request.result(timeout=10.0).mode == "accurate"
             searcher.join(10.0)
             assert not searcher.is_alive()
 
@@ -198,6 +238,7 @@ class TestCallerServesItself:
                 for thread in clients:
                     thread.join(30.0)
                     assert not thread.is_alive()
+                service.drain()
                 # Each answer is counted just after its future resolves.
                 assert wait_until(
                     lambda: service.metrics_snapshot().requests_served
@@ -343,6 +384,28 @@ class TestWarmingIsBestEffort:
             assert snapshot.warm_failures == 1
             assert snapshot.warm_passes == 0
             assert "warming pass" in caplog.text
+
+    def test_warm_pass_rewarms_evicted_blocks(self):
+        # Each pass reads through a cache of its own, so blocks the
+        # shared tier dropped since an earlier pass are read again.
+        config = EngineConfig(
+            epsilon=0.02, kappa=10, block_elems=64,
+            shared_cache_blocks=4096,
+        )
+        rng = np.random.default_rng(11)
+        with HybridQuantileEngine(config=config) as engine:
+            for _ in range(4):
+                engine.stream_update_many(rng.integers(0, 1_000_000, 1200))
+                engine.end_time_step()
+            engine.stream_update_many(rng.integers(0, 1_000_000, 800))
+            with QueryService(engine) as service:
+                service.quantile(0.5, timeout=5.0)
+                assert service.metrics_snapshot().warm_blocks > 0
+                engine.shared_cache.clear()
+                engine.end_time_step()
+                service.quantile(0.5, timeout=5.0)
+                assert service.metrics_snapshot().warm_passes == 2
+            assert engine.warm_shared_cache([0.5]) == 0
 
 
 class TestValidationAndShutdown:

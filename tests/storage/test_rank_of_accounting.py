@@ -251,11 +251,3 @@ class TestPinnedBytes:
         run.read_block_range(0, 3, cache=cache)
         assert not cache.pins(run.run_id)
         assert cache._pinned == {}
-
-    def test_drop_run_forgets_payloads(self):
-        data = np.arange(64, dtype=np.int64)
-        run, cache, _ = build(data, 8, "cold", [])
-        run.rank_of(20, cache=cache)
-        assert cache.pinned_block(run.run_id, 2) is not None
-        cache.drop_run(run.run_id)
-        assert cache._pinned == {}

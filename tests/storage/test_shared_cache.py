@@ -139,22 +139,6 @@ class TestInvalidation:
 
 
 class TestFollowers:
-    def test_follower_per_run_state_is_pruned(self):
-        disk = SimulatedDisk(block_elems=16)
-        shared = SharedBlockCache(16)
-        follower = BlockCache(disk, shared=shared, follow_invalidation=True)
-        follower.touch(7, 0)
-        follower.touch(8, 0)
-        assert follower.tracked_runs() == 2
-        charged = follower.blocks_charged
-        shared.invalidate_run(7)
-        assert follower.tracked_runs() == 1
-        # Aggregate counters describe work already paid for.
-        assert follower.blocks_charged == charged
-        # The retired run's seen-set is gone: a re-touch is charged.
-        follower.touch(7, 0)
-        assert follower.blocks_charged == charged + 1
-
     def test_non_follower_keeps_pinned_accounting(self):
         disk = SimulatedDisk(block_elems=16)
         shared = SharedBlockCache(16)
@@ -166,7 +150,6 @@ class TestFollowers:
         # is free even though the shared tier retired the run.
         pinned.touch(7, 0)
         assert disk.stats.counters.random_reads == before
-        assert pinned.tracked_runs() == 1
 
 
 class TestReadThrough:
