@@ -331,7 +331,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         epsilon=args.epsilon, kappa=args.kappa, block_elems=100,
         query_workers=args.query_workers, ingest_mode=args.ingest_mode,
         shared_cache_blocks=args.shared_cache_blocks,
-        sketch_backend=args.sketch_backend,
+        sketch_backend=args.sketch_backend or "gk",
         storage_backend=args.storage_backend,
     )
     plan = _fault_plan_of(args)
@@ -403,7 +403,7 @@ def _cmd_demo_cluster(args: argparse.Namespace) -> int:
     config = EngineConfig(
         epsilon=args.epsilon, kappa=args.kappa, block_elems=100,
         query_workers=args.query_workers,
-        sketch_backend=args.sketch_backend,
+        sketch_backend=args.sketch_backend or "kll",
     )
     plan = _fault_plan_of(args)
     cluster = ClusterEngine(
@@ -414,7 +414,7 @@ def _cmd_demo_cluster(args: argparse.Namespace) -> int:
         args.batch_size if args.batch_size and args.batch_size > 0 else None
     )
     print(f"demo: {args.steps} steps x {args.batch:,} elements over "
-          f"{args.shards} shards ({args.sketch_backend} sketches"
+          f"{args.shards} shards ({config.sketch_backend} sketches"
           + (f", update batch {update_batch:,}" if update_batch else "")
           + (
               ", fault injection on"
@@ -644,9 +644,10 @@ def build_parser() -> argparse.ArgumentParser:
              "--fault-transcript names a directory for per-shard dumps",
     )
     demo.add_argument(
-        "--sketch-backend", choices=("gk", "kll"), default="gk",
-        help="stream sketch: gk (deterministic, default) or kll "
-             "(randomized, mergeable across shards)",
+        "--sketch-backend", choices=("gk", "kll"), default=None,
+        help="stream sketch: gk (deterministic, the single-engine "
+             "default) or kll (randomized and mergeable: what a "
+             "cluster needs, and its default)",
     )
     demo.add_argument(
         "--storage-backend", choices=("simulated", "mmap", "object"),

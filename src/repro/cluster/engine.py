@@ -12,24 +12,23 @@ ingest fans a numpy array out per shard in one vectorized pass.
 
 Queries go through :class:`ClusterSnapshot`, which pins every shard
 (``engine.pin()`` per shard, in shard order) and answers through the
-same :mod:`repro.core.query_path` functions as a single engine, over a
-scope that spans the shards:
+single engine's :mod:`repro.core.query_path` scope and functions, over
+the shards' partitions (shard-major) and **one** stream: their pinned
+KLL sketches merged by :meth:`~repro.sketches.kll.KLLSketch.merge_many`,
+which keeps the ``eps`` bound over the union.  A cluster therefore
+needs ``sketch_backend='kll'``; GK sketches do not merge.
 
-* **quick** — per-shard stream summaries plus every shard's partition
-  summaries are fused into one :class:`~repro.core.bounds.CombinedSummary`
-  (rank bounds are additive across components, so the fused error is
-  the single-engine contract over the union:
-  ``eps1 * n + eps2 * m``).  With the KLL backend the per-shard
-  sketches could equivalently be merged sketch-level first — the fused
-  TS route is what keeps the quick path *identical* to the
-  single-engine code.
+* **quick** — one :class:`~repro.core.bounds.CombinedSummary` of every
+  shard's partition summaries and the merged stream's SS, with the
+  single-engine contract over the union: ``eps1 * n + eps2 * m``.
 * **accurate** — scatter/gather: the *single-engine*
   :class:`~repro.core.filters.AccurateSearch` runs unchanged over the
   union of all shards' partitions; a :class:`ShardedBlockCache` routes
   each block touch to the owning shard's per-query cache (charging
   that shard's disk), and the stream term of every rank estimate is
-  the sum of per-shard pinned-sketch brackets.  With ``shards == 1``
-  every probe, filter and snap is bit-identical to the plain engine.
+  the merged sketch's bracket.  With ``shards == 1`` the shard's own
+  stream is the union, and every probe, filter and snap is
+  bit-identical to the plain engine.
 
 The snapshot's epoch is the tuple of per-shard epochs — hashable and
 comparable, so the serving layer's coalescer groups cluster requests
@@ -38,8 +37,9 @@ exactly as it groups single-engine ones.
 
 from __future__ import annotations
 
+import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -48,7 +48,7 @@ import numpy as np
 from ..core.bounds import CombinedSummary, PartialResult, widen_rank_bound
 from ..core.config import EngineConfig
 from ..core.engine import HybridQuantileEngine, StepReport
-from ..core.epoch import HistoricalMemo, SnapshotHandle
+from ..core.epoch import HistoricalMemo, SnapshotHandle, StreamView
 from ..core.query_path import (
     PinnedQueries,
     PinnedView,
@@ -56,7 +56,6 @@ from ..core.query_path import (
     QueryScope,
     answer_rank,
 )
-from ..core.summaries import StreamSummary
 from ..faults.disk import FaultyDisk
 from ..faults.errors import DiskFault
 from ..faults.plan import FaultPlan
@@ -64,7 +63,7 @@ from ..faults.retry import PROBE_RETRY_POLICY
 from ..ingest.wal import WriteAheadLog
 from ..query.executor import QueryExecutor
 from ..sketches.base import as_int64_batch
-from ..storage.cache import BlockCache
+from ..sketches.kll import KLLSketch
 from ..warehouse.partition import Partition
 from .router import ShardRouter
 
@@ -143,36 +142,33 @@ class ShardedBlockCache:
     :class:`~repro.core.filters.AccurateSearch` talks to one cache; a
     cluster query spans runs on N distinct simulated disks.  This
     multiplexer maps each ``run_id`` (globally unique across disks) to
-    the per-shard :class:`~repro.storage.cache.BlockCache` built for
-    the query, so every charge lands on the disk that actually holds
-    the run — per-shard I/O accounting stays exact.
+    the per-query :class:`~repro.storage.cache.BlockCache` of the handle
+    that pinned the run, so every charge lands on the disk that actually
+    holds the run — per-shard I/O accounting stays exact.  Only the
+    handles given are reachable: a stray touch of another shard's run
+    raises ``KeyError`` rather than silently re-faulting.
 
     When a touch raises a :class:`~repro.faults.DiskFault`, the owning
-    shard's key is recorded in :attr:`failed_shard` before the fault
-    propagates — the culprit attribution the partial-gather retry loop
-    uses to exclude exactly the shard that failed.  (A search reaches
-    the disks only through its cache, so every fault it sees has a
-    culprit.)
+    handle's position is recorded in :attr:`failed_shard` before the
+    fault propagates — the culprit attribution the partial-gather retry
+    loop uses to exclude exactly the shard that failed.  (A search
+    reaches the disks only through its cache, so every fault it sees
+    has a culprit.)
     """
 
-    def __init__(
-        self,
-        shard_caches: Mapping[int, BlockCache],
-        run_to_shard: Dict[int, int],
-    ) -> None:
-        self._caches: Dict[int, BlockCache] = dict(shard_caches)
-        self._run_to_shard = dict(run_to_shard)
-        #: shard key whose disk faulted a touch (None until one does).
+    def __init__(self, handles: Sequence[SnapshotHandle]) -> None:
+        self._caches = [handle._new_cache() for handle in handles]
+        self._run_to_shard = {
+            p.run.run_id: i
+            for i, handle in enumerate(handles)
+            for p in handle.partitions
+        }
+        #: handle position whose disk faulted a touch (None until then).
         self.failed_shard: Optional[int] = None
         # Prefetch gating mirrors BlockCache.shared: enabled when any
         # shard reads through a shared tier.
         self.shared = next(
-            (
-                c.shared
-                for _, c in sorted(self._caches.items())
-                if c.shared is not None
-            ),
-            None,
+            (c.shared for c in self._caches if c.shared is not None), None
         )
 
     def _shard_of(self, run_id: int) -> int:
@@ -221,65 +217,39 @@ class ShardedBlockCache:
     @property
     def blocks_charged(self) -> int:
         """Total blocks charged across every shard (scatter sum)."""
-        return sum(c.blocks_charged for c in self._caches.values())
+        return sum(c.blocks_charged for c in self._caches)
 
     def run_blocks(self) -> Dict[int, int]:
         """Blocks charged so far per run id, across every shard."""
         merged: Dict[int, int] = {}
-        for cache in self._caches.values():
+        for cache in self._caches:
             merged.update(cache.run_blocks())
         return merged
 
 
-class _FusedStreamSummary:
-    """Union-stream facade over per-shard stream summaries.
-
-    Presents exactly the :class:`~repro.core.summaries.StreamSummary`
-    surface the accurate search touches — ``stream_size``,
-    ``rank_estimate`` and ``largest_at_most`` — each gathered across
-    shards (sums for ranks, max for the predecessor).  With one shard
-    every method degenerates to the underlying summary's, keeping the
-    single-shard cluster bit-identical to a plain engine.
-    """
-
-    def __init__(self, summaries: Sequence[StreamSummary]) -> None:
-        self._summaries = list(summaries)
-        self.stream_size = sum(s.stream_size for s in self._summaries)
-
-    def rank_estimate(self, value: int) -> float:
-        """Sum of per-shard Algorithm 8 stream estimates."""
-        return sum(s.rank_estimate(value) for s in self._summaries)
-
-    def largest_at_most(self, value: int) -> "int | None":
-        """Largest summary element <= value across every shard."""
-        candidates = [
-            c
-            for c in (s.largest_at_most(value) for s in self._summaries)
-            if c is not None
-        ]
-        return max(candidates) if candidates else None
+_NEEDS_KLL = "a cluster merges its stream sketches: sketch_backend='kll'"
 
 
-@dataclass(frozen=True)
-class _GatherScope(QueryScope):
-    """A union scope that remembers what it was gathered from, so a
-    fault can narrow it to the surviving shards."""
-
-    #: handle positions answering, and every handle's scoped parts.
-    positions: Sequence[int] = ()
-    shard_partitions: Sequence[List[Partition]] = ()
-    summaries: Sequence[StreamSummary] = ()
-    step_range: "Optional[tuple[int, int]]" = None
+def merged_stream(views: Sequence[StreamView], eps2: float) -> StreamView:
+    """One view over the union of ``views``' streams: their KLL sketches
+    merged (a single view is its own union)."""
+    if len(views) == 1:
+        return views[0]
+    sketches = [view.sketch for view in views]
+    if not all(isinstance(sketch, KLLSketch) for sketch in sketches):
+        raise ValueError(_NEEDS_KLL)
+    return StreamView(KLLSketch.merge_many(sketches), eps2)
 
 
 class ClusterSnapshot(PinnedView):
     """A pinned, consistent view across every shard of a cluster.
 
     Holds one :class:`~repro.core.epoch.SnapshotHandle` per shard (in
-    shard order).  The verbs are
-    :class:`~repro.core.query_path.PinnedView`'s, so the serving layer
-    drives a cluster exactly as it drives a single engine; what is here
-    is the gather: the union scope over the handles, the fused TS, and
+    shard order).  The verbs and the scope are
+    :class:`~repro.core.query_path.PinnedView`'s, over the shard-major
+    concatenation of the handles' partitions and their merged stream,
+    so the serving layer drives a cluster exactly as it drives a single
+    engine; what is here is the gather: the per-shard block cache and
     the culprit-exclusion retry with its partial results.
 
     Can be built from any list of pinned handles (not only via
@@ -292,10 +262,10 @@ class ClusterSnapshot(PinnedView):
     acked element counts.  When those are omitted the snapshot is
     every shard answering, nothing missing.
 
-    ``historical_memo`` is the owning cluster's memo of the fused TS
-    (the whole of it while no shard's SS changes); without one (snapshots
-    over standalone engines) the snapshot keeps its own — the same
-    arrays either way.
+    ``historical_memo`` (the owning cluster's) and ``stream`` (the
+    handles' merged stream) are what the caller already holds; without
+    them the snapshot keeps its own memo and merges its own stream —
+    the same arrays either way.
     """
 
     def __init__(
@@ -306,6 +276,7 @@ class ClusterSnapshot(PinnedView):
         shard_ids: Optional[Sequence[int]] = None,
         missing: Optional[Mapping[int, int]] = None,
         historical_memo: Optional[HistoricalMemo] = None,
+        stream: Optional[StreamView] = None,
     ) -> None:
         if not handles:
             raise ValueError("a cluster snapshot needs at least one shard")
@@ -332,6 +303,9 @@ class ClusterSnapshot(PinnedView):
         self.n_historical = sum(h.n_historical for h in self.handles)
         self.m_stream = sum(h.m_stream for h in self.handles)
         self._historical_memo = historical_memo or HistoricalMemo()
+        self._stream = stream or merged_stream(
+            [h._stream for h in self.handles], config.epsilon2
+        )
 
     def _release_pins(self) -> None:
         for handle in self.handles:
@@ -339,109 +313,40 @@ class ClusterSnapshot(PinnedView):
 
     # -- the union scope ------------------------------------------------
 
-    def _scope(
+    def _partitions_in(
         self,
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> "tuple[List[List[Partition]], List[StreamSummary]]":
-        """Per-shard (partitions, SS) pairs for the queried scope."""
-        partitions: List[List[Partition]] = []
-        summaries: List[StreamSummary] = []
-        for handle in self.handles:
-            parts, ss = handle.scope(window_steps, step_range)
-            partitions.append(list(parts))
-            summaries.append(ss)
-        return partitions, summaries
+        window_steps: Optional[int],
+        step_range: "Optional[tuple[int, int]]",
+    ) -> List[Partition]:
+        # Shard-major: the order the historical shares are summed in.
+        return [
+            p
+            for handle in self.handles
+            for p in handle._partitions_in(window_steps, step_range)
+        ]
 
     def combined(
         self,
         window_steps: Optional[int] = None,
         step_range: "Optional[tuple[int, int]]" = None,
     ) -> CombinedSummary:
-        """Fused TS over every shard's scope (full scope cached)."""
+        """TS over every shard's scope (full scope cached)."""
         # Defined here only for bench/trace.py, which wraps the name it
         # finds in this class's own __dict__ (``cluster.fuse``).
         return super().combined(window_steps, step_range)
 
-    def _fuse(
-        self,
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-        positions: Optional[Sequence[int]] = None,
-    ) -> CombinedSummary:
-        """TS fused over the shards at ``positions`` (default: all)."""
-        shard_partitions, summaries = self._scope(window_steps, step_range)
-        if positions is None:
-            positions = range(len(self.handles))
-        # Shard-major: the order the historical shares are summed in.
-        partitions = [
-            p for i in positions for p in shard_partitions[i] if len(p) > 0
-        ]
-        return CombinedSummary.build(
-            [p.summary for p in partitions],
-            [summaries[i] for i in positions],
-            self._historical_memo,
-        )
+    def _new_cache(self) -> ShardedBlockCache:
+        return ShardedBlockCache(self.handles)
 
-    def _query_scope(
-        self,
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-        positions: Optional[Sequence[int]] = None,
-    ) -> _GatherScope:
-        """The union scope over the shards at ``positions`` (default:
-        all, whose full-scope TS is the cached one)."""
-        shard_partitions, summaries = self._scope(window_steps, step_range)
-        if positions is None:
-            positions = range(len(self.handles))
-            combined = self.combined(window_steps, step_range)
-        else:
-            combined = self._resolve(window_steps, step_range, positions)
-        answering = [self.handles[i] for i in positions]
-
-        def new_cache() -> ShardedBlockCache:
-            # Over the answering shards only: an excluded shard's runs
-            # are unreachable (a stray touch raises ``KeyError`` rather
-            # than silently re-faulting).
-            return ShardedBlockCache(
-                {i: self.handles[i]._new_cache() for i in positions},
-                {
-                    p.run.run_id: i
-                    for i in positions
-                    for p in shard_partitions[i]
-                },
-            )
-
-        def stream_rank(value: int) -> float:
-            # The sum of the per-shard pinned-sketch brackets.
-            return sum(h.stream_rank(value) for h in answering)
-
-        def on_degraded(cache: ShardedBlockCache) -> None:
-            # Counted on the shard whose disk faulted.
-            self.handles[cache.failed_shard]._note_degraded()
-
-        return _GatherScope(
-            # Shard-major, like the fused TS's historical half.
-            partitions=[p for i in positions for p in shard_partitions[i]],
-            stream_summary=_FusedStreamSummary(
-                [summaries[i] for i in positions]
-            ),
-            combined=combined,
-            stream_rank=stream_rank if step_range is None else None,
-            new_cache=new_cache,
-            on_degraded=on_degraded,
-            window_steps=window_steps,
-            positions=positions,
-            shard_partitions=shard_partitions,
-            summaries=summaries,
-            step_range=step_range,
-        )
+    def _on_degraded(self, cache: ShardedBlockCache) -> None:
+        # Counted on the shard whose disk faulted.
+        self.handles[cache.failed_shard]._note_degraded()
 
     # -- queries --------------------------------------------------------
 
     def _answer(
         self,
-        scope: _GatherScope,
+        scope: QueryScope,
         rank: int,
         mode: str,
         cache: Optional[ShardedBlockCache] = None,
@@ -451,18 +356,19 @@ class ClusterSnapshot(PinnedView):
 
         *Culprit exclusion*: when a shard's disk faults mid-search and
         ``min_gather_shards`` leaves quorum to spare, that shard is
-        excluded and the search re-run over the survivors.  *Partial
-        results*: with shards excluded here or quarantined at pin time,
-        the answer's rank bound is widened by the missing shards'
-        element counts (:func:`~repro.core.bounds.widen_rank_bound`) and
-        a :class:`~repro.core.bounds.PartialResult` attached.  With
+        excluded and the search re-run on a snapshot of the survivors.
+        *Partial results*: with shards excluded here or quarantined at
+        pin time, the answer's rank bound is widened by the missing
+        shards' element counts (:func:`~repro.core.bounds.widen_rank_bound`)
+        and a :class:`~repro.core.bounds.PartialResult` attached.  With
         every shard answering and no faults the result is
         ``answer_rank``'s, untouched — a 1-shard cluster runs the plain
         engine's lines.
         """
         started = time.perf_counter()
         quorum = max(1, self.config.min_gather_shards)
-        # Handle positions excluded mid-search -> their scoped counts.
+        view = self
+        # Shard ids excluded mid-search -> their scoped counts.
         excluded: Dict[int, int] = {}
         while True:
             # A caller-shared cache only matches the full shard set;
@@ -471,7 +377,7 @@ class ClusterSnapshot(PinnedView):
                 cache = scope.new_cache()
             can_exclude = (
                 self.config.min_gather_shards > 0
-                and len(scope.positions) - 1 >= quorum
+                and len(view.handles) - 1 >= quorum
             )
             try:
                 result = answer_rank(
@@ -482,20 +388,26 @@ class ClusterSnapshot(PinnedView):
             except DiskFault:
                 if not can_exclude:
                     raise
-                culprit = cache.failed_shard
-                excluded[culprit] = (
-                    sum(len(p) for p in scope.shard_partitions[culprit])
-                    + scope.summaries[culprit].stream_size
+                failed = cache.failed_shard
+                culprit = view.handles[failed]
+                parts = culprit._partitions_in(
+                    scope.window_steps, scope.step_range
                 )
-                scope = self._query_scope(
-                    scope.window_steps,
-                    scope.step_range,
-                    [i for i in scope.positions if i != culprit],
+                excluded[view.shard_ids[failed]] = sum(map(len, parts)) + (
+                    culprit.m_stream if scope.step_range is None else 0
                 )
-        missing = dict(self.missing)
-        for pos, count in excluded.items():
-            missing[self.shard_ids[pos]] = count
-        result = self._with_partial(result, missing, len(scope.positions))
+                view = ClusterSnapshot(
+                    view.handles[:failed] + view.handles[failed + 1:],
+                    self.config,
+                    self._executor,
+                    shard_ids=view.shard_ids[:failed]
+                    + view.shard_ids[failed + 1:],
+                    historical_memo=self._historical_memo,
+                )
+                scope = view._query_scope(scope.window_steps, scope.step_range)
+        result = self._with_partial(
+            result, {**self.missing, **excluded}, len(view.handles)
+        )
         if excluded:
             # The failed attempts are part of this query's latency.
             result = replace(
@@ -504,7 +416,7 @@ class ClusterSnapshot(PinnedView):
         return result
 
     def _answer_quick_many(
-        self, scope: _GatherScope, phis: Sequence[float]
+        self, scope: QueryScope, phis: Sequence[float]
     ) -> List[QueryResult]:
         return [
             self._with_partial(result, self.missing, len(self.handles))
@@ -571,7 +483,9 @@ class ClusterEngine(PinnedQueries):
         if config is None:
             if epsilon is None:
                 raise ValueError("pass epsilon or a full EngineConfig")
-            config = EngineConfig(epsilon=epsilon)
+            config = EngineConfig(epsilon=epsilon, sketch_backend="kll")
+        if config.sketch_backend != "kll":
+            raise ValueError(_NEEDS_KLL)
         self.config = config
         self.router = ShardRouter(shards)
         self.fault_plan = fault_plan
@@ -621,9 +535,12 @@ class ClusterEngine(PinnedQueries):
             workers=config.query_workers, retry=PROBE_RETRY_POLICY
         )
         self._step = 0
-        # The fused TS's historical half per partition set (over the
-        # shard-major concatenation) and the TS last fused onto it.
+        # TS's historical half per partition set (over the shard-major
+        # concatenation) and the TS last fused onto it.
         self._historical_memo = HistoricalMemo()
+        #: the shard views last merged, and their merge.
+        self._merged: tuple = ([], None)
+        self._merge_lock = threading.Lock()
 
     # -- ingest ---------------------------------------------------------
 
@@ -901,6 +818,7 @@ class ClusterEngine(PinnedQueries):
         try:
             for _, shard in live:
                 handles.append(shard.pin())
+            stream = self._merged_stream([h._stream for h in handles])
         except BaseException:
             for handle in handles:
                 handle.release()
@@ -915,7 +833,19 @@ class ClusterEngine(PinnedQueries):
                 for index in self._quarantined
             },
             historical_memo=self._historical_memo,
+            stream=stream,
         )
+
+    def _merged_stream(self, views: List[StreamView]) -> StreamView:
+        """The merge of the shards' ``views``, the last one again while
+        every shard hands out the same view: the memo retains a TS per
+        SS object, so racing pins wait for one merge."""
+        with self._merge_lock:
+            held, merged = self._merged
+            if held != views:
+                merged = merged_stream(views, self.config.epsilon2)
+                self._merged = (views, merged)
+            return merged
 
     def _query_pin(self) -> ClusterSnapshot:
         # Looked up per call: a traced run patches ``pin`` on the class.

@@ -17,10 +17,10 @@ TS is held as its two halves.  The sums over partitions depend on the
 partition set only — HS changes when a time step is sealed or levels
 merge, not per query — so :class:`HistoricalSummary` holds the merged HS
 values with those sums and is folded once per partition set, one
-partition at a time.  The stream terms depend on the live sketch, and
-every ``alpha_S`` is constant between two consecutive SS entries, so
+partition at a time.  The stream term depends on the live sketch, and
+``alpha_S`` is constant between two consecutive SS entries, so
 :meth:`CombinedSummary.fuse` only ranks the SS entries in HS and
-tabulates the stream terms per *gap* between them; the quick response
+tabulates the stream term per *gap* between them; the quick response
 (Algorithm 5) and filter generation (Algorithm 7) search the two halves
 for their slot, no merged array is built.  :meth:`CombinedSummary.build`
 does both halves, from scratch or through a memo that redoes each only
@@ -232,24 +232,23 @@ class CombinedSummary:
     entry, the HS values in ``[entries[0], entries[1])``, the next
     entry, and so on: *gap* ``g`` is the HS slice in front of entry
     ``g`` (the last gap follows the last entry; an HS value equal to an
-    entry sits behind it).  An HS slot's bound is its HS share plus one
-    term per live stream that depends on its gap alone; an entry's is
+    entry sits behind it).  An HS slot's bound is its HS share plus the
+    stream's term, which depends on its gap alone; an entry's is
     tabulated.  ``values``, ``from_stream``, ``lower`` and ``upper`` are
     the paper's arrays, materialised from those tables on first use —
     for tests and invariant checks: no query reads them.
     """
 
     historical: HistoricalSummary
-    #: the SS entries ``e[0..k)`` of every live stream, stably merged.
+    #: the SS entries ``e[0..k)``.
     entries: np.ndarray
     #: ``k + 2`` offsets: gap ``g`` is ``historical[gaps[g]:gaps[g + 1]]``.
     gaps: np.ndarray
-    #: ``L`` and ``U`` unbuilt, each as ``(base, terms, at)``: per HS
-    #: slot the partitions' share (the memoised HS array); per live
-    #: stream, in stream order, an array of its term at every HS slot
-    #: of each gap; per entry the bound itself.
-    lower_tables: "tuple[np.ndarray, list[np.ndarray], np.ndarray]"
-    upper_tables: "tuple[np.ndarray, list[np.ndarray], np.ndarray]"
+    #: ``L`` and ``U`` unbuilt, each as ``(base, term, at)``: per HS
+    #: slot the partitions' share (the memoised HS array); per gap the
+    #: stream's term at its HS slots; per entry the bound itself.
+    lower_tables: "tuple[np.ndarray, np.ndarray, np.ndarray]"
+    upper_tables: "tuple[np.ndarray, np.ndarray, np.ndarray]"
     #: ``N = n + m`` over the data the summary covers (the full
     #: dataset, or the window for windowed queries).
     total_size: int
@@ -258,56 +257,35 @@ class CombinedSummary:
     def build(
         cls,
         partition_summaries: Sequence[PartitionSummary],
-        stream_summary: "StreamSummary | Sequence[StreamSummary]",
+        stream_summary: StreamSummary,
         memo: "Optional[HistoricalMemo]" = None,
     ) -> "CombinedSummary":
         """TS of the partition summaries (HS) and the stream summary.
 
-        ``stream_summary`` may be a single :class:`StreamSummary` (the
-        single-engine path) or a sequence of them (the cluster's fused
-        path: one SS per shard).  ``memo`` — the engine's or cluster's
+        ``memo`` — the engine's or cluster's
         :class:`~repro.core.epoch.HistoricalMemo` — folds HS once per
         partition set and returns the TS it retains while the stream
-        summaries are the same objects; without one both halves are
+        summary is the same object; without one both halves are
         computed here from scratch, the reference a memo must equal.
         """
-        if isinstance(stream_summary, StreamSummary):
-            stream_summaries = [stream_summary]
-        else:
-            stream_summaries = list(stream_summary)
         if memo is not None:
-            return memo.combined(partition_summaries, stream_summaries)
+            return memo.combined(partition_summaries, stream_summary)
         return cls.fuse(
-            HistoricalSummary.fold(partition_summaries), stream_summaries
+            HistoricalSummary.fold(partition_summaries), stream_summary
         )
 
     @classmethod
     def fuse(
-        cls,
-        historical: HistoricalSummary,
-        stream_summaries: Sequence[StreamSummary],
+        cls, historical: HistoricalSummary, stream_summary: StreamSummary
     ) -> "CombinedSummary":
-        """Rank the SS entries in HS and tabulate the stream terms.
+        """Rank the SS entries in HS and tabulate the stream term.
 
-        Rank bounds are additive across components, so each stream
-        summary simply contributes its own Lemma 2 terms and the fused
-        error is ``eps1 * sum(n_P) + eps2 * sum(m_s)`` — the same
-        contract over the union stream.  Every array made here has one
-        element per entry or per gap; no HS slot is touched.
+        Every array made here has one element per entry or per gap; no
+        HS slot is touched.
         """
-        live = [s for s in stream_summaries if not s.is_empty]
-        if not live and len(historical) == 0:
+        entries = stream_summary.values
+        if len(entries) == 0 and len(historical) == 0:
             raise ValueError("cannot summarize an empty dataset")
-        entries = np.concatenate(
-            [np.empty(0, dtype=np.int64)] + [s.values for s in live]
-        )
-        # Which stream summary each entry came from: an element's *own*
-        # summary uses the tighter Lemma 1 coefficient below.
-        origin = np.repeat(np.arange(len(live)), [len(s) for s in live])
-        if len(live) > 1:
-            order = np.argsort(entries, kind="stable")
-            entries = entries[order]
-            origin = origin[order]
 
         # Equal entries rank alike: HS is searched once per distinct one.
         # On ties the merge puts stream entries first, in front of the
@@ -330,49 +308,37 @@ class CombinedSummary:
         lower_at, upper_at = np.zeros((2, len(entries)))
         lower_at[held] = historical.lower[reach[held] - 1]
         upper_at[held] = historical.upper[reach[held] - 1]
-        lower_terms, upper_terms = [], []
-        # alpha counts the entries *at most* a value: e[0..g) in gap g,
-        # and at an entry the whole group tied with it.
+        # alpha counts the entries *at most* a value: g in gap g, and at
+        # an entry the whole group tied with it.
         tied = np.repeat(ends, sizes)
-        for s_index, summary in enumerate(live):
-            m = summary.stream_size
-            alphas = np.arange(len(summary) + 1)
-            scale = summary.eps2 * m
-            own = origin == s_index
-            in_gap = np.concatenate(([0], np.cumsum(own)))
-            at_entry = in_gap[tied]
-            below = np.minimum((alphas - 1) * scale, m)
-            below[0] = 0.0
-            lower_terms.append(below[in_gap])
-            lower_at += below[at_entry]
-            if summary.strict_uppers is not None:
-                # Provable bracket from the GK extraction: everything
-                # at most TS[i] precedes the next strictly greater
-                # summary entry.
-                above = np.append(
-                    summary.strict_uppers.astype(np.float64), float(m)
-                )
-                above[0] = 0.0
-                upper_at += above[at_entry]
-            else:
-                # Lemma 1 applies to this summary's own entries only;
-                # every other element falls between entries and pays
-                # the + 1 coefficient.
-                above = (alphas + 1) * scale
-                above[0] = 0.0
-                upper_at += np.where(
-                    own, (alphas * scale)[at_entry], above[at_entry]
-                )
-            upper_terms.append(above[in_gap])
+        m = stream_summary.stream_size
+        alphas = np.arange(len(entries) + 1)
+        scale = stream_summary.eps2 * m
+        below = np.minimum((alphas - 1) * scale, m)
+        below[0] = 0.0
+        lower_at += below[tied]
+        if stream_summary.strict_uppers is not None:
+            # Provable bracket from the GK extraction: everything at
+            # most TS[i] precedes the next strictly greater entry.
+            above = np.append(
+                stream_summary.strict_uppers.astype(np.float64), float(m)
+            )
+            above[0] = 0.0
+            upper_at += above[tied]
+        else:
+            # Lemma 1 applies to the entries themselves; every other
+            # element falls between entries and pays the + 1 coefficient.
+            above = (alphas + 1) * scale
+            above[0] = 0.0
+            upper_at += (alphas * scale)[tied]
 
         return cls(
             historical=historical,
             entries=entries,
             gaps=np.concatenate(([0], left, [len(historical)])),
-            lower_tables=(historical.lower, lower_terms, lower_at),
-            upper_tables=(historical.upper, upper_terms, upper_at),
-            total_size=historical.total_size
-            + sum(s.stream_size for s in stream_summaries),
+            lower_tables=(historical.lower, below, lower_at),
+            upper_tables=(historical.upper, above, upper_at),
+            total_size=historical.total_size + m,
         )
 
     def __len__(self) -> int:
@@ -391,20 +357,18 @@ class CombinedSummary:
         are in front — ``g + i`` is ``np.searchsorted`` over the array —
         and gap ``g`` is ``historical[lo:hi]``.  The bound ascends over
         TS, so the entries' bounds pick the gap, and the gap is bisected
-        on the bound the array holds for each slot: share plus each
-        term in stream order (float addition is not associative, so
-        neither a pre-summed term nor ``key`` minus the terms would do).
+        on the bound the array holds for each slot: share plus term
+        (``key`` minus the term, looked up in the shares, can round
+        into another slot).
         """
-        base, terms, at = tables
+        base, term, at = tables
         g = int(at.searchsorted(key))
         lo, hi = self.gaps.item(g), self.gaps.item(g + 1)
+        stream = term.item(g)
         i, end = lo, hi
         while i < end:
             mid = (i + end) // 2
-            bound = base.item(mid)
-            for term in terms:
-                bound += term.item(g)
-            if bound < key:
+            if base.item(mid) + stream < key:
                 i = mid + 1
             else:
                 end = mid
@@ -456,13 +420,12 @@ class CombinedSummary:
     @cached_property
     def _arrays(self) -> "tuple[np.ndarray, ...]":
         """``(values, from_stream, lower, upper)``: both halves merged,
-        an HS slot's bound its share plus its gap's terms in order."""
+        an HS slot's bound its share plus its gap's term."""
         merge = _Merge(self.historical.values, self.entries)
         sizes = np.diff(self.gaps)
         bounds = []
-        for base, terms, at in (self.lower_tables, self.upper_tables):
-            slots = sum((np.repeat(term, sizes) for term in terms), base)
-            bounds.append(merge.place(slots, at))
+        for base, term, at in (self.lower_tables, self.upper_tables):
+            bounds.append(merge.place(base + np.repeat(term, sizes), at))
         values = merge.place(self.historical.values, self.entries)
         return (values, merge.inserted, *bounds)
 

@@ -629,7 +629,9 @@ class HybridQuantileEngine(PinnedQueries):
         self._absorb_stream_tail()
         view, live = self._stream_view, self._gk
         if view is None or view.source is not live or view.size != live.n:
-            view = self._stream_view = StreamView(live, self.config.epsilon2)
+            view = self._stream_view = StreamView(
+                live.snapshot(), self.config.epsilon2, live
+            )
         return view
 
     def stream_summary(self) -> StreamSummary:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from ..storage.shared_cache import SharedBlockCache
 from ..warehouse.partition import Partition
 from .bounds import CombinedSummary, HistoricalSummary
 from .config import EngineConfig
-from .query_path import PinnedView, QueryScope
+from .query_path import PinnedView
 from .summaries import PartitionSummary, StreamSummary
 from .windows import resolve_range_in, resolve_window_in
 
@@ -162,15 +162,20 @@ class EpochRegistry:
 
 
 class StreamView:
-    """One frozen version of the live sketch: its snapshot and, lazily
-    and once, the SS extracted from it — shared, read-only, by every
-    handle pinned while ``source`` is the live sketch and holds ``size``
-    elements."""
+    """One frozen stream sketch and, lazily and once, the SS extracted
+    from it — shared, read-only, by every handle pinned at it: an
+    engine's snapshot of its live sketch ``source`` while that holds
+    ``size`` elements, or a cluster's merge of its shards' views."""
 
-    def __init__(self, source: QuantileSketch, eps2: float) -> None:
+    def __init__(
+        self,
+        sketch: QuantileSketch,
+        eps2: float,
+        source: Optional[QuantileSketch] = None,
+    ) -> None:
         self.source = source
-        self.sketch = source.snapshot()
-        self.size = self.sketch.n
+        self.sketch = sketch
+        self.size = sketch.n
         self._eps2 = eps2
         # Held across the extraction: sharers wait for one extractor.
         self._lock = threading.Lock()
@@ -183,6 +188,14 @@ class StreamView:
                 self._summary = StreamSummary.extract(self.sketch, self._eps2)
             return self._summary
 
+    def rank(self, value: int) -> float:
+        """Rank estimate of ``value`` in the frozen stream: the midpoint
+        of the sketch's bracket."""
+        if self.size == 0:
+            return 0.0
+        lo, hi = self.sketch.rank_bounds(int(value))
+        return (lo + hi) / 2.0
+
 
 @dataclass
 class _MemoEntry:
@@ -192,7 +205,7 @@ class _MemoEntry:
     historical: HistoricalSummary
     #: the retained TS (``None``: none) and what it was fused from.
     combined: Optional[CombinedSummary] = None
-    stream_summaries: Sequence[StreamSummary] = ()
+    stream_summary: Optional[StreamSummary] = None
 
 
 class HistoricalMemo:
@@ -209,8 +222,8 @@ class HistoricalMemo:
     by the first query that needs it, never on the seal path.
 
     An entry also retains the TS last fused onto its HS, returned while
-    the stream summaries handed in are the same objects; a set entering
-    the memo drops the TS of the sets it supersedes (they keep their HS).
+    the stream summary handed in is the same object; a set entering the
+    memo drops the TS of the sets it supersedes (they keep their HS).
     """
 
     #: full scope, the scope before the latest seal, a window or two.
@@ -228,9 +241,9 @@ class HistoricalMemo:
     def combined(
         self,
         summaries: Sequence[PartitionSummary],
-        stream_summaries: Sequence[StreamSummary],
+        stream_summary: StreamSummary,
     ) -> CombinedSummary:
-        """TS of ``summaries`` (in this order) and ``stream_summaries``."""
+        """TS of ``summaries`` (in this order) and ``stream_summary``."""
         key = tuple(map(id, summaries))
         with self._lock:
             entry = self._entries.get(key)
@@ -249,21 +262,22 @@ class HistoricalMemo:
                 for summary in summaries[len(prefix):]:
                     historical = historical.extended(summary)
                 for older in self._entries.values():
-                    older.combined, older.stream_summaries = None, ()
+                    older.combined, older.stream_summary = None, None
                 entry = _MemoEntry(list(summaries), historical)
                 self._entries[key] = entry
                 if len(self._entries) > self.CAPACITY:
                     self._entries.popitem(last=False)
             self._entries.move_to_end(key)
-            if entry.combined is not None and list(
-                map(id, entry.stream_summaries)
-            ) == list(map(id, stream_summaries)):
+            if (
+                entry.combined is not None
+                and entry.stream_summary is stream_summary
+            ):
                 self.reuses += 1
             else:
                 entry.combined = CombinedSummary.fuse(
-                    entry.historical, stream_summaries
+                    entry.historical, stream_summary
                 )
-                entry.stream_summaries = list(stream_summaries)
+                entry.stream_summary = stream_summary
             return entry.combined
 
     def check_invariants(self) -> None:
@@ -278,7 +292,7 @@ class HistoricalMemo:
             pairs = [(entry.historical, fresh, names)]
             if ts is not None:
                 built = CombinedSummary.build(
-                    entry.summaries, entry.stream_summaries
+                    entry.summaries, entry.stream_summary
                 )
                 # Arrays of a copy (unless it built its own): it stays small.
                 held = ts if "_arrays" in vars(ts) else replace(ts)
@@ -313,11 +327,11 @@ class SnapshotHandle(PinnedView):
 
     Created by :meth:`HybridQuantileEngine.pin`; release with
     :meth:`release` (or use as a context manager).  The verbs are
-    :class:`~repro.core.query_path.PinnedView`'s; what is here is the
-    pin: the registry refcount and the backend run pins, the scope
-    resolution over the pinned partition list, SS (the shared
-    :class:`StreamView`'s) and TS (the engine's
-    :class:`HistoricalMemo`'s, one counted merge per resolution).
+    :class:`~repro.core.query_path.PinnedView`'s, and so is the scope
+    code; what is here is the pin: the registry refcount and the backend
+    run pins, the pinned partition list, the shared :class:`StreamView`
+    and the engine's :class:`HistoricalMemo` (one counted merge per
+    resolution).
     """
 
     def __init__(
@@ -365,43 +379,23 @@ class SnapshotHandle(PinnedView):
 
     def stream_rank(self, value: int) -> float:
         """Rank estimate of ``value`` in the pinned stream (midpoint)."""
-        if self.gk.n == 0:
-            return 0.0
-        lo, hi = self.gk.rank_bounds(int(value))
-        return (lo + hi) / 2.0
+        return self._stream.rank(value)
 
-    def scope(
+    def _partitions_in(
         self,
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> "tuple[List[Partition], StreamSummary]":
-        """The (partitions, SS) pair a query over this scope covers."""
+        window_steps: Optional[int],
+        step_range: "Optional[tuple[int, int]]",
+    ) -> List[Partition]:
         if step_range is not None:
-            if window_steps is not None:
-                raise ValueError("pass window_steps or step_range, not both")
-            partitions = resolve_range_in(self.partitions, *step_range)
-            # A historical interval excludes the live stream.
-            ss = StreamSummary(
-                values=np.empty(0, dtype=np.int64),
-                stream_size=0,
-                eps2=self.config.epsilon2,
-            )
-            return partitions, ss
+            return resolve_range_in(self.partitions, *step_range)
         if window_steps is None:
-            return self.partitions, self.stream_summary()
-        partitions = resolve_window_in(self.partitions, window_steps)
-        return partitions, self.stream_summary()
+            return self.partitions
+        return resolve_window_in(self.partitions, window_steps)
 
-    def _fuse(
-        self,
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> CombinedSummary:
-        """TS of the scope off the engine's memo, counted against the
-        registry's ``ts_merges`` (fused or reused)."""
-        partitions, ss = self.scope(window_steps, step_range)
-        summaries = [p.summary for p in partitions if len(p) > 0]
-        built = CombinedSummary.build(summaries, ss, self._historical_memo)
+    def _fuse(self, *scope: Any) -> CombinedSummary:
+        """TS of the scope, counted against the registry's
+        ``ts_merges`` (fused or reused)."""
+        built = super()._fuse(*scope)
         self._registry.note_ts_merge()
         return built
 
@@ -456,18 +450,5 @@ class SnapshotHandle(PinnedView):
                 self._executor.run_tasks(tasks, cache)
         return cache.blocks_charged
 
-    def _query_scope(
-        self,
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> QueryScope:
-        partitions, ss = self.scope(window_steps, step_range)
-        return QueryScope(
-            partitions=partitions,
-            stream_summary=ss,
-            combined=self.combined(window_steps, step_range),
-            stream_rank=self.stream_rank if step_range is None else None,
-            new_cache=self._new_cache,
-            on_degraded=lambda cache: self._note_degraded(),
-            window_steps=window_steps,
-        )
+    def _on_degraded(self, cache: BlockCache) -> None:
+        self._note_degraded()

@@ -3,8 +3,9 @@
 The paper defines one query procedure — Algorithm 5 answers from TS
 alone (quick), Algorithms 6-8 bracket the rank with TS filters and
 bisect with exact per-partition ranks plus a stream estimate
-(accurate).  Because the per-shard summaries are mergeable, a cluster
-is the same procedure over concatenated partitions and a fused TS.
+(accurate).  Because KLL sketches merge, a cluster is the same
+procedure over its shards' concatenated partitions and one merged
+stream.
 
 Every door is a :class:`PinnedView` — a
 :class:`~repro.core.epoch.SnapshotHandle` (one engine's pin) or a
@@ -32,6 +33,7 @@ from ..warehouse.partition import Partition
 from .bounds import CombinedSummary, PartialResult, quick_rank_bound
 from .config import EngineConfig
 from .filters import AccurateSearch, SearchOutcome
+from .summaries import StreamSummary
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,7 @@ class QueryScope:
     """
 
     partitions: Sequence[Partition]
-    #: SS of the scope — a :class:`~repro.core.summaries.StreamSummary`,
-    #: or the cluster's per-shard facade with the same ``stream_size`` /
-    #: ``rank_estimate`` / ``largest_at_most`` surface.
-    stream_summary: Any
+    stream_summary: StreamSummary
     combined: CombinedSummary
     #: rank estimate from the *pinned* sketch, so a concurrent stream
     #: update cannot shift estimates mid-search; ``None`` for
@@ -108,6 +107,7 @@ class QueryScope:
     #: (the cluster reads the culprit shard off it).
     on_degraded: Callable[[Any], None]
     window_steps: Optional[int] = None
+    step_range: "Optional[tuple[int, int]]" = None
 
 
 def check_mode(mode: str) -> None:
@@ -267,12 +267,14 @@ class PinnedView:
     """One pinned, consistent view and the verbs every such view has.
 
     A subclass says what it pinned: ``n_historical`` / ``m_stream``,
-    ``_release_pins()``, ``_fuse(window_steps, step_range)`` (TS of a
-    scope, uncached) and ``_query_scope(window_steps, step_range)``.
-    The lifecycle, the once-per-view full-scope TS, the merge counter
-    and the three query verbs are written here, once.  All of it is
-    thread-safe: the serving layer shares one view across a coalesced
-    batch of requests.
+    ``_release_pins()``, ``_partitions_in(window_steps, step_range)``
+    (the partitions a scope covers, in the order their HS shares are
+    summed), ``_stream`` (one :class:`~repro.core.epoch.StreamView`),
+    ``_historical_memo``, ``_new_cache()`` (a per-query block cache)
+    and ``_on_degraded(cache)``.  The lifecycle, the scope, the
+    once-per-view full-scope TS, the merge counter and the three query
+    verbs are written here, once.  All of it is thread-safe: the
+    serving layer shares one view across a coalesced batch of requests.
     """
 
     def __init__(
@@ -315,7 +317,49 @@ class PinnedView:
     def __exit__(self, *exc_info: object) -> None:
         self.release()
 
-    # -- TS ---------------------------------------------------------------
+    # -- scope and TS -----------------------------------------------------
+
+    def scope(
+        self,
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+    ) -> "tuple[List[Partition], StreamSummary]":
+        """The (partitions, SS) pair a query over this scope covers."""
+        if step_range is not None and window_steps is not None:
+            raise ValueError("pass window_steps or step_range, not both")
+        partitions = self._partitions_in(window_steps, step_range)
+        if step_range is None:
+            return partitions, self._stream.summary()
+        # A historical interval excludes the live stream.
+        empty = np.empty(0, dtype=np.int64)
+        return partitions, StreamSummary(empty, 0, self.config.epsilon2)
+
+    def _fuse(
+        self,
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+    ) -> CombinedSummary:
+        """TS of the scope off the memo (uncached here)."""
+        partitions, ss = self.scope(window_steps, step_range)
+        summaries = [p.summary for p in partitions if len(p) > 0]
+        return CombinedSummary.build(summaries, ss, self._historical_memo)
+
+    def _query_scope(
+        self,
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+    ) -> QueryScope:
+        partitions, ss = self.scope(window_steps, step_range)
+        return QueryScope(
+            partitions=partitions,
+            stream_summary=ss,
+            combined=self.combined(window_steps, step_range),
+            stream_rank=self._stream.rank if step_range is None else None,
+            new_cache=self._new_cache,
+            on_degraded=self._on_degraded,
+            window_steps=window_steps,
+            step_range=step_range,
+        )
 
     @property
     def n_total(self) -> int:

@@ -219,7 +219,9 @@ class GKSketch(QuantileSketch):
         """
         a_vals, a_rmin, a_rmax = self._arrays()
 
-        in_batch = np.searchsorted(batch, a_vals, side="right")
+        # A batch value equal to a held tuple's sorts behind it (``pred``
+        # below), so only the batch values strictly below it precede it.
+        in_batch = np.searchsorted(batch, a_vals, side="left")
         a_rmin_c = a_rmin + in_batch
         a_rmax_c = a_rmax + in_batch
 

@@ -14,8 +14,9 @@ KLL compactors merge *by construction*: concatenate the level buffers
 pairwise and re-run the same compaction rule, and the merged sketch
 obeys the same ``eps * n`` rank guarantee over the union stream (the
 randomness-alignment argument in the paper's Section 3 carries over
-verbatim).  That property is what lets a sharded cluster answer quick
-queries by fusing per-shard stream sketches without error blow-up.
+verbatim).  That property is what lets a sharded cluster answer over
+one stream: it merges its shards' pinned sketches with
+:meth:`KLLSketch.merge_many` and extracts one SS from the merge.
 
 Determinism contract (mirrors the repo-wide lazy-absorption rules):
 

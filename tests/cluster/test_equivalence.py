@@ -14,7 +14,7 @@ Three regimes:
   (the gather math is shared code over identical pinned state).
 * ``shards=4`` vs exact ground truth — quick answers stay within the
   fused summary's documented bound, accurate answers within the
-  single-engine accurate bound, under both sketch backends.
+  single-engine accurate bound.
 """
 
 import numpy as np
@@ -54,7 +54,7 @@ def dataset():
 
 
 class TestSingleShardBitIdentity:
-    @pytest.mark.parametrize("backend", ["gk", "kll"])
+    @pytest.mark.parametrize("backend", ["kll"])
     def test_matches_plain_engine(self, dataset, backend):
         engine = HybridQuantileEngine(config=config_for(backend))
         cluster = ClusterEngine(shards=1, config=config_for(backend))
@@ -94,7 +94,7 @@ class TestSingleShardBitIdentity:
 
 
 class TestScatterGatherReplay:
-    @pytest.mark.parametrize("backend", ["gk", "kll"])
+    @pytest.mark.parametrize("backend", ["kll"])
     def test_accurate_matches_standalone_replay(self, dataset, backend):
         shards = 4
         steps = 5
@@ -147,7 +147,7 @@ class TestScatterGatherReplay:
 
 
 class TestAccuracyAgainstGroundTruth:
-    @pytest.mark.parametrize("backend", ["gk", "kll"])
+    @pytest.mark.parametrize("backend", ["kll"])
     @pytest.mark.parametrize("shards", [2, 4])
     def test_both_modes_within_bounds(self, dataset, backend, shards):
         cluster = ClusterEngine(shards=shards, config=config_for(backend))
@@ -225,7 +225,7 @@ class TestClusterBehaviors:
             cluster.close()
 
     def test_empty_cluster_query_raises(self):
-        cluster = ClusterEngine(shards=2, config=config_for("gk"))
+        cluster = ClusterEngine(shards=2, config=config_for("kll"))
         try:
             with pytest.raises(ValueError):
                 cluster.quantile(0.5)
@@ -233,7 +233,7 @@ class TestClusterBehaviors:
             cluster.close()
 
     def test_windowed_queries_gather(self, dataset):
-        cluster = ClusterEngine(shards=2, config=config_for("gk"))
+        cluster = ClusterEngine(shards=2, config=config_for("kll"))
         feed(cluster, dataset[:16_000], steps=4)
         try:
             windows = cluster.available_window_sizes()

@@ -16,15 +16,9 @@ TS_FIELDS = ("values", "from_stream", "lower", "upper")
 
 
 def assert_memoless(snapshot, window_steps=None):
-    shard_partitions, summaries = snapshot._scope(window_steps)
+    partitions, ss = snapshot.scope(window_steps)
     fresh = CombinedSummary.build(
-        [
-            p.summary
-            for parts in shard_partitions
-            for p in parts
-            if len(p) > 0
-        ],
-        summaries,
+        [p.summary for p in partitions if len(p) > 0], ss
     )
     fused = snapshot.combined(window_steps)
     for name in TS_FIELDS:
@@ -41,7 +35,9 @@ def feed(cluster, rng, size=3000, seal=True):
 
 
 def test_memo_across_pins_seals_and_windows():
-    config = EngineConfig(epsilon=0.02, kappa=2, block_elems=100)
+    config = EngineConfig(
+        epsilon=0.02, kappa=2, block_elems=100, sketch_backend="kll"
+    )
     rng = np.random.default_rng(7)
     with ClusterEngine(shards=3, config=config) as cluster:
         memo = cluster._historical_memo
@@ -106,7 +102,8 @@ def test_partitions_shorter_than_one_over_eps1():
     stay within the bound its own result reports."""
     rng = np.random.default_rng(3)
     oracle = ExactQuantiles()
-    with ClusterEngine(shards=4, config=EngineConfig(epsilon=1e-3)) as cluster:
+    config = EngineConfig(epsilon=1e-3, sketch_backend="kll")
+    with ClusterEngine(shards=4, config=config) as cluster:
         for _ in range(3):
             oracle.update_many(feed(cluster, rng, size=6000))
         oracle.update_many(feed(cluster, rng, size=1200, seal=False))

@@ -35,7 +35,7 @@ def build_cluster(shards=3, backend="kll", seed=11, steps=3, batch=4_000):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("backend", ["gk", "kll"])
+    @pytest.mark.parametrize("backend", ["kll"])
     def test_answers_survive(self, tmp_path, backend):
         cluster = build_cluster(backend=backend)
         before = {

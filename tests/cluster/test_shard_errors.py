@@ -8,7 +8,9 @@ from repro.core.config import EngineConfig
 
 
 def make_cluster(shards=4):
-    config = EngineConfig(epsilon=0.02, block_elems=100)
+    config = EngineConfig(
+        epsilon=0.02, block_elems=100, sketch_backend="kll"
+    )
     cluster = ClusterEngine(shards=shards, config=config)
     cluster.stream_update_many(
         np.random.default_rng(7).integers(

@@ -249,22 +249,20 @@ small_values = st.lists(st.integers(0, 7), min_size=0, max_size=40)
 class TestHistoricalSplit:
     @given(
         parts=st.lists(small_values, min_size=0, max_size=6),
-        streams=st.lists(small_values, min_size=1, max_size=4),
+        stream=small_values,
         strict=st.booleans(),
         split=st.integers(0, 6),
     )
     @settings(max_examples=150, deadline=None)
     def test_bit_identical_to_scalar_lemma2(
-        self, parts, streams, strict, split
+        self, parts, stream, strict, split
     ):
         """eps1 = 1/4: partitions of up to 4 elements are tiny ones."""
-        if not any(parts) and not any(streams):
+        if not any(parts) and not stream:
             return
         summaries = [partition_summary_of(p, 0.25) for p in parts]
-        stream_summaries = [
-            stream_summary_of(s, 0.125, strict) for s in streams
-        ]
-        expected = reference_ts(summaries, stream_summaries)
+        ss = stream_summary_of(stream, 0.125, strict)
+        expected = reference_ts(summaries, [ss])
 
         folded = HistoricalSummary.fold(summaries)
         grown = HistoricalSummary.fold(summaries[:split])
@@ -280,20 +278,9 @@ class TestHistoricalSplit:
         folding, growing = HistoricalMemo(), HistoricalMemo()
         other = stream_summary_of([3], 0.125, strict)
         CombinedSummary.build(summaries[:split], other, growing)
-        for memo in (None, folding, growing, growing):
-            assert_same_ts(
-                CombinedSummary.build(summaries, stream_summaries, memo),
-                expected,
-            )
-        assert (folding.reuses, growing.reuses) == (0, 1)
-        if len(stream_summaries) == 1:
-            assert_same_ts(
-                CombinedSummary.build(
-                    summaries, stream_summaries[0], folding
-                ),
-                expected,
-            )
-            assert folding.reuses == 1
+        for memo in (None, folding, growing, growing, folding):
+            assert_same_ts(CombinedSummary.build(summaries, ss, memo), expected)
+        assert (folding.reuses, growing.reuses) == (1, 1)
 
     def test_build_does_not_alias_the_memoised_arrays(self):
         """Even with no stream entries to insert, TS gets its own arrays."""
@@ -319,7 +306,7 @@ def by_the_arrays(ts, rank):
     return quick, ((v, u) if v < u else (u, v))
 
 
-def assert_searched_as_the_arrays(ts, bracketed=True):
+def assert_searched_as_the_arrays(ts):
     """Every door, at every rank where some slot's bound could flip."""
     bounds = np.rint(np.concatenate((ts.lower, ts.upper))).astype(np.int64)
     n = ts.total_size
@@ -335,18 +322,10 @@ def assert_searched_as_the_arrays(ts, bracketed=True):
         answers = ts.quick_responses(np.asarray(batch, dtype=np.int64))
         assert answers.dtype == np.int64
         assert answers.tolist() == [by_the_arrays(ts, r)[0] for r in batch]
-    # ``lower`` always ascends.  ``upper`` can fail to where entries of
-    # several hand-built (bracket-less) streams tie at one value: each
-    # pays its own Lemma 1 coefficient and the others' + 1, in stream
-    # order.  A binary search over that has no defined answer, the
-    # parent's included, so there only v — read off ``lower`` — is held.
-    ascending = bool(np.all(np.diff(ts.upper) >= 0))
-    assert ascending or not bracketed
-    for rank, (quick, filters) in zip(ranks, expected):
-        if ascending:
-            assert ts.generate_filters(rank) == filters
-        else:
-            assert quick in ts.generate_filters(rank)
+    # Both bounds ascend, so a binary search over either is defined.
+    assert np.all(np.diff(ts.lower) >= 0) and np.all(np.diff(ts.upper) >= 0)
+    for rank, (_, filters) in zip(ranks, expected):
+        assert ts.generate_filters(rank) == filters
 
 
 class TestSearchedNotBuilt:
@@ -354,32 +333,30 @@ class TestSearchedNotBuilt:
 
     @given(
         parts=st.lists(small_values, min_size=0, max_size=6),
-        streams=st.lists(small_values, min_size=1, max_size=4),
+        stream=small_values,
         strict=st.booleans(),
         split=st.integers(0, 6),
     )
     @settings(max_examples=150, deadline=None)
     def test_searched_answers_are_the_arrays_answers(
-        self, parts, streams, strict, split
+        self, parts, stream, strict, split
     ):
-        """Empty HS, empty SS, one stream and several, brackets and the
-        Lemma 1 ``own`` coefficient, ties inside SS, inside HS and
-        across both — from scratch and off a memo grown from a prefix."""
-        if not any(parts) and not any(streams):
+        """Empty HS, empty SS, brackets and the Lemma 1 coefficient,
+        ties inside SS, inside HS and across both — from scratch and
+        off a memo grown from a prefix."""
+        if not any(parts) and not stream:
             return
         summaries = [partition_summary_of(p, 0.25) for p in parts]
-        stream_summaries = [
-            stream_summary_of(s, 0.125, strict) for s in streams
-        ]
+        ss = stream_summary_of(stream, 0.125, strict)
         memo = HistoricalMemo()
         CombinedSummary.build(
             summaries[:split], stream_summary_of([3], 0.125, strict), memo
         )
         for built in (
-            CombinedSummary.build(summaries, stream_summaries),
-            CombinedSummary.build(summaries, stream_summaries, memo),
+            CombinedSummary.build(summaries, ss),
+            CombinedSummary.build(summaries, ss, memo),
         ):
-            assert_searched_as_the_arrays(built, bracketed=strict)
+            assert_searched_as_the_arrays(built)
 
     def test_rounding_in_the_shortcut_cannot_pick_another_slot(self):
         """An HS slot whose bound is 88.2 + 496.79999999999995 = 585.0:
@@ -391,41 +368,14 @@ class TestSearchedNotBuilt:
             np.concatenate((np.arange(49), 1000 + np.arange(52))), 1035, 0.01
         )
         ts = CombinedSummary.build([summary], ss)
-        base, terms, _ = ts.lower_tables
+        base, term, _ = ts.lower_tables
         slot = int(np.searchsorted(ts.historical.values, 880))
-        (term,) = terms
         assert (base[slot], term[49]) == (88.2, 496.79999999999995)
         assert base[slot] + term[49] == 585.0
         assert base[slot] < 585 - term[49]
         assert ts.quick_response(585) == 880
         assert ts.generate_filters(585)[1] == 880
-        assert_searched_as_the_arrays(ts, bracketed=False)
-
-    def test_terms_are_added_one_by_one_in_stream_order(self):
-        """Two streams: the slot's bound is (147.0 + 199.79999999999998)
-        + 41.2 < 388, yet with the terms summed first it is 388.0, and
-        388 minus the two terms is *not above* 147.0: either shortcut
-        stops a slot early."""
-        summary = partition_summary_of(list(range(0, 2100, 10)), 0.02)
-        streams = [
-            StreamSummary(
-                np.concatenate((np.arange(7), 2000 + np.arange(27))), 1110, 0.03
-            ),
-            StreamSummary(
-                np.concatenate((np.arange(5), 2000 + np.arange(46))), 515, 0.02
-            ),
-        ]
-        ts = CombinedSummary.build([summary], streams)
-        base, terms, _ = ts.lower_tables
-        slot = int(np.searchsorted(ts.historical.values, 1460))
-        first, second = (term[12] for term in terms)
-        assert (base[slot], first, second) == (147.0, 199.79999999999998, 41.2)
-        assert (base[slot] + first) + second < 388
-        assert base[slot] + (first + second) == 388
-        assert (388 - first) - second <= base[slot]
-        assert ts.quick_response(388) == 1510
-        assert ts.generate_filters(388)[1] == 1510
-        assert_searched_as_the_arrays(ts, bracketed=False)
+        assert_searched_as_the_arrays(ts)
 
     def make_engine(self):
         engine = HybridQuantileEngine(

@@ -86,7 +86,9 @@ class TestParallelLatency:
         engine, _ = build(rng)
         cluster = ClusterEngine(
             shards=3,
-            config=EngineConfig(epsilon=0.02, kappa=3, block_elems=16),
+            config=EngineConfig(
+                epsilon=0.02, kappa=3, block_elems=16, sketch_backend="kll"
+            ),
         )
         fill_engine(cluster, rng, steps=8, batch=3000, live=3000)
         with engine.pin() as handle:

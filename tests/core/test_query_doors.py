@@ -112,10 +112,13 @@ def doors():
     opened = []
 
     def open_doors(disks=None, **overrides):
-        for name in DOORS:
+        overrides.setdefault("sketch_backend", "kll")
+        # A cluster needs a mergeable sketch: gk has the engine doors.
+        names = DOORS if overrides["sketch_backend"] == "kll" else DOORS[:2]
+        for name in names:
             disk = disks() if disks is not None else None
             opened.append(Door(name, disk=disk, **overrides))
-        return opened[-len(DOORS):]
+        return opened[-len(names):]
 
     yield open_doors
     for door in opened:

@@ -137,19 +137,24 @@ CELLS = {
     "block4-shared": dict(block_elems=4, shared_cache_blocks=128),
     "duplicates": dict(universe=40),
     "tiny-partitions": dict(step=3, steps=9, block_elems=4),
-    "tiny-partitions-cluster": dict(shards=3, step=9, steps=9, block_elems=4),
+    "tiny-partitions-cluster": dict(
+        shards=3, step=9, steps=9, block_elems=4, sketch_backend="kll"
+    ),
     "wide-universe": dict(universe=1 << 40, sketch_backend="kll"),
     "budget": dict(probe_budget=6),
     "no-prefetch": dict(shared_cache_blocks=128, prefetch_blocks=0),
     # A partition closes with part of a narrow bracket unread, and the
     # prefetch of the same iteration still reads the rest of it.
     "prefetch-a-closed-partition": dict(
-        shards=3, step=4000, steps=9, block_elems=4, shared_cache_blocks=64
+        shards=3, step=4000, steps=9, block_elems=4, shared_cache_blocks=64,
+        sketch_backend="kll",
     ),
     # Summary gaps inside one block: most partitions resolve at once.
     "block128": dict(block_elems=128),
     "block128-shared": dict(block_elems=128, shared_cache_blocks=128),
-    "block128-cluster": dict(block_elems=128, shards=3, query_workers=3),
+    "block128-cluster": dict(
+        block_elems=128, shards=3, query_workers=3, sketch_backend="kll"
+    ),
 }
 
 

@@ -1,7 +1,6 @@
 """Unit tests for the background archiver thread."""
 
 import threading
-import time
 
 import numpy as np
 import pytest

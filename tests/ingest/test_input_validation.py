@@ -24,7 +24,10 @@ def single_engine():
 
 def cluster():
     return ClusterEngine(
-        shards=2, config=EngineConfig(epsilon=0.05, block_elems=16)
+        shards=2,
+        config=EngineConfig(
+            epsilon=0.05, block_elems=16, sketch_backend="kll"
+        ),
     )
 
 

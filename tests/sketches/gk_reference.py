@@ -71,7 +71,7 @@ class ReferenceGKSketch(GKSketch):
         a_vals = np.asarray(self._values, dtype=np.int64)
         a_rmin = np.cumsum(np.asarray(self._g, dtype=np.int64))
         a_rmax = a_rmin + np.asarray(self._delta, dtype=np.int64)
-        in_batch = np.searchsorted(batch, a_vals, side="right")
+        in_batch = np.searchsorted(batch, a_vals, side="left")
         succ = np.searchsorted(a_vals, batch, side="right")
         pred = succ - 1
         low_a = np.where(pred >= 0, a_rmin[np.maximum(pred, 0)], 0)

@@ -451,6 +451,7 @@ class TestEngineEquivalence:
         config = EngineConfig(
             epsilon=0.05,
             block_elems=64,
+            sketch_backend="kll",
             storage_backend="mmap",
             storage_dir=str(tmp_path / "cluster"),
         )

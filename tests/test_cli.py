@@ -142,6 +142,16 @@ class TestDemo:
         assert "phi=0.5" in out
         assert "memory:" in out
 
+    def test_a_sharded_demo_runs_on_kll_and_refuses_gk(self, capsys):
+        args = ("demo", "--shards", "2", "--steps", "2", "--batch", "1000",
+                "--epsilon", "0.05")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert "2 shards (kll sketches" in out
+        code, out, err = run(capsys, *args, "--sketch-backend", "gk")
+        assert code == 1 and out == ""
+        assert "sketch_backend='kll'" in err
+
 
 class TestMultiPhiQuery:
     @pytest.fixture

@@ -112,7 +112,10 @@ class TestNetworkTrace:
 
 def _cluster():
     return ClusterEngine(
-        shards=2, config=EngineConfig(epsilon=0.05, block_elems=16)
+        shards=2,
+        config=EngineConfig(
+            epsilon=0.05, block_elems=16, sketch_backend="kll"
+        ),
     )
 
 
