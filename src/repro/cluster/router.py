@@ -54,27 +54,34 @@ class ShardRouter:
 
     def shard_indices(self, values: np.ndarray) -> np.ndarray:
         """Shard index per element (vectorized, arrival order kept)."""
-        arr = as_int64_batch(values)
-        if self.shards == 1:
-            return np.zeros(arr.size, dtype=np.int64)
-        return (_mix(arr) % np.uint64(self.shards)).astype(np.int64)
+        return self._placement(as_int64_batch(values)).astype(np.int64)
+
+    def _placement(self, arr: np.ndarray) -> np.ndarray:
+        """Shard index per element, in the narrowest unsigned dtype."""
+        return (_mix(arr) % np.uint64(self.shards)).astype(
+            np.min_scalar_type(self.shards - 1)
+        )
 
     def shard_of(self, value: int) -> int:
         """Shard index of one value — equals ``shard_indices([value])[0]``."""
         return int(self.shard_indices([value])[0])
 
     def route_many(self, values: np.ndarray) -> List[np.ndarray]:
-        """Split a batch into per-shard arrays in one vectorized pass.
+        """Split a batch into per-shard arrays with one stable sort.
 
         Returns one array per shard (possibly empty), each preserving
         the batch's arrival order — the property that makes a fanned
-        batch equivalent to per-element routing.
+        batch equivalent to per-element routing.  The shard indices are
+        narrow unsigned integers, so the stable argsort is numpy's radix
+        sort; the per-shard counts cut the sorted batch into its chunks.
         """
         arr = as_int64_batch(values)
         if self.shards == 1:
             return [arr]
-        indices = self.shard_indices(arr)
-        return [arr[indices == shard] for shard in range(self.shards)]
+        indices = self._placement(arr)
+        order = np.argsort(indices, kind="stable")
+        ends = np.cumsum(np.bincount(indices, minlength=self.shards))
+        return np.split(arr[order], ends[:-1])
 
     def to_manifest(self) -> dict:
         """JSON-safe description, round-tripped by :meth:`from_manifest`.

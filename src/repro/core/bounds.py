@@ -16,15 +16,17 @@ worked example of the paper's Figure 3 exactly (see the golden test).
 TS is held as its two halves.  The sums over partitions depend on the
 partition set only — HS changes when a time step is sealed or levels
 merge, not per query — so :class:`HistoricalSummary` holds the merged HS
-values with those sums and is folded once per partition set, one
-partition at a time.  The stream term depends on the live sketch, and
-``alpha_S`` is constant between two consecutive SS entries, so
-:meth:`CombinedSummary.fuse` only ranks the SS entries in HS and
-tabulates the stream term per *gap* between them; the quick response
-(Algorithm 5) and filter generation (Algorithm 7) search the two halves
-for their slot, no merged array is built.  :meth:`CombinedSummary.build`
-does both halves, from scratch or through a memo that redoes each only
-when its input changed (:class:`~repro.core.epoch.HistoricalMemo`).
+values with those sums and is built once per partition set: the
+partitions a held summary lacks are merged into it in one pass, then
+their shares added in partition order.  The stream term depends on the
+live sketch, and ``alpha_S`` is constant between two consecutive SS
+entries, so :meth:`CombinedSummary.fuse` only ranks the SS entries in
+HS and tabulates the stream term per *gap* between them; the quick
+response (Algorithm 5) and filter generation (Algorithm 7) search the
+two halves for their slot, no merged array is built.
+:meth:`CombinedSummary.build` does both halves, from scratch or through
+a memo that redoes each only when its input changed
+(:class:`~repro.core.epoch.HistoricalMemo`).
 """
 
 from __future__ import annotations
@@ -147,10 +149,11 @@ class HistoricalSummary:
     the share at *any* value — a stream summary entry, say — is that of
     the largest HS element at most ``x`` (zero below the smallest).
 
-    A summary is only ever grown by :meth:`extended`, one partition at
-    a time: sealing a time step appends one partition to the set, and
-    extending the previous summary by it is the same code — and yields
-    the same bits — as folding the whole set from scratch.
+    A summary is only ever grown by :meth:`extended`: sealing a time
+    step appends one partition to the set, a memo miss the several a
+    memoised prefix lacks, and a fold from scratch all of them.  Each
+    partition's share is added in partition order, so every way of
+    growing a set to the same partitions yields the same bits.
     """
 
     values: np.ndarray
@@ -164,63 +167,65 @@ class HistoricalSummary:
         cls, partition_summaries: Sequence[PartitionSummary]
     ) -> "HistoricalSummary":
         """The summary of ``partition_summaries``, folded in order."""
-        folded = cls(
-            values=np.empty(0, dtype=np.int64),
-            lower=np.empty(0, dtype=np.float64),
-            upper=np.empty(0, dtype=np.float64),
-            total_size=0,
-        )
-        for summary in partition_summaries:
-            folded = folded.extended(summary)
-        return folded
+        empty = cls(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), 0)
+        return empty.extended(*partition_summaries)
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def extended(self, summary: PartitionSummary) -> "HistoricalSummary":
-        """This summary with one more partition appended to the set."""
-        if len(summary) == 0:
+    def extended(self, *summaries: PartitionSummary) -> "HistoricalSummary":
+        """This summary with more partitions appended to the set, in order.
+
+        One merge places every new entry among the held values, each
+        starting from the held partitions' share; then each new
+        partition adds its own share at every slot, in partition order —
+        the float sums run as a one-at-a-time extension would run them.
+        """
+        summaries = [summary for summary in summaries if len(summary)]
+        if not summaries:
             return self
-        # The new entries start from the old partitions' share.
-        merge = _Merge(self.values, summary.values)
-        values = merge.place(self.values, summary.values)
+        entries = np.sort(np.concatenate([s.values for s in summaries]))
+        merge = _Merge(self.values, entries)
+        values = merge.place(self.values, entries)
         lower = merge.shares(self.lower)
         upper = merge.shares(self.upper)
-
-        # The new partition's share, tabulated per alpha = 0..count.
-        count = len(summary)
-        size = summary.partition_size
-        alphas = np.arange(count + 1)
-        scale = summary.eps1 * size
-        below = np.minimum((alphas - 1) * scale, size)
-        if scale <= 1:
-            # The sampled ranks 1 and ceil(eps1 * m_P) collide, so the
-            # alpha-th stored entry sits further up the rank schedule
-            # than Lemma 2 assumes — a partition shorter than 1/eps1
-            # stores every element and alpha counts elements — and the
-            # paper's (alpha - 1) * eps1 * m_P undercounts; the stored
-            # exact rank of the alpha-th entry is the bound.
-            below[1:] = np.maximum(below[1:], summary.positions)
-        below[0] = 0.0
-        # Paper formula alpha * eps1 * m_P, floored by the stored
-        # exact rank of the next summary entry so the bound stays
-        # valid when a tiny partition deduplicated its positions.
-        above = np.maximum(
-            alphas * scale, np.append(summary.positions - 1, size)
-        )
-        above[0] = 0.0
-        # alpha steps up at the first slot holding each entry's value
-        # (every entry occurs in ``values``), so a per-alpha table
-        # becomes per-slot by run length: no search over the long array.
-        first = np.searchsorted(values, summary.values, side="left")
-        runs = np.diff(first, prepend=0, append=len(values))
-        lower += np.repeat(below, runs)
-        upper += np.repeat(above, runs)
+        for summary in summaries:
+            # This partition's share, tabulated per alpha = 0..count.
+            size = summary.partition_size
+            alphas = np.arange(len(summary) + 1)
+            scale = summary.eps1 * size
+            below = np.minimum((alphas - 1) * scale, size)
+            if scale <= 1:
+                # The sampled ranks 1 and ceil(eps1 * m_P) collide, so
+                # the alpha-th stored entry sits further up the rank
+                # schedule than Lemma 2 assumes — a partition shorter
+                # than 1/eps1 stores every element and alpha counts
+                # elements — and the paper's (alpha - 1) * eps1 * m_P
+                # undercounts; the stored exact rank of the alpha-th
+                # entry is the bound.
+                below[1:] = np.maximum(below[1:], summary.positions)
+            below[0] = 0.0
+            # Paper formula alpha * eps1 * m_P, floored by the stored
+            # exact rank of the next summary entry so the bound stays
+            # valid when a tiny partition deduplicated its positions.
+            above = np.maximum(
+                alphas * scale, np.append(summary.positions - 1, size)
+            )
+            above[0] = 0.0
+            # alpha steps up at the first slot holding each entry's
+            # value (every entry occurs in ``values``), so a per-alpha
+            # table becomes per-slot by run length: no search over the
+            # long array.
+            first = np.searchsorted(values, summary.values, side="left")
+            runs = np.diff(first, prepend=0, append=len(values))
+            lower += np.repeat(below, runs)
+            upper += np.repeat(above, runs)
         return HistoricalSummary(
             values=values,
             lower=lower,
             upper=upper,
-            total_size=self.total_size + size,
+            total_size=self.total_size
+            + sum(summary.partition_size for summary in summaries),
         )
 
 

@@ -218,8 +218,9 @@ class HistoricalMemo:
     pinned before a merge and a restored checkpoint each simply ask for
     a different key: nothing is ever invalidated, stale sets age out of
     the LRU.  A set that extends a memoised one (a seal appends one
-    partition) is grown from it instead of folded from scratch.  Built
-    by the first query that needs it, never on the seal path.
+    partition) is grown from it, by every partition it lacks in one
+    merge, instead of folded from scratch.  Built by the first query
+    that needs it, never on the seal path.
 
     An entry also retains the TS last fused onto its HS, returned while
     the stream summary handed in is the same object; a set entering the
@@ -254,13 +255,13 @@ class HistoricalMemo:
                     default=(),
                 )
                 if prefix:
-                    historical = self._entries[prefix].historical
+                    historical = self._entries[prefix].historical.extended(
+                        *summaries[len(prefix):]
+                    )
                     self.extends += 1
                 else:
-                    historical = HistoricalSummary.fold(())
+                    historical = HistoricalSummary.fold(summaries)
                     self.builds += 1
-                for summary in summaries[len(prefix):]:
-                    historical = historical.extended(summary)
                 for older in self._entries.values():
                     older.combined, older.stream_summary = None, None
                 entry = _MemoEntry(list(summaries), historical)

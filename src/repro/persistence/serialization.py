@@ -106,10 +106,7 @@ def dump_kll(sketch: KLLSketch) -> bytes:
         "levels": len(sketch._levels),
         "rng_state": sketch._rng.bit_generator.state,
     }
-    arrays = {
-        f"level_{h}": np.asarray(level, dtype=np.int64)
-        for h, level in enumerate(sketch._levels)
-    }
+    arrays = {f"level_{h}": level for h, level in enumerate(sketch._levels)}
     return _pack(header, arrays)
 
 
@@ -120,20 +117,15 @@ def load_kll(data: bytes) -> KLLSketch:
         header["epsilon"], k=int(header["k"]), seed=int(header["seed"])
     )
     sketch._levels = [
-        [int(v) for v in archive[f"level_{h}"]]
+        archive[f"level_{h}"].astype(np.int64)
         for h in range(int(header["levels"]))
-    ]
-    if not sketch._levels:
-        sketch._levels = [[]]
+    ] or sketch._levels
     sketch._n = int(header["n"])
     sketch._min = None if header["min"] is None else int(header["min"])
     sketch._max = None if header["max"] is None else int(header["max"])
     sketch._rng.bit_generator.state = copy.deepcopy(header["rng_state"])
-    retained = sum(len(level) for level in sketch._levels)
-    if retained > sketch._n:
-        raise SerializationError(
-            "inconsistent KLL payload: retained > n"
-        )
+    if sketch.retained() > sketch._n:
+        raise SerializationError("inconsistent KLL payload: retained > n")
     if sketch._n > 0 and sketch._min is None:
         raise SerializationError("inconsistent KLL payload: n > 0, no min")
     return sketch

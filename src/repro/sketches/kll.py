@@ -31,6 +31,11 @@ Determinism contract (mirrors the repo-wide lazy-absorption rules):
   depends only on the *multiset* of inputs per level: with the same
   seed, ``merge(a, b)`` and ``merge(b, a)`` are bit-identical.
 
+Every level is an int64 array that is never written in place: an
+absorb, a compaction or a merge replaces the level by a new array
+(``np.concatenate`` / ``np.sort``), so a :meth:`KLLSketch.snapshot`
+shares its source's levels and copies only the list holding them.
+
 Error model: unlike GK's deterministic guarantee, KLL's ``eps * n``
 rank bound holds *with high probability* (the default sizing targets
 99%).  ``rank_bounds`` therefore returns a probabilistic bracket; the
@@ -48,6 +53,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .base import QuantileSketch, as_int64_batch, clamp_rank
+
+#: The empty level, shared like every level: none is written in place.
+_EMPTY = np.empty(0, dtype=np.int64)
 
 #: Geometric capacity decay between adjacent compactor levels.
 _DECAY = 2.0 / 3.0
@@ -95,7 +103,7 @@ class KLLSketch(QuantileSketch):
             raise ValueError(f"k must be >= 2, got {self.k}")
         self._seed = int(seed)
         self._rng = np.random.default_rng(self._seed)
-        self._levels: List[List[int]] = [[]]
+        self._levels: List[np.ndarray] = [_EMPTY]
         self._n = 0
         self._min: "int | None" = None
         self._max: "int | None" = None
@@ -128,14 +136,14 @@ class KLLSketch(QuantileSketch):
                     break
             if target is None:
                 return
-            buffer = np.sort(
-                np.asarray(self._levels[target], dtype=np.int64)
-            )
-            self._levels[target] = []
+            buffer = np.sort(self._levels[target])
+            self._levels[target] = _EMPTY
             if target + 1 == len(self._levels):
-                self._levels.append([])
+                self._levels.append(_EMPTY)
             offset = int(self._rng.integers(0, 2))
-            self._levels[target + 1].extend(buffer[offset::2].tolist())
+            self._levels[target + 1] = np.concatenate(
+                (self._levels[target + 1], buffer[offset::2])
+            )
 
     def _note_value(self, value: int) -> None:
         if self._min is None or value < self._min:
@@ -144,21 +152,14 @@ class KLLSketch(QuantileSketch):
             self._max = value
 
     def update(self, value: int) -> None:
-        """Insert one element (weight-1 append to the level-0 buffer)."""
-        value = int(value)
-        with self._mutate_lock:
-            self._note_value(value)
-            self._levels[0].append(value)
-            self._n += 1
-            self._query_arrays = None
-            if len(self._levels[0]) >= self._capacity(0):
-                self._compact()
+        """Insert one element: a one-element :meth:`update_many`."""
+        self.update_many([value])
 
     def update_many(self, values: np.ndarray) -> None:
         """Bulk-insert a numpy batch, bit-identical to a scalar replay.
 
-        Level 0 is filled in chunks that stop exactly where the scalar
-        path would trigger a compaction, so the compaction schedule —
+        Level 0 is filled in chunks that stop exactly where one element
+        at a time would trigger a compaction, so the compaction schedule —
         and therefore the coin-flip sequence — is the same whether the
         feed arrived as one array or element by element.
         """
@@ -177,7 +178,9 @@ class KLLSketch(QuantileSketch):
                     self._compact()
                     continue
                 take = min(room, size - pos)
-                self._levels[0].extend(arr[pos : pos + take].tolist())
+                self._levels[0] = np.concatenate(
+                    (self._levels[0], arr[pos : pos + take])
+                )
                 self._n += take
                 pos += take
                 if len(self._levels[0]) >= self._capacity(0):
@@ -199,17 +202,11 @@ class KLLSketch(QuantileSketch):
         runs ``beta_2`` rank probes) pay the sort once.
         """
         if self._query_arrays is None:
-            parts: List[np.ndarray] = []
-            weights: List[np.ndarray] = []
-            for h, level in enumerate(self._levels):
-                if level:
-                    arr = np.asarray(level, dtype=np.int64)
-                    parts.append(arr)
-                    weights.append(
-                        np.full(arr.size, 1 << h, dtype=np.int64)
-                    )
-            values = np.concatenate(parts)
-            weight = np.concatenate(weights)
+            values = np.concatenate(self._levels)
+            weight = np.repeat(
+                1 << np.arange(len(self._levels), dtype=np.int64),
+                [level.size for level in self._levels],
+            )
             order = np.argsort(values, kind="stable")
             self._query_arrays = (
                 values[order], np.cumsum(weight[order])
@@ -285,14 +282,15 @@ class KLLSketch(QuantileSketch):
     def snapshot(self) -> "KLLSketch":
         """A consistent copy, safe to take while another thread updates.
 
-        Level buffers and the generator state are copied under the
-        mutation lock, so the copy is a frozen-in-time view that can be
-        queried, merged or serialized while the original keeps
-        ingesting.
+        The list of levels and the generator state are copied under the
+        mutation lock; the levels themselves are shared, since neither
+        sketch writes a level in place.  The copy is a frozen-in-time
+        view that can be queried, merged or serialized while the
+        original keeps ingesting.
         """
         copied = KLLSketch(self.epsilon, k=self.k, seed=self._seed)
         with self._mutate_lock:
-            copied._levels = [list(level) for level in self._levels]
+            copied._levels = list(self._levels)
             copied._n = self._n
             copied._min = self._min
             copied._max = self._max
@@ -331,18 +329,12 @@ class KLLSketch(QuantileSketch):
             seed=seed,
         )
         height = max(len(s._levels) for s in sketches)
-        levels: List[List[int]] = []
-        for h in range(height):
-            pools = [
-                np.asarray(s._levels[h], dtype=np.int64)
-                for s in sketches
-                if h < len(s._levels) and s._levels[h]
-            ]
-            if pools:
-                levels.append(np.sort(np.concatenate(pools)).tolist())
-            else:
-                levels.append([])
-        merged._levels = levels
+        merged._levels = [
+            np.sort(np.concatenate(
+                [s._levels[h] for s in sketches if h < len(s._levels)]
+            ))
+            for h in range(height)
+        ]
         merged._n = sum(s._n for s in sketches)
         mins = [s._min for s in sketches if s._n > 0]
         maxes = [s._max for s in sketches if s._n > 0]

@@ -72,17 +72,32 @@ class TestHashRouting:
 
 
 class TestRouteMany:
-    def test_fan_out_is_a_partition(self):
-        router = ShardRouter(4)
-        values = np.random.default_rng(3).integers(0, 2**32, 5_000)
+    @pytest.mark.parametrize("shards", [2, 3, 4, 7])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.random.default_rng(3).integers(0, 2**32, 5_000),
+            # One value repeated: every other shard receives nothing.
+            np.full(300, 123_456_789, dtype=np.int64),
+            np.random.default_rng(5).integers(-(2**62), 2**62, 17),
+        ],
+        ids=["uniform", "one-value", "short-wide"],
+    )
+    def test_fan_out_is_a_partition(self, shards, values):
+        router = ShardRouter(shards)
         chunks = router.route_many(values)
+        assert len(chunks) == shards
         assert sum(chunk.size for chunk in chunks) == values.size
         assert np.array_equal(
             np.sort(np.concatenate(chunks)), np.sort(values)
         )
         indices = router.shard_indices(values)
         for shard, chunk in enumerate(chunks):
+            # Arrival order within each shard, as int64.
+            assert chunk.dtype == np.int64
             assert np.array_equal(chunk, values[indices == shard])
+        if np.unique(values).size == 1:
+            assert sum(chunk.size == 0 for chunk in chunks) == shards - 1
 
 
 class TestManifest:

@@ -282,6 +282,35 @@ class TestHistoricalSplit:
             assert_same_ts(CombinedSummary.build(summaries, ss, memo), expected)
         assert (folding.reuses, growing.reuses) == (1, 1)
 
+    @given(
+        parts=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 15), max_size=60),
+                # Non-dyadic shares, so float sums depend on their order;
+                # a partition of at most 1/eps1 elements is a tiny one.
+                st.sampled_from([0.03, 0.1, 0.3]),
+            ),
+            max_size=8,
+        ),
+        split=st.integers(0, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_grouped_extension_is_one_at_a_time(self, parts, split):
+        """Empty, tiny and tied partitions: ``extended(*s)`` takes every
+        partition in one merge and yields the one-at-a-time bits."""
+        summaries = [partition_summary_of(data, eps1) for data, eps1 in parts]
+        folded = HistoricalSummary.fold(summaries)
+        single = HistoricalSummary.fold(())
+        for summary in summaries:
+            single = single.extended(summary)
+        grouped = HistoricalSummary.fold(summaries[:split]).extended(
+            *summaries[split:]
+        )
+        for grown in (single, grouped):
+            for name in ("values", "lower", "upper"):
+                assert np.array_equal(getattr(grown, name), getattr(folded, name))
+            assert grown.total_size == folded.total_size
+
     def test_build_does_not_alias_the_memoised_arrays(self):
         """Even with no stream entries to insert, TS gets its own arrays."""
         summaries = [partition_summary_of(list(range(50)), 0.25)]

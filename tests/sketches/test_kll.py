@@ -8,6 +8,8 @@ checkpoint restores reproduce answers exactly), and the standard sketch
 protocol (drop-in behind ``EngineConfig.sketch_backend = "kll"``).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,59 @@ class TestDeterminism:
         replay.update_many(seeded_stream(3, 10_000))
         replay.update_many(seeded_stream(4, 10_000))
         assert state_of(sketch) == state_of(replay)
+
+
+def pinned_feed(epsilon):
+    """A seeded history crossing several compactions: bulk and scalar
+    feeds, a snapshot, a duplicate-heavy tail on the source, a Zipf tail
+    on the snapshot, and a three-way merge at a coarser third sketch."""
+    rng = np.random.default_rng(29)
+    sketch = KLLSketch(epsilon, seed=7)
+    for size in (1, 3, 997, 12_289, 40_000, 70_001):
+        sketch.update_many(rng.integers(-(2**40), 2**40, size))
+    for value in (5, -5, 2**40):
+        sketch.update(value)
+    frozen = sketch.snapshot()
+    sketch.update_many(rng.integers(0, 64, 30_000))
+    frozen.update_many(np.minimum(rng.zipf(1.3, 5_000), 2**40))
+    other = KLLSketch(epsilon * 2, seed=3)
+    other.update_many(rng.integers(0, 2**20, 20_000))
+    merged = KLLSketch.merge_many([sketch, frozen, other], seed=11)
+    return sketch, frozen, merged
+
+
+class TestPinnedBits:
+    """The sketch's bits are a contract across versions: coin flips,
+    compaction schedule, level contents and the ``dump_kll`` format."""
+
+    @pytest.mark.parametrize(
+        "epsilon, digest",
+        [
+            (0.01, "b9ac4885fe6e8eaa7210aac1eddb4677b5419eb9b9fee92f5e3c3632ca410d00"),
+            (1.25e-4, "fc9c99138c479f9fd1069558622608e9911017687cd94729dfad2d9159cc93e8"),
+            (0.05, "b275d01e926fa75e35225bf0a9128cf749d4a0e7ca1930ee4cb6abb1e7499176"),
+            (0.002, "4c86411fd2e30518d9dd0a719f4f1681d58548b3e2876be88fda179875540cd9"),
+        ],
+    )
+    def test_dump_digest_is_pinned(self, epsilon, digest):
+        dumped = b"".join(dump_kll(s) for s in pinned_feed(epsilon))
+        assert hashlib.sha256(dumped).hexdigest() == digest
+
+    def test_levels_are_int64_arrays_a_snapshot_shares(self):
+        sketch, frozen, merged = pinned_feed(0.01)
+        restored = load_kll(dump_kll(merged))
+        for held in (sketch, frozen, merged, restored, sketch.snapshot()):
+            assert len(held._levels) > 2
+            for level in held._levels:
+                assert isinstance(level, np.ndarray)
+                assert level.dtype == np.int64
+        shared = sketch.snapshot()
+        assert shared._levels is not sketch._levels
+        assert all(a is b for a, b in zip(shared._levels, sketch._levels))
+        # A level is replaced, never written: the snapshot keeps its own.
+        before = [level.copy() for level in shared._levels]
+        sketch.update_many(np.arange(5_000))
+        assert all(map(np.array_equal, shared._levels, before))
 
 
 class TestAccuracy:
