@@ -83,7 +83,6 @@ def _cmd_init(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         kappa=args.kappa,
         block_elems=args.block_elems,
-        query_workers=args.query_workers,
         ingest_mode=args.ingest_mode,
         shared_cache_blocks=args.shared_cache_blocks,
         prefetch_blocks=args.prefetch_blocks,
@@ -179,10 +178,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if engine.n_total == 0:
         print("error: warehouse is empty", file=sys.stderr)
         return 1
-    if args.query_workers is not None:
-        # Runtime override for this invocation only; the persisted
-        # config keeps whatever `init --query-workers` chose.
-        engine.set_query_workers(args.query_workers)
     print(f"{'phi':>6} {'value':>16} {'rank target':>12} {'disk I/O':>9}")
     # One pinned snapshot answers every phi: quick mode shares a single
     # TS merge across the list, accurate mode shares the block cache.
@@ -329,7 +324,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         return _cmd_demo_cluster(args)
     config = EngineConfig(
         epsilon=args.epsilon, kappa=args.kappa, block_elems=100,
-        query_workers=args.query_workers, ingest_mode=args.ingest_mode,
+        ingest_mode=args.ingest_mode,
         shared_cache_blocks=args.shared_cache_blocks,
         sketch_backend=args.sketch_backend or "gk",
         storage_backend=args.storage_backend,
@@ -402,7 +397,6 @@ def _cmd_demo_cluster(args: argparse.Namespace) -> int:
 
     config = EngineConfig(
         epsilon=args.epsilon, kappa=args.kappa, block_elems=100,
-        query_workers=args.query_workers,
         sketch_backend=args.sketch_backend or "kll",
     )
     plan = _fault_plan_of(args)
@@ -505,10 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     init.add_argument("--kappa", type=int, default=10)
     init.add_argument("--block-elems", type=int, default=1024)
     init.add_argument(
-        "--query-workers", type=int, default=1,
-        help="threads probing partitions in parallel (default 1: serial)",
-    )
-    init.add_argument(
         "--ingest-mode", choices=("sync", "background"), default="sync",
         help="archive batches synchronously (default) or on a "
              "background thread that overlaps with updates and queries",
@@ -583,10 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("accurate", "quick"), default="accurate"
     )
     query.add_argument("--window", type=int, default=None)
-    query.add_argument(
-        "--query-workers", type=int, default=None,
-        help="override the warehouse's probe parallelism for this query",
-    )
     add_fault_options(query)
     query.set_defaults(handler=_cmd_query)
 
@@ -623,10 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.add_argument("--epsilon", type=float, default=0.01)
     demo.add_argument("--kappa", type=int, default=10)
-    demo.add_argument(
-        "--query-workers", type=int, default=1,
-        help="threads probing partitions in parallel (default 1: serial)",
-    )
     demo.add_argument(
         "--ingest-mode", choices=("sync", "background"), default="sync",
         help="archive batches synchronously (default) or in the background",

@@ -531,9 +531,7 @@ class ClusterEngine(PinnedQueries):
         self._shard_elems: List[int] = [
             int(shard.n_total) for shard in self.shards
         ]
-        self._executor = QueryExecutor(
-            workers=config.query_workers, retry=PROBE_RETRY_POLICY
-        )
+        self._executor = QueryExecutor(retry=PROBE_RETRY_POLICY)
         self._step = 0
         # TS's historical half per partition set (over the shard-major
         # concatenation) and the TS last fused onto it.
@@ -973,7 +971,7 @@ class ClusterEngine(PinnedQueries):
                 )
 
     def close(self) -> None:
-        """Close every shard and the executor (all attempted, errors joined).
+        """Close every shard (all attempted, errors joined).
 
         Every live shard is closed even when an earlier one fails, and
         quarantined slots' cluster-retained WAL writers are closed too.
@@ -989,7 +987,6 @@ class ClusterEngine(PinnedQueries):
                     wal.close()
                 except BaseException as exc:  # noqa: BLE001
                     errors.setdefault(index, exc)
-        self._executor.close()
         self._raise_joined("close", errors)
 
     def __enter__(self) -> "ClusterEngine":

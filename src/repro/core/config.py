@@ -45,14 +45,6 @@ class EngineConfig:
         kappa partitions per level) or ``"leveled"`` (LevelDB-style —
         one partition per level, the Section 4 "improved data
         structures" ablation).
-    query_workers:
-        Worker threads used by the accurate response to probe disk
-        partitions in parallel (the Section 4 parallel-read
-        optimization, executed by :mod:`repro.query`).  The default of
-        1 runs every probe serially on the calling thread — the exact
-        pre-executor code path, so all historical numbers reproduce
-        bit-for-bit.  Answers and I/O counts are identical for any
-        worker count; only wall-clock changes.
     ingest_mode:
         Who runs the archive step of a batch ``end_time_step`` sealed
         (sort, write, summary, level merges — one function,
@@ -146,7 +138,6 @@ class EngineConfig:
     block_cache: bool = True
     probe_budget: Optional[int] = None
     compaction: str = "tiered"
-    query_workers: int = 1
     ingest_mode: str = "sync"
     degrade_on_fault: bool = True
     shared_cache_blocks: int = 0
@@ -172,8 +163,6 @@ class EngineConfig:
                 raise ValueError(f"{name} must be in (0, 1)")
         if self.compaction not in ("tiered", "leveled"):
             raise ValueError("compaction must be 'tiered' or 'leveled'")
-        if self.query_workers < 1:
-            raise ValueError("query_workers must be >= 1")
         if self.ingest_mode not in ("sync", "background"):
             raise ValueError("ingest_mode must be 'sync' or 'background'")
         if self.shared_cache_blocks < 0:
@@ -245,9 +234,9 @@ class ServingConfig:
         ``None`` shares ``max_queue``.
     accurate_workers:
         Accurate searches running at once, each on a thread that
-        waits for its answer (each search internally fans
-        partition probes over the engine's ``query_workers`` pool).  A
-        caller past the limit waits, still counted as queued.
+        waits for its answer (a search probes its partitions inline
+        on that thread).  A caller past the limit waits, still counted
+        as queued.
     coalesce:
         Take every queued quick request together, as one batch pinned
         at one epoch: one TS plus one rank-bound lookup per phi, so

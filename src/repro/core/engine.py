@@ -12,9 +12,9 @@
 * the quick response (Algorithm 5) and the accurate response
   (Algorithms 6-8) over their combination;
 * a :class:`~repro.query.executor.QueryExecutor` that runs the
-  accurate response's per-partition probes — serially by default, or
-  overlapped on ``config.query_workers`` threads (Section 4's parallel
-  partition reads, implemented);
+  accurate response's per-partition probes inline, under the probe
+  retry policy (Section 4's parallel partition reads are modeled by
+  ``QueryResult.parallel_sim_seconds``);
 * an ingest pipeline (:mod:`repro.ingest`) that seals each time step's
   batch and archives it (sort + level merges + summary construction)
   in one consumer step — on the sealing thread, or with
@@ -242,9 +242,7 @@ class HybridQuantileEngine(PinnedQueries):
         self._stream_lock = threading.Lock()
         self._gk_absorbed = 0
         self._stream_view: Optional[StreamView] = None  # under _seal_lock
-        self._query_executor = QueryExecutor(
-            workers=config.query_workers, retry=PROBE_RETRY_POLICY
-        )
+        self._query_executor = QueryExecutor(retry=PROBE_RETRY_POLICY)
         self._degraded_queries = 0
         self._reliability_lock = threading.Lock()
         # Epoch layer: every structural transition (seal, adoption)
@@ -815,40 +813,20 @@ class HybridQuantileEngine(PinnedQueries):
         """The executor running this engine's per-partition probes."""
         return self._query_executor
 
-    def set_query_workers(self, workers: int) -> None:
-        """Re-size the probe fan-out at runtime.
-
-        Shuts the current executor down and installs a fresh one with
-        ``workers`` threads (1 = serial).  Answers and I/O counts are
-        unaffected — only query wall-clock changes.
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if workers == self.config.query_workers:
-            return
-        old = self._query_executor
-        self.config = replace(self.config, query_workers=workers)
-        retries = old.fault_retries
-        self._query_executor = QueryExecutor(
-            workers=workers, retry=PROBE_RETRY_POLICY
-        )
-        self._query_executor.fault_retries = retries
-        old.close()
-
     def close(self) -> None:
-        """Drain background ingest and release threads (idempotent).
+        """Drain background ingest and release resources (idempotent).
 
         The archiver (if any) finishes archiving every enqueued batch
-        before its thread stops, then the query pool is released.
-        Serial, sync-mode engines never start a thread, so calling this
-        is only required for background-mode or ``query_workers > 1``
+        before its thread stops, then the WAL and an engine-owned
+        backend are closed.  Sync-mode engines never start a thread,
+        so calling this is only required for background-mode
         deployments that create many engines; the interpreter also
         joins remaining threads at exit.
 
         If the archiver failed on an error nothing surfaced yet, the
         error is raised here (as :class:`~repro.ingest.archiver.
-        ArchiveFailedError`) — *after* the query pool is released, so
-        the engine is fully shut down either way.
+        ArchiveFailedError`) — *after* the WAL and backend are
+        released, so the engine is fully shut down either way.
         """
         try:
             if self._archiver is not None:
@@ -859,11 +837,8 @@ class HybridQuantileEngine(PinnedQueries):
                     self._wal.close()
                     self._wal = None
             finally:
-                try:
-                    self._query_executor.close()
-                finally:
-                    if self._owns_backend:
-                        self.disk.backend.close()
+                if self._owns_backend:
+                    self.disk.backend.close()
 
     def __enter__(self) -> "HybridQuantileEngine":
         return self

@@ -31,10 +31,9 @@ the filters move (``docs/THEORY.md``, "Resolved partitions").
 Per-partition probing is delegated to :mod:`repro.query`: a
 :class:`~repro.query.planner.QueryPlanner` turns each probe into one
 task per partition and a :class:`~repro.query.executor.QueryExecutor`
-runs them — inline by default, or concurrently when the engine is
-configured with ``query_workers > 1`` (the implemented form of
-Section 4's parallel partition reads).  Answers and I/O accounting are
-identical either way; only wall-clock changes.
+runs them inline under the probe retry policy.  Section 4's parallel
+partition reads are modeled from the charges: the deepest
+single-partition chain is ``QueryResult.parallel_sim_seconds``.
 """
 
 from __future__ import annotations
@@ -71,9 +70,8 @@ class SearchOutcome:
         Random block reads charged by this query.
     max_partition_blocks:
         Deepest single-partition read chain charged by this search —
-        the query's critical path when the executor reads partitions
-        in parallel (``query_workers > 1``); feeds
-        ``parallel_sim_seconds``.
+        the modeled critical path of Section 4's parallel partition
+        reads; feeds ``parallel_sim_seconds``.
     iterations:
         Number of bisection steps performed.
     truncated:
@@ -153,10 +151,9 @@ class AccurateSearch:
         each reading one gets a task whose binary search is narrowed to
         the inter-summary gap containing ``value`` (no I/O for the
         narrowing, since the summaries store exact ranks) and charged
-        block reads through the per-query cache; the executor runs them
-        concurrently when the engine has ``query_workers > 1``.  The
-        stream contributes either the live sketch's rank bracket (when
-        the caller supplied one — in-memory, like SS, but free of SS's
+        block reads through the per-query cache.  The stream
+        contributes either the live sketch's rank bracket (when the
+        caller supplied one — in-memory, like SS, but free of SS's
         quantization) or the Algorithm 8 summary estimate.
         """
         cut = int(self._candidates.searchsorted(value, "right"))
@@ -233,12 +230,11 @@ class AccurateSearch:
         When ``(u, v)`` narrows a partition's candidate element range
         to at most ``config.prefetch_blocks`` blocks, the whole range
         is read in one charged ranged read ahead of the binary-search
-        probes — fanned out through the executor like any other probe,
-        so with ``query_workers > 1`` distinct partitions' ranged GETs
-        are issued concurrently.  On the object backend each such read
-        is one byte-range GET widened by break-even readahead (extra
-        blocks are streamed while their marginal cost stays under
-        another request's setup cost — charge-neutral).
+        probes, run through the executor like any other probe.  On the
+        object backend each such read is one byte-range GET widened by
+        break-even readahead (extra blocks are streamed while their
+        marginal cost stays under another request's setup cost —
+        charge-neutral).
         Only active when the per-query cache reads through a shared
         tier: with the tier off, the legacy per-probe accounting must
         reproduce bit for bit.  Answers are unaffected either way (a

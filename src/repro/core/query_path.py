@@ -58,15 +58,12 @@ class QueryResult:
     #: charge is a random read.
     sim_seconds: float
     window_steps: Optional[int] = None
-    #: simulated disk seconds with partitions read concurrently: this
-    #: search's deepest single-partition read chain times
-    #: ``seconds_per_random_block`` — the critical-path cost the
-    #: executor realizes when ``query_workers`` exceeds 1;
+    #: modeled simulated disk seconds with partitions read
+    #: concurrently (Section 4): this search's deepest single-partition
+    #: read chain times ``seconds_per_random_block`` — the critical
+    #: path, computed from charges, not realized by threads;
     #: <= sim_seconds, zero for quick and degraded answers.
     parallel_sim_seconds: float = 0.0
-    #: worker threads the accurate search probed partitions with
-    #: (1 = serial); ``wall_seconds`` is measured under this setting.
-    query_workers: int = 1
     #: True when an accurate query exhausted its probe retries against
     #: a faulty disk and fell back to the quick (in-memory) response;
     #: ``rank_error_bound`` then carries the widened quick-path bound.
@@ -137,7 +134,6 @@ def _result(
     outcome: SearchOutcome,
     bound: float,
     wall: float,
-    executor: QueryExecutor,
     latency: DiskLatencyModel,
     degraded: bool = False,
 ) -> QueryResult:
@@ -155,7 +151,6 @@ def _result(
         sim_seconds=outcome.random_blocks * per_block,
         window_steps=scope.window_steps,
         parallel_sim_seconds=outcome.max_partition_blocks * per_block,
-        query_workers=executor.workers,
         degraded=degraded,
         rank_error_bound=float(bound),
     )
@@ -224,7 +219,7 @@ def answer_rank(
         bound = config.query_epsilon * m_scope
     return _result(
         scope, mode, rank, outcome, bound,
-        time.perf_counter() - started, executor, latency, degraded,
+        time.perf_counter() - started, latency, degraded,
     )
 
 
@@ -232,7 +227,6 @@ def answer_quick_many(
     scope: QueryScope,
     phis: Sequence[float],
     config: EngineConfig,
-    executor: QueryExecutor,
     latency: DiskLatencyModel,
 ) -> List[QueryResult]:
     """Quick quantiles for every ``phi`` from one TS, in one pass.
@@ -257,7 +251,7 @@ def answer_quick_many(
     return [
         _result(
             scope, "quick", rank,
-            _quick_outcome(value, rank), bound, wall, executor, latency,
+            _quick_outcome(value, rank), bound, wall, latency,
         )
         for rank, value in zip(ranks, values)
     ]
@@ -411,9 +405,7 @@ class PinnedView:
     def _answer_quick_many(
         self, scope: QueryScope, phis: Sequence[float]
     ) -> List[QueryResult]:
-        return answer_quick_many(
-            scope, phis, self.config, self._executor, self._latency
-        )
+        return answer_quick_many(scope, phis, self.config, self._latency)
 
     def query_rank(
         self,

@@ -14,7 +14,7 @@ failure model it can test against:
   every fault fired (the CI artifact on harness failures).  Under the
   null plan it is bit-identical to the plain disk.
 * :class:`RetryPolicy` — capped exponential backoff shared by the
-  background archiver and the parallel query executor.
+  background archiver and the query executor.
 
 The consumers live elsewhere: :mod:`repro.ingest` retries transient
 faults and survives failed batches; :mod:`repro.query` retries probes

@@ -283,8 +283,9 @@ _RETIRED_CONFIG_KEYS = (
     ("probe_retries", 3),
     ("ingest_queue_batches", 4),
 )
-#: Retired keys no line ever read: dropped whatever they hold.
-_IGNORED_CONFIG_KEYS = frozenset({"universe_log2"})
+#: Retired keys that never changed an answer at any value: dropped
+#: whatever they hold.
+_IGNORED_CONFIG_KEYS = frozenset({"universe_log2", "query_workers"})
 
 
 def config_from_state(saved: "dict[str, Any]") -> EngineConfig:

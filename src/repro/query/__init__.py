@@ -1,12 +1,11 @@
-"""Query execution layer: planning and (optionally parallel) probing.
+"""Query execution layer: planning and probing.
 
 The accurate response's disk work decomposes into independent
 per-partition searches.  This package separates *what* to probe
 (:class:`QueryPlanner`, producing per-partition task objects) from
-*how* to run the probes (:class:`QueryExecutor`, inline or on a thread
-pool sized by ``EngineConfig.query_workers``).  See
-docs/ARCHITECTURE.md for where this sits in the query path and where
-the thread-safety boundaries are.
+*running* the probes (:class:`QueryExecutor`, inline on the query's
+thread under the retry policy).  See docs/ARCHITECTURE.md for where
+this sits in the query path.
 """
 
 from .executor import SERIAL_EXECUTOR, QueryExecutor

@@ -1,40 +1,24 @@
-"""The parallel probe executor for the accurate query path.
+"""The probe executor for the accurate query path.
 
 Runs the per-partition tasks produced by
-:class:`~repro.query.planner.QueryPlanner` either inline on the calling
-thread (``workers=1``, the default — byte-for-byte the historical
-serial code path) or fanned out over a shared
-:class:`~concurrent.futures.ThreadPoolExecutor` (``workers>1``, the
-Section 4 parallel-read optimization made real).
+:class:`~repro.query.planner.QueryPlanner` inline on the query's own
+thread, each under the transient-fault retry policy.
 
-Design notes
-------------
-
-* **Determinism.**  Results are always returned in task (= partition)
-  order, and each task is a self-contained search over one immutable
-  sorted run, so serial and parallel execution produce identical
-  answers.  Block accounting is identical too: concurrent tasks of one
-  fan-out touch disjoint runs, and the :class:`~repro.storage.cache.
-  BlockCache` / :class:`~repro.storage.stats.DiskStats` counters are
-  atomic, so the charged (run, block) set matches a serial execution.
-* **Laziness.**  The thread pool is created on first parallel use, so
-  a serial engine never spawns a thread.  ``close()`` (or using the
-  executor — and the engine that owns it — as a context manager) shuts
-  the pool down; a closed executor transparently falls back to inline
-  execution rather than failing.
-* **GIL reality check.**  Probes on the *simulated* disk are pure
-  in-memory binary searches, so realized speedup is bounded by Python's
-  GIL and thread-handoff overhead and typically falls short of the
-  modeled critical-path speedup (``parallel_sim_seconds``); against a
-  device with real I/O latency the threads overlap actual waiting.
-  The parallel-query ablation benchmark reports both numbers
-  side-by-side.
+Section 4's parallel partition reads are *modeled*, not threaded:
+``QueryResult.parallel_sim_seconds`` is the deepest single-partition
+chain of charged blocks, the critical path that overlapped reads would
+leave.  No backend here has a read latency to overlap (the simulated
+disk is in memory, the object tier's GET latency is modeled), so a
+thread pool could only add hand-offs under the GIL: an 8-worker pool
+ran the same accurate queries at 0.41–0.75x the inline speed on the
+simulated, mmap and object backends at κ 3 / 10 / 20 (2-core Xeon,
+CPython 3.11), while the modeled speedup is 3.1–4.1x (EXPERIMENTS.md,
+A4).
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, List, Optional, Sequence
 
 from ..faults.errors import DiskFault
@@ -47,9 +31,6 @@ class QueryExecutor:
 
     Parameters
     ----------
-    workers:
-        Maximum concurrent partition probes.  ``1`` (default) executes
-        every task inline on the calling thread.
     retry:
         Transient-fault retry policy applied to each task
         individually; defaults to no retries.  Engines and clusters
@@ -60,41 +41,15 @@ class QueryExecutor:
 
     A *task* is any object with a ``run(cache)`` method — see
     :mod:`repro.query.planner` for the two task shapes the accurate
-    search plans.
+    search plans.  Concurrent serving clients share one engine's
+    executor, so the retry counter is guarded.
     """
 
-    def __init__(
-        self, workers: int = 1, retry: Optional[RetryPolicy] = None
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
+    def __init__(self, retry: Optional[RetryPolicy] = None) -> None:
         self.retry = retry if retry is not None else RetryPolicy()
         #: probes retried after a transient fault (lifetime count).
         self.fault_retries = 0
         self._retry_lock = threading.Lock()
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_guard = threading.Lock()
-        self._closed = False
-
-    @property
-    def parallel(self) -> bool:
-        """Whether this executor may fan tasks out over threads."""
-        return self.workers > 1 and not self._closed
-
-    @property
-    def pool_started(self) -> bool:
-        """Whether the backing thread pool has been created."""
-        return self._pool is not None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_guard:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-query",
-                )
-            return self._pool
 
     def _note_retry(self, fault: DiskFault, attempt: int) -> None:
         with self._retry_lock:
@@ -114,35 +69,16 @@ class QueryExecutor:
         tasks: Sequence[Any],
         cache: Optional[BlockCache] = None,
     ) -> List[Any]:
-        """Run every task and return their results in task order.
+        """Run every task inline and return their results in task order.
 
-        With one worker (or at most one task) this is exactly
-        ``[task.run(cache) for task in tasks]`` — no pool, no threads.
-        Each task runs under the executor's retry policy; worker
-        exceptions (including a probe's exhausted transient fault)
-        propagate to the caller unchanged.
+        Each task runs under the executor's retry policy; a task's
+        exception (including a probe's exhausted transient fault)
+        propagates to the caller unchanged.
         """
         call, note = self.retry.call, self._note_retry
-        if not self.parallel or len(tasks) <= 1:
-            return [call(task.run, note, cache) for task in tasks]
-        pool = self._ensure_pool()
-        return list(pool.map(lambda task: call(task.run, note, cache), tasks))
-
-    def close(self) -> None:
-        """Shut the thread pool down; further runs execute inline."""
-        with self._pool_guard:
-            pool, self._pool = self._pool, None
-            self._closed = True
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "QueryExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        return [call(task.run, note, cache) for task in tasks]
 
 
-#: Shared inline executor used wherever no engine-owned executor is
-#: supplied (standalone AccurateSearch construction, snapshots).
-SERIAL_EXECUTOR = QueryExecutor(workers=1)
+#: Shared executor used wherever no engine-owned executor is supplied
+#: (standalone AccurateSearch construction, snapshots).
+SERIAL_EXECUTOR = QueryExecutor()

@@ -16,8 +16,8 @@ computed up front, without I/O, since summaries store exact ranks).
 There are two task shapes: :class:`RankProbeTask` (one exact rank) and
 :class:`PrefetchTask` (one charged ranged read ahead of the probes).
 The :class:`~repro.query.executor.QueryExecutor` then runs the tasks
-serially or on a thread pool; either way the per-task work and its
-block accounting are identical.
+in order on the query's thread; each task's charged blocks feed the
+modeled parallel critical path (``parallel_sim_seconds``).
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class QueryPlanner:
 
     @property
     def partitions(self) -> List[Partition]:
-        """The non-empty partitions this planner fans out over."""
+        """The non-empty partitions this planner makes tasks for."""
         return list(self._partitions)
 
     def rank_probes(
@@ -103,16 +103,16 @@ class QueryPlanner:
     ) -> List[RankProbeTask]:
         """One :class:`RankProbeTask` per partition, in store order.
 
-        ``indices`` restricts the fan-out to those positions of
+        ``indices`` restricts the tasks to those positions of
         :attr:`partitions` — the ones the search is still reading (see
         :class:`~repro.core.filters.AccurateSearch`).  ``alphas`` holds
         per position the summary alpha (or ``None``) the search carries
         at a value below and at one above ``value``: alpha is monotone,
         so where the two agree the summary is not searched again.
 
-        The summary narrowing happens here, on the coordinating thread:
-        it is pure in-memory work, so tasks reach the executor as plain
-        data and workers only ever touch their own partition's run.
+        The summary narrowing happens here: it is pure in-memory work,
+        so tasks reach the executor as plain data and each task only
+        ever touches its own partition's run.
         """
         if indices is None:
             indices = range(len(self._partitions))

@@ -10,14 +10,9 @@ charged for, so :class:`~repro.storage.runfile.SortedRun` fetches each
 block from the backend once per query and answers every further probe
 from the pinned payload.
 
-The cache is thread-safe so the parallel query executor
-(:mod:`repro.query`) can probe partitions concurrently: each run's
-seen-set is guarded by its own lock (concurrent probes into *different*
-partitions never contend) together with the run's pinned payloads, and
-the aggregate tallies are guarded by a single counter lock.  Because
-concurrent probes within one query always target distinct runs, the set
-of charged (run, block) pairs — and hence every counter — is identical
-to a serial execution of the same query.
+A cache belongs to one query (or one warming pass) and is touched only
+by the thread running it, so it takes no locks; state shared across
+queries — the disk's counters and the shared tier — guards itself.
 
 When a :class:`~repro.storage.shared_cache.SharedBlockCache` is
 attached, the per-query cache becomes a thin read-through layer: the
@@ -31,7 +26,6 @@ attached the code path is exactly the historical one.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from typing import Dict, Optional, Set
 
@@ -73,14 +67,11 @@ class BlockCache:
         #: payload of each block this query fetched, per run; a pinned
         #: block is always a seen one.
         self._pinned: Dict[int, Dict[int, np.ndarray]] = {}
-        self._run_locks: Dict[int, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
-        self._count_lock = threading.Lock()
         self.blocks_charged = 0
         #: first-touches answered by the shared tier (free, not charged).
         self.shared_hits = 0
-        #: charged blocks per run — a search's deepest chain is its
-        #: critical path when the executor reads partitions in parallel.
+        #: charged blocks per run — a search's deepest chain is the
+        #: modeled critical path of Section 4's parallel reads.
         self.blocks_per_run: "Counter[int]" = Counter()
 
     @property
@@ -88,19 +79,10 @@ class BlockCache:
         """The attached shared tier, if any."""
         return self._shared
 
-    def _lock_for(self, run_id: int) -> threading.Lock:
-        """The per-run (per-partition) lock guarding one seen-set."""
-        lock = self._run_locks.get(run_id)
-        if lock is None:
-            with self._locks_guard:
-                lock = self._run_locks.setdefault(run_id, threading.Lock())
-        return lock
-
     def _charge(self, run_id: int, blocks: int) -> None:
         """Record ``blocks`` charged reads against ``run_id``."""
-        with self._count_lock:
-            self.blocks_charged += blocks
-            self.blocks_per_run[run_id] += blocks
+        self.blocks_charged += blocks
+        self.blocks_per_run[run_id] += blocks
 
     def touch(self, run_id: int, block: int) -> int:
         """Charge a random read of ``block`` in run ``run_id`` if new.
@@ -110,27 +92,25 @@ class BlockCache:
         return value to decide whether the read reached the storage
         backend — a cache hit must never become an object-store GET.
         """
-        with self._lock_for(run_id):
-            seen = self._seen.setdefault(run_id, set())
-            if self._enabled and block in seen:
+        seen = self._seen.setdefault(run_id, set())
+        if self._enabled and block in seen:
+            return 0
+        # Charge before recording: the charge may raise an injected
+        # DiskFault, and a block whose read failed must not look
+        # cached to the retried probe.
+        if self._shared is not None:
+            hit = self._shared.fetch_block(
+                run_id, block, self._disk.charge_random_read
+            )
+            seen.add(block)
+            if hit:
+                self.shared_hits += 1
                 return 0
-            # Charge before recording: the charge may raise an injected
-            # DiskFault, and a block whose read failed must not look
-            # cached to the retried probe.
-            if self._shared is not None:
-                hit = self._shared.fetch_block(
-                    run_id, block, self._disk.charge_random_read
-                )
-                seen.add(block)
-                if hit:
-                    with self._count_lock:
-                        self.shared_hits += 1
-                    return 0
-            else:
-                self._disk.charge_random_read(1)
-                seen.add(block)
-            self._charge(run_id, 1)
-            return 1
+        else:
+            self._disk.charge_random_read(1)
+            seen.add(block)
+        self._charge(run_id, 1)
+        return 1
 
     def touch_range(self, run_id: int, first_block: int, last_block: int) -> int:
         """Charge reads for every new block in [first_block, last_block].
@@ -141,39 +121,36 @@ class BlockCache:
         count stays identical to the historical block-at-a-time loop.  Returns the total blocks charged (cache
         hits excluded), mirroring :meth:`touch`.
         """
-        with self._lock_for(run_id):
-            seen = self._seen.setdefault(run_id, set())
-            blocks = range(first_block, last_block + 1)
-            if self._enabled:
-                new = [b for b in blocks if b not in seen]
-            else:
-                new = list(blocks)
-            if not new:
-                return 0
-            charged = 0
-            if self._shared is not None:
-                # Contiguous sub-ranges of the unseen blocks, so the
-                # shared tier sees ranged lookups (and charges each
-                # missing sub-range as one ranged read).
-                for lo, hi in contiguous_spans(new):
-                    hits, misses = self._shared.fetch_range(
-                        run_id, lo, hi, self._disk.charge_random_read
-                    )
-                    seen.update(range(lo, hi + 1))
-                    if hits:
-                        with self._count_lock:
-                            self.shared_hits += hits
-                    if misses:
-                        self._charge(run_id, misses)
-                        charged += misses
-            else:
-                # Charge-before-record, as in touch(): a DiskFault in
-                # the ranged read leaves every block of it uncached.
-                self._disk.charge_random_read(len(new))
-                seen.update(new)
-                self._charge(run_id, len(new))
-                charged = len(new)
-            return charged
+        seen = self._seen.setdefault(run_id, set())
+        blocks = range(first_block, last_block + 1)
+        if self._enabled:
+            new = [b for b in blocks if b not in seen]
+        else:
+            new = list(blocks)
+        if not new:
+            return 0
+        charged = 0
+        if self._shared is not None:
+            # Contiguous sub-ranges of the unseen blocks, so the
+            # shared tier sees ranged lookups (and charges each
+            # missing sub-range as one ranged read).
+            for lo, hi in contiguous_spans(new):
+                hits, misses = self._shared.fetch_range(
+                    run_id, lo, hi, self._disk.charge_random_read
+                )
+                seen.update(range(lo, hi + 1))
+                self.shared_hits += hits
+                if misses:
+                    self._charge(run_id, misses)
+                    charged += misses
+        else:
+            # Charge-before-record, as in touch(): a DiskFault in
+            # the ranged read leaves every block of it uncached.
+            self._disk.charge_random_read(len(new))
+            seen.update(new)
+            self._charge(run_id, len(new))
+            charged = len(new)
+        return charged
 
     def pins(self, run_id: int) -> bool:
         """Whether blocks of ``run_id`` are paid for once and then held.
@@ -185,9 +162,8 @@ class BlockCache:
 
     def pinned_block(self, run_id: int, block: int) -> Optional[np.ndarray]:
         """The payload pinned for ``block`` of ``run_id``, if any."""
-        with self._lock_for(run_id):
-            pinned = self._pinned.get(run_id)
-            return pinned.get(block) if pinned is not None else None
+        pinned = self._pinned.get(run_id)
+        return pinned.get(block) if pinned is not None else None
 
     def pin_block(self, run_id: int, block: int, payload: np.ndarray) -> None:
         """Hold ``payload`` as the bytes of an already-touched block.
@@ -196,12 +172,9 @@ class BlockCache:
         block whose read faulted stays unpinned, so the retried probe
         goes through :meth:`touch` again.
         """
-        if not self._enabled:
-            return
-        with self._lock_for(run_id):
+        if self._enabled:
             self._pinned.setdefault(run_id, {})[block] = payload
 
     def run_blocks(self) -> Dict[int, int]:
         """Blocks charged so far per run id (a copy)."""
-        with self._count_lock:
-            return dict(self.blocks_per_run)
+        return dict(self.blocks_per_run)

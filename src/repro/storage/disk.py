@@ -13,9 +13,8 @@ same counters, so an experiment can read a single tally for, e.g., "disk
 accesses per time step" (Fig. 7) or "disk accesses per query" (Fig. 9).
 
 The disk itself is stateless apart from its :class:`DiskStats`, whose
-counter updates are atomic — the parallel query executor
-(:mod:`repro.query`) charges it from several threads at once without
-losing counts.
+counter updates are atomic — concurrent queries and the archiver
+charge it from several threads at once without losing counts.
 """
 
 from __future__ import annotations

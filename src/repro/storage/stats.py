@@ -10,17 +10,16 @@ benchmarks can report a "time" axis comparable in shape to the paper's
 wall-clock figures.
 
 Thread safety: :class:`DiskStats` serializes every ``record_*`` call
-behind a lock, so the parallel query executor (``repro.query``), the
-background ingest archiver (``repro.ingest``) and callers driving one
-engine from several threads never lose counts to a torn ``+=``.  The
+behind a lock, so the background ingest archiver (``repro.ingest``),
+serving clients and callers driving one engine from several threads
+never lose counts to a torn ``+=``.  The
 *phase* a charge is attributed to is tracked per thread: a query thread
 running in the ``"query"`` phase and the archiver thread running in the
 ``"merge"`` phase each keep their own attribution, so the per-phase
-split stays exact under concurrency.  Snapshots
-(:meth:`IoCounters.snapshot`) are taken on the coordinating thread
-between fan-outs, not concurrently with them; for concurrent-safe
-per-operation accounting use :meth:`DiskStats.capture`, which tallies
-only the charges made by the capturing thread.
+split stays exact under concurrency.  A snapshot
+(:meth:`IoCounters.snapshot`) sees every thread's charges; for
+concurrent-safe per-operation accounting use :meth:`DiskStats.capture`,
+which tallies only the charges made by the capturing thread.
 """
 
 from __future__ import annotations

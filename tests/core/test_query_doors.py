@@ -244,7 +244,6 @@ def test_result_fields_follow_the_one_rule(doors):
         assert (result.parallel_sim_seconds > 0) == (
             result.disk_accesses > 0
         )
-        assert result.query_workers == door.engine.query_executor.workers
         assert 1 <= result.target_rank <= result.total_size
 
 

@@ -82,23 +82,19 @@ def answers(system, search_cls, monkeypatch):
     return out
 
 
-# ("bisect" in the ids names the one endgame there is; the ids are
-# older than the deletion of the other.)
+# ("bisect" in the ids names the one endgame there is, and "w1" the one
+# way probes run: inline; the ids are older than the deletion of the
+# other endgame and of the probe thread pool.)
 MATRIX = [
     pytest.param(
         shards,
-        dict(
-            sketch_backend=sketch,
-            shared_cache_blocks=cache_blocks,
-            query_workers=workers,
-        ),
+        dict(sketch_backend=sketch, shared_cache_blocks=cache_blocks),
         id=f"{'cluster3' if shards else 'engine'}-bisect-{sketch}"
-        f"-cache{cache_blocks}-w{workers}",
+        f"-cache{cache_blocks}-w1",
     )
     for shards, sketches in ((0, ("gk", "kll")), (3, ("kll",)))
     for sketch in sketches
     for cache_blocks in (0, 128)
-    for workers in (1, 3)
 ]
 
 

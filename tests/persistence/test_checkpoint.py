@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from repro import ExactQuantiles, HybridQuantileEngine
+from repro import EngineConfig, ExactQuantiles, HybridQuantileEngine
+from repro.cluster import ClusterEngine, load_cluster, save_cluster
 from repro.persistence import PersistenceError, load_engine, save_engine
+from repro.persistence.checkpoint import config_from_state
 
 
 def build_engine(seed=0, steps=6, batch=1500, live=800):
@@ -149,6 +151,45 @@ class TestRetiredConfigKeys:
         save_engine(engine, tmp_path)
         add_config_keys(tmp_path / "engine.json", {"universe_log2": 26})
         assert load_engine(tmp_path).config == engine.config
+
+    # The probe thread pool's size never changed an answer, so state
+    # saved with any value of it loads as if it carried none.
+    def test_saved_query_workers_loads_at_any_value(self, tmp_path):
+        engine, _ = build_engine(steps=2)
+        save_engine(engine, tmp_path)
+        add_config_keys(tmp_path / "engine.json", {"query_workers": 8})
+        saved = json.loads((tmp_path / "engine.json").read_text())["config"]
+        without = {k: v for k, v in saved.items() if k != "query_workers"}
+        assert config_from_state(saved) == config_from_state(without)
+        assert load_engine(tmp_path).config == engine.config
+
+    def test_cluster_manifest_query_workers_loads_at_any_value(
+        self, tmp_path
+    ):
+        cluster = ClusterEngine(
+            shards=2,
+            config=EngineConfig(epsilon=0.05, sketch_backend="kll"),
+        )
+        cluster.stream_update_many(np.arange(2_000))
+        cluster.end_time_step()
+        try:
+            root = save_cluster(cluster, tmp_path / "cluster")
+        finally:
+            cluster.close()
+        manifest = json.loads((root / "cluster.json").read_text())
+        manifest["config"]["query_workers"] = 8
+        (root / "cluster.json").write_text(json.dumps(manifest))
+        without = {
+            k: v for k, v in manifest["config"].items() if k != "query_workers"
+        }
+        assert config_from_state(manifest["config"]) == config_from_state(
+            without
+        )
+        restored = load_cluster(root)
+        try:
+            assert restored.config == cluster.config
+        finally:
+            restored.close()
 
 
 class TestCompactionPolicyRestore:

@@ -43,7 +43,6 @@ def object_engine(tmp_path, **overrides):
     [
         pytest.param({}, id="bisect"),
         pytest.param({"shared_cache_blocks": 256}, id="bisect-shared-prefetch"),
-        pytest.param({"query_workers": 3}, id="bisect-parallel"),
     ],
 )
 def test_each_block_is_fetched_at_most_once_per_query(tmp_path, overrides):

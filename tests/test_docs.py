@@ -63,7 +63,7 @@ def test_tuning_guide_lists_only_real_knobs():
 
 def test_knob_count_only_goes_down():
     """A ratchet: lower these bounds when a knob goes, never raise them."""
-    assert len(dataclasses.fields(EngineConfig)) <= 20
+    assert len(dataclasses.fields(EngineConfig)) <= 19
     assert len(dataclasses.fields(ServingConfig)) <= 6
 
 
@@ -78,7 +78,7 @@ def test_src_lines_only_go_down():
     lines = sum(
         path.read_bytes().count(b"\n") for path in src.rglob("*.py")
     )
-    assert lines <= 16340
+    assert lines <= 16178
 
 
 #: Fields nothing outside ``tests/`` sets, each with why it stays a
