@@ -19,6 +19,15 @@ import numpy as np
 from ..warehouse.partition import Partition
 
 
+def exact_sum(values: np.ndarray, low: int, high: int) -> int:
+    """The sum of ``values``, all in ``[low, high]``, as an exact int: an
+    int64 ``sum`` where no partial sum can wrap, else the high and low 32
+    bits summed apart (exact below 2**31 elements) and joined as ints."""
+    if max(-low, high) * values.size < 2**63:
+        return int(values.sum())
+    return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
+
+
 @dataclass(frozen=True)
 class AggregateStats:
     """Exact count / sum / min / max of one dataset."""
@@ -43,11 +52,9 @@ class AggregateStats:
         """Exact aggregates of an array."""
         if values.size == 0:
             return AggregateStats.empty()
+        low, high = int(values.min()), int(values.max())
         return AggregateStats(
-            count=int(values.size),
-            total=int(values.sum()),
-            minimum=int(values.min()),
-            maximum=int(values.max()),
+            int(values.size), exact_sum(values, low, high), low, high
         )
 
     def with_value(self, value: int) -> "AggregateStats":
@@ -88,9 +95,8 @@ def partition_stats(partition: Partition) -> AggregateStats:
     if values.size == 0:
         return AggregateStats.empty()
     # A sorted run: its ends are its minimum and maximum.
-    return AggregateStats(
-        values.size, int(values.sum()), int(values[0]), int(values[-1])
-    )
+    low, high = int(values[0]), int(values[-1])
+    return AggregateStats(values.size, exact_sum(values, low, high), low, high)
 
 
 def combine(parts: Iterable[AggregateStats]) -> AggregateStats:

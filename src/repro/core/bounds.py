@@ -109,15 +109,13 @@ class _Merge:
     """
 
     def __init__(self, base: np.ndarray, entries: np.ndarray) -> None:
-        self.slots = np.arange(len(entries)) + np.searchsorted(
-            base, entries, side="left"
-        )
+        #: per entry, how many base values are below it.
+        self.left = np.searchsorted(base, entries, side="left")
+        self.slots = np.arange(len(entries)) + self.left
         #: slots holding entries (the others hold base values).
         self.inserted = np.zeros(len(base) + len(entries), dtype=bool)
         self.inserted[self.slots] = True
         self._kept = ~self.inserted
-        #: per entry, how many base values are ``<=`` it.
-        self._covered = np.searchsorted(base, entries, side="right")
 
     def place(self, base: np.ndarray, entries: np.ndarray) -> np.ndarray:
         """One array per side of the merge, each element in its slot."""
@@ -125,17 +123,6 @@ class _Merge:
         merged[self._kept] = base
         merged[self.slots] = entries
         return merged
-
-    def shares(self, base: np.ndarray) -> np.ndarray:
-        """A per-base-value share of a rank bound, extended to the entries.
-
-        The share is constant between consecutive base values, so an
-        entry starts from that of the last base value at most it (zero
-        below the smallest).
-        """
-        return self.place(
-            base, np.concatenate(([0.0], base))[self._covered]
-        )
 
 
 @dataclass(frozen=True)
@@ -173,6 +160,23 @@ class HistoricalSummary:
     def __len__(self) -> int:
         return len(self.values)
 
+    def shares_at(
+        self, entries: np.ndarray, left: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """The shares of ``L`` / ``U`` at sorted ``entries``, ``left[j]``
+        held values being below entry ``j``: those of the last held value
+        at most it (zero below the smallest) — the one in front, or the
+        first of the equal ones behind, as equal values carry equal shares.
+        """
+        reach = left
+        if len(self.values):
+            reach = left + (self.values.take(left, mode="clip") == entries)
+        held = np.flatnonzero(reach)
+        lower, upper = np.zeros((2, len(entries)))
+        lower[held] = self.lower[reach[held] - 1]
+        upper[held] = self.upper[reach[held] - 1]
+        return lower, upper
+
     def extended(self, *summaries: PartitionSummary) -> "HistoricalSummary":
         """This summary with more partitions appended to the set, in order.
 
@@ -187,8 +191,9 @@ class HistoricalSummary:
         entries = np.sort(np.concatenate([s.values for s in summaries]))
         merge = _Merge(self.values, entries)
         values = merge.place(self.values, entries)
-        lower = merge.shares(self.lower)
-        upper = merge.shares(self.upper)
+        lower, upper = self.shares_at(entries, merge.left)
+        lower = merge.place(self.lower, lower)
+        upper = merge.place(self.upper, upper)
         for summary in summaries:
             # This partition's share, tabulated per alpha = 0..count.
             size = summary.partition_size
@@ -213,10 +218,10 @@ class HistoricalSummary:
             )
             above[0] = 0.0
             # alpha steps up at the first slot holding each entry's
-            # value (every entry occurs in ``values``), so a per-alpha
-            # table becomes per-slot by run length: no search over the
-            # long array.
-            first = np.searchsorted(values, summary.values, side="left")
+            # value, the slot of the first equal entry (entries go in
+            # front of equal held values), so a per-alpha table becomes
+            # per-slot by run length: no search over the long array.
+            first = merge.slots[entries.searchsorted(summary.values, "left")]
             runs = np.diff(first, prepend=0, append=len(values))
             lower += np.repeat(below, runs)
             upper += np.repeat(above, runs)
@@ -303,16 +308,7 @@ class CombinedSummary:
         sizes = ends - starts
         base = historical.values
         left = np.repeat(base.searchsorted(entries[starts], "left"), sizes)
-        # An entry starts from the share of the last HS value at most
-        # it (zero below the smallest): the one in front, or the first
-        # of the equal ones behind — equal values carry equal shares.
-        reach = left
-        if len(base):
-            reach = left + (base.take(left, mode="clip") == entries)
-        held = np.flatnonzero(reach)
-        lower_at, upper_at = np.zeros((2, len(entries)))
-        lower_at[held] = historical.lower[reach[held] - 1]
-        upper_at[held] = historical.upper[reach[held] - 1]
+        lower_at, upper_at = historical.shares_at(entries, left)
         # alpha counts the entries *at most* a value: g in gap g, and at
         # an entry the whole group tied with it.
         tied = np.repeat(ends, sizes)

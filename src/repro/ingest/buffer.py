@@ -1,12 +1,5 @@
-"""The live-stream append buffer.
-
-The engine used to collect stream elements as a list of one-element
-ndarrays — one allocation (plus a full aggregate merge) per
-``stream_update`` call.  :class:`AppendBuffer` replaces that with a
-single int64 array grown by doubling, so per-element appends are
-amortized O(1) and sealing a time step is one slice copy instead of a
-concatenate over thousands of fragments.
-"""
+"""The live-stream append buffer: one int64 array grown by doubling, so
+per-element appends are amortized O(1) and a seal takes one array."""
 
 from __future__ import annotations
 
@@ -20,13 +13,16 @@ class AppendBuffer:
 
     It also owns the order of a step the sketch sorted whole:
     :meth:`keep_sorted` writes that chunk back over the contents, and
-    the seal trusts nothing: ``ExternalSorter.sorted_array`` looks at
-    the bytes it is handed and sorts unless they are ascending.
+    :meth:`take` hands the chunk itself to the seal if nothing came
+    after it.  The seal trusts nothing: ``ExternalSorter.sorted_array``
+    looks at the bytes it is handed and sorts unless they are ascending.
     """
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
         self._data = np.empty(max(1, capacity), dtype=np.int64)
         self._len = 0
+        #: the chunk :meth:`keep_sorted` last wrote back, if any.
+        self._sorted = None
 
     def __len__(self) -> int:
         return self._len
@@ -58,9 +54,7 @@ class AppendBuffer:
 
     def view(self) -> np.ndarray:
         """Read-only view of the buffered elements (no copy)."""
-        view = self._data[: self._len].view()
-        view.flags.writeable = False
-        return view
+        return self.slice_from(0)
 
     def slice_from(self, start: int) -> np.ndarray:
         """Read-only view of elements ``[start, len)`` (no copy).
@@ -76,16 +70,22 @@ class AppendBuffer:
 
     def keep_sorted(self, chunk: np.ndarray) -> None:
         """Overwrite the contents by ``chunk``, the same elements in
-        ascending order (no second copy of the step is held)."""
+        ascending order, and keep ``chunk`` for :meth:`take`."""
         self._data[: self._len] = chunk
+        self._sorted = chunk
 
     def take(self) -> np.ndarray:
-        """Return a copy of the contents and reset the buffer.
+        """Return the contents as a read-only array and reset the buffer.
 
+        That is the kept chunk if nothing came after it, else a copy.
         The backing capacity is retained, so a steady-state engine
         sealing equal-sized batches stops allocating after the first
         step.
         """
-        sealed = self._data[: self._len].copy()
+        sealed = self._sorted
+        if sealed is None or len(sealed) != self._len:
+            sealed = self._data[: self._len].copy()
+        sealed.setflags(write=False)
         self._len = 0
+        self._sorted = None
         return sealed

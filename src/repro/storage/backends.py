@@ -6,8 +6,8 @@ run and hands out :class:`RunHandle` objects that `SortedRun` reads
 through.  Three implementations ship:
 
 ``SimulatedBackend``
-    Today's in-memory arrays, unchanged — the deterministic default.
-    Zero real I/O, zero added latency.
+    Resident in-memory arrays — the deterministic default.  Zero real
+    I/O, zero added latency.
 
 ``MmapFileBackend``
     One real file per run under a directory, committed with the
@@ -54,7 +54,7 @@ import shutil
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Protocol, Set, Tuple, runtime_checkable
 
@@ -106,14 +106,9 @@ class ObjectStoreLatency:
         return int(self.seconds_per_get // self.seconds_per_get_block)
 
     def __post_init__(self) -> None:
-        for field in (
-            "seconds_per_get",
-            "seconds_per_get_block",
-            "seconds_per_put",
-            "seconds_per_list",
-        ):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be >= 0")
+        for field in fields(self):
+            if getattr(self, field.name) < 0:
+                raise ValueError(f"{field.name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -150,13 +145,7 @@ class BackendStats:
     hot_bytes: int = 0
 
     def delta_since(self, earlier: "BackendStats") -> "BackendStats":
-        """Counter deltas since ``earlier``; gauges copied, not subtracted.
-
-        ``gets``/``get_blocks``/``puts``/``lists``/``migrations``/
-        ``evicted_runs`` are differenced; the residency gauges
-        (``hot_runs``, ``object_runs``, ``hot_bytes``) report this
-        snapshot's current level verbatim.
-        """
+        """Counter deltas since ``earlier``; gauges copied, not subtracted."""
         return BackendStats(
             gets=self.gets - earlier.gets,
             get_blocks=self.get_blocks - earlier.get_blocks,
@@ -290,9 +279,11 @@ class _SimulatedHandle:
 class SimulatedBackend:
     """The deterministic default: runs live as in-memory arrays.
 
-    Behaviourally identical to the pre-backend engine — allocation
-    copies the array once (as `SortedRun` always did) and reads return
-    views of it.  Request counters stay zero.
+    Allocation keeps a read-only array that owns its memory as it is —
+    the warehouse's own sorted step or merged run, built once where it
+    then lives — and copies and freezes any other array, so a caller's
+    array stays independent of the run.  Reads return views of it.
+    Request counters stay zero.
     """
 
     name = "simulated"
@@ -302,8 +293,10 @@ class SimulatedBackend:
         self._lock = threading.Lock()
 
     def allocate_run(self, run_id: int, data: np.ndarray) -> _SimulatedHandle:
-        stored = np.array(data, copy=True)
-        stored.setflags(write=False)
+        stored = data
+        if data.flags.writeable or not data.flags.owndata:
+            stored = np.array(data, copy=True)
+            stored.setflags(write=False)
         with self._lock:
             self._runs[run_id] = stored
         return _SimulatedHandle(run_id, stored)
@@ -941,9 +934,7 @@ class ObjectStoreBackend(MmapFileBackend):
                 puts=self._puts,
                 lists=self._lists,
                 migrations=self._migrations,
-                hot_runs=len(self._handles) - object_count
-                if len(self._handles) >= object_count
-                else 0,
+                hot_runs=max(0, len(self._handles) - object_count),
                 object_runs=object_count,
                 evicted_runs=self._evictions,
                 hot_bytes=self._hot_total,

@@ -9,7 +9,9 @@ Vitter) and one read-plus-write pass over all merged data per level.
 
 The *data* is sorted with NumPy — what the simulation must get right is
 the I/O count, which this module computes from the run-formation /
-merge-pass structure of a real external sort.
+merge-pass structure of a real external sort.  Each sorted step and
+merged run is built once, read-only, in the array the simulated backend
+keeps as the run.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .backends import SimulatedBackend
 from .disk import SimulatedDisk
 from .runfile import SortedRun
 
@@ -80,7 +83,7 @@ class ExternalSorter:
         (a step the stream sketch absorbed in one chunk, see
         ``AppendBuffer.keep_sorted``) is returned as it is, uncopied:
         one comparison pass finds that out, a twentieth of the sort it
-        spares.
+        spares.  A sort's output is frozen, so the run adopts it.
         """
         arr = np.asarray(data, dtype=np.int64)
         for _ in range(self.passes_needed(len(arr))):
@@ -88,15 +91,9 @@ class ExternalSorter:
             self._disk.charge_sequential_write(len(arr))
         if not np.any(arr[1:] < arr[:-1]):
             return arr
-        return np.sort(arr)
-
-    def sort(self, data: np.ndarray) -> SortedRun:
-        """Sort ``data`` and return it as an on-disk run.
-
-        Charges ``passes_needed`` read+write passes plus the final
-        output write.
-        """
-        return SortedRun(self._disk, self.sorted_array(data), charge_write=True)
+        ordered = np.sort(arr)
+        ordered.setflags(write=False)
+        return ordered
 
 
 #: merged runs at least this large are built in their own anonymous
@@ -104,32 +101,33 @@ class ExternalSorter:
 _MAPPED_MERGE_BYTES = 1 << 20
 
 
-def kway_merge(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Merge already-sorted arrays into one sorted array.
+def kway_merge(arrays: Sequence[np.ndarray], mapped: bool = False) -> np.ndarray:
+    """Merge already-sorted arrays into one sorted, read-only array.
 
-    Concatenate and sort in place: one transient copy, and NumPy's
-    vectorized int64 sort beats a Python-level tournament of pairwise
-    merges at every run count and size the warehouse produces.
+    Concatenate and sort in place: NumPy's vectorized int64 sort beats a
+    Python-level tournament of pairwise merges at every run count and
+    size the warehouse produces.  The output is a heap array the
+    simulated backend keeps as the run.
 
-    A large output lives in an anonymous ``mmap`` the array owns, so
-    its pages go back to the OS the moment the run has been written
-    out.  The same bytes from ``malloc`` would stay with whichever
-    allocator arena the archiver thread happened to run in — a
-    run-sized resident set per arena, for the life of the process.
+    ``mapped`` is for a file-backed backend, which writes the output out
+    and drops it: a large output then lives in an anonymous ``mmap``
+    the array owns, so its pages go back to the OS once the run is
+    written.  The same bytes from ``malloc`` would stay with whichever
+    allocator arena the archiver thread ran in — a run-sized resident
+    set per arena, for the life of the process.
     """
     parts = [np.asarray(a, dtype=np.int64) for a in arrays]
-    if not parts:
-        return np.empty(0, dtype=np.int64)
     nbytes = 8 * sum(len(part) for part in parts)
     out = None
-    if nbytes >= _MAPPED_MERGE_BYTES:
+    if mapped and nbytes >= _MAPPED_MERGE_BYTES:
         # Pre-faulted in one call: page-by-page faults on first write
         # cost a third of the merge itself.
         flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
         flags |= getattr(mmap, "MAP_POPULATE", 0)
         out = np.frombuffer(mmap.mmap(-1, nbytes, flags=flags), dtype=np.int64)
-    merged = np.concatenate(parts, out=out)
+    merged = np.concatenate([np.empty(0, np.int64), *parts], out=out)
     merged.sort()
+    merged.setflags(write=False)
     return merged
 
 
@@ -138,7 +136,7 @@ def merge_runs(disk: SimulatedDisk, runs: Sequence[SortedRun]) -> SortedRun:
 
     One sequential pass: every input block is read once, every output
     block written once.  The in-memory data movement is
-    :func:`kway_merge`.
+    :func:`kway_merge`, mapped unless the simulated backend keeps it.
     """
     if not runs:
         raise ValueError("nothing to merge")
@@ -146,5 +144,7 @@ def merge_runs(disk: SimulatedDisk, runs: Sequence[SortedRun]) -> SortedRun:
     for run in runs:
         disk.charge_sequential_read(len(run))
         parts.append(run.values)
-    merged = kway_merge(parts)
+    merged = kway_merge(
+        parts, mapped=not isinstance(disk.backend, SimulatedBackend)
+    )
     return SortedRun(disk, merged, charge_write=True)

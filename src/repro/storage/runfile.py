@@ -41,8 +41,10 @@ class SortedRun:
     disk:
         Backing device; all I/O is charged to its stats.
     data:
-        The values of the run.  Must already be sorted ascending; a
-        copy is stored so the caller's array stays independent.
+        The values of the run, sorted ascending.  The simulated backend
+        keeps a read-only array that owns its memory (a sorted step or
+        merged run built for this run) and copies any other, so a
+        caller's writeable array stays independent.
     charge_write:
         When ``True`` (default) the constructor charges the sequential
         writes needed to persist the run.  Pass ``False`` when the

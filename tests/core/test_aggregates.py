@@ -48,6 +48,38 @@ class TestAggregateStats:
         assert total.total == sum(i + i + 1 for i in range(5))
 
 
+class TestSumsPastInt64:
+    """A sum leaving int64 is exact, not wrapped."""
+
+    WIDE = [2**62] * 4
+
+    def test_of_array(self):
+        assert AggregateStats.of_array(np.asarray(self.WIDE)).total == 2**64
+        lowest = np.full(3, np.iinfo(np.int64).min)
+        assert AggregateStats.of_array(lowest).total == -3 * 2**63
+
+    def test_live_and_sealed(self):
+        with HybridQuantileEngine(epsilon=0.05, block_elems=16) as engine:
+            engine.stream_update_many(self.WIDE)
+            assert engine.aggregate().total == 2**64
+            engine.end_time_step()
+            assert engine.aggregate().total == 2**64
+            assert engine.aggregate(step_range=(1, 1)).total == 2**64
+
+    def test_two_shard_cluster(self):
+        from repro.cluster import ClusterEngine
+        from repro.core.config import EngineConfig
+
+        config = EngineConfig(epsilon=0.05, block_elems=16, sketch_backend="kll")
+        with ClusterEngine(shards=2, config=config) as cluster:
+            cluster.stream_update_many(self.WIDE)
+            totals = [shard.aggregate() for shard in cluster.shards]
+            assert combine(totals).total == 2**64
+            cluster.end_time_step()
+            totals = [shard.aggregate() for shard in cluster.shards]
+            assert combine(totals).total == 2**64
+
+
 class TestEngineAggregates:
     def _build(self, rng, steps=7, batch=1000, kappa=2):
         engine = HybridQuantileEngine(

@@ -8,6 +8,11 @@ the partition bytes, the ``PartitionSummary``, the ``StepReport`` I/O and
 every later answer must be those of a twin engine that sealed the same
 feed without ever being polled (nothing absorbed, nothing written back:
 the path every seal took before) — only the number of sorts may differ.
+
+The step is also stored once: a polled step's run is the array the
+sketch sorted, a simulated-backend merge's run is the merge output
+(``np.shares_memory``), a file-backed merge still goes through its own
+mapping, and a caller's array is still copied.
 """
 
 import threading
@@ -325,3 +330,93 @@ def test_write_back_loses_nothing_under_concurrent_appends():
             engine.check_invariants()
     finally:
         sys.setswitchinterval(interval)
+
+
+# Each sealed step and each merged run is materialised once, in the
+# array the run then keeps; a caller's array is never adopted.
+
+
+@contextmanager
+def returned_by(monkeypatch, owner, name):
+    """Every array ``owner.name`` returns while the block runs."""
+    seen, real = [], getattr(owner, name)
+
+    def record(*args, **kwargs):
+        result = real(*args, **kwargs)
+        seen.append(result)
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, record)
+        yield seen
+
+
+def test_a_polled_step_is_stored_in_the_array_the_sketch_sorted(monkeypatch):
+    from repro.sketches.gk import GKSketch
+
+    values = feeds()[0]
+    with make_engine() as engine, returned_by(
+        monkeypatch, GKSketch, "update_many"
+    ) as sorted_by_gk:
+        engine.stream_update_many(values)
+        poll(engine)
+        engine.end_time_step()
+    (chunk,) = sorted_by_gk
+    (partition,) = engine.store.partitions()
+    assert np.shares_memory(partition.run.values, chunk)
+    assert not chunk.flags.writeable
+
+
+def test_a_simulated_cascade_keeps_the_merge_output(monkeypatch):
+    from repro.storage import external_sort
+
+    with make_engine() as engine, returned_by(
+        monkeypatch, external_sort, "kway_merge"
+    ) as merged:
+        for values in feeds()[:4]:  # kappa = 3: the fourth seal merges
+            unpolled(engine, values)
+            engine.end_time_step()
+    (output,) = merged
+    top = engine.store.partitions()[0]
+    assert top.level == 1 and np.shares_memory(top.run.values, output)
+    assert output.flags.owndata
+
+
+@pytest.mark.parametrize("backend", ["mmap", "object"])
+def test_a_file_backed_merge_goes_through_the_mapping(backend, monkeypatch):
+    """A 1 MiB merge is built in its own mapping and written out; the
+    run reads the file, not the mapping."""
+    import mmap
+
+    from repro.storage import external_sort
+
+    rng = np.random.default_rng(1)
+    with make_engine(storage_backend=backend) as engine:
+        with returned_by(monkeypatch, external_sort, "kway_merge") as merged:
+            for _ in range(4):
+                engine.stream_update_many(rng.integers(0, 10**6, 45_000))
+                engine.end_time_step()
+        (output,) = merged
+        assert isinstance(output.base.obj, mmap.mmap)
+        top = engine.store.partitions()[0]
+        assert top.level == 1 and top.run.tier != "memory"
+        assert not np.shares_memory(top.run.values, output)
+
+
+def test_a_caller_array_is_copied():
+    from repro.storage import SimulatedDisk, SortedRun
+    from repro.warehouse.leveled_store import LeveledStore
+
+    ascending = np.arange(100, dtype=np.int64)
+    disk = SimulatedDisk(block_elems=8)
+    assert not np.shares_memory(SortedRun(disk, ascending).values, ascending)
+    store = LeveledStore(disk, kappa=3)
+    partition = store.add_batch(ascending)
+    assert not np.shares_memory(partition.run.values, ascending)
+    ascending[0] = -1
+    assert partition.run.values[0] == 0
+    # A read-only view does not own its bytes: copied too.
+    frozen = np.arange(100, dtype=np.int64)
+    frozen.setflags(write=False)
+    view = frozen[10:]
+    assert not np.shares_memory(SortedRun(disk, view).values, frozen)

@@ -84,3 +84,14 @@ class TestKeepSorted:
         buffer.extend(np.asarray([3, 1, 2]))
         with pytest.raises(ValueError):
             buffer.keep_sorted(np.asarray([1, 2]))
+
+    def test_take_hands_over_the_kept_chunk(self):
+        buffer = AppendBuffer()
+        buffer.extend(np.asarray([3, 1, 2]))
+        chunk = np.asarray([1, 2, 3])
+        buffer.keep_sorted(chunk)
+        taken = buffer.take()
+        assert taken is chunk and not taken.flags.writeable
+        assert len(buffer) == 0
+        buffer.extend(np.asarray([5, 4]))  # the next step starts afresh
+        np.testing.assert_array_equal(buffer.take(), [5, 4])

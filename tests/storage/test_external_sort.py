@@ -11,17 +11,22 @@ INT64_MIN = np.iinfo(np.int64).min
 INT64_MAX = np.iinfo(np.int64).max
 
 
+def sort_to_run(sorter, disk, data):
+    """A batch as the warehouse stores it: sorted, then written as a run."""
+    return SortedRun(disk, sorter.sorted_array(data), charge_write=True)
+
+
 class TestExternalSorter:
     def test_sorts_correctly(self):
         disk = SimulatedDisk(block_elems=4)
         sorter = ExternalSorter(disk)
-        run = sorter.sort(np.asarray([5, 1, 9, 3]))
+        run = sort_to_run(sorter, disk, np.asarray([5, 1, 9, 3]))
         np.testing.assert_array_equal(run.values, [1, 3, 5, 9])
 
     def test_in_memory_sort_charges_output_write_only(self):
         disk = SimulatedDisk(block_elems=4)
         sorter = ExternalSorter(disk, memory_elems=100)
-        sorter.sort(np.arange(40)[::-1])
+        sort_to_run(sorter, disk, np.arange(40)[::-1])
         assert disk.stats.counters.sequential_writes == 10
         assert disk.stats.counters.sequential_reads == 0
 
@@ -39,7 +44,7 @@ class TestExternalSorter:
     def test_oversized_batch_charges_passes(self):
         disk = SimulatedDisk(block_elems=10)
         sorter = ExternalSorter(disk, memory_elems=50, fan_in=64)
-        sorter.sort(np.arange(100)[::-1])
+        sort_to_run(sorter, disk, np.arange(100)[::-1])
         # 2 passes (formation + 1 merge level) read+write 10 blocks each,
         # plus the final output write of 10 blocks.
         assert disk.stats.counters.sequential_reads == 20
@@ -198,21 +203,27 @@ class TestKWayMerge:
         np.testing.assert_array_equal(merged, expected)
 
     def test_large_merge_lives_in_its_own_mapping(self):
-        """A run-sized output is an anonymous mmap the array owns (its
-        pages return to the OS on free); a small one is a heap array.
-        Same bytes either way."""
+        """Mapped, as a file-backed backend asks (it writes the output
+        out and drops it), a run-sized output is an anonymous mmap the
+        array owns, its pages returned to the OS on free; a small one is
+        a heap array.  Unmapped, as the simulated backend asks, every
+        output is a heap array owning its memory, which the run keeps.
+        Same bytes, read-only, every way."""
         import mmap
 
         from repro.storage.external_sort import _MAPPED_MERGE_BYTES, kway_merge
 
         rng = np.random.default_rng(3)
         half = _MAPPED_MERGE_BYTES // 16
-        for size, mapped in ((half - 1, False), (half, True)):
+        for size, mapped, in_mapping in (
+            (half - 1, True, False), (half, True, True), (half, False, False)
+        ):
             arrays = [np.sort(rng.integers(-9, 9, size)) for _ in range(2)]
-            merged = kway_merge(arrays)
+            merged = kway_merge(arrays, mapped=mapped)
             backing = getattr(merged.base, "obj", None)
-            assert isinstance(backing, mmap.mmap) == mapped
-            assert merged.flags.writeable and merged.dtype == np.int64
+            assert isinstance(backing, mmap.mmap) == in_mapping
+            assert merged.flags.owndata != in_mapping
+            assert not merged.flags.writeable and merged.dtype == np.int64
             np.testing.assert_array_equal(
                 merged, np.sort(np.concatenate(arrays))
             )
@@ -222,8 +233,9 @@ class TestKWayMerge:
 
         only = np.asarray([4, 9], dtype=np.int64)
         merged = kway_merge([only, np.empty(0, dtype=np.int64)])
-        merged[0] = -1
-        assert only[0] == 4
+        assert not np.shares_memory(merged, only)
+        only[0] = -1
+        assert merged[0] == 4
 
 
 class TestSortPasses:
