@@ -179,24 +179,18 @@ class ShardedBlockCache:
                 f"run {run_id} is not pinned by this cluster snapshot"
             ) from None
 
-    def _charge(self, verb: str, run_id: int, *blocks: int) -> int:
-        """``verb`` on the owning shard's cache, a fault attributed."""
-        shard = self._shard_of(run_id)
-        try:
-            return getattr(self._caches[shard], verb)(run_id, *blocks)
-        except DiskFault:
-            self.failed_shard = shard
-            raise
-
-    def touch(self, run_id: int, block: int) -> int:
-        """Charge one block read against the owning shard's disk."""
-        return self._charge("touch", run_id, block)
-
     def touch_range(
         self, run_id: int, first_block: int, last_block: int
     ) -> int:
-        """Charge a ranged read against the owning shard's disk."""
-        return self._charge("touch_range", run_id, first_block, last_block)
+        """Charge a read against the owning shard's disk, a fault attributed."""
+        shard = self._shard_of(run_id)
+        try:
+            return self._caches[shard].touch_range(
+                run_id, first_block, last_block
+            )
+        except DiskFault:
+            self.failed_shard = shard
+            raise
 
     # The rest of the surface SortedRun reads through: a block's bytes
     # are pinned in the cache of the shard that was charged for them.

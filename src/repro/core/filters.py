@@ -96,8 +96,8 @@ class AccurateSearch:
         combined: CombinedSummary,
         config: EngineConfig,
         rank: int,
+        cache: BlockCache,
         stream_rank_fn: Optional[Callable[[int], float]] = None,
-        cache: Optional[BlockCache] = None,
         executor: Optional[QueryExecutor] = None,
     ) -> None:
         self._partitions = [p for p in partitions if len(p) > 0]
@@ -107,19 +107,11 @@ class AccurateSearch:
         self._combined = combined
         self._config = config
         self._rank = rank
-        if cache is not None:
-            self._cache = cache
-        elif self._partitions:
-            disk = self._partitions[0].run.disk
-            self._cache = BlockCache(disk, enabled=config.block_cache)
-        else:
-            self._cache = None
-        self._blocks_at_start = self._blocks()
+        self._cache = cache
+        self._blocks_at_start = cache.blocks_charged
         # A cache shared across searches carries earlier searches'
         # charges; the critical path is this search's own.
-        self._run_blocks_at_start = (
-            self._cache.run_blocks() if self._cache else {}
-        )
+        self._run_blocks_at_start = cache.run_blocks()
         self._stream_rank_fn = stream_rank_fn
         # Run ids with nothing left to prefetch this query: prefetched
         # (at most once each; the filters only narrow, so later ranges
@@ -240,11 +232,7 @@ class AccurateSearch:
         reproduce bit for bit.  Answers are unaffected either way (a
         probe of those blocks just finds them pinned).
         """
-        if (
-            self._cache is None
-            or self._cache.shared is None
-            or self._config.prefetch_blocks < 1
-        ):
+        if self._cache.shared is None or self._config.prefetch_blocks < 1:
             return
         tasks = self._planner.prefetch_reads(
             u, v, self._config.prefetch_blocks, skip=self._prefetched
@@ -294,8 +282,8 @@ class AccurateSearch:
         truncated = False
         budget = self._config.probe_budget
         while v > u + 1:
-            if (budget is not None
-                    and self._blocks() - self._blocks_at_start >= budget):
+            spent = self._cache.blocks_charged - self._blocks_at_start
+            if budget is not None and spent >= budget:
                 truncated = True
                 break
             self._maybe_prefetch(u, v)
@@ -319,11 +307,11 @@ class AccurateSearch:
         for i, (rank, held) in self._slices.items():
             ranks[i] = rank + int(held.searchsorted(v, "right"))
         value = self._snap_down(v, ranks)
-        charged = self._cache.run_blocks() if self._cache else {}
+        charged = self._cache.run_blocks()
         return SearchOutcome(
             value=int(value),
             estimated_rank=float(rho_v),
-            random_blocks=self._blocks() - self._blocks_at_start,
+            random_blocks=self._cache.blocks_charged - self._blocks_at_start,
             max_partition_blocks=max(
                 (
                     blocks - self._run_blocks_at_start.get(run_id, 0)
@@ -334,6 +322,3 @@ class AccurateSearch:
             iterations=iterations,
             truncated=truncated,
         )
-
-    def _blocks(self) -> int:
-        return self._cache.blocks_charged if self._cache else 0

@@ -10,10 +10,10 @@ a fault-free execution of the same request sequence.  Under the null
 plan (all rates zero) the disk never consults the RNG and behaves
 bit-identically to its parent class.
 
-An *operation* is one storage-layer request (one ``charge_*`` /
-``read_sequential`` / ``write_sequential`` call), not one block: the
-warehouse issues a handful of requests per batch, so per-request rates
-map directly onto "how often does archiving a step hit a fault".
+An *operation* is one storage-layer request (one ``charge_*`` call),
+not one block: the warehouse issues a handful of requests per batch, so
+per-request rates map directly onto "how often does archiving a step
+hit a fault".
 Operation indices are assigned under a lock in arrival order; with
 concurrent threads the assignment order follows the interleaving, which
 is why the reproducible harnesses drive deterministic request sequences
@@ -32,8 +32,6 @@ import threading
 import time
 from pathlib import Path
 from typing import List, Optional
-
-import numpy as np
 
 from ..storage.disk import SimulatedDisk
 from ..storage.stats import DiskLatencyModel
@@ -132,14 +130,6 @@ class FaultyDisk(SimulatedDisk):
     # ------------------------------------------------------------------
     # Faulting overrides (charge only after the fault gate passes)
     # ------------------------------------------------------------------
-
-    def write_sequential(self, data: np.ndarray) -> np.ndarray:
-        self._before_op("write")
-        return super().write_sequential(data)
-
-    def read_sequential(self, stored: np.ndarray) -> np.ndarray:
-        self._before_op("read")
-        return super().read_sequential(stored)
 
     def charge_sequential_read(self, num_elems: int) -> None:
         self._before_op("read")

@@ -64,11 +64,7 @@ class QueryExecutor:
         """
         return self.retry.call(fn, on_retry=self._note_retry)
 
-    def run_tasks(
-        self,
-        tasks: Sequence[Any],
-        cache: Optional[BlockCache] = None,
-    ) -> List[Any]:
+    def run_tasks(self, tasks: Sequence[Any], cache: BlockCache) -> List[Any]:
         """Run every task inline and return their results in task order.
 
         Each task runs under the executor's retry policy; a task's

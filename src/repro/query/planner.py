@@ -45,7 +45,7 @@ class RankProbeTask:
     hi: int
     alpha: int
 
-    def run(self, cache: Optional[BlockCache]) -> int:
+    def run(self, cache: BlockCache) -> int:
         """Execute the block-counted binary search."""
         return self.partition.run.rank_of(
             self.value, lo=self.lo, hi=self.hi, cache=cache
@@ -67,7 +67,7 @@ class PrefetchTask:
     first_block: int
     last_block: int
 
-    def run(self, cache: Optional[BlockCache]) -> int:
+    def run(self, cache: BlockCache) -> int:
         """Execute the batched ranged read."""
         self.partition.run.read_block_range(
             self.first_block, self.last_block, cache=cache

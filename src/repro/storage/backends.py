@@ -25,10 +25,12 @@ The contract that keeps the repo's equivalence moat intact: backends
 never change *what* is charged — `DiskStats` block counters are driven
 by the existing charge paths and stay bit-identical across all three.
 Backends only add request-level accounting (and real bytes) on top:
-`SortedRun` calls :meth:`RunHandle.note_range_read` /
-:meth:`RunHandle.note_sequential_read` exactly when blocks were
-actually charged, so a shared-cache or per-query-cache hit never turns
-into an object GET.
+`SortedRun` calls :meth:`RunHandle.note_range_read` exactly when a
+query's read charged blocks, so a shared-cache or per-query-cache hit
+never turns into an object GET.  Random reads are the only requests
+modeled: a cascade merge that reads a bucket run (``merge_runs`` over
+``SortedRun.values``) is charged its sequential blocks in ``DiskStats``
+but issues no modeled GET.  Whether it should is an open question.
 
 The cold-read fast path layers two request-shaping mechanisms *under*
 the charge layer (charges never change; only request counts and
@@ -198,9 +200,6 @@ class RunHandle(Protocol):
         GET per not-yet-fetched contiguous sub-range.
         """
 
-    def note_sequential_read(self, blocks: int) -> None:
-        """Record one sequential pass over ``blocks`` charged blocks."""
-
 
 @runtime_checkable
 class BlockDevice(Protocol):
@@ -270,9 +269,6 @@ class _SimulatedHandle:
     def note_range_read(
         self, first_block: int, last_block: int, charged: int
     ) -> None:
-        return None
-
-    def note_sequential_read(self, blocks: int) -> None:
         return None
 
 
@@ -409,9 +405,6 @@ class _FileHandle:
     ) -> None:
         self._backend._note_range_read(self, first_block, last_block, charged)
 
-    def note_sequential_read(self, blocks: int) -> None:
-        self._backend._note_sequential_read(self.run_id, blocks)
-
 
 class MmapFileBackend:
     """One ``run-<id>.npy`` file per sorted run, read through mmap.
@@ -467,9 +460,6 @@ class MmapFileBackend:
     def _note_range_read(
         self, handle: _FileHandle, first_block: int, last_block: int, charged: int
     ) -> None:
-        return None
-
-    def _note_sequential_read(self, run_id: int, blocks: int) -> None:
         return None
 
     def _read_blocks(
@@ -719,14 +709,6 @@ class ObjectStoreBackend(MmapFileBackend):
                 self._gets += 1
                 self._get_blocks += hi_ext - lo + 1
                 fetched.update(range(lo, hi_ext + 1))
-
-    def _note_sequential_read(self, run_id: int, blocks: int) -> None:
-        if run_id not in self._object_runs:
-            return
-        with self._lock:
-            self._gets += 1
-            self._get_blocks += blocks
-            self._fetched.setdefault(run_id, set()).update(range(blocks))
 
     # -- ranged byte reads ---------------------------------------------
 

@@ -84,42 +84,18 @@ class BlockCache:
         self.blocks_charged += blocks
         self.blocks_per_run[run_id] += blocks
 
-    def touch(self, run_id: int, block: int) -> int:
-        """Charge a random read of ``block`` in run ``run_id`` if new.
-
-        Returns the number of blocks actually charged to the disk (0 on
-        a per-query or shared-tier hit, 1 on a miss).  Callers use the
-        return value to decide whether the read reached the storage
-        backend — a cache hit must never become an object-store GET.
-        """
-        seen = self._seen.setdefault(run_id, set())
-        if self._enabled and block in seen:
-            return 0
-        # Charge before recording: the charge may raise an injected
-        # DiskFault, and a block whose read failed must not look
-        # cached to the retried probe.
-        if self._shared is not None:
-            hit = self._shared.fetch_block(
-                run_id, block, self._disk.charge_random_read
-            )
-            seen.add(block)
-            if hit:
-                self.shared_hits += 1
-                return 0
-        else:
-            self._disk.charge_random_read(1)
-            seen.add(block)
-        self._charge(run_id, 1)
-        return 1
-
     def touch_range(self, run_id: int, first_block: int, last_block: int) -> int:
         """Charge reads for every new block in [first_block, last_block].
 
-        The unseen blocks of the range are charged in a single ranged
-        random read (one ``charge_random_read(n)`` call), so a prefetch
-        pays one disk *operation* per partition while the charged block
-        count stays identical to the historical block-at-a-time loop.  Returns the total blocks charged (cache
-        hits excluded), mirroring :meth:`touch`.
+        The one way a block is charged: a probe touches ``(b, b)``, a
+        ranged read its whole span.  The unseen blocks are charged in a
+        single ranged random read (one ``charge_random_read(n)`` call),
+        so a prefetch pays one disk *operation* per partition while the
+        charged block count stays identical to touching each block.
+        Returns the number of blocks actually charged to the disk (0 on
+        per-query or shared-tier hits): callers use it to decide whether
+        the read reached the storage backend — a cache hit must never
+        become an object-store GET.
         """
         seen = self._seen.setdefault(run_id, set())
         blocks = range(first_block, last_block + 1)
@@ -144,8 +120,9 @@ class BlockCache:
                     self._charge(run_id, misses)
                     charged += misses
         else:
-            # Charge-before-record, as in touch(): a DiskFault in
-            # the ranged read leaves every block of it uncached.
+            # Charge before recording: the charge may raise an injected
+            # DiskFault, and a block whose read failed must not look
+            # cached to the retried probe.
             self._disk.charge_random_read(len(new))
             seen.update(new)
             self._charge(run_id, len(new))
@@ -170,7 +147,7 @@ class BlockCache:
 
         Called only once the charge *and* the backend read succeeded: a
         block whose read faulted stays unpinned, so the retried probe
-        goes through :meth:`touch` again.
+        goes through :meth:`touch_range` again.
         """
         if self._enabled:
             self._pinned.setdefault(run_id, {})[block] = payload

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from .backends import SimulatedBackend
 from .stats import DiskLatencyModel, DiskStats
 
@@ -77,21 +75,6 @@ class SimulatedDisk:
     def block_of(self, index: int) -> int:
         """The block number holding the element at ``index``."""
         return index // self.block_elems
-
-    def write_sequential(self, data: np.ndarray) -> np.ndarray:
-        """Persist ``data`` to disk, charging sequential write I/O.
-
-        Returns the stored array (a copy, so callers cannot mutate the
-        on-disk image through their reference).
-        """
-        stored = np.array(data, copy=True)
-        self.stats.record_sequential_write(self.blocks_for(len(stored)))
-        return stored
-
-    def read_sequential(self, stored: np.ndarray) -> np.ndarray:
-        """Scan an on-disk array, charging sequential read I/O."""
-        self.stats.record_sequential_read(self.blocks_for(len(stored)))
-        return stored
 
     def charge_sequential_read(self, num_elems: int) -> None:
         """Charge a sequential scan of ``num_elems`` elements."""

@@ -101,24 +101,10 @@ class SortedRun:
         view.flags.writeable = False
         return view
 
-    def min_value(self) -> int:
-        """Smallest element (exact)."""
-        if not self._length:
-            raise ValueError("empty run has no minimum")
-        return int(self._handle.read_blocks(0, 0)[0])
-
-    def max_value(self) -> int:
-        """Largest element (exact)."""
-        if not self._length:
-            raise ValueError("empty run has no maximum")
-        last_block = self._disk.block_of(self._length - 1)
-        payload = self._handle.read_blocks(last_block, last_block)
-        return int(payload[self._length - 1 - last_block * self._disk.block_elems])
-
-    def element_at(self, index: int, cache: Optional[BlockCache] = None) -> int:
+    def element_at(self, index: int, cache: BlockCache) -> int:
         """Return the element at ``index`` (0-based), charging one block.
 
-        With a cache, re-reads of an already-charged block are free.
+        Re-reads of a block ``cache`` already charged are free.
         The read itself is block-ranged: only the probed block is
         fetched from the backend, never the whole run.
         """
@@ -132,7 +118,7 @@ class SortedRun:
         self,
         first_block: int,
         last_block: int,
-        cache: Optional[BlockCache] = None,
+        cache: BlockCache,
     ) -> np.ndarray:
         """Read a contiguous *block* range in one charged ranged read.
 
@@ -163,7 +149,8 @@ class SortedRun:
         value: int,
         lo: int = 0,
         hi: Optional[int] = None,
-        cache: Optional[BlockCache] = None,
+        *,
+        cache: BlockCache,
     ) -> int:
         """Number of elements ``<= value``, by block-counted binary search.
 
@@ -179,7 +166,7 @@ class SortedRun:
         # exceeds ``value``; each probe touches exactly one block and
         # fetches it only if this query has not pinned it yet.
         block_elems = self._disk.block_elems
-        pins = cache is not None and cache.pins(self.run_id)
+        pins = cache.pins(self.run_id)
         while lo < hi:
             block = lo // block_elems
             if pins and block == (hi - 1) // block_elems:
@@ -199,17 +186,7 @@ class SortedRun:
                 hi = mid
         return lo
 
-    def in_memory_rank(self, value: int) -> int:
-        """Rank without I/O accounting (summary construction only)."""
-        return int(np.searchsorted(self._data, value, side="right"))
-
-    def scan(self) -> np.ndarray:
-        """Sequentially read the whole run, charging sequential I/O."""
-        self._disk.charge_sequential_read(self._length)
-        self._handle.note_sequential_read(self._disk.blocks_for(self._length))
-        return self._data.copy()
-
-    def _probe_block(self, block: int, cache: Optional[BlockCache]) -> np.ndarray:
+    def _probe_block(self, block: int, cache: BlockCache) -> np.ndarray:
         """One probed block's elements, charged at most once per query.
 
         A block the cache has pinned costs nothing; otherwise the touch
@@ -217,13 +194,9 @@ class SortedRun:
         backend), the block is fetched, and — only now that both
         succeeded — its payload is pinned for the rest of the query.
         """
-        if cache is None:
-            self._disk.charge_random_read(1)
-            self._handle.note_range_read(block, block, 1)
-            return self._handle.read_blocks(block, block)
         payload = cache.pinned_block(self.run_id, block)
         if payload is None:
-            if cache.touch(self.run_id, block):
+            if cache.touch_range(self.run_id, block, block):
                 self._handle.note_range_read(block, block, 1)
             payload = self._handle.read_blocks(block, block)
             cache.pin_block(self.run_id, block, payload)
@@ -254,7 +227,7 @@ class SortedRun:
         return held[lo - first * per_block : hi - first * per_block]
 
     def _read_blocks(
-        self, first: int, last: int, cache: Optional[BlockCache]
+        self, first: int, last: int, cache: BlockCache
     ) -> np.ndarray:
         """Blocks ``[first, last]`` in one charged ranged read.
 
@@ -263,7 +236,7 @@ class SortedRun:
         find their bytes already in the cache — as does a ranged read
         of blocks the probes before it paid for.
         """
-        pins = cache is not None and cache.pins(self.run_id)
+        pins = cache.pins(self.run_id)
         per_block = self._disk.block_elems
         if pins:
             pinned = self.pinned_range(
@@ -272,11 +245,7 @@ class SortedRun:
             if pinned is not None:
                 # Paid for and held, every one: nothing to charge.
                 return pinned
-        if cache is None:
-            charged = last - first + 1
-            self._disk.charge_random_read(charged)
-        else:
-            charged = cache.touch_range(self.run_id, first, last)
+        charged = cache.touch_range(self.run_id, first, last)
         if charged:
             self._handle.note_range_read(first, last, charged)
         payload = self._handle.read_blocks(first, last)

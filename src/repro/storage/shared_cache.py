@@ -190,17 +190,6 @@ class SharedBlockCache:
     # The read-through protocol (called by per-query BlockCache)
     # ------------------------------------------------------------------
 
-    def fetch_block(
-        self, run_id: int, block: int, charge: Callable[[int], None]
-    ) -> bool:
-        """Look up one block; charge the disk on a miss.
-
-        Returns ``True`` on a hit (no charge).  The one-block case of
-        :meth:`fetch_range`, with the same guarantees.
-        """
-        hits, _misses = self.fetch_range(run_id, block, block, charge)
-        return hits > 0
-
     def fetch_range(
         self,
         run_id: int,

@@ -7,7 +7,7 @@ from repro.core.config import EngineConfig
 from repro.core.filters import AccurateSearch
 from repro.core.summaries import PartitionSummary, StreamSummary
 from repro.sketches import GKSketch
-from repro.storage import SimulatedDisk, SortedRun
+from repro.storage import BlockCache, SimulatedDisk, SortedRun
 from repro.warehouse import Partition
 
 
@@ -36,6 +36,7 @@ def build_search(rng, rank, config=None, partitions=3, size=2000,
         combined=combined,
         config=config,
         rank=rank,
+        cache=BlockCache(disk, enabled=config.block_cache),
     )
     everything = np.sort(np.concatenate(datas).astype(np.int64))
     return search, everything, disk

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.faults import (
@@ -27,7 +26,7 @@ class TestFaultRaising:
     def test_pinned_write_fault(self):
         disk = FaultyDisk(FaultPlan(fail_at={("write", 0)}), block_elems=16)
         with pytest.raises(TransientWriteError):
-            disk.write_sequential(np.arange(10))
+            disk.charge_sequential_write(10)
 
     def test_corruption_is_persistent(self):
         disk = FaultyDisk(FaultPlan(corrupt_rate=1.0), block_elems=16)
@@ -84,11 +83,9 @@ class TestNullPlanEquivalence:
     def test_counters_identical_to_plain_disk(self):
         plain = SimulatedDisk(block_elems=16)
         faulty = FaultyDisk(FaultPlan(), block_elems=16)
-        rng = np.random.default_rng(0)
-        data = rng.integers(0, 1000, 100)
         for disk in (plain, faulty):
-            stored = disk.write_sequential(data)
-            disk.read_sequential(stored)
+            disk.charge_sequential_write(100)
+            disk.charge_sequential_read(100)
             disk.charge_random_read(3)
             disk.charge_sequential_read(50)
             disk.charge_sequential_write(50)

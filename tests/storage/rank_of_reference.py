@@ -13,7 +13,7 @@ new form no longer makes.
 """
 
 
-def reference_rank_of(run, value, lo=0, hi=None, cache=None):
+def reference_rank_of(run, value, lo, hi, cache):
     """Number of elements ``<= value`` in ``run[lo:hi]``'s bracket."""
     disk = run.disk
     handle = run._handle
@@ -25,11 +25,7 @@ def reference_rank_of(run, value, lo=0, hi=None, cache=None):
     while lo < hi:
         mid = (lo + hi) // 2
         block = disk.block_of(mid)
-        if cache is not None:
-            charged = cache.touch(run.run_id, block)
-        else:
-            disk.charge_random_read(1)
-            charged = 1
+        charged = cache.touch_range(run.run_id, block, block)
         if charged:
             handle.note_range_read(block, block, charged)
         payload = handle.read_blocks(block, block)

@@ -2,9 +2,9 @@
 
 The accounting says how many blocks a query paid for; these helpers
 watch the two places where that turns into work — ``read_blocks`` on a
-backend's run handles (real bytes) and ``BlockCache.touch`` /
-``touch_range`` (the charges) — so a test can hold one against the
-other.  All patch at class level and restore on exit.
+backend's run handles (real bytes) and ``BlockCache.touch_range`` (the
+charges) — so a test can hold one against the other.  All patch at
+class level and restore on exit.
 """
 
 from contextlib import contextmanager
@@ -82,28 +82,21 @@ def recorded_touches():
     held, so every touch is).
     """
     touches = []
-    touch, touch_range = BlockCache.touch, BlockCache.touch_range
-
-    def unseen(cache, run_id, blocks):
-        seen = cache._seen.get(run_id, ()) if cache._enabled else ()
-        return [(run_id, block) for block in blocks if block not in seen]
-
-    def recording_touch(cache, run_id, block):
-        new = unseen(cache, run_id, [block])
-        charged = touch(cache, run_id, block)
-        touches.extend(new)
-        return charged
+    touch_range = BlockCache.touch_range
 
     def recording_touch_range(cache, run_id, first_block, last_block):
-        new = unseen(cache, run_id, range(first_block, last_block + 1))
+        seen = cache._seen.get(run_id, ()) if cache._enabled else ()
+        new = [
+            (run_id, block)
+            for block in range(first_block, last_block + 1)
+            if block not in seen
+        ]
         charged = touch_range(cache, run_id, first_block, last_block)
         touches.extend(new)
         return charged
 
-    BlockCache.touch = recording_touch
     BlockCache.touch_range = recording_touch_range
     try:
         yield touches
     finally:
-        BlockCache.touch = touch
         BlockCache.touch_range = touch_range

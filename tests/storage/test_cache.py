@@ -9,30 +9,30 @@ class TestBlockCache:
     def test_first_touch_charges(self):
         disk = SimulatedDisk()
         cache = BlockCache(disk)
-        cache.touch(1, 0)
+        cache.touch_range(1, 0, 0)
         assert disk.stats.counters.random_reads == 1
         assert cache.blocks_charged == 1
 
     def test_repeat_touch_free(self):
         disk = SimulatedDisk()
         cache = BlockCache(disk)
-        cache.touch(1, 0)
-        cache.touch(1, 0)
+        cache.touch_range(1, 0, 0)
+        cache.touch_range(1, 0, 0)
         assert disk.stats.counters.random_reads == 1
 
     def test_distinct_runs_charged_separately(self):
         disk = SimulatedDisk()
         cache = BlockCache(disk)
-        cache.touch(1, 0)
-        cache.touch(2, 0)
+        cache.touch_range(1, 0, 0)
+        cache.touch_range(2, 0, 0)
         assert disk.stats.counters.random_reads == 2
 
     def test_disabled_cache_charges_every_touch(self):
         disk = SimulatedDisk()
         cache = BlockCache(disk, enabled=False)
-        cache.touch(1, 0)
-        cache.touch(1, 0)
-        cache.touch(1, 0)
+        cache.touch_range(1, 0, 0)
+        cache.touch_range(1, 0, 0)
+        cache.touch_range(1, 0, 0)
         assert disk.stats.counters.random_reads == 3
 
     def test_touch_range(self):
@@ -48,8 +48,8 @@ class TestBlockCache:
         # the holes (2, 4, 6), never the resident blocks.
         disk = SimulatedDisk()
         cache = BlockCache(disk)
-        cache.touch(1, 3)
-        cache.touch(1, 5)
+        cache.touch_range(1, 3, 3)
+        cache.touch_range(1, 5, 5)
         assert disk.stats.counters.random_reads == 2
         charged = cache.touch_range(1, 2, 6)
         assert charged == 3
@@ -68,8 +68,8 @@ class TestBlockCache:
         disk = SimulatedDisk()
         shared = SharedBlockCache(64)
         cache = BlockCache(disk, shared=shared)
-        cache.touch(1, 3)
-        cache.touch(1, 5)
+        cache.touch_range(1, 3, 3)
+        cache.touch_range(1, 5, 5)
         calls = []
         original = disk.charge_random_read
 
@@ -116,7 +116,8 @@ class TestBlockCacheConcurrency:
             # the interleavings differ, racing the dedup check.
             for i in range(self.RUNS * self.BLOCKS):
                 j = (i + seed) % (self.RUNS * self.BLOCKS)
-                cache.touch(j // self.BLOCKS, j % self.BLOCKS)
+                run, block = divmod(j, self.BLOCKS)
+                cache.touch_range(run, block, block)
 
         threads = [
             threading.Thread(target=worker, args=(seed,))

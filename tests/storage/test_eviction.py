@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from repro import EngineConfig, HybridQuantileEngine
-from repro.storage import ObjectStoreBackend, SimulatedDisk, SortedRun
+from repro.storage import (
+    BlockCache,
+    ObjectStoreBackend,
+    SimulatedDisk,
+    SortedRun,
+)
 
 
 def _run_bytes(backend, n_elems=64):
@@ -55,13 +60,13 @@ class TestCapacityEviction:
         )
         disk = SimulatedDisk(block_elems=8, backend=backend)
         run = SortedRun(disk, np.arange(128, dtype=np.int64))
-        before = run.read_block_range(3, 9)
+        before = run.read_block_range(3, 9, cache=BlockCache(disk))
         # hot_tier_bytes=0 evicts immediately after allocation.
         assert backend.stats().evicted_runs >= 1
         assert run.tier == "object"
-        after = run.read_block_range(3, 9)
+        after = run.read_block_range(3, 9, cache=BlockCache(disk))
         np.testing.assert_array_equal(before, after)
-        assert run.element_at(100) == 100
+        assert run.element_at(100, cache=BlockCache(disk)) == 100
         backend.close()
 
     def test_unbounded_by_default(self, tmp_path):

@@ -64,21 +64,23 @@ class RecordingHandle:
 
 
 class RecordingCache(BlockCache):
-    """Logs the result of every touch that was not a free re-touch."""
+    """Logs the result of every one-block touch that was not free."""
 
     def __init__(self, disk, log, **kwargs):
         super().__init__(disk, **kwargs)
         self._log = log
 
-    def touch(self, run_id, block):
-        paid_before = self._enabled and block in self._seen.get(run_id, ())
-        result = super().touch(run_id, block)
-        if not paid_before:
-            self._log.append(("touch", block, result))
+    def touch_range(self, run_id, first_block, last_block):
+        paid_before = self._enabled and first_block in self._seen.get(
+            run_id, ()
+        )
+        result = super().touch_range(run_id, first_block, last_block)
+        if first_block == last_block and not paid_before:
+            self._log.append(("touch", first_block, result))
         return result
 
 
-CACHE_STATES = ("cold", "partly-seen", "shared", "shared-warm", "disabled", "none")
+CACHE_STATES = ("cold", "partly-seen", "shared", "shared-warm", "disabled")
 
 
 def build(data, block_elems, state, seen_blocks, fail_on=None):
@@ -87,9 +89,6 @@ def build(data, block_elems, state, seen_blocks, fail_on=None):
     disk = RecordingDisk(block_elems, log)
     run = SortedRun(disk, data, charge_write=False)
     run._handle = RecordingHandle(run._handle, log)
-    if state == "none":
-        disk.fail_on = fail_on
-        return run, None, log
     shared = SharedBlockCache(64) if state.startswith("shared") else None
     cache = RecordingCache(
         disk, log, enabled=state != "disabled", shared=shared
@@ -97,12 +96,12 @@ def build(data, block_elems, state, seen_blocks, fail_on=None):
     if state == "partly-seen":
         # Charged by an earlier probe of this query, bytes not held.
         for block in seen_blocks:
-            cache.touch(run.run_id, block)
+            cache.touch_range(run.run_id, block, block)
     elif state == "shared-warm":
         # Resident from an earlier *query*: free here, still unseen.
         other = BlockCache(disk, shared=shared)
         for block in seen_blocks:
-            other.touch(run.run_id, block)
+            other.touch_range(run.run_id, block, block)
     del log[:]
     disk._charges = 0
     disk.fail_on = fail_on
@@ -110,8 +109,6 @@ def build(data, block_elems, state, seen_blocks, fail_on=None):
 
 
 def counters(cache, disk):
-    if cache is None:
-        return disk.stats.counters.random_reads
     return (
         cache.blocks_charged,
         cache.shared_hits,
@@ -183,7 +180,7 @@ class TestSameAccounting:
         assert counters(cache, run.disk) == counters(ref_cache, ref_run.disk)
 
         reads = run._handle.reads
-        if state in ("disabled", "none"):
+        if state == "disabled":
             # Nothing to pin into: a read per probe, exactly as before.
             assert reads == ref_run._handle.reads
         else:
@@ -200,11 +197,10 @@ class TestSameAccounting:
             try:
                 rank = rank_of(run, value, lo, hi, cache)
             except TransientReadError:
-                if cache is not None:
-                    # Whichever block the failed charge was for, it was
-                    # not recorded: only paid-for blocks hold bytes.
-                    pinned = cache._pinned.get(run.run_id, {})
-                    assert set(pinned) <= cache._seen.get(run.run_id, set())
+                # Whichever block the failed charge was for, it was not
+                # recorded: only paid-for blocks hold bytes.
+                pinned = cache._pinned.get(run.run_id, {})
+                assert set(pinned) <= cache._seen.get(run.run_id, set())
                 rank = rank_of(run, value, lo, hi, cache)
             sides.append((rank, log, counters(cache, run.disk)))
         # Equal logs: the retry's charge for the faulted block included.

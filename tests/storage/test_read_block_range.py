@@ -20,6 +20,11 @@ def make_run(n, block_elems=4):
     return disk, run
 
 
+def uncached(disk):
+    """A cache that holds nothing: every read through it is charged."""
+    return BlockCache(disk, enabled=False)
+
+
 def random_reads(disk):
     return disk.stats.counters.random_reads
 
@@ -28,20 +33,20 @@ class TestClamping:
     def test_full_range(self):
         disk, run = make_run(12, block_elems=4)
         before = random_reads(disk)
-        out = run.read_block_range(0, 2)
+        out = run.read_block_range(0, 2, cache=uncached(disk))
         np.testing.assert_array_equal(out, np.arange(12))
         assert random_reads(disk) - before == 3
 
     def test_partial_trailing_block(self):
         # 10 elements over 4-element blocks: block 2 holds only 8..9.
         disk, run = make_run(10, block_elems=4)
-        out = run.read_block_range(2, 2)
+        out = run.read_block_range(2, 2, cache=uncached(disk))
         np.testing.assert_array_equal(out, [8, 9])
 
     def test_range_past_end_is_clamped(self):
         disk, run = make_run(10, block_elems=4)
         before = random_reads(disk)
-        out = run.read_block_range(1, 99)
+        out = run.read_block_range(1, 99, cache=uncached(disk))
         np.testing.assert_array_equal(out, np.arange(4, 10))
         # Blocks 1 and 2 exist; the rest of the range charges nothing.
         assert random_reads(disk) - before == 2
@@ -49,7 +54,7 @@ class TestClamping:
     def test_range_entirely_past_end_charges_nothing(self):
         disk, run = make_run(10, block_elems=4)
         before = random_reads(disk)
-        out = run.read_block_range(7, 9)
+        out = run.read_block_range(7, 9, cache=uncached(disk))
         assert out.size == 0
         assert out.dtype == np.int64
         assert random_reads(disk) == before
@@ -57,21 +62,21 @@ class TestClamping:
     def test_negative_first_block_clamps_to_zero(self):
         disk, run = make_run(8, block_elems=4)
         before = random_reads(disk)
-        out = run.read_block_range(-3, 0)
+        out = run.read_block_range(-3, 0, cache=uncached(disk))
         np.testing.assert_array_equal(out, np.arange(4))
         assert random_reads(disk) - before == 1
 
     def test_inverted_range_is_empty(self):
         disk, run = make_run(8, block_elems=4)
         before = random_reads(disk)
-        out = run.read_block_range(2, 1)
+        out = run.read_block_range(2, 1, cache=uncached(disk))
         assert out.size == 0
         assert random_reads(disk) == before
 
     def test_empty_run_reads_nothing(self):
         disk, run = make_run(0, block_elems=4)
         before = random_reads(disk)
-        out = run.read_block_range(0, 5)
+        out = run.read_block_range(0, 5, cache=uncached(disk))
         assert out.size == 0
         assert out.dtype == np.int64
         assert random_reads(disk) == before
@@ -79,7 +84,7 @@ class TestClamping:
     def test_fully_negative_range_is_empty(self):
         disk, run = make_run(8, block_elems=4)
         before = random_reads(disk)
-        out = run.read_block_range(-5, -2)
+        out = run.read_block_range(-5, -2, cache=uncached(disk))
         assert out.size == 0
         assert random_reads(disk) == before
 
@@ -108,9 +113,12 @@ class TestCacheInteraction:
         disk_b, run_b = make_run(20, block_elems=4)
         before_a = random_reads(disk_a)
         before_b = random_reads(disk_b)
-        ranged = run_a.read_block_range(1, 3)
+        ranged = run_a.read_block_range(1, 3, cache=uncached(disk_a))
         singles = np.concatenate(
-            [run_b.read_block_range(b, b) for b in (1, 2, 3)]
+            [
+                run_b.read_block_range(b, b, cache=uncached(disk_b))
+                for b in (1, 2, 3)
+            ]
         )
         np.testing.assert_array_equal(ranged, singles)
         assert (
@@ -129,5 +137,6 @@ class TestContentCorrectness:
             lo = block * block_elems
             hi = min(lo + block_elems, n)
             np.testing.assert_array_equal(
-                run.read_block_range(block, block), np.arange(lo, hi)
+                run.read_block_range(block, block, cache=uncached(disk)),
+                np.arange(lo, hi),
             )

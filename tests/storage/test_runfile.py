@@ -14,6 +14,11 @@ def make_run(data, block_elems=4):
     return disk, run
 
 
+def uncached(disk):
+    """A cache that holds nothing: every read through it is charged."""
+    return BlockCache(disk, enabled=False)
+
+
 class TestConstruction:
     def test_rejects_unsorted(self):
         disk = SimulatedDisk(block_elems=4)
@@ -42,21 +47,23 @@ class TestConstruction:
             run.values[0] = 1
 
     def test_min_max(self):
-        disk, run = make_run([2, 5, 9])
-        assert run.min_value() == 2
-        assert run.max_value() == 9
+        disk, run = make_run([2, 5, 9, 11, 13], block_elems=2)
+        cache = BlockCache(disk)
+        assert run.element_at(0, cache=cache) == 2
+        assert run.element_at(len(run) - 1, cache=cache) == 13
+        assert cache.blocks_charged == 2
 
     def test_empty_run_min_raises(self):
         disk, run = make_run([])
-        with pytest.raises(ValueError):
-            run.min_value()
+        with pytest.raises(IndexError):
+            run.element_at(0, cache=BlockCache(disk))
 
 
 class TestRandomAccess:
     def test_element_at_charges_one_block(self):
         disk, run = make_run(range(20), block_elems=4)
         before = disk.stats.counters.random_reads
-        assert run.element_at(7) == 7
+        assert run.element_at(7, cache=uncached(disk)) == 7
         assert disk.stats.counters.random_reads == before + 1
 
     def test_element_at_with_cache_dedupes(self):
@@ -69,27 +76,30 @@ class TestRandomAccess:
     def test_element_at_out_of_range(self):
         disk, run = make_run(range(5))
         with pytest.raises(IndexError):
-            run.element_at(5)
+            run.element_at(5, cache=uncached(disk))
 
 
 class TestRankOf:
     def test_rank_counts_le(self):
         disk, run = make_run([1, 3, 3, 7])
-        assert run.rank_of(0) == 0
-        assert run.rank_of(1) == 1
-        assert run.rank_of(3) == 3
-        assert run.rank_of(7) == 4
-        assert run.rank_of(100) == 4
+        cache = BlockCache(disk)
+        assert run.rank_of(0, cache=cache) == 0
+        assert run.rank_of(1, cache=cache) == 1
+        assert run.rank_of(3, cache=cache) == 3
+        assert run.rank_of(7, cache=cache) == 4
+        assert run.rank_of(100, cache=cache) == 4
 
     def test_rank_matches_in_memory_rank(self):
         disk, run = make_run([1, 3, 3, 7, 9, 9, 12])
         for value in (-1, 1, 2, 3, 8, 9, 12, 13):
-            assert run.rank_of(value) == run.in_memory_rank(value)
+            assert run.rank_of(value, cache=uncached(disk)) == int(
+                np.searchsorted(run.values, value, "right")
+            )
 
     def test_rank_with_bounds(self):
         disk, run = make_run(range(0, 100, 2), block_elems=4)
         # value 50 at index 25; bound the search around it
-        assert run.rank_of(50, lo=20, hi=30) == 26
+        assert run.rank_of(50, lo=20, hi=30, cache=uncached(disk)) == 26
 
     def test_rank_charges_log_blocks(self):
         disk, run = make_run(range(1024), block_elems=4)
@@ -97,12 +107,6 @@ class TestRankOf:
         run.rank_of(517, cache=cache)
         # binary search over 256 blocks: ~log2(1024) probes max
         assert cache.blocks_charged <= 11
-
-    def test_scan_charges_sequential(self):
-        disk, run = make_run(range(20), block_elems=4)
-        before = disk.stats.counters.sequential_reads
-        np.testing.assert_array_equal(run.scan(), np.arange(20))
-        assert disk.stats.counters.sequential_reads == before + 5
 
 
 class TestRankProperty:
@@ -116,4 +120,4 @@ class TestRankProperty:
         disk = SimulatedDisk(block_elems=3)
         run = SortedRun(disk, arr)
         expected = int(np.searchsorted(arr, probe, side="right"))
-        assert run.rank_of(probe) == expected
+        assert run.rank_of(probe, cache=BlockCache(disk)) == expected

@@ -23,7 +23,7 @@ class TestTwoQEviction:
         cache = SharedBlockCache(8)
         charge, _ = charge_counter()
         for block in range(20):
-            cache.fetch_block(1, block, charge)
+            cache.fetch_range(1, block, block, charge)
         assert cache.resident_blocks <= 8
         assert cache.stats().evictions == 20 - cache.resident_blocks
 
@@ -33,11 +33,11 @@ class TestTwoQEviction:
         # Make blocks 0 and 1 hot: re-referenced => promoted out of
         # the probation FIFO into the protected LRU segment.
         for block in (0, 1):
-            cache.fetch_block(1, block, charge)
-            cache.fetch_block(1, block, charge)
+            cache.fetch_range(1, block, block, charge)
+            cache.fetch_range(1, block, block, charge)
         # Wash a long one-shot scan through probation.
         for block in range(100, 140):
-            cache.fetch_block(2, block, charge)
+            cache.fetch_range(2, block, block, charge)
         assert cache.contains(1, 0)
         assert cache.contains(1, 1)
 
@@ -45,7 +45,7 @@ class TestTwoQEviction:
         cache = SharedBlockCache(4)  # probation target = 1
         charge, _ = charge_counter()
         for block in range(6):
-            cache.fetch_block(1, block, charge)
+            cache.fetch_range(1, block, block, charge)
         # Never-re-referenced blocks leave in arrival order; the most
         # recent arrivals are still resident.
         assert cache.contains(1, 5)
@@ -60,8 +60,8 @@ class TestFetchAccounting:
     def test_miss_charges_then_hit_is_free(self):
         cache = SharedBlockCache(16)
         charge, calls = charge_counter()
-        assert cache.fetch_block(1, 0, charge) is False
-        assert cache.fetch_block(1, 0, charge) is True
+        assert cache.fetch_range(1, 0, 0, charge) == (0, 1)
+        assert cache.fetch_range(1, 0, 0, charge) == (1, 0)
         assert calls == {"ops": 1, "blocks": 1}
         stats = cache.stats()
         assert (stats.hits, stats.misses) == (1, 1)
@@ -92,7 +92,7 @@ class TestFetchAccounting:
             raise IOError("injected")
 
         with pytest.raises(IOError):
-            cache.fetch_block(1, 0, failing)
+            cache.fetch_range(1, 0, 0, failing)
         assert not cache.contains(1, 0)
 
     def test_prefetch_flag_counted(self):
@@ -107,7 +107,7 @@ class TestInvalidation:
         cache = SharedBlockCache(16)
         charge, _ = charge_counter()
         for block in range(5):
-            cache.fetch_block(7, block, charge)
+            cache.fetch_range(7, block, block, charge)
         assert cache.invalidate_run(7) == 5
         assert cache.invalidate_run(7) == 0
         assert cache.resident_blocks == 0
@@ -118,13 +118,13 @@ class TestInvalidation:
     def test_retired_run_refuses_reinsertion(self):
         cache = SharedBlockCache(16)
         charge, calls = charge_counter()
-        cache.fetch_block(7, 0, charge)
+        cache.fetch_range(7, 0, 0, charge)
         cache.invalidate_run(7)
         assert cache.is_retired(7)
         # A pinned snapshot still probing the retired run just misses:
         # charged every time, never resident again.
-        assert cache.fetch_block(7, 0, charge) is False
-        assert cache.fetch_block(7, 0, charge) is False
+        assert cache.fetch_range(7, 0, 0, charge) == (0, 1)
+        assert cache.fetch_range(7, 0, 0, charge) == (0, 1)
         assert not cache.contains(7, 0)
         assert calls["blocks"] == 3
 
@@ -132,7 +132,7 @@ class TestInvalidation:
         cache = SharedBlockCache(4)
         charge, _ = charge_counter()
         for block in range(10):  # most already evicted
-            cache.fetch_block(7, block, charge)
+            cache.fetch_range(7, block, block, charge)
         dropped = cache.invalidate_run(7)
         assert dropped == cache.stats().invalidated_blocks
         assert cache.resident_blocks == 0
@@ -143,12 +143,12 @@ class TestFollowers:
         disk = SimulatedDisk(block_elems=16)
         shared = SharedBlockCache(16)
         pinned = BlockCache(disk, shared=shared)
-        pinned.touch(7, 0)
+        pinned.touch_range(7, 0, 0)
         shared.invalidate_run(7)
         before = disk.stats.counters.random_reads
         # Per-query accounting holds through the pin: the repeat touch
         # is free even though the shared tier retired the run.
-        pinned.touch(7, 0)
+        pinned.touch_range(7, 0, 0)
         assert disk.stats.counters.random_reads == before
 
 
@@ -158,11 +158,11 @@ class TestReadThrough:
         shared = SharedBlockCache(16)
         first = BlockCache(disk, shared=shared)
         for block in range(4):
-            first.touch(1, block)
+            first.touch_range(1, block, block)
         assert first.blocks_charged == 4
         second = BlockCache(disk, shared=shared)
         for block in range(4):
-            second.touch(1, block)
+            second.touch_range(1, block, block)
         assert second.blocks_charged == 0
         assert second.shared_hits == 4
         assert disk.stats.counters.random_reads == 4
@@ -171,7 +171,7 @@ class TestReadThrough:
         disk = SimulatedDisk(block_elems=16)
         shared = SharedBlockCache(64)
         warm = BlockCache(disk, shared=shared)
-        warm.touch(1, 3)  # splits the later range into two gaps
+        warm.touch_range(1, 3, 3)  # splits the later range into two gaps
         ops = {"n": 0}
         original = disk.charge_random_read
 
@@ -192,8 +192,8 @@ class TestReadThrough:
         disk = SimulatedDisk(block_elems=16)
         cache = BlockCache(disk)
         assert cache.shared is None
-        cache.touch(1, 0)
-        cache.touch(1, 0)
+        cache.touch_range(1, 0, 0)
+        cache.touch_range(1, 0, 0)
         assert disk.stats.counters.random_reads == 1
 
 
@@ -215,7 +215,8 @@ class TestConcurrency:
             cache = caches[index]
             for i in range(self.RUNS * self.BLOCKS):
                 j = (i + index * 7) % (self.RUNS * self.BLOCKS)
-                cache.touch(j // self.BLOCKS, j % self.BLOCKS)
+                run, block = divmod(j, self.BLOCKS)
+                cache.touch_range(run, block, block)
 
         threads = [
             threading.Thread(target=worker, args=(index,))
@@ -244,7 +245,7 @@ class TestConcurrency:
             cache = BlockCache(disk, shared=shared)
             while not stop.is_set():
                 for block in range(8):
-                    cache.touch(99, block)
+                    cache.touch_range(99, block, block)
 
         threads = [threading.Thread(target=prober) for _ in range(4)]
         for thread in threads:

@@ -149,7 +149,7 @@ class TestSingleFlightDedup:
 
         def work(i):
             for block in range(8):
-                cache.fetch_block(7, block, charge)
+                cache.fetch_range(7, block, block, charge)
 
         errors = _run_racers(N_THREADS, work)
         assert errors == [None] * N_THREADS
