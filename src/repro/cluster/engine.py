@@ -180,13 +180,17 @@ class ShardedBlockCache:
             ) from None
 
     def touch_range(
-        self, run_id: int, first_block: int, last_block: int
+        self,
+        run_id: int,
+        first_block: int,
+        last_block: int,
+        prefetch: bool = False,
     ) -> int:
-        """Charge a read against the owning shard's disk, a fault attributed."""
+        """Charge a read on the owning shard's disk, a fault attributed."""
         shard = self._shard_of(run_id)
         try:
             return self._caches[shard].touch_range(
-                run_id, first_block, last_block
+                run_id, first_block, last_block, prefetch
             )
         except DiskFault:
             self.failed_shard = shard

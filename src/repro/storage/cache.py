@@ -84,7 +84,13 @@ class BlockCache:
         self.blocks_charged += blocks
         self.blocks_per_run[run_id] += blocks
 
-    def touch_range(self, run_id: int, first_block: int, last_block: int) -> int:
+    def touch_range(
+        self,
+        run_id: int,
+        first_block: int,
+        last_block: int,
+        prefetch: bool = False,
+    ) -> int:
         """Charge reads for every new block in [first_block, last_block].
 
         The one way a block is charged: a probe touches ``(b, b)``, a
@@ -95,7 +101,9 @@ class BlockCache:
         Returns the number of blocks actually charged to the disk (0 on
         per-query or shared-tier hits): callers use it to decide whether
         the read reached the storage backend — a cache hit must never
-        become an object-store GET.
+        become an object-store GET.  ``prefetch`` marks a ranged read
+        ahead of the probes; the shared tier counts its misses in
+        ``prefetched_blocks``.
         """
         seen = self._seen.setdefault(run_id, set())
         blocks = range(first_block, last_block + 1)
@@ -112,7 +120,7 @@ class BlockCache:
             # missing sub-range as one ranged read).
             for lo, hi in contiguous_spans(new):
                 hits, misses = self._shared.fetch_range(
-                    run_id, lo, hi, self._disk.charge_random_read
+                    run_id, lo, hi, self._disk.charge_random_read, prefetch
                 )
                 seen.update(range(lo, hi + 1))
                 self.shared_hits += hits

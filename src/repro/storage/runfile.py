@@ -123,8 +123,9 @@ class SortedRun:
         """Read a contiguous *block* range in one charged ranged read.
 
         The batched counterpart of per-block probing: accurate-path
-        prefetch issues one charged range per partition instead of a
-        Python loop of single-block reads.  The
+        prefetch and warming passes issue one charged range per
+        partition instead of a Python loop of single-block reads, and a
+        shared tier counts the blocks it misses as prefetched.  The
         charged block count is identical to touching each block
         individually (the cache dedupes per block); only the number of
         disk *operations* shrinks.  Returns the elements stored in the
@@ -245,7 +246,7 @@ class SortedRun:
             if pinned is not None:
                 # Paid for and held, every one: nothing to charge.
                 return pinned
-        charged = cache.touch_range(self.run_id, first, last)
+        charged = cache.touch_range(self.run_id, first, last, prefetch=True)
         if charged:
             self._handle.note_range_read(first, last, charged)
         payload = self._handle.read_blocks(first, last)

@@ -79,7 +79,7 @@ class SharedCacheStats:
     invalidated_blocks: int
     #: runs invalidated (compaction victims and adoptions).
     invalidated_runs: int
-    #: blocks inserted by explicit prefetch/warm range reads.
+    #: misses of prefetch / warm range reads (``SortedRun.read_block_range``).
     prefetched_blocks: int
     #: lookups that joined another query's in-flight fetch instead of
     #: issuing their own (single-flight coalescing).  Each coalesced

@@ -223,3 +223,10 @@ class TestPrefetchIdentity:
             return cold, warm, prefetched
 
         assert sweep() == sweep()
+
+    def test_warm_pass_is_counted_as_prefetch(self):
+        engine = make_engine(shared_blocks=256, prefetch=4)
+        feed(engine, batches(47, 6))
+        warmed = engine.warm_shared_cache(PHIS)
+        assert warmed > 0
+        assert engine.shared_cache.stats().prefetched_blocks == warmed

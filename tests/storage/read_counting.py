@@ -84,14 +84,18 @@ def recorded_touches():
     touches = []
     touch_range = BlockCache.touch_range
 
-    def recording_touch_range(cache, run_id, first_block, last_block):
+    def recording_touch_range(
+        cache, run_id, first_block, last_block, prefetch=False
+    ):
         seen = cache._seen.get(run_id, ()) if cache._enabled else ()
         new = [
             (run_id, block)
             for block in range(first_block, last_block + 1)
             if block not in seen
         ]
-        charged = touch_range(cache, run_id, first_block, last_block)
+        charged = touch_range(
+            cache, run_id, first_block, last_block, prefetch
+        )
         touches.extend(new)
         return charged
 

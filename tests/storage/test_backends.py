@@ -325,7 +325,7 @@ class TestRequestAccounting:
             assert engine.disk.stats.counters.random_reads == 188
             shared = engine.shared_cache.stats()
             assert (shared.hits, shared.misses) == (44, 188)
-            assert shared.prefetched_blocks == 0
+            assert shared.prefetched_blocks == 95
             assert shared.coalesced_waits == 0
         finally:
             engine.close()

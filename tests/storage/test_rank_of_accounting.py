@@ -70,11 +70,13 @@ class RecordingCache(BlockCache):
         super().__init__(disk, **kwargs)
         self._log = log
 
-    def touch_range(self, run_id, first_block, last_block):
+    def touch_range(self, run_id, first_block, last_block, prefetch=False):
         paid_before = self._enabled and first_block in self._seen.get(
             run_id, ()
         )
-        result = super().touch_range(run_id, first_block, last_block)
+        result = super().touch_range(
+            run_id, first_block, last_block, prefetch
+        )
         if first_block == last_block and not paid_before:
             self._log.append(("touch", first_block, result))
         return result
