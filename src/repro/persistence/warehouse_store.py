@@ -128,19 +128,18 @@ def _write_manifest(directory: Path, manifest: dict) -> Path:
 def _salvage_partition(path: Path, entry: dict) -> Optional[np.ndarray]:
     """Try to adopt a checksum-mismatched partition file.
 
-    The file is acceptable iff it still parses as an integer array of
+    The file is acceptable iff it still parses as a flat array of
     exactly the manifest's length, sorted ascending — i.e. a
     structurally valid sorted run whose recorded checksum is merely
-    stale.  Returns the array, or ``None`` when the file is truly
-    corrupt (unparseable, wrong shape, wrong dtype, or out of order).
+    stale (its dtype is checked by the caller, as on a clean load).
+    Returns the array, or ``None`` when the file is truly corrupt
+    (unparseable, wrong shape or length, or out of order).
     """
     try:
         data = np.load(path)
     except Exception:
         return None
-    if data.ndim != 1 or not np.issubdtype(data.dtype, np.integer):
-        return None
-    if len(data) != int(entry["num_elems"]):
+    if data.ndim != 1 or len(data) != int(entry["num_elems"]):
         return None
     if len(data) > 1 and not bool(np.all(np.diff(data) >= 0)):
         return None
@@ -214,6 +213,12 @@ def load_store(
                     raise PersistenceError(
                         f"unreadable partition file {path}: {exc}"
                     ) from exc
+            if data.dtype != np.int64:
+                # SortedRun would cast it: floats truncate, wide uint64
+                # wraps negative.
+                raise PersistenceError(
+                    f"{path} holds {data.dtype} values, not int64"
+                )
             if len(data) != entry["num_elems"]:
                 raise PersistenceError(
                     f"{path} holds {len(data)} elements, manifest says "

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.persistence import PersistenceError, load_store, save_store
-from repro.persistence.warehouse_store import MANIFEST_NAME
+from repro.persistence.warehouse_store import MANIFEST_NAME, _crc32_of
 from repro.storage import SimulatedDisk
 from repro.warehouse import LeveledStore
 
@@ -165,3 +165,30 @@ class TestFailureInjection:
         (tmp_path / (MANIFEST_NAME + ".tmp")).write_text("partial garbage")
         restored = load_store(tmp_path, SimulatedDisk(block_elems=16))
         assert restored.steps_loaded == store.steps_loaded
+
+    def test_float_partition_refused(self, tmp_path):
+        _, store = build_store()
+        save_store(store, tmp_path)
+        victim = sorted(tmp_path.glob("part-*.npy"))[0]
+        np.save(victim, np.load(victim) + 0.5)
+        # The manifest's checksum matches the rewritten file: only the
+        # dtype gives it away.
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        for level in manifest["levels"]:
+            for entry in level:
+                if entry["file"] == victim.name:
+                    entry["crc32"] = _crc32_of(victim)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(PersistenceError, match=victim.name):
+            load_store(tmp_path, SimulatedDisk(block_elems=16))
+
+    def test_wide_uint64_partition_not_salvaged(self, tmp_path):
+        _, store = build_store()
+        save_store(store, tmp_path)
+        victim = sorted(tmp_path.glob("part-*.npy"))[0]
+        # Sorted, of the recorded length, but >= 2**63: int64 would
+        # wrap every value negative.
+        np.save(victim, np.load(victim).astype(np.uint64) + np.uint64(2**63))
+        with pytest.raises(PersistenceError, match=victim.name):
+            load_store(tmp_path, SimulatedDisk(block_elems=16), repair=True)
