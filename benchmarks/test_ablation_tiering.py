@@ -107,7 +107,6 @@ def run_backend(backend, directory):
             "cold_get_blocks": int(cold.get_blocks),
             "warm_gets": int(warm.gets),
             "puts": int(stats.puts),
-            "lists": int(stats.lists),
             "migrations": int(stats.migrations),
             "object_runs": int(stats.object_runs),
             "hot_runs": int(stats.hot_runs),

@@ -275,15 +275,15 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _print_backend_stats(engine: HybridQuantileEngine) -> None:
-    """Object-tier request counters (only when the tier is live)."""
-    stats = engine.disk.backend.stats()
-    if not (stats.gets or stats.puts or stats.lists or stats.object_runs):
+    """Object-tier request counters (only on the object backend)."""
+    if engine.config.storage_backend != "object":
         return
+    stats = engine.disk.backend.stats()
     print(f"object tier      : {stats.object_runs:,} runs cold, "
           f"{stats.hot_runs:,} hot")
     print(f"object requests  : {stats.gets:,} GETs "
           f"({stats.get_blocks:,} blocks), {stats.puts:,} PUTs, "
-          f"{stats.lists:,} LISTs, {stats.migrations:,} migrations")
+          f"{stats.migrations:,} migrations")
 
 
 def _cmd_cache_stats(args: argparse.Namespace) -> int:

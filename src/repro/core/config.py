@@ -106,7 +106,7 @@ class EngineConfig:
         behavior), ``"mmap"`` (one real file per run, atomic
         write/fsync/rename commits, mmap reads), or ``"object"``
         (tiered: hot run files plus an emulated S3-like bucket that
-        cold levels age into, with GET/PUT/LIST request accounting).
+        cold levels age into, with GET/PUT request accounting).
         Block-level charges — and therefore every answer and every
         ``DiskStats`` counter — are bit-identical across backends.
     storage_dir:

@@ -19,7 +19,7 @@ through.  Three implementations ship:
     An S3-like emulation over a local bucket directory.  Runs are born
     in a hot file tier; the warehouse ages cold levels into the bucket
     (:meth:`place_run`), after which every *charged* block read becomes
-    a GET request with per-request latency and GET/PUT/LIST counters.
+    a GET request with per-request latency and GET/PUT counters.
 
 The contract that keeps the repo's equivalence moat intact: backends
 never change *what* is charged — `DiskStats` block counters are driven
@@ -85,7 +85,6 @@ class ObjectStoreLatency:
     seconds_per_get: float = 5e-3
     seconds_per_get_block: float = 1e-4
     seconds_per_put: float = 1e-2
-    seconds_per_list: float = 2e-3
 
     #: readahead width used when the per-block streaming cost is zero
     #: (the break-even point would be unbounded).
@@ -126,9 +125,9 @@ class BackendStats:
     Two kinds of field live here and :meth:`delta_since` treats them
     differently:
 
-    * **Counters** (``gets``, ``get_blocks``, ``puts``, ``lists``,
-      ``migrations``, ``evicted_runs``) accumulate monotonically; a
-      delta subtracts the earlier snapshot.
+    * **Counters** (``gets``, ``get_blocks``, ``puts``, ``migrations``,
+      ``evicted_runs``) accumulate monotonically; a delta subtracts the
+      earlier snapshot.
     * **Gauges** (``hot_runs``, ``object_runs``, ``hot_bytes``)
       describe current residency levels.  Subtracting two gauge
       readings is meaningless (a run migrating *decreases*
@@ -139,7 +138,6 @@ class BackendStats:
     gets: int = 0
     get_blocks: int = 0
     puts: int = 0
-    lists: int = 0
     migrations: int = 0
     hot_runs: int = 0
     object_runs: int = 0
@@ -152,7 +150,6 @@ class BackendStats:
             gets=self.gets - earlier.gets,
             get_blocks=self.get_blocks - earlier.get_blocks,
             puts=self.puts - earlier.puts,
-            lists=self.lists - earlier.lists,
             migrations=self.migrations - earlier.migrations,
             hot_runs=self.hot_runs,
             object_runs=self.object_runs,
@@ -587,7 +584,6 @@ class ObjectStoreBackend(MmapFileBackend):
         self._gets = 0
         self._get_blocks = 0
         self._puts = 0
-        self._lists = 0
         self._migrations = 0
         self._evictions = 0
         #: blocks of each bucket object already streamed by some GET.
@@ -604,8 +600,6 @@ class ObjectStoreBackend(MmapFileBackend):
         #: re-admitted to hot on the next ``place_run`` at a hot level.
         self._evicted: Set[int] = set()
         super().__init__(directory)
-        self._bucket.mkdir(parents=True, exist_ok=True)
-        self._list_bucket()
 
     # -- layout ---------------------------------------------------------
 
@@ -632,7 +626,7 @@ class ObjectStoreBackend(MmapFileBackend):
         return OBJECT_TIER if run_id in self._object_runs else FILE_TIER
 
     def fsck(self) -> "list[Path]":
-        """Remove crash leftovers in both tiers; counts one LIST per scan.
+        """Remove crash leftovers in both tiers.
 
         Besides staging orphans, this repairs the migration crash
         window: a crash after the bucket PUT renamed into place but
@@ -660,29 +654,13 @@ class ObjectStoreBackend(MmapFileBackend):
         self.fsck_report = report
         return removed
 
-    def _list_bucket(self) -> None:
-        with self._lock:
-            self._lists += 1
-            for entry in sorted(self._bucket.glob(f"{self._RUN_PREFIX}*.npy")):
-                try:
-                    run_id = int(entry.stem[len(self._RUN_PREFIX):])
-                except ValueError:
-                    continue
-                self._object_runs.add(run_id)
-
     # -- request accounting --------------------------------------------
 
-    def _last_block_of(self, run_id: int, block_elems: int) -> Optional[int]:
-        """Index of the run's final block, or ``None`` if unknown."""
-        length = self._lengths.get(run_id)
-        if length is None:
-            layout = self._layouts.get(run_id)
-            if layout is not None:
-                length = layout[2]
-        if length is None or length <= 0:
-            return None
+    def _last_block_of(self, run_id: int, block_elems: int) -> int:
+        """Index of the run's final block (0 for an empty run)."""
         per_block = max(1, block_elems)
-        return (length + per_block - 1) // per_block - 1
+        blocks = -(-self._lengths.get(run_id, 0) // per_block)
+        return max(0, blocks - 1)
 
     def _note_range_read(
         self, handle: _FileHandle, first_block: int, last_block: int, charged: int
@@ -702,10 +680,7 @@ class ObjectStoreBackend(MmapFileBackend):
             run_last = self._last_block_of(run_id, handle.block_elems)
             readahead = self.latency.break_even_blocks()
             for lo, hi in contiguous_spans(needed):
-                hi_ext = hi + readahead
-                if run_last is not None:
-                    hi_ext = min(hi_ext, run_last)
-                hi_ext = max(hi_ext, hi)
+                hi_ext = max(min(hi + readahead, run_last), hi)
                 self._gets += 1
                 self._get_blocks += hi_ext - lo + 1
                 fetched.update(range(lo, hi_ext + 1))
@@ -856,7 +831,7 @@ class ObjectStoreBackend(MmapFileBackend):
                 run_id, handle.block_elems if handle is not None else 1
             )
             self._gets += 1
-            self._get_blocks += (run_last + 1) if run_last is not None else 1
+            self._get_blocks += run_last + 1
         if handle is not None:
             with handle._lock:
                 handle._mapped = None
@@ -914,7 +889,6 @@ class ObjectStoreBackend(MmapFileBackend):
                 gets=self._gets,
                 get_blocks=self._get_blocks,
                 puts=self._puts,
-                lists=self._lists,
                 migrations=self._migrations,
                 hot_runs=max(0, len(self._handles) - object_count),
                 object_runs=object_count,
@@ -929,7 +903,6 @@ class ObjectStoreBackend(MmapFileBackend):
                 self._gets * model.seconds_per_get
                 + self._get_blocks * model.seconds_per_get_block
                 + self._puts * model.seconds_per_put
-                + self._lists * model.seconds_per_list
             )
 
 

@@ -153,16 +153,24 @@ class TestTiering:
         np.testing.assert_array_equal(np.asarray(handle.data), data)
         backend.close()
 
-    def test_restart_lists_bucket(self, tmp_path):
+    def test_reopened_backend_adopts_no_leftover_object(self, tmp_path):
+        # Run ids are process-local: an object a previous process left
+        # in the bucket is not this process's run of the same id.
         backend = ObjectStoreBackend(tmp_path / "o", object_tier_level=1)
         backend.allocate_run(9, np.arange(10, dtype=np.int64))
         backend.place_run(9, level=1)
         backend.close()
         reopened = ObjectStoreBackend(tmp_path / "o", object_tier_level=1)
+        data = np.arange(100, 120, dtype=np.int64)
+        handle = reopened.allocate_run(9, data)
         stats = reopened.stats()
-        assert stats.object_runs == 1
-        assert stats.lists == 1
-        assert reopened._path_of(9).parent.name == "objects"
+        assert handle.tier == FILE_TIER
+        assert stats.object_runs == 0
+        hot_file = tmp_path / "o" / "hot" / "run-9.npy"
+        assert stats.hot_bytes == hot_file.stat().st_size
+        reopened.place_run(9, level=1)
+        assert reopened.stats().puts == 1
+        np.testing.assert_array_equal(np.asarray(handle.data), data)
         reopened.close()
 
 
@@ -270,7 +278,6 @@ class TestRequestAccounting:
             seconds_per_get=1.0,
             seconds_per_get_block=0.0,
             seconds_per_put=10.0,
-            seconds_per_list=100.0,
         )
         backend = ObjectStoreBackend(
             tmp_path / "o", object_tier_level=1, latency=latency
@@ -279,8 +286,8 @@ class TestRequestAccounting:
         run = SortedRun(disk, np.arange(16, dtype=np.int64))
         backend.place_run(run.run_id, level=1)
         run.element_at(0, cache=uncached(disk))
-        # 1 LIST (startup) + 1 PUT (migration) + 1 GET
-        assert backend.simulated_seconds() == pytest.approx(111.0)
+        # 1 PUT (migration) + 1 GET
+        assert backend.simulated_seconds() == pytest.approx(11.0)
         assert disk.simulated_seconds() >= backend.simulated_seconds()
         backend.close()
 
@@ -347,7 +354,6 @@ class TestRequestAccounting:
             gets=10,
             get_blocks=100,
             puts=4,
-            lists=1,
             migrations=3,
             evicted_runs=2,
             hot_runs=6,
@@ -358,7 +364,6 @@ class TestRequestAccounting:
             gets=15,
             get_blocks=180,
             puts=6,
-            lists=1,
             migrations=5,
             evicted_runs=4,
             hot_runs=2,
@@ -370,7 +375,6 @@ class TestRequestAccounting:
         assert delta.gets == 5
         assert delta.get_blocks == 80
         assert delta.puts == 2
-        assert delta.lists == 0
         assert delta.migrations == 2
         assert delta.evicted_runs == 2
         # gauges: copied, never subtracted

@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.storage import runfile
 
 
 def run(capsys, *argv):
@@ -132,6 +134,32 @@ class TestIngestAndQuery:
         )
         assert code == 1
         assert faulted == plain
+
+
+class TestObjectTier:
+    def test_each_invocation_tiers_only_its_own_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Every CLI call is a process of its own, whose run ids start
+        # again at 0: the same ids as the objects the calls before it
+        # left in the bucket.
+        warehouse = str(tmp_path / "wh")
+        run(capsys, "init", warehouse, "--epsilon", "0.01", "--kappa", "2",
+            "--block-elems", "64", "--storage-backend", "object",
+            "--object-tier-level", "1")
+        rng = np.random.default_rng(5)
+        for step in range(8):
+            source = tmp_path / f"b{step}.npy"
+            np.save(source, rng.integers(0, 10**6, 3_000))
+            monkeypatch.setattr(runfile, "_run_ids", itertools.count())
+            code, *_ = run(capsys, "ingest", warehouse, str(source),
+                           "--archive")
+            assert code == 0
+        monkeypatch.setattr(runfile, "_run_ids", itertools.count())
+        code, out, _ = run(capsys, "cache-stats", warehouse)
+        assert code == 0
+        assert "2 runs cold, 2 hot" in out
+        assert "2 PUTs, 2 migrations" in out
 
 
 class TestDemo:
