@@ -223,7 +223,7 @@ class AccurateSearch:
         to at most ``config.prefetch_blocks`` blocks, the whole range
         is read in one charged ranged read ahead of the binary-search
         probes, run through the executor like any other probe.  On the
-        object backend each such read is one byte-range GET widened by
+        object backend each such read is one modeled GET widened by
         break-even readahead (extra blocks are streamed while their
         marginal cost stays under another request's setup cost —
         charge-neutral).

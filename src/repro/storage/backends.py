@@ -37,10 +37,9 @@ the charge layer (charges never change; only request counts and
 modeled latency shrink):
 
 * **Ranged partial-object GETs.**  :meth:`RunHandle.read_blocks`
-  returns just the requested block span.  The object backend serves it
-  as one byte-range read of the bucket object (seek + read of exactly
-  those blocks) instead of materializing the whole run, so a cold
-  binary-search probe touches kilobytes, not the full object.
+  returns just the requested block span, a slice of the run's memory
+  map in whichever tier holds its file.  The object backend models a
+  charged span as a GET of those blocks, not of the whole object.
 * **Fetch coalescing with readahead.**  The object backend remembers
   which blocks each bucket object has already streamed; a charged
   range only becomes a GET for its not-yet-fetched sub-ranges, and
@@ -180,11 +179,10 @@ class RunHandle(Protocol):
         """Elements stored in blocks ``[first_block, last_block]``.
 
         The partial-read primitive of the cold path: backends return
-        only the requested span — the object backend as one byte-range
-        read of the bucket object, the mmap backend as a slice of the
-        map, the simulated backend as a free view — so a cold probe
-        never materializes the whole run.  Pure bytes; all charging and
-        request accounting stay on the ``note_*`` paths.
+        only the requested span — the file-backed backends as a slice
+        of the run's memory map, the simulated backend as a free view —
+        so a cold probe never copies the whole run.  Pure bytes; all
+        charging and request accounting stay on the ``note_*`` paths.
         """
 
     def note_range_read(
@@ -390,12 +388,10 @@ class _FileHandle:
                 self._mapped = None
 
     def read_blocks(self, first_block: int, last_block: int) -> np.ndarray:
-        with self._lock:
-            if self._resident is not None:
-                lo = first_block * self.block_elems
-                hi = (last_block + 1) * self.block_elems
-                return self._resident[lo:hi]
-        return self._backend._read_blocks(self, first_block, last_block)
+        self._backend._note_read(self.run_id)
+        lo = first_block * self.block_elems
+        hi = (last_block + 1) * self.block_elems
+        return self.data[lo:hi]
 
     def note_range_read(
         self, first_block: int, last_block: int, charged: int
@@ -452,21 +448,16 @@ class MmapFileBackend:
         self.fsck_report = [f"removed stale stage {path.name}" for path in removed]
         return removed
 
-    # Request accounting is an object-store concern; the file tier has
-    # no per-request cost (its reads are page-cache hits via mmap).
+    # Request accounting and read recency are object-store concerns;
+    # the file tier has no per-request cost (its reads are page-cache
+    # hits via mmap) and evicts nothing.
     def _note_range_read(
         self, handle: _FileHandle, first_block: int, last_block: int, charged: int
     ) -> None:
         return None
 
-    def _read_blocks(
-        self, handle: _FileHandle, first_block: int, last_block: int
-    ) -> np.ndarray:
-        """Serve a ranged read by slicing the memory map."""
-        data = handle.data
-        lo = first_block * handle.block_elems
-        hi = (last_block + 1) * handle.block_elems
-        return data[lo:hi]
+    def _note_read(self, run_id: int) -> None:
+        return None
 
     # -- BlockDevice ----------------------------------------------------
 
@@ -590,8 +581,6 @@ class ObjectStoreBackend(MmapFileBackend):
         self._fetched: Dict[int, Set[int]] = {}
         #: element count per run (clamps readahead to the run's end).
         self._lengths: Dict[int, int] = {}
-        #: parsed .npy layout per run: (data offset, dtype, length).
-        self._layouts: "Dict[int, Tuple[int, np.dtype, int]]" = {}
         #: hot-tier residency bookkeeping for the eviction policy.
         self._hot_bytes: Dict[int, int] = {}
         self._hot_total = 0
@@ -685,76 +674,10 @@ class ObjectStoreBackend(MmapFileBackend):
                 self._get_blocks += hi_ext - lo + 1
                 fetched.update(range(lo, hi_ext + 1))
 
-    # -- ranged byte reads ---------------------------------------------
-
-    def _npy_layout(self, run_id: int, path: Path) -> "Tuple[int, np.dtype, int]":
-        """Parse (and cache) the .npy header of a bucket object.
-
-        The bytes are identical in both tiers (migration copies the
-        file verbatim), so the cached layout survives demotion and
-        promotion; it is dropped on :meth:`delete_run`.
-        """
-        with self._lock:
-            cached = self._layouts.get(run_id)
-        if cached is not None:
-            return cached
-        with open(path, "rb") as stream:
-            version = np.lib.format.read_magic(stream)
-            if version >= (2, 0):
-                shape, _fortran, dtype = np.lib.format.read_array_header_2_0(
-                    stream
-                )
-            else:
-                shape, _fortran, dtype = np.lib.format.read_array_header_1_0(
-                    stream
-                )
-            offset = stream.tell()
-        length = int(shape[0]) if shape else 0
-        layout = (offset, np.dtype(dtype), length)
-        with self._lock:
-            self._layouts[run_id] = layout
-        return layout
-
-    def _ranged_object_read(
-        self, handle: _FileHandle, first_block: int, last_block: int
-    ) -> np.ndarray:
-        """One byte-range GET: seek+read only the requested blocks."""
-        run_id = handle.run_id
-        path = self._object_path(run_id)
-        offset, dtype, length = self._npy_layout(run_id, path)
-        per_block = max(1, handle.block_elems)
-        lo = first_block * per_block
-        hi = min((last_block + 1) * per_block, length)
-        if lo >= hi:
-            return np.empty(0, dtype=dtype)
-        with open(path, "rb") as stream:
-            stream.seek(offset + lo * dtype.itemsize)
-            payload = stream.read((hi - lo) * dtype.itemsize)
-        return np.frombuffer(payload, dtype=dtype)
-
-    def _touch_hot(self, run_id: int) -> None:
+    def _note_read(self, run_id: int) -> None:
         with self._lock:
             if run_id in self._hot_lru:
                 self._hot_lru.move_to_end(run_id)
-
-    def _read_blocks(
-        self, handle: _FileHandle, first_block: int, last_block: int
-    ) -> np.ndarray:
-        run_id = handle.run_id
-        for _attempt in range(3):
-            with self._lock:
-                cold = run_id in self._object_runs
-            if not cold:
-                self._touch_hot(run_id)
-                try:
-                    return super()._read_blocks(handle, first_block, last_block)
-                except FileNotFoundError:
-                    continue  # demoted mid-read: retry via the bucket
-            try:
-                return self._ranged_object_read(handle, first_block, last_block)
-            except FileNotFoundError:
-                continue  # promoted mid-read: retry via the hot tier
-        return super()._read_blocks(handle, first_block, last_block)
 
     # -- BlockDevice ----------------------------------------------------
 
@@ -877,7 +800,6 @@ class ObjectStoreBackend(MmapFileBackend):
             self._object_runs.discard(run_id)
             self._evicted.discard(run_id)
             self._fetched.pop(run_id, None)
-            self._layouts.pop(run_id, None)
             self._lengths.pop(run_id, None)
             self._hot_total -= self._hot_bytes.pop(run_id, 0)
             self._hot_lru.pop(run_id, None)

@@ -1,11 +1,9 @@
 """The real reads of an accurate query match what it was charged for.
 
-Section 2.4 lets a query assume a block it paid for stays in memory.
-On the object tier a backend read is an ``open`` + ``seek`` + ``read``
-of the bucket object, so re-reading a paid-for block on every bisect
-step cost far more than the accounting showed (532 reads for 8 charged
-blocks before the per-query cache pinned payloads).  These tests count
-``read_blocks`` on the run handles of a cold object-tier engine.
+Section 2.4 lets a query assume a block it paid for stays in memory,
+so a query must not fetch a paid-for block's bytes again on every
+bisect step.  These tests count ``read_blocks`` on the run handles of
+a cold object-tier engine.
 """
 
 import numpy as np

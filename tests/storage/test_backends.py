@@ -263,8 +263,8 @@ class TestRequestAccounting:
 
     def test_ranged_reads_return_partial_bytes(self, tmp_path):
         # A cold ranged read must return exactly the requested slice
-        # (served as a byte-range read of the bucket object), and it
-        # must match what the hot tier serves for the same range.
+        # (of the bucket object's map), and it must match what the hot
+        # tier serves for the same range.
         backend, disk, run = self._charged_run(tmp_path)
         hot = run.read_block_range(2, 4, cache=uncached(disk))
         backend.place_run(run.run_id, level=1)
