@@ -503,3 +503,77 @@ class TestMonitoringIntegration:
                 service.submit(0.5)
             assert service.metrics_snapshot().rejections == 1
             service.resume()
+
+
+class TestAdmissionThroughService:
+    """Admission bounds as a client sees them: the typed rejection, the
+    per-mode rejection counts, degradation, and slots that free once a
+    batch or a search takes its requests."""
+
+    @staticmethod
+    def refused(service, mode):
+        with pytest.raises(Overloaded) as info:
+            service.submit(0.5, mode)
+        error = info.value
+        return error.mode, error.queue_depth, error.bound
+
+    def test_bounds_reject_and_slots_free(self, filled_engine):
+        config = ServingConfig(max_queue=2, accurate_queue=1)
+        with QueryService(filled_engine, config) as service:
+            service.pause()
+            quick = [service.submit(0.25), service.submit(0.75)]
+            # Refused on the total bound, an accurate request reports
+            # its own queue's depth and bound.
+            assert self.refused(service, "accurate") == ("accurate", 0, 1)
+            assert self.refused(service, "quick") == ("quick", 2, 2)
+            service.resume()
+            quick[0].result(timeout=5.0)
+            # One batch took both quick requests and freed both slots.
+            assert all(r.done for r in quick)
+            assert service.queue_depth == 0
+            accurate = service.submit(0.5, "accurate")
+            assert self.refused(service, "accurate") == ("accurate", 1, 1)
+            accurate.result(timeout=10.0)
+            # The search took its request: the accurate slot is free.
+            again = service.submit(0.9, "accurate")
+            assert again.effective_mode == "accurate"
+            again.result(timeout=10.0)
+            snapshot = service.metrics_snapshot()
+        assert snapshot.rejected == {"quick": 1, "accurate": 2}
+        assert snapshot.rejections == 3
+        assert snapshot.degraded_to_quick == 0
+        assert service.queue_depth == 0
+
+    def test_degraded_admission_and_full_rejection(self, filled_engine):
+        config = ServingConfig(
+            max_queue=3, accurate_queue=1, degrade_on_overload=True
+        )
+        with QueryService(filled_engine, config) as service:
+            service.pause()
+            first = service.submit(0.5, "accurate")
+            degraded = service.submit(0.5, "accurate")
+            assert first.effective_mode == "accurate"
+            assert degraded.effective_mode == "quick"
+            assert degraded.degraded_by_overload
+            quick = service.submit(0.9)
+            assert service.queue_depth == 3
+            # Past the total bound even a degraded request has no room.
+            assert self.refused(service, "accurate") == ("accurate", 3, 3)
+            assert self.refused(service, "quick") == ("quick", 3, 3)
+            snapshot = service.metrics_snapshot()
+            assert snapshot.rejected == {"quick": 1, "accurate": 1}
+            assert snapshot.degraded_to_quick == 1
+            service.resume()
+            assert degraded.result(timeout=5.0).mode == "quick"
+            assert quick.done
+            # The batch freed two slots, so two quick requests fit.
+            extra = [service.submit(0.1), service.submit(0.2)]
+            assert self.refused(service, "quick") == ("quick", 3, 3)
+            assert first.result(timeout=10.0).mode == "accurate"
+            assert service.submit(0.3).effective_mode == "quick"
+            for request in extra:
+                request.result(timeout=5.0)
+            snapshot = service.metrics_snapshot()
+        assert snapshot.rejected == {"quick": 2, "accurate": 1}
+        assert snapshot.degraded_to_quick == 1
+        assert snapshot.served == {"quick": 5, "accurate": 1}
