@@ -57,6 +57,7 @@ from ..storage.fsutil import (
     RETIRED_SUFFIX,
     STAGE_SUFFIX,
     fsync_dir,
+    fsync_file,
     retired_path,
     stage_path,
 )
@@ -186,6 +187,8 @@ def save_engine(engine: HybridQuantileEngine, directory: "str | Path") -> Path:
         dump_sketch(engine.stream_sketch())
     )
     np.save(stage / BUFFER_FILE, np.asarray(engine._buffer.view()))
+    fsync_file(stage / SKETCH_FILE)
+    fsync_file(stage / BUFFER_FILE)
     _reach("mid-stage")
     state = {
         "format": _ENGINE_FORMAT,

@@ -89,6 +89,7 @@ def save_store(
                         os.link(source, path)
                     except OSError:
                         shutil.copy2(source, path)
+                        fsync_file(path)
                 else:
                     np.save(path, partition.run.values)
                     fsync_file(path)
