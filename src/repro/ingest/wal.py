@@ -40,6 +40,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..storage.fsutil import atomic_write_bytes, stage_path
+
 #: Segment file preamble; bump the trailing digits on format changes.
 _SEGMENT_MAGIC = b"RPWAL001"
 #: Per-frame marker ("FLWR" little-endian) guarding against seeks into
@@ -140,11 +142,15 @@ def _read_floor(directory: Path) -> int:
 
 
 def _write_floor(directory: Path, lsn: int, fsync: bool) -> None:
-    tmp = directory / (_FLOOR_NAME + ".tmp")
-    tmp.write_text(str(lsn))
-    os.replace(tmp, directory / _FLOOR_NAME)
+    # A torn floor reads as 0, so with fsync on its bytes are made
+    # durable before the rename publishes them.
+    path = directory / _FLOOR_NAME
     if fsync:
-        _fsync_dir(directory)
+        atomic_write_bytes(path, str(lsn).encode("ascii"))
+        return
+    tmp = stage_path(path)
+    tmp.write_text(str(lsn))
+    os.replace(tmp, path)
 
 
 def _encode_frame(rtype: int, lsn: int, meta: int, payload: bytes) -> bytes:

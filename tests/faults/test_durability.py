@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
+from repro.ingest.wal import WriteAheadLog
 from repro.persistence import save_engine
 from repro.persistence import checkpoint as checkpoint_module
 
@@ -103,3 +104,16 @@ class TestCheckpointStage:
             monkeypatch.setattr(os, "link", no_link)
             assert self.save_checking_stage(engine, directory, synced) == []
         assert links
+
+
+class TestWalFloor:
+    def test_truncation_syncs_the_floor(self, tmp_path, synced):
+        directory = tmp_path / "wal"
+        with WriteAheadLog(directory, segment_bytes=256) as wal:
+            for step in range(6):
+                wal.append_batch(np.arange(40, dtype=np.int64) + step)
+                wal.append_seal(step)
+            # Every segment goes; only the floor keeps the LSNs monotone.
+            assert wal.truncate(wal.last_lsn) > 0
+        assert [p.name for p in directory.iterdir()] == ["wal.floor"]
+        assert unsynced_files(directory, synced) == []
