@@ -81,6 +81,8 @@ def serving_run(engine, label):
             CLIENTS, REQUESTS_PER_CLIENT, mode="accurate"
         )
         snapshot = service.metrics_snapshot()
+        shared = engine.shared_cache
+        cache = shared.stats() if shared is not None else None
     charged = engine.disk.stats.counters.random_reads - reads_before
     # The engine is quiescent during the run: a serial replay of each
     # phi against the same state must reproduce every answer.
@@ -102,8 +104,8 @@ def serving_run(engine, label):
         "p50_ms": accurate.p50 * 1e3,
         "p99_ms": accurate.p99 * 1e3,
         "bit_identical": identical,
-        "cache_hits": snapshot.cache_hits,
-        "cache_hit_rate": snapshot.cache_hit_rate,
+        "cache_hits": cache.hits if cache is not None else 0,
+        "cache_hit_rate": cache.hit_rate if cache is not None else 0.0,
         "warm_passes": snapshot.warm_passes,
         "warm_blocks": snapshot.warm_blocks,
         "answers": sorted(

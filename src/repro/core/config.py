@@ -241,10 +241,10 @@ class ServingConfig:
         Take every queued quick request together, as one batch pinned
         at one epoch: one TS plus one rank-bound lookup per phi, so
         merges per served request drop below 1 under concurrency.
-    coalesce_window_ms:
-        The longest a quick batch waits behind a running accurate
-        search before it is taken anyway; requests arriving meanwhile
-        join it.  With no search running a batch is taken at once.
+        A batch waits behind a running accurate search for at most
+        :data:`repro.serving.service.BATCH_WAIT_S` (2 ms), so requests
+        arriving meanwhile join it; with no search running it is taken
+        at once.
     degrade_on_overload:
         When the accurate queue is full, degrade the request to the
         quick path (flagged on the result) instead of rejecting it —
@@ -255,7 +255,6 @@ class ServingConfig:
     accurate_queue: Optional[int] = None
     accurate_workers: int = 2
     coalesce: bool = True
-    coalesce_window_ms: float = 2.0
     degrade_on_overload: bool = False
 
     def __post_init__(self) -> None:
@@ -265,8 +264,6 @@ class ServingConfig:
             raise ValueError("accurate_queue must be >= 1")
         if self.accurate_workers < 1:
             raise ValueError("accurate_workers must be >= 1")
-        if self.coalesce_window_ms < 0:
-            raise ValueError("coalesce_window_ms must be >= 0")
 
     @property
     def accurate_queue_bound(self) -> int:

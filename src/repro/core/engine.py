@@ -517,7 +517,6 @@ class HybridQuantileEngine(PinnedQueries):
                     else None
                 ),
             )
-            self._archiver.stats.degraded_queries = self._degraded_queries
         return self._archiver
 
     def _report_from_record(self, record: ArchiveRecord) -> StepReport:
@@ -562,10 +561,6 @@ class HybridQuantileEngine(PinnedQueries):
         """Count one degraded query (called from any query thread)."""
         with self._reliability_lock:
             self._degraded_queries += 1
-            count = self._degraded_queries
-        archiver = self._archiver
-        if archiver is not None:
-            archiver.stats.degraded_queries = count
 
     @property
     def reliability(self) -> ReliabilityReport:

@@ -81,10 +81,6 @@ class IngestStats:
         Archive attempts retried after a transient disk fault.
     disk_faults:
         Disk faults the archiver thread has hit (retried or fatal).
-    degraded_queries:
-        Accurate queries on the owning engine that fell back to the
-        quick response after exhausting probe retries (mirrored here so
-        background deployments can watch one stats object).
     """
 
     batches_enqueued: int = 0
@@ -95,7 +91,6 @@ class IngestStats:
     archive_phase_seconds: Dict[str, float] = field(default_factory=dict)
     fault_retries: int = 0
     disk_faults: int = 0
-    degraded_queries: int = 0
 
     def note_phases(self, cpu: Dict[str, float]) -> None:
         """Accumulate one step's per-phase archive latency."""

@@ -13,14 +13,13 @@ ablation (:mod:`~repro.serving.bench`).
 """
 
 from ..core.config import ServingConfig
-from .admission import AdmissionController, Overloaded
+from .admission import Overloaded
 from .bench import build_bench_engine, run_serving_bench
 from .loadgen import LoadGenerator, LoadResult
 from .metrics import LatencySummary, MetricsSnapshot, ServiceMetrics
 from .service import PendingQuery, QueryService
 
 __all__ = [
-    "AdmissionController",
     "LatencySummary",
     "LoadGenerator",
     "LoadResult",

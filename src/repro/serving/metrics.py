@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..sketches.base import rank_for_phi
 from ..sketches.gk import GKSketch
@@ -59,12 +59,6 @@ class MetricsSnapshot:
     ts_merges: int
     deduped_probes: int
     latency: Dict[str, LatencySummary] = field(default_factory=dict)
-    #: shared-block-cache counters pulled from the engine at snapshot
-    #: time (all zero when the shared tier is disabled).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    cache_invalidations: int = 0
     #: epoch-batch warming passes the service ran, and the blocks those
     #: passes charged into the shared tier.
     warm_passes: int = 0
@@ -76,16 +70,6 @@ class MetricsSnapshot:
     #: answers produced by a partial cluster gather (missing shards,
     #: widened bounds) — nonzero only when serving a degraded cluster.
     partial_gathers: int = 0
-    #: storage-backend request counters pulled from the engine at
-    #: snapshot time (all zero off the object backend).
-    object_gets: int = 0
-    object_puts: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Shared-cache hits per lookup (0.0 with the tier disabled)."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
     @property
     def requests_served(self) -> int:
@@ -117,7 +101,7 @@ class ServiceMetrics:
     def __init__(self, epsilon: float = 0.01) -> None:
         self._lock = threading.Lock()
         self._latency = {mode: GKSketch(epsilon) for mode in _MODES}
-        self._served = {mode: 0 for mode in _MODES}
+        self._rejected = {mode: 0 for mode in _MODES}
         self._degraded_to_quick = 0
         self._peak_queue_depth = 0
         self._coalesced_batches = 0
@@ -132,13 +116,13 @@ class ServiceMetrics:
         self._partial_gathers = 0
 
     def record(self, mode: str, latency_seconds: float) -> None:
-        """Count one served request and record its latency."""
-        micros = max(0, int(latency_seconds * 1e6))
+        """Record one served request's latency (its sketch counts it)."""
+        self._latency[mode].update(max(0, int(latency_seconds * 1e6)))
+
+    def note_rejected(self, mode: str) -> None:
+        """Count one request of the requested ``mode`` refused admission."""
         with self._lock:
-            self._served[mode] += 1
-        # GK has its own mutation lock; keeping it outside ours avoids
-        # holding two locks at once.
-        self._latency[mode].update(micros)
+            self._rejected[mode] += 1
 
     def note_degraded(self) -> None:
         """Count one accurate request degraded to quick under load."""
@@ -197,29 +181,19 @@ class ServiceMetrics:
             count=sketch.n, p50=_pct(0.50), p95=_pct(0.95), p99=_pct(0.99)
         )
 
-    def snapshot(
-        self,
-        queue_depth: int = 0,
-        rejected: Optional[Dict[str, int]] = None,
-        cache: Optional[object] = None,
-        backend: Optional[object] = None,
-    ) -> MetricsSnapshot:
+    def snapshot(self, queue_depth: int = 0) -> MetricsSnapshot:
         """Assemble one consistent :class:`MetricsSnapshot`.
 
-        ``queue_depth`` and ``rejected`` live with the admission
-        controller; the service passes them in, together with the
-        engine's :class:`~repro.storage.shared_cache.SharedCacheStats`
-        as ``cache`` when the shared tier is enabled and the storage
-        backend's :class:`~repro.storage.backends.BackendStats` as
-        ``backend`` when the engine exposes one.
+        ``queue_depth`` is the length of the service's queues, which
+        the service passes in.
         """
         # Latency summaries read sketch snapshots outside the counter
         # lock (each sketch copy-on-queries under its own lock).
         latency = {mode: self._latency_summary(mode) for mode in _MODES}
         with self._lock:
             return MetricsSnapshot(
-                served=dict(self._served),
-                rejected=dict(rejected or {}),
+                served={mode: latency[mode].count for mode in _MODES},
+                rejected=dict(self._rejected),
                 degraded_to_quick=self._degraded_to_quick,
                 queue_depth=queue_depth,
                 peak_queue_depth=max(self._peak_queue_depth, queue_depth),
@@ -229,15 +203,9 @@ class ServiceMetrics:
                 ts_merges=self._ts_merges,
                 deduped_probes=self._deduped_probes,
                 latency=latency,
-                cache_hits=getattr(cache, "hits", 0),
-                cache_misses=getattr(cache, "misses", 0),
-                cache_evictions=getattr(cache, "evictions", 0),
-                cache_invalidations=getattr(cache, "invalidated_blocks", 0),
                 warm_passes=self._warm_passes,
                 warm_blocks=self._warm_blocks,
                 warm_failures=self._warm_failures,
                 accurate_ts_merges=self._accurate_ts_merges,
                 partial_gathers=self._partial_gathers,
-                object_gets=getattr(backend, "gets", 0),
-                object_puts=getattr(backend, "puts", 0),
             )

@@ -17,7 +17,7 @@ answered by a later quick caller's batch or by ``drain`` / ``close``.
   (one batch at a time) against one pinned epoch: one TS, one
   rank-bound lookup per phi, every waiter fulfilled from it.  The
   batch waits only while an accurate search runs (at most
-  ``coalesce_window_ms``), so requests arriving meanwhile join it.
+  :data:`BATCH_WAIT_S`), so requests arriving meanwhile join it.
 * **Deduplication** — identical accurate probes (same phi and window)
   waiting in the queue share a single disk search; at most
   ``accurate_workers`` searches run at once, on any threads.
@@ -45,12 +45,18 @@ from ..core.engine import HybridQuantileEngine
 from ..core.epoch import SnapshotHandle
 from ..core.query_path import QueryResult
 from ..faults.errors import DiskFault
-from .admission import AdmissionController, Overloaded  # noqa: F401
+from .admission import Overloaded, admit
 from .coalescer import answer_quick_batch, dedupe_key
 from .metrics import MetricsSnapshot, ServiceMetrics
 
 
 _logger = logging.getLogger(__name__)
+
+#: The longest a quick batch waits behind a running accurate search
+#: before it is taken anyway (requests arriving meanwhile join it).
+#: This wait is the quick/accurate latency trade on one GIL: shorter
+#: speeds quick answers and slows the search they share the GIL with.
+BATCH_WAIT_S = 2e-3
 
 
 class PendingQuery:
@@ -132,7 +138,6 @@ class QueryService:
     ) -> None:
         self.engine = engine
         self.config = config if config is not None else ServingConfig()
-        self.admission = AdmissionController(self.config)
         self.metrics = ServiceMetrics()
         self._cv = threading.Condition(threading.Lock())
         self._quick: "Deque[PendingQuery]" = deque()
@@ -167,7 +172,13 @@ class QueryService:
         with self._cv:
             if self._closed:
                 raise RuntimeError("service is closed")
-            effective = self.admission.admit(mode)
+            try:
+                effective = admit(
+                    self.config, mode, len(self._quick), len(self._accurate)
+                )
+            except Overloaded:
+                self.metrics.note_rejected(mode)
+                raise
             request = PendingQuery(phi, mode, effective, window_steps)
             request._service = self
             request._queued = True
@@ -195,7 +206,6 @@ class QueryService:
                 if request._queued:
                     self._queue(request.effective_mode).remove(request)
                     request._queued = False
-                    self.admission.release(request.effective_mode)
             raise
 
     @property
@@ -206,14 +216,7 @@ class QueryService:
 
     def metrics_snapshot(self) -> MetricsSnapshot:
         """One consistent reading of every service counter."""
-        shared = self.engine.shared_cache
-        backend = getattr(self.engine.disk, "backend", None)
-        return self.metrics.snapshot(
-            queue_depth=self.queue_depth,
-            rejected=self.admission.rejections(),
-            cache=shared.stats() if shared is not None else None,
-            backend=backend.stats() if backend is not None else None,
-        )
+        return self.metrics.snapshot(queue_depth=self.queue_depth)
 
     def _maybe_warm(
         self, handle: SnapshotHandle, phis: "List[float]"
@@ -308,9 +311,7 @@ class QueryService:
             if config.coalesce and self._running["accurate"]:
                 # A batch beside a search only splits the GIL with it.
                 linger = (
-                    anchor.submitted_at
-                    + config.coalesce_window_ms / 1e3
-                    - time.perf_counter()
+                    anchor.submitted_at + BATCH_WAIT_S - time.perf_counter()
                 )
                 if linger > 0:
                     return None, linger
@@ -319,7 +320,6 @@ class QueryService:
         for request in work:
             queue.remove(request)
             request._queued = False
-            self.admission.release(mode)
         return work, None
 
     def _serve(

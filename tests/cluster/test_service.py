@@ -63,10 +63,7 @@ class TestServingOverCluster:
             ), phi
 
     def test_coalescing_shares_fused_merges(self, cluster):
-        with QueryService(
-            cluster,
-            ServingConfig(coalesce=True, coalesce_window_ms=20.0),
-        ) as service:
+        with QueryService(cluster, ServingConfig(coalesce=True)) as service:
             requests = [
                 service.submit(phi, mode="quick")
                 for phi in list(PHIS) * 8

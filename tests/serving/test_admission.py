@@ -5,11 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ServingConfig
-from repro.serving import AdmissionController, Overloaded
+from repro.serving import Overloaded
+from repro.serving.admission import admit
 
 
-def controller(**kwargs) -> AdmissionController:
-    return AdmissionController(ServingConfig(**kwargs))
+def refused(config, mode, quick, accurate):
+    """The ``(mode, queue_depth, bound)`` an admission refusal carries."""
+    with pytest.raises(Overloaded) as info:
+        admit(config, mode, quick, accurate)
+    return info.value.mode, info.value.queue_depth, info.value.bound
 
 
 class TestOverloaded:
@@ -23,79 +27,50 @@ class TestOverloaded:
 
 
 class TestAdmissionController:
-    def test_quick_bound_enforced(self):
-        ctrl = controller(max_queue=2)
-        assert ctrl.admit("quick") == "quick"
-        assert ctrl.admit("quick") == "quick"
-        with pytest.raises(Overloaded) as info:
-            ctrl.admit("quick")
-        assert info.value.mode == "quick"
-        assert info.value.bound == 2
-        assert ctrl.rejections() == {"quick": 1, "accurate": 0}
+    """``admit(config, mode, quick, accurate)`` over queue lengths."""
 
-    def test_release_frees_slot(self):
-        ctrl = controller(max_queue=1)
-        ctrl.admit("quick")
-        with pytest.raises(Overloaded):
-            ctrl.admit("quick")
-        ctrl.release("quick")
-        assert ctrl.admit("quick") == "quick"
-        assert ctrl.queue_depth == 1
+    def test_quick_bound_enforced(self):
+        config = ServingConfig(max_queue=2)
+        assert admit(config, "quick", 0, 0) == "quick"
+        assert admit(config, "quick", 1, 0) == "quick"
+        assert refused(config, "quick", 2, 0) == ("quick", 2, 2)
 
     def test_accurate_queue_is_separately_bounded(self):
-        ctrl = controller(max_queue=8, accurate_queue=1)
-        assert ctrl.admit("accurate") == "accurate"
-        with pytest.raises(Overloaded) as info:
-            ctrl.admit("accurate")
-        assert info.value.mode == "accurate"
-        assert info.value.bound == 1
+        config = ServingConfig(max_queue=8, accurate_queue=1)
+        assert admit(config, "accurate", 0, 0) == "accurate"
+        assert refused(config, "accurate", 0, 1) == ("accurate", 1, 1)
         # Quick admissions are untouched by the accurate bound.
-        assert ctrl.admit("quick") == "quick"
+        assert admit(config, "quick", 0, 1) == "quick"
 
     def test_quick_load_counts_against_shared_bound(self):
-        ctrl = controller(max_queue=2)
-        ctrl.admit("quick")
-        ctrl.admit("accurate")
-        with pytest.raises(Overloaded):
-            ctrl.admit("accurate")
+        config = ServingConfig(max_queue=2)
+        assert admit(config, "accurate", 1, 0) == "accurate"
+        assert refused(config, "accurate", 1, 1) == ("accurate", 1, 2)
+        # Refused on the total bound alone, an accurate request reports
+        # its own queue's depth and bound.
+        split = ServingConfig(max_queue=2, accurate_queue=1)
+        assert refused(split, "accurate", 2, 0) == ("accurate", 0, 1)
 
     def test_degrade_on_overload_downgrades_accurate(self):
-        ctrl = controller(
+        config = ServingConfig(
             max_queue=8, accurate_queue=1, degrade_on_overload=True
         )
-        assert ctrl.admit("accurate") == "accurate"
+        assert admit(config, "accurate", 0, 0) == "accurate"
         # The accurate queue is full but the total has room: degrade.
-        assert ctrl.admit("accurate") == "quick"
-        assert ctrl.degraded_admissions == 1
-        assert ctrl.waiting("quick") == 1
+        assert admit(config, "accurate", 0, 1) == "quick"
 
     def test_degrade_still_rejects_when_everything_is_full(self):
-        ctrl = controller(
+        config = ServingConfig(
             max_queue=2, accurate_queue=1, degrade_on_overload=True
         )
-        ctrl.admit("accurate")
-        ctrl.admit("quick")
-        with pytest.raises(Overloaded) as info:
-            ctrl.admit("accurate")
-        assert info.value.bound == 2
-        assert ctrl.rejections()["accurate"] == 1
-
-    def test_waiting_per_mode(self):
-        ctrl = controller(max_queue=8, accurate_queue=4)
-        ctrl.admit("quick")
-        ctrl.admit("quick")
-        ctrl.admit("accurate")
-        assert ctrl.waiting("quick") == 2
-        assert ctrl.waiting("accurate") == 1
-        assert ctrl.queue_depth == 3
+        assert refused(config, "accurate", 1, 1) == ("accurate", 2, 2)
+        assert refused(config, "quick", 1, 1) == ("quick", 2, 2)
 
 
 class TestServingConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             ServingConfig(max_queue=0)
-        with pytest.raises(ValueError):
-            ServingConfig(coalesce_window_ms=-1.0)
         with pytest.raises(ValueError):
             ServingConfig(accurate_queue=0)
 

@@ -89,7 +89,7 @@ class TestOpenLoop:
             # resume to let the two admitted requests complete.
             deadline = time.perf_counter() + 5.0
             while (
-                sum(service.admission.rejections().values()) == 0
+                service.metrics_snapshot().rejections == 0
                 and time.perf_counter() < deadline
             ):
                 time.sleep(0.001)

@@ -13,6 +13,7 @@ from repro import EngineConfig, HybridQuantileEngine
 from repro.core import ServingConfig
 from repro.faults import FaultPlan, FaultyDisk
 from repro.serving import Overloaded, QueryService
+from repro.serving import service as service_module
 
 
 def wait_until(predicate, timeout=5.0):
@@ -76,22 +77,24 @@ class TestCallerServesItself:
         assert pinned_on == [threading.current_thread()] * 2
 
     def test_a_quick_answer_does_not_wait_out_the_window(
-        self, filled_engine
+        self, filled_engine, monkeypatch
     ):
-        config = ServingConfig(coalesce_window_ms=500)
-        with QueryService(filled_engine, config) as service:
+        monkeypatch.setattr(service_module, "BATCH_WAIT_S", 0.5)
+        with QueryService(filled_engine) as service:
             started = time.perf_counter()
             for phi in np.linspace(0.05, 0.95, 10):
                 service.quantile(float(phi), timeout=5.0)
             assert time.perf_counter() - started < 0.5
 
-    def test_quick_waits_only_while_a_search_runs(self, filled_engine):
+    def test_quick_waits_only_while_a_search_runs(
+        self, filled_engine, monkeypatch
+    ):
         slow = SlowSearches(filled_engine, 0.2)
 
-        def quick_beside_a_search(window_ms):
+        def quick_beside_a_search(wait_s):
             slow.finished_at.clear()
-            config = ServingConfig(coalesce_window_ms=window_ms)
-            with QueryService(filled_engine, config) as service:
+            monkeypatch.setattr(service_module, "BATCH_WAIT_S", wait_s)
+            with QueryService(filled_engine) as service:
                 searcher = threading.Thread(
                     target=service.quantile,
                     args=(0.5, "accurate"),
@@ -109,10 +112,10 @@ class TestCallerServesItself:
 
         # Held behind the search and released when it ends, long
         # before the window would run out...
-        asked, answered, search_done = quick_beside_a_search(1000)
+        asked, answered, search_done = quick_beside_a_search(1.0)
         assert search_done <= answered < asked + 0.6
         # ...but never held longer than the window.
-        asked, answered, search_done = quick_beside_a_search(20)
+        asked, answered, search_done = quick_beside_a_search(0.02)
         assert answered < search_done
 
     def test_constructing_a_service_starts_no_thread(self, filled_engine):
@@ -204,7 +207,6 @@ class TestCallerServesItself:
                 service.quantile(0.8, "accurate", timeout=0.05)
             # Nobody holds that future, so it left the queue.
             assert service.queue_depth == 0
-            assert service.admission.waiting("accurate") == 0
             request = service.submit(0.8, "accurate")
             assert request.result(timeout=10.0).mode == "accurate"
             searcher.join(10.0)
@@ -247,7 +249,6 @@ class TestCallerServesItself:
         finally:
             sys.setswitchinterval(interval)
         assert all(r.done for r in unawaited)
-        assert service.admission.queue_depth == 0
         assert service.queue_depth == 0
         assert slow.peak <= 2
 

@@ -64,7 +64,7 @@ def test_tuning_guide_lists_only_real_knobs():
 def test_knob_count_only_goes_down():
     """A ratchet: lower these bounds when a knob goes, never raise them."""
     assert len(dataclasses.fields(EngineConfig)) <= 19
-    assert len(dataclasses.fields(ServingConfig)) <= 6
+    assert len(dataclasses.fields(ServingConfig)) <= 5
 
 
 def test_src_lines_only_go_down():
@@ -87,9 +87,6 @@ def test_src_lines_only_go_down():
 _SET_BY_TESTS_ONLY = {
     "degrade_on_fault": "chooses a behaviour (raise the typed fault or "
     "answer quick), not a number a constant could hold",
-    "coalesce_window_ms": "caps how long a quick batch waits behind a "
-    "running accurate search: a trade of quick latency for accurate "
-    "latency on one GIL, which the tests drive to both ends",
 }
 
 
