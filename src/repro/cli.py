@@ -73,12 +73,6 @@ def _cmd_init(args: argparse.Namespace) -> int:
         print(f"error: {directory} already holds an engine "
               "(use --force to overwrite)", file=sys.stderr)
         return 1
-    storage_dir = args.storage_dir
-    if storage_dir is None and args.storage_backend != "simulated":
-        # A persistent warehouse gets a persistent run directory beside
-        # the checkpoint (never inside: the checkpoint commit dance
-        # renames the directory out from under anything stored there).
-        storage_dir = str(directory) + ".runs"
     config = EngineConfig(
         epsilon=args.epsilon,
         kappa=args.kappa,
@@ -88,11 +82,11 @@ def _cmd_init(args: argparse.Namespace) -> int:
         prefetch_blocks=args.prefetch_blocks,
         sketch_backend=args.sketch_backend,
         storage_backend=args.storage_backend,
-        storage_dir=storage_dir,
+        storage_dir=args.storage_dir,
         object_tier_level=args.object_tier_level,
     )
-    engine = HybridQuantileEngine(config=config)
-    save_engine(engine, directory)
+    with HybridQuantileEngine(config=config) as engine:
+        save_engine(engine, directory)
     print(f"initialized warehouse at {directory} "
           f"(epsilon={args.epsilon}, kappa={args.kappa}, "
           f"storage={args.storage_backend})")
@@ -141,60 +135,60 @@ def _dump_transcript(args: argparse.Namespace, disk: SimulatedDisk) -> None:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     """Stream a file of values into the warehouse (vectorized path)."""
-    engine = _load_engine_cli(args)
-    values = _read_values(args.source)
-    if args.batch_size and args.batch_size > 0:
-        for lo in range(0, len(values), args.batch_size):
-            engine.stream_update_many(values[lo : lo + args.batch_size])
-    else:
-        engine.stream_update_many(values)
-    message = f"streamed {len(values):,} elements"
-    if args.archive:
-        report = engine.end_time_step()
-        # Background mode returns a provisional report; the checkpoint
-        # flushes anyway, so surface the authoritative numbers.
-        if not report.archived:
-            flushed = engine.flush()
-            if flushed:
-                report = flushed[-1]
-        message += (
-            f"; archived step {report.step} "
-            f"({report.io_total:,} disk accesses"
-            + (", merged partitions" if report.merged_levels else "")
-            + ")"
-        )
-    save_engine(engine, args.warehouse)
-    stats = engine.ingest_stats
-    if stats is not None and (stats.fault_retries or stats.disk_faults):
-        message += (f" [{stats.disk_faults} disk faults, "
-                    f"{stats.fault_retries} retries]")
-    print(message)
-    _dump_transcript(args, engine.disk)
-    return 0
+    with _load_engine_cli(args) as engine:
+        values = _read_values(args.source)
+        if args.batch_size and args.batch_size > 0:
+            for lo in range(0, len(values), args.batch_size):
+                engine.stream_update_many(values[lo : lo + args.batch_size])
+        else:
+            engine.stream_update_many(values)
+        message = f"streamed {len(values):,} elements"
+        if args.archive:
+            report = engine.end_time_step()
+            # Background mode returns a provisional report; the checkpoint
+            # flushes anyway, so surface the authoritative numbers.
+            if not report.archived:
+                flushed = engine.flush()
+                if flushed:
+                    report = flushed[-1]
+            message += (
+                f"; archived step {report.step} "
+                f"({report.io_total:,} disk accesses"
+                + (", merged partitions" if report.merged_levels else "")
+                + ")"
+            )
+        save_engine(engine, args.warehouse)
+        stats = engine.ingest_stats
+        if stats is not None and (stats.fault_retries or stats.disk_faults):
+            message += (f" [{stats.disk_faults} disk faults, "
+                        f"{stats.fault_retries} retries]")
+        print(message)
+        _dump_transcript(args, engine.disk)
+        return 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    engine = _load_engine_cli(args)
-    if engine.n_total == 0:
-        print("error: warehouse is empty", file=sys.stderr)
-        return 1
-    print(f"{'phi':>6} {'value':>16} {'rank target':>12} {'disk I/O':>9}")
-    # One pinned snapshot answers every phi: quick mode shares a single
-    # TS merge across the list, accurate mode shares the block cache.
-    results = engine.quantile_many(
-        args.phi, mode=args.mode, window_steps=args.window
-    )
-    for phi, result in zip(args.phi, results):
-        print(f"{phi:>6} {result.value:>16,} {result.target_rank:>12,} "
-              f"{result.disk_accesses:>9}"
-              + ("  DEGRADED" if result.degraded else ""))
-    report = engine.reliability
-    if not report.healthy:
-        print(f"reliability: {report.disk_faults} disk faults, "
-              f"{report.total_retries} retries, "
-              f"{report.degraded_queries} degraded queries")
-    _dump_transcript(args, engine.disk)
-    return 0
+    with _load_engine_cli(args) as engine:
+        if engine.n_total == 0:
+            print("error: warehouse is empty", file=sys.stderr)
+            return 1
+        print(f"{'phi':>6} {'value':>16} {'rank target':>12} {'disk I/O':>9}")
+        # One pinned snapshot answers every phi: quick mode shares a single
+        # TS merge across the list, accurate mode shares the block cache.
+        results = engine.quantile_many(
+            args.phi, mode=args.mode, window_steps=args.window
+        )
+        for phi, result in zip(args.phi, results):
+            print(f"{phi:>6} {result.value:>16,} {result.target_rank:>12,} "
+                  f"{result.disk_accesses:>9}"
+                  + ("  DEGRADED" if result.degraded else ""))
+        report = engine.reliability
+        if not report.healthy:
+            print(f"reliability: {report.disk_faults} disk faults, "
+                  f"{report.total_retries} retries, "
+                  f"{report.degraded_queries} degraded queries")
+        _dump_transcript(args, engine.disk)
+        return 0
 
 
 def _cmd_fsck(args: argparse.Namespace) -> int:
@@ -249,29 +243,29 @@ def _fsck_wal(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    engine = load_engine(args.warehouse)
-    memory = engine.memory_report()
-    print(f"warehouse        : {args.warehouse}")
-    print(f"epsilon / kappa  : {engine.config.epsilon} / "
-          f"{engine.config.kappa}")
-    print(f"historical elems : {engine.n_historical:,} "
-          f"({engine.steps_loaded} steps)")
-    print(f"live stream elems: {engine.m_stream:,}")
-    print(f"storage backend  : {engine.config.storage_backend}"
-          + (
-              f" ({engine.config.storage_dir})"
-              if engine.config.storage_dir is not None
-              else ""
-          ))
-    print(f"memory words     : {memory.total_words:,} "
-          f"({memory.total_megabytes:.3f} MB)")
-    print(f"window sizes     : {engine.available_window_sizes()}")
-    layout = [
-        f"L{p.level}[{p.start_step}-{p.end_step}]x{len(p):,}"
-        for p in engine.store.partitions()
-    ]
-    print(f"partitions       : {' '.join(layout) if layout else '(none)'}")
-    return 0
+    with load_engine(args.warehouse) as engine:
+        memory = engine.memory_report()
+        print(f"warehouse        : {args.warehouse}")
+        print(f"epsilon / kappa  : {engine.config.epsilon} / "
+              f"{engine.config.kappa}")
+        print(f"historical elems : {engine.n_historical:,} "
+              f"({engine.steps_loaded} steps)")
+        print(f"live stream elems: {engine.m_stream:,}")
+        print(f"storage backend  : {engine.config.storage_backend}"
+              + (
+                  f" ({engine.config.storage_dir})"
+                  if engine.config.storage_dir is not None
+                  else ""
+              ))
+        print(f"memory words     : {memory.total_words:,} "
+              f"({memory.total_megabytes:.3f} MB)")
+        print(f"window sizes     : {engine.available_window_sizes()}")
+        layout = [
+            f"L{p.level}[{p.start_step}-{p.end_step}]x{len(p):,}"
+            for p in engine.store.partitions()
+        ]
+        print(f"partitions       : {' '.join(layout) if layout else '(none)'}")
+        return 0
 
 
 def _print_backend_stats(engine: HybridQuantileEngine) -> None:
@@ -287,36 +281,36 @@ def _print_backend_stats(engine: HybridQuantileEngine) -> None:
 
 
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    engine = load_engine(args.warehouse)
-    cache = engine.shared_cache
-    if cache is None:
-        print("shared cache     : disabled "
-              "(re-init with --shared-cache-blocks N to enable)")
+    with load_engine(args.warehouse) as engine:
+        cache = engine.shared_cache
+        if cache is None:
+            print("shared cache     : disabled "
+                  "(re-init with --shared-cache-blocks N to enable)")
+            _print_backend_stats(engine)
+            return 0
+        if args.warm:
+            if engine.n_total == 0:
+                print("error: warehouse is empty", file=sys.stderr)
+                return 1
+            charged = engine.warm_shared_cache(args.phi)
+            print(f"warm pass        : {charged} blocks charged "
+                  f"for phis {args.phi}")
+        stats = cache.stats()
+        print(f"capacity blocks  : {stats.capacity_blocks:,}")
+        print(f"resident blocks  : {stats.resident_blocks:,}")
+        print(f"lookups          : {stats.lookups:,} "
+              f"({stats.hits:,} hits, {stats.misses:,} misses, "
+              f"hit rate {stats.hit_rate:.3f})")
+        print(f"evictions        : {stats.evictions:,}")
+        print(f"invalidated      : {stats.invalidated_blocks:,} blocks over "
+              f"{stats.invalidated_runs:,} retired runs")
+        print(f"prefetch width   : {engine.config.prefetch_blocks} blocks/run")
+        epochs = engine.epoch_stats
+        print(f"TS merges        : {epochs.ts_merges:,} ({epochs.ts_reuses:,} "
+              f"reused; historical half built {epochs.hs_builds:,}x, "
+              f"extended {epochs.hs_extends:,}x)")
         _print_backend_stats(engine)
         return 0
-    if args.warm:
-        if engine.n_total == 0:
-            print("error: warehouse is empty", file=sys.stderr)
-            return 1
-        charged = engine.warm_shared_cache(args.phi)
-        print(f"warm pass        : {charged} blocks charged "
-              f"for phis {args.phi}")
-    stats = cache.stats()
-    print(f"capacity blocks  : {stats.capacity_blocks:,}")
-    print(f"resident blocks  : {stats.resident_blocks:,}")
-    print(f"lookups          : {stats.lookups:,} "
-          f"({stats.hits:,} hits, {stats.misses:,} misses, "
-          f"hit rate {stats.hit_rate:.3f})")
-    print(f"evictions        : {stats.evictions:,}")
-    print(f"invalidated      : {stats.invalidated_blocks:,} blocks over "
-          f"{stats.invalidated_runs:,} retired runs")
-    print(f"prefetch width   : {engine.config.prefetch_blocks} blocks/run")
-    epochs = engine.epoch_stats
-    print(f"TS merges        : {epochs.ts_merges:,} ({epochs.ts_reuses:,} "
-          f"reused; historical half built {epochs.hs_builds:,}x, "
-          f"extended {epochs.hs_extends:,}x)")
-    _print_backend_stats(engine)
-    return 0
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -527,8 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     init.add_argument(
         "--storage-dir", metavar="DIR", default=None,
-        help="directory for mmap/object run files "
-             "(default: <warehouse>.runs)",
+        help="directory for mmap/object run files (default: a private "
+             "temporary directory each command removes when it exits; "
+             "a directory given here keeps every command's copies)",
     )
     init.add_argument(
         "--object-tier-level", type=int, default=1,

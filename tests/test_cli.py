@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -160,6 +161,42 @@ class TestObjectTier:
         assert code == 0
         assert "2 runs cold, 2 hot" in out
         assert "2 PUTs, 2 migrations" in out
+
+
+class TestRunFiles:
+    def ingest_eight(self, capsys, tmp_path, warehouse, *init_flags):
+        run(capsys, "init", str(warehouse), "--storage-backend", "mmap",
+            "--kappa", "2", "--block-elems", "64", *init_flags)
+        rng = np.random.default_rng(9)
+        for step in range(8):
+            source = tmp_path / f"b{step}.npy"
+            np.save(source, rng.integers(0, 10**6, 3_000))
+            code, *_ = run(capsys, "ingest", str(warehouse), str(source),
+                           "--archive")
+            assert code == 0
+        code, out, _ = run(capsys, "query", str(warehouse), "--phi",
+                           "0.1", "0.5", "0.99", "--mode", "accurate")
+        assert code == 0
+        return out
+
+    def test_no_storage_dir_leaves_no_run_files(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        warehouse = tmp_path / "wh"
+        answers = self.ingest_eight(capsys, tmp_path, warehouse)
+        # Each command read its runs from a private directory and
+        # removed it on exit: nothing collects beside the checkpoint.
+        assert not (tmp_path / "wh.runs").exists()
+        assert list(scratch.iterdir()) == []
+        # The same answers as with run files kept in a named directory.
+        kept = tmp_path / "kept"
+        assert answers == self.ingest_eight(
+            capsys, tmp_path, kept, "--storage-dir", str(tmp_path / "runs")
+        )
+        assert any((tmp_path / "runs").iterdir())
 
 
 class TestDemo:
