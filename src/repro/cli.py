@@ -46,6 +46,7 @@ from .persistence import (
     save_engine,
 )
 from .persistence.checkpoint import config_from_state
+from .sketches.base import as_int64_batch
 from .storage.disk import SimulatedDisk
 from .workloads import NormalWorkload
 
@@ -61,7 +62,9 @@ def _read_values(source: str) -> np.ndarray:
     if not path.exists():
         raise FileNotFoundError(source)
     if path.suffix == ".npy":
-        return np.load(path).astype(np.int64)
+        # Refused like every engine door refuses it: a cast would
+        # truncate floats and wrap wide uint64 values.
+        return as_int64_batch(np.load(path))
     return np.asarray(
         [int(token) for token in path.read_text().split()], dtype=np.int64
     )
@@ -683,6 +686,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         PersistenceError,
         FileNotFoundError,
         ValueError,
+        TypeError,
+        OverflowError,
         DiskFault,
         ArchiveFailedError,
     ) as exc:

@@ -119,6 +119,28 @@ class TestIngestAndQuery:
         code, _, err = run(capsys, "ingest", str(warehouse), "nope.npy")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (np.array([2.7, 3.9, 1e19]), "got dtype float64"),
+            (np.array([5.0, np.nan]), "got dtype float64"),
+            (np.array([2**63 + 5], dtype=np.uint64), "exceeds the int64"),
+        ],
+        ids=["float", "nan", "wide-uint64"],
+    )
+    def test_lossy_npy_is_refused_before_streaming(
+        self, warehouse, tmp_path, capsys, data, message
+    ):
+        self._ingest(capsys, warehouse, tmp_path, range(10), "b", True)
+        _, before, _ = run(capsys, "status", str(warehouse))
+        source = tmp_path / "lossy.npy"
+        np.save(source, data)
+        code, out, err = run(capsys, "ingest", str(warehouse), str(source))
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "streamed" not in out
+        assert run(capsys, "status", str(warehouse))[1] == before
+
     def test_retired_config_value_is_refused_with_or_without_a_fault_plan(
         self, warehouse, tmp_path, capsys
     ):
