@@ -357,6 +357,12 @@ def load_engine(
         (directory / SKETCH_FILE).read_bytes()
     )
     buffer = np.load(directory / BUFFER_FILE)
+    if buffer.dtype != np.int64:
+        # The buffer would cast it: floats truncate, wide uint64 wraps
+        # negative (load_store refuses partition files the same way).
+        raise PersistenceError(
+            f"{BUFFER_FILE} holds {buffer.dtype} values, not int64"
+        )
     engine._buffer.extend(buffer)
     engine._stream_stats = AggregateStats.of_array(buffer)
     engine._m = int(buffer.size)

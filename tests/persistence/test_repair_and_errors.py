@@ -142,6 +142,20 @@ class TestEngineStateConsistency:
         with pytest.raises(PersistenceError, match="buffer size disagrees"):
             load_engine(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize(
+        "lossy",
+        [np.array([5.9, 7.9, 9.9]), np.array([5, 7, 2**63 + 5], np.uint64)],
+        ids=["float", "wide-uint64"],
+    )
+    def test_non_int64_buffer_is_refused(self, tmp_path, lossy):
+        engine = HybridQuantileEngine(epsilon=0.05, kappa=3, block_elems=16)
+        engine.stream_update_many([5, 7, 9])
+        save_engine(engine, tmp_path / "ckpt")
+        engine.close()
+        np.save(tmp_path / "ckpt" / BUFFER_FILE, lossy)
+        with pytest.raises(PersistenceError, match="not int64"):
+            load_engine(tmp_path / "ckpt")
+
     def test_repair_flag_reaches_the_warehouse(self, tmp_path):
         engine = build_engine()
         save_engine(engine, tmp_path / "ckpt")
