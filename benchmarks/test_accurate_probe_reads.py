@@ -10,8 +10,8 @@ benchmark times accurate queries on:
   tier and prefetch on, as ``mixed_serving`` runs.
 
 Per accurate query it counts ``read_blocks`` calls on the run handles
-(real bytes: on the object tier each is an open + seek + read of the
-bucket object), the distinct blocks the query's cache touched, the
+(real bytes: on the object tier each is a slice of the bucket object's
+memory map), the distinct blocks the query's cache touched, the
 rank-probe tasks the executor ran and the partition summaries it
 searched.  Three floors, all seeded counts, so a slow runner cannot
 trip them:
@@ -34,9 +34,9 @@ trip them:
 import numpy as np
 
 from repro import EngineConfig, HybridQuantileEngine
+from repro.core.filters import RankProbeTask
 from repro.core.summaries import PartitionSummary
 from repro.query import QueryExecutor
-from repro.query.planner import RankProbeTask
 from tests.storage.read_counting import counted_block_reads, recorded_touches
 
 QUERIES = 40

@@ -51,7 +51,7 @@ from .faults import (
     TransientReadError,
     TransientWriteError,
 )
-from .query import QueryExecutor, QueryPlanner
+from .query import QueryExecutor
 from .serving import (
     LoadGenerator,
     MetricsSnapshot,
@@ -103,7 +103,6 @@ __all__ = [
     "TransientReadError",
     "TransientWriteError",
     "QueryExecutor",
-    "QueryPlanner",
     "LoadGenerator",
     "MetricsSnapshot",
     "Overloaded",

@@ -47,6 +47,7 @@ from ..storage.shared_cache import SharedBlockCache
 from ..warehouse.partition import Partition
 from .bounds import CombinedSummary, HistoricalSummary
 from .config import EngineConfig
+from .filters import prefetch_tasks
 from .query_path import PinnedView
 from .summaries import PartitionSummary, StreamSummary
 from .windows import resolve_range_in, resolve_window_in
@@ -438,15 +439,15 @@ class SnapshotHandle(PinnedView):
         total = combined.total_size
         if total == 0:
             return 0
-        from ..query.planner import QueryPlanner
-
-        planner = QueryPlanner(self.scope(window_steps)[0])
+        partitions = [p for p in self.scope(window_steps)[0] if len(p) > 0]
         for phi in phis:
             rank = max(1, min(rank_for_phi(phi, total), total))
             u, v = combined.generate_filters(rank)
             # No skip set across phis: each phi confines a different
             # block range, and the cache dedupes per block anyway.
-            tasks = planner.prefetch_reads(u, v, self.config.prefetch_blocks)
+            tasks = prefetch_tasks(
+                partitions, u, v, self.config.prefetch_blocks
+            )
             if tasks:
                 self._executor.run_tasks(tasks, cache)
         return cache.blocks_charged

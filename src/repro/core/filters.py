@@ -28,12 +28,12 @@ probed again: all of them together are one sorted candidate array plus
 a base rank, ranked by one ``searchsorted`` per iteration and cut as
 the filters move (``docs/THEORY.md``, "Resolved partitions").
 
-Per-partition probing is delegated to :mod:`repro.query`: a
-:class:`~repro.query.planner.QueryPlanner` turns each probe into one
-task per partition and a :class:`~repro.query.executor.QueryExecutor`
-runs them inline under the probe retry policy.  Section 4's parallel
-partition reads are modeled from the charges: the deepest
-single-partition chain is ``QueryResult.parallel_sim_seconds``.
+Each probe is one :class:`RankProbeTask` per reading partition, and
+each batched read-ahead one :class:`PrefetchTask`; the search builds
+them and a :class:`~repro.query.executor.QueryExecutor` runs them
+inline under the probe retry policy.  Section 4's parallel partition
+reads are modeled from the charges: the deepest single-partition chain
+is ``QueryResult.parallel_sim_seconds``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..query.executor import SERIAL_EXECUTOR, QueryExecutor
-from ..query.planner import QueryPlanner
 from ..storage.cache import BlockCache
 from ..warehouse.partition import Partition
 from .bounds import CombinedSummary
@@ -53,6 +52,74 @@ from .summaries import StreamSummary
 
 
 _NO_ELEMENTS = np.empty(0, dtype=np.int64)
+
+
+@dataclass
+class RankProbeTask:
+    """Exact rank of ``value`` in one partition (Alg. 8 lines 2-7).
+
+    ``lo``/``hi`` bound the element indices searched, supplied by the
+    partition summary (at ``alpha``, which the search carries on) so
+    the binary search costs ``O(log((hi - lo) / B))`` block reads.
+    Not frozen: one is built per probe of a partition still being read.
+    """
+
+    partition: Partition
+    value: int
+    lo: int
+    hi: int
+    alpha: int
+
+    def run(self, cache: BlockCache) -> int:
+        """Execute the block-counted binary search."""
+        return self.partition.run.rank_of(
+            self.value, lo=self.lo, hi=self.hi, cache=cache
+        )
+
+
+@dataclass(frozen=True)
+class PrefetchTask:
+    """Batched read-ahead of one partition's candidate block range.
+
+    One charged ranged read warms every block the binary search could
+    touch, so the later per-probe touches hit the cache instead of
+    paying one random read each.  Returns the number of blocks in the
+    range.
+    """
+
+    partition: Partition
+    first_block: int
+    last_block: int
+
+    def run(self, cache: BlockCache) -> int:
+        """Execute the batched ranged read."""
+        self.partition.run.read_block_range(
+            self.first_block, self.last_block, cache=cache
+        )
+        return self.last_block - self.first_block + 1
+
+
+def prefetch_tasks(
+    partitions: Sequence[Partition], u: int, v: int, max_blocks: int
+) -> List[PrefetchTask]:
+    """Per-partition block ranges confined by filters ``(u, v)``.
+
+    Only partitions whose summary-narrowed candidate range for the
+    value interval ``[u, v]`` spans at most ``max_blocks`` blocks yield
+    a task, in the order given — prefetching a wider range would charge
+    more blocks than the log-depth binary search will touch.
+    """
+    tasks: List[PrefetchTask] = []
+    for partition in partitions:
+        lo = partition.summary.search_bounds(u)[0]
+        hi = partition.summary.search_bounds(v)[1]
+        if hi <= lo:
+            continue
+        disk = partition.run.disk
+        first, last = disk.block_of(lo), disk.block_of(hi - 1)
+        if last - first + 1 <= max_blocks:
+            tasks.append(PrefetchTask(partition, first, last))
+    return tasks
 
 
 @dataclass(frozen=True)
@@ -101,7 +168,6 @@ class AccurateSearch:
         executor: Optional[QueryExecutor] = None,
     ) -> None:
         self._partitions = [p for p in partitions if len(p) > 0]
-        self._planner = QueryPlanner(self._partitions)
         self._executor = executor if executor is not None else SERIAL_EXECUTOR
         self._ss = stream_summary
         self._combined = combined
@@ -143,15 +209,23 @@ class AccurateSearch:
         each reading one gets a task whose binary search is narrowed to
         the inter-summary gap containing ``value`` (no I/O for the
         narrowing, since the summaries store exact ranks) and charged
-        block reads through the per-query cache.  The stream
+        block reads through the per-query cache.  Alpha is monotone, so
+        where the alphas carried at the two filters agree the summary
+        is not searched again.  The stream
         contributes either the live sketch's rank bracket (when the
         caller supplied one — in-memory, like SS, but free of SS's
         quantization) or the Algorithm 8 summary estimate.
         """
         cut = int(self._candidates.searchsorted(value, "right"))
-        tasks = self._planner.rank_probes(
-            int(value), self._reading, self._alphas
-        )
+        probe, tasks = int(value), []
+        alphas_u, alphas_v = self._alphas
+        for i in self._reading:
+            partition = self._partitions[i]
+            alpha = alphas_u[i]
+            if alpha is None or alpha != alphas_v[i]:
+                alpha = partition.summary.alpha(probe)
+            lo, hi = partition.summary.bracket(alpha, alpha)
+            tasks.append(RankProbeTask(partition, probe, lo, hi, alpha))
         ranks = self._executor.run_tasks(tasks, self._cache) if tasks else []
         if self._stream_rank_fn is not None:
             stream = self._stream_rank_fn(value)
@@ -234,9 +308,10 @@ class AccurateSearch:
         """
         if self._cache.shared is None or self._config.prefetch_blocks < 1:
             return
-        tasks = self._planner.prefetch_reads(
-            u, v, self._config.prefetch_blocks, skip=self._prefetched
-        )
+        pending = [
+            p for p in self._partitions if p.run.run_id not in self._prefetched
+        ]
+        tasks = prefetch_tasks(pending, u, v, self._config.prefetch_blocks)
         if not tasks:
             return
         for task in tasks:

@@ -1,7 +1,7 @@
 """The probe executor for the accurate query path.
 
-Runs the per-partition tasks produced by
-:class:`~repro.query.planner.QueryPlanner` inline on the query's own
+Runs the per-partition tasks built by the accurate search
+(:class:`~repro.core.filters.AccurateSearch`) inline on the query's own
 thread, each under the transient-fault retry policy.
 
 Section 4's parallel partition reads are *modeled*, not threaded:
@@ -40,8 +40,8 @@ class QueryExecutor:
         response instead of crashing it.
 
     A *task* is any object with a ``run(cache)`` method — see
-    :mod:`repro.query.planner` for the two task shapes the accurate
-    search plans.  Concurrent serving clients share one engine's
+    :mod:`repro.core.filters` for the two task shapes the accurate
+    search builds.  Concurrent serving clients share one engine's
     executor, so the retry counter is guarded.
     """
 
@@ -60,7 +60,7 @@ class QueryExecutor:
         policy, counting any retries against :attr:`fault_retries`.
 
         Used by the engine for disk work on the query path that is not
-        a planner task (e.g. staging a pending batch a query needs).
+        a probe task (e.g. staging a pending batch a query needs).
         """
         return self.retry.call(fn, on_retry=self._note_retry)
 
