@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..faults.errors import DiskFault
@@ -74,9 +74,6 @@ class IngestStats:
         plus backpressure waits).
     archive_wall_seconds:
         Total wall time the archiver spent archiving (stage + adopt).
-    archive_phase_seconds:
-        Archive latency split by phase (``sort`` / ``load`` /
-        ``summary`` / ``merge``), summed across steps.
     fault_retries:
         Archive attempts retried after a transient disk fault.
     disk_faults:
@@ -88,16 +85,8 @@ class IngestStats:
     max_queue_depth: int = 0
     stall_seconds: float = 0.0
     archive_wall_seconds: float = 0.0
-    archive_phase_seconds: Dict[str, float] = field(default_factory=dict)
     fault_retries: int = 0
     disk_faults: int = 0
-
-    def note_phases(self, cpu: Dict[str, float]) -> None:
-        """Accumulate one step's per-phase archive latency."""
-        for phase, seconds in cpu.items():
-            self.archive_phase_seconds[phase] = (
-                self.archive_phase_seconds.get(phase, 0.0) + seconds
-            )
 
 
 @dataclass(frozen=True)
@@ -382,7 +371,6 @@ class BackgroundArchiver:
             self._busy = False
             self.stats.batches_archived += 1
             self.stats.archive_wall_seconds += record.archive_wall_seconds
-            self.stats.note_phases(record.cpu)
             self._cond.notify_all()
         return True
 

@@ -109,14 +109,6 @@ def _reach(point: str) -> None:
         crash_hook(point)
 
 
-def _stage_path(directory: Path) -> Path:
-    return stage_path(directory)
-
-
-def _retired_path(directory: Path) -> Path:
-    return retired_path(directory)
-
-
 def _is_complete(directory: Path) -> bool:
     """A checkpoint directory is complete iff its engine state file
     exists — it is written (and fsynced) last during staging."""
@@ -161,8 +153,8 @@ def save_engine(engine: HybridQuantileEngine, directory: "str | Path") -> Path:
             f"refusing to replace {directory}: it is non-empty but not "
             "a checkpoint"
         )
-    stage = _stage_path(directory)
-    retired = _retired_path(directory)
+    stage = stage_path(directory)
+    retired = retired_path(directory)
     # Leftovers from an earlier crashed save: a stale stage is always
     # garbage; a retired checkpoint is only garbage while the committed
     # directory exists (otherwise it is the rollback target and
@@ -229,8 +221,8 @@ def recover_checkpoint(directory: "str | Path") -> Path:
     cannot produce (e.g. every candidate directory incomplete).
     """
     directory = Path(directory)
-    stage = _stage_path(directory)
-    retired = _retired_path(directory)
+    stage = stage_path(directory)
+    retired = retired_path(directory)
     if directory.exists() and _is_complete(directory):
         # Committed checkpoint in place; anything beside it is debris
         # from a save that died before (stage) or after (retired) the
