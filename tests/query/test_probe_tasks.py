@@ -137,7 +137,8 @@ class TestPrefetchTasks:
         # Filters below and above every element: each partition's
         # candidate range is its whole run.
         u, v = -1, 10**6
-        for max_blocks in sorted({1, *spans.values()}):
+        edges = {edge for span in spans.values() for edge in (span - 1, span)}
+        for max_blocks in sorted(edges):
             tasks = prefetch_tasks(partitions, u, v, max_blocks)
             assert [
                 (id(t.partition), t.first_block, t.last_block) for t in tasks
