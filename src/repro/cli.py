@@ -175,12 +175,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if engine.n_total == 0:
             print("error: warehouse is empty", file=sys.stderr)
             return 1
-        print(f"{'phi':>6} {'value':>16} {'rank target':>12} {'disk I/O':>9}")
         # One pinned snapshot answers every phi: quick mode shares a single
         # TS merge across the list, accurate mode shares the block cache.
+        # Answered before the header, so a refused phi prints no table.
         results = engine.quantile_many(
             args.phi, mode=args.mode, window_steps=args.window
         )
+        print(f"{'phi':>6} {'value':>16} {'rank target':>12} {'disk I/O':>9}")
         for phi, result in zip(args.phi, results):
             print(f"{phi:>6} {result.value:>16,} {result.target_rank:>12,} "
                   f"{result.disk_accesses:>9}"

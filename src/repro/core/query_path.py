@@ -182,6 +182,8 @@ def answer_rank(
     retries over the surviving shards); the typed fault then propagates.
     """
     check_mode(mode)
+    if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)):
+        raise TypeError(f"rank must be an integer, not {type(rank).__name__}")
     started = time.perf_counter()
     total = scope.combined.total_size
     rank = max(1, min(int(rank), total))

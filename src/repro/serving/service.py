@@ -45,6 +45,7 @@ from ..core.engine import HybridQuantileEngine
 from ..core.epoch import SnapshotHandle
 from ..core.query_path import QueryResult
 from ..faults.errors import DiskFault
+from ..sketches.base import check_phi
 from .admission import Overloaded, admit
 from .coalescer import answer_quick_batch, dedupe_key
 from .metrics import MetricsSnapshot, ServiceMetrics
@@ -167,8 +168,7 @@ class QueryService:
         """
         if mode not in ("quick", "accurate"):
             raise ValueError("mode must be 'quick' or 'accurate'")
-        if not 0 < phi <= 1:
-            raise ValueError("phi must be in (0, 1]")
+        check_phi(phi)
         with self._cv:
             if self._closed:
                 raise RuntimeError("service is closed")

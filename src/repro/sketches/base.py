@@ -15,6 +15,7 @@ truncate or wrap raises instead.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 import numpy as np
 
@@ -88,11 +89,19 @@ def as_int64_batch(values) -> np.ndarray:
 
 def rank_for_phi(phi: float, n: int) -> int:
     """The 1-indexed rank targeted by a ``phi``-quantile over ``n`` items."""
-    if not 0 < phi <= 1:
-        raise ValueError("phi must be in (0, 1]")
+    check_phi(phi)
     if n <= 0:
         raise ValueError("dataset is empty")
     return clamp_rank(math.ceil(phi * n), n)
+
+
+def check_phi(phi: float) -> None:
+    """Refuse a ``phi`` that is no real number in (0, 1]: a bool or a
+    string would otherwise be read as some other quantile, or fail late."""
+    if isinstance(phi, bool) or not isinstance(phi, numbers.Real):
+        raise TypeError(f"phi must be a real number, not {type(phi).__name__}")
+    if not 0 < phi <= 1:
+        raise ValueError("phi must be in (0, 1]")
 
 
 def clamp_rank(rank: int, n: int) -> int:
