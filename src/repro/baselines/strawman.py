@@ -18,8 +18,9 @@ import numpy as np
 from ..core.bounds import CombinedSummary
 from ..core.config import EngineConfig
 from ..core.engine import StepReport
+from ..core.epoch import StreamView
 from ..core.query_path import QueryResult, QueryScope, answer_rank
-from ..core.summaries import PartitionSummary, StreamSummary
+from ..core.summaries import PartitionSummary
 from ..query.executor import SERIAL_EXECUTOR
 from ..sketches.base import as_int64_batch, rank_for_phi
 from ..sketches.gk import GKSketch
@@ -142,23 +143,16 @@ class StrawmanEngine:
         The hybrid engine's accurate response over a one-partition
         scope (every answer is accurate, whatever ``mode`` says).
         """
-        ss = StreamSummary.extract(self._gk, self.config.epsilon2)
+        stream = StreamView(self._gk, self.config.epsilon2)
+        ss = stream.summary()
         partitions = [self._partition] if self._partition else []
-
-        def stream_rank(value: int) -> float:
-            """Rank of ``value`` in R from the live sketch bracket."""
-            if self._gk.n == 0:
-                return 0.0
-            lo, hi = self._gk.rank_bounds(int(value))
-            return (lo + hi) / 2.0
-
         scope = QueryScope(
             partitions=partitions,
             stream_summary=ss,
             combined=CombinedSummary.build(
                 [p.summary for p in partitions], ss
             ),
-            stream_rank=stream_rank,
+            stream_rank=stream.rank,
             new_cache=lambda: BlockCache(self.disk),
             # Never called: a fault propagates (``degrade=False``).
             on_degraded=lambda cache: None,

@@ -159,9 +159,7 @@ class ShardedBlockCache:
     def __init__(self, handles: Sequence[SnapshotHandle]) -> None:
         self._caches = [handle._new_cache() for handle in handles]
         self._run_to_shard = {
-            p.run.run_id: i
-            for i, handle in enumerate(handles)
-            for p in handle.partitions
+            run_id: i for i, h in enumerate(handles) for run_id in h._run_ids
         }
         #: handle position whose disk faulted a touch (None until then).
         self.failed_shard: Optional[int] = None
@@ -300,6 +298,9 @@ class ClusterSnapshot(PinnedView):
         self.epoch = tuple(h.epoch for h in self.handles)
         self.n_historical = sum(h.n_historical for h in self.handles)
         self.m_stream = sum(h.m_stream for h in self.handles)
+        # Shard-major, off the handles' layouts: the full scope's HS order.
+        self._summaries = [s for h in self.handles for s in h._summaries]
+        self._key = sum((h._key for h in self.handles), ())
         self._historical_memo = historical_memo or HistoricalMemo()
         self._stream = stream or merged_stream(
             [h._stream for h in self.handles], config.epsilon2
@@ -338,7 +339,7 @@ class ClusterSnapshot(PinnedView):
 
     def _on_degraded(self, cache: ShardedBlockCache) -> None:
         # Counted on the shard whose disk faulted.
-        self.handles[cache.failed_shard]._note_degraded()
+        self.handles[cache.failed_shard]._on_degraded(cache)
 
     # -- queries --------------------------------------------------------
 

@@ -269,17 +269,19 @@ class CombinedSummary:
         partition_summaries: Sequence[PartitionSummary],
         stream_summary: StreamSummary,
         memo: "Optional[HistoricalMemo]" = None,
+        key: "Optional[tuple]" = None,
     ) -> "CombinedSummary":
         """TS of the partition summaries (HS) and the stream summary.
 
         ``memo`` — the engine's or cluster's
         :class:`~repro.core.epoch.HistoricalMemo` — folds HS once per
         partition set and returns the TS it retains while the stream
-        summary is the same object; without one both halves are
-        computed here from scratch, the reference a memo must equal.
+        summary is the same object (``key``, when the caller holds it,
+        is the set's memo key); without one both halves are computed
+        here from scratch, the reference a memo must equal.
         """
         if memo is not None:
-            return memo.combined(partition_summaries, stream_summary)
+            return memo.combined(partition_summaries, stream_summary, key)
         return cls.fuse(
             HistoricalSummary.fold(partition_summaries), stream_summary
         )

@@ -77,6 +77,7 @@ from .epoch import (
     EpochRegistry,
     EpochStats,
     HistoricalMemo,
+    Layout,
     SnapshotHandle,
     StreamView,
 )
@@ -229,6 +230,8 @@ class HybridQuantileEngine(PinnedQueries):
         # sections so residency never outlives a run.
         self.store.on_retire = self._on_runs_retired
         self._step = 0
+        # Every pin at its epoch shares it (see _current_layout).
+        self._layout: Optional[Layout] = Layout(0, 0, 0, [], (), [], [])
         self._gk = self._fresh_stream_sketch()
         self._buffer = AppendBuffer()
         self._m = 0
@@ -289,6 +292,7 @@ class HybridQuantileEngine(PinnedQueries):
         residency intact or the post-merge layout with it gone, never a
         stale mix.
         """
+        self._layout = None  # the epoch bump follows unless adoption faults
         if self.shared_cache is not None:
             self.shared_cache.invalidate_runs(run_ids)
         # Release the retired runs' backend storage.  Handles held by
@@ -647,23 +651,8 @@ class HybridQuantileEngine(PinnedQueries):
                 self._epochs.current,
             )
 
-    def _stage_pending(
-        self, ordered: List[Partition], pending: "List[PendingBatch]"
-    ) -> List[Partition]:
-        for batch in pending:
-            # Staging writes to disk, so it runs under the probe retry
-            # policy; an exhausted retry propagates as a typed fault —
-            # a query must never silently drop a sealed batch from the
-            # union it answers over.
-            ordered.append(
-                self._query_executor.call_with_retry(
-                    lambda batch=batch: batch.ensure_staged(self.store)
-                )
-            )
-        return ordered
-
-    def _queryable_partitions(self) -> List[Partition]:
-        """Step-ordered snapshot of every sealed element's partition.
+    def _derive_layout(self) -> Layout:
+        """The current epoch's layout, derived afresh (seal lock held).
 
         The adopted layout and the archiver's pending set (empty in
         sync mode unless an archive failed) are snapshotted
@@ -674,43 +663,53 @@ class HybridQuantileEngine(PinnedQueries):
         by this thread if needed — work-stealing, so a query never
         waits behind an in-flight cascade merge.
         """
-        ordered, pending, _ = self._layout_snapshot()
-        return self._stage_pending(ordered, pending)
+        ordered, pending, epoch = self._layout_snapshot()
+        for batch in pending:
+            # Staging writes to disk, so it runs under the probe retry
+            # policy; an exhausted retry propagates as a typed fault —
+            # a query must never silently drop a sealed batch from the
+            # union it answers over.
+            ordered.append(
+                self._query_executor.call_with_retry(
+                    lambda batch=batch: batch.ensure_staged(self.store)
+                )
+            )
+        summaries = [p.summary for p in ordered if len(p) > 0]
+        return Layout(
+            epoch, self._step, sum(map(len, ordered)),
+            [p.run.run_id for p in ordered], tuple(map(id, summaries)),
+            ordered, summaries,
+        )
+
+    def _current_layout(self) -> Layout:
+        """The current epoch's layout (seal lock held): derived by the
+        first reader that sees the epoch, shared by every later one.  An
+        epoch bump outdates it; a cascade merge and load_engine drop it."""
+        layout = self._layout
+        if layout is None or layout.epoch != self._epochs.current:
+            layout = self._layout = self._derive_layout()
+        return layout
 
     def pin(self) -> SnapshotHandle:
         """Pin a refcounted, consistent (HS, SS, partition-set) view.
 
-        The partition list (adopted plus staged pending), the stream
-        view and the epoch stamp are taken atomically under the seal
-        lock, so the handle's union is exactly the engine's state at
-        one instant — a seal or adoption either happened before the
-        pin or after it, never halfway.  Release the handle (or use it
-        as a context manager) so the registry can retire old epochs.
+        The layout (adopted plus staged pending partitions) and the
+        stream view are taken atomically under the seal lock, so the
+        handle's union is exactly the engine's state at one instant — a
+        seal or adoption either happened before the pin or after it,
+        never halfway.  Release the handle (or use it as a context
+        manager) so the registry can retire old epochs.
 
-        Two handles pinned at the same epoch with no stream updates in
-        between share one sketch snapshot, one SS and one TS, and answer
-        every query identically — the property the serving layer's
-        coalescer and the stress suite's bit-identical replay build on.
+        Handles pinned at one epoch share one :class:`Layout`, derived
+        by the first; with no stream updates in between they also share
+        one sketch snapshot, one SS and one TS, and answer every query
+        identically — the property the serving layer's coalescer and
+        the stress suite's bit-identical replay build on.
         """
         with self._seal_lock:
-            ordered, pending, epoch = self._layout_snapshot()
-            self._stage_pending(ordered, pending)
+            layout = self._current_layout()
             stream = self._current_stream_view()
-            step = self._step
-        self._epochs.pin(epoch)
-        return SnapshotHandle(
-            registry=self._epochs,
-            epoch=epoch,
-            partitions=ordered,
-            stream=stream,
-            config=self.config,
-            disk=self.disk,
-            executor=self._query_executor,
-            note_degraded=self._note_degraded_query,
-            created_at_step=step,
-            shared_cache=self.shared_cache,
-            historical_memo=self._historical_memo,
-        )
+        return SnapshotHandle(self, layout, stream)
 
     @property
     def epoch_stats(self) -> EpochStats:
@@ -776,8 +775,7 @@ class HybridQuantileEngine(PinnedQueries):
             partitions, pending, _ = self._layout_snapshot()
             stream = self._stream_stats
             if step_range is not None or window_steps is not None:
-                partitions = self._stage_pending(partitions, pending)
-                pending = []
+                partitions, pending = self._current_layout().partitions, []
         if step_range is not None:
             partitions = resolve_range_in(partitions, *step_range)
             stream = AggregateStats.empty()
@@ -797,7 +795,8 @@ class HybridQuantileEngine(PinnedQueries):
         Mid-archive the pending suffix counts too — a window ending at
         the last *sealed* step is answerable before archiving finishes.
         """
-        return window_sizes_from(self._queryable_partitions())
+        with self._seal_lock:
+            return window_sizes_from(self._current_layout().partitions)
 
     # ------------------------------------------------------------------
     # Query execution resources
@@ -883,11 +882,18 @@ class HybridQuantileEngine(PinnedQueries):
         """Assert structural invariants of HD and HS (tests/debugging).
 
         In background mode the pending partitions are staged and
-        checked too (their summaries obey the same gap invariant).
+        checked too (their summaries obey the same gap invariant), and
+        the layout pins share must equal a fresh derivation at its epoch.
         """
         self.store.check_invariant()
         self._historical_memo.check_invariants()
-        for partition in self._queryable_partitions():
+        with self._seal_lock:
+            fresh = self._derive_layout()
+            held = self._current_layout()
+            settled = self._epochs.current == fresh.epoch  # no adoption since
+        if settled and held[:5] != fresh[:5]:
+            raise AssertionError("the shared layout is not a fresh derivation")
+        for partition in held.partitions:
             summary: PartitionSummary = partition.summary
             if summary is None:
                 raise AssertionError(f"partition {partition!r} lacks summary")

@@ -35,18 +35,14 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..query.executor import QueryExecutor
 from ..sketches.base import QuantileSketch, rank_for_phi
 from ..storage.cache import BlockCache
-from ..storage.disk import SimulatedDisk
-from ..storage.shared_cache import SharedBlockCache
 from ..warehouse.partition import Partition
 from .bounds import CombinedSummary, HistoricalSummary
-from .config import EngineConfig
 from .filters import prefetch_tasks
 from .query_path import PinnedView
 from .summaries import PartitionSummary, StreamSummary
@@ -244,9 +240,11 @@ class HistoricalMemo:
         self,
         summaries: Sequence[PartitionSummary],
         stream_summary: StreamSummary,
+        key: Optional[tuple] = None,
     ) -> CombinedSummary:
-        """TS of ``summaries`` (in this order) and ``stream_summary``."""
-        key = tuple(map(id, summaries))
+        """TS of ``summaries`` (in this order) and ``stream_summary``;
+        ``key`` is ``tuple(map(id, summaries))``, composed if not given."""
+        key = key or tuple(map(id, summaries))
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -324,6 +322,23 @@ class HistoricalMemo:
                     )
 
 
+class Layout(NamedTuple):
+    """What every handle pinned at one epoch reads off the partition set:
+    its partitions in step order (pending batches staged), the runs a
+    pin holds, and the non-empty ones' summaries in HS order with their
+    memo key.  Derived by the first pin at the epoch, shared by the rest.
+    """
+
+    epoch: int
+    step: int
+    n_historical: int
+    run_ids: List[int]
+    key: tuple
+    #: named by ``run_ids`` and ``key``: the first five fields compare.
+    partitions: List[Partition]
+    summaries: List[PartitionSummary]
+
+
 class SnapshotHandle(PinnedView):
     """A refcounted pin of one consistent (HS, SS, partition-set) view.
 
@@ -331,47 +346,30 @@ class SnapshotHandle(PinnedView):
     :meth:`release` (or use as a context manager).  The verbs are
     :class:`~repro.core.query_path.PinnedView`'s, and so is the scope
     code; what is here is the pin: the registry refcount and the backend
-    run pins, the pinned partition list, the shared :class:`StreamView`
-    and the engine's :class:`HistoricalMemo` (one counted merge per
-    resolution).
+    run pins, the epoch's shared :class:`Layout`, the shared
+    :class:`StreamView` and the engine's :class:`HistoricalMemo` (one
+    counted merge per resolution).
     """
 
-    def __init__(
-        self,
-        registry: EpochRegistry,
-        epoch: int,
-        partitions: List[Partition],
-        stream: StreamView,
-        config: EngineConfig,
-        disk: SimulatedDisk,
-        executor: QueryExecutor,
-        note_degraded: Callable[[], None],
-        created_at_step: int,
-        historical_memo: HistoricalMemo,
-        shared_cache: Optional[SharedBlockCache] = None,
-    ) -> None:
-        super().__init__(config, executor, disk.latency)
-        self._registry = registry
-        self.epoch = epoch
-        self.partitions = partitions
+    def __init__(self, engine: Any, layout: Layout, stream: StreamView) -> None:
+        disk = engine.disk
+        super().__init__(engine.config, engine.query_executor, disk.latency)
+        self._engine = engine
+        (self.epoch, self.created_at_step, self.n_historical, self._run_ids,
+         self._key, self.partitions, self._summaries) = layout
         self._stream = stream
         self.gk = stream.sketch  # shared with other handles: read only
-        self._disk = disk
-        self._note_degraded = note_degraded
-        self.created_at_step = created_at_step
-        self._shared_cache = shared_cache
-        self._historical_memo = historical_memo
-        self.n_historical = sum(len(p) for p in partitions)
         self.m_stream = stream.size
+        self._historical_memo = engine._historical_memo
+        engine._epochs.pin(self.epoch)
         # Eviction safety: a run referenced by a live handle is pinned
         # in the storage backend, so the hot-tier LRU never demotes a
         # run out from under this snapshot's probes.
-        self._pinned_run_ids = [p.run.run_id for p in partitions]
-        disk.backend.pin_runs(self._pinned_run_ids)
+        disk.backend.pin_runs(self._run_ids)
 
     def _release_pins(self) -> None:
-        self._registry.release(self.epoch)
-        self._disk.backend.unpin_runs(self._pinned_run_ids)
+        self._engine._epochs.release(self.epoch)
+        self._engine.disk.backend.unpin_runs(self._run_ids)
 
     # -- derived views --------------------------------------------------
 
@@ -394,11 +392,11 @@ class SnapshotHandle(PinnedView):
             return self.partitions
         return resolve_window_in(self.partitions, window_steps)
 
-    def _fuse(self, *scope: Any) -> CombinedSummary:
-        """TS of the scope, counted against the registry's
+    def _fuse(self, *inputs: Any) -> CombinedSummary:
+        """TS of ``inputs``, counted against the registry's
         ``ts_merges`` (fused or reused)."""
-        built = super()._fuse(*scope)
-        self._registry.note_ts_merge()
+        built = super()._fuse(*inputs)
+        self._engine._epochs.note_ts_merge()
         return built
 
     # -- queries --------------------------------------------------------
@@ -412,9 +410,9 @@ class SnapshotHandle(PinnedView):
         deterministic).
         """
         return BlockCache(
-            self._disk,
+            self._engine.disk,
             enabled=self.config.block_cache,
-            shared=self._shared_cache,
+            shared=self._engine.shared_cache,
         )
 
     def warm(
@@ -432,13 +430,11 @@ class SnapshotHandle(PinnedView):
         tier is attached.  Returns the number of blocks charged by the
         warming pass.
         """
-        if self._shared_cache is None:
+        if self._engine.shared_cache is None:
             return 0
         cache = self._new_cache()
         combined = self.combined(window_steps)
         total = combined.total_size
-        if total == 0:
-            return 0
         partitions = [p for p in self.scope(window_steps)[0] if len(p) > 0]
         for phi in phis:
             rank = max(1, min(rank_for_phi(phi, total), total))
@@ -453,4 +449,4 @@ class SnapshotHandle(PinnedView):
         return cache.blocks_charged
 
     def _on_degraded(self, cache: BlockCache) -> None:
-        self._note_degraded()
+        self._engine._note_degraded_query()

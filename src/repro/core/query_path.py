@@ -32,8 +32,8 @@ from ..storage.stats import DiskLatencyModel
 from ..warehouse.partition import Partition
 from .bounds import CombinedSummary, PartialResult, quick_rank_bound
 from .config import EngineConfig
-from .filters import AccurateSearch, SearchOutcome
-from .summaries import StreamSummary
+from .filters import AccurateSearch
+from .summaries import PartitionSummary, StreamSummary
 
 
 @dataclass(frozen=True)
@@ -113,45 +113,31 @@ def check_mode(mode: str) -> None:
         raise ValueError("mode must be 'quick' or 'accurate'")
 
 
-def _quick_outcome(
-    value: int, rank: int, blocks: int = 0, degraded: bool = False
-) -> SearchOutcome:
-    """Algorithm 5's answer in the shape of a search outcome."""
-    return SearchOutcome(
-        value=int(value),
-        estimated_rank=float(rank),
-        random_blocks=blocks,
-        max_partition_blocks=0,
-        iterations=0,
-        truncated=degraded,
-    )
-
-
-def _result(
+def _quick_result(
     scope: QueryScope,
     mode: str,
     rank: int,
-    outcome: SearchOutcome,
+    value: int,
     bound: float,
     wall: float,
-    latency: DiskLatencyModel,
-    degraded: bool = False,
+    blocks: int = 0,
+    per_block: float = 0.0,
 ) -> QueryResult:
-    per_block = latency.seconds_per_random_block
+    """Algorithm 5's answer; asked in accurate ``mode`` it is a degraded
+    one, charged the aborted search's ``blocks``."""
     return QueryResult(
-        value=int(outcome.value),
+        value=int(value),
         target_rank=int(rank),
         total_size=scope.combined.total_size,
         mode=mode,
-        estimated_rank=outcome.estimated_rank,
-        disk_accesses=outcome.random_blocks,
-        iterations=outcome.iterations,
-        truncated=outcome.truncated,
+        estimated_rank=float(rank),
+        disk_accesses=blocks,
+        iterations=0,
+        truncated=mode != "quick",
         wall_seconds=wall,
-        sim_seconds=outcome.random_blocks * per_block,
+        sim_seconds=blocks * per_block,
         window_steps=scope.window_steps,
-        parallel_sim_seconds=outcome.max_partition_blocks * per_block,
-        degraded=degraded,
+        degraded=mode != "quick",
         rank_error_bound=float(bound),
     )
 
@@ -188,7 +174,7 @@ def answer_rank(
     total = scope.combined.total_size
     rank = max(1, min(int(rank), total))
     m_scope = scope.stream_summary.stream_size
-    outcome = None
+    per_block = latency.seconds_per_random_block
     blocks = 0
     if mode == "accurate":
         if cache is None:
@@ -211,17 +197,27 @@ def answer_rank(
             scope.on_degraded(cache)
             # The aborted search's probes were still charged.
             blocks = cache.blocks_charged - charged_before
-    degraded = mode == "accurate" and outcome is None
-    if outcome is None:
-        outcome = _quick_outcome(
-            scope.combined.quick_response(rank), rank, blocks, degraded
-        )
-        bound = quick_rank_bound(config, total, m_scope)
-    else:
-        bound = config.query_epsilon * m_scope
-    return _result(
-        scope, mode, rank, outcome, bound,
-        time.perf_counter() - started, latency, degraded,
+        else:
+            return QueryResult(
+                value=int(outcome.value),
+                target_rank=rank,
+                total_size=total,
+                mode=mode,
+                estimated_rank=outcome.estimated_rank,
+                disk_accesses=outcome.random_blocks,
+                iterations=outcome.iterations,
+                truncated=outcome.truncated,
+                wall_seconds=time.perf_counter() - started,
+                sim_seconds=outcome.random_blocks * per_block,
+                window_steps=scope.window_steps,
+                parallel_sim_seconds=outcome.max_partition_blocks * per_block,
+                rank_error_bound=float(config.query_epsilon * m_scope),
+            )
+    value = scope.combined.quick_response(rank)
+    bound = quick_rank_bound(config, total, m_scope)
+    wall = time.perf_counter() - started
+    return _quick_result(
+        scope, mode, rank, value, bound, wall, blocks, per_block
     )
 
 
@@ -229,7 +225,6 @@ def answer_quick_many(
     scope: QueryScope,
     phis: Sequence[float],
     config: EngineConfig,
-    latency: DiskLatencyModel,
 ) -> List[QueryResult]:
     """Quick quantiles for every ``phi`` from one TS, in one pass.
 
@@ -240,21 +235,15 @@ def answer_quick_many(
     started = time.perf_counter()
     combined = scope.combined
     total = combined.total_size
-    ranks = np.asarray(
-        [max(1, min(rank_for_phi(phi, total), total)) for phi in phis],
-        dtype=np.int64,
-    )
-    values = combined.quick_responses(ranks)
+    ranks = [rank_for_phi(phi, total) for phi in phis]
+    values = combined.quick_responses(np.asarray(ranks, dtype=np.int64))
     bound = quick_rank_bound(config, total, scope.stream_summary.stream_size)
     # The shared pass's wall time; attributing it to every result keeps
     # per-result latency honest for coalesced batches (they all waited
     # for the same merge).
     wall = time.perf_counter() - started
     return [
-        _result(
-            scope, "quick", rank,
-            _quick_outcome(value, rank), bound, wall, latency,
-        )
+        _quick_result(scope, "quick", rank, value, bound, wall)
         for rank, value in zip(ranks, values)
     ]
 
@@ -265,7 +254,9 @@ class PinnedView:
     A subclass says what it pinned: ``n_historical`` / ``m_stream``,
     ``_release_pins()``, ``_partitions_in(window_steps, step_range)``
     (the partitions a scope covers, in the order their HS shares are
-    summed), ``_stream`` (one :class:`~repro.core.epoch.StreamView`),
+    summed), ``_summaries`` / ``_key`` (the full scope's non-empty
+    partitions' summaries in that order, and their memo key),
+    ``_stream`` (one :class:`~repro.core.epoch.StreamView`),
     ``_historical_memo``, ``_new_cache()`` (a per-query block cache)
     and ``_on_degraded(cache)``.  The lifecycle, the scope, the
     once-per-view full-scope TS, the merge counter and the three query
@@ -332,13 +323,12 @@ class PinnedView:
 
     def _fuse(
         self,
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
+        summaries: Sequence[PartitionSummary],
+        ss: StreamSummary,
+        key: Optional[tuple] = None,
     ) -> CombinedSummary:
-        """TS of the scope off the memo (uncached here)."""
-        partitions, ss = self.scope(window_steps, step_range)
-        summaries = [p.summary for p in partitions if len(p) > 0]
-        return CombinedSummary.build(summaries, ss, self._historical_memo)
+        """TS of ``summaries`` and ``ss`` off the memo (uncached here)."""
+        return CombinedSummary.build(summaries, ss, self._historical_memo, key)
 
     def _query_scope(
         self,
@@ -376,14 +366,14 @@ class PinnedView:
         if window_steps is None and step_range is None:
             with self._ts_lock:
                 if self._combined is None:
-                    self._combined = self._fuse()
+                    # The summaries and key the pin derived, not rebuilt.
+                    self._combined = self._fuse(
+                        self._summaries, self._stream.summary(), self._key
+                    )
                     self._merges += 1
                 return self._combined
-        return self._resolve(window_steps, step_range)
-
-    def _resolve(self, *asked: Any) -> CombinedSummary:
-        """One counted ``_fuse`` of the scope ``asked`` for."""
-        built = self._fuse(*asked)
+        partitions, ss = self.scope(window_steps, step_range)
+        built = self._fuse([p.summary for p in partitions if len(p) > 0], ss)
         with self._ts_lock:
             self._merges += 1
         return built
@@ -407,7 +397,7 @@ class PinnedView:
     def _answer_quick_many(
         self, scope: QueryScope, phis: Sequence[float]
     ) -> List[QueryResult]:
-        return answer_quick_many(scope, phis, self.config, self._latency)
+        return answer_quick_many(scope, phis, self.config)
 
     def query_rank(
         self,

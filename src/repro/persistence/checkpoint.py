@@ -369,6 +369,7 @@ def load_engine(
             "stream sketch count disagrees with stream buffer"
         )
     engine._step = int(state["step"])
+    engine._layout = None  # store and step changed, the epoch did not
     if wal_dir is not None:
         replay_wal(engine, wal_dir, after_lsn=int(state.get("wal_lsn", 0)))
         engine.attach_wal(

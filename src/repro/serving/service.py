@@ -43,7 +43,7 @@ from typing import Deque, List, Optional, Tuple
 from ..core.config import ServingConfig
 from ..core.engine import HybridQuantileEngine
 from ..core.epoch import SnapshotHandle
-from ..core.query_path import QueryResult
+from ..core.query_path import QueryResult, check_mode
 from ..faults.errors import DiskFault
 from ..sketches.base import check_phi
 from .admission import Overloaded, admit
@@ -166,8 +166,7 @@ class QueryService:
         Raises :class:`Overloaded` immediately when the queue bound is
         hit, and ``RuntimeError`` after :meth:`close`.
         """
-        if mode not in ("quick", "accurate"):
-            raise ValueError("mode must be 'quick' or 'accurate'")
+        check_mode(mode)
         check_phi(phi)
         with self._cv:
             if self._closed:

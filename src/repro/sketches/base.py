@@ -96,8 +96,7 @@ def rank_for_phi(phi: float, n: int) -> int:
 
 
 def check_phi(phi: float) -> None:
-    """Refuse a ``phi`` that is no real number in (0, 1]: a bool or a
-    string would otherwise be read as some other quantile, or fail late."""
+    """Refuse a ``phi`` that is no real number in (0, 1], bools too."""
     if isinstance(phi, bool) or not isinstance(phi, numbers.Real):
         raise TypeError(f"phi must be a real number, not {type(phi).__name__}")
     if not 0 < phi <= 1:

@@ -142,7 +142,8 @@ def partition_print(partition):
 
 
 def layout_print(engine):
-    return [partition_print(p) for p in engine._queryable_partitions()]
+    with engine.pin() as handle:
+        return [partition_print(p) for p in handle.partitions]
 
 
 def io_print(report):
