@@ -1,0 +1,344 @@
+"""One layout per epoch: pins between two writes share what they read.
+
+``HybridQuantileEngine.pin`` derives the partition-set facts a query
+reads — the step-ordered partitions with pending batches staged, ``n``,
+the run ids to pin, the step, the non-empty partitions' summaries and
+their memo key — the first time a pin sees an epoch, and every later
+pin at that epoch shares them.  The cache is keyed by the epoch, so
+every layout change must bump it or drop the cache: seals and
+adoptions bump, a cascade merge and ``load_engine`` drop.
+
+The state machine drives every write, pin and query door (background
+ingest, so adoptions land between rules) and checks, after every step,
+that each live handle still equals a fresh derivation taken at its pin
+and that ``check_invariants`` — which compares the shared layout with a
+fresh one — passes.
+"""
+
+import shutil
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+import repro.warehouse.leveled_store as leveled_store
+from repro.cluster import ClusterEngine
+from repro.core.config import EngineConfig
+from repro.core.engine import HybridQuantileEngine
+from repro.core.epoch import HistoricalMemo
+from repro.core.windows import resolve_window_in, window_sizes_from
+from repro.faults.errors import CorruptedBlockError
+from repro.ingest.archiver import ArchiveFailedError
+from repro.persistence.checkpoint import load_engine, save_engine
+
+
+def fresh_derivation(engine):
+    """(epoch, partitions, n, step) read straight off the store and the
+    archiver's pending set, with adoption held off."""
+    with engine._seal_lock, engine.store.layout_lock:
+        archiver = engine._archiver
+        pending = archiver.pending_batches() if archiver is not None else []
+        partitions = engine.store.partitions() + [
+            batch.partition for batch in pending
+        ]
+        return (
+            engine.epoch_stats.current_epoch,
+            [id(p) for p in partitions],
+            sum(map(len, partitions)),
+            engine.steps_sealed,
+        )
+
+
+def handle_print(handle):
+    return (
+        handle.epoch,
+        [id(p) for p in handle.partitions],
+        handle.n_historical,
+        handle.created_at_step,
+    )
+
+
+class LayoutMachine(RuleBasedStateMachine):
+    """Writes, pins, queries and restores against one background engine."""
+
+    CONFIG = EngineConfig(
+        epsilon=0.05, kappa=2, block_elems=16, ingest_mode="background"
+    )
+
+    def __init__(self):
+        super().__init__()
+        self.engine = HybridQuantileEngine(config=self.CONFIG)
+        self.rng = np.random.default_rng(0)
+        # (handle, what it read at its pin)
+        self.handles = []
+        self.directories = []
+
+    def teardown(self):
+        for handle, _ in self.handles:
+            handle.release()
+        self.engine.close()
+        for directory in self.directories:
+            shutil.rmtree(directory, ignore_errors=True)
+
+    # -- writes -------------------------------------------------------------
+
+    @rule(size=st.integers(1, 300))
+    def update(self, size):
+        self.engine.stream_update_many(self.rng.integers(0, 10**6, size))
+
+    @rule()
+    def seal(self):
+        self.engine.end_time_step()
+
+    @rule()
+    def flush(self):
+        self.engine.flush()
+
+    # -- pins ---------------------------------------------------------------
+
+    @rule()
+    def pin(self):
+        before = self.engine.epoch_stats.current_epoch
+        handle = self.engine.pin()
+        fresh = fresh_derivation(self.engine)
+        if fresh[0] == before:
+            # No adoption raced the pin: it must be this very state.
+            assert handle_print(handle) == fresh
+        self.handles.append((handle, handle_print(handle)))
+
+    @precondition(lambda self: self.handles)
+    @rule(data=st.data())
+    def release(self, data):
+        index = data.draw(st.integers(0, len(self.handles) - 1))
+        handle, _ = self.handles.pop(index)
+        handle.release()
+
+    # -- queries ------------------------------------------------------------
+
+    def view(self, data):
+        """The engine, or one of the live handles."""
+        index = data.draw(st.integers(-1, len(self.handles) - 1))
+        return self.engine if index < 0 else self.handles[index][0]
+
+    @rule(
+        data=st.data(),
+        phi=st.floats(0.01, 1.0),
+        mode=st.sampled_from(["quick", "accurate"]),
+    )
+    def query(self, data, phi, mode):
+        view = self.view(data)
+        if view.n_total == 0:
+            return
+        result = view.quantile(phi, mode)
+        assert result.total_size == view.n_total
+
+    @precondition(lambda self: self.handles)
+    @rule(
+        data=st.data(),
+        mode=st.sampled_from(["quick", "accurate"]),
+    )
+    def scoped_query(self, data, mode):
+        index = data.draw(st.integers(0, len(self.handles) - 1))
+        handle = self.handles[index][0]
+        parts = [p for p in handle.partitions if len(p) > 0]
+        if not parts:
+            return
+        part = data.draw(st.sampled_from(parts))
+        span = (part.start_step, part.end_step)
+        result = handle.quantile(0.5, mode, step_range=span)
+        assert result.total_size == len(part)
+        sizes = window_sizes_from(handle.partitions)
+        window = data.draw(st.sampled_from(sizes))
+        covered = resolve_window_in(handle.partitions, window)
+        if sum(map(len, covered)) + handle.m_stream > 0:
+            handle.quantile(0.5, mode, window_steps=window)
+
+    # -- restore ------------------------------------------------------------
+
+    @rule(size=st.integers(1, 300))
+    def restore(self, size):
+        # Seal something first, so the restored store is never empty.
+        self.update(size)
+        self.seal()
+        directory = tempfile.mkdtemp(prefix="layout-machine-")
+        self.directories.append(directory)
+        save_engine(self.engine, directory)
+        for handle, _ in self.handles:
+            handle.release()
+        self.handles = []
+        self.engine.close()
+        self.engine = load_engine(directory)
+        # The first pin after a restore must see the restored store.
+        self.pin()
+
+    # -- after every step ---------------------------------------------------
+
+    @invariant()
+    def handles_never_move(self):
+        for handle, printed in self.handles:
+            assert handle_print(handle) == printed
+
+    @invariant()
+    def invariants_hold(self):
+        self.engine.check_invariants()
+
+
+TestLayoutMachine = LayoutMachine.TestCase
+TestLayoutMachine.settings = settings(
+    max_examples=50,
+    stateful_step_count=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+# -- count guard ---------------------------------------------------------------
+
+
+def count_derivations(monkeypatch):
+    derived = []
+    original = HybridQuantileEngine._derive_layout
+
+    def derive(engine):
+        derived.append(engine)
+        return original(engine)
+
+    monkeypatch.setattr(HybridQuantileEngine, "_derive_layout", derive)
+    return derived
+
+
+def record_memo_keys(monkeypatch):
+    calls = []
+    original = HistoricalMemo.combined
+
+    def combined(memo, summaries, stream_summary, key=None):
+        calls.append((tuple(map(id, summaries)), key))
+        return original(memo, summaries, stream_summary, key)
+
+    monkeypatch.setattr(HistoricalMemo, "combined", combined)
+    return calls
+
+
+def fed(system, steps=5):
+    rng = np.random.default_rng(11)
+    for _ in range(steps):
+        system.stream_update_many(rng.integers(0, 10**6, 2000))
+        system.end_time_step()
+    system.stream_update_many(rng.integers(0, 10**6, 500))
+    return system
+
+
+def quick_schedule(system, rng):
+    """K = 30 quick queries at one epoch through every full-scope door,
+    with a stream write after the tenth (it moves SS, not the epoch)."""
+    for turn in range(30):
+        if turn == 10:
+            system.stream_update_many(rng.integers(0, 10**6, 64))
+        door = turn % 3
+        if door == 0:
+            system.quantile(0.37, "quick")
+        elif door == 1:
+            system.query_rank(1234, "quick")
+        else:
+            system.quantile_many([0.1, 0.5, 0.9], "quick")
+
+
+def test_an_engine_derives_one_layout_per_epoch(monkeypatch):
+    engine = fed(HybridQuantileEngine(epsilon=0.01, kappa=3, block_elems=64))
+    derived = count_derivations(monkeypatch)
+    keys = record_memo_keys(monkeypatch)
+    quick_schedule(engine, np.random.default_rng(5))
+    assert derived == [engine]
+    assert len(keys) == 30
+    assert all(key == composed for composed, key in keys)
+    stats = engine.epoch_stats
+    # The parent's counts for this schedule: one resolution per pin,
+    # every one after a write's first reusing the retained TS.
+    assert (stats.ts_merges, stats.ts_reuses) == (30, 28)
+    assert (stats.hs_builds, stats.hs_extends) == (1, 0)
+    assert (stats.peak_pins, stats.live_pins) == (1, 0)
+
+
+def test_a_cluster_derives_one_layout_per_shard(monkeypatch):
+    cluster = fed(
+        ClusterEngine(
+            shards=3,
+            config=EngineConfig(
+                epsilon=0.01, kappa=3, block_elems=64, sketch_backend="kll"
+            ),
+        )
+    )
+    derived = count_derivations(monkeypatch)
+    keys = record_memo_keys(monkeypatch)
+    quick_schedule(cluster, np.random.default_rng(5))
+    assert sorted(map(id, derived)) == sorted(
+        id(shard) for shard in cluster.shards
+    )
+    assert len(keys) == 30
+    assert all(key == composed for composed, key in keys)
+    memo = cluster._historical_memo
+    assert (memo.builds, memo.extends, memo.reuses) == (1, 0, 28)
+    for shard in cluster.shards:
+        stats = shard.epoch_stats
+        assert (stats.ts_merges, stats.peak_pins, stats.live_pins) == (0, 1, 0)
+    cluster.close()
+
+
+def test_windows_and_ranges_still_compose_their_key(monkeypatch):
+    engine = fed(HybridQuantileEngine(epsilon=0.01, kappa=3, block_elems=64))
+    keys = record_memo_keys(monkeypatch)
+    engine.quantile(0.5, "quick", window_steps=1)
+    engine.quantile(0.5, "quick", step_range=(5, 5))
+    engine.quantile(0.5, "quick")
+    assert [key is None for _, key in keys] == [True, True, False]
+
+
+# -- what drops the layout without an epoch bump ---------------------------------
+
+
+def test_a_cascade_merge_that_faults_halfway_drops_the_layout(monkeypatch):
+    """A two-level cascade whose second merge faults changes the layout
+    and never bumps the epoch: pins after it see the merged level."""
+    engine = HybridQuantileEngine(
+        config=EngineConfig(
+            epsilon=0.05, kappa=2, block_elems=16, ingest_mode="background"
+        )
+    )
+    rng = np.random.default_rng(3)
+    for _ in range(6):  # levels: [56] [12 34]; the seventh merges both
+        engine.stream_update_many(rng.integers(0, 10**6, 200))
+        engine.end_time_step()
+    engine.flush()
+    engine._archiver.pause()
+    engine.stream_update_many(rng.integers(0, 10**6, 200))
+    engine.end_time_step()
+    with engine.pin() as before:
+        pass
+    merges = []
+    merge_runs = leveled_store.merge_runs
+
+    def second_merge_faults(disk, runs):
+        merges.append(runs)
+        if len(merges) == 2:
+            raise CorruptedBlockError("read", 0)
+        return merge_runs(disk, runs)
+
+    monkeypatch.setattr(leveled_store, "merge_runs", second_merge_faults)
+    engine._archiver.resume()
+    with pytest.raises(ArchiveFailedError):
+        engine.flush()
+    assert len(merges) == 2
+    assert engine.epoch_stats.current_epoch == before.epoch
+    with engine.pin() as after:
+        assert handle_print(after) == fresh_derivation(engine)
+        assert handle_print(after) != handle_print(before)
+    engine.check_invariants()
+    engine.close()
