@@ -334,7 +334,7 @@ class Layout(NamedTuple):
     n_historical: int
     run_ids: List[int]
     key: tuple
-    #: named by ``run_ids`` and ``key``: the first five fields compare.
+    #: the objects ``run_ids`` and ``key`` name (fields 0-4 compare).
     partitions: List[Partition]
     summaries: List[PartitionSummary]
 

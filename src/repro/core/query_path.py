@@ -366,7 +366,6 @@ class PinnedView:
         if window_steps is None and step_range is None:
             with self._ts_lock:
                 if self._combined is None:
-                    # The summaries and key the pin derived, not rebuilt.
                     self._combined = self._fuse(
                         self._summaries, self._stream.summary(), self._key
                     )
