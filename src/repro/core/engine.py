@@ -230,7 +230,7 @@ class HybridQuantileEngine(PinnedQueries):
         # sections so residency never outlives a run.
         self.store.on_retire = self._on_runs_retired
         self._step = 0
-        # Every pin at its epoch shares it (see _current_layout).
+        # The empty engine's layout at epoch 0 (see _current_layout).
         self._layout: Optional[Layout] = Layout(0, 0, 0, [], (), [], [])
         self._gk = self._fresh_stream_sketch()
         self._buffer = AppendBuffer()
