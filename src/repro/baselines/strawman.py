@@ -152,7 +152,7 @@ class StrawmanEngine:
             combined=CombinedSummary.build(
                 [p.summary for p in partitions], ss
             ),
-            stream_rank=stream.rank,
+            stream=stream,
             new_cache=lambda: BlockCache(self.disk),
             # Never called: a fault propagates (``degrade=False``).
             on_degraded=lambda cache: None,

@@ -188,10 +188,12 @@ class StreamView:
     def rank(self, value: int) -> float:
         """Rank estimate of ``value`` in the frozen stream: the midpoint
         of the sketch's bracket."""
-        if self.size == 0:
-            return 0.0
         lo, hi = self.sketch.rank_bounds(int(value))
         return (lo + hi) / 2.0
+
+    def steps(self) -> np.ndarray:
+        """Sorted values ``rank`` steps at: it counts those <= ``value``."""
+        return self.sketch._arrays()[0]
 
 
 @dataclass

@@ -9,24 +9,24 @@ whose estimated rank reaches the target.  The returned value is
 snapped down to an actual element of T; its rank error is bounded by
 the stream estimate's error alone (Lemma 5's ``O(eps * m)``).
 
-Algorithm 8's pseudocode stops as soon as the estimate is within
-``epsilon * m`` of the target, but the paper's Section 2.4 optimization
-keeps refining once the per-partition searches are confined to single
-(cached) disk blocks — and the paper's measured errors sit far below
-``epsilon * m``, confirming the implementation searched to the
-crossing point.  We do the same: bisection continues to adjacency,
-with the per-query :class:`~repro.storage.cache.BlockCache` making the
-deep iterations free.
+Algorithm 8's pseudocode stops once the estimate is within
+``epsilon * m`` of the target; like the paper's Section 2.4
+optimization (its measured errors sit far below ``epsilon * m``), the
+bisection here continues to adjacency, its deep iterations free.
 
 Each partition is *reading* while a probe in ``(u, v]`` could still
 reach a block this query has not pinned, and *resolved* once every
 block covering its summary-narrowed index range is pinned — or once its
 exact rank is the same at both filters (a *closed* partition: it holds
 no element in ``(u, v]``).  A resolved partition hands over its rank at
-``u`` and its sorted elements in ``(u, v]`` and is never planned or
-probed again: all of them together are one sorted candidate array plus
-a base rank, ranked by one ``searchsorted`` per iteration and cut as
-the filters move (``docs/THEORY.md``, "Resolved partitions").
+``u`` and its sorted elements in ``(u, v]`` and is never probed again:
+all of them together are one sorted candidate array plus a base rank,
+ranked by one ``searchsorted`` per iteration.  Once none is reading no
+step can charge a block, and the rest of the bisection is replayed on
+plain ints: the same steps over the candidates and the values the
+stream term steps at, both cut once from ``(u, v]``, the term ranked
+once per cell between two of them (``docs/THEORY.md``, "Resolved
+partitions").
 
 Each probe is one :class:`RankProbeTask` per reading partition, and
 each batched read-ahead one :class:`PrefetchTask`; the search builds
@@ -38,6 +38,7 @@ is ``QueryResult.parallel_sim_seconds``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -83,20 +84,18 @@ class PrefetchTask:
 
     One charged ranged read warms every block the binary search could
     touch, so the later per-probe touches hit the cache instead of
-    paying one random read each.  Returns the number of blocks in the
-    range.
+    paying one random read each.
     """
 
     partition: Partition
     first_block: int
     last_block: int
 
-    def run(self, cache: BlockCache) -> int:
+    def run(self, cache: BlockCache) -> None:
         """Execute the batched ranged read."""
         self.partition.run.read_block_range(
             self.first_block, self.last_block, cache=cache
         )
-        return self.last_block - self.first_block + 1
 
 
 def prefetch_tasks(
@@ -124,31 +123,18 @@ def prefetch_tasks(
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of one accurate-response search.
+    """Result of one accurate-response search."""
 
-    Attributes
-    ----------
-    value:
-        The element of T returned as the approximate quantile.
-    estimated_rank:
-        The engine's rank estimate for the returned element; its true
-        rank differs by at most ``eps2 * m``.
-    random_blocks:
-        Random block reads charged by this query.
-    max_partition_blocks:
-        Deepest single-partition read chain charged by this search —
-        the modeled critical path of Section 4's parallel partition
-        reads; feeds ``parallel_sim_seconds``.
-    iterations:
-        Number of bisection steps performed.
-    truncated:
-        True when the probe budget ended the search early.
-    """
-
+    #: the element of T returned, and the search's estimate of its rank
+    #: (the true rank differs by at most ``eps2 * m``).
     value: int
     estimated_rank: float
+    #: random block reads this search charged, and its deepest
+    #: single-partition chain of them: the modeled critical path of
+    #: Section 4's parallel reads (``parallel_sim_seconds``).
     random_blocks: int
     max_partition_blocks: int
+    #: bisection steps, and whether the probe budget ended them early.
     iterations: int
     truncated: bool
 
@@ -166,6 +152,7 @@ class AccurateSearch:
         cache: BlockCache,
         stream_rank_fn: Optional[Callable[[int], float]] = None,
         executor: Optional[QueryExecutor] = None,
+        stream_steps: Optional[np.ndarray] = None,
     ) -> None:
         self._partitions = [p for p in partitions if len(p) > 0]
         self._executor = executor if executor is not None else SERIAL_EXECUTOR
@@ -178,7 +165,12 @@ class AccurateSearch:
         # A cache shared across searches carries earlier searches'
         # charges; the critical path is this search's own.
         self._run_blocks_at_start = cache.run_blocks()
-        self._stream_rank_fn = stream_rank_fn
+        if stream_rank_fn is None:
+            stream_rank_fn = stream_summary.rank_estimate
+            stream_steps = stream_summary.values
+        # The stream half of every rho, and the sorted values it steps at
+        # (``None``: unknown, so the replay ranks every step).
+        self._stream_rank, self._stream_steps = stream_rank_fn, stream_steps
         # Run ids with nothing left to prefetch this query: prefetched
         # (at most once each; the filters only narrow, so later ranges
         # are subsets) or resolved.
@@ -193,8 +185,8 @@ class AccurateSearch:
         #: positions of the partitions still reading.
         self._reading = list(range(count))
         #: resolved partitions, position -> (rank where its slice
-        #: starts, the slice); ``_base`` sums their ranks at ``u`` and
-        #: ``_candidates`` merges their elements in ``(u, v]``.
+        #: starts, the slice); ``_base`` sums those ranks and
+        #: ``_candidates`` merges the slices.
         self._slices: Dict[int, Tuple[int, np.ndarray]] = {}
         self._base = 0
         self._candidates = _NO_ELEMENTS
@@ -205,18 +197,13 @@ class AccurateSearch:
         """Estimated rank in T of a ``value`` between the filters.
 
         Historical ranks are exact (Alg. 8 lines 2-7): one
-        ``searchsorted`` ranks the resolved partitions together, and
-        each reading one gets a task whose binary search is narrowed to
-        the inter-summary gap containing ``value`` (no I/O for the
-        narrowing, since the summaries store exact ranks) and charged
-        block reads through the per-query cache.  Alpha is monotone, so
-        where the alphas carried at the two filters agree the summary
-        is not searched again.  The stream
-        contributes either the live sketch's rank bracket (when the
-        caller supplied one — in-memory, like SS, but free of SS's
-        quantization) or the Algorithm 8 summary estimate.
+        ``searchsorted`` ranks the resolved partitions, and each reading
+        one gets a task whose binary search is narrowed, at no I/O, to
+        the summary gap holding ``value`` (alpha is monotone: where the
+        alphas carried at both filters agree it is not searched again).
+        The stream adds the caller's estimate — the pinned sketch's
+        bracket midpoint, free of SS's quantization — or Alg. 8's.
         """
-        cut = int(self._candidates.searchsorted(value, "right"))
         probe, tasks = int(value), []
         alphas_u, alphas_v = self._alphas
         for i in self._reading:
@@ -227,25 +214,17 @@ class AccurateSearch:
             lo, hi = partition.summary.bracket(alpha, alpha)
             tasks.append(RankProbeTask(partition, probe, lo, hi, alpha))
         ranks = self._executor.run_tasks(tasks, self._cache) if tasks else []
-        if self._stream_rank_fn is not None:
-            stream = self._stream_rank_fn(value)
-        else:
-            stream = self._ss.rank_estimate(value)
-        rho = float(self._base + cut + sum(ranks)) + stream
-        return rho, (cut, tasks, ranks)
+        cut = int(self._candidates.searchsorted(value, "right"))
+        rho = float(self._base + cut + sum(ranks)) + self._stream_rank(value)
+        return rho, (tasks, ranks)
 
     def _narrow(self, value: int, upper: bool, probe: tuple) -> None:
         """Move one filter to ``value``, carrying what its probe learnt."""
-        cut, tasks, ranks = probe
+        tasks, ranks = probe
         self._filters[upper] = value
         alphas, carried = self._alphas[upper], self._ranks[upper]
         for i, task, rank in zip(self._reading, tasks, ranks):
             alphas[i], carried[i] = task.alpha, rank
-        if upper:
-            self._candidates = self._candidates[:cut]
-        else:
-            self._base += cut
-            self._candidates = self._candidates[cut:]
 
     def _resolve(self) -> None:
         """Retire every reading partition no probe in ``(u, v]`` can charge.
@@ -296,15 +275,10 @@ class AccurateSearch:
         When ``(u, v)`` narrows a partition's candidate element range
         to at most ``config.prefetch_blocks`` blocks, the whole range
         is read in one charged ranged read ahead of the binary-search
-        probes, run through the executor like any other probe.  On the
-        object backend each such read is one modeled GET widened by
-        break-even readahead (extra blocks are streamed while their
-        marginal cost stays under another request's setup cost —
-        charge-neutral).
-        Only active when the per-query cache reads through a shared
-        tier: with the tier off, the legacy per-probe accounting must
-        reproduce bit for bit.  Answers are unaffected either way (a
-        probe of those blocks just finds them pinned).
+        probes, run through the executor like any other probe (on the
+        object backend, one modeled GET widened by break-even
+        readahead).  Only with a shared tier: without one the charges
+        are per probe.  Answers are the same either way.
         """
         if self._cache.shared is None or self._config.prefetch_blocks < 1:
             return
@@ -314,9 +288,35 @@ class AccurateSearch:
         tasks = prefetch_tasks(pending, u, v, self._config.prefetch_blocks)
         if not tasks:
             return
-        for task in tasks:
-            self._prefetched.add(task.partition.run.run_id)
+        self._prefetched.update(task.partition.run.run_id for task in tasks)
         self._executor.run_tasks(tasks, self._cache)
+
+    def _replay(
+        self, u: int, v: int, rho_v: Optional[float], iterations: int
+    ) -> tuple:
+        """The loop's remaining steps once no probe can charge a block,
+        on lists cut once from ``(u, v]`` (module docstring).  Replayed,
+        not jumped: the stream half need not be monotone."""
+        held = self._candidates
+        lo, hi = held.searchsorted((u, v), "right")
+        base, held = self._base + int(lo), held[lo:hi].tolist()
+        steps = self._stream_steps
+        if steps is not None:
+            first, last = np.searchsorted(steps, (u, v), "right")
+            steps = steps[first:last].tolist()
+        terms: Dict[int, float] = {}
+        while v > u + 1:
+            z = (u + v) // 2
+            iterations += 1
+            cell = z if steps is None else bisect_right(steps, z)
+            if cell not in terms:
+                terms[cell] = self._stream_rank(z)
+            rho = float(base + bisect_right(held, z)) + terms[cell]
+            if rho >= self._rank:
+                v, rho_v = z, rho
+            else:
+                u = z
+        return v, rho_v, iterations
 
     # -- snapping -------------------------------------------------------
 
@@ -361,8 +361,12 @@ class AccurateSearch:
             if budget is not None and spent >= budget:
                 truncated = True
                 break
+            if not self._reading:
+                # Nothing left to charge: finish on plain ints.
+                v, rho_v, iterations = self._replay(u, v, rho_v, iterations)
+                break
             self._maybe_prefetch(u, v)
-            if self._reading and (iterations or self._prefetched):
+            if iterations or self._prefetched:
                 # (before its first read the query has pinned nothing)
                 self._resolve()
             z = (u + v) // 2

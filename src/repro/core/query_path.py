@@ -94,10 +94,9 @@ class QueryScope:
     partitions: Sequence[Partition]
     stream_summary: StreamSummary
     combined: CombinedSummary
-    #: rank estimate from the *pinned* sketch, so a concurrent stream
-    #: update cannot shift estimates mid-search; ``None`` for
-    #: historical step ranges, which exclude the live stream.
-    stream_rank: Optional[Callable[[int], float]]
+    #: the *pinned* stream (a ``StreamView``: no concurrent update shifts
+    #: an estimate mid-search); ``None`` for step ranges, which exclude it.
+    stream: Any
     #: a fresh per-query block cache for an accurate search.
     new_cache: Callable[[], Any]
     #: counts one degraded query; handed the aborted search's cache
@@ -175,7 +174,7 @@ def answer_rank(
     rank = max(1, min(int(rank), total))
     m_scope = scope.stream_summary.stream_size
     per_block = latency.seconds_per_random_block
-    blocks = 0
+    blocks, stream = 0, scope.stream
     if mode == "accurate":
         if cache is None:
             cache = scope.new_cache()
@@ -187,7 +186,8 @@ def answer_rank(
                 combined=scope.combined,
                 config=config,
                 rank=rank,
-                stream_rank_fn=scope.stream_rank,
+                stream_rank_fn=None if stream is None else stream.rank,
+                stream_steps=None if stream is None else stream.steps(),
                 cache=cache,
                 executor=executor,
             ).run()
@@ -340,7 +340,7 @@ class PinnedView:
             partitions=partitions,
             stream_summary=ss,
             combined=self.combined(window_steps, step_range),
-            stream_rank=self._stream.rank if step_range is None else None,
+            stream=self._stream if step_range is None else None,
             new_cache=self._new_cache,
             on_degraded=self._on_degraded,
             window_steps=window_steps,
@@ -503,15 +503,9 @@ class PinnedQueries:
         mode: str = "quick",
         window_steps: Optional[int] = None,
     ) -> List[QueryResult]:
-        """Answer many quantiles against one pinned view.
-
-        The batched entry point the serving layer's coalescer (and the
-        CLI's multi-``--phi`` path) uses.  Quick mode resolves TS once
-        and answers every ``phi`` with a rank-bound lookup in it;
-        accurate mode shares one stream summary and one block cache
-        across the searches, so blocks one search touched are free for
-        the next.  Results are index-aligned with ``phis``.
-        """
+        """:meth:`PinnedView.quantile_many` on one pinned view: the
+        batched entry point of the serving layer's coalescer and of the
+        CLI's multi-``--phi`` path."""
         with self._query_pin() as view:
             return view.quantile_many(
                 phis, mode=mode, window_steps=window_steps

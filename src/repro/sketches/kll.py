@@ -38,9 +38,9 @@ shares its source's levels and copies only the list holding them.
 
 Error model: unlike GK's deterministic guarantee, KLL's ``eps * n``
 rank bound holds *with high probability* (the default sizing targets
-99%).  ``rank_bounds`` therefore returns a probabilistic bracket; the
-engine's accurate path never relies on it for correctness, only for
-bisection seeding.
+99%).  ``rank_bounds`` therefore returns a probabilistic bracket, and
+its midpoint is the stream half of every rank estimate the accurate
+search bisects on: an accurate answer's bound holds w.h.p. too.
 """
 
 from __future__ import annotations
@@ -251,8 +251,8 @@ class KLLSketch(QuantileSketch):
 
         The center is the rescaled retained-weight rank; the half-width
         is ``ceil(eps * n)``.  Unlike GK's deterministic bracket this
-        holds w.h.p. — callers that need certainty (the accurate search
-        uses it only to seed bisection) must tolerate the tail.
+        holds w.h.p., and so does every accurate answer on KLL: the
+        midpoint is the stream half of each rank the search bisects on.
         """
         if self._n == 0:
             return (0, 0)
