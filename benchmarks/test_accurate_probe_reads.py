@@ -12,9 +12,9 @@ benchmark times accurate queries on:
 Per accurate query it counts ``read_blocks`` calls on the run handles
 (real bytes: on the object tier each is a slice of the bucket object's
 memory map), the distinct blocks the query's cache touched, the
-rank-probe tasks the executor ran and the partition summaries it
-searched.  Three floors, all seeded counts, so a slow runner cannot
-trip them:
+rank-probe tasks the executor ran, the partition summaries it
+searched and the stream-rank evaluations.  Four floors, all seeded
+counts, so a slow runner cannot trip them:
 
 * backend fetches <= distinct blocks touched — the per-query cache
   pins the bytes it charged for (it was 2 547 fetches for 14 blocks);
@@ -28,12 +28,19 @@ trip them:
   iterations`` per query on the ``query_heavy`` shape — one per
   partition for the first probe and for each unprobed filter end, then
   only where the alphas carried at the two filters differ (it was one
-  per probe: 121).
+  per probe: 121);
+* on the ``query_heavy`` shape, 1 165 iterations over the 40 queries
+  (29.1 per query, as before the tail replay) and stream-rank
+  evaluations <= 1/2 of them — once every partition is resolved the
+  remaining steps are replayed on plain ints, the stream ranked once
+  per cell between two of the sketch's values (it was one per
+  iteration, 1 165; now 504, 12.6 per query).
 """
 
 import numpy as np
 
 from repro import EngineConfig, HybridQuantileEngine
+from repro.core.epoch import StreamView
 from repro.core.filters import RankProbeTask
 from repro.core.summaries import PartitionSummary
 from repro.query import QueryExecutor
@@ -49,10 +56,12 @@ def _phis(rng):
 
 def _measure(engine, phis):
     """Totals over ``phis``: fetch calls, touched blocks, probes, budget
-    (iterations x partitions), summary searches, iterations."""
+    (iterations x partitions), summary searches, iterations and
+    stream-rank evaluations."""
     partitions = engine.store.partition_count()
-    probes, searches = [], []
+    probes, searches, stream_ranks = [], [], []
     run_tasks, alpha = QueryExecutor.run_tasks, PartitionSummary.alpha
+    stream_rank = StreamView.rank
 
     def counting(executor, tasks, cache=None):
         probes.append(sum(isinstance(t, RankProbeTask) for t in tasks))
@@ -62,8 +71,13 @@ def _measure(engine, phis):
         searches.append(1)
         return alpha(summary, value)
 
+    def counting_stream_rank(view, value):
+        stream_ranks.append(1)
+        return stream_rank(view, value)
+
     QueryExecutor.run_tasks = counting
     PartitionSummary.alpha = counting_alpha
+    StreamView.rank = counting_stream_rank
     fetches = touched_blocks = budget = iterations = 0
     try:
         for phi in phis:
@@ -78,12 +92,16 @@ def _measure(engine, phis):
     finally:
         QueryExecutor.run_tasks = run_tasks
         PartitionSummary.alpha = alpha
-    return fetches, touched_blocks, sum(probes), budget, len(searches), iterations
+        StreamView.rank = stream_rank
+    return (
+        fetches, touched_blocks, sum(probes), budget, len(searches),
+        iterations, len(stream_ranks),
+    )
 
 
 def _report(
     name, probe_share, partitions,
-    fetches, touched, probes, budget, searches, iterations,
+    fetches, touched, probes, budget, searches, iterations, stream_ranks,
 ):
     print(
         f"\n{name}: {partitions} partitions, per accurate query "
@@ -91,12 +109,13 @@ def _report(
         f"{touched / QUERIES:.1f} blocks touched, "
         f"{probes / QUERIES:.1f} rank probes of "
         f"{budget / QUERIES:.1f} (iterations x partitions), "
-        f"{searches / QUERIES:.1f} summary searches over "
+        f"{searches / QUERIES:.1f} summary searches and "
+        f"{stream_ranks / QUERIES:.1f} stream ranks over "
         f"{iterations / QUERIES:.1f} iterations"
     )
     assert 0 < fetches <= touched
     assert probes <= probe_share * budget
-    return searches, iterations
+    return searches, iterations, stream_ranks
 
 
 def test_query_heavy_shape():
@@ -110,10 +129,12 @@ def test_query_heavy_shape():
         engine.stream_update_many(rng.integers(0, 1 << 40, 50_000))
         partitions = engine.store.partition_count()
         assert partitions == 13
-        searches, iterations = _report(
+        searches, iterations, stream_ranks = _report(
             "query_heavy shape", 1 / 8, partitions, *_measure(engine, _phis(rng))
         )
         assert searches <= 3 * partitions * QUERIES + iterations
+        assert iterations == 1165
+        assert 2 * stream_ranks <= iterations
 
 
 def test_cold_object_tier(tmp_path):
