@@ -1,38 +1,23 @@
 """Sharded multi-engine cluster: fan-out ingest, fused queries.
 
 :class:`ClusterEngine` runs N in-process
-:class:`~repro.core.engine.HybridQuantileEngine` shards, each with its
-**own** :class:`~repro.storage.disk.SimulatedDisk` — the cluster models
-N independent devices, which is exactly what sharding buys: ingest I/O
-(sort + archive + merges) divides across devices, so the simulated
-critical path (``max`` over shards) shrinks ~linearly with the shard
-count even though this process is single-threaded.  A
-:class:`~repro.cluster.router.ShardRouter` places elements; batched
-ingest fans a numpy array out per shard in one vectorized pass.
+:class:`~repro.core.engine.HybridQuantileEngine` shards, each on its
+**own** simulated device, so ingest I/O divides across devices and the
+simulated critical path (``max`` over shards) shrinks ~linearly with
+the shard count.  A :class:`~repro.cluster.router.ShardRouter` places
+elements; batched ingest fans a numpy array out in one vectorized pass.
 
-Queries go through :class:`ClusterSnapshot`, which pins every shard
-(``engine.pin()`` per shard, in shard order) and answers through the
-single engine's :mod:`repro.core.query_path` scope and functions, over
-the shards' partitions (shard-major) and **one** stream: their pinned
-KLL sketches merged by :meth:`~repro.sketches.kll.KLLSketch.merge_many`,
-which keeps the ``eps`` bound over the union.  A cluster therefore
-needs ``sketch_backend='kll'``; GK sketches do not merge.
-
-* **quick** — one :class:`~repro.core.bounds.CombinedSummary` of every
-  shard's partition summaries and the merged stream's SS, with the
-  single-engine contract over the union: ``eps1 * n + eps2 * m``.
-* **accurate** — scatter/gather: the *single-engine*
-  :class:`~repro.core.filters.AccurateSearch` runs unchanged over the
-  union of all shards' partitions; a :class:`ShardedBlockCache` routes
-  each block touch to the owning shard's per-query cache (charging
-  that shard's disk), and the stream term of every rank estimate is
-  the merged sketch's bracket.  With ``shards == 1`` the shard's own
-  stream is the union, and every probe, filter and snap is
-  bit-identical to the plain engine.
-
-The snapshot's epoch is the tuple of per-shard epochs — hashable and
-comparable, so the serving layer's coalescer groups cluster requests
-exactly as it groups single-engine ones.
+A :class:`ClusterSnapshot` answers through the single engine's
+:mod:`repro.core.query_path` over the shards' partitions (shard-major)
+and **one** stream: their KLL sketches merged by
+:meth:`~repro.sketches.kll.KLLSketch.merge_many`, which keeps the
+``eps`` bound over the union (GK sketches do not merge: a cluster needs
+``sketch_backend='kll'``).  Quick answers read one TS of the union;
+accurate ones run the single-engine search, a :class:`ShardedBlockCache`
+charging each block to its shard's disk.  With one shard every probe,
+filter and snap is the plain engine's.  The view's epoch is the tuple
+of per-shard epochs, so the serving layer's coalescer groups cluster
+requests as it groups single-engine ones.
 """
 
 from __future__ import annotations
@@ -41,7 +26,7 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +41,7 @@ from ..core.query_path import (
     QueryScope,
     answer_rank,
 )
+from ..core.summaries import PartitionSummary
 from ..faults.disk import FaultyDisk
 from ..faults.errors import DiskFault
 from ..faults.plan import FaultPlan
@@ -102,15 +88,10 @@ def shard_dir(root: "str | Path", index: int) -> Path:
 
 
 def shard_config(config: EngineConfig, index: int) -> EngineConfig:
-    """The engine config shard ``index`` runs under.
-
-    File-backed storage backends must not share a directory across
-    shards, so an explicit ``storage_dir`` is specialized to the
-    shard's ``shard-NN/`` subdirectory (mirroring the WAL/checkpoint
-    layout).  A ``None`` directory already gives every shard its own
-    private tempdir, and the simulated backend has no directory at all
-    — both pass through unchanged.
-    """
+    """The engine config shard ``index`` runs under: an explicit
+    file-backed ``storage_dir`` gets the shard's ``shard-NN/``
+    subdirectory (no directory shared across shards); ``None`` (a
+    private tempdir each) and the simulated backend pass unchanged."""
     if config.storage_backend == "simulated" or config.storage_dir is None:
         return config
     return replace(
@@ -122,13 +103,10 @@ def shard_config(config: EngineConfig, index: int) -> EngineConfig:
 def new_shard_disk(
     fault_plan: Optional[FaultPlan], config: EngineConfig, index: int
 ) -> Optional[FaultyDisk]:
-    """A fresh device for building or restoring shard ``index``.
-
-    Under a fault plan every device the slot ever gets draws the same
-    per-shard schedule (:meth:`FaultPlan.for_shard
-    <repro.faults.plan.FaultPlan.for_shard>`); ``None`` without one,
-    letting the engine build a plain simulated disk.
-    """
+    """A fresh device for shard ``index``: under a fault plan one
+    drawing the slot's schedule (:meth:`FaultPlan.for_shard
+    <repro.faults.plan.FaultPlan.for_shard>`), else ``None`` (a plain
+    simulated disk)."""
     if fault_plan is None:
         return None
     return FaultyDisk(
@@ -140,27 +118,18 @@ class ShardedBlockCache:
     """Routes block touches to the owning shard's per-query cache.
 
     :class:`~repro.core.filters.AccurateSearch` talks to one cache; a
-    cluster query spans runs on N distinct simulated disks.  This
-    multiplexer maps each ``run_id`` (globally unique across disks) to
-    the per-query :class:`~repro.storage.cache.BlockCache` of the handle
-    that pinned the run, so every charge lands on the disk that actually
-    holds the run — per-shard I/O accounting stays exact.  Only the
-    handles given are reachable: a stray touch of another shard's run
-    raises ``KeyError`` rather than silently re-faulting.
-
-    When a touch raises a :class:`~repro.faults.DiskFault`, the owning
-    handle's position is recorded in :attr:`failed_shard` before the
-    fault propagates — the culprit attribution the partial-gather retry
-    loop uses to exclude exactly the shard that failed.  (A search
-    reaches the disks only through its cache, so every fault it sees
-    has a culprit.)
+    cluster query spans runs on N disks.  Each ``run_id`` (unique across
+    disks) maps to the per-query :class:`~repro.storage.cache.BlockCache`
+    of the shard that pinned it, so per-shard I/O accounting stays
+    exact; a run outside the gather raises ``KeyError``.  A touch that
+    raises a :class:`~repro.faults.DiskFault` first records its shard's
+    position in :attr:`failed_shard`: the culprit the partial-gather
+    retry excludes (a search reaches disks only through its cache).
     """
 
-    def __init__(self, handles: Sequence[SnapshotHandle]) -> None:
-        self._caches = [handle._new_cache() for handle in handles]
-        self._run_to_shard = {
-            run_id: i for i, h in enumerate(handles) for run_id in h._run_ids
-        }
+    def __init__(self, gather: "ShardGather") -> None:
+        self._caches = [handle._new_cache() for handle in gather.handles]
+        self._run_to_shard = gather.run_to_shard
         #: handle position whose disk faulted a touch (None until then).
         self.failed_shard: Optional[int] = None
         # Prefetch gating mirrors BlockCache.shared: enabled when any
@@ -237,31 +206,72 @@ def merged_stream(views: Sequence[StreamView], eps2: float) -> StreamView:
     return StreamView(KLLSketch.merge_many(sketches), eps2)
 
 
+class ShardGather(NamedTuple):
+    """What every view pinned at one cluster version reads — the
+    cluster's :class:`~repro.core.epoch.Layout`, derived by the first
+    pin at the version and shared by the rest.  ``handles`` name each
+    live shard's engine, layout and stream; pins are each view's own.
+    """
+
+    handles: "tuple[SnapshotHandle, ...]"
+    shard_ids: "tuple[int, ...]"
+    #: per-shard epochs: hashable, so the coalescer batches by it.
+    epoch: tuple
+    n_historical: int
+    m_stream: int
+    #: shard-major, off the layouts: the full scope's HS order, its key.
+    summaries: List[PartitionSummary]
+    key: tuple
+    stream: StreamView
+    run_to_shard: Dict[int, int]
+
+    @classmethod
+    def of(
+        cls,
+        handles: Sequence[SnapshotHandle],
+        shard_ids: "tuple[int, ...]",
+        stream: StreamView,
+    ) -> "ShardGather":
+        """The gather of ``handles`` (shard order), ``stream`` their merge."""
+        handles = tuple(handles)
+        return cls(
+            handles, shard_ids, tuple(h.epoch for h in handles),
+            sum(h.n_historical for h in handles),
+            sum(h.m_stream for h in handles),
+            [s for h in handles for s in h._summaries],
+            sum((h._key for h in handles), ()), stream,
+            {run: i for i, h in enumerate(handles) for run in h._run_ids},
+        )
+
+    def holds(
+        self, live: "Sequence[tuple[int, HybridQuantileEngine]]"
+    ) -> bool:
+        """Whether the ``live`` (id, engine) pairs would pin what the
+        gather holds (lock-free: see ``HybridQuantileEngine._pins_as``)."""
+        return len(live) == len(self.handles) and all(
+            index == shard_id
+            and engine is h._engine
+            and engine._pins_as(h._layout, h._stream)
+            for (index, engine), shard_id, h in zip(
+                live, self.shard_ids, self.handles
+            )
+        )
+
+
 class ClusterSnapshot(PinnedView):
     """A pinned, consistent view across every shard of a cluster.
 
-    Holds one :class:`~repro.core.epoch.SnapshotHandle` per shard (in
-    shard order).  The verbs and the scope are
-    :class:`~repro.core.query_path.PinnedView`'s, over the shard-major
-    concatenation of the handles' partitions and their merged stream,
-    so the serving layer drives a cluster exactly as it drives a single
-    engine; what is here is the gather: the per-shard block cache and
-    the culprit-exclusion retry with its partial results.
-
-    Can be built from any list of pinned handles (not only via
-    :meth:`ClusterEngine.pin`): the equivalence harness constructs one
-    over *standalone* engines that replayed recorded per-shard feeds
-    and checks the answers match the cluster's bit for bit.
-
-    Partial gathers: ``shard_ids`` names the cluster-wide id behind
-    each handle and ``missing`` maps quarantined shard ids to their
-    acked element counts.  When those are omitted the snapshot is
-    every shard answering, nothing missing.
-
-    ``historical_memo`` (the owning cluster's) and ``stream`` (the
-    handles' merged stream) are what the caller already holds; without
-    them the snapshot keeps its own memo and merges its own stream —
-    the same arrays either way.
+    Reads one :class:`ShardGather` through
+    :class:`~repro.core.query_path.PinnedView`'s verbs and scope; what
+    is here is the per-shard block cache and the culprit-exclusion
+    retry with its partial results.  Built over pinned handles (one per
+    shard, released with the view: the equivalence harness passes
+    standalone engines' handles) or by :meth:`repinned`.  ``shard_ids``
+    names the cluster-wide id behind each handle (default: positions)
+    and ``missing`` maps quarantined shard ids to their acked counts.
+    ``historical_memo`` and ``stream`` (the handles' merged stream) are
+    the owning cluster's; without them the snapshot keeps its own memo
+    and merges its own stream — the same arrays either way.
     """
 
     def __init__(
@@ -276,39 +286,54 @@ class ClusterSnapshot(PinnedView):
     ) -> None:
         if not handles:
             raise ValueError("a cluster snapshot needs at least one shard")
-        super().__init__(config, executor, handles[0]._latency)
-        self.handles = list(handles)
-        #: cluster-wide shard id behind each handle (handle order).
-        self.shard_ids: "tuple[int, ...]" = (
-            tuple(int(i) for i in shard_ids)
-            if shard_ids is not None
-            else tuple(range(len(self.handles)))
-        )
-        if len(self.shard_ids) != len(self.handles):
+        if shard_ids is None:
+            shard_ids = range(len(handles))
+        ids = tuple(map(int, shard_ids))
+        if len(ids) != len(handles):
             raise ValueError(
-                f"{len(self.shard_ids)} shard ids for "
-                f"{len(self.handles)} handles"
+                f"{len(ids)} shard ids for {len(handles)} handles"
             )
+        stream = stream or merged_stream(
+            [h._stream for h in handles], config.epsilon2
+        )
+        self._read(
+            ShardGather.of(handles, ids, stream), config, executor,
+            missing, historical_memo,
+        )
+
+    @classmethod
+    def repinned(
+        cls, gather: ShardGather, config: EngineConfig,
+        executor: QueryExecutor, missing: Mapping[int, int],
+        historical_memo: HistoricalMemo,
+    ) -> "ClusterSnapshot":
+        """A new view over ``gather`` with pins of its own: each handle's
+        registry refcount and run pins taken again, directly."""
+        view = cls.__new__(cls)
+        view._read(gather, config, executor, missing, historical_memo)
+        view._repinned = True
+        for handle in gather.handles:
+            handle._pin()
+        return view
+
+    def _read(self, gather, config, executor, missing, historical_memo):
+        super().__init__(config, executor, gather.handles[0]._latency)
+        self._gather, self._repinned = gather, False
+        (self.handles, self.shard_ids, self.epoch, self.n_historical,
+         self.m_stream, self._summaries, self._key, self._stream,
+         _) = gather
         #: quarantined-at-pin shard id -> acked elements it holds.
         self.missing: Dict[int, int] = (
             {int(k): int(v) for k, v in missing.items()} if missing else {}
         )
-        #: tuple of per-shard epochs — hashable, so the coalescer's
-        #: same-epoch batching works unchanged.
-        self.epoch = tuple(h.epoch for h in self.handles)
-        self.n_historical = sum(h.n_historical for h in self.handles)
-        self.m_stream = sum(h.m_stream for h in self.handles)
-        # Shard-major, off the handles' layouts: the full scope's HS order.
-        self._summaries = [s for h in self.handles for s in h._summaries]
-        self._key = sum((h._key for h in self.handles), ())
         self._historical_memo = historical_memo or HistoricalMemo()
-        self._stream = stream or merged_stream(
-            [h._stream for h in self.handles], config.epsilon2
-        )
 
     def _release_pins(self) -> None:
         for handle in self.handles:
-            handle.release()
+            if self._repinned:  # the pins repinned took, not the handle's
+                handle._release_pins()
+            else:
+                handle.release()
 
     # -- the union scope ------------------------------------------------
 
@@ -335,7 +360,7 @@ class ClusterSnapshot(PinnedView):
         return super().combined(window_steps, step_range)
 
     def _new_cache(self) -> ShardedBlockCache:
-        return ShardedBlockCache(self.handles)
+        return ShardedBlockCache(self._gather)
 
     def _on_degraded(self, cache: ShardedBlockCache) -> None:
         # Counted on the shard whose disk faulted.
@@ -350,19 +375,14 @@ class ClusterSnapshot(PinnedView):
         mode: str,
         cache: Optional[ShardedBlockCache] = None,
     ) -> QueryResult:
-        """:func:`~repro.core.query_path.answer_rank` over the union
-        scope, plus what is cluster-specific.
+        """:func:`~repro.core.query_path.answer_rank` over the union.
 
-        *Culprit exclusion*: when a shard's disk faults mid-search and
-        ``min_gather_shards`` leaves quorum to spare, that shard is
-        excluded and the search re-run on a snapshot of the survivors.
-        *Partial results*: with shards excluded here or quarantined at
-        pin time, the answer's rank bound is widened by the missing
-        shards' element counts (:func:`~repro.core.bounds.widen_rank_bound`)
-        and a :class:`~repro.core.bounds.PartialResult` attached.  With
-        every shard answering and no faults the result is
-        ``answer_rank``'s, untouched — a 1-shard cluster runs the plain
-        engine's lines.
+        A shard whose disk faults mid-search is excluded, and the search
+        re-run over the survivors, while ``min_gather_shards`` leaves
+        quorum to spare.  With shards excluded or quarantined the bound
+        is widened by their element counts and a
+        :class:`~repro.core.bounds.PartialResult` attached; otherwise
+        the result is ``answer_rank``'s, untouched.
         """
         started = time.perf_counter()
         quorum = max(1, self.config.min_gather_shards)
@@ -444,30 +464,22 @@ class ClusterSnapshot(PinnedView):
 class ClusterEngine(PinnedQueries):
     """Facade over N engine shards: one logical stream, one query API.
 
-    Construction creates the shards (each with a fresh simulated disk)
-    and the router.  Ingest fans out deterministically; time steps
-    advance in lockstep (``end_time_step`` seals every shard); queries
-    pin all shards and gather.  The serving layer's
-    :class:`~repro.serving.service.QueryService` drives a cluster
-    through the same surface as a single engine — ``pin``, ``config``,
-    ``shared_cache`` (``None``, so its views are never warmed) and
-    ``disk``.
-
-    Fault tolerance:
+    Ingest fans out deterministically, time steps advance in lockstep
+    and queries pin all shards and gather.  The serving layer drives a
+    cluster through a single engine's surface — ``pin``, ``config``,
+    ``shared_cache`` (``None``: its views are never warmed) and ``disk``.
 
     * ``fault_plan`` wraps each shard's device in its own seeded
-      :class:`~repro.faults.FaultyDisk` (see
-      :meth:`FaultPlan.for_shard <repro.faults.plan.FaultPlan.for_shard>`
-      for the derivation), so chaos scenarios replay from one integer.
+      :class:`~repro.faults.FaultyDisk` (:meth:`FaultPlan.for_shard
+      <repro.faults.plan.FaultPlan.for_shard>`): chaos replays from one
+      integer.
     * ``wal_dir`` gives every shard a durable
       :class:`~repro.ingest.wal.WriteAheadLog` under
       ``<wal_dir>/shard-NN/``; acked ingest survives a shard crash.
-    * :meth:`kill_shard` quarantines a poisoned shard — its slot turns
-      ``None``, ingest routed to it banks into the retained WAL writer,
-      queries gather partially (quorum permitting) — and
-      :meth:`rejoin_shard` swaps a restored engine back in.  The
-      :class:`~repro.cluster.supervisor.ShardSupervisor` automates the
-      quarantine -> restore -> rejoin loop.
+    * :meth:`kill_shard` quarantines a shard (its slot turns ``None``,
+      its ingest banks into the retained WAL, queries gather partially)
+      and :meth:`rejoin_shard` swaps a restored engine back in, a loop
+      the :class:`~repro.cluster.supervisor.ShardSupervisor` automates.
     """
 
     def __init__(
@@ -538,6 +550,9 @@ class ClusterEngine(PinnedQueries):
         #: the shard views last merged, and their merge.
         self._merged: tuple = ([], None)
         self._merge_lock = threading.Lock()
+        # The gather of the last pin (no pins held): reused while every
+        # live shard would pin the same, dropped by every write verb.
+        self._gather: Optional[ShardGather] = None
 
     # -- ingest ---------------------------------------------------------
 
@@ -551,21 +566,17 @@ class ClusterEngine(PinnedQueries):
         """Quarantined shard index -> reason (copy)."""
         return dict(self._quarantined)
 
-    def _wal_only_append(self, shard: int, chunk: np.ndarray) -> None:
-        """Bank a quarantined shard's sub-batch into its retained WAL.
-
-        The append is durable before the caller's ack returns, so the
-        supervisor's recovery (checkpoint + WAL roll-forward) observes
-        every element ever acked for the slot.  Without a WAL there is
-        nowhere durable to put the data — refuse the write.
-        """
+    def _bank(self, shard: int) -> WriteAheadLog:
+        """The retained WAL a quarantined shard's writes bank into,
+        durably before the ack, so recovery replays every acked element;
+        without one there is nowhere durable to put them: refused."""
         wal = self._wals[shard]
         if wal is None:
             raise ClusterUnavailable(
                 f"shard {shard} is quarantined and has no WAL to bank "
                 "writes into"
             )
-        wal.append_batch(chunk)
+        return wal
 
     def stream_update(self, value: int) -> None:
         """Route one live element to its shard (WAL-only if quarantined).
@@ -577,44 +588,45 @@ class ClusterEngine(PinnedQueries):
         shard = self.router.shard_of(arr[0])
         engine = self.shards[shard]
         if engine is None:
-            self._wal_only_append(shard, arr)
+            self._bank(shard).append_batch(arr)
         else:
             engine.stream_update(int(arr[0]))
         self._shard_elems[shard] += 1
+        self._gather = None
 
     def stream_update_many(self, values: np.ndarray) -> int:
         """Fan a numpy batch out per shard in one vectorized pass.
 
-        Each shard receives its sub-stream in arrival order, so the
-        fanned batch is indistinguishable from element-wise routing
-        (and each shard's own batched path preserves its single-engine
-        bit-identity contract).  Sub-batches routed to a quarantined
-        shard are banked durably into its WAL and applied at recovery.
-        Returns the number of elements ingested.
+        Each shard receives its sub-stream in arrival order, exactly as
+        element-wise routing would feed it.  A quarantined shard's chunk
+        is banked into its WAL; if one has no WAL the whole batch is
+        refused before any shard takes its chunk.  Returns the count.
         """
         arr = as_int64_batch(values)
         if arr.size == 0:
             return 0
-        for shard, chunk in enumerate(self.router.route_many(arr)):
+        chunks = self.router.route_many(arr)
+        banks = {
+            shard: self._bank(shard)
+            for shard, chunk in enumerate(chunks)
+            if chunk.size and self.shards[shard] is None
+        }
+        for shard, chunk in enumerate(chunks):
             if not chunk.size:
                 continue
-            engine = self.shards[shard]
-            if engine is None:
-                self._wal_only_append(shard, chunk)
+            if shard in banks:
+                banks[shard].append_batch(chunk)
             else:
-                engine.stream_update_many(chunk)
+                self.shards[shard].stream_update_many(chunk)
             self._shard_elems[shard] += int(chunk.size)
+        self._gather = None
         return int(arr.size)
 
     def end_time_step(self) -> "List[Optional[StepReport]]":
-        """Seal the current step on every shard (lockstep).
-
-        Returns the per-shard step reports in shard order.  All shards
-        seal even when a shard received no elements this step, so step
-        numbering — and therefore windowed queries — stays aligned
-        across the cluster.  A quarantined shard gets a seal frame in
-        its WAL instead (recovery replays it to the same lockstep) and
-        a ``None`` placeholder in the report list.
+        """Seal the current step on every shard (lockstep), empty or
+        not, so step numbers and windows stay aligned; the per-shard
+        reports in shard order.  A quarantined shard gets a seal frame
+        in its WAL instead (recovery replays it) and a ``None`` report.
         """
         reports: "List[Optional[StepReport]]" = []
         for index, shard in enumerate(self.shards):
@@ -626,18 +638,17 @@ class ClusterEngine(PinnedQueries):
             else:
                 reports.append(shard.end_time_step())
         self._step += 1
+        self._gather = None
         return reports
 
     def flush(self) -> "List[Optional[List[StepReport]]]":
-        """Drain every live shard's archiver (all attempted, errors joined).
-
-        Every live shard is flushed even when an earlier one fails;
-        quarantined slots yield ``None``.  A single failure re-raises
-        that shard's original exception unchanged; multiple failures
-        raise :class:`ShardErrors` carrying all of them, so one
-        poisoned shard can never mask another's state.
+        """Drain every live shard's archiver, an earlier failure
+        notwithstanding (quarantined slots yield ``None``).  One failure
+        re-raises unchanged; several raise :class:`ShardErrors` with all
+        of them, so no poisoned shard masks another's state.
         """
         results, errors = self._on_live_shards("flush")
+        self._gather = None
         self._raise_joined("flush", errors)
         return results
 
@@ -672,9 +683,7 @@ class ClusterEngine(PinnedQueries):
     @property
     def n_historical(self) -> int:
         """Elements archived across all live shards."""
-        return sum(
-            s.n_historical for s in self.shards if s is not None
-        )
+        return sum(s.n_historical for s in self.shards if s is not None)
 
     @property
     def m_stream(self) -> int:
@@ -698,11 +707,8 @@ class ClusterEngine(PinnedQueries):
 
     @property
     def shared_cache(self):
-        """Always ``None``: shared tiers live inside each shard.
-
-        The serving layer warms a pinned view only when this is not
-        ``None``, so a cluster's views are never warmed.
-        """
+        """Always ``None``: shared tiers live inside each shard, so the
+        serving layer never warms a cluster's views."""
         return None
 
     @property
@@ -724,25 +730,17 @@ class ClusterEngine(PinnedQueries):
         return sorted(common)
 
     def per_shard_sim_seconds(self) -> List[float]:
-        """Simulated seconds accrued on each shard's device so far.
-
-        ``max`` over the list is the cluster's I/O critical path — the
-        wall-clock a deployment with one real device per shard would
-        observe; ``sum`` is the single-device equivalent.  Quarantined
-        slots report ``0.0`` (their device is gone with the engine).
-        """
+        """Simulated seconds accrued on each shard's device so far
+        (``0.0`` when quarantined): ``max`` is the I/O critical path of
+        one device per shard, ``sum`` the single-device equivalent."""
         return [
             s.disk.simulated_seconds() if s is not None else 0.0
             for s in self.shards
         ]
 
     def shard_reports(self) -> List[dict]:
-        """Per-shard metrics: sizes, epochs, I/O — the gather side.
-
-        One dict per shard with ingest sizes, epoch-layer counters and
-        simulated-device accounting, ready for the serving layer's
-        metrics endpoint or the ablation's JSON rows.
-        """
+        """One dict per shard: ingest sizes, epoch-layer counters and
+        simulated-device accounting (or why it is quarantined)."""
         reports = []
         for index, shard in enumerate(self.shards):
             if shard is None:
@@ -782,17 +780,17 @@ class ClusterEngine(PinnedQueries):
     def pin(self) -> ClusterSnapshot:
         """Pin every live shard (in shard order) into one consistent view.
 
-        Per-shard pins are individually atomic against that shard's
-        sealing; cross-shard exactness holds when ingest is quiesced
-        (the equivalence harness's regime).  On failure every
-        already-acquired pin is released.
+        Each shard's pin is atomic against its sealing; cross-shard
+        exactness holds when ingest is quiesced.  While every live shard
+        would pin what the last pin's :class:`ShardGather` holds, the
+        view is :meth:`ClusterSnapshot.repinned` over it: no
+        ``engine.pin()``, nothing concatenated again.  Otherwise each
+        shard is pinned (all released if one fails) and the gather kept.
 
-        With quarantined shards: strict gather
-        (``min_gather_shards == 0``, the default) raises
-        :class:`ClusterUnavailable`; otherwise the snapshot carries the
-        missing shards' acked counts so every answer widens its bound
-        and reports a :class:`~repro.core.bounds.PartialResult`.
-        Quorum is ``max(1, min_gather_shards)`` live shards.
+        With quarantined shards a strict gather (``min_gather_shards ==
+        0``) raises :class:`ClusterUnavailable`; otherwise, quorum
+        (``max(1, min_gather_shards)`` live shards) permitting, every
+        answer widens its bound by the missing shards' acked counts.
         """
         live = [
             (index, shard)
@@ -811,6 +809,13 @@ class ClusterEngine(PinnedQueries):
                     f"only {len(live)} of {len(self.shards)} shards are "
                     f"live; gather quorum is {quorum}"
                 )
+        missing = {i: self._shard_elems[i] for i in self._quarantined}
+        gather = self._gather
+        if gather is not None and gather.holds(live):
+            return ClusterSnapshot.repinned(
+                gather, self.config, self._executor, missing,
+                self._historical_memo,
+            )
         handles: List[SnapshotHandle] = []
         try:
             for _, shard in live:
@@ -820,18 +825,12 @@ class ClusterEngine(PinnedQueries):
             for handle in handles:
                 handle.release()
             raise
-        return ClusterSnapshot(
-            handles,
-            self.config,
-            self._executor,
-            shard_ids=[index for index, _ in live],
-            missing={
-                index: self._shard_elems[index]
-                for index in self._quarantined
-            },
-            historical_memo=self._historical_memo,
-            stream=stream,
+        view = ClusterSnapshot(
+            handles, self.config, self._executor, [i for i, _ in live],
+            missing, self._historical_memo, stream,
         )
+        self._gather = view._gather
+        return view
 
     def _merged_stream(self, views: List[StreamView]) -> StreamView:
         """The merge of the shards' ``views``, the last one again while
@@ -851,14 +850,9 @@ class ClusterEngine(PinnedQueries):
     # -- fault handling -------------------------------------------------
 
     def kill_shard(self, shard: int, reason: str = "poisoned") -> None:
-        """Quarantine a shard: detach its WAL, tear the engine down.
-
-        The WAL writer is retained by the cluster, so ingest routed to
-        the dead shard keeps acking durably (WAL-only) while the
-        supervisor restores it.  Errors from the dying engine are
-        swallowed — the shard is being quarantined *because* it is
-        broken.
-        """
+        """Quarantine a shard: keep its WAL writer, so ingest routed to
+        it keeps acking durably while the supervisor restores it, and
+        tear the engine down (its errors swallowed: it is broken)."""
         engine = self.shards[shard]
         if engine is None:
             raise ValueError(f"shard {shard} is already quarantined")
@@ -872,17 +866,14 @@ class ClusterEngine(PinnedQueries):
             pass
         self.shards[shard] = None
         self._quarantined[shard] = str(reason)
+        self._gather = None
 
     def rejoin_shard(
         self, shard: int, engine: HybridQuantileEngine
     ) -> None:
-        """Swap a restored engine back into a quarantined slot.
-
-        The engine must have caught up to the cluster: same sealed-step
-        count and the full acked element count for the slot — both are
-        what checkpoint-plus-WAL-replay recovery guarantees.  Adopts
-        the restored engine's WAL writer as the slot's writer.
-        """
+        """Swap a restored engine, and its WAL writer, into a quarantined
+        slot.  It must have caught up — the cluster's sealed steps and the
+        slot's acked elements, as checkpoint-plus-WAL recovery does."""
         if self.shards[shard] is not None:
             raise ValueError(f"shard {shard} is not quarantined")
         if engine.steps_sealed != self._step:
@@ -897,29 +888,24 @@ class ClusterEngine(PinnedQueries):
             )
         self.shards[shard] = engine
         self._quarantined.pop(shard, None)
+        self._gather = None
         wal = getattr(engine, "_wal", None)
         if wal is not None:
             self._wals[shard] = wal
 
     def release_wal(self, shard: int) -> None:
-        """Close and drop the cluster-retained WAL writer for a slot.
-
-        The supervisor calls this right before restoring the shard:
-        ``load_engine(wal_dir=...)`` opens its own writer on the same
-        directory, and a directory admits exactly one live writer.
-        """
+        """Close and drop a slot's retained WAL writer, right before a
+        restore: ``load_engine(wal_dir=...)`` opens the directory's one
+        live writer itself."""
         wal = self._wals[shard]
         if wal is not None:
             self._wals[shard] = None
             wal.close()
 
     def reopen_wal(self, shard: int) -> None:
-        """Reopen a quarantined slot's WAL writer after a failed restore.
-
-        Idempotent; a no-op without a WAL root or when a writer is
-        already open.  Keeps the slot durably writable between restore
-        attempts.
-        """
+        """Reopen a quarantined slot's WAL writer after a failed restore,
+        keeping it durably writable (a no-op without a WAL root or with
+        a writer open)."""
         if self._wal_root is None or self._wals[shard] is not None:
             return
         self._wals[shard] = WriteAheadLog(
@@ -970,14 +956,8 @@ class ClusterEngine(PinnedQueries):
                 )
 
     def close(self) -> None:
-        """Close every shard (all attempted, errors joined).
-
-        Every live shard is closed even when an earlier one fails, and
-        quarantined slots' cluster-retained WAL writers are closed too.
-        A single failure re-raises that shard's original exception
-        unchanged; multiple failures raise :class:`ShardErrors` with
-        all of them — a poisoned shard cannot mask another's.
-        """
+        """Close every live shard and every quarantined slot's retained
+        WAL writer, errors joined as :meth:`flush` joins them."""
         _, errors = self._on_live_shards("close")
         for index, wal in enumerate(self._wals):
             if wal is not None and self.shards[index] is None:

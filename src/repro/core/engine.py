@@ -690,6 +690,21 @@ class HybridQuantileEngine(PinnedQueries):
             layout = self._layout = self._derive_layout()
         return layout
 
+    def _pins_as(self, layout: Layout, stream: StreamView) -> bool:
+        """Whether a pin now would read ``layout`` and ``stream``: no
+        lock, yet linearizable, as each field read only moves away from
+        what a pin saw (the epoch grows, a dropped layout or sketch is
+        never reinstalled, ``m`` grows while the sketch stays).  If all
+        match, all held from that pin to the first read; a check racing
+        a seal sees the old version whole, ordered before it, or fails.
+        """
+        return (
+            self._layout is layout
+            and layout.epoch == self._epochs.current
+            and stream.source is self._gk
+            and stream.size == self._m
+        )
+
     def pin(self) -> SnapshotHandle:
         """Pin a refcounted, consistent (HS, SS, partition-set) view.
 

@@ -357,17 +357,21 @@ class SnapshotHandle(PinnedView):
         disk = engine.disk
         super().__init__(engine.config, engine.query_executor, disk.latency)
         self._engine = engine
+        self._layout = layout
         (self.epoch, self.created_at_step, self.n_historical, self._run_ids,
          self._key, self.partitions, self._summaries) = layout
         self._stream = stream
         self.gk = stream.sketch  # shared with other handles: read only
         self.m_stream = stream.size
         self._historical_memo = engine._historical_memo
-        engine._epochs.pin(self.epoch)
-        # Eviction safety: a run referenced by a live handle is pinned
-        # in the storage backend, so the hot-tier LRU never demotes a
-        # run out from under this snapshot's probes.
-        disk.backend.pin_runs(self._run_ids)
+        self._pin()
+
+    def _pin(self) -> None:
+        """Take a registry refcount and a backend pin per run (what
+        :meth:`_release_pins` drops): the hot tier's LRU never demotes a
+        pinned run from under a probe."""
+        self._engine._epochs.pin(self.epoch)
+        self._engine.disk.backend.pin_runs(self._run_ids)
 
     def _release_pins(self) -> None:
         self._engine._epochs.release(self.epoch)

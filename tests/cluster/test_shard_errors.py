@@ -1,9 +1,10 @@
-"""close()/flush() must visit every shard and aggregate all failures."""
+"""close()/flush() must visit every shard and aggregate all failures;
+a write the cluster refuses must leave every shard as it was."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterEngine, ShardErrors
+from repro.cluster import ClusterEngine, ClusterUnavailable, ShardErrors
 from repro.core.config import EngineConfig
 
 
@@ -85,3 +86,20 @@ def test_clean_close_is_quiet():
     cluster.flush()
     cluster.close()
     assert closed == [0, 1, 2, 3]
+
+
+def test_a_refused_write_feeds_no_shard():
+    """A quarantined shard with no WAL to bank into refuses the whole
+    batch before any live shard takes its chunk or anything is acked."""
+    cluster = make_cluster(shards=3)
+    rng = np.random.default_rng(8)
+    cluster.kill_shard(2)
+    acked = cluster.n_acked
+    held = [shard.n_total for shard in cluster.shards[:2]]
+    with pytest.raises(ClusterUnavailable, match="no WAL"):
+        cluster.stream_update_many(rng.integers(0, 10_000, 300))
+    assert cluster.n_acked == acked
+    assert [shard.n_total for shard in cluster.shards[:2]] == held
+    # What the live shards hold is still what the cluster acked them.
+    cluster.check_invariants()
+    cluster.close()

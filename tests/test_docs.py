@@ -78,7 +78,7 @@ def test_src_lines_only_go_down():
     lines = sum(
         path.read_bytes().count(b"\n") for path in src.rglob("*.py")
     )
-    assert lines <= 15755
+    assert lines <= 15754
 
 
 def test_docs_lines_only_go_down():
@@ -90,7 +90,7 @@ def test_docs_lines_only_go_down():
     lines = sum(
         path.read_bytes().count(b"\n") for path in _TUNING.parent.glob("*.md")
     )
-    assert lines <= 2360
+    assert lines <= 2359
 
 
 #: Fields nothing outside ``tests/`` sets, each with why it stays a
