@@ -15,7 +15,9 @@ and that ``check_invariants`` — which compares the shared layout with a
 fresh one — passes.  It logs every acked write, and every full-scope
 quick or accurate answer must pass ``bench.oracle.Oracle.verify``
 against the writes acked before the engine answered or the handle was
-pinned.
+pinned.  A sibling machine does the same to a 3-shard KLL cluster, whose
+pins reuse one gather per cluster version, with views held across
+writes and seals.
 """
 
 import shutil
@@ -60,6 +62,20 @@ def fresh_derivation(engine):
             sum(map(len, partitions)),
             engine.steps_sealed,
         )
+
+
+def verify(oracle, writes, mode, phi, at, result):
+    """``Oracle.verify`` of one answer given at logical time ``at``.
+
+    Checked as tests/test_differential.py does: a quick answer's
+    ``eps1 * n + eps2 * m`` is exceeded on short streams (one sealed
+    element under 165 live ones: error 5 > 2.09 + 2), while Lemma 3
+    allows 1.5 * eps * N.
+    """
+    if mode == "quick":
+        result = replace(result, rank_error_bound=2 * result.rank_error_bound)
+    verdict = oracle.verify(writes, [Answer(mode, phi, at, at, result)])
+    assert not verdict.failures, verdict.failures
 
 
 def handle_print(handle):
@@ -157,16 +173,7 @@ class LayoutMachine(RuleBasedStateMachine):
         result = view.quantile(phi, mode)
         assert result.total_size == view.n_total
         at = self.tick() if view is self.engine else self.pinned_at[view]
-        if mode == "quick":
-            # Checked as tests/test_differential.py does: a quick answer's
-            # ``eps1 * n + eps2 * m`` is exceeded on short streams (one
-            # sealed element under 165 live ones: error 5 > 2.09 + 2),
-            # while Lemma 3 allows 1.5 * eps * N.
-            bound = 2 * result.rank_error_bound
-            result = replace(result, rank_error_bound=bound)
-        answer = Answer(mode, phi, at, at, result)
-        verdict = self.oracle.verify(self.writes, [answer])
-        assert not verdict.failures, verdict.failures
+        verify(self.oracle, self.writes, mode, phi, at, result)
 
     @precondition(lambda self: self.handles)
     @rule(
@@ -224,6 +231,89 @@ TestLayoutMachine.settings = settings(
     max_examples=50,
     stateful_step_count=30,
     deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class ClusterMachine(RuleBasedStateMachine):
+    """Writes, seals, flushes, held views and queries against a 3-shard
+    KLL cluster with background ingest.  After every step the cluster's
+    invariants hold and every live shard counts one pin per held view."""
+
+    SHARDS = 3
+    CONFIG = replace(LayoutMachine.CONFIG, sketch_backend="kll")
+
+    def __init__(self):
+        super().__init__()
+        self.cluster = ClusterEngine(shards=self.SHARDS, config=self.CONFIG)
+        self.rng = np.random.default_rng(1)
+        # (view, the logical time it was pinned at)
+        self.views = []
+        self.oracle, self.writes, self.clock = Oracle(), [], 0
+
+    def tick(self):
+        self.clock += 1
+        return self.clock
+
+    def teardown(self):
+        for view, _ in self.views:
+            view.release()
+        self.cluster.close()
+
+    @rule(size=st.integers(1, 300))
+    def update(self, size):
+        values = self.rng.integers(0, 10**6, size)
+        self.cluster.stream_update_many(values)
+        at = self.tick()
+        self.writes.append((at, at, values))
+
+    @rule()
+    def seal(self):
+        self.cluster.end_time_step()
+
+    @rule()
+    def flush(self):
+        self.cluster.flush()
+
+    @rule()
+    def pin(self):
+        self.views.append((self.cluster.pin(), self.tick()))
+
+    @precondition(lambda self: self.views)
+    @rule(data=st.data())
+    def release(self, data):
+        index = data.draw(st.integers(0, len(self.views) - 1))
+        self.views.pop(index)[0].release()
+
+    @rule(
+        data=st.data(),
+        phi=st.floats(0.01, 1.0),
+        mode=st.sampled_from(["quick", "accurate"]),
+    )
+    def query(self, data, phi, mode):
+        """The cluster, or one of the held views."""
+        index = data.draw(st.integers(-1, len(self.views) - 1))
+        view, at = (self.cluster, None) if index < 0 else self.views[index]
+        if view.n_total == 0:
+            return
+        result = view.quantile(phi, mode)
+        assert result.total_size == view.n_total
+        at = self.tick() if at is None else at
+        verify(self.oracle, self.writes, mode, phi, at, result)
+
+    @invariant()
+    def invariants_hold(self):
+        self.cluster.check_invariants()
+        for shard in self.cluster.shards:
+            assert shard.epoch_stats.live_pins == len(self.views)
+
+
+TestClusterMachine = ClusterMachine.TestCase
+TestClusterMachine.settings = settings(
+    max_examples=60,
+    stateful_step_count=30,
+    deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
