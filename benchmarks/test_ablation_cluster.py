@@ -20,6 +20,10 @@ makes:
 * *accurate exactness* — scatter/gather answers stay within the
   single-engine accurate bound at every shard count.
 
+It also times ``quick_hit_qps``: ``HITS`` quick queries at one cluster
+version after the timed post-seal ones, the rate of pins that reuse the
+cluster's gathered view and the memo's TS.  A report, not a gate.
+
 The table is written to ``BENCH_cluster.json`` next to this file; the
 CI cluster job regenerates and uploads it.
 """
@@ -40,6 +44,8 @@ from repro.workloads import NormalWorkload
 PHIS = (0.05, 0.25, 0.5, 0.75, 0.95)
 SHARDS = (1, 4, 16)
 STEPS = 5
+#: quick queries timed at one version for ``quick_hit_qps``.
+HITS = 200
 STEP_ELEMS = int(20_000 * SCALE)
 EPSILON = 0.02
 BACKEND = "kll"
@@ -81,6 +87,10 @@ def drive(shards):
     tick = time.perf_counter()
     quick = [cluster.quantile(phi, mode="quick") for phi in PHIS]
     quick_seconds = time.perf_counter() - tick
+    tick = time.perf_counter()
+    for turn in range(HITS):
+        cluster.quantile(PHIS[turn % len(PHIS)], mode="quick")
+    hit_seconds = time.perf_counter() - tick
     accurate = [cluster.quantile(phi, mode="accurate") for phi in PHIS]
 
     full = np.sort(np.concatenate(chunks))
@@ -96,6 +106,7 @@ def drive(shards):
         "sim_throughput": elements / critical,
         "ingest_wall_seconds": ingest_wall,
         "quick_qps": len(PHIS) / quick_seconds,
+        "quick_hit_qps": HITS / hit_seconds,
         "worst_quick_error": max(quick_errors),
         "quick_bound": max(r.rank_error_bound for r in quick),
         "worst_accurate_error": max(accurate_errors),
@@ -142,6 +153,7 @@ def test_ablation_cluster(benchmark):
             "sim crit s",
             "elems/sim s",
             "quick qps",
+            "hit qps",
             "quick err<=",
             "acc err<=",
         ],
@@ -151,6 +163,7 @@ def test_ablation_cluster(benchmark):
                 r["sim_critical_seconds"],
                 r["sim_throughput"],
                 r["quick_qps"],
+                r["quick_hit_qps"],
                 f"{r['worst_quick_error']}/{r['quick_bound']}",
                 f"{r['worst_accurate_error']}/{r['accurate_bound']}",
             ]
@@ -179,6 +192,9 @@ def test_ablation_cluster(benchmark):
             },
             "rows": rows,
             "sim_speedup_4_over_1": speedup,
+            "quick_hit_16_over_1": (
+                by_shards[16]["quick_hit_qps"] / by_shards[1]["quick_hit_qps"]
+            ),
             "merged_kll_16": {
                 "worst_error": merged_error,
                 "bound": merged_bound,
