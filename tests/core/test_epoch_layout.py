@@ -65,15 +65,8 @@ def fresh_derivation(engine):
 
 
 def verify(oracle, writes, mode, phi, at, result):
-    """``Oracle.verify`` of one answer given at logical time ``at``.
-
-    Checked as tests/test_differential.py does: a quick answer's
-    ``eps1 * n + eps2 * m`` is exceeded on short streams (one sealed
-    element under 165 live ones: error 5 > 2.09 + 2), while Lemma 3
-    allows 1.5 * eps * N.
-    """
-    if mode == "quick":
-        result = replace(result, rank_error_bound=2 * result.rank_error_bound)
+    """``Oracle.verify`` of one answer given at logical time ``at``,
+    against the bound the answer reports."""
     verdict = oracle.verify(writes, [Answer(mode, phi, at, at, result)])
     assert not verdict.failures, verdict.failures
 
