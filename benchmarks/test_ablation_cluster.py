@@ -1,8 +1,9 @@
 """Ablation A11: sharded cluster — shard count x merged-KLL accuracy.
 
-A ``ClusterEngine`` fans the stream over N independent engines, each
-with its own simulated disk, so the modeled cost of ingest is the
-*critical path* — the max per-shard simulated seconds — not the sum.
+A ``ClusterEngine`` sends each time step to one of N independent
+engines (its home shard), each with its own simulated disk, so the
+modeled cost of ingest is the *critical path* — the max per-shard
+simulated seconds — not the sum.
 This ablation drives the same seeded Normal stream through
 
     shards in {1, 4, 16}        (sketch_backend = "kll")
@@ -18,7 +19,10 @@ makes:
   reported merged bound against exact ground truth, and a direct
   merge of per-shard KLL sketches holds the ``eps * n`` union bound;
 * *accurate exactness* — scatter/gather answers stay within the
-  single-engine accurate bound at every shard count.
+  single-engine accurate bound at every shard count;
+* *one engine's partitions* — 16 shards hold as many non-empty
+  partitions, and as long an HS, as one shard: a step lives on its
+  home alone.
 
 It also times ``quick_hit_qps``: ``HITS`` quick queries at one cluster
 version after the timed post-seal ones, the rate of pins that reuse the
@@ -35,7 +39,7 @@ import numpy as np
 
 from common import SCALE, bench_path, show, write_bench
 from conftest import run_once
-from repro.cluster import ClusterEngine, ShardRouter
+from repro.cluster import ClusterEngine
 from repro.core.config import EngineConfig
 from repro.sketches.base import rank_for_phi
 from repro.sketches.kll import KLLSketch
@@ -92,6 +96,9 @@ def drive(shards):
         cluster.quantile(PHIS[turn % len(PHIS)], mode="quick")
     hit_seconds = time.perf_counter() - tick
     accurate = [cluster.quantile(phi, mode="accurate") for phi in PHIS]
+    with cluster.pin() as view:
+        partitions = sum(len(p) > 0 for p in view.scope()[0])
+        hs_entries = len(view.combined().historical)
 
     full = np.sort(np.concatenate(chunks))
     quick_errors = [rank_error(full, r) for r in quick]
@@ -107,6 +114,8 @@ def drive(shards):
         "ingest_wall_seconds": ingest_wall,
         "quick_qps": len(PHIS) / quick_seconds,
         "quick_hit_qps": HITS / hit_seconds,
+        "partitions": partitions,
+        "hs_entries": hs_entries,
         "worst_quick_error": max(quick_errors),
         "quick_bound": max(r.rank_error_bound for r in quick),
         "worst_accurate_error": max(accurate_errors),
@@ -115,14 +124,13 @@ def drive(shards):
 
 
 def merged_kll_check(shards):
-    """Direct merge of per-shard KLL sketches holds the union bound."""
+    """Direct merge of per-shard KLL sketches holds the union bound: the
+    data interleaved over ``shards`` non-empty sketches."""
     data = NormalWorkload(seed=808).generate(STEPS * STEP_ELEMS)
-    parts = ShardRouter(shards).route_many(data)
     sketches = []
-    for index, part in enumerate(parts):
+    for index in range(shards):
         sketch = KLLSketch(EPSILON, seed=1 + index)
-        if part.size:
-            sketch.update_many(part)
+        sketch.update_many(data[index::shards])
         sketches.append(sketch)
     merged = KLLSketch.merge_many(sketches, seed=99)
     full = np.sort(data)
@@ -202,6 +210,9 @@ def test_ablation_cluster(benchmark):
         },
     )
 
+    # Home routing: 16 shards hold one shard's partitions and HS.
+    for key in ("partitions", "hs_entries"):
+        assert by_shards[16][key] == by_shards[1][key], (key, rows)
     # Throughput: per-shard disks run concurrently, so 4 shards must
     # clear the floor on the simulated-I/O critical path.
     assert speedup >= SPEEDUP_FLOOR, speedup

@@ -1,10 +1,10 @@
 """Sharded cluster: one stream fanned over four engines.
 
-A :class:`~repro.cluster.ClusterEngine` hash-routes every value to one
-of N independent engines, each with its own simulated disk.  Ingest
-and accurate-query I/O run on all shards concurrently, so the modeled
-cost is the *critical path* — the max per-shard simulated seconds —
-not the sum.  This demo feeds the same seeded stream into a plain
+A :class:`~repro.cluster.ClusterEngine` sends each time step whole to
+one of N independent engines (its home shard), each with its own
+simulated disk.  Steps and accurate-query I/O land on different
+devices, so the modeled cost is the *critical path* — the max
+per-shard simulated seconds — not the sum.  This demo feeds the same seeded stream into a plain
 engine and a 4-shard cluster (KLL backend, so per-shard summaries
 merge without inflating the bound), compares simulated ingest I/O,
 shows quick answers agreeing within bounds and accurate answers

@@ -1,11 +1,11 @@
-"""Sharded multi-engine cluster: fan-out ingest, fused queries.
+"""Sharded multi-engine cluster: home-routed ingest, fused queries.
 
 :class:`ClusterEngine` runs N in-process
 :class:`~repro.core.engine.HybridQuantileEngine` shards, each on its
 **own** simulated device, so ingest I/O divides across devices and the
 simulated critical path (``max`` over shards) shrinks ~linearly with
-the shard count.  A :class:`~repro.cluster.router.ShardRouter` places
-elements; batched ingest fans a numpy array out in one vectorized pass.
+the shard count.  A :class:`~repro.cluster.router.ShardRouter` sends
+each time step's writes whole to one home shard.
 
 A :class:`ClusterSnapshot` answers through the single engine's
 :mod:`repro.core.query_path` over the shards' partitions (shard-major)
@@ -48,14 +48,9 @@ from ..faults.plan import FaultPlan
 from ..faults.retry import PROBE_RETRY_POLICY
 from ..ingest.wal import WriteAheadLog
 from ..query.executor import QueryExecutor
-from ..sketches.base import as_int64_batch
 from ..sketches.kll import KLLSketch
 from ..warehouse.partition import Partition
-from .router import ShardRouter
-
-
-class ClusterUnavailable(RuntimeError):
-    """Too few live shards to satisfy the gather contract."""
+from .router import ClusterUnavailable, ShardRouter
 
 
 class ShardErrors(RuntimeError):
@@ -464,10 +459,11 @@ class ClusterSnapshot(PinnedView):
 class ClusterEngine(PinnedQueries):
     """Facade over N engine shards: one logical stream, one query API.
 
-    Ingest fans out deterministically, time steps advance in lockstep
-    and queries pin all shards and gather.  The serving layer drives a
-    cluster through a single engine's surface — ``pin``, ``config``,
-    ``shared_cache`` (``None``: its views are never warmed) and ``disk``.
+    Each time step's ingest goes to one home shard, time steps advance
+    in lockstep and queries pin all shards and gather.  The serving
+    layer drives a cluster through a single engine's surface — ``pin``,
+    ``config``, ``shared_cache`` (``None``: its views are never warmed)
+    and ``disk``.
 
     * ``fault_plan`` wraps each shard's device in its own seeded
       :class:`~repro.faults.FaultyDisk` (:meth:`FaultPlan.for_shard
@@ -477,8 +473,8 @@ class ClusterEngine(PinnedQueries):
       :class:`~repro.ingest.wal.WriteAheadLog` under
       ``<wal_dir>/shard-NN/``; acked ingest survives a shard crash.
     * :meth:`kill_shard` quarantines a shard (its slot turns ``None``,
-      its ingest banks into the retained WAL, queries gather partially)
-      and :meth:`rejoin_shard` swaps a restored engine back in, a loop
+      writes go to live shards, queries gather partially) and
+      :meth:`rejoin_shard` swaps a restored engine back in, a loop
       the :class:`~repro.cluster.supervisor.ShardSupervisor` automates.
     """
 
@@ -542,6 +538,10 @@ class ClusterEngine(PinnedQueries):
         self._shard_elems: List[int] = [
             int(shard.n_total) for shard in self.shards
         ]
+        # A restored step under way keeps the shard whose stream holds it.
+        self.router.home = next(
+            (i for i, shard in enumerate(self.shards) if shard.m_stream), None
+        )
         self._executor = QueryExecutor(retry=PROBE_RETRY_POLICY)
         self._step = 0
         # TS's historical half per partition set (over the shard-major
@@ -566,67 +566,41 @@ class ClusterEngine(PinnedQueries):
         """Quarantined shard index -> reason (copy)."""
         return dict(self._quarantined)
 
-    def _bank(self, shard: int) -> WriteAheadLog:
-        """The retained WAL a quarantined shard's writes bank into,
-        durably before the ack, so recovery replays every acked element;
-        without one there is nowhere durable to put them: refused."""
-        wal = self._wals[shard]
-        if wal is None:
-            raise ClusterUnavailable(
-                f"shard {shard} is quarantined and has no WAL to bank "
-                "writes into"
-            )
-        return wal
-
     def stream_update(self, value: int) -> None:
-        """Route one live element to its shard (WAL-only if quarantined).
+        """Send one live element to the step's home shard.
 
         The value is checked like a one-element batch before it is
         routed: what ``stream_update_many`` refuses raises here too.
         """
-        arr = as_int64_batch([value])
-        shard = self.router.shard_of(arr[0])
-        engine = self.shards[shard]
-        if engine is None:
-            self._bank(shard).append_batch(arr)
-        else:
-            engine.stream_update(int(arr[0]))
-        self._shard_elems[shard] += 1
+        home, arr = self.router.route_many([value], self._acked_live())
+        self.shards[home].stream_update(int(arr[0]))
+        self._shard_elems[home] += 1
         self._gather = None
 
     def stream_update_many(self, values: np.ndarray) -> int:
-        """Fan a numpy batch out per shard in one vectorized pass.
-
-        Each shard receives its sub-stream in arrival order, exactly as
-        element-wise routing would feed it.  A quarantined shard's chunk
-        is banked into its WAL; if one has no WAL the whole batch is
-        refused before any shard takes its chunk.  Returns the count.
-        """
-        arr = as_int64_batch(values)
-        if arr.size == 0:
-            return 0
-        chunks = self.router.route_many(arr)
-        banks = {
-            shard: self._bank(shard)
-            for shard, chunk in enumerate(chunks)
-            if chunk.size and self.shards[shard] is None
-        }
-        for shard, chunk in enumerate(chunks):
-            if not chunk.size:
-                continue
-            if shard in banks:
-                banks[shard].append_batch(chunk)
-            else:
-                self.shards[shard].stream_update_many(chunk)
-            self._shard_elems[shard] += int(chunk.size)
-        self._gather = None
+        """Send a batch whole, in arrival order, to the step's home shard
+        (:meth:`ShardRouter.route_many`); with no shard live it is
+        refused before anything is applied.  Returns the count."""
+        home, arr = self.router.route_many(values, self._acked_live())
+        if arr.size:
+            self.shards[home].stream_update_many(arr)
+            self._shard_elems[home] += int(arr.size)
+            self._gather = None
         return int(arr.size)
+
+    def _acked_live(self) -> "List[Optional[int]]":
+        """Acked elements per shard, ``None`` where quarantined."""
+        return [
+            None if shard is None else acked
+            for shard, acked in zip(self.shards, self._shard_elems)
+        ]
 
     def end_time_step(self) -> "List[Optional[StepReport]]":
         """Seal the current step on every shard (lockstep), empty or
         not, so step numbers and windows stay aligned; the per-shard
         reports in shard order.  A quarantined shard gets a seal frame
         in its WAL instead (recovery replays it) and a ``None`` report.
+        The next write picks the next step's home.
         """
         reports: "List[Optional[StepReport]]" = []
         for index, shard in enumerate(self.shards):
@@ -638,6 +612,7 @@ class ClusterEngine(PinnedQueries):
             else:
                 reports.append(shard.end_time_step())
         self._step += 1
+        self.router.home = None
         self._gather = None
         return reports
 
@@ -850,9 +825,10 @@ class ClusterEngine(PinnedQueries):
     # -- fault handling -------------------------------------------------
 
     def kill_shard(self, shard: int, reason: str = "poisoned") -> None:
-        """Quarantine a shard: keep its WAL writer, so ingest routed to
-        it keeps acking durably while the supervisor restores it, and
-        tear the engine down (its errors swallowed: it is broken)."""
+        """Quarantine a shard: keep its WAL writer for the lockstep seal
+        frames recovery replays, and tear the engine down (its errors
+        swallowed: it is broken).  Writes go to live shards, the rest
+        of the step to a new home if this was the step's."""
         engine = self.shards[shard]
         if engine is None:
             raise ValueError(f"shard {shard} is already quarantined")
@@ -904,8 +880,8 @@ class ClusterEngine(PinnedQueries):
 
     def reopen_wal(self, shard: int) -> None:
         """Reopen a quarantined slot's WAL writer after a failed restore,
-        keeping it durably writable (a no-op without a WAL root or with
-        a writer open)."""
+        so it keeps taking lockstep seal frames (a no-op without a WAL
+        root or with a writer open)."""
         if self._wal_root is None or self._wals[shard] is not None:
             return
         self._wals[shard] = WriteAheadLog(

@@ -1,87 +1,58 @@
-"""Shard routing: deterministic value -> shard placement.
+"""Shard routing: each time step has one home shard.
 
-A cluster splits one logical stream across N engine shards.  The
-router decides placement, and everything downstream (per-shard
-sketches, per-shard epochs, the fused query path) relies on two
-properties:
-
-* **determinism** — the same value always lands on the same shard, so
-  a replay of a recorded per-shard feed reconstructs each shard
-  bit-for-bit (the equivalence harness leans on this);
-* **order preservation within a shard** — ``route_many`` keeps each
-  shard's elements in arrival order, so fanning a batch out is
-  indistinguishable from each shard having observed its sub-stream
-  element by element (the same lazy-absorption contract the engines
-  already honor).
-
-One strategy, ``"hash"``: a splitmix64-style avalanche of the value
-picks the shard, statistically balanced for any input distribution.
+A cluster splits one logical stream across N engine shards by time.
+Every write of a step goes whole, in arrival order, to the step's
+*home*: the live shard with the fewest acked elements when the step's
+first write arrives (the lowest index on ties), picked again if the
+home is quarantined mid-step.  Where an element lives cannot change
+the union's quantiles, and KLL sketches merge over any split, so the
+cluster answers as one engine would; what one home per step keeps is
+one engine's partition count, seals and WAL frames — the other shards
+seal the step empty.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..sketches.base import as_int64_batch
 
-_MIX_INCREMENT = np.uint64(0x9E3779B97F4A7C15)
-_MIX_MULT_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_MULT_2 = np.uint64(0x94D049BB133111EB)
 
-
-def _mix(values: np.ndarray) -> np.ndarray:
-    """Splitmix64 finalizer over a uint64 view of the values.
-
-    Negative int64 inputs wrap into uint64 deterministically; all
-    arithmetic is modulo 2**64 by construction.
-    """
-    with np.errstate(over="ignore"):
-        z = values.astype(np.uint64) + _MIX_INCREMENT
-        z = (z ^ (z >> np.uint64(30))) * _MIX_MULT_1
-        z = (z ^ (z >> np.uint64(27))) * _MIX_MULT_2
-        return z ^ (z >> np.uint64(31))
+class ClusterUnavailable(RuntimeError):
+    """Too few live shards to take a write or satisfy the gather contract."""
 
 
 class ShardRouter:
-    """Deterministic hash-partitioner over ``shards`` shards."""
+    """Home-shard placement over ``shards`` shards."""
 
     def __init__(self, shards: int) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.shards = int(shards)
+        #: the current step's home shard (``None`` until its first write).
+        self.home: Optional[int] = None
 
-    def shard_indices(self, values: np.ndarray) -> np.ndarray:
-        """Shard index per element (vectorized, arrival order kept)."""
-        return self._placement(as_int64_batch(values)).astype(np.int64)
+    def route_many(
+        self, values: np.ndarray, acked: Sequence[Optional[int]]
+    ) -> Tuple[int, np.ndarray]:
+        """The batch as one int64 array and the shard it goes to whole.
 
-    def _placement(self, arr: np.ndarray) -> np.ndarray:
-        """Shard index per element, in the narrowest unsigned dtype."""
-        return (_mix(arr) % np.uint64(self.shards)).astype(
-            np.min_scalar_type(self.shards - 1)
-        )
-
-    def shard_of(self, value: int) -> int:
-        """Shard index of one value — equals ``shard_indices([value])[0]``."""
-        return int(self.shard_indices([value])[0])
-
-    def route_many(self, values: np.ndarray) -> List[np.ndarray]:
-        """Split a batch into per-shard arrays with one stable sort.
-
-        Returns one array per shard (possibly empty), each preserving
-        the batch's arrival order — the property that makes a fanned
-        batch equivalent to per-element routing.  The shard indices are
-        narrow unsigned integers, so the stable argsort is numpy's radix
-        sort; the per-shard counts cut the sorted batch into its chunks.
+        ``acked`` is each shard's acked element count, ``None`` where it
+        is quarantined.  The step's home is kept while it is live, else
+        picked; with no shard live the write is refused.
         """
         arr = as_int64_batch(values)
-        if self.shards == 1:
-            return [arr]
-        indices = self._placement(arr)
-        order = np.argsort(indices, kind="stable")
-        ends = np.cumsum(np.bincount(indices, minlength=self.shards))
-        return np.split(arr[order], ends[:-1])
+        home = self.home
+        if home is None or acked[home] is None:
+            live = [(n, i) for i, n in enumerate(acked) if n is not None]
+            if not live:
+                raise ClusterUnavailable(
+                    "every shard is quarantined: nowhere to write"
+                )
+            home = self.home = min(live)[1]
+        return home, arr
 
     def to_manifest(self) -> dict:
         """JSON-safe description, round-tripped by :meth:`from_manifest`.
@@ -89,14 +60,16 @@ class ShardRouter:
         ``strategy`` and ``bounds`` keep the keys manifests have always
         carried, so an older ``cluster.json`` loads unchanged.
         """
-        return {"shards": self.shards, "strategy": "hash", "bounds": None}
+        return {"shards": self.shards, "strategy": "home", "bounds": None}
 
     @classmethod
     def from_manifest(cls, manifest: dict) -> "ShardRouter":
-        """Rebuild a router from :meth:`to_manifest` output."""
-        if manifest["strategy"] != "hash":
+        """Rebuild a router from :meth:`to_manifest` output.  A ``"hash"``
+        manifest loads too: recovery replays each shard's own WAL frames
+        and never routes an element again."""
+        if manifest["strategy"] not in ("home", "hash"):
             raise ValueError(
                 f"router strategy {manifest['strategy']!r} is not "
-                "supported: clusters route by hash"
+                "supported: clusters route each step to a home shard"
             )
         return cls(int(manifest["shards"]))

@@ -4,7 +4,7 @@
 :class:`~repro.cluster.engine.ClusterEngine`.  The cluster's side of
 the contract is mechanical — :meth:`kill_shard
 <repro.cluster.engine.ClusterEngine.kill_shard>` turns a poisoned shard
-into a WAL-banking quarantined slot, :meth:`rejoin_shard
+into a quarantined slot, :meth:`rejoin_shard
 <repro.cluster.engine.ClusterEngine.rejoin_shard>` swaps a caught-up
 engine back in — and the supervisor drives the middle: health-check
 the live shards, restore each quarantined one from its ``shard-NN/``

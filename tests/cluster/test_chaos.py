@@ -1,10 +1,12 @@
 """Chaos: kill a shard mid-ingest, recover, lose zero acked updates.
 
 The cluster-level durability contract: every ``stream_update_many``
-batch that returned (the ack) — including batches routed to a shard
-*while it was quarantined* — survives kill/recover, and after the
+batch that returned (the ack) survives kill/recover — a quarantined
+shard takes no writes, so what it acked is in its checkpoint and WAL,
+and batches acked meanwhile went to live shards — and after the
 supervisor rejoins the shard the cluster's answers are bit-identical
-to a never-crashed cluster fed the same stream.
+to a never-crashed cluster fed the same stream.  A write with no live
+shard is refused with nothing acked.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 from repro.cluster import (
     ClusterEngine,
+    ClusterUnavailable,
     ShardSupervisor,
     save_cluster,
 )
@@ -63,7 +66,7 @@ def test_kill_recover_is_bit_identical(tmp_path):
     cluster.stream_update_many(feeds[1])
     cluster.end_time_step()
     cluster.kill_shard(2, "chaos kill")
-    # Acked while quarantined: banked in the WAL, applied at recovery.
+    # Acked while shard 2 is quarantined: its step goes to a live home.
     cluster.stream_update_many(feeds[2])
     cluster.end_time_step()
     assert cluster.quarantined_shards == {2: "chaos kill"}
@@ -93,12 +96,18 @@ def test_acked_while_quarantined_is_never_lost(tmp_path):
     cluster.stream_update_many(feed)
     cluster.end_time_step()
     save_cluster(cluster, tmp_path / "ckpt")
-    cluster.kill_shard(1, "chaos")
+    held = cluster._shard_elems[0]  # the first step's home
+    cluster.kill_shard(0, "chaos")
     extra = make_feeds(seed=100, steps=1, size=4000)[0]
-    cluster.stream_update_many(extra)  # part lands on the dead shard
+    cluster.stream_update_many(extra)  # to a live home: nothing banked
     cluster.end_time_step()
-    banked = cluster.n_acked - cluster.n_total
-    assert banked > 0  # something really was WAL-only
+    assert cluster.n_acked - cluster.n_total == held == len(feed)
+    for shard in (1, 2, 3):
+        cluster.kill_shard(shard, "chaos")
+    acked = cluster.n_acked
+    with pytest.raises(ClusterUnavailable, match="nowhere to write"):
+        cluster.stream_update_many(np.arange(100, dtype=np.int64))
+    assert cluster.n_acked == acked
     ShardSupervisor(cluster, tmp_path / "ckpt").run_until_settled()
     assert cluster.n_total == cluster.n_acked == len(feed) + len(extra)
     cluster.close()
@@ -132,15 +141,18 @@ def test_checkpoint_refused_while_quarantined(tmp_path):
 
 
 def test_quarantined_ingest_without_wal_is_refused():
-    from repro.cluster import ClusterUnavailable
-
-    config = make_config()
+    """Without a WAL a live shard still takes the writes; with none live
+    the write is refused before anything is acked."""
+    config = make_config(min_gather_shards=1)
     cluster = ClusterEngine(shards=2, config=config)  # no wal_dir
     cluster.stream_update_many(make_feeds(seed=3, steps=1)[0])
     cluster.end_time_step()
     cluster.kill_shard(0, "chaos")
-    with pytest.raises(ClusterUnavailable, match="no WAL"):
-        cluster.stream_update_many(
-            np.arange(100, dtype=np.int64)
-        )
+    cluster.stream_update_many(np.arange(100, dtype=np.int64))
+    assert cluster.shards[1].n_total == 100
+    cluster.kill_shard(1, "chaos")
+    acked = cluster.n_acked
+    with pytest.raises(ClusterUnavailable, match="nowhere to write"):
+        cluster.stream_update(7)
+    assert cluster.n_acked == acked
     cluster.close()

@@ -100,23 +100,32 @@ class TestScatterGatherReplay:
         steps = 5
         config = config_for(backend)
         cluster = ClusterEngine(shards=shards, config=config)
-        # Record each shard's per-step feed while driving the cluster.
-        router = cluster.router
+        # Record each shard's per-step feed from the cluster's routing.
+        route_many = cluster.router.route_many
         feeds = [[] for _ in range(shards)]
+
+        def recording(values, acked):
+            home, arr = route_many(values, acked)
+            feeds[home][-1].append(arr)
+            return home, arr
+
+        cluster.router.route_many = recording
         for chunk in np.array_split(dataset, steps):
-            for shard, part in enumerate(router.route_many(chunk)):
-                feeds[shard].append(part)
-            cluster.stream_update_many(chunk)
+            for feed_of_shard in feeds:
+                feed_of_shard.append([])
+            for part in np.array_split(chunk, 3):
+                cluster.stream_update_many(part)
             cluster.end_time_step()
         cluster.flush()
+        assert sum(map(bool, (step for f in feeds for step in f))) == steps
 
         # Standalone engines replay the recorded per-shard feeds.
         replicas = [
             HybridQuantileEngine(config=config) for _ in range(shards)
         ]
         for replica, shard_feed in zip(replicas, feeds):
-            for part in shard_feed:
-                if part.size:
+            for step in shard_feed:
+                for part in step:
                     replica.stream_update_many(part)
                 replica.end_time_step()
             replica.flush()

@@ -64,19 +64,23 @@ def test_pins_between_writes_share_one_merged_stream(monkeypatch):
 
 @pytest.mark.parametrize("shards", [2, 4])
 def test_a_compacting_merge_keeps_both_bounds(shards):
-    """Every shard's live sketch is past its ``k``, so the merge pools
-    more than a level holds and compacts; the answers still meet the
-    bounds their results report."""
+    """Every shard's live sketch is past its ``k`` (the live step is fed
+    to the shards directly: routed, it would sit on one home), so the
+    merge pools more than a level holds and compacts; the answers still
+    meet the bounds their results report."""
     config = EngineConfig(epsilon=0.1, block_elems=64, sketch_backend="kll")
     rng = np.random.default_rng(12)
     oracle = ExactQuantiles()
     with ClusterEngine(shards=shards, config=config) as cluster:
-        for size, seal in ((6000, True), (6000, True), (3000 * shards, False)):
-            data = rng.integers(0, 10**6, size)
+        for _ in range(2):
+            data = rng.integers(0, 10**6, 6000)
             oracle.update_many(data)
             cluster.stream_update_many(data)
-            if seal:
-                cluster.end_time_step()
+            cluster.end_time_step()
+        for shard in cluster.shards:
+            data = rng.integers(0, 10**6, 3000)
+            oracle.update_many(data)
+            shard.stream_update_many(data)
         with cluster.pin() as snapshot:
             sketches = [h.gk for h in snapshot.handles]
             assert all(s.n > s.k for s in sketches)

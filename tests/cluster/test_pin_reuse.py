@@ -278,7 +278,7 @@ def test_kill_rejoin_and_partial_gathers_rebuild_the_gather(tmp_path):
     assert before.shard_ids == (0, 2)
     with cluster.pin() as view:
         assert view.quantile(0.5, "quick").partial.missing_shards == (1,)
-    # A write banked into the quarantined slot moves what is missing.
+    # A write goes to a live shard: what is missing stays put.
     cluster.stream_update_many(rng.integers(0, 10**6, 300))
     before = assert_rebuilt(cluster, before)
     with cluster.pin() as view:

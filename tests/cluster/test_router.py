@@ -1,11 +1,27 @@
-"""ShardRouter: determinism, balance, order preservation, manifests."""
+"""ShardRouter: one home shard per time step, manifests."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.cluster import ShardRouter
+from repro.cluster import ClusterEngine, ClusterUnavailable, ShardRouter
+from repro.core.config import EngineConfig
+
+
+def make_cluster(shards=4, **kwargs):
+    return ClusterEngine(
+        shards=shards,
+        config=EngineConfig(
+            epsilon=0.05, block_elems=16, sketch_backend="kll",
+            min_gather_shards=1,
+        ),
+        **kwargs,
+    )
+
+
+def streams(cluster):
+    return [None if s is None else s.m_stream for s in cluster.shards]
 
 
 class TestValidation:
@@ -26,49 +42,35 @@ class TestValidation:
             )
 
 
-class TestHashRouting:
-    def test_deterministic(self):
+class TestHomePick:
+    def test_the_fewest_acked_live_shard_is_home(self):
         router = ShardRouter(4)
-        values = np.random.default_rng(1).integers(0, 2**40, 10_000)
-        first = router.shard_indices(values)
-        second = router.shard_indices(values)
-        assert np.array_equal(first, second)
-        for value in values[:50]:
-            assert router.shard_of(int(value)) == first[
-                int(np.flatnonzero(values == value)[0])
-            ]
+        home, _ = router.route_many([1, 2], [30, 10, None, 20])
+        assert home == router.home == 1
 
-    def test_statistically_balanced(self):
+    def test_ties_go_to_the_lowest_index(self):
         router = ShardRouter(4)
-        values = np.random.default_rng(2).integers(0, 2**40, 40_000)
-        counts = np.bincount(router.shard_indices(values), minlength=4)
-        assert counts.min() > 0.8 * counts.max()
+        assert router.route_many([1], [5, 3, 3, 3])[0] == 1
+        router.home = None
+        assert router.route_many([1], [None, 0, 0, 0])[0] == 1
 
-    def test_sequential_values_spread(self):
-        # The splitmix finalizer must break up runs of consecutive ints
-        # (timestamps, auto-increment ids).
-        router = ShardRouter(8)
-        counts = np.bincount(
-            router.shard_indices(np.arange(8_000)), minlength=8
-        )
-        assert counts.min() > 0.7 * counts.max()
+    def test_the_home_is_kept_until_it_is_quarantined(self):
+        router = ShardRouter(3)
+        assert router.route_many([1], [0, 0, 0])[0] == 0
+        # Its own writes make it the fullest; the step stays on it.
+        assert router.route_many([2], [900, 0, 0])[0] == 0
+        assert router.route_many([3], [None, 7, 4])[0] == 2
 
-    def test_single_shard_short_circuit(self):
-        router = ShardRouter(1)
-        values = np.arange(100)
-        assert np.array_equal(
-            router.shard_indices(values), np.zeros(100, dtype=np.int64)
-        )
-        chunks = router.route_many(values)
-        assert len(chunks) == 1
-        assert np.array_equal(chunks[0], values)
+    def test_no_live_shard_refuses_the_write(self):
+        router = ShardRouter(2)
+        with pytest.raises(ClusterUnavailable, match="nowhere to write"):
+            router.route_many([1], [None, None])
+        assert router.home is None
 
-    def test_negative_values_route(self):
-        router = ShardRouter(4)
-        indices = router.shard_indices(
-            np.asarray([-1, -(2**40), 0, 5], dtype=np.int64)
-        )
-        assert np.all((indices >= 0) & (indices < 4))
+    def test_values_are_checked_before_the_pick(self):
+        router = ShardRouter(2)
+        with pytest.raises(TypeError):
+            router.route_many([1.5], [None, None])
 
 
 class TestRouteMany:
@@ -77,55 +79,89 @@ class TestRouteMany:
         "values",
         [
             np.random.default_rng(3).integers(0, 2**32, 5_000),
-            # One value repeated: every other shard receives nothing.
             np.full(300, 123_456_789, dtype=np.int64),
             np.random.default_rng(5).integers(-(2**62), 2**62, 17),
         ],
         ids=["uniform", "one-value", "short-wide"],
     )
     def test_fan_out_is_a_partition(self, shards, values):
-        router = ShardRouter(shards)
-        chunks = router.route_many(values)
-        assert len(chunks) == shards
-        assert sum(chunk.size for chunk in chunks) == values.size
-        assert np.array_equal(
-            np.sort(np.concatenate(chunks)), np.sort(values)
-        )
-        indices = router.shard_indices(values)
-        for shard, chunk in enumerate(chunks):
-            # Arrival order within each shard, as int64.
-            assert chunk.dtype == np.int64
-            assert np.array_equal(chunk, values[indices == shard])
-        if np.unique(values).size == 1:
-            assert sum(chunk.size == 0 for chunk in chunks) == shards - 1
+        """A batch is one part: the step's home takes it whole, as int64
+        in arrival order, and every other shard takes nothing."""
+        home, arr = ShardRouter(shards).route_many(values, [0] * shards)
+        assert home == 0
+        assert arr.dtype == np.int64
+        assert np.array_equal(arr, values)
+        with make_cluster(shards) as cluster:
+            assert cluster.stream_update_many(values) == values.size
+            assert streams(cluster) == [values.size] + [0] * (shards - 1)
+
+
+class TestClusterRouting:
+    def test_a_step_goes_whole_to_its_home(self):
+        rng = np.random.default_rng(1)
+        with make_cluster() as cluster:
+            homes = []
+            for step in range(6):
+                for _ in range(3):
+                    batch = rng.integers(0, 10**6, 100 + step)
+                    cluster.stream_update_many(batch)
+                held = streams(cluster)
+                assert sorted(held)[:-1] == [0, 0, 0]
+                homes.append(held.index(max(held)))
+                cluster.end_time_step()
+                assert cluster.router.home is None
+            # Each step's home was the least-loaded shard at its start.
+            assert homes == [0, 1, 2, 3, 0, 1]
+            assert [s.steps_sealed for s in cluster.shards] == [6] * 4
+            cluster.check_invariants()
+
+    def test_the_scalar_path_follows_the_home(self):
+        with make_cluster(shards=3) as cluster:
+            cluster.stream_update_many(np.arange(10))
+            cluster.end_time_step()
+            for value in range(5):
+                cluster.stream_update(value)
+            cluster.stream_update_many(np.arange(7))
+            assert streams(cluster) == [0, 12, 0]
+            cluster.check_invariants()
+
+    def test_a_mid_step_kill_moves_the_home(self, tmp_path):
+        with make_cluster(shards=3, wal_dir=tmp_path / "wal") as cluster:
+            cluster.stream_update_many(np.arange(50))
+            cluster.end_time_step()
+            cluster.stream_update_many(np.arange(20))  # home: shard 1
+            cluster.kill_shard(1, "chaos")
+            cluster.stream_update_many(np.arange(30))
+            cluster.stream_update(99)
+            assert streams(cluster) == [0, None, 31]
+            assert cluster._shard_elems == [50, 20, 31]
+            with cluster.pin() as view:
+                assert view.missing == {1: 20}
+            cluster.end_time_step()
+            # The next step's home is the least-loaded live shard.
+            cluster.stream_update_many(np.arange(5))
+            assert streams(cluster) == [0, None, 5]
 
 
 class TestManifest:
     @pytest.mark.parametrize(
-        "router",
-        [
-            ShardRouter(1),
-            ShardRouter(8),
-        ],
-        ids=["one", "hash8"],
+        "router", [ShardRouter(1), ShardRouter(8)], ids=["one", "eight"]
     )
     def test_round_trip(self, router):
         clone = ShardRouter.from_manifest(router.to_manifest())
         assert clone.shards == router.shards
         assert clone.to_manifest() == router.to_manifest()
-        values = np.random.default_rng(4).integers(0, 2**30, 2_000)
-        assert np.array_equal(
-            clone.shard_indices(values), router.shard_indices(values)
-        )
+        assert clone.home is None
 
     def test_manifest_is_json_safe(self):
         manifest = ShardRouter(3).to_manifest()
         assert json.loads(json.dumps(manifest)) == manifest
 
     def test_a_manifest_from_before_range_routing_went_round_trips(self):
-        """The keys a hash router has always written: a ``cluster.json``
-        saved before ``"range"`` was removed loads, and a new one is
-        byte-identical."""
+        """The keys a router has always written: a ``"hash"``
+        ``cluster.json`` loads, and a new one differs only in its
+        strategy."""
         old = {"shards": 4, "strategy": "hash", "bounds": None}
-        assert ShardRouter.from_manifest(old).to_manifest() == old
-        assert json.dumps(ShardRouter(4).to_manifest()) == json.dumps(old)
+        assert ShardRouter.from_manifest(old).to_manifest() == {
+            **old, "strategy": "home",
+        }

@@ -96,8 +96,10 @@ def test_backoff_schedule_is_deterministic(tmp_path):
         RESTORE_ATTEMPT, RETRY_SCHEDULED,
         RESTORE_ATTEMPT, FAILED,
     ]
-    # The slot stays durably writable between (and after) attempts.
+    # The cluster keeps taking writes and seals between (and after)
+    # attempts; the slot's reopened WAL takes the seal frames.
     cluster.stream_update_many(np.arange(300, dtype=np.int64))
+    cluster.end_time_step()
     cluster.close()
 
 
@@ -112,15 +114,18 @@ def test_failed_restore_reopens_wal(tmp_path):
     )
     supervisor.tick(now=0.0)
     assert 1 in supervisor.failed_shards
-    # WAL-only ingest still acks durably after the failed restore...
+    # Live shards still ack after the failed restore, and the reopened
+    # WAL takes the slot's lockstep seal frame...
     cluster.stream_update_many(np.arange(500, dtype=np.int64))
+    cluster.end_time_step()
     assert cluster.n_acked > acked_before
-    # ...and a supervisor pointed at the REAL checkpoint recovers it,
-    # banked post-failure acks included.
+    # ...so a supervisor pointed at the REAL checkpoint recovers it at
+    # the cluster's step.
     rescue = ShardSupervisor(cluster, tmp_path / "ckpt")
     rescue.tick(now=0.0)
     assert cluster.quarantined_shards == {}
     assert cluster.n_total == cluster.n_acked
+    cluster.check_invariants()
     cluster.close()
 
 
