@@ -77,7 +77,7 @@ class TestRoundTrip:
             manifest = json.loads((root / "cluster.json").read_text())
             assert manifest["format"] == "repro-cluster-v1"
             assert manifest["shards"] == 3
-            assert manifest["router"]["strategy"] == "hash"
+            assert manifest["router"]["strategy"] == "home"
             assert manifest["step"] == cluster.steps_sealed
             assert manifest["config"]["sketch_backend"] == "kll"
         finally:
