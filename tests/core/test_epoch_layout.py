@@ -17,7 +17,10 @@ quick or accurate answer must pass ``bench.oracle.Oracle.verify``
 against the writes acked before the engine answered or the handle was
 pinned.  A sibling machine does the same to a 3-shard KLL cluster, whose
 pins reuse one gather per cluster version, with views held across
-writes and seals.
+writes and seals, writes straight into a shard, kills (mid-step ones
+move the step's home), checkpoints and supervised rejoins; an answer
+gathered without a quarantined shard is checked over the whole union
+against its widened bound.
 """
 
 import shutil
@@ -37,7 +40,7 @@ from hypothesis.stateful import (
 
 import repro.warehouse.leveled_store as leveled_store
 from bench.oracle import Answer, Oracle
-from repro.cluster import ClusterEngine
+from repro.cluster import ClusterEngine, ShardSupervisor, save_cluster
 from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
 from repro.core.epoch import HistoricalMemo
@@ -66,7 +69,15 @@ def fresh_derivation(engine):
 
 def verify(oracle, writes, mode, phi, at, result):
     """``Oracle.verify`` of one answer given at logical time ``at``,
-    against the bound the answer reports."""
+    against the bound the answer reports.  A partial gather's answer is
+    checked over the whole union: its size counts the missing shards'
+    acked elements back in, and its rank error against its own target
+    must fit the widened bound."""
+    if result.partial is not None:
+        result = replace(
+            result,
+            total_size=result.total_size + result.partial.missing_elements,
+        )
     verdict = oracle.verify(writes, [Answer(mode, phi, at, at, result)])
     assert not verdict.failures, verdict.failures
 
@@ -229,16 +240,27 @@ TestLayoutMachine.settings = settings(
 
 
 class ClusterMachine(RuleBasedStateMachine):
-    """Writes, seals, flushes, held views and queries against a 3-shard
-    KLL cluster with background ingest.  After every step the cluster's
-    invariants hold and every live shard counts one pin per held view."""
+    """Writes, seals, flushes, held views, queries, direct shard writes,
+    kills, checkpoints and rejoins against a 3-shard KLL cluster with
+    background ingest and per-shard WALs.  After every step the
+    cluster's invariants hold, the step's home is live and every live
+    shard counts one pin per held view."""
 
     SHARDS = 3
-    CONFIG = replace(LayoutMachine.CONFIG, sketch_backend="kll")
+    CONFIG = replace(
+        LayoutMachine.CONFIG,
+        sketch_backend="kll",
+        min_gather_shards=1,
+        wal_fsync=False,
+    )
 
     def __init__(self):
         super().__init__()
-        self.cluster = ClusterEngine(shards=self.SHARDS, config=self.CONFIG)
+        self.root = tempfile.mkdtemp(prefix="cluster-machine-")
+        self.cluster = ClusterEngine(
+            shards=self.SHARDS, config=self.CONFIG, wal_dir=f"{self.root}/wal"
+        )
+        self.saved = None  # the last checkpoint's directory
         self.rng = np.random.default_rng(1)
         # (view, the logical time it was pinned at)
         self.views = []
@@ -249,14 +271,34 @@ class ClusterMachine(RuleBasedStateMachine):
         return self.clock
 
     def teardown(self):
+        self.release_all()
+        self.cluster.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def live(self):
+        return [i for i, s in enumerate(self.cluster.shards) if s is not None]
+
+    def release_all(self):
         for view, _ in self.views:
             view.release()
-        self.cluster.close()
+        self.views = []
 
     @rule(size=st.integers(1, 300))
     def update(self, size):
         values = self.rng.integers(0, 10**6, size)
         self.cluster.stream_update_many(values)
+        at = self.tick()
+        self.writes.append((at, at, values))
+        assert self.cluster.shards[self.cluster.router.home] is not None
+
+    @rule(data=st.data(), size=st.integers(1, 300))
+    def direct_update(self, data, size):
+        """A write straight into a live shard, acked to the cluster's
+        ledger as its own write verb would: the next pin must see it."""
+        index = data.draw(st.sampled_from(self.live()))
+        values = self.rng.integers(0, 10**6, size)
+        self.cluster.shards[index].stream_update_many(values)
+        self.cluster._shard_elems[index] += size
         at = self.tick()
         self.writes.append((at, at, values))
 
@@ -278,6 +320,29 @@ class ClusterMachine(RuleBasedStateMachine):
         index = data.draw(st.integers(0, len(self.views) - 1))
         self.views.pop(index)[0].release()
 
+    @precondition(lambda self: not self.cluster.quarantined_shards)
+    @rule()
+    def checkpoint(self):
+        self.saved = save_cluster(self.cluster, f"{self.root}/ckpt")
+
+    @precondition(
+        lambda self: self.saved is not None and len(self.live()) > 1
+    )
+    @rule(data=st.data())
+    def kill(self, data):
+        """Quarantine a live shard, mid-step or not (views pinned over
+        its engine go first)."""
+        index = data.draw(st.sampled_from(self.live()))
+        self.release_all()
+        self.cluster.kill_shard(index, "chaos")
+
+    @precondition(lambda self: self.cluster.quarantined_shards)
+    @rule()
+    def rejoin(self):
+        self.release_all()
+        ShardSupervisor(self.cluster, self.saved).run_until_settled()
+        assert not self.cluster.quarantined_shards
+
     @rule(
         data=st.data(),
         phi=st.floats(0.01, 1.0),
@@ -291,6 +356,9 @@ class ClusterMachine(RuleBasedStateMachine):
             return
         result = view.quantile(phi, mode)
         assert result.total_size == view.n_total
+        assert (result.partial is not None) == bool(
+            self.cluster.quarantined_shards if at is None else view.missing
+        )
         at = self.tick() if at is None else at
         verify(self.oracle, self.writes, mode, phi, at, result)
 
@@ -298,7 +366,8 @@ class ClusterMachine(RuleBasedStateMachine):
     def invariants_hold(self):
         self.cluster.check_invariants()
         for shard in self.cluster.shards:
-            assert shard.epoch_stats.live_pins == len(self.views)
+            if shard is not None:
+                assert shard.epoch_stats.live_pins == len(self.views)
 
 
 TestClusterMachine = ClusterMachine.TestCase
