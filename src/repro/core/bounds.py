@@ -93,10 +93,10 @@ def widen_rank_bound(base_bound: float, missing_elements: int) -> float:
 
 def quick_rank_bound(config: EngineConfig, total: int, m_scope: int) -> float:
     """A priori rank-error bound of the quick response over a scope of
-    ``total`` elements, ``m_scope`` of them live stream: the widest
-    ``U - L`` of a TS slot, ``eps1 * n + 2 * eps2 * m`` (THEORY.md)."""
+    ``total`` elements, ``m_scope`` of them live stream:
+    ``eps1 * n + eps2 * m``."""
     hist_scope = max(0, total - m_scope)
-    return config.epsilon1 * hist_scope + 2 * config.epsilon2 * m_scope
+    return config.epsilon1 * hist_scope + config.epsilon2 * m_scope
 
 
 class _Merge:

@@ -70,7 +70,7 @@ class QueryResult:
     degraded: bool = False
     #: a priori bound on ``|true_rank(value) - target_rank|`` for this
     #: response: ``~eps * m`` for an accurate answer, the much wider
-    #: ``eps1 * n + 2 * eps2 * m`` for quick and degraded answers.
+    #: ``eps1 * n + eps2 * m`` for quick and degraded answers.
     rank_error_bound: float = 0.0
     #: set when a cluster gather answered from a strict subset of
     #: shards; carries the missing-shard accounting behind the widened

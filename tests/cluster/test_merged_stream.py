@@ -88,12 +88,12 @@ def test_a_compacting_merge_keeps_both_bounds(shards):
             assert merged.n == sum(s.n for s in sketches)
             assert merged.retained() < sum(s.retained() for s in sketches)
             for phi in PHIS:
-                for mode in ("quick", "accurate"):
+                for mode, slack in (("quick", 2), ("accurate", 1)):
                     result = snapshot.quantile(float(phi), mode=mode)
                     high = oracle.rank(result.value)
                     low = oracle.rank_strict(result.value) + 1
                     target = result.target_rank
                     err = max(0, low - target, target - high)
-                    assert err <= result.rank_error_bound + 2, (
+                    assert err <= slack * result.rank_error_bound + 2, (
                         mode, phi, err, result.rank_error_bound,
                     )

@@ -43,11 +43,11 @@ class TestDegradedQueries:
         assert result.degraded
         assert result.truncated
         assert result.mode == "accurate"
-        # The degraded bound is the quick bound: eps1*n + 2*eps2*m.
+        # The degraded bound is the quick bound: eps1*n + eps2*m.
         config = engine.config
         expected = (
             config.epsilon1 * engine.n_historical
-            + 2 * config.epsilon2 * engine.m_stream
+            + config.epsilon2 * engine.m_stream
         )
         assert result.rank_error_bound == pytest.approx(expected)
         quick = engine.quantile(0.5, mode="quick")
