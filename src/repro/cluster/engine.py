@@ -538,10 +538,7 @@ class ClusterEngine(PinnedQueries):
         self._shard_elems: List[int] = [
             int(shard.n_total) for shard in self.shards
         ]
-        # A restored step under way keeps the shard whose stream holds it.
-        self.router.home = next(
-            (i for i, shard in enumerate(self.shards) if shard.m_stream), None
-        )
+        self.router.resume([shard.m_stream for shard in self.shards])
         self._executor = QueryExecutor(retry=PROBE_RETRY_POLICY)
         self._step = 0
         # TS's historical half per partition set (over the shard-major
@@ -579,8 +576,8 @@ class ClusterEngine(PinnedQueries):
 
     def stream_update_many(self, values: np.ndarray) -> int:
         """Send a batch whole, in arrival order, to the step's home shard
-        (:meth:`ShardRouter.route_many`); with no shard live it is
-        refused before anything is applied.  Returns the count."""
+        (:meth:`ShardRouter.route_many`); with no shard live a non-empty
+        batch is refused before anything is applied.  Returns the count."""
         home, arr = self.router.route_many(values, self._acked_live())
         if arr.size:
             self.shards[home].stream_update_many(arr)
@@ -612,7 +609,7 @@ class ClusterEngine(PinnedQueries):
             else:
                 reports.append(shard.end_time_step())
         self._step += 1
-        self.router.home = None
+        self.router.end_step()
         self._gather = None
         return reports
 

@@ -1,15 +1,9 @@
-"""Shard routing: each time step has one home shard.
-
-A cluster splits one logical stream across N engine shards by time.
-Every write of a step goes whole, in arrival order, to the step's
-*home*: the live shard with the fewest acked elements when the step's
-first write arrives (the lowest index on ties), picked again if the
-home is quarantined mid-step.  Where an element lives cannot change
-the union's quantiles, and KLL sketches merge over any split, so the
-cluster answers as one engine would; what one home per step keeps is
-one engine's partition count, seals and WAL frames — the other shards
-seal the step empty.
-"""
+"""Shard routing: every write of a time step goes whole, in arrival
+order, to the step's *home*: the live shard with the fewest acked
+elements at the step's first write (lowest index on ties), picked again
+if it is quarantined mid-step.  Placement cannot change the union's
+quantiles (KLL merges over any split); one home per step keeps one
+engine's partitions, seals and WAL frames."""
 
 from __future__ import annotations
 
@@ -41,11 +35,12 @@ class ShardRouter:
 
         ``acked`` is each shard's acked element count, ``None`` where it
         is quarantined.  The step's home is kept while it is live, else
-        picked; with no shard live the write is refused.
+        picked; with no shard live the write is refused.  An empty batch
+        picks nothing and is never refused.
         """
         arr = as_int64_batch(values)
         home = self.home
-        if home is None or acked[home] is None:
+        if arr.size and (home is None or acked[home] is None):
             live = [(n, i) for i, n in enumerate(acked) if n is not None]
             if not live:
                 raise ClusterUnavailable(
@@ -53,6 +48,15 @@ class ShardRouter:
                 )
             home = self.home = min(live)[1]
         return home, arr
+
+    def end_step(self) -> None:
+        """The step is sealed: the next write picks the next home."""
+        self.home = None
+
+    def resume(self, streams: Sequence[int]) -> None:
+        """Keep a restored step under way on the shard whose live stream
+        (``streams``: each shard's ``m_stream``) holds it."""
+        self.home = next((i for i, m in enumerate(streams) if m), None)
 
     def to_manifest(self) -> dict:
         """JSON-safe description, round-tripped by :meth:`from_manifest`.
@@ -64,9 +68,8 @@ class ShardRouter:
 
     @classmethod
     def from_manifest(cls, manifest: dict) -> "ShardRouter":
-        """Rebuild a router from :meth:`to_manifest` output.  A ``"hash"``
-        manifest loads too: recovery replays each shard's own WAL frames
-        and never routes an element again."""
+        """Rebuild a router from :meth:`to_manifest` output (or a
+        ``"hash"`` one: recovery never routes an element again)."""
         if manifest["strategy"] not in ("home", "hash"):
             raise ValueError(
                 f"router strategy {manifest['strategy']!r} is not "

@@ -51,7 +51,7 @@ class TestHomePick:
     def test_ties_go_to_the_lowest_index(self):
         router = ShardRouter(4)
         assert router.route_many([1], [5, 3, 3, 3])[0] == 1
-        router.home = None
+        router.end_step()
         assert router.route_many([1], [None, 0, 0, 0])[0] == 1
 
     def test_the_home_is_kept_until_it_is_quarantined(self):
@@ -65,6 +65,18 @@ class TestHomePick:
         router = ShardRouter(2)
         with pytest.raises(ClusterUnavailable, match="nowhere to write"):
             router.route_many([1], [None, None])
+        assert router.home is None
+
+    def test_an_empty_batch_picks_no_home(self):
+        router = ShardRouter(2)
+        home, arr = router.route_many([], [None, None])
+        assert home is None and router.home is None and arr.size == 0
+
+    def test_a_restored_step_resumes_on_the_shard_holding_it(self):
+        router = ShardRouter(3)
+        router.resume([0, 40, 0])
+        assert router.route_many([1], [9, 40, 0])[0] == 1
+        router.resume([0, 0, 0])
         assert router.home is None
 
     def test_values_are_checked_before_the_pick(self):
@@ -124,6 +136,17 @@ class TestClusterRouting:
             cluster.stream_update_many(np.arange(7))
             assert streams(cluster) == [0, 12, 0]
             cluster.check_invariants()
+
+    def test_an_empty_batch_is_a_no_op(self, tmp_path):
+        """An empty batch returns 0, fixes no home and is not refused,
+        even with every shard quarantined."""
+        with make_cluster(shards=2, wal_dir=tmp_path / "wal") as cluster:
+            assert cluster.stream_update_many(np.array([], np.int64)) == 0
+            assert cluster.router.home is None
+            cluster.kill_shard(0, "chaos")
+            cluster.kill_shard(1, "chaos")
+            assert cluster.stream_update_many([]) == 0
+            assert cluster.n_acked == 0
 
     def test_a_mid_step_kill_moves_the_home(self, tmp_path):
         with make_cluster(shards=3, wal_dir=tmp_path / "wal") as cluster:
