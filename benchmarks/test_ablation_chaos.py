@@ -62,14 +62,12 @@ def make_feeds():
 
 
 def chaos_schedule(shards):
-    """FAULTS_SEED picks the (post-checkpoint) kill step and the victim:
-    one of the homes of the steps up to it, so the outage hides
-    elements."""
+    """FAULTS_SEED picks the (post-checkpoint) kill step and a draw that
+    picks the victim among the shards holding elements at the kill, so
+    the outage hides some."""
     rng = np.random.default_rng((FAULTS_SEED << 8) ^ shards)
     kill_after_step = int(rng.integers(1, STEPS - 1))
-    # A fresh cluster's homes go round the shards in index order.
-    victim = int(rng.integers(0, min(shards, kill_after_step + 1)))
-    return victim, kill_after_step
+    return int(rng.integers(0, shards)), kill_after_step
 
 
 def rank_error(full, result, phi):
@@ -98,12 +96,12 @@ def run_durable(shards, feeds, root, chaos):
     cluster = ClusterEngine(
         shards=shards, config=config, wal_dir=root / "wal"
     )
-    victim, kill_after_step = chaos_schedule(shards)
+    draw, kill_after_step = chaos_schedule(shards)
     row = {
         "shards": shards,
         "faults_seed": FAULTS_SEED,
         "chaos": chaos,
-        "victim": victim if chaos else None,
+        "victim": None,
         "kill_after_step": kill_after_step if chaos else None,
     }
     fed = []
@@ -114,6 +112,8 @@ def run_durable(shards, feeds, root, chaos):
         if step == 0:
             save_cluster(cluster, root / "ckpt")
         if chaos and step == kill_after_step:
+            holding = [i for i, s in enumerate(cluster.shards) if s.n_total]
+            victim = row["victim"] = holding[draw % len(holding)]
             cluster.kill_shard(victim, "chaos kill")
         if chaos and step == kill_after_step + 1:
             # Mid-outage: partial answers, widened-bound soundness.
