@@ -7,24 +7,23 @@ One callable, :func:`run_serving_bench`, drives the whole A8 ablation:
   bit-identity check replaying every answered phi serially against the
   same (quiescent) engine state;
 * an open-loop overload run against a deliberately small queue,
-  demonstrating typed :class:`~repro.serving.admission.Overloaded`
+  demonstrating typed :class:`~repro.serving.Overloaded`
   rejections (or accurate→quick degradation) instead of unbounded
   queue growth.
 
-The returned dict is what ``benchmarks/test_ablation_serving.py``
-asserts over and writes to ``BENCH_serving.json``, and what the CLI's
-``serve-bench`` command prints.
+The returned dict is what ``test_ablation_serving.py`` asserts over
+and writes to ``BENCH_serving.json``; ``test_ablation_cache.py`` (A9)
+reuses :func:`build_bench_engine` and :data:`BENCH_PHIS`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..core.config import EngineConfig, ServingConfig
-from ..core.engine import HybridQuantileEngine
-from ..workloads import NormalWorkload
-from .loadgen import LoadGenerator
-from .service import QueryService
+from repro.core.config import EngineConfig, ServingConfig
+from repro.core.engine import HybridQuantileEngine
+from repro.serving import LoadGenerator, QueryService
+from repro.workloads import NormalWorkload
 
 BENCH_PHIS = (0.25, 0.5, 0.75, 0.95, 0.99)
 

@@ -31,8 +31,8 @@ from conftest import run_once
 from common import bench_path, show, write_bench
 from repro.core.config import ServingConfig
 from repro.serving import QueryService
-from repro.serving.bench import BENCH_PHIS, build_bench_engine
 from repro.serving.loadgen import LoadGenerator
+from serving_bench import BENCH_PHIS, build_bench_engine
 
 STEPS = 5
 BATCH = 10_000

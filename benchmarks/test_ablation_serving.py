@@ -22,7 +22,7 @@ Acceptance checks asserted here:
 
 from conftest import run_once
 from common import bench_path, show, write_bench
-from repro.serving import run_serving_bench
+from serving_bench import run_serving_bench
 
 CLIENTS = (1, 8, 32)
 REQUESTS_PER_CLIENT = 25

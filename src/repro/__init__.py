@@ -27,13 +27,11 @@ from .cluster import (
     load_cluster,
     save_cluster,
 )
-from .frequent import HeavyHittersEngine, MisraGriesSketch
 from .core import (
     EngineConfig,
     HybridQuantileEngine,
     MemoryBudget,
     MemoryReport,
-    QuantileWatcher,
     QueryResult,
     ServingConfig,
     SnapshotHandle,
@@ -83,10 +81,7 @@ __all__ = [
     "ShardRouter",
     "load_cluster",
     "save_cluster",
-    "HeavyHittersEngine",
-    "MisraGriesSketch",
     "EngineConfig",
-    "QuantileWatcher",
     "HybridQuantileEngine",
     "MemoryBudget",
     "MemoryReport",

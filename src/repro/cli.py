@@ -318,15 +318,18 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    if args.shards > 1:
-        return _cmd_demo_cluster(args)
+    # One config from the flags for both tours; only the sketch default
+    # differs, since a cluster needs KLL's mergeable sketches.
     config = EngineConfig(
         epsilon=args.epsilon, kappa=args.kappa, block_elems=100,
         ingest_mode=args.ingest_mode,
         shared_cache_blocks=args.shared_cache_blocks,
-        sketch_backend=args.sketch_backend or "gk",
+        sketch_backend=args.sketch_backend
+        or ("kll" if args.shards > 1 else "gk"),
         storage_backend=args.storage_backend,
     )
+    if args.shards > 1:
+        return _cmd_demo_cluster(args, config)
     plan = _fault_plan_of(args)
     disk: Optional[SimulatedDisk] = None
     if plan is not None:
@@ -389,14 +392,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_demo_cluster(args: argparse.Namespace) -> int:
+def _cmd_demo_cluster(args: argparse.Namespace, config: EngineConfig) -> int:
     """Sharded demo: fan a workload across N shards, gather quantiles."""
     from .cluster import ClusterEngine
 
-    config = EngineConfig(
-        epsilon=args.epsilon, kappa=args.kappa, block_elems=100,
-        sketch_backend=args.sketch_backend or "kll",
-    )
     plan = _fault_plan_of(args)
     cluster = ClusterEngine(
         shards=args.shards, config=config, fault_plan=plan
@@ -406,8 +405,14 @@ def _cmd_demo_cluster(args: argparse.Namespace) -> int:
         args.batch_size if args.batch_size and args.batch_size > 0 else None
     )
     print(f"demo: {args.steps} steps x {args.batch:,} elements over "
-          f"{args.shards} shards ({config.sketch_backend} sketches"
+          f"{args.shards} shards ({config.sketch_backend} sketches, "
+          f"{config.ingest_mode} ingest"
           + (f", update batch {update_batch:,}" if update_batch else "")
+          + (
+              f", {config.storage_backend} storage"
+              if config.storage_backend != "simulated"
+              else ""
+          )
           + (
               ", fault injection on"
               + (
@@ -443,42 +448,6 @@ def _cmd_demo_cluster(args: argparse.Namespace) -> int:
         print(f"fault transcripts -> {transcript_dir} "
               f"({len(written)} shards)")
     cluster.close()
-    return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from .serving import run_serving_bench
-
-    clients = tuple(args.clients)
-    print(f"serve-bench: {args.steps} steps x {args.batch:,} elements, "
-          f"clients {list(clients)}, {args.requests} requests/client")
-    doc = run_serving_bench(
-        steps=args.steps,
-        batch=args.batch,
-        clients=clients,
-        requests_per_client=args.requests,
-        seed=args.seed,
-    )
-    print(f"{'clients':>7} {'coalesce':>8} {'served':>7} {'merges':>7} "
-          f"{'ratio':>6} {'qps':>9} {'p50 ms':>7} {'p99 ms':>7}")
-    for row in doc["closed_loop"]:
-        print(f"{row['clients']:>7} {str(row['coalesce']):>8} "
-              f"{row['served']:>7} {row['ts_merges']:>7} "
-              f"{row['coalescing_ratio']:>6.3f} "
-              f"{row['throughput_qps']:>9.0f} {row['p50_ms']:>7.2f} "
-              f"{row['p99_ms']:>7.2f}"
-              + ("" if row["bit_identical"] else "  MISMATCH"))
-    for row in doc["overload"]:
-        print(f"overload[{row['mode']}]: {row['served']}/{row['requests']} "
-              f"served, {row['rejected']} rejected, "
-              f"{row['degraded']} degraded, "
-              f"peak queue {row['peak_queue_depth']} "
-              f"(bound {row['queue_bound']}), p99 {row['p99_ms']:.1f} ms")
-    if args.output is not None:
-        Path(args.output).write_text(
-            json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"results -> {args.output}")
     return 0
 
 
@@ -653,27 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="phis the --warm pass prefetches block ranges for",
     )
     cache_stats.set_defaults(handler=_cmd_cache_stats)
-
-    serve = commands.add_parser(
-        "serve-bench",
-        help="benchmark the concurrent query service (ablation A8)",
-    )
-    serve.add_argument("--steps", type=int, default=6)
-    serve.add_argument("--batch", type=int, default=20_000)
-    serve.add_argument(
-        "--clients", type=int, nargs="+", default=[1, 8, 32],
-        help="closed-loop client counts to sweep",
-    )
-    serve.add_argument(
-        "--requests", type=int, default=25,
-        help="requests per closed-loop client",
-    )
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument(
-        "--output", metavar="PATH", default=None,
-        help="write the full result document as JSON",
-    )
-    serve.set_defaults(handler=_cmd_serve_bench)
 
     return parser
 

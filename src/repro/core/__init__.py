@@ -4,7 +4,6 @@ from .bounds import CombinedSummary
 from .config import EngineConfig, ServingConfig
 from .engine import HybridQuantileEngine, MemoryReport, StepReport
 from .epoch import EpochRegistry, EpochStats, SnapshotHandle
-from .monitoring import MonitorRule, QuantileAlert, QuantileWatcher
 from .query_path import QueryResult
 from .memory import (
     WORDS_PER_MB,
@@ -28,9 +27,6 @@ __all__ = [
     "MemoryReport",
     "QueryResult",
     "StepReport",
-    "MonitorRule",
-    "QuantileAlert",
-    "QuantileWatcher",
     "WORDS_PER_MB",
     "MemoryBudget",
     "epsilon_for_budget",

@@ -8,13 +8,11 @@ same epoch into one TS merge (:mod:`~repro.serving.coalescer`), bounds
 its queues with typed :class:`Overloaded` rejection
 (:mod:`~repro.serving.admission`), and measures itself with the
 repo's own GK sketches (:mod:`~repro.serving.metrics`).
-:class:`LoadGenerator` drives it closed- or open-loop for the A8
-ablation (:mod:`~repro.serving.bench`).
+:class:`LoadGenerator` drives it closed- or open-loop.
 """
 
 from ..core.config import ServingConfig
 from .admission import Overloaded
-from .bench import build_bench_engine, run_serving_bench
 from .loadgen import LoadGenerator, LoadResult
 from .metrics import LatencySummary, MetricsSnapshot, ServiceMetrics
 from .service import PendingQuery, QueryService
@@ -29,6 +27,4 @@ __all__ = [
     "QueryService",
     "ServiceMetrics",
     "ServingConfig",
-    "build_bench_engine",
-    "run_serving_bench",
 ]

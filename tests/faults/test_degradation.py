@@ -8,7 +8,6 @@ from repro import (
     FaultPlan,
     FaultyDisk,
     HybridQuantileEngine,
-    QuantileWatcher,
     TransientReadError,
 )
 
@@ -102,17 +101,6 @@ class TestDegradedQueries:
         result = view.quantile(0.5)
         assert result.degraded
         assert engine.reliability.degraded_queries == 1
-        engine.close()
-
-
-class TestWatcherIntegration:
-    def test_quantile_alert_marks_degraded_observation(self):
-        engine = build_engine(ALL_READS_FAIL)
-        watcher = QuantileWatcher(engine)
-        watcher.add("p50", 0.5, above=0, mode="accurate")
-        alerts = watcher.evaluate()
-        assert len(alerts) == 1
-        assert alerts[0].degraded
         engine.close()
 
 

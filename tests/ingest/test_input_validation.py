@@ -15,7 +15,6 @@ from repro.baselines import PureStreamingEngine, StrawmanEngine
 from repro.cluster import ClusterEngine
 from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
-from repro.frequent import HeavyHittersEngine
 
 
 def single_engine():
@@ -43,9 +42,8 @@ doors = pytest.mark.parametrize(
         cluster,
         lambda: StrawmanEngine(epsilon=0.05, block_elems=16),
         lambda: PureStreamingEngine(epsilon=0.05, block_elems=16),
-        lambda: HeavyHittersEngine(epsilon=0.05, block_elems=16),
     ],
-    ids=["engine", "cluster", "strawman", "pure-streaming", "heavy-hitters"],
+    ids=["engine", "cluster", "strawman", "pure-streaming"],
 )
 @pytest.mark.parametrize(
     "values, error, scalar",

@@ -7,8 +7,8 @@ element by element (deterministic sketches: identical state; seeded
 KLL: identical because the element order and RNG draws coincide).
 
 ``update_many`` is the only batch verb; it takes an array or a list of
-integers and every implementation (Misra-Gries included) reads it
-through ``as_int64_batch``, so lossy input raises before anything is
+integers and every implementation reads it through
+``as_int64_batch``, so lossy input raises before anything is
 stored.
 """
 
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frequent.misra_gries import MisraGriesSketch
 from repro.persistence.serialization import dump_gk, load_gk
 from repro.sketches.base import QuantileSketch, as_int64_batch
 from repro.sketches.exact import ExactQuantiles
@@ -381,7 +380,6 @@ LOSSY = {
 DOORS = {
     "update_many": lambda: GKSketch(0.01),
     "kll": lambda: KLLSketch(0.01, seed=1),
-    "misra-gries": lambda: MisraGriesSketch(8),
     **{name: make for name, make in make_all().items() if name != "gk"},
 }
 
@@ -426,7 +424,6 @@ def test_a_sketch_without_update_many_cannot_be_built():
 
 def test_int64_arrays_pass_every_door_uncopied(monkeypatch):
     """The doors validate; they must not copy what is already int64."""
-    from repro.frequent import misra_gries
     from repro.sketches import exact, gk, kll, qdigest
 
     validated = []
@@ -435,7 +432,7 @@ def test_int64_arrays_pass_every_door_uncopied(monkeypatch):
         validated.append(as_int64_batch(values))
         return validated[-1]
 
-    for module in (exact, gk, kll, qdigest, misra_gries):
+    for module in (exact, gk, kll, qdigest):
         monkeypatch.setattr(module, "as_int64_batch", spied)
     batch = np.arange(300, dtype=np.int64)
     for fresh in DOORS.values():

@@ -239,6 +239,35 @@ class TestDemo:
         assert code == 1 and out == ""
         assert "sketch_backend='kll'" in err
 
+    def test_a_sharded_demo_honours_the_engine_flags(
+        self, capsys, monkeypatch
+    ):
+        """Every shard runs on the storage, ingest and cache flags."""
+        from repro.cluster import ClusterEngine
+        from repro.storage.backends import ObjectStoreBackend
+
+        seen = []
+        close = ClusterEngine.close
+
+        def record_then_close(cluster):
+            cluster.check_invariants()
+            seen.extend(cluster.shards)
+            close(cluster)
+
+        monkeypatch.setattr(ClusterEngine, "close", record_then_close)
+        code, _, _ = run(capsys, "demo", "--shards", "2", "--steps", "2",
+                         "--batch", "1000", "--epsilon", "0.05",
+                         "--storage-backend", "object",
+                         "--ingest-mode", "background",
+                         "--shared-cache-blocks", "64")
+        assert code == 0
+        assert len(seen) == 2
+        for shard in seen:
+            assert shard.config.ingest_mode == "background"
+            assert shard.config.shared_cache_blocks == 64
+            assert shard.shared_cache is not None
+            assert isinstance(shard.disk.backend, ObjectStoreBackend)
+
 
 class TestMultiPhiQuery:
     @pytest.fixture
@@ -270,24 +299,3 @@ class TestMultiPhiQuery:
                            "--phi", "0.5", "0.99")
         assert code == 0
         assert len(out.strip().splitlines()) == 3
-
-
-class TestServeBench:
-    def test_small_sweep_writes_json(self, tmp_path, capsys):
-        output = tmp_path / "serve.json"
-        code, out, _ = run(capsys, "serve-bench",
-                           "--steps", "2", "--batch", "2000",
-                           "--clients", "1", "4",
-                           "--requests", "3", "--output", str(output))
-        assert code == 0
-        assert "serve-bench" in out
-        assert "overload[reject]" in out
-        assert "overload[degrade]" in out
-        assert "MISMATCH" not in out
-        import json
-        doc = json.loads(output.read_text())
-        assert doc["benchmark"] == "serving_ablation"
-        assert {row["clients"] for row in doc["closed_loop"]} == {1, 4}
-        for row in doc["closed_loop"]:
-            assert row["bit_identical"]
-            assert row["served"] + row["rejected"] == row["requests"]
