@@ -136,6 +136,27 @@ class LayoutMachine(RuleBasedStateMachine):
         at = self.tick()
         self.writes.append((at, at, values))
 
+    @rule(
+        kind=st.sampled_from(["duplicates", "ascending", "scalars"]),
+        size=st.integers(1, 300),
+    )
+    def odd_update(self, kind, size):
+        """A duplicate-heavy batch, a sorted run or a few scalar writes."""
+        if kind == "scalars":
+            for value in self.rng.integers(0, 10**6, size % 4 + 1):
+                self.engine.stream_update(int(value))
+                at = self.tick()
+                self.writes.append((at, at, np.asarray([value])))
+            return
+        if kind == "duplicates":
+            base = self.rng.integers(0, 10**6)
+            values = base + self.rng.integers(0, 16, size)
+        else:
+            values = np.sort(self.rng.integers(0, 10**6, size))
+        self.engine.stream_update_many(values)
+        at = self.tick()
+        self.writes.append((at, at, values))
+
     @rule()
     def seal(self):
         self.engine.end_time_step()
@@ -189,19 +210,24 @@ class LayoutMachine(RuleBasedStateMachine):
     @rule(
         data=st.data(),
         mode=st.sampled_from(["quick", "accurate"]),
+        part_at=st.integers(0, 255),
+        window_at=st.integers(0, 255),
     )
-    def scoped_query(self, data, mode):
+    def scoped_query(self, data, mode, part_at, window_at):
+        # A handle's partitions and window sizes depend on when the
+        # archiver adopted, so positions in them are drawn before any
+        # state is read: the draws replay the same whatever it did.
         index = data.draw(st.integers(0, len(self.handles) - 1))
         handle = self.handles[index][0]
         parts = [p for p in handle.partitions if len(p) > 0]
         if not parts:
             return
-        part = data.draw(st.sampled_from(parts))
+        part = parts[part_at % len(parts)]
         span = (part.start_step, part.end_step)
         result = handle.quantile(0.5, mode, step_range=span)
         assert result.total_size == len(part)
         sizes = window_sizes_from(handle.partitions)
-        window = data.draw(st.sampled_from(sizes))
+        window = sizes[window_at % len(sizes)]
         covered = resolve_window_in(handle.partitions, window)
         if sum(map(len, covered)) + handle.m_stream > 0:
             handle.quantile(0.5, mode, window_steps=window)
