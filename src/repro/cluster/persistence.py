@@ -1,31 +1,37 @@
 """Cluster durability: per-shard checkpoints plus one manifest.
 
-A cluster checkpoint is N independent engine checkpoints (one
-``shard-XX/`` directory each, written by the crash-consistent
-:func:`~repro.persistence.checkpoint.save_engine`) plus a
-``cluster.json`` manifest recording the shard count, the router (so
-restored ingest routes identically) and the engine config.  The
-manifest is staged to a temp file and committed with one rename
-*after* every shard directory exists, so a crash mid-save leaves
-either a complete previous checkpoint or a complete new one — the
-same discipline the per-engine checkpoint follows internally.
+A cluster checkpoint is one engine checkpoint per shard (a
+``shard-XX/`` directory each) plus a ``cluster.json`` manifest
+recording the shard count, the router (so restored ingest routes
+identically) and the engine config.  It commits through the engine
+checkpoint's protocol (:mod:`repro.persistence.checkpoint`): every
+shard is staged under ``<dir>.tmp``, the manifest is written last as
+the completeness marker, and one rename commits the lot, so a crash
+mid-save leaves exactly the previous checkpoint or the new one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from pathlib import Path
 from typing import List, Optional
 
 from ..faults.plan import FaultPlan
-from ..persistence.checkpoint import config_from_state, load_engine, save_engine
+from ..persistence.checkpoint import (
+    begin_stage,
+    commit_stage,
+    config_from_state,
+    load_engine,
+    recover_checkpoint,
+    stage_engine,
+)
 from ..persistence.warehouse_store import PersistenceError
+from ..storage.fsutil import atomic_write_json
 from .engine import ClusterEngine, new_shard_disk, shard_dir
 from .router import ShardRouter
 
-_MANIFEST_FILE = "cluster.json"
+MANIFEST_FILE = "cluster.json"
 _CLUSTER_FORMAT = "repro-cluster-v1"
 
 
@@ -33,8 +39,9 @@ def save_cluster(cluster: ClusterEngine, directory: "str | Path") -> Path:
     """Checkpoint every shard under ``directory``; returns its path.
 
     Layout: ``shard-00/ .. shard-NN/`` (each a full engine checkpoint)
-    plus ``cluster.json``.  The manifest is written last, atomically,
-    so its presence certifies that every shard directory is complete.
+    plus ``cluster.json``.  All of it is staged and committed as one
+    checkpoint, and each shard's WAL is truncated only after the
+    commit.
     """
     if cluster.quarantined_shards:
         raise PersistenceError(
@@ -43,9 +50,11 @@ def save_cluster(cluster: ClusterEngine, directory: "str | Path") -> Path:
             "only in the WAL; restore them first"
         )
     root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    for index, shard in enumerate(cluster.shards):
-        save_engine(shard, shard_dir(root, index))
+    stage = begin_stage(root, MANIFEST_FILE)
+    watermarks = [
+        stage_engine(shard, shard_dir(stage, index), shard_dir(root, index))
+        for index, shard in enumerate(cluster.shards)
+    ]
     manifest = {
         "format": _CLUSTER_FORMAT,
         "shards": cluster.num_shards,
@@ -53,9 +62,11 @@ def save_cluster(cluster: ClusterEngine, directory: "str | Path") -> Path:
         "config": dataclasses.asdict(cluster.config),
         "step": cluster.steps_sealed,
     }
-    tmp = root / (_MANIFEST_FILE + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2))
-    os.replace(tmp, root / _MANIFEST_FILE)
+    atomic_write_json(stage / MANIFEST_FILE, manifest)
+    commit_stage(stage, root)
+    for shard, wal_lsn in zip(cluster.shards, watermarks):
+        if wal_lsn is not None:
+            shard._wal.truncate(wal_lsn)
     return root
 
 
@@ -78,11 +89,8 @@ def load_cluster(
     replayed engines' sealed-step count when the WAL carried seals past
     the manifest.
     """
-    root = Path(directory)
-    manifest_path = root / _MANIFEST_FILE
-    if not manifest_path.exists():
-        raise PersistenceError(f"no cluster manifest in {root}")
-    manifest = json.loads(manifest_path.read_text())
+    root = recover_checkpoint(directory, MANIFEST_FILE)
+    manifest = _read_manifest(root)
     if manifest.get("format") != _CLUSTER_FORMAT:
         raise PersistenceError(
             f"unknown cluster format {manifest.get('format')!r}"
@@ -93,24 +101,14 @@ def load_cluster(
     # manifest that routes some other way.
     if ShardRouter.from_manifest(manifest["router"]).shards != shards:
         raise PersistenceError("manifest's router and shard count differ")
-    engines = []
-    for index in range(shards):
-        checkpoint = shard_dir(root, index)
-        if not checkpoint.exists():
-            raise PersistenceError(
-                f"manifest names {shards} shards but {checkpoint} is missing"
-            )
-        engines.append(
-            load_engine(
-                checkpoint,
-                disk=new_shard_disk(fault_plan, config, index),
-                wal_dir=(
-                    shard_dir(wal_dir, index)
-                    if wal_dir is not None
-                    else None
-                ),
-            )
+    engines = [
+        load_engine(
+            shard_dir(root, index),
+            disk=new_shard_disk(fault_plan, config, index),
+            wal_dir=shard_dir(wal_dir, index) if wal_dir is not None else None,
         )
+        for index in range(shards)
+    ]
     cluster = ClusterEngine(
         shards=shards,
         config=config,
@@ -126,8 +124,15 @@ def load_cluster(
     return cluster
 
 
+def _read_manifest(root: Path) -> dict:
+    try:
+        return json.loads((root / MANIFEST_FILE).read_text())
+    except json.JSONDecodeError as exc:
+        raise PersistenceError(f"garbled cluster manifest: {exc}") from exc
+
+
 def list_shard_dirs(directory: "str | Path") -> List[Path]:
     """The checkpoint's shard directories, in shard order."""
     root = Path(directory)
-    manifest = json.loads((root / _MANIFEST_FILE).read_text())
+    manifest = _read_manifest(root)
     return [shard_dir(root, i) for i in range(int(manifest["shards"]))]

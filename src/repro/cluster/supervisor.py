@@ -34,8 +34,9 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from ..faults.retry import RetryPolicy
-from ..persistence.checkpoint import load_engine
+from ..persistence.checkpoint import load_engine, recover_checkpoint
 from .engine import ClusterEngine, new_shard_disk, shard_dir
+from .persistence import MANIFEST_FILE
 
 #: event action labels, in the order a recovery normally emits them.
 QUARANTINED = "quarantined"
@@ -204,6 +205,9 @@ class ShardSupervisor:
         self.cluster.release_wal(shard)
         engine = None
         try:
+            # A cluster save that died mid-commit rolls forward or back
+            # as a whole before any one shard is read from it.
+            recover_checkpoint(self.checkpoint_dir, MANIFEST_FILE)
             engine = load_engine(
                 shard_dir(self.checkpoint_dir, shard),
                 disk=new_shard_disk(

@@ -1,11 +1,7 @@
 """Durability: warehouse directories, sketch serialization, checkpoints."""
 
-from .checkpoint import (
-    SimulatedCrash,
-    load_engine,
-    recover_checkpoint,
-    save_engine,
-)
+from ..storage.fsutil import SimulatedCrash
+from .checkpoint import load_engine, recover_checkpoint, save_engine
 from .serialization import (
     SerializationError,
     dump_gk,

@@ -31,10 +31,14 @@ loading: a complete ``.tmp`` with no committed directory rolls
 deleted.  The restored engine always answers exactly as either the old
 or the new checkpoint — never a mixture, never silently wrong.
 
-The module-level :data:`crash_hook` is the test seam: the crash
-recovery harness installs a callable raising :class:`SimulatedCrash`
-at a chosen named point (see :data:`CRASH_POINTS`) to freeze the
-directory tree mid-save.
+A cluster checkpoint runs the same protocol: :func:`begin_stage`,
+one :func:`stage_engine` per shard into ``<dir>.tmp/shard-NN``, its
+own completeness marker, and one :func:`commit_stage`.
+
+The save reports each of :data:`CRASH_POINTS` to the storage layer's
+test seam, :data:`repro.storage.fsutil.crash_hook`; the crash recovery
+harness raises :class:`~repro.storage.fsutil.SimulatedCrash` there to
+freeze the directory tree mid-save.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import os
 import shutil
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -56,8 +60,10 @@ from ..storage.disk import SimulatedDisk
 from ..storage.fsutil import (
     RETIRED_SUFFIX,
     STAGE_SUFFIX,
+    atomic_write_json,
     fsync_dir,
     fsync_file,
+    reach,
     retired_path,
     stage_path,
 )
@@ -77,15 +83,17 @@ __all__ = [
     "RETIRED_SUFFIX",
     "SKETCH_FILE",
     "STAGE_SUFFIX",
-    "SimulatedCrash",
     "WAREHOUSE_DIR",
+    "begin_stage",
+    "commit_stage",
     "load_engine",
     "recover_checkpoint",
     "save_engine",
+    "stage_engine",
 ]
 
-#: Named points the save protocol passes through, in order.  The crash
-#: harness kills a save at each one and asserts recovery.
+#: Named points a save reports to :data:`repro.storage.fsutil.crash_hook`,
+#: in order.  The crash harness kills a save at each one.
 CRASH_POINTS = (
     "stage-created",  # empty staging directory exists
     "mid-stage",      # warehouse + sketch + buffer staged, no engine.json
@@ -93,26 +101,6 @@ CRASH_POINTS = (
     "retired-old",    # previous checkpoint renamed away, new not yet in
     "promoted",       # new checkpoint committed, old not yet removed
 )
-
-
-class SimulatedCrash(RuntimeError):
-    """Raised by a test :data:`crash_hook` to abort a save mid-flight."""
-
-
-#: Test seam: when set, called with each crash-point name as the save
-#: reaches it.  Raise :class:`SimulatedCrash` to simulate dying there.
-crash_hook: Optional[Callable[[str], None]] = None
-
-
-def _reach(point: str) -> None:
-    if crash_hook is not None:
-        crash_hook(point)
-
-
-def _is_complete(directory: Path) -> bool:
-    """A checkpoint directory is complete iff its engine state file
-    exists — it is written (and fsynced) last during staging."""
-    return (directory / ENGINE_FILE).exists()
 
 
 def save_engine(engine: HybridQuantileEngine, directory: "str | Path") -> Path:
@@ -136,36 +124,61 @@ def save_engine(engine: HybridQuantileEngine, directory: "str | Path") -> Path:
     between merely leaves extra segments whose records replay as no-ops
     (their LSNs sit at or below the watermark).
     """
-    engine.flush()
-    wal = getattr(engine, "_wal", None)
-    wal_lsn = wal.last_lsn if wal is not None else None
     directory = Path(directory)
-    if directory.parent != Path(""):
-        directory.parent.mkdir(parents=True, exist_ok=True)
+    stage = begin_stage(directory)
+    wal_lsn = stage_engine(engine, stage, directory)
+    commit_stage(stage, directory)
+    if wal_lsn is not None:
+        engine._wal.truncate(wal_lsn)
+    return directory
+
+
+def begin_stage(directory: Path, marker: str = ENGINE_FILE) -> Path:
+    """Create an empty ``<directory>.tmp`` for a new checkpoint.
+
+    Refuses to stage over a non-empty ``directory`` that holds no
+    ``marker`` (the commit would retire and delete it), and clears the
+    debris an earlier crashed save left beside a committed checkpoint.
+    """
     if (
         directory.exists()
         and any(directory.iterdir())
-        and not _is_complete(directory)
+        and not (directory / marker).exists()
     ):
-        # The commit dance retires (and later deletes) the existing
-        # directory; refuse to do that to contents we do not own.
         raise PersistenceError(
             f"refusing to replace {directory}: it is non-empty but not "
             "a checkpoint"
         )
     stage = stage_path(directory)
     retired = retired_path(directory)
-    # Leftovers from an earlier crashed save: a stale stage is always
-    # garbage; a retired checkpoint is only garbage while the committed
-    # directory exists (otherwise it is the rollback target and
-    # load_engine's recovery owns it).
+    # A stale stage is always garbage; a retired checkpoint only while
+    # the committed directory exists (otherwise it is the rollback
+    # target and recover_checkpoint owns it).
     if stage.exists():
         shutil.rmtree(stage)
     if retired.exists() and directory.exists():
         shutil.rmtree(retired)
     stage.mkdir(parents=True)
-    _reach("stage-created")
-    previous_warehouse = directory / WAREHOUSE_DIR
+    reach("stage-created")
+    return stage
+
+
+def stage_engine(
+    engine: HybridQuantileEngine, stage: Path, previous: Path
+) -> Optional[int]:
+    """Write ``engine``'s checkpoint into the directory ``stage``.
+
+    Partition files the checkpoint at ``previous`` already holds are
+    hard-linked rather than rewritten.  Every file is fsynced, and
+    ``engine.json`` (the completeness marker) goes last.  Returns the
+    WAL watermark to truncate to once the stage commits, or ``None``
+    without a WAL.
+    """
+    engine.flush()
+    wal = getattr(engine, "_wal", None)
+    wal_lsn = wal.last_lsn if wal is not None else None
+    stage.mkdir(exist_ok=True)
+    previous_warehouse = previous / WAREHOUSE_DIR
     save_store(
         engine.store,
         stage / WAREHOUSE_DIR,
@@ -181,7 +194,7 @@ def save_engine(engine: HybridQuantileEngine, directory: "str | Path") -> Path:
     np.save(stage / BUFFER_FILE, np.asarray(engine._buffer.view()))
     fsync_file(stage / SKETCH_FILE)
     fsync_file(stage / BUFFER_FILE)
-    _reach("mid-stage")
+    reach("mid-stage")
     state = {
         "format": _ENGINE_FORMAT,
         "config": asdict(engine.config),
@@ -190,40 +203,46 @@ def save_engine(engine: HybridQuantileEngine, directory: "str | Path") -> Path:
     }
     if wal_lsn is not None:
         state["wal_lsn"] = wal_lsn
-    # engine.json is the completeness marker, so it is written last and
-    # made durable before any rename.
-    with open(stage / ENGINE_FILE, "w", encoding="utf-8") as handle:
-        json.dump(state, handle, indent=2)
-        handle.flush()
-        os.fsync(handle.fileno())
+    atomic_write_json(stage / ENGINE_FILE, state)
+    return wal_lsn
+
+
+def commit_stage(stage: Path, directory: Path) -> None:
+    """Promote a complete ``stage`` to ``directory`` with one rename.
+
+    The previous checkpoint is retired to ``<directory>.old`` first and
+    deleted once the stage is in; a crash anywhere in between leaves a
+    tree :func:`recover_checkpoint` rolls forward or back.
+    """
     fsync_dir(stage)
-    _reach("staged")
+    reach("staged")
+    retired = retired_path(directory)
     if directory.exists():
         os.rename(directory, retired)
-        _reach("retired-old")
+        reach("retired-old")
     os.rename(stage, directory)  # commit point
     fsync_dir(directory.parent)
-    _reach("promoted")
+    reach("promoted")
     if retired.exists():
         shutil.rmtree(retired)
-    if wal is not None:
-        wal.truncate(wal_lsn)
-    return directory
 
 
-def recover_checkpoint(directory: "str | Path") -> Path:
-    """Roll an interrupted :func:`save_engine` forward or back.
+def recover_checkpoint(
+    directory: "str | Path", marker: str = ENGINE_FILE
+) -> Path:
+    """Roll an interrupted save forward or back.
 
-    Idempotent; called automatically by :func:`load_engine`.  After it
-    returns, ``directory`` (if any checkpoint ever committed) is a
-    complete checkpoint and no ``.tmp``/``.old`` siblings remain.
-    Raises :class:`PersistenceError` only for states the protocol
-    cannot produce (e.g. every candidate directory incomplete).
+    A checkpoint is complete when it holds ``marker``, the file staging
+    writes last (``cluster.json`` for a cluster).  Idempotent; called
+    by :func:`load_engine`.  After it returns, ``directory`` (if any
+    checkpoint ever committed) is complete and no ``.tmp``/``.old``
+    siblings remain.  Raises :class:`PersistenceError` only for states
+    the protocol cannot produce (e.g. every candidate incomplete).
     """
     directory = Path(directory)
     stage = stage_path(directory)
     retired = retired_path(directory)
-    if directory.exists() and _is_complete(directory):
+    if (directory / marker).exists():
         # Committed checkpoint in place; anything beside it is debris
         # from a save that died before (stage) or after (retired) the
         # commit point.
@@ -236,18 +255,18 @@ def recover_checkpoint(directory: "str | Path") -> Path:
         # Only external tampering produces this: the protocol never
         # commits an incomplete directory.
         raise PersistenceError(
-            f"checkpoint {directory} is incomplete (no {ENGINE_FILE})"
+            f"checkpoint {directory} is incomplete (no {marker})"
         )
-    if stage.exists() and _is_complete(stage):
+    if (stage / marker).exists():
         # Crash between retiring the old checkpoint and committing the
-        # stage: the stage was fully fsynced (engine.json is written
+        # stage: the stage was fully fsynced (the marker is written
         # last), so roll forward.
         os.rename(stage, directory)
         fsync_dir(directory.parent)
         if retired.exists():
             shutil.rmtree(retired)
         return directory
-    if retired.exists() and _is_complete(retired):
+    if (retired / marker).exists():
         # Crash with an incomplete (or absent) stage after the old
         # checkpoint was retired: roll back to it.
         if stage.exists():
@@ -260,7 +279,7 @@ def recover_checkpoint(directory: "str | Path") -> Path:
             f"no recoverable checkpoint at {directory}: every candidate "
             "is incomplete"
         )
-    raise PersistenceError(f"no engine state at {directory / ENGINE_FILE}")
+    raise PersistenceError(f"no checkpoint at {directory / marker}")
 
 
 #: ``EngineConfig`` keys that older checkpoints carry and the value each

@@ -203,9 +203,8 @@ class BlockDevice(Protocol):
     The engine allocates a run per sorted array, routes every charged
     read through the run's handle, asks :meth:`place_run` to apply the
     tiering policy when the warehouse (re)levels a run, and deletes
-    runs as compaction retires them.  ``fsync`` hardens any buffered
-    state; ``close`` releases resources (and removes any owned
-    temporary directory).
+    runs as compaction retires them.  ``close`` releases resources (and
+    removes any owned temporary directory).
     """
 
     name: str
@@ -224,9 +223,6 @@ class BlockDevice(Protocol):
 
     def unpin_runs(self, run_ids: Iterable[int]) -> None:
         """Release one pin per run taken by :meth:`pin_runs`."""
-
-    def fsync(self) -> None:
-        """Harden all buffered backend state."""
 
     def stats(self) -> BackendStats:
         """Snapshot request-level counters."""
@@ -305,9 +301,6 @@ class SimulatedBackend:
         return None
 
     def unpin_runs(self, run_ids: Iterable[int]) -> None:
-        return None
-
-    def fsync(self) -> None:
         return None
 
     def stats(self) -> BackendStats:
@@ -504,9 +497,6 @@ class MmapFileBackend:
                 else:
                     self._pins[run_id] = count
 
-    def fsync(self) -> None:
-        fsync_dir(self._directory)
-
     def stats(self) -> BackendStats:
         with self._lock:
             return BackendStats(hot_runs=len(self._handles))
@@ -547,8 +537,8 @@ class ObjectStoreBackend(MmapFileBackend):
     latency from :class:`ObjectStoreLatency` folded into
     ``SimulatedDisk.simulated_seconds``.
 
-    ``hot_tier_bytes`` capacity-bounds ``hot/``: when allocation or
-    promotion pushes the tier past the budget, least-recently-read
+    ``hot_tier_bytes`` capacity-bounds ``hot/``: when an allocation
+    pushes the tier past the budget, least-recently-read
     unpinned runs are demoted to the bucket via the same atomic
     migration as ``place_run``.  Runs pinned by a live snapshot
     (:meth:`pin_runs`) are never evicted; if everything is pinned the
@@ -585,9 +575,6 @@ class ObjectStoreBackend(MmapFileBackend):
         self._hot_bytes: Dict[int, int] = {}
         self._hot_total = 0
         self._hot_lru: "OrderedDict[int, None]" = OrderedDict()
-        #: runs demoted by *pressure* (vs. policy tiering): these are
-        #: re-admitted to hot on the next ``place_run`` at a hot level.
-        self._evicted: Set[int] = set()
         super().__init__(directory)
 
     # -- layout ---------------------------------------------------------
@@ -697,18 +684,10 @@ class ObjectStoreBackend(MmapFileBackend):
     def place_run(self, run_id: int, level: int) -> None:
         """Age a run into the bucket once its level is cold enough.
 
-        A run already in the bucket that gets placed back at a hot
-        level is re-admitted (promoted) only if it got there via
-        capacity eviction — policy-tiered runs stay in the bucket.
+        A run already in the bucket stays there, whether the tiering
+        policy or hot-tier pressure put it there.
         """
-        if run_id in self._object_runs:
-            if level < self.object_tier_level:
-                with self._lock:
-                    evicted = run_id in self._evicted
-                if evicted:
-                    self._promote(run_id)
-            return
-        if level < self.object_tier_level:
+        if run_id in self._object_runs or level < self.object_tier_level:
             return
         self._migrate(run_id, eviction=False)
 
@@ -736,41 +715,10 @@ class ObjectStoreBackend(MmapFileBackend):
             self._object_runs.add(run_id)
             if eviction:
                 self._evictions += 1
-                self._evicted.add(run_id)
             self._hot_total -= self._hot_bytes.pop(run_id, 0)
             self._hot_lru.pop(run_id, None)
         hot_path.unlink()
         fsync_dir(self._hot)
-
-    def _promote(self, run_id: int) -> None:
-        """Re-admit an evicted run to the hot tier (one full-object GET)."""
-        object_path = self._object_path(run_id)
-        if not object_path.exists():
-            return
-        hot_path = self._hot_path(run_id)
-        with self._lock:
-            handle = self._handles.get(run_id)
-            run_last = self._last_block_of(
-                run_id, handle.block_elems if handle is not None else 1
-            )
-            self._gets += 1
-            self._get_blocks += run_last + 1
-        if handle is not None:
-            with handle._lock:
-                handle._mapped = None
-        atomic_copy_file(object_path, hot_path)
-        size = hot_path.stat().st_size
-        with self._lock:
-            self._object_runs.discard(run_id)
-            self._evicted.discard(run_id)
-            self._fetched.pop(run_id, None)
-            self._hot_bytes[run_id] = size
-            self._hot_total += size
-            self._hot_lru[run_id] = None
-            self._hot_lru.move_to_end(run_id)
-        object_path.unlink()
-        fsync_dir(self._bucket)
-        self._enforce_hot_capacity()
 
     def _enforce_hot_capacity(self) -> None:
         """Demote LRU unpinned hot runs until the tier fits its budget."""
@@ -784,8 +732,6 @@ class ObjectStoreBackend(MmapFileBackend):
                 for candidate in self._hot_lru:  # least-recent first
                     if self._pins.get(candidate, 0) > 0:
                         continue
-                    if candidate in self._object_runs:
-                        continue
                     victim = candidate
                     break
                 if victim is None:
@@ -798,7 +744,6 @@ class ObjectStoreBackend(MmapFileBackend):
         super().delete_run(run_id)
         with self._lock:
             self._object_runs.discard(run_id)
-            self._evicted.discard(run_id)
             self._fetched.pop(run_id, None)
             self._lengths.pop(run_id, None)
             self._hot_total -= self._hot_bytes.pop(run_id, 0)

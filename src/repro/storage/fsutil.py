@@ -9,20 +9,16 @@ backend, object-store PUTs — commits with the same discipline:
 3. ``os.replace`` it over the final name (the commit point);
 4. ``fsync`` the containing directory so the rename itself is durable.
 
-Historically that dance lived inline in ``persistence/checkpoint.py``
-and ``persistence/warehouse_store.py``; this module is the single
-source of truth both they and the storage backends share.
-
 Crash testing
 -------------
 
-The module-level :data:`crash_hook` mirrors the checkpoint module's
-test seam: when set, it is called with a named point
-(:data:`WRITE_CRASH_POINTS`) as each atomic write passes through it.
+The module-level :data:`crash_hook` is the repository's one crash
+seam: when set, it is called with a named point as each atomic write
+(:data:`WRITE_CRASH_POINTS`) or checkpoint save
+(:data:`repro.persistence.checkpoint.CRASH_POINTS`) passes through it.
 Raising :class:`SimulatedCrash` freezes the directory tree exactly
-there — a ``.tmp`` with no final file ("kill after write"), or a
-flushed ``.tmp`` that never renamed ("kill before rename") — which is
-what the backend crash-safety suite drives.
+there — e.g. a ``.tmp`` with no final file ("kill after write"), or a
+flushed ``.tmp`` that never renamed ("kill before rename").
 """
 
 from __future__ import annotations
@@ -53,12 +49,13 @@ class SimulatedCrash(RuntimeError):
     """Raised by a test :data:`crash_hook` to abort a write mid-flight."""
 
 
-#: Test seam: when set, called with each crash-point name as an atomic
-#: write reaches it.  Raise :class:`SimulatedCrash` to simulate dying.
+#: Test seam: when set, called with each crash-point name as a write
+#: reaches it.  Raise :class:`SimulatedCrash` to simulate dying.
 crash_hook: Optional[Callable[[str], None]] = None
 
 
-def _reach(point: str) -> None:
+def reach(point: str) -> None:
+    """Report crash point ``point`` to :data:`crash_hook`, if set."""
     if crash_hook is not None:
         crash_hook(point)
 
@@ -118,12 +115,12 @@ def atomic_write(
     temp = stage_path(path)
     with open(temp, "wb") as handle:
         write(handle)
-        _reach("tmp-written")
+        reach("tmp-written")
         handle.flush()
         os.fsync(handle.fileno())
-    _reach("tmp-synced")
+    reach("tmp-synced")
     os.replace(temp, path)  # commit point
-    _reach("renamed")
+    reach("renamed")
     if sync_dir:
         fsync_dir(path.parent)
     return path

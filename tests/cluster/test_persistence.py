@@ -1,6 +1,7 @@
 """Cluster checkpoints: per-shard directories plus one manifest."""
 
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,17 @@ import pytest
 
 from repro.cluster import (
     ClusterEngine,
+    ShardSupervisor,
     list_shard_dirs,
     load_cluster,
     save_cluster,
 )
 from repro.core.config import EngineConfig
-from repro.persistence import PersistenceError
+from repro.persistence import PersistenceError, SimulatedCrash
+from repro.persistence.checkpoint import CRASH_POINTS
+from repro.storage import fsutil
+
+SEED = int(os.environ.get("FAULTS_SEED", "0"))
 
 
 def build_cluster(shards=3, backend="kll", seed=11, steps=3, batch=4_000):
@@ -159,6 +165,16 @@ class TestFailureModes:
         with pytest.raises(PersistenceError):
             load_cluster(tmp_path / "empty")
 
+    def test_garbled_manifest(self, tmp_path):
+        cluster = build_cluster(shards=2, steps=2, batch=1_000)
+        try:
+            root = save_cluster(cluster, tmp_path / "cluster")
+        finally:
+            cluster.close()
+        (root / "cluster.json").write_text('{"format": "repro-clu')
+        with pytest.raises(PersistenceError, match="garbled"):
+            load_cluster(root)
+
     def test_unknown_format(self, tmp_path):
         root = tmp_path / "bad"
         root.mkdir()
@@ -247,3 +263,134 @@ class TestFailureModes:
             restored.close()
         finally:
             cluster.close()
+
+
+def cluster_print(cluster):
+    """Everything a restored cluster must reproduce exactly."""
+    return (
+        cluster.n_total,
+        cluster.n_historical,
+        cluster.m_stream,
+        cluster.steps_sealed,
+        [shard.n_total for shard in cluster.shards],
+        [cluster.quantile(phi, mode="quick").value for phi in (0.1, 0.5, 0.9)],
+    )
+
+
+def feed(cluster, rng, steps, batch=1_500):
+    for _ in range(steps):
+        cluster.stream_update_many(rng.integers(0, 10**6, batch))
+        cluster.end_time_step()
+    cluster.stream_update_many(rng.integers(0, 10**6, batch // 5))
+
+
+def crash_at(point, occurrence):
+    """Die the ``occurrence``-th time a save reaches ``point``."""
+    reached = []
+
+    def hook(name):
+        if name == point:
+            reached.append(name)
+            if len(reached) == occurrence:
+                raise SimulatedCrash(point)
+
+    fsutil.crash_hook = hook
+
+
+@pytest.fixture
+def reset_crash_hook():
+    yield
+    fsutil.crash_hook = None
+
+
+def points_of_a_resave(cluster, directory):
+    """Every crash point a save over an existing checkpoint reaches."""
+    save_cluster(cluster, directory)
+    reached = []
+    fsutil.crash_hook = reached.append
+    try:
+        save_cluster(cluster, directory)
+    finally:
+        fsutil.crash_hook = None
+    return reached
+
+
+@pytest.mark.faults
+@pytest.mark.usefixtures("reset_crash_hook")
+class TestKillPoints:
+    """A cluster save killed at any point of its one commit loads as
+    exactly the old checkpoint or the new one, never a mixture."""
+
+    @pytest.mark.parametrize("which", ["first", "last"])
+    @pytest.mark.parametrize("point", CRASH_POINTS)
+    def test_recovery_restores_old_or_new_exactly(
+        self, tmp_path, point, which
+    ):
+        rng = np.random.default_rng(SEED)
+        config = EngineConfig(
+            epsilon=0.05, kappa=3, block_elems=64, sketch_backend="kll"
+        )
+        cluster = ClusterEngine(shards=3, config=config)
+        feed(cluster, rng, 4)
+        root = tmp_path / "ckpt" / "cluster"
+        save_cluster(cluster, root)
+        with load_cluster(root) as old:
+            old_print = cluster_print(old)
+        feed(cluster, rng, 2)
+        new_print = cluster_print(cluster)
+        assert new_print != old_print
+        reached = points_of_a_resave(cluster, tmp_path / "dry")
+        # The staging of every shard reaches "mid-stage"; the prelude
+        # and the commit are reached once per save.
+        assert reached.count("mid-stage") == cluster.num_shards
+        crash_at(point, 1 if which == "first" else reached.count(point))
+        with pytest.raises(SimulatedCrash):
+            save_cluster(cluster, root)
+        fsutil.crash_hook = None
+        with load_cluster(root) as restored:
+            restored.check_invariants()
+            got = cluster_print(restored)
+        # The commit point is the one stage->directory rename.
+        expected = (
+            new_print if point in ("retired-old", "promoted") else old_print
+        )
+        assert got == expected
+        assert [p.name for p in root.parent.iterdir()] == ["cluster"]
+        cluster.close()
+
+    @pytest.mark.parametrize("point", ["staged", "retired-old"])
+    def test_supervisor_restores_past_a_crashed_commit(
+        self, tmp_path, point
+    ):
+        """A shard restored after a cluster save died around its
+        commit (rolled back at "staged", forward at "retired-old")
+        comes back with exactly the acked state, checkpoint plus WAL."""
+        rng = np.random.default_rng(SEED)
+        config = EngineConfig(
+            epsilon=0.05,
+            kappa=3,
+            block_elems=64,
+            sketch_backend="kll",
+            min_gather_shards=1,
+        )
+        cluster = ClusterEngine(
+            shards=3, config=config, wal_dir=tmp_path / "wal"
+        )
+        feed(cluster, rng, 3)
+        root = tmp_path / "ckpt" / "cluster"
+        save_cluster(cluster, root)
+        feed(cluster, rng, 2)
+        crash_at(point, 1)
+        with pytest.raises(SimulatedCrash):
+            save_cluster(cluster, root)
+        fsutil.crash_hook = None
+        acked = cluster_print(cluster)
+        assert cluster.shards[1].n_total > 0
+        cluster.kill_shard(1, "chaos")
+        supervisor = ShardSupervisor(cluster, root)
+        supervisor.tick(now=0.0)
+        assert cluster.quarantined_shards == {}
+        cluster.check_invariants()
+        assert cluster_print(cluster) == acked
+        assert [p.name for p in root.parent.iterdir()] == ["cluster"]
+        cluster.close()

@@ -1,7 +1,7 @@
 """Crash-recovery harness for the atomic checkpoint protocol.
 
 Kills a ``save_engine`` at every named crash point (via the
-``crash_hook`` test seam) and asserts the reloaded engine answers
+``repro.storage.fsutil.crash_hook`` test seam) and asserts the reloaded engine answers
 exactly as either the previous or the new checkpoint — never a torn
 mixture — and that the directory tree is left clean.  Runs under a
 seed matrix in the dedicated CI job (``-m faults``).
@@ -19,8 +19,8 @@ from repro.persistence import (
     recover_checkpoint,
     save_engine,
 )
-from repro.persistence import checkpoint as checkpoint_module
 from repro.persistence.checkpoint import CRASH_POINTS
+from repro.storage import fsutil
 
 pytestmark = pytest.mark.faults
 
@@ -60,7 +60,7 @@ def fingerprint(engine):
 @pytest.fixture(autouse=True)
 def reset_crash_hook():
     yield
-    checkpoint_module.crash_hook = None
+    fsutil.crash_hook = None
 
 
 def crash_at(point):
@@ -68,7 +68,7 @@ def crash_at(point):
         if reached == point:
             raise SimulatedCrash(point)
 
-    checkpoint_module.crash_hook = hook
+    fsutil.crash_hook = hook
 
 
 @pytest.mark.parametrize("point", CRASH_POINTS)
@@ -86,7 +86,7 @@ class TestKillPoints:
         crash_at(point)
         with pytest.raises(SimulatedCrash):
             save_engine(engine, directory)
-        checkpoint_module.crash_hook = None
+        fsutil.crash_hook = None
         restored = load_engine(directory)
         got = fingerprint(restored)
         # The protocol commits at the stage->directory rename: crashes
@@ -110,7 +110,7 @@ class TestKillPoints:
         crash_at(point)
         with pytest.raises(SimulatedCrash):
             save_engine(engine, directory)
-        checkpoint_module.crash_hook = None
+        fsutil.crash_hook = None
         first = recover_checkpoint(directory)
         second = recover_checkpoint(directory)
         assert first == second == directory
@@ -129,7 +129,7 @@ class TestFirstSaveCrash:
         crash_at("mid-stage")
         with pytest.raises(SimulatedCrash):
             save_engine(engine, directory)
-        checkpoint_module.crash_hook = None
+        fsutil.crash_hook = None
         with pytest.raises(PersistenceError):
             load_engine(directory)
         engine.close()
@@ -141,7 +141,7 @@ class TestFirstSaveCrash:
         crash_at("promoted")
         with pytest.raises(SimulatedCrash):
             save_engine(engine, directory)
-        checkpoint_module.crash_hook = None
+        fsutil.crash_hook = None
         restored = load_engine(directory)
         assert fingerprint(restored) == fingerprint(engine)
         restored.close()
@@ -165,6 +165,6 @@ class TestDoubleCrash:
         crash_at("mid-stage")
         with pytest.raises(SimulatedCrash):
             save_engine(engine, directory)
-        checkpoint_module.crash_hook = None
+        fsutil.crash_hook = None
         assert fingerprint(load_engine(directory)) == old_print
         engine.close()

@@ -11,11 +11,12 @@ import os
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterEngine, save_cluster
 from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
 from repro.ingest.wal import WriteAheadLog
 from repro.persistence import save_engine
-from repro.persistence import checkpoint as checkpoint_module
+from repro.storage import fsutil
 
 pytestmark = pytest.mark.faults
 
@@ -57,7 +58,7 @@ class TestCheckpointStage:
     @pytest.fixture(autouse=True)
     def reset_crash_hook(self):
         yield
-        checkpoint_module.crash_hook = None
+        fsutil.crash_hook = None
 
     def save_checking_stage(self, engine, directory, synced):
         """Save, listing the staged files not fsynced at the commit."""
@@ -65,12 +66,12 @@ class TestCheckpointStage:
 
         def hook(point):
             if point == "staged":
-                stage = checkpoint_module.stage_path(directory)
+                stage = fsutil.stage_path(directory)
                 found.append(unsynced_files(stage, synced))
 
-        checkpoint_module.crash_hook = hook
+        fsutil.crash_hook = hook
         save_engine(engine, directory)
-        checkpoint_module.crash_hook = None
+        fsutil.crash_hook = None
         (unsynced,) = found
         return unsynced
 
@@ -104,6 +105,22 @@ class TestCheckpointStage:
             monkeypatch.setattr(os, "link", no_link)
             assert self.save_checking_stage(engine, directory, synced) == []
         assert links
+
+
+class TestClusterCheckpoint:
+    def test_every_committed_file_was_synced(self, tmp_path, synced):
+        rng = np.random.default_rng(7)
+        config = EngineConfig(
+            epsilon=0.05, kappa=3, block_elems=64, sketch_backend="kll"
+        )
+        with ClusterEngine(shards=3, config=config) as cluster:
+            feed(cluster, rng, 4)
+            root = save_cluster(cluster, tmp_path / "cluster")
+            assert unsynced_files(root, synced) == []
+            # A second save hard-links the unchanged partitions.
+            feed(cluster, rng, 2)
+            save_cluster(cluster, root)
+            assert unsynced_files(root, synced) == []
 
 
 class TestWalFloor:
