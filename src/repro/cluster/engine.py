@@ -26,11 +26,11 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..core.bounds import CombinedSummary, PartialResult, widen_rank_bound
+from ..core.bounds import CombinedSummary
 from ..core.config import EngineConfig
 from ..core.engine import HybridQuantileEngine, StepReport
 from ..core.epoch import HistoricalMemo, SnapshotHandle, StreamView
@@ -40,6 +40,7 @@ from ..core.query_path import (
     QueryResult,
     QueryScope,
     answer_rank,
+    with_partial,
 )
 from ..core.summaries import PartitionSummary
 from ..faults.disk import FaultyDisk
@@ -300,14 +301,15 @@ class ClusterSnapshot(PinnedView):
     def repinned(
         cls, gather: ShardGather, config: EngineConfig,
         executor: QueryExecutor, missing: Mapping[int, int],
-        historical_memo: HistoricalMemo,
+        historical_memo: HistoricalMemo, pin: bool = True,
     ) -> "ClusterSnapshot":
         """A new view over ``gather`` with pins of its own: each handle's
-        registry refcount and run pins taken again, directly."""
+        registry refcount and run pins taken again, directly.  With
+        ``pin=False`` it takes none and is born released."""
         view = cls.__new__(cls)
         view._read(gather, config, executor, missing, historical_memo)
-        view._repinned = True
-        for handle in gather.handles:
+        view._repinned, view._released = True, not pin
+        for handle in gather.handles if pin else ():
             handle._pin()
         return view
 
@@ -419,7 +421,7 @@ class ClusterSnapshot(PinnedView):
                     historical_memo=self._historical_memo,
                 )
                 scope = view._query_scope(scope.window_steps, scope.step_range)
-        result = self._with_partial(
+        result = with_partial(
             result, {**self.missing, **excluded}, len(view.handles)
         )
         if excluded:
@@ -429,31 +431,8 @@ class ClusterSnapshot(PinnedView):
             )
         return result
 
-    def _answer_quick_many(
-        self, scope: QueryScope, phis: Sequence[float]
-    ) -> List[QueryResult]:
-        return [
-            self._with_partial(result, self.missing, len(self.handles))
-            for result in super()._answer_quick_many(scope, phis)
-        ]
-
-    def _with_partial(
-        self, result: QueryResult, missing: Mapping[int, int], answering: int
-    ) -> QueryResult:
-        """``result`` widened by, and reporting, the ``missing`` shards."""
-        if not missing:
-            return result
-        lost = sum(missing.values())
-        return replace(
-            result,
-            rank_error_bound=widen_rank_bound(result.rank_error_bound, lost),
-            partial=PartialResult(
-                missing_shards=tuple(sorted(missing)),
-                missing_elements=lost,
-                shards_answering=answering,
-                base_bound=result.rank_error_bound,
-            ),
-        )
+    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int]":
+        return self.combined(*scope), self.missing, len(self.handles)
 
 
 class ClusterEngine(PinnedQueries):
@@ -818,6 +797,23 @@ class ClusterEngine(PinnedQueries):
     def _query_pin(self) -> ClusterSnapshot:
         # Looked up per call: a traced run patches ``pin`` on the class.
         return self.pin()
+
+    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int]":
+        """The held gather's TS, off a view born released, while every
+        live shard would pin what it holds: no shard pinned, nothing
+        gathered again.  Otherwise a pinned view's (it keeps its gather)."""
+        gather = self._gather
+        live = [(i, s) for i, s in enumerate(self.shards) if s is not None]
+        if gather is None or not gather.holds(live):
+            view = self._query_pin()
+        else:
+            missing = {i: self._shard_elems[i] for i in self._quarantined}
+            view = ClusterSnapshot.repinned(
+                gather, self.config, self._executor, missing,
+                self._historical_memo, pin=False,
+            )
+        with view:
+            return view._current_ts(*scope)
 
     # -- fault handling -------------------------------------------------
 

@@ -389,8 +389,8 @@ class CombinedSummary:
         return max(half.item(-1) for half in halves if len(half))
 
     def quick_responses(self, ranks: np.ndarray) -> np.ndarray:
-        """Algorithm 5 for a batch the serving layer's coalescer gathered
-        at one epoch: element ``i`` is ``quick_response(ranks[i])``."""
+        """Algorithm 5 over an array of ranks: element ``i`` is
+        ``quick_response(ranks[i])``."""
         answers = [self.quick_response(r) for r in np.asarray(ranks).tolist()]
         return np.asarray(answers, dtype=np.int64)
 

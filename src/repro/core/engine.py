@@ -54,7 +54,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence
+from typing import Any, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -72,6 +72,7 @@ from ..storage.shared_cache import SharedBlockCache
 from ..warehouse.compaction import LeveledCompactionStore
 from ..warehouse.leveled_store import LeveledStore, window_sizes_from
 from ..warehouse.partition import Partition
+from .bounds import CombinedSummary
 from .config import EngineConfig
 from .epoch import (
     EpochRegistry,
@@ -719,12 +720,29 @@ class HybridQuantileEngine(PinnedQueries):
         by the first; with no stream updates in between they also share
         one sketch snapshot, one SS and one TS, and answer every query
         identically — the property the serving layer's coalescer and
-        the stress suite's bit-identical replay build on.
+        the stress suite's bit-identical replay build on.  The engine's
+        own quick verbs read that same pair without pinning it.
         """
         with self._seal_lock:
             layout = self._current_layout()
             stream = self._current_stream_view()
         return SnapshotHandle(self, layout, stream)
+
+    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int]":
+        """The TS a pin now would read over the scope, pinning nothing:
+        the (layout, stream) pair taken as :meth:`pin` takes it, the
+        full scope's TS off the memo with one counted merge, any other
+        scope's an unpinned handle's."""
+        with self.disk.stats.phase_scope("query"), self._seal_lock:
+            layout = self._current_layout()
+            stream = self._current_stream_view()
+        if scope != (None, None):
+            view = SnapshotHandle(self, layout, stream, pin=False)
+            return view._current_ts(*scope)
+        self._epochs.note_ts_merge()
+        memo, key = self._historical_memo, layout.key
+        ts = CombinedSummary.build(layout.summaries, stream.summary(), memo, key)
+        return ts, {}, 1
 
     @property
     def epoch_stats(self) -> EpochStats:

@@ -345,7 +345,8 @@ class SnapshotHandle(PinnedView):
     """A refcounted pin of one consistent (HS, SS, partition-set) view.
 
     Created by :meth:`HybridQuantileEngine.pin`; release with
-    :meth:`release` (or use as a context manager).  The verbs are
+    :meth:`release` (or use as a context manager).  One built with
+    ``pin=False`` holds no pins and is born released.  The verbs are
     :class:`~repro.core.query_path.PinnedView`'s, and so is the scope
     code; what is here is the pin: the registry refcount and the backend
     run pins, the epoch's shared :class:`Layout`, the shared
@@ -353,7 +354,9 @@ class SnapshotHandle(PinnedView):
     counted merge per resolution).
     """
 
-    def __init__(self, engine: Any, layout: Layout, stream: StreamView) -> None:
+    def __init__(
+        self, engine: Any, layout: Layout, stream: StreamView, pin: bool = True
+    ) -> None:
         disk = engine.disk
         super().__init__(engine.config, engine.query_executor, disk.latency)
         self._engine = engine
@@ -364,7 +367,9 @@ class SnapshotHandle(PinnedView):
         self.gk = stream.sketch  # shared with other handles: read only
         self.m_stream = stream.size
         self._historical_memo = engine._historical_memo
-        self._pin()
+        self._released = not pin
+        if pin:
+            self._pin()
 
     def _pin(self) -> None:
         """Take a registry refcount and a backend pin per run (what

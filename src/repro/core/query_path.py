@@ -10,18 +10,19 @@ stream.
 Every door is a :class:`PinnedView` — a
 :class:`~repro.core.epoch.SnapshotHandle` (one engine's pin) or a
 :class:`~repro.cluster.engine.ClusterSnapshot` (a gather of them) — or
-a system that pins one per call (:class:`PinnedQueries`).  The view
-builds a :class:`QueryScope` and calls :func:`answer_rank` (or the
-batched :func:`answer_quick_many`), so each :class:`QueryResult` field
-has exactly one rule, stated on the field.
+a system (:class:`PinnedQueries`), which pins one per accurate query.
+A search runs through :func:`answer_rank`, and every quick answer
+through :func:`answer_quick`, so each :class:`QueryResult` field has
+exactly one rule, stated on the field.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from typing import Any, Callable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +31,9 @@ from ..query.executor import QueryExecutor
 from ..sketches.base import rank_for_phi
 from ..storage.stats import DiskLatencyModel
 from ..warehouse.partition import Partition
-from .bounds import CombinedSummary, PartialResult, quick_rank_bound
+from .bounds import (
+    CombinedSummary, PartialResult, quick_rank_bound, widen_rank_bound,
+)
 from .config import EngineConfig
 from .filters import AccurateSearch
 from .summaries import PartitionSummary, StreamSummary
@@ -112,33 +115,11 @@ def check_mode(mode: str) -> None:
         raise ValueError("mode must be 'quick' or 'accurate'")
 
 
-def _quick_result(
-    scope: QueryScope,
-    mode: str,
-    rank: int,
-    value: int,
-    bound: float,
-    wall: float,
-    blocks: int = 0,
-    per_block: float = 0.0,
-) -> QueryResult:
-    """Algorithm 5's answer; asked in accurate ``mode`` it is a degraded
-    one, charged the aborted search's ``blocks``."""
-    return QueryResult(
-        value=int(value),
-        target_rank=int(rank),
-        total_size=scope.combined.total_size,
-        mode=mode,
-        estimated_rank=float(rank),
-        disk_accesses=blocks,
-        iterations=0,
-        truncated=mode != "quick",
-        wall_seconds=wall,
-        sim_seconds=blocks * per_block,
-        window_steps=scope.window_steps,
-        degraded=mode != "quick",
-        rank_error_bound=float(bound),
-    )
+def rank_in(rank: int, total: int) -> int:
+    """``rank`` clamped into ``[1, total]``; a non-integer is refused."""
+    if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)):
+        raise TypeError(f"rank must be an integer, not {type(rank).__name__}")
+    return max(1, min(int(rank), total))
 
 
 def answer_rank(
@@ -160,18 +141,15 @@ def answer_rank(
     free for the next); by default each search gets ``scope.new_cache()``.
 
     An accurate search whose probe exhausted its retries degrades to
-    the quick response with its wider bound — flagged on the result and
-    counted through ``scope.on_degraded`` — unless
-    ``config.degrade_on_fault`` is off or the caller passes
+    the quick response (flagged, counted through ``scope.on_degraded``)
+    unless ``config.degrade_on_fault`` is off or the caller passes
     ``degrade=False`` because it has a better recovery (the cluster
     retries over the surviving shards); the typed fault then propagates.
     """
     check_mode(mode)
-    if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)):
-        raise TypeError(f"rank must be an integer, not {type(rank).__name__}")
     started = time.perf_counter()
     total = scope.combined.total_size
-    rank = max(1, min(int(rank), total))
+    rank = rank_in(rank, total)
     m_scope = scope.stream_summary.stream_size
     per_block = latency.seconds_per_random_block
     blocks, stream = 0, scope.stream
@@ -198,58 +176,180 @@ def answer_rank(
             # The aborted search's probes were still charged.
             blocks = cache.blocks_charged - charged_before
         else:
+            blocks = outcome.random_blocks
             return QueryResult(
-                value=int(outcome.value),
-                target_rank=rank,
-                total_size=total,
-                mode=mode,
-                estimated_rank=outcome.estimated_rank,
-                disk_accesses=outcome.random_blocks,
-                iterations=outcome.iterations,
+                value=int(outcome.value), target_rank=rank, total_size=total,
+                mode=mode, estimated_rank=outcome.estimated_rank,
+                disk_accesses=blocks, iterations=outcome.iterations,
                 truncated=outcome.truncated,
                 wall_seconds=time.perf_counter() - started,
-                sim_seconds=outcome.random_blocks * per_block,
+                sim_seconds=blocks * per_block,
                 window_steps=scope.window_steps,
                 parallel_sim_seconds=outcome.max_partition_blocks * per_block,
                 rank_error_bound=float(config.query_epsilon * m_scope),
             )
-    value = scope.combined.quick_response(rank)
-    bound = quick_rank_bound(config, total, m_scope)
-    wall = time.perf_counter() - started
-    return _quick_result(
-        scope, mode, rank, value, bound, wall, blocks, per_block
-    )
+    return answer_quick(
+        scope.combined, [rank], config, started, scope.window_steps, mode,
+        blocks, per_block,
+    )[0]
 
 
-def answer_quick_many(
-    scope: QueryScope,
-    phis: Sequence[float],
+def answer_quick(
+    combined: CombinedSummary,
+    ranks: Sequence[int],
     config: EngineConfig,
+    started: float,
+    window_steps: Optional[int] = None,
+    mode: str = "quick",
+    blocks: int = 0,
+    per_block: float = 0.0,
 ) -> List[QueryResult]:
-    """Quick quantiles for every ``phi`` from one TS, in one pass.
-
-    The serving coalescer's workhorse: the batch shares the pinned TS
-    and pays one lookup per ``phi``.  Results are index-aligned with
-    ``phis`` and equal ``answer_rank(..., "quick")`` one by one.
+    """Algorithm 5 at each of ``ranks`` (in ``[1, N]``) off one TS: every
+    quick answer, sharing the wall time since ``started`` (a batch all
+    waited for the same TS).  Asked in accurate ``mode`` it is a
+    degraded answer, charged the aborted search's ``blocks``.
     """
-    started = time.perf_counter()
-    combined = scope.combined
     total = combined.total_size
-    ranks = [rank_for_phi(phi, total) for phi in phis]
-    values = combined.quick_responses(np.asarray(ranks, dtype=np.int64))
-    bound = quick_rank_bound(config, total, scope.stream_summary.stream_size)
-    # The shared pass's wall time; attributing it to every result keeps
-    # per-result latency honest for coalesced batches (they all waited
-    # for the same merge).
+    # The stream's share of N is what TS holds beyond HS.
+    m_scope = total - combined.historical.total_size
+    bound = float(quick_rank_bound(config, total, m_scope))
+    values = [combined.quick_response(rank) for rank in ranks]
     wall = time.perf_counter() - started
+    degraded = mode != "quick"
     return [
-        _quick_result(scope, "quick", rank, value, bound, wall)
+        QueryResult(
+            value=value, target_rank=rank, total_size=total,
+            mode=mode, estimated_rank=float(rank), disk_accesses=blocks,
+            iterations=0, truncated=degraded, wall_seconds=wall,
+            sim_seconds=blocks * per_block, window_steps=window_steps,
+            degraded=degraded, rank_error_bound=bound,
+        )
         for rank, value in zip(ranks, values)
     ]
 
 
-class PinnedView:
-    """One pinned, consistent view and the verbs every such view has.
+def with_partial(
+    result: QueryResult, missing: Mapping[int, int], answering: int
+) -> QueryResult:
+    """``result`` widened by, and reporting, the ``missing`` shards (id
+    -> acked elements) while ``answering`` shards answered."""
+    if not missing:
+        return result
+    lost = sum(missing.values())
+    return replace(
+        result,
+        rank_error_bound=widen_rank_bound(result.rank_error_bound, lost),
+        partial=PartialResult(
+            tuple(sorted(missing)), lost, answering, result.rank_error_bound
+        ),
+    )
+
+
+def answer_current(
+    source: "PinnedQueries",
+    targets: Sequence[Any],
+    to_rank: Callable[[Any, int], int],
+    window_steps: Optional[int] = None,
+    step_range: "Optional[tuple[int, int]]" = None,
+) -> List[QueryResult]:
+    """Quick answers at ``targets`` (phis or ranks, as ``to_rank`` turns
+    them into ranks) off ``source``'s current TS, widened for the shards
+    it misses."""
+    started = time.perf_counter()
+    combined, missing, answering = source._current_ts(window_steps, step_range)
+    total = combined.total_size
+    ranks = [to_rank(target, total) for target in targets]
+    results = answer_quick(combined, ranks, source.config, started, window_steps)
+    if missing:
+        results = [with_partial(r, missing, answering) for r in results]
+    return results
+
+
+class PinnedQueries:
+    """The query verbs, written once for a pinned view and a system.
+
+    A subclass supplies ``config``, ``_current_ts(window_steps,
+    step_range)`` (the TS quick answers over that scope read, the
+    missing shards' acked counts and the number of shards answering)
+    and ``_query_pin()`` (a context manager yielding the
+    :class:`PinnedView` a search runs on).  A view answers both off its
+    own pins.  A system (:class:`~repro.core.engine.HybridQuantileEngine`,
+    :class:`~repro.cluster.engine.ClusterEngine`) pins a view per
+    accurate query and none per quick one: Algorithm 5 reads only
+    in-memory summaries, and a TS fused from one consistent (layout,
+    stream) reading never changes, so its answer is a pin's.
+    """
+
+    def query_rank(
+        self,
+        rank: int,
+        mode: str = "accurate",
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+    ) -> QueryResult:
+        """Return an element whose rank in T approximates ``rank``.
+
+        ``mode`` selects Algorithm 5 (``"quick"``, memory-only,
+        ``O(eps*N)`` error) or Algorithm 6 (``"accurate"``, a few
+        hundred random block reads, ``O(eps*m)`` error).  With
+        ``window_steps`` the query covers only the last that many time
+        steps of historical data plus the live stream; with
+        ``step_range=(a, b)`` it covers exactly historical steps a..b
+        (no stream), when those align with partition boundaries.
+        """
+        if mode == "quick":
+            scope = (window_steps, step_range)
+            return answer_current(self, [rank], rank_in, *scope)[0]
+        with self._query_pin() as view:
+            return view._answer(
+                view._query_scope(window_steps, step_range), rank, mode
+            )
+
+    def quantile(
+        self,
+        phi: float,
+        mode: str = "accurate",
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+    ) -> QueryResult:
+        """A ``phi``-quantile of the union (Definition 1)."""
+        if mode == "quick":
+            scope = (window_steps, step_range)
+            return answer_current(self, [phi], rank_for_phi, *scope)[0]
+        with self._query_pin() as view:
+            scope = view._query_scope(window_steps, step_range)
+            rank = rank_for_phi(phi, scope.combined.total_size)
+            return view._answer(scope, rank, mode)
+
+    def quantile_many(
+        self,
+        phis: Sequence[float],
+        mode: str = "quick",
+        window_steps: Optional[int] = None,
+    ) -> List[QueryResult]:
+        """Answer many quantiles, index-aligned with ``phis``: the serving
+        coalescer's and the CLI's batched entry point.
+
+        Quick mode pays one TS and one lookup per ``phi``.  Accurate
+        mode shares the pinned scope and one block cache across the
+        searches, so blocks touched by one are free for the next.
+        """
+        check_mode(mode)
+        if mode == "quick":
+            return answer_current(self, phis, rank_for_phi, window_steps)
+        with self._query_pin() as view:
+            scope = view._query_scope(window_steps)
+            cache = scope.new_cache()
+            total = scope.combined.total_size
+            return [
+                view._answer(scope, rank_for_phi(phi, total), mode, cache)
+                for phi in phis
+            ]
+
+
+class PinnedView(PinnedQueries):
+    """One pinned, consistent view: its lifecycle, scope, once-per-view
+    full-scope TS and merge counter, written here once.
 
     A subclass says what it pinned: ``n_historical`` / ``m_stream``,
     ``_release_pins()``, ``_partitions_in(window_steps, step_range)``
@@ -257,17 +357,13 @@ class PinnedView:
     summed), ``_summaries`` / ``_key`` (the full scope's non-empty
     partitions' summaries in that order, and their memo key),
     ``_stream`` (one :class:`~repro.core.epoch.StreamView`),
-    ``_historical_memo``, ``_new_cache()`` (a per-query block cache)
-    and ``_on_degraded(cache)``.  The lifecycle, the scope, the
-    once-per-view full-scope TS, the merge counter and the three query
-    verbs are written here, once.  All of it is thread-safe: the
-    serving layer shares one view across a coalesced batch of requests.
+    ``_historical_memo``, ``_new_cache()`` and ``_on_degraded(cache)``.
+    All of it is thread-safe: the serving layer shares one view across
+    a coalesced batch of requests.
     """
 
     def __init__(
-        self,
-        config: EngineConfig,
-        executor: QueryExecutor,
+        self, config: EngineConfig, executor: QueryExecutor,
         latency: DiskLatencyModel,
     ) -> None:
         self.config = config
@@ -337,14 +433,9 @@ class PinnedView:
     ) -> QueryScope:
         partitions, ss = self.scope(window_steps, step_range)
         return QueryScope(
-            partitions=partitions,
-            stream_summary=ss,
-            combined=self.combined(window_steps, step_range),
-            stream=self._stream if step_range is None else None,
-            new_cache=self._new_cache,
-            on_degraded=self._on_degraded,
-            window_steps=window_steps,
-            step_range=step_range,
+            partitions, ss, self.combined(window_steps, step_range),
+            self._stream if step_range is None else None,
+            self._new_cache, self._on_degraded, window_steps, step_range,
         )
 
     @property
@@ -385,6 +476,12 @@ class PinnedView:
 
     # -- queries --------------------------------------------------------
 
+    def _query_pin(self) -> "nullcontext[PinnedView]":
+        return nullcontext(self)
+
+    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int]":
+        return self.combined(*scope), {}, 1
+
     def _answer(
         self, scope: QueryScope, rank: int, mode: str, cache: Any = None
     ) -> QueryResult:
@@ -392,121 +489,3 @@ class PinnedView:
             scope, rank, mode, self.config, self._executor,
             self._latency, cache,
         )
-
-    def _answer_quick_many(
-        self, scope: QueryScope, phis: Sequence[float]
-    ) -> List[QueryResult]:
-        return answer_quick_many(scope, phis, self.config)
-
-    def query_rank(
-        self,
-        rank: int,
-        mode: str = "accurate",
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> QueryResult:
-        """Answer exactly as the system would have at pin time."""
-        scope = self._query_scope(window_steps, step_range)
-        return self._answer(scope, rank, mode)
-
-    def quantile(
-        self,
-        phi: float,
-        mode: str = "accurate",
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> QueryResult:
-        """A ``phi``-quantile of the pinned union (Definition 1)."""
-        scope = self._query_scope(window_steps, step_range)
-        rank = rank_for_phi(phi, scope.combined.total_size)
-        return self._answer(scope, rank, mode)
-
-    def quantile_many(
-        self,
-        phis: Sequence[float],
-        mode: str = "quick",
-        window_steps: Optional[int] = None,
-    ) -> List[QueryResult]:
-        """Answer many quantiles against this one pinned view.
-
-        Quick mode is the coalescer's workhorse: one (cached) TS, then
-        one rank-bound lookup per ``phi``.  Accurate mode shares the
-        scope and one block cache across the searches, so blocks
-        touched by one are free for the next.  Results are
-        index-aligned with ``phis``.
-        """
-        check_mode(mode)
-        scope = self._query_scope(window_steps)
-        if mode == "quick":
-            return self._answer_quick_many(scope, phis)
-        cache = scope.new_cache()
-        total = scope.combined.total_size
-        return [
-            self._answer(scope, rank_for_phi(phi, total), mode, cache)
-            for phi in phis
-        ]
-
-
-class PinnedQueries:
-    """The query verbs of a system that answers from pinned views.
-
-    :class:`~repro.core.engine.HybridQuantileEngine` and
-    :class:`~repro.cluster.engine.ClusterEngine` each supply
-    ``_query_pin()``, a context manager yielding a pinned view; every
-    verb is "pin a view, ask it, release".
-    """
-
-    def query_rank(
-        self,
-        rank: int,
-        mode: str = "accurate",
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> QueryResult:
-        """Return an element whose rank in T approximates ``rank``.
-
-        ``mode`` selects Algorithm 5 (``"quick"``, memory-only,
-        ``O(eps*N)`` error) or Algorithm 6 (``"accurate"``, a few
-        hundred random block reads, ``O(eps*m)`` error).  With
-        ``window_steps`` the query covers only the last that many time
-        steps of historical data plus the live stream; with
-        ``step_range=(a, b)`` it covers exactly historical steps a..b
-        (no stream), when those align with partition boundaries.
-        """
-        with self._query_pin() as view:
-            return view.query_rank(
-                rank,
-                mode=mode,
-                window_steps=window_steps,
-                step_range=step_range,
-            )
-
-    def quantile(
-        self,
-        phi: float,
-        mode: str = "accurate",
-        window_steps: Optional[int] = None,
-        step_range: "Optional[tuple[int, int]]" = None,
-    ) -> QueryResult:
-        """A ``phi``-quantile of the union (Definition 1)."""
-        with self._query_pin() as view:
-            return view.quantile(
-                phi,
-                mode=mode,
-                window_steps=window_steps,
-                step_range=step_range,
-            )
-
-    def quantile_many(
-        self,
-        phis: Sequence[float],
-        mode: str = "quick",
-        window_steps: Optional[int] = None,
-    ) -> List[QueryResult]:
-        """:meth:`PinnedView.quantile_many` on one pinned view: the
-        batched entry point of the serving layer's coalescer and of the
-        CLI's multi-``--phi`` path."""
-        with self._query_pin() as view:
-            return view.quantile_many(
-                phis, mode=mode, window_steps=window_steps
-            )

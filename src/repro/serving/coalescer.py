@@ -10,7 +10,7 @@ waits first only while an accurate search runs, so that requests
 arriving meanwhile join.  The coalescer pins **one**
 :class:`~repro.core.epoch.SnapshotHandle` and answers the whole batch
 with one cached TS plus one rank-bound lookup per distinct phi
-(:meth:`~repro.core.bounds.CombinedSummary.quick_responses`).  This is
+(:func:`~repro.core.query_path.answer_quick`).  This is
 the data-fusion insight (PAPERS.md: quantile trackers shared across
 streams) applied to our read path: merges per request drop below one,
 which is the serving benchmark's headline number.

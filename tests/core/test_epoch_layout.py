@@ -10,15 +10,17 @@ adoptions bump, a cascade merge and ``load_engine`` drop.
 
 The state machine drives every write, pin and query door (background
 ingest, so adoptions land between rules) and checks, after every step,
-that each live handle still equals a fresh derivation taken at its pin
-and that ``check_invariants`` — which compares the shared layout with a
-fresh one — passes.  It logs every acked write, and every full-scope
-quick or accurate answer must pass ``bench.oracle.Oracle.verify``
-against the writes acked before the engine answered or the handle was
-pinned.  A sibling machine does the same to a 3-shard KLL cluster, whose
-pins reuse one gather per cluster version, with views held across
-writes and seals, writes straight into a shard, kills (mid-step ones
-move the step's home), checkpoints and supervised rejoins; an answer
+that each live handle still equals a fresh derivation taken at its pin,
+that ``check_invariants`` — which compares the shared layout with a
+fresh one — passes and that no retained TS has built its arrays (no
+door materialises them).  It logs every acked write, and every
+full-scope quick or accurate answer must pass
+``bench.oracle.Oracle.verify`` against the writes acked before the
+engine answered or the handle was pinned.  A sibling machine does the
+same to a 3-shard KLL cluster, whose pins reuse one gather per cluster
+version, with views held across writes and seals, odd chunkings,
+writes straight into a shard, kills (mid-step ones move the step's
+home), checkpoints and supervised rejoins; an answer
 gathered without a quarantined shard is checked over the whole union
 against its widened bound.
 """
@@ -88,6 +90,35 @@ def verify(oracle, writes, mode, phi, at, result):
     assert not verdict.failures, verdict.failures
 
 
+def assert_no_ts_arrays(memos, views):
+    """No door built a retained TS's arrays: neither a memo's retained TS
+    nor a held view's (``check_invariants`` reads those off a copy)."""
+    for memo in memos:
+        with memo._lock:
+            held = [entry.combined for entry in memo._entries.values()]
+        for ts in held + [view._combined for view in views]:
+            assert ts is None or "_arrays" not in vars(ts)
+
+
+def write_odd(system, rng, kind, size, log):
+    """A duplicate-heavy batch, a sorted run or 1-4 scalar writes into
+    ``system``, each acked write handed to ``log``."""
+    if kind == "scalars":
+        for value in rng.integers(0, 10**6, size % 4 + 1):
+            system.stream_update(int(value))
+            log(np.asarray([value]))
+        return
+    if kind == "duplicates":
+        values = rng.integers(0, 10**6) + rng.integers(0, 16, size)
+    else:
+        values = np.sort(rng.integers(0, 10**6, size))
+    system.stream_update_many(values)
+    log(values)
+
+
+ODD_KINDS = st.sampled_from(["duplicates", "ascending", "scalars"])
+
+
 def handle_print(handle):
     return (
         handle.epoch,
@@ -136,26 +167,14 @@ class LayoutMachine(RuleBasedStateMachine):
         at = self.tick()
         self.writes.append((at, at, values))
 
-    @rule(
-        kind=st.sampled_from(["duplicates", "ascending", "scalars"]),
-        size=st.integers(1, 300),
-    )
-    def odd_update(self, kind, size):
-        """A duplicate-heavy batch, a sorted run or a few scalar writes."""
-        if kind == "scalars":
-            for value in self.rng.integers(0, 10**6, size % 4 + 1):
-                self.engine.stream_update(int(value))
-                at = self.tick()
-                self.writes.append((at, at, np.asarray([value])))
-            return
-        if kind == "duplicates":
-            base = self.rng.integers(0, 10**6)
-            values = base + self.rng.integers(0, 16, size)
-        else:
-            values = np.sort(self.rng.integers(0, 10**6, size))
-        self.engine.stream_update_many(values)
+    def log(self, values):
         at = self.tick()
         self.writes.append((at, at, values))
+
+    @rule(kind=ODD_KINDS, size=st.integers(1, 300))
+    def odd_update(self, kind, size):
+        """A duplicate-heavy batch, a sorted run or a few scalar writes."""
+        write_odd(self.engine, self.rng, kind, size, self.log)
 
     @rule()
     def seal(self):
@@ -260,6 +279,8 @@ class LayoutMachine(RuleBasedStateMachine):
     @invariant()
     def invariants_hold(self):
         self.engine.check_invariants()
+        views = [handle for handle, _ in self.handles]
+        assert_no_ts_arrays([self.engine._historical_memo], views)
 
 
 TestLayoutMachine = LayoutMachine.TestCase
@@ -321,6 +342,17 @@ class ClusterMachine(RuleBasedStateMachine):
         self.cluster.stream_update_many(values)
         at = self.tick()
         self.writes.append((at, at, values))
+        assert self.cluster.shards[self.cluster.router.home] is not None
+
+    def log(self, values):
+        at = self.tick()
+        self.writes.append((at, at, values))
+
+    @rule(kind=ODD_KINDS, size=st.integers(1, 300))
+    def odd_update(self, kind, size):
+        """A duplicate-heavy batch, a sorted run or a few scalar writes,
+        each routed to the step's home."""
+        write_odd(self.cluster, self.rng, kind, size, self.log)
         assert self.cluster.shards[self.cluster.router.home] is not None
 
     @rule(data=st.data(), size=st.integers(1, 300))
@@ -397,9 +429,15 @@ class ClusterMachine(RuleBasedStateMachine):
     @invariant()
     def invariants_hold(self):
         self.cluster.check_invariants()
-        for shard in self.cluster.shards:
-            if shard is not None:
-                assert shard.epoch_stats.live_pins == len(self.views)
+        live = [s for s in self.cluster.shards if s is not None]
+        for shard in live:
+            assert shard.epoch_stats.live_pins == len(self.views)
+        views = [view for view, _ in self.views]
+        assert_no_ts_arrays(
+            [self.cluster._historical_memo]
+            + [shard._historical_memo for shard in live],
+            views + [handle for view in views for handle in view.handles],
+        )
 
 
 TestClusterMachine = ClusterMachine.TestCase
@@ -472,11 +510,11 @@ def test_an_engine_derives_one_layout_per_epoch(monkeypatch):
     assert len(keys) == 30
     assert all(key == composed for composed, key in keys)
     stats = engine.epoch_stats
-    # The parent's counts for this schedule: one resolution per pin,
-    # every one after a write's first reusing the retained TS.
+    # One resolution per query, every one after a write's first reusing
+    # the retained TS; quick queries pin nothing.
     assert (stats.ts_merges, stats.ts_reuses) == (30, 28)
     assert (stats.hs_builds, stats.hs_extends) == (1, 0)
-    assert (stats.peak_pins, stats.live_pins) == (1, 0)
+    assert (stats.peak_pins, stats.live_pins) == (0, 0)
 
 
 def test_a_cluster_derives_one_layout_per_shard(monkeypatch):
