@@ -309,8 +309,9 @@ class ClusterSnapshot(PinnedView):
         view = cls.__new__(cls)
         view._read(gather, config, executor, missing, historical_memo)
         view._repinned, view._released = True, not pin
-        for handle in gather.handles if pin else ():
-            handle._pin()
+        if pin:
+            for handle in gather.handles:
+                handle._pin()
         return view
 
     def _read(self, gather, config, executor, missing, historical_memo):
