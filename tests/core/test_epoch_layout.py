@@ -160,16 +160,16 @@ class LayoutMachine(RuleBasedStateMachine):
 
     # -- writes -------------------------------------------------------------
 
+    def log(self, values):
+        """Log one acked write for the oracle, at the next tick."""
+        at = self.tick()
+        self.writes.append((at, at, values))
+
     @rule(size=st.integers(1, 300))
     def update(self, size):
         values = self.rng.integers(0, 10**6, size)
         self.engine.stream_update_many(values)
-        at = self.tick()
-        self.writes.append((at, at, values))
-
-    def log(self, values):
-        at = self.tick()
-        self.writes.append((at, at, values))
+        self.log(values)
 
     @rule(kind=ODD_KINDS, size=st.integers(1, 300))
     def odd_update(self, kind, size):
@@ -336,17 +336,17 @@ class ClusterMachine(RuleBasedStateMachine):
             view.release()
         self.views = []
 
+    def log(self, values):
+        """Log one acked write for the oracle, at the next tick."""
+        at = self.tick()
+        self.writes.append((at, at, values))
+
     @rule(size=st.integers(1, 300))
     def update(self, size):
         values = self.rng.integers(0, 10**6, size)
         self.cluster.stream_update_many(values)
-        at = self.tick()
-        self.writes.append((at, at, values))
+        self.log(values)
         assert self.cluster.shards[self.cluster.router.home] is not None
-
-    def log(self, values):
-        at = self.tick()
-        self.writes.append((at, at, values))
 
     @rule(kind=ODD_KINDS, size=st.integers(1, 300))
     def odd_update(self, kind, size):
@@ -363,8 +363,7 @@ class ClusterMachine(RuleBasedStateMachine):
         values = self.rng.integers(0, 10**6, size)
         self.cluster.shards[index].stream_update_many(values)
         self.cluster._shard_elems[index] += size
-        at = self.tick()
-        self.writes.append((at, at, values))
+        self.log(values)
 
     @rule()
     def seal(self):
