@@ -159,7 +159,7 @@ class StrawmanEngine:
         )
         with self.disk.stats.phase_scope("query"):
             result = answer_rank(
-                scope, rank, "accurate", self.config, SERIAL_EXECUTOR,
+                scope, rank, self.config, SERIAL_EXECUTOR,
                 self.disk.latency, degrade=False,
             )
         return replace(result, mode="strawman")

@@ -370,7 +370,6 @@ class ClusterSnapshot(PinnedView):
         self,
         scope: QueryScope,
         rank: int,
-        mode: str,
         cache: Optional[ShardedBlockCache] = None,
     ) -> QueryResult:
         """:func:`~repro.core.query_path.answer_rank` over the union.
@@ -390,7 +389,7 @@ class ClusterSnapshot(PinnedView):
         while True:
             # A caller-shared cache only matches the full shard set;
             # exclusion retries get a fresh one over the survivors.
-            if mode == "accurate" and (cache is None or excluded):
+            if cache is None or excluded:
                 cache = scope.new_cache()
             can_exclude = (
                 self.config.min_gather_shards > 0
@@ -398,7 +397,7 @@ class ClusterSnapshot(PinnedView):
             )
             try:
                 result = answer_rank(
-                    scope, rank, mode, self.config, self._executor,
+                    scope, rank, self.config, self._executor,
                     self._latency, cache, degrade=not can_exclude,
                 )
                 break
@@ -761,13 +760,9 @@ class ClusterEngine(PinnedQueries):
                     f"only {len(live)} of {len(self.shards)} shards are "
                     f"live; gather quorum is {quorum}"
                 )
-        missing = {i: self._shard_elems[i] for i in self._quarantined}
-        gather = self._gather
-        if gather is not None and gather.holds(live):
-            return ClusterSnapshot.repinned(
-                gather, self.config, self._executor, missing,
-                self._historical_memo,
-            )
+        held = self._held_view()
+        if held is not None:
+            return held
         handles: List[SnapshotHandle] = []
         try:
             for _, shard in live:
@@ -779,7 +774,7 @@ class ClusterEngine(PinnedQueries):
             raise
         view = ClusterSnapshot(
             handles, self.config, self._executor, [i for i, _ in live],
-            missing, self._historical_memo, stream,
+            self._missing(), self._historical_memo, stream,
         )
         self._gather = view._gather
         return view
@@ -799,20 +794,32 @@ class ClusterEngine(PinnedQueries):
         # Looked up per call: a traced run patches ``pin`` on the class.
         return self.pin()
 
-    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int]":
-        """The held gather's TS, off a view born released, while every
-        live shard would pin what it holds: no shard pinned, nothing
-        gathered again.  Otherwise a pinned view's (it keeps its gather)."""
+    def _held_view(self, pin: bool = True) -> Optional[ClusterSnapshot]:
+        """:meth:`ClusterSnapshot.repinned` over the held gather while
+        every live shard would pin what it holds, else None.  Every
+        change to ``_quarantined`` clears ``_gather``, so a held gather
+        passed :meth:`pin`'s quorum checks over this same live set: the
+        quick path, which skips them, may use it too."""
         gather = self._gather
         live = [(i, s) for i, s in enumerate(self.shards) if s is not None]
         if gather is None or not gather.holds(live):
+            return None
+        return ClusterSnapshot.repinned(
+            gather, self.config, self._executor, self._missing(),
+            self._historical_memo, pin=pin,
+        )
+
+    def _missing(self) -> Dict[int, int]:
+        """The quarantined shards' acked counts, by shard id."""
+        return {i: self._shard_elems[i] for i in self._quarantined}
+
+    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int]":
+        """The held gather's TS off a view born released (no shard
+        pinned, nothing gathered again), else a pinned view's (it keeps
+        its gather)."""
+        view = self._held_view(pin=False)
+        if view is None:
             view = self._query_pin()
-        else:
-            missing = {i: self._shard_elems[i] for i in self._quarantined}
-            view = ClusterSnapshot.repinned(
-                gather, self.config, self._executor, missing,
-                self._historical_memo, pin=False,
-            )
         with view:
             return view._current_ts(*scope)
 

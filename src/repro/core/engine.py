@@ -72,7 +72,6 @@ from ..storage.shared_cache import SharedBlockCache
 from ..warehouse.compaction import LeveledCompactionStore
 from ..warehouse.leveled_store import LeveledStore, window_sizes_from
 from ..warehouse.partition import Partition
-from .bounds import CombinedSummary
 from .config import EngineConfig
 from .epoch import (
     EpochRegistry,
@@ -728,21 +727,15 @@ class HybridQuantileEngine(PinnedQueries):
             stream = self._current_stream_view()
         return SnapshotHandle(self, layout, stream)
 
-    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int]":
+    def _current_ts(self, *scope: Any) -> tuple:
         """The TS a pin now would read over the scope, pinning nothing:
-        the (layout, stream) pair taken as :meth:`pin` takes it, the
-        full scope's TS off the memo with one counted merge, any other
-        scope's an unpinned handle's."""
+        the (layout, stream) pair taken as :meth:`pin` takes it, read
+        through a handle born released (one counted merge)."""
         with self.disk.stats.phase_scope("query"), self._seal_lock:
             layout = self._current_layout()
             stream = self._current_stream_view()
-        if scope != (None, None):
-            view = SnapshotHandle(self, layout, stream, pin=False)
-            return view._current_ts(*scope)
-        self._epochs.note_ts_merge()
-        memo, key = self._historical_memo, layout.key
-        ts = CombinedSummary.build(layout.summaries, stream.summary(), memo, key)
-        return ts, {}, 1
+        view = SnapshotHandle(self, layout, stream, pin=False)
+        return view._current_ts(*scope)
 
     @property
     def epoch_stats(self) -> EpochStats:

@@ -125,72 +125,71 @@ def rank_in(rank: int, total: int) -> int:
 def answer_rank(
     scope: QueryScope,
     rank: int,
-    mode: str,
     config: EngineConfig,
     executor: QueryExecutor,
     latency: DiskLatencyModel,
     cache: Any = None,
     degrade: bool = True,
 ) -> QueryResult:
-    """Return an element whose rank in the scope approximates ``rank``.
+    """Algorithm 6: an element whose rank in the scope approximates
+    ``rank`` within ``O(eps*m)``, found with a few hundred random block
+    reads.  ``cache`` shares one block cache across several searches
+    (blocks one search touched are free for the next); by default each
+    search gets ``scope.new_cache()``.
 
-    ``mode`` selects Algorithm 5 (``"quick"``, memory-only,
-    ``O(eps*N)`` error) or Algorithm 6 (``"accurate"``, a few hundred
-    random block reads, ``O(eps*m)`` error).  ``cache`` shares one
-    block cache across several searches (blocks one search touched are
-    free for the next); by default each search gets ``scope.new_cache()``.
-
-    An accurate search whose probe exhausted its retries degrades to
-    the quick response (flagged, counted through ``scope.on_degraded``)
-    unless ``config.degrade_on_fault`` is off or the caller passes
-    ``degrade=False`` because it has a better recovery (the cluster
-    retries over the surviving shards); the typed fault then propagates.
+    A search whose probe exhausted its retries degrades to the quick
+    response with its wider bound — flagged on the result and counted
+    through ``scope.on_degraded`` — unless ``config.degrade_on_fault``
+    is off or the caller passes ``degrade=False`` because it has a
+    better recovery (the cluster retries over the surviving shards);
+    the typed fault then propagates.
     """
-    check_mode(mode)
     started = time.perf_counter()
     total = scope.combined.total_size
     rank = rank_in(rank, total)
     m_scope = scope.stream_summary.stream_size
     per_block = latency.seconds_per_random_block
-    blocks, stream = 0, scope.stream
-    if mode == "accurate":
-        if cache is None:
-            cache = scope.new_cache()
-        charged_before = cache.blocks_charged
-        try:
-            outcome = AccurateSearch(
-                partitions=scope.partitions,
-                stream_summary=scope.stream_summary,
-                combined=scope.combined,
-                config=config,
-                rank=rank,
-                stream_rank_fn=None if stream is None else stream.rank,
-                stream_steps=None if stream is None else stream.steps(),
-                cache=cache,
-                executor=executor,
-            ).run()
-        except DiskFault:
-            if not (degrade and config.degrade_on_fault):
-                raise
-            scope.on_degraded(cache)
-            # The aborted search's probes were still charged.
-            blocks = cache.blocks_charged - charged_before
-        else:
-            blocks = outcome.random_blocks
-            return QueryResult(
-                value=int(outcome.value), target_rank=rank, total_size=total,
-                mode=mode, estimated_rank=outcome.estimated_rank,
-                disk_accesses=blocks, iterations=outcome.iterations,
-                truncated=outcome.truncated,
-                wall_seconds=time.perf_counter() - started,
-                sim_seconds=blocks * per_block,
-                window_steps=scope.window_steps,
-                parallel_sim_seconds=outcome.max_partition_blocks * per_block,
-                rank_error_bound=float(config.query_epsilon * m_scope),
-            )
+    stream = scope.stream
+    if cache is None:
+        cache = scope.new_cache()
+    charged_before = cache.blocks_charged
+    try:
+        outcome = AccurateSearch(
+            partitions=scope.partitions,
+            stream_summary=scope.stream_summary,
+            combined=scope.combined,
+            config=config,
+            rank=rank,
+            stream_rank_fn=None if stream is None else stream.rank,
+            stream_steps=None if stream is None else stream.steps(),
+            cache=cache,
+            executor=executor,
+        ).run()
+    except DiskFault:
+        if not (degrade and config.degrade_on_fault):
+            raise
+        scope.on_degraded(cache)
+    else:
+        return QueryResult(
+            value=int(outcome.value),
+            target_rank=rank,
+            total_size=total,
+            mode="accurate",
+            estimated_rank=outcome.estimated_rank,
+            disk_accesses=outcome.random_blocks,
+            iterations=outcome.iterations,
+            truncated=outcome.truncated,
+            wall_seconds=time.perf_counter() - started,
+            sim_seconds=outcome.random_blocks * per_block,
+            window_steps=scope.window_steps,
+            parallel_sim_seconds=outcome.max_partition_blocks * per_block,
+            rank_error_bound=float(config.query_epsilon * m_scope),
+        )
+    # The aborted search's probes were still charged.
+    blocks = cache.blocks_charged - charged_before
     return answer_quick(
-        scope.combined, [rank], config, started, scope.window_steps, mode,
-        blocks, per_block,
+        scope.combined, [rank], config, started, scope.window_steps,
+        "accurate", blocks, per_block,
     )[0]
 
 
@@ -218,11 +217,19 @@ def answer_quick(
     degraded = mode != "quick"
     return [
         QueryResult(
-            value=value, target_rank=rank, total_size=total,
-            mode=mode, estimated_rank=float(rank), disk_accesses=blocks,
-            iterations=0, truncated=degraded, wall_seconds=wall,
-            sim_seconds=blocks * per_block, window_steps=window_steps,
-            degraded=degraded, rank_error_bound=bound,
+            value=value,
+            target_rank=rank,
+            total_size=total,
+            mode=mode,
+            estimated_rank=float(rank),
+            disk_accesses=blocks,
+            iterations=0,
+            truncated=degraded,
+            wall_seconds=wall,
+            sim_seconds=blocks * per_block,
+            window_steps=window_steps,
+            degraded=degraded,
+            rank_error_bound=bound,
         )
         for rank, value in zip(ranks, values)
     ]
@@ -240,29 +247,12 @@ def with_partial(
         result,
         rank_error_bound=widen_rank_bound(result.rank_error_bound, lost),
         partial=PartialResult(
-            tuple(sorted(missing)), lost, answering, result.rank_error_bound
+            missing_shards=tuple(sorted(missing)),
+            missing_elements=lost,
+            shards_answering=answering,
+            base_bound=result.rank_error_bound,
         ),
     )
-
-
-def answer_current(
-    source: "PinnedQueries",
-    targets: Sequence[Any],
-    to_rank: Callable[[Any, int], int],
-    window_steps: Optional[int] = None,
-    step_range: "Optional[tuple[int, int]]" = None,
-) -> List[QueryResult]:
-    """Quick answers at ``targets`` (phis or ranks, as ``to_rank`` turns
-    them into ranks) off ``source``'s current TS, widened for the shards
-    it misses."""
-    started = time.perf_counter()
-    combined, missing, answering = source._current_ts(window_steps, step_range)
-    total = combined.total_size
-    ranks = [to_rank(target, total) for target in targets]
-    results = answer_quick(combined, ranks, source.config, started, window_steps)
-    if missing:
-        results = [with_partial(r, missing, answering) for r in results]
-    return results
 
 
 class PinnedQueries:
@@ -297,13 +287,8 @@ class PinnedQueries:
         ``step_range=(a, b)`` it covers exactly historical steps a..b
         (no stream), when those align with partition boundaries.
         """
-        if mode == "quick":
-            scope = (window_steps, step_range)
-            return answer_current(self, [rank], rank_in, *scope)[0]
-        with self._query_pin() as view:
-            return view._answer(
-                view._query_scope(window_steps, step_range), rank, mode
-            )
+        scope = (window_steps, step_range)
+        return self._answer_at([rank], rank_in, mode, *scope)[0]
 
     def quantile(
         self,
@@ -313,13 +298,8 @@ class PinnedQueries:
         step_range: "Optional[tuple[int, int]]" = None,
     ) -> QueryResult:
         """A ``phi``-quantile of the union (Definition 1)."""
-        if mode == "quick":
-            scope = (window_steps, step_range)
-            return answer_current(self, [phi], rank_for_phi, *scope)[0]
-        with self._query_pin() as view:
-            scope = view._query_scope(window_steps, step_range)
-            rank = rank_for_phi(phi, scope.combined.total_size)
-            return view._answer(scope, rank, mode)
+        scope = (window_steps, step_range)
+        return self._answer_at([phi], rank_for_phi, mode, *scope)[0]
 
     def quantile_many(
         self,
@@ -328,22 +308,37 @@ class PinnedQueries:
         window_steps: Optional[int] = None,
     ) -> List[QueryResult]:
         """Answer many quantiles, index-aligned with ``phis``: the serving
-        coalescer's and the CLI's batched entry point.
+        coalescer's and the CLI's batched entry point."""
+        return self._answer_at(phis, rank_for_phi, mode, window_steps)
 
-        Quick mode pays one TS and one lookup per ``phi``.  Accurate
-        mode shares the pinned scope and one block cache across the
-        searches, so blocks touched by one are free for the next.
+    def _answer_at(
+        self,
+        targets: Sequence[Any],
+        to_rank: Callable[[Any, int], int],
+        mode: str,
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+    ) -> List[QueryResult]:
+        """Answers at ``targets`` (phis or ranks, as ``to_rank`` turns
+        them into ranks of the scope's N), index-aligned.  Quick ones
+        pay one current TS and one lookup each, widened for the shards
+        it misses; accurate ones share the pinned scope and one block
+        cache, so blocks touched by one search are free for the next.
         """
         check_mode(mode)
         if mode == "quick":
-            return answer_current(self, phis, rank_for_phi, window_steps)
+            started = time.perf_counter()
+            ts, missing, answering = self._current_ts(window_steps, step_range)
+            ranks = [to_rank(target, ts.total_size) for target in targets]
+            quick = answer_quick(ts, ranks, self.config, started, window_steps)
+            return [with_partial(r, missing, answering) for r in quick]
         with self._query_pin() as view:
-            scope = view._query_scope(window_steps)
+            scope = view._query_scope(window_steps, step_range)
             cache = scope.new_cache()
             total = scope.combined.total_size
             return [
-                view._answer(scope, rank_for_phi(phi, total), mode, cache)
-                for phi in phis
+                view._answer(scope, to_rank(target, total), cache)
+                for target in targets
             ]
 
 
@@ -363,7 +358,9 @@ class PinnedView(PinnedQueries):
     """
 
     def __init__(
-        self, config: EngineConfig, executor: QueryExecutor,
+        self,
+        config: EngineConfig,
+        executor: QueryExecutor,
         latency: DiskLatencyModel,
     ) -> None:
         self.config = config
@@ -433,9 +430,14 @@ class PinnedView(PinnedQueries):
     ) -> QueryScope:
         partitions, ss = self.scope(window_steps, step_range)
         return QueryScope(
-            partitions, ss, self.combined(window_steps, step_range),
-            self._stream if step_range is None else None,
-            self._new_cache, self._on_degraded, window_steps, step_range,
+            partitions=partitions,
+            stream_summary=ss,
+            combined=self.combined(window_steps, step_range),
+            stream=self._stream if step_range is None else None,
+            new_cache=self._new_cache,
+            on_degraded=self._on_degraded,
+            window_steps=window_steps,
+            step_range=step_range,
         )
 
     @property
@@ -483,9 +485,8 @@ class PinnedView(PinnedQueries):
         return self.combined(*scope), {}, 1
 
     def _answer(
-        self, scope: QueryScope, rank: int, mode: str, cache: Any = None
+        self, scope: QueryScope, rank: int, cache: Any = None
     ) -> QueryResult:
         return answer_rank(
-            scope, rank, mode, self.config, self._executor,
-            self._latency, cache,
+            scope, rank, self.config, self._executor, self._latency, cache
         )
