@@ -31,9 +31,7 @@ from ..query.executor import QueryExecutor
 from ..sketches.base import rank_for_phi
 from ..storage.stats import DiskLatencyModel
 from ..warehouse.partition import Partition
-from .bounds import (
-    CombinedSummary, PartialResult, quick_rank_bound, widen_rank_bound,
-)
+from .bounds import CombinedSummary, PartialResult, widen_rank_bound
 from .config import EngineConfig
 from .filters import AccurateSearch
 from .summaries import PartitionSummary, StreamSummary
@@ -209,9 +207,9 @@ def answer_quick(
     degraded answer, charged the aborted search's ``blocks``.
     """
     total = combined.total_size
-    # The stream's share of N is what TS holds beyond HS.
-    m_scope = total - combined.historical.total_size
-    bound = float(quick_rank_bound(config, total, m_scope))
+    # The a priori bound eps1 * n + eps2 * m; m is what TS holds beyond HS.
+    n = combined.historical.total_size
+    bound = float(config.epsilon1 * n + config.epsilon2 * (total - n))
     values = [combined.quick_response(rank) for rank in ranks]
     wall = time.perf_counter() - started
     degraded = mode != "quick"
