@@ -445,9 +445,10 @@ class SnapshotHandle(PinnedView):
             return 0
         cache = self._new_cache()
         combined = self.combined(window_steps)
+        total = combined.total_size
         partitions = [p for p in self.scope(window_steps)[0] if len(p) > 0]
         for phi in phis:
-            rank = rank_for_phi(phi, combined.total_size)
+            rank = max(1, min(rank_for_phi(phi, total), total))
             u, v = combined.generate_filters(rank)
             # No skip set across phis: each phi confines a different
             # block range, and the cache dedupes per block anyway.

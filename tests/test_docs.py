@@ -78,7 +78,7 @@ def test_src_lines_only_go_down():
     lines = sum(
         path.read_bytes().count(b"\n") for path in src.rglob("*.py")
     )
-    assert lines <= 14898
+    assert lines <= 14899
 
 
 def test_docs_lines_only_go_down():
