@@ -1,17 +1,18 @@
 """Ablation A14: the cold-read fast path under concurrent clients.
 
-The perf claim of the cold-read PR: ranged partial-object GETs with a
-fetched-block registry, break-even readahead and single-flight fetch
-coalescing cut the object tier's *request* traffic — GET count and
-modeled request latency — by >= 5x on a 32-client cold accurate
-scatter, while the *charge* layer (the paper's modeled block I/O) and
-every answer stay bit-identical across backends.
+Ranged partial-object GETs with a fetched-block registry, break-even
+readahead and single-flight fetch coalescing cut the object tier's
+*request* traffic — GET count and modeled request latency — by >= 5x
+on a 32-client cold accurate scatter, while the *charge* layer (the
+paper's modeled block I/O) and every answer stay bit-identical across
+backends.
 
 Three cells, one per backend.  The baseline the >= 5x is measured
 against is the strict accounting — one GET per charged range, exactly
 the charged blocks each, no registry, no readahead — *counted on the
-same run* from the ``note_range_read`` calls the object tier received
-(``tests/storage/read_counting.py``), not executed as a second mode.
+same run* from the charged ``read_blocks`` calls the object tier
+received (``tests/storage/read_counting.py``), not executed as a
+second mode.
 
 Asserted here:
 

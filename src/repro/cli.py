@@ -196,24 +196,23 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_fsck(args: argparse.Namespace) -> int:
-    engine = load_engine(args.warehouse, repair=args.repair)
-    layout = [len(p) for p in engine.store.partitions()]
-    print(f"checkpoint OK: {len(layout)} partitions, "
-          f"{engine.n_historical:,} historical elements over "
-          f"{engine.steps_loaded} steps, "
-          f"{engine.m_stream:,} buffered stream elements"
-          + (" (repair mode)" if args.repair else ""))
-    # File-backed storage backends fsck at construction (staging
-    # orphans, and for the object tier a run duplicated across hot and
-    # bucket by a crash mid-migration); surface what they repaired.
-    report = getattr(engine.disk.backend, "fsck_report", None)
-    if report is not None:
-        if report:
-            for line in report:
-                print(f"storage fsck: {line}")
-        else:
-            print("storage fsck: clean")
-    engine.close()
+    with load_engine(args.warehouse, repair=args.repair) as engine:
+        layout = [len(p) for p in engine.store.partitions()]
+        print(f"checkpoint OK: {len(layout)} partitions, "
+              f"{engine.n_historical:,} historical elements over "
+              f"{engine.steps_loaded} steps, "
+              f"{engine.m_stream:,} buffered stream elements"
+              + (" (repair mode)" if args.repair else ""))
+        # File-backed storage backends fsck at construction (staging
+        # orphans, and for the object tier a run duplicated across hot and
+        # bucket by a crash mid-migration); surface what they repaired.
+        report = getattr(engine.disk.backend, "fsck_report", None)
+        if report is not None:
+            if report:
+                for line in report:
+                    print(f"storage fsck: {line}")
+            else:
+                print("storage fsck: clean")
     if args.wal is not None:
         return _fsck_wal(args)
     return 0
@@ -334,61 +333,61 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     disk: Optional[SimulatedDisk] = None
     if plan is not None:
         disk = FaultyDisk(plan, block_elems=config.block_elems)
-    engine = HybridQuantileEngine(config=config, disk=disk)
     workload = NormalWorkload(seed=7)
     update_batch = (
         args.batch_size if args.batch_size and args.batch_size > 0 else None
     )
-    print(f"demo: {args.steps} steps x {args.batch:,} elements (Normal, "
-          f"{args.ingest_mode} ingest"
-          + (f", update batch {update_batch:,}" if update_batch else "")
-          + (", fault injection on" if plan is not None else "")
-          + (
-              f", {args.storage_backend} storage"
-              if args.storage_backend != "simulated"
-              else ""
-          )
-          + ")")
-    workload.feed(
-        engine, args.steps, args.batch, update_batch=update_batch
-    )
-    engine.flush()
-    engine.stream_update_many(workload.generate(args.batch))
-    for phi in (0.25, 0.5, 0.75, 0.95, 0.99):
-        result = engine.quantile(phi)
-        print(f"  phi={phi:<5} -> {result.value:>12,} "
-              f"({result.disk_accesses} disk accesses"
-              + (", degraded" if result.degraded else "")
+    with HybridQuantileEngine(config=config, disk=disk) as engine:
+        print(f"demo: {args.steps} steps x {args.batch:,} elements (Normal, "
+              f"{args.ingest_mode} ingest"
+              + (f", update batch {update_batch:,}" if update_batch else "")
+              + (", fault injection on" if plan is not None else "")
+              + (
+                  f", {args.storage_backend} storage"
+                  if args.storage_backend != "simulated"
+                  else ""
+              )
               + ")")
-    memory = engine.memory_report()
-    print(f"memory: {memory.total_words:,} words over "
-          f"{engine.n_total:,} elements")
-    if engine.shared_cache is not None:
-        cache = engine.shared_cache.stats()
-        print(f"shared cache: {cache.hits}/{cache.lookups} hits "
-              f"({cache.resident_blocks}/{cache.capacity_blocks} blocks "
-              f"resident, {cache.evictions} evictions)")
-    backend_stats = engine.disk.backend.stats()
-    if backend_stats.gets or backend_stats.puts or backend_stats.object_runs:
-        print(f"object tier: {backend_stats.gets} GETs "
-              f"({backend_stats.get_blocks} blocks), "
-              f"{backend_stats.puts} PUTs, "
-              f"{backend_stats.migrations} migrations, "
-              f"{backend_stats.object_runs} runs cold / "
-              f"{backend_stats.hot_runs} hot")
-    stats = engine.ingest_stats
-    if stats is not None:
-        print(f"ingest: stalled {stats.stall_seconds * 1e3:.1f} ms over "
-              f"{stats.batches_archived} steps "
-              f"(max queue depth {stats.max_queue_depth})")
-    report = engine.reliability
-    if not report.healthy:
-        print(f"reliability: {report.disk_faults} disk faults, "
-              f"{report.archive_retries} archive retries, "
-              f"{report.probe_retries} probe retries, "
-              f"{report.degraded_queries} degraded queries")
-    _dump_transcript(args, engine.disk)
-    engine.close()
+        workload.feed(
+            engine, args.steps, args.batch, update_batch=update_batch
+        )
+        engine.flush()
+        engine.stream_update_many(workload.generate(args.batch))
+        for phi in (0.25, 0.5, 0.75, 0.95, 0.99):
+            result = engine.quantile(phi)
+            print(f"  phi={phi:<5} -> {result.value:>12,} "
+                  f"({result.disk_accesses} disk accesses"
+                  + (", degraded" if result.degraded else "")
+                  + ")")
+        memory = engine.memory_report()
+        print(f"memory: {memory.total_words:,} words over "
+              f"{engine.n_total:,} elements")
+        if engine.shared_cache is not None:
+            cache = engine.shared_cache.stats()
+            print(f"shared cache: {cache.hits}/{cache.lookups} hits "
+                  f"({cache.resident_blocks}/{cache.capacity_blocks} blocks "
+                  f"resident, {cache.evictions} evictions)")
+        backend_stats = engine.disk.backend.stats()
+        if (backend_stats.gets or backend_stats.puts
+                or backend_stats.object_runs):
+            print(f"object tier: {backend_stats.gets} GETs "
+                  f"({backend_stats.get_blocks} blocks), "
+                  f"{backend_stats.puts} PUTs, "
+                  f"{backend_stats.migrations} migrations, "
+                  f"{backend_stats.object_runs} runs cold / "
+                  f"{backend_stats.hot_runs} hot")
+        stats = engine.ingest_stats
+        if stats is not None:
+            print(f"ingest: stalled {stats.stall_seconds * 1e3:.1f} ms over "
+                  f"{stats.batches_archived} steps "
+                  f"(max queue depth {stats.max_queue_depth})")
+        report = engine.reliability
+        if not report.healthy:
+            print(f"reliability: {report.disk_faults} disk faults, "
+                  f"{report.archive_retries} archive retries, "
+                  f"{report.probe_retries} probe retries, "
+                  f"{report.degraded_queries} degraded queries")
+        _dump_transcript(args, engine.disk)
     return 0
 
 
@@ -397,57 +396,56 @@ def _cmd_demo_cluster(args: argparse.Namespace, config: EngineConfig) -> int:
     from .cluster import ClusterEngine
 
     plan = _fault_plan_of(args)
-    cluster = ClusterEngine(
-        shards=args.shards, config=config, fault_plan=plan
-    )
     workload = NormalWorkload(seed=7)
     update_batch = (
         args.batch_size if args.batch_size and args.batch_size > 0 else None
     )
-    print(f"demo: {args.steps} steps x {args.batch:,} elements over "
-          f"{args.shards} shards ({config.sketch_backend} sketches, "
-          f"{config.ingest_mode} ingest"
-          + (f", update batch {update_batch:,}" if update_batch else "")
-          + (
-              f", {config.storage_backend} storage"
-              if config.storage_backend != "simulated"
-              else ""
-          )
-          + (
-              ", fault injection on"
+    with ClusterEngine(
+        shards=args.shards, config=config, fault_plan=plan
+    ) as cluster:
+        print(f"demo: {args.steps} steps x {args.batch:,} elements over "
+              f"{args.shards} shards ({config.sketch_backend} sketches, "
+              f"{config.ingest_mode} ingest"
+              + (f", update batch {update_batch:,}" if update_batch else "")
               + (
-                  f" (shards {list(plan.shard_scope)})"
-                  if plan is not None and plan.shard_scope is not None
+                  f", {config.storage_backend} storage"
+                  if config.storage_backend != "simulated"
                   else ""
               )
-              if plan is not None
-              else ""
-          )
-          + ")")
-    workload.feed(
-        cluster, args.steps, args.batch, update_batch=update_batch
-    )
-    cluster.flush()
-    cluster.stream_update_many(workload.generate(args.batch))
-    for phi in (0.25, 0.5, 0.75, 0.95, 0.99):
-        result = cluster.quantile(phi)
-        print(f"  phi={phi:<5} -> {result.value:>12,} "
-              f"({result.disk_accesses} disk accesses)")
-    sims = cluster.per_shard_sim_seconds()
-    print(f"elements: {cluster.n_total:,} over {args.shards} shards; "
-          f"simulated I/O critical path {max(sims) * 1e3:.1f} ms "
-          f"(single-device equivalent {sum(sims) * 1e3:.1f} ms)")
-    for report in cluster.shard_reports():
-        print(f"  shard {report['shard']}: "
-              f"{report['n_historical'] + report['m_stream']:,} elems, "
-              f"{report['io_total']:,} block I/Os, "
-              f"{report['sim_seconds'] * 1e3:.1f} ms simulated")
-    transcript_dir = getattr(args, "fault_transcript", None)
-    if transcript_dir is not None and plan is not None:
-        written = cluster.dump_fault_transcripts(transcript_dir)
-        print(f"fault transcripts -> {transcript_dir} "
-              f"({len(written)} shards)")
-    cluster.close()
+              + (
+                  ", fault injection on"
+                  + (
+                      f" (shards {list(plan.shard_scope)})"
+                      if plan is not None and plan.shard_scope is not None
+                      else ""
+                  )
+                  if plan is not None
+                  else ""
+              )
+              + ")")
+        workload.feed(
+            cluster, args.steps, args.batch, update_batch=update_batch
+        )
+        cluster.flush()
+        cluster.stream_update_many(workload.generate(args.batch))
+        for phi in (0.25, 0.5, 0.75, 0.95, 0.99):
+            result = cluster.quantile(phi)
+            print(f"  phi={phi:<5} -> {result.value:>12,} "
+                  f"({result.disk_accesses} disk accesses)")
+        sims = cluster.per_shard_sim_seconds()
+        print(f"elements: {cluster.n_total:,} over {args.shards} shards; "
+              f"simulated I/O critical path {max(sims) * 1e3:.1f} ms "
+              f"(single-device equivalent {sum(sims) * 1e3:.1f} ms)")
+        for report in cluster.shard_reports():
+            print(f"  shard {report['shard']}: "
+                  f"{report['n_historical'] + report['m_stream']:,} elems, "
+                  f"{report['io_total']:,} block I/Os, "
+                  f"{report['sim_seconds'] * 1e3:.1f} ms simulated")
+        transcript_dir = getattr(args, "fault_transcript", None)
+        if transcript_dir is not None and plan is not None:
+            written = cluster.dump_fault_transcripts(transcript_dir)
+            print(f"fault transcripts -> {transcript_dir} "
+                  f"({len(written)} shards)")
     return 0
 
 

@@ -14,10 +14,10 @@ and **one** stream: their KLL sketches merged by
 ``eps`` bound over the union (GK sketches do not merge: a cluster needs
 ``sketch_backend='kll'``).  Quick answers read one TS of the union;
 accurate ones run the single-engine search, a :class:`ShardedBlockCache`
-charging each block to its shard's disk.  With one shard every probe,
-filter and snap is the plain engine's.  The view's epoch is the tuple
-of per-shard epochs, so the serving layer's coalescer groups cluster
-requests as it groups single-engine ones.
+sending each block's fetch to its shard's cache and disk.  With one
+shard every probe, filter and snap is the plain engine's.  The view's
+epoch is the tuple of per-shard epochs, so the serving layer's
+coalescer groups cluster requests as it groups single-engine ones.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from ..faults.retry import PROBE_RETRY_POLICY
 from ..ingest.wal import WriteAheadLog
 from ..query.executor import QueryExecutor
 from ..sketches.kll import KLLSketch
+from ..storage.backends import RunHandle
 from ..warehouse.partition import Partition
 from .router import ClusterUnavailable, ShardRouter
 
@@ -111,13 +112,13 @@ def new_shard_disk(
 
 
 class ShardedBlockCache:
-    """Routes block touches to the owning shard's per-query cache.
+    """Routes block reads to the owning shard's per-query cache.
 
     :class:`~repro.core.filters.AccurateSearch` talks to one cache; a
     cluster query spans runs on N disks.  Each ``run_id`` (unique across
     disks) maps to the per-query :class:`~repro.storage.cache.BlockCache`
     of the shard that pinned it, so per-shard I/O accounting stays
-    exact; a run outside the gather raises ``KeyError``.  A touch that
+    exact; a run outside the gather raises ``KeyError``.  A fetch that
     raises a :class:`~repro.faults.DiskFault` first records its shard's
     position in :attr:`failed_shard`: the culprit the partial-gather
     retry excludes (a search reaches disks only through its cache).
@@ -126,7 +127,7 @@ class ShardedBlockCache:
     def __init__(self, gather: "ShardGather") -> None:
         self._caches = [handle._new_cache() for handle in gather.handles]
         self._run_to_shard = gather.run_to_shard
-        #: handle position whose disk faulted a touch (None until then).
+        #: handle position whose disk faulted a fetch (None until then).
         self.failed_shard: Optional[int] = None
         # Prefetch gating mirrors BlockCache.shared: enabled when any
         # shard reads through a shared tier.
@@ -142,26 +143,25 @@ class ShardedBlockCache:
                 f"run {run_id} is not pinned by this cluster snapshot"
             ) from None
 
-    def touch_range(
+    def fetch(
         self,
-        run_id: int,
+        handle: RunHandle,
         first_block: int,
         last_block: int,
         prefetch: bool = False,
-    ) -> int:
-        """Charge a read on the owning shard's disk, a fault attributed."""
-        shard = self._shard_of(run_id)
+    ) -> np.ndarray:
+        """Read through the owning shard's cache, a fault attributed:
+        that shard's disk is charged and its cache pins the bytes."""
+        shard = self._shard_of(handle.run_id)
         try:
-            return self._caches[shard].touch_range(
-                run_id, first_block, last_block, prefetch
+            return self._caches[shard].fetch(
+                handle, first_block, last_block, prefetch
             )
         except DiskFault:
             self.failed_shard = shard
             raise
 
-    # The rest of the surface SortedRun reads through: a block's bytes
-    # are pinned in the cache of the shard that was charged for them.
-    # None of these reaches a disk, so there is no fault to attribute.
+    # Neither of these reaches a disk: no fault to attribute.
 
     def pins(self, run_id: int) -> bool:
         """Whether the owning shard's cache pins the blocks it charges."""
@@ -170,10 +170,6 @@ class ShardedBlockCache:
     def pinned_block(self, run_id: int, block: int) -> Optional[np.ndarray]:
         """The payload the owning shard's cache pinned for ``block``."""
         return self._caches[self._shard_of(run_id)].pinned_block(run_id, block)
-
-    def pin_block(self, run_id: int, block: int, payload: np.ndarray) -> None:
-        """Pin a fetched block in the owning shard's cache."""
-        self._caches[self._shard_of(run_id)].pin_block(run_id, block, payload)
 
     @property
     def blocks_charged(self) -> int:

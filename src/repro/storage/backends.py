@@ -25,9 +25,10 @@ The contract that keeps the repo's equivalence moat intact: backends
 never change *what* is charged — `DiskStats` block counters are driven
 by the existing charge paths and stay bit-identical across all three.
 Backends only add request-level accounting (and real bytes) on top:
-`SortedRun` calls :meth:`RunHandle.note_range_read` exactly when a
-query's read charged blocks, so a shared-cache or per-query-cache hit
-never turns into an object GET.  Random reads are the only requests
+:meth:`~repro.storage.cache.BlockCache.fetch` passes every
+:meth:`RunHandle.read_blocks` the number of blocks it charged, and only
+a charged read becomes an object GET, so a shared-cache or
+per-query-cache hit never does.  Random reads are the only requests
 modeled: a cascade merge that reads a bucket run (``merge_runs`` over
 ``SortedRun.values``) is charged its sequential blocks in ``DiskStats``
 but issues no modeled GET.  Whether it should is an open question.
@@ -175,24 +176,18 @@ class RunHandle(Protocol):
     def data(self) -> np.ndarray:
         """The run's payload as a read-only (possibly mapped) array."""
 
-    def read_blocks(self, first_block: int, last_block: int) -> np.ndarray:
+    def read_blocks(
+        self, first_block: int, last_block: int, charged: int = 0
+    ) -> np.ndarray:
         """Elements stored in blocks ``[first_block, last_block]``.
 
         The partial-read primitive of the cold path: backends return
         only the requested span — the file-backed backends as a slice
         of the run's memory map, the simulated backend as a free view —
-        so a cold probe never copies the whole run.  Pure bytes; all
-        charging and request accounting stay on the ``note_*`` paths.
-        """
-
-    def note_range_read(
-        self, first_block: int, last_block: int, charged: int
-    ) -> None:
-        """Record one charged ranged read of ``[first_block, last_block]``.
-
-        ``charged`` is the number of blocks the cache layer actually
-        charged (misses only).  The object backend turns this into one
-        GET per not-yet-fetched contiguous sub-range.
+        so a cold probe never copies the whole run.  ``charged`` is the
+        number of blocks the cache layer charged for this read (misses
+        only); the object backend turns a charged read of a bucket run
+        into one GET per not-yet-fetched contiguous sub-range.
         """
 
 
@@ -252,15 +247,12 @@ class _SimulatedHandle:
     def data(self) -> np.ndarray:
         return self._data
 
-    def read_blocks(self, first_block: int, last_block: int) -> np.ndarray:
+    def read_blocks(
+        self, first_block: int, last_block: int, charged: int = 0
+    ) -> np.ndarray:
         lo = first_block * self.block_elems
         hi = (last_block + 1) * self.block_elems
         return self._data[lo:hi]
-
-    def note_range_read(
-        self, first_block: int, last_block: int, charged: int
-    ) -> None:
-        return None
 
 
 class SimulatedBackend:
@@ -380,16 +372,13 @@ class _FileHandle:
                     self._resident = resident
                 self._mapped = None
 
-    def read_blocks(self, first_block: int, last_block: int) -> np.ndarray:
-        self._backend._note_read(self.run_id)
+    def read_blocks(
+        self, first_block: int, last_block: int, charged: int = 0
+    ) -> np.ndarray:
+        self._backend._note_read(self, first_block, last_block, charged)
         lo = first_block * self.block_elems
         hi = (last_block + 1) * self.block_elems
         return self.data[lo:hi]
-
-    def note_range_read(
-        self, first_block: int, last_block: int, charged: int
-    ) -> None:
-        self._backend._note_range_read(self, first_block, last_block, charged)
 
 
 class MmapFileBackend:
@@ -444,12 +433,9 @@ class MmapFileBackend:
     # Request accounting and read recency are object-store concerns;
     # the file tier has no per-request cost (its reads are page-cache
     # hits via mmap) and evicts nothing.
-    def _note_range_read(
+    def _note_read(
         self, handle: _FileHandle, first_block: int, last_block: int, charged: int
     ) -> None:
-        return None
-
-    def _note_read(self, run_id: int) -> None:
         return None
 
     # -- BlockDevice ----------------------------------------------------
@@ -632,18 +618,16 @@ class ObjectStoreBackend(MmapFileBackend):
 
     # -- request accounting --------------------------------------------
 
-    def _last_block_of(self, run_id: int, block_elems: int) -> int:
-        """Index of the run's final block (0 for an empty run)."""
-        per_block = max(1, block_elems)
-        blocks = -(-self._lengths.get(run_id, 0) // per_block)
-        return max(0, blocks - 1)
-
-    def _note_range_read(
+    def _note_read(
         self, handle: _FileHandle, first_block: int, last_block: int, charged: int
     ) -> None:
+        """One read of a run: a hot run's LRU touch, or — when the read
+        was charged — a bucket run's GETs of its unfetched blocks."""
         run_id = handle.run_id
         with self._lock:
-            if run_id not in self._object_runs:
+            if run_id in self._hot_lru:
+                self._hot_lru.move_to_end(run_id)
+            if not charged or run_id not in self._object_runs:
                 return
             fetched = self._fetched.setdefault(run_id, set())
             needed = [
@@ -653,18 +637,14 @@ class ObjectStoreBackend(MmapFileBackend):
             ]
             if not needed:
                 return
-            run_last = self._last_block_of(run_id, handle.block_elems)
+            # Readahead stops at the run's final block.
+            run_last = (self._lengths.get(run_id, 0) - 1) // handle.block_elems
             readahead = self.latency.break_even_blocks()
             for lo, hi in contiguous_spans(needed):
                 hi_ext = max(min(hi + readahead, run_last), hi)
                 self._gets += 1
                 self._get_blocks += hi_ext - lo + 1
                 fetched.update(range(lo, hi_ext + 1))
-
-    def _note_read(self, run_id: int) -> None:
-        with self._lock:
-            if run_id in self._hot_lru:
-                self._hot_lru.move_to_end(run_id)
 
     # -- BlockDevice ----------------------------------------------------
 

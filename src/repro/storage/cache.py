@@ -5,10 +5,11 @@ is confined to a single disk block, that block is pinned in memory and
 all further probes are free.  More generally, a query never pays twice
 for the same block.  :class:`BlockCache` implements exactly that: it is
 created per query, remembers which (run, block) pairs have been
-charged, charges the disk once per new pair — and pins the bytes it
-charged for, so :class:`~repro.storage.runfile.SortedRun` fetches each
-block from the backend once per query and answers every further probe
-from the pinned payload.
+charged, and decides every read in :meth:`BlockCache.fetch` — charge
+the unseen blocks, read the bytes from the run's handle, pin them — so
+:class:`~repro.storage.runfile.SortedRun` fetches each block from the
+backend once per query and answers every further probe from the pinned
+payload.
 
 A cache belongs to one query (or one warming pass) and is touched only
 by the thread running it, so it takes no locks; state shared across
@@ -21,7 +22,7 @@ a shared-tier **miss** is charged to the disk (and counted in
 ``blocks_charged``).  A shared hit is free and tallied separately in
 ``shared_hits``, so the paper's per-query accounting is preserved in the
 cold case and visibly relaxed in the warm case.  With no shared tier
-attached the code path is exactly the historical one.
+attached every unseen block is charged to the disk.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from .backends import contiguous_spans
+from .backends import RunHandle, contiguous_spans
 from .disk import SimulatedDisk
 from .shared_cache import SharedBlockCache
 
@@ -50,8 +51,7 @@ class BlockCache:
         a backend read.
     shared:
         Optional process-wide shared tier to read through.  ``None``
-        (the default) reproduces the historical per-query accounting
-        exactly.
+        (the default) charges every unseen block to the disk.
     """
 
     def __init__(
@@ -99,11 +99,10 @@ class BlockCache:
         so a prefetch pays one disk *operation* per partition while the
         charged block count stays identical to touching each block.
         Returns the number of blocks actually charged to the disk (0 on
-        per-query or shared-tier hits): callers use it to decide whether
-        the read reached the storage backend — a cache hit must never
-        become an object-store GET.  ``prefetch`` marks a ranged read
-        ahead of the probes; the shared tier counts its misses in
-        ``prefetched_blocks``.
+        per-query or shared-tier hits): :meth:`fetch` hands it to the
+        run's read, so a cache hit never becomes an object-store GET.
+        ``prefetch`` marks a ranged read ahead of the probes; the shared
+        tier counts its misses in ``prefetched_blocks``.
         """
         seen = self._seen.setdefault(run_id, set())
         blocks = range(first_block, last_block + 1)
@@ -137,6 +136,34 @@ class BlockCache:
             charged = len(new)
         return charged
 
+    def fetch(
+        self,
+        handle: RunHandle,
+        first_block: int,
+        last_block: int,
+        prefetch: bool = False,
+    ) -> np.ndarray:
+        """Blocks ``[first_block, last_block]`` of ``handle``'s run: the
+        one place a read is decided.
+
+        The unseen blocks are charged (:meth:`touch_range`), the bytes
+        are read with the charged count (only a charged read can become
+        an object GET), and each block's bytes are pinned for the rest
+        of the query.  A charge that raises an injected
+        :class:`~repro.faults.DiskFault` pins nothing, and the blocks
+        it failed on stay unseen: the retried probe pays for them again.
+        """
+        run_id = handle.run_id
+        charged = self.touch_range(run_id, first_block, last_block, prefetch)
+        payload = handle.read_blocks(first_block, last_block, charged)
+        if self._enabled:
+            pinned = self._pinned.setdefault(run_id, {})
+            per_block = handle.block_elems
+            for block in range(first_block, last_block + 1):
+                start = (block - first_block) * per_block
+                pinned[block] = payload[start : start + per_block]
+        return payload
+
     def pins(self, run_id: int) -> bool:
         """Whether blocks of ``run_id`` are paid for once and then held.
 
@@ -149,16 +176,6 @@ class BlockCache:
         """The payload pinned for ``block`` of ``run_id``, if any."""
         pinned = self._pinned.get(run_id)
         return pinned.get(block) if pinned is not None else None
-
-    def pin_block(self, run_id: int, block: int, payload: np.ndarray) -> None:
-        """Hold ``payload`` as the bytes of an already-touched block.
-
-        Called only once the charge *and* the backend read succeeded: a
-        block whose read faulted stays unpinned, so the retried probe
-        goes through :meth:`touch_range` again.
-        """
-        if self._enabled:
-            self._pinned.setdefault(run_id, {})[block] = payload
 
     def run_blocks(self) -> Dict[int, int]:
         """Blocks charged so far per run id (a copy)."""

@@ -3,21 +3,20 @@
 A :class:`SortedRun` is the unit the warehouse stores: one sorted array
 of int64 values living on a :class:`~repro.storage.disk.SimulatedDisk`.
 All random access goes through a :class:`~repro.storage.cache.BlockCache`
-so queries are charged block-granular I/O.  The cache pins the bytes of
-every block it charged for, which makes Section 2.4's block-confinement
-optimization real: a block is fetched from the backend once per query,
-and a search confined to one block finishes on the pinned payload with
-a single ``searchsorted``.
+so queries are charged block-granular I/O.  A run reads a block from
+the bytes the cache has pinned, else through
+:meth:`~repro.storage.cache.BlockCache.fetch`, which charges, reads and
+pins it.  That makes Section 2.4's block-confinement optimization real:
+a block is fetched from the backend once per query, and a search
+confined to one block finishes on the pinned payload with a single
+``searchsorted``.
 
 The payload bytes live in the disk's pluggable storage backend
 (:mod:`repro.storage.backends`): the run allocates a
-:class:`~repro.storage.backends.RunHandle` at construction and reads
-through it, so the same access paths work whether the bytes are a
-resident array (simulated), a memory-mapped file, or an emulated
-object-store bucket.  Whenever a read actually *charges* blocks (i.e.
-it was not absorbed by a cache tier), the run reports the request to
-the handle — that is how cold object-tier reads become GETs while
-cache hits stay free.
+:class:`~repro.storage.backends.RunHandle` at construction and the
+cache reads through it, so the same access paths work whether the bytes
+are a resident array (simulated), a memory-mapped file, or an emulated
+object-store bucket.
 """
 
 from __future__ import annotations
@@ -142,7 +141,13 @@ class SortedRun:
             return np.empty(0, dtype=np.int64)
         lo = first_block * self._disk.block_elems
         hi = min((last_block + 1) * self._disk.block_elems, self._length)
-        payload = self._read_blocks(first_block, last_block, cache)
+        # Paid for and held, every block, when the probes before this
+        # read fetched them all: nothing to charge.
+        payload = self.pinned_range(lo, hi, cache)
+        if payload is None:
+            payload = cache.fetch(
+                self._handle, first_block, last_block, prefetch=True
+            )
         return np.array(payload[: hi - lo], dtype=np.int64)
 
     def rank_of(
@@ -188,19 +193,11 @@ class SortedRun:
         return lo
 
     def _probe_block(self, block: int, cache: BlockCache) -> np.ndarray:
-        """One probed block's elements, charged at most once per query.
-
-        A block the cache has pinned costs nothing; otherwise the touch
-        is charged (and reported to the handle when it reached the
-        backend), the block is fetched, and — only now that both
-        succeeded — its payload is pinned for the rest of the query.
-        """
+        """One probed block's elements: the bytes ``cache`` pinned, else
+        :meth:`BlockCache.fetch` pays for, reads and pins them."""
         payload = cache.pinned_block(self.run_id, block)
         if payload is None:
-            if cache.touch_range(self.run_id, block, block):
-                self._handle.note_range_read(block, block, 1)
-            payload = self._handle.read_blocks(block, block)
-            cache.pin_block(self.run_id, block, payload)
+            payload = cache.fetch(self._handle, block, block)
         return payload
 
     def pinned_range(
@@ -226,34 +223,3 @@ class SortedRun:
             pinned.append(payload)
         held = pinned[0] if len(pinned) == 1 else np.concatenate(pinned)
         return held[lo - first * per_block : hi - first * per_block]
-
-    def _read_blocks(
-        self, first: int, last: int, cache: BlockCache
-    ) -> np.ndarray:
-        """Blocks ``[first, last]`` in one charged ranged read.
-
-        The unseen blocks are charged as one range; the fetched span is
-        pinned block by block, so the probes a prefetch runs ahead of
-        find their bytes already in the cache — as does a ranged read
-        of blocks the probes before it paid for.
-        """
-        pins = cache.pins(self.run_id)
-        per_block = self._disk.block_elems
-        if pins:
-            pinned = self.pinned_range(
-                first * per_block, (last + 1) * per_block, cache
-            )
-            if pinned is not None:
-                # Paid for and held, every one: nothing to charge.
-                return pinned
-        charged = cache.touch_range(self.run_id, first, last, prefetch=True)
-        if charged:
-            self._handle.note_range_read(first, last, charged)
-        payload = self._handle.read_blocks(first, last)
-        if pins:
-            for block in range(first, last + 1):
-                start = (block - first) * per_block
-                cache.pin_block(
-                    self.run_id, block, payload[start : start + per_block]
-                )
-        return payload

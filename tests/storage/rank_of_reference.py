@@ -2,14 +2,15 @@
 
 ``rank_of`` gets a block's bytes from the per-query cache once the
 cache has pinned them, and finishes with one ``searchsorted`` as soon
-as the search is confined to a single block.  This is the loop it had
-before that: every step touches the cache *and* reads the probed block
-from the handle again.  The two must return the same rank and leave the
-same accounting behind — the same first touches with the same results,
-the same ``charge_random_read`` and ``note_range_read`` calls in the
-same order; ``tests/storage/test_rank_of_accounting.py`` checks that
-and ``benchmarks/test_accurate_probe_reads.py`` counts the reads the
-new form no longer makes.
+as the search is confined to a single block.  This is the plain
+bisection: every step touches the cache *and* reads the probed block
+from the handle again, passing the read what the touch charged.  The
+two must return the same rank and leave the same accounting behind —
+the same first touches with the same results, the same
+``charge_random_read`` calls and charged reads in the same order;
+``tests/storage/test_rank_of_accounting.py`` checks that and
+``benchmarks/test_accurate_probe_reads.py`` counts the reads
+``rank_of`` does not make.
 """
 
 
@@ -26,9 +27,7 @@ def reference_rank_of(run, value, lo, hi, cache):
         mid = (lo + hi) // 2
         block = disk.block_of(mid)
         charged = cache.touch_range(run.run_id, block, block)
-        if charged:
-            handle.note_range_read(block, block, charged)
-        payload = handle.read_blocks(block, block)
+        payload = handle.read_blocks(block, block, charged)
         if int(payload[mid - block * block_elems]) <= value:
             lo = mid + 1
         else:

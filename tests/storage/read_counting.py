@@ -30,13 +30,13 @@ def counted_block_reads():
     }
 
     def counting(original):
-        def read_blocks(handle, first_block, last_block):
+        def read_blocks(handle, first_block, last_block, charged=0):
             reads.calls += 1
             reads.extend(
                 (handle.run_id, block)
                 for block in range(first_block, last_block + 1)
             )
-            return original(handle, first_block, last_block)
+            return original(handle, first_block, last_block, charged)
 
         return read_blocks
 
@@ -51,25 +51,25 @@ def counted_block_reads():
 
 @contextmanager
 def counted_range_charges():
-    """The ``charged`` of every ``note_range_read`` on an object-tier run.
+    """Each non-zero ``charged`` of a ``read_blocks`` on an object-tier run.
 
     One entry per charged range: the request count (``len``) and block
     volume (``sum``) of a store that serves each charge as its own GET
     of exactly the charged blocks — no registry, no readahead.
     """
     charges = []
-    original = _FileHandle.note_range_read
+    original = _FileHandle.read_blocks
 
-    def note_range_read(handle, first_block, last_block, charged):
-        if handle.tier == OBJECT_TIER:
+    def read_blocks(handle, first_block, last_block, charged=0):
+        if charged and handle.tier == OBJECT_TIER:
             charges.append(charged)
         return original(handle, first_block, last_block, charged)
 
-    _FileHandle.note_range_read = note_range_read
+    _FileHandle.read_blocks = read_blocks
     try:
         yield charges
     finally:
-        _FileHandle.note_range_read = original
+        _FileHandle.read_blocks = original
 
 
 @contextmanager

@@ -55,12 +55,11 @@ class RecordingHandle:
     def data(self):
         return self._inner.data
 
-    def read_blocks(self, first, last):
+    def read_blocks(self, first, last, charged=0):
+        if charged:
+            self._log.append(("note", first, last, charged))
         self.reads.append((first, last))
-        return self._inner.read_blocks(first, last)
-
-    def note_range_read(self, first, last, charged):
-        self._log.append(("note", first, last, charged))
+        return self._inner.read_blocks(first, last, charged)
 
 
 class RecordingCache(BlockCache):

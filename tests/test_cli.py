@@ -239,6 +239,21 @@ class TestDemo:
         assert code == 1 and out == ""
         assert "sketch_backend='kll'" in err
 
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_a_failed_demo_removes_its_storage_directories(
+        self, tmp_path, capsys, monkeypatch, shards
+    ):
+        """Every archive write faults; each engine's private run
+        directory goes with it, one per shard."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        code, _, err = run(capsys, "demo", "--shards", shards,
+                           "--steps", "2", "--batch", "1000",
+                           "--storage-backend", "mmap", "--fault-plan",
+                           '{"seed": 1, "write_error_rate": 1.0}')
+        assert code == 1
+        assert "archiving failed" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_sharded_demo_honours_the_engine_flags(
         self, capsys, monkeypatch
     ):

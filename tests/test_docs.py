@@ -78,7 +78,19 @@ def test_src_lines_only_go_down():
     lines = sum(
         path.read_bytes().count(b"\n") for path in src.rglob("*.py")
     )
-    assert lines <= 14899
+    assert lines <= 14856
+
+
+def test_backends_lines_only_go_down():
+    """A ratchet on ``src/repro/storage/backends.py``, which is to
+    stay under 800 lines: lower the bound when lines go.
+
+    Counts what ``wc -l`` prints for the file, the number CI writes to
+    the job summary beside the ``src/`` count.
+    """
+    backends = _TUNING.parent.parent / "src" / "repro" / "storage"
+    lines = (backends / "backends.py").read_bytes().count(b"\n")
+    assert lines <= 795
 
 
 def test_docs_lines_only_go_down():
@@ -90,7 +102,7 @@ def test_docs_lines_only_go_down():
     lines = sum(
         path.read_bytes().count(b"\n") for path in _TUNING.parent.glob("*.md")
     )
-    assert lines <= 2293
+    assert lines <= 2292
 
 
 #: Fields nothing outside ``tests/`` sets, each with why it stays a
