@@ -22,8 +22,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import EngineConfig, ServingConfig
 from repro.core.engine import HybridQuantileEngine
-from repro.serving import LoadGenerator, QueryService
+from repro.serving import QueryService
 from repro.workloads import NormalWorkload
+from tests.serving.loadgen import LoadGenerator
 
 BENCH_PHIS = (0.25, 0.5, 0.75, 0.95, 0.99)
 

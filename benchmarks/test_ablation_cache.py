@@ -31,7 +31,7 @@ from conftest import run_once
 from common import bench_path, show, write_bench
 from repro.core.config import ServingConfig
 from repro.serving import QueryService
-from repro.serving.loadgen import LoadGenerator
+from tests.serving.loadgen import LoadGenerator
 from serving_bench import BENCH_PHIS, build_bench_engine
 
 STEPS = 5

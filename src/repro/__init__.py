@@ -51,7 +51,6 @@ from .faults import (
 )
 from .query import QueryExecutor
 from .serving import (
-    LoadGenerator,
     MetricsSnapshot,
     Overloaded,
     QueryService,
@@ -98,7 +97,6 @@ __all__ = [
     "TransientReadError",
     "TransientWriteError",
     "QueryExecutor",
-    "LoadGenerator",
     "MetricsSnapshot",
     "Overloaded",
     "QueryService",

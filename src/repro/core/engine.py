@@ -521,8 +521,18 @@ class HybridQuantileEngine(PinnedQueries):
                     if self.config.ingest_mode == "background"
                     else None
                 ),
+                after_adopt=self._grow_historical_memo,
             )
         return self._archiver
+
+    def _grow_historical_memo(self) -> None:
+        """Grow the memo's HS for the adopted partition set (archiver
+        ``after_adopt`` hook) once a query has put an entry in it, so the
+        next query fuses SS alone; takes the layout lock, then the memo's."""
+        if not self._historical_memo.empty:
+            self._historical_memo.grow(
+                [p.summary for p in self.store.partitions() if len(p) > 0]
+            )
 
     def _report_from_record(self, record: ArchiveRecord) -> StepReport:
         cpu = {

@@ -218,8 +218,9 @@ class HistoricalMemo:
     a different key: nothing is ever invalidated, stale sets age out of
     the LRU.  A set that extends a memoised one (a seal appends one
     partition) is grown from it, by every partition it lacks in one
-    merge, instead of folded from scratch.  Built by the first query
-    that needs it, never on the seal path.
+    merge, instead of folded from scratch.  The first query folds one;
+    from then on each adoption grows the adopted set (:meth:`grow`), so
+    the first query after a seal fuses only the stream half.
 
     An entry also retains the TS last fused onto its HS, returned while
     the stream summary handed in is the same object; a set entering the
@@ -238,6 +239,20 @@ class HistoricalMemo:
         #: TS handed out again instead of fused.
         self.builds = self.extends = self.reuses = 0
 
+    @property
+    def empty(self) -> bool:
+        """Whether no query has resolved a set yet (nothing to grow)."""
+        return not self._entries
+
+    def grow(self, summaries: Sequence[PartitionSummary]) -> None:
+        """Resolve the entry of ``summaries`` and fuse nothing: an
+        adoption's, so the next query fuses only its stream half.  A no-op
+        while a memoised set extends this one (queries staged ahead)."""
+        key = tuple(map(id, summaries))
+        with self._lock:
+            if not any(k[: len(key)] == key for k in self._entries):
+                self._entry(summaries, key)
+
     def combined(
         self,
         summaries: Sequence[PartitionSummary],
@@ -248,28 +263,7 @@ class HistoricalMemo:
         ``key`` is ``tuple(map(id, summaries))``, composed if not given."""
         key = key or tuple(map(id, summaries))
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                prefix = max(
-                    (k for k in self._entries if k == key[: len(k)]),
-                    key=len,
-                    default=(),
-                )
-                if prefix:
-                    historical = self._entries[prefix].historical.extended(
-                        *summaries[len(prefix):]
-                    )
-                    self.extends += 1
-                else:
-                    historical = HistoricalSummary.fold(summaries)
-                    self.builds += 1
-                for older in self._entries.values():
-                    older.combined, older.stream_summary = None, None
-                entry = _MemoEntry(list(summaries), historical)
-                self._entries[key] = entry
-                if len(self._entries) > self.CAPACITY:
-                    self._entries.popitem(last=False)
-            self._entries.move_to_end(key)
+            entry = self._entry(summaries, key)
             if (
                 entry.combined is not None
                 and entry.stream_summary is stream_summary
@@ -281,6 +275,35 @@ class HistoricalMemo:
                 )
                 entry.stream_summary = stream_summary
             return entry.combined
+
+    def _entry(
+        self, summaries: Sequence[PartitionSummary], key: tuple
+    ) -> _MemoEntry:
+        """The most recently used entry of ``key`` (lock held), its HS
+        grown from the longest memoised prefix or folded if it is new."""
+        entry = self._entries.get(key)
+        if entry is None:
+            prefix = max(
+                (k for k in self._entries if k == key[: len(k)]),
+                key=len,
+                default=(),
+            )
+            if prefix:
+                historical = self._entries[prefix].historical.extended(
+                    *summaries[len(prefix):]
+                )
+                self.extends += 1
+            else:
+                historical = HistoricalSummary.fold(summaries)
+                self.builds += 1
+            for older in self._entries.values():
+                older.combined, older.stream_summary = None, None
+            entry = _MemoEntry(list(summaries), historical)
+            self._entries[key] = entry
+            if len(self._entries) > self.CAPACITY:
+                self._entries.popitem(last=False)
+        self._entries.move_to_end(key)
+        return entry
 
     def check_invariants(self) -> None:
         """Assert every memoised HS and retained TS equals a fresh build,

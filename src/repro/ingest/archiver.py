@@ -132,6 +132,10 @@ class BackgroundArchiver:
         Optional callback invoked with the adopted batch's step inside
         the adopt critical section (layout lock held) — the engine uses
         it to bump the query epoch in lockstep with the layout change.
+    after_adopt:
+        Optional callback invoked once the adopt critical section is
+        left (no archiver lock held), on whichever thread archived —
+        the engine grows its summary memo there.
     """
 
     def __init__(
@@ -140,6 +144,7 @@ class BackgroundArchiver:
         max_pending: int = MAX_PENDING_BATCHES,
         retry: Optional[RetryPolicy] = None,
         on_adopt: Optional[Callable[[int], None]] = None,
+        after_adopt: Optional[Callable[[], None]] = None,
     ) -> None:
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
@@ -147,6 +152,7 @@ class BackgroundArchiver:
         self._max_pending = max_pending
         self._retry = retry if retry is not None else RetryPolicy()
         self._on_adopt = on_adopt
+        self._after_adopt = after_adopt
         self._cond = threading.Condition(store.layout_lock)
         self._pending: List[PendingBatch] = []
         # Queue slots claimed by reserve() but not yet filled by
@@ -396,6 +402,8 @@ class BackgroundArchiver:
                     self._on_adopt(batch.step)
                 self._cond.notify_all()
             cpu["merge"] = time.perf_counter() - merge_started
+        if self._after_adopt is not None:
+            self._after_adopt()
         io = PhaseTally()
         io.add(batch.stage_io)
         io.add(adopt_io)

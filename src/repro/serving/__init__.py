@@ -8,19 +8,15 @@ same epoch into one TS merge (:mod:`~repro.serving.coalescer`), bounds
 its queues with typed :class:`Overloaded` rejection
 (:mod:`~repro.serving.admission`), and measures itself with the
 repo's own GK sketches (:mod:`~repro.serving.metrics`).
-:class:`LoadGenerator` drives it closed- or open-loop.
 """
 
 from ..core.config import ServingConfig
 from .admission import Overloaded
-from .loadgen import LoadGenerator, LoadResult
 from .metrics import LatencySummary, MetricsSnapshot, ServiceMetrics
 from .service import PendingQuery, QueryService
 
 __all__ = [
     "LatencySummary",
-    "LoadGenerator",
-    "LoadResult",
     "MetricsSnapshot",
     "Overloaded",
     "PendingQuery",

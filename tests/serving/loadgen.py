@@ -28,8 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .admission import Overloaded
-from .service import PendingQuery, QueryService
+from repro.serving import Overloaded, PendingQuery, QueryService
 
 
 @dataclass

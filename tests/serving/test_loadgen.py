@@ -6,8 +6,8 @@ import threading
 import time
 
 from repro.core import ServingConfig
-from repro.serving import LoadGenerator, QueryService
-from repro.serving.loadgen import LoadResult
+from repro.serving import QueryService
+from .loadgen import LoadGenerator, LoadResult
 
 
 class TestDeterminism:

@@ -18,7 +18,8 @@ import pytest
 
 from repro import HybridQuantileEngine
 from repro.core import EngineConfig, ServingConfig
-from repro.serving import LoadGenerator, QueryService
+from repro.serving import QueryService
+from .loadgen import LoadGenerator
 
 PHIS = (0.25, 0.5, 0.75, 0.95, 0.99)
 
