@@ -15,18 +15,19 @@ optimization (its measured errors sit far below ``epsilon * m``), the
 bisection here continues to adjacency, its deep iterations free.
 
 Each partition is *reading* while a probe in ``(u, v]`` could still
-reach a block this query has not pinned, and *resolved* once every
-block covering its summary-narrowed index range is pinned — or once its
-exact rank is the same at both filters (a *closed* partition: it holds
-no element in ``(u, v]``).  A resolved partition hands over its rank at
-``u`` and its sorted elements in ``(u, v]`` and is never probed again:
-all of them together are one sorted candidate array plus a base rank,
-ranked by one ``searchsorted`` per iteration.  Once none is reading no
-step can charge a block, and the rest of the bisection is replayed on
-plain ints: the same steps over the candidates and the values the
-stream term steps at, both cut once from ``(u, v]``, the term ranked
-once per cell between two of them (``docs/THEORY.md``, "Resolved
-partitions").
+reach a block this query has not pinned.  It is *resolved* once it is
+*closed* (the same exact rank at both filters: no element in ``(u, v]``)
+or every block of its window is pinned: the indices between the exact
+ranks its probes carried at ``u`` and ``v`` (the summary bracket on a
+side no probe ranked, and on both sides when the query can prefetch).
+It hands over its rank at ``u`` and its sorted elements in ``(u, v]``
+and is never probed again: all of them together are one sorted
+candidate array plus a base rank, ranked by one ``searchsorted`` per
+iteration.  Once none is reading no step can charge a block, and the
+rest of the bisection is replayed on plain ints: the same steps over
+the candidates and the values the stream term steps at, both cut once
+from ``(u, v]``, the term ranked once per cell between two of them
+(``docs/THEORY.md``, "Resolved partitions").
 
 Each probe is one :class:`RankProbeTask` per reading partition, and
 each batched read-ahead one :class:`PrefetchTask`; the search builds
@@ -175,6 +176,9 @@ class AccurateSearch:
         # (at most once each; the filters only narrow, so later ranges
         # are subsets) or resolved.
         self._prefetched: set = set()
+        self._can_prefetch = (
+            cache.shared is not None and config.prefetch_blocks >= 1
+        )
         count = len(self._partitions)
         #: the (lower, upper) filter values the state below stands at,
         #: and per partition the summary alpha and the exact rank
@@ -227,21 +231,14 @@ class AccurateSearch:
             alphas[i], carried[i] = task.alpha, rank
 
     def _resolve(self) -> None:
-        """Retire every reading partition no probe in ``(u, v]`` can charge.
-
-        Either it is closed (same exact rank at both filters: no element
-        between them), or this query has pinned every block covering its
-        index range ``[search_bounds(u).lo, search_bounds(v).hi)`` —
-        the summary's bracket, from the alphas carried at the filters,
-        not the tighter rank bracket: a probe's binary search may still
-        reach, and be charged for, an unread block anywhere in it.
-        """
+        """Retire each reading partition that is closed or whose window is
+        pinned (module docstring): no probe in ``(u, v]`` can charge."""
         reading, slices = [], []
         (u, v), (alphas_u, alphas_v) = self._filters, self._alphas
         for i in self._reading:
             partition = self._partitions[i]
-            rank = self._ranks[0][i]
-            if rank is not None and rank == self._ranks[1][i]:
+            rank, rank_v = self._ranks[0][i], self._ranks[1][i]
+            if rank is not None and rank == rank_v:
                 held = _NO_ELEMENTS
             else:
                 if alphas_u[i] is None:
@@ -249,6 +246,9 @@ class AccurateSearch:
                 if alphas_v[i] is None:
                     alphas_v[i] = partition.summary.alpha(v)
                 lo, hi = partition.summary.bracket(alphas_u[i], alphas_v[i])
+                if not self._can_prefetch:
+                    lo = lo if rank is None else rank
+                    hi = hi if rank_v is None else rank_v
                 window = partition.run.pinned_range(lo, hi, self._cache)
                 if window is None:
                     reading.append(i)
@@ -280,7 +280,7 @@ class AccurateSearch:
         readahead).  Only with a shared tier: without one the charges
         are per probe.  Answers are the same either way.
         """
-        if self._cache.shared is None or self._config.prefetch_blocks < 1:
+        if not self._can_prefetch:
             return
         pending = [
             p for p in self._partitions if p.run.run_id not in self._prefetched

@@ -1,7 +1,8 @@
 """Resolved means unobservable.
 
 ``AccurateSearch`` stops planning and probing a partition once every
-block covering its summary-narrowed index range is pinned by the query
+block of its window is pinned by the query: the indices between the
+exact ranks its probes carried at the filters, or its summary bracket
 (docs/THEORY.md, "Resolved partitions"), ranking it from the bytes it
 holds instead.  Every probe it skips would have been answered from a
 pinned block, so nothing outside the search may tell the difference:
@@ -168,6 +169,16 @@ def test_resolving_is_what_saves_the_probes():
     closes_only = transcript(build(**CELLS["block128"]), ClosesOnly)[1]
     real = transcript(build(**CELLS["block128"]), AccurateSearch)[1]
     assert 3 * sum(real) <= sum(closes_only)
+
+
+@pytest.mark.parametrize("cell", ["block4", "wide-universe", "no-prefetch"])
+def test_exact_ranks_retire_what_the_summary_cannot(cell):
+    # Summary gaps wider than the blocks a query reads: without a
+    # prefetch, the ranks the probes carried bound the window instead.
+    _, got_tasks, want_tasks = assert_unobservable(
+        lambda: build(**CELLS[cell])
+    )
+    assert 3 * sum(got_tasks) <= sum(want_tasks)
 
 
 # ("1-bisect" in the ids: one inline prober, one endgame; the ids are
