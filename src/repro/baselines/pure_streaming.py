@@ -118,28 +118,14 @@ class PureStreamingEngine:
     def end_time_step(self) -> StepReport:
         """Archive the batch (I/O only); the sketch is never reset."""
         self._step += 1
-        before = self.disk.stats.counters.snapshot()
-        before_load = self.disk.stats.load.snapshot()
-        before_merge = self.disk.stats.merge.snapshot()
         started = time.perf_counter()
-        self._loader.add_batch(self._pending_elems)
+        with self.disk.stats.capture() as io:
+            self._loader.add_batch(self._pending_elems)
         wall = time.perf_counter() - started
         batch = self._pending_elems
         self._pending_elems = 0
-        io_delta = self.disk.stats.counters.delta_since(before)
-        load_delta = self.disk.stats.load.delta_since(before_load)
-        merge_delta = self.disk.stats.merge.delta_since(before_merge)
-        return StepReport(
-            step=self._step,
-            batch_elems=batch,
-            io_total=io_delta.total,
-            io_load=load_delta.total,
-            io_sort=0,
-            io_merge=merge_delta.total,
-            cpu_seconds={"load": wall, "sort": 0.0, "merge": 0.0,
-                         "summary": 0.0},
-            sim_seconds=self.disk.latency.seconds(io_delta),
-            merged_levels=merge_delta.total > 0,
+        return StepReport.of(
+            self._step, batch, io, {"load": wall}, self.disk.latency
         )
 
     @property

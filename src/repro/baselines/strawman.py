@@ -77,25 +77,24 @@ class StrawmanEngine:
             if self._stream_chunks
             else np.empty(0, dtype=np.int64)
         )
-        before = self.disk.stats.counters.snapshot()
-        before_merge = self.disk.stats.merge.snapshot()
         started = time.perf_counter()
         sorted_batch = np.sort(batch)
-        if self._partition is None:
-            with self.disk.stats.phase_scope("load"):
-                run = SortedRun(self.disk, sorted_batch)
-        else:
-            # Read all of history, merge the in-memory batch in, and
-            # write the combined run back: the full pass the hybrid
-            # engine's leveled merging amortizes away.
-            with self.disk.stats.phase_scope("merge"):
-                self.disk.charge_sequential_read(len(self._partition.run))
-                merged = np.sort(
-                    np.concatenate(
-                        [self._partition.run.values, sorted_batch]
+        with self.disk.stats.capture() as io:
+            if self._partition is None:
+                with self.disk.stats.phase_scope("load"):
+                    run = SortedRun(self.disk, sorted_batch)
+            else:
+                # Read all of history, merge the in-memory batch in, and
+                # write the combined run back: the full pass the hybrid
+                # engine's leveled merging amortizes away.
+                with self.disk.stats.phase_scope("merge"):
+                    self.disk.charge_sequential_read(len(self._partition.run))
+                    merged = np.sort(
+                        np.concatenate(
+                            [self._partition.run.values, sorted_batch]
+                        )
                     )
-                )
-                run = SortedRun(self.disk, merged, charge_write=True)
+                    run = SortedRun(self.disk, merged, charge_write=True)
         partition = Partition(
             level=0, start_step=1, end_step=self._step, run=run
         )
@@ -107,19 +106,8 @@ class StrawmanEngine:
         self._stream_chunks = []
         self._m = 0
         self._gk = GKSketch(self.config.epsilon2 / 2.0)
-        io_delta = self.disk.stats.counters.delta_since(before)
-        merge_delta = self.disk.stats.merge.delta_since(before_merge)
-        return StepReport(
-            step=self._step,
-            batch_elems=int(batch.size),
-            io_total=io_delta.total,
-            io_load=io_delta.total - merge_delta.total,
-            io_sort=0,
-            io_merge=merge_delta.total,
-            cpu_seconds={"load": wall, "sort": 0.0, "merge": 0.0,
-                         "summary": 0.0},
-            sim_seconds=self.disk.latency.seconds(io_delta),
-            merged_levels=merge_delta.total > 0,
+        return StepReport.of(
+            self._step, int(batch.size), io, {"load": wall}, self.disk.latency
         )
 
     @property
@@ -157,11 +145,10 @@ class StrawmanEngine:
             # Never called: a fault propagates (``degrade=False``).
             on_degraded=lambda cache: None,
         )
-        with self.disk.stats.phase_scope("query"):
-            result = answer_rank(
-                scope, rank, self.config, SERIAL_EXECUTOR,
-                self.disk.latency, degrade=False,
-            )
+        result = answer_rank(
+            scope, rank, self.config, SERIAL_EXECUTOR, self.disk.latency,
+            degrade=False,
+        )
         return replace(result, mode="strawman")
 
     def quantile(self, phi: float, mode: str = "accurate") -> QueryResult:

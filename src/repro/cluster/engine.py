@@ -786,10 +786,6 @@ class ClusterEngine(PinnedQueries):
                 self._merged = (views, merged)
             return merged
 
-    def _query_pin(self) -> ClusterSnapshot:
-        # Looked up per call: a traced run patches ``pin`` on the class.
-        return self.pin()
-
     def _held_view(self, pin: bool = True) -> Optional[ClusterSnapshot]:
         """:meth:`ClusterSnapshot.repinned` over the held gather while
         every live shard would pin what it holds, else None.  Every

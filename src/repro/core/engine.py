@@ -52,16 +52,15 @@ import logging
 import math
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
 from ..faults.health import ReliabilityReport
 from ..faults.retry import ARCHIVE_RETRY_POLICY, PROBE_RETRY_POLICY
 from ..ingest import AppendBuffer, BackgroundArchiver, IngestStats, PendingBatch
-from ..ingest.archiver import ArchiveRecord
+from ..ingest.archiver import StepReport
 from ..query.executor import QueryExecutor
 from ..sketches.base import QuantileSketch, as_int64_batch
 from ..sketches.gk import GKSketch
@@ -69,8 +68,9 @@ from ..sketches.kll import KLLSketch
 from ..storage.backends import SimulatedBackend, make_backend
 from ..storage.disk import SimulatedDisk
 from ..storage.shared_cache import SharedBlockCache
+from ..storage.stats import PhaseTally
 from ..warehouse.compaction import LeveledCompactionStore
-from ..warehouse.leveled_store import LeveledStore, window_sizes_from
+from ..warehouse.leveled_store import LeveledStore
 from ..warehouse.partition import Partition
 from .bounds import CombinedSummary
 from .config import EngineConfig
@@ -85,49 +85,9 @@ from .epoch import (
 from .query_path import PinnedQueries
 from .summaries import PartitionSummary, StreamSummary
 from .aggregates import AggregateStats, combine, partition_stats
-from .windows import resolve_range_in, resolve_window_in
+from .windows import resolve_range_in, resolve_window_in, window_sizes_from
 
 _logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class StepReport:
-    """What loading one time step into the warehouse cost.
-
-    ``io_*`` fields are block counts; ``cpu_seconds`` is measured wall
-    time by phase (``sort``, ``load`` the run's write, ``summary`` the
-    sealed batch's own, ``merge`` the adopt — cascade merges with the
-    merged partitions' summaries); ``sim_seconds`` applies the disk
-    latency model to the I/O performed this step.
-
-    In background ingest mode ``end_time_step`` returns a provisional
-    report (``archived=False``, zero I/O) because the archive work has
-    only been enqueued; :meth:`HybridQuantileEngine.flush` later yields
-    the authoritative per-step reports with ``archived=True``.
-    """
-
-    step: int
-    batch_elems: int
-    io_total: int
-    io_load: int
-    io_sort: int
-    io_merge: int
-    cpu_seconds: "dict[str, float]"
-    sim_seconds: float
-    merged_levels: bool
-    #: wall seconds the *stream* was blocked for this step — the full
-    #: archive latency in sync mode, only seal + backpressure wait in
-    #: background mode.
-    stall_seconds: float = 0.0
-    #: pending batches queued behind the archiver when this step was
-    #: submitted (0 in sync mode).
-    queue_depth: int = 0
-    #: wall seconds the archive work itself took (== stall_seconds in
-    #: sync mode; measured on the archiver thread in background mode).
-    archive_wall_seconds: float = 0.0
-    #: False for the provisional report background ``end_time_step``
-    #: returns before the batch has actually been archived.
-    archived: bool = True
 
 
 @dataclass(frozen=True)
@@ -461,9 +421,7 @@ class HybridQuantileEngine(PinnedQueries):
             self._stream_view = None
             self._epochs.bump("seal")
             if self.config.ingest_mode != "background":
-                report = self._report_from_record(
-                    archiver.archive_reserved(pending)
-                )
+                report = archiver.archive_reserved(pending)
                 wall = time.perf_counter() - started
                 return replace(
                     report, stall_seconds=wall, archive_wall_seconds=wall
@@ -472,20 +430,9 @@ class HybridQuantileEngine(PinnedQueries):
         stall = time.perf_counter() - started
         pending.stall_seconds = stall
         archiver.stats.stall_seconds += stall
-        return StepReport(
-            step=pending.step,
-            batch_elems=pending.size,
-            io_total=0,
-            io_load=0,
-            io_sort=0,
-            io_merge=0,
-            cpu_seconds={"sort": 0.0, "merge": 0.0, "summary": 0.0,
-                         "load": 0.0, "seal": stall},
-            sim_seconds=0.0,
-            merged_levels=False,
-            stall_seconds=stall,
-            queue_depth=depth,
-            archive_wall_seconds=0.0,
+        return StepReport.of(
+            pending.step, pending.size, PhaseTally(), {"seal": stall},
+            self.disk.latency, stall_seconds=stall, queue_depth=depth,
             archived=False,
         )
 
@@ -503,8 +450,7 @@ class HybridQuantileEngine(PinnedQueries):
         """
         if self._archiver is None:
             return []
-        records = self._archiver.drain()
-        return [self._report_from_record(record) for record in records]
+        return self._archiver.drain()
 
     def _ensure_archiver(self) -> BackgroundArchiver:
         if self._archiver is None:
@@ -533,26 +479,6 @@ class HybridQuantileEngine(PinnedQueries):
             self._historical_memo.grow(
                 [p.summary for p in self.store.partitions() if len(p) > 0]
             )
-
-    def _report_from_record(self, record: ArchiveRecord) -> StepReport:
-        cpu = {
-            phase: record.cpu.get(phase, 0.0)
-            for phase in ("sort", "merge", "summary", "load")
-        }
-        return StepReport(
-            step=record.step,
-            batch_elems=record.batch_elems,
-            io_total=record.io.total.total,
-            io_load=record.io.phase("load").total,
-            io_sort=record.io.phase("sort").total,
-            io_merge=record.io.phase("merge").total,
-            cpu_seconds=cpu,
-            sim_seconds=self.disk.latency.seconds(record.io.total),
-            merged_levels=record.merged_levels,
-            stall_seconds=record.stall_seconds,
-            queue_depth=record.queue_depth,
-            archive_wall_seconds=record.archive_wall_seconds,
-        )
 
     @property
     def ingest_stats(self) -> Optional[IngestStats]:
@@ -745,7 +671,7 @@ class HybridQuantileEngine(PinnedQueries):
         scope takes what that handle's ``combined()`` would (the same
         memo lookup, one counted merge) without building it: a handle
         would add about an eighth to a memo-hit quick answer."""
-        with self.disk.stats.phase_scope("query"), self._seal_lock:
+        with self._seal_lock:
             layout = self._current_layout()
             stream = self._current_stream_view()
         if scope != (None, None):
@@ -784,13 +710,6 @@ class HybridQuantileEngine(PinnedQueries):
             return 0
         with self._query_pin() as handle:
             return handle.warm(phis, window_steps=window_steps)
-
-    @contextmanager
-    def _query_pin(self) -> Iterator[SnapshotHandle]:
-        """A pinned handle with this thread's I/O charged to ``"query"``
-        (the caller's phase is restored on exit)."""
-        with self.disk.stats.phase_scope("query"), self.pin() as handle:
-            yield handle
 
     def aggregate(
         self,

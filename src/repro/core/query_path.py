@@ -259,9 +259,9 @@ class PinnedQueries:
     A subclass supplies ``config``, ``_current_ts(window_steps,
     step_range)`` (the TS quick answers over that scope read, the
     missing shards' acked counts and the number of shards answering)
-    and ``_query_pin()`` (a context manager yielding the
-    :class:`PinnedView` a search runs on).  A view answers both off its
-    own pins.  A system (:class:`~repro.core.engine.HybridQuantileEngine`,
+    and ``pin()`` (the :class:`PinnedView` an accurate query searches,
+    released as a context manager).  A view answers both off its own
+    pins instead.  A system (:class:`~repro.core.engine.HybridQuantileEngine`,
     :class:`~repro.cluster.engine.ClusterEngine`) pins a view per
     accurate query and none per quick one: Algorithm 5 reads only
     in-memory summaries, and a TS fused from one consistent (layout,
@@ -308,6 +308,11 @@ class PinnedQueries:
         """Answer many quantiles, index-aligned with ``phis``: the serving
         coalescer's and the CLI's batched entry point."""
         return self._answer_at(phis, rank_for_phi, mode, window_steps)
+
+    def _query_pin(self) -> "PinnedView":
+        # Calls ``pin`` per query, never aliases it: a traced run
+        # patches ``pin`` on the class.
+        return self.pin()
 
     def _answer_at(
         self,

@@ -8,13 +8,8 @@ the window (plus the live stream, which is always part of the window).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Sequence
 
-from ..warehouse.leveled_store import (
-    range_from,
-    window_from,
-    window_sizes_from,
-)
 from ..warehouse.partition import Partition
 
 
@@ -30,26 +25,38 @@ class WindowNotAlignedError(ValueError):
         )
 
 
+def window_sizes_from(ordered: Sequence[Partition]) -> List[int]:
+    """All historical window sizes answerable over ``ordered``: the
+    suffix sums of partition step-counts, newest first — the x-axis of
+    Figure 11."""
+    sizes: List[int] = []
+    total = 0
+    for partition in reversed(ordered):
+        total += partition.num_steps
+        sizes.append(total)
+    return sizes
+
+
 def resolve_window_in(
-    ordered: List[Partition],
-    window_steps: int,
-    last_step: Optional[int] = None,
+    ordered: Sequence[Partition], window_steps: int
 ) -> List[Partition]:
     """Suffix of ``ordered`` covering exactly the last ``window_steps``.
 
     Operates on any step-ordered partition list — in particular the
     engine's combined snapshot of adopted *plus* pending partitions, so
-    windowed queries stay answerable mid-archive.  Raises
+    windowed queries stay answerable mid-archive.  A window of 0 steps
+    is the empty list (stream only).  Raises
     :class:`WindowNotAlignedError` for unaligned windows; the exception
     carries the feasible window sizes (the x-axis of the paper's
     Figure 11).
     """
-    if last_step is None:
-        last_step = ordered[-1].end_step if ordered else 0
-    partitions = window_from(ordered, last_step, window_steps)
-    if partitions is None:
-        raise WindowNotAlignedError(window_steps, window_sizes_from(ordered))
-    return partitions
+    if window_steps == 0:
+        return []
+    start = (ordered[-1].end_step if ordered else 0) - window_steps + 1
+    for index, partition in enumerate(ordered):
+        if partition.start_step == start:
+            return list(ordered[index:])
+    raise WindowNotAlignedError(window_steps, window_sizes_from(ordered))
 
 
 class RangeNotAlignedError(ValueError):
@@ -65,7 +72,7 @@ class RangeNotAlignedError(ValueError):
 
 
 def resolve_range_in(
-    ordered: List[Partition], start_step: int, end_step: int
+    ordered: Sequence[Partition], start_step: int, end_step: int
 ) -> List[Partition]:
     """Slice of ``ordered`` covering exactly ``[start_step, end_step]``.
 
@@ -75,7 +82,14 @@ def resolve_range_in(
     comparisons), over the engine's combined adopted-plus-pending
     snapshot.  Raises :class:`RangeNotAlignedError` otherwise.
     """
-    partitions = range_from(ordered, start_step, end_step)
-    if partitions is None:
+    selected = [
+        p for p in ordered
+        if p.end_step >= start_step and p.start_step <= end_step
+    ]
+    if (
+        not selected
+        or selected[0].start_step != start_step
+        or selected[-1].end_step != end_step
+    ):
         raise RangeNotAlignedError(start_step, end_step)
-    return partitions
+    return selected

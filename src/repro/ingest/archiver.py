@@ -6,14 +6,14 @@ adopt (splice into the leveled layout, cascading merges and all).
 The producer picks who runs that step at each hand-off:
 ``enqueue_reserved`` leaves the batch to the archiver's thread, so
 ``stream_update*`` resumes immediately; ``archive_reserved`` runs it
-on the calling thread and returns its record.  Either way queries
+on the calling thread and returns its report.  Either way queries
 snapshot the layout *plus* the pending set under the store's layout
 lock, so they always see the full union exactly once.
 
 Determinism.  Batches are archived strictly in submission order, and
 each step's I/O is accounted through per-thread captures
 (:meth:`~repro.storage.stats.DiskStats.capture`), so the per-step
-:class:`ArchiveRecord` stream is identical — answers, I/O counters,
+:class:`StepReport` stream is identical — answers, I/O counters,
 layout, invariants — whichever thread ran it and however queries
 interleaved.
 
@@ -40,11 +40,11 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..faults.errors import DiskFault
 from ..faults.retry import RetryPolicy
-from ..storage.stats import PhaseTally
+from ..storage.stats import DiskLatencyModel, PhaseTally
 from ..warehouse.leveled_store import LeveledStore
 from .pending import PendingBatch
 
@@ -90,19 +90,74 @@ class IngestStats:
 
 
 @dataclass(frozen=True)
-class ArchiveRecord:
-    """Everything one archived step cost — the engine turns this into
-    the :class:`~repro.core.engine.StepReport` that ``flush`` returns.
+class StepReport:
+    """What loading one time step into the warehouse cost.
+
+    ``io_*`` fields are block counts; ``cpu_seconds`` is measured wall
+    time by phase (``sort``, ``load`` the run's write, ``summary`` the
+    sealed batch's own, ``merge`` the adopt — cascade merges with the
+    merged partitions' summaries); ``sim_seconds`` applies the disk
+    latency model to the I/O performed this step.
+
+    In background ingest mode ``end_time_step`` returns a provisional
+    report (``archived=False``, zero I/O) because the archive work has
+    only been enqueued; ``flush`` later yields the authoritative
+    per-step reports with ``archived=True``.
     """
 
     step: int
     batch_elems: int
-    io: PhaseTally
-    cpu: Dict[str, float]
+    io_total: int
+    io_load: int
+    io_sort: int
+    io_merge: int
+    cpu_seconds: "dict[str, float]"
+    sim_seconds: float
     merged_levels: bool
-    stall_seconds: float
-    queue_depth: int
-    archive_wall_seconds: float
+    #: wall seconds the *stream* was blocked for this step — the full
+    #: archive latency in sync mode, only seal + backpressure wait in
+    #: background mode.
+    stall_seconds: float = 0.0
+    #: batches pending behind this step when it was enqueued
+    #: (provisional) or adopted (archived); 0 in sync mode.
+    queue_depth: int = 0
+    #: wall seconds the archive work itself took (== stall_seconds in
+    #: sync mode; measured on the archiver thread in background mode).
+    archive_wall_seconds: float = 0.0
+    #: False for the provisional report background ``end_time_step``
+    #: returns before the batch has actually been archived.
+    archived: bool = True
+
+    @classmethod
+    def of(
+        cls,
+        step: int,
+        batch_elems: int,
+        io: PhaseTally,
+        cpu: Dict[str, float],
+        latency: DiskLatencyModel,
+        **timing: Any,
+    ) -> "StepReport":
+        """The report of a step that charged ``io`` (one thread's
+        :meth:`~repro.storage.stats.DiskStats.capture`) and spent
+        ``cpu`` seconds by phase; a phase it did not time reads 0.
+        ``timing`` sets the fields after ``merged_levels``."""
+        merge = io.phase("merge").total
+        return cls(
+            step=step,
+            batch_elems=batch_elems,
+            io_total=io.total.total,
+            io_load=io.phase("load").total,
+            io_sort=io.phase("sort").total,
+            io_merge=merge,
+            cpu_seconds={
+                **dict.fromkeys(("sort", "merge", "summary", "load"), 0.0),
+                **cpu,
+            },
+            sim_seconds=latency.seconds(io.total),
+            merged_levels=merge > 0,
+            **timing,
+        )
 
 
 class BackgroundArchiver:
@@ -159,7 +214,7 @@ class BackgroundArchiver:
         # enqueue_reserved(); counted against the backpressure bound so
         # a reserved seal can never overshoot max_pending.
         self._reserved = 0
-        self._records: List[ArchiveRecord] = []
+        self._reports: List[StepReport] = []
         self._busy = False
         self._paused = False
         self._shutdown = False
@@ -227,9 +282,9 @@ class BackgroundArchiver:
             self._cond.notify_all()
         return depth
 
-    def archive_reserved(self, batch: PendingBatch) -> ArchiveRecord:
+    def archive_reserved(self, batch: PendingBatch) -> StepReport:
         """Fill a slot claimed by :meth:`reserve` and archive the batch
-        on the calling thread; returns its record.
+        on the calling thread; returns its report.
 
         For a producer that hands every batch over this way, so the
         batch is the whole queue.  A failed archive leaves it pending —
@@ -253,10 +308,10 @@ class BackgroundArchiver:
         with self._cond:
             return len(self._pending)
 
-    def drain(self) -> List[ArchiveRecord]:
+    def drain(self) -> List[StepReport]:
         """Block until every submitted batch is archived.
 
-        Returns the per-step records accumulated since the previous
+        Returns the per-step reports accumulated since the previous
         drain, in step order.  Raises the archiver thread's exception
         if archiving failed.
         """
@@ -266,8 +321,8 @@ class BackgroundArchiver:
                     raise RuntimeError("cannot drain a paused archiver")
                 self._cond.wait()
             self._raise_if_failed()
-            records, self._records = self._records, []
-            return records
+            reports, self._reports = self._reports, []
+            return reports
 
     def pause(self) -> None:
         """Suspend archiving (testing/benchmark hook).
@@ -358,7 +413,7 @@ class BackgroundArchiver:
             batch = self._pending[0]
             self._busy = True
         try:
-            record = self._retry.call(
+            report = self._retry.call(
                 lambda: self._archive_one(batch),
                 on_retry=self._note_retry,
             )
@@ -373,14 +428,14 @@ class BackgroundArchiver:
                 return False
             raise  # an interrupt or exit is not the archiver's to keep
         with self._cond:
-            self._records.append(record)
+            self._reports.append(report)
             self._busy = False
             self.stats.batches_archived += 1
-            self.stats.archive_wall_seconds += record.archive_wall_seconds
+            self.stats.archive_wall_seconds += report.archive_wall_seconds
             self._cond.notify_all()
         return True
 
-    def _archive_one(self, batch: PendingBatch) -> ArchiveRecord:
+    def _archive_one(self, batch: PendingBatch) -> StepReport:
         """Stage (if a query didn't already) and adopt one batch."""
         stats = self._store.disk.stats
         started = time.perf_counter()
@@ -407,12 +462,8 @@ class BackgroundArchiver:
         io = PhaseTally()
         io.add(batch.stage_io)
         io.add(adopt_io)
-        return ArchiveRecord(
-            step=batch.step,
-            batch_elems=batch.size,
-            io=io,
-            cpu=cpu,
-            merged_levels=io.phase("merge").total > 0,
+        return StepReport.of(
+            batch.step, batch.size, io, cpu, self._store.disk.latency,
             stall_seconds=batch.stall_seconds,
             queue_depth=depth_left,
             archive_wall_seconds=time.perf_counter() - started,

@@ -12,11 +12,10 @@ wall-clock figures.
 Thread safety: :class:`DiskStats` serializes every ``record_*`` call
 behind a lock, so the background ingest archiver (``repro.ingest``),
 serving clients and callers driving one engine from several threads
-never lose counts to a torn ``+=``.  The
-*phase* a charge is attributed to is tracked per thread: a query thread
-running in the ``"query"`` phase and the archiver thread running in the
-``"merge"`` phase each keep their own attribution, so the per-phase
-split stays exact under concurrency.  A snapshot
+never lose counts to a torn ``+=``.  The *phase* a sequential charge is
+attributed to is tracked per thread, so the archiver's ``"merge"``
+never leaks into another thread's charges; a random read is always
+``"query"``, so queries set no phase.  A snapshot
 (:meth:`IoCounters.snapshot`) sees every thread's charges; for
 concurrent-safe per-operation accounting use :meth:`DiskStats.capture`,
 which tallies only the charges made by the capturing thread.
@@ -164,8 +163,8 @@ class DiskStats:
         ``phase`` must be one of ``"load"``, ``"sort"``, ``"merge"`` or
         ``"query"``.  The phase is per-thread (threads that never call
         ``set_phase`` charge to ``"load"``): the archiver thread can be
-        mid-merge while query threads attribute their own charges to
-        ``"query"``, and neither misdirects the other's counts.
+        mid-merge while another thread stages a batch under ``"load"``,
+        and neither misdirects the other's counts.
         """
         if phase not in PHASES:
             raise ValueError(f"unknown I/O phase: {phase!r}")
@@ -182,7 +181,7 @@ class DiskStats:
 
         Lets a query thread that steals staging work (see
         ``repro.ingest``) charge the sort/write correctly without
-        clobbering its own ``"query"`` attribution.
+        clobbering its caller's phase.
         """
         previous = self.current_phase
         self.set_phase(phase)

@@ -32,67 +32,6 @@ from .partition import Partition
 SummaryBuilder = Callable[[Partition], Any]
 
 
-def window_from(
-    ordered: Sequence[Partition], last_step: int, window_steps: int
-) -> Optional[List[Partition]]:
-    """Suffix of ``ordered`` covering exactly the last ``window_steps``.
-
-    Windowed queries are only possible when the window boundary is
-    aligned with a partition boundary; ``None`` otherwise.  A window of
-    0 steps is the empty list (stream only).  Takes a list, not the
-    store: the engine asks over a consistent snapshot that appends
-    pending (sealed but not yet merged) partitions to the layout.
-    """
-    if window_steps == 0:
-        return []
-    target_start = last_step - window_steps + 1
-    if target_start < 1:
-        return None
-    suffix: List[Partition] = []
-    for partition in reversed(ordered):
-        suffix.append(partition)
-        if partition.start_step == target_start:
-            suffix.reverse()
-            return suffix
-        if partition.start_step < target_start:
-            return None
-    return None
-
-
-def range_from(
-    ordered: Sequence[Partition], start_step: int, end_step: int
-) -> Optional[List[Partition]]:
-    """Partitions of ``ordered`` covering exactly ``[start_step, end_step]``."""
-    if start_step < 1 or end_step < start_step:
-        return None
-    selected: List[Partition] = []
-    for partition in ordered:
-        if partition.end_step < start_step:
-            continue
-        if partition.start_step > end_step:
-            break
-        selected.append(partition)
-    if not selected:
-        return None
-    if selected[0].start_step != start_step:
-        return None
-    if selected[-1].end_step != end_step:
-        return None
-    return selected
-
-
-def window_sizes_from(ordered: Sequence[Partition]) -> List[int]:
-    """All historical window sizes answerable over ``ordered``: the
-    suffix sums of partition step-counts, newest first — the x-axis of
-    Figure 11."""
-    sizes: List[int] = []
-    total = 0
-    for partition in reversed(ordered):
-        total += partition.num_steps
-        sizes.append(total)
-    return sizes
-
-
 class LeveledStore:
     """The on-disk historical structure HD.
 

@@ -155,13 +155,13 @@ class TestBackgroundArchiver:
         archiver = BackgroundArchiver(store)
         try:
             archiver.submit(make_batch(1, size=500))
-            (record,) = archiver.drain()
+            (report,) = archiver.drain()
         finally:
             archiver.close()
-        assert record.batch_elems == 500
-        assert record.io.total.total > 0
-        assert record.io.phase("load").sequential_writes > 0
-        assert record.archive_wall_seconds > 0.0
+        assert report.batch_elems == 500
+        assert report.io_total > 0
+        assert report.io_load > 0
+        assert report.archive_wall_seconds > 0.0
 
     def test_rejects_bad_max_pending(self):
         with pytest.raises(ValueError):
@@ -186,11 +186,11 @@ class TestWorkStealingStaging:
             batch.ensure_staged(store)
             assert store.disk.stats.counters.delta_since(before).total == 0
             archiver.resume()
-            (record,) = archiver.drain()
+            (report,) = archiver.drain()
         finally:
             archiver.close()
-        # the staging charges still land in the step's record
-        assert record.io.phase("load").sequential_writes > 0
+        # the staging charges still land in the step's report
+        assert report.io_load > 0
         assert store.steps_loaded == 1
 
     def test_concurrent_staging_races_stage_once(self):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.windows import resolve_window_in, window_sizes_from
 from repro.storage import SimulatedDisk
 from repro.warehouse import LeveledCompactionStore, LeveledStore
-from repro.warehouse.leveled_store import window_from, window_sizes_from
 
 
 def make_store(kappa=3, block_elems=10):
@@ -89,10 +89,7 @@ class TestLeveledCompaction:
         sizes = window_sizes_from(store.partitions())
         assert sizes[-1] == 7
         for size in sizes:
-            assert (
-                window_from(store.partitions(), store.steps_loaded, size)
-                is not None
-            )
+            resolve_window_in(store.partitions(), size)
 
     def test_engine_integration(self):
         from repro import EngineConfig, ExactQuantiles, HybridQuantileEngine
@@ -135,7 +132,4 @@ class TestCompactionProperty:
             store.add_batch(np.full(11, s, dtype=np.int64), step=s)
         store.check_invariant()
         assert store.total_elements() == steps * 11
-        assert (
-            window_from(store.partitions(), store.steps_loaded, steps)
-            is not None
-        )
+        resolve_window_in(store.partitions(), steps)

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.windows import (
+    WindowNotAlignedError,
+    resolve_window_in,
+    window_sizes_from,
+)
 from repro.storage import SimulatedDisk
 from repro.warehouse import LeveledStore
-from repro.warehouse.leveled_store import window_from, window_sizes_from
 
 
 def make_store(kappa=3, block_elems=10):
@@ -173,32 +177,33 @@ class TestWindows:
         disk, store = make_store(kappa=2)
         for s in range(1, 8):
             store.add_batch(batch(s))
-        window = window_from(store.partitions(), store.steps_loaded, 3)
+        window = resolve_window_in(store.partitions(), 3)
         assert [(p.start_step, p.end_step) for p in window] == [(5, 6), (7, 7)]
 
-    def test_window_partitions_unaligned_returns_none(self):
+    def test_window_partitions_unaligned_raises(self):
         disk, store = make_store(kappa=2)
         for s in range(1, 8):
             store.add_batch(batch(s))
-        assert window_from(store.partitions(), store.steps_loaded, 2) is None
-        assert window_from(store.partitions(), store.steps_loaded, 4) is None
+        for steps in (2, 4):
+            with pytest.raises(WindowNotAlignedError):
+                resolve_window_in(store.partitions(), steps)
 
     def test_window_zero_is_empty(self):
         disk, store = make_store()
         store.add_batch(batch(1))
-        assert window_from(store.partitions(), store.steps_loaded, 0) == []
+        assert resolve_window_in(store.partitions(), 0) == []
 
     def test_window_larger_than_history(self):
         disk, store = make_store()
         store.add_batch(batch(1))
-        assert window_from(store.partitions(), store.steps_loaded, 5) is None
+        with pytest.raises(WindowNotAlignedError):
+            resolve_window_in(store.partitions(), 5)
 
     def test_full_window_always_available(self):
         disk, store = make_store(kappa=2)
         for s in range(1, 12):
             store.add_batch(batch(s))
-        window = window_from(store.partitions(), store.steps_loaded, 11)
-        assert window is not None
+        window = resolve_window_in(store.partitions(), 11)
         assert sum(p.num_steps for p in window) == 11
 
 
@@ -216,10 +221,7 @@ class TestStoreProperty:
         store.check_invariant()
         assert store.total_elements() == steps * 13
         # full-history window is always aligned
-        assert (
-            window_from(store.partitions(), store.steps_loaded, steps)
-            is not None
-        )
+        resolve_window_in(store.partitions(), steps)
         # window sizes are strictly increasing suffix sums ending at steps
         sizes = window_sizes_from(store.partitions())
         assert sizes == sorted(sizes)
