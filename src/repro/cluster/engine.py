@@ -427,8 +427,8 @@ class ClusterSnapshot(PinnedView):
             )
         return result
 
-    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int]":
-        return self.combined(*scope), self.missing, len(self.handles)
+    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int, tuple]":
+        return self.combined(*scope), self.missing, len(self.handles), self.epoch
 
 
 class ClusterEngine(PinnedQueries):
@@ -805,7 +805,7 @@ class ClusterEngine(PinnedQueries):
         """The quarantined shards' acked counts, by shard id."""
         return {i: self._shard_elems[i] for i in self._quarantined}
 
-    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int]":
+    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int, tuple]":
         """The held gather's TS off a view born released (no shard
         pinned, nothing gathered again), else a pinned view's (it keeps
         its gather)."""

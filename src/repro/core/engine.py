@@ -664,7 +664,7 @@ class HybridQuantileEngine(PinnedQueries):
             stream = self._current_stream_view()
         return SnapshotHandle(self, layout, stream)
 
-    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int]":
+    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int, int]":
         """The TS a pin now would read over the scope, pinning nothing:
         the (layout, stream) pair taken as :meth:`pin` takes it.  A
         window or step range asks a handle born released; the full
@@ -680,7 +680,7 @@ class HybridQuantileEngine(PinnedQueries):
         self._epochs.note_ts_merge()
         memo, key = self._historical_memo, layout.key
         ts = CombinedSummary.build(layout.summaries, stream.summary(), memo, key)
-        return ts, {}, 1
+        return ts, {}, 1, layout.epoch
 
     @property
     def epoch_stats(self) -> EpochStats:

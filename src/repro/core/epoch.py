@@ -17,7 +17,7 @@ of the live sketch's version (one snapshot per version, shared by the
 handles pinned at it), and the epoch stamp.  The handle answers
 ``query_rank`` / ``quantile`` / ``quantile_many`` exactly as the engine
 would have at pin time, no matter how far ingest advances afterwards —
-and answering the *same* rank against the *same* handle is
+and answering the *same* rank against the *same* handle or TS is
 deterministic, which the concurrency stress suite exploits to check
 bit-identical replay.
 

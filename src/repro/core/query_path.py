@@ -258,7 +258,8 @@ class PinnedQueries:
 
     A subclass supplies ``config``, ``_current_ts(window_steps,
     step_range)`` (the TS quick answers over that scope read, the
-    missing shards' acked counts and the number of shards answering)
+    missing shards' acked counts, the number of shards answering and
+    the epoch read)
     and ``pin()`` (the :class:`PinnedView` an accurate query searches,
     released as a context manager).  A view answers both off its own
     pins instead.  A system (:class:`~repro.core.engine.HybridQuantileEngine`,
@@ -330,11 +331,7 @@ class PinnedQueries:
         """
         check_mode(mode)
         if mode == "quick":
-            started = time.perf_counter()
-            ts, missing, answering = self._current_ts(window_steps, step_range)
-            ranks = [to_rank(target, ts.total_size) for target in targets]
-            quick = answer_quick(ts, ranks, self.config, started, window_steps)
-            return [with_partial(r, missing, answering) for r in quick]
+            return self._quick_at(targets, to_rank, window_steps, step_range)[0]
         with self._query_pin() as view:
             scope = view._query_scope(window_steps, step_range)
             cache = scope.new_cache()
@@ -344,20 +341,32 @@ class PinnedQueries:
                 for target in targets
             ]
 
+    def _quick_at(
+        self, targets: Sequence[Any], to_rank: Callable[[Any, int], int],
+        window_steps: Optional[int] = None,
+        step_range: "Optional[tuple[int, int]]" = None,
+    ) -> "tuple[List[QueryResult], Any]":
+        """Quick answers at ``targets`` off one current TS over the scope,
+        and the epoch that TS was read at."""
+        started = time.perf_counter()
+        ts, missing, answering, epoch = self._current_ts(window_steps, step_range)
+        ranks = [to_rank(target, ts.total_size) for target in targets]
+        quick = answer_quick(ts, ranks, self.config, started, window_steps)
+        return [with_partial(r, missing, answering) for r in quick], epoch
+
 
 class PinnedView(PinnedQueries):
     """One pinned, consistent view: its lifecycle, scope, once-per-view
     full-scope TS and merge counter, written here once.
 
-    A subclass says what it pinned: ``n_historical`` / ``m_stream``,
-    ``_release_pins()``, ``_partitions_in(window_steps, step_range)``
-    (the partitions a scope covers, in the order their HS shares are
-    summed), ``_summaries`` / ``_key`` (the full scope's non-empty
-    partitions' summaries in that order, and their memo key),
+    A subclass says what it pinned: ``epoch``, ``n_historical`` /
+    ``m_stream``, ``_release_pins()``, ``_partitions_in(window_steps,
+    step_range)`` (the partitions a scope covers, in the order their HS
+    shares are summed), ``_summaries`` / ``_key`` (the full scope's
+    non-empty partitions' summaries in that order, and their memo key),
     ``_stream`` (one :class:`~repro.core.epoch.StreamView`),
     ``_historical_memo``, ``_new_cache()`` and ``_on_degraded(cache)``.
-    All of it is thread-safe: the serving layer shares one view across
-    a coalesced batch of requests.
+    All of it is thread-safe: one view may serve many threads.
     """
 
     def __init__(
@@ -484,8 +493,8 @@ class PinnedView(PinnedQueries):
     def _query_pin(self) -> "nullcontext[PinnedView]":
         return nullcontext(self)
 
-    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int]":
-        return self.combined(*scope), {}, 1
+    def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int, Any]":
+        return self.combined(*scope), {}, 1, self.epoch
 
     def _answer(
         self, scope: QueryScope, rank: int, cache: Any = None

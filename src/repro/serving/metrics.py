@@ -3,9 +3,10 @@
 Per-mode latency histograms are :class:`~repro.sketches.gk.GKSketch`
 summaries over microsecond latencies — the very sketch the paper runs
 on the live stream, here eating its own dogfood (the introduction's
-motivating use case *is* latency percentile monitoring).  Sketches are
-snapshotted copy-on-query, so reading p99 never blocks or corrupts a
-concurrent recording thread.
+motivating use case *is* latency percentile monitoring).  Latencies
+wait in a bounded buffer per mode that the sketch absorbs in bulk
+(``update_many``) when full and before every snapshot, so a snapshot's
+counts and percentiles are the sketch's over every latency recorded.
 
 A :class:`MetricsSnapshot` is a plain frozen dataclass, deliberately
 free of any serving-layer references, so a caller can keep and compare
@@ -16,12 +17,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List
 
 from ..sketches.base import rank_for_phi
 from ..sketches.gk import GKSketch
 
 _MODES = ("quick", "accurate")
+#: Latencies a mode buffers before its sketch absorbs them in bulk.
+_BUFFERED = 1024
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,7 @@ class ServiceMetrics:
     def __init__(self, epsilon: float = 0.01) -> None:
         self._lock = threading.Lock()
         self._latency = {mode: GKSketch(epsilon) for mode in _MODES}
+        self._buffered: "Dict[str, List[int]]" = {mode: [] for mode in _MODES}
         self._rejected = {mode: 0 for mode in _MODES}
         self._degraded_to_quick = 0
         self._peak_queue_depth = 0
@@ -117,7 +121,16 @@ class ServiceMetrics:
 
     def record(self, mode: str, latency_seconds: float) -> None:
         """Record one served request's latency (its sketch counts it)."""
-        self._latency[mode].update(max(0, int(latency_seconds * 1e6)))
+        with self._lock:
+            buffered = self._buffered[mode]
+            buffered.append(max(0, int(latency_seconds * 1e6)))
+            if len(buffered) >= _BUFFERED:
+                self._flush(mode)
+
+    def _flush(self, mode: str) -> None:
+        """Absorb ``mode``'s buffered latencies into its sketch (locked)."""
+        self._latency[mode].update_many(self._buffered[mode])
+        self._buffered[mode] = []
 
     def note_rejected(self, mode: str) -> None:
         """Count one request of the requested ``mode`` refused admission."""
@@ -170,7 +183,8 @@ class ServiceMetrics:
             self._peak_queue_depth = max(self._peak_queue_depth, depth)
 
     def _latency_summary(self, mode: str) -> LatencySummary:
-        sketch = self._latency[mode].snapshot()
+        self._flush(mode)
+        sketch = self._latency[mode]
         if sketch.n == 0:
             return LatencySummary.empty()
 
@@ -187,10 +201,8 @@ class ServiceMetrics:
         ``queue_depth`` is the length of the service's queues, which
         the service passes in.
         """
-        # Latency summaries read sketch snapshots outside the counter
-        # lock (each sketch copy-on-queries under its own lock).
-        latency = {mode: self._latency_summary(mode) for mode in _MODES}
         with self._lock:
+            latency = {mode: self._latency_summary(mode) for mode in _MODES}
             return MetricsSnapshot(
                 served={mode: latency[mode].count for mode in _MODES},
                 rejected=dict(self._rejected),

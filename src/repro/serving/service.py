@@ -9,22 +9,25 @@ result` (so every ``quantile``) takes its still-queued request and
 answers it on the calling thread, with no hand-off to a dispatcher and
 back; a request nobody waits for (``submit`` without ``result``) is
 answered by a later quick caller's batch or by ``drain`` / ``close``.
+Waiters wait on the service's one condition, not an event each.
 
 * **Admission** — a bounded queue per mode; past the bound, submit
   raises a typed :class:`~repro.serving.admission.Overloaded` (or, when
   configured, degrades accurate requests to the quick path).
 * **Coalescing** — every queued quick request is taken as one batch
-  (one batch at a time) against one pinned epoch: one TS, one
-  rank-bound lookup per phi, every waiter fulfilled from it.  The
-  batch waits only while an accurate search runs (at most
+  (one batch at a time) and answered off one current TS, read as the
+  engine's quick path reads it: one rank-bound lookup per phi, every
+  waiter fulfilled with the TS's epoch.  A batch pins only to warm the
+  shared tier for a new epoch, as a search does through its own pin.
+  The batch waits only while an accurate search runs (at most
   :data:`BATCH_WAIT_S`), so requests arriving meanwhile join it.
 * **Deduplication** — identical accurate probes (same phi and window)
   waiting in the queue share a single disk search; at most
   ``accurate_workers`` searches run at once, on any threads.
 * **Metrics** — every request's queue + execution latency lands in
   per-mode GK histograms (:class:`~repro.serving.metrics.
-  ServiceMetrics`), alongside queue depth, rejections and the
-  coalescing ratio.
+  ServiceMetrics`, fed in bulk), alongside queue depth, rejections and
+  the coalescing ratio.
 
 Requests return a :class:`PendingQuery` future; ``quantile`` is the
 blocking convenience wrapper.  ``pause``/``resume`` freeze serving (the
@@ -42,7 +45,6 @@ from typing import Deque, List, Optional, Tuple
 
 from ..core.config import ServingConfig
 from ..core.engine import HybridQuantileEngine
-from ..core.epoch import SnapshotHandle
 from ..core.query_path import QueryResult, check_mode
 from ..faults.errors import DiskFault
 from ..sketches.base import check_phi
@@ -58,6 +60,9 @@ _logger = logging.getLogger(__name__)
 #: This wait is the quick/accurate latency trade on one GIL: shorter
 #: speeds quick answers and slows the search they share the GIL with.
 BATCH_WAIT_S = 2e-3
+
+#: What a request built without a service is waited for on.
+_UNSERVED = threading.Condition()
 
 
 class PendingQuery:
@@ -80,9 +85,10 @@ class PendingQuery:
         self.effective_mode = effective_mode
         self.window_steps = window_steps
         self.submitted_at = time.perf_counter()
-        #: the engine epoch the answer was pinned at (set on fulfill).
+        #: the epoch of the state the answer was read at (once answered).
         self.epoch: Optional[int] = None
-        self._done = threading.Event()
+        #: whether the request has been answered (or failed).
+        self.done = False
         self._result: Optional[QueryResult] = None
         self._error: Optional[BaseException] = None
         # Set under the lock of the service that queued the request.
@@ -94,19 +100,14 @@ class PendingQuery:
         """Whether admission downgraded this request to the quick path."""
         return self.mode == "accurate" and self.effective_mode == "quick"
 
-    @property
-    def done(self) -> bool:
-        """Whether the request has been answered (or failed)."""
-        return self._done.is_set()
-
-    def _fulfill(self, result: QueryResult, epoch: int) -> None:
-        self.epoch = epoch
-        self._result = result
-        self._done.set()
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._done.set()
+    def _settle(self, result=None, epoch=None, error=None) -> None:
+        """Answer (or fail) the request.  Waiters on a queued one wait on
+        its service's condition, notified after each batch and search."""
+        self._result, self.epoch, self._error = result, epoch, error
+        self.done = True
+        if self._service is None:
+            with _UNSERVED:
+                _UNSERVED.notify_all()
 
     def result(self, timeout: Optional[float] = None) -> QueryResult:
         """Block until answered; raises the execution error if any.
@@ -118,14 +119,15 @@ class PendingQuery:
         deadline = None if timeout is None else time.perf_counter() + timeout
         if self._service is not None:
             self._service._serve(self, deadline)
-        left = None if deadline is None else deadline - time.perf_counter()
-        if not self._done.wait(left):
+        else:
+            with _UNSERVED:
+                _UNSERVED.wait_for(lambda: self.done, timeout)
+        if not self.done:
             raise TimeoutError(
                 f"query phi={self.phi} not answered within {timeout}s"
             )
         if self._error is not None:
             raise self._error
-        assert self._result is not None
         return self._result
 
 
@@ -217,30 +219,28 @@ class QueryService:
         """One consistent reading of every service counter."""
         return self.metrics.snapshot(queue_depth=self.queue_depth)
 
-    def _maybe_warm(
-        self, handle: SnapshotHandle, phis: "List[float]"
-    ) -> None:
+    def _maybe_warm(self, epoch, phis: "List[float]", handle=None) -> None:
         """Warm the shared tier once per epoch for the phis in flight.
 
-        The first batch or group to handle an epoch runs the warming
-        pass; later ones pinned at the same epoch find the blocks
-        resident.  A no-op without a shared tier.
+        The first batch or search to read an epoch runs the warming
+        pass, through the search's ``handle`` or one pinned for the
+        pass; later ones at the same epoch find the blocks resident.
+        A no-op without a shared tier.
         """
-        if self.engine.shared_cache is None or not phis:
+        if self.engine.shared_cache is None or self._warmed_epoch == epoch:
             return
         with self._cv:
-            if self._warmed_epoch == handle.epoch:
+            if self._warmed_epoch == epoch:
                 return
-            self._warmed_epoch = handle.epoch
+            self._warmed_epoch = epoch
         try:
-            blocks = handle.warm(phis)
+            warm = handle.warm if handle else self.engine.warm_shared_cache
+            blocks = warm(list(dict.fromkeys(phis)))
         except DiskFault as fault:
             # Best effort: the requests that triggered the pass answer
             # without it, and the epoch stays marked (no retry storm).
             self.metrics.note_warm_failure()
-            _logger.warning(
-                "warming pass for epoch %d failed: %r", handle.epoch, fault
-            )
+            _logger.warning("warming pass for epoch %s failed: %r", epoch, fault)
             return
         self.metrics.note_warm(blocks)
 
@@ -291,13 +291,13 @@ class QueryService:
     def _take(
         self, anchor: PendingQuery
     ) -> "Tuple[Optional[List[PendingQuery]], Optional[float]]":
-        """Take ``anchor``'s batch or group if it may start now, else
-        say how long to wait (``None``: until notified).  Under the lock.
+        """Take ``anchor``'s batch or group if it is queued and may start
+        now, else say how long to wait (``None``: until notified); locked.
         """
         config = self.config
         mode = anchor.effective_mode
         queue = self._queue(mode)
-        if self._paused:
+        if self._paused or not anchor._queued:
             return None, None
         if mode == "accurate":
             if self._running["accurate"] >= config.accurate_workers:
@@ -324,11 +324,11 @@ class QueryService:
     def _serve(
         self, request: PendingQuery, deadline: Optional[float]
     ) -> None:
-        """Answer ``request`` on this thread if it is still queued; at
-        ``deadline`` leave it queued, for a later waiter."""
+        """Wait until ``request`` is answered, on this thread if it is
+        still queued; at ``deadline`` leave it (queued: to a later waiter)."""
         with self._cv:
             work = None
-            while request._queued:
+            while not request.done:
                 work, wait = self._take(request)
                 if work is not None:
                     break
@@ -353,41 +353,35 @@ class QueryService:
 
     def _answer_batch(self, batch: "List[PendingQuery]") -> None:
         try:
-            answer_quick_batch(
-                self.engine, batch, self.metrics, warm=self._maybe_warm
-            )
+            answer_quick_batch(self.engine, batch, self.metrics)
         except BaseException:
             # Every waiter got the exception through its future.
             pass
         now = time.perf_counter()
-        for request in batch:
-            if request._error is None:
-                self.metrics.record("quick", now - request.submitted_at)
+        answered = [r for r in batch if r._error is None]
+        for request in answered:
+            self.metrics.record("quick", now - request.submitted_at)
+        if answered:
+            self._maybe_warm(answered[-1].epoch, [r.phi for r in answered])
 
     def _search(self, group: "List[PendingQuery]") -> None:
         head = group[0]
         try:
             with self.engine.pin() as handle:
-                self._maybe_warm(handle, [head.phi])
-                result = handle.quantile(
-                    head.phi,
-                    mode="accurate",
-                    window_steps=head.window_steps,
-                )
-                epoch = handle.epoch
-                merges = handle.ts_merges_built
+                self._maybe_warm(handle.epoch, [head.phi], handle)
+                result = handle.quantile(head.phi, "accurate", head.window_steps)
         except BaseException as exc:
             # Every waiter, this thread's among them, gets the
             # exception through its future.
             for request in group:
-                request._fail(exc)
+                request._settle(error=exc)
             return
-        self.metrics.note_merges(merges)
-        if getattr(result, "partial", None) is not None:
+        self.metrics.note_merges(handle.ts_merges_built)
+        if result.partial is not None:
             self.metrics.note_partial(len(group))
         if len(group) > 1:
             self.metrics.note_dedup(len(group) - 1)
         now = time.perf_counter()
         for request in group:
-            request._fulfill(result, epoch)
+            request._settle(result, handle.epoch)
             self.metrics.record("accurate", now - request.submitted_at)

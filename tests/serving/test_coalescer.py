@@ -1,9 +1,13 @@
-"""The quick-path coalescer: one pinned merge answers a whole batch."""
+"""The quick-path coalescer: one TS read answers a whole batch."""
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
+from repro.core.query_path import PinnedQueries
 from repro.serving import ServiceMetrics
 from repro.serving.coalescer import answer_quick_batch, dedupe_key
 from repro.serving.service import PendingQuery
@@ -56,20 +60,40 @@ class TestAnswerQuickBatch:
         assert windowed.value == want.value
 
     def test_failure_fans_out_to_every_waiter(self):
-        class BrokenEngine:
-            def pin(self):
-                raise RuntimeError("pin exploded")
+        class BrokenEngine(PinnedQueries):
+            def _current_ts(self, *scope):
+                raise RuntimeError("read exploded")
 
         metrics = ServiceMetrics()
         batch = [make_request(0.5), make_request(0.9)]
-        with pytest.raises(RuntimeError, match="pin exploded"):
+        with pytest.raises(RuntimeError, match="read exploded"):
             answer_quick_batch(BrokenEngine(), batch, metrics)
         for request in batch:
             assert request.done
-            with pytest.raises(RuntimeError, match="pin exploded"):
+            with pytest.raises(RuntimeError, match="read exploded"):
                 request.result(timeout=1.0)
         # A failed batch spends no merges.
         assert metrics.snapshot().ts_merges == 0
+
+
+class TestFutureWithoutService:
+    def test_result_honours_its_timeout(self, filled_engine):
+        request = make_request(0.5)
+        with pytest.raises(TimeoutError):
+            request.result(timeout=0.01)
+        # Answered from another thread, the waiter wakes at once, not at
+        # the end of its timeout.
+        answer = threading.Timer(
+            0.05, answer_quick_batch, (filled_engine, [request], ServiceMetrics())
+        )
+        started = time.perf_counter()
+        answer.start()
+        try:
+            result = request.result(timeout=10.0)
+        finally:
+            answer.join(10.0)
+        assert time.perf_counter() - started < 5.0
+        assert result.value == filled_engine.quantile(0.5, "quick").value
 
 
 class TestDedupeKey:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro.serving import ServiceMetrics
@@ -61,6 +62,35 @@ class TestLatencyHistograms:
         finally:
             stop.set()
             thread.join()
+
+
+    def test_concurrent_records_are_all_counted(self):
+        # Buffered latencies cross several bulk absorbs while snapshots
+        # flush the buffer from another thread: none may be lost.
+        metrics = ServiceMetrics()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def writer(index):
+                for turn in range(700):
+                    metrics.record("quick", (index * 700 + turn) / 1e6)
+
+            threads = [
+                threading.Thread(target=writer, args=(i,)) for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            while any(t.is_alive() for t in threads):
+                assert metrics.snapshot().served["quick"] <= 6 * 700
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        summary = metrics.snapshot().latency["quick"]
+        assert summary.count == 6 * 700
+        # Latencies 0..4199 us, uniformly: within eps * n of each rank.
+        assert abs(summary.p50 * 1e6 - 2100) <= 0.01 * 4200 + 1
 
 
 class TestCounters:

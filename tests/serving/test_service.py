@@ -63,18 +63,26 @@ class SlowSearches:
 
 class TestCallerServesItself:
     def test_quantile_pins_on_the_calling_thread(self, filled_engine):
-        pinned_on = []
-        pin = filled_engine.pin
+        read_on, pinned_on = [], []
+        current_ts, pin = filled_engine._current_ts, filled_engine.pin
+
+        def recording_read(*scope):
+            read_on.append(threading.current_thread())
+            return current_ts(*scope)
 
         def recording_pin():
             pinned_on.append(threading.current_thread())
             return pin()
 
+        filled_engine._current_ts = recording_read
         filled_engine.pin = recording_pin
         with QueryService(filled_engine) as service:
             service.quantile(0.5, timeout=5.0)
             service.quantile(0.9, mode="accurate", timeout=10.0)
-        assert pinned_on == [threading.current_thread()] * 2
+        # The quick answer's pin-free read and the search's pin, both
+        # on the caller's thread.
+        assert read_on == [threading.current_thread()]
+        assert pinned_on == [threading.current_thread()]
 
     def test_a_quick_answer_does_not_wait_out_the_window(
         self, filled_engine, monkeypatch

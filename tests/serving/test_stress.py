@@ -3,10 +3,10 @@
 The serving layer's correctness claim is *snapshot consistency*: every
 answer is produced against one pinned (HS, SS, partition-set) view, and
 answering the same phi against the same pinned view is deterministic.
-This test records every handle the service pins while N client threads
-hammer it during live background ingest, then replays each served
-``(phi, value, epoch)`` against the recorded handles — every answer
-must be bit-identical to a replay at its epoch.
+This test records every (epoch, TS) pair the service's quick batches
+read while N client threads hammer it during live background ingest,
+then replays each served ``(phi, value, epoch)`` against the recorded
+reads — every answer must be bit-identical to a replay at its epoch.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 from repro import HybridQuantileEngine
 from repro.core import EngineConfig, ServingConfig
 from repro.serving import QueryService
+from repro.sketches.base import rank_for_phi
 from .loadgen import LoadGenerator
 
 PHIS = (0.25, 0.5, 0.75, 0.95, 0.99)
@@ -37,18 +38,18 @@ def test_concurrent_queries_replay_bit_identical_per_epoch():
     )
     engine.end_time_step()
 
-    # Record every handle the service pins; released handles keep
-    # answering (their references stay valid in-process), which is
-    # exactly what makes the replay possible.
+    # Record every (epoch, TS) pair a quick batch reads; a TS never
+    # changes once read, which is exactly what makes the replay possible.
     recorded = []
-    original_pin = engine.pin
+    current_ts = engine._current_ts
 
-    def recording_pin():
-        handle = original_pin()
-        recorded.append(handle)
-        return handle
+    def recording_read(*scope):
+        read = current_ts(*scope)
+        ts, _, _, epoch = read
+        recorded.append((epoch, ts))
+        return read
 
-    engine.pin = recording_pin
+    engine._current_ts = recording_read
 
     ingest_error = []
 
@@ -79,20 +80,20 @@ def test_concurrent_queries_replay_bit_identical_per_epoch():
     assert result.served == 4 * 15
     assert result.rejected == 0
 
-    # Replay: collect, per (phi, epoch), the answers the recorded
-    # handles produce.  Every served answer must match one of the
-    # handles pinned at its epoch — no torn or mixed-state reads.
+    # Replay: collect, per (phi, epoch), the answers the recorded reads
+    # give.  Every served answer must match one of the reads at its
+    # epoch — no torn or mixed-state reads.
     allowed = {}
-    for handle in recorded:
+    for epoch, ts in recorded:
         for phi in PHIS:
-            key = (phi, handle.epoch)
-            allowed.setdefault(key, set()).add(
-                handle.quantile(phi, mode="quick").value
+            rank = rank_for_phi(phi, ts.total_size)
+            allowed.setdefault((phi, epoch), set()).add(
+                ts.quick_response(rank)
             )
     for phi, value, epoch in result.answers:
         assert value in allowed[(phi, epoch)], (
             f"answer {value} for phi={phi} at epoch {epoch} does not "
-            f"match any pinned view {allowed.get((phi, epoch))}"
+            f"match any read at it {allowed.get((phi, epoch))}"
         )
 
     # All six seals (one before, five during) bumped the epoch, and the
@@ -100,8 +101,8 @@ def test_concurrent_queries_replay_bit_identical_per_epoch():
     stats = engine.epoch_stats
     assert stats.seal_bumps == 6
     assert stats.adopt_bumps == 6
-    assert stats.live_pins == 0
-    assert stats.peak_pins >= 1
+    # Quick batches pin nothing.
+    assert stats.peak_pins == 0
     engine.close()
 
 
