@@ -108,9 +108,12 @@ class _Merge:
         self.inserted[self.slots] = True
         self._kept = ~self.inserted
 
-    def place(self, base: np.ndarray, entries: np.ndarray) -> np.ndarray:
-        """One array per side of the merge, each element in its slot."""
-        merged = np.empty(len(self.inserted), dtype=base.dtype)
+    def place(
+        self, base: np.ndarray, entries: np.ndarray, merged=None
+    ) -> np.ndarray:
+        """Each element of both sides in its slot of ``merged`` (new if None)."""
+        if merged is None:
+            merged = np.empty(len(self.inserted), dtype=base.dtype)
         merged[self._kept] = base
         merged[self.slots] = entries
         return merged
@@ -125,7 +128,8 @@ class HistoricalSummary:
     the Lemma 2 bounds ``L_i`` / ``U_i``, summed in partition order.
     Every ``alpha_P(x)`` is constant between consecutive HS values, so
     the share at *any* value — a stream summary entry, say — is that of
-    the largest HS element at most ``x`` (zero below the smallest).
+    the largest HS element at most ``x`` (zero below the smallest): each
+    share array is the ``[1:]`` view of one led by that zero.
 
     A summary is only ever grown by :meth:`extended`: sealing a time
     step appends one partition to the set, a memo miss the several a
@@ -145,7 +149,8 @@ class HistoricalSummary:
         cls, partition_summaries: Sequence[PartitionSummary]
     ) -> "HistoricalSummary":
         """The summary of ``partition_summaries``, folded in order."""
-        empty = cls(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), 0)
+        zero = np.zeros(1)
+        empty = cls(np.empty(0, dtype=np.int64), zero[1:], zero[1:], 0)
         return empty.extended(*partition_summaries)
 
     def __len__(self) -> int:
@@ -162,11 +167,8 @@ class HistoricalSummary:
         reach = left
         if len(self.values):
             reach = left + (self.values.take(left, mode="clip") == entries)
-        held = np.flatnonzero(reach)
-        lower, upper = np.zeros((2, len(entries)))
-        lower[held] = self.lower[reach[held] - 1]
-        upper[held] = self.upper[reach[held] - 1]
-        return lower, upper
+        # Reach 0 (below every held value) reads the leading zero share.
+        return self.lower.base[reach], self.upper.base[reach]
 
     def extended(self, *summaries: PartitionSummary) -> "HistoricalSummary":
         """This summary with more partitions appended to the set, in order.
@@ -182,9 +184,11 @@ class HistoricalSummary:
         entries = np.sort(np.concatenate([s.values for s in summaries]))
         merge = _Merge(self.values, entries)
         values = merge.place(self.values, entries)
-        lower, upper = self.shares_at(entries, merge.left)
-        lower = merge.place(self.lower, lower)
-        upper = merge.place(self.upper, upper)
+        lower, upper = (
+            merge.place(held, at, np.zeros(len(values) + 1)[1:])
+            for held, at in zip((self.lower, self.upper),
+                                self.shares_at(entries, merge.left))
+        )
         for summary in summaries:
             # This partition's share, tabulated per alpha = 0..count.
             size = summary.partition_size
@@ -295,16 +299,19 @@ class CombinedSummary:
         # first HS value not below them.  (A stream entry's upper bound
         # uses coefficient alpha_S while an equal historical value uses
         # alpha_S + 1, so this tie order keeps ``upper`` monotone for
-        # the binary searches below.)
-        starts = np.flatnonzero(run_starts(entries))
-        ends = np.append(starts, len(entries))[1:]
-        sizes = ends - starts
+        # the binary searches below.)  alpha counts the entries *at
+        # most* a value: g in gap g, at an entry its whole tie group.
         base = historical.values
-        left = np.repeat(base.searchsorted(entries[starts], "left"), sizes)
+        starts = run_starts(entries)
+        if starts.all():
+            left, tied = base.searchsorted(entries, "left"), slice(1, None)
+        else:
+            starts = np.flatnonzero(starts)
+            ends = np.append(starts, len(entries))[1:]
+            sizes = ends - starts
+            left = np.repeat(base.searchsorted(entries[starts], "left"), sizes)
+            tied = np.repeat(ends, sizes)
         lower_at, upper_at = historical.shares_at(entries, left)
-        # alpha counts the entries *at most* a value: g in gap g, and at
-        # an entry the whole group tied with it.
-        tied = np.repeat(ends, sizes)
         m = stream_summary.stream_size
         alphas = np.arange(len(entries) + 1)
         scale = stream_summary.eps2 * m

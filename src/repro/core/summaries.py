@@ -152,36 +152,24 @@ class StreamSummary:
                        stream_size=0, eps2=eps2)
         beta2 = math.ceil(1.0 / eps2) + 1
         slack = math.ceil(sketch.epsilon * m)
-        # Vectorized extraction: the target schedule
-        # min(m, ceil(i * eps2 * m) + slack) is computed with the same
-        # float-product order as the scalar loop, and query_ranks
-        # answers each target exactly as query_rank would — so the
-        # extracted summary is bit-identical to per-rank extraction.
+        # Targets min(m, ceil(i * eps2 * m) + slack) in the scalar loop's
+        # float order, each answered as query_rank would: bit-identical
+        # to per-rank extraction.
         idx = np.arange(1, beta2, dtype=np.int64)
         targets = np.minimum(
             m, np.ceil(idx * eps2 * m).astype(np.int64) + slack
         )
-        entries = sketch.query_ranks(targets)
-        values = np.concatenate(
-            [np.asarray([sketch.min_value()], dtype=np.int64), entries]
-        )
+        values, uppers = np.empty((2, beta2), dtype=np.int64)
+        values[0], values[1:] = sketch.min_value(), sketch.query_ranks(targets)
         # GK responses are monotone in the queried rank, but guard the
         # invariant the bounds computation relies on.
-        values = np.maximum.accumulate(values)
+        np.maximum.accumulate(values, out=values)
         # Nothing precedes the exact minimum; at most target + eps_gk*m
         # elements precede each queried response.
-        uppers = np.concatenate(
-            [
-                np.asarray([0], dtype=np.int64),
-                np.minimum(m, targets + slack),
-            ]
-        )
-        return cls(
-            values=values,
-            stream_size=m,
-            eps2=eps2,
-            strict_uppers=uppers,
-        )
+        uppers[0] = 0
+        np.minimum(m, targets + slack, out=uppers[1:])
+        return cls(values=values, stream_size=m, eps2=eps2,
+                   strict_uppers=uppers)
 
     def __len__(self) -> int:
         return len(self.values)

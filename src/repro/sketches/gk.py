@@ -115,6 +115,9 @@ class GKSketch(QuantileSketch):
         # absorb, otherwise the vectorized query path's cache, dropped
         # by every scalar mutation and rebuilt on the next read.
         self._query_arrays: "Tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
+        #: while the arrays are an absorb into an empty sketch, the step
+        #: between their ranks (rmin == rmax); dropped by any mutation.
+        self._stride: "int | None" = None
 
     _values = property(lambda self: self._lists()[0])
     _g = property(lambda self: self._lists()[1])
@@ -156,7 +159,7 @@ class GKSketch(QuantileSketch):
             gaps.insert(pos, 1)
             deltas.insert(pos, delta)
             self._n += 1
-            self._query_arrays = None
+            self._query_arrays = self._stride = None
             self._since_compress += 1
             if self._since_compress >= self._compress_every:
                 self._compress()
@@ -189,19 +192,21 @@ class GKSketch(QuantileSketch):
         with self._mutate_lock:
             total = self._n + int(batch.size)
             threshold = int(self._two_eps * total)
+            stride = None
             if self._n == 0:
-                # rmin == rmax == 1..m, so _compress_heads' successor
-                # of head j is j - max(1, threshold): the heads are a
-                # strided range, no searchsorted needed.
-                merged_vals = batch
-                rmin = rmax = np.arange(1, batch.size + 1, dtype=np.int64)
-                heads = np.arange(batch.size - 1, 0, -max(1, threshold))
-                heads = np.concatenate(([0], heads[::-1]))
+                # rmin == rmax == 1..m, so _compress_heads' successor of
+                # head j is j - stride: the kept ranks are m, m - stride,
+                # ... above 1, after rank 1 (the range's first slot).
+                stride = max(1, threshold)
+                ranks = np.arange(1 - (1 - total) % stride, total + 1, stride)
+                ranks[0] = 1
+                arrays = (batch[ranks - 1], ranks, ranks)
             else:
                 merged_vals, rmin, rmax = self._merge_exact_batch(batch)
                 heads = _compress_heads(rmin, rmax, threshold)
+                arrays = (merged_vals[heads], rmin[heads], rmax[heads])
             # The arrays are the state now; no list is built.
-            self._query_arrays = (merged_vals[heads], rmin[heads], rmax[heads])
+            self._query_arrays, self._stride = arrays, stride
             self._columns = None
             self._n = total
             self._since_compress = 0
@@ -255,10 +260,8 @@ class GKSketch(QuantileSketch):
         Single right-to-left pass (linear time): tuple ``i`` folds into
         its successor while ``g_i + g_succ + delta_succ <= floor(2 eps
         n)``.  The first and last tuples (exact min and max) are never
-        folded away.  Output is built into the reusable scratch lists,
-        which are then swapped with the live ones — no per-pass list
-        allocation, which measurably cuts the amortized update cost
-        (``benchmarks/test_update_timing.py`` guards it).
+        folded away.  Output goes to the scratch lists (``__init__``),
+        swapped with the live ones: a pass allocates no list.
         """
         values, g, delta = self._lists()
         size = len(values)
@@ -288,7 +291,7 @@ class GKSketch(QuantileSketch):
         # Swap: the previous live lists become the next pass's scratch.
         self._scratch = (values, g, delta)
         self._columns = (out_vals, out_g, out_delta)
-        self._query_arrays = None
+        self._query_arrays = self._stride = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -338,19 +341,20 @@ class GKSketch(QuantileSketch):
         if self._n == 0:
             raise ValueError("sketch is empty")
         targets = np.clip(np.asarray(ranks, dtype=np.int64), 1, self._n)
-        allowed = self.epsilon * self._n
+        reach = targets + self.epsilon * self._n
         values, _, rmax = self._arrays()
+        last = len(values) - 1
+        if self._stride is not None:
+            # The tuples before the first with rmax > x are those with
+            # the integer rmax <= floor(x): of the ranks n, n - stride,
+            # ... that is arithmetic (int() floors what is positive).
+            ahead = (reach.astype(np.int64) - self._n) // self._stride
+            return values[np.clip(last + ahead, 0, last)]
         # The first tuple with rmax > t equals the first tuple whose
         # running max exceeds t, and the running max is sorted — so the
         # scalar argmax scan becomes one searchsorted.
-        ceiling = np.maximum.accumulate(rmax)
-        first = np.searchsorted(ceiling, targets + allowed, side="right")
-        answer = np.where(
-            first >= len(values),
-            len(values) - 1,
-            np.maximum(first - 1, 0),
-        )
-        return values[answer]
+        first = np.searchsorted(np.maximum.accumulate(rmax), reach, "right")
+        return values[np.clip(first - 1, 0, last)]
 
     def rank_bounds(self, value: int) -> Tuple[int, int]:
         """Bounds ``(rmin, rmax)`` on the rank of an arbitrary ``value``.
@@ -384,7 +388,7 @@ class GKSketch(QuantileSketch):
         with self._mutate_lock:
             copied._query_arrays = self._arrays()  # shared: read-only
             copied._columns = None
-            copied._n = self._n
+            copied._stride, copied._n = self._stride, self._n
             copied._since_compress = self._since_compress
         return copied
 

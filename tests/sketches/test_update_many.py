@@ -12,9 +12,11 @@ integers and every implementation reads it through
 stored.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.persistence.serialization import dump_gk, load_gk
@@ -356,6 +358,98 @@ def test_size_and_extremes_are_read_off_the_live_form():
             assert got[:2] == (min(3, bulk.min()), max(9, bulk.max()))
             assert got[2] == len(sketch._query_arrays[0])
             assert sketch._columns is None
+
+
+# ----------------------------------------------------------------------
+# An absorb into an empty sketch: the strided form == the searched form
+# ----------------------------------------------------------------------
+
+
+def fresh_step(shape, size, seed):
+    """Few values, Zipf or values 2**40 wide: ties, runs and gaps."""
+    rng = np.random.default_rng(seed)
+    if shape == "few":
+        return rng.integers(0, int(rng.integers(1, 7)), size)
+    if shape == "zipf":
+        return np.minimum(rng.zipf(1.3, size), 1 << 40).astype(np.int64)
+    return rng.integers(-(1 << 40), 1 << 40, size)
+
+
+def assert_reads_alike(sketch, twin):
+    """Every rank in [-1, n + 1] answers alike, and so do the tuples."""
+    ranks = np.arange(-1, sketch.n + 2)
+    assert np.array_equal(sketch.query_ranks(ranks), twin.query_ranks(ranks))
+    assert gk_state(sketch) == gk_state(twin)
+
+
+@given(
+    shape=st.sampled_from(["few", "zipf", "wide"]),
+    size=st.integers(256, 5_000),
+    log_eps=st.floats(np.log(1.25e-4), np.log(0.2)),
+    seed=st.integers(0, 2**16),
+    then=st.sampled_from(["update", "small batch", "batch"]),
+)
+@example(shape="wide", size=256, log_eps=np.log(1.25e-4), seed=0, then="batch")
+@example(shape="few", size=5_000, log_eps=np.log(0.2), seed=1, then="update")
+@example(shape="zipf", size=3_999, log_eps=np.log(1.25e-4), seed=2,
+         then="small batch")
+@settings(max_examples=40, deadline=None)
+def test_strided_form_answers_as_the_searched_one(
+    shape, size, log_eps, seed, then
+):
+    """``query_ranks`` answers a fresh absorb by arithmetic on its tuple
+    stride; a twin whose strided form is dropped searches instead.  The
+    two, a snapshot and a checkpoint round trip read alike, and keep
+    reading alike once a scalar write or another batch moves them on."""
+    epsilon = float(np.exp(log_eps))
+    values = fresh_step(shape, size, seed)
+    sketch, twin = GKSketch(epsilon), GKSketch(epsilon)
+    sketch.update_many(values)
+    twin.update_many(values)
+    assert sketch._stride == max(1, int(2 * epsilon * size))
+    twin._stride = None
+    assert_reads_alike(sketch, twin)
+    ranks = np.arange(-1, size + 2)
+    answers = sketch.query_ranks(ranks)
+    for rank in ranks[:: max(1, size // 101)].tolist() + [size, size + 1]:
+        assert sketch.query_rank(rank) == twin.query_rank(rank)
+        assert sketch.query_rank(rank) == answers[rank + 1]
+    for value in np.unique(values).tolist():
+        for probe in (value - 1, value, value + 1):
+            assert sketch.rank_bounds(probe) == twin.rank_bounds(probe)
+    frozen, restored = sketch.snapshot(), load_gk(dump_gk(sketch))
+    assert frozen._stride == sketch._stride and restored._stride is None
+    assert_reads_alike(frozen, twin)
+    assert_reads_alike(restored, twin)
+    more = fresh_step(shape, {"update": 1, "small batch": 200}.get(then, 700),
+                      seed + 1)
+    for moved in (sketch, twin):
+        if then == "update":
+            moved.update(int(more[0]))
+        else:
+            moved.update_many(more)
+    assert sketch._stride is None
+    assert_reads_alike(sketch, twin)
+
+
+@pytest.mark.parametrize("shape", ["normal", "zipf"])
+def test_fresh_absorb_allocates_little_beside_its_sort(shape):
+    """A count, not a timing: absorbing a step into an empty sketch
+    allocates the sorted copy and the kept tuples, nothing step-sized
+    more (no rank per element, no gather of step length)."""
+    rng = np.random.default_rng(11)
+    if shape == "normal":
+        step = rng.normal(0, 1e6, 75_000).astype(np.int64)
+    else:
+        step = np.minimum(rng.zipf(1.3, 75_000), 1 << 40).astype(np.int64)
+    sketch = GKSketch(1.25e-4)
+    tracemalloc.start()
+    try:
+        sketch.update_many(step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * step.nbytes
 
 
 # ----------------------------------------------------------------------
