@@ -2,10 +2,10 @@
 
 One callable, :func:`run_serving_bench`, drives the whole A8 ablation:
 
-* a closed-loop client sweep with coalescing on and off, reporting
-  throughput, p50/p99, and TS merges per served request — plus a
-  bit-identity check replaying every answered phi serially against the
-  same (quiescent) engine state;
+* a closed-loop client sweep reporting throughput, p50/p99, and TS
+  merges per served request — plus a bit-identity check replaying
+  every answered phi serially against the same (quiescent) engine
+  state;
 * an open-loop overload run against a deliberately small queue,
   demonstrating typed :class:`~repro.serving.Overloaded`
   rejections (or accurate→quick degradation) instead of unbounded
@@ -65,14 +65,10 @@ def _closed_loop_row(
     engine: HybridQuantileEngine,
     clients: int,
     requests_per_client: int,
-    coalesce: bool,
     phis: Sequence[float],
     seed: int,
 ) -> Dict[str, object]:
-    serving = ServingConfig(
-        coalesce=coalesce,
-        max_queue=max(64, 4 * clients),
-    )
+    serving = ServingConfig(max_queue=max(64, 4 * clients))
     merges_before = engine.epoch_stats.ts_merges
     with QueryService(engine, serving) as service:
         generator = LoadGenerator(service, phis=phis, seed=seed)
@@ -82,7 +78,7 @@ def _closed_loop_row(
             mode="quick",
             # Warm up with a guaranteed real batch so the ratio
             # assertion is deterministic, not scheduler-dependent.
-            pause_until_queued=2 if coalesce and clients > 1 else 0,
+            pause_until_queued=2 if clients > 1 else 0,
         )
         snapshot = service.metrics_snapshot()
     merges = engine.epoch_stats.ts_merges - merges_before
@@ -98,7 +94,6 @@ def _closed_loop_row(
     quick = snapshot.latency["quick"]
     return {
         "clients": clients,
-        "coalesce": coalesce,
         "requests": result.requests,
         "served": result.served,
         "rejected": result.rejected,
@@ -165,19 +160,12 @@ def run_serving_bench(
     if engine is None:
         engine = build_bench_engine(steps=steps, batch=batch, seed=seed)
     try:
-        rows: List[Dict[str, object]] = []
-        for coalesce in (True, False):
-            for count in clients:
-                rows.append(
-                    _closed_loop_row(
-                        engine,
-                        count,
-                        requests_per_client,
-                        coalesce,
-                        BENCH_PHIS,
-                        seed,
-                    )
-                )
+        rows: List[Dict[str, object]] = [
+            _closed_loop_row(
+                engine, count, requests_per_client, BENCH_PHIS, seed
+            )
+            for count in clients
+        ]
         overload = [
             _overload_row(engine, BENCH_PHIS, seed, degrade=False),
             _overload_row(engine, BENCH_PHIS, seed, degrade=True),

@@ -32,8 +32,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-import numpy as np
-
 from .core.config import EngineConfig
 from .core.engine import HybridQuantileEngine
 from .faults import DiskFault, FaultPlan, FaultyDisk
@@ -46,28 +44,9 @@ from .persistence import (
     save_engine,
 )
 from .persistence.checkpoint import config_from_state
-from .sketches.base import as_int64_batch
 from .storage.disk import SimulatedDisk
 from .workloads import NormalWorkload
-
-
-def _read_values(source: str) -> np.ndarray:
-    """Load int64 values from .npy, a text file, or '-' (stdin)."""
-    if source == "-":
-        text = sys.stdin.read()
-        return np.asarray(
-            [int(token) for token in text.split()], dtype=np.int64
-        )
-    path = Path(source)
-    if not path.exists():
-        raise FileNotFoundError(source)
-    if path.suffix == ".npy":
-        # Refused like every engine door refuses it: a cast would
-        # truncate floats and wrap wide uint64 values.
-        return as_int64_batch(np.load(path))
-    return np.asarray(
-        [int(token) for token in path.read_text().split()], dtype=np.int64
-    )
+from .workloads.replay import read_values
 
 
 def _cmd_init(args: argparse.Namespace) -> int:
@@ -139,7 +118,7 @@ def _dump_transcript(args: argparse.Namespace, disk: SimulatedDisk) -> None:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     """Stream a file of values into the warehouse (vectorized path)."""
     with _load_engine_cli(args) as engine:
-        values = _read_values(args.source)
+        values = read_values(args.source)
         if args.batch_size and args.batch_size > 0:
             for lo in range(0, len(values), args.batch_size):
                 engine.stream_update_many(values[lo : lo + args.batch_size])

@@ -440,13 +440,20 @@ class ClusterEngine(PinnedQueries):
     ``config``, ``shared_cache`` (``None``: its views are never warmed)
     and ``disk``.
 
+    * ``engines`` hands in shards already built (restored ones, say):
+      the cluster resumes at the step they all sealed and refuses
+      engines that disagree on it.
     * ``fault_plan`` wraps each shard's device in its own seeded
       :class:`~repro.faults.FaultyDisk` (:meth:`FaultPlan.for_shard
       <repro.faults.plan.FaultPlan.for_shard>`): chaos replays from one
-      integer.
+      integer.  With ``engines`` it is recorded for the disks of
+      later restores; the handed-in shards keep the disks they have.
     * ``wal_dir`` gives every shard a durable
       :class:`~repro.ingest.wal.WriteAheadLog` under
-      ``<wal_dir>/shard-NN/``; acked ingest survives a shard crash.
+      ``<wal_dir>/shard-NN/`` (a handed-in shard keeps the one it
+      has); acked ingest survives a shard crash.  A live shard's
+      engine owns its writer; the cluster holds it only while the
+      slot is quarantined.
     * :meth:`kill_shard` quarantines a shard (its slot turns ``None``,
       writes go to live shards, queries gather partially) and
       :meth:`rejoin_shard` swaps a restored engine back in, a loop
@@ -472,14 +479,14 @@ class ClusterEngine(PinnedQueries):
         self.router = ShardRouter(shards)
         self.fault_plan = fault_plan
         if engines is not None:
-            if fault_plan is not None:
-                raise ValueError(
-                    "fault_plan applies to cluster-built shards; wrap "
-                    "the disks yourself when passing explicit engines"
-                )
             if len(engines) != shards:
                 raise ValueError(
                     f"got {len(engines)} engines for {shards} shards"
+                )
+            steps = {engine.steps_sealed for engine in engines}
+            if len(steps) > 1:
+                raise ValueError(
+                    f"engines sealed different step counts {sorted(steps)}"
                 )
             self.shards: "List[Optional[HybridQuantileEngine]]" = list(
                 engines
@@ -495,17 +502,12 @@ class ClusterEngine(PinnedQueries):
         self._wal_root: Optional[Path] = (
             Path(wal_dir) if wal_dir is not None else None
         )
-        self._wals: "List[Optional[WriteAheadLog]]" = [None] * shards
         if self._wal_root is not None:
             for index, shard in enumerate(self.shards):
-                wal = getattr(shard, "_wal", None)
-                if wal is None:
-                    wal = WriteAheadLog(
-                        shard_dir(self._wal_root, index),
-                        fsync=config.wal_fsync,
-                    )
-                    shard.attach_wal(wal)
-                self._wals[index] = wal
+                if shard.wal is None:
+                    shard.attach_wal(self._open_wal(index))
+        #: quarantined shard index -> the WAL writer its slot retains.
+        self._wals: Dict[int, WriteAheadLog] = {}
         #: quarantined shard index -> reason string.
         self._quarantined: Dict[int, str] = {}
         #: cumulative acked elements per shard — cluster-side truth
@@ -515,7 +517,7 @@ class ClusterEngine(PinnedQueries):
         ]
         self.router.resume([shard.m_stream for shard in self.shards])
         self._executor = QueryExecutor(retry=PROBE_RETRY_POLICY)
-        self._step = 0
+        self._step = self.shards[0].steps_sealed
         # TS's historical half per partition set (over the shard-major
         # concatenation) and the TS last fused onto it.
         self._historical_memo = HistoricalMemo()
@@ -577,9 +579,8 @@ class ClusterEngine(PinnedQueries):
         reports: "List[Optional[StepReport]]" = []
         for index, shard in enumerate(self.shards):
             if shard is None:
-                wal = self._wals[index]
-                if wal is not None:
-                    wal.append_seal(self._step + 1)
+                if index in self._wals:
+                    self._wals[index].append_seal(self._step + 1)
                 reports.append(None)
             else:
                 reports.append(shard.end_time_step())
@@ -825,9 +826,8 @@ class ClusterEngine(PinnedQueries):
         engine = self.shards[shard]
         if engine is None:
             raise ValueError(f"shard {shard} is already quarantined")
-        wal = getattr(engine, "_wal", None)
+        wal = engine.detach_wal()
         if wal is not None:
-            engine.detach_wal()
             self._wals[shard] = wal
         try:
             engine.close()
@@ -840,9 +840,10 @@ class ClusterEngine(PinnedQueries):
     def rejoin_shard(
         self, shard: int, engine: HybridQuantileEngine
     ) -> None:
-        """Swap a restored engine, and its WAL writer, into a quarantined
-        slot.  It must have caught up — the cluster's sealed steps and the
-        slot's acked elements, as checkpoint-plus-WAL recovery does."""
+        """Swap a restored engine, which owns its WAL writer, into a
+        quarantined slot (a writer the slot still retains is closed).  It
+        must have caught up — the cluster's sealed steps and the slot's
+        acked elements, as checkpoint-plus-WAL recovery does."""
         if self.shards[shard] is not None:
             raise ValueError(f"shard {shard} is not quarantined")
         if engine.steps_sealed != self._step:
@@ -855,31 +856,33 @@ class ClusterEngine(PinnedQueries):
                 f"restored shard holds {engine.n_total} elements, "
                 f"{self._shard_elems[shard]} were acked"
             )
+        self.release_wal(shard)
         self.shards[shard] = engine
         self._quarantined.pop(shard, None)
         self._gather = None
-        wal = getattr(engine, "_wal", None)
-        if wal is not None:
-            self._wals[shard] = wal
 
     def release_wal(self, shard: int) -> None:
         """Close and drop a slot's retained WAL writer, right before a
         restore: ``load_engine(wal_dir=...)`` opens the directory's one
         live writer itself."""
-        wal = self._wals[shard]
+        wal = self._wals.pop(shard, None)
         if wal is not None:
-            self._wals[shard] = None
             wal.close()
 
     def reopen_wal(self, shard: int) -> None:
         """Reopen a quarantined slot's WAL writer after a failed restore,
         so it keeps taking lockstep seal frames (a no-op without a WAL
-        root or with a writer open)."""
-        if self._wal_root is None or self._wals[shard] is not None:
-            return
-        self._wals[shard] = WriteAheadLog(
-            shard_dir(self._wal_root, shard),
-            fsync=self.config.wal_fsync,
+        root, on a live slot or with a writer open)."""
+        if (
+            self._wal_root is not None
+            and self.shards[shard] is None
+            and shard not in self._wals
+        ):
+            self._wals[shard] = self._open_wal(shard)
+
+    def _open_wal(self, shard: int) -> WriteAheadLog:
+        return WriteAheadLog(
+            shard_dir(self._wal_root, shard), fsync=self.config.wal_fsync
         )
 
     @property
@@ -928,13 +931,11 @@ class ClusterEngine(PinnedQueries):
         """Close every live shard and every quarantined slot's retained
         WAL writer, errors joined as :meth:`flush` joins them."""
         _, errors = self._on_live_shards("close")
-        for index, wal in enumerate(self._wals):
-            if wal is not None and self.shards[index] is None:
-                self._wals[index] = None
-                try:
-                    wal.close()
-                except BaseException as exc:  # noqa: BLE001
-                    errors.setdefault(index, exc)
+        for index in list(self._wals):
+            try:
+                self.release_wal(index)
+            except BaseException as exc:  # noqa: BLE001
+                errors.setdefault(index, exc)
         self._raise_joined("close", errors)
 
     def __enter__(self) -> "ClusterEngine":

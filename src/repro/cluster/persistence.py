@@ -17,6 +17,7 @@ import json
 from pathlib import Path
 from typing import List, Optional
 
+from ..core.engine import HybridQuantileEngine
 from ..faults.plan import FaultPlan
 from ..persistence.checkpoint import (
     begin_stage,
@@ -66,7 +67,7 @@ def save_cluster(cluster: ClusterEngine, directory: "str | Path") -> Path:
     commit_stage(stage, root)
     for shard, wal_lsn in zip(cluster.shards, watermarks):
         if wal_lsn is not None:
-            shard._wal.truncate(wal_lsn)
+            shard.wal.truncate(wal_lsn)
     return root
 
 
@@ -80,14 +81,11 @@ def load_cluster(
     Checks the router and rebuilds the config from the manifest,
     restores each shard engine from its own directory (each on a fresh
     simulated disk — or a fault-plan-wrapped one when ``fault_plan`` is
-    given) and reassembles the facade with the lockstep step counter
-    intact.
+    given) and builds the facade over them, at the step they sealed.
 
     With ``wal_dir``, each shard rolls forward from its own
     ``shard-NN/`` WAL after its checkpoint loads, recovering every
-    batch acked after the checkpoint; the cluster step advances to the
-    replayed engines' sealed-step count when the WAL carried seals past
-    the manifest.
+    batch and seal acked after the checkpoint.
     """
     root = recover_checkpoint(directory, MANIFEST_FILE)
     manifest = _read_manifest(root)
@@ -101,27 +99,25 @@ def load_cluster(
     # manifest that routes some other way.
     if ShardRouter.from_manifest(manifest["router"]).shards != shards:
         raise PersistenceError("manifest's router and shard count differ")
-    engines = [
-        load_engine(
-            shard_dir(root, index),
-            disk=new_shard_disk(fault_plan, config, index),
-            wal_dir=shard_dir(wal_dir, index) if wal_dir is not None else None,
+    engines: List[HybridQuantileEngine] = []
+    try:
+        for index in range(shards):
+            engines.append(load_engine(
+                shard_dir(root, index),
+                disk=new_shard_disk(fault_plan, config, index),
+                wal_dir=None if wal_dir is None else shard_dir(wal_dir, index),
+            ))
+        return ClusterEngine(
+            shards=shards,
+            config=config,
+            engines=engines,
+            fault_plan=fault_plan,
+            wal_dir=wal_dir,
         )
-        for index in range(shards)
-    ]
-    cluster = ClusterEngine(
-        shards=shards,
-        config=config,
-        engines=engines,
-        wal_dir=wal_dir,
-    )
-    cluster.fault_plan = fault_plan
-    # WAL replay may have sealed steps past the manifest's snapshot.
-    cluster._step = max(
-        int(manifest["step"]),
-        max(engine.steps_sealed for engine in engines),
-    )
-    return cluster
+    except BaseException:
+        for engine in engines:
+            engine.close()
+        raise
 
 
 def _read_manifest(root: Path) -> dict:

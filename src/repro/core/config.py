@@ -237,14 +237,6 @@ class ServingConfig:
         waits for its answer (a search probes its partitions inline
         on that thread).  A caller past the limit waits, still counted
         as queued.
-    coalesce:
-        Take every queued quick request together, as one batch pinned
-        at one epoch: one TS plus one rank-bound lookup per phi, so
-        merges per served request drop below 1 under concurrency.
-        A batch waits behind a running accurate search for at most
-        :data:`repro.serving.service.BATCH_WAIT_S` (2 ms), so requests
-        arriving meanwhile join it; with no search running it is taken
-        at once.
     degrade_on_overload:
         When the accurate queue is full, degrade the request to the
         quick path (flagged on the result) instead of rejecting it —
@@ -254,7 +246,6 @@ class ServingConfig:
     max_queue: int = 64
     accurate_queue: Optional[int] = None
     accurate_workers: int = 2
-    coalesce: bool = True
     degrade_on_overload: bool = False
 
     def __post_init__(self) -> None:

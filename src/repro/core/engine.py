@@ -168,12 +168,12 @@ class HybridQuantileEngine(PinnedQueries):
                 hot_tier_bytes=config.hot_tier_bytes,
             )
             self._owns_backend = True
-        store_cls = (
+        flavour = (
             LeveledCompactionStore
             if config.compaction == "leveled"
             else LeveledStore
         )
-        self.store = store_cls(
+        self.store = flavour(
             self.disk,
             kappa=config.kappa,
             summary_builder=self._build_partition_summary,
@@ -221,10 +221,21 @@ class HybridQuantileEngine(PinnedQueries):
         # instant where a sealed batch is in neither the stream nor the
         # pending set.
         self._seal_lock = threading.RLock()
-        # Created lazily on the first end_time_step, so it always binds
-        # the *final* store (load_engine swaps the store attribute
-        # after construction).
-        self._archiver: Optional[BackgroundArchiver] = None
+        self._archiver = BackgroundArchiver(
+            self.store,
+            retry=ARCHIVE_RETRY_POLICY,
+            # Adoption changes the partition set, so it bumps the epoch
+            # — inside the same critical section that splices the
+            # partition, keeping epoch and layout in lockstep.  A sync
+            # step adopts inside its seal's own section: one transition,
+            # already stamped by the seal's bump.
+            on_adopt=(
+                (lambda step: self._epochs.bump("adopt"))
+                if config.ingest_mode == "background"
+                else None
+            ),
+            after_adopt=self._grow_historical_memo,
+        )
         # Optional durability: when attached, every acked batch and
         # seal is appended (and fsynced) to the log before it is
         # applied, so a crash replays to the exact acked state.
@@ -326,6 +337,12 @@ class HybridQuantileEngine(PinnedQueries):
             self._m += int(arr.size)
         return int(arr.size)
 
+    @property
+    def wal(self):
+        """The attached :class:`~repro.ingest.wal.WriteAheadLog`, or
+        ``None``; :meth:`attach_wal` and :meth:`detach_wal` change it."""
+        return self._wal
+
     def attach_wal(self, wal) -> None:
         """Attach a :class:`~repro.ingest.wal.WriteAheadLog`.
 
@@ -368,14 +385,46 @@ class HybridQuantileEngine(PinnedQueries):
     def stream_sketch(self) -> GKSketch:
         """The live GK sketch with every buffered element absorbed.
 
-        The sanctioned way to read the engine's stream sketch (the
-        checkpoint writer uses it): absorbing first keeps the sketch's
-        ``n`` equal to :attr:`m_stream`.  The returned object is the
-        live sketch, not a copy — take ``.snapshot()`` to query it
-        while ingestion continues.
+        The sanctioned way to read the engine's stream sketch:
+        absorbing first keeps the sketch's ``n`` equal to
+        :attr:`m_stream`.  The returned object is the live sketch, not
+        a copy — take ``.snapshot()`` to query it while ingestion
+        continues.
         """
         self._absorb_stream_tail()
         return self._gk
+
+    def stream_state(self) -> "tuple[QuantileSketch, np.ndarray, int]":
+        """What a checkpoint saves of the engine besides its store: the
+        live sketch with every buffered element absorbed, a copy of the
+        buffer it absorbed and the sealed-step count, as
+        :meth:`restore_stream` takes them back."""
+        sketch = self.stream_sketch()
+        with self._stream_lock:
+            return sketch, np.array(self._buffer.view()), self._step
+
+    def restore_stream(
+        self, sketch: QuantileSketch, buffer: np.ndarray, step: int
+    ) -> None:
+        """Take back what :meth:`stream_state` gave a checkpoint, into a
+        fresh engine whose store already holds the checkpoint's
+        partitions.  ``sketch`` must have absorbed exactly ``buffer``,
+        and ``step`` may not trail the store; raises ``ValueError``
+        otherwise.  The layout cached before the store filled is
+        dropped: the store changed, the epoch did not."""
+        if sketch.n != buffer.size:
+            raise ValueError("stream sketch count disagrees with stream buffer")
+        if step < self.store.steps_loaded:
+            raise ValueError(
+                f"step {step} trails the store's {self.store.steps_loaded}"
+            )
+        with self._seal_lock, self._stream_lock:
+            self._gk = sketch
+            self._buffer.extend(buffer)
+            self._stream_stats = AggregateStats.of_array(buffer)
+            self._m = self._gk_absorbed = int(buffer.size)
+            self._step = int(step)
+            self._layout = None
 
     def end_time_step(self) -> StepReport:
         """Archive the current stream batch into HD and reset SS.
@@ -405,7 +454,7 @@ class HybridQuantileEngine(PinnedQueries):
         started = time.perf_counter()
         if self._wal is not None:
             self._wal.append_seal(self._step + 1)
-        archiver = self._ensure_archiver()
+        archiver = self._archiver
         archiver.reserve()
         with self._seal_lock:
             self._step += 1
@@ -448,28 +497,7 @@ class HybridQuantileEngine(PinnedQueries):
         :class:`~repro.ingest.archiver.ArchiveFailedError` in either
         mode once a batch has failed to archive.
         """
-        if self._archiver is None:
-            return []
         return self._archiver.drain()
-
-    def _ensure_archiver(self) -> BackgroundArchiver:
-        if self._archiver is None:
-            self._archiver = BackgroundArchiver(
-                self.store,
-                retry=ARCHIVE_RETRY_POLICY,
-                # Adoption changes the partition set, so it bumps the
-                # epoch — inside the same critical section that splices
-                # the partition, keeping epoch and layout in lockstep.
-                # A sync step adopts inside its seal's own section: one
-                # transition, already stamped by the seal's bump.
-                on_adopt=(
-                    (lambda step: self._epochs.bump("adopt"))
-                    if self.config.ingest_mode == "background"
-                    else None
-                ),
-                after_adopt=self._grow_historical_memo,
-            )
-        return self._archiver
 
     def _grow_historical_memo(self) -> None:
         """Grow the memo's HS for the adopted partition set (archiver
@@ -487,10 +515,7 @@ class HybridQuantileEngine(PinnedQueries):
         ``None`` until the first background ``end_time_step`` (always
         ``None`` in sync mode, where no batch reaches the thread).
         """
-        archiver = self._archiver
-        if archiver is None or not archiver.threaded:
-            return None
-        return archiver.stats
+        return self._archiver.stats if self._archiver.threaded else None
 
     @property
     def degraded_queries(self) -> int:
@@ -511,12 +536,9 @@ class HybridQuantileEngine(PinnedQueries):
         :class:`~repro.faults.FaultyDisk` contributes its fired-fault
         count, the archiver and query executor their retry counts.
         """
-        archiver = self._archiver
         return ReliabilityReport(
             disk_faults=int(getattr(self.disk, "faults_fired", 0)),
-            archive_retries=(
-                archiver.stats.fault_retries if archiver is not None else 0
-            ),
+            archive_retries=self._archiver.stats.fault_retries,
             probe_retries=self._query_executor.fault_retries,
             degraded_queries=self.degraded_queries,
         )
@@ -580,11 +602,10 @@ class HybridQuantileEngine(PinnedQueries):
         self,
     ) -> "tuple[List[Partition], List[PendingBatch], int]":
         """Atomic (adopted layout, pending set, epoch) triple."""
-        archiver = self._archiver
         with self.store.layout_lock:
             return (
                 self.store.partitions(),
-                archiver.pending_batches() if archiver is not None else [],
+                self._archiver.pending_batches(),
                 self._epochs.current,
             )
 
@@ -621,7 +642,7 @@ class HybridQuantileEngine(PinnedQueries):
     def _current_layout(self) -> Layout:
         """The current epoch's layout (seal lock held): derived by the
         first reader that sees the epoch, shared by every later one.  An
-        epoch bump outdates it; a cascade merge and load_engine drop it."""
+        epoch bump outdates it; a cascade merge and a restore drop it."""
         layout = self._layout
         if layout is None or layout.epoch != self._epochs.current:
             layout = self._layout = self._derive_layout()
@@ -787,8 +808,7 @@ class HybridQuantileEngine(PinnedQueries):
         released, so the engine is fully shut down either way.
         """
         try:
-            if self._archiver is not None:
-                self._archiver.close()
+            self._archiver.close()
         finally:
             try:
                 if self._wal is not None:

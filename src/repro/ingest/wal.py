@@ -281,7 +281,7 @@ def replay_wal(
     engine must not have a live WAL attached (records would be
     re-appended) — attach the writer after replay.
     """
-    if getattr(engine, "_wal", None) is not None:
+    if engine.wal is not None:
         raise WalError("detach the WAL writer before replaying into it")
     scan = scan_wal(directory)
     batches = elements = seals = skipped = 0

@@ -52,7 +52,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..core.aggregates import AggregateStats
 from ..core.config import EngineConfig
 from ..core.engine import HybridQuantileEngine
 from ..ingest.wal import WriteAheadLog, replay_wal
@@ -129,7 +128,7 @@ def save_engine(engine: HybridQuantileEngine, directory: "str | Path") -> Path:
     wal_lsn = stage_engine(engine, stage, directory)
     commit_stage(stage, directory)
     if wal_lsn is not None:
-        engine._wal.truncate(wal_lsn)
+        engine.wal.truncate(wal_lsn)
     return directory
 
 
@@ -175,8 +174,7 @@ def stage_engine(
     without a WAL.
     """
     engine.flush()
-    wal = getattr(engine, "_wal", None)
-    wal_lsn = wal.last_lsn if wal is not None else None
+    wal_lsn = engine.wal.last_lsn if engine.wal is not None else None
     stage.mkdir(exist_ok=True)
     previous_warehouse = previous / WAREHOUSE_DIR
     save_store(
@@ -186,20 +184,18 @@ def stage_engine(
             previous_warehouse if previous_warehouse.is_dir() else None
         ),
     )
-    # stream_sketch() absorbs any buffered-but-unabsorbed tail first,
-    # so the saved sketch count always equals the saved buffer size.
-    (stage / SKETCH_FILE).write_bytes(
-        dump_sketch(engine.stream_sketch())
-    )
-    np.save(stage / BUFFER_FILE, np.asarray(engine._buffer.view()))
+    # The saved sketch has absorbed exactly the saved buffer.
+    sketch, buffer, step = engine.stream_state()
+    (stage / SKETCH_FILE).write_bytes(dump_sketch(sketch))
+    np.save(stage / BUFFER_FILE, buffer)
     fsync_file(stage / SKETCH_FILE)
     fsync_file(stage / BUFFER_FILE)
     reach("mid-stage")
     state = {
         "format": _ENGINE_FORMAT,
         "config": asdict(engine.config),
-        "step": engine._step,
-        "stream_elems": engine.m_stream,
+        "step": step,
+        "stream_elems": int(buffer.size),
     }
     if wal_lsn is not None:
         state["wal_lsn"] = wal_lsn
@@ -352,46 +348,28 @@ def load_engine(
         )
     config = config_from_state(state["config"])
     engine = HybridQuantileEngine(config=config, disk=disk)
-    engine.store = load_store(
-        directory / WAREHOUSE_DIR,
-        engine.disk,
-        kappa=config.kappa,
-        summary_builder=engine._build_partition_summary,
-        # Restore into the same store flavour the config prescribes.
-        store_cls=type(engine.store),
-        repair=repair,
-    )
-    # The store was replaced after construction: re-wire the retirement
-    # hook so compaction merges keep invalidating the shared cache.
-    engine.store.on_retire = engine._on_runs_retired
-    engine._gk = load_stream_sketch(
-        (directory / SKETCH_FILE).read_bytes()
-    )
-    buffer = np.load(directory / BUFFER_FILE)
-    if buffer.dtype != np.int64:
-        # The buffer would cast it: floats truncate, wide uint64 wraps
-        # negative (load_store refuses partition files the same way).
-        raise PersistenceError(
-            f"{BUFFER_FILE} holds {buffer.dtype} values, not int64"
-        )
-    engine._buffer.extend(buffer)
-    engine._stream_stats = AggregateStats.of_array(buffer)
-    engine._m = int(buffer.size)
-    # The saved sketch had absorbed the whole saved buffer.
-    engine._gk_absorbed = int(buffer.size)
-    if engine._m != int(state["stream_elems"]):
-        raise PersistenceError(
-            "stream buffer size disagrees with engine state"
-        )
-    if engine._gk.n != engine._m:
-        raise PersistenceError(
-            "stream sketch count disagrees with stream buffer"
-        )
-    engine._step = int(state["step"])
-    engine._layout = None  # store and step changed, the epoch did not
-    if wal_dir is not None:
-        replay_wal(engine, wal_dir, after_lsn=int(state.get("wal_lsn", 0)))
-        engine.attach_wal(
-            WriteAheadLog(wal_dir, fsync=config.wal_fsync)
-        )
+    try:
+        load_store(directory / WAREHOUSE_DIR, engine.store, repair=repair)
+        buffer = np.load(directory / BUFFER_FILE)
+        if buffer.dtype != np.int64:
+            # The buffer would cast it: floats truncate, wide uint64
+            # wraps negative (load_store refuses partition files so too).
+            raise PersistenceError(
+                f"{BUFFER_FILE} holds {buffer.dtype} values, not int64"
+            )
+        if buffer.size != int(state["stream_elems"]):
+            raise PersistenceError(
+                "stream buffer size disagrees with engine state"
+            )
+        sketch = load_stream_sketch((directory / SKETCH_FILE).read_bytes())
+        try:
+            engine.restore_stream(sketch, buffer, int(state["step"]))
+        except ValueError as exc:
+            raise PersistenceError(str(exc)) from exc
+        if wal_dir is not None:
+            replay_wal(engine, wal_dir, after_lsn=int(state.get("wal_lsn", 0)))
+            engine.attach_wal(WriteAheadLog(wal_dir, fsync=config.wal_fsync))
+    except BaseException:
+        engine.close()
+        raise
     return engine

@@ -23,10 +23,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..storage.disk import SimulatedDisk
 from ..storage.fsutil import atomic_write_json, fsync_dir, fsync_file
 from ..storage.runfile import SortedRun
-from ..warehouse.leveled_store import LeveledStore, SummaryBuilder
+from ..warehouse.leveled_store import LeveledStore
 from ..warehouse.partition import Partition
 
 MANIFEST_NAME = "MANIFEST.json"
@@ -148,21 +147,16 @@ def _salvage_partition(path: Path, entry: dict) -> Optional[np.ndarray]:
 
 
 def load_store(
-    directory: "str | Path",
-    disk: SimulatedDisk,
-    kappa: Optional[int] = None,
-    summary_builder: Optional[SummaryBuilder] = None,
-    verify_checksums: bool = True,
-    store_cls: type = LeveledStore,
-    repair: bool = False,
+    directory: "str | Path", store: LeveledStore, repair: bool = False
 ) -> LeveledStore:
-    """Rebuild a :class:`LeveledStore` from a saved directory.
+    """Fill the empty ``store`` from a saved directory; returns it.
 
-    Raises :class:`PersistenceError` on a missing/garbled manifest, a
-    kappa mismatch, or (with ``verify_checksums``) corrupted partition
-    files.  Loading charges sequential reads for every partition, as a
-    real recovery scan would.  ``store_cls`` selects the store flavour
-    (e.g. LeveledCompactionStore) the layout should be adopted into.
+    The caller builds the store, so its flavour, disk and summary
+    builder are the caller's.  Raises :class:`PersistenceError` on a
+    missing/garbled manifest, a manifest saved with another ``kappa``
+    than the store's, or corrupted partition files.  Loading charges
+    sequential reads for every partition to the store's disk, as a
+    real recovery scan would.
 
     With ``repair=True``, a partition whose checksum disagrees with the
     manifest is adopted anyway when its content is still a structurally
@@ -171,6 +165,7 @@ def load_store(
     corrected checksum; an unsalvageable file still raises.
     """
     directory = Path(directory)
+    disk = store.disk
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise PersistenceError(f"no manifest at {manifest_path}")
@@ -183,13 +178,11 @@ def load_store(
             f"unknown manifest format {manifest.get('format')!r}"
         )
     stored_kappa = int(manifest["kappa"])
-    if kappa is not None and kappa != stored_kappa:
+    if store.kappa != stored_kappa:
         raise PersistenceError(
-            f"store was saved with kappa={stored_kappa}, requested {kappa}"
+            f"store was saved with kappa={stored_kappa}, requested "
+            f"{store.kappa}"
         )
-    store = store_cls(
-        disk, kappa=stored_kappa, summary_builder=summary_builder
-    )
     levels: List[List[Partition]] = []
     repaired = 0
     for level_entries in manifest["levels"]:
@@ -198,7 +191,7 @@ def load_store(
             path = directory / entry["file"]
             if not path.exists():
                 raise PersistenceError(f"missing partition file {path}")
-            if verify_checksums and _crc32_of(path) != entry["crc32"]:
+            if _crc32_of(path) != entry["crc32"]:
                 data = _salvage_partition(path, entry) if repair else None
                 if data is None:
                     raise PersistenceError(

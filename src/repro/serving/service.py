@@ -307,14 +307,14 @@ class QueryService:
         else:
             if self._running["quick"]:
                 return None, None
-            if config.coalesce and self._running["accurate"]:
+            if self._running["accurate"]:
                 # A batch beside a search only splits the GIL with it.
                 linger = (
                     anchor.submitted_at + BATCH_WAIT_S - time.perf_counter()
                 )
                 if linger > 0:
                     return None, linger
-            work = list(queue) if config.coalesce else [anchor]
+            work = list(queue)
         self._running[mode] += 1
         for request in work:
             queue.remove(request)

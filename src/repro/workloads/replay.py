@@ -7,18 +7,39 @@ through the same batch interface as the synthetic workloads, so every
 experiment in ``benchmarks/`` can run on real data unchanged.
 
 Accepted sources: ``.npy`` arrays, text files of whitespace-separated
-integers, or an in-memory array.
+integers, or an in-memory array — refused, never truncated, where an
+engine door would refuse them (floats, bools, ``uint64`` past the int64
+range) and where a value is negative.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
+from ..sketches.base import as_int64_batch
 from .base import Workload
+
+
+def read_values(source: "str | Path") -> np.ndarray:
+    """The int64 values of a ``.npy`` file, a text file of
+    whitespace-separated integers or, for ``"-"``, standard input;
+    refused as :func:`~repro.sketches.base.as_int64_batch` refuses a
+    batch (a cast would truncate floats and wrap wide ``uint64``)."""
+    if str(source) == "-":
+        text = sys.stdin.read()
+    else:
+        path = Path(source)
+        if not path.exists():
+            raise FileNotFoundError(path)
+        if path.suffix == ".npy":
+            return as_int64_batch(np.load(path))
+        text = path.read_text()
+    return as_int64_batch([int(token) for token in text.split()])
 
 
 class ReplayWorkload(Workload):
@@ -27,7 +48,8 @@ class ReplayWorkload(Workload):
     Parameters
     ----------
     source:
-        Path to a ``.npy`` or text file, or an int64 array.
+        Path to a ``.npy`` or text file (see :func:`read_values`), or
+        an integer array.
     name:
         Display name for benchmark tables (defaults to the file stem).
     loop:
@@ -43,20 +65,11 @@ class ReplayWorkload(Workload):
     ) -> None:
         super().__init__(seed=0)
         if isinstance(source, np.ndarray):
-            values = source.astype(np.int64)
+            values = as_int64_batch(source)
             self.name = name or "replay"
         else:
-            path = Path(source)
-            if not path.exists():
-                raise FileNotFoundError(path)
-            if path.suffix == ".npy":
-                values = np.load(path).astype(np.int64)
-            else:
-                values = np.asarray(
-                    [int(token) for token in path.read_text().split()],
-                    dtype=np.int64,
-                )
-            self.name = name or path.stem
+            values = read_values(source)
+            self.name = name or Path(source).stem
         if values.size == 0:
             raise ValueError("replay source is empty")
         self._values = values

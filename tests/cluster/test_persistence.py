@@ -15,6 +15,7 @@ from repro.cluster import (
     save_cluster,
 )
 from repro.core.config import EngineConfig
+from repro.core.engine import HybridQuantileEngine
 from repro.persistence import PersistenceError, SimulatedCrash
 from repro.persistence.checkpoint import CRASH_POINTS
 from repro.storage import fsutil
@@ -157,6 +158,43 @@ class TestRoundTrip:
         finally:
             cluster.close()
             restored.close()
+
+
+class TestBuiltOverFedEngines:
+    """A cluster handed engines resumes at the step they sealed."""
+
+    CONFIG = EngineConfig(
+        epsilon=0.05, kappa=2, block_elems=16, sketch_backend="kll"
+    )
+
+    def fed_engine(self, steps):
+        engine = HybridQuantileEngine(config=self.CONFIG)
+        rng = np.random.default_rng(steps)
+        for _ in range(steps):
+            engine.stream_update_many(rng.integers(0, 10**6, 300))
+            engine.end_time_step()
+        return engine
+
+    def test_resumes_at_the_engines_step(self):
+        engine = self.fed_engine(3)
+        with ClusterEngine(
+            shards=1, config=self.CONFIG, engines=[engine]
+        ) as cluster:
+            assert cluster.steps_sealed == 3
+            cluster.check_invariants()
+            cluster.stream_update_many(np.arange(100))
+            cluster.end_time_step()
+            assert cluster.steps_sealed == engine.steps_sealed == 4
+            cluster.check_invariants()
+
+    def test_refuses_engines_whose_steps_differ(self):
+        engines = [self.fed_engine(3), self.fed_engine(2)]
+        try:
+            with pytest.raises(ValueError, match="step"):
+                ClusterEngine(shards=2, config=self.CONFIG, engines=engines)
+        finally:
+            for engine in engines:
+                engine.close()
 
 
 class TestFailureModes:

@@ -205,13 +205,13 @@ def test_a_background_adoption_rebuilds_the_gather():
     cluster = fed(ClusterEngine(SHARDS, make_config(ingest_mode="background")), rng)
     cluster.flush()
     for shard in cluster.shards:
-        shard._ensure_archiver().pause()
+        shard._archiver.pause()
     cluster.stream_update_many(rng.integers(0, 10**6, 900))
     cluster.end_time_step()
     before = held_gather(cluster)  # the sealed batches staged
     epochs = before.epoch
     for shard in cluster.shards:
-        shard._ensure_archiver().resume()
+        shard._archiver.resume()
         shard.flush()  # the engine's own verb: adoption bumps its epoch
     assert cluster._gather is before
     assert all(
@@ -236,7 +236,7 @@ def test_a_faulted_cascade_merge_rebuilds_the_gather(monkeypatch):
         cluster.end_time_step()
     cluster.flush()
     for shard in cluster.shards:
-        shard._ensure_archiver().pause()
+        shard._archiver.pause()
     cluster.stream_update_many(rng.integers(0, 10**6, 200 * SHARDS))
     cluster.end_time_step()
     before = held_gather(cluster)
@@ -251,7 +251,7 @@ def test_a_faulted_cascade_merge_rebuilds_the_gather(monkeypatch):
 
     monkeypatch.setattr(leveled_store, "merge_runs", second_merge_faults)
     victim = cluster.shards[0]
-    victim._ensure_archiver().resume()
+    victim._archiver.resume()
     with pytest.raises(ArchiveFailedError):
         victim.flush()
     assert len(merges) == 2
@@ -261,7 +261,7 @@ def test_a_faulted_cascade_merge_rebuilds_the_gather(monkeypatch):
     assert_rebuilt(cluster, before)
     monkeypatch.undo()
     for shard in cluster.shards[1:]:
-        shard._ensure_archiver().resume()
+        shard._archiver.resume()
     cluster.close()
 
 

@@ -63,7 +63,7 @@ class TestServingOverCluster:
             ), phi
 
     def test_coalescing_shares_fused_merges(self, cluster):
-        with QueryService(cluster, ServingConfig(coalesce=True)) as service:
+        with QueryService(cluster, ServingConfig()) as service:
             requests = [
                 service.submit(phi, mode="quick")
                 for phi in list(PHIS) * 8

@@ -576,7 +576,7 @@ class TestHistoricalMemo:
             engine.flush()
             with engine.pin() as handle:
                 assert_memoless(handle)
-            engine._ensure_archiver().pause()
+            engine._archiver.pause()
             try:
                 for _ in range(2):
                     self.step(engine)
@@ -585,7 +585,7 @@ class TestHistoricalMemo:
                     assert len(handle.partitions) == 4
                     assert_memoless(handle)
             finally:
-                engine._ensure_archiver().resume()
+                engine._archiver.resume()
             engine.flush()
             with engine.pin() as handle:
                 assert_memoless(handle)

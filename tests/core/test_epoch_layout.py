@@ -20,7 +20,8 @@ engine answered or the handle was pinned.  A sibling machine does the
 same to a 3-shard KLL cluster, whose pins reuse one gather per cluster
 version, with views held across writes and seals, odd chunkings,
 writes straight into a shard, kills (mid-step ones move the step's
-home), checkpoints and supervised rejoins; an answer
+home), checkpoints, supervised rejoins and whole-cluster restores that
+roll every shard's WAL forward; an answer
 gathered without a quarantined shard is checked over the whole union
 against its widened bound.
 """
@@ -42,7 +43,12 @@ from hypothesis.stateful import (
 
 import repro.warehouse.leveled_store as leveled_store
 from bench.oracle import Answer, Oracle
-from repro.cluster import ClusterEngine, ShardSupervisor, save_cluster
+from repro.cluster import (
+    ClusterEngine,
+    ShardSupervisor,
+    load_cluster,
+    save_cluster,
+)
 from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
 from repro.core.epoch import HistoricalMemo
@@ -294,9 +300,9 @@ TestLayoutMachine.settings = settings(
 
 class ClusterMachine(RuleBasedStateMachine):
     """Writes, seals, flushes, held views, queries, direct shard writes,
-    kills, checkpoints and rejoins against a 3-shard KLL cluster with
-    background ingest and per-shard WALs.  After every step the
-    cluster's invariants hold, the step's home is live and every live
+    kills, checkpoints, rejoins and restores against a 3-shard KLL
+    cluster with background ingest and per-shard WALs.  After every step
+    the cluster's invariants hold, the step's home is live and every live
     shard counts one pin per held view."""
 
     SHARDS = 3
@@ -405,6 +411,17 @@ class ClusterMachine(RuleBasedStateMachine):
         self.release_all()
         ShardSupervisor(self.cluster, self.saved).run_until_settled()
         assert not self.cluster.quarantined_shards
+
+    @precondition(lambda self: self.saved is not None)
+    @rule()
+    def restore(self):
+        """Close the cluster, quarantined slots too, and load the last
+        checkpoint through every shard's WAL: each acked write is back."""
+        self.release_all()
+        self.cluster.close()
+        self.cluster = load_cluster(self.saved, wal_dir=f"{self.root}/wal")
+        assert not self.cluster.quarantined_shards
+        assert self.cluster.n_total == sum(v.size for _, _, v in self.writes)
 
     @rule(
         data=st.data(),

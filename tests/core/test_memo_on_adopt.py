@@ -109,7 +109,7 @@ def test_adopting_what_a_query_staged_grows_nothing():
         engine.end_time_step()
         engine.flush()
         engine.quantile(0.5, "quick")
-        engine._ensure_archiver().pause()
+        engine._archiver.pause()
         try:
             for _ in range(2):
                 engine.stream_update_many(rng.integers(0, 10**6, 300))
@@ -117,7 +117,7 @@ def test_adopting_what_a_query_staged_grows_nothing():
             engine.stream_update_many(rng.integers(0, 10**6, 100))
             engine.quantile(0.5, "quick")  # stages both pending batches
         finally:
-            engine._ensure_archiver().resume()
+            engine._archiver.resume()
         engine.flush()
         before = engine.epoch_stats
         assert (before.hs_builds, before.hs_extends) == (1, 1)

@@ -79,7 +79,7 @@ class Door:
             if step == 4 and config.ingest_mode == "background":
                 # The last sealed batch stays pending: queries stage it.
                 self.engine.flush()
-                self.engine._ensure_archiver().pause()
+                self.engine._archiver.pause()
             feed.stream_update_many(rng.integers(0, 10**6, 1500))
             feed.end_time_step()
         feed.stream_update_many(rng.integers(0, 10**6, 700))
@@ -103,7 +103,7 @@ class Door:
         for view in self._views:
             view.release()
         if self.engine.ingest_stats is not None:
-            self.engine._ensure_archiver().resume()
+            self.engine._archiver.resume()
         (self.cluster or self.engine).close()
 
 

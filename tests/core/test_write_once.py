@@ -209,7 +209,7 @@ def test_background_seal_equals_the_unpolled_twin(stager, monkeypatch):
     ) as twin, sorter_calls(monkeypatch) as calls:
         reports = []
         if stager == "query":
-            engine._ensure_archiver().pause()
+            engine._archiver.pause()
         for sealed, values in enumerate(feeds(), start=1):
             one_chunk(engine, values)
             unpolled(twin, values)

@@ -37,7 +37,7 @@ def paused_engine():
         engine.end_time_step()
     engine.flush()
     # three steps sealed but frozen in the pending queue
-    engine._ensure_archiver().pause()
+    engine._archiver.pause()
     for _ in range(3):
         batch = rng.integers(0, 10**6, size=500)
         everything.append(batch)
@@ -48,14 +48,14 @@ def paused_engine():
     everything.append(tail)
     engine.stream_update_many(tail)
     yield engine, np.concatenate(everything)
-    engine._ensure_archiver().resume()
+    engine._archiver.resume()
     engine.close()
 
 
 class TestMidArchiveQueries:
     def test_accounting_covers_pending(self, paused_engine):
         engine, union = paused_engine
-        assert engine._ensure_archiver().queue_depth == 3
+        assert engine._archiver.queue_depth == 3
         assert engine.n_historical == 7 * 500
         assert engine.m_stream == 200
         assert engine.n_total == union.size
@@ -142,7 +142,7 @@ class TestMidArchiveQueries:
 
     def test_resume_then_flush_matches_sync_totals(self, paused_engine):
         engine, union = paused_engine
-        engine._ensure_archiver().resume()
+        engine._archiver.resume()
         reports = engine.flush()
         assert [r.step for r in reports] == [5, 6, 7]
         assert engine.steps_loaded == 7

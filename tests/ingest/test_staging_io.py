@@ -41,7 +41,7 @@ def paused_engine():
         engine.stream_update_many(batch)
         engine.end_time_step()
     reports = engine.flush()
-    engine._ensure_archiver().pause()
+    engine._archiver.pause()
     engine.stream_update_many(pending)
     engine.end_time_step()
     engine.stream_update_many(np.arange(300))
@@ -79,7 +79,7 @@ def io_of(report):
 def test_a_door_staging_a_pending_batch_charges_it_as_archiving_would(door):
     engine, reports = paused_engine()
     stats = engine.disk.stats
-    archiver = engine._ensure_archiver()
+    archiver = engine._archiver
     (batch,) = archiver.pending_batches()
     try:
         stats.set_phase("merge")

@@ -35,6 +35,13 @@ def build_store(steps=5, kappa=2, batch=400, seed=0):
     return disk, store
 
 
+def empty_store(disk=None, kappa=2):
+    """An empty store for ``load_store`` to fill."""
+    return LeveledStore(
+        disk if disk is not None else SimulatedDisk(block_elems=16), kappa
+    )
+
+
 def build_engine(seed=0, steps=4, batch=600, live=200):
     engine = HybridQuantileEngine(epsilon=0.05, kappa=3, block_elems=16)
     rng = np.random.default_rng(seed)
@@ -53,7 +60,7 @@ class TestTruncatedPartition:
         blob = victim.read_bytes()
         victim.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(PersistenceError, match="checksum"):
-            load_store(tmp_path, SimulatedDisk(block_elems=16))
+            load_store(tmp_path, empty_store())
 
     def test_truncated_file_unrepairable(self, tmp_path):
         _, store = build_store()
@@ -62,7 +69,7 @@ class TestTruncatedPartition:
         blob = victim.read_bytes()
         victim.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(PersistenceError, match="unrepairable"):
-            load_store(tmp_path, SimulatedDisk(block_elems=16), repair=True)
+            load_store(tmp_path, empty_store(), repair=True)
 
 
 class TestRepairMode:
@@ -78,18 +85,16 @@ class TestRepairMode:
         _, store = build_store()
         save_store(store, tmp_path)
         self.rewrite_valid(tmp_path)
-        restored = load_store(
-            tmp_path, SimulatedDisk(block_elems=16), repair=True
-        )
+        restored = load_store(tmp_path, empty_store(), repair=True)
         assert restored.steps_loaded == store.steps_loaded
 
     def test_repair_rewrites_manifest(self, tmp_path):
         _, store = build_store()
         save_store(store, tmp_path)
         victim = self.rewrite_valid(tmp_path)
-        load_store(tmp_path, SimulatedDisk(block_elems=16), repair=True)
+        load_store(tmp_path, empty_store(), repair=True)
         # Second load without repair is clean: checksums were fixed.
-        load_store(tmp_path, SimulatedDisk(block_elems=16))
+        load_store(tmp_path, empty_store())
         manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
         entries = [e for lvl in manifest["levels"] for e in lvl]
         assert any(e["file"] == victim.name for e in entries)
@@ -102,7 +107,7 @@ class TestRepairMode:
         data[0], data[-1] = data[-1], data[0] + 10**7  # break the order
         np.save(victim, data)
         with pytest.raises(PersistenceError, match="unrepairable"):
-            load_store(tmp_path, SimulatedDisk(block_elems=16), repair=True)
+            load_store(tmp_path, empty_store(), repair=True)
 
     def test_wrong_length_unrepairable(self, tmp_path):
         _, store = build_store()
@@ -110,13 +115,13 @@ class TestRepairMode:
         victim = sorted(tmp_path.glob("part-*.npy"))[0]
         np.save(victim, np.load(victim)[:-3])
         with pytest.raises(PersistenceError, match="unrepairable"):
-            load_store(tmp_path, SimulatedDisk(block_elems=16), repair=True)
+            load_store(tmp_path, empty_store(), repair=True)
 
     def test_repair_without_damage_is_a_noop(self, tmp_path):
         _, store = build_store()
         save_store(store, tmp_path)
         before = (tmp_path / MANIFEST_NAME).read_bytes()
-        load_store(tmp_path, SimulatedDisk(block_elems=16), repair=True)
+        load_store(tmp_path, empty_store(), repair=True)
         assert (tmp_path / MANIFEST_NAME).read_bytes() == before
 
 
@@ -140,6 +145,18 @@ class TestEngineStateConsistency:
         buffer = np.load(buffer_path)
         np.save(buffer_path, buffer[:-5])
         with pytest.raises(PersistenceError, match="buffer size disagrees"):
+            load_engine(tmp_path / "ckpt")
+
+    def test_step_behind_the_store_detected(self, tmp_path):
+        """A step count below the warehouse's last step would seal the
+        next batch under a step the store already holds."""
+        engine = build_engine()
+        save_engine(engine, tmp_path / "ckpt")
+        state_path = tmp_path / "ckpt" / "engine.json"
+        state = json.loads(state_path.read_text())
+        state["step"] = 2
+        state_path.write_text(json.dumps(state))
+        with pytest.raises(PersistenceError, match="trails the store"):
             load_engine(tmp_path / "ckpt")
 
     @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ def test_roundtrip_any_schedule(tmp_path_factory, kappa, steps, seed,
         store.add_batch(rng.integers(0, 1000, 37), step=step)
     save_store(store, directory)
     restored = load_store(
-        directory, SimulatedDisk(block_elems=8), store_cls=store_cls
+        directory, store_cls(SimulatedDisk(block_elems=8), kappa=kappa)
     )
     restored.check_invariant()
     assert restored.steps_loaded == store.steps_loaded

@@ -20,11 +20,18 @@ def build_store(steps=7, kappa=2, batch=500, seed=0):
     return disk, store
 
 
+def empty_store(disk=None, kappa=2):
+    """An empty store for ``load_store`` to fill."""
+    return LeveledStore(
+        disk if disk is not None else SimulatedDisk(block_elems=16), kappa
+    )
+
+
 class TestRoundTrip:
     def test_layout_preserved(self, tmp_path):
         _, store = build_store()
         save_store(store, tmp_path)
-        restored = load_store(tmp_path, SimulatedDisk(block_elems=16))
+        restored = load_store(tmp_path, empty_store())
         assert restored.kappa == store.kappa
         assert restored.steps_loaded == store.steps_loaded
         original = [
@@ -40,14 +47,14 @@ class TestRoundTrip:
     def test_data_preserved(self, tmp_path):
         _, store = build_store()
         save_store(store, tmp_path)
-        restored = load_store(tmp_path, SimulatedDisk(block_elems=16))
+        restored = load_store(tmp_path, empty_store())
         for a, b in zip(store.partitions(), restored.partitions()):
             np.testing.assert_array_equal(a.run.values, b.run.values)
 
     def test_restored_store_keeps_ingesting(self, tmp_path):
         _, store = build_store(steps=7, kappa=2)
         save_store(store, tmp_path)
-        restored = load_store(tmp_path, SimulatedDisk(block_elems=16))
+        restored = load_store(tmp_path, empty_store())
         restored.add_batch(np.arange(500), step=8)
         restored.check_invariant()
         assert restored.steps_loaded == 8
@@ -80,8 +87,11 @@ class TestRoundTrip:
         save_store(store, tmp_path)
         restored = load_store(
             tmp_path,
-            SimulatedDisk(block_elems=16),
-            summary_builder=lambda p: ("summary", len(p)),
+            LeveledStore(
+                SimulatedDisk(block_elems=16),
+                kappa=2,
+                summary_builder=lambda p: ("summary", len(p)),
+            ),
         )
         for partition in restored.partitions():
             assert partition.summary == ("summary", len(partition))
@@ -90,7 +100,7 @@ class TestRoundTrip:
         _, store = build_store()
         save_store(store, tmp_path)
         disk = SimulatedDisk(block_elems=16)
-        load_store(tmp_path, disk)
+        load_store(tmp_path, empty_store(disk))
         expected_blocks = sum(
             disk.blocks_for(len(p)) for p in store.partitions()
         )
@@ -100,14 +110,14 @@ class TestRoundTrip:
 class TestFailureInjection:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(PersistenceError, match="no manifest"):
-            load_store(tmp_path, SimulatedDisk())
+            load_store(tmp_path, empty_store())
 
     def test_garbled_manifest(self, tmp_path):
         _, store = build_store()
         save_store(store, tmp_path)
         (tmp_path / MANIFEST_NAME).write_text("{oops")
         with pytest.raises(PersistenceError, match="garbled"):
-            load_store(tmp_path, SimulatedDisk())
+            load_store(tmp_path, empty_store())
 
     def test_wrong_format(self, tmp_path):
         _, store = build_store()
@@ -116,20 +126,20 @@ class TestFailureInjection:
         manifest["format"] = "something-else"
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(PersistenceError, match="format"):
-            load_store(tmp_path, SimulatedDisk())
+            load_store(tmp_path, empty_store())
 
     def test_kappa_mismatch(self, tmp_path):
         _, store = build_store(kappa=2)
         save_store(store, tmp_path)
         with pytest.raises(PersistenceError, match="kappa"):
-            load_store(tmp_path, SimulatedDisk(), kappa=5)
+            load_store(tmp_path, empty_store(kappa=5))
 
     def test_missing_partition_file(self, tmp_path):
         _, store = build_store()
         save_store(store, tmp_path)
         next(iter(tmp_path.glob("part-*.npy"))).unlink()
         with pytest.raises(PersistenceError, match="missing partition"):
-            load_store(tmp_path, SimulatedDisk())
+            load_store(tmp_path, empty_store())
 
     def test_corrupted_partition_detected(self, tmp_path):
         _, store = build_store()
@@ -139,31 +149,14 @@ class TestFailureInjection:
         blob[-5] ^= 0xFF  # flip bits inside the data section
         victim.write_bytes(bytes(blob))
         with pytest.raises(PersistenceError, match="checksum"):
-            load_store(tmp_path, SimulatedDisk())
-
-    def test_corruption_ignored_without_verification(self, tmp_path):
-        _, store = build_store()
-        save_store(store, tmp_path)
-        victim = sorted(tmp_path.glob("part-*.npy"))[-1]
-        blob = bytearray(victim.read_bytes())
-        blob[-5] ^= 0x01
-        victim.write_bytes(bytes(blob))
-        # With checksums off the loader only catches structural damage;
-        # a bit flip inside values loads (possibly wrong) data. The
-        # option exists for huge warehouses where scanning is too slow.
-        try:
-            load_store(tmp_path, SimulatedDisk(), verify_checksums=False)
-        except (PersistenceError, ValueError):
-            # A flipped bit may still break the sort invariant, which
-            # the SortedRun constructor reports.
-            pass
+            load_store(tmp_path, empty_store())
 
     def test_crash_during_save_keeps_old_manifest(self, tmp_path):
         """The temp-then-rename protocol: a leftover .tmp is harmless."""
         _, store = build_store()
         save_store(store, tmp_path)
         (tmp_path / (MANIFEST_NAME + ".tmp")).write_text("partial garbage")
-        restored = load_store(tmp_path, SimulatedDisk(block_elems=16))
+        restored = load_store(tmp_path, empty_store())
         assert restored.steps_loaded == store.steps_loaded
 
     def test_float_partition_refused(self, tmp_path):
@@ -181,7 +174,7 @@ class TestFailureInjection:
                     entry["crc32"] = _crc32_of(victim)
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(PersistenceError, match=victim.name):
-            load_store(tmp_path, SimulatedDisk(block_elems=16))
+            load_store(tmp_path, empty_store())
 
     def test_wide_uint64_partition_not_salvaged(self, tmp_path):
         _, store = build_store()
@@ -191,4 +184,4 @@ class TestFailureInjection:
         # wrap every value negative.
         np.save(victim, np.load(victim).astype(np.uint64) + np.uint64(2**63))
         with pytest.raises(PersistenceError, match=victim.name):
-            load_store(tmp_path, SimulatedDisk(block_elems=16), repair=True)
+            load_store(tmp_path, empty_store(), repair=True)

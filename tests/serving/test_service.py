@@ -306,18 +306,6 @@ class TestDispatch:
             # One pinned epoch served the whole batch.
             assert len({r.epoch for r in requests}) == 1
 
-    def test_coalescing_disabled_pays_per_request(self, filled_engine):
-        config = ServingConfig(coalesce=False)
-        with QueryService(filled_engine, config) as service:
-            service.pause()
-            requests = [service.submit(0.5) for _ in range(4)]
-            service.resume()
-            for request in requests:
-                request.result(timeout=5.0)
-            snapshot = service.metrics_snapshot()
-            assert snapshot.served["quick"] == 4
-            assert snapshot.ts_merges >= 4
-
     def test_duplicate_accurate_probes_share_one_search(
         self, filled_engine
     ):

@@ -64,7 +64,7 @@ def test_concurrent_queries_replay_bit_identical_per_epoch():
             ingest_error.append(exc)
 
     service = QueryService(
-        engine, ServingConfig(coalesce=True, accurate_workers=1)
+        engine, ServingConfig(accurate_workers=1)
     )
     generator = LoadGenerator(service, phis=PHIS, seed=23)
     ingester = threading.Thread(target=ingest, args=(5,))

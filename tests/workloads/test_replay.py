@@ -56,6 +56,23 @@ class TestReplayWorkload:
         with pytest.raises(FileNotFoundError):
             ReplayWorkload(tmp_path / "missing.npy")
 
+    @pytest.mark.parametrize(
+        "lossy",
+        [
+            np.array([1.9, 2.7, 3.2]),
+            np.array([True, False, True]),
+            np.array([1, 2**63], dtype=np.uint64),
+        ],
+        ids=["float", "bool", "wide-uint64"],
+    )
+    def test_refuses_what_a_cast_would_change(self, tmp_path, lossy):
+        """Neither a file nor an array is cast into other int64 values."""
+        path = tmp_path / "trace.npy"
+        np.save(path, lossy)
+        for source in (path, lossy):
+            with pytest.raises((TypeError, OverflowError)):
+                ReplayWorkload(source)
+
     def test_drives_an_engine(self):
         from repro import HybridQuantileEngine
 
