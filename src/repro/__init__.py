@@ -43,7 +43,6 @@ from .faults import (
     CorruptedBlockError,
     DiskFault,
     FaultPlan,
-    FaultyDisk,
     ReliabilityReport,
     RetryPolicy,
     TransientReadError,
@@ -91,7 +90,6 @@ __all__ = [
     "CorruptedBlockError",
     "DiskFault",
     "FaultPlan",
-    "FaultyDisk",
     "ReliabilityReport",
     "RetryPolicy",
     "TransientReadError",

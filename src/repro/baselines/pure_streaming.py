@@ -14,7 +14,7 @@ but without sorting, so it pays load and merge I/O only.
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -87,13 +87,10 @@ class PureStreamingEngine:
         kappa: int = 10,
         block_elems: int = 1024,
         universe_log2: int = 34,
-        disk: Optional[SimulatedDisk] = None,
     ) -> None:
         self.kind = kind
         self.epsilon = epsilon
-        self.disk = disk if disk is not None else SimulatedDisk(
-            block_elems=block_elems
-        )
+        self.disk = SimulatedDisk(block_elems=block_elems)
         self.sketch = make_sketch(kind, epsilon, universe_log2=universe_log2)
         self._loader = _RawLeveledLoader(self.disk, kappa)
         self._pending_elems = 0

@@ -37,16 +37,9 @@ class StrawmanEngine:
     experiment runner can compare all three approaches directly.
     """
 
-    def __init__(
-        self,
-        epsilon: float,
-        block_elems: int = 1024,
-        disk: Optional[SimulatedDisk] = None,
-    ) -> None:
+    def __init__(self, epsilon: float, block_elems: int = 1024) -> None:
         self.config = EngineConfig(epsilon=epsilon, block_elems=block_elems)
-        self.disk = disk if disk is not None else SimulatedDisk(
-            block_elems=block_elems
-        )
+        self.disk = SimulatedDisk(block_elems=block_elems)
         self._gk = GKSketch(self.config.epsilon2 / 2.0)
         self._stream_chunks: List[np.ndarray] = []
         self._m = 0

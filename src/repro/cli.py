@@ -32,18 +32,12 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .cluster.engine import ShardErrors
 from .core.config import EngineConfig
 from .core.engine import HybridQuantileEngine
-from .faults import DiskFault, FaultPlan, FaultyDisk
-from .faults.retry import ARCHIVE_RETRY_POLICY
+from .faults import DiskFault, FaultPlan
 from .ingest.archiver import ArchiveFailedError
-from .persistence import (
-    PersistenceError,
-    load_engine,
-    recover_checkpoint,
-    save_engine,
-)
-from .persistence.checkpoint import config_from_state
+from .persistence import PersistenceError, load_engine, save_engine
 from .storage.disk import SimulatedDisk
 from .workloads import NormalWorkload
 from .workloads.replay import read_values
@@ -82,34 +76,17 @@ def _fault_plan_of(args: argparse.Namespace) -> Optional[FaultPlan]:
 
 def _load_engine_cli(args: argparse.Namespace) -> HybridQuantileEngine:
     """Load the warehouse engine, on a fault-injecting disk if asked."""
-    plan = _fault_plan_of(args)
-    if plan is None:
-        return load_engine(args.warehouse)
-    # The disk must match the persisted block size, which lives in the
-    # (recovered) checkpoint's engine state.
-    directory = recover_checkpoint(args.warehouse)
-    config = config_from_state(
-        json.loads(
-            (directory / "engine.json").read_text(encoding="utf-8")
-        )["config"]
-    )
-    disk = FaultyDisk(plan, block_elems=config.block_elems)
-    # The recovery scan itself runs on the faulty disk; retry transient
-    # faults as an archive step would (a fresh load each attempt draws
-    # fresh fault decisions).
     try:
-        return ARCHIVE_RETRY_POLICY.call(
-            lambda: load_engine(args.warehouse, disk=disk)
-        )
-    except DiskFault:
+        return load_engine(args.warehouse, fault_plan=_fault_plan_of(args))
+    except DiskFault as fault:
         # The transcript matters most when the load itself gave up.
-        _dump_transcript(args, disk)
+        _dump_transcript(args, fault.disk)
         raise
 
 
 def _dump_transcript(args: argparse.Namespace, disk: SimulatedDisk) -> None:
     path = getattr(args, "fault_transcript", None)
-    if path is not None and isinstance(disk, FaultyDisk):
+    if path is not None and _fault_plan_of(args) is not None:
         disk.dump_transcript(path)
         print(f"fault transcript -> {path} "
               f"({disk.faults_fired} faults over {disk.operations} ops)")
@@ -309,14 +286,11 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     if args.shards > 1:
         return _cmd_demo_cluster(args, config)
     plan = _fault_plan_of(args)
-    disk: Optional[SimulatedDisk] = None
-    if plan is not None:
-        disk = FaultyDisk(plan, block_elems=config.block_elems)
     workload = NormalWorkload(seed=7)
     update_batch = (
         args.batch_size if args.batch_size and args.batch_size > 0 else None
     )
-    with HybridQuantileEngine(config=config, disk=disk) as engine:
+    with HybridQuantileEngine(config=config, fault_plan=plan) as engine:
         print(f"demo: {args.steps} steps x {args.batch:,} elements (Normal, "
               f"{args.ingest_mode} ingest"
               + (f", update batch {update_batch:,}" if update_batch else "")
@@ -616,6 +590,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         OverflowError,
         DiskFault,
         ArchiveFailedError,
+        ShardErrors,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

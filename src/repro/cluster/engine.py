@@ -43,7 +43,6 @@ from ..core.query_path import (
     with_partial,
 )
 from ..core.summaries import PartitionSummary
-from ..faults.disk import FaultyDisk
 from ..faults.errors import DiskFault
 from ..faults.plan import FaultPlan
 from ..faults.retry import PROBE_RETRY_POLICY
@@ -58,9 +57,9 @@ from .router import ClusterUnavailable, ShardRouter
 class ShardErrors(RuntimeError):
     """Multiple shards failed the same lifecycle operation.
 
-    Raised by :meth:`ClusterEngine.flush` / :meth:`ClusterEngine.close`
-    when more than one shard fails, so no shard's poison state is
-    masked by an earlier shard's exception.  ``errors`` maps shard
+    Raised by :meth:`ClusterEngine.end_time_step`, ``flush`` and
+    ``close`` when more than one shard fails, so no shard's poison
+    state is masked by an earlier shard's exception.  ``errors`` maps shard
     index to the exception that shard raised.
     """
 
@@ -94,20 +93,6 @@ def shard_config(config: EngineConfig, index: int) -> EngineConfig:
     return replace(
         config,
         storage_dir=str(shard_dir(config.storage_dir, index)),
-    )
-
-
-def new_shard_disk(
-    fault_plan: Optional[FaultPlan], config: EngineConfig, index: int
-) -> Optional[FaultyDisk]:
-    """A fresh device for shard ``index``: under a fault plan one
-    drawing the slot's schedule (:meth:`FaultPlan.for_shard
-    <repro.faults.plan.FaultPlan.for_shard>`), else ``None`` (a plain
-    simulated disk)."""
-    if fault_plan is None:
-        return None
-    return FaultyDisk(
-        fault_plan.for_shard(index), block_elems=config.block_elems
     )
 
 
@@ -443,8 +428,8 @@ class ClusterEngine(PinnedQueries):
     * ``engines`` hands in shards already built (restored ones, say):
       the cluster resumes at the step they all sealed and refuses
       engines that disagree on it.
-    * ``fault_plan`` wraps each shard's device in its own seeded
-      :class:`~repro.faults.FaultyDisk` (:meth:`FaultPlan.for_shard
+    * ``fault_plan`` gives each shard's disk its own seeded schedule
+      (:meth:`FaultPlan.for_shard
       <repro.faults.plan.FaultPlan.for_shard>`): chaos replays from one
       integer.  With ``engines`` it is recorded for the disks of
       later restores; the handed-in shards keep the disks they have.
@@ -477,7 +462,9 @@ class ClusterEngine(PinnedQueries):
             raise ValueError(_NEEDS_KLL)
         self.config = config
         self.router = ShardRouter(shards)
-        self.fault_plan = fault_plan
+        self.fault_plan = (
+            fault_plan if fault_plan is not None else FaultPlan()
+        )
         if engines is not None:
             if len(engines) != shards:
                 raise ValueError(
@@ -495,7 +482,7 @@ class ClusterEngine(PinnedQueries):
             self.shards = [
                 HybridQuantileEngine(
                     config=shard_config(config, index),
-                    disk=new_shard_disk(fault_plan, config, index),
+                    fault_plan=self.fault_plan.for_shard(index),
                 )
                 for index in range(shards)
             ]
@@ -574,19 +561,25 @@ class ClusterEngine(PinnedQueries):
         not, so step numbers and windows stay aligned; the per-shard
         reports in shard order.  A quarantined shard gets a seal frame
         in its WAL instead (recovery replays it) and a ``None`` report.
+        A shard whose seal raises is quarantined — with the frame, if
+        its step did not advance — and the cluster still advances: one
+        error re-raises unchanged, several as :class:`ShardErrors`.
         The next write picks the next step's home.
         """
-        reports: "List[Optional[StepReport]]" = []
-        for index, shard in enumerate(self.shards):
-            if shard is None:
-                if index in self._wals:
-                    self._wals[index].append_seal(self._step + 1)
-                reports.append(None)
-            else:
-                reports.append(shard.end_time_step())
-        self._step += 1
+        step = self._step + 1
+        owed = list(self._wals)
+        reports, errors = self._on_live_shards("end_time_step")
+        for index, exc in errors.items():
+            if self.shards[index].steps_sealed < step:
+                owed.append(index)
+            self.kill_shard(index, f"{type(exc).__name__}: {exc}")
+        for index in owed:
+            if index in self._wals:
+                self._wals[index].append_seal(step)
+        self._step = step
         self.router.end_step()
         self._gather = None
+        self._raise_joined("end_time_step", errors)
         return reports
 
     def flush(self) -> "List[Optional[List[StepReport]]]":
@@ -894,18 +887,13 @@ class ClusterEngine(PinnedQueries):
         self, directory: "str | Path"
     ) -> List[Path]:
         """Write each live shard's fault transcript JSON (CI artifact)."""
-        out = Path(directory)
-        out.mkdir(parents=True, exist_ok=True)
-        written: List[Path] = []
-        for index, shard in enumerate(self.shards):
-            if shard is None or not isinstance(shard.disk, FaultyDisk):
-                continue
-            written.append(
-                shard.disk.dump_transcript(
-                    shard_dir(out, index).with_suffix(".json")
-                )
+        return [
+            shard.disk.dump_transcript(
+                shard_dir(directory, index).with_suffix(".json")
             )
-        return written
+            for index, shard in enumerate(self.shards)
+            if shard is not None
+        ]
 
     # -- lifecycle ------------------------------------------------------
 

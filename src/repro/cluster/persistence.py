@@ -29,7 +29,7 @@ from ..persistence.checkpoint import (
 )
 from ..persistence.warehouse_store import PersistenceError
 from ..storage.fsutil import atomic_write_json
-from .engine import ClusterEngine, new_shard_disk, shard_dir
+from .engine import ClusterEngine, shard_dir
 from .router import ShardRouter
 
 MANIFEST_FILE = "cluster.json"
@@ -74,14 +74,16 @@ def save_cluster(cluster: ClusterEngine, directory: "str | Path") -> Path:
 def load_cluster(
     directory: "str | Path",
     wal_dir: "Optional[str | Path]" = None,
-    fault_plan: Optional[FaultPlan] = None,
+    fault_plan: FaultPlan = FaultPlan(),
 ) -> ClusterEngine:
     """Restore a cluster checkpointed by :func:`save_cluster`.
 
     Checks the router and rebuilds the config from the manifest,
-    restores each shard engine from its own directory (each on a fresh
-    simulated disk — or a fault-plan-wrapped one when ``fault_plan`` is
-    given) and builds the facade over them, at the step they sealed.
+    restores each shard engine from its own directory (its disk failing
+    on the shard's own :meth:`FaultPlan.for_shard
+    <repro.faults.plan.FaultPlan.for_shard>` schedule when
+    ``fault_plan`` is given) and builds the facade over them, at the
+    step they sealed.
 
     With ``wal_dir``, each shard rolls forward from its own
     ``shard-NN/`` WAL after its checkpoint loads, recovering every
@@ -104,7 +106,7 @@ def load_cluster(
         for index in range(shards):
             engines.append(load_engine(
                 shard_dir(root, index),
-                disk=new_shard_disk(fault_plan, config, index),
+                fault_plan=fault_plan.for_shard(index),
                 wal_dir=None if wal_dir is None else shard_dir(wal_dir, index),
             ))
         return ClusterEngine(

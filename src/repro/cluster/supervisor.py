@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..faults.retry import RetryPolicy
 from ..persistence.checkpoint import load_engine, recover_checkpoint
-from .engine import ClusterEngine, new_shard_disk, shard_dir
+from .engine import ClusterEngine, shard_dir
 from .persistence import MANIFEST_FILE
 
 #: event action labels, in the order a recovery normally emits them.
@@ -210,9 +210,7 @@ class ShardSupervisor:
             recover_checkpoint(self.checkpoint_dir, MANIFEST_FILE)
             engine = load_engine(
                 shard_dir(self.checkpoint_dir, shard),
-                disk=new_shard_disk(
-                    self.cluster.fault_plan, self.cluster.config, shard
-                ),
+                fault_plan=self.cluster.fault_plan.for_shard(shard),
                 wal_dir=(
                     shard_dir(wal_root, shard)
                     if wal_root is not None

@@ -58,6 +58,7 @@ from typing import Any, List, Optional, Sequence
 import numpy as np
 
 from ..faults.health import ReliabilityReport
+from ..faults.plan import FaultPlan
 from ..faults.retry import ARCHIVE_RETRY_POLICY, PROBE_RETRY_POLICY
 from ..ingest import AppendBuffer, BackgroundArchiver, IngestStats, PendingBatch
 from ..ingest.archiver import StepReport
@@ -65,7 +66,7 @@ from ..query.executor import QueryExecutor
 from ..sketches.base import QuantileSketch, as_int64_batch
 from ..sketches.gk import GKSketch
 from ..sketches.kll import KLLSketch
-from ..storage.backends import SimulatedBackend, make_backend
+from ..storage.backends import make_backend
 from ..storage.disk import SimulatedDisk
 from ..storage.shared_cache import SharedBlockCache
 from ..storage.stats import PhaseTally
@@ -129,9 +130,10 @@ class HybridQuantileEngine(PinnedQueries):
         Simulated disk block size in elements.
     config:
         Full configuration; overrides the individual arguments.
-    disk:
-        Supply a shared simulated disk (e.g. for baselines measured on
-        the same device); a fresh one is created by default.
+    fault_plan:
+        The schedule the engine's disk fails on (``None``: never).  The
+        engine builds that disk itself, at ``config.block_elems`` over
+        the configured storage backend, and closes the backend with it.
     """
 
     def __init__(
@@ -140,7 +142,7 @@ class HybridQuantileEngine(PinnedQueries):
         kappa: int = 10,
         block_elems: int = 1024,
         config: Optional[EngineConfig] = None,
-        disk: Optional[SimulatedDisk] = None,
+        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if config is None:
             if epsilon is None:
@@ -149,25 +151,16 @@ class HybridQuantileEngine(PinnedQueries):
                 epsilon=epsilon, kappa=kappa, block_elems=block_elems
             )
         self.config = config
-        self.disk = disk if disk is not None else SimulatedDisk(
-            block_elems=config.block_elems
-        )
-        # Install the configured storage backend before any run is
-        # allocated.  A caller-supplied disk keeps a backend it already
-        # carries (e.g. a test exercising a pre-built device); the
-        # engine owns — and closes — only backends it created itself.
-        self._owns_backend = False
-        if (
-            config.storage_backend != "simulated"
-            and isinstance(self.disk.backend, SimulatedBackend)
-        ):
-            self.disk.backend = make_backend(
+        self.disk = SimulatedDisk(
+            config.block_elems,
+            backend=make_backend(
                 config.storage_backend,
                 directory=config.storage_dir,
                 object_tier_level=config.object_tier_level,
                 hot_tier_bytes=config.hot_tier_bytes,
-            )
-            self._owns_backend = True
+            ),
+            plan=fault_plan,
+        )
         flavour = (
             LeveledCompactionStore
             if config.compaction == "leveled"
@@ -452,10 +445,16 @@ class HybridQuantileEngine(PinnedQueries):
         are never blocked behind a full archiver queue.
         """
         started = time.perf_counter()
-        if self._wal is not None:
-            self._wal.append_seal(self._step + 1)
         archiver = self._archiver
         archiver.reserve()
+        if self._wal is not None:
+            # Logged once the seal is sure to happen: a refused reserve
+            # (a failed archive) seals nothing, so it logs nothing.
+            try:
+                self._wal.append_seal(self._step + 1)
+            except BaseException:
+                archiver.unreserve()
+                raise
         with self._seal_lock:
             self._step += 1
             with self._stream_lock:
@@ -532,12 +531,12 @@ class HybridQuantileEngine(PinnedQueries):
     def reliability(self) -> ReliabilityReport:
         """Cumulative failure-handling counters across subsystems.
 
-        Zeros everywhere (``report.healthy``) on a fault-free disk; a
-        :class:`~repro.faults.FaultyDisk` contributes its fired-fault
-        count, the archiver and query executor their retry counts.
+        Zeros everywhere (``report.healthy``) under the null fault
+        plan; the disk contributes its fired-fault count, the archiver
+        and query executor their retry counts.
         """
         return ReliabilityReport(
-            disk_faults=int(getattr(self.disk, "faults_fired", 0)),
+            disk_faults=self.disk.faults_fired,
             archive_retries=self._archiver.stats.fault_retries,
             probe_retries=self._query_executor.fault_retries,
             degraded_queries=self.degraded_queries,
@@ -796,8 +795,8 @@ class HybridQuantileEngine(PinnedQueries):
         """Drain background ingest and release resources (idempotent).
 
         The archiver (if any) finishes archiving every enqueued batch
-        before its thread stops, then the WAL and an engine-owned
-        backend are closed.  Sync-mode engines never start a thread,
+        before its thread stops, then the WAL and the disk's backend
+        are closed.  Sync-mode engines never start a thread,
         so calling this is only required for background-mode
         deployments that create many engines; the interpreter also
         joins remaining threads at exit.
@@ -815,8 +814,7 @@ class HybridQuantileEngine(PinnedQueries):
                     self._wal.close()
                     self._wal = None
             finally:
-                if self._owns_backend:
-                    self.disk.backend.close()
+                self.disk.backend.close()
 
     def __enter__(self) -> "HybridQuantileEngine":
         return self

@@ -8,11 +8,9 @@ failure model it can test against:
   read/write errors, corrupted blocks and write stalls; every decision
   is a pure function of ``(seed, operation index)``, so any scenario
   replays exactly from one integer.
-* :class:`FaultyDisk` — a drop-in
-  :class:`~repro.storage.disk.SimulatedDisk` that raises typed
-  :class:`DiskFault` errors per the plan and records a transcript of
-  every fault fired (the CI artifact on harness failures).  Under the
-  null plan it is bit-identical to the plain disk.
+* :class:`DiskFault` — the typed errors an engine's
+  :class:`~repro.storage.disk.SimulatedDisk` raises per the plan it was
+  built with (``fault_plan=``), each fired fault in its transcript.
 * :class:`RetryPolicy` — capped exponential backoff shared by the
   background archiver and the query executor.
 
@@ -23,7 +21,6 @@ and lets the engine degrade an accurate query to the quick response;
 state a fault interrupts is always recoverable.
 """
 
-from .disk import FaultyDisk
 from .health import ReliabilityReport
 from .errors import (
     CorruptedBlockError,
@@ -39,7 +36,6 @@ __all__ = [
     "DiskFault",
     "FaultEvent",
     "FaultPlan",
-    "FaultyDisk",
     "ReliabilityReport",
     "RetryPolicy",
     "TransientReadError",

@@ -1,4 +1,5 @@
-"""The typed fault taxonomy raised by a :class:`~repro.faults.FaultyDisk`.
+"""The typed fault taxonomy a :class:`~repro.storage.disk.SimulatedDisk`
+raises when its :class:`~repro.faults.FaultPlan` schedules a fault.
 
 Every injected failure is a :class:`DiskFault` subtype carrying the
 operation kind and index it fired on, so tests can assert *which*
@@ -28,11 +29,14 @@ class DiskFault(RuntimeError):
         The operation kind the fault fired on (``"read"``/``"write"``).
     index:
         The disk-global operation index (see
-        :meth:`~repro.faults.FaultyDisk.operations`).
+        :attr:`~repro.storage.disk.SimulatedDisk.operations`).
     """
 
     #: whether retrying the failed operation can succeed.
     transient: bool = False
+    #: the :class:`~repro.storage.disk.SimulatedDisk` that fired it: its
+    #: transcript lists every fault that device fired, this one last.
+    disk = None
 
     def __init__(self, op: str, index: int) -> None:
         super().__init__(

@@ -14,10 +14,8 @@ Two scheduling styles compose:
 * **rate-based**: each operation kind draws one uniform variate and
   compares it against the plan's rates (transient error, corruption,
   stall).  Rates of zero disable a fault class entirely — a plan with
-  all rates zero is the *null plan*, and a
-  :class:`~repro.faults.FaultyDisk` under the null plan is
-  operation-for-operation identical to a plain
-  :class:`~repro.storage.disk.SimulatedDisk`.
+  all rates zero is the *null plan*, which a
+  :class:`~repro.storage.disk.SimulatedDisk` never consults.
 * **pinned**: ``fail_at`` names exact ``(kind, index)`` pairs that must
   fault, for tests that need a failure at a precise structural point
   (e.g. "the write that persists step 7's partition").

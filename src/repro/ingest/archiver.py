@@ -259,6 +259,13 @@ class BackgroundArchiver:
             self._reserved += 1
         return time.perf_counter() - started
 
+    def unreserve(self) -> None:
+        """Give back a slot claimed by :meth:`reserve` that no batch
+        will fill."""
+        with self._cond:
+            self._reserved -= 1
+            self._cond.notify_all()
+
     def enqueue_reserved(self, batch: PendingBatch) -> int:
         """Fill a slot claimed by :meth:`reserve` and leave the batch
         to the archiver thread; returns the depth.

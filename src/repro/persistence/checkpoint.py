@@ -54,8 +54,8 @@ import numpy as np
 
 from ..core.config import EngineConfig
 from ..core.engine import HybridQuantileEngine
+from ..faults.plan import FaultPlan
 from ..ingest.wal import WriteAheadLog, replay_wal
-from ..storage.disk import SimulatedDisk
 from ..storage.fsutil import (
     RETIRED_SUFFIX,
     STAGE_SUFFIX,
@@ -316,7 +316,7 @@ def config_from_state(saved: "dict[str, Any]") -> EngineConfig:
 
 def load_engine(
     directory: "str | Path",
-    disk: Optional[SimulatedDisk] = None,
+    fault_plan: Optional[FaultPlan] = None,
     repair: bool = False,
     wal_dir: "str | Path | None" = None,
 ) -> HybridQuantileEngine:
@@ -335,6 +335,10 @@ def load_engine(
     (acked batches and seals that never made it into a checkpoint), and
     a reopened :class:`~repro.ingest.wal.WriteAheadLog` is attached so
     subsequent ingest stays durable.
+
+    The engine's disk fails on ``fault_plan`` from the recovery scan
+    on; a scan that gives up raises its last
+    :class:`~repro.faults.DiskFault`, whose ``disk`` holds the transcript.
     """
     directory = recover_checkpoint(directory)
     state_path = directory / ENGINE_FILE
@@ -347,7 +351,7 @@ def load_engine(
             f"unknown engine format {state.get('format')!r}"
         )
     config = config_from_state(state["config"])
-    engine = HybridQuantileEngine(config=config, disk=disk)
+    engine = HybridQuantileEngine(config=config, fault_plan=fault_plan)
     try:
         load_store(directory / WAREHOUSE_DIR, engine.store, repair=repair)
         buffer = np.load(directory / BUFFER_FILE)

@@ -23,6 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..faults.retry import ARCHIVE_RETRY_POLICY
 from ..storage.fsutil import atomic_write_json, fsync_dir, fsync_file
 from ..storage.runfile import SortedRun
 from ..warehouse.leveled_store import LeveledStore
@@ -156,7 +157,9 @@ def load_store(
     missing/garbled manifest, a manifest saved with another ``kappa``
     than the store's, or corrupted partition files.  Loading charges
     sequential reads for every partition to the store's disk, as a
-    real recovery scan would.
+    real recovery scan would, each under
+    :data:`~repro.faults.retry.ARCHIVE_RETRY_POLICY`: the charge comes
+    before the run is allocated, so a retried read allocates nothing.
 
     With ``repair=True``, a partition whose checksum disagrees with the
     manifest is adopted anyway when its content is still a structurally
@@ -218,7 +221,9 @@ def load_store(
                     f"{path} holds {len(data)} elements, manifest says "
                     f"{entry['num_elems']}"
                 )
-            disk.charge_sequential_read(len(data))
+            ARCHIVE_RETRY_POLICY.call(
+                disk.charge_sequential_read, None, len(data)
+            )
             run = SortedRun(disk, data, charge_write=False)
             level.append(
                 Partition(

@@ -1,35 +1,52 @@
-"""A simulated block device.
+"""A simulated block device that fails on schedule.
 
 The paper evaluates on a laptop hard disk with 100 KB blocks.  We cannot
 (and, per the reproduction notes, should not try to) reproduce physical
 disk timings; what the paper's lemmas and figures actually measure is
 *block-granular access counts*.  :class:`SimulatedDisk` therefore stores
-data in ordinary NumPy arrays but forces every access through a block
-API that charges the owning :class:`~repro.storage.stats.DiskStats`.
+data through a backend but forces every access through a block API that
+charges the owning :class:`~repro.storage.stats.DiskStats` — atomically,
+as queries and the archiver charge it from several threads at once.
+One disk backs one engine, so an experiment reads a single tally for,
+e.g., "disk accesses per time step" (Fig. 7) or "per query" (Fig. 9).
 
-One :class:`SimulatedDisk` instance backs one engine; every
-:class:`~repro.storage.runfile.SortedRun` allocated from it shares the
-same counters, so an experiment can read a single tally for, e.g., "disk
-accesses per time step" (Fig. 7) or "disk accesses per query" (Fig. 9).
-
-The disk itself is stateless apart from its :class:`DiskStats`, whose
-counter updates are atomic — concurrent queries and the archiver
-charge it from several threads at once without losing counts.
+A non-null :class:`~repro.faults.FaultPlan` is consulted before every
+operation (one ``charge_*`` call, indexed in arrival order); a scheduled
+fault raises its typed :class:`~repro.faults.DiskFault` *before* any
+counter is charged, so a retry that succeeds leaves the counts of a
+fault-free run.  Fired faults land in :attr:`SimulatedDisk.transcript`
+(``dump_transcript``: the CI artifact of a failing fault run).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+import json
+import threading
+import time
+from pathlib import Path
+from typing import TYPE_CHECKING, List, Optional
 
+from ..faults.errors import (
+    CorruptedBlockError,
+    TransientReadError,
+    TransientWriteError,
+)
+from ..faults.plan import CORRUPT, STALL, TRANSIENT, FaultEvent, FaultPlan
 from .backends import SimulatedBackend
 from .stats import DiskLatencyModel, DiskStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .backends import BlockDevice
 
+_FAULT_FOR = {
+    ("read", TRANSIENT): TransientReadError,
+    ("read", CORRUPT): CorruptedBlockError,
+    ("write", TRANSIENT): TransientWriteError,
+}
+
 
 class SimulatedDisk:
-    """Block-granular storage with I/O accounting.
+    """Block-granular storage with I/O accounting and scheduled faults.
 
     Parameters
     ----------
@@ -49,6 +66,9 @@ class SimulatedDisk:
         historical behaviour bit-identical.  Backends never change what
         is *charged* — they add real bytes and request-level accounting
         (object GET/PUT) on top of the block counters.
+    plan:
+        The fault schedule; ``None`` is the null ``FaultPlan()``, which
+        never fires.
     """
 
     def __init__(
@@ -56,6 +76,7 @@ class SimulatedDisk:
         block_elems: int = 4096,
         latency: Optional[DiskLatencyModel] = None,
         backend: "Optional[BlockDevice]" = None,
+        plan: Optional[FaultPlan] = None,
     ) -> None:
         if block_elems < 1:
             raise ValueError("block_elems must be >= 1")
@@ -65,6 +86,11 @@ class SimulatedDisk:
         self.backend: "BlockDevice" = (
             backend if backend is not None else SimulatedBackend()
         )
+        self.plan = plan if plan is not None else FaultPlan()
+        self.transcript: List[FaultEvent] = []
+        self._op_lock = threading.Lock()
+        self._op_index = 0
+        self._faults_fired = 0
 
     def blocks_for(self, num_elems: int) -> int:
         """Number of blocks occupied by ``num_elems`` elements."""
@@ -78,14 +104,20 @@ class SimulatedDisk:
 
     def charge_sequential_read(self, num_elems: int) -> None:
         """Charge a sequential scan of ``num_elems`` elements."""
+        if self._faulty:
+            self._before_op("read")
         self.stats.record_sequential_read(self.blocks_for(num_elems))
 
     def charge_sequential_write(self, num_elems: int) -> None:
         """Charge a sequential write of ``num_elems`` elements."""
+        if self._faulty:
+            self._before_op("write")
         self.stats.record_sequential_write(self.blocks_for(num_elems))
 
     def charge_random_read(self, blocks: int = 1) -> None:
         """Charge ``blocks`` random block reads."""
+        if self._faulty:
+            self._before_op("read")
         self.stats.record_random_read(blocks)
 
     def simulated_seconds(self) -> float:
@@ -95,3 +127,67 @@ class SimulatedDisk:
         backend accrued (e.g. object-store GET/PUT round trips).
         """
         return self.latency.seconds(self.stats.counters) + self.backend.simulated_seconds()
+
+    # ------------------------------------------------------------------
+    # Fault injection
+    # ------------------------------------------------------------------
+
+    @property
+    def plan(self) -> FaultPlan:
+        """The fault schedule, swappable between operations."""
+        return self._plan
+
+    @plan.setter
+    def plan(self, plan: FaultPlan) -> None:
+        self._plan = plan
+        self._faulty = not plan.null
+
+    @property
+    def operations(self) -> int:
+        """Operations the plan was consulted for (faulted ones included;
+        0 under the null plan)."""
+        with self._op_lock:
+            return self._op_index
+
+    @property
+    def faults_fired(self) -> int:
+        """Number of faults (stalls included) fired so far."""
+        with self._op_lock:
+            return self._faults_fired
+
+    def dump_transcript(self, path: "str | Path") -> Path:
+        """Write the plan and the fired faults as a JSON document."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        payload = {
+            "plan": json.loads(self.plan.to_json()),
+            "operations": self.operations,
+            "events": [event.as_dict() for event in self.transcript],
+        }
+        path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        return path
+
+    def _before_op(self, op: str) -> None:
+        """Consult the plan for the next operation; raise or stall."""
+        with self._op_lock:
+            index = self._op_index
+            self._op_index += 1
+            if (
+                self.plan.max_faults is not None
+                and self._faults_fired >= self.plan.max_faults
+            ):
+                return
+            decision = self.plan.decide(op, index)
+            if decision is None:
+                return
+            self._faults_fired += 1
+            self.transcript.append(
+                FaultEvent(index=index, op=op, fault=decision)
+            )
+        if decision == STALL:
+            if self.plan.stall_seconds > 0.0:
+                time.sleep(self.plan.stall_seconds)
+            return
+        fault = _FAULT_FOR[(op, decision)](op, index)
+        fault.disk = self
+        raise fault

@@ -19,7 +19,6 @@ from repro import (
     ClusterSnapshot,
     EngineConfig,
     FaultPlan,
-    FaultyDisk,
     HybridQuantileEngine,
     QueryResult,
     TransientReadError,
@@ -60,14 +59,14 @@ class Door:
     cache tier the first door's probes would warm the next door's.
     """
 
-    def __init__(self, name, disk=None, **overrides):
+    def __init__(self, name, **overrides):
         config = EngineConfig(
             epsilon=0.02,
             kappa=3,
             block_elems=16,
             **overrides,
         )
-        self.engine = HybridQuantileEngine(config=config, disk=disk)
+        self.engine = HybridQuantileEngine(config=config)
         self.cluster = (
             ClusterEngine(shards=1, config=config, engines=[self.engine])
             if name == "cluster"
@@ -111,13 +110,12 @@ class Door:
 def doors():
     opened = []
 
-    def open_doors(disks=None, **overrides):
+    def open_doors(**overrides):
         overrides.setdefault("sketch_backend", "kll")
         # A cluster needs a mergeable sketch: gk has the engine doors.
         names = DOORS if overrides["sketch_backend"] == "kll" else DOORS[:2]
         for name in names:
-            disk = disks() if disks is not None else None
-            opened.append(Door(name, disk=disk, **overrides))
+            opened.append(Door(name, **overrides))
         return opened[-len(names):]
 
     yield open_doors
@@ -257,7 +255,7 @@ def fail_reads_after(disk, reads):
 
 @pytest.mark.usefixtures("no_backoff")
 def test_degraded_results_agree_and_report_their_charge(doors):
-    opened = doors(disks=lambda: FaultyDisk(block_elems=16))
+    opened = doors()
     per_door = []
     for door in opened:
         disk = door.engine.disk
@@ -279,9 +277,7 @@ def test_degraded_results_agree_and_report_their_charge(doors):
 
 @pytest.mark.usefixtures("no_backoff")
 def test_fault_propagates_typed_and_restores_the_callers_phase(doors):
-    opened = doors(
-        disks=lambda: FaultyDisk(block_elems=16), degrade_on_fault=False
-    )
+    opened = doors(degrade_on_fault=False)
     for door in opened:
         stats = door.engine.disk.stats
         fail_reads_after(door.engine.disk, 0)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro import ClusterEngine, EngineConfig, HybridQuantileEngine
 from repro.core import query_path
 from repro.core.filters import AccurateSearch
-from repro.faults import FaultPlan, FaultyDisk
+from repro.faults import FaultPlan
 from repro.query import QueryExecutor
 from repro.storage import SortedRun
 
@@ -45,8 +45,8 @@ class ClosesOnly(AccurateSearch):
             SortedRun.pinned_range = pinned_range
 
 
-def build(shards=0, steps=7, step=2100, universe=10**6, seed=41, disk=None,
-          **overrides):
+def build(shards=0, steps=7, step=2100, universe=10**6, seed=41,
+          fault_plan=None, **overrides):
     """A fresh, identically seeded system (one per side: a shared tier
     warmed by one search would be warm for the other)."""
     config = EngineConfig(
@@ -55,7 +55,7 @@ def build(shards=0, steps=7, step=2100, universe=10**6, seed=41, disk=None,
     if shards:
         system = ClusterEngine(shards=shards, config=config)
     else:
-        system = HybridQuantileEngine(config=config, disk=disk)
+        system = HybridQuantileEngine(config=config, fault_plan=fault_plan)
     rng = np.random.default_rng(seed)
     for _ in range(steps):
         system.stream_update_many(rng.integers(0, universe, step))
@@ -261,10 +261,11 @@ def test_same_faults_same_retries_same_degradation(seed, shared):
     plan fires at the same operations on both sides."""
 
     def faulted(search_cls):
-        disk = FaultyDisk(FaultPlan(seed=seed), block_elems=64)
         system = build(
-            disk=disk, shared_cache_blocks=shared, block_elems=64,
+            fault_plan=FaultPlan(seed=seed), shared_cache_blocks=shared,
+            block_elems=64,
         )
+        disk = system.disk
         # A probe is lost when PROBE_RETRY_POLICY's four attempts all
         # fault (0.6 ** 4, about one probe in eight); these schedules
         # degrade one to four of the six queries, never none or all.

@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 from repro.core.summaries import PartitionSummary
-from repro.faults import FaultPlan, FaultyDisk, RetryPolicy
+from repro.faults import FaultPlan, RetryPolicy
 from repro.ingest import BackgroundArchiver, PendingBatch
 from repro.ingest.archiver import ArchiveFailedError
+from repro.storage import SimulatedDisk
 from repro.warehouse.leveled_store import LeveledStore
 
 FAST_RETRY = RetryPolicy(max_retries=64, backoff_seconds=0.0)
 
 
 def make_store(plan=None, kappa=3, block_elems=64):
-    disk = FaultyDisk(plan or FaultPlan(), block_elems=block_elems)
     return LeveledStore(
-        disk,
+        SimulatedDisk(block_elems, plan=plan),
         kappa=kappa,
         summary_builder=lambda p: PartitionSummary.build(p, 0.01),
     )

@@ -6,7 +6,6 @@ import pytest
 from repro import (
     EngineConfig,
     FaultPlan,
-    FaultyDisk,
     HybridQuantileEngine,
     TransientReadError,
 )
@@ -23,9 +22,7 @@ def build_engine(plan, steps=5, batch=500, live=100, **overrides):
         block_elems=64,
         **overrides,
     )
-    engine = HybridQuantileEngine(
-        config=config, disk=FaultyDisk(plan, block_elems=64)
-    )
+    engine = HybridQuantileEngine(config=config, fault_plan=plan)
     rng = np.random.default_rng(0)
     for _ in range(steps):
         engine.stream_update_many(rng.integers(0, 10**6, batch))
@@ -121,7 +118,7 @@ class TestContextManagerExit:
         rng = np.random.default_rng(0)
         with pytest.raises(KeyError):
             with HybridQuantileEngine(
-                config=config, disk=FaultyDisk(plan, block_elems=64)
+                config=config, fault_plan=plan
             ) as engine:
                 engine.stream_update_many(rng.integers(0, 10**6, 500))
                 engine.end_time_step()  # archiver will die on the write

@@ -1,4 +1,4 @@
-"""Tests for the fault-injecting disk wrapper."""
+"""Tests for the simulated disk's fault injection."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from repro.faults import (
     CorruptedBlockError,
     FaultPlan,
-    FaultyDisk,
     TransientReadError,
     TransientWriteError,
 )
@@ -16,7 +15,7 @@ from repro.storage import SimulatedDisk
 
 class TestFaultRaising:
     def test_pinned_read_fault(self):
-        disk = FaultyDisk(FaultPlan(fail_at={("read", 0)}), block_elems=16)
+        disk = SimulatedDisk(16, plan=FaultPlan(fail_at={("read", 0)}))
         with pytest.raises(TransientReadError) as excinfo:
             disk.charge_random_read(1)
         assert excinfo.value.transient
@@ -24,26 +23,26 @@ class TestFaultRaising:
         assert excinfo.value.index == 0
 
     def test_pinned_write_fault(self):
-        disk = FaultyDisk(FaultPlan(fail_at={("write", 0)}), block_elems=16)
+        disk = SimulatedDisk(16, plan=FaultPlan(fail_at={("write", 0)}))
         with pytest.raises(TransientWriteError):
             disk.charge_sequential_write(10)
 
     def test_corruption_is_persistent(self):
-        disk = FaultyDisk(FaultPlan(corrupt_rate=1.0), block_elems=16)
+        disk = SimulatedDisk(16, plan=FaultPlan(corrupt_rate=1.0))
         with pytest.raises(CorruptedBlockError) as excinfo:
             disk.charge_sequential_read(10)
         assert not excinfo.value.transient
 
     def test_faulted_op_charges_nothing(self):
-        disk = FaultyDisk(FaultPlan(read_error_rate=1.0), block_elems=16)
+        disk = SimulatedDisk(16, plan=FaultPlan(read_error_rate=1.0))
         with pytest.raises(TransientReadError):
             disk.charge_random_read(1)
         assert disk.stats.counters.random_reads == 0
         assert disk.stats.counters.sequential_reads == 0
 
     def test_max_faults_caps_the_burst(self):
-        disk = FaultyDisk(
-            FaultPlan(read_error_rate=1.0, max_faults=2), block_elems=16
+        disk = SimulatedDisk(
+            16, plan=FaultPlan(read_error_rate=1.0, max_faults=2)
         )
         for _ in range(2):
             with pytest.raises(TransientReadError):
@@ -53,8 +52,8 @@ class TestFaultRaising:
         assert disk.stats.counters.random_reads == 1
 
     def test_stall_succeeds(self):
-        disk = FaultyDisk(
-            FaultPlan(stall_rate=1.0, stall_seconds=0.0), block_elems=16
+        disk = SimulatedDisk(
+            16, plan=FaultPlan(stall_rate=1.0, stall_seconds=0.0)
         )
         disk.charge_sequential_write(10)
         assert disk.stats.counters.sequential_writes > 0
@@ -63,9 +62,8 @@ class TestFaultRaising:
 
 class TestTranscript:
     def test_events_recorded_and_dumped(self, tmp_path):
-        disk = FaultyDisk(
-            FaultPlan(seed=2, read_error_rate=1.0, max_faults=3),
-            block_elems=16,
+        disk = SimulatedDisk(
+            16, plan=FaultPlan(seed=2, read_error_rate=1.0, max_faults=3)
         )
         for _ in range(3):
             with pytest.raises(TransientReadError):
@@ -82,7 +80,8 @@ class TestTranscript:
 class TestNullPlanEquivalence:
     def test_counters_identical_to_plain_disk(self):
         plain = SimulatedDisk(block_elems=16)
-        faulty = FaultyDisk(FaultPlan(), block_elems=16)
+        # Consulted before every operation, and never fires.
+        faulty = SimulatedDisk(16, plan=FaultPlan(fail_at={("write", 99)}))
         for disk in (plain, faulty):
             disk.charge_sequential_write(100)
             disk.charge_sequential_read(100)
@@ -93,4 +92,5 @@ class TestNullPlanEquivalence:
             plain.stats.counters.snapshot()
             == faulty.stats.counters.snapshot()
         )
-        assert faulty.operations == 0  # null plan never consults the RNG
+        assert plain.operations == 0  # null plan never consulted
+        assert faulty.operations == 5 and faulty.faults_fired == 0

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
-from repro.faults import FaultPlan, FaultyDisk
+from repro.faults import FaultPlan
 from repro.faults.errors import CorruptedBlockError, TransientWriteError
 from repro.faults.retry import ARCHIVE_RETRY_POLICY
 from repro.ingest.archiver import ArchiveFailedError
@@ -33,16 +33,17 @@ MODES = pytest.mark.parametrize("ingest_mode", ["sync", "background"])
 NEVER = FaultPlan(fail_at={("write", 10**9)})
 
 
-class RecordingDisk(FaultyDisk):
-    """Notes the kind of every operation, by operation index."""
+def record_kinds(disk):
+    """Note the kind of every operation ``disk`` issues, by operation
+    index, in ``disk.kinds``."""
+    disk.kinds = []
+    consult = disk._before_op
 
-    def __init__(self, plan):
-        super().__init__(plan, block_elems=64)
-        self.kinds = []
+    def before_op(op):
+        disk.kinds.append(op)
+        consult(op)
 
-    def _before_op(self, op):
-        self.kinds.append(op)
-        super()._before_op(op)
+    disk._before_op = before_op
 
 
 def batches(steps=STEPS, seed=5):
@@ -57,8 +58,9 @@ def ingest(plan, ingest_mode, sketch_backend):
             epsilon=0.02, kappa=KAPPA, block_elems=64,
             ingest_mode=ingest_mode, sketch_backend=sketch_backend,
         ),
-        disk=RecordingDisk(plan),
+        fault_plan=plan,
     )
+    record_kinds(engine.disk)
     *steps, live = batches()
     for values in steps:
         engine.stream_update_many(values)
@@ -154,9 +156,7 @@ def test_exhausted_retries_keep_the_batch_answered_over(ingest_mode):
     # The stage write faults on the first attempt and on every retry;
     # the budget then runs out, so the queries below can stage.
     plan = FaultPlan(write_error_rate=1.0, max_faults=retries + 1)
-    engine = HybridQuantileEngine(
-        config=config, disk=FaultyDisk(plan, block_elems=64)
-    )
+    engine = HybridQuantileEngine(config=config, fault_plan=plan)
     twin = HybridQuantileEngine(config=config)
     for system in (engine, twin):
         system.stream_update_many(first)
@@ -184,7 +184,7 @@ def test_corruption_on_the_merge_read_is_not_retried(ingest_mode):
             ingest_mode=ingest_mode,
         ),
         # Staging only writes: the first read is the first merge's.
-        disk=FaultyDisk(FaultPlan(corrupt_rate=1.0), block_elems=64),
+        fault_plan=FaultPlan(corrupt_rate=1.0),
     )
     oracle = ExactQuantiles()
     for values in steps[:KAPPA]:

@@ -1,8 +1,8 @@
-"""A FaultyDisk under the null plan must change nothing.
+"""A null fault plan must change nothing.
 
 Acceptance bar for the fault subsystem: with fault injection disabled
-(all rates zero), an engine on a :class:`FaultyDisk` is bit-identical
-to an engine on a plain :class:`SimulatedDisk` — answers, I/O counters
+(all rates zero), an engine given ``fault_plan=FaultPlan()`` is
+bit-identical to an engine given no plan — answers, I/O counters
 (including the per-phase split), layout, invariants — across both
 ingest modes.
 """
@@ -12,18 +12,17 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
-from repro.faults import FaultPlan, FaultyDisk
-from repro.storage import SimulatedDisk
+from repro.faults import FaultPlan
 
 
-def drive(disk, ingest_mode, steps=10, batch=400, seed=7):
+def drive(fault_plan, ingest_mode, steps=10, batch=400, seed=7):
     config = EngineConfig(
         epsilon=0.01,
         kappa=3,
         block_elems=64,
         ingest_mode=ingest_mode,
     )
-    engine = HybridQuantileEngine(config=config, disk=disk)
+    engine = HybridQuantileEngine(config=config, fault_plan=fault_plan)
     rng = np.random.default_rng(seed)
     for _ in range(steps):
         engine.stream_update_many(rng.integers(0, 10**6, size=batch))
@@ -43,10 +42,8 @@ def layout(engine):
 @pytest.mark.parametrize("ingest_mode", ["sync", "background"])
 class TestNullPlanEngineEquivalence:
     def test_bit_identical_to_plain_disk(self, ingest_mode):
-        plain = drive(SimulatedDisk(block_elems=64), ingest_mode)
-        faulty = drive(
-            FaultyDisk(FaultPlan(), block_elems=64), ingest_mode
-        )
+        plain = drive(None, ingest_mode)
+        faulty = drive(FaultPlan(), ingest_mode)
         try:
             for bucket in ("counters", "load", "sort", "merge", "query"):
                 assert getattr(plain.disk.stats, bucket) == getattr(

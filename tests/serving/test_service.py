@@ -11,7 +11,7 @@ import pytest
 
 from repro import EngineConfig, HybridQuantileEngine
 from repro.core import ServingConfig
-from repro.faults import FaultPlan, FaultyDisk
+from repro.faults import FaultPlan
 from repro.serving import Overloaded, QueryService
 from repro.serving import service as service_module
 
@@ -360,14 +360,15 @@ class TestWarmingIsBestEffort:
             epsilon=0.02, kappa=3, block_elems=64,
             shared_cache_blocks=64,
         )
-        disk = FaultyDisk(FaultPlan(seed=1), block_elems=64)
         rng = np.random.default_rng(11)
-        with HybridQuantileEngine(config=config, disk=disk) as engine:
+        with HybridQuantileEngine(
+            config=config, fault_plan=FaultPlan(seed=1)
+        ) as engine:
             for _ in range(4):
                 engine.stream_update_many(rng.integers(0, 1_000_000, 1200))
                 engine.end_time_step()
             engine.stream_update_many(rng.integers(0, 1_000_000, 800))
-            disk.plan = FaultPlan(seed=1, read_error_rate=1.0)
+            engine.disk.plan = FaultPlan(seed=1, read_error_rate=1.0)
             direct = engine.quantile(0.5, mode="quick")
             with QueryService(engine) as service:
                 with caplog.at_level("WARNING", logger="repro.serving.service"):

@@ -6,6 +6,8 @@ backend changes where the bytes live and what *requests* cost, never
 what is charged.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -438,16 +440,20 @@ class TestEngineEquivalence:
         )
         engine = HybridQuantileEngine(config=config)
         assert isinstance(engine.disk.backend, MmapFileBackend)
-        assert engine._owns_backend
         engine.stream_update_many(np.arange(100, dtype=np.int64))
         engine.end_time_step()
         assert any((tmp_path / "runs").glob("run-*.npy"))
         engine.close()
+        # A private run directory goes with the engine that made it.
+        private = replace(config, storage_dir=None)
+        with HybridQuantileEngine(config=private) as engine:
+            directory = engine.disk.backend.directory
+            assert directory.is_dir()
+        assert not directory.exists()
 
     def test_simulated_default_installs_no_backend(self):
         engine = HybridQuantileEngine(config=EngineConfig(epsilon=0.05))
         assert isinstance(engine.disk.backend, SimulatedBackend)
-        assert not engine._owns_backend
         engine.close()
 
     def test_cluster_gives_each_shard_its_own_dir(self, tmp_path):

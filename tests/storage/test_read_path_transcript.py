@@ -4,7 +4,7 @@ A seeded mix of ``element_at`` / ``rank_of`` / ``read_block_range``
 calls, each query through its own :class:`BlockCache` (every fourth one
 the charge-every-probe ``enabled=False`` form), runs over every backend
 (simulated, mmap, object with the runs placed cold), with and without a
-shared tier, on a plain disk and on a seeded :class:`FaultyDisk` whose
+shared tier, on a plain disk and on a disk with a seeded fault plan whose
 transient read faults are retried in place.  What the storage stack
 counted is recorded as literals: ``DiskStats`` per phase, the caches'
 ``blocks_charged`` / ``shared_hits`` / ``run_blocks()``, the shared
@@ -18,7 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.faults import DiskFault, FaultPlan, FaultyDisk
+from repro.faults import DiskFault, FaultPlan
 from repro.storage import (
     BlockCache,
     MmapFileBackend,
@@ -102,13 +102,8 @@ def run_op(runs, op, cache):
 
 def drive(backend_name, shared_tier, faulty, tmp_path):
     backend = make_backend(backend_name, tmp_path)
-    if faulty:
-        disk = FaultyDisk(
-            FaultPlan(seed=13, read_error_rate=0.2), block_elems=BLOCK_ELEMS
-        )
-        disk.backend = backend
-    else:
-        disk = SimulatedDisk(block_elems=BLOCK_ELEMS, backend=backend)
+    plan = FaultPlan(seed=13, read_error_rate=0.2) if faulty else None
+    disk = SimulatedDisk(BLOCK_ELEMS, backend=backend, plan=plan)
     try:
         runs = make_runs(disk, backend_name)
         position = {run.run_id: i for i, run in enumerate(runs)}
