@@ -64,7 +64,7 @@ ABSORB_SPEEDUP_FLOOR = 3.0
 #: ``query_heavy``'s miss: a settled live sketch, a trickle on top.
 SETTLED = 50_000
 TRICKLE = 512
-#: jumper walk over step walk: measures ~8x with nothing to merge.
+#: jumper chain over step walk: measures ~17x with nothing to merge.
 TRICKLE_SPEEDUP_FLOOR = 2.0
 
 
@@ -265,7 +265,7 @@ def test_trickle_compress_walks_only_the_jumpers(monkeypatch):
     print(
         f"\nGK compress of a {TRICKLE}-element trickle into {SETTLED:,} "
         f"({len(inputs[0][0]):,} tuples): step walk {steps * 1e3:.3f} ms vs "
-        f"jumper walk {jumpers * 1e3:.3f} ms ({speedup:.1f}x, floor "
+        f"jumper chain {jumpers * 1e3:.3f} ms ({speedup:.1f}x, floor "
         f"{TRICKLE_SPEEDUP_FLOOR}x)"
     )
     assert speedup >= TRICKLE_SPEEDUP_FLOOR, (

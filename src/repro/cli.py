@@ -283,123 +283,101 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         or ("kll" if args.shards > 1 else "gk"),
         storage_backend=args.storage_backend,
     )
+    plan = _fault_plan_of(args)
+    workload = NormalWorkload(seed=7)
+    update_batch = (
+        args.batch_size if args.batch_size and args.batch_size > 0 else None
+    )
+    scope = None
     if args.shards > 1:
-        return _cmd_demo_cluster(args, config)
-    plan = _fault_plan_of(args)
-    workload = NormalWorkload(seed=7)
-    update_batch = (
-        args.batch_size if args.batch_size and args.batch_size > 0 else None
-    )
-    with HybridQuantileEngine(config=config, fault_plan=plan) as engine:
-        print(f"demo: {args.steps} steps x {args.batch:,} elements (Normal, "
-              f"{args.ingest_mode} ingest"
-              + (f", update batch {update_batch:,}" if update_batch else "")
-              + (", fault injection on" if plan is not None else "")
-              + (
-                  f", {args.storage_backend} storage"
-                  if args.storage_backend != "simulated"
-                  else ""
-              )
-              + ")")
-        workload.feed(
-            engine, args.steps, args.batch, update_batch=update_batch
+        from .cluster import ClusterEngine
+
+        target = ClusterEngine(
+            shards=args.shards, config=config, fault_plan=plan
         )
-        engine.flush()
-        engine.stream_update_many(workload.generate(args.batch))
-        for phi in (0.25, 0.5, 0.75, 0.95, 0.99):
-            result = engine.quantile(phi)
-            print(f"  phi={phi:<5} -> {result.value:>12,} "
-                  f"({result.disk_accesses} disk accesses"
-                  + (", degraded" if result.degraded else "")
+        tour = f"over {args.shards} shards ({config.sketch_backend} sketches"
+        scope = plan.shard_scope if plan is not None else None
+    else:
+        target = HybridQuantileEngine(config=config, fault_plan=plan)
+        tour = "(Normal"
+    with target:
+        try:
+            print(f"demo: {args.steps} steps x {args.batch:,} elements "
+                  f"{tour}, {args.ingest_mode} ingest"
+                  + (f", update batch {update_batch:,}"
+                     if update_batch else "")
+                  + (f", {args.storage_backend} storage"
+                     if args.storage_backend != "simulated" else "")
+                  + (", fault injection on" if plan is not None else "")
+                  + (f" (shards {list(scope)})" if scope is not None else "")
                   + ")")
-        memory = engine.memory_report()
-        print(f"memory: {memory.total_words:,} words over "
-              f"{engine.n_total:,} elements")
-        if engine.shared_cache is not None:
-            cache = engine.shared_cache.stats()
-            print(f"shared cache: {cache.hits}/{cache.lookups} hits "
-                  f"({cache.resident_blocks}/{cache.capacity_blocks} blocks "
-                  f"resident, {cache.evictions} evictions)")
-        backend_stats = engine.disk.backend.stats()
-        if (backend_stats.gets or backend_stats.puts
-                or backend_stats.object_runs):
-            print(f"object tier: {backend_stats.gets} GETs "
-                  f"({backend_stats.get_blocks} blocks), "
-                  f"{backend_stats.puts} PUTs, "
-                  f"{backend_stats.migrations} migrations, "
-                  f"{backend_stats.object_runs} runs cold / "
-                  f"{backend_stats.hot_runs} hot")
-        stats = engine.ingest_stats
-        if stats is not None:
-            print(f"ingest: stalled {stats.stall_seconds * 1e3:.1f} ms over "
-                  f"{stats.batches_archived} steps "
-                  f"(max queue depth {stats.max_queue_depth})")
-        report = engine.reliability
-        if not report.healthy:
-            print(f"reliability: {report.disk_faults} disk faults, "
-                  f"{report.archive_retries} archive retries, "
-                  f"{report.probe_retries} probe retries, "
-                  f"{report.degraded_queries} degraded queries")
-        _dump_transcript(args, engine.disk)
+            workload.feed(
+                target, args.steps, args.batch, update_batch=update_batch
+            )
+            target.flush()
+            target.stream_update_many(workload.generate(args.batch))
+            for phi in (0.25, 0.5, 0.75, 0.95, 0.99):
+                result = target.quantile(phi)
+                print(f"  phi={phi:<5} -> {result.value:>12,} "
+                      f"({result.disk_accesses} disk accesses"
+                      + (", degraded" if result.degraded else "")
+                      + ")")
+            if args.shards > 1:
+                _print_shards(target)
+            else:
+                _print_engine(target)
+        finally:
+            # Failing or not: the transcript matters most on failure.
+            if args.shards == 1:
+                _dump_transcript(args, target.disk)
+            elif plan is not None and args.fault_transcript is not None:
+                written = target.dump_fault_transcripts(args.fault_transcript)
+                print(f"fault transcripts -> {args.fault_transcript} "
+                      f"({len(written)} shards)")
     return 0
 
 
-def _cmd_demo_cluster(args: argparse.Namespace, config: EngineConfig) -> int:
-    """Sharded demo: fan a workload across N shards, gather quantiles."""
-    from .cluster import ClusterEngine
+def _print_engine(engine: HybridQuantileEngine) -> None:
+    memory = engine.memory_report()
+    print(f"memory: {memory.total_words:,} words over "
+          f"{engine.n_total:,} elements")
+    if engine.shared_cache is not None:
+        cache = engine.shared_cache.stats()
+        print(f"shared cache: {cache.hits}/{cache.lookups} hits "
+              f"({cache.resident_blocks}/{cache.capacity_blocks} blocks "
+              f"resident, {cache.evictions} evictions)")
+    backend_stats = engine.disk.backend.stats()
+    if (backend_stats.gets or backend_stats.puts
+            or backend_stats.object_runs):
+        print(f"object tier: {backend_stats.gets} GETs "
+              f"({backend_stats.get_blocks} blocks), "
+              f"{backend_stats.puts} PUTs, "
+              f"{backend_stats.migrations} migrations, "
+              f"{backend_stats.object_runs} runs cold / "
+              f"{backend_stats.hot_runs} hot")
+    stats = engine.ingest_stats
+    if stats is not None:
+        print(f"ingest: stalled {stats.stall_seconds * 1e3:.1f} ms over "
+              f"{stats.batches_archived} steps "
+              f"(max queue depth {stats.max_queue_depth})")
+    report = engine.reliability
+    if not report.healthy:
+        print(f"reliability: {report.disk_faults} disk faults, "
+              f"{report.archive_retries} archive retries, "
+              f"{report.probe_retries} probe retries, "
+              f"{report.degraded_queries} degraded queries")
 
-    plan = _fault_plan_of(args)
-    workload = NormalWorkload(seed=7)
-    update_batch = (
-        args.batch_size if args.batch_size and args.batch_size > 0 else None
-    )
-    with ClusterEngine(
-        shards=args.shards, config=config, fault_plan=plan
-    ) as cluster:
-        print(f"demo: {args.steps} steps x {args.batch:,} elements over "
-              f"{args.shards} shards ({config.sketch_backend} sketches, "
-              f"{config.ingest_mode} ingest"
-              + (f", update batch {update_batch:,}" if update_batch else "")
-              + (
-                  f", {config.storage_backend} storage"
-                  if config.storage_backend != "simulated"
-                  else ""
-              )
-              + (
-                  ", fault injection on"
-                  + (
-                      f" (shards {list(plan.shard_scope)})"
-                      if plan is not None and plan.shard_scope is not None
-                      else ""
-                  )
-                  if plan is not None
-                  else ""
-              )
-              + ")")
-        workload.feed(
-            cluster, args.steps, args.batch, update_batch=update_batch
-        )
-        cluster.flush()
-        cluster.stream_update_many(workload.generate(args.batch))
-        for phi in (0.25, 0.5, 0.75, 0.95, 0.99):
-            result = cluster.quantile(phi)
-            print(f"  phi={phi:<5} -> {result.value:>12,} "
-                  f"({result.disk_accesses} disk accesses)")
-        sims = cluster.per_shard_sim_seconds()
-        print(f"elements: {cluster.n_total:,} over {args.shards} shards; "
-              f"simulated I/O critical path {max(sims) * 1e3:.1f} ms "
-              f"(single-device equivalent {sum(sims) * 1e3:.1f} ms)")
-        for report in cluster.shard_reports():
-            print(f"  shard {report['shard']}: "
-                  f"{report['n_historical'] + report['m_stream']:,} elems, "
-                  f"{report['io_total']:,} block I/Os, "
-                  f"{report['sim_seconds'] * 1e3:.1f} ms simulated")
-        transcript_dir = getattr(args, "fault_transcript", None)
-        if transcript_dir is not None and plan is not None:
-            written = cluster.dump_fault_transcripts(transcript_dir)
-            print(f"fault transcripts -> {transcript_dir} "
-                  f"({len(written)} shards)")
-    return 0
+
+def _print_shards(cluster) -> None:
+    sims = cluster.per_shard_sim_seconds()
+    print(f"elements: {cluster.n_total:,} over {len(sims)} shards; "
+          f"simulated I/O critical path {max(sims) * 1e3:.1f} ms "
+          f"(single-device equivalent {sum(sims) * 1e3:.1f} ms)")
+    for report in cluster.shard_reports():
+        print(f"  shard {report['shard']}: "
+              f"{report['n_historical'] + report['m_stream']:,} elems, "
+              f"{report['io_total']:,} block I/Os, "
+              f"{report['sim_seconds'] * 1e3:.1f} ms simulated")
 
 
 def build_parser() -> argparse.ArgumentParser:

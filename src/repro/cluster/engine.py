@@ -495,8 +495,10 @@ class ClusterEngine(PinnedQueries):
                     shard.attach_wal(self._open_wal(index))
         #: quarantined shard index -> the WAL writer its slot retains.
         self._wals: Dict[int, WriteAheadLog] = {}
-        #: quarantined shard index -> reason string.
+        #: quarantined shard index -> reason string, and the disk (its
+        #: fault transcript) the shard's engine left.
         self._quarantined: Dict[int, str] = {}
+        self._dead_disks: Dict[int, Any] = {}
         #: cumulative acked elements per shard — cluster-side truth
         #: that survives a shard's death (recovery must match it).
         self._shard_elems: List[int] = [
@@ -828,6 +830,7 @@ class ClusterEngine(PinnedQueries):
             pass
         self.shards[shard] = None
         self._quarantined[shard] = str(reason)
+        self._dead_disks[shard] = engine.disk
         self._gather = None
 
     def rejoin_shard(
@@ -852,6 +855,7 @@ class ClusterEngine(PinnedQueries):
         self.release_wal(shard)
         self.shards[shard] = engine
         self._quarantined.pop(shard, None)
+        self._dead_disks.pop(shard, None)
         self._gather = None
 
     def release_wal(self, shard: int) -> None:
@@ -886,13 +890,15 @@ class ClusterEngine(PinnedQueries):
     def dump_fault_transcripts(
         self, directory: "str | Path"
     ) -> List[Path]:
-        """Write each live shard's fault transcript JSON (CI artifact)."""
-        return [
-            shard.disk.dump_transcript(
-                shard_dir(directory, index).with_suffix(".json")
-            )
+        """Write each shard's fault transcript JSON (CI artifact), a
+        quarantined one's as its engine left it."""
+        disks = [
+            self._dead_disks[index] if shard is None else shard.disk
             for index, shard in enumerate(self.shards)
-            if shard is not None
+        ]
+        return [
+            disk.dump_transcript(shard_dir(directory, i).with_suffix(".json"))
+            for i, disk in enumerate(disks)
         ]
 
     # -- lifecycle ------------------------------------------------------

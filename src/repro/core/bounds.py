@@ -181,15 +181,24 @@ class HistoricalSummary:
         summaries = [summary for summary in summaries if len(summary)]
         if not summaries:
             return self
-        entries = np.sort(np.concatenate([s.values for s in summaries]))
+        joined = np.concatenate([s.values for s in summaries])
+        order = np.argsort(joined, kind="stable")
+        entries = joined[order]
         merge = _Merge(self.values, entries)
+        # alpha steps up at the first slot holding each entry's value,
+        # the slot of the first equal entry (entries go in front of equal
+        # held values): per joined entry, read through the inverse order.
+        first_equal = np.where(run_starts(entries), np.arange(len(entries)), 0)
+        steps = np.empty(len(entries), dtype=np.intp)
+        steps[order] = merge.slots[np.maximum.accumulate(first_equal)]
+        ends = np.cumsum([len(summary) for summary in summaries])
         values = merge.place(self.values, entries)
         lower, upper = (
             merge.place(held, at, np.zeros(len(values) + 1)[1:])
             for held, at in zip((self.lower, self.upper),
                                 self.shares_at(entries, merge.left))
         )
-        for summary in summaries:
+        for summary, end in zip(summaries, ends):
             # This partition's share, tabulated per alpha = 0..count.
             size = summary.partition_size
             alphas = np.arange(len(summary) + 1)
@@ -212,11 +221,8 @@ class HistoricalSummary:
                 alphas * scale, np.append(summary.positions - 1, size)
             )
             above[0] = 0.0
-            # alpha steps up at the first slot holding each entry's
-            # value, the slot of the first equal entry (entries go in
-            # front of equal held values), so a per-alpha table becomes
-            # per-slot by run length: no search over the long array.
-            first = merge.slots[entries.searchsorted(summary.values, "left")]
+            # The per-alpha table becomes per-slot by run length.
+            first = steps[end - len(summary) : end]
             runs = np.diff(first, prepend=0, append=len(values))
             lower += np.repeat(below, runs)
             upper += np.repeat(above, runs)
@@ -283,12 +289,17 @@ class CombinedSummary:
 
     @classmethod
     def fuse(
-        cls, historical: HistoricalSummary, stream_summary: StreamSummary
+        cls,
+        historical: HistoricalSummary,
+        stream_summary: StreamSummary,
+        previous: "Optional[CombinedSummary]" = None,
     ) -> "CombinedSummary":
         """Rank the SS entries in HS and tabulate the stream term.
 
         Every array made here has one element per entry or per gap; no
-        HS slot is touched.
+        HS slot is touched.  ``previous``, a TS fused onto the same
+        ``historical`` (the memo's last), lends its HS position to every
+        entry that kept its value: only the moved ones are searched.
         """
         entries = stream_summary.values
         if len(entries) == 0 and len(historical) == 0:
@@ -301,16 +312,25 @@ class CombinedSummary:
         # alpha_S + 1, so this tie order keeps ``upper`` monotone for
         # the binary searches below.)  alpha counts the entries *at
         # most* a value: g in gap g, at an entry its whole tie group.
-        base = historical.values
-        starts = run_starts(entries)
-        if starts.all():
-            left, tied = base.searchsorted(entries, "left"), slice(1, None)
+        first = run_starts(entries)
+        if first.all():
+            runs, sizes, tied = slice(None), 1, slice(1, None)
         else:
-            starts = np.flatnonzero(starts)
-            ends = np.append(starts, len(entries))[1:]
-            sizes = ends - starts
-            left = np.repeat(base.searchsorted(entries[starts], "left"), sizes)
+            runs = np.flatnonzero(first)
+            ends = np.append(runs, len(entries))[1:]
+            sizes = ends - runs
             tied = np.repeat(ends, sizes)
+        keys, base = entries[runs], historical.values
+        if previous is None or previous.historical is not historical or (
+            len(previous.entries) != len(entries)
+        ):
+            found = base.searchsorted(keys, "left")
+        else:  # a key's HS position is a function of its value alone
+            found = previous.gaps[1:-1][runs].copy()
+            moved = np.flatnonzero(previous.entries[runs] != keys)
+            found[moved] = base.searchsorted(keys[moved], "left")
+        gaps = np.concatenate(([0], np.repeat(found, sizes), [len(base)]))
+        left = gaps[1:-1]
         lower_at, upper_at = historical.shares_at(entries, left)
         m = stream_summary.stream_size
         alphas = np.arange(len(entries) + 1)
@@ -336,7 +356,7 @@ class CombinedSummary:
         return cls(
             historical=historical,
             entries=entries,
-            gaps=np.concatenate(([0], left, [len(historical)])),
+            gaps=gaps,
             lower_tables=(historical.lower, below, lower_at),
             upper_tables=(historical.upper, above, upper_at),
             total_size=historical.total_size + m,

@@ -57,6 +57,7 @@ from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
+from ..faults.errors import DiskFault
 from ..faults.health import ReliabilityReport
 from ..faults.plan import FaultPlan
 from ..faults.retry import ARCHIVE_RETRY_POLICY, PROBE_RETRY_POLICY
@@ -526,6 +527,10 @@ class HybridQuantileEngine(PinnedQueries):
         """Count one degraded query (called from any query thread)."""
         with self._reliability_lock:
             self._degraded_queries += 1
+
+    def note_archive_retry(self, fault: DiskFault, attempt: int) -> None:
+        """Count a retried archive read or write (a recovery scan's)."""
+        self._archiver.note_retry(fault, attempt)
 
     @property
     def reliability(self) -> ReliabilityReport:

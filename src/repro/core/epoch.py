@@ -223,8 +223,10 @@ class HistoricalMemo:
     the first query after a seal fuses only the stream half.
 
     An entry also retains the TS last fused onto its HS, returned while
-    the stream summary handed in is the same object; a set entering the
-    memo drops the TS of the sets it supersedes (they keep their HS).
+    the stream summary handed in is the same object and otherwise
+    re-fused from it, its SS entries that kept their value keeping their
+    HS position; a set entering the memo drops the TS of the sets it
+    supersedes (they keep their HS).
     """
 
     #: full scope, the scope before the latest seal, a window or two.
@@ -271,7 +273,7 @@ class HistoricalMemo:
                 self.reuses += 1
             else:
                 entry.combined = CombinedSummary.fuse(
-                    entry.historical, stream_summary
+                    entry.historical, stream_summary, entry.combined
                 )
                 entry.stream_summary = stream_summary
             return entry.combined

@@ -386,7 +386,7 @@ class BackgroundArchiver:
     # Consumer side (the archiver thread, or an archive_reserved caller)
     # ------------------------------------------------------------------
 
-    def _note_retry(self, fault: DiskFault, attempt: int) -> None:
+    def note_retry(self, fault: DiskFault, attempt: int) -> None:
         """Count one retried archive attempt (between attempts)."""
         with self._cond:
             self.stats.fault_retries += 1
@@ -422,7 +422,7 @@ class BackgroundArchiver:
         try:
             report = self._retry.call(
                 lambda: self._archive_one(batch),
-                on_retry=self._note_retry,
+                on_retry=self.note_retry,
             )
         except BaseException as exc:
             with self._cond:

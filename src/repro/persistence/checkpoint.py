@@ -337,7 +337,8 @@ def load_engine(
     subsequent ingest stays durable.
 
     The engine's disk fails on ``fault_plan`` from the recovery scan
-    on; a scan that gives up raises its last
+    on, whose retried reads count as archive retries; a scan that gives
+    up raises its last
     :class:`~repro.faults.DiskFault`, whose ``disk`` holds the transcript.
     """
     directory = recover_checkpoint(directory)
@@ -353,7 +354,8 @@ def load_engine(
     config = config_from_state(state["config"])
     engine = HybridQuantileEngine(config=config, fault_plan=fault_plan)
     try:
-        load_store(directory / WAREHOUSE_DIR, engine.store, repair=repair)
+        load_store(directory / WAREHOUSE_DIR, engine.store, repair,
+                   engine.note_archive_retry)
         buffer = np.load(directory / BUFFER_FILE)
         if buffer.dtype != np.int64:
             # The buffer would cast it: floats truncate, wide uint64

@@ -78,12 +78,14 @@ def load_gk(data: bytes) -> GKSketch:
     # The arrays are the restored state (see GKSketch): a sketch that
     # only bulk-absorbs afterwards never builds the lists.
     values = archive["values"].astype(np.int64)
-    rmin = np.cumsum(archive["g"], dtype=np.int64)
-    sketch._query_arrays = (values, rmin, rmin + archive["delta"])
+    g, delta = archive["g"], archive["delta"]
+    rmin = np.cumsum(g, dtype=np.int64)
+    sketch._query_arrays = (values, rmin, rmin + delta)
     sketch._columns = None
     sketch._n = int(header["n"])
-    if rmin.size and rmin[-1] > sketch._n:
-        raise SerializationError("inconsistent GK payload: sum(g) > n")
+    # A bulk merge relies on every g >= 1 and delta >= 0 (GKSketch).
+    if rmin.size and (rmin[-1] > sketch._n or g.min() < 1 or delta.min() < 0):
+        raise SerializationError("inconsistent GK payload")
     return sketch
 
 

@@ -19,7 +19,7 @@ import os
 import shutil
 import zlib
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -148,7 +148,8 @@ def _salvage_partition(path: Path, entry: dict) -> Optional[np.ndarray]:
 
 
 def load_store(
-    directory: "str | Path", store: LeveledStore, repair: bool = False
+    directory: "str | Path", store: LeveledStore, repair: bool = False,
+    on_retry: Optional[Callable] = None,
 ) -> LeveledStore:
     """Fill the empty ``store`` from a saved directory; returns it.
 
@@ -158,7 +159,8 @@ def load_store(
     than the store's, or corrupted partition files.  Loading charges
     sequential reads for every partition to the store's disk, as a
     real recovery scan would, each under
-    :data:`~repro.faults.retry.ARCHIVE_RETRY_POLICY`: the charge comes
+    :data:`~repro.faults.retry.ARCHIVE_RETRY_POLICY`, which calls
+    ``on_retry(fault, attempt)`` before each retry: the charge comes
     before the run is allocated, so a retried read allocates nothing.
 
     With ``repair=True``, a partition whose checksum disagrees with the
@@ -222,7 +224,7 @@ def load_store(
                     f"{entry['num_elems']}"
                 )
             ARCHIVE_RETRY_POLICY.call(
-                disk.charge_sequential_read, None, len(data)
+                disk.charge_sequential_read, on_retry, len(data)
             )
             run = SortedRun(disk, data, charge_write=False)
             level.append(

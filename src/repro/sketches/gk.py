@@ -31,10 +31,6 @@ import numpy as np
 from .base import QuantileSketch, as_int64_batch, clamp_rank
 
 _BATCH_THRESHOLD = 256
-#: ``_compress_heads`` visits only the jumpers while they are at most
-#: one tuple in this many; a dense absorb makes nearly every tuple one,
-#: most swallowed by another, and a step per *survivor* is shorter.
-_JUMPER_SHARE = 8
 
 
 def _compress_heads(
@@ -42,37 +38,32 @@ def _compress_heads(
 ) -> np.ndarray:
     """Indices of the tuples ``GKSketch._compress`` would keep.
 
-    A surviving head ``j`` keeps its own ``(v, rmin, rmax)`` and
-    swallows ``i < j`` while ``g_i + G + delta_j <= threshold``, i.e.
-    while ``rmin[i-1] >= rmax[j] - threshold``.  With ``rmin`` strictly
-    increasing the next head is a function of ``j`` alone: one
-    ``searchsorted`` yields it for every tuple.  A tuple whose next head
-    is not its neighbour is a *jumper*.  Few jumpers (a trickle into a
-    settled sketch): walk down those alone, every tuple between two of
-    them survives.  Many: walk from the last tuple down to index 0
-    (always kept), one step per survivor.
+    A head ``j`` swallows ``i < j`` while ``rmin[i-1] >= rmax[j] -
+    threshold``, so its successor head ``succ[j]`` is a function of
+    ``j``; a *jumper* is one whose ``succ`` is not its neighbour.  The
+    walk down from the last tuple steps by one between jumpers and
+    clears ``(succ[j], j)`` at a visited jumper ``j``, the next visited
+    being the largest jumper at most ``succ[j]``: that chain is found
+    by pointer doubling over the jumpers alone (docs/THEORY.md).
     """
-    size = len(rmin)
-    neighbour = np.arange(-1, size - 1)
-    succ = np.minimum(
-        np.searchsorted(rmin, rmax - threshold, side="left"), neighbour
+    jumpers = np.flatnonzero(rmin[:-2] + threshold >= rmax[2:]) + 2
+    succ = np.minimum(  # below the neighbour, so every link descends
+        np.searchsorted(rmin, rmax[jumpers] - threshold, "left"), jumpers - 2
     )
-    jumpers = np.flatnonzero(succ < neighbour)[::-1]
-    if jumpers.size * _JUMPER_SHARE <= size:
-        keep = np.ones(size, dtype=bool)
-        head = size - 1
-        for jumper, target in zip(jumpers.tolist(), succ[jumpers].tolist()):
-            if jumper <= head:  # else swallowed by a jumper above it
-                keep[target + 1 : jumper] = False
-                head = target
-        return np.flatnonzero(keep)
-    successor = succ.item  # Python ints out, ~3x cheaper than succ[j]
-    head = size - 1
-    heads = [head]
-    while head > 0:
-        head = successor(head)
-        heads.append(head)
-    return np.asarray(heads[::-1])
+    # Jumpers numbered from 1, 0 past the last: ``link`` leads on from
+    # each; after k doublings it jumps 2**k and the top one's first
+    # 2**k chain members are marked.
+    link = np.concatenate(([0], jumpers.searchsorted(succ, "right")))
+    visited = np.zeros(len(link), dtype=bool)
+    visited[-1] = True
+    while link[-1]:
+        visited[link[visited]] = True
+        link = link[link]
+    # The swallowed ranges are disjoint: +1 opens one, -1 closes it.
+    depth = np.zeros(len(rmin), dtype=np.int8)
+    depth[succ[visited[1:]] + 1] = 1
+    depth[jumpers[visited[1:]]] = -1
+    return np.flatnonzero(np.cumsum(depth, dtype=np.int8) == 0)
 
 
 class GKSketch(QuantileSketch):
@@ -220,39 +211,29 @@ class GKSketch(QuantileSketch):
         For each summary tuple the batch contributes its exact rank to
         both rank bounds; for each batch element the summary
         contributes its usual [rmin(pred), rmax(succ) - 1] bracket.
-        Returns ``(values, rmin, rmax)``, ``rmin`` strictly increasing.
+        Returns ``(values, rmin, rmax)`` in value order, a held tuple
+        ahead of equal batch values: held ``rmin`` strictly increasing
+        from 1 and ``rmax >= rmin`` leave merged ones so (docs/THEORY.md,
+        "Batched updates"), so every tuple carries counting information.
         """
         a_vals, a_rmin, a_rmax = self._arrays()
-
-        # A batch value equal to a held tuple's sorts behind it (``pred``
-        # below), so only the batch values strictly below it precede it.
-        in_batch = np.searchsorted(batch, a_vals, side="left")
-        a_rmin_c = a_rmin + in_batch
-        a_rmax_c = a_rmax + in_batch
-
+        held = len(a_vals)
+        # Per batch value, the held tuples at most it; per held tuple,
+        # the batch values below it: those whose count is at most its
+        # index.  Each side's slot in the merge adds the other's count.
         succ = np.searchsorted(a_vals, batch, side="right")
-        pred = succ - 1
-        low_a = np.where(pred >= 0, a_rmin[np.maximum(pred, 0)], 0)
-        up_a = np.where(
-            succ < len(a_vals),
-            a_rmax[np.minimum(succ, len(a_vals) - 1)] - 1,
-            self._n,
-        )
+        in_batch = np.cumsum(np.bincount(succ, minlength=held + 1)[:held])
         b_ranks = np.arange(1, batch.size + 1, dtype=np.int64)
-        b_rmin_c = b_ranks + low_a
-        b_rmax_c = b_ranks + np.maximum(up_a, low_a)
-
-        merged_vals = np.concatenate([a_vals, batch])
-        merged_rmin = np.concatenate([a_rmin_c, b_rmin_c])
-        merged_rmax = np.concatenate([a_rmax_c, b_rmax_c])
-        order = np.lexsort((merged_rmin, merged_vals))
-        rmin = np.maximum.accumulate(merged_rmin[order])
-        rmax = np.maximum(merged_rmax[order], rmin)
-        # A zero-g tuple shares its rmin with its predecessor and adds
-        # no counting information; dropping it keeps every remaining
-        # rank bound intact.  The first tuple always has rmin >= 1.
-        keep = np.diff(rmin, prepend=0) > 0
-        return merged_vals[order][keep], rmin[keep], rmax[keep]
+        a_slots = np.arange(held) + in_batch
+        b_slots = b_ranks - 1 + succ
+        merged = np.empty((3, held + batch.size), dtype=np.int64)
+        values, rmin, rmax = merged
+        values[a_slots], values[b_slots] = a_vals, batch
+        rmin[a_slots] = a_rmin + in_batch
+        rmin[b_slots] = b_ranks + np.concatenate(([0], a_rmin))[succ]
+        rmax[a_slots] = a_rmax + in_batch
+        rmax[b_slots] = b_ranks + np.concatenate((a_rmax - 1, [self._n]))[succ]
+        return values, rmin, rmax
 
     def _compress(self) -> None:
         """Merge adjacent tuples whose combined span stays within bound.
@@ -341,19 +322,20 @@ class GKSketch(QuantileSketch):
         if self._n == 0:
             raise ValueError("sketch is empty")
         targets = np.clip(np.asarray(ranks, dtype=np.int64), 1, self._n)
-        reach = targets + self.epsilon * self._n
+        # A tuple comes before the first whose rmax exceeds x = t + eps*n
+        # when its integer rmax is at most floor(x) (int() floors what is
+        # positive): the search runs on integers, nothing is cast.
+        keys = (targets + self.epsilon * self._n).astype(np.int64)
         values, _, rmax = self._arrays()
         last = len(values) - 1
         if self._stride is not None:
-            # The tuples before the first with rmax > x are those with
-            # the integer rmax <= floor(x): of the ranks n, n - stride,
-            # ... that is arithmetic (int() floors what is positive).
-            ahead = (reach.astype(np.int64) - self._n) // self._stride
+            # Of the ranks n, n - stride, ... that is arithmetic.
+            ahead = (keys - self._n) // self._stride
             return values[np.clip(last + ahead, 0, last)]
-        # The first tuple with rmax > t equals the first tuple whose
-        # running max exceeds t, and the running max is sorted — so the
+        # The first tuple with rmax > key equals the first tuple whose
+        # running max exceeds it, and the running max is sorted — so the
         # scalar argmax scan becomes one searchsorted.
-        first = np.searchsorted(np.maximum.accumulate(rmax), reach, "right")
+        first = np.searchsorted(np.maximum.accumulate(rmax), keys, "right")
         return values[np.clip(first - 1, 0, last)]
 
     def rank_bounds(self, value: int) -> Tuple[int, int]:

@@ -311,6 +311,41 @@ class TestHistoricalSplit:
                 assert np.array_equal(getattr(grown, name), getattr(folded, name))
             assert grown.total_size == folded.total_size
 
+    @given(
+        parts=st.lists(small_values, min_size=0, max_size=4),
+        before=small_values,
+        trickle=small_values,
+        strict=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_refuse_equals_a_fresh_build(
+        self, parts, before, trickle, strict
+    ):
+        """A TS fused from the last one on the same HS equals
+        ``CombinedSummary.build`` from scratch: over eight values SS is
+        tie-heavy, most entries keep their value and some move, and an
+        empty stream on one side changes SS's length."""
+        summaries = [partition_summary_of(p, 0.25) for p in parts]
+        historical = HistoricalSummary.fold(summaries)
+        old = stream_summary_of(before, 0.125, strict)
+        new = stream_summary_of(before + trickle, 0.125, strict)
+        if not len(historical) and not (old.stream_size and new.stream_size):
+            return  # nothing to summarize on one side
+        previous = CombinedSummary.fuse(historical, old)
+        refused = CombinedSummary.fuse(historical, new, previous)
+        assert_same_ts(refused, CombinedSummary.build(summaries, new))
+
+    def test_a_ts_on_another_hs_lends_no_position(self):
+        """Equal-length SS fused onto another HS: nothing is reused."""
+        ss = stream_summary_of(list(range(0, 40, 3)), 0.125, strict=True)
+        one, two = (
+            [partition_summary_of(list(range(lo, 60)), 0.25)]
+            for lo in (0, 20)
+        )
+        previous = CombinedSummary.build(one, ss)
+        refused = CombinedSummary.fuse(HistoricalSummary.fold(two), ss, previous)
+        assert_same_ts(refused, CombinedSummary.build(two, ss))
+
     def test_build_does_not_alias_the_memoised_arrays(self):
         """Even with no stream entries to insert, TS gets its own arrays."""
         summaries = [partition_summary_of(list(range(50)), 0.25)]

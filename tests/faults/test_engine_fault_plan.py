@@ -3,7 +3,8 @@
 The block size has one owner — the config — so a checkpoint round trip
 charges exactly what the saved engine charged.  A load's recovery scan
 retries each partition's read on its own, before the run is allocated,
-so a retried read on a file-backed backend builds nothing twice.
+so a retried read on a file-backed backend builds nothing twice, and
+counts it among the engine's archive retries.
 """
 
 import json
@@ -60,6 +61,16 @@ def test_a_retried_load_read_on_mmap_answers_as_a_clean_load(
     assert list(runs.iterdir()) == []
 
 
+def test_a_retried_load_read_counts_as_an_archive_retry(tmp_path):
+    with HybridQuantileEngine(config=EngineConfig(epsilon=0.02)) as engine:
+        fill(engine)
+        save_engine(engine, tmp_path / "wh")
+    with load_engine(tmp_path / "wh", fault_plan=FIRST_READ_FAILS) as loaded:
+        report = loaded.reliability
+    assert report.disk_faults == report.archive_retries == 1
+    assert report.total_retries == 1
+
+
 def test_a_round_trip_charges_what_the_engine_charged(tmp_path):
     config = EngineConfig(epsilon=0.02, kappa=3, block_elems=64)
     # The first stage write faults and is retried; the load reads only.
@@ -101,6 +112,7 @@ def test_a_cli_load_retries_a_read_in_place(mmap_warehouse, capsys):
     )
     assert code == 0, faulted.err
     assert faulted.out.splitlines()[:2] == clean.out.splitlines()[:2]
+    assert "reliability: 1 disk faults, 1 retries," in faulted.out
 
 
 def test_a_load_that_gives_up_lists_every_fault_it_fired(

@@ -52,6 +52,24 @@ class TestGKRoundTrip:
         with pytest.raises(SerializationError):
             load_gk(b"not a sketch at all")
 
+    @pytest.mark.parametrize("column, index, value", [
+        ("g", 3, 0),  # a zero gap: two tuples at one minimum rank
+        ("delta", 5, -1),
+        ("g", 0, 10**9),  # sum(g) > n
+    ])
+    def test_rejects_inconsistent_tuples(self, column, index, value):
+        """A bulk merge into the restored sketch assumes every g >= 1,
+        delta >= 0 and sum(g) <= n; a payload breaking one is refused."""
+        sketch = filled_gk()
+        values, rmin, rmax = sketch._arrays()
+        arrays = {"values": values, "g": np.diff(rmin, prepend=0),
+                  "delta": rmax - rmin}
+        arrays[column] = arrays[column].copy()
+        arrays[column][index] = value
+        header = {"format": "repro-gk-v1", "epsilon": 0.01, "n": sketch.n}
+        with pytest.raises(SerializationError, match="inconsistent"):
+            load_gk(_pack(header, arrays))
+
     def test_rejects_wrong_format(self):
         payload = dump_kll(filled_kll())
         with pytest.raises(SerializationError):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.persistence.serialization import dump_gk, load_gk
 from repro.sketches.base import QuantileSketch, as_int64_batch
 from repro.sketches.exact import ExactQuantiles
-from repro.sketches.gk import _JUMPER_SHARE, GKSketch, _compress_heads
+from repro.sketches.gk import GKSketch, _compress_heads
 from repro.sketches.kll import KLLSketch
 from repro.sketches.qdigest import QDigestSketch
 
@@ -218,7 +218,7 @@ def test_bulk_compress_equals_scalar_reference(log_eps, ops):
 
 
 # ----------------------------------------------------------------------
-# _compress_heads: the jumper walk == the step walk, whichever is chosen
+# _compress_heads: the jumper chain == the step walk
 # ----------------------------------------------------------------------
 
 
@@ -236,7 +236,7 @@ def make_tuples(size, threshold, small_share, max_delta, seed):
 @given(
     size=st.integers(1, 400),
     threshold=st.sampled_from([0, 1, 2, 7, 60]),
-    # never, rarely (the jumper walk), half and always (the step walk).
+    # Jumpers never, rarely, at half the tuples and nearly everywhere.
     small_share=st.sampled_from([0.0, 0.02, 0.5, 1.0]),
     max_delta=st.sampled_from([0, 2, 150]),
     seed=st.integers(0, 2**32 - 1),
@@ -265,8 +265,8 @@ def test_compress_heads_equals_the_step_walk(
 def test_compress_heads_in_every_regime(
     regime, small_share, threshold, max_delta, walk
 ):
-    """Pinned inputs on both sides of the choice, so neither walk can
-    go untested whatever hypothesis draws."""
+    """Pinned inputs from no jumper to nearly every tuple one, so no
+    jumper density goes untested whatever hypothesis draws."""
     if regime == "swallowed":
         # Runs of five 1-gaps: the top tuple of a run swallows the
         # jumpers below it, which are then never heads themselves.
@@ -277,15 +277,45 @@ def test_compress_heads_in_every_regime(
     neighbour = np.arange(-1, len(rmin) - 1)
     reach = np.searchsorted(rmin, rmax - threshold, side="left")
     jumpers = np.flatnonzero(reach < neighbour)
-    if walk == "nothing to walk":
-        assert len(jumpers) == 0
-    else:
-        few = len(jumpers) * _JUMPER_SHARE <= len(rmin)
-        assert len(jumpers) > 0 and few == (walk == "jumpers")
+    assert (len(jumpers) == 0) == (walk == "nothing to walk")
     heads = _compress_heads(rmin, rmax, threshold)
     assert np.array_equal(heads, compress_heads_reference(rmin, rmax, threshold))
     if regime == "swallowed":
         assert not set(jumpers.tolist()) <= set(heads.tolist())
+
+
+@pytest.mark.parametrize(
+    "live, chunk, writes",
+    [(50_000, 512, 6), (4096, 4096, 30)],
+    ids=["trickles-across-a-tick", "writes-into-a-growing-sketch"],
+)
+def test_measured_write_shapes_equal_the_references(live, chunk, writes):
+    """The shapes the absorb is timed on, at the stream sketch's
+    eps = 1.25e-4 (``epsilon=1e-3``): 512-element trickles into a settled
+    50 000-element sketch, the fourth across a threshold tick (2 048
+    jumpers in 6 216 merged tuples), and 4 096-element writes into a
+    growing one.  Every merge compresses to the step walk's heads and
+    every absorb leaves the list-based reference's tuples."""
+    rng = np.random.default_rng(0)
+    sketch, reference = GKSketch(1.25e-4), ReferenceGKSketch(1.25e-4)
+    for write in range(writes + 1):
+        batch = rng.integers(0, 1 << 40, live if write == 0 else chunk)
+        if write:
+            _, rmin, rmax = sketch._merge_exact_batch(np.sort(batch))
+            threshold = int(2.5e-4 * (sketch.n + chunk))
+            heads = _compress_heads(rmin, rmax, threshold)
+            assert np.array_equal(
+                heads, compress_heads_reference(rmin, rmax, threshold)
+            )
+            if live == 50_000 and write == 4:
+                jumpers = np.flatnonzero(rmin[:-2] + threshold >= rmax[2:])
+                assert threshold > int(2.5e-4 * sketch.n)  # the tick
+                assert (len(rmin), len(jumpers)) == (6216, 2048)
+        sketch.update_many(batch)
+        reference.update_many(batch)
+        for held, expected in zip(sketch._arrays(), reference._arrays()):
+            assert np.array_equal(held, expected)
+    assert sketch.n == reference.n == live + writes * chunk
 
 
 @pytest.mark.parametrize("epsilon", [0.3, 0.01, 2.5e-4])

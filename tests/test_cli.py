@@ -254,6 +254,31 @@ class TestDemo:
         assert "archiving failed" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_failed_demo_still_writes_its_fault_transcript(
+        self, tmp_path, capsys, shards
+    ):
+        """The transcript matters most when the run gives up: one file,
+        or with shards one per shard, listing every fault fired."""
+        transcript = tmp_path / "transcript"
+        code, out, err = run(capsys, "demo", "--shards", str(shards),
+                             "--steps", "2", "--batch", "1000",
+                             "--fault-plan",
+                             '{"seed": 1, "write_error_rate": 1.0}',
+                             "--fault-transcript", str(transcript))
+        assert code == 1
+        assert "archiving failed" in err and "fault transcript" in out
+        files = (
+            [transcript] if shards == 1
+            else sorted(transcript.iterdir())
+        )
+        assert len(files) == shards
+        for path in files:
+            payload = json.loads(path.read_text())
+            events = payload["events"]
+            assert events and len(events) == payload["operations"]
+            assert all(e["op"] == "write" and e["fault"] for e in events)
+
     def test_a_sharded_demo_honours_the_engine_flags(
         self, capsys, monkeypatch
     ):
