@@ -29,8 +29,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from .cluster.engine import ShardErrors
 from .core.config import EngineConfig
@@ -74,14 +75,20 @@ def _fault_plan_of(args: argparse.Namespace) -> Optional[FaultPlan]:
     return FaultPlan.from_spec(spec) if spec is not None else None
 
 
-def _load_engine_cli(args: argparse.Namespace) -> HybridQuantileEngine:
-    """Load the warehouse engine, on a fault-injecting disk if asked."""
+@contextmanager
+def _warehouse(args: argparse.Namespace) -> Iterator[HybridQuantileEngine]:
+    """The warehouse engine, on a fault-injecting disk if asked; its fault
+    transcript is dumped on the way out, failing or not, then it closes."""
     try:
-        return load_engine(args.warehouse, fault_plan=_fault_plan_of(args))
+        engine = load_engine(args.warehouse, fault_plan=_fault_plan_of(args))
     except DiskFault as fault:
-        # The transcript matters most when the load itself gave up.
         _dump_transcript(args, fault.disk)
         raise
+    with engine:
+        try:
+            yield engine
+        finally:
+            _dump_transcript(args, engine.disk)
 
 
 def _dump_transcript(args: argparse.Namespace, disk: SimulatedDisk) -> None:
@@ -94,7 +101,7 @@ def _dump_transcript(args: argparse.Namespace, disk: SimulatedDisk) -> None:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     """Stream a file of values into the warehouse (vectorized path)."""
-    with _load_engine_cli(args) as engine:
+    with _warehouse(args) as engine:
         values = read_values(args.source)
         if args.batch_size and args.batch_size > 0:
             for lo in range(0, len(values), args.batch_size):
@@ -122,12 +129,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             message += (f" [{stats.disk_faults} disk faults, "
                         f"{stats.fault_retries} retries]")
         print(message)
-        _dump_transcript(args, engine.disk)
         return 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    with _load_engine_cli(args) as engine:
+    with _warehouse(args) as engine:
         if engine.n_total == 0:
             print("error: warehouse is empty", file=sys.stderr)
             return 1
@@ -147,7 +153,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(f"reliability: {report.disk_faults} disk faults, "
                   f"{report.total_retries} retries, "
                   f"{report.degraded_queries} degraded queries")
-        _dump_transcript(args, engine.disk)
         return 0
 
 

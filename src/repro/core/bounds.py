@@ -305,50 +305,57 @@ class CombinedSummary:
         if len(entries) == 0 and len(historical) == 0:
             raise ValueError("cannot summarize an empty dataset")
 
-        # Equal entries rank alike: HS is searched once per distinct one.
-        # On ties the merge puts stream entries first, in front of the
-        # first HS value not below them.  (A stream entry's upper bound
-        # uses coefficient alpha_S while an equal historical value uses
+        # Equal entries rank alike: HS is searched once per distinct one
+        # and a running max spreads its position over the ties.  On ties
+        # the merge puts stream entries first, in front of the first HS
+        # value not below them.  (A stream entry's upper bound uses
+        # coefficient alpha_S while an equal historical value uses
         # alpha_S + 1, so this tie order keeps ``upper`` monotone for
-        # the binary searches below.)  alpha counts the entries *at
-        # most* a value: g in gap g, at an entry its whole tie group.
+        # the binary searches below.)
+        count, base = len(entries), historical.values
         first = run_starts(entries)
-        if first.all():
-            runs, sizes, tied = slice(None), 1, slice(1, None)
+        tie_free = first.all()
+        gaps = np.zeros(count + 2, dtype=np.int64)
+        left, gaps[-1] = gaps[1:-1], len(base)
+        if previous is not None and previous.historical is historical and (
+            len(previous.entries) == count
+        ):  # an entry's HS position is a function of its value alone
+            left[:] = previous.gaps[1:-1]
+            moved = np.flatnonzero(previous.entries != entries)
+            left[moved] = base.searchsorted(entries[moved], "left")
+        elif tie_free:
+            left[:] = base.searchsorted(entries, "left")
         else:
-            runs = np.flatnonzero(first)
-            ends = np.append(runs, len(entries))[1:]
-            sizes = ends - runs
-            tied = np.repeat(ends, sizes)
-        keys, base = entries[runs], historical.values
-        if previous is None or previous.historical is not historical or (
-            len(previous.entries) != len(entries)
-        ):
-            found = base.searchsorted(keys, "left")
-        else:  # a key's HS position is a function of its value alone
-            found = previous.gaps[1:-1][runs].copy()
-            moved = np.flatnonzero(previous.entries[runs] != keys)
-            found[moved] = base.searchsorted(keys[moved], "left")
-        gaps = np.concatenate(([0], np.repeat(found, sizes), [len(base)]))
-        left = gaps[1:-1]
+            left[first] = base.searchsorted(entries[first], "left")
+            np.maximum.accumulate(left, out=left)
+        # alpha counts the entries *at most* a value: g in gap g, at an
+        # entry its tie group's last one plus 1 (a running min from the
+        # right over the last ones' ``index + 1``).
+        tied = slice(1, None)
+        if not tie_free:
+            tied = np.arange(1, count + 1)
+            tied[:-1][~first[1:]] = count
+            np.minimum.accumulate(tied[::-1], out=tied[::-1])
         lower_at, upper_at = historical.shares_at(entries, left)
         m = stream_summary.stream_size
-        alphas = np.arange(len(entries) + 1)
         scale = stream_summary.eps2 * m
-        below = np.minimum((alphas - 1) * scale, m)
+        # (alpha - 1) * scale capped at m, alpha = 0..count (the float
+        # arange is exact: the products are those of an int arange).
+        below = np.arange(-1.0, count)
+        np.minimum(np.multiply(below, scale, out=below), m, out=below)
         below[0] = 0.0
         lower_at += below[tied]
         if stream_summary.strict_uppers is not None:
             # Provable bracket from the GK extraction: everything at
             # most TS[i] precedes the next strictly greater entry.
-            above = np.append(
-                stream_summary.strict_uppers.astype(np.float64), float(m)
-            )
+            above = np.empty(count + 1)
+            above[:-1], above[-1] = stream_summary.strict_uppers, m
             above[0] = 0.0
             upper_at += above[tied]
         else:
             # Lemma 1 applies to the entries themselves; every other
             # element falls between entries and pays the + 1 coefficient.
+            alphas = np.arange(count + 1)
             above = (alphas + 1) * scale
             above[0] = 0.0
             upper_at += (alphas * scale)[tied]

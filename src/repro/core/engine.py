@@ -357,24 +357,19 @@ class HybridQuantileEngine(PinnedQueries):
         return wal
 
     def _absorb_stream_tail(self) -> None:
-        """Bulk-insert the not-yet-absorbed buffer tail into the sketch.
-
-        Called at every sketch read point.  Runs under the stream lock,
-        so the absorbed prefix length and the sketch state advance
-        atomically with respect to concurrent updates and seals; the
-        ``slice_from`` view is safe because appends (which may
-        reallocate the backing array) hold the same lock.
-        """
+        """Bulk-insert the not-yet-absorbed buffer tail into the sketch,
+        at every sketch read point, under the stream lock: the absorbed
+        length and the sketch advance atomically with respect to updates
+        and seals, and appends (which may reallocate the buffer) wait.
+        GK sorts a whole step where it sits: the seal's copy is then
+        ascending, and its sorter finds nothing to sort."""
         with self._stream_lock:
             start = self._gk_absorbed
-            if start < len(self._buffer):
-                chunk = self._gk.update_many(self._buffer.slice_from(start))
-                if start == 0 and chunk is not None:
-                    # GK sorted the whole step to absorb it: the buffer
-                    # keeps that order and the seal finds nothing to
-                    # sort.  A later chunk could not make it ascending.
-                    self._buffer.keep_sorted(chunk)
-                self._gk_absorbed = len(self._buffer)
+            if start == 0 and isinstance(self._gk, GKSketch):
+                self._gk.update_many(self._buffer.contents(), in_place=True)
+            elif start < len(self._buffer):
+                self._gk.update_many(self._buffer.slice_from(start))
+            self._gk_absorbed = len(self._buffer)
 
     def stream_sketch(self) -> GKSketch:
         """The live GK sketch with every buffered element absorbed.
@@ -395,7 +390,7 @@ class HybridQuantileEngine(PinnedQueries):
         :meth:`restore_stream` takes them back."""
         sketch = self.stream_sketch()
         with self._stream_lock:
-            return sketch, np.array(self._buffer.view()), self._step
+            return sketch, np.array(self._buffer.slice_from(0)), self._step
 
     def restore_stream(
         self, sketch: QuantileSketch, buffer: np.ndarray, step: int
@@ -502,8 +497,11 @@ class HybridQuantileEngine(PinnedQueries):
     def _grow_historical_memo(self) -> None:
         """Grow the memo's HS for the adopted partition set (archiver
         ``after_adopt`` hook) once a query has put an entry in it, so the
-        next query fuses SS alone; takes the layout lock, then the memo's."""
+        next query fuses SS alone; takes the layout lock, then the memo's.
+        A sync seal, under its seal lock, derives the epoch's layout too."""
         if not self._historical_memo.empty:
+            if self.config.ingest_mode != "background":
+                self._layout = self._derive_layout()
             self._historical_memo.grow(
                 [p.summary for p in self.store.partitions() if len(p) > 0]
             )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,8 +28,17 @@ from ..warehouse.partition import Partition
 def run_starts(values: np.ndarray) -> np.ndarray:
     """Mask of the first element of every run of equal neighbours."""
     first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
+    np.not_equal(values[1:], values[:-1], out=first[1:])
     return first
+
+
+@lru_cache(maxsize=8)
+def _schedule(eps2: float) -> np.ndarray:
+    """``arange(1, beta2) * eps2``: SS's rank schedule before ``* m``,
+    one array for every caller, so read-only."""
+    schedule = np.arange(1, math.ceil(1.0 / eps2) + 1, dtype=np.int64) * eps2
+    schedule.setflags(write=False)
+    return schedule
 
 
 @dataclass(frozen=True)
@@ -150,24 +160,26 @@ class StreamSummary:
         if m == 0:
             return cls(values=np.empty(0, dtype=np.int64),
                        stream_size=0, eps2=eps2)
-        beta2 = math.ceil(1.0 / eps2) + 1
         slack = math.ceil(sketch.epsilon * m)
         # Targets min(m, ceil(i * eps2 * m) + slack) in the scalar loop's
         # float order, each answered as query_rank would: bit-identical
-        # to per-rank extraction.
-        idx = np.arange(1, beta2, dtype=np.int64)
-        targets = np.minimum(
-            m, np.ceil(idx * eps2 * m).astype(np.int64) + slack
-        )
-        values, uppers = np.empty((2, beta2), dtype=np.int64)
-        values[0], values[1:] = sketch.min_value(), sketch.query_ranks(targets)
+        # to per-rank extraction (integers this small are exact floats).
+        targets = _schedule(eps2) * m
+        np.ceil(targets, out=targets)
+        targets += slack
+        np.minimum(targets, m, out=targets)
+        values, uppers = np.empty((2, len(targets) + 1), dtype=np.int64)
+        ranks = uppers[1:]
+        ranks[:] = targets
+        values[0], values[1:] = sketch.min_value(), sketch.query_ranks(ranks)
         # GK responses are monotone in the queried rank, but guard the
         # invariant the bounds computation relies on.
         np.maximum.accumulate(values, out=values)
         # Nothing precedes the exact minimum; at most target + eps_gk*m
         # elements precede each queried response.
         uppers[0] = 0
-        np.minimum(m, targets + slack, out=uppers[1:])
+        ranks += slack
+        np.minimum(ranks, m, out=ranks)
         return cls(values=values, stream_size=m, eps2=eps2,
                    strict_uppers=uppers)
 

@@ -11,18 +11,15 @@ _INITIAL_CAPACITY = 1024
 class AppendBuffer:
     """A growable int64 array with amortized-O(1) appends.
 
-    It also owns the order of a step the sketch sorted whole:
-    :meth:`keep_sorted` writes that chunk back over the contents, and
-    :meth:`take` hands the chunk itself to the seal if nothing came
-    after it.  The seal trusts nothing: ``ExternalSorter.sorted_array``
-    looks at the bytes it is handed and sorts unless they are ascending.
+    The owner may reorder the contents in place (the engine's sketch
+    sorts a whole step where it sits, see :meth:`contents`).  The seal
+    trusts nothing: ``ExternalSorter.sorted_array`` looks at the bytes
+    :meth:`take` copies and sorts unless they are ascending.
     """
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
         self._data = np.empty(max(1, capacity), dtype=np.int64)
         self._len = 0
-        #: the chunk :meth:`keep_sorted` last wrote back, if any.
-        self._sorted = None
 
     def __len__(self) -> int:
         return self._len
@@ -52,40 +49,26 @@ class AppendBuffer:
         self._data[self._len : self._len + size] = values
         self._len += size
 
-    def view(self) -> np.ndarray:
-        """Read-only view of the buffered elements (no copy)."""
-        return self.slice_from(0)
-
     def slice_from(self, start: int) -> np.ndarray:
-        """Read-only view of elements ``[start, len)`` (no copy).
-
-        The lazy-absorption path reads the not-yet-absorbed tail with
-        this; the caller must hold whatever lock also guards appends,
-        because a concurrent ``append`` may reallocate the backing
-        array out from under the view.
-        """
+        """Read-only view of elements ``[start, len)`` (no copy), for a
+        caller holding the lock that guards appends: an ``append`` may
+        reallocate the backing array out from under the view."""
         view = self._data[max(0, start) : self._len].view()
         view.flags.writeable = False
         return view
 
-    def keep_sorted(self, chunk: np.ndarray) -> None:
-        """Overwrite the contents by ``chunk``, the same elements in
-        ascending order, and keep ``chunk`` for :meth:`take`."""
-        self._data[: self._len] = chunk
-        self._sorted = chunk
+    def contents(self) -> np.ndarray:
+        """Writable view of the buffered elements (no copy), to reorder
+        in place under the same lock."""
+        return self._data[: self._len]
 
     def take(self) -> np.ndarray:
-        """Return the contents as a read-only array and reset the buffer.
+        """Return a read-only copy of the contents and reset the buffer.
 
-        That is the kept chunk if nothing came after it, else a copy.
         The backing capacity is retained, so a steady-state engine
-        sealing equal-sized batches stops allocating after the first
-        step.
+        sealing equal-sized batches reuses its buffer every step.
         """
-        sealed = self._sorted
-        if sealed is None or len(sealed) != self._len:
-            sealed = self._data[: self._len].copy()
+        sealed = self._data[: self._len].copy()
         sealed.setflags(write=False)
         self._len = 0
-        self._sorted = None
         return sealed

@@ -153,10 +153,11 @@ def _write_floor(directory: Path, lsn: int, fsync: bool) -> None:
     os.replace(tmp, path)
 
 
-def _encode_frame(rtype: int, lsn: int, meta: int, payload: bytes) -> bytes:
+def _frame_head(rtype: int, lsn: int, meta: int, payload) -> bytes:
+    """A frame up to its payload: header, CRC32 over header + payload."""
     head = _FRAME_HEAD.pack(_FRAME_MAGIC, rtype, lsn, meta, len(payload))
     crc = zlib.crc32(payload, zlib.crc32(head)) & 0xFFFFFFFF
-    return head + _FRAME_CRC.pack(crc) + payload
+    return head + _FRAME_CRC.pack(crc)
 
 
 class _Torn(Exception):
@@ -378,7 +379,7 @@ class WriteAheadLog:
         _fsync_dir(self.directory)
         self._active_last = 0
 
-    def _append(self, rtype: int, meta: int, payload: bytes) -> int:
+    def _append(self, rtype: int, meta: int, payload) -> int:
         if self._closed:
             raise WalError("write-ahead log is closed")
         if self._file is not None and (
@@ -388,7 +389,8 @@ class WriteAheadLog:
         if self._file is None:
             self._open_segment()
         self._lsn += 1
-        self._file.write(_encode_frame(rtype, self._lsn, meta, payload))
+        self._file.write(_frame_head(rtype, self._lsn, meta, payload))
+        self._file.write(payload)  # the caller's buffer, not a copy
         self._file.flush()
         if self.fsync:
             os.fsync(self._file.fileno())
@@ -403,12 +405,8 @@ class WriteAheadLog:
 
     def append_batch(self, values: np.ndarray) -> int:
         """Durably log one acked ingest batch; returns its LSN."""
-        arr = np.ascontiguousarray(
-            np.asarray(values, dtype=np.int64).ravel()
-        )
-        return self._append(
-            RECORD_BATCH, int(arr.size), arr.astype("<i8").tobytes()
-        )
+        arr = np.ascontiguousarray(values, dtype="<i8").ravel()
+        return self._append(RECORD_BATCH, int(arr.size), arr.view(np.uint8))
 
     def append_seal(self, step: int) -> int:
         """Durably log one ``end_time_step`` seal; returns its LSN."""

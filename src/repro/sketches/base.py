@@ -29,12 +29,7 @@ class QuantileSketch(ABC):
 
     @abstractmethod
     def update_many(self, values: np.ndarray) -> None:
-        """Process a numpy batch of elements in one pass.
-
-        A sketch that sorts the batch may return its sorted copy (GK
-        does): the engine keeps it for the seal.  ``None`` means
-        nothing was sorted.
-        """
+        """Process a numpy batch of elements in one pass."""
 
     @property
     @abstractmethod

@@ -156,7 +156,7 @@ class GKSketch(QuantileSketch):
                 self._compress()
                 self._since_compress = 0
 
-    def update_many(self, values: np.ndarray) -> "np.ndarray | None":
+    def update_many(self, values: np.ndarray, in_place: bool = False) -> None:
         """Bulk-insert a numpy batch: sort once, merge once.
 
         Small batches fall back to per-element updates.  Large batches
@@ -164,22 +164,21 @@ class GKSketch(QuantileSketch):
         the summary with exact-rank algebra and compressed on arrays,
         leaving the tuples the scalar :meth:`_compress` would — so the
         ``eps``-guarantee is preserved (docs/THEORY.md, "Batched
-        updates").  Returns the sorted copy of the batch it made (the
-        engine keeps it, so the seal need not sort again), ``None``
-        where nothing was sorted.
+        updates").  With ``in_place`` a writable int64 ``values`` is
+        sorted where it sits instead of in a copy: the engine gives its
+        buffer, so the step it seals is ascending already.
 
         Thread-safety: mutations run under the sketch's mutate lock,
         consistent with :meth:`update` and :meth:`snapshot`.
         """
         arr = as_int64_batch(values)
-        if arr.size == 0:
-            return None
         if arr.size < _BATCH_THRESHOLD:
             with self._mutate_lock:
                 for value in arr:
                     self.update(int(value))
-            return None
-        batch = np.sort(arr)
+            return
+        batch = arr if in_place else arr.copy()
+        batch.sort()
         with self._mutate_lock:
             total = self._n + int(batch.size)
             threshold = int(self._two_eps * total)
@@ -201,7 +200,6 @@ class GKSketch(QuantileSketch):
             self._columns = None
             self._n = total
             self._since_compress = 0
-        return batch
 
     def _merge_exact_batch(
         self, batch: np.ndarray
@@ -321,22 +319,25 @@ class GKSketch(QuantileSketch):
         """
         if self._n == 0:
             raise ValueError("sketch is empty")
-        targets = np.clip(np.asarray(ranks, dtype=np.int64), 1, self._n)
+        keys = np.maximum(np.asarray(ranks, dtype=np.int64), 1)
+        np.minimum(keys, self._n, out=keys)
         # A tuple comes before the first whose rmax exceeds x = t + eps*n
-        # when its integer rmax is at most floor(x) (int() floors what is
-        # positive): the search runs on integers, nothing is cast.
-        keys = (targets + self.epsilon * self._n).astype(np.int64)
+        # when its integer rmax is at most floor(x) (the cast floors what
+        # is positive): the search runs on integers.
+        np.add(keys, self.epsilon * self._n, out=keys, casting="unsafe")
         values, _, rmax = self._arrays()
         last = len(values) - 1
         if self._stride is not None:
             # Of the ranks n, n - stride, ... that is arithmetic.
-            ahead = (keys - self._n) // self._stride
-            return values[np.clip(last + ahead, 0, last)]
-        # The first tuple with rmax > key equals the first tuple whose
-        # running max exceeds it, and the running max is sorted — so the
-        # scalar argmax scan becomes one searchsorted.
-        first = np.searchsorted(np.maximum.accumulate(rmax), keys, "right")
-        return values[np.clip(first - 1, 0, last)]
+            keys -= self._n
+            keys //= self._stride
+            keys += last
+        else:  # the first rmax over the key is the first running max
+            # over it, and the running max is sorted: one searchsorted.
+            keys = np.searchsorted(np.maximum.accumulate(rmax), keys, "right")
+            keys -= 1
+        np.maximum(keys, 0, out=keys)
+        return values[np.minimum(keys, last, out=keys)]
 
     def rank_bounds(self, value: int) -> Tuple[int, int]:
         """Bounds ``(rmin, rmax)`` on the rank of an arbitrary ``value``.

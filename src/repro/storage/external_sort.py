@@ -80,10 +80,9 @@ class ExternalSorter:
         The caller persists the result (e.g. as a :class:`SortedRun`)
         and accounts for that final write itself.  The modeled passes
         are charged from the size alone.  Data that is ascending already
-        (a step the stream sketch absorbed in one chunk, see
-        ``AppendBuffer.keep_sorted``) is returned as it is, uncopied:
-        one comparison pass finds that out, a twentieth of the sort it
-        spares.  A sort's output is frozen, so the run adopts it.
+        (a step the GK absorb sorted where it sits) is returned as it
+        is, uncopied: one comparison pass finds that out, a twentieth of
+        the sort it spares.  A sort's output is frozen: the run adopts it.
         """
         arr = np.asarray(data, dtype=np.int64)
         for _ in range(self.passes_needed(len(arr))):

@@ -6,8 +6,10 @@ thread in sync mode, on the archiver thread in background mode — so the
 first quick query after a seal only fuses the stream half: it calls
 neither ``HistoricalSummary.extended`` nor ``HistoricalSummary.fold``.
 A cascade merge, which leaves no memoised prefix, is folded at the
-adoption too.  Memos that no query reads (a cluster's shards, an engine
-nobody queries) stay empty, and no seal derives a layout for them.
+adoption too.  A sync seal also derives its epoch's layout there, so
+that query derives none.  Memos that no query reads (a cluster's shards,
+an engine nobody queries) stay empty, and no seal derives a layout for
+them.
 """
 
 import numpy as np
@@ -93,6 +95,23 @@ def test_the_seal_grows_hs_and_the_next_quick_only_fuses(mode, hs_calls):
             assert hs_calls == []
             stats = engine.epoch_stats
             assert (stats.hs_builds, stats.hs_extends) == counts
+            assert_answers_from_scratch(engine)
+
+
+def test_a_sync_seal_derives_the_layout_the_next_query_reads(monkeypatch):
+    derived = count_derivations(monkeypatch)
+    config = EngineConfig(epsilon=0.05, kappa=2, block_elems=16)
+    rng = np.random.default_rng(23)
+    with HybridQuantileEngine(config=config) as engine:
+        engine.stream_update_many(rng.integers(0, 10**6, 300))
+        engine.quantile(0.5, "quick")  # from now on the memo is read
+        for _ in range(4):  # kappa = 2: the second and fourth seals merge
+            derived.clear()
+            engine.end_time_step()
+            assert derived == [engine]
+            engine.stream_update_many(rng.integers(0, 10**6, 300))
+            engine.quantile(0.5, "quick")
+            assert derived == [engine]
             assert_answers_from_scratch(engine)
 
 

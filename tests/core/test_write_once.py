@@ -1,18 +1,20 @@
-"""The step is sorted once (count-based guards).
+"""The step is sorted once, where it sits (count-based guards).
 
-The GK bulk absorb sorts the buffer tail it swallows; when
-that tail is the whole step the engine writes the order back over the
-buffer (``AppendBuffer.keep_sorted``) and the seal's sorter, which looks
-at the bytes it is handed, finds nothing to sort.  Whatever the chunking,
-the partition bytes, the ``PartitionSummary``, the ``StepReport`` I/O and
-every later answer must be those of a twin engine that sealed the same
-feed without ever being polled (nothing absorbed, nothing written back:
-the path every seal took before) — only the number of sorts may differ.
+The GK bulk absorb sorts the buffer tail it swallows; when that tail is
+the whole step the engine hands the sketch its buffer and the sort runs
+there, in place, so the seal's copy of the buffer (``AppendBuffer.take``)
+is ascending and the seal's sorter, which looks at the bytes it is
+handed, finds nothing to sort.  Whatever the chunking, the partition
+bytes, the ``PartitionSummary``, the ``StepReport`` I/O and every later
+answer must be those of a twin engine that sealed the same feed without
+ever being polled (nothing absorbed, nothing sorted in place: the path
+every seal took before) — only the number of sorts may differ.
 
-The step is also stored once: a polled step's run is the array the
-sketch sorted, a simulated-backend merge's run is the merge output
+The step is also stored once: a polled step's run is the seal's copy,
+a simulated-backend merge's run is the merge output
 (``np.shares_memory``), a file-backed merge still goes through its own
-mapping, and a caller's array is still copied.
+mapping, and a caller's array is still copied.  The poll that absorbs a
+whole step allocates nothing step-sized (``tracemalloc``).
 """
 
 import threading
@@ -23,6 +25,7 @@ import pytest
 
 from repro import EngineConfig, HybridQuantileEngine
 from repro.ingest.archiver import MAX_PENDING_BATCHES
+from repro.ingest.buffer import AppendBuffer
 from repro.ingest.wal import WriteAheadLog
 from repro.persistence import load_engine, save_engine
 from repro.storage.external_sort import ExternalSorter
@@ -277,9 +280,9 @@ def test_wal_replay_then_seal(tmp_path, monkeypatch):
 
 
 def test_write_back_loses_nothing_under_concurrent_appends():
-    """The write-back overwrites buffer elements in place while other
-    threads append and seal: every element fed must come out of the
-    warehouse or the stream exactly once."""
+    """The absorb sorts buffer elements in place while other threads
+    append and seal: every element fed must come out of the warehouse or
+    the stream exactly once."""
     import sys
     import threading
     import time
@@ -352,20 +355,53 @@ def returned_by(monkeypatch, owner, name):
         yield seen
 
 
-def test_a_polled_step_is_stored_in_the_array_the_sketch_sorted(monkeypatch):
-    from repro.sketches.gk import GKSketch
-
+def test_a_polled_step_is_sorted_in_the_buffer_and_stored_as_the_seals_copy(
+    monkeypatch,
+):
     values = feeds()[0]
-    with make_engine() as engine, returned_by(
-        monkeypatch, GKSketch, "update_many"
-    ) as sorted_by_gk:
+    real_sort, sorts = np.sort, []
+
+    def counted_sort(array, *args, **kwargs):
+        sorts.append(len(array))
+        return real_sort(array, *args, **kwargs)
+
+    with make_engine() as engine, make_engine() as twin:
         engine.stream_update_many(values)
-        poll(engine)
-        engine.end_time_step()
-    (chunk,) = sorted_by_gk
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "sort", counted_sort)
+            poll(engine)
+        assert sorts == []  # sorted where it sits, not into a copy
+        assert np.array_equal(engine._buffer.slice_from(0), np.sort(values))
+        with returned_by(monkeypatch, AppendBuffer, "take") as taken:
+            engine.end_time_step()
+        unpolled(twin, values)
+        twin.end_time_step()
+    (copy,) = taken
     (partition,) = engine.store.partitions()
-    assert np.shares_memory(partition.run.values, chunk)
-    assert not chunk.flags.writeable
+    (twin_partition,) = twin.store.partitions()
+    assert np.shares_memory(partition.run.values, copy)
+    assert not copy.flags.writeable
+    assert copy.tobytes() == twin_partition.run.values.tobytes()
+
+
+def test_the_poll_that_absorbs_a_step_allocates_nothing_step_sized():
+    """What the quick answer keeps (the sketch's tuples, SS and TS) is
+    about half the step's bytes at this size; on top of it the call may
+    peak by a quarter of them.  A sort copy alone is the whole step."""
+    import tracemalloc
+
+    step = np.random.default_rng(11).integers(0, 10**9, 75_000)
+    with HybridQuantileEngine(epsilon=1e-3) as engine:
+        for lo in range(0, step.size, 4096):
+            engine.stream_update_many(step[lo : lo + 4096])
+        tracemalloc.start()
+        try:
+            engine.quantile(0.99, mode="quick")
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak - retained <= 0.25 * step.nbytes
+    assert retained <= 0.75 * step.nbytes
 
 
 def test_a_simulated_cascade_keeps_the_merge_output(monkeypatch):

@@ -1,5 +1,8 @@
 """WAL unit tests: framing, LSNs, rotation, truncation, salvage."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,38 @@ def test_append_scan_roundtrip(tmp_path):
     np.testing.assert_array_equal(scan.records[0].values, batch(3, 1, 2))
     assert scan.records[1].meta == 1  # the sealed step number
     assert scan.records[2].meta == 1  # the batch element count
+
+
+def encode_frame(rtype, lsn, meta, payload):
+    """A frame as one ``bytes``: header, CRC32 over header + payload, and
+    the payload copied in after them."""
+    head = struct.pack("<IBQQI", 0x52574C46, rtype, lsn, meta, len(payload))
+    crc = zlib.crc32(payload, zlib.crc32(head)) & 0xFFFFFFFF
+    return head + struct.pack("<I", crc) + payload
+
+
+def test_segment_bytes_equal_the_encoded_frames(tmp_path):
+    """Header and payload buffer written one after the other make the
+    bytes of each frame encoded whole (batch type 1, seal type 2)."""
+    rng = np.random.default_rng(4)
+    fed = [
+        rng.integers(-(2**62), 2**62, 16384),
+        rng.integers(0, 9, (3, 5)).astype(np.int32),  # cast and flattened
+        np.arange(10, dtype=np.int64)[::2],  # strided
+        batch(),
+    ]
+    with WriteAheadLog(tmp_path) as wal:
+        for values in fed:
+            wal.append_batch(values)
+        wal.append_seal(7)
+    expected = b"RPWAL001"
+    for lsn, values in enumerate(fed, start=1):
+        flat = np.asarray(values, dtype=np.int64).ravel()
+        payload = flat.astype("<i8").tobytes()
+        expected += encode_frame(1, lsn, flat.size, payload)
+    expected += encode_frame(2, len(fed) + 1, 7, b"")
+    (segment,) = tmp_path.glob("wal-*.seg")
+    assert segment.read_bytes() == expected
 
 
 def test_lsns_resume_across_reopen(tmp_path):

@@ -158,6 +158,24 @@ class TestIngestAndQuery:
         assert code == 1
         assert faulted == plain
 
+    def test_a_failed_ingest_still_writes_its_fault_transcript(
+        self, tmp_path, capsys
+    ):
+        """Every archive write faults, so the ingest exits 1; the
+        transcript it leaves lists those faults and nothing else."""
+        warehouse, batch = tmp_path / "wh", tmp_path / "b.npy"
+        transcript = tmp_path / "t.json"
+        run(capsys, "init", str(warehouse))
+        np.save(batch, np.random.default_rng(1).integers(0, 10**6, 4000))
+        code, out, err = run(capsys, "ingest", str(warehouse), str(batch),
+                             "--archive", "--fault-plan",
+                             '{"seed": 1, "write_error_rate": 1.0}',
+                             "--fault-transcript", str(transcript))
+        assert code == 1 and "error:" in err and "fault transcript" in out
+        events = json.loads(transcript.read_text())["events"]
+        assert events
+        assert all(e["op"] == "write" and e["fault"] for e in events)
+
 
 class TestObjectTier:
     def test_each_invocation_tiers_only_its_own_runs(
