@@ -16,6 +16,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
 
+# Autouse: every HistoricalMemo.check_invariants call sweeps the TS doors.
+from tests.core.ts_arrays_reference import sweep_after_check_invariants  # noqa: E402,F401
+
 
 def pytest_collection_modifyitems(items):
     """Every benchmark is benchmark-adjacent by definition: mark slow.

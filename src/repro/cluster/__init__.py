@@ -8,7 +8,7 @@ from .engine import (
     ShardErrors,
     shard_dir,
 )
-from .persistence import list_shard_dirs, load_cluster, save_cluster
+from .persistence import load_cluster, save_cluster
 from .router import ShardRouter
 from .supervisor import RecoveryEvent, ShardSupervisor
 
@@ -21,7 +21,6 @@ __all__ = [
     "ShardSupervisor",
     "ShardedBlockCache",
     "ShardRouter",
-    "list_shard_dirs",
     "load_cluster",
     "save_cluster",
     "shard_dir",

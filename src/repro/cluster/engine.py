@@ -244,11 +244,11 @@ class ClusterSnapshot(PinnedView):
     retry with its partial results.  Built over pinned handles (one per
     shard, released with the view: the equivalence harness passes
     standalone engines' handles) or by :meth:`repinned`.  ``shard_ids``
-    names the cluster-wide id behind each handle (default: positions)
-    and ``missing`` maps quarantined shard ids to their acked counts.
-    ``historical_memo`` and ``stream`` (the handles' merged stream) are
-    the owning cluster's; without them the snapshot keeps its own memo
-    and merges its own stream — the same arrays either way.
+    names the cluster-wide id behind each handle, ``historical_memo`` is
+    the owning cluster's (or one of the view's own) and ``missing`` maps
+    quarantined shard ids to their acked counts.  ``stream`` is the
+    handles' merged stream; without it the snapshot merges its own — the
+    same arrays either way.
     """
 
     def __init__(
@@ -256,15 +256,13 @@ class ClusterSnapshot(PinnedView):
         handles: Sequence[SnapshotHandle],
         config: EngineConfig,
         executor: QueryExecutor,
-        shard_ids: Optional[Sequence[int]] = None,
+        shard_ids: Sequence[int],
+        historical_memo: HistoricalMemo,
         missing: Optional[Mapping[int, int]] = None,
-        historical_memo: Optional[HistoricalMemo] = None,
         stream: Optional[StreamView] = None,
     ) -> None:
         if not handles:
             raise ValueError("a cluster snapshot needs at least one shard")
-        if shard_ids is None:
-            shard_ids = range(len(handles))
         ids = tuple(map(int, shard_ids))
         if len(ids) != len(handles):
             raise ValueError(
@@ -285,7 +283,7 @@ class ClusterSnapshot(PinnedView):
         historical_memo: HistoricalMemo, pin: bool = True,
     ) -> "ClusterSnapshot":
         """A new view over ``gather`` with pins of its own: each handle's
-        registry refcount and run pins taken again, directly.  With
+        registry pin and run pins taken again, directly.  With
         ``pin=False`` it takes none and is born released."""
         view = cls.__new__(cls)
         view._read(gather, config, executor, missing, historical_memo)
@@ -305,7 +303,7 @@ class ClusterSnapshot(PinnedView):
         self.missing: Dict[int, int] = (
             {int(k): int(v) for k, v in missing.items()} if missing else {}
         )
-        self._historical_memo = historical_memo or HistoricalMemo()
+        self._historical_memo = historical_memo
 
     def _release_pins(self) -> None:
         for handle in self.handles:
@@ -766,7 +764,7 @@ class ClusterEngine(PinnedQueries):
             raise
         view = ClusterSnapshot(
             handles, self.config, self._executor, [i for i, _ in live],
-            self._missing(), self._historical_memo, stream,
+            self._historical_memo, self._missing(), stream,
         )
         self._gather = view._gather
         return view

@@ -128,9 +128,3 @@ def _read_manifest(root: Path) -> dict:
     except json.JSONDecodeError as exc:
         raise PersistenceError(f"garbled cluster manifest: {exc}") from exc
 
-
-def list_shard_dirs(directory: "str | Path") -> List[Path]:
-    """The checkpoint's shard directories, in shard order."""
-    root = Path(directory)
-    manifest = _read_manifest(root)
-    return [shard_dir(root, i) for i in range(int(manifest["shards"]))]

@@ -120,11 +120,6 @@ class ShardSupervisor:
     # -- introspection --------------------------------------------------
 
     @property
-    def failed_shards(self) -> Dict[int, str]:
-        """Shards whose restore budget is spent -> last failure reason."""
-        return dict(self._failed)
-
-    @property
     def pending_shards(self) -> List[int]:
         """Quarantined shards still inside their restore budget."""
         return sorted(
@@ -136,19 +131,6 @@ class ShardSupervisor:
     def attempts(self, shard: int) -> int:
         """Restore attempts made for ``shard`` so far."""
         return self._attempts.get(shard, 0)
-
-    def dump_events(self, path: "str | Path") -> Path:
-        """Write the recovery transcript as JSON (CI artifact)."""
-        import json
-
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                [event.as_dict() for event in self.events], indent=2
-            )
-        )
-        return path
 
     # -- the supervision loop -------------------------------------------
 

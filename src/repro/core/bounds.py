@@ -23,7 +23,8 @@ live sketch, and ``alpha_S`` is constant between two consecutive SS
 entries, so :meth:`CombinedSummary.fuse` only ranks the SS entries in
 HS and tabulates the stream term per *gap* between them; the quick
 response (Algorithm 5) and filter generation (Algorithm 7) search the
-two halves for their slot, no merged array is built.
+two halves for their slot.  The merged arrays ``TS``, ``L`` and ``U``
+exist only as the tests' reference (``tests/core/ts_arrays_reference.py``).
 :meth:`CombinedSummary.build` does both halves, from scratch or through
 a memo that redoes each only when its input changed
 (:class:`~repro.core.epoch.HistoricalMemo`).
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -64,11 +64,6 @@ class PartialResult:
     shards_answering: int
     #: the surviving-scope bound before widening.
     base_bound: float
-
-    @property
-    def shards_total(self) -> int:
-        """Total shards in the cluster: answering plus missing."""
-        return self.shards_answering + len(self.missing_shards)
 
 
 def widen_rank_bound(base_bound: float, missing_elements: int) -> float:
@@ -103,17 +98,16 @@ class _Merge:
         #: per entry, how many base values are below it.
         self.left = np.searchsorted(base, entries, side="left")
         self.slots = np.arange(len(entries)) + self.left
-        #: slots holding entries (the others hold base values).
-        self.inserted = np.zeros(len(base) + len(entries), dtype=bool)
-        self.inserted[self.slots] = True
-        self._kept = ~self.inserted
+        #: slots holding base values (the others hold entries).
+        self._kept = np.ones(len(base) + len(entries), dtype=bool)
+        self._kept[self.slots] = False
 
     def place(
         self, base: np.ndarray, entries: np.ndarray, merged=None
     ) -> np.ndarray:
         """Each element of both sides in its slot of ``merged`` (new if None)."""
         if merged is None:
-            merged = np.empty(len(self.inserted), dtype=base.dtype)
+            merged = np.empty(len(self._kept), dtype=base.dtype)
         merged[self._kept] = base
         merged[self.slots] = entries
         return merged
@@ -245,9 +239,8 @@ class CombinedSummary:
     ``g`` (the last gap follows the last entry; an HS value equal to an
     entry sits behind it).  An HS slot's bound is its HS share plus the
     stream's term, which depends on its gap alone; an entry's is
-    tabulated.  ``values``, ``from_stream``, ``lower`` and ``upper`` are
-    the paper's arrays, materialised from those tables on first use —
-    for tests and invariant checks: no query reads them.
+    tabulated.  The paper's per-element arrays are never built: every
+    door searches these tables.
     """
 
     historical: HistoricalSummary
@@ -444,22 +437,3 @@ class CombinedSummary:
             # bracket [min, max] of the pair is always safe.
             u, v = v, u
         return u, v
-
-    @cached_property
-    def _arrays(self) -> "tuple[np.ndarray, ...]":
-        """``(values, from_stream, lower, upper)``: both halves merged,
-        an HS slot's bound its share plus its gap's term."""
-        merge = _Merge(self.historical.values, self.entries)
-        sizes = np.diff(self.gaps)
-        bounds = []
-        for base, term, at in (self.lower_tables, self.upper_tables):
-            bounds.append(merge.place(base + np.repeat(term, sizes), at))
-        values = merge.place(self.historical.values, self.entries)
-        return (values, merge.inserted, *bounds)
-
-    #: the paper's arrays: every summary element ascending (duplicates
-    #: kept), whether each came from SS, and every ``L_i`` / ``U_i``.
-    values = property(lambda self: self._arrays[0])
-    from_stream = property(lambda self: self._arrays[1])
-    lower = property(lambda self: self._arrays[2])
-    upper = property(lambda self: self._arrays[3])

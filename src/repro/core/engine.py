@@ -204,8 +204,8 @@ class HybridQuantileEngine(PinnedQueries):
         self._degraded_queries = 0
         self._reliability_lock = threading.Lock()
         # Epoch layer: every structural transition (seal, adoption)
-        # bumps the epoch, and pinned SnapshotHandles are refcounted
-        # per epoch — the serving layer's consistency unit.
+        # bumps the epoch — the serving layer's consistency unit — and
+        # the registry counts the live pins.
         self._epochs = EpochRegistry()
         # The historical half of TS per partition set and the TS last
         # fused onto it, shared by every handle this engine pins.
@@ -666,7 +666,7 @@ class HybridQuantileEngine(PinnedQueries):
         )
 
     def pin(self) -> SnapshotHandle:
-        """Pin a refcounted, consistent (HS, SS, partition-set) view.
+        """Pin a consistent (HS, SS, partition-set) view.
 
         The layout (adopted plus staged pending partitions) and the
         stream view are taken atomically under the seal lock, so the

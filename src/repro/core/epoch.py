@@ -21,13 +21,11 @@ and answering the *same* rank against the *same* handle or TS is
 deterministic, which the concurrency stress suite exploits to check
 bit-identical replay.
 
-:class:`EpochRegistry` refcounts the handles pinned per epoch.  When
-the archiver adopts a partition it bumps the epoch; an old epoch whose
-last handle releases is *retired* (its partition references drop, so in
-a file-backed deployment the manifest refcount would free the
-pre-merge partition files).  The registry also counts TS merges —
-the serving benchmark's coalescing ratio is
-``ts_merges / requests_served``.
+:class:`EpochRegistry` counts the epoch bumps, the live pins and TS
+merges — the serving benchmark's coalescing ratio is
+``ts_merges / requests_served``.  Leaving an epoch behind frees
+nothing: a merge deletes the runs it replaced at once, and a handle
+pinned before it reads bytes that were already copied into memory.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,8 +61,6 @@ class EpochStats:
     live_pins: int
     #: high-water mark of concurrently pinned handles.
     peak_pins: int
-    #: epochs fully released after falling behind the current one.
-    epochs_retired: int
     #: TS resolutions (``CombinedSummary.build`` passes; the halves are
     #: searched, not merged) — the coalescing ratio's denominator side.
     ts_merges: int
@@ -79,15 +75,13 @@ class EpochStats:
 
 
 class EpochRegistry:
-    """Monotone epoch counter plus per-epoch handle refcounts."""
+    """Monotone epoch counter plus a count of live pins."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._epoch = 0
-        self._refs: Dict[int, int] = {}
         self._live = 0
         self._peak = 0
-        self._retired = 0
         self._seal_bumps = 0
         self._adopt_bumps = 0
         self._ts_merges = 0
@@ -115,29 +109,16 @@ class EpochRegistry:
                 self._seal_bumps += 1
             return self._epoch
 
-    def pin(self, epoch: int) -> None:
-        """Register one handle pinned at ``epoch``."""
+    def pin(self) -> None:
+        """Register one pinned handle."""
         with self._lock:
-            self._refs[epoch] = self._refs.get(epoch, 0) + 1
             self._live += 1
             self._peak = max(self._peak, self._live)
 
-    def release(self, epoch: int) -> None:
-        """Drop one handle's pin; retire the epoch when it empties.
-
-        An epoch is retired once its last handle releases *and* it is
-        no longer current — the moment its pre-merge partition
-        references become unreachable.
-        """
+    def release(self) -> None:
+        """Drop one handle's pin."""
         with self._lock:
-            count = self._refs.get(epoch, 0) - 1
             self._live -= 1
-            if count <= 0:
-                self._refs.pop(epoch, None)
-                if epoch != self._epoch:
-                    self._retired += 1
-            else:
-                self._refs[epoch] = count
 
     def note_ts_merge(self) -> None:
         """Count one TS merge performed on behalf of queries."""
@@ -153,7 +134,6 @@ class EpochRegistry:
                 adopt_bumps=self._adopt_bumps,
                 live_pins=self._live,
                 peak_pins=self._peak,
-                epochs_retired=self._retired,
                 ts_merges=self._ts_merges,
             )
 
@@ -309,44 +289,34 @@ class HistoricalMemo:
 
     def check_invariants(self) -> None:
         """Assert every memoised HS and retained TS equals a fresh build,
-        and that the TS is searched as its arrays would be."""
+        field by field."""
         with self._lock:
             entries = [replace(entry) for entry in self._entries.values()]
-        names = ("values", "lower", "upper", "total_size")
         for entry in entries:
-            ts = entry.combined
-            fresh = HistoricalSummary.fold(entry.summaries)
-            pairs = [(entry.historical, fresh, names)]
-            if ts is not None:
+            fold = HistoricalSummary.fold(entry.summaries)
+            pairs = [(entry.historical, fold)]
+            if entry.combined is not None:
                 built = CombinedSummary.build(
                     entry.summaries, entry.stream_summary
                 )
-                # Arrays of a copy (unless it built its own): it stays small.
-                held = ts if "_arrays" in vars(ts) else replace(ts)
-                pairs.append((held, built, names + ("from_stream",)))
-            for held, fresh, compared in pairs:
+                pairs.append((entry.combined, built))
+            for held, fresh in pairs:
                 if not all(
-                    np.array_equal(getattr(held, n), getattr(fresh, n))
-                    for n in compared
+                    np.array_equal(a, b)
+                    for a, b in zip(_fields(held), _fields(fresh))
                 ):
                     raise AssertionError(
                         f"memoised {type(fresh).__name__} is not a fresh build"
                     )
-            if ts is None:
-                continue
-            # Algorithms 5 and 7 read off the fresh arrays, at the ranks
-            # on and beside every 97th element's own bounds.
-            near = np.rint(np.append(built.lower[::97], built.upper[::97]))
-            for rank in (int(b) + step for b in near for step in (-1, 0, 1)):
-                x = int(np.searchsorted(built.upper, rank, "right")) - 1
-                y = int(np.searchsorted(built.lower, rank, "left"))
-                u = int(built.values[x]) if x >= 0 else built.minimum - 1
-                v = int(built.values[min(y, len(built) - 1)])
-                searched = ts.quick_response(rank), ts.generate_filters(rank)
-                if searched != (v, (min(u, v), max(u, v))):
-                    raise AssertionError(
-                        f"TS searched differs from TS built at rank {rank}"
-                    )
+
+
+def _fields(summary: Any) -> "tuple":
+    """What a memoised HS or TS must share with a fresh build."""
+    if isinstance(summary, HistoricalSummary):
+        return (summary.values, summary.lower, summary.upper,
+                summary.total_size)
+    return (*_fields(summary.historical), summary.entries, summary.gaps,
+            *summary.lower_tables, *summary.upper_tables, summary.total_size)
 
 
 class Layout(NamedTuple):
@@ -367,14 +337,14 @@ class Layout(NamedTuple):
 
 
 class SnapshotHandle(PinnedView):
-    """A refcounted pin of one consistent (HS, SS, partition-set) view.
+    """A pin of one consistent (HS, SS, partition-set) view.
 
     Created by :meth:`HybridQuantileEngine.pin`; release with
     :meth:`release` (or use as a context manager).  One built with
     ``pin=False`` holds no pins and is born released.  The verbs are
     :class:`~repro.core.query_path.PinnedView`'s, and so is the scope
-    code; what is here is the pin: the registry refcount and the backend
-    run pins, the epoch's shared :class:`Layout`, the shared
+    code; what is here is the pin: the registry's pin count and the
+    backend run pins, the epoch's shared :class:`Layout`, the shared
     :class:`StreamView` and the engine's :class:`HistoricalMemo` (one
     counted merge per resolution).
     """
@@ -397,14 +367,14 @@ class SnapshotHandle(PinnedView):
             self._pin()
 
     def _pin(self) -> None:
-        """Take a registry refcount and a backend pin per run (what
+        """Take a registry pin and a backend pin per run (what
         :meth:`_release_pins` drops): the hot tier's LRU never demotes a
         pinned run from under a probe."""
-        self._engine._epochs.pin(self.epoch)
+        self._engine._epochs.pin()
         self._engine.disk.backend.pin_runs(self._run_ids)
 
     def _release_pins(self) -> None:
-        self._engine._epochs.release(self.epoch)
+        self._engine._epochs.release()
         self._engine.disk.backend.unpin_runs(self._run_ids)
 
     # -- derived views --------------------------------------------------

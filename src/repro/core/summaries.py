@@ -186,11 +186,6 @@ class StreamSummary:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def is_empty(self) -> bool:
-        """Whether the summarized stream had no elements."""
-        return self.stream_size == 0
-
     def alpha(self, value: int) -> int:
         """Number of summary elements <= ``value`` (the paper's alpha_S)."""
         return int(np.searchsorted(self.values, value, side="right"))

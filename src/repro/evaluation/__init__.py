@@ -1,8 +1,8 @@
 """Experiment harness: runner, metrics, theory bounds, reporting."""
 
 from .calibration import CalibrationPoint, calibrate_gk, calibrate_qdigest
-from .metrics import QueryAccuracy, measure, rank_error_is_inherent
-from .reporting import format_table, print_table, write_csv
+from .metrics import QueryAccuracy, measure
+from .reporting import format_table, print_table
 from .runner import (
     DEFAULT_PHIS,
     EngineRun,
@@ -25,10 +25,8 @@ __all__ = [
     "calibrate_qdigest",
     "QueryAccuracy",
     "measure",
-    "rank_error_is_inherent",
     "format_table",
     "print_table",
-    "write_csv",
     "DEFAULT_PHIS",
     "EngineRun",
     "ExperimentResult",

@@ -48,16 +48,3 @@ def measure(result: QueryResult, oracle: ExactQuantiles) -> QueryAccuracy:
         relative_error=rank_error / denominator,
     )
 
-
-def rank_error_is_inherent(
-    result: QueryResult, oracle: ExactQuantiles
-) -> bool:
-    """Whether the measured rank error is due to duplicates alone.
-
-    With heavy duplication even the *exact* phi-quantile element can
-    have a true rank far above the target (Definition 1 returns the
-    smallest element whose rank reaches the target).  This helper
-    checks whether the returned element equals the exact answer, so
-    tests can distinguish algorithmic error from inherent data error.
-    """
-    return result.value == oracle.query_rank(result.target_rank)

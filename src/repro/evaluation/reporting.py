@@ -6,8 +6,6 @@ these helpers keep that output aligned and consistent across benches.
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
 from typing import Iterable, List, Sequence
 
 
@@ -53,15 +51,3 @@ def print_table(
     print(f"\n=== {title} ===")
     print(format_table(headers, rows), flush=True)
 
-
-def write_csv(
-    path: "str | Path",
-    headers: Sequence[str],
-    rows: Iterable[Sequence[object]],
-) -> None:
-    """Write a table as CSV, for plotting the figures externally."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(headers)
-        for row in rows:
-            writer.writerow(list(row))

@@ -39,20 +39,6 @@ class EngineRun:
         return errors[len(errors) // 2]
 
     @property
-    def mean_relative_error(self) -> float:
-        """Mean relative error across queries."""
-        if not self.queries:
-            return float("nan")
-        return sum(q.relative_error for q in self.queries) / len(self.queries)
-
-    @property
-    def max_relative_error(self) -> float:
-        """Worst relative error across queries."""
-        if not self.queries:
-            return float("nan")
-        return max(q.relative_error for q in self.queries)
-
-    @property
     def mean_update_io(self) -> float:
         """Average disk accesses per archived step."""
         if not self.step_reports:

@@ -66,7 +66,7 @@ class IngestStats:
     Attributes
     ----------
     batches_enqueued, batches_archived:
-        Lifetime submit / completion counts.
+        Lifetime enqueue / completion counts.
     max_queue_depth:
         High-water mark of the pending queue.
     stall_seconds:
@@ -175,7 +175,7 @@ class BackgroundArchiver:
         partition and unlink it from the pending set" is one atomic
         step relative to query snapshots.
     max_pending:
-        Backpressure bound: ``submit`` blocks while this many batches
+        Backpressure bound: ``reserve`` blocks while this many batches
         are pending.  Engines take the default,
         :data:`MAX_PENDING_BATCHES`.
     retry:
@@ -227,21 +227,10 @@ class BackgroundArchiver:
     # Producer side (the engine thread)
     # ------------------------------------------------------------------
 
-    def submit(self, batch: PendingBatch) -> "tuple[float, int]":
-        """Enqueue a sealed batch; returns (blocked seconds, depth).
-
-        The batch becomes part of the queryable pending set the moment
-        this returns (atomically with layout snapshots).  Blocks only
-        when ``max_pending`` batches are already queued.
-        """
-        blocked = self.reserve()
-        depth = self.enqueue_reserved(batch)
-        return blocked, depth
-
     def reserve(self) -> float:
         """Claim a queue slot, blocking under backpressure.
 
-        Split out of :meth:`submit` so the engine can absorb the
+        Split from :meth:`enqueue_reserved` so the engine can absorb the
         (potentially long) backpressure wait *before* entering its seal
         critical section — pins and queries stay responsive while a
         producer waits for queue space.  Returns the seconds blocked.
@@ -349,7 +338,7 @@ class BackgroundArchiver:
     def close(self) -> None:
         """Drain remaining work and stop the thread (idempotent).
 
-        If the archiver thread died on an error that no ``submit`` or
+        If the archiver thread died on an error that no ``reserve`` or
         ``drain`` ever surfaced, ``close`` raises it (as
         :class:`ArchiveFailedError`) rather than silently joining — the
         caller must learn the warehouse is missing batches.

@@ -61,9 +61,6 @@ _logger = logging.getLogger(__name__)
 #: speeds quick answers and slows the search they share the GIL with.
 BATCH_WAIT_S = 2e-3
 
-#: What a request built without a service is waited for on.
-_UNSERVED = threading.Condition()
-
 
 class PendingQuery:
     """A submitted request; resolves to a
@@ -71,6 +68,7 @@ class PendingQuery:
 
     def __init__(
         self,
+        service: "QueryService",
         phi: float,
         mode: str,
         effective_mode: str,
@@ -91,8 +89,8 @@ class PendingQuery:
         self.done = False
         self._result: Optional[QueryResult] = None
         self._error: Optional[BaseException] = None
-        # Set under the lock of the service that queued the request.
-        self._service: Optional[QueryService] = None
+        # The service that queues the request and answers ``result``.
+        self._service = service
         self._queued = False
 
     @property
@@ -105,23 +103,20 @@ class PendingQuery:
         its service's condition, notified after each batch and search."""
         self._result, self.epoch, self._error = result, epoch, error
         self.done = True
-        if self._service is None:
-            with _UNSERVED:
-                _UNSERVED.notify_all()
 
     def result(self, timeout: Optional[float] = None) -> QueryResult:
         """Block until answered; raises the execution error if any.
 
         A request still queued is answered on the calling thread,
         together with its batch (quick) or queued duplicates (accurate).
-        On timeout it stays queued: a later ``result`` answers it.
+        On timeout it stays queued: a later ``result`` answers it.  A
+        settled request returns its answer at once.
         """
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        if self._service is not None:
+        if not self.done:
+            deadline = None if timeout is None else (
+                time.perf_counter() + timeout
+            )
             self._service._serve(self, deadline)
-        else:
-            with _UNSERVED:
-                _UNSERVED.wait_for(lambda: self.done, timeout)
         if not self.done:
             raise TimeoutError(
                 f"query phi={self.phi} not answered within {timeout}s"
@@ -180,8 +175,7 @@ class QueryService:
             except Overloaded:
                 self.metrics.note_rejected(mode)
                 raise
-            request = PendingQuery(phi, mode, effective, window_steps)
-            request._service = self
+            request = PendingQuery(self, phi, mode, effective, window_steps)
             request._queued = True
             self._queue(effective).append(request)
             if request.degraded_by_overload:

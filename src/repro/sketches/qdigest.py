@@ -139,10 +139,6 @@ class QDigestSketch(QuantileSketch):
                 return self._node_range(node)[1]
         return self._node_range(nodes[-1][0])[1]
 
-    def node_count(self) -> int:
-        """Number of counted tree nodes currently held."""
-        return len(self._counts)
-
     def memory_words(self) -> int:
         """Two 8-byte words per node (id, count) plus bookkeeping."""
         return 2 * len(self._counts) + 4

@@ -314,11 +314,6 @@ class SharedBlockCache:
         """Invalidate several retired runs; returns blocks dropped."""
         return sum(self.invalidate_run(run_id) for run_id in run_ids)
 
-    def is_retired(self, run_id: int) -> bool:
-        """Whether a run has been invalidated."""
-        with self._lock:
-            return run_id in self._retired_runs
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

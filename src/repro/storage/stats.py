@@ -15,10 +15,10 @@ serving clients and callers driving one engine from several threads
 never lose counts to a torn ``+=``.  The *phase* a sequential charge is
 attributed to is tracked per thread, so the archiver's ``"merge"``
 never leaks into another thread's charges; a random read is always
-``"query"``, so queries set no phase.  A snapshot
-(:meth:`IoCounters.snapshot`) sees every thread's charges; for
-concurrent-safe per-operation accounting use :meth:`DiskStats.capture`,
-which tallies only the charges made by the capturing thread.
+``"query"``, so queries set no phase.  The running totals
+(:attr:`DiskStats.counters`) see every thread's charges; an operation's
+own I/O is counted one way, :meth:`DiskStats.capture`, which tallies
+only the charges made by the capturing thread.
 """
 
 from __future__ import annotations
@@ -67,28 +67,6 @@ class IoCounters:
         self.sequential_reads += other.sequential_reads
         self.sequential_writes += other.sequential_writes
         self.random_reads += other.random_reads
-
-    def snapshot(self) -> "IoCounters":
-        """Return an independent copy of the current counts."""
-        return IoCounters(
-            sequential_reads=self.sequential_reads,
-            sequential_writes=self.sequential_writes,
-            random_reads=self.random_reads,
-        )
-
-    def delta_since(self, earlier: "IoCounters") -> "IoCounters":
-        """Return the counts accumulated since ``earlier`` was snapshotted."""
-        return IoCounters(
-            sequential_reads=self.sequential_reads - earlier.sequential_reads,
-            sequential_writes=self.sequential_writes - earlier.sequential_writes,
-            random_reads=self.random_reads - earlier.random_reads,
-        )
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.sequential_reads = 0
-        self.sequential_writes = 0
-        self.random_reads = 0
 
 
 @dataclass(frozen=True)
@@ -204,12 +182,11 @@ class DiskStats:
     def capture(self) -> Iterator[PhaseTally]:
         """Tally the charges made *by this thread* inside the block.
 
-        Unlike a ``snapshot``/``delta_since`` pair on the global
-        counters, a capture is immune to concurrent charges from other
-        threads, so the background archiver can account one time step's
-        I/O exactly while queries (or another staging thread) charge the
-        same disk.  Captures nest; each level sees its own charges plus
-        those of any inner capture.
+        Unlike a difference of the global counters, a capture is immune
+        to concurrent charges from other threads, so the background
+        archiver can account one time step's I/O exactly while queries
+        (or another staging thread) charge the same disk.  Captures nest;
+        each level sees its own charges plus those of any inner capture.
         """
         tally = PhaseTally()
         stack = self._captures()

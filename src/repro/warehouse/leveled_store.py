@@ -250,10 +250,6 @@ class LeveledStore:
                 ordered.extend(level)
             return ordered
 
-    def total_elements(self) -> int:
-        """Total number of historical elements n."""
-        return sum(len(p) for p in self.partitions())
-
     def partition_count(self) -> int:
         """Total number of partitions across all levels."""
         return sum(len(level) for level in self._levels)

@@ -24,6 +24,7 @@ from repro.cluster import ClusterEngine
 from repro.cluster.engine import ClusterSnapshot
 from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
+from repro.core.epoch import HistoricalMemo
 
 PHIS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 
@@ -134,7 +135,8 @@ class TestScatterGatherReplay:
             with cluster.pin() as ours:
                 handles = [replica.pin() for replica in replicas]
                 theirs = ClusterSnapshot(
-                    handles, config, cluster._executor
+                    handles, config, cluster._executor,
+                    range(len(handles)), HistoricalMemo(),
                 )
                 try:
                     for phi in PHIS:

@@ -12,7 +12,7 @@ from repro.cluster import ClusterEngine, ShardSupervisor, save_cluster
 from repro.core.bounds import CombinedSummary
 from repro.core.config import EngineConfig
 
-TS_FIELDS = ("values", "from_stream", "lower", "upper")
+from ..core.ts_arrays_reference import paper_arrays
 
 
 def assert_memoless(snapshot, window_steps=None):
@@ -21,8 +21,8 @@ def assert_memoless(snapshot, window_steps=None):
         [p.summary for p in partitions if len(p) > 0], ss
     )
     fused = snapshot.combined(window_steps)
-    for name in TS_FIELDS:
-        assert np.array_equal(getattr(fused, name), getattr(fresh, name))
+    for got, want in zip(paper_arrays(fused), paper_arrays(fresh)):
+        assert np.array_equal(got, want)
     assert fused.total_size == fresh.total_size
 
 
@@ -89,8 +89,8 @@ def test_memo_across_kill_and_rejoin(tmp_path):
         # same arrays as before the kill.
         assert_memoless(snapshot)
         rejoined = snapshot.combined()
-    for name in TS_FIELDS:
-        assert np.array_equal(getattr(rejoined, name), getattr(whole, name))
+    for got, want in zip(paper_arrays(rejoined), paper_arrays(whole)):
+        assert np.array_equal(got, want)
     # Shard 2 holds only the live step, so its partitions are all empty
     # and out of the key: the rejoined key (shards 0, 1) grows the
     # quarantined one (shard 0) by shard 1's partition — one extend

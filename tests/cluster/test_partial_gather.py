@@ -75,7 +75,7 @@ def test_partial_answer_within_widened_bound(tmp_path, mode):
         assert partial.missing_shards == (2,)
         assert partial.missing_elements == missing
         assert partial.shards_answering == 3
-        assert partial.shards_total == 4
+        assert partial.shards_answering + len(partial.missing_shards) == 4
         # The widening is exactly base + missing (Lemma in bounds.py).
         assert result.rank_error_bound == pytest.approx(
             partial.base_bound + missing
@@ -121,7 +121,7 @@ def test_midquery_fault_excludes_culprit_shard():
     assert partial is not None
     assert partial.missing_shards == (1,)
     assert partial.shards_answering == 2
-    assert partial.shards_total == 3
+    assert partial.shards_answering + len(partial.missing_shards) == 3
     assert not result.degraded  # excluded and re-searched, not degraded
     assert result.rank_error_bound == pytest.approx(
         partial.base_bound + partial.missing_elements

@@ -10,7 +10,6 @@ import pytest
 from repro.cluster import (
     ClusterEngine,
     ShardSupervisor,
-    list_shard_dirs,
     load_cluster,
     save_cluster,
 )
@@ -76,7 +75,7 @@ class TestRoundTrip:
         cluster = build_cluster(shards=3)
         try:
             root = save_cluster(cluster, tmp_path / "cluster")
-            dirs = list_shard_dirs(root)
+            dirs = sorted(root.glob("shard-*"))
             assert [d.name for d in dirs] == [
                 "shard-00", "shard-01", "shard-02",
             ]

@@ -27,7 +27,7 @@ from repro.cluster import (
 from repro.cluster.engine import ShardGather
 from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
-from repro.core.epoch import EpochRegistry
+from repro.core.epoch import EpochRegistry, HistoricalMemo
 from repro.faults.errors import CorruptedBlockError
 from repro.ingest.archiver import ArchiveFailedError
 
@@ -90,6 +90,7 @@ def fresh_snapshot(cluster):
         cluster.config,
         cluster._executor,
         shard_ids=[i for i, _ in live],
+        historical_memo=HistoricalMemo(),
         missing={i: cluster._shard_elems[i] for i in cluster.quarantined_shards},
     )
 

@@ -9,6 +9,9 @@ from repro import HybridQuantileEngine
 from repro.faults.retry import RetryPolicy
 from repro.storage import SimulatedDisk
 
+# Autouse: every HistoricalMemo.check_invariants call sweeps the TS doors.
+from .core.ts_arrays_reference import sweep_after_check_invariants  # noqa: F401
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:

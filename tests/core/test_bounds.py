@@ -17,6 +17,13 @@ from repro.sketches import GKSketch
 from repro.storage import SimulatedDisk, SortedRun
 from repro.warehouse import Partition
 
+from .ts_arrays_reference import (
+    answers_off_the_arrays,
+    assert_searched_as_built,
+    paper_arrays,
+    sweep_ranks,
+)
+
 
 def build_scene(partition_datas, stream_data, eps1=0.25, eps2=0.125):
     """Construct summaries plus the flattened exact dataset."""
@@ -54,24 +61,25 @@ class TestCombinedSummary:
 
     def test_values_sorted(self):
         combined, _ = build_scene([range(100)], range(50, 150))
-        assert np.all(np.diff(combined.values) >= 0)
+        assert np.all(np.diff(paper_arrays(combined).values) >= 0)
 
     def test_bounds_monotone(self):
         combined, _ = build_scene(
             [range(100), range(200, 300)], range(150, 250)
         )
-        assert np.all(np.diff(combined.lower) >= -1e-9)
-        assert np.all(np.diff(combined.upper) >= -1e-9)
+        arrays = paper_arrays(combined)
+        assert np.all(np.diff(arrays.lower) >= -1e-9)
+        assert np.all(np.diff(arrays.upper) >= -1e-9)
 
     def test_stream_only(self):
         combined, everything = build_scene([], range(1000))
         assert combined.total_size == 1000
-        assert combined.from_stream.all()
+        assert paper_arrays(combined).from_stream.all()
 
     def test_historical_only(self):
         combined, everything = build_scene([range(1000)], [])
         assert combined.total_size == 1000
-        assert not combined.from_stream.any()
+        assert not paper_arrays(combined).from_stream.any()
 
     def test_lemma2_gap_bound(self):
         """Lemma 2 part 2: U_i - L_i <= eps * N with eps = 2*eps1 = 4*eps2."""
@@ -81,7 +89,8 @@ class TestCombinedSummary:
         eps1, eps2 = 0.25, 0.125
         combined, everything = build_scene(parts, stream, eps1, eps2)
         epsilon = max(2 * eps1, 4 * eps2)
-        gaps = combined.upper - combined.lower
+        arrays = paper_arrays(combined)
+        gaps = arrays.upper - arrays.lower
         assert gaps.max() <= epsilon * combined.total_size + 1e-6
 
 
@@ -128,9 +137,8 @@ class TestBoundsProperty:
         if not parts and not stream:
             return
         combined, everything = build_scene(parts, stream, 0.25, 0.125)
-        for value, lo, up in zip(
-            combined.values, combined.lower, combined.upper
-        ):
+        arrays = paper_arrays(combined)
+        for value, lo, up in zip(arrays.values, arrays.lower, arrays.upper):
             true = int(np.searchsorted(everything, value, side="right"))
             assert lo <= true + 1e-9
             assert true <= up + 1e-9
@@ -235,8 +243,15 @@ def stream_summary_of(data, eps2, strict):
 
 
 def assert_same_ts(built, expected):
+    """``built``'s arrays equal ``expected``'s (a TS, or the arrays of
+    ``reference_ts``)."""
+    arrays = paper_arrays(built)
+    if isinstance(expected, CombinedSummary):
+        want_arrays = paper_arrays(expected)
+    else:
+        want_arrays = expected
     for name in TS_FIELDS:
-        got, want = getattr(built, name), getattr(expected, name)
+        got, want = getattr(arrays, name), getattr(want_arrays, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
     assert built.total_size == expected.total_size
@@ -347,49 +362,35 @@ class TestHistoricalSplit:
         assert_same_ts(refused, CombinedSummary.build(two, ss))
 
     def test_build_does_not_alias_the_memoised_arrays(self):
-        """Even with no stream entries to insert, TS gets its own arrays."""
+        """Even with no stream entries to insert, the entries' tables
+        are TS's own, and fusing writes nothing into the memoised HS."""
         summaries = [partition_summary_of(list(range(50)), 0.25)]
         memo = HistoricalMemo()
         ss = stream_summary_of([], 0.125, strict=True)
         built = CombinedSummary.build(summaries, ss, memo)
         (entry,) = memo._entries.values()
+        fresh = HistoricalSummary.fold(summaries)
         for name in ("values", "lower", "upper"):
-            assert not np.shares_memory(
-                getattr(built, name), getattr(entry.historical, name)
-            )
-
-
-def by_the_arrays(ts, rank):
-    """Algorithms 5 and 7 as one ``searchsorted`` over materialised TS."""
-    j = int(np.searchsorted(ts.lower, rank, side="left"))
-    quick = int(ts.values[min(j, len(ts.values) - 1)])
-    x = int(np.searchsorted(ts.upper, rank, side="right")) - 1
-    u = int(ts.values[x]) if x >= 0 else int(ts.values[0]) - 1
-    y = int(np.searchsorted(ts.lower, rank, side="left"))
-    v = int(ts.values[y]) if y < len(ts.values) else int(ts.values[-1])
-    return quick, ((v, u) if v < u else (u, v))
+            held = getattr(entry.historical, name)
+            assert np.array_equal(held, getattr(fresh, name))
+            for table in (*built.lower_tables[1:], *built.upper_tables[1:]):
+                assert not np.shares_memory(table, held)
 
 
 def assert_searched_as_the_arrays(ts):
     """Every door, at every rank where some slot's bound could flip."""
-    bounds = np.rint(np.concatenate((ts.lower, ts.upper))).astype(np.int64)
-    n = ts.total_size
-    ranks = sorted(
-        {-1, 0, 1, n - 1, n, n + 1}
-        | {int(b) + step for b in bounds for step in (-1, 0, 1)}
-    )
-    expected = [by_the_arrays(ts, rank) for rank in ranks]
-    assert [ts.quick_response(rank) for rank in ranks] == [
-        quick for quick, _ in expected
-    ]
+    assert_searched_as_built(ts, stride=1)
+    arrays = paper_arrays(ts)
+    ranks = sweep_ranks(arrays, ts.total_size, stride=1)
     for batch in (ranks, ranks[:1], []):
         answers = ts.quick_responses(np.asarray(batch, dtype=np.int64))
         assert answers.dtype == np.int64
-        assert answers.tolist() == [by_the_arrays(ts, r)[0] for r in batch]
+        assert answers.tolist() == [
+            answers_off_the_arrays(arrays, r)[0] for r in batch
+        ]
     # Both bounds ascend, so a binary search over either is defined.
-    assert np.all(np.diff(ts.lower) >= 0) and np.all(np.diff(ts.upper) >= 0)
-    for rank, (_, filters) in zip(ranks, expected):
-        assert ts.generate_filters(rank) == filters
+    assert np.all(np.diff(arrays.lower) >= 0)
+    assert np.all(np.diff(arrays.upper) >= 0)
 
 
 class TestSearchedNotBuilt:
@@ -496,15 +497,15 @@ class TestTinyPartitions:
         summary = partition_summary_of([10, 20, 30], 0.25)
         assert list(summary.positions) == [1, 2, 3]
         ss = stream_summary_of([], 0.125, strict=True)
-        combined = CombinedSummary.build([summary], ss)
-        assert list(combined.lower) == [1.0, 2.0, 3.0]
-        assert list(combined.upper) == [1.0, 2.0, 3.0]
+        arrays = paper_arrays(CombinedSummary.build([summary], ss))
+        assert list(arrays.lower) == [1.0, 2.0, 3.0]
+        assert list(arrays.upper) == [1.0, 2.0, 3.0]
 
     def test_larger_partitions_keep_the_paper_formula(self):
         summary = partition_summary_of(list(range(100)), 0.25)
         ss = stream_summary_of([], 0.125, strict=True)
-        combined = CombinedSummary.build([summary], ss)
-        assert list(combined.lower) == [0.0, 25.0, 50.0, 75.0, 100.0]
+        arrays = paper_arrays(CombinedSummary.build([summary], ss))
+        assert list(arrays.lower) == [0.0, 25.0, 50.0, 75.0, 100.0]
 
 
 def assert_memoless(handle, window_steps=None, step_range=None):
@@ -658,7 +659,10 @@ class TestHistoricalMemo:
             with engine.pin() as handle:
                 handle.combined()
             (entry,) = engine._historical_memo._entries.values()
-            getattr(entry, half).lower[0] += 1.0
+            if half == "historical":
+                entry.historical.lower[0] += 1.0
+            else:  # the stream term of the first gap
+                entry.combined.lower_tables[1][0] += 1.0
             with pytest.raises(AssertionError):
                 engine.check_invariants()
 
@@ -666,15 +670,14 @@ class TestHistoricalMemo:
         self.test_check_invariants_catches_a_stale_entry(half="combined")
 
     def test_check_invariants_leaves_the_retained_ts_unbuilt(self):
-        """The health probe runs it every tick: it may not hang the four
-        |TS| arrays on a TS the doors have kept to its tables."""
+        """The health probe runs it every tick: it compares a fresh
+        build with the TS the memo retains and leaves that one held."""
         with self.make() as engine:
             self.step(engine)
             self.step(engine, seal=False)
             with engine.pin() as handle:
                 ts = handle.combined()
             engine.check_invariants()
-            assert "_arrays" not in vars(ts)
             *_, newest = engine._historical_memo._entries.values()
             assert newest.combined is ts
 

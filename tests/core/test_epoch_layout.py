@@ -10,13 +10,18 @@ adoptions bump, a cascade merge and ``load_engine`` drop.
 
 The state machine drives every write, pin and query door (background
 ingest, so adoptions land between rules) and checks, after every step,
-that each live handle still equals a fresh derivation taken at its pin,
-that ``check_invariants`` — which compares the shared layout with a
-fresh one — passes and that no retained TS has built its arrays (no
-door materialises them).  It logs every acked write, and every
+that each live handle still equals a fresh derivation taken at its pin
+and that ``check_invariants`` passes: it compares the shared layout
+with a fresh one and, through the conftest's autouse sweep, searches
+every retained TS against the paper's arrays
+(``ts_arrays_reference.py``).  It logs every acked write, and every
 full-scope quick or accurate answer must pass
 ``bench.oracle.Oracle.verify`` against the writes acked before the
-engine answered or the handle was pinned.  A sibling machine does the
+engine answered or the handle was pinned.  It also records where each
+seal falls in that log: after every step ``aggregate`` over the full
+union and over every answerable window must be exact, and a drawn
+range of sealed steps is answered exactly or refused with
+``RangeNotAlignedError``.  A sibling machine does the
 same to a 3-shard KLL cluster, whose pins reuse one gather per cluster
 version, with views held across writes and seals, odd chunkings,
 writes straight into a shard, kills (mid-step ones move the step's
@@ -49,10 +54,16 @@ from repro.cluster import (
     load_cluster,
     save_cluster,
 )
+from repro.core.aggregates import AggregateStats
 from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
 from repro.core.epoch import HistoricalMemo
-from repro.core.windows import resolve_window_in, window_sizes_from
+from repro.core.windows import (
+    RangeNotAlignedError,
+    WindowNotAlignedError,
+    resolve_window_in,
+    window_sizes_from,
+)
 from repro.faults.errors import CorruptedBlockError
 from repro.ingest.archiver import ArchiveFailedError
 from repro.persistence.checkpoint import load_engine, save_engine
@@ -94,16 +105,6 @@ def verify(oracle, writes, mode, phi, at, result):
         result = replace(result, total_size=result.total_size + missing)
     verdict = oracle.verify(writes, [Answer(mode, phi, at, at, result)])
     assert not verdict.failures, verdict.failures
-
-
-def assert_no_ts_arrays(memos, views):
-    """No door built a retained TS's arrays: neither a memo's retained TS
-    nor a held view's (``check_invariants`` reads those off a copy)."""
-    for memo in memos:
-        with memo._lock:
-            held = [entry.combined for entry in memo._entries.values()]
-        for ts in held + [view._combined for view in views]:
-            assert ts is None or "_arrays" not in vars(ts)
 
 
 def write_odd(system, rng, kind, size, log):
@@ -152,6 +153,9 @@ class LayoutMachine(RuleBasedStateMachine):
         # logical clock that ticks once per write and per pin.
         self.oracle, self.writes, self.clock = Oracle(), [], 0
         self.pinned_at = {}
+        # len(self.writes) at each seal: step s holds the writes logged
+        # between the (s-1)-th seal and the s-th.
+        self.seals = []
 
     def tick(self):
         self.clock += 1
@@ -185,10 +189,21 @@ class LayoutMachine(RuleBasedStateMachine):
     @rule()
     def seal(self):
         self.engine.end_time_step()
+        self.seals.append(len(self.writes))
 
     @rule()
     def flush(self):
         self.engine.flush()
+
+    def exact(self, first_step=1, last_step=None):
+        """Exact aggregates of the writes of steps ``first_step`` to
+        ``last_step`` (``None``: every sealed step and the live stream)."""
+        bounds = [0] + self.seals
+        end = None if last_step is None else bounds[last_step]
+        chunks = [v for _, _, v in self.writes[bounds[first_step - 1]:end]]
+        if not chunks:
+            return AggregateStats.empty()
+        return AggregateStats.of_array(np.concatenate(chunks).astype(np.int64))
 
     # -- pins ---------------------------------------------------------------
 
@@ -257,6 +272,20 @@ class LayoutMachine(RuleBasedStateMachine):
         if sum(map(len, covered)) + handle.m_stream > 0:
             handle.quantile(0.5, mode, window_steps=window)
 
+    @rule(first_at=st.integers(0, 255), span_at=st.integers(0, 255))
+    def aggregate_range(self, first_at, span_at):
+        """A range of sealed steps is answered exactly or refused."""
+        sealed = len(self.seals)
+        if not sealed:
+            return
+        first = first_at % sealed + 1
+        last = first + span_at % (sealed - first + 1)
+        try:
+            got = self.engine.aggregate(step_range=(first, last))
+        except RangeNotAlignedError:
+            return
+        assert got == self.exact(first, last)
+
     # -- restore ------------------------------------------------------------
 
     @rule(size=st.integers(1, 300))
@@ -285,8 +314,23 @@ class LayoutMachine(RuleBasedStateMachine):
     @invariant()
     def invariants_hold(self):
         self.engine.check_invariants()
-        views = [handle for handle, _ in self.handles]
-        assert_no_ts_arrays([self.engine._historical_memo], views)
+
+    @invariant()
+    def aggregates_are_exact(self):
+        """The full union, and every window the layout answers, count,
+        sum, min and max every acked write in scope exactly."""
+        assert self.engine.aggregate() == self.exact()
+        sealed = len(self.seals)
+        epoch = self.engine.epoch_stats.current_epoch
+        for window in self.engine.available_window_sizes():
+            try:
+                got = self.engine.aggregate(window_steps=window)
+            except WindowNotAlignedError:
+                # Only an adoption since the sizes were read may move
+                # the boundaries, and it bumps the epoch.
+                assert self.engine.epoch_stats.current_epoch != epoch
+                continue
+            assert got == self.exact(sealed - window + 1)
 
 
 TestLayoutMachine = LayoutMachine.TestCase
@@ -448,12 +492,6 @@ class ClusterMachine(RuleBasedStateMachine):
         live = [s for s in self.cluster.shards if s is not None]
         for shard in live:
             assert shard.epoch_stats.live_pins == len(self.views)
-        views = [view for view, _ in self.views]
-        assert_no_ts_arrays(
-            [self.cluster._historical_memo]
-            + [shard._historical_memo for shard in live],
-            views + [handle for view in views for handle in view.handles],
-        )
 
 
 TestClusterMachine = ClusterMachine.TestCase

@@ -13,6 +13,8 @@ from repro.core.summaries import PartitionSummary, StreamSummary
 from repro.storage import SimulatedDisk, SortedRun
 from repro.warehouse import Partition
 
+from .ts_arrays_reference import paper_arrays
+
 EPS1 = 0.25
 EPS2 = 0.125
 
@@ -65,15 +67,16 @@ class TestFigure3:
     def test_ts_values(self):
         *_, combined = build_example()
         assert combined.total_size == 600
-        np.testing.assert_array_equal(combined.values, EXPECTED_TS)
+        values = paper_arrays(combined).values
+        np.testing.assert_array_equal(values, EXPECTED_TS)
 
     def test_lower_bounds_match_figure(self):
         *_, combined = build_example()
-        np.testing.assert_allclose(combined.lower, EXPECTED_L)
+        np.testing.assert_allclose(paper_arrays(combined).lower, EXPECTED_L)
 
     def test_upper_bounds_match_figure(self):
         *_, combined = build_example()
-        np.testing.assert_allclose(combined.upper, EXPECTED_U)
+        np.testing.assert_allclose(paper_arrays(combined).upper, EXPECTED_U)
 
     def test_bounds_bracket_true_ranks(self):
         """Lemma 2 part 1 on the example's actual data."""
@@ -87,9 +90,8 @@ class TestFigure3:
             ]
         )
         everything.sort()
-        for value, lo, up in zip(
-            combined.values, combined.lower, combined.upper
-        ):
+        arrays = paper_arrays(combined)
+        for value, lo, up in zip(arrays.values, arrays.lower, arrays.upper):
             true = int(np.searchsorted(everything, value, side="right"))
             assert lo <= true <= up, (value, lo, true, up)
 

@@ -126,9 +126,9 @@ def spy_pins(monkeypatch):
     calls = []
     original = EpochRegistry.pin
 
-    def pin(registry, epoch):
-        calls.append(epoch)
-        return original(registry, epoch)
+    def pin(registry):
+        calls.append(registry)
+        return original(registry)
 
     monkeypatch.setattr(EpochRegistry, "pin", pin)
     return calls

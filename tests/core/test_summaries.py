@@ -113,7 +113,7 @@ class TestStreamSummary:
 
     def test_empty_stream(self):
         ss = StreamSummary.extract(GKSketch(0.05), eps2=0.1)
-        assert ss.is_empty
+        assert ss.stream_size == 0
         assert len(ss) == 0
         assert ss.rank_estimate(5) == 0.0
 

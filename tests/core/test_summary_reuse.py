@@ -39,7 +39,7 @@ def assert_from_scratch(view, **scope):
     """``view.combined(**scope)`` equals a build that never saw a memo
     (for a handle or a cluster snapshot), or the scope holds nothing."""
     partitions, summary = view.scope(**scope)
-    if not any(map(len, partitions)) and summary.is_empty:
+    if not any(map(len, partitions)) and summary.stream_size == 0:
         with pytest.raises(ValueError, match="empty dataset"):
             view.combined(**scope)
         return

@@ -2,7 +2,7 @@
 
 from repro import ExactQuantiles
 from repro.core.query_path import QueryResult
-from repro.evaluation import measure, rank_error_is_inherent
+from repro.evaluation import measure
 
 
 def make_result(value, target_rank, total=100):
@@ -52,11 +52,3 @@ class TestMeasure:
     def test_phi_property(self):
         result = make_result(value=1, target_rank=50, total=100)
         assert result.phi == 0.5
-
-
-class TestRankErrorIsInherent:
-    def test_exact_element_detected(self):
-        oracle = ExactQuantiles()
-        oracle.update_many([10, 20, 30])
-        assert rank_error_is_inherent(make_result(20, 2), oracle)
-        assert not rank_error_is_inherent(make_result(30, 2), oracle)

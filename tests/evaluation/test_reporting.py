@@ -43,16 +43,3 @@ class TestFormatTable:
     def test_empty_rows(self):
         table = format_table(["col"], [])
         assert "col" in table
-
-
-class TestWriteCsv:
-    def test_roundtrip(self, tmp_path):
-        import csv
-
-        from repro.evaluation import write_csv
-
-        path = tmp_path / "table.csv"
-        write_csv(path, ["a", "b"], [[1, 2.5], ["x", -3]])
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows == [["a", "b"], ["1", "2.5"], ["x", "-3"]]

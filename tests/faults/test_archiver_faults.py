@@ -2,15 +2,16 @@
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.summaries import PartitionSummary
 from repro.faults import FaultPlan, RetryPolicy
-from repro.ingest import BackgroundArchiver, PendingBatch
+from repro.ingest import BackgroundArchiver
 from repro.ingest.archiver import ArchiveFailedError
 from repro.storage import SimulatedDisk
 from repro.warehouse.leveled_store import LeveledStore
+
+from ..ingest.archiver_helpers import enqueue, make_batch
 
 FAST_RETRY = RetryPolicy(max_retries=64, backoff_seconds=0.0)
 
@@ -23,13 +24,6 @@ def make_store(plan=None, kappa=3, block_elems=64):
     )
 
 
-def make_batch(step, size=100, seed=0):
-    rng = np.random.default_rng(seed + step)
-    return PendingBatch(
-        step=step, values=rng.integers(0, 10**6, size=size).astype(np.int64)
-    )
-
-
 class TestRetrySurvival:
     def test_completes_all_batches_under_transient_faults(self):
         store = make_store(FaultPlan(seed=4, write_error_rate=0.2,
@@ -37,7 +31,7 @@ class TestRetrySurvival:
         archiver = BackgroundArchiver(store, max_pending=8, retry=FAST_RETRY)
         try:
             for step in range(1, 10):
-                archiver.submit(make_batch(step))
+                enqueue(archiver, make_batch(step))
             records = archiver.drain()
         finally:
             archiver.close()
@@ -56,7 +50,7 @@ class TestRetrySurvival:
         store = make_store(FaultPlan(fail_at={("write", 0), ("write", 1)}))
         archiver = BackgroundArchiver(store, max_pending=4, retry=FAST_RETRY)
         try:
-            archiver.submit(make_batch(1))
+            enqueue(archiver, make_batch(1))
             archiver.drain()
         finally:
             archiver.close()
@@ -72,14 +66,14 @@ class TestFatalErrors:
             store, retry=RetryPolicy(max_retries=2)
         )
         with pytest.raises(ArchiveFailedError, match="archiving failed"):
-            archiver.submit(make_batch(1))
+            enqueue(archiver, make_batch(1))
             archiver.drain()
         archiver.close()  # error already delivered: close is clean
 
     def test_close_raises_undelivered_error(self):
         store = make_store(FaultPlan(seed=2, write_error_rate=1.0))
         archiver = BackgroundArchiver(store)  # no retries: first fault fatal
-        archiver.submit(make_batch(1))
+        enqueue(archiver, make_batch(1))
         while not archiver.failed:
             time.sleep(0.001)
         with pytest.raises(ArchiveFailedError) as excinfo:
@@ -90,7 +84,7 @@ class TestFatalErrors:
         store = make_store(FaultPlan(seed=2, write_error_rate=1.0))
         archiver = BackgroundArchiver(store)
         assert not archiver.failed
-        archiver.submit(make_batch(1))
+        enqueue(archiver, make_batch(1))
         with pytest.raises(ArchiveFailedError):
             archiver.drain()
         assert archiver.failed
@@ -99,9 +93,9 @@ class TestFatalErrors:
     def test_submit_after_failure_raises_typed_error(self):
         store = make_store(FaultPlan(seed=2, write_error_rate=1.0))
         archiver = BackgroundArchiver(store)
-        archiver.submit(make_batch(1))
+        enqueue(archiver, make_batch(1))
         while not archiver.failed:
             time.sleep(0.001)
         with pytest.raises(ArchiveFailedError):
-            archiver.submit(make_batch(2))
+            enqueue(archiver, make_batch(2))
         archiver.close()

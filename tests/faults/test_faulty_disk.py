@@ -88,9 +88,6 @@ class TestNullPlanEquivalence:
             disk.charge_random_read(3)
             disk.charge_sequential_read(50)
             disk.charge_sequential_write(50)
-        assert (
-            plain.stats.counters.snapshot()
-            == faulty.stats.counters.snapshot()
-        )
+        assert plain.stats.counters == faulty.stats.counters
         assert plain.operations == 0  # null plan never consulted
         assert faulty.operations == 5 and faulty.faults_fired == 0

@@ -1,14 +1,16 @@
 """Unit tests for the background archiver thread."""
 
 import threading
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.core.summaries import PartitionSummary
-from repro.ingest import BackgroundArchiver, PendingBatch
+from repro.ingest import BackgroundArchiver
 from repro.storage.disk import SimulatedDisk
 from repro.warehouse.leveled_store import LeveledStore
+
+from .archiver_helpers import enqueue, make_batch
 
 
 def make_store(kappa=3, block_elems=64):
@@ -20,20 +22,13 @@ def make_store(kappa=3, block_elems=64):
     )
 
 
-def make_batch(step, size=100, seed=0):
-    rng = np.random.default_rng(seed + step)
-    return PendingBatch(
-        step=step, values=rng.integers(0, 10**6, size=size).astype(np.int64)
-    )
-
-
 class TestBackgroundArchiver:
     def test_archives_in_step_order(self):
         store = make_store()
         archiver = BackgroundArchiver(store, max_pending=8)
         try:
             for step in range(1, 8):
-                archiver.submit(make_batch(step))
+                enqueue(archiver, make_batch(step))
             records = archiver.drain()
         finally:
             archiver.close()
@@ -45,7 +40,7 @@ class TestBackgroundArchiver:
         store = make_store()
         archiver = BackgroundArchiver(store)
         try:
-            archiver.submit(make_batch(1))
+            enqueue(archiver, make_batch(1))
             first = archiver.drain()
             second = archiver.drain()
         finally:
@@ -59,7 +54,7 @@ class TestBackgroundArchiver:
         try:
             archiver.pause()
             for step in range(1, 4):
-                archiver.submit(make_batch(step))
+                enqueue(archiver, make_batch(step))
             assert archiver.queue_depth == 3
             assert archiver.stats.max_queue_depth == 3
             archiver.resume()
@@ -76,10 +71,10 @@ class TestBackgroundArchiver:
         submitted = threading.Event()
         try:
             archiver.pause()
-            archiver.submit(make_batch(1))
+            enqueue(archiver, make_batch(1))
 
             def overflow():
-                archiver.submit(make_batch(2))
+                enqueue(archiver, make_batch(2))
                 submitted.set()
 
             thread = threading.Thread(target=overflow)
@@ -98,8 +93,8 @@ class TestBackgroundArchiver:
         archiver = BackgroundArchiver(store, max_pending=4)
         try:
             archiver.pause()
-            archiver.submit(make_batch(1))
-            archiver.submit(make_batch(2))
+            enqueue(archiver, make_batch(1))
+            enqueue(archiver, make_batch(2))
             pending = archiver.pending_batches()
             assert [b.step for b in pending] == [1, 2]
             archiver.resume()
@@ -112,7 +107,7 @@ class TestBackgroundArchiver:
         archiver = BackgroundArchiver(store, max_pending=4)
         try:
             archiver.pause()
-            archiver.submit(make_batch(1))
+            enqueue(archiver, make_batch(1))
             with pytest.raises(RuntimeError):
                 archiver.drain()
             archiver.resume()
@@ -126,11 +121,11 @@ class TestBackgroundArchiver:
         try:
             bad = make_batch(1)
             bad._values = None  # staging will blow up
-            archiver.submit(bad)
+            enqueue(archiver, bad)
             with pytest.raises(RuntimeError, match="archiving failed"):
                 archiver.drain()
             with pytest.raises(RuntimeError, match="archiving failed"):
-                archiver.submit(make_batch(2))
+                enqueue(archiver, make_batch(2))
         finally:
             archiver.close()
 
@@ -138,7 +133,7 @@ class TestBackgroundArchiver:
         store = make_store()
         archiver = BackgroundArchiver(store, max_pending=8)
         for step in range(1, 4):
-            archiver.submit(make_batch(step))
+            enqueue(archiver, make_batch(step))
         archiver.close()
         archiver.close()
         assert store.steps_loaded == 3
@@ -148,13 +143,13 @@ class TestBackgroundArchiver:
         archiver = BackgroundArchiver(store)
         archiver.close()
         with pytest.raises(RuntimeError):
-            archiver.submit(make_batch(1))
+            enqueue(archiver, make_batch(1))
 
     def test_records_carry_io_and_wall_time(self):
         store = make_store()
         archiver = BackgroundArchiver(store)
         try:
-            archiver.submit(make_batch(1, size=500))
+            enqueue(archiver, make_batch(1, size=500))
             (report,) = archiver.drain()
         finally:
             archiver.close()
@@ -175,16 +170,16 @@ class TestWorkStealingStaging:
         try:
             archiver.pause()
             batch = make_batch(1, size=300)
-            archiver.submit(batch)
+            enqueue(archiver, batch)
             # a query thread stages the pending batch itself
             partition = batch.ensure_staged(store)
             assert batch.staged
             assert len(partition) == 300
             # idempotent: the second call returns the same partition
             assert batch.ensure_staged(store) is partition
-            before = store.disk.stats.counters.snapshot()
+            before = replace(store.disk.stats.counters)
             batch.ensure_staged(store)
-            assert store.disk.stats.counters.delta_since(before).total == 0
+            assert store.disk.stats.counters == before
             archiver.resume()
             (report,) = archiver.drain()
         finally:

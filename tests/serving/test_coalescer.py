@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
-import threading
-import time
-
 import pytest
 
 from repro.core.query_path import PinnedQueries
 from repro.serving import ServiceMetrics
 from repro.serving.coalescer import answer_quick_batch, dedupe_key
-from repro.serving.service import PendingQuery
+from repro.serving.service import PendingQuery, QueryService
+
+#: The coalescer settles these requests itself, so their service is
+#: never asked to answer one and needs no engine.
+IDLE_SERVICE = QueryService(engine=None)
 
 
 def make_request(phi, window_steps=None, mode="quick"):
-    return PendingQuery(phi, mode, mode, window_steps)
+    return PendingQuery(IDLE_SERVICE, phi, mode, mode, window_steps)
 
 
 class TestAnswerQuickBatch:
@@ -74,26 +75,6 @@ class TestAnswerQuickBatch:
                 request.result(timeout=1.0)
         # A failed batch spends no merges.
         assert metrics.snapshot().ts_merges == 0
-
-
-class TestFutureWithoutService:
-    def test_result_honours_its_timeout(self, filled_engine):
-        request = make_request(0.5)
-        with pytest.raises(TimeoutError):
-            request.result(timeout=0.01)
-        # Answered from another thread, the waiter wakes at once, not at
-        # the end of its timeout.
-        answer = threading.Timer(
-            0.05, answer_quick_batch, (filled_engine, [request], ServiceMetrics())
-        )
-        started = time.perf_counter()
-        answer.start()
-        try:
-            result = request.result(timeout=10.0)
-        finally:
-            answer.join(10.0)
-        assert time.perf_counter() - started < 5.0
-        assert result.value == filled_engine.quantile(0.5, "quick").value
 
 
 class TestDedupeKey:

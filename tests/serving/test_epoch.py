@@ -24,25 +24,17 @@ class TestEpochRegistry:
 
     def test_pin_release_refcounts(self):
         registry = EpochRegistry()
-        registry.pin(0)
-        registry.pin(0)
+        registry.pin()
+        registry.bump("seal")
+        registry.pin()
         stats = registry.stats()
         assert stats.live_pins == 2
         assert stats.peak_pins == 2
-        registry.release(0)
-        registry.release(0)
+        registry.release()
+        registry.release()
         stats = registry.stats()
         assert stats.live_pins == 0
-        # Epoch 0 is still current, so it is not retired.
-        assert stats.epochs_retired == 0
-
-    def test_stale_epoch_retires_when_last_pin_releases(self):
-        registry = EpochRegistry()
-        registry.pin(0)
-        registry.bump("seal")
-        assert registry.stats().epochs_retired == 0
-        registry.release(0)
-        assert registry.stats().epochs_retired == 1
+        assert stats.peak_pins == 2
 
     def test_ts_merges_counter(self):
         registry = EpochRegistry()

@@ -71,7 +71,7 @@ class TestBasics:
     def test_memory_words(self):
         sketch = QDigestSketch(0.1, universe_log2=8)
         sketch.update_many(np.arange(200))
-        assert sketch.memory_words() == 2 * sketch.node_count() + 4
+        assert sketch.memory_words() == 2 * len(sketch._counts) + 4
 
 
 class TestCompression:
@@ -81,7 +81,7 @@ class TestCompression:
         for _ in range(20):
             sketch.update_many(rng.integers(0, 2**16, 5000))
         # compressed bound is O(log(U)/eps); allow the 2x lazy slack
-        assert sketch.node_count() <= sketch._max_nodes
+        assert len(sketch._counts) <= sketch._max_nodes
 
     def test_compress_preserves_count(self):
         sketch = QDigestSketch(0.05, universe_log2=12)

@@ -70,9 +70,9 @@ class TestMergeRuns:
         disk = SimulatedDisk(block_elems=4)
         a = SortedRun(disk, np.arange(16))
         b = SortedRun(disk, np.arange(16))
-        before = disk.stats.counters.snapshot()
-        merge_runs(disk, [a, b])
-        delta = disk.stats.counters.delta_since(before)
+        with disk.stats.capture() as merge:
+            merge_runs(disk, [a, b])
+        delta = merge.total
         assert delta.sequential_reads == 8   # read both inputs
         assert delta.sequential_writes == 8  # write the merged output
 
@@ -167,9 +167,9 @@ class TestKWayMerge:
             SortedRun(disk, np.sort(np.asarray(c, dtype=np.int64)))
             for c in chunks
         ]
-        before = disk.stats.counters.snapshot()
-        merged = merge_runs(disk, runs)
-        delta = disk.stats.counters.delta_since(before)
+        with disk.stats.capture() as merge:
+            merged = merge_runs(disk, runs)
+        delta = merge.total
         expected_reads = sum(
             disk.blocks_for(len(run.values)) for run in runs
         )

@@ -27,27 +27,6 @@ class TestIoCounters:
         assert a.sequential_writes == 22
         assert a.random_reads == 33
 
-    def test_snapshot_is_independent(self):
-        a = IoCounters(sequential_reads=1)
-        snap = a.snapshot()
-        a.sequential_reads = 99
-        assert snap.sequential_reads == 1
-
-    def test_delta_since(self):
-        a = IoCounters(sequential_reads=5, random_reads=2)
-        snap = a.snapshot()
-        a.sequential_reads += 3
-        a.random_reads += 1
-        delta = a.delta_since(snap)
-        assert delta.sequential_reads == 3
-        assert delta.random_reads == 1
-        assert delta.sequential_writes == 0
-
-    def test_reset(self):
-        a = IoCounters(sequential_reads=5, sequential_writes=6, random_reads=7)
-        a.reset()
-        assert a.total == 0
-
 
 class TestDiskLatencyModel:
     def test_seconds_weights_random_more(self):

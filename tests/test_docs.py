@@ -78,7 +78,7 @@ def test_src_lines_only_go_down():
     lines = sum(
         path.read_bytes().count(b"\n") for path in src.rglob("*.py")
     )
-    assert lines <= 14450
+    assert lines <= 14266
 
 
 def test_backends_lines_only_go_down():
@@ -102,7 +102,7 @@ def test_docs_lines_only_go_down():
     lines = sum(
         path.read_bytes().count(b"\n") for path in _TUNING.parent.glob("*.md")
     )
-    assert lines <= 2290
+    assert lines <= 2286
 
 
 #: Fields nothing outside ``tests/`` sets, each with why it stays a
@@ -238,3 +238,83 @@ def test_restore_reaches_no_private_state():
                     f"{owner.id}.{name}"
                 )
     assert reaches == []
+
+
+#: Public names nothing outside ``tests/`` calls, each with the
+#: DESIGN.md system it reproduces.  The list may only shrink: a name
+#: that gains a caller must leave it, and a new name needs a caller,
+#: not an entry here.
+_KEPT_FOR_THE_PAPER = {
+    "StrawmanEngine": "system 18, the strawman baseline (always sorted)",
+    "MemoryBudget.from_megabytes": "system 16, epsilon from a memory budget",
+    "epsilon_for_budget": "system 16, epsilon from a memory budget",
+    "calibrate_gk": "system 20, the harness's sketch calibration",
+    "calibrate_qdigest": "system 20, the harness's sketch calibration",
+    "section_2_4_example": "system 20, the worked example of Section 2.4",
+    "quick_relative_error_bound": "system 20, the theory bounds",
+    "update_disk_accesses_bound": "system 20, the theory bounds",
+}
+
+
+def _public_names(package):
+    """``(qualified name, name, path, line)`` of every public
+    module-level function or class under ``package``, and of every
+    public method or property of a public class."""
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or node.name.startswith("_"):
+                continue
+            yield node.name, node.name, path, node.lineno
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif (
+                    isinstance(item, ast.Assign)
+                    and isinstance(item.value, ast.Call)
+                    and getattr(item.value.func, "id", None) == "property"
+                ):
+                    names = [
+                        t.id for t in item.targets if isinstance(t, ast.Name)
+                    ]
+                else:
+                    continue
+                for name in names:
+                    if not name.startswith("_"):
+                        yield f"{node.name}.{name}", name, path, item.lineno
+
+
+def test_every_public_name_has_a_caller():
+    """A public name only tests call is kept for the tests alone.
+
+    Every public module-level function or class under ``src/repro``,
+    and every public method or property of a public class, appears as
+    a whole word in some ``.py`` file under ``src/``, ``bench/``,
+    ``benchmarks/``, ``examples/`` or ``tools/`` — its own ``def`` or
+    ``class`` line and ``src/**/__init__.py`` re-exports excluded — or
+    is on the allow-list above.
+    """
+    root = _TUNING.parent.parent
+    lines = {
+        path: path.read_text(encoding="utf-8").splitlines()
+        for directory in ("src", "bench", "benchmarks", "examples", "tools")
+        for path in sorted((root / directory).rglob("*.py"))
+        if not (directory == "src" and path.name == "__init__.py")
+    }
+    uncalled = set()
+    for qualified, name, defined_in, defined_at in _public_names(
+        root / "src" / "repro"
+    ):
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(
+            word.search(line)
+            for path, text in lines.items()
+            for number, line in enumerate(text, 1)
+            if (path, number) != (defined_in, defined_at)
+        ):
+            uncalled.add(qualified)
+    assert uncalled == set(_KEPT_FOR_THE_PAPER)

@@ -52,10 +52,12 @@ class TestAllWorkloads:
         # can land on exactly-0 error; the benchmarks assert strict
         # dominance at experiment scale).
         tolerance = 5 / (0.25 * runner.batch_elems * 6)
+        def mean_error(run):
+            errors = [q.relative_error for q in run.queries]
+            return sum(errors) / len(errors)
+
         for baseline in ("gk", "qdigest"):
-            assert ours.mean_relative_error <= (
-                result[baseline].mean_relative_error + tolerance
-            )
+            assert mean_error(ours) <= mean_error(result[baseline]) + tolerance
         # strawman pays the most update I/O; ours amortizes merges
         assert strawman.mean_update_io > ours.mean_update_io
         # pure streaming never touches disk at query time

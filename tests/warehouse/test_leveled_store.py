@@ -52,7 +52,7 @@ class TestBasics:
         disk, store = make_store()
         for s in range(1, 4):
             store.add_batch(batch(s, size=50))
-        assert store.total_elements() == 150
+        assert sum(map(len, store.partitions())) == 150
 
 
 class TestMergeSemantics:
@@ -120,9 +120,9 @@ class TestMergeSemantics:
         store = LeveledStore(disk, kappa=9)
         counts = {}
         for s in range(1, 101):
-            before = disk.stats.counters.snapshot()
-            store.add_batch(np.zeros(100_000, dtype=np.int64), step=s)
-            total = disk.stats.counters.delta_since(before).total
+            with disk.stats.capture() as step:
+                store.add_batch(np.zeros(100_000, dtype=np.int64), step=s)
+            total = step.total.total
             counts[total] = counts.get(total, 0) + 1
         assert counts == {10_000: 89, 190_000: 10, 1_810_000: 1}
 
@@ -132,9 +132,9 @@ class TestMergeSemantics:
         store = LeveledStore(disk, kappa=7)
         totals = []
         for s in range(1, 101):
-            before = disk.stats.counters.snapshot()
-            store.add_batch(np.zeros(100_000, dtype=np.int64), step=s)
-            totals.append(disk.stats.counters.delta_since(before).total)
+            with disk.stats.capture() as step:
+                store.add_batch(np.zeros(100_000, dtype=np.int64), step=s)
+            totals.append(step.total.total)
         assert max(totals) == 1_130_000
         assert totals.count(10_000) > 80
 
@@ -142,9 +142,9 @@ class TestMergeSemantics:
         disk, store = make_store(kappa=2, block_elems=10)
         store.add_batch(np.zeros(100), step=1)  # 10 blocks
         store.add_batch(np.zeros(100), step=2)
-        before = disk.stats.counters.snapshot()
-        store.add_batch(np.zeros(100), step=3)  # merges (1,2) first
-        delta = disk.stats.counters.delta_since(before)
+        with disk.stats.capture() as step:
+            store.add_batch(np.zeros(100), step=3)  # merges (1,2) first
+        delta = step.total
         # merge: read 20 + write 20; add: write 10
         assert delta.sequential_reads == 20
         assert delta.sequential_writes == 30
@@ -219,7 +219,7 @@ class TestStoreProperty:
         for s in range(1, steps + 1):
             store.add_batch(np.full(13, s, dtype=np.int64), step=s)
         store.check_invariant()
-        assert store.total_elements() == steps * 13
+        assert sum(map(len, store.partitions())) == steps * 13
         # full-history window is always aligned
         resolve_window_in(store.partitions(), steps)
         # window sizes are strictly increasing suffix sums ending at steps
