@@ -26,6 +26,7 @@ from ..sketches.base import as_int64_batch, rank_for_phi
 from ..sketches.gk import GKSketch
 from ..storage.cache import BlockCache
 from ..storage.disk import SimulatedDisk
+from ..storage.external_sort import kway_merge
 from ..storage.runfile import SortedRun
 from ..warehouse.partition import Partition
 
@@ -65,11 +66,7 @@ class StrawmanEngine:
     def end_time_step(self) -> StepReport:
         """Merge the batch into the single sorted historical run."""
         self._step += 1
-        batch = (
-            np.concatenate(self._stream_chunks)
-            if self._stream_chunks
-            else np.empty(0, dtype=np.int64)
-        )
+        batch = np.concatenate([np.empty(0, np.int64), *self._stream_chunks])
         started = time.perf_counter()
         sorted_batch = np.sort(batch)
         with self.disk.stats.capture() as io:
@@ -82,10 +79,8 @@ class StrawmanEngine:
                 # engine's leveled merging amortizes away.
                 with self.disk.stats.phase_scope("merge"):
                     self.disk.charge_sequential_read(len(self._partition.run))
-                    merged = np.sort(
-                        np.concatenate(
-                            [self._partition.run.values, sorted_batch]
-                        )
+                    merged = kway_merge(
+                        [self._partition.run.values, sorted_batch]
                     )
                     run = SortedRun(self.disk, merged, charge_write=True)
         partition = Partition(

@@ -662,13 +662,9 @@ class ClusterEngine(PinnedQueries):
 
     def available_window_sizes(self) -> List[int]:
         """Window sizes answerable on every live shard."""
-        live = [s for s in self.shards if s is not None]
-        if not live:
-            return []
-        common = set(live[0].available_window_sizes())
-        for shard in live[1:]:
-            common &= set(shard.available_window_sizes())
-        return sorted(common)
+        live = [set(s.available_window_sizes())
+                for s in self.shards if s is not None]
+        return sorted(set.intersection(*live)) if live else []
 
     def per_shard_sim_seconds(self) -> List[float]:
         """Simulated seconds accrued on each shard's device so far

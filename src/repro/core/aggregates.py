@@ -59,16 +59,7 @@ class AggregateStats:
 
     def with_value(self, value: int) -> "AggregateStats":
         """Aggregates after appending one element (O(1), no arrays)."""
-        if self.count == 0:
-            return AggregateStats(
-                count=1, total=value, minimum=value, maximum=value
-            )
-        return AggregateStats(
-            count=self.count + 1,
-            total=self.total + value,
-            minimum=min(self.minimum, value),
-            maximum=max(self.maximum, value),
-        )
+        return self.merge(AggregateStats(1, value, value, value))
 
     def merge(self, other: "AggregateStats") -> "AggregateStats":
         """Combine two aggregates."""

@@ -361,12 +361,16 @@ class HybridQuantileEngine(PinnedQueries):
         at every sketch read point, under the stream lock: the absorbed
         length and the sketch advance atomically with respect to updates
         and seals, and appends (which may reallocate the buffer) wait.
-        GK sorts a whole step where it sits: the seal's copy is then
-        ascending, and its sorter finds nothing to sort."""
+        GK sorts a whole step where it sits, bounded by the stream's
+        aggregates: the seal's copy is then ascending, and its sorter
+        finds nothing to sort."""
         with self._stream_lock:
-            start = self._gk_absorbed
+            start, stats = self._gk_absorbed, self._stream_stats
             if start == 0 and isinstance(self._gk, GKSketch):
-                self._gk.update_many(self._buffer.contents(), in_place=True)
+                self._gk.update_many(
+                    self._buffer.contents(), in_place=True,
+                    bounds=(stats.minimum, stats.maximum),
+                )
             elif start < len(self._buffer):
                 self._gk.update_many(self._buffer.slice_from(start))
             self._gk_absorbed = len(self._buffer)
@@ -754,7 +758,10 @@ class HybridQuantileEngine(PinnedQueries):
         Layout, pending set and stream aggregates are read in one seal
         lock section, as :meth:`pin` reads its view: a batch being
         sealed is counted in the stream or in the warehouse, never in
-        neither.
+        neither.  A size :meth:`available_window_sizes` listed before a
+        merging seal may be refused: the
+        :class:`~repro.core.windows.WindowNotAlignedError`'s
+        ``available`` lists the sizes of the layout that refused it.
         """
         if step_range is not None and window_steps is not None:
             raise ValueError("pass window_steps or step_range, not both")
@@ -781,6 +788,8 @@ class HybridQuantileEngine(PinnedQueries):
 
         Mid-archive the pending suffix counts too — a window ending at
         the last *sealed* step is answerable before archiving finishes.
+        Not atomic with a later windowed query: a seal in between that
+        merges may refuse a listed size (see :meth:`aggregate`).
         """
         with self._seal_lock:
             return window_sizes_from(self._current_layout().partitions)

@@ -38,6 +38,14 @@ class CalibrationPoint:
         return self.model_words / max(1, self.measured_words)
 
 
+def _words_after(sketch, rng, size: int, high: int) -> int:
+    """Footprint of ``sketch`` after ``size`` uniform values in
+    ``[0, high)``, fed in chunks of 100 000."""
+    for fed in range(0, size, 100_000):
+        sketch.update_many(rng.integers(0, high, min(100_000, size - fed)))
+    return sketch.memory_words()
+
+
 def calibrate_gk(
     epsilons: Sequence[float] = (0.02, 0.005, 0.001),
     sizes: Sequence[int] = (50_000, 500_000),
@@ -48,18 +56,14 @@ def calibrate_gk(
     points = []
     for epsilon in epsilons:
         for size in sizes:
-            sketch = GKSketch(epsilon)
-            remaining = size
-            while remaining > 0:
-                chunk = min(remaining, 100_000)
-                sketch.update_many(rng.integers(0, 10**9, chunk))
-                remaining -= chunk
             points.append(
                 CalibrationPoint(
                     sketch="gk",
                     epsilon=epsilon,
                     stream_size=size,
-                    measured_words=sketch.memory_words(),
+                    measured_words=_words_after(
+                        GKSketch(epsilon), rng, size, 10**9
+                    ),
                     model_words=pure_gk_words(epsilon, size),
                 )
             )
@@ -78,19 +82,14 @@ def calibrate_qdigest(
     for epsilon in epsilons:
         for size in sizes:
             sketch = QDigestSketch(epsilon, universe_log2=universe_log2)
-            remaining = size
-            while remaining > 0:
-                chunk = min(remaining, 100_000)
-                sketch.update_many(
-                    rng.integers(0, 2**universe_log2, chunk)
-                )
-                remaining -= chunk
             points.append(
                 CalibrationPoint(
                     sketch="qdigest",
                     epsilon=epsilon,
                     stream_size=size,
-                    measured_words=sketch.memory_words(),
+                    measured_words=_words_after(
+                        sketch, rng, size, 2**universe_log2
+                    ),
                     model_words=qdigest_words(epsilon, universe_log2),
                 )
             )

@@ -26,6 +26,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..storage.external_sort import ANY_INT64
 from ..storage.stats import PhaseTally
 from ..warehouse.leveled_store import LeveledStore
 from ..warehouse.partition import Partition
@@ -41,13 +42,16 @@ class PendingBatch:
         #: batch (seal + any backpressure wait); set by the engine.
         self.stall_seconds = 0.0
         #: seal-time exact aggregates of the batch (set by the engine),
-        #: so full-union aggregate queries stay disk-free mid-archive.
+        #: so full-union aggregate queries stay disk-free mid-archive
+        #: and the sort knows the batch's bounds.
         self.stats = None
         self._values: Optional[np.ndarray] = values
         self._stage_lock = threading.Lock()
-        self._partition: Optional[Partition] = None
-        self._stage_io: Optional[PhaseTally] = None
-        self._stage_cpu: Dict[str, float] = {}
+        #: the staged partition, the I/O charged by staging and its
+        #: per-phase CPU seconds, set once by :meth:`ensure_staged`.
+        self.partition: Optional[Partition] = None
+        self.stage_io: Optional[PhaseTally] = None
+        self.stage_cpu: Dict[str, float] = {}
 
     def __len__(self) -> int:
         return self.size
@@ -55,22 +59,7 @@ class PendingBatch:
     @property
     def staged(self) -> bool:
         """Whether the batch is already a queryable partition."""
-        return self._partition is not None
-
-    @property
-    def partition(self) -> Optional[Partition]:
-        """The staged partition, or ``None`` if not yet staged."""
-        return self._partition
-
-    @property
-    def stage_io(self) -> Optional[PhaseTally]:
-        """I/O charged by staging (valid once ``staged``)."""
-        return self._stage_io
-
-    @property
-    def stage_cpu(self) -> Dict[str, float]:
-        """Per-phase CPU seconds of staging (valid once ``staged``)."""
-        return self._stage_cpu
+        return self.partition is not None
 
     def ensure_staged(self, store: LeveledStore) -> Partition:
         """Stage the batch if nobody has yet; return the partition.
@@ -81,12 +70,11 @@ class PendingBatch:
         this (staging deliberately runs outside it).
         """
         with self._stage_lock:
-            if self._partition is None:
-                partition, tally, cpu = store.stage_partition(
-                    self._values, self.step
+            if self.partition is None:
+                stats = self.stats
+                bounds = (stats.minimum, stats.maximum) if stats else ANY_INT64
+                self.partition, self.stage_io, self.stage_cpu = (
+                    store.stage_partition(self._values, self.step, bounds)
                 )
-                self._partition = partition
-                self._stage_io = tally
-                self._stage_cpu = cpu
                 self._values = None  # the sorted run owns the data now
-            return self._partition
+            return self.partition

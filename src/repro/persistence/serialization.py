@@ -44,13 +44,13 @@ def _pack(header: dict, arrays: "dict[str, np.ndarray]") -> bytes:
     return buffer.getvalue()
 
 
-def _unpack(data: bytes, expected_format: str):
+def _unpack(data: bytes, expected_format: "str | None"):
     try:
         archive = np.load(io.BytesIO(data), allow_pickle=False)
         header = json.loads(bytes(archive["header"]).decode("utf-8"))
     except Exception as exc:
         raise SerializationError(f"not a serialized sketch: {exc}") from exc
-    if header.get("format") != expected_format:
+    if expected_format and header.get("format") != expected_format:
         raise SerializationError(
             f"expected {expected_format}, found {header.get('format')!r}"
         )
@@ -146,12 +146,7 @@ def dump_sketch(sketch) -> bytes:
 
 def sniff_format(data: bytes) -> str:
     """Format tag of a serialized sketch payload (without loading it)."""
-    try:
-        archive = np.load(io.BytesIO(data), allow_pickle=False)
-        header = json.loads(bytes(archive["header"]).decode("utf-8"))
-    except Exception as exc:
-        raise SerializationError(f"not a serialized sketch: {exc}") from exc
-    return str(header.get("format"))
+    return str(_unpack(data, None)[0].get("format"))
 
 
 def load_stream_sketch(data: bytes):

@@ -44,10 +44,8 @@ class ExactQuantiles(QuantileSketch):
 
     def _all_sorted(self) -> np.ndarray:
         if self._sorted is None:
-            if self._chunks:
-                self._sorted = np.sort(np.concatenate(self._chunks))
-            else:
-                self._sorted = np.empty(0, dtype=np.int64)
+            empty = np.empty(0, dtype=np.int64)
+            self._sorted = np.sort(np.concatenate([empty, *self._chunks]))
         return self._sorted
 
     def rank(self, value: int) -> int:

@@ -28,6 +28,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from ..storage.external_sort import ANY_INT64, sort_in_place
 from .base import QuantileSketch, as_int64_batch, clamp_rank
 
 _BATCH_THRESHOLD = 256
@@ -156,7 +157,9 @@ class GKSketch(QuantileSketch):
                 self._compress()
                 self._since_compress = 0
 
-    def update_many(self, values: np.ndarray, in_place: bool = False) -> None:
+    def update_many(
+        self, values: np.ndarray, in_place: bool = False, bounds=ANY_INT64
+    ) -> None:
         """Bulk-insert a numpy batch: sort once, merge once.
 
         Small batches fall back to per-element updates.  Large batches
@@ -166,7 +169,8 @@ class GKSketch(QuantileSketch):
         ``eps``-guarantee is preserved (docs/THEORY.md, "Batched
         updates").  With ``in_place`` a writable int64 ``values`` is
         sorted where it sits instead of in a copy: the engine gives its
-        buffer, so the step it seals is ascending already.
+        buffer, so the step it seals is ascending already.  ``(lo, hi)``
+        ``bounds`` on the values let the sort run at int32 width.
 
         Thread-safety: mutations run under the sketch's mutate lock,
         consistent with :meth:`update` and :meth:`snapshot`.
@@ -178,7 +182,7 @@ class GKSketch(QuantileSketch):
                     self.update(int(value))
             return
         batch = arr if in_place else arr.copy()
-        batch.sort()
+        sort_in_place(batch, *bounds)
         with self._mutate_lock:
             total = self._n + int(batch.size)
             threshold = int(self._two_eps * total)

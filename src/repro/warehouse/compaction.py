@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..storage.external_sort import merge_runs
 from .leveled_store import LeveledStore
 from .partition import Partition
 
@@ -87,19 +86,7 @@ class LeveledCompactionStore(LeveledStore):
             self._levels.append([])
         resident = self._resident(level)
         victims = ([resident] if resident else []) + newcomers
-        with self.disk.stats.phase_scope("merge"):
-            merged_run = merge_runs(self.disk, [p.run for p in victims])
-        merged = Partition(
-            level=level,
-            start_step=victims[0].start_step,
-            end_step=victims[-1].end_step,
-            run=merged_run,
-        )
-        self._attach_summary(merged)
-        self._levels[level] = [merged]
-        # Same tiering hook as the tiered store: the compacted run's
-        # level decides whether the backend ages it to the object tier.
-        self.disk.backend.place_run(merged_run.run_id, level)
+        self._levels[level] = [self._merged(victims, level)]
         if self.on_retire is not None:
             self.on_retire([p.run.run_id for p in victims])
 

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..storage.disk import SimulatedDisk
-from ..storage.external_sort import ExternalSorter, merge_runs
+from ..storage.external_sort import ANY_INT64, ExternalSorter, merge_runs
 from ..storage.runfile import SortedRun
 from ..storage.stats import PhaseTally
 from .partition import Partition
@@ -109,7 +109,7 @@ class LeveledStore:
             return partition
 
     def stage_partition(
-        self, data: np.ndarray, step: int
+        self, data: np.ndarray, step: int, bounds=ANY_INT64
     ) -> "tuple[Partition, PhaseTally, Dict[str, float]]":
         """Sort, persist and summarize a batch *without* inserting it.
 
@@ -123,12 +123,13 @@ class LeveledStore:
         Charges the sort passes and one sequential write of the batch,
         and returns the partition together with this thread's I/O
         tally and per-phase CPU seconds for the step's report.
+        ``bounds``, ``(lo, hi)`` of the batch, go to the sorter.
         """
         cpu: Dict[str, float] = {}
         with self.disk.stats.capture() as tally:
             with self.disk.stats.phase_scope("sort"):
                 started = time.perf_counter()
-                sorted_batch = self._sorter.sorted_array(data)
+                sorted_batch = self._sorter.sorted_array(data, bounds)
                 cpu["sort"] = time.perf_counter() - started
             with self.disk.stats.phase_scope("load"):
                 started = time.perf_counter()
@@ -168,23 +169,27 @@ class LeveledStore:
     def _merge_level(self, level: int) -> None:
         """Merge all partitions of ``level`` into one at ``level + 1``."""
         victims = self._levels[level]
-        with self.disk.stats.phase_scope("merge"):
-            merged_run = merge_runs(self.disk, [p.run for p in victims])
-        merged = Partition(
-            level=level + 1,
-            start_step=victims[0].start_step,
-            end_step=victims[-1].end_step,
-            run=merged_run,
-        )
-        self._attach_summary(merged)
+        merged = self._merged(victims, level + 1)
         self._levels[level] = []
         self._levels[level + 1].append(merged)
+        if self.on_retire is not None:
+            self.on_retire([p.run.run_id for p in victims])
+
+    def _merged(self, victims: List[Partition], level: int) -> Partition:
+        """Merge ``victims`` (oldest first) into one summarized partition
+        at ``level``, placed in its tier; the caller splices it in."""
+        with self.disk.stats.phase_scope("merge"):
+            run = merge_runs(self.disk, [p.run for p in victims])
+        merged = Partition(
+            level=level, start_step=victims[0].start_step,
+            end_step=victims[-1].end_step, run=run,
+        )
+        self._attach_summary(merged)
         # Tiering policy: the merged run now lives at a deeper (colder)
         # level — let the storage backend age it out (e.g. migrate it
         # into the object tier once past ``object_tier_level``).
-        self.disk.backend.place_run(merged_run.run_id, level + 1)
-        if self.on_retire is not None:
-            self.on_retire([p.run.run_id for p in victims])
+        self.disk.backend.place_run(run.run_id, level)
+        return merged
 
     def _attach_summary(self, partition: Partition) -> None:
         if self._summary_builder is not None:
@@ -245,10 +250,7 @@ class LeveledStore:
         thread loads batches into the store.
         """
         with self._layout_lock:
-            ordered: List[Partition] = []
-            for level in reversed(self._levels):
-                ordered.extend(level)
-            return ordered
+            return [p for level in reversed(self._levels) for p in level]
 
     def partition_count(self) -> int:
         """Total number of partitions across all levels."""

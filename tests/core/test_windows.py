@@ -1,5 +1,6 @@
 """Tests for windowed queries (Section 2.4)."""
 
+import numpy as np
 import pytest
 
 from repro import ExactQuantiles, HybridQuantileEngine, WindowNotAlignedError
@@ -29,6 +30,29 @@ class TestWindowQueries:
         with pytest.raises(WindowNotAlignedError) as excinfo:
             engine.quantile(0.5, window_steps=2)
         assert excinfo.value.available == [1, 3, 7]
+
+    def test_a_merging_seal_between_sizes_and_query(self, rng):
+        """Listing the sizes and querying a window are two calls: a seal
+        that merges in between refuses a size just listed, and the
+        refusal carries the sizes of the layout that refused it."""
+        engine, step_data, _ = build(rng, steps=3, live=0, kappa=3)
+        assert engine.available_window_sizes() == [1, 2, 3]
+        fourth = rng.integers(0, 10**6, 1000)
+        engine.stream_update_many(fourth)
+        engine.end_time_step()  # level 0 is full: steps 1-3 merge first
+        for ask in (
+            lambda steps: engine.aggregate(window_steps=steps),
+            lambda steps: engine.quantile(0.5, window_steps=steps),
+        ):
+            with pytest.raises(WindowNotAlignedError) as excinfo:
+                ask(2)
+            assert excinfo.value.available == [1, 4]
+        everything = np.concatenate([*step_data, fourth])
+        for steps, covered in zip([1, 4], [fourth, everything]):
+            total = engine.aggregate(window_steps=steps)
+            assert (total.count, total.total) == (covered.size, covered.sum())
+            answer = engine.quantile(0.5, window_steps=steps).value
+            assert answer in covered
 
     def test_window_error_guarantee(self, rng):
         epsilon = 0.05

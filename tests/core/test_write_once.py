@@ -28,7 +28,8 @@ from repro.ingest.archiver import MAX_PENDING_BATCHES
 from repro.ingest.buffer import AppendBuffer
 from repro.ingest.wal import WriteAheadLog
 from repro.persistence import load_engine, save_engine
-from repro.storage.external_sort import ExternalSorter
+from repro.storage import external_sort
+from repro.storage.external_sort import ExternalSorter, sort_in_place
 
 from .test_query_doors import same
 
@@ -57,7 +58,7 @@ def poll(engine):
 
 
 # Each scenario feeds one step's values, polling as it likes, and says
-# how many times the seal's sorter must then call ``np.sort``.
+# how many times the seal's sorter must then call ``sort_in_place``.
 
 
 def one_chunk(engine, values):
@@ -109,27 +110,27 @@ SCENARIOS = [
 @contextmanager
 def sorter_calls(monkeypatch):
     """Every ``ExternalSorter.sorted_array`` call while the block runs,
-    as the number of ``np.sort`` calls inside it — on the calling
-    thread: ``np.sort`` is patched process-wide, and another thread's
-    sort (a GK absorb beside a staging archiver) is not this call's."""
+    as the number of ``sort_in_place`` calls inside it — on the calling
+    thread: the helper is patched process-wide, and another thread's
+    sort (a merge beside a staging archiver) is not this call's."""
     calls, mine = [], threading.local()
-    real_sort, real_sorted_array = np.sort, ExternalSorter.sorted_array
+    real_sort, real_sorted_array = sort_in_place, ExternalSorter.sorted_array
 
     def sort(array, *args, **kwargs):
         if getattr(mine, "sorts", None) is not None:
             mine.sorts += 1
         return real_sort(array, *args, **kwargs)
 
-    def sorted_array(self, data):
+    def sorted_array(self, data, *args):
         mine.sorts = 0
         try:
-            return real_sorted_array(self, data)
+            return real_sorted_array(self, data, *args)
         finally:
             calls.append(mine.sorts)
             mine.sorts = None
 
     with monkeypatch.context() as patch:
-        patch.setattr(np, "sort", sort)
+        patch.setattr(external_sort, "sort_in_place", sort)
         patch.setattr(ExternalSorter, "sorted_array", sorted_array)
         yield calls
 
@@ -404,9 +405,24 @@ def test_the_poll_that_absorbs_a_step_allocates_nothing_step_sized():
     assert retained <= 0.75 * step.nbytes
 
 
-def test_a_simulated_cascade_keeps_the_merge_output(monkeypatch):
-    from repro.storage import external_sort
+def test_a_ten_run_merge_allocates_a_sixteenth_beyond_its_output():
+    """An int32-range merge sorts its output in its own bytes: beside
+    the output, only the sixteenth the narrowing spills is allocated."""
+    import tracemalloc
 
+    rng = np.random.default_rng(12)
+    runs = [np.sort(rng.integers(0, 10**9, 30_000)) for _ in range(10)]
+    tracemalloc.start()
+    try:
+        merged = external_sort.kway_merge(runs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - merged.nbytes <= merged.nbytes / 16
+    assert merged.tobytes() == np.sort(np.concatenate(runs)).tobytes()
+
+
+def test_a_simulated_cascade_keeps_the_merge_output(monkeypatch):
     with make_engine() as engine, returned_by(
         monkeypatch, external_sort, "kway_merge"
     ) as merged:
@@ -424,8 +440,6 @@ def test_a_file_backed_merge_goes_through_the_mapping(backend, monkeypatch):
     """A 1 MiB merge is built in its own mapping and written out; the
     run reads the file, not the mapping."""
     import mmap
-
-    from repro.storage import external_sort
 
     rng = np.random.default_rng(1)
     with make_engine(storage_backend=backend) as engine:

@@ -1,14 +1,25 @@
 """Tests for the external sorter and multi-way merge."""
 
+import sys
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import EngineConfig, HybridQuantileEngine
 from repro.storage import ExternalSorter, SimulatedDisk, SortedRun, merge_runs
+from repro.storage.external_sort import (
+    _NARROW_SORT_ELEMS,
+    kway_merge,
+    sort_in_place,
+)
 
 INT64_MIN = np.iinfo(np.int64).min
 INT64_MAX = np.iinfo(np.int64).max
+INT32_MIN = np.iinfo(np.int32).min
+INT32_MAX = np.iinfo(np.int32).max
 
 
 def sort_to_run(sorter, disk, data):
@@ -316,3 +327,144 @@ class TestSortPasses:
         np.testing.assert_array_equal(outputs[0], outputs[1])
         assert charges[0] == charges[1]
         assert outputs[1] is ascending
+
+
+THRESHOLD = _NARROW_SORT_ELEMS
+#: 0, 1, lengths that are no multiple of 16, the threshold +- 1 and
+#: powers of two +- 1 on both sides of it.
+SIZES = sorted(
+    {0, 1, 15, 17, 1000, THRESHOLD + 7, 3 * THRESHOLD + 5}
+    | {THRESHOLD + d for d in (-1, 0, 1)}
+    | {2**k + d for k in (4, 15, 16, 17) for d in (-1, 0, 1)}
+)
+
+
+def values_of(kind, size, rng):
+    """An int64 array of ``size`` values of one edge-case ``kind``."""
+    if kind == "int32 ends":
+        pool = [INT32_MIN, INT32_MIN + 1, -1, 0, 1, INT32_MAX - 1, INT32_MAX]
+        return rng.choice(np.asarray(pool, dtype=np.int64), size)
+    if kind == "one past the ends":
+        pool = [INT32_MIN - 1, INT32_MIN, 0, INT32_MAX, INT32_MAX + 1]
+        return rng.choice(np.asarray(pool, dtype=np.int64), size)
+    if kind == "all equal":
+        return np.full(size, rng.integers(INT32_MIN, INT32_MAX), np.int64)
+    if kind == "negative":
+        return rng.integers(INT32_MIN, 0, size)
+    return rng.integers(-(2**40), 2**40, size)  # "2^40 range"
+
+
+KINDS = ["int32 ends", "one past the ends", "all equal", "negative",
+         "2^40 range"]
+
+
+@contextmanager
+def array_sorts():
+    """``(dtype, size)`` of every ``ndarray.sort`` this thread calls
+    while the block runs, read off the interpreter's profile hook."""
+    seen = []
+
+    def profile(frame, event, arg):
+        owner = getattr(arg, "__self__", None)
+        if event == "c_call" and isinstance(owner, np.ndarray) and (
+            arg.__name__ == "sort"
+        ):
+            seen.append((owner.dtype, owner.size))
+
+    sys.setprofile(profile)
+    try:
+        yield seen
+    finally:
+        sys.setprofile(None)
+
+
+class TestSortInPlace:
+    """``sort_in_place`` gives ``np.sort``'s bytes, narrow or not."""
+
+    @staticmethod
+    def check(arr, lo, hi):
+        expected = np.sort(arr).tobytes()
+        sort_in_place(arr, lo, hi)
+        assert arr.dtype == np.int64
+        assert arr.tobytes() == expected
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("size", SIZES)
+    def test_edge_cases_equal_np_sort(self, kind, size):
+        arr = values_of(kind, size, np.random.default_rng(size))
+        lo, hi = (int(arr.min()), int(arr.max())) if size else (0, 0)
+        self.check(arr, lo, hi)
+
+    @given(
+        size=st.sampled_from(SIZES),
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        loose=st.booleans(),
+        offset=st.integers(0, 3),
+    )
+    @example(size=THRESHOLD, kind="int32 ends", seed=0, loose=False, offset=1)
+    @settings(max_examples=60, deadline=None)
+    def test_sort_in_place_equals_np_sort(self, size, kind, seed, loose, offset):
+        """Any of the edge cases, bounded tightly or by the widest
+        range the values allow, sorted inside a larger array: the
+        result is ``np.sort``'s and the neighbours keep their bytes."""
+        rng = np.random.default_rng(seed)
+        outer = rng.integers(INT64_MIN, INT64_MAX, size + offset + 3)
+        arr = outer[offset : offset + size]
+        arr[:] = values_of(kind, size, rng)
+        if not size:
+            lo, hi = 0, 0
+        elif loose:
+            fits = INT32_MIN <= arr.min() and arr.max() <= INT32_MAX
+            lo, hi = (INT32_MIN, INT32_MAX) if fits else (INT64_MIN, INT64_MAX)
+        else:
+            lo, hi = int(arr.min()), int(arr.max())
+        before = outer.copy()
+        self.check(arr, lo, hi)
+        for side in (slice(0, offset), slice(offset + size, None)):
+            assert outer[side].tobytes() == before[side].tobytes()
+
+    def test_a_strided_array_takes_the_int64_sort(self):
+        outer = np.random.default_rng(5).integers(0, 100, 4 * THRESHOLD)
+        with array_sorts() as sorts:
+            self.check(outer[::2], 0, 100)
+        assert sorts[-1] == (np.dtype(np.int64), 2 * THRESHOLD)
+
+    def test_the_three_sites_sort_narrow_when_the_values_fit(self):
+        """A 300 000-element step in int32 range sorts an int32 array
+        where the GK absorb sorts it, where an unpolled seal sorts it
+        and where a 10-run merge sorts it; a 2^40-range array sorts as
+        int64 at each of them."""
+        rng = np.random.default_rng(7)
+        narrow, wide = np.dtype(np.int32), np.dtype(np.int64)
+        for values, width in (
+            (rng.integers(-(10**9), 10**9, 300_000), narrow),
+            (rng.integers(-(2**40), 2**40, 300_000), wide),
+        ):
+            for polled in (True, False):
+                with HybridQuantileEngine(
+                    config=EngineConfig(epsilon=1e-3)
+                ) as engine, array_sorts() as sorts:
+                    engine.stream_update_many(values)
+                    if polled:
+                        engine.quantile(0.5, mode="quick")
+                    engine.end_time_step()
+                    (stored,) = engine.store.partitions()
+                assert (width, values.size) in sorts
+                assert ({narrow, wide} - {width}).pop() not in dict(sorts)
+                assert stored.run.values.tobytes() == np.sort(values).tobytes()
+            runs = [np.sort(part) for part in np.array_split(values, 10)]
+            with array_sorts() as sorts:
+                merged = kway_merge(runs)
+            assert sorts == [(width, values.size)]
+            assert merged.tobytes() == np.sort(values).tobytes()
+
+    def test_a_seal_sorts_narrow_on_a_kll_engine(self):
+        values = np.random.default_rng(3).integers(0, 10**8, 300_000)
+        with HybridQuantileEngine(
+            config=EngineConfig(epsilon=1e-3, sketch_backend="kll")
+        ) as engine, array_sorts() as sorts:
+            engine.stream_update_many(values)
+            engine.end_time_step()
+        assert (np.dtype(np.int32), values.size) in sorts
+        assert (np.dtype(np.int64), values.size) not in sorts
