@@ -11,7 +11,7 @@ seeded chaos schedule at shards in {4, 16}:
 * mid-outage queries return *partial* answers whose observed rank error
   must stay inside the widened bound (base + missing elements, +2 rank
   rounding slack);
-* a ``ShardSupervisor`` restores the victim from checkpoint + WAL
+* ``restore_shards`` restores the victim from checkpoint + WAL
   replay, and the final answers must be bit-identical to a never-failed
   cluster fed the same stream;
 * the disabled-faults cell (same WAL-attached cluster, no kill) must be
@@ -31,9 +31,8 @@ import numpy as np
 
 from common import SCALE, bench_path, show, write_bench
 from conftest import run_once
-from repro.cluster import ClusterEngine, ShardSupervisor, save_cluster
+from repro.cluster import ClusterEngine, restore_shards, save_cluster
 from repro.core.config import EngineConfig
-from repro.faults.retry import RetryPolicy
 from repro.workloads import NormalWorkload
 
 PHIS = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -133,16 +132,9 @@ def run_durable(shards, feeds, root, chaos):
                 )
             row["missing_elements"] = int(cluster.n_acked - cluster.n_total)
             row["worst_partial_excess"] = worst_excess
-            supervisor = ShardSupervisor(
-                cluster,
-                root / "ckpt",
-                retry=RetryPolicy(max_retries=3, backoff_seconds=0.05),
-            )
-            supervisor.run_until_settled()
+            row["restored"] = restore_shards(cluster, root / "ckpt")
+            assert row["restored"] == [victim]
             assert cluster.quarantined_shards == {}
-            row["recovery_events"] = [
-                event.as_dict() for event in supervisor.events
-            ]
     cluster.check_invariants()
     row["answers"] = [cluster.quantile(phi).value for phi in PHIS]
     assert cluster.quantile(0.5).partial is None  # full gather again
@@ -218,5 +210,4 @@ def test_ablation_chaos(benchmark):
     for row in rows:
         if row["chaos"]:
             assert row["missing_elements"] > 0, row
-            actions = [e["action"] for e in row["recovery_events"]]
-            assert "restored" in actions, row
+            assert row["restored"] == [row["victim"]], row

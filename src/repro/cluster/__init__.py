@@ -8,20 +8,18 @@ from .engine import (
     ShardErrors,
     shard_dir,
 )
-from .persistence import load_cluster, save_cluster
+from .persistence import load_cluster, restore_shards, save_cluster
 from .router import ShardRouter
-from .supervisor import RecoveryEvent, ShardSupervisor
 
 __all__ = [
     "ClusterEngine",
     "ClusterSnapshot",
     "ClusterUnavailable",
-    "RecoveryEvent",
     "ShardErrors",
-    "ShardSupervisor",
     "ShardedBlockCache",
     "ShardRouter",
     "load_cluster",
+    "restore_shards",
     "save_cluster",
     "shard_dir",
 ]

@@ -57,10 +57,11 @@ from .router import ClusterUnavailable, ShardRouter
 class ShardErrors(RuntimeError):
     """Multiple shards failed the same lifecycle operation.
 
-    Raised by :meth:`ClusterEngine.end_time_step`, ``flush`` and
-    ``close`` when more than one shard fails, so no shard's poison
-    state is masked by an earlier shard's exception.  ``errors`` maps shard
-    index to the exception that shard raised.
+    Raised by :meth:`ClusterEngine.end_time_step`, ``flush``, ``close``
+    and :func:`~repro.cluster.persistence.restore_shards` when more
+    than one shard fails, so no shard's poison state is masked by an
+    earlier shard's exception.  ``errors`` maps shard index to the
+    exception that shard raised.
     """
 
     def __init__(
@@ -75,6 +76,17 @@ class ShardErrors(RuntimeError):
         super().__init__(
             f"{len(self.errors)} shards failed during {operation}: {detail}"
         )
+
+    @classmethod
+    def raise_joined(
+        cls, operation: str, errors: Mapping[int, BaseException]
+    ) -> None:
+        """The rule once every shard was tried: one error re-raises
+        unchanged, several raise together as one :class:`ShardErrors`."""
+        if len(errors) == 1:
+            raise next(iter(errors.values()))
+        if errors:
+            raise cls(operation, errors)
 
 
 def shard_dir(root: "str | Path", index: int) -> Path:
@@ -440,7 +452,8 @@ class ClusterEngine(PinnedQueries):
     * :meth:`kill_shard` quarantines a shard (its slot turns ``None``,
       writes go to live shards, queries gather partially) and
       :meth:`rejoin_shard` swaps a restored engine back in, a loop
-      the :class:`~repro.cluster.supervisor.ShardSupervisor` automates.
+      :func:`~repro.cluster.persistence.restore_shards` runs for every
+      quarantined slot.
     """
 
     def __init__(
@@ -579,7 +592,7 @@ class ClusterEngine(PinnedQueries):
         self._step = step
         self.router.end_step()
         self._gather = None
-        self._raise_joined("end_time_step", errors)
+        ShardErrors.raise_joined("end_time_step", errors)
         return reports
 
     def flush(self) -> "List[Optional[List[StepReport]]]":
@@ -590,7 +603,7 @@ class ClusterEngine(PinnedQueries):
         """
         results, errors = self._on_live_shards("flush")
         self._gather = None
-        self._raise_joined("flush", errors)
+        ShardErrors.raise_joined("flush", errors)
         return results
 
     def _on_live_shards(
@@ -609,15 +622,6 @@ class ClusterEngine(PinnedQueries):
             except BaseException as exc:  # noqa: BLE001 - attempt all first
                 errors[index] = exc
         return results, errors
-
-    @staticmethod
-    def _raise_joined(
-        operation: str, errors: Dict[int, BaseException]
-    ) -> None:
-        if len(errors) == 1:
-            raise next(iter(errors.values()))
-        if errors:
-            raise ShardErrors(operation, errors)
 
     # -- stats ----------------------------------------------------------
 
@@ -924,7 +928,7 @@ class ClusterEngine(PinnedQueries):
                 self.release_wal(index)
             except BaseException as exc:  # noqa: BLE001
                 errors.setdefault(index, exc)
-        self._raise_joined("close", errors)
+        ShardErrors.raise_joined("close", errors)
 
     def __enter__(self) -> "ClusterEngine":
         return self

@@ -8,6 +8,8 @@ checkpoint's protocol (:mod:`repro.persistence.checkpoint`): every
 shard is staged under ``<dir>.tmp``, the manifest is written last as
 the completeness marker, and one rename commits the lot, so a crash
 mid-save leaves exactly the previous checkpoint or the new one.
+:func:`restore_shards` rejoins a running cluster's quarantined shards
+from such a checkpoint.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..core.engine import HybridQuantileEngine
 from ..faults.plan import FaultPlan
@@ -29,7 +31,7 @@ from ..persistence.checkpoint import (
 )
 from ..persistence.warehouse_store import PersistenceError
 from ..storage.fsutil import atomic_write_json
-from .engine import ClusterEngine, shard_dir
+from .engine import ClusterEngine, ShardErrors, shard_dir
 from .router import ShardRouter
 
 MANIFEST_FILE = "cluster.json"
@@ -104,11 +106,7 @@ def load_cluster(
     engines: List[HybridQuantileEngine] = []
     try:
         for index in range(shards):
-            engines.append(load_engine(
-                shard_dir(root, index),
-                fault_plan=fault_plan.for_shard(index),
-                wal_dir=None if wal_dir is None else shard_dir(wal_dir, index),
-            ))
+            engines.append(_load_shard(root, index, fault_plan, wal_dir))
         return ClusterEngine(
             shards=shards,
             config=config,
@@ -120,6 +118,58 @@ def load_cluster(
         for engine in engines:
             engine.close()
         raise
+
+
+def restore_shards(
+    cluster: ClusterEngine, directory: "str | Path"
+) -> List[int]:
+    """Rejoin every quarantined shard from a :func:`save_cluster`
+    checkpoint; returns the shards that rejoined, in id order.
+
+    A save that died mid-commit first rolls forward or back as a whole.
+    Each quarantined shard then loads from its ``shard-NN/`` directory
+    as :func:`load_cluster` loads it, rolling forward from its WAL
+    under ``cluster.wal_root``, and :meth:`rejoin_shard
+    <repro.cluster.engine.ClusterEngine.rejoin_shard>` swaps it in.  A
+    shard whose restore raises stays quarantined with its WAL writer
+    given back.  Every shard is tried first: one error re-raises
+    unchanged, several as :class:`~repro.cluster.engine.ShardErrors`.
+    A caller that wants retries wraps the call.
+    """
+    root = recover_checkpoint(directory, MANIFEST_FILE)
+    restored: List[int] = []
+    errors: Dict[int, BaseException] = {}
+    for index in sorted(cluster.quarantined_shards):
+        # load_engine opens the directory's one live writer itself.
+        cluster.release_wal(index)
+        engine = None
+        try:
+            engine = _load_shard(
+                root, index, cluster.fault_plan, cluster.wal_root
+            )
+            cluster.rejoin_shard(index, engine)
+        except BaseException as exc:  # noqa: BLE001 - attempt all first
+            if engine is not None:
+                engine.close()
+            cluster.reopen_wal(index)
+            errors[index] = exc
+        else:
+            restored.append(index)
+    ShardErrors.raise_joined("restore_shards", errors)
+    return restored
+
+
+def _load_shard(
+    root: Path,
+    index: int,
+    fault_plan: FaultPlan,
+    wal_dir: "Optional[str | Path]",
+) -> HybridQuantileEngine:
+    return load_engine(
+        shard_dir(root, index),
+        fault_plan=fault_plan.for_shard(index),
+        wal_dir=None if wal_dir is None else shard_dir(wal_dir, index),
+    )
 
 
 def _read_manifest(root: Path) -> dict:

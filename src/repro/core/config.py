@@ -54,12 +54,6 @@ class EngineConfig:
         queries) continue.  After ``engine.flush()`` the answers, I/O
         counters and invariants are bit-identical across modes, and a
         fault is retried and surfaced the same way in both.
-    degrade_on_fault:
-        When an accurate query exhausts its probe retries
-        (:data:`~repro.faults.retry.PROBE_RETRY_POLICY`), answer from
-        the in-memory summaries instead (quick response, widened error
-        bound, ``QueryResult.degraded = True``) rather than raising the
-        fault to the caller.
     shared_cache_blocks:
         Capacity (in blocks) of the process-wide shared block cache
         (:mod:`repro.storage.shared_cache`) that per-query caches read
@@ -87,8 +81,8 @@ class EngineConfig:
         Cluster partial-gather quorum: the minimum number of shards
         that must contribute before a query answers at all.  The
         default of 0 keeps the strict pre-fault-tolerance behavior —
-        every shard must answer, a missing or faulting shard fails the
-        query (or degrades it, per ``degrade_on_fault``).  With a
+        every shard must answer, a missing shard fails the query and a
+        faulting one degrades it to the quick response.  With a
         positive quorum, a gather missing up to ``N - quorum`` shards
         still answers, widening ``rank_error_bound`` by the missing
         shards' element counts and attaching a
@@ -139,7 +133,6 @@ class EngineConfig:
     probe_budget: Optional[int] = None
     compaction: str = "tiered"
     ingest_mode: str = "sync"
-    degrade_on_fault: bool = True
     shared_cache_blocks: int = 0
     prefetch_blocks: int = 4
     sketch_backend: str = "gk"
@@ -240,7 +233,8 @@ class ServingConfig:
     degrade_on_overload:
         When the accurate queue is full, degrade the request to the
         quick path (flagged on the result) instead of rejecting it —
-        the serving-side analogue of ``degrade_on_fault``.
+        the serving-side analogue of an accurate query that degrades
+        when its probes exhaust their retries.
     """
 
     max_queue: int = 64

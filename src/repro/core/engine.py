@@ -344,8 +344,8 @@ class HybridQuantileEngine(PinnedQueries):
         batch and every ``end_time_step`` seal is appended (and made
         durable) *before* it is applied, so returning from those calls
         constitutes a durable ack.  :meth:`close` closes the log;
-        callers that share a writer across engine incarnations (the
-        cluster supervisor) should :meth:`detach_wal` first.
+        callers that share a writer across engine incarnations (a
+        cluster quarantining a shard) should :meth:`detach_wal` first.
         """
         if self._wal is not None:
             raise ValueError("engine already has a write-ahead log")

@@ -137,10 +137,10 @@ def answer_rank(
 
     A search whose probe exhausted its retries degrades to the quick
     response with its wider bound — flagged on the result and counted
-    through ``scope.on_degraded`` — unless ``config.degrade_on_fault``
-    is off or the caller passes ``degrade=False`` because it has a
-    better recovery (the cluster retries over the surviving shards);
-    the typed fault then propagates.
+    through ``scope.on_degraded`` — unless the caller passes
+    ``degrade=False`` because it has a better recovery (the cluster
+    retries over the surviving shards); the typed fault then
+    propagates.
     """
     started = time.perf_counter()
     total = scope.combined.total_size
@@ -164,7 +164,7 @@ def answer_rank(
             executor=executor,
         ).run()
     except DiskFault:
-        if not (degrade and config.degrade_on_fault):
+        if not degrade:
             raise
         scope.on_degraded(cache)
     else:

@@ -314,7 +314,9 @@ class WriteAheadLog:
     Opening scans the existing segments (salvaging a crash-torn tail),
     resumes the LSN sequence, and appends into a fresh segment.  Each
     append is flushed — and fsynced when ``fsync`` is on — before it
-    returns, making the caller's ack durable.
+    returns, making the caller's ack durable.  With ``fsync`` off the
+    writer fsyncs nothing, segment creation and truncation included:
+    durability is the page cache's.
     """
 
     def __init__(
@@ -376,7 +378,7 @@ class WriteAheadLog:
         self._file.flush()
         if self.fsync:
             os.fsync(self._file.fileno())
-        _fsync_dir(self.directory)
+            _fsync_dir(self.directory)
         self._active_last = 0
 
     def _append(self, rtype: int, meta: int, payload) -> int:
@@ -447,7 +449,7 @@ class WriteAheadLog:
             self._file = None
             self._active = None
             removed += 1
-        if removed:
+        if removed and self.fsync:
             _fsync_dir(self.directory)
         return removed
 

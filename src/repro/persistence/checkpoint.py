@@ -292,6 +292,7 @@ _RETIRED_CONFIG_KEYS = (
     ("archive_retries", 32),
     ("probe_retries", 3),
     ("ingest_queue_batches", 4),
+    ("degrade_on_fault", True),
 )
 #: Retired keys that never changed an answer at any value: dropped
 #: whatever they hold.

@@ -7,9 +7,9 @@ requests may wait per mode: past the bound a request is
 rejected *immediately* with a typed :class:`Overloaded` carrying the
 observed depth, or — when
 :attr:`~repro.core.config.ServingConfig.degrade_on_overload` is set —
-an accurate request is downgraded to the quick path instead (the
-serving-side analogue of the engine's ``degrade_on_fault``: a cheaper,
-wider-error answer beats no answer).
+an accurate request is downgraded to the quick path instead (as the
+engine degrades an accurate query whose probes keep faulting: a
+cheaper, wider-error answer beats no answer).
 
 A slot is membership in one of the service's queues: :func:`admit`
 reads their lengths, so a request frees its slot by leaving its queue.

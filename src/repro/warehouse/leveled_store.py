@@ -41,11 +41,6 @@ class LeveledStore:
         Simulated device holding every partition.
     kappa:
         Merge threshold: the maximum number of partitions per level.
-    sorter:
-        External sorter used for incoming batches.  Defaults to one
-        whose workspace holds any batch (matching the paper's
-        accounting, where a plain no-merge step costs exactly one
-        sequential write of the batch — Figure 8).
     summary_builder:
         Called with each newly created :class:`Partition` to attach its
         in-memory summary.  Building happens while the partition data
@@ -56,14 +51,15 @@ class LeveledStore:
         self,
         disk: SimulatedDisk,
         kappa: int,
-        sorter: Optional[ExternalSorter] = None,
         summary_builder: Optional[SummaryBuilder] = None,
     ) -> None:
         if kappa < 2:
             raise ValueError("kappa (merge threshold) must be >= 2")
         self.disk = disk
         self.kappa = kappa
-        self._sorter = sorter if sorter is not None else ExternalSorter(disk)
+        # Its workspace holds any batch (the paper's accounting: a
+        # plain no-merge step costs one sequential write — Figure 8).
+        self._sorter = ExternalSorter(disk)
         self._summary_builder = summary_builder
         self._levels: List[List[Partition]] = [[]]
         self._steps_loaded = 0

@@ -3,10 +3,10 @@
 The cluster-level durability contract: every ``stream_update_many``
 batch that returned (the ack) survives kill/recover — a quarantined
 shard takes no writes, so what it acked is in its checkpoint and WAL,
-and batches acked meanwhile went to live shards — and after the
-supervisor rejoins the shard the cluster's answers are bit-identical
-to a never-crashed cluster fed the same stream.  A write with no live
-shard is refused with nothing acked.
+and batches acked meanwhile went to live shards — and after
+``restore_shards`` rejoins the shard the cluster's answers are
+bit-identical to a never-crashed cluster fed the same stream.  A write
+with no live shard is refused with nothing acked.
 """
 
 import numpy as np
@@ -15,11 +15,10 @@ import pytest
 from repro.cluster import (
     ClusterEngine,
     ClusterUnavailable,
-    ShardSupervisor,
+    restore_shards,
     save_cluster,
 )
 from repro.core.config import EngineConfig
-from repro.faults.retry import RetryPolicy
 from repro.persistence.warehouse_store import PersistenceError
 
 PHIS = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -71,14 +70,8 @@ def test_kill_recover_is_bit_identical(tmp_path):
     cluster.end_time_step()
     assert cluster.quarantined_shards == {2: "chaos kill"}
 
-    supervisor = ShardSupervisor(
-        cluster,
-        tmp_path / "ckpt",
-        retry=RetryPolicy(max_retries=3, backoff_seconds=0.05),
-    )
-    supervisor.run_until_settled()
+    assert restore_shards(cluster, tmp_path / "ckpt") == [2]
     assert cluster.quarantined_shards == {}
-    assert supervisor.attempts(2) == 0  # reset after success
     cluster.check_invariants()  # lockstep + acked-count invariants
 
     cluster.stream_update_many(feeds[3])
@@ -108,7 +101,7 @@ def test_acked_while_quarantined_is_never_lost(tmp_path):
     with pytest.raises(ClusterUnavailable, match="nowhere to write"):
         cluster.stream_update_many(np.arange(100, dtype=np.int64))
     assert cluster.n_acked == acked
-    ShardSupervisor(cluster, tmp_path / "ckpt").run_until_settled()
+    restore_shards(cluster, tmp_path / "ckpt")
     assert cluster.n_total == cluster.n_acked == len(feed) + len(extra)
     cluster.close()
 

@@ -8,7 +8,7 @@ whatever the memo hands out must equal a fuse that never saw it.
 import numpy as np
 
 from repro import ExactQuantiles
-from repro.cluster import ClusterEngine, ShardSupervisor, save_cluster
+from repro.cluster import ClusterEngine, restore_shards, save_cluster
 from repro.core.bounds import CombinedSummary
 from repro.core.config import EngineConfig
 
@@ -82,7 +82,7 @@ def test_memo_across_kill_and_rejoin(tmp_path):
         assert len(snapshot.handles) == 2
         assert_memoless(snapshot)
 
-    ShardSupervisor(cluster, tmp_path / "ckpt").run_until_settled()
+    restore_shards(cluster, tmp_path / "ckpt")
     assert cluster.quarantined_shards == {}
     with cluster.pin() as snapshot:
         # The restored shard's runs carry fresh ids: a new key, and the

@@ -9,8 +9,8 @@ import pytest
 
 from repro.cluster import (
     ClusterEngine,
-    ShardSupervisor,
     load_cluster,
+    restore_shards,
     save_cluster,
 )
 from repro.core.config import EngineConfig
@@ -424,8 +424,7 @@ class TestKillPoints:
         acked = cluster_print(cluster)
         assert cluster.shards[1].n_total > 0
         cluster.kill_shard(1, "chaos")
-        supervisor = ShardSupervisor(cluster, root)
-        supervisor.tick(now=0.0)
+        assert restore_shards(cluster, root) == [1]
         assert cluster.quarantined_shards == {}
         cluster.check_invariants()
         assert cluster_print(cluster) == acked

@@ -21,7 +21,7 @@ import repro.warehouse.leveled_store as leveled_store
 from repro.cluster import (
     ClusterEngine,
     ClusterSnapshot,
-    ShardSupervisor,
+    restore_shards,
     save_cluster,
 )
 from repro.cluster.engine import ShardGather
@@ -286,7 +286,7 @@ def test_kill_rejoin_and_partial_gathers_rebuild_the_gather(tmp_path):
     before = assert_rebuilt(cluster, before)
     with cluster.pin() as view:
         assert view.missing == {1: cluster._shard_elems[1]}
-    ShardSupervisor(cluster, tmp_path / "ckpt").run_until_settled()
+    restore_shards(cluster, tmp_path / "ckpt")
     assert cluster.quarantined_shards == {}
     assert assert_rebuilt(cluster, before).shard_ids == (0, 1, 2)
     cluster.check_invariants()

@@ -50,8 +50,8 @@ import repro.warehouse.leveled_store as leveled_store
 from bench.oracle import Answer, Oracle
 from repro.cluster import (
     ClusterEngine,
-    ShardSupervisor,
     load_cluster,
+    restore_shards,
     save_cluster,
 )
 from repro.core.aggregates import AggregateStats
@@ -453,7 +453,7 @@ class ClusterMachine(RuleBasedStateMachine):
     @rule()
     def rejoin(self):
         self.release_all()
-        ShardSupervisor(self.cluster, self.saved).run_until_settled()
+        restore_shards(self.cluster, self.saved)
         assert not self.cluster.quarantined_shards
 
     @precondition(lambda self: self.saved is not None)

@@ -7,7 +7,6 @@ from repro import (
     EngineConfig,
     FaultPlan,
     HybridQuantileEngine,
-    TransientReadError,
 )
 
 pytestmark = pytest.mark.usefixtures("no_backoff")
@@ -59,12 +58,6 @@ class TestDegradedQueries:
         assert report.probe_retries > 0
         assert report.disk_faults >= report.probe_retries
         assert not report.healthy
-        engine.close()
-
-    def test_degrade_disabled_raises_typed_fault(self):
-        engine = build_engine(ALL_READS_FAIL, degrade_on_fault=False)
-        with pytest.raises(TransientReadError):
-            engine.quantile(0.5)
         engine.close()
 
     def test_quick_queries_unaffected(self):

@@ -68,65 +68,3 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(backoff_seconds=-0.1)
 
-
-class TestJitterDeterminism:
-    def test_same_seed_same_schedule(self):
-        a = RetryPolicy(
-            max_retries=8, backoff_seconds=0.1, backoff_cap_seconds=2.0,
-            jitter=0.5, seed=13,
-        )
-        b = RetryPolicy(
-            max_retries=8, backoff_seconds=0.1, backoff_cap_seconds=2.0,
-            jitter=0.5, seed=13,
-        )
-        schedule = [a.sleep_before(k) for k in range(1, 9)]
-        assert schedule == [b.sleep_before(k) for k in range(1, 9)]
-        # And replaying the same policy is stable too.
-        assert schedule == [a.sleep_before(k) for k in range(1, 9)]
-
-    def test_different_seeds_differ(self):
-        a = RetryPolicy(backoff_seconds=0.1, jitter=0.9, seed=1)
-        b = RetryPolicy(backoff_seconds=0.1, jitter=0.9, seed=2)
-        assert [a.sleep_before(k) for k in range(1, 9)] != [
-            b.sleep_before(k) for k in range(1, 9)
-        ]
-
-    def test_none_seed_behaves_as_zero(self):
-        a = RetryPolicy(backoff_seconds=0.1, jitter=0.5, seed=None)
-        b = RetryPolicy(backoff_seconds=0.1, jitter=0.5, seed=0)
-        assert [a.sleep_before(k) for k in range(1, 5)] == [
-            b.sleep_before(k) for k in range(1, 5)
-        ]
-
-    def test_zero_jitter_keeps_legacy_schedule(self):
-        jittered = RetryPolicy(
-            backoff_seconds=0.1, backoff_cap_seconds=0.4, jitter=0.0, seed=99
-        )
-        assert [jittered.sleep_before(k) for k in range(1, 4)] == [
-            pytest.approx(0.1), pytest.approx(0.2), pytest.approx(0.4)
-        ]
-
-    def test_jitter_only_shaves_never_extends(self):
-        policy = RetryPolicy(
-            backoff_seconds=0.1, backoff_cap_seconds=2.0, jitter=1.0, seed=5
-        )
-        for k in range(1, 10):
-            base = min(0.1 * 2.0 ** (k - 1), 2.0)
-            assert 0.0 <= policy.sleep_before(k) <= base
-
-    def test_jitter_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-
-    def test_global_random_state_untouched(self):
-        import random
-
-        random.seed(0)
-        expected = [random.random() for _ in range(3)]
-        random.seed(0)
-        policy = RetryPolicy(backoff_seconds=0.1, jitter=1.0, seed=77)
-        for k in range(1, 6):
-            policy.sleep_before(k)
-        assert [random.random() for _ in range(3)] == expected

@@ -1,5 +1,6 @@
 """WAL unit tests: framing, LSNs, rotation, truncation, salvage."""
 
+import os
 import struct
 import zlib
 
@@ -115,6 +116,22 @@ def test_truncate_everything(tmp_path):
     scan = scan_wal(tmp_path)
     assert scan.records == ()
     assert scan.last_lsn == 0
+
+
+@pytest.mark.parametrize("fsync", [False, True])
+def test_fsync_off_fsyncs_nothing(tmp_path, monkeypatch, fsync):
+    """Off, neither a frame, a new segment's directory entry nor a
+    truncate is fsynced; on, every append is."""
+    calls = []
+    real = os.fsync
+    monkeypatch.setattr(
+        os, "fsync", lambda fd: calls.append(fd) or real(fd)
+    )
+    with WriteAheadLog(tmp_path, fsync=fsync, segment_bytes=64) as wal:
+        for value in range(8):
+            wal.append_batch(batch(value, value + 1))
+        assert wal.truncate(4) >= 1
+    assert len(calls) >= 8 if fsync else calls == []
 
 
 def test_lsn_floor_survives_full_truncation(tmp_path):

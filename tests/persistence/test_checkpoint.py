@@ -84,9 +84,8 @@ class TestCheckpoint:
             load_engine(tmp_path)
 
 
-#: the ``EngineConfig`` keys a PR-22 ``engine.json`` still carries (the
-#: first four), the one a PR-21 one does, those a PR-15 and a PR-18 one
-#: do, at the defaults those commits wrote.
+#: the retired ``EngineConfig`` keys older ``engine.json`` files carry,
+#: at the defaults those versions wrote.
 RETIRED_DEFAULTS = {
     "retry_backoff_seconds": 0.002,
     "archive_retries": 32,
@@ -100,6 +99,7 @@ RETIRED_DEFAULTS = {
     "query_strategy": "bisect",
     "residual_fetch_elems": None,
     "universe_log2": 34,
+    "degrade_on_fault": True,
 }
 
 
@@ -136,6 +136,7 @@ class TestRetiredConfigKeys:
             ("archive_retries", 0),
             ("probe_retries", 1),
             ("ingest_queue_batches", 8),
+            ("degrade_on_fault", False),
             ("no_such_knob", 1),
         ],
     )
