@@ -130,12 +130,9 @@ class StrawmanEngine:
             ),
             stream=stream,
             new_cache=lambda: BlockCache(self.disk),
-            # Never called: a fault propagates (``degrade=False``).
-            on_degraded=lambda cache: None,
         )
         result = answer_rank(
-            scope, rank, self.config, SERIAL_EXECUTOR, self.disk.latency,
-            degrade=False,
+            scope, rank, self.config, SERIAL_EXECUTOR, self.disk.latency
         )
         return replace(result, mode="strawman")
 

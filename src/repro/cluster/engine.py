@@ -23,7 +23,6 @@ coalescer groups cluster requests as it groups single-engine ones.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
@@ -39,11 +38,9 @@ from ..core.query_path import (
     PinnedView,
     QueryResult,
     QueryScope,
-    answer_rank,
     with_partial,
 )
 from ..core.summaries import PartitionSummary
-from ..faults.errors import DiskFault
 from ..faults.plan import FaultPlan
 from ..faults.retry import PROBE_RETRY_POLICY
 from ..ingest.wal import WriteAheadLog
@@ -115,17 +112,12 @@ class ShardedBlockCache:
     cluster query spans runs on N disks.  Each ``run_id`` (unique across
     disks) maps to the per-query :class:`~repro.storage.cache.BlockCache`
     of the shard that pinned it, so per-shard I/O accounting stays
-    exact; a run outside the gather raises ``KeyError``.  A fetch that
-    raises a :class:`~repro.faults.DiskFault` first records its shard's
-    position in :attr:`failed_shard`: the culprit the partial-gather
-    retry excludes (a search reaches disks only through its cache).
+    exact; a run outside the gather raises ``KeyError``.
     """
 
     def __init__(self, gather: "ShardGather") -> None:
         self._caches = [handle._new_cache() for handle in gather.handles]
         self._run_to_shard = gather.run_to_shard
-        #: handle position whose disk faulted a fetch (None until then).
-        self.failed_shard: Optional[int] = None
         # Prefetch gating mirrors BlockCache.shared: enabled when any
         # shard reads through a shared tier.
         self.shared = next(
@@ -147,18 +139,11 @@ class ShardedBlockCache:
         last_block: int,
         prefetch: bool = False,
     ) -> np.ndarray:
-        """Read through the owning shard's cache, a fault attributed:
-        that shard's disk is charged and its cache pins the bytes."""
-        shard = self._shard_of(handle.run_id)
-        try:
-            return self._caches[shard].fetch(
-                handle, first_block, last_block, prefetch
-            )
-        except DiskFault:
-            self.failed_shard = shard
-            raise
-
-    # Neither of these reaches a disk: no fault to attribute.
+        """Read through the owning shard's cache: that shard's disk is
+        charged and its cache pins the bytes."""
+        return self._caches[self._shard_of(handle.run_id)].fetch(
+            handle, first_block, last_block, prefetch
+        )
 
     def pins(self, run_id: int) -> bool:
         """Whether the owning shard's cache pins the blocks it charges."""
@@ -252,8 +237,8 @@ class ClusterSnapshot(PinnedView):
 
     Reads one :class:`ShardGather` through
     :class:`~repro.core.query_path.PinnedView`'s verbs and scope; what
-    is here is the per-shard block cache and the culprit-exclusion
-    retry with its partial results.  Built over pinned handles (one per
+    is here is the per-shard block cache and the widening of a gather
+    that misses quarantined shards.  Built over pinned handles (one per
     shard, released with the view: the equivalence harness passes
     standalone engines' handles) or by :meth:`repinned`.  ``shard_ids``
     names the cluster-wide id behind each handle, ``historical_memo`` is
@@ -351,10 +336,6 @@ class ClusterSnapshot(PinnedView):
     def _new_cache(self) -> ShardedBlockCache:
         return ShardedBlockCache(self._gather)
 
-    def _on_degraded(self, cache: ShardedBlockCache) -> None:
-        # Counted on the shard whose disk faulted.
-        self.handles[cache.failed_shard]._on_degraded(cache)
-
     # -- queries --------------------------------------------------------
 
     def _answer(
@@ -363,64 +344,16 @@ class ClusterSnapshot(PinnedView):
         rank: int,
         cache: Optional[ShardedBlockCache] = None,
     ) -> QueryResult:
-        """:func:`~repro.core.query_path.answer_rank` over the union.
-
-        A shard whose disk faults mid-search is excluded, and the search
-        re-run over the survivors, while ``min_gather_shards`` leaves
-        quorum to spare.  With shards excluded or quarantined the bound
-        is widened by their element counts and a
-        :class:`~repro.core.bounds.PartialResult` attached; otherwise
-        the result is ``answer_rank``'s, untouched.
-        """
-        started = time.perf_counter()
-        quorum = max(1, self.config.min_gather_shards)
-        view = self
-        # Shard ids excluded mid-search -> their scoped counts.
-        excluded: Dict[int, int] = {}
-        while True:
-            # A caller-shared cache only matches the full shard set;
-            # exclusion retries get a fresh one over the survivors.
-            if cache is None or excluded:
-                cache = scope.new_cache()
-            can_exclude = (
-                self.config.min_gather_shards > 0
-                and len(view.handles) - 1 >= quorum
-            )
-            try:
-                result = answer_rank(
-                    scope, rank, self.config, self._executor,
-                    self._latency, cache, degrade=not can_exclude,
-                )
-                break
-            except DiskFault:
-                if not can_exclude:
-                    raise
-                failed = cache.failed_shard
-                culprit = view.handles[failed]
-                parts = culprit._partitions_in(
-                    scope.window_steps, scope.step_range
-                )
-                excluded[view.shard_ids[failed]] = sum(map(len, parts)) + (
-                    culprit.m_stream if scope.step_range is None else 0
-                )
-                view = ClusterSnapshot(
-                    view.handles[:failed] + view.handles[failed + 1:],
-                    self.config,
-                    self._executor,
-                    shard_ids=view.shard_ids[:failed]
-                    + view.shard_ids[failed + 1:],
-                    historical_memo=self._historical_memo,
-                )
-                scope = view._query_scope(scope.window_steps, scope.step_range)
-        result = with_partial(
-            result, {**self.missing, **excluded}, len(view.handles)
+        """:func:`~repro.core.query_path.answer_rank` over the union,
+        widened by the shards quarantined at pin time (a
+        :class:`~repro.core.bounds.PartialResult` attached).  A fault
+        mid-search degrades the answer to quick over the whole gather,
+        as it does an engine's."""
+        return with_partial(
+            super()._answer(scope, rank, cache),
+            self.missing,
+            len(self.handles),
         )
-        if excluded:
-            # The failed attempts are part of this query's latency.
-            result = replace(
-                result, wall_seconds=time.perf_counter() - started
-            )
-        return result
 
     def _current_ts(self, *scope: Any) -> "tuple[CombinedSummary, dict, int, tuple]":
         return self.combined(*scope), self.missing, len(self.handles), self.epoch
@@ -473,6 +406,11 @@ class ClusterEngine(PinnedQueries):
             raise ValueError(_NEEDS_KLL)
         self.config = config
         self.router = ShardRouter(shards)
+        if config.min_gather_shards > shards:
+            raise ValueError(
+                f"min_gather_shards={config.min_gather_shards} exceeds the "
+                f"{shards} shards: no gather could meet it"
+            )
         self.fault_plan = (
             fault_plan if fault_plan is not None else FaultPlan()
         )

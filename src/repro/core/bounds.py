@@ -48,17 +48,18 @@ if TYPE_CHECKING:
 class PartialResult:
     """Missing-shard accounting for a partial cluster gather.
 
-    When ``k`` of ``N`` shards cannot answer (quarantined at pin time,
-    or excluded mid-search after a disk fault), the gather answers over
-    the surviving union and widens its rank-error bound by the missing
-    shards' element counts — see :func:`widen_rank_bound` for why that
-    is sound.  Attached to the returned
+    When ``k`` of ``N`` shards are quarantined at pin time, the gather
+    answers over the surviving union and widens its rank-error bound
+    by the missing shards' acked element counts — see
+    :func:`widen_rank_bound` for why that is sound.  (A disk fault
+    mid-search excludes no shard: it degrades the answer to quick.)
+    Attached to the returned
     :class:`~repro.core.engine.QueryResult` as its ``partial`` field.
     """
 
     #: shard ids (cluster-wide) that did not contribute to the answer.
     missing_shards: "tuple[int, ...]"
-    #: elements those shards held in the queried scope.
+    #: acked elements those shards hold.
     missing_elements: int
     #: shards that did answer.
     shards_answering: int

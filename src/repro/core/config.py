@@ -36,10 +36,10 @@ class EngineConfig:
     block_cache:
         Enable the Section 2.4 per-query block cache optimization.
     probe_budget:
-        Optional cap on random block reads per query: the search stops
-        early once the cap is reached and returns its current best
-        answer (the accuracy/disk-access tradeoff discussed in the
-        paper's Section 4).
+        Optional cap (``>= 0``) on random block reads per query: the
+        search stops early once the cap is reached and returns its
+        current best answer (the accuracy/disk-access tradeoff
+        discussed in the paper's Section 4).
     compaction:
         Historical merge policy: ``"tiered"`` (the paper's — up to
         kappa partitions per level) or ``"leveled"`` (LevelDB-style —
@@ -78,15 +78,15 @@ class EngineConfig:
         blow-up, which GK summaries cannot do.  Single-engine answers
         remain within the same ``eps * m`` contract either way.
     min_gather_shards:
-        Cluster partial-gather quorum: the minimum number of shards
-        that must contribute before a query answers at all.  The
-        default of 0 keeps the strict pre-fault-tolerance behavior —
-        every shard must answer, a missing shard fails the query and a
-        faulting one degrades it to the quick response.  With a
-        positive quorum, a gather missing up to ``N - quorum`` shards
-        still answers, widening ``rank_error_bound`` by the missing
-        shards' element counts and attaching a
-        :class:`~repro.core.bounds.PartialResult` to the response.
+        Cluster partial-gather quorum: the minimum number of live
+        shards a query pins before it answers at all (at most the
+        shard count).  The default of 0 is strict: a quarantined shard
+        fails the query.  With a positive quorum, a gather missing up
+        to ``N - quorum`` quarantined shards still answers, widening
+        ``rank_error_bound`` by the missing shards' element counts and
+        attaching a :class:`~repro.core.bounds.PartialResult` to the
+        response.  At any quorum a shard whose disk faults mid-search
+        degrades the query to the quick response, as in one engine.
     wal_fsync:
         Whether an attached ingest write-ahead log fsyncs every
         appended frame before the update is acked (default).  Turning
@@ -158,6 +158,8 @@ class EngineConfig:
             raise ValueError("compaction must be 'tiered' or 'leveled'")
         if self.ingest_mode not in ("sync", "background"):
             raise ValueError("ingest_mode must be 'sync' or 'background'")
+        if self.probe_budget is not None and self.probe_budget < 0:
+            raise ValueError("probe_budget must be None or >= 0")
         if self.shared_cache_blocks < 0:
             raise ValueError("shared_cache_blocks must be >= 0")
         if self.prefetch_blocks < 0:

@@ -201,8 +201,6 @@ class HybridQuantileEngine(PinnedQueries):
         self._gk_absorbed = 0
         self._stream_view: Optional[StreamView] = None  # under _seal_lock
         self._query_executor = QueryExecutor(retry=PROBE_RETRY_POLICY)
-        self._degraded_queries = 0
-        self._reliability_lock = threading.Lock()
         # Epoch layer: every structural transition (seal, adoption)
         # bumps the epoch — the serving layer's consistency unit — and
         # the registry counts the live pins.
@@ -519,17 +517,6 @@ class HybridQuantileEngine(PinnedQueries):
         """
         return self._archiver.stats if self._archiver.threaded else None
 
-    @property
-    def degraded_queries(self) -> int:
-        """Accurate queries that fell back to the quick response."""
-        with self._reliability_lock:
-            return self._degraded_queries
-
-    def _note_degraded_query(self) -> None:
-        """Count one degraded query (called from any query thread)."""
-        with self._reliability_lock:
-            self._degraded_queries += 1
-
     def note_archive_retry(self, fault: DiskFault, attempt: int) -> None:
         """Count a retried archive read or write (a recovery scan's)."""
         self._archiver.note_retry(fault, attempt)
@@ -539,14 +526,14 @@ class HybridQuantileEngine(PinnedQueries):
         """Cumulative failure-handling counters across subsystems.
 
         Zeros everywhere (``report.healthy``) under the null fault
-        plan; the disk contributes its fired-fault count, the archiver
-        and query executor their retry counts.
+        plan; the disk contributes its fired-fault and degraded-query
+        counts, the archiver and query executor their retry counts.
         """
         return ReliabilityReport(
             disk_faults=self.disk.faults_fired,
             archive_retries=self._archiver.stats.fault_retries,
             probe_retries=self._query_executor.fault_retries,
-            degraded_queries=self.degraded_queries,
+            degraded_queries=self.disk.degraded_queries,
         )
 
     # ------------------------------------------------------------------

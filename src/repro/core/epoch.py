@@ -453,6 +453,3 @@ class SnapshotHandle(PinnedView):
             if tasks:
                 self._executor.run_tasks(tasks, cache)
         return cache.blocks_charged
-
-    def _on_degraded(self, cache: BlockCache) -> None:
-        self._engine._note_degraded_query()

@@ -100,9 +100,6 @@ class QueryScope:
     stream: Any
     #: a fresh per-query block cache for an accurate search.
     new_cache: Callable[[], Any]
-    #: counts one degraded query; handed the aborted search's cache
-    #: (the cluster reads the culprit shard off it).
-    on_degraded: Callable[[Any], None]
     window_steps: Optional[int] = None
     step_range: "Optional[tuple[int, int]]" = None
 
@@ -127,7 +124,6 @@ def answer_rank(
     executor: QueryExecutor,
     latency: DiskLatencyModel,
     cache: Any = None,
-    degrade: bool = True,
 ) -> QueryResult:
     """Algorithm 6: an element whose rank in the scope approximates
     ``rank`` within ``O(eps*m)``, found with a few hundred random block
@@ -136,11 +132,9 @@ def answer_rank(
     search gets ``scope.new_cache()``.
 
     A search whose probe exhausted its retries degrades to the quick
-    response with its wider bound — flagged on the result and counted
-    through ``scope.on_degraded`` — unless the caller passes
-    ``degrade=False`` because it has a better recovery (the cluster
-    retries over the surviving shards); the typed fault then
-    propagates.
+    response with its wider bound, flagged on the result and counted
+    on the disk that fired the fault (a cluster's: the faulting
+    shard's).
     """
     started = time.perf_counter()
     total = scope.combined.total_size
@@ -163,10 +157,8 @@ def answer_rank(
             cache=cache,
             executor=executor,
         ).run()
-    except DiskFault:
-        if not degrade:
-            raise
-        scope.on_degraded(cache)
+    except DiskFault as fault:
+        fault.disk.note_degraded_query()
     else:
         return QueryResult(
             value=int(outcome.value),
@@ -365,7 +357,7 @@ class PinnedView(PinnedQueries):
     shares are summed), ``_summaries`` / ``_key`` (the full scope's
     non-empty partitions' summaries in that order, and their memo key),
     ``_stream`` (one :class:`~repro.core.epoch.StreamView`),
-    ``_historical_memo``, ``_new_cache()`` and ``_on_degraded(cache)``.
+    ``_historical_memo`` and ``_new_cache()``.
     All of it is thread-safe: one view may serve many threads.
     """
 
@@ -447,7 +439,6 @@ class PinnedView(PinnedQueries):
             combined=self.combined(window_steps, step_range),
             stream=self._stream if step_range is None else None,
             new_cache=self._new_cache,
-            on_degraded=self._on_degraded,
             window_steps=window_steps,
             step_range=step_range,
         )

@@ -91,6 +91,7 @@ class SimulatedDisk:
         self._op_lock = threading.Lock()
         self._op_index = 0
         self._faults_fired = 0
+        self._degraded_queries = 0
 
     def blocks_for(self, num_elems: int) -> int:
         """Number of blocks occupied by ``num_elems`` elements."""
@@ -154,6 +155,18 @@ class SimulatedDisk:
         """Number of faults (stalls included) fired so far."""
         with self._op_lock:
             return self._faults_fired
+
+    @property
+    def degraded_queries(self) -> int:
+        """Accurate queries a fault of this disk sent to the quick
+        response."""
+        with self._op_lock:
+            return self._degraded_queries
+
+    def note_degraded_query(self) -> None:
+        """Count one degraded query (called from any query thread)."""
+        with self._op_lock:
+            self._degraded_queries += 1
 
     def dump_transcript(self, path: "str | Path") -> Path:
         """Write the plan and the fired faults as a JSON document."""

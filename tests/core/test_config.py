@@ -41,6 +41,12 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(epsilon=0.1, eps2=2.0)
 
+    def test_probe_budget_is_none_or_non_negative(self):
+        with pytest.raises(ValueError, match="probe_budget"):
+            EngineConfig(epsilon=0.1, probe_budget=-3)
+        assert EngineConfig(epsilon=0.1, probe_budget=0).probe_budget == 0
+        assert EngineConfig(epsilon=0.1).probe_budget is None
+
     def test_frozen(self):
         config = EngineConfig(epsilon=0.1)
         with pytest.raises(AttributeError):

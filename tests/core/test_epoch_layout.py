@@ -25,8 +25,9 @@ range of sealed steps is answered exactly or refused with
 same to a 3-shard KLL cluster, whose pins reuse one gather per cluster
 version, with views held across writes and seals, odd chunkings,
 writes straight into a shard, kills (mid-step ones move the step's
-home), checkpoints, supervised rejoins and whole-cluster restores that
-roll every shard's WAL forward; an answer
+home), checkpoints, rejoins, whole-cluster restores that
+roll every shard's WAL forward and read-fault bursts on one shard
+around an accurate query, which degrade it to quick; an answer
 gathered without a quarantined shard is checked over the whole union
 against its widened bound.
 """
@@ -65,6 +66,7 @@ from repro.core.windows import (
     window_sizes_from,
 )
 from repro.faults.errors import CorruptedBlockError
+from repro.faults.plan import FaultPlan
 from repro.ingest.archiver import ArchiveFailedError
 from repro.persistence.checkpoint import load_engine, save_engine
 
@@ -485,6 +487,53 @@ class ClusterMachine(RuleBasedStateMachine):
         )
         at = self.tick() if at is None else at
         verify(self.oracle, self.writes, mode, phi, at, result)
+
+    @rule(data=st.data(), phi=st.floats(0.01, 1.0))
+    def faulted_query(self, data, phi):
+        """An accurate query of the cluster while a burst of reads on
+        one live shard faults, with background work drained first so
+        the burst meets only the search.  A search that reads that
+        shard degrades to quick over the whole gather, widened for
+        quarantined shards alone, and is counted on that shard's disk."""
+        if self.cluster.n_total == 0:
+            return
+        live = self.live()
+        index = data.draw(st.sampled_from(live))
+        self.cluster.flush()
+        disk = self.cluster.shards[index].disk
+        plan, fired = disk.plan, disk.faults_fired
+
+        def degraded_counts():
+            return [
+                self.cluster.shards[i].reliability.degraded_queries
+                for i in live
+            ]
+
+        before = degraded_counts()
+        # Far more reads than a probe's four attempts: the first read
+        # of this shard that faults exhausts its retries.
+        start = disk.operations
+        disk.plan = FaultPlan(
+            fail_at={("read", op) for op in range(start, start + 16)}
+        )
+        try:
+            result = self.cluster.quantile(phi, "accurate")
+        finally:
+            disk.plan = plan
+        assert result.degraded == (disk.faults_fired > fired)
+        quarantined = tuple(sorted(self.cluster.quarantined_shards))
+        partial = result.partial
+        assert (partial.missing_shards if partial else ()) == quarantined
+        assert degraded_counts() == [
+            count + (result.degraded and i == index)
+            for i, count in zip(live, before)
+        ]
+        # A degraded answer is a quick one, held to the quick allowance.
+        mode = "quick" if result.degraded else "accurate"
+        verify(
+            self.oracle, self.writes, mode, phi, self.tick(),
+            replace(result, degraded=False),
+        )
 
     @invariant()
     def invariants_hold(self):
