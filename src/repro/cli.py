@@ -365,9 +365,12 @@ def _print_engine(engine: HybridQuantileEngine) -> None:
         print(f"ingest: stalled {stats.stall_seconds * 1e3:.1f} ms over "
               f"{stats.batches_archived} steps "
               f"(max queue depth {stats.max_queue_depth})")
-    report = engine.reliability
+    _print_reliability(engine.reliability, "reliability")
+
+
+def _print_reliability(report, label: str) -> None:
     if not report.healthy:
-        print(f"reliability: {report.disk_faults} disk faults, "
+        print(f"{label}: {report.disk_faults} disk faults, "
               f"{report.archive_retries} archive retries, "
               f"{report.probe_retries} probe retries, "
               f"{report.degraded_queries} degraded queries")
@@ -383,6 +386,9 @@ def _print_shards(cluster) -> None:
               f"{report['n_historical'] + report['m_stream']:,} elems, "
               f"{report['io_total']:,} block I/Os, "
               f"{report['sim_seconds'] * 1e3:.1f} ms simulated")
+    for index, shard in enumerate(cluster.shards):
+        if shard is not None:
+            _print_reliability(shard.reliability, f"shard {index} reliability")
 
 
 def build_parser() -> argparse.ArgumentParser:

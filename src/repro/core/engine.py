@@ -69,6 +69,7 @@ from ..sketches.gk import GKSketch
 from ..sketches.kll import KLLSketch
 from ..storage.backends import make_backend
 from ..storage.disk import SimulatedDisk
+from ..storage.runfile import run_dtype
 from ..storage.shared_cache import SharedBlockCache
 from ..storage.stats import PhaseTally
 from ..warehouse.compaction import LeveledCompactionStore
@@ -456,10 +457,10 @@ class HybridQuantileEngine(PinnedQueries):
         with self._seal_lock:
             self._step += 1
             with self._stream_lock:
-                pending = PendingBatch(
-                    step=self._step, values=self._buffer.take()
-                )
-                pending.stats = self._stream_stats
+                stats = self._stream_stats
+                width = run_dtype(stats.minimum, stats.maximum)
+                pending = PendingBatch(self._step, self._buffer.take(width))
+                pending.stats = stats
                 self._m = 0
                 self._gk = self._fresh_stream_sketch()
                 self._gk_absorbed = 0

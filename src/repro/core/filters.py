@@ -249,13 +249,11 @@ class AccurateSearch:
                 if not self._can_prefetch:
                     lo = lo if rank is None else rank
                     hi = hi if rank_v is None else rank_v
-                window = partition.run.pinned_range(lo, hi, self._cache)
-                if window is None:
+                split = partition.run.pinned_split(lo, hi, u, v, self._cache)
+                if split is None:
                     reading.append(i)
                     continue
-                start = int(window.searchsorted(u, "right"))
-                rank = lo + start
-                held = window[start : int(window.searchsorted(v, "right"))]
+                rank, held = split
             self._prefetched.add(partition.run.run_id)
             self._slices[i] = (rank, held)
             self._base += rank
@@ -384,7 +382,7 @@ class AccurateSearch:
             self._narrow(v, True, probe)
         ranks = list(self._ranks[1])
         for i, (rank, held) in self._slices.items():
-            ranks[i] = rank + int(held.searchsorted(v, "right"))
+            ranks[i] = rank + bisect_right(memoryview(held), v)
         value = self._snap_down(v, ranks)
         charged = self._cache.run_blocks()
         return SearchOutcome(

@@ -14,7 +14,7 @@ class AppendBuffer:
     The owner may reorder the contents in place (the engine's sketch
     sorts a whole step where it sits, see :meth:`contents`).  The seal
     trusts nothing: ``ExternalSorter.sorted_array`` looks at the bytes
-    :meth:`take` copies and sorts unless they are ascending.
+    :meth:`take` copies and sorts them there unless they are ascending.
     """
 
     def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
@@ -62,13 +62,14 @@ class AppendBuffer:
         in place under the same lock."""
         return self._data[: self._len]
 
-    def take(self) -> np.ndarray:
-        """Return a read-only copy of the contents and reset the buffer.
+    def take(self, dtype=np.int64) -> np.ndarray:
+        """Return a read-only copy of the contents at ``dtype`` (a run's
+        width, which the contents fit) and reset the buffer.
 
         The backing capacity is retained, so a steady-state engine
         sealing equal-sized batches reuses its buffer every step.
         """
-        sealed = self._data[: self._len].copy()
+        sealed = self._data[: self._len].astype(dtype)
         sealed.setflags(write=False)
         self._len = 0
         return sealed

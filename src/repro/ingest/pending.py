@@ -26,7 +26,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..storage.external_sort import ANY_INT64
 from ..storage.stats import PhaseTally
 from ..warehouse.leveled_store import LeveledStore
 from ..warehouse.partition import Partition
@@ -72,7 +71,7 @@ class PendingBatch:
         with self._stage_lock:
             if self.partition is None:
                 stats = self.stats
-                bounds = (stats.minimum, stats.maximum) if stats else ANY_INT64
+                bounds = (stats.minimum, stats.maximum) if stats else (None, None)
                 self.partition, self.stage_io, self.stage_cpu = (
                     store.stage_partition(self._values, self.step, bounds)
                 )

@@ -57,8 +57,6 @@ from ..core.engine import HybridQuantileEngine
 from ..faults.plan import FaultPlan
 from ..ingest.wal import WriteAheadLog, replay_wal
 from ..storage.fsutil import (
-    RETIRED_SUFFIX,
-    STAGE_SUFFIX,
     atomic_write_json,
     fsync_dir,
     fsync_file,
@@ -74,22 +72,6 @@ ENGINE_FILE = "engine.json"
 SKETCH_FILE = "stream_sketch.bin"
 BUFFER_FILE = "stream_buffer.npy"
 WAREHOUSE_DIR = "warehouse"
-
-__all__ = [
-    "BUFFER_FILE",
-    "CRASH_POINTS",
-    "ENGINE_FILE",
-    "RETIRED_SUFFIX",
-    "SKETCH_FILE",
-    "STAGE_SUFFIX",
-    "WAREHOUSE_DIR",
-    "begin_stage",
-    "commit_stage",
-    "load_engine",
-    "recover_checkpoint",
-    "save_engine",
-    "stage_engine",
-]
 
 #: Named points a save reports to :data:`repro.storage.fsutil.crash_hook`,
 #: in order.  The crash harness kills a save at each one.

@@ -1,15 +1,16 @@
 """Durable storage for the historical warehouse HD.
 
 The simulated block device measures I/O; this module makes the
-warehouse *durable*: every partition is written to a ``.npy`` file in a
-directory, described by a versioned JSON manifest that is replaced
-atomically (write-to-temp then ``os.replace``), so a crash mid-save
-leaves the previous state intact.  CRC32 checksums in the manifest
-detect corrupted or tampered partition files on load; ``repair`` mode
-salvages files that are still structurally valid sorted runs and
-rewrites the manifest.  (Whole-checkpoint atomicity — staging the
-complete directory and committing it with one rename — lives one level
-up, in :mod:`repro.persistence.checkpoint`.)
+warehouse *durable*: every partition is written to a ``.npy`` file at
+its run's width (int32 or int64) in a directory, described by a
+versioned JSON manifest that is replaced atomically (write-to-temp then
+``os.replace``), so a crash mid-save leaves the previous state intact.
+CRC32 checksums in the manifest detect corrupted or tampered partition
+files on load; ``repair`` mode salvages files that are still
+structurally valid sorted runs and rewrites the manifest.
+(Whole-checkpoint atomicity — staging the complete directory and
+committing it with one rename — lives one level up, in
+:mod:`repro.persistence.checkpoint`.)
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from ..faults.retry import ARCHIVE_RETRY_POLICY
 from ..storage.fsutil import atomic_write_json, fsync_dir, fsync_file
-from ..storage.runfile import SortedRun
+from ..storage.runfile import RUN_DTYPES, SortedRun
 from ..warehouse.leveled_store import LeveledStore
 from ..warehouse.partition import Partition
 
@@ -142,7 +143,7 @@ def _salvage_partition(path: Path, entry: dict) -> Optional[np.ndarray]:
         return None
     if data.ndim != 1 or len(data) != int(entry["num_elems"]):
         return None
-    if len(data) > 1 and not bool(np.all(np.diff(data) >= 0)):
+    if np.any(data[1:] < data[:-1]):
         return None
     return data
 
@@ -212,11 +213,11 @@ def load_store(
                     raise PersistenceError(
                         f"unreadable partition file {path}: {exc}"
                     ) from exc
-            if data.dtype != np.int64:
+            if data.dtype not in RUN_DTYPES:
                 # SortedRun would cast it: floats truncate, wide uint64
                 # wraps negative.
                 raise PersistenceError(
-                    f"{path} holds {data.dtype} values, not int64"
+                    f"{path} holds {data.dtype} values, not int32 or int64"
                 )
             if len(data) != entry["num_elems"]:
                 raise PersistenceError(

@@ -28,7 +28,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..storage.external_sort import ANY_INT64, sort_in_place
+from ..storage.external_sort import sort_in_place
 from .base import QuantileSketch, as_int64_batch, clamp_rank
 
 _BATCH_THRESHOLD = 256
@@ -158,7 +158,7 @@ class GKSketch(QuantileSketch):
                 self._since_compress = 0
 
     def update_many(
-        self, values: np.ndarray, in_place: bool = False, bounds=ANY_INT64
+        self, values: np.ndarray, in_place: bool = False, bounds=(None, None)
     ) -> None:
         """Bulk-insert a numpy batch: sort once, merge once.
 

@@ -2,8 +2,9 @@
 
 `SimulatedDisk` models the *cost* of block I/O; this module supplies
 the *bytes*.  A :class:`BlockDevice` owns the payload of every sorted
-run and hands out :class:`RunHandle` objects that `SortedRun` reads
-through.  Three implementations ship:
+run, at the width it is given (int32 or int64), and hands out
+:class:`RunHandle` objects that `SortedRun` reads through.  Three
+implementations ship:
 
 ``SimulatedBackend``
     Resident in-memory arrays — the deterministic default.  Zero real
@@ -33,21 +34,13 @@ modeled: a cascade merge that reads a bucket run (``merge_runs`` over
 ``SortedRun.values``) is charged its sequential blocks in ``DiskStats``
 but issues no modeled GET.  Whether it should is an open question.
 
-The cold-read fast path layers two request-shaping mechanisms *under*
-the charge layer (charges never change; only request counts and
-modeled latency shrink):
-
-* **Ranged partial-object GETs.**  :meth:`RunHandle.read_blocks`
-  returns just the requested block span, a slice of the run's memory
-  map in whichever tier holds its file.  The object backend models a
-  charged span as a GET of those blocks, not of the whole object.
-* **Fetch coalescing with readahead.**  The object backend remembers
-  which blocks each bucket object has already streamed; a charged
-  range only becomes a GET for its not-yet-fetched sub-ranges, and
-  each GET is widened, up to the end of the run, while the marginal
-  per-block cost stays below the request-setup cost
-  (:meth:`ObjectStoreLatency.break_even_blocks`).  Readahead is
-  charge-neutral: streamed, never added to ``DiskStats``.
+The cold-read fast path (docs/ARCHITECTURE.md, "Cold-read pipeline")
+shapes requests *under* the charge layer: :meth:`RunHandle.read_blocks`
+returns just the requested block span (a ranged partial-object GET on
+the object tier), and the object backend GETs only a charged range's
+not-yet-fetched blocks, widened by charge-neutral readahead while a
+block costs less than a request
+(:meth:`ObjectStoreLatency.break_even_blocks`).
 """
 
 from __future__ import annotations
@@ -778,18 +771,3 @@ def make_backend(
         f"unknown storage backend {name!r}; expected one of {BACKEND_NAMES}"
     )
 
-
-__all__ = [
-    "BACKEND_NAMES",
-    "BackendStats",
-    "BlockDevice",
-    "FILE_TIER",
-    "MEMORY_TIER",
-    "MmapFileBackend",
-    "OBJECT_TIER",
-    "ObjectStoreBackend",
-    "ObjectStoreLatency",
-    "RunHandle",
-    "SimulatedBackend",
-    "make_backend",
-]

@@ -10,8 +10,9 @@ Vitter) and one read-plus-write pass over all merged data per level.
 The *data* is sorted with NumPy — what the simulation must get right is
 the I/O count, which this module computes from the run-formation /
 merge-pass structure of a real external sort.  Each sorted step and
-merged run is built once, read-only, in the array the simulated backend
-keeps as the run, and sorted there by :func:`sort_in_place`.
+merged run is built once, read-only, at the width its bounds give
+(:func:`~repro.storage.runfile.run_dtype`), in the array the simulated
+backend keeps as the run, and sorted there: nothing is widened after.
 """
 
 from __future__ import annotations
@@ -23,18 +24,17 @@ import numpy as np
 
 from .backends import SimulatedBackend
 from .disk import SimulatedDisk
-from .runfile import SortedRun
+from .runfile import SortedRun, run_dtype
 
 
-#: ``(lo, hi)`` bounds that hold any int64 array.
-ANY_INT64 = (-(2**63), 2**63 - 1)
 #: from this length an int32 sort (twice NumPy's int64 speed) beats the
 #: int64 one by a fifth, narrowing included (2-vCPU x86-64, NumPy 2.4).
 _NARROW_SORT_ELEMS = 1 << 14
 
 
 def sort_in_place(arr: np.ndarray, lo: int, hi: int) -> None:
-    """Sort the writable int64 ``arr``, whose values lie in ``[lo, hi]``.
+    """Sort the writable int64 ``arr``, whose values lie in ``[lo, hi]``,
+    where it sits (the GK absorb of the live buffer).
 
     A large contiguous ``arr`` that fits int32 is narrowed into the
     front half of its own bytes in chunks ``[a, 2a)`` doubling from a
@@ -43,7 +43,7 @@ def sort_in_place(arr: np.ndarray, lo: int, hi: int) -> None:
     to front.  Any other array takes the int64 sort: the same bytes.
     """
     n = arr.size
-    if not (_NARROW_SORT_ELEMS <= n and -(2**31) <= lo <= hi < 2**31
+    if not (_NARROW_SORT_ELEMS <= n and run_dtype(lo, hi) == np.int32
             and arr.flags.c_contiguous):
         return arr.sort()
     head = -(-n // 16)
@@ -107,26 +107,34 @@ class ExternalSorter:
             passes += 1
         return passes
 
-    def sorted_array(self, data: np.ndarray, bounds=ANY_INT64) -> np.ndarray:
-        """Sort ``data``, all in ``bounds``, charging the passes only.
+    def sorted_array(self, data: np.ndarray, bounds=(None, None)) -> np.ndarray:
+        """Sort ``data``, all in ``bounds`` (unknown: ``None``), charging
+        the passes only (from the size alone); the caller persists the
+        result and charges that write itself.
 
-        The caller persists the result (e.g. as a :class:`SortedRun`)
-        and accounts for that final write itself.  The modeled passes
-        are charged from the size alone.  Data that is ascending already
-        (a step the GK absorb sorted where it sits) is returned as it
-        is, uncopied: one comparison pass finds that out, a twentieth of
-        the sort it spares.  A sorted copy is frozen: the run adopts it.
+        The result is read-only at the run's width, ``run_dtype(*bounds)``:
+        other data is copied to it once and sorted there.  Data at that
+        width is returned as it is when ascending (a step the GK absorb
+        sorted: one comparison pass, a twentieth of the sort it spares)
+        and sorted where it sits when it is the seal's copy (read-only
+        and owning its memory, as the simulated backend adopts one).
         """
-        arr = np.asarray(data, dtype=np.int64)
+        arr = np.asarray(data)
         for _ in range(self.passes_needed(len(arr))):
             self._disk.charge_sequential_read(len(arr))
             self._disk.charge_sequential_write(len(arr))
-        if not np.any(arr[1:] < arr[:-1]):
+        ascending = not np.any(arr[1:] < arr[:-1])
+        width = run_dtype(*bounds)
+        if arr.dtype == width and ascending:
             return arr
-        ordered = arr.copy()
-        sort_in_place(ordered, *bounds)
-        ordered.setflags(write=False)
-        return ordered
+        if arr.dtype == width and not arr.flags.writeable and arr.flags.owndata:
+            arr.setflags(write=True)  # the seal's copy
+        else:
+            arr = arr.astype(width)  # a caller's array stays as it is
+        if not ascending:
+            arr.sort()
+        arr.setflags(write=False)
+        return arr
 
 
 #: merged runs at least this large are built in their own anonymous
@@ -137,10 +145,11 @@ _MAPPED_MERGE_BYTES = 1 << 20
 def kway_merge(arrays: Sequence[np.ndarray], mapped: bool = False) -> np.ndarray:
     """Merge already-sorted arrays into one sorted, read-only array.
 
-    Concatenate and sort in place, bounded by the runs' ends: NumPy's
-    vectorized sort beats a Python-level tournament of pairwise merges
-    at every run count and size the warehouse produces.  The output is
-    a heap array the simulated backend keeps as the run.
+    Concatenate into an output at the runs' joint width (``run_dtype``
+    of their ends) and sort it: NumPy's vectorized sort beats a
+    Python-level tournament of pairwise merges at every run count and
+    size the warehouse produces.  The output is a heap array the
+    simulated backend keeps as the run.
 
     ``mapped`` is for a file-backed backend, which writes the output out
     and drops it: a large output then lives in an anonymous ``mmap``
@@ -149,18 +158,21 @@ def kway_merge(arrays: Sequence[np.ndarray], mapped: bool = False) -> np.ndarray
     allocator arena the archiver thread ran in — a run-sized resident
     set per arena, for the life of the process.
     """
-    parts = [np.asarray(a, dtype=np.int64) for a in arrays]
-    nbytes = 8 * sum(len(part) for part in parts)
-    out = None
-    if mapped and nbytes >= _MAPPED_MERGE_BYTES:
+    parts = [np.asarray(a) for a in arrays]
+    ends = [int(end) for part in parts if part.size for end in part[[0, -1]]]
+    width = run_dtype(min(ends, default=None), max(ends, default=None))
+    size = sum(len(part) for part in parts)
+    if mapped and size * width.itemsize >= _MAPPED_MERGE_BYTES:
         # Pre-faulted in one call: page-by-page faults on first write
         # cost a third of the merge itself.
         flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
         flags |= getattr(mmap, "MAP_POPULATE", 0)
-        out = np.frombuffer(mmap.mmap(-1, nbytes, flags=flags), dtype=np.int64)
-    merged = np.concatenate([np.empty(0, np.int64), *parts], out=out)
-    ends = [int(end) for part in parts if part.size for end in part[[0, -1]]]
-    sort_in_place(merged, min(ends, default=0), max(ends, default=0))
+        buffer = mmap.mmap(-1, size * width.itemsize, flags=flags)
+        merged = np.frombuffer(buffer, dtype=width)
+    else:
+        merged = np.empty(size, width)
+    np.concatenate([merged[:0], *parts], out=merged)
+    merged.sort()
     merged.setflags(write=False)
     return merged
 

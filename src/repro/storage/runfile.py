@@ -1,15 +1,19 @@
 """Sorted on-disk runs.
 
 A :class:`SortedRun` is the unit the warehouse stores: one sorted array
-of int64 values living on a :class:`~repro.storage.disk.SimulatedDisk`.
+of integers living on a :class:`~repro.storage.disk.SimulatedDisk`, at
+the width its values need (:func:`run_dtype`): int32 when the bounds
+its builder holds fit int32, int64 otherwise, in memory and in ``.npy``
+part files alike.  Readers never see the width: a run answers in ints
+and int64 arrays, and searches its bytes with :func:`bisect.bisect_right`
+over a ``memoryview``, comparing Python ints at either width.
 All random access goes through a :class:`~repro.storage.cache.BlockCache`
 so queries are charged block-granular I/O.  A run reads a block from
 the bytes the cache has pinned, else through
 :meth:`~repro.storage.cache.BlockCache.fetch`, which charges, reads and
 pins it.  That makes Section 2.4's block-confinement optimization real:
 a block is fetched from the backend once per query, and a search
-confined to one block finishes on the pinned payload with a single
-``searchsorted``.
+confined to one block finishes on the pinned payload with one bisect.
 
 The payload bytes live in the disk's pluggable storage backend
 (:mod:`repro.storage.backends`): the run allocates a
@@ -21,8 +25,9 @@ object-store bucket.
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +35,19 @@ from .cache import BlockCache
 from .disk import SimulatedDisk
 
 _run_ids = itertools.count()
+
+_NARROW, _WIDE = np.dtype(np.int32), np.dtype(np.int64)
+#: the widths a run is stored at, narrow first.
+RUN_DTYPES = (_NARROW, _WIDE)
+_NARROW_MIN, _NARROW_MAX = -(2**31), 2**31 - 1
+
+
+def run_dtype(lo: Optional[int], hi: Optional[int]) -> np.dtype:
+    """The width of a run whose values lie in ``[lo, hi]``: int32 when
+    that fits, else int64 (also for no values, ``lo is None``)."""
+    if lo is not None and _NARROW_MIN <= lo and hi <= _NARROW_MAX:
+        return _NARROW
+    return _WIDE
 
 
 class SortedRun:
@@ -40,7 +58,8 @@ class SortedRun:
     disk:
         Backing device; all I/O is charged to its stats.
     data:
-        The values of the run, sorted ascending.  The simulated backend
+        The values of the run, sorted ascending: int32 kept, any other
+        integers as int64.  The simulated backend
         keeps a read-only array that owns its memory (a sorted step or
         merged run built for this run) and copies any other, so a
         caller's writeable array stays independent.
@@ -57,7 +76,9 @@ class SortedRun:
         data: np.ndarray,
         charge_write: bool = True,
     ) -> None:
-        arr = np.asarray(data, dtype=np.int64)
+        arr = np.asarray(data)
+        if arr.dtype != _NARROW:
+            arr = arr.astype(_WIDE, copy=False)
         if len(arr) > 1 and np.any(arr[1:] < arr[:-1]):
             raise ValueError("SortedRun requires sorted input")
         self._disk = disk
@@ -85,18 +106,14 @@ class SortedRun:
         return self._handle.tier
 
     @property
-    def _data(self) -> np.ndarray:
-        return self._handle.data
-
-    @property
     def values(self) -> np.ndarray:
-        """Read-only view of the run contents (no I/O charged).
+        """Read-only view of the run contents, at its width (no I/O).
 
         Intended for tests and for operations that account for their
         own I/O (sequential merges, summary construction at write
         time).
         """
-        view = self._data.view()
+        view = self._handle.data.view()
         view.flags.writeable = False
         return view
 
@@ -180,8 +197,8 @@ class SortedRun:
                 # (Section 2.4): pay for it once, finish on its bytes.
                 payload = self._probe_block(block, cache)
                 base = block * block_elems
-                return lo + int(
-                    payload[lo - base : hi - base].searchsorted(value, "right")
+                return base + bisect.bisect_right(
+                    memoryview(payload), value, lo - base, hi - base
                 )
             mid = (lo + hi) // 2
             block = mid // block_elems
@@ -209,6 +226,24 @@ class SortedRun:
         nothing is charged or fetched here, and once this answers no
         read of these elements can cost the query anything any more.
         """
+        window = self._pinned(lo, hi, cache)
+        return None if window is None else window.astype(np.int64, copy=False)
+
+    def pinned_split(
+        self, lo: int, hi: int, u: int, v: int, cache: BlockCache
+    ) -> Optional[Tuple[int, np.ndarray]]:
+        """Of the elements :meth:`pinned_range` holds (``None`` where it
+        does): the index of the first above ``u``, and those in ``(u, v]``
+        at the run's width (the int64 candidates they join widen them)."""
+        window = self._pinned(lo, hi, cache)
+        if window is None:
+            return None
+        view = memoryview(window)
+        start = bisect.bisect_right(view, u)
+        return lo + start, window[start : bisect.bisect_right(view, v, start)]
+
+    def _pinned(self, lo: int, hi: int, cache: BlockCache):
+        """:meth:`pinned_range` at the run's width."""
         if not cache.pins(self.run_id):
             return None
         if hi <= lo:

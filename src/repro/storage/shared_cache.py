@@ -1,56 +1,26 @@
 """The warehouse-resident shared block cache (cross-query tier).
 
-The paper's Section 2.4 pins blocks *per query*: a query never pays
-twice for the same (run, block) pair, and :class:`~repro.storage.cache.
-BlockCache` implements exactly that accounting before being thrown away
-with the query.  Under the concurrent serving layer that is wasteful:
-32 clients asking for the same handful of quantiles re-read the same
-upper index blocks and the same narrow ranges around popular phi
-values, each paying full simulated random-read latency.
+Section 2.4 pins blocks *per query* (:class:`~repro.storage.cache.
+BlockCache`); under concurrent serving, clients asking for the same
+quantiles re-read the same index blocks and narrow ranges.
+:class:`SharedBlockCache` is a capacity-bounded tier (one per engine)
+between per-query caches and the :class:`~repro.storage.disk.
+SimulatedDisk`: a query's first touch of a block is **charged** only
+when this tier misses; a hit is free and counted apart, so "blocks
+charged per query" becomes a cold/warm quantity the cache ablation
+measures.
 
-:class:`SharedBlockCache` is the tier between per-query caches and the
-:class:`~repro.storage.disk.SimulatedDisk`: a capacity-bounded,
-process-wide (one per engine) cache of resident (run, block) pairs.  A
-per-query :class:`BlockCache` consults it read-through: the first touch
-of a block by a query is **charged** only when the shared tier misses;
-a shared hit is free and counted separately, so the paper's accounting
-("blocks charged per query") becomes a cold/warm quantity the cache
-ablation measures instead of a constant.
-
-Design notes
-------------
-
-* **2Q eviction.**  Residency is managed by a simplified 2Q policy
-  (Johnson & Shasha): new blocks enter a FIFO *probation* queue sized
-  at a quarter of the capacity; a block re-referenced while on
-  probation is promoted to the *protected* LRU segment.  One-shot
-  scans (prefetched block ranges) therefore wash through probation
-  without evicting the hot upper index blocks that every binary search
-  touches.
-* **Single-flight fetch coalescing.**  Concurrent queries missing on
-  the same block dedupe into one in-flight fetch: the first racer
-  claims the block in a flight registry, charges it, and resolves the
-  flight; everyone else waits on the flight and counts a coalesced
-  hit.  Each block is charged exactly once, so *aggregate* charge
-  counts are deterministic under a fixed seed (per-query attribution
-  of a charge may move between racing queries; the total cannot), the
-  backend sees one request per distinct range instead of one per
-  racing client, and waiters never serialize behind the charging
-  thread's backend latency.  A failed fetch delivers its exception to
-  every waiter and leaves the blocks non-resident (nothing is
-  poisoned; the next probe retries).
-* **One lock.**  Queues, membership, the flight registry and the
-  counters live under a single structure lock that is never held
-  across a charge or a wait.
-* **Epoch-aware invalidation.**  Compaction merges and background
-  adoptions retire runs inside the layout-lock critical sections that
-  bump the :class:`~repro.core.epoch.EpochRegistry`; the store's
-  ``on_retire`` hook calls :meth:`invalidate_run` from those same
-  sections.  Retired run ids are remembered and refused re-insertion:
-  run ids are globally unique (never recycled), so a pinned
-  :class:`~repro.core.epoch.SnapshotHandle` that keeps probing a
-  pre-merge run simply misses (charged, correct, deterministic) and
-  can never be served a block belonging to a different run's data.
+Design (docs/ARCHITECTURE.md, "Shared cache tier" and "Cold-read
+pipeline"): 2Q eviction, so one-shot prefetched ranges wash through a
+FIFO probation quarter without evicting the hot index blocks of the
+protected LRU segment; single-flight fetches, so racers on a block
+join the first claimer's flight, each block is charged exactly once
+(aggregate charges are deterministic under a fixed seed) and a failed
+fetch reaches every waiter and leaves nothing resident; one structure
+lock, never held across a charge or a wait; and epoch-aware
+invalidation: runs retired under the layout lock are invalidated
+there and refused re-insertion (run ids are never recycled), so a
+pinned snapshot probing a pre-merge run simply misses.
 """
 
 from __future__ import annotations

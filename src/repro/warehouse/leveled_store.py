@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..storage.disk import SimulatedDisk
-from ..storage.external_sort import ANY_INT64, ExternalSorter, merge_runs
+from ..storage.external_sort import ExternalSorter, merge_runs
 from ..storage.runfile import SortedRun
 from ..storage.stats import PhaseTally
 from .partition import Partition
@@ -105,7 +105,7 @@ class LeveledStore:
             return partition
 
     def stage_partition(
-        self, data: np.ndarray, step: int, bounds=ANY_INT64
+        self, data: np.ndarray, step: int, bounds=(None, None)
     ) -> "tuple[Partition, PhaseTally, Dict[str, float]]":
         """Sort, persist and summarize a batch *without* inserting it.
 

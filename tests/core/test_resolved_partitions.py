@@ -37,12 +37,12 @@ class ClosesOnly(AccurateSearch):
     the search as it was before partitions could resolve."""
 
     def _resolve(self):
-        pinned_range = SortedRun.pinned_range
-        SortedRun.pinned_range = lambda run, lo, hi, cache: None
+        pinned_split = SortedRun.pinned_split
+        SortedRun.pinned_split = lambda run, lo, hi, u, v, cache: None
         try:
             super()._resolve()
         finally:
-            SortedRun.pinned_range = pinned_range
+            SortedRun.pinned_split = pinned_split
 
 
 def build(shards=0, steps=7, step=2100, universe=10**6, seed=41,

@@ -17,6 +17,7 @@ mapping, and a caller's array is still copied.  The poll that absorbs a
 whole step allocates nothing step-sized (``tracemalloc``).
 """
 
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -29,7 +30,7 @@ from repro.ingest.buffer import AppendBuffer
 from repro.ingest.wal import WriteAheadLog
 from repro.persistence import load_engine, save_engine
 from repro.storage import external_sort
-from repro.storage.external_sort import ExternalSorter, sort_in_place
+from repro.storage.external_sort import ExternalSorter
 
 from .test_query_doors import same
 
@@ -58,7 +59,7 @@ def poll(engine):
 
 
 # Each scenario feeds one step's values, polling as it likes, and says
-# how many times the seal's sorter must then call ``sort_in_place``.
+# how many times the seal's sorter must then sort an array.
 
 
 def one_chunk(engine, values):
@@ -110,27 +111,29 @@ SCENARIOS = [
 @contextmanager
 def sorter_calls(monkeypatch):
     """Every ``ExternalSorter.sorted_array`` call while the block runs,
-    as the number of ``sort_in_place`` calls inside it — on the calling
-    thread: the helper is patched process-wide, and another thread's
-    sort (a merge beside a staging archiver) is not this call's."""
-    calls, mine = [], threading.local()
-    real_sort, real_sorted_array = sort_in_place, ExternalSorter.sorted_array
-
-    def sort(array, *args, **kwargs):
-        if getattr(mine, "sorts", None) is not None:
-            mine.sorts += 1
-        return real_sort(array, *args, **kwargs)
+    as the number of ``ndarray.sort`` calls inside it, read off the
+    profile hook of the thread running it (an archiver's or a query's
+    staging too); another thread's sort (a merge beside a staging
+    archiver) is not this call's."""
+    calls, real_sorted_array = [], ExternalSorter.sorted_array
 
     def sorted_array(self, data, *args):
-        mine.sorts = 0
+        sorts = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and arg.__name__ == "sort" and isinstance(
+                getattr(arg, "__self__", None), np.ndarray
+            ):
+                sorts.append(arg.__self__.size)
+
+        sys.setprofile(profile)
         try:
             return real_sorted_array(self, data, *args)
         finally:
-            calls.append(mine.sorts)
-            mine.sorts = None
+            sys.setprofile(None)
+            calls.append(len(sorts))
 
     with monkeypatch.context() as patch:
-        patch.setattr(external_sort, "sort_in_place", sort)
         patch.setattr(ExternalSorter, "sorted_array", sorted_array)
         yield calls
 
@@ -405,9 +408,10 @@ def test_the_poll_that_absorbs_a_step_allocates_nothing_step_sized():
     assert retained <= 0.75 * step.nbytes
 
 
-def test_a_ten_run_merge_allocates_a_sixteenth_beyond_its_output():
-    """An int32-range merge sorts its output in its own bytes: beside
-    the output, only the sixteenth the narrowing spills is allocated."""
+def test_a_ten_run_merge_allocates_only_its_output():
+    """An int32-range merge is concatenated into an int32 output and
+    sorted there: beside the output's 1.2 MB, only a few kilobytes of
+    bookkeeping are allocated, and nothing is widened after."""
     import tracemalloc
 
     rng = np.random.default_rng(12)
@@ -418,8 +422,9 @@ def test_a_ten_run_merge_allocates_a_sixteenth_beyond_its_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - merged.nbytes <= merged.nbytes / 16
-    assert merged.tobytes() == np.sort(np.concatenate(runs)).tobytes()
+    assert merged.dtype == np.int32 and merged.nbytes == 4 * 300_000
+    assert peak - merged.nbytes <= 8 * 1024
+    assert np.array_equal(merged, np.sort(np.concatenate(runs)))
 
 
 def test_a_simulated_cascade_keeps_the_merge_output(monkeypatch):
@@ -437,15 +442,15 @@ def test_a_simulated_cascade_keeps_the_merge_output(monkeypatch):
 
 @pytest.mark.parametrize("backend", ["mmap", "object"])
 def test_a_file_backed_merge_goes_through_the_mapping(backend, monkeypatch):
-    """A 1 MiB merge is built in its own mapping and written out; the
-    run reads the file, not the mapping."""
+    """A 1 MiB merge (three int32 steps) is built in its own mapping
+    and written out; the run reads the file, not the mapping."""
     import mmap
 
     rng = np.random.default_rng(1)
     with make_engine(storage_backend=backend) as engine:
         with returned_by(monkeypatch, external_sort, "kway_merge") as merged:
             for _ in range(4):
-                engine.stream_update_many(rng.integers(0, 10**6, 45_000))
+                engine.stream_update_many(rng.integers(0, 10**6, 90_000))
                 engine.end_time_step()
         (output,) = merged
         assert isinstance(output.base.obj, mmap.mmap)

@@ -163,7 +163,9 @@ class TestEvictionUnderPinnedQueries:
             storage_backend="object",
             storage_dir=str(tmp_path / "bucket"),
             object_tier_level=2,
-            hot_tier_bytes=4096,  # a handful of runs
+            # Under one 500-element run (an int32 run file is 2 128
+            # bytes): every allocation evicts.
+            hot_tier_bytes=2048,
         )
         engine = HybridQuantileEngine(config=config)
         rng = np.random.default_rng(99)

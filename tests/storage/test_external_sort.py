@@ -198,20 +198,29 @@ class TestKWayMerge:
                     st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, INT64_MAX]),
                     max_size=12,
                 ),
+                st.lists(
+                    st.sampled_from([INT32_MIN, -1, 0, INT32_MAX]),
+                    max_size=12,
+                ),
             ),
             max_size=8,
         )
     )
     @settings(max_examples=100, deadline=None)
     def test_kway_edge_runs_equal_global_sort(self, chunks):
-        """Empties, singletons, all-equal runs and the int64 extremes."""
+        """Empties, singletons, all-equal runs and the int32 and int64
+        extremes: the global sort's values, at int32 exactly when the
+        union's ends fit it."""
         from repro.storage.external_sort import kway_merge
 
         arrays = [np.sort(np.asarray(c, dtype=np.int64)) for c in chunks]
         merged = kway_merge(arrays)
-        assert merged.dtype == np.int64
         expected = np.sort(np.concatenate([np.empty(0, np.int64), *arrays]))
-        np.testing.assert_array_equal(merged, expected)
+        fits = expected.size and (
+            INT32_MIN <= expected[0] and expected[-1] <= INT32_MAX
+        )
+        assert merged.dtype == (np.int32 if fits else np.int64)
+        np.testing.assert_array_equal(merged.astype(np.int64), expected)
 
     def test_large_merge_lives_in_its_own_mapping(self):
         """Mapped, as a file-backed backend asks (it writes the output
@@ -219,25 +228,32 @@ class TestKWayMerge:
         array owns, its pages returned to the OS on free; a small one is
         a heap array.  Unmapped, as the simulated backend asks, every
         output is a heap array owning its memory, which the run keeps.
-        Same bytes, read-only, every way."""
+        Same values, read-only, every way; the mapping is sized by the
+        output's width."""
         import mmap
 
         from repro.storage.external_sort import _MAPPED_MERGE_BYTES, kway_merge
 
         rng = np.random.default_rng(3)
-        half = _MAPPED_MERGE_BYTES // 16
-        for size, mapped, in_mapping in (
-            (half - 1, True, False), (half, True, True), (half, False, False)
-        ):
-            arrays = [np.sort(rng.integers(-9, 9, size)) for _ in range(2)]
-            merged = kway_merge(arrays, mapped=mapped)
-            backing = getattr(merged.base, "obj", None)
-            assert isinstance(backing, mmap.mmap) == in_mapping
-            assert merged.flags.owndata != in_mapping
-            assert not merged.flags.writeable and merged.dtype == np.int64
-            np.testing.assert_array_equal(
-                merged, np.sort(np.concatenate(arrays))
-            )
+        for width, reach in ((np.int32, 9), (np.int64, 2**40)):
+            half = _MAPPED_MERGE_BYTES // (2 * np.dtype(width).itemsize)
+            for size, mapped, in_mapping in (
+                (half - 1, True, False), (half, True, True),
+                (half, False, False),
+            ):
+                arrays = [
+                    np.sort(rng.integers(-reach, reach, size))
+                    for _ in range(2)
+                ]
+                merged = kway_merge(arrays, mapped=mapped)
+                backing = getattr(merged.base, "obj", None)
+                assert isinstance(backing, mmap.mmap) == in_mapping
+                assert merged.flags.owndata != in_mapping
+                assert not merged.flags.writeable and merged.dtype == width
+                assert merged.nbytes == 2 * size * np.dtype(width).itemsize
+                np.testing.assert_array_equal(
+                    merged.astype(np.int64), np.sort(np.concatenate(arrays))
+                )
 
     def test_kway_merge_never_aliases_an_input(self):
         from repro.storage.external_sort import kway_merge
@@ -433,8 +449,8 @@ class TestSortInPlace:
     def test_the_three_sites_sort_narrow_when_the_values_fit(self):
         """A 300 000-element step in int32 range sorts an int32 array
         where the GK absorb sorts it, where an unpolled seal sorts it
-        and where a 10-run merge sorts it; a 2^40-range array sorts as
-        int64 at each of them."""
+        and where a 10-run merge sorts it, and is stored as int32; a
+        2^40-range array sorts and is stored as int64 at each of them."""
         rng = np.random.default_rng(7)
         narrow, wide = np.dtype(np.int32), np.dtype(np.int64)
         for values, width in (
@@ -452,12 +468,14 @@ class TestSortInPlace:
                     (stored,) = engine.store.partitions()
                 assert (width, values.size) in sorts
                 assert ({narrow, wide} - {width}).pop() not in dict(sorts)
-                assert stored.run.values.tobytes() == np.sort(values).tobytes()
+                assert stored.run.values.dtype == width
+                assert np.array_equal(stored.run.values, np.sort(values))
             runs = [np.sort(part) for part in np.array_split(values, 10)]
             with array_sorts() as sorts:
                 merged = kway_merge(runs)
             assert sorts == [(width, values.size)]
-            assert merged.tobytes() == np.sort(values).tobytes()
+            assert merged.dtype == width
+            assert np.array_equal(merged, np.sort(values))
 
     def test_a_seal_sorts_narrow_on_a_kll_engine(self):
         values = np.random.default_rng(3).integers(0, 10**8, 300_000)

@@ -257,6 +257,20 @@ class TestDemo:
         assert code == 1 and out == ""
         assert "sketch_backend='kll'" in err
 
+    def test_a_sharded_demo_names_the_shard_that_degraded(self, capsys):
+        """Every read on shard 1 is corrupt: its own reliability line
+        names it, and the healthy shards print none."""
+        code, out, _ = run(capsys, "demo", "--steps", "4", "--batch", "4000",
+                           "--shards", "3", "--fault-plan",
+                           '{"seed": 3, "corrupt_rate": 1.0, '
+                           '"shard_scope": [1]}')
+        assert code == 0 and "degraded" in out
+        lines = [line for line in out.splitlines() if "reliability:" in line]
+        assert len(lines) == 1
+        assert lines[0].startswith("shard 1 reliability: ")
+        assert lines[0].endswith(" degraded queries")
+        assert "disk faults" in lines[0] and "0 degraded" not in lines[0]
+
     @pytest.mark.parametrize("shards", ["1", "2"])
     def test_a_failed_demo_removes_its_storage_directories(
         self, tmp_path, capsys, monkeypatch, shards
