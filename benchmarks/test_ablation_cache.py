@@ -105,7 +105,10 @@ def serving_run(engine, label):
         "p99_ms": accurate.p99 * 1e3,
         "bit_identical": identical,
         "cache_hits": cache.hits if cache is not None else 0,
-        "cache_hit_rate": cache.hit_rate if cache is not None else 0.0,
+        "cache_hit_rate": (
+            cache.hits / max(1, cache.hits + cache.misses)
+            if cache is not None else 0.0
+        ),
         "warm_passes": snapshot.warm_passes,
         "warm_blocks": snapshot.warm_blocks,
         "answers": sorted(

@@ -111,7 +111,7 @@ def run_cell(backend, directory):
             with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
                 list(pool.map(client, range(CLIENTS)))
 
-        delta = device.stats().delta_since(before)
+        delta = device.stats().since(before)
         shared1 = engine.shared_cache.stats()
         engine.check_invariants()
         misses = shared1.misses - shared0.misses

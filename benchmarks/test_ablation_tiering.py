@@ -84,11 +84,11 @@ def run_backend(backend, directory):
 
         cold_before = device.stats()
         accurate, cold_blocks = accurate_sweep(engine)
-        cold = device.stats().delta_since(cold_before)
+        cold = device.stats().since(cold_before)
 
         warm_before = device.stats()
         accurate_warm, warm_blocks = accurate_sweep(engine)
-        warm = device.stats().delta_since(warm_before)
+        warm = device.stats().since(warm_before)
 
         engine.check_invariants()
         counters = engine.disk.stats.counters

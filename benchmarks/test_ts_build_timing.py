@@ -37,6 +37,7 @@ from repro.core.bounds import CombinedSummary
 from repro.core.epoch import HistoricalMemo
 from repro.core.summaries import PartitionSummary, StreamSummary
 from repro.sketches.gk import GKSketch
+from repro.stats import EPOCH_FIELDS
 from repro.storage import SimulatedDisk, SortedRun
 from repro.warehouse import Partition
 from tests.core.ts_arrays_reference import paper_arrays
@@ -100,7 +101,8 @@ def test_memoised_historical_speedup():
     fused = _median_seconds(
         lambda stream: CombinedSummary.build(summaries, stream, memo), streams
     )
-    assert (memo.builds, memo.extends, memo.reuses) == (1, 0, 0)
+    counts = memo.table.read(EPOCH_FIELDS)
+    assert (counts.hs_builds, counts.hs_extends, counts.ts_reuses) == (1, 0, 0)
     speedup = folded / fused
     print(
         f"\nTS build, {PARTITIONS}x2001 HS + 4001 SS: folding "
@@ -140,7 +142,8 @@ def test_fused_ts_is_searched_not_built():
         for one, other in zip(streams, others)
     ]
     searched_s, built_s = map(statistics.median, zip(*turns))
-    assert (memo.builds, memo.extends, memo.reuses) == (1, 0, 0)
+    counts = memo.table.read(EPOCH_FIELDS)
+    assert (counts.hs_builds, counts.hs_extends, counts.ts_reuses) == (1, 0, 0)
     speedup = built_s / searched_s
     print(
         f"\nfused TS, 30 014 entries: searched {searched_s * 1e3:.2f} ms vs "

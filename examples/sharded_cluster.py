@@ -54,10 +54,10 @@ def main() -> None:
     print(f"  single-engine simulated I/O   {single_sim * 1e3:8.1f} ms")
     print(f"  cluster critical path (max)   {critical * 1e3:8.1f} ms"
           f"  ({single_sim / critical:.1f}x)")
-    for report in cluster.shard_reports():
-        print(f"    shard {report['shard']}: n={report['n_historical']:,}"
-              f"  sim={report['sim_seconds'] * 1e3:.1f} ms"
-              f"  random reads={report['io_random']}")
+    for index, shard in enumerate(cluster.shards):
+        print(f"    shard {index}: n={shard.n_historical:,}"
+              f"  sim={per_shard[index] * 1e3:.1f} ms"
+              f"  random reads={shard.stats()['storage.random_blocks']}")
 
     print(f"\n{'phi':>5} {'single acc':>12} {'cluster acc':>12}"
           f" {'cluster quick':>14} {'quick err<=':>11}")

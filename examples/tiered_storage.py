@@ -65,12 +65,12 @@ def main() -> None:
             accurate = [
                 engine.quantile(p, mode="accurate").value for p in PHIS
             ]
-            cold = device.stats().delta_since(cold_before)
+            cold = device.stats().since(cold_before)
 
             warm_before = device.stats()
             for p in PHIS:
                 engine.quantile(p, mode="accurate")
-            warm = device.stats().delta_since(warm_before)
+            warm = device.stats().since(warm_before)
 
             counters = engine.disk.stats.counters
             answers[backend] = (quick, accurate)

@@ -43,7 +43,6 @@ from .faults import (
     CorruptedBlockError,
     DiskFault,
     FaultPlan,
-    ReliabilityReport,
     RetryPolicy,
     TransientReadError,
     TransientWriteError,
@@ -90,7 +89,6 @@ __all__ = [
     "CorruptedBlockError",
     "DiskFault",
     "FaultPlan",
-    "ReliabilityReport",
     "RetryPolicy",
     "TransientReadError",
     "TransientWriteError",

@@ -39,6 +39,7 @@ from .core.engine import HybridQuantileEngine
 from .faults import DiskFault, FaultPlan
 from .ingest.archiver import ArchiveFailedError
 from .persistence import PersistenceError, load_engine, save_engine
+from .stats import FAULT_FIELDS
 from .storage.disk import SimulatedDisk
 from .workloads import NormalWorkload
 from .workloads.replay import read_values
@@ -124,11 +125,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 + ")"
             )
         save_engine(engine, args.warehouse)
-        stats = engine.ingest_stats
-        if stats is not None and (stats.fault_retries or stats.disk_faults):
-            message += (f" [{stats.disk_faults} disk faults, "
-                        f"{stats.fault_retries} retries]")
         print(message)
+        _print_reliability(engine.stats())
         return 0
 
 
@@ -148,11 +146,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             print(f"{phi:>6} {result.value:>16,} {result.target_rank:>12,} "
                   f"{result.disk_accesses:>9}"
                   + ("  DEGRADED" if result.degraded else ""))
-        report = engine.reliability
-        if not report.healthy:
-            print(f"reliability: {report.disk_faults} disk faults, "
-                  f"{report.total_retries} retries, "
-                  f"{report.degraded_queries} degraded queries")
+        _print_reliability(engine.stats())
         return 0
 
 
@@ -260,11 +254,12 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
             print(f"warm pass        : {charged} blocks charged "
                   f"for phis {args.phi}")
         stats = cache.stats()
+        lookups = stats.hits + stats.misses
         print(f"capacity blocks  : {stats.capacity_blocks:,}")
         print(f"resident blocks  : {stats.resident_blocks:,}")
-        print(f"lookups          : {stats.lookups:,} "
+        print(f"lookups          : {lookups:,} "
               f"({stats.hits:,} hits, {stats.misses:,} misses, "
-              f"hit rate {stats.hit_rate:.3f})")
+              f"hit rate {stats.hits / max(lookups, 1):.3f})")
         print(f"evictions        : {stats.evictions:,}")
         print(f"invalidated      : {stats.invalidated_blocks:,} blocks over "
               f"{stats.invalidated_runs:,} retired runs")
@@ -348,7 +343,7 @@ def _print_engine(engine: HybridQuantileEngine) -> None:
           f"{engine.n_total:,} elements")
     if engine.shared_cache is not None:
         cache = engine.shared_cache.stats()
-        print(f"shared cache: {cache.hits}/{cache.lookups} hits "
+        print(f"shared cache: {cache.hits}/{cache.hits + cache.misses} hits "
               f"({cache.resident_blocks}/{cache.capacity_blocks} blocks "
               f"resident, {cache.evictions} evictions)")
     backend_stats = engine.disk.backend.stats()
@@ -365,15 +360,17 @@ def _print_engine(engine: HybridQuantileEngine) -> None:
         print(f"ingest: stalled {stats.stall_seconds * 1e3:.1f} ms over "
               f"{stats.batches_archived} steps "
               f"(max queue depth {stats.max_queue_depth})")
-    _print_reliability(engine.reliability, "reliability")
+    _print_reliability(engine.stats())
 
 
-def _print_reliability(report, label: str) -> None:
-    if not report.healthy:
-        print(f"{label}: {report.disk_faults} disk faults, "
-              f"{report.archive_retries} archive retries, "
-              f"{report.probe_retries} probe retries, "
-              f"{report.degraded_queries} degraded queries")
+def _print_reliability(
+    stats: "dict[str, float]", label: str = "reliability"
+) -> None:
+    """The ``faults.*`` counts of ``engine.stats()``, unless all are 0."""
+    faults = [stats[key] for key in FAULT_FIELDS.values()]
+    if any(faults):
+        print("{}: {} disk faults, {} archive retries, {} probe retries, "
+              "{} degraded queries".format(label, *faults))
 
 
 def _print_shards(cluster) -> None:
@@ -381,14 +378,15 @@ def _print_shards(cluster) -> None:
     print(f"elements: {cluster.n_total:,} over {len(sims)} shards; "
           f"simulated I/O critical path {max(sims) * 1e3:.1f} ms "
           f"(single-device equivalent {sum(sims) * 1e3:.1f} ms)")
-    for report in cluster.shard_reports():
-        print(f"  shard {report['shard']}: "
-              f"{report['n_historical'] + report['m_stream']:,} elems, "
-              f"{report['io_total']:,} block I/Os, "
-              f"{report['sim_seconds'] * 1e3:.1f} ms simulated")
     for index, shard in enumerate(cluster.shards):
-        if shard is not None:
-            _print_reliability(shard.reliability, f"shard {index} reliability")
+        if shard is None:
+            print(f"  shard {index}: quarantined "
+                  f"({cluster.quarantined_shards[index]})")
+            continue
+        print(f"  shard {index}: {shard.n_total:,} elems, "
+              f"{shard.disk.stats.counters.total:,} block I/Os, "
+              f"{sims[index] * 1e3:.1f} ms simulated")
+        _print_reliability(shard.stats(), f"shard {index} reliability")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,6 +22,7 @@ coalescer groups cluster requests as it groups single-engine ones.
 
 from __future__ import annotations
 
+import logging
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -49,6 +50,8 @@ from ..sketches.kll import KLLSketch
 from ..storage.backends import RunHandle
 from ..warehouse.partition import Partition
 from .router import ClusterUnavailable, ShardRouter
+
+_logger = logging.getLogger(__name__)
 
 
 class ShardErrors(RuntimeError):
@@ -617,43 +620,6 @@ class ClusterEngine(PinnedQueries):
             for s in self.shards
         ]
 
-    def shard_reports(self) -> List[dict]:
-        """One dict per shard: ingest sizes, epoch-layer counters and
-        simulated-device accounting (or why it is quarantined)."""
-        reports = []
-        for index, shard in enumerate(self.shards):
-            if shard is None:
-                reports.append(
-                    {
-                        "shard": index,
-                        "quarantined": self._quarantined.get(
-                            index, "unknown"
-                        ),
-                        "acked_elements": self._shard_elems[index],
-                    }
-                )
-                continue
-            stats = shard.epoch_stats
-            counters = shard.disk.stats.counters
-            reports.append(
-                {
-                    "shard": index,
-                    "n_historical": shard.n_historical,
-                    "m_stream": shard.m_stream,
-                    "steps_sealed": shard.steps_sealed,
-                    "epoch": stats.current_epoch,
-                    "ts_merges": stats.ts_merges,
-                    "live_pins": stats.live_pins,
-                    "io_total": counters.total,
-                    "io_sequential": (
-                        counters.sequential_reads + counters.sequential_writes
-                    ),
-                    "io_random": counters.random_reads,
-                    "sim_seconds": shard.disk.simulated_seconds(),
-                }
-            )
-        return reports
-
     # -- queries --------------------------------------------------------
 
     def pin(self) -> ClusterSnapshot:
@@ -768,6 +734,10 @@ class ClusterEngine(PinnedQueries):
         self._quarantined[shard] = str(reason)
         self._dead_disks[shard] = engine.disk
         self._gather = None
+        _logger.debug(
+            "quarantined shard %d: %s", shard, reason,
+            extra={"faults.disk_faults": engine.disk.faults_fired},
+        )
 
     def rejoin_shard(
         self, shard: int, engine: HybridQuantileEngine
@@ -793,6 +763,12 @@ class ClusterEngine(PinnedQueries):
         self._quarantined.pop(shard, None)
         self._dead_disks.pop(shard, None)
         self._gather = None
+        _logger.debug(
+            "shard %d rejoined at step %d", shard, self._step,
+            extra={
+                "warehouse.partitions_final": engine.store.partition_count()
+            },
+        )
 
     def release_wal(self, shard: int) -> None:
         """Close and drop a slot's retained WAL writer, right before a

@@ -3,7 +3,7 @@
 from .bounds import CombinedSummary
 from .config import EngineConfig, ServingConfig
 from .engine import HybridQuantileEngine, MemoryReport, StepReport
-from .epoch import EpochRegistry, EpochStats, SnapshotHandle
+from .epoch import EpochRegistry, SnapshotHandle
 from .query_path import QueryResult
 from .memory import (
     WORDS_PER_MB,
@@ -20,7 +20,6 @@ __all__ = [
     "CombinedSummary",
     "EngineConfig",
     "EpochRegistry",
-    "EpochStats",
     "ServingConfig",
     "SnapshotHandle",
     "HybridQuantileEngine",

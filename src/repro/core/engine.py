@@ -53,20 +53,20 @@ import math
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..faults.errors import DiskFault
-from ..faults.health import ReliabilityReport
 from ..faults.plan import FaultPlan
 from ..faults.retry import ARCHIVE_RETRY_POLICY, PROBE_RETRY_POLICY
-from ..ingest import AppendBuffer, BackgroundArchiver, IngestStats, PendingBatch
+from ..ingest import AppendBuffer, BackgroundArchiver, PendingBatch
 from ..ingest.archiver import StepReport
 from ..query.executor import QueryExecutor
 from ..sketches.base import QuantileSketch, as_int64_batch
 from ..sketches.gk import GKSketch
 from ..sketches.kll import KLLSketch
+from ..stats import EPOCH_FIELDS, FAULT_FIELDS, Reading, StatsTable
 from ..storage.backends import make_backend
 from ..storage.disk import SimulatedDisk
 from ..storage.runfile import run_dtype
@@ -79,7 +79,6 @@ from .bounds import CombinedSummary
 from .config import EngineConfig
 from .epoch import (
     EpochRegistry,
-    EpochStats,
     HistoricalMemo,
     Layout,
     SnapshotHandle,
@@ -153,6 +152,8 @@ class HybridQuantileEngine(PinnedQueries):
                 epsilon=epsilon, kappa=kappa, block_elems=block_elems
             )
         self.config = config
+        #: every count the components below keep (:meth:`stats` reads it).
+        self.table = StatsTable()
         self.disk = SimulatedDisk(
             config.block_elems,
             backend=make_backend(
@@ -160,6 +161,7 @@ class HybridQuantileEngine(PinnedQueries):
                 directory=config.storage_dir,
                 object_tier_level=config.object_tier_level,
                 hot_tier_bytes=config.hot_tier_bytes,
+                table=self.table,
             ),
             plan=fault_plan,
         )
@@ -177,7 +179,7 @@ class HybridQuantileEngine(PinnedQueries):
         # blocks means no tier: every query pays the paper's per-query
         # accounting exactly — the historical code path, bit for bit.
         self.shared_cache: Optional[SharedBlockCache] = (
-            SharedBlockCache(config.shared_cache_blocks)
+            SharedBlockCache(config.shared_cache_blocks, self.table)
             if config.shared_cache_blocks > 0
             else None
         )
@@ -201,14 +203,14 @@ class HybridQuantileEngine(PinnedQueries):
         self._stream_lock = threading.Lock()
         self._gk_absorbed = 0
         self._stream_view: Optional[StreamView] = None  # under _seal_lock
-        self._query_executor = QueryExecutor(retry=PROBE_RETRY_POLICY)
+        self._query_executor = QueryExecutor(PROBE_RETRY_POLICY, self.table)
         # Epoch layer: every structural transition (seal, adoption)
         # bumps the epoch — the serving layer's consistency unit — and
         # the registry counts the live pins.
-        self._epochs = EpochRegistry()
+        self._epochs = EpochRegistry(self.table)
         # The historical half of TS per partition set and the TS last
         # fused onto it, shared by every handle this engine pins.
-        self._historical_memo = HistoricalMemo()
+        self._historical_memo = HistoricalMemo(self.table)
         # Serializes end_time_step's seal (take buffer + reset sketch +
         # enqueue pending) against pin(): a reader never observes the
         # instant where a sealed batch is in neither the stream nor the
@@ -228,6 +230,7 @@ class HybridQuantileEngine(PinnedQueries):
                 else None
             ),
             after_adopt=self._grow_historical_memo,
+            table=self.table,
         )
         # Optional durability: when attached, every acked batch and
         # seal is appended (and fsynced) to the log before it is
@@ -466,7 +469,12 @@ class HybridQuantileEngine(PinnedQueries):
                 self._gk_absorbed = 0
                 self._stream_stats = AggregateStats.empty()
             self._stream_view = None
-            self._epochs.bump("seal")
+            epoch = self._epochs.bump("seal")
+            _logger.debug(
+                "sealed step %d: %d elements at epoch %d",
+                pending.step, pending.size, epoch,
+                extra={"epoch.current_epoch": epoch},
+            )
             if self.config.ingest_mode != "background":
                 report = archiver.archive_reserved(pending)
                 wall = time.perf_counter() - started
@@ -476,7 +484,8 @@ class HybridQuantileEngine(PinnedQueries):
             depth = archiver.enqueue_reserved(pending)
         stall = time.perf_counter() - started
         pending.stall_seconds = stall
-        archiver.stats.stall_seconds += stall
+        with self.table.lock:  # producers may seal concurrently
+            self.table["ingest.archiver.stall_s"] += stall
         return StepReport.of(
             pending.step, pending.size, PhaseTally(), {"seal": stall},
             self.disk.latency, stall_seconds=stall, queue_depth=depth,
@@ -510,32 +519,52 @@ class HybridQuantileEngine(PinnedQueries):
             )
 
     @property
-    def ingest_stats(self) -> Optional[IngestStats]:
-        """Cumulative background-ingest instrumentation.
+    def ingest_stats(self) -> Optional[Reading]:
+        """The archiver's counts (:data:`~repro.stats.INGEST_FIELDS`).
 
         ``None`` until the first background ``end_time_step`` (always
         ``None`` in sync mode, where no batch reaches the thread).
         """
-        return self._archiver.stats if self._archiver.threaded else None
+        return self._archiver.stats() if self._archiver.threaded else None
 
     def note_archive_retry(self, fault: DiskFault, attempt: int) -> None:
         """Count a retried archive read or write (a recovery scan's)."""
         self._archiver.note_retry(fault, attempt)
 
     @property
-    def reliability(self) -> ReliabilityReport:
-        """Cumulative failure-handling counters across subsystems.
+    def reliability(self) -> Reading:
+        """The ``faults.*`` counts of :meth:`stats`: faults the disk
+        fired, retries the archiver and the query executor spent, and
+        accurate queries degraded to the quick response.  All zero under
+        the null fault plan."""
+        return Reading(FAULT_FIELDS, self.stats())
 
-        Zeros everywhere (``report.healthy``) under the null fault
-        plan; the disk contributes its fired-fault and degraded-query
-        counts, the archiver and query executor their retry counts.
+    def stats(self) -> Dict[str, float]:
+        """Every count this engine keeps, flat, by key (:mod:`repro.stats`).
+
+        The table its components bump, beside what the disk keeps (the
+        random and per-phase sequential block I/O, fired faults,
+        degraded queries and modeled request seconds) and the levels
+        read off their holders: the current epoch, the backend's runs
+        and bytes, the shared cache's blocks and the partitions.
         """
-        return ReliabilityReport(
-            disk_faults=self.disk.faults_fired,
-            archive_retries=self._archiver.stats.fault_retries,
-            probe_retries=self._query_executor.fault_retries,
-            degraded_queries=self.disk.degraded_queries,
-        )
+        io, disk, cache = self.disk.stats, self.disk, self.shared_cache
+        return {
+            **self.table,
+            "epoch.current_epoch": self._epochs.current,
+            **disk.backend.levels(),
+            **(cache.levels() if cache is not None else {}),
+            "storage.random_blocks": io.query.random_reads,
+            **{
+                f"storage.seq_blocks_{phase}": getattr(io, phase).sequential
+                for phase in ("load", "sort", "merge")
+            },
+            "storage.backend.modeled_request_s":
+                disk.backend.simulated_seconds(),
+            "warehouse.partitions_final": self.store.partition_count(),
+            "faults.disk_faults": disk.faults_fired,
+            "faults.degraded_queries": disk.degraded_queries,
+        }
 
     # ------------------------------------------------------------------
     # Queries (Algorithms 5-8)
@@ -692,20 +721,17 @@ class HybridQuantileEngine(PinnedQueries):
         if scope != (None, None):
             view = SnapshotHandle(self, layout, stream, pin=False)
             return view._current_ts(*scope)
-        self._epochs.note_ts_merge()
         memo, key = self._historical_memo, layout.key
         ts = CombinedSummary.build(layout.summaries, stream.summary(), memo, key)
         return ts, {}, 1, layout.epoch
 
     @property
-    def epoch_stats(self) -> EpochStats:
-        """The epoch layer's counters (pins, bumps, TS merges), with
-        the summary memo's build/extend/reuse counters merged in."""
-        return replace(
-            self._epochs.stats(),
-            hs_builds=self._historical_memo.builds,
-            hs_extends=self._historical_memo.extends,
-            ts_reuses=self._historical_memo.reuses,
+    def epoch_stats(self) -> Reading:
+        """The epoch layer's counts (:data:`~repro.stats.EPOCH_FIELDS`):
+        bumps and pins, and the summary memo's TS merges, reuses and HS
+        builds and extends."""
+        return self.table.read(
+            EPOCH_FIELDS, {"epoch.current_epoch": self._epochs.current}
         )
 
     def warm_shared_cache(

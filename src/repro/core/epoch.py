@@ -21,11 +21,12 @@ and answering the *same* rank against the *same* handle or TS is
 deterministic, which the concurrency stress suite exploits to check
 bit-identical replay.
 
-:class:`EpochRegistry` counts the epoch bumps, the live pins and TS
-merges — the serving benchmark's coalescing ratio is
-``ts_merges / requests_served``.  Leaving an epoch behind frees
-nothing: a merge deletes the runs it replaced at once, and a handle
-pinned before it reads bytes that were already copied into memory.
+:class:`EpochRegistry` counts the epoch bumps and the live pins, and
+:class:`HistoricalMemo` the TS merges — the serving benchmark's
+coalescing ratio is ``ts_merges / requests_served``.  Leaving an epoch
+behind frees nothing: a merge deletes the runs it replaced at once, and
+a handle pinned before it reads bytes that were already copied into
+memory.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from typing import Any, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..sketches.base import QuantileSketch, rank_for_phi
+from ..stats import EPOCH_FIELDS, StatsTable
 from ..storage.cache import BlockCache
 from ..warehouse.partition import Partition
 from .bounds import CombinedSummary, HistoricalSummary
@@ -47,44 +49,15 @@ from .summaries import PartitionSummary, StreamSummary
 from .windows import resolve_range_in, resolve_window_in
 
 
-@dataclass(frozen=True)
-class EpochStats:
-    """One consistent reading of an :class:`EpochRegistry`'s counters."""
-
-    #: current epoch number (0 before the first seal/adopt).
-    current_epoch: int
-    #: epoch bumps caused by ``end_time_step`` sealing a batch.
-    seal_bumps: int
-    #: epoch bumps caused by the archiver adopting a staged partition.
-    adopt_bumps: int
-    #: handles currently pinned (across all epochs).
-    live_pins: int
-    #: high-water mark of concurrently pinned handles.
-    peak_pins: int
-    #: TS resolutions (``CombinedSummary.build`` passes; the halves are
-    #: searched, not merged) — the coalescing ratio's denominator side.
-    ts_merges: int
-    #: historical halves of TS folded from scratch / grown from a
-    #: memoised prefix of the partition set (one of the two per new
-    #: partition set queried; every other TS merge reuses one), merged
-    #: in by ``engine.epoch_stats``.
-    hs_builds: int = 0
-    hs_extends: int = 0
-    #: of ``ts_merges``, those that returned the retained TS unfused.
-    ts_reuses: int = 0
-
-
 class EpochRegistry:
-    """Monotone epoch counter plus a count of live pins."""
+    """Monotone epoch counter; counts bumps and live pins into ``table``
+    (the engine's :class:`~repro.stats.StatsTable`, else its own)."""
 
-    def __init__(self) -> None:
+    def __init__(self, table: Optional[StatsTable] = None) -> None:
         self._lock = threading.Lock()
         self._epoch = 0
-        self._live = 0
-        self._peak = 0
-        self._seal_bumps = 0
-        self._adopt_bumps = 0
-        self._ts_merges = 0
+        self.table = table if table is not None else StatsTable()
+        self.table.declare(EPOCH_FIELDS.values())
 
     @property
     def current(self) -> int:
@@ -103,39 +76,20 @@ class EpochRegistry:
         """
         with self._lock:
             self._epoch += 1
-            if reason == "adopt":
-                self._adopt_bumps += 1
-            else:
-                self._seal_bumps += 1
+            self.table[f"epoch.{reason}_bumps"] += 1
             return self._epoch
 
     def pin(self) -> None:
         """Register one pinned handle."""
         with self._lock:
-            self._live += 1
-            self._peak = max(self._peak, self._live)
+            table = self.table
+            table["core.epoch.live_pins"] += 1
+            table.peak("core.epoch.peak_pins", table["core.epoch.live_pins"])
 
     def release(self) -> None:
         """Drop one handle's pin."""
         with self._lock:
-            self._live -= 1
-
-    def note_ts_merge(self) -> None:
-        """Count one TS merge performed on behalf of queries."""
-        with self._lock:
-            self._ts_merges += 1
-
-    def stats(self) -> EpochStats:
-        """Snapshot every counter atomically."""
-        with self._lock:
-            return EpochStats(
-                current_epoch=self._epoch,
-                seal_bumps=self._seal_bumps,
-                adopt_bumps=self._adopt_bumps,
-                live_pins=self._live,
-                peak_pins=self._peak,
-                ts_merges=self._ts_merges,
-            )
+            self.table["core.epoch.live_pins"] -= 1
 
 
 class StreamView:
@@ -212,14 +166,16 @@ class HistoricalMemo:
     #: full scope, the scope before the latest seal, a window or two.
     CAPACITY = 4
 
-    def __init__(self) -> None:
+    def __init__(self, table: Optional[StatsTable] = None) -> None:
         # Held across a fold and a fuse: queries pinned at the same set
         # and version (concurrent serving callers) wait for one.
         self._lock = threading.Lock()
         self._entries: "OrderedDict[tuple, _MemoEntry]" = OrderedDict()
-        #: HS folded from scratch / grown from a memoised prefix, and
-        #: TS handed out again instead of fused.
-        self.builds = self.extends = self.reuses = 0
+        #: counts, under the lock, every TS resolution (``ts_merges``),
+        #: TS handed out again instead of fused (``ts_reuses``) and HS
+        #: folded from scratch / grown from a memoised prefix.
+        self.table = table if table is not None else StatsTable()
+        self.table.declare(EPOCH_FIELDS.values())
 
     @property
     def empty(self) -> bool:
@@ -245,12 +201,13 @@ class HistoricalMemo:
         ``key`` is ``tuple(map(id, summaries))``, composed if not given."""
         key = key or tuple(map(id, summaries))
         with self._lock:
+            self.table["epoch.ts_merges"] += 1
             entry = self._entry(summaries, key)
             if (
                 entry.combined is not None
                 and entry.stream_summary is stream_summary
             ):
-                self.reuses += 1
+                self.table["epoch.ts_reuses"] += 1
             else:
                 entry.combined = CombinedSummary.fuse(
                     entry.historical, stream_summary, entry.combined
@@ -274,10 +231,10 @@ class HistoricalMemo:
                 historical = self._entries[prefix].historical.extended(
                     *summaries[len(prefix):]
                 )
-                self.extends += 1
+                self.table["epoch.hs_extends"] += 1
             else:
                 historical = HistoricalSummary.fold(summaries)
-                self.builds += 1
+                self.table["epoch.hs_builds"] += 1
             for older in self._entries.values():
                 older.combined, older.stream_summary = None, None
             entry = _MemoEntry(list(summaries), historical)
@@ -397,13 +354,6 @@ class SnapshotHandle(PinnedView):
         if window_steps is None:
             return self.partitions
         return resolve_window_in(self.partitions, window_steps)
-
-    def _fuse(self, *inputs: Any) -> CombinedSummary:
-        """TS of ``inputs``, counted against the registry's
-        ``ts_merges`` (fused or reused)."""
-        built = super()._fuse(*inputs)
-        self._engine._epochs.note_ts_merge()
-        return built
 
     # -- queries --------------------------------------------------------
 

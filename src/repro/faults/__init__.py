@@ -21,7 +21,6 @@ and lets the engine degrade an accurate query to the quick response;
 state a fault interrupts is always recoverable.
 """
 
-from .health import ReliabilityReport
 from .errors import (
     CorruptedBlockError,
     DiskFault,
@@ -36,7 +35,6 @@ __all__ = [
     "DiskFault",
     "FaultEvent",
     "FaultPlan",
-    "ReliabilityReport",
     "RetryPolicy",
     "TransientReadError",
     "TransientWriteError",

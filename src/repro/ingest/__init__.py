@@ -11,9 +11,9 @@ and queries:
 * :class:`PendingBatch` — a sealed batch, queryable from the seal on
   (staged as a pending partition by whoever needs it first);
 * :class:`BackgroundArchiver` — the consumer of sealed batches (stage,
-  adopt, retry transient faults, keep a failed batch pending), with
-  queue-depth / stall / per-phase latency instrumentation
-  (:class:`IngestStats`).
+  adopt, retry transient faults, keep a failed batch pending), counting
+  its queue depth, stalls and archive time into the engine's stats
+  table (``engine.ingest_stats``).
 
 ``EngineConfig.ingest_mode`` chooses who runs the consumer: ``"sync"``
 the thread that called ``end_time_step`` (no thread is ever started),
@@ -22,13 +22,12 @@ Per-step reports, answers, I/O counters and invariants are
 bit-identical either way.
 """
 
-from .archiver import BackgroundArchiver, IngestStats
+from .archiver import BackgroundArchiver
 from .buffer import AppendBuffer
 from .pending import PendingBatch
 
 __all__ = [
     "AppendBuffer",
     "BackgroundArchiver",
-    "IngestStats",
     "PendingBatch",
 ]

@@ -44,6 +44,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..faults.errors import DiskFault
 from ..faults.retry import RetryPolicy
+from ..stats import INGEST_FIELDS, Reading, StatsTable
 from ..storage.stats import DiskLatencyModel, PhaseTally
 from ..warehouse.leveled_store import LeveledStore
 from .pending import PendingBatch
@@ -57,36 +58,6 @@ class ArchiveFailedError(RuntimeError):
     """Archiving a sealed batch failed; the cause is chained as
     ``__cause__``.  Raised by every producer call (and ``close``) once
     the consumer has recorded a fatal error."""
-
-
-@dataclass
-class IngestStats:
-    """Cumulative instrumentation of one archiver.
-
-    Attributes
-    ----------
-    batches_enqueued, batches_archived:
-        Lifetime enqueue / completion counts.
-    max_queue_depth:
-        High-water mark of the pending queue.
-    stall_seconds:
-        Total wall time ``end_time_step`` blocked the stream (seal
-        plus backpressure waits).
-    archive_wall_seconds:
-        Total wall time the archiver spent archiving (stage + adopt).
-    fault_retries:
-        Archive attempts retried after a transient disk fault.
-    disk_faults:
-        Disk faults the archiver thread has hit (retried or fatal).
-    """
-
-    batches_enqueued: int = 0
-    batches_archived: int = 0
-    max_queue_depth: int = 0
-    stall_seconds: float = 0.0
-    archive_wall_seconds: float = 0.0
-    fault_retries: int = 0
-    disk_faults: int = 0
 
 
 @dataclass(frozen=True)
@@ -191,6 +162,10 @@ class BackgroundArchiver:
         Optional callback invoked once the adopt critical section is
         left (no archiver lock held), on whichever thread archived —
         the engine grows its summary memo there.
+    table:
+        Where the archiver counts (:data:`~repro.stats.INGEST_FIELDS`),
+        under its condition's lock: the engine's
+        :class:`~repro.stats.StatsTable`, else one of its own.
     """
 
     def __init__(
@@ -200,6 +175,7 @@ class BackgroundArchiver:
         retry: Optional[RetryPolicy] = None,
         on_adopt: Optional[Callable[[int], None]] = None,
         after_adopt: Optional[Callable[[], None]] = None,
+        table: Optional[StatsTable] = None,
     ) -> None:
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
@@ -220,7 +196,8 @@ class BackgroundArchiver:
         self._shutdown = False
         self._error: Optional[BaseException] = None
         self._error_delivered = False
-        self.stats = IngestStats()
+        self.table = table if table is not None else StatsTable()
+        self.table.declare(INGEST_FIELDS.values())
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
@@ -266,10 +243,8 @@ class BackgroundArchiver:
             self._reserved -= 1
             self._pending.append(batch)
             depth = len(self._pending)
-            self.stats.batches_enqueued += 1
-            self.stats.max_queue_depth = max(
-                self.stats.max_queue_depth, depth
-            )
+            self.table["ingest.archiver.batches_enqueued"] += 1
+            self.table.peak("ingest.archiver.max_queue_depth", depth)
             if self._thread is None:
                 self._thread = threading.Thread(
                     target=self._run, name="repro-ingest", daemon=True
@@ -292,6 +267,11 @@ class BackgroundArchiver:
             self._pending.append(batch)
         self._archive_head()
         return self.drain()[-1]  # or raises what _archive_head recorded
+
+    def stats(self) -> Reading:
+        """The archiver's counts (``ingest_stats``), at one instant."""
+        with self._cond:
+            return self.table.read(INGEST_FIELDS)
 
     def pending_batches(self) -> List[PendingBatch]:
         """Snapshot of the sealed-but-unmerged batches, oldest first."""
@@ -378,8 +358,7 @@ class BackgroundArchiver:
     def note_retry(self, fault: DiskFault, attempt: int) -> None:
         """Count one retried archive attempt (between attempts)."""
         with self._cond:
-            self.stats.fault_retries += 1
-            self.stats.disk_faults += 1
+            self.table["faults.archive_retries"] += 1
             self._cond.notify_all()
 
     def _run(self) -> None:
@@ -415,8 +394,6 @@ class BackgroundArchiver:
             )
         except BaseException as exc:
             with self._cond:
-                if isinstance(exc, DiskFault):
-                    self.stats.disk_faults += 1
                 self._error = exc
                 self._busy = False
                 self._cond.notify_all()
@@ -426,8 +403,10 @@ class BackgroundArchiver:
         with self._cond:
             self._reports.append(report)
             self._busy = False
-            self.stats.batches_archived += 1
-            self.stats.archive_wall_seconds += report.archive_wall_seconds
+            self.table["ingest.archiver.batches_archived"] += 1
+            self.table["ingest.archiver.archive_wall_s"] += (
+                report.archive_wall_seconds
+            )
             self._cond.notify_all()
         return True
 

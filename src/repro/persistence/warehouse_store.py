@@ -31,7 +31,10 @@ from ..warehouse.leveled_store import LeveledStore
 from ..warehouse.partition import Partition
 
 MANIFEST_NAME = "MANIFEST.json"
-_MANIFEST_FORMAT = "repro-warehouse-v1"
+#: what ``save_store`` writes: a part file may hold int32 or int64.  A
+#: ``-v1`` manifest's parts are all int64; it still loads.
+_MANIFEST_FORMAT = "repro-warehouse-v2"
+_LOADABLE_FORMATS = ("repro-warehouse-v1", _MANIFEST_FORMAT)
 
 
 class PersistenceError(RuntimeError):
@@ -179,7 +182,7 @@ def load_store(
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise PersistenceError(f"garbled manifest: {exc}") from exc
-    if manifest.get("format") != _MANIFEST_FORMAT:
+    if manifest.get("format") not in _LOADABLE_FORMATS:
         raise PersistenceError(
             f"unknown manifest format {manifest.get('format')!r}"
         )

@@ -18,11 +18,11 @@ A4).
 
 from __future__ import annotations
 
-import threading
 from typing import Any, List, Optional, Sequence
 
 from ..faults.errors import DiskFault
 from ..faults.retry import RetryPolicy
+from ..stats import StatsTable
 from ..storage.cache import BlockCache
 
 
@@ -38,26 +38,34 @@ class QueryExecutor:
         A probe that exhausts its retries raises the fault to the
         caller — the engine then degrades the query to the quick
         response instead of crashing it.
+    table:
+        Where a retry counts (``faults.probe_retries``) if the fault
+        names no disk; else it counts in the faulting disk's backend's
+        table (the engine's; for a cluster's probes, the shard's).
 
     A *task* is any object with a ``run(cache)`` method — see
     :mod:`repro.core.filters` for the two task shapes the accurate
-    search builds.  Concurrent serving clients share one engine's
-    executor, so the retry counter is guarded.
+    search builds.
     """
 
-    def __init__(self, retry: Optional[RetryPolicy] = None) -> None:
+    def __init__(
+        self,
+        retry: Optional[RetryPolicy] = None,
+        table: Optional[StatsTable] = None,
+    ) -> None:
         self.retry = retry if retry is not None else RetryPolicy()
-        #: probes retried after a transient fault (lifetime count).
-        self.fault_retries = 0
-        self._retry_lock = threading.Lock()
+        self.table = table if table is not None else StatsTable()
+        self.table.declare(["faults.probe_retries"])
 
     def _note_retry(self, fault: DiskFault, attempt: int) -> None:
-        with self._retry_lock:
-            self.fault_retries += 1
+        table = self.table if fault.disk is None else fault.disk.backend.table
+        key = "faults.probe_retries"
+        with table.lock:  # concurrent serving clients share an executor
+            table[key] = table.get(key, 0) + 1
 
     def call_with_retry(self, fn: Any) -> Any:
         """Run a zero-argument callable under this executor's retry
-        policy, counting any retries against :attr:`fault_retries`.
+        policy, counting any retries as ``faults.probe_retries``.
 
         Used by the engine for disk work on the query path that is not
         a probe task (e.g. staging a pending batch a query needs).

@@ -50,7 +50,7 @@ def answer_quick_batch(
             phis = list(dict.fromkeys(r.phi for r in requests))
             results, epoch = engine._quick_at(phis, rank_for_phi, window_steps)
             if any(r.partial is not None for r in results):
-                metrics.note_partial(len(requests))
+                metrics.count(partial_gathers=len(requests))
             table = dict(zip(phis, results))
             for request in requests:
                 request._settle(table[request.phi], epoch)
@@ -59,7 +59,12 @@ def answer_quick_batch(
             if not request.done:
                 request._settle(error=exc)
         raise
-    metrics.note_batch(len(batch), len(groups))
+    metrics.count(
+        coalesced_batches=1,
+        coalesced_requests=len(batch),
+        max_batch=len(batch),
+        ts_merges=len(groups),
+    )
 
 
 def dedupe_key(request: "PendingQuery") -> Tuple[float, object]:

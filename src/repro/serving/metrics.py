@@ -7,6 +7,8 @@ motivating use case *is* latency percentile monitoring).  Latencies
 wait in a bounded buffer per mode that the sketch absorbs in bulk
 (``update_many``) when full and before every snapshot, so a snapshot's
 counts and percentiles are the sketch's over every latency recorded.
+Every other count is a ``serving.*`` key of the service's own stats
+table: a service counts from zero, whatever served on its engine before.
 
 A :class:`MetricsSnapshot` is a plain frozen dataclass, deliberately
 free of any serving-layer references, so a caller can keep and compare
@@ -21,6 +23,7 @@ from typing import Dict, List
 
 from ..sketches.base import rank_for_phi
 from ..sketches.gk import GKSketch
+from ..stats import StatsTable
 
 _MODES = ("quick", "accurate")
 #: Latencies a mode buffers before its sketch absorbs them in bulk.
@@ -98,26 +101,30 @@ class MetricsSnapshot:
         return summary.p99 if summary is not None else 0.0
 
 
+#: The :class:`MetricsSnapshot` counts a service keeps in its table,
+#: each under ``serving.<name>``.
+_KEYS = {
+    name: "serving." + name
+    for name in (
+        "rejected_quick", "rejected_accurate", "degraded_to_quick",
+        "peak_queue_depth", "coalesced_batches", "coalesced_requests",
+        "max_batch", "ts_merges", "accurate_ts_merges", "deduped_probes",
+        "warm_passes", "warm_blocks", "warm_failures", "partial_gathers",
+    )
+}
+_PEAKS = frozenset({"serving.peak_queue_depth", "serving.max_batch"})
+
+
 class ServiceMetrics:
-    """Thread-safe counters and latency sketches for one service."""
+    """Latency sketches and a :class:`~repro.stats.StatsTable` of counts
+    for one service."""
 
     def __init__(self, epsilon: float = 0.01) -> None:
         self._lock = threading.Lock()
         self._latency = {mode: GKSketch(epsilon) for mode in _MODES}
         self._buffered: "Dict[str, List[int]]" = {mode: [] for mode in _MODES}
-        self._rejected = {mode: 0 for mode in _MODES}
-        self._degraded_to_quick = 0
-        self._peak_queue_depth = 0
-        self._coalesced_batches = 0
-        self._coalesced_requests = 0
-        self._max_batch = 0
-        self._ts_merges = 0
-        self._accurate_ts_merges = 0
-        self._deduped_probes = 0
-        self._warm_passes = 0
-        self._warm_blocks = 0
-        self._warm_failures = 0
-        self._partial_gathers = 0
+        self.table = StatsTable()
+        self.table.declare(_KEYS.values())
 
     def record(self, mode: str, latency_seconds: float) -> None:
         """Record one served request's latency (its sketch counts it)."""
@@ -132,55 +139,18 @@ class ServiceMetrics:
         self._latency[mode].update_many(self._buffered[mode])
         self._buffered[mode] = []
 
-    def note_rejected(self, mode: str) -> None:
-        """Count one request of the requested ``mode`` refused admission."""
-        with self._lock:
-            self._rejected[mode] += 1
-
-    def note_degraded(self) -> None:
-        """Count one accurate request degraded to quick under load."""
-        with self._lock:
-            self._degraded_to_quick += 1
-
-    def note_partial(self, answers: int = 1) -> None:
-        """Count answers served from a partial (missing-shard) gather."""
-        with self._lock:
-            self._partial_gathers += answers
-
-    def note_batch(self, requests: int, merges: int) -> None:
-        """Count one coalesced quick batch and the merges it spent."""
-        with self._lock:
-            self._coalesced_batches += 1
-            self._coalesced_requests += requests
-            self._max_batch = max(self._max_batch, requests)
-            self._ts_merges += merges
-
-    def note_merges(self, merges: int) -> None:
-        """Count TS merges spent outside a coalesced batch."""
-        with self._lock:
-            self._ts_merges += merges
-            self._accurate_ts_merges += merges
-
-    def note_dedup(self, shared: int) -> None:
-        """Count accurate probes answered by another request's search."""
-        with self._lock:
-            self._deduped_probes += shared
-
-    def note_warm(self, blocks: int) -> None:
-        """Count one epoch-batch warming pass and its charged blocks."""
-        with self._lock:
-            self._warm_passes += 1
-            self._warm_blocks += blocks
-
-    def note_warm_failure(self) -> None:
-        """Count one warming pass aborted by a disk fault."""
-        with self._lock:
-            self._warm_failures += 1
-
-    def observe_queue_depth(self, depth: int) -> None:
-        """Track the queue-depth high-water mark."""
-        with self._lock:
-            self._peak_queue_depth = max(self._peak_queue_depth, depth)
+    def count(self, **amounts: int) -> None:
+        """Add each amount to ``serving.<name>`` under the table's lock;
+        the high-water marks (``max_batch``, ``peak_queue_depth``) rise
+        to it instead."""
+        table = self.table
+        with table.lock:
+            for name, amount in amounts.items():
+                key = _KEYS[name]
+                if key in _PEAKS:
+                    table.peak(key, amount)
+                else:
+                    table[key] += amount
 
     def _latency_summary(self, mode: str) -> LatencySummary:
         self._flush(mode)
@@ -196,28 +166,21 @@ class ServiceMetrics:
         )
 
     def snapshot(self, queue_depth: int = 0) -> MetricsSnapshot:
-        """Assemble one consistent :class:`MetricsSnapshot`.
+        """Assemble one :class:`MetricsSnapshot`.
 
         ``queue_depth`` is the length of the service's queues, which
         the service passes in.
         """
         with self._lock:
             latency = {mode: self._latency_summary(mode) for mode in _MODES}
-            return MetricsSnapshot(
-                served={mode: latency[mode].count for mode in _MODES},
-                rejected=dict(self._rejected),
-                degraded_to_quick=self._degraded_to_quick,
-                queue_depth=queue_depth,
-                peak_queue_depth=max(self._peak_queue_depth, queue_depth),
-                coalesced_batches=self._coalesced_batches,
-                coalesced_requests=self._coalesced_requests,
-                max_batch=self._max_batch,
-                ts_merges=self._ts_merges,
-                deduped_probes=self._deduped_probes,
-                latency=latency,
-                warm_passes=self._warm_passes,
-                warm_blocks=self._warm_blocks,
-                warm_failures=self._warm_failures,
-                accurate_ts_merges=self._accurate_ts_merges,
-                partial_gathers=self._partial_gathers,
-            )
+        table = dict(self.table)
+        counts = {name: table[key] for name, key in _KEYS.items()}
+        peak = max(counts["peak_queue_depth"], queue_depth)
+        counts["peak_queue_depth"] = peak
+        return MetricsSnapshot(
+            served={mode: latency[mode].count for mode in _MODES},
+            rejected={mode: counts.pop("rejected_" + mode) for mode in _MODES},
+            queue_depth=queue_depth,
+            latency=latency,
+            **counts,
+        )

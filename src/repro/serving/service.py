@@ -173,15 +173,15 @@ class QueryService:
                     self.config, mode, len(self._quick), len(self._accurate)
                 )
             except Overloaded:
-                self.metrics.note_rejected(mode)
+                self.metrics.count(**{"rejected_" + mode: 1})
                 raise
             request = PendingQuery(self, phi, mode, effective, window_steps)
             request._queued = True
             self._queue(effective).append(request)
             if request.degraded_by_overload:
-                self.metrics.note_degraded()
-            self.metrics.observe_queue_depth(
-                len(self._quick) + len(self._accurate)
+                self.metrics.count(degraded_to_quick=1)
+            self.metrics.count(
+                peak_queue_depth=len(self._quick) + len(self._accurate)
             )
         return request
 
@@ -233,10 +233,10 @@ class QueryService:
         except DiskFault as fault:
             # Best effort: the requests that triggered the pass answer
             # without it, and the epoch stays marked (no retry storm).
-            self.metrics.note_warm_failure()
+            self.metrics.count(warm_failures=1)
             _logger.warning("warming pass for epoch %s failed: %r", epoch, fault)
             return
-        self.metrics.note_warm(blocks)
+        self.metrics.count(warm_passes=1, warm_blocks=blocks)
 
     def pause(self) -> None:
         """Freeze serving; submissions keep queueing (test hook)."""
@@ -370,11 +370,13 @@ class QueryService:
             for request in group:
                 request._settle(error=exc)
             return
-        self.metrics.note_merges(handle.ts_merges_built)
-        if result.partial is not None:
-            self.metrics.note_partial(len(group))
-        if len(group) > 1:
-            self.metrics.note_dedup(len(group) - 1)
+        merges = handle.ts_merges_built
+        self.metrics.count(
+            ts_merges=merges,
+            accurate_ts_merges=merges,
+            partial_gathers=len(group) if result.partial is not None else 0,
+            deduped_probes=len(group) - 1,
+        )
         now = time.perf_counter()
         for request in group:
             request._settle(result, handle.epoch)

@@ -10,7 +10,6 @@ store — without changing what the block model charges.
 
 from .backends import (
     BACKEND_NAMES,
-    BackendStats,
     BlockDevice,
     MmapFileBackend,
     ObjectStoreBackend,
@@ -23,12 +22,11 @@ from .cache import BlockCache
 from .disk import SimulatedDisk
 from .external_sort import ExternalSorter, merge_runs
 from .runfile import SortedRun
-from .shared_cache import SharedBlockCache, SharedCacheStats
+from .shared_cache import SharedBlockCache
 from .stats import DiskLatencyModel, DiskStats, IoCounters
 
 __all__ = [
     "BACKEND_NAMES",
-    "BackendStats",
     "BlockCache",
     "BlockDevice",
     "MmapFileBackend",
@@ -36,7 +34,6 @@ __all__ = [
     "ObjectStoreLatency",
     "RunHandle",
     "SharedBlockCache",
-    "SharedCacheStats",
     "SimulatedBackend",
     "SimulatedDisk",
     "ExternalSorter",

@@ -45,6 +45,7 @@ block costs less than a request
 
 from __future__ import annotations
 
+import logging
 import shutil
 import tempfile
 import threading
@@ -55,7 +56,10 @@ from typing import Dict, Iterable, List, Optional, Protocol, Set, Tuple, runtime
 
 import numpy as np
 
+from ..stats import BACKEND_FIELDS, Reading, StatsTable
 from .fsutil import atomic_copy_file, atomic_write, fsync_dir, remove_stale_stages
+
+_logger = logging.getLogger(__name__)
 
 #: recognised values of ``EngineConfig.storage_backend``.
 BACKEND_NAMES = ("simulated", "mmap", "object")
@@ -105,52 +109,6 @@ class ObjectStoreLatency:
                 raise ValueError(f"{field.name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class BackendStats:
-    """Snapshot of request-level backend accounting.
-
-    All-zero for the simulated and mmap backends; the object backend
-    counts every request against the bucket.  ``get_blocks`` is the
-    total blocks streamed across GETs (including readahead), so
-    ``get_blocks / gets`` is the mean ranged-GET width the cold-read
-    pipeline achieved.
-
-    Two kinds of field live here and :meth:`delta_since` treats them
-    differently:
-
-    * **Counters** (``gets``, ``get_blocks``, ``puts``, ``migrations``,
-      ``evicted_runs``) accumulate monotonically; a delta subtracts the
-      earlier snapshot.
-    * **Gauges** (``hot_runs``, ``object_runs``, ``hot_bytes``)
-      describe current residency levels.  Subtracting two gauge
-      readings is meaningless (a run migrating *decreases*
-      ``hot_runs``), so a delta carries the *later* snapshot's gauge
-      values unchanged.
-    """
-
-    gets: int = 0
-    get_blocks: int = 0
-    puts: int = 0
-    migrations: int = 0
-    hot_runs: int = 0
-    object_runs: int = 0
-    evicted_runs: int = 0
-    hot_bytes: int = 0
-
-    def delta_since(self, earlier: "BackendStats") -> "BackendStats":
-        """Counter deltas since ``earlier``; gauges copied, not subtracted."""
-        return BackendStats(
-            gets=self.gets - earlier.gets,
-            get_blocks=self.get_blocks - earlier.get_blocks,
-            puts=self.puts - earlier.puts,
-            migrations=self.migrations - earlier.migrations,
-            hot_runs=self.hot_runs,
-            object_runs=self.object_runs,
-            evicted_runs=self.evicted_runs - earlier.evicted_runs,
-            hot_bytes=self.hot_bytes,
-        )
-
-
 @runtime_checkable
 class RunHandle(Protocol):
     """Read path of one sorted run inside a backend."""
@@ -196,6 +154,8 @@ class BlockDevice(Protocol):
     """
 
     name: str
+    #: its engine's table (a probe retry of its disk counts there too).
+    table: StatsTable
 
     def allocate_run(self, run_id: int, data: np.ndarray) -> RunHandle:
         """Persist ``data`` as run ``run_id`` and return its handle."""
@@ -212,8 +172,13 @@ class BlockDevice(Protocol):
     def unpin_runs(self, run_ids: Iterable[int]) -> None:
         """Release one pin per run taken by :meth:`pin_runs`."""
 
-    def stats(self) -> BackendStats:
-        """Snapshot request-level counters."""
+    def levels(self) -> Dict[str, int]:
+        """The residency levels of :data:`~repro.stats.BACKEND_FIELDS`,
+        by key, read off the runs held now."""
+
+    def stats(self) -> Reading:
+        """Request and residency counts
+        (:data:`~repro.stats.BACKEND_FIELDS`)."""
 
     def simulated_seconds(self) -> float:
         """Modeled request latency accrued so far, in seconds."""
@@ -260,9 +225,11 @@ class SimulatedBackend:
 
     name = "simulated"
 
-    def __init__(self) -> None:
+    def __init__(self, table: Optional[StatsTable] = None) -> None:
         self._runs: Dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
+        self.table = table if table is not None else StatsTable()
+        self.table.declare(BACKEND_FIELDS.values())
 
     def allocate_run(self, run_id: int, data: np.ndarray) -> _SimulatedHandle:
         stored = data
@@ -288,9 +255,11 @@ class SimulatedBackend:
     def unpin_runs(self, run_ids: Iterable[int]) -> None:
         return None
 
-    def stats(self) -> BackendStats:
-        with self._lock:
-            return BackendStats(hot_runs=len(self._runs))
+    def levels(self) -> Dict[str, int]:
+        return {"storage.backend.hot_runs": len(self._runs)}
+
+    def stats(self) -> Reading:
+        return self.table.read(BACKEND_FIELDS, self.levels())
 
     def simulated_seconds(self) -> float:
         return 0.0
@@ -386,7 +355,13 @@ class MmapFileBackend:
     name = "mmap"
     _RUN_PREFIX = "run-"
 
-    def __init__(self, directory: "str | Path | None" = None) -> None:
+    def __init__(
+        self,
+        directory: "str | Path | None" = None,
+        table: Optional[StatsTable] = None,
+    ) -> None:
+        self.table = table if table is not None else StatsTable()
+        self.table.declare(BACKEND_FIELDS.values())
         if directory is None:
             self._directory = Path(tempfile.mkdtemp(prefix="repro-mmap-"))
             self._owns_directory = True
@@ -476,9 +451,11 @@ class MmapFileBackend:
                 else:
                     self._pins[run_id] = count
 
-    def stats(self) -> BackendStats:
-        with self._lock:
-            return BackendStats(hot_runs=len(self._handles))
+    def levels(self) -> Dict[str, int]:
+        return {"storage.backend.hot_runs": len(self._handles)}
+
+    def stats(self) -> Reading:
+        return self.table.read(BACKEND_FIELDS, self.levels())
 
     def simulated_seconds(self) -> float:
         return 0.0
@@ -532,6 +509,7 @@ class ObjectStoreBackend(MmapFileBackend):
         object_tier_level: int = 1,
         latency: Optional[ObjectStoreLatency] = None,
         hot_tier_bytes: Optional[int] = None,
+        table: Optional[StatsTable] = None,
     ) -> None:
         if object_tier_level < 0:
             raise ValueError("object_tier_level must be >= 0")
@@ -541,11 +519,6 @@ class ObjectStoreBackend(MmapFileBackend):
         self.latency = latency if latency is not None else ObjectStoreLatency()
         self.hot_tier_bytes = hot_tier_bytes
         self._object_runs: "set[int]" = set()
-        self._gets = 0
-        self._get_blocks = 0
-        self._puts = 0
-        self._migrations = 0
-        self._evictions = 0
         #: blocks of each bucket object already streamed by some GET.
         self._fetched: Dict[int, Set[int]] = {}
         #: element count per run (clamps readahead to the run's end).
@@ -554,7 +527,7 @@ class ObjectStoreBackend(MmapFileBackend):
         self._hot_bytes: Dict[int, int] = {}
         self._hot_total = 0
         self._hot_lru: "OrderedDict[int, None]" = OrderedDict()
-        super().__init__(directory)
+        super().__init__(directory, table)
 
     # -- layout ---------------------------------------------------------
 
@@ -579,6 +552,15 @@ class ObjectStoreBackend(MmapFileBackend):
 
     def _tier_of(self, run_id: int) -> str:
         return OBJECT_TIER if run_id in self._object_runs else FILE_TIER
+
+    def levels(self) -> Dict[str, int]:
+        with self._lock:
+            cold = len(self._object_runs)
+            return {
+                "storage.backend.hot_runs": max(0, len(self._handles) - cold),
+                "storage.backend.object_runs": cold,
+                "storage.backend.hot_bytes": self._hot_total,
+            }
 
     def fsck(self) -> "list[Path]":
         """Remove crash leftovers in both tiers.
@@ -635,8 +617,8 @@ class ObjectStoreBackend(MmapFileBackend):
             readahead = self.latency.break_even_blocks()
             for lo, hi in contiguous_spans(needed):
                 hi_ext = max(min(hi + readahead, run_last), hi)
-                self._gets += 1
-                self._get_blocks += hi_ext - lo + 1
+                self.table["storage.backend.gets"] += 1
+                self.table["storage.backend.get_blocks"] += hi_ext - lo + 1
                 fetched.update(range(lo, hi_ext + 1))
 
     # -- BlockDevice ----------------------------------------------------
@@ -683,15 +665,22 @@ class ObjectStoreBackend(MmapFileBackend):
         object_path = self._object_path(run_id)
         atomic_copy_file(hot_path, object_path)
         with self._lock:
-            self._puts += 1
-            self._migrations += 1
+            self.table["storage.backend.puts"] += 1
+            self.table["storage.backend.migrations"] += 1
             self._object_runs.add(run_id)
             if eviction:
-                self._evictions += 1
+                self.table["storage.backend.evicted_runs"] += 1
             self._hot_total -= self._hot_bytes.pop(run_id, 0)
             self._hot_lru.pop(run_id, None)
+            hot_bytes = self._hot_total
         hot_path.unlink()
         fsync_dir(self._hot)
+        if eviction:
+            _logger.debug(
+                "evicted run %d to the bucket (%d hot bytes left)",
+                run_id, hot_bytes,
+                extra={"storage.backend.hot_bytes": hot_bytes},
+            )
 
     def _enforce_hot_capacity(self) -> None:
         """Demote LRU unpinned hot runs until the tier fits its budget."""
@@ -722,27 +711,14 @@ class ObjectStoreBackend(MmapFileBackend):
             self._hot_total -= self._hot_bytes.pop(run_id, 0)
             self._hot_lru.pop(run_id, None)
 
-    def stats(self) -> BackendStats:
-        with self._lock:
-            object_count = len(self._object_runs)
-            return BackendStats(
-                gets=self._gets,
-                get_blocks=self._get_blocks,
-                puts=self._puts,
-                migrations=self._migrations,
-                hot_runs=max(0, len(self._handles) - object_count),
-                object_runs=object_count,
-                evicted_runs=self._evictions,
-                hot_bytes=self._hot_total,
-            )
-
     def simulated_seconds(self) -> float:
         with self._lock:
-            model = self.latency
+            model, table = self.latency, self.table
             return (
-                self._gets * model.seconds_per_get
-                + self._get_blocks * model.seconds_per_get_block
-                + self._puts * model.seconds_per_put
+                table["storage.backend.gets"] * model.seconds_per_get
+                + table["storage.backend.get_blocks"]
+                * model.seconds_per_get_block
+                + table["storage.backend.puts"] * model.seconds_per_put
             )
 
 
@@ -751,21 +727,24 @@ def make_backend(
     directory: "str | Path | None" = None,
     object_tier_level: int = 1,
     hot_tier_bytes: Optional[int] = None,
+    table: Optional[StatsTable] = None,
 ) -> "SimulatedBackend | MmapFileBackend":
-    """Build the backend named by ``EngineConfig.storage_backend``.
+    """Build the backend named by ``EngineConfig.storage_backend``,
+    counting into ``table`` (else a table of its own).
 
     File-backed backends must not share a directory: cluster shards
     derive configs with distinct ``storage_dir``.
     """
     if name == "simulated":
-        return SimulatedBackend()
+        return SimulatedBackend(table)
     if name == "mmap":
-        return MmapFileBackend(directory)
+        return MmapFileBackend(directory, table)
     if name == "object":
         return ObjectStoreBackend(
             directory,
             object_tier_level=object_tier_level,
             hot_tier_bytes=hot_tier_bytes,
+            table=table,
         )
     raise ValueError(
         f"unknown storage backend {name!r}; expected one of {BACKEND_NAMES}"

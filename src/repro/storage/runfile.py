@@ -135,8 +135,8 @@ class SortedRun:
         first_block: int,
         last_block: int,
         cache: BlockCache,
-    ) -> np.ndarray:
-        """Read a contiguous *block* range in one charged ranged read.
+    ) -> None:
+        """Fetch a contiguous *block* range in one charged ranged read.
 
         The batched counterpart of per-block probing: accurate-path
         prefetch and warming passes issue one charged range per
@@ -144,28 +144,25 @@ class SortedRun:
         shared tier counts the blocks it misses as prefetched.  The
         charged block count is identical to touching each block
         individually (the cache dedupes per block); only the number of
-        disk *operations* shrinks.  Returns the elements stored in the
-        range (clamped to the run's extent).
+        disk *operations* shrinks.  The range is clamped to the run's
+        extent; the blocks land in ``cache`` (and its shared tier),
+        where the probes after it read them.
         """
         if first_block > last_block or not self._length:
-            return np.empty(0, dtype=np.int64)
+            return
         last_valid = self._disk.block_of(self._length - 1)
         first_block = max(first_block, 0)
         last_block = min(last_block, last_valid)
         if first_block > last_block:
             # Entirely past the end of the run (or an empty clamp):
             # nothing to read, nothing charged.
-            return np.empty(0, dtype=np.int64)
+            return
         lo = first_block * self._disk.block_elems
         hi = min((last_block + 1) * self._disk.block_elems, self._length)
         # Paid for and held, every block, when the probes before this
         # read fetched them all: nothing to charge.
-        payload = self.pinned_range(lo, hi, cache)
-        if payload is None:
-            payload = cache.fetch(
-                self._handle, first_block, last_block, prefetch=True
-            )
-        return np.array(payload[: hi - lo], dtype=np.int64)
+        if self._pinned(lo, hi, cache) is None:
+            cache.fetch(self._handle, first_block, last_block, prefetch=True)
 
     def rank_of(
         self,

@@ -27,46 +27,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-
-@dataclass(frozen=True)
-class SharedCacheStats:
-    """One consistent reading of a :class:`SharedBlockCache`'s counters."""
-
-    #: configured capacity in blocks.
-    capacity_blocks: int
-    #: blocks currently resident.
-    resident_blocks: int
-    #: lookups answered from the cache (no disk charge).
-    hits: int
-    #: lookups that went to the (simulated) disk.
-    misses: int
-    #: resident blocks evicted by the 2Q policy.
-    evictions: int
-    #: blocks dropped because their run retired.
-    invalidated_blocks: int
-    #: runs invalidated (compaction victims and adoptions).
-    invalidated_runs: int
-    #: misses of prefetch / warm range reads (``SortedRun.read_block_range``).
-    prefetched_blocks: int
-    #: lookups that joined another query's in-flight fetch instead of
-    #: issuing their own (single-flight coalescing).  Each coalesced
-    #: wait is a backend request saved; ``coalesced_waits / misses`` is
-    #: the dedup ratio the cold-read ablation reports.
-    coalesced_waits: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups (hits + misses)."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served without a disk charge."""
-        total = self.lookups
-        return self.hits / total if total else 0.0
+from ..stats import CACHE_FIELDS, Reading, StatsTable
 
 
 class _Flight:
@@ -96,9 +59,15 @@ class SharedBlockCache:
         tier only when ``EngineConfig.shared_cache_blocks > 0``; zero
         means "no shared tier", which reproduces the historical
         per-query accounting exactly.
+    table:
+        Where the cache counts (:data:`~repro.stats.CACHE_FIELDS`),
+        under its structure lock: the engine's
+        :class:`~repro.stats.StatsTable`, else one of its own.
     """
 
-    def __init__(self, capacity_blocks: int) -> None:
+    def __init__(
+        self, capacity_blocks: int, table: Optional[StatsTable] = None
+    ) -> None:
         if capacity_blocks < 1:
             raise ValueError("capacity_blocks must be >= 1")
         self.capacity_blocks = capacity_blocks
@@ -108,15 +77,10 @@ class SharedBlockCache:
         self._protected: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
         self._by_run: Dict[int, Set[int]] = {}
         self._retired_runs: Set[int] = set()
-        self._lock = threading.Lock()  # queues + membership + flights + stats
+        self._lock = threading.Lock()  # queues + membership + flights + counts
         self._flights: "Dict[Tuple[int, int], _Flight]" = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._invalidated_blocks = 0
-        self._invalidated_runs = 0
-        self._prefetched_blocks = 0
-        self._coalesced_waits = 0
+        self.table = table if table is not None else StatsTable()
+        self.table.declare(CACHE_FIELDS.values())
 
     # ------------------------------------------------------------------
     # Residency bookkeeping (all under self._lock)
@@ -154,7 +118,7 @@ class SharedBlockCache:
                 run_blocks.discard(victim[1])
                 if not run_blocks:
                     self._by_run.pop(victim[0], None)
-            self._evictions += 1
+            self.table["storage.cache.evictions"] += 1
 
     # ------------------------------------------------------------------
     # The read-through protocol (called by per-query BlockCache)
@@ -209,7 +173,7 @@ class SharedBlockCache:
                     if not retired:
                         self._flights[key] = _Flight()
                     mine.append(block)
-            self._hits += hits
+            self.table["storage.cache.hits"] += hits
         if mine:
             try:
                 charge(len(mine))
@@ -222,9 +186,11 @@ class SharedBlockCache:
                             flight.done.set()
                 raise
             with self._lock:
-                self._misses += len(mine)
+                self.table["storage.cache.misses"] += len(mine)
                 if prefetch:
-                    self._prefetched_blocks += len(mine)
+                    self.table["storage.cache.prefetched_blocks"] += (
+                        len(mine)
+                    )
                 # Re-check retirement at insert time: the run may have
                 # retired while the fetch was in flight, and residency
                 # must never outlive the run it describes.
@@ -243,9 +209,9 @@ class SharedBlockCache:
                 if flight.error is not None and error is None:
                     error = flight.error
             with self._lock:
-                self._coalesced_waits += len(theirs)
+                self.table["storage.cache.coalesced_waits"] += len(theirs)
                 if error is None:
-                    self._hits += len(theirs)
+                    self.table["storage.cache.hits"] += len(theirs)
             if error is not None:
                 raise error
             hits += len(theirs)
@@ -272,12 +238,12 @@ class SharedBlockCache:
             if run_id in self._retired_runs:
                 return 0
             self._retired_runs.add(run_id)
-            self._invalidated_runs += 1
+            self.table["storage.cache.invalidated_runs"] += 1
             blocks = self._by_run.pop(run_id, set())
             for block in blocks:
                 self._probation.pop((run_id, block), None)
                 self._protected.pop((run_id, block), None)
-            self._invalidated_blocks += len(blocks)
+            self.table["storage.cache.invalidated_blocks"] += len(blocks)
         return len(blocks)
 
     def invalidate_runs(self, run_ids: Iterable[int]) -> int:
@@ -288,26 +254,21 @@ class SharedBlockCache:
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def resident_blocks(self) -> int:
-        """Blocks currently resident."""
+    def levels(self) -> Dict[str, int]:
+        """The capacity and the blocks resident now, by key."""
         with self._lock:
-            return len(self._probation) + len(self._protected)
+            return {
+                "storage.cache.capacity_blocks": self.capacity_blocks,
+                "storage.cache.resident_blocks":
+                    len(self._probation) + len(self._protected),
+            }
 
-    def stats(self) -> SharedCacheStats:
-        """Snapshot every counter atomically."""
-        with self._lock:
-            return SharedCacheStats(
-                capacity_blocks=self.capacity_blocks,
-                resident_blocks=len(self._probation) + len(self._protected),
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                invalidated_blocks=self._invalidated_blocks,
-                invalidated_runs=self._invalidated_runs,
-                prefetched_blocks=self._prefetched_blocks,
-                coalesced_waits=self._coalesced_waits,
-            )
+    def stats(self) -> Reading:
+        """Every count (:data:`~repro.stats.CACHE_FIELDS`); ``misses``
+        counts the prefetch and warm reads' (``prefetched_blocks``) too,
+        and ``coalesced_waits / misses`` is the dedup ratio of joining
+        in-flight fetches."""
+        return self.table.read(CACHE_FIELDS, self.levels())
 
     def clear(self) -> None:
         """Drop every resident block (keeps counters and retired set)."""

@@ -17,6 +17,7 @@ measured behaviour; see DESIGN.md.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -30,6 +31,8 @@ from ..storage.stats import PhaseTally
 from .partition import Partition
 
 SummaryBuilder = Callable[[Partition], Any]
+
+_logger = logging.getLogger(__name__)
 
 
 class LeveledStore:
@@ -185,6 +188,13 @@ class LeveledStore:
         # level — let the storage backend age it out (e.g. migrate it
         # into the object tier once past ``object_tier_level``).
         self.disk.backend.place_run(run.run_id, level)
+        _logger.debug(
+            "merged %d partitions into level %d (steps %d-%d)",
+            len(victims), level, merged.start_step, merged.end_step,
+            extra={
+                "storage.seq_blocks_merge": self.disk.stats.merge.sequential
+            },
+        )
         return merged
 
     def _attach_summary(self, partition: Partition) -> None:

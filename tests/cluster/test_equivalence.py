@@ -225,11 +225,7 @@ class TestClusterBehaviors:
             cluster.check_invariants()
             assert cluster.steps_sealed == 3
             assert cluster.n_total == 9_000
-            assert len(cluster.shard_reports()) == 3
-            assert all(
-                report["steps_sealed"] == 3
-                for report in cluster.shard_reports()
-            )
+            assert [s.steps_sealed for s in cluster.shards] == [3, 3, 3]
             sims = cluster.per_shard_sim_seconds()
             assert len(sims) == 3 and all(s > 0 for s in sims)
         finally:

@@ -11,6 +11,7 @@ from repro import ExactQuantiles
 from repro.cluster import ClusterEngine, restore_shards, save_cluster
 from repro.core.bounds import CombinedSummary
 from repro.core.config import EngineConfig
+from repro.stats import EPOCH_FIELDS
 
 from ..core.ts_arrays_reference import paper_arrays
 
@@ -47,7 +48,8 @@ def test_memo_across_pins_seals_and_windows():
             feed(cluster, rng, size=200, seal=False)
             with cluster.pin() as snapshot:
                 assert_memoless(snapshot)
-        assert (memo.builds, memo.extends) == (1, 0)
+        counts = memo.table.read(EPOCH_FIELDS)
+        assert (counts.hs_builds, counts.hs_extends) == (1, 0)
         # A seal appends one partition per shard: shard-major, that is
         # not a prefix of the old key, so the cluster memo rebuilds.
         cluster.end_time_step()
@@ -56,7 +58,7 @@ def test_memo_across_pins_seals_and_windows():
             assert_memoless(snapshot)
             for window in cluster.available_window_sizes():
                 assert_memoless(snapshot, window_steps=window)
-        assert memo.extends == 0
+        assert memo.table["epoch.hs_extends"] == 0
         cluster.check_invariants()
 
 
@@ -96,7 +98,8 @@ def test_memo_across_kill_and_rejoin(tmp_path):
     # quarantined one (shard 0) by shard 1's partition — one extend
     # after two builds.
     memo = cluster._historical_memo
-    assert (memo.builds, memo.extends) == (2, 1)
+    counts = memo.table.read(EPOCH_FIELDS)
+    assert (counts.hs_builds, counts.hs_extends) == (2, 1)
     cluster.check_invariants()
     cluster.close()
 

@@ -54,7 +54,7 @@ def test_pins_between_writes_share_one_merged_stream(monkeypatch):
             assert first._stream is second._stream
             assert first.scope()[1] is second.scope()[1]
             assert first.combined() is second.combined()
-            assert memo.reuses == 1
+            assert memo.table["epoch.ts_reuses"] == 1
         assert merges == [4]
         cluster.stream_update_many(rng.integers(0, 10**6, 10))
         with cluster.pin() as third, cluster.pin() as fourth:

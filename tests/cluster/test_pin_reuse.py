@@ -30,6 +30,7 @@ from repro.core.engine import HybridQuantileEngine
 from repro.core.epoch import EpochRegistry, HistoricalMemo
 from repro.faults.errors import CorruptedBlockError
 from repro.ingest.archiver import ArchiveFailedError
+from repro.stats import EPOCH_FIELDS
 
 PHIS = (0.01, 0.25, 0.5, 0.75, 0.99)
 SHARDS = 3
@@ -144,7 +145,8 @@ def test_one_version_derives_one_gather(monkeypatch):
     memo = cluster._historical_memo
     # As when every pin built its own snapshot: one HS, and every TS
     # resolution after the first a reuse.
-    assert (memo.builds, memo.extends, memo.reuses) == (1, 0, 29)
+    counts = memo.table.read(EPOCH_FIELDS)
+    assert (counts.hs_builds, counts.hs_extends, counts.ts_reuses) == (1, 0, 29)
     for shard in cluster.shards:
         stats = shard.epoch_stats
         assert (stats.ts_merges, stats.peak_pins, stats.live_pins) == (0, 1, 0)

@@ -295,7 +295,7 @@ class TestHistoricalSplit:
         CombinedSummary.build(summaries[:split], other, growing)
         for memo in (None, folding, growing, growing, folding):
             assert_same_ts(CombinedSummary.build(summaries, ss, memo), expected)
-        assert (folding.reuses, growing.reuses) == (1, 1)
+        assert [m.table["epoch.ts_reuses"] for m in (folding, growing)] == [1, 1]
 
     @given(
         parts=st.lists(

@@ -69,6 +69,7 @@ from repro.faults.errors import CorruptedBlockError
 from repro.faults.plan import FaultPlan
 from repro.ingest.archiver import ArchiveFailedError
 from repro.persistence.checkpoint import load_engine, save_engine
+from repro.stats import EPOCH_FIELDS
 
 
 def fresh_derivation(engine):
@@ -638,7 +639,8 @@ def test_a_cluster_derives_one_layout_per_shard(monkeypatch):
     assert len(keys) == 30
     assert all(key == composed for composed, key in keys)
     memo = cluster._historical_memo
-    assert (memo.builds, memo.extends, memo.reuses) == (1, 0, 28)
+    counts = memo.table.read(EPOCH_FIELDS)
+    assert (counts.hs_builds, counts.hs_extends, counts.ts_reuses) == (1, 0, 28)
     for shard in cluster.shards:
         stats = shard.epoch_stats
         assert (stats.ts_merges, stats.peak_pins, stats.live_pins) == (0, 1, 0)

@@ -275,7 +275,7 @@ def test_same_faults_same_retries_same_degradation(seed, shared):
         observed = transcript(system, search_cls)
         return (
             observed[0],
-            executor.fault_retries,
+            executor.table["faults.probe_retries"],
             disk.faults_fired,
             disk.operations - before,
         )

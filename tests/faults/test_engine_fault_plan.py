@@ -68,7 +68,7 @@ def test_a_retried_load_read_counts_as_an_archive_retry(tmp_path):
     with load_engine(tmp_path / "wh", fault_plan=FIRST_READ_FAILS) as loaded:
         report = loaded.reliability
     assert report.disk_faults == report.archive_retries == 1
-    assert report.total_retries == 1
+    assert report.archive_retries + report.probe_retries == 1
 
 
 def test_a_round_trip_charges_what_the_engine_charged(tmp_path):
@@ -112,7 +112,10 @@ def test_a_cli_load_retries_a_read_in_place(mmap_warehouse, capsys):
     )
     assert code == 0, faulted.err
     assert faulted.out.splitlines()[:2] == clean.out.splitlines()[:2]
-    assert "reliability: 1 disk faults, 1 retries," in faulted.out
+    assert faulted.out.splitlines()[2] == (
+        "reliability: 1 disk faults, 1 archive retries, 0 probe retries, "
+        "0 degraded queries"
+    )
 
 
 def test_a_load_that_gives_up_lists_every_fault_it_fired(

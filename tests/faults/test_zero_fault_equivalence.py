@@ -13,6 +13,7 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import HybridQuantileEngine
 from repro.faults import FaultPlan
+from repro.stats import FAULT_FIELDS, Reading
 
 
 def drive(fault_plan, ingest_mode, steps=10, batch=400, seed=7):
@@ -60,8 +61,7 @@ class TestNullPlanEngineEquivalence:
                     assert a.rank_error_bound == b.rank_error_bound
             plain.check_invariants()
             faulty.check_invariants()
-            report = faulty.reliability
-            assert report.healthy
+            assert faulty.reliability == Reading(FAULT_FIELDS, {})
             assert faulty.disk.operations == 0  # plan never consulted
         finally:
             plain.close()

@@ -56,14 +56,15 @@ class TestBackgroundArchiver:
             for step in range(1, 4):
                 enqueue(archiver, make_batch(step))
             assert archiver.queue_depth == 3
-            assert archiver.stats.max_queue_depth == 3
+            assert archiver.stats().max_queue_depth == 3
             archiver.resume()
             archiver.drain()
             assert archiver.queue_depth == 0
         finally:
             archiver.close()
-        assert archiver.stats.batches_enqueued == 3
-        assert archiver.stats.batches_archived == 3
+        stats = archiver.stats()
+        assert stats.batches_enqueued == 3
+        assert stats.batches_archived == 3
 
     def test_backpressure_blocks_submit(self):
         store = make_store()

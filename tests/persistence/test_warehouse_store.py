@@ -51,6 +51,27 @@ class TestRoundTrip:
         for a, b in zip(store.partitions(), restored.partitions()):
             np.testing.assert_array_equal(a.run.values, b.run.values)
 
+    def test_a_v1_checkpoint_of_int64_parts_still_loads(self, tmp_path):
+        """The format says ``-v2`` since a part file may hold int32; an
+        older ``-v1`` manifest, whose parts are all int64, loads as it
+        did."""
+        disk = SimulatedDisk(block_elems=16)
+        store = LeveledStore(disk, kappa=2)
+        rng = np.random.default_rng(3)
+        for step in range(1, 6):
+            store.add_batch(rng.integers(2**40, 2**41, 500), step=step)
+        assert {p.run.values.dtype for p in store.partitions()} == {
+            np.dtype(np.int64)
+        }
+        save_store(store, tmp_path)
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        assert manifest["format"] == "repro-warehouse-v2"
+        manifest["format"] = "repro-warehouse-v1"
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        restored = load_store(tmp_path, empty_store())
+        for a, b in zip(store.partitions(), restored.partitions(), strict=True):
+            np.testing.assert_array_equal(a.run.values, b.run.values)
+
     def test_restored_store_keeps_ingesting(self, tmp_path):
         _, store = build_store(steps=7, kappa=2)
         save_store(store, tmp_path)

@@ -50,7 +50,7 @@ class TestSerialExecutor:
         flaky = _Task("ok", faults=[TransientReadError("read", 0)])
         assert executor.run_tasks([_Task(0), flaky], None) == [0, "ok"]
         assert flaky.runs == 2
-        assert executor.fault_retries == 1
+        assert executor.table["faults.probe_retries"] == 1
         # Past the budget the fault reaches the caller, every retry counted.
         doomed = _Task(
             "never", faults=[TransientReadError("read", i) for i in range(3)]
@@ -58,7 +58,7 @@ class TestSerialExecutor:
         with pytest.raises(TransientReadError):
             executor.run_tasks([doomed], None)
         assert doomed.runs == 3
-        assert executor.fault_retries == 3
+        assert executor.table["faults.probe_retries"] == 3
         assert executor.call_with_retry(lambda: "direct") == "direct"
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import EpochRegistry
+from repro.stats import EPOCH_FIELDS
 
 from .conftest import build_filled_engine
 
@@ -17,8 +18,8 @@ class TestEpochRegistry:
         registry.bump("seal")
         registry.bump("seal")
         registry.bump("adopt")
-        stats = registry.stats()
-        assert stats.current_epoch == 3
+        stats = registry.table.read(EPOCH_FIELDS)
+        assert registry.current == 3
         assert stats.seal_bumps == 2
         assert stats.adopt_bumps == 1
 
@@ -27,20 +28,27 @@ class TestEpochRegistry:
         registry.pin()
         registry.bump("seal")
         registry.pin()
-        stats = registry.stats()
+        stats = registry.table.read(EPOCH_FIELDS)
         assert stats.live_pins == 2
         assert stats.peak_pins == 2
         registry.release()
         registry.release()
-        stats = registry.stats()
+        stats = registry.table.read(EPOCH_FIELDS)
         assert stats.live_pins == 0
         assert stats.peak_pins == 2
 
     def test_ts_merges_counter(self):
-        registry = EpochRegistry()
-        registry.note_ts_merge()
-        registry.note_ts_merge()
-        assert registry.stats().ts_merges == 2
+        """The summary memo counts TS merges into the table it shares
+        with the engine's registry: one per quick answer."""
+        engine = build_filled_engine(steps=3, live=100)
+        try:
+            assert engine._epochs.table is engine._historical_memo.table
+            before = engine.epoch_stats.ts_merges
+            engine.quantile(0.5)
+            engine.quantile(0.9)
+            assert engine.epoch_stats.ts_merges == before + 2
+        finally:
+            engine.close()
 
 
 class TestEngineEpochs:

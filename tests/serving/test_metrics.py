@@ -96,13 +96,14 @@ class TestLatencyHistograms:
 class TestCounters:
     def test_batch_accounting(self):
         metrics = ServiceMetrics()
-        metrics.note_batch(requests=8, merges=1)
-        metrics.note_batch(requests=3, merges=2)
-        metrics.note_merges(4)
-        metrics.note_dedup(2)
-        metrics.note_degraded()
-        metrics.observe_queue_depth(5)
-        metrics.observe_queue_depth(2)
+        for requests, merges in ((8, 1), (3, 2)):
+            metrics.count(coalesced_batches=1, coalesced_requests=requests,
+                          max_batch=requests, ts_merges=merges)
+        metrics.count(ts_merges=4, accurate_ts_merges=4)
+        metrics.count(deduped_probes=2)
+        metrics.count(degraded_to_quick=1)
+        metrics.count(peak_queue_depth=5)
+        metrics.count(peak_queue_depth=2)
         snapshot = metrics.snapshot()
         assert snapshot.coalesced_batches == 2
         assert snapshot.coalesced_requests == 11
@@ -116,10 +117,11 @@ class TestCounters:
         # One quick request in one batch, four accurate searches: the
         # accurate path's merges are not merges per *quick* request.
         metrics = ServiceMetrics()
-        metrics.note_batch(requests=1, merges=1)
+        metrics.count(coalesced_batches=1, coalesced_requests=1,
+                      max_batch=1, ts_merges=1)
         metrics.record("quick", 0.001)
         for _ in range(4):
-            metrics.note_merges(1)
+            metrics.count(ts_merges=1, accurate_ts_merges=1)
             metrics.record("accurate", 0.01)
         snapshot = metrics.snapshot()
         assert snapshot.ts_merges == 5
@@ -127,7 +129,7 @@ class TestCounters:
 
     def test_snapshot_peak_includes_current_depth(self):
         metrics = ServiceMetrics()
-        metrics.observe_queue_depth(3)
+        metrics.count(peak_queue_depth=3)
         snapshot = metrics.snapshot(queue_depth=9)
         assert snapshot.queue_depth == 9
         assert snapshot.peak_queue_depth == 9

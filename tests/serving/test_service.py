@@ -502,6 +502,30 @@ class TestMonitoringIntegration:
             assert service.metrics_snapshot().rejections == 1
             service.resume()
 
+    def test_a_second_service_on_one_engine_counts_from_zero(
+        self, filled_engine
+    ):
+        config = ServingConfig(max_queue=4)
+        with QueryService(filled_engine, config) as first:
+            first.pause()
+            for phi in (0.1, 0.2, 0.3, 0.4):
+                first.submit(phi)
+            with pytest.raises(Overloaded):
+                first.submit(0.5)
+            first.resume()
+            first.drain()
+            first.quantile(0.5, "accurate", timeout=5.0)
+        used = first.metrics_snapshot()
+        assert (used.peak_queue_depth, used.max_batch) == (4, 4)
+        assert used.rejections == used.coalesced_batches == 1
+        with QueryService(filled_engine, config) as second:
+            fresh = second.metrics_snapshot()
+            assert fresh.requests_served == fresh.rejections == 0
+            assert fresh.peak_queue_depth == fresh.max_batch == 0
+            assert fresh.coalesced_batches == fresh.ts_merges == 0
+            second.quantile(0.5, timeout=5.0)
+            assert second.metrics_snapshot().max_batch == 1
+
 
 class TestAdmissionThroughService:
     """Admission bounds as a client sees them: the typed rejection, the

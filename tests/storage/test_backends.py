@@ -15,7 +15,6 @@ from repro import ClusterEngine, EngineConfig, HybridQuantileEngine
 from repro.cluster.engine import shard_config, shard_dir
 from repro.storage import (
     BACKEND_NAMES,
-    BackendStats,
     BlockCache,
     BlockDevice,
     MmapFileBackend,
@@ -26,6 +25,7 @@ from repro.storage import (
     SortedRun,
     make_backend,
 )
+from repro.stats import BACKEND_FIELDS, Reading
 from repro.storage.backends import FILE_TIER, MEMORY_TIER, OBJECT_TIER
 
 
@@ -268,9 +268,11 @@ class TestRequestAccounting:
         # (of the bucket object's map), and it must match what the hot
         # tier serves for the same range.
         backend, disk, run = self._charged_run(tmp_path)
-        hot = run.read_block_range(2, 4, cache=uncached(disk))
+        caches = BlockCache(disk), BlockCache(disk)
+        run.read_block_range(2, 4, cache=caches[0])
         backend.place_run(run.run_id, level=1)
-        cold = run.read_block_range(2, 4, cache=uncached(disk))
+        run.read_block_range(2, 4, cache=caches[1])
+        hot, cold = (run.pinned_range(8, 20, cache) for cache in caches)
         np.testing.assert_array_equal(cold, hot)
         np.testing.assert_array_equal(cold, np.arange(8, 20, dtype=np.int64))
         backend.close()
@@ -339,10 +341,17 @@ class TestRequestAccounting:
         finally:
             engine.close()
 
+    @staticmethod
+    def reading(**values):
+        """A backend reading holding ``values`` (the rest 0)."""
+        return Reading(BACKEND_FIELDS, {
+            BACKEND_FIELDS[name]: value for name, value in values.items()
+        })
+
     def test_delta_since(self):
-        a = BackendStats(gets=2, get_blocks=5, puts=1, hot_runs=4)
-        b = BackendStats(gets=7, get_blocks=9, puts=3, hot_runs=2)
-        delta = b.delta_since(a)
+        a = self.reading(gets=2, get_blocks=5, puts=1, hot_runs=4)
+        b = self.reading(gets=7, get_blocks=9, puts=3, hot_runs=2)
+        delta = b.since(a)
         assert delta.gets == 5
         assert delta.get_blocks == 4
         assert delta.puts == 2
@@ -352,7 +361,7 @@ class TestRequestAccounting:
         # Counters (monotonic totals) are subtracted; gauges (current
         # levels) are copied verbatim from the newer snapshot.  An
         # ablation writer that subtracted a gauge would report garbage.
-        before = BackendStats(
+        before = self.reading(
             gets=10,
             get_blocks=100,
             puts=4,
@@ -362,7 +371,7 @@ class TestRequestAccounting:
             object_runs=3,
             hot_bytes=4096,
         )
-        after = BackendStats(
+        after = self.reading(
             gets=15,
             get_blocks=180,
             puts=6,
@@ -372,7 +381,7 @@ class TestRequestAccounting:
             object_runs=7,
             hot_bytes=1024,
         )
-        delta = after.delta_since(before)
+        delta = after.since(before)
         # counters: deltas
         assert delta.gets == 5
         assert delta.get_blocks == 80

@@ -4,8 +4,9 @@ The ranged read is the batched counterpart of per-block probing
 (residual fetches, accurate-path prefetch).  These tests pin the
 clamping behaviour at the boundaries: inverted ranges, ranges entirely
 past the end of the run, empty runs, and partial trailing blocks must
-return exactly the stored elements and charge exactly the clamped
-block count — zero for a range that touches nothing.
+fetch exactly the stored elements (read back from the pins the read
+left in its cache, at no charge) and charge exactly the clamped block
+count — zero for a range that touches nothing.
 """
 
 import numpy as np
@@ -20,33 +21,47 @@ def make_run(n, block_elems=4):
     return disk, run
 
 
-def uncached(disk):
-    """A cache that holds nothing: every read through it is charged."""
-    return BlockCache(disk, enabled=False)
-
-
 def random_reads(disk):
     return disk.stats.counters.random_reads
+
+
+def fetched(run, disk, first, last, cache):
+    """The elements of blocks ``[first, last]`` (clamped) that a ranged
+    read left pinned in ``cache``, read back without a charge."""
+    per_block = disk.block_elems
+    lo = max(first, 0) * per_block
+    hi = max(lo, min((last + 1) * per_block, len(run)))
+    before = random_reads(disk)
+    out = run.pinned_range(lo, hi, cache)
+    assert random_reads(disk) == before
+    return out
+
+
+def read_range(run, disk, first, last):
+    """One ranged read through a fresh cache: the elements it fetched."""
+    cache = BlockCache(disk)
+    assert run.read_block_range(first, last, cache=cache) is None
+    return fetched(run, disk, first, last, cache)
 
 
 class TestClamping:
     def test_full_range(self):
         disk, run = make_run(12, block_elems=4)
         before = random_reads(disk)
-        out = run.read_block_range(0, 2, cache=uncached(disk))
+        out = read_range(run, disk, 0, 2)
         np.testing.assert_array_equal(out, np.arange(12))
         assert random_reads(disk) - before == 3
 
     def test_partial_trailing_block(self):
         # 10 elements over 4-element blocks: block 2 holds only 8..9.
         disk, run = make_run(10, block_elems=4)
-        out = run.read_block_range(2, 2, cache=uncached(disk))
+        out = read_range(run, disk, 2, 2)
         np.testing.assert_array_equal(out, [8, 9])
 
     def test_range_past_end_is_clamped(self):
         disk, run = make_run(10, block_elems=4)
         before = random_reads(disk)
-        out = run.read_block_range(1, 99, cache=uncached(disk))
+        out = read_range(run, disk, 1, 99)
         np.testing.assert_array_equal(out, np.arange(4, 10))
         # Blocks 1 and 2 exist; the rest of the range charges nothing.
         assert random_reads(disk) - before == 2
@@ -54,7 +69,7 @@ class TestClamping:
     def test_range_entirely_past_end_charges_nothing(self):
         disk, run = make_run(10, block_elems=4)
         before = random_reads(disk)
-        out = run.read_block_range(7, 9, cache=uncached(disk))
+        out = read_range(run, disk, 7, 9)
         assert out.size == 0
         assert out.dtype == np.int64
         assert random_reads(disk) == before
@@ -62,21 +77,21 @@ class TestClamping:
     def test_negative_first_block_clamps_to_zero(self):
         disk, run = make_run(8, block_elems=4)
         before = random_reads(disk)
-        out = run.read_block_range(-3, 0, cache=uncached(disk))
+        out = read_range(run, disk, -3, 0)
         np.testing.assert_array_equal(out, np.arange(4))
         assert random_reads(disk) - before == 1
 
     def test_inverted_range_is_empty(self):
         disk, run = make_run(8, block_elems=4)
         before = random_reads(disk)
-        out = run.read_block_range(2, 1, cache=uncached(disk))
+        out = read_range(run, disk, 2, 1)
         assert out.size == 0
         assert random_reads(disk) == before
 
     def test_empty_run_reads_nothing(self):
         disk, run = make_run(0, block_elems=4)
         before = random_reads(disk)
-        out = run.read_block_range(0, 5, cache=uncached(disk))
+        out = read_range(run, disk, 0, 5)
         assert out.size == 0
         assert out.dtype == np.int64
         assert random_reads(disk) == before
@@ -84,7 +99,7 @@ class TestClamping:
     def test_fully_negative_range_is_empty(self):
         disk, run = make_run(8, block_elems=4)
         before = random_reads(disk)
-        out = run.read_block_range(-5, -2, cache=uncached(disk))
+        out = read_range(run, disk, -5, -2)
         assert out.size == 0
         assert random_reads(disk) == before
 
@@ -95,7 +110,8 @@ class TestCacheInteraction:
         cache = BlockCache(disk)
         run.read_block_range(0, 3, cache=cache)
         before = random_reads(disk)
-        out = run.read_block_range(0, 3, cache=cache)
+        run.read_block_range(0, 3, cache=cache)
+        out = fetched(run, disk, 0, 3, cache)
         np.testing.assert_array_equal(out, np.arange(16))
         assert random_reads(disk) == before
 
@@ -113,12 +129,9 @@ class TestCacheInteraction:
         disk_b, run_b = make_run(20, block_elems=4)
         before_a = random_reads(disk_a)
         before_b = random_reads(disk_b)
-        ranged = run_a.read_block_range(1, 3, cache=uncached(disk_a))
+        ranged = read_range(run_a, disk_a, 1, 3)
         singles = np.concatenate(
-            [
-                run_b.read_block_range(b, b, cache=uncached(disk_b))
-                for b in (1, 2, 3)
-            ]
+            [read_range(run_b, disk_b, b, b) for b in (1, 2, 3)]
         )
         np.testing.assert_array_equal(ranged, singles)
         assert (
@@ -137,6 +150,6 @@ class TestContentCorrectness:
             lo = block * block_elems
             hi = min(lo + block_elems, n)
             np.testing.assert_array_equal(
-                run.read_block_range(block, block, cache=uncached(disk)),
+                read_range(run, disk, block, block),
                 np.arange(lo, hi),
             )

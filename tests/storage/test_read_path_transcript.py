@@ -96,7 +96,15 @@ def run_op(runs, op, cache):
     if kind == "rank_of":
         value, lo, hi = args
         return run.rank_of(value, lo=lo, hi=hi, cache=cache)
-    out = run.read_block_range(args[0], args[1], cache=cache)
+    first, last = args
+    run.read_block_range(first, last, cache=cache)
+    lo = max(first, 0) * BLOCK_ELEMS
+    hi = max(lo, min((last + 1) * BLOCK_ELEMS, len(run)))
+    # What the read fetched, off the cache's pins; a cache that pins
+    # nothing held no bytes, so the run's own stand in (no charge).
+    out = run.pinned_range(lo, hi, cache)
+    if out is None:
+        out = run.values[lo:hi]
     return (len(out), int(out.sum()))
 
 

@@ -51,6 +51,18 @@ def one_width(values, dtype, block_elems):
     return disk, run
 
 
+def read_back(disk, run, first, last, cache):
+    """The elements of blocks ``[first, last]`` (clamped) after a ranged
+    read of them: off the cache's pins, or probed one by one through a
+    cache that pins nothing."""
+    per_block = disk.block_elems
+    lo = max(first, 0) * per_block
+    hi = max(lo, min((last + 1) * per_block, len(run)))
+    if cache.pins(run.run_id):
+        return run.pinned_range(lo, hi, cache)
+    return [run.element_at(index, cache) for index in range(lo, hi)]
+
+
 def answers(disk, run, reads, enabled):
     """Every read's answer, charges and touched blocks, in order."""
     cache = BlockCache(disk, enabled=enabled)
@@ -63,7 +75,8 @@ def answers(disk, run, reads, enabled):
             elif kind == "element":
                 got = run.element_at(args[0], cache)
             elif kind == "blocks":
-                got = run.read_block_range(*args, cache)
+                assert run.read_block_range(*args, cache) is None
+                got = read_back(disk, run, *args, cache)
             elif kind == "pinned":
                 got = run.pinned_range(*args, cache)
             else:

@@ -24,8 +24,8 @@ class TestTwoQEviction:
         charge, _ = charge_counter()
         for block in range(20):
             cache.fetch_range(1, block, block, charge)
-        assert cache.resident_blocks <= 8
-        assert cache.stats().evictions == 20 - cache.resident_blocks
+        assert cache.stats().resident_blocks <= 8
+        assert cache.stats().evictions == 20 - cache.stats().resident_blocks
 
     def test_one_shot_scan_does_not_evict_hot_blocks(self):
         cache = SharedBlockCache(8)
@@ -65,7 +65,7 @@ class TestFetchAccounting:
         assert calls == {"ops": 1, "blocks": 1}
         stats = cache.stats()
         assert (stats.hits, stats.misses) == (1, 1)
-        assert stats.hit_rate == 0.5
+        assert (stats.resident_blocks, stats.prefetched_blocks) == (1, 0)
 
     def test_fetch_range_single_charge_op(self):
         cache = SharedBlockCache(16)
@@ -110,7 +110,7 @@ class TestInvalidation:
             cache.fetch_range(7, block, block, charge)
         assert cache.invalidate_run(7) == 5
         assert cache.invalidate_run(7) == 0
-        assert cache.resident_blocks == 0
+        assert cache.stats().resident_blocks == 0
         stats = cache.stats()
         assert stats.invalidated_blocks == 5
         assert stats.invalidated_runs == 1
@@ -135,7 +135,7 @@ class TestInvalidation:
             cache.fetch_range(7, block, block, charge)
         dropped = cache.invalidate_run(7)
         assert dropped == cache.stats().invalidated_blocks
-        assert cache.resident_blocks == 0
+        assert cache.stats().resident_blocks == 0
 
 
 class TestFollowers:

@@ -78,7 +78,7 @@ def test_src_lines_only_go_down():
     lines = sum(
         path.read_bytes().count(b"\n") for path in src.rglob("*.py")
     )
-    assert lines <= 13935
+    assert lines <= 13874
 
 
 def test_backends_lines_only_go_down():
@@ -90,7 +90,7 @@ def test_backends_lines_only_go_down():
     """
     backends = _TUNING.parent.parent / "src" / "repro" / "storage"
     lines = (backends / "backends.py").read_bytes().count(b"\n")
-    assert lines <= 773
+    assert lines <= 752
 
 
 def test_docs_lines_only_go_down():
@@ -102,7 +102,23 @@ def test_docs_lines_only_go_down():
     lines = sum(
         path.read_bytes().count(b"\n") for path in _TUNING.parent.glob("*.md")
     )
-    assert lines <= 2263
+    assert lines <= 2261
+
+
+def test_stats_classes_only_go_down():
+    """A ratchet on the classes under ``src/`` named like a stats
+    surface (``...Stats``, ``Report``, ``Metrics``, ``Counters``,
+    ``Tally``): counts belong in the engine's one stats table, so lower
+    the bound when one goes, never raise it."""
+    pattern = re.compile(r"^class \w*(Stats|Report|Metrics|Counters|Tally)\b")
+    src = _TUNING.parent.parent / "src"
+    classes = [
+        line
+        for path in src.rglob("*.py")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if pattern.match(line)
+    ]
+    assert len(classes) <= 8, classes
 
 
 #: Fields nothing outside ``tests/`` sets, each with why it stays a
