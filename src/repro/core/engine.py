@@ -71,7 +71,7 @@ from ..storage.backends import make_backend
 from ..storage.disk import SimulatedDisk
 from ..storage.runfile import run_dtype
 from ..storage.shared_cache import SharedBlockCache
-from ..storage.stats import PhaseTally
+from ..storage.stats import DiskStats
 from ..warehouse.compaction import LeveledCompactionStore
 from ..warehouse.leveled_store import LeveledStore
 from ..warehouse.partition import Partition
@@ -192,7 +192,6 @@ class HybridQuantileEngine(PinnedQueries):
         self._layout: Optional[Layout] = Layout(0, 0, 0, [], (), [], [])
         self._gk = self._fresh_stream_sketch()
         self._buffer = AppendBuffer()
-        self._m = 0
         self._stream_stats = AggregateStats.empty()
         # Lazy absorption: stream updates only touch the buffer and the
         # aggregates under _stream_lock; _gk_absorbed counts how many
@@ -293,7 +292,6 @@ class HybridQuantileEngine(PinnedQueries):
         with self._stream_lock:
             self._buffer.append(value)
             self._stream_stats = self._stream_stats.with_value(value)
-            self._m += 1
 
     def stream_update_many(self, values: np.ndarray) -> int:
         """Process a numpy batch of live stream elements at once.
@@ -330,7 +328,6 @@ class HybridQuantileEngine(PinnedQueries):
         with self._stream_lock:
             self._buffer.extend(arr)
             self._stream_stats = self._stream_stats.merge(stats)
-            self._m += int(arr.size)
         return int(arr.size)
 
     @property
@@ -417,7 +414,7 @@ class HybridQuantileEngine(PinnedQueries):
             self._gk = sketch
             self._buffer.extend(buffer)
             self._stream_stats = AggregateStats.of_array(buffer)
-            self._m = self._gk_absorbed = int(buffer.size)
+            self._gk_absorbed = int(buffer.size)
             self._step = int(step)
             self._layout = None
 
@@ -464,7 +461,6 @@ class HybridQuantileEngine(PinnedQueries):
                 width = run_dtype(stats.minimum, stats.maximum)
                 pending = PendingBatch(self._step, self._buffer.take(width))
                 pending.stats = stats
-                self._m = 0
                 self._gk = self._fresh_stream_sketch()
                 self._gk_absorbed = 0
                 self._stream_stats = AggregateStats.empty()
@@ -487,7 +483,7 @@ class HybridQuantileEngine(PinnedQueries):
         with self.table.lock:  # producers may seal concurrently
             self.table["ingest.archiver.stall_s"] += stall
         return StepReport.of(
-            pending.step, pending.size, PhaseTally(), {"seal": stall},
+            pending.step, pending.size, DiskStats(), {"seal": stall},
             self.disk.latency, stall_seconds=stall, queue_depth=depth,
             archived=False,
         )
@@ -543,10 +539,10 @@ class HybridQuantileEngine(PinnedQueries):
         """Every count this engine keeps, flat, by key (:mod:`repro.stats`).
 
         The table its components bump, beside what the disk keeps (the
-        random and per-phase sequential block I/O, fired faults,
-        degraded queries and modeled request seconds) and the levels
-        read off their holders: the current epoch, the backend's runs
-        and bytes, the shared cache's blocks and the partitions.
+        random and per-phase sequential block I/O, fired faults and
+        modeled request seconds) and the levels read off their holders:
+        the current epoch, the backend's runs and bytes, the shared
+        cache's blocks and the partitions.
         """
         io, disk, cache = self.disk.stats, self.disk, self.shared_cache
         return {
@@ -563,7 +559,6 @@ class HybridQuantileEngine(PinnedQueries):
                 disk.backend.simulated_seconds(),
             "warehouse.partitions_final": self.store.partition_count(),
             "faults.disk_faults": disk.faults_fired,
-            "faults.degraded_queries": disk.degraded_queries,
         }
 
     # ------------------------------------------------------------------
@@ -579,12 +574,12 @@ class HybridQuantileEngine(PinnedQueries):
     @property
     def m_stream(self) -> int:
         """Number of live (unarchived) stream elements m."""
-        return self._m
+        return len(self._buffer)
 
     @property
     def n_total(self) -> int:
         """Total number of elements N = n + m."""
-        return self.n_historical + self._m
+        return self.n_historical + len(self._buffer)
 
     @property
     def steps_loaded(self) -> int:
@@ -675,7 +670,8 @@ class HybridQuantileEngine(PinnedQueries):
         """Whether a pin now would read ``layout`` and ``stream``: no
         lock, yet linearizable, as each field read only moves away from
         what a pin saw (the epoch grows, a dropped layout or sketch is
-        never reinstalled, ``m`` grows while the sketch stays).  If all
+        never reinstalled, the buffer grows while the sketch stays; a
+        seal empties it before installing a fresh sketch).  If all
         match, all held from that pin to the first read; a check racing
         a seal sees the old version whole, ordered before it, or fails.
         """
@@ -683,7 +679,7 @@ class HybridQuantileEngine(PinnedQueries):
             self._layout is layout
             and layout.epoch == self._epochs.current
             and stream.source is self._gk
-            and stream.size == self._m
+            and stream.size == len(self._buffer)
         )
 
     def pin(self) -> SnapshotHandle:

@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..faults.errors import DiskFault
 from ..faults.retry import RetryPolicy
 from ..stats import INGEST_FIELDS, Reading, StatsTable
-from ..storage.stats import DiskLatencyModel, PhaseTally
+from ..storage.stats import DiskLatencyModel, DiskStats
 from ..warehouse.leveled_store import LeveledStore
 from .pending import PendingBatch
 
@@ -104,7 +104,7 @@ class StepReport:
         cls,
         step: int,
         batch_elems: int,
-        io: PhaseTally,
+        io: DiskStats,
         cpu: Dict[str, float],
         latency: DiskLatencyModel,
         **timing: Any,
@@ -113,19 +113,19 @@ class StepReport:
         :meth:`~repro.storage.stats.DiskStats.capture`) and spent
         ``cpu`` seconds by phase; a phase it did not time reads 0.
         ``timing`` sets the fields after ``merged_levels``."""
-        merge = io.phase("merge").total
+        merge, counters = io.merge.total, io.counters
         return cls(
             step=step,
             batch_elems=batch_elems,
-            io_total=io.total.total,
-            io_load=io.phase("load").total,
-            io_sort=io.phase("sort").total,
+            io_total=counters.total,
+            io_load=io.load.total,
+            io_sort=io.sort.total,
             io_merge=merge,
             cpu_seconds={
                 **dict.fromkeys(("sort", "merge", "summary", "load"), 0.0),
                 **cpu,
             },
-            sim_seconds=latency.seconds(io.total),
+            sim_seconds=latency.seconds(counters),
             merged_levels=merge > 0,
             **timing,
         )
@@ -434,7 +434,7 @@ class BackgroundArchiver:
             cpu["merge"] = time.perf_counter() - merge_started
         if self._after_adopt is not None:
             self._after_adopt()
-        io = PhaseTally()
+        io = DiskStats()
         io.add(batch.stage_io)
         io.add(adopt_io)
         return StepReport.of(

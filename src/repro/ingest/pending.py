@@ -26,7 +26,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..storage.stats import PhaseTally
+from ..storage.stats import DiskStats
 from ..warehouse.leveled_store import LeveledStore
 from ..warehouse.partition import Partition
 
@@ -49,7 +49,7 @@ class PendingBatch:
         #: the staged partition, the I/O charged by staging and its
         #: per-phase CPU seconds, set once by :meth:`ensure_staged`.
         self.partition: Optional[Partition] = None
-        self.stage_io: Optional[PhaseTally] = None
+        self.stage_io: Optional[DiskStats] = None
         self.stage_cpu: Dict[str, float] = {}
 
     def __len__(self) -> int:

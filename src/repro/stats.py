@@ -6,7 +6,7 @@ archiver, the query executor, the storage backend and the shared block
 cache.  Each bumps its own keys; a component built alone, and each
 service's metrics, make a table of their own.  ``engine.stats()`` reads
 the table flat, beside the counts kept elsewhere (the disk's per-phase
-I/O, its fault counts) and the levels read off the state holding them
+I/O, its fired faults) and the levels read off the state holding them
 (a backend's runs and bytes, a cache's blocks, the current epoch).
 
 Keys are the names ``bench/layers.py`` reports.  A *counter* only grows;

@@ -86,12 +86,11 @@ class SimulatedDisk:
         self.backend: "BlockDevice" = (
             backend if backend is not None else SimulatedBackend()
         )
+        self.backend.table.declare(["faults.degraded_queries"])
         self.plan = plan if plan is not None else FaultPlan()
         self.transcript: List[FaultEvent] = []
         self._op_lock = threading.Lock()
         self._op_index = 0
-        self._faults_fired = 0
-        self._degraded_queries = 0
 
     def blocks_for(self, num_elems: int) -> int:
         """Number of blocks occupied by ``num_elems`` elements."""
@@ -152,21 +151,16 @@ class SimulatedDisk:
 
     @property
     def faults_fired(self) -> int:
-        """Number of faults (stalls included) fired so far."""
-        with self._op_lock:
-            return self._faults_fired
-
-    @property
-    def degraded_queries(self) -> int:
-        """Accurate queries a fault of this disk sent to the quick
-        response."""
-        with self._op_lock:
-            return self._degraded_queries
+        """Number of faults (stalls included) fired so far: the
+        transcript's length."""
+        return len(self.transcript)
 
     def note_degraded_query(self) -> None:
-        """Count one degraded query (called from any query thread)."""
-        with self._op_lock:
-            self._degraded_queries += 1
+        """Count one accurate query a fault of this disk degraded, as
+        ``faults.degraded_queries`` beside its probe retries."""
+        table = self.backend.table
+        with table.lock:  # called from any query thread
+            table["faults.degraded_queries"] += 1
 
     def dump_transcript(self, path: "str | Path") -> Path:
         """Write the plan and the fired faults as a JSON document."""
@@ -187,13 +181,12 @@ class SimulatedDisk:
             self._op_index += 1
             if (
                 self.plan.max_faults is not None
-                and self._faults_fired >= self.plan.max_faults
+                and len(self.transcript) >= self.plan.max_faults
             ):
                 return
             decision = self.plan.decide(op, index)
             if decision is None:
                 return
-            self._faults_fired += 1
             self.transcript.append(
                 FaultEvent(index=index, op=op, fault=decision)
             )

@@ -9,16 +9,20 @@ its cost through an :class:`IoCounters` instance, and a
 benchmarks can report a "time" axis comparable in shape to the paper's
 wall-clock figures.
 
+A :class:`DiskStats` keeps each charge once, in the :class:`IoCounters`
+of its phase (``load`` / ``sort`` / ``merge`` / ``query``); its grand
+total :attr:`DiskStats.counters` is their sum, computed when read.
+
 Thread safety: :class:`DiskStats` serializes every ``record_*`` call
 behind a lock, so the background ingest archiver (``repro.ingest``),
 serving clients and callers driving one engine from several threads
 never lose counts to a torn ``+=``.  The *phase* a sequential charge is
 attributed to is tracked per thread, so the archiver's ``"merge"``
 never leaks into another thread's charges; a random read is always
-``"query"``, so queries set no phase.  The running totals
-(:attr:`DiskStats.counters`) see every thread's charges; an operation's
-own I/O is counted one way, :meth:`DiskStats.capture`, which tallies
-only the charges made by the capturing thread.
+``"query"``, so queries set no phase.  The disk's tallies see every
+thread's charges; an operation's own I/O is counted one way,
+:meth:`DiskStats.capture`, a :class:`DiskStats` of only the charges
+made by the capturing thread.
 """
 
 from __future__ import annotations
@@ -90,39 +94,16 @@ class DiskLatencyModel:
         )
 
 
-class PhaseTally:
-    """Per-phase I/O tally filled in by :meth:`DiskStats.capture`.
-
-    One :class:`IoCounters` per maintenance phase plus a grand total —
-    the same shape as :class:`DiskStats` itself, but private to the
-    capturing thread, so concurrent activity on other threads never
-    leaks into it.
-    """
-
-    def __init__(self) -> None:
-        self.total = IoCounters()
-        self.by_phase = {phase: IoCounters() for phase in PHASES}
-
-    def phase(self, phase: str) -> IoCounters:
-        """The tally of one phase."""
-        return self.by_phase[phase]
-
-    def add(self, other: "PhaseTally") -> None:
-        """Accumulate another capture into this one."""
-        self.total.add(other.total)
-        for phase in PHASES:
-            self.by_phase[phase].add(other.by_phase[phase])
-
-
 @dataclass
 class DiskStats:
-    """Aggregated statistics for one simulated disk.
+    """Per-phase I/O tallies of one simulated disk, or of one
+    :meth:`capture`.
 
-    Keeps both running totals and per-phase sub-tallies that the update
-    benchmarks (Fig. 6 and Fig. 7) break out: load, sort, merge.
+    One :class:`IoCounters` per phase that the update benchmarks
+    (Fig. 6 and Fig. 7) break out — load, sort, merge — plus query;
+    :attr:`counters` sums them.
     """
 
-    counters: IoCounters = field(default_factory=IoCounters)
     load: IoCounters = field(default_factory=IoCounters)
     sort: IoCounters = field(default_factory=IoCounters)
     merge: IoCounters = field(default_factory=IoCounters)
@@ -134,6 +115,20 @@ class DiskStats:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+
+    @property
+    def counters(self) -> IoCounters:
+        """Every phase's charges summed: a fresh tally, read now."""
+        total = IoCounters()
+        with self._lock:
+            for phase in PHASES:
+                total.add(getattr(self, phase))
+        return total
+
+    def add(self, other: "DiskStats") -> None:
+        """Accumulate another tally (a capture) into this one."""
+        for phase in PHASES:
+            getattr(self, phase).add(getattr(other, phase))
 
     def set_phase(self, phase: str) -> None:
         """Direct this thread's subsequent accesses to a phase sub-tally.
@@ -168,10 +163,7 @@ class DiskStats:
         finally:
             self.set_phase(previous)
 
-    def _bucket(self) -> IoCounters:
-        return getattr(self, self.current_phase)
-
-    def _captures(self) -> "List[PhaseTally]":
+    def _captures(self) -> "List[DiskStats]":
         stack = getattr(self._local, "captures", None)
         if stack is None:
             stack = []
@@ -179,16 +171,16 @@ class DiskStats:
         return stack
 
     @contextmanager
-    def capture(self) -> Iterator[PhaseTally]:
+    def capture(self) -> "Iterator[DiskStats]":
         """Tally the charges made *by this thread* inside the block.
 
-        Unlike a difference of the global counters, a capture is immune
+        Unlike a difference of the disk's tallies, a capture is immune
         to concurrent charges from other threads, so the background
         archiver can account one time step's I/O exactly while queries
         (or another staging thread) charge the same disk.  Captures nest;
         each level sees its own charges plus those of any inner capture.
         """
-        tally = PhaseTally()
+        tally = DiskStats()
         stack = self._captures()
         stack.append(tally)
         try:
@@ -197,15 +189,14 @@ class DiskStats:
             stack.pop()
 
     def _record(self, kind: str, blocks: int, phase: "str | None" = None) -> None:
-        bucket = getattr(self, phase) if phase is not None else self._bucket()
-        effective = phase if phase is not None else self.current_phase
+        if phase is None:
+            phase = self.current_phase
+        bucket = getattr(self, phase)
         with self._lock:
-            setattr(self.counters, kind, getattr(self.counters, kind) + blocks)
             setattr(bucket, kind, getattr(bucket, kind) + blocks)
         for tally in self._captures():
-            setattr(tally.total, kind, getattr(tally.total, kind) + blocks)
-            phase_bucket = tally.by_phase[effective]
-            setattr(phase_bucket, kind, getattr(phase_bucket, kind) + blocks)
+            bucket = getattr(tally, phase)
+            setattr(bucket, kind, getattr(bucket, kind) + blocks)
 
     def record_sequential_read(self, blocks: int = 1) -> None:
         """Tally sequential block reads (atomic)."""

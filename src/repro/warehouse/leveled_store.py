@@ -27,7 +27,7 @@ import numpy as np
 from ..storage.disk import SimulatedDisk
 from ..storage.external_sort import ExternalSorter, merge_runs
 from ..storage.runfile import SortedRun
-from ..storage.stats import PhaseTally
+from ..storage.stats import DiskStats
 from .partition import Partition
 
 SummaryBuilder = Callable[[Partition], Any]
@@ -109,7 +109,7 @@ class LeveledStore:
 
     def stage_partition(
         self, data: np.ndarray, step: int, bounds=(None, None)
-    ) -> "tuple[Partition, PhaseTally, Dict[str, float]]":
+    ) -> "tuple[Partition, DiskStats, Dict[str, float]]":
         """Sort, persist and summarize a batch *without* inserting it.
 
         The first half of Algorithm 3: a sealed batch becomes a fully

@@ -1,6 +1,7 @@
 """Tests for the simulated disk's fault injection."""
 
 import json
+import threading
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.faults import (
     TransientWriteError,
 )
 from repro.storage import SimulatedDisk
+from repro.storage.stats import DiskStats
 
 
 class TestFaultRaising:
@@ -50,6 +52,38 @@ class TestFaultRaising:
         disk.charge_random_read(1)  # budget exhausted: op succeeds
         assert disk.faults_fired == 2
         assert disk.stats.counters.random_reads == 1
+
+    def test_max_faults_caps_the_burst_across_threads(self):
+        """Four threads race for a three-fault budget: exactly three
+        fire, and each thread's capture holds only its own charges."""
+        disk = SimulatedDisk(
+            16, plan=FaultPlan(read_error_rate=1.0, max_faults=3)
+        )
+        ready = threading.Barrier(4)
+        tallies, faults = [], []
+
+        def client():
+            with disk.stats.capture() as tally:
+                ready.wait()
+                for _ in range(50):
+                    try:
+                        disk.charge_random_read(1)
+                    except TransientReadError as fault:
+                        faults.append(fault)
+            tallies.append(tally)
+
+        threads = [threading.Thread(target=client) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(faults) == 3
+        assert disk.faults_fired == len(disk.transcript) == 3
+        combined = DiskStats()
+        for tally in tallies:
+            combined.add(tally)
+        assert combined == disk.stats
+        assert disk.stats.query.random_reads == 4 * 50 - 3
 
     def test_stall_succeeds(self):
         disk = SimulatedDisk(

@@ -83,7 +83,7 @@ class TestMergeRuns:
         b = SortedRun(disk, np.arange(16))
         with disk.stats.capture() as merge:
             merge_runs(disk, [a, b])
-        delta = merge.total
+        delta = merge.counters
         assert delta.sequential_reads == 8   # read both inputs
         assert delta.sequential_writes == 8  # write the merged output
 
@@ -180,7 +180,7 @@ class TestKWayMerge:
         ]
         with disk.stats.capture() as merge:
             merged = merge_runs(disk, runs)
-        delta = merge.total
+        delta = merge.counters
         expected_reads = sum(
             disk.blocks_for(len(run.values)) for run in runs
         )

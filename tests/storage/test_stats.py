@@ -135,10 +135,10 @@ class TestCapture:
             stats.record_sequential_write(2)
         thread.join()
         # the concurrent thread's 100 writes are absent from the tally
-        assert tally.total.sequential_reads == 4
-        assert tally.total.sequential_writes == 2
-        assert tally.phase("sort").sequential_reads == 4
-        assert tally.phase("sort").sequential_writes == 2
+        assert tally.counters.sequential_reads == 4
+        assert tally.counters.sequential_writes == 2
+        assert tally.sort.sequential_reads == 4
+        assert tally.sort.sequential_writes == 2
         # ...but present in the global counters
         assert stats.counters.sequential_writes == 102
 
@@ -148,29 +148,27 @@ class TestCapture:
             stats.record_sequential_read(1)
             with stats.capture() as inner:
                 stats.record_sequential_read(2)
-        assert inner.total.sequential_reads == 2
-        assert outer.total.sequential_reads == 3
+        assert inner.counters.sequential_reads == 2
+        assert outer.counters.sequential_reads == 3
 
     def test_random_reads_attributed_to_query_phase(self):
         stats = DiskStats()
         stats.set_phase("merge")
         with stats.capture() as tally:
             stats.record_random_read(5)
-        assert tally.phase("query").random_reads == 5
-        assert tally.phase("merge").total == 0
+        assert tally.query.random_reads == 5
+        assert tally.merge.total == 0
 
     def test_tally_add(self):
-        from repro.storage.stats import PhaseTally
-
         stats = DiskStats()
         with stats.capture() as first:
             stats.record_sequential_read(1)
         with stats.capture() as second:
             with stats.phase_scope("merge"):
                 stats.record_sequential_write(2)
-        combined = PhaseTally()
+        combined = DiskStats()
         combined.add(first)
         combined.add(second)
-        assert combined.total.total == 3
-        assert combined.phase("load").sequential_reads == 1
-        assert combined.phase("merge").sequential_writes == 2
+        assert combined.counters.total == 3
+        assert combined.load.sequential_reads == 1
+        assert combined.merge.sequential_writes == 2

@@ -78,7 +78,7 @@ def test_src_lines_only_go_down():
     lines = sum(
         path.read_bytes().count(b"\n") for path in src.rglob("*.py")
     )
-    assert lines <= 13874
+    assert lines <= 13854
 
 
 def test_backends_lines_only_go_down():
@@ -102,7 +102,7 @@ def test_docs_lines_only_go_down():
     lines = sum(
         path.read_bytes().count(b"\n") for path in _TUNING.parent.glob("*.md")
     )
-    assert lines <= 2261
+    assert lines <= 2255
 
 
 def test_stats_classes_only_go_down():
@@ -118,7 +118,7 @@ def test_stats_classes_only_go_down():
         for line in path.read_text(encoding="utf-8").splitlines()
         if pattern.match(line)
     ]
-    assert len(classes) <= 8, classes
+    assert len(classes) <= 7, classes
 
 
 #: Fields nothing outside ``tests/`` sets, each with why it stays a

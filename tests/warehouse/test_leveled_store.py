@@ -122,7 +122,7 @@ class TestMergeSemantics:
         for s in range(1, 101):
             with disk.stats.capture() as step:
                 store.add_batch(np.zeros(100_000, dtype=np.int64), step=s)
-            total = step.total.total
+            total = step.counters.total
             counts[total] = counts.get(total, 0) + 1
         assert counts == {10_000: 89, 190_000: 10, 1_810_000: 1}
 
@@ -134,7 +134,7 @@ class TestMergeSemantics:
         for s in range(1, 101):
             with disk.stats.capture() as step:
                 store.add_batch(np.zeros(100_000, dtype=np.int64), step=s)
-            totals.append(step.total.total)
+            totals.append(step.counters.total)
         assert max(totals) == 1_130_000
         assert totals.count(10_000) > 80
 
@@ -144,7 +144,7 @@ class TestMergeSemantics:
         store.add_batch(np.zeros(100), step=2)
         with disk.stats.capture() as step:
             store.add_batch(np.zeros(100), step=3)  # merges (1,2) first
-        delta = step.total
+        delta = step.counters
         # merge: read 20 + write 20; add: write 10
         assert delta.sequential_reads == 20
         assert delta.sequential_writes == 30
