@@ -781,7 +781,8 @@ class ClusterEngine(PinnedQueries):
     def reopen_wal(self, shard: int) -> None:
         """Reopen a quarantined slot's WAL writer after a failed restore,
         so it keeps taking lockstep seal frames (a no-op without a WAL
-        root, on a live slot or with a writer open)."""
+        root, on a live slot or with a writer open).  Raises
+        :class:`~repro.ingest.wal.WalError` on a log damaged mid-log."""
         if (
             self._wal_root is not None
             and self.shards[shard] is None

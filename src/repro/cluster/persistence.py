@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 
 from ..core.engine import HybridQuantileEngine
 from ..faults.plan import FaultPlan
+from ..ingest.wal import WalError
 from ..persistence.checkpoint import (
     begin_stage,
     commit_stage,
@@ -132,8 +133,10 @@ def restore_shards(
     under ``cluster.wal_root``, and :meth:`rejoin_shard
     <repro.cluster.engine.ClusterEngine.rejoin_shard>` swaps it in.  A
     shard whose restore raises stays quarantined with its WAL writer
-    given back.  Every shard is tried first: one error re-raises
-    unchanged, several as :class:`~repro.cluster.engine.ShardErrors`.
+    given back, or with none when the writer refuses its log (mid-log
+    damage, left untouched).  Every shard is tried first: one error
+    re-raises unchanged, several as
+    :class:`~repro.cluster.engine.ShardErrors`.
     A caller that wants retries wraps the call.
     """
     root = recover_checkpoint(directory, MANIFEST_FILE)
@@ -151,8 +154,11 @@ def restore_shards(
         except BaseException as exc:  # noqa: BLE001 - attempt all first
             if engine is not None:
                 engine.close()
-            cluster.reopen_wal(index)
             errors[index] = exc
+            try:
+                cluster.reopen_wal(index)
+            except WalError:
+                pass  # the restore re-raises the damage when retried
         else:
             restored.append(index)
     ShardErrors.raise_joined("restore_shards", errors)

@@ -16,10 +16,14 @@ replays to exactly the pre-crash state:
   exact partition layout and step numbering.
 
 Every frame carries a monotonically increasing LSN and a CRC32 over
-header + payload.  A crash can only tear the *tail* of the last
-segment: the writer truncates the torn bytes on reopen, and
-:func:`scan_wal` refuses mid-log corruption (which a crash cannot
-produce) unless salvaging.
+header + payload.  Each segment is named by the first LSN it holds, so
+a segment holds only LSNs below its successor's name and the newest
+one holds LSNs up to the writer's ``last_lsn``: the names alone bound
+every segment.  A crash can only tear the *tail* of the last segment
+(a partial frame, or a header with no frame yet): the writer cuts the
+torn bytes on reopen, while mid-log corruption (which a crash cannot
+produce) makes both the writer and :func:`scan_wal` raise; only
+``fsck --wal --repair`` salvages such a log.
 
 Checkpoint coordination uses an LSN watermark, not file state:
 ``save_engine`` records the attached log's ``last_lsn`` inside
@@ -82,28 +86,9 @@ class WalScan:
     records: Tuple[WalRecord, ...]
     segments: int
     last_lsn: int
-    #: Whether the final segment ended in a torn (incomplete) frame.
+    #: Whether the final segment ended in a torn (incomplete) frame or
+    #: held only its header.
     torn_tail: bool
-    #: Segment file holding the torn frame, when ``torn_tail``.
-    torn_segment: Optional[str] = None
-
-    @property
-    def frames(self) -> int:
-        """Number of intact frames decoded."""
-        return len(self.records)
-
-
-@dataclass(frozen=True)
-class ReplayStats:
-    """What :func:`replay_wal` applied to an engine."""
-
-    batches: int
-    elements: int
-    seals: int
-    #: LSN of the last applied record (watermark when nothing applied).
-    last_lsn: int
-    #: Records at or below the watermark, skipped as already durable.
-    skipped: int
 
 
 def _fsync_dir(path: Path) -> None:
@@ -122,6 +107,13 @@ def _segment_name(first_lsn: int) -> str:
 
 def _segment_files(directory: Path) -> List[Path]:
     return sorted(directory.glob("wal-*.seg"))
+
+
+def _first_lsn(path: Path) -> int:
+    try:
+        return int(path.stem.split("-", 1)[1])
+    except (IndexError, ValueError):
+        raise WalError(f"unrecognized segment name {path.name}") from None
 
 
 _FLOOR_NAME = "wal.floor"
@@ -163,19 +155,18 @@ def _frame_head(rtype: int, lsn: int, meta: int, payload) -> bytes:
 class _Torn(Exception):
     """Internal: frame decoding hit a torn/garbled region."""
 
-    def __init__(self, offset: int) -> None:
+    def __init__(self, offset: int, records: List[WalRecord]) -> None:
         super().__init__(f"torn frame at byte {offset}")
+        #: End of the last good frame (the salvage truncation point).
         self.offset = offset
+        #: The intact frames before it.
+        self.records = records
 
 
-def _decode_segment(data: bytes, path: Path) -> Tuple[List[WalRecord], int]:
-    """Decode every intact frame; raises :class:`_Torn` at a bad one.
-
-    Returns the records decoded so far paired with the byte offset of
-    the end of the last *good* frame (the salvage truncation point).
-    """
+def _decode_segment(data: bytes, path: Path) -> List[WalRecord]:
+    """Decode every frame; raises :class:`_Torn` at the first bad one."""
     if len(data) < len(_SEGMENT_MAGIC):
-        raise _Torn(0)
+        raise _Torn(0, [])
     if data[: len(_SEGMENT_MAGIC)] != _SEGMENT_MAGIC:
         raise WalError(f"{path} is not a WAL segment")
     offset = len(_SEGMENT_MAGIC)
@@ -184,23 +175,23 @@ def _decode_segment(data: bytes, path: Path) -> Tuple[List[WalRecord], int]:
         head_end = offset + _FRAME_HEAD.size
         crc_end = head_end + _FRAME_CRC.size
         if crc_end > len(data):
-            raise _Torn(offset)
+            raise _Torn(offset, records)
         magic, rtype, lsn, meta, length = _FRAME_HEAD.unpack(
             data[offset:head_end]
         )
         if magic != _FRAME_MAGIC or rtype not in _KIND_NAMES:
-            raise _Torn(offset)
+            raise _Torn(offset, records)
         payload_end = crc_end + length
         if payload_end > len(data):
-            raise _Torn(offset)
+            raise _Torn(offset, records)
         payload = data[crc_end:payload_end]
         (expected,) = _FRAME_CRC.unpack(data[head_end:crc_end])
         actual = zlib.crc32(payload, zlib.crc32(data[offset:head_end]))
         if (actual & 0xFFFFFFFF) != expected:
-            raise _Torn(offset)
+            raise _Torn(offset, records)
         if rtype == RECORD_BATCH:
             if length != meta * 8:
-                raise _Torn(offset)
+                raise _Torn(offset, records)
             values = np.frombuffer(payload, dtype="<i8").astype(
                 np.int64, copy=True
             )
@@ -210,71 +201,69 @@ def _decode_segment(data: bytes, path: Path) -> Tuple[List[WalRecord], int]:
         else:
             records.append(WalRecord(lsn=lsn, kind="seal", meta=meta))
         offset = payload_end
-    return records, offset
+    return records
 
 
 def scan_wal(directory: "str | Path", salvage: bool = False) -> WalScan:
     """Decode every replayable record under ``directory``.
 
-    A torn tail in the *final* segment is crash-normal and tolerated
-    (reported via ``torn_tail``); a bad frame anywhere earlier means
-    records after it cannot form a replayable prefix, so it raises
-    :class:`WalError` — unless ``salvage`` is set, in which case the
-    torn segment is truncated at its last good frame, every later
-    segment is deleted, and the surviving prefix is returned.
+    A torn tail in the *final* segment — a partial frame, or only the
+    segment header, as a crash between creating the segment and its
+    first frame leaves — is crash-normal and tolerated (reported via
+    ``torn_tail``); a bad frame anywhere earlier means records after it
+    cannot form a replayable prefix, so it raises :class:`WalError` —
+    unless ``salvage`` is set, in which case the torn segment is
+    truncated at its last good frame (removed when none is left), every
+    later segment is deleted, and the surviving prefix is returned.
     """
     directory = Path(directory)
     paths = _segment_files(directory)
     records: List[WalRecord] = []
-    torn_at: Optional[Tuple[Path, int]] = None
-    kept = 0
+    segments = len(paths)
+    torn_tail = False
     for position, path in enumerate(paths):
         data = path.read_bytes()
+        final = position == len(paths) - 1
         try:
-            decoded, _ = _decode_segment(data, path)
+            decoded = _decode_segment(data, path)
+            if final and not decoded:
+                raise _Torn(len(_SEGMENT_MAGIC), [])
         except _Torn as torn:
-            if position != len(paths) - 1 and not salvage:
+            if not (final or salvage):
                 raise WalError(
                     f"corrupt frame mid-log in {path.name} at byte "
                     f"{torn.offset}: not a crash artifact "
                     "(run fsck --wal --repair to salvage)"
                 ) from None
-            torn_at = (path, torn.offset)
-            decoded, good_end = _decode_segment(
-                data[: torn.offset], path
-            ) if torn.offset else ([], 0)
-            records.extend(decoded)
-            kept += 1
+            records.extend(torn.records)
+            torn_tail = True
+            segments = position + 1
             if salvage:
-                if good_end <= len(_SEGMENT_MAGIC):
-                    path.unlink()
-                    kept -= 1
-                else:
+                if torn.records:
                     with open(path, "r+b") as handle:
-                        handle.truncate(good_end)
+                        handle.truncate(torn.offset)
                         handle.flush()
                         os.fsync(handle.fileno())
+                else:
+                    path.unlink()
+                    segments -= 1
                 for later in paths[position + 1 :]:
                     later.unlink()
                 _fsync_dir(directory)
             break
         records.extend(decoded)
-        kept += 1
     lsns = [r.lsn for r in records]
     if lsns != sorted(set(lsns)):
         raise WalError(f"non-monotonic LSNs in {directory}")
     return WalScan(
         records=tuple(records),
-        segments=kept if torn_at else len(paths),
+        segments=segments,
         last_lsn=lsns[-1] if lsns else 0,
-        torn_tail=torn_at is not None,
-        torn_segment=torn_at[0].name if torn_at else None,
+        torn_tail=torn_tail,
     )
 
 
-def replay_wal(
-    engine, directory: "str | Path", after_lsn: int = 0
-) -> ReplayStats:
+def replay_wal(engine, directory: "str | Path", after_lsn: int = 0) -> None:
     """Roll ``engine`` forward through every record past the watermark.
 
     Batch frames are re-fed through ``stream_update_many`` with their
@@ -284,39 +273,28 @@ def replay_wal(
     """
     if engine.wal is not None:
         raise WalError("detach the WAL writer before replaying into it")
-    scan = scan_wal(directory)
-    batches = elements = seals = skipped = 0
-    last = after_lsn
-    for record in scan.records:
+    for record in scan_wal(directory).records:
         if record.lsn <= after_lsn:
-            skipped += 1
             continue
         if record.kind == "batch":
             engine.stream_update_many(record.values)
-            batches += 1
-            elements += int(record.meta)
         else:
             engine.end_time_step()
-            seals += 1
-        last = record.lsn
-    return ReplayStats(
-        batches=batches,
-        elements=elements,
-        seals=seals,
-        last_lsn=last,
-        skipped=skipped,
-    )
 
 
 class WriteAheadLog:
     """Appender over a directory of CRC-framed WAL segments.
 
-    Opening scans the existing segments (salvaging a crash-torn tail),
-    resumes the LSN sequence, and appends into a fresh segment.  Each
-    append is flushed — and fsynced when ``fsync`` is on — before it
-    returns, making the caller's ack durable.  With ``fsync`` off the
-    writer fsyncs nothing, segment creation and truncation included:
-    durability is the page cache's.
+    Opening scans the existing segments read-only: mid-log damage
+    raises :class:`WalError` and leaves every file as it is; only a
+    torn final segment is cut back to its last good frame (removed when
+    it holds only its header).  The writer then resumes the LSN
+    sequence and appends into a fresh segment, named by its first LSN.
+    It keeps no per-segment state: segment bounds come from the names
+    (see the module docstring).  Each append is flushed — and fsynced
+    when ``fsync`` is on — before it returns, making the caller's ack
+    durable.  With ``fsync`` off the writer fsyncs nothing, segment
+    creation and truncation included: durability is the page cache's.
     """
 
     def __init__(
@@ -331,39 +309,17 @@ class WriteAheadLog:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.segment_bytes = segment_bytes
-        scan = scan_wal(self.directory, salvage=True)
+        scan = scan_wal(self.directory)
+        if scan.torn_tail:
+            # Only the final segment is torn (else the scan raised), so
+            # salvaging cuts that segment alone.
+            scan = scan_wal(self.directory, salvage=True)
         self._floor = _read_floor(self.directory)
         self._lsn = max(scan.last_lsn, self._floor)
-        # Pre-existing segments are never appended to again (a torn
-        # tail was already salvaged; resuming mid-file risks garbage).
-        # Rebuild their last-LSN bounds from the scan: a record belongs
-        # to the last segment whose first LSN is <= the record's.
-        paths = _segment_files(self.directory)
-        firsts = [self._first_lsn_of(p) for p in paths]
-        bounds = {path: 0 for path in paths}
-        for record in scan.records:
-            owner = None
-            for path, first in zip(paths, firsts):
-                if first <= record.lsn:
-                    owner = path
-            if owner is not None:
-                bounds[owner] = record.lsn
-        #: sealed (closed) segments paired with the last LSN they hold.
-        self._sealed: List[Tuple[Path, int]] = [
-            (path, bounds[path]) for path in paths
-        ]
+        # Pre-existing segments are never appended to again (resuming
+        # mid-file risks garbage): the first append opens a new one.
         self._file = None
-        self._active: Optional[Path] = None
-        self._active_first = 0
-        self._active_last = 0
         self._closed = False
-
-    @staticmethod
-    def _first_lsn_of(path: Path) -> int:
-        try:
-            return int(path.stem.split("-", 1)[1])
-        except (IndexError, ValueError):
-            raise WalError(f"unrecognized segment name {path.name}") from None
 
     @property
     def last_lsn(self) -> int:
@@ -371,23 +327,21 @@ class WriteAheadLog:
         return self._lsn
 
     def _open_segment(self) -> None:
-        self._active_first = self._lsn + 1
-        self._active = self.directory / _segment_name(self._active_first)
-        self._file = open(self._active, "xb")
+        self._file = open(
+            self.directory / _segment_name(self._lsn + 1), "xb"
+        )
         self._file.write(_SEGMENT_MAGIC)
         self._file.flush()
         if self.fsync:
             os.fsync(self._file.fileno())
             _fsync_dir(self.directory)
-        self._active_last = 0
 
     def _append(self, rtype: int, meta: int, payload) -> int:
         if self._closed:
             raise WalError("write-ahead log is closed")
-        if self._file is not None and (
-            self._file.tell() >= self.segment_bytes and self._active_last
-        ):
-            self._rotate()
+        if self._file is not None and self._file.tell() >= self.segment_bytes:
+            self._file.close()
+            self._file = None
         if self._file is None:
             self._open_segment()
         self._lsn += 1
@@ -396,14 +350,7 @@ class WriteAheadLog:
         self._file.flush()
         if self.fsync:
             os.fsync(self._file.fileno())
-        self._active_last = self._lsn
         return self._lsn
-
-    def _rotate(self) -> None:
-        self._file.close()
-        self._sealed.append((self._active, self._active_last))
-        self._file = None
-        self._active = None
 
     def append_batch(self, values: np.ndarray) -> int:
         """Durably log one acked ingest batch; returns its LSN."""
@@ -417,9 +364,11 @@ class WriteAheadLog:
     def truncate(self, upto_lsn: int) -> int:
         """Garbage-collect segments fully covered by a checkpoint.
 
-        Removes every segment whose records all have
-        ``lsn <= upto_lsn``.  Safe at any time: replay skips records at
-        or below the checkpoint watermark, so an untruncated segment is
+        Removes, oldest first, every segment whose records all have
+        ``lsn <= upto_lsn``: a segment's records lie below its
+        successor's first LSN, the newest segment's at or below
+        ``last_lsn``.  Safe at any time: replay skips records at or
+        below the checkpoint watermark, so an untruncated segment is
         merely wasted space, never a double-apply.  Returns the number
         of segments removed.
         """
@@ -430,24 +379,17 @@ class WriteAheadLog:
         if floor > self._floor:
             self._floor = floor
             _write_floor(self.directory, floor, self.fsync)
+        paths = _segment_files(self.directory)
+        bounds = [_first_lsn(path) - 1 for path in paths[1:]] + [self._lsn]
         removed = 0
-        survivors: List[Tuple[Path, int]] = []
-        for path, last in self._sealed:
-            if last <= upto_lsn:
-                path.unlink()
-                removed += 1
-            else:
-                survivors.append((path, last))
-        self._sealed = survivors
-        if (
-            self._file is not None
-            and self._active_last
-            and self._active_last <= upto_lsn
-        ):
-            self._file.close()
-            self._active.unlink()
-            self._file = None
-            self._active = None
+        for path, last in zip(paths, bounds):
+            if last > upto_lsn:
+                break
+            if path == paths[-1] and self._file is not None:
+                # The active segment is always the newest.
+                self._file.close()
+                self._file = None
+            path.unlink()
             removed += 1
         if removed and self.fsync:
             _fsync_dir(self.directory)
@@ -456,12 +398,12 @@ class WriteAheadLog:
     def close(self) -> None:
         """Close the active segment (the log stays replayable)."""
         if self._file is not None:
+            header_only = self._file.tell() <= len(_SEGMENT_MAGIC)
             self._file.close()
-            if self._active_last == 0 and self._active is not None:
-                # Header-only segment: drop it so reopen resumes clean.
-                self._active.unlink()
+            if header_only:
+                # No frame made it in: drop it so reopen resumes clean.
+                os.unlink(self._file.name)
             self._file = None
-            self._active = None
         self._closed = True
 
     def __enter__(self) -> "WriteAheadLog":

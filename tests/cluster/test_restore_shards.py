@@ -8,11 +8,13 @@ import pytest
 from repro.cluster import (
     ClusterEngine,
     ShardErrors,
+    load_cluster,
     restore_shards,
     save_cluster,
     shard_dir,
 )
 from repro.core.config import EngineConfig
+from repro.ingest.wal import WalError
 from repro.persistence.warehouse_store import PersistenceError
 
 
@@ -98,4 +100,41 @@ def test_several_failures_raise_together(tmp_path):
         restore_shards(cluster, tmp_path / "ckpt")
     assert sorted(raised.value.errors) == [0, 2]
     assert sorted(cluster.quarantined_shards) == [0, 2]
+    cluster.close()
+
+
+def test_a_log_damaged_mid_log_stays_untouched_and_quarantined(tmp_path):
+    cluster = make_cluster(tmp_path, shards=2)
+    rng = np.random.default_rng(56)
+
+    def step():
+        cluster.stream_update_many(
+            rng.integers(0, 100_000, size=3000).astype(np.int64)
+        )
+        cluster.end_time_step()
+
+    step()
+    cluster.close()
+    # Reloading opens fresh writers, so each shard's log past the
+    # checkpoint spans two segments.
+    cluster = load_cluster(tmp_path / "ckpt", wal_dir=tmp_path / "wal")
+    step()
+    cluster.kill_shard(0, "chaos")
+    cluster.kill_shard(1, "chaos")
+    segments = sorted(shard_dir(tmp_path / "wal", 0).glob("wal-*.seg"))
+    assert len(segments) == 2
+    data = bytearray(segments[0].read_bytes())
+    data[-3] ^= 0xFF  # a CRC mismatch no crash can leave mid-log
+    segments[0].write_bytes(bytes(data))
+    before = {path.name: path.read_bytes() for path in segments}
+    with pytest.raises(WalError, match="mid-log"):
+        restore_shards(cluster, tmp_path / "ckpt")
+    assert list(cluster.quarantined_shards) == [0]
+    assert cluster.shards[1] is not None
+    after = {
+        path.name: path.read_bytes()
+        for path in shard_dir(tmp_path / "wal", 0).glob("wal-*.seg")
+    }
+    assert after == before
+    cluster.check_invariants()
     cluster.close()

@@ -39,7 +39,7 @@ def test_a_refused_seal_logs_no_frame(tmp_path):
     engine.close()
     assert seal_frames(tmp_path / "wal") == [1]
     with HybridQuantileEngine(config=config) as replica:
-        assert replay_wal(replica, tmp_path / "wal").seals == 1
+        replay_wal(replica, tmp_path / "wal")
         assert replica.steps_sealed == 1 and replica.n_total == acked
 
 

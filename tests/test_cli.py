@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.ingest.wal import WriteAheadLog
 from repro.storage import runfile
 
 
@@ -371,3 +372,28 @@ class TestMultiPhiQuery:
                            "--phi", "0.5", "0.99")
         assert code == 0
         assert len(out.strip().splitlines()) == 3
+
+
+class TestFsckWal:
+    def test_header_only_final_segment_is_a_repairable_torn_tail(
+        self, tmp_path, capsys
+    ):
+        warehouse = tmp_path / "wh"
+        run(capsys, "init", str(warehouse))
+        wal_dir = tmp_path / "wal"
+        with WriteAheadLog(wal_dir) as wal:
+            wal.append_batch(np.arange(5, dtype=np.int64))
+        # What a crash between a segment's header and its first frame
+        # leaves behind.
+        (wal_dir / "wal-0000000000000002.seg").write_bytes(b"RPWAL001")
+        argv = ["fsck", str(warehouse), "--wal", str(wal_dir)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "[torn tail]" in out
+        code, out, _ = run(capsys, *argv, "--repair")
+        assert code == 0
+        assert not (wal_dir / "wal-0000000000000002.seg").exists()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "WAL OK: 1 segments" in out
+        assert "[torn tail]" not in out
